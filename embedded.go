@@ -63,43 +63,22 @@ type ClusterOptions struct {
 	// guaranteed).
 	RetainVersions int
 
-	// Page-store knobs, the data-path mirror of the WAL knobs above.
-	// Only meaningful with DiskDir.
-
-	// PageSegmentBytes rolls each provider's page log into a fresh
-	// segment past this size (0 = 64 MB default).
-	PageSegmentBytes int64
-	// PageSnapshotEvery, when positive, writes each page store's index
-	// snapshot after that many records, bounding provider reopen replay.
-	PageSnapshotEvery int
-	// PageCompactRatio, when in (0,1), makes providers rewrite page-log
-	// segments whose live-byte ratio falls below it, reclaiming the
-	// space of deleted (garbage-collected) pages.
-	PageCompactRatio float64
-	// PageGroupCommit coalesces concurrent page writes on one provider
-	// into shared write+fsync batches.
-	PageGroupCommit bool
-	// PageSync forces page records to disk before PUT_PAGE acknowledges
-	// (pair with PageGroupCommit to keep concurrent writers fast).
-	PageSync bool
-
-	// Metadata-log knobs, the DHT mirror of the page-store knobs above.
-	// Only meaningful with DiskDir.
-
-	// MetaSegmentBytes rolls each metadata node's pair log into a fresh
-	// segment past this size (0 = 64 MB default).
-	MetaSegmentBytes int64
-	// MetaSnapshotEvery, when positive, writes each metadata log's index
-	// snapshot after that many records, bounding node reopen replay.
-	MetaSnapshotEvery int
-	// MetaCompactRatio, when in (0,1), makes metadata nodes rewrite log
-	// segments whose live-byte ratio falls below it, reclaiming the
-	// space of deleted (garbage-collected) tree nodes.
-	MetaCompactRatio float64
-	// MetaSync forces metadata records to disk before a DHT put or
-	// delete acknowledges.
-	MetaSync bool
+	// PageStore tunes each data provider's durable page store and
+	// MetaLog each metadata node's pair log: segment size, index-snapshot
+	// interval, compaction threshold, fsync and (pages only) group
+	// commit. Only meaningful with DiskDir; the zero values are 64 MB
+	// segments, no automatic snapshots or compaction, no fsync.
+	PageStore PageStoreOptions
+	MetaLog   MetaLogOptions
 }
+
+// PageStoreOptions and MetaLogOptions are aliases so the same values
+// flow from the public API to the stores untouched; see the field docs
+// on seglog.KVOptions and dht.LogOptions.
+type (
+	PageStoreOptions = pagestore.DiskOptions
+	MetaLogOptions   = dht.LogOptions
+)
 
 // Cluster is an embedded single-process BlobSeer deployment: every
 // service runs in this process over an in-memory transport. It is the
@@ -129,20 +108,9 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		cfg.VersionWALSegmentBytes = opts.WALSegmentBytes
 		cfg.VersionCheckpointEvery = opts.CheckpointEvery
 		cfg.MetaLogDir = dir
-		cfg.MetaLog = dht.LogOptions{
-			Sync:          opts.MetaSync,
-			SegmentBytes:  opts.MetaSegmentBytes,
-			SnapshotEvery: opts.MetaSnapshotEvery,
-			CompactRatio:  opts.MetaCompactRatio,
-		}
+		cfg.MetaLog = opts.MetaLog
 		cfg.PageDir = dir
-		cfg.PageStore = pagestore.DiskOptions{
-			Sync:          opts.PageSync,
-			GroupCommit:   opts.PageGroupCommit,
-			SegmentBytes:  opts.PageSegmentBytes,
-			SnapshotEvery: opts.PageSnapshotEvery,
-			CompactRatio:  opts.PageCompactRatio,
-		}
+		cfg.PageStore = opts.PageStore
 	}
 	inner, err := cluster.StartInproc(net, sched, cfg)
 	if err != nil {
@@ -174,7 +142,7 @@ func (c *Cluster) Checkpoint() error {
 // segments dominated by deleted (garbage-collected) tree nodes and to
 // cover the rewrites with fresh index snapshots, shrinking the on-disk
 // metadata footprint after Blob.GC. It is a no-op for a non-durable
-// cluster; automatic compaction (MetaCompactRatio) makes calling it
+// cluster; automatic compaction (MetaLog.CompactRatio) makes calling it
 // optional.
 func (c *Cluster) CompactMetadata() error {
 	return c.inner.CompactMetadata()

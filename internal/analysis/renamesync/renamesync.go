@@ -13,9 +13,7 @@
 // The rule fires on every os.Rename whose source operand is "tmp-ish"
 // (its expression text contains "tmp", which all tmp-path helpers in
 // this repo do: snapshotTmpPath, dhtCompactTmpPath, a local named tmp).
-// Renames of already-durable files — the WAL legacy migration renames
-// the existing log into segment position — are deliberately out of
-// scope. For an in-scope rename, the enclosing function must contain,
+// Renames of already-durable files are deliberately out of scope. For an in-scope rename, the enclosing function must contain,
 // in source order:
 //
 //   - before it: a (*os.File).Sync call, or a call to a same-package

@@ -1,93 +1,42 @@
 package dht
 
 import (
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
-
 	"blobseer/internal/rpc"
 	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 )
 
-// Durable metadata nodes persist every pair to a segmented,
-// CRC-framed log and reload it on start, so the segment trees survive a
-// restart of the whole cluster (extension — the paper's metadata lived
-// in RAM and node volatility was future work). Since the retention/GC
-// line landed, pairs are no longer immutable forever: the garbage
-// collector deletes tree nodes reachable only from expired snapshots,
-// so the log needs the same segment + snapshot + compaction treatment
-// the version WAL and the provider page store already have. See
-// segment.go and snapshot.go for the on-disk formats and maintain.go
-// for the snapshotter/compactor.
+// Durable metadata nodes persist every pair to a seglog.KV and reload
+// it on start, so the segment trees survive a restart of the whole
+// cluster (extension — the paper's metadata lived in RAM and node
+// volatility was future work). The node serves reads from RAM and never
+// reads its log after the reload; layout, recovery, snapshots and
+// compaction are the KV's (see internal/seglog/kv.go).
 //
-// Durability contract: with sync on, a record is on disk before the put
-// or delete is acknowledged. With sync off, acknowledged records in the
-// active segment may be lost by a crash — but never by a clean
-// shutdown (close fsyncs every segment before closing), and never in a
-// way that prevents reopening: sealing a segment fsyncs it and its
-// directory entry, so only the highest segment can carry a torn tail,
-// which recovery truncates (and fsyncs away before new appends land on
-// top of it).
-//
-// Safety rule for space reclamation: the log itself never invents
-// garbage. A pair's bytes are only ever dropped by compaction after the
-// pair was explicitly deleted, and delete's contract is that the caller
-// (the GC walking version metadata) has proven the pair unreachable
-// from every retained snapshot and branch. Everything still live
-// survives any crash/compaction interleaving byte-identical — the
-// invariant crash_test.go asserts at every fault point.
-type metaLog struct {
-	base string
-	opts LogOptions
+// Durability contract: with Sync on, a record is on disk before the put
+// or delete is acknowledged. With Sync off, acknowledged records in the
+// active segment may be lost by a crash — but never by a clean shutdown
+// and never in a way that prevents reopening, because the layout below
+// seals segments with an fsync.
 
-	// cutMu makes snapshot captures a consistent cut: the exclusive
-	// committer (the group-commit leader) holds it shared across
-	// commit+apply via the committer's Outer hook, and a capture holds it
-	// exclusively while it rolls the active segment and resolves the
-	// dirty keys — so no record is split from its index change, and
-	// records queued behind a capture commit into the post-roll segment.
-	// Appenders themselves never hold it across their park in the fsync.
-	cutMu sync.RWMutex
-
-	// logMu guards everything below: the pair index, the segment table,
-	// the active-segment pointer, the byte accounting and the commit
-	// queue (the group-commit protocol lives in seglog.Committer, which
-	// borrows logMu — the batch write+fsync itself runs outside it under
-	// the unique leader). Lock order: maintMu, then cutMu, then logMu.
-	logMu  sync.Mutex
-	index  map[string]metaEntry
-	segs   map[uint32]*metaSegment
-	active *metaSegment
-	comm   seglog.Committer[*metaAppend]
-	closed bool
-
-	nextGen uint64
-
-	// Maintenance (snapshot + compaction) machinery, see maintain.go.
-	// track owns the auto-snapshot countdown and the dirty key set for
-	// incremental captures; every index change marks its key there
-	// (applies, compaction retargets).
-	maintMu     sync.Mutex
-	track       seglog.Tracker[string, metaEntry]
-	snapPause   atomic.Int64 // last capture's stop-the-world ns
-	maint       *seglog.Maintainer
-	snapRuns    uint64
-	compactRuns uint64
-
-	recStats logRecoveryStats
-
-	// crashHook is the test-only maintenance fault injector.
-	crashHook func(point string) error
+// metaLayout is the metadata log's instantiation of the KV: its file
+// magics, uint32-length-prefixed keys, and an fsync of every segment
+// (and the directory) at seal and at Close even with Sync off.
+var metaLayout = &seglog.KVLayout{
+	Format: seglog.Format{
+		Name:      "dht",
+		RecMagic:  0xD47A5EE5,
+		SegMagic:  0xD47A5E60,
+		SegFormat: 1,
+		SnapMagic: 0xD47A55A9,
+	},
+	SealSync: true,
 }
 
-// LogOptions tunes a durable node's metadata log. The zero value
-// reproduces the pre-segmentation behaviour: unsynced serial appends,
-// 64 MB segments, no automatic snapshots or compaction.
+// LogOptions tunes a durable node's metadata log. The zero value is
+// unsynced appends, 64 MB segments, no automatic snapshots or
+// compaction. Appends always group-commit.
 type LogOptions struct {
 	// Sync forces records to disk before a put or delete is
 	// acknowledged. Slower, but a crash loses at most in-flight pairs
@@ -110,596 +59,28 @@ type LogOptions struct {
 	CompactRatio float64
 }
 
-const defaultMetaSegmentBytes = 64 << 20
-
-// logRecoveryStats describes what one openMetaLog did: how much of the
-// index came from the snapshot and how much had to be replayed by
-// scanning segments.
-type logRecoveryStats struct {
-	snapshotLoaded    bool
-	snapshotPairs     int
-	segmentsOnDisk    int
-	segmentsRescanned int
-	staleRescanned    int // of those, rewritten after the snapshot (compaction crash)
-	recordsReplayed   int
-	legacyMigrated    bool
-}
-
-var errLogClosed = errors.New("dht: log closed")
-
-// openMetaLog opens (creating if needed) the segmented log rooted at
-// path and returns the recovered pairs: it loads the newest valid index
-// snapshot, verifies each covered segment's generation, rescans only
-// the tail (plus any segment a crashed compaction rewrote), and reads
-// snapshot-covered values straight out of their segments. A torn record
-// at the tail of the highest segment is truncated away; a torn or
-// corrupt snapshot degrades to a full rescan; a single-file log from
-// before segmentation is migrated in place.
-func openMetaLog(path string, opts LogOptions) (*metaLog, [][2][]byte, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultMetaSegmentBytes
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("dht: create log dir: %w", err)
-	}
-	l := &metaLog{
-		base:  path,
-		opts:  opts,
-		index: make(map[string]metaEntry),
-		segs:  make(map[uint32]*metaSegment),
-	}
-	l.comm = seglog.Committer[*metaAppend]{
-		Mu:        &l.logMu,
-		Closed:    func() bool { return l.closed },
-		ErrClosed: errLogClosed,
-		Commit:    l.commitBatch,
-		Apply:     l.applyBatch,
-		// Re-check closed before rolling: close may have finished while
-		// the commit ran outside logMu, and a roll now would create a
-		// stray segment after close already swept the files.
-		MaybeRoll: func() {
-			if !l.closed && l.active.size.Load() >= l.opts.SegmentBytes {
-				l.rollLocked() // best effort: a failed roll leaves the oversized segment active
-			}
-		},
-		// The exclusive committer holds the snapshot cut shared across
-		// commit+apply, so appenders never sit in the fsync with cutMu
-		// held and a capture's exclusive acquisition fences out in-flight
-		// batches (see the cutMu field docs).
-		Outer: func() func() { l.cutMu.RLock(); return l.cutMu.RUnlock },
-	}
-	pairs, err := l.recover()
-	if err != nil {
-		l.closeFiles()
-		return nil, nil, err
-	}
-	// Replayed tail records count toward the auto-snapshot interval, or
-	// a crash-looping node whose runs each log fewer than SnapshotEvery
-	// records would grow its tail without bound.
-	l.track.AddEvents(l.recStats.recordsReplayed)
-	if opts.SnapshotEvery > 0 || opts.CompactRatio > 0 {
-		l.maint = seglog.NewMaintainer(l.maintainPass)
-		l.maint.Start()
-		if opts.SnapshotEvery > 0 && l.recStats.recordsReplayed >= opts.SnapshotEvery {
-			l.nudgeMaintain()
-		}
-	}
-	return l, pairs, nil
-}
-
-// syncDir fsyncs a directory so renames, creations and truncations in
-// it are durable.
-func syncDir(dir string) error { return seglog.SyncDir(dir) }
-
-// recover rebuilds the index and the pair set from disk. See the
-// package comments in segment.go and snapshot.go for the
-// crash-consistency argument.
-func (l *metaLog) recover() ([][2][]byte, error) {
-	base := l.base
-	// Leftover tmp files from interrupted maintenance are garbage: only
-	// the atomic renames ever activate them.
-	seglog.RemoveTmp(base)
-
-	segIdxs, err := listDHTSegments(base)
-	if err != nil {
-		return nil, err
-	}
-	if len(segIdxs) == 0 {
-		migrated, err := migrateLegacyNodeLog(base)
-		if err != nil {
-			return nil, err
-		}
-		if migrated {
-			l.recStats.legacyMigrated = true
-			if segIdxs, err = listDHTSegments(base); err != nil {
-				return nil, err
-			}
-		}
-	} else if info, err := os.Stat(base); err == nil && info.Mode().IsRegular() {
-		// A legacy log next to segments is the leftover of a migration
-		// that crashed between activating segment 1 and removing it.
-		if err := os.Remove(base); err != nil {
-			return nil, fmt.Errorf("dht: remove migrated legacy log: %w", err)
-		}
-	}
-
-	// A roll that crashed before completing the 16-byte header leaves a
-	// short highest segment with nothing in it; drop it and append to
-	// its predecessor.
-	if n := len(segIdxs); n > 0 {
-		p := dhtSegmentPath(base, segIdxs[n-1])
-		if info, err := os.Stat(p); err == nil && info.Size() < dhtSegHeaderSize {
-			if err := os.Remove(p); err != nil {
-				return nil, fmt.Errorf("dht: remove torn segment: %w", err)
-			}
-			segIdxs = segIdxs[:n-1]
-		}
-	}
-
-	snap, snapErr := loadDHTSnapshot(dhtSnapshotPath(base))
-	if snapErr != nil {
-		// Torn or corrupt (crash racing the rename, disk fault):
-		// segments are never deleted, so a full rescan recovers
-		// everything — the snapshot only ever buys speed.
-		snap = nil
-	}
-
-	if len(segIdxs) == 0 {
-		if snap != nil && len(snap.meta.Segs) > 0 {
-			return nil, fmt.Errorf("dht: snapshot covers %d segments but none exist on disk", len(snap.meta.Segs))
-		}
-		seg, err := l.createSegment(1, 1)
-		if err != nil {
-			return nil, err
-		}
-		l.segs[1] = seg
-		l.active = seg
-		l.nextGen = 1
-		l.recStats.segmentsOnDisk = 1
-		return nil, nil
-	}
-	for i, idx := range segIdxs {
-		if idx != uint32(i+1) {
-			return nil, fmt.Errorf("dht: segment %06d missing (found %06d): pairs may be lost", i+1, idx)
-		}
-	}
-	if snap != nil && len(snap.meta.Segs) > len(segIdxs) {
-		return nil, fmt.Errorf("dht: snapshot covers %d segments, only %d exist: pairs may be lost",
-			len(snap.meta.Segs), len(segIdxs))
-	}
-
-	// Open every segment and validate its header.
-	var maxGen uint64
-	for _, idx := range segIdxs {
-		p := dhtSegmentPath(base, idx)
-		f, err := os.OpenFile(p, os.O_RDWR, 0)
-		if err != nil {
-			return nil, fmt.Errorf("dht: open segment: %w", err)
-		}
-		gen, err := dhtFmt.ReadHeader(f, p)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		info, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dht: stat segment: %w", err)
-		}
-		seg := &metaSegment{idx: idx, f: f, gen: gen}
-		seg.size.Store(info.Size())
-		l.segs[idx] = seg
-		if gen > maxGen {
-			maxGen = gen
-		}
-	}
-	l.recStats.segmentsOnDisk = len(segIdxs)
-
-	// Seed the index from the snapshot where the generations still
-	// match; a mismatch means a compaction rewrote that segment after
-	// the snapshot (its offsets are stale) and it joins the rescan.
-	highest := segIdxs[len(segIdxs)-1]
-	pairs := make(map[string][]byte)
-	stale := make(map[uint32]bool)
-	var rescan []uint32
-	if snap != nil {
-		l.recStats.snapshotLoaded = true
-		for i, sm := range snap.meta.Segs {
-			idx := uint32(i + 1)
-			if l.segs[idx].gen != sm.Gen {
-				stale[idx] = true
-				rescan = append(rescan, idx)
-			}
-		}
-		for _, e := range snap.entries {
-			if stale[e.seg] {
-				continue
-			}
-			seg := l.segs[e.seg]
-			if e.off+int64(e.vlen) > seg.size.Load() {
-				return nil, fmt.Errorf("dht: snapshot entry for key %x beyond segment %06d", e.key, e.seg)
-			}
-			val := make([]byte, e.vlen)
-			if e.vlen > 0 {
-				if _, err := seg.f.ReadAt(val, e.off); err != nil {
-					return nil, fmt.Errorf("dht: read snapshot-covered value in segment %06d: %w", e.seg, err)
-				}
-			}
-			l.index[string(e.key)] = e.metaEntry
-			seg.liveBytes += framedPairBytes(len(e.key), int(e.vlen))
-			pairs[string(e.key)] = val
-			l.recStats.snapshotPairs++
-		}
-		// A v2 snapshot carries each covered segment's tombstone bytes;
-		// restore them so the compactor's reclaim estimate matches the
-		// pre-crash accounting exactly. (liveBytes were just seeded from
-		// the entries.) A v1 snapshot has no counters and the covered
-		// segments reopen with tombBytes zero — the old, undercounting
-		// behaviour, corrected by their next rescan or rewrite. The
-		// highest segment is skipped: its rescan below re-adds tombstone
-		// bytes, and seeding it here would double-count.
-		if snap.meta.HasMeta {
-			for i, sm := range snap.meta.Segs {
-				idx := uint32(i + 1)
-				if stale[idx] || idx == highest {
-					continue
-				}
-				l.segs[idx].tombBytes = sm.Tomb
-			}
-		}
-		for idx := uint32(len(snap.meta.Segs) + 1); idx <= uint32(len(segIdxs)); idx++ {
-			rescan = append(rescan, idx)
-		}
-		// The highest segment is rescanned even when the snapshot
-		// covers it: a torn roll can demote the active segment back
-		// into the covered range, after which post-snapshot records
-		// append there — and a torn tail must be truncated before new
-		// appends land behind it. Duplicate puts are skipped, so
-		// re-visiting records the snapshot already indexed is a no-op.
-		if len(rescan) == 0 || rescan[len(rescan)-1] != highest {
-			rescan = append(rescan, highest)
-		}
-	} else {
-		rescan = append(rescan, segIdxs...)
-	}
-	l.recStats.staleRescanned = len(stale)
-
-	// Rescan in index order — the chronological write order, since
-	// records never move between segments. dead remembers deletes seen
-	// during this pass so a put record can never resurrect a pair whose
-	// delete sits in an earlier rescanned segment (keys are never
-	// reused, so a put legitimately following its delete cannot occur).
-	dead := make(map[string]bool)
-	for _, idx := range rescan {
-		seg := l.segs[idx]
-		size, err := scanDHTSegment(seg.f, dhtSegmentPath(base, idx), idx == highest, func(sp scannedPair) error {
-			l.recStats.recordsReplayed++
-			key := string(sp.rec.key)
-			switch sp.rec.kind {
-			case dhtRecDel:
-				seg.tombBytes += framedPairBytes(len(sp.rec.key), 0)
-				dead[key] = true
-				l.dropEntry(key)
-				delete(pairs, key)
-			case dhtRecPut:
-				if dead[key] {
-					return nil
-				}
-				if _, dup := l.index[key]; dup {
-					return nil // duplicate record; first wins
-				}
-				l.index[key] = metaEntry{seg: idx, off: sp.valOff, vlen: sp.valLen}
-				seg.liveBytes += framedPairBytes(len(sp.rec.key), len(sp.rec.value))
-				pairs[key] = append([]byte(nil), sp.rec.value...)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if size < seg.size.Load() {
-			// A torn tail was truncated; the truncate must be durable
-			// before new records append at the cut, or a crash could
-			// resurrect torn bytes beneath valid ones.
-			if err := seg.f.Sync(); err != nil {
-				return nil, fmt.Errorf("dht: sync truncated segment: %w", err)
-			}
-		}
-		seg.size.Store(size)
-		l.recStats.segmentsRescanned++
-	}
-
-	l.active = l.segs[highest]
-	l.nextGen = maxGen
-	out := make([][2][]byte, 0, len(pairs))
-	for k, v := range pairs {
-		out = append(out, [2][]byte{[]byte(k), v})
-	}
-	return out, nil
-}
-
-// dropEntry removes key from the index, adjusting the live-byte
-// accounting. Called with mu held (or during single-threaded recovery).
-func (l *metaLog) dropEntry(key string) {
-	e, ok := l.index[key]
-	if !ok {
-		return
-	}
-	delete(l.index, key)
-	l.segs[e.seg].liveBytes -= framedPairBytes(len(key), int(e.vlen))
-}
-
-// createSegment creates and opens a fresh segment file with a durable
-// header.
-func (l *metaLog) createSegment(idx uint32, gen uint64) (*metaSegment, error) {
-	p := dhtSegmentPath(l.base, idx)
-	f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("dht: create segment: %w", err)
-	}
-	if err := dhtFmt.WriteHeader(f, gen); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if l.opts.Sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dht: sync segment header: %w", err)
-		}
-		// The directory entry must be durable before any record commits
-		// into the new segment, or a crash could lose a whole synced
-		// segment while keeping its successor.
-		if err := syncDir(filepath.Dir(l.base)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dht: sync dir: %w", err)
-		}
-	}
-	seg := &metaSegment{idx: idx, f: f, gen: gen}
-	seg.size.Store(dhtSegHeaderSize)
-	return seg, nil
-}
-
-// rollLocked seals the active segment and opens the next one. Called
-// with mu held. The seal is durable even in non-Sync mode: recovery
-// tolerates a torn tail only in the highest segment, so a sealed
-// segment's contents — and its directory entry, which must not vanish
-// while a successor survives — have to outlive any crash from here on.
-// Rolls amortize this to one fsync per SegmentBytes, keeping the
-// non-Sync contract at "a crash loses recent records", never "the node
-// refuses to start". The sealed segment's file stays open — compaction
-// rewrites still read it, and snapshot-covered values are read from it
-// at the next open.
-func (l *metaLog) rollLocked() error {
-	if err := l.active.f.Sync(); err != nil {
-		return fmt.Errorf("dht: seal segment: %w", err)
-	}
-	if !l.opts.Sync {
-		// With Sync on, every created segment already dir-synced; catch
-		// up here otherwise, before the successor's entry can appear.
-		if err := syncDir(filepath.Dir(l.base)); err != nil {
-			return fmt.Errorf("dht: sync dir before roll: %w", err)
-		}
-	}
-	l.nextGen++
-	seg, err := l.createSegment(l.active.idx+1, l.nextGen)
-	if err != nil {
-		l.nextGen--
-		return err
-	}
-	l.segs[seg.idx] = seg
-	l.active = seg
-	return nil
-}
-
-// metaAppend is one queued record and its appender's parking spot.
-type metaAppend struct {
-	frame []byte
-	put   bool
-	key   string
-	vlen  uint32
-
-	// Filled by the committer for puts: where the value landed.
-	seg    uint32
-	valOff int64
-
-	cell seglog.Cell
-}
-
-func (a *metaAppend) Cell() *seglog.Cell { return &a.cell }
-
-// appendPut durably logs one pair and indexes it, sharing the
-// write+fsync with concurrent appenders (group commit). The pair must
-// be new (the node dedups re-puts before logging).
-func (l *metaLog) appendPut(key, value []byte) error {
-	rec := metaRecord{kind: dhtRecPut, key: key, value: value}
-	return l.comm.Append(&metaAppend{
-		frame: frameDHTRecord(rec.encode()),
-		put:   true,
-		key:   string(key),
-		vlen:  uint32(len(value)),
-		cell:  seglog.NewCell(),
-	})
-}
-
-// enqueueDelete queues one delete record without waiting for durability
-// — phase one of a two-phase append. The caller drops the pair from its
-// in-memory shard under the shard lock (a crash before the batch
-// commits may resurrect it; deletes are idempotent and the collector's
-// re-run removes it again), releases the lock, and awaits the whole
-// batch at once — so a GC sweep deleting thousands of keys shares
-// fsyncs instead of paying one per key. Every successfully enqueued
-// record MUST be awaited, even on error paths: the first enqueue may
-// designate its owner as the batch leader, and an unawaited leader
-// stalls the queue.
-func (l *metaLog) enqueueDelete(key []byte) (*metaAppend, error) {
-	rec := metaRecord{kind: dhtRecDel, key: key}
-	a := &metaAppend{
-		frame: frameDHTRecord(rec.encode()),
-		key:   string(key),
-		cell:  seglog.NewCell(),
-	}
-	if err := l.comm.Enqueue(a); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// await parks until an enqueued record's batch is durable — phase two.
-func (l *metaLog) await(a *metaAppend) error { return l.comm.Await(a) }
-
-// appendDelete durably logs one delete — the one-phase convenience for
-// single-key deletes (batch callers enqueue and await the batch).
-func (l *metaLog) appendDelete(key []byte) error {
-	a, err := l.enqueueDelete(key)
-	if err != nil {
-		return err
-	}
-	return l.await(a)
-}
-
-// commitBatch appends the batch contiguously to the active segment with
-// a single write and at most one fsync, and stamps each put with where
-// its value landed. Only one committer runs at a time (the group-commit
-// leader, holding cutMu shared), so the active-segment fields need no
-// extra synchronization: the segment cannot roll while a commit is in
-// flight. On error nothing is applied.
-func (l *metaLog) commitBatch(batch []*metaAppend) error {
-	seg := l.active
-	base := seg.size.Load()
-	var n int
-	for _, a := range batch {
-		n += len(a.frame)
-	}
-	out := make([]byte, 0, n)
-	off := base
-	for _, a := range batch {
-		a.seg = seg.idx
-		a.valOff = off + dhtRecHeaderSize + dhtRecPayloadMin + int64(len(a.key))
-		out = append(out, a.frame...)
-		off += int64(len(a.frame))
-	}
-	if _, err := seg.f.WriteAt(out, base); err != nil {
-		return fmt.Errorf("dht: log append: %w", err)
-	}
-	if l.opts.Sync {
-		if err := seg.f.Sync(); err != nil {
-			return fmt.Errorf("dht: log fsync: %w", err)
-		}
-	}
-	seg.size.Store(off)
-	return nil
-}
-
-// applyBatch indexes a durable batch: puts insert, deletes drop. Called
-// with logMu held by the committer.
-func (l *metaLog) applyBatch(batch []*metaAppend) {
-	var nudge bool
-	for _, a := range batch {
-		seg := l.segs[a.seg]
-		if a.put {
-			l.index[a.key] = metaEntry{seg: a.seg, off: a.valOff, vlen: a.vlen}
-			seg.liveBytes += int64(len(a.frame))
-		} else {
-			l.dropEntry(a.key)
-			seg.tombBytes += int64(len(a.frame))
-			if l.opts.CompactRatio > 0 {
-				nudge = true
-			}
-		}
-		l.track.Mark(a.key)
-	}
-	events := l.track.AddEvents(len(batch))
-	if n := l.opts.SnapshotEvery; n > 0 && events >= uint64(n) {
-		nudge = true
-	}
-	if nudge {
-		l.nudgeMaintain()
-	}
-}
-
-// logBytes reports the log's on-disk footprint: the summed size of
-// every segment file. Compaction shrinks it.
-func (l *metaLog) logBytes() int64 {
-	if l == nil {
-		return 0
-	}
-	l.logMu.Lock()
-	defer l.logMu.Unlock()
-	var n int64
-	for _, seg := range l.segs {
-		n += seg.size.Load()
-	}
-	return n
-}
-
-// closeFiles closes every segment file. Called with logMu held or
-// during a failed single-threaded open.
-func (l *metaLog) closeFiles() error {
-	var first error
-	for _, seg := range l.segs {
-		if err := seg.f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// close flushes and closes the log. Without per-append sync, the
-// active segment's acknowledged records may still sit in the page
-// cache (sealed segments were fsynced at roll time); syncing every
-// segment and the directory here makes a clean shutdown lose nothing —
-// only a crash can, and only the active tail (that is the sync=false
-// deal). Idempotent.
-func (l *metaLog) close() error {
-	if l == nil {
-		return nil
-	}
-	l.logMu.Lock()
-	if l.closed {
-		l.logMu.Unlock()
-		return nil
-	}
-	l.closed = true
-	// Queued appenders fail with a closed error instead of waiting on a
-	// leader that will refuse to commit.
-	l.comm.FailQueuedLocked(errLogClosed)
-	l.logMu.Unlock()
-	l.maint.Stop()
-	// Barrier: an in-flight snapshot or compaction finishes (its output
-	// is valid and worth keeping) before the files are flushed and
-	// closed under it.
-	l.maintMu.Lock()
-	defer l.maintMu.Unlock()
-	l.logMu.Lock()
-	defer l.logMu.Unlock()
-	var err error
-	for _, seg := range l.segs {
-		if serr := seg.f.Sync(); serr != nil && err == nil {
-			err = serr
-		}
-	}
-	if derr := syncDir(filepath.Dir(l.base)); derr != nil && err == nil {
-		err = derr
-	}
-	if cerr := l.closeFiles(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // ServeDurableNode starts a metadata provider whose pairs are persisted
 // to a segmented log rooted at path and reloaded on start.
 func ServeDurableNode(ln transport.Listener, sched vclock.Scheduler, path string, opts LogOptions) (*Node, error) {
-	log, pairs, err := openMetaLog(path, opts)
+	log, err := seglog.OpenKV(path, metaLayout, seglog.KVOptions{
+		Sync:          opts.Sync,
+		GroupCommit:   true,
+		SegmentBytes:  opts.SegmentBytes,
+		SnapshotEvery: opts.SnapshotEvery,
+		CompactRatio:  opts.CompactRatio,
+	})
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{log: log}
-	for i := range n.shards {
-		n.shards[i].m = make(map[string][]byte)
-	}
-	for _, kv := range pairs {
-		n.putMem(kv[0], kv[1])
+	n := newNode(log)
+	if err := log.Range(func(key string, value []byte) error {
+		s := n.shard([]byte(key))
+		s.m[key] = value
+		s.bytes += uint64(len(value))
+		return nil
+	}); err != nil {
+		log.Close()
+		return nil, err
 	}
 	n.srv = rpc.Serve(ln, sched, n.mux())
 	return n, nil

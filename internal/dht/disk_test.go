@@ -3,17 +3,34 @@ package dht
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"blobseer/internal/rpc"
+	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 )
+
+// The log behind a durable node is proven in internal/seglog, against
+// this layout's key framing; the tests here pin the instantiation and
+// what is the node's own: reload on restart, dedupe before logging,
+// batched deletes.
+
+// TestMetaLayoutPinned: the magics are the on-disk format, and the seal
+// fsyncs are the durability contract documented in disk.go — neither
+// may change by accident.
+func TestMetaLayoutPinned(t *testing.T) {
+	want := seglog.KVLayout{
+		Format:   seglog.Format{Name: "dht", RecMagic: 0xD47A5EE5, SegMagic: 0xD47A5E60, SegFormat: 1, SnapMagic: 0xD47A55A9},
+		SealSync: true,
+	}
+	if *metaLayout != want {
+		t.Fatalf("metaLayout = %+v, want %+v", *metaLayout, want)
+	}
+}
 
 // durableNodeRig serves one durable node and can restart it on its log.
 type durableNodeRig struct {
@@ -79,16 +96,6 @@ func (r *durableNodeRig) client() *Client {
 		r.t.Fatal(err)
 	}
 	return NewClient(ring, r.rc, r.sched)
-}
-
-// newestSegment returns the path of the highest-numbered segment file.
-func newestSegment(t *testing.T, base string) string {
-	t.Helper()
-	segs, err := listDHTSegments(base)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments at %s: %v", base, err)
-	}
-	return dhtSegmentPath(base, segs[len(segs)-1])
 }
 
 func TestDurableNodeSurvivesRestart(t *testing.T) {
@@ -196,12 +203,9 @@ func TestDurableNodeSnapshotBoundsReplay(t *testing.T) {
 		}
 	}
 	r.restart()
-	st := r.node.log.recStats
-	if !st.snapshotLoaded {
-		t.Fatalf("snapshot not loaded: %+v", st)
-	}
-	if st.recordsReplayed >= 40 {
-		t.Fatalf("replayed %d records despite snapshot", st.recordsReplayed)
+	st := r.node.log.RecoveryStats()
+	if !st.SnapshotLoaded || st.RecordsReplayed != 4 {
+		t.Fatalf("recovery stats = %+v, want the snapshot plus 4 replayed records", st)
 	}
 	c = r.client()
 	for i := 0; i < 44; i++ {
@@ -234,8 +238,8 @@ func TestDurableNodeCompactionShrinksLog(t *testing.T) {
 	if after >= before {
 		t.Fatalf("log did not shrink: %d -> %d bytes", before, after)
 	}
-	if c, s := r.node.log.compactions(), r.node.log.snapshots(); c == 0 || s == 0 {
-		t.Fatalf("compaction pass ran %d rewrites, %d covering snapshots", c, s)
+	if st := r.node.log.Stats(); st.Compactions == 0 || st.Snapshots == 0 {
+		t.Fatalf("compaction pass ran %d rewrites, %d covering snapshots", st.Compactions, st.Snapshots)
 	}
 	// Everything live survives the rewrite and a restart byte-identically.
 	r.restart()
@@ -261,7 +265,7 @@ func TestDurableNodeTornTail(t *testing.T) {
 	c.Put(ctx, []byte("beta"), []byte("2"))
 	r.node.Close()
 
-	seg := newestSegment(t, r.path)
+	seg := seglog.SegmentPath(r.path, 1)
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -276,73 +280,6 @@ func TestDurableNodeTornTail(t *testing.T) {
 	}
 	if _, ok, _ := c.Get(ctx, []byte("beta")); ok {
 		t.Fatal("torn record resurfaced")
-	}
-}
-
-func TestMetaLogCloseFlushesAndTornTailReopens(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "meta.log")
-	l, _, err := openMetaLog(path, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// sync=false appends sit in the page cache until close, which must
-	// fsync them (a clean shutdown loses nothing) and then refuse use.
-	if err := l.appendPut([]byte("k1"), []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.close(); err != nil {
-		t.Fatalf("close with buffered tail: %v", err)
-	}
-	if err := l.close(); err != nil {
-		t.Fatalf("double close: %v", err)
-	}
-	if err := l.appendPut([]byte("k2"), []byte("v2")); err == nil {
-		t.Fatal("append after close succeeded")
-	}
-
-	// Truncating a torn tail during open must leave a log that recovers
-	// the valid prefix and accepts appends at the cut.
-	seg := newestSegment(t, path)
-	raw, _ := os.ReadFile(seg)
-	os.WriteFile(seg, append(raw, 0xAA, 0xBB), 0o644)
-	l2, pairs, err := openMetaLog(path, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.close()
-	if len(pairs) != 1 || string(pairs[0][0]) != "k1" {
-		t.Fatalf("recovered pairs = %v", pairs)
-	}
-	if err := l2.appendPut([]byte("k3"), []byte("v3")); err != nil {
-		t.Fatal(err)
-	}
-	if info, _ := os.Stat(seg); info.Size() != l2.logBytes() {
-		t.Fatalf("file size %d vs tracked %d", info.Size(), l2.logBytes())
-	}
-}
-
-func TestDurableNodeDetectsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "meta.log")
-	l, _, err := openMetaLog(path, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.appendPut([]byte("k1"), []byte("v1"))
-	l.appendPut([]byte("k2"), []byte("v2"))
-	l.close()
-	seg := newestSegment(t, path)
-	raw, _ := os.ReadFile(seg)
-	raw[dhtSegHeaderSize+dhtRecHeaderSize] ^= 0xFF // corrupt the first record payload
-	os.WriteFile(seg, raw, 0o644)
-	if _, _, err := openMetaLog(path, LogOptions{}); err == nil {
-		t.Fatal("payload corruption accepted")
-	}
-	binary.LittleEndian.PutUint32(raw[dhtSegHeaderSize:], 0x12345678)
-	os.WriteFile(seg, raw, 0o644)
-	if _, _, err := openMetaLog(path, LogOptions{}); err == nil {
-		t.Fatal("bad record magic accepted")
 	}
 }
 
@@ -369,66 +306,32 @@ func TestDurableNodeRepeatedRestartsNoGrowth(t *testing.T) {
 	}
 }
 
-// legacyRecord frames one pair in the pre-segmentation single-file
-// format.
-func legacyRecord(key, value []byte) []byte {
-	rec := make([]byte, dhtLogHeaderLen+len(key)+len(value))
-	binary.LittleEndian.PutUint32(rec[0:4], dhtLogMagic)
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(value)))
-	h := crc32.NewIEEE()
-	h.Write(key)
-	h.Write(value)
-	binary.LittleEndian.PutUint32(rec[12:16], h.Sum32())
-	copy(rec[dhtLogHeaderLen:], key)
-	copy(rec[dhtLogHeaderLen+len(key):], value)
-	return rec
-}
-
-func TestLegacyNodeLogMigratesInPlace(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "meta.log")
-	var legacy []byte
-	for i := 0; i < 12; i++ {
-		legacy = append(legacy, legacyRecord(
-			[]byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{byte(i)}, 50))...)
-	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, pairs, err := openMetaLog(path, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.recStats.legacyMigrated {
-		t.Fatalf("no migration recorded: %+v", l.recStats)
-	}
-	if len(pairs) != 12 {
-		t.Fatalf("migrated %d pairs, want 12", len(pairs))
-	}
-	got := make(map[string][]byte)
-	for _, kv := range pairs {
-		got[string(kv[0])] = kv[1]
-	}
-	for i := 0; i < 12; i++ {
-		if !bytes.Equal(got[fmt.Sprintf("k%d", i)], bytes.Repeat([]byte{byte(i)}, 50)) {
-			t.Fatalf("pair k%d lost or changed by migration", i)
+// TestDurableNodeBatchDeleteSharesOneCommit pins the group-commit
+// economics the GC sweep depends on, through the node: one DELETE
+// request's tombstones are enqueued under the shard locks and awaited
+// together, so they share a single write+fsync instead of paying one
+// per key.
+func TestDurableNodeBatchDeleteSharesOneCommit(t *testing.T) {
+	r := newDurableNodeRigOpts(t, LogOptions{Sync: true})
+	ctx := context.Background()
+	c := r.client()
+	var keys [][]byte
+	for i := 0; i < 8; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("node/%d", i)))
+		if err := c.Put(ctx, keys[i], bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("legacy file survived migration")
+	before := r.node.log.Stats()
+	if removed, err := c.Delete(ctx, keys); err != nil || removed != 8 {
+		t.Fatalf("delete: removed %d, %v", removed, err)
 	}
-	// The migrated log keeps working: append, close, reopen.
-	if err := l.appendPut([]byte("new"), []byte("pair")); err != nil {
-		t.Fatal(err)
+	after := r.node.log.Stats()
+	if commits, records := after.Syncs-before.Syncs, after.Appends-before.Appends; commits != 1 || records != 8 {
+		t.Fatalf("delete batch took %d commits for %d records, want 1 for 8", commits, records)
 	}
-	l.close()
-	l2, pairs2, err := openMetaLog(path, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.close()
-	if len(pairs2) != 13 {
-		t.Fatalf("reopen after migration recovered %d pairs, want 13", len(pairs2))
+	r.restart()
+	if k, _ := r.node.Stats(); k != 0 {
+		t.Fatalf("%d keys survived the batch delete across a restart", k)
 	}
 }

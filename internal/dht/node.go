@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"blobseer/internal/rpc"
+	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -19,7 +20,7 @@ const kvShards = 64
 // optionally persisted to a segmented log (see ServeDurableNode).
 type Node struct {
 	srv    *rpc.Server
-	log    *metaLog // nil for the in-memory node
+	log    *seglog.KV // nil for the in-memory node
 	shards [kvShards]kvShard
 }
 
@@ -31,11 +32,16 @@ type kvShard struct {
 
 // ServeNode starts a metadata provider on ln.
 func ServeNode(ln transport.Listener, sched vclock.Scheduler) *Node {
-	n := &Node{}
+	n := newNode(nil)
+	n.srv = rpc.Serve(ln, sched, n.mux())
+	return n
+}
+
+func newNode(log *seglog.KV) *Node {
+	n := &Node{log: log}
 	for i := range n.shards {
 		n.shards[i].m = make(map[string][]byte)
 	}
-	n.srv = rpc.Serve(ln, sched, n.mux())
 	return n
 }
 
@@ -45,7 +51,9 @@ func (n *Node) Addr() string { return n.srv.Addr() }
 // Close stops the service and, for durable nodes, closes the log.
 func (n *Node) Close() {
 	n.srv.Close()
-	n.log.close()
+	if n.log != nil {
+		n.log.Close()
+	}
 }
 
 func (n *Node) shard(key []byte) *kvShard {
@@ -74,12 +82,13 @@ func (n *Node) put(key, value []byte) error {
 		}
 		return nil
 	}
+	k := string(key)
 	if n.log != nil {
-		if err := n.log.appendPut(key, value); err != nil {
+		if err := n.log.Put(k, value); err != nil {
 			return wire.NewError(wire.CodeUnavailable, "metadata log: %v", err)
 		}
 	}
-	s.m[string(key)] = append([]byte(nil), value...)
+	s.m[k] = append([]byte(nil), value...)
 	s.bytes += uint64(len(value))
 	return nil
 }
@@ -94,7 +103,7 @@ func (n *Node) put(key, value []byte) error {
 // collector's re-run removes them again. Unknown keys are no-ops.
 func (n *Node) delete(keys [][]byte) (uint64, error) {
 	var deleted uint64
-	var enqueued []*metaAppend
+	var enqueued []func() error
 	var firstErr error
 	for _, key := range keys {
 		s := n.shard(key)
@@ -105,13 +114,13 @@ func (n *Node) delete(keys [][]byte) (uint64, error) {
 			continue
 		}
 		if n.log != nil {
-			a, err := n.log.enqueueDelete(key)
+			wait, err := n.log.EnqueueDelete(string(key))
 			if err != nil {
 				s.mu.Unlock()
 				firstErr = err
 				break
 			}
-			enqueued = append(enqueued, a)
+			enqueued = append(enqueued, wait)
 		}
 		delete(s.m, string(key))
 		s.bytes -= uint64(len(old))
@@ -121,8 +130,8 @@ func (n *Node) delete(keys [][]byte) (uint64, error) {
 	// Every enqueued record must be awaited even when a later enqueue
 	// failed: the first one may have designated this handler as the batch
 	// leader, and an unawaited leader stalls the whole queue.
-	for _, a := range enqueued {
-		if err := n.log.await(a); err != nil && firstErr == nil {
+	for _, wait := range enqueued {
+		if err := wait(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -130,16 +139,6 @@ func (n *Node) delete(keys [][]byte) (uint64, error) {
 		return deleted, wire.NewError(wire.CodeUnavailable, "metadata log: %v", firstErr)
 	}
 	return deleted, nil
-}
-
-// putMem loads a recovered pair without re-logging it.
-func (n *Node) putMem(key, value []byte) {
-	s := n.shard(key)
-	if _, dup := s.m[string(key)]; dup {
-		return
-	}
-	s.m[string(key)] = value
-	s.bytes += uint64(len(value))
 }
 
 func (n *Node) get(key []byte) ([]byte, bool) {
@@ -165,7 +164,12 @@ func (n *Node) Stats() (keys, bytes uint64) {
 // LogBytes reports the durable node's on-disk footprint: the summed
 // size of every metadata log segment (0 for an in-memory node).
 // Compaction shrinks it.
-func (n *Node) LogBytes() int64 { return n.log.logBytes() }
+func (n *Node) LogBytes() int64 {
+	if n.log == nil {
+		return 0
+	}
+	return n.log.Stats().LogBytes
+}
 
 // SnapshotLog writes the durable node's index snapshot on demand, so
 // the next reopen replays only records logged after this call. No-op
@@ -174,7 +178,7 @@ func (n *Node) SnapshotLog() error {
 	if n.log == nil {
 		return nil
 	}
-	return n.log.snapshot()
+	return n.log.Snapshot()
 }
 
 // CompactLog rewrites metadata log segments dominated by deleted pairs
@@ -184,7 +188,7 @@ func (n *Node) CompactLog() error {
 	if n.log == nil {
 		return nil
 	}
-	return n.log.compact()
+	return n.log.Compact()
 }
 
 func (n *Node) mux() *rpc.Mux {

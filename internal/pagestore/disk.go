@@ -3,752 +3,112 @@ package pagestore
 import (
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
+	"time"
 
 	"blobseer/internal/seglog"
 	"blobseer/internal/wire"
 )
 
-// Disk is the durable Store: a segmented, CRC-framed page log with an
-// index snapshot for bounded-reopen recovery, group-committed fsyncs,
-// a striped in-memory index, and a background compactor that rewrites
-// mostly-dead segments. It is the data-path twin of the version
-// manager's segmented WAL; see segment.go and snapshot.go for the
-// on-disk formats and maintain.go for the snapshotter/compactor.
-//
-// Safety rule for space reclamation: the store itself never invents
-// garbage. A page's bytes are only ever dropped by compaction after the
-// page was explicitly Deleted, and Delete's contract is that the caller
-// (a garbage collector walking version metadata) has proven the page
-// unreachable from every retained version. Everything still indexed
-// survives any crash/compaction interleaving byte-identical — the
-// invariant the crash-injection suite asserts.
-type Disk struct {
-	base string
-	opts DiskOptions
+// Disk is the durable Store: pages in a seglog.KV keyed by their raw
+// 16-byte id. Layout, recovery, snapshots and compaction are the KV's
+// (see internal/seglog/kv.go, including the safety rule for space
+// reclamation that Delete's contract feeds); this file only names the
+// page store's instantiation and maps the Store contract onto it.
+type Disk struct{ kv *seglog.KV }
 
-	// stripes spread index lookups over independent RW locks so reads
-	// never serialize behind writes to unrelated pages.
-	stripes [indexStripes]indexStripe
-
-	// stateMu makes index snapshots a consistent cut: the exclusive
-	// committer (the group-commit leader, or a serial appender) holds it
-	// shared across commit+apply via the committer's Outer hook — never
-	// the appenders themselves, so no Put parks for the fsync while
-	// holding it — and the snapshotter holds it exclusively only while
-	// rolling the active segment and capturing the index. Records queued
-	// behind an exclusive capture commit into the post-roll segment and
-	// index afterwards, which keeps the captured index exactly the replay
-	// of the covered segments. Readers never touch it. Lock order:
-	// stateMu, then wmu, then segMu/seg.mu, then stripe locks. The
-	// machine-checked form of that order (enforced by the lockorder
-	// analyzer, see cmd/blobseer-vet) is:
-	//
-	//blobseer:lockorder maintMu < stateMu < wmu < segMu < indexStripe.mu
-	//blobseer:lockorder wmu < segment.mu < indexStripe.mu
-	stateMu sync.RWMutex
-
-	// segMu guards the segment table. Segments are never removed from
-	// it (compaction rewrites in place), so a pointer read under RLock
-	// stays valid forever.
-	segMu sync.RWMutex
-	segs  map[uint32]*segment
-
-	// wmu guards the writer state: the active-segment pointer, the
-	// group-commit queue and shutdown. The write+fsync itself runs
-	// outside wmu by the unique leader — the leader/batch protocol lives
-	// in seglog.Committer, which borrows wmu.
-	wmu    sync.Mutex
-	active *segment
-	comm   seglog.Committer[*diskAppend]
-
-	closed  atomic.Bool
-	nextGen atomic.Uint64 // last generation handed out
-
-	pages     atomic.Uint64 // live pages
-	dataBytes atomic.Uint64 // live page payload bytes (Stats)
-	appends   atomic.Uint64 // records accepted
-	syncs     atomic.Uint64 // fsyncs issued
-
-	// Maintenance (snapshot + compaction) machinery, see maintain.go.
-	// maintTrack owns the auto-snapshot countdown and the dirty page set
-	// for incremental captures; mutators mark every index change there
-	// (applyBatch inserts/drops, compaction retargets).
-	maintMu     sync.Mutex
-	maintTrack  seglog.Tracker[wire.PageID, indexEntry]
-	snapPause   atomic.Int64 // last capture's stop-the-world ns (A7)
-	snapRuns    atomic.Uint64
-	compactRuns atomic.Uint64
-	maint       *seglog.Maintainer
-	recStats    RecoveryStats
-
-	// crashHook is the test-only maintenance fault injector.
-	crashHook func(point string) error
+// pageLayout is the page store's instantiation of the KV: its file
+// magics, fixed 16-byte keys, and no flush beyond what DiskOptions.Sync
+// asks for — with Sync off a sealed segment is not fsynced, at seal or
+// at Close.
+var pageLayout = &seglog.KVLayout{
+	Format: seglog.Format{
+		Name:      "pagestore",
+		RecMagic:  0xB10B5EE5,
+		SegMagic:  0xB10B5E60,
+		SegFormat: 1,
+		SnapMagic: 0xB10B55A9,
+	},
+	KeyLen: len(wire.PageID{}),
 }
 
-const (
-	indexStripes = 64
+// DiskOptions tunes a Disk store; see the field docs on seglog.KVOptions.
+type DiskOptions = seglog.KVOptions
 
-	// defaultSegmentBytes is the roll threshold when the options leave
-	// SegmentBytes zero.
-	defaultSegmentBytes = 64 << 20
-)
-
-type indexStripe struct {
-	mu    sync.RWMutex
-	pages map[wire.PageID]indexEntry
-}
-
-// DiskOptions tunes a Disk store. The zero value reproduces the
-// pre-segmentation behaviour: serial unsynced appends, 64 MB segments,
-// no automatic snapshots or compaction.
-type DiskOptions struct {
-	// Sync forces page records to disk before Put returns. Slower, but
-	// a crash loses at most in-flight pages instead of the OS
-	// write-back window. Pair with GroupCommit so concurrent writers
-	// share fsyncs.
-	Sync bool
-	// GroupCommit coalesces concurrent Puts/Deletes into one
-	// write (+ at most one fsync): the first appender to find no active
-	// leader writes the whole queued batch. Off, every record performs
-	// its own write (+fsync when Sync) under the writer lock — the
-	// ablation baseline.
-	GroupCommit bool
-	// SegmentBytes rolls the log into a fresh segment file once the
-	// active one exceeds this many bytes (default 64 MB). Compaction
-	// rewrites whole sealed segments, so smaller segments reclaim at a
-	// finer grain for more files.
-	SegmentBytes int64
-	// SnapshotEvery, when positive, writes an index snapshot
-	// automatically after that many appended records, bounding reopen
-	// replay by the interval. Zero disables automatic snapshots;
-	// Snapshot remains available on demand either way.
-	SnapshotEvery int
-	// CompactRatio, when positive, makes the background compactor
-	// rewrite any sealed segment whose live-byte ratio falls below this
-	// threshold (0 < ratio < 1), dropping records of Deleted pages.
-	// Zero disables automatic compaction; Compact remains available on
-	// demand.
-	CompactRatio float64
-}
-
-// diskAppend is one queued record and its appender's parking spot.
-type diskAppend struct {
-	frame   []byte
-	kind    byte
-	id      wire.PageID
-	dataLen uint32
-
-	// Filled by the committer for puts: where the page body landed.
-	seg     uint32
-	dataOff int64
-
-	cell seglog.Cell
-}
-
-func (a *diskAppend) Cell() *seglog.Cell { return &a.cell }
-
-// RecoveryStats describes what one OpenDisk did: how much of the index
-// came from the snapshot and how much had to be replayed by scanning
-// segments. With automatic snapshots, RecordsReplayed stays bounded by
-// SnapshotEvery no matter how many pages the store holds.
-type RecoveryStats struct {
-	SnapshotLoaded    bool // a valid index snapshot seeded the index
-	SnapshotPages     int  // pages restored from the snapshot
-	SegmentsOnDisk    int  // segment files found or created at open
-	SegmentsRescanned int  // segments scanned record-by-record
-	StaleRescanned    int  // of those, rewritten after the snapshot (compaction crash)
-	RecordsReplayed   int  // records applied by rescans
-	LegacyMigrated    bool // a pre-segmentation single-file log was converted
-}
+// RecoveryStats describes what one OpenDisk did.
+type RecoveryStats = seglog.RecoveryStats
 
 // OpenDisk opens (creating if needed) the segmented page store rooted
-// at path and rebuilds the index: it loads the newest valid index
-// snapshot, verifies each covered segment's generation, and rescans
-// only the tail (plus any segment a crashed compaction rewrote). A torn
-// record at the tail of the highest segment is truncated away; a torn
-// or corrupt snapshot degrades to a full rescan; a single-file log from
-// before segmentation is migrated in place.
+// at path and rebuilds its index from the newest valid index snapshot
+// plus the log tail.
 func OpenDisk(path string, opts DiskOptions) (*Disk, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("pagestore: create dir: %w", err)
-	}
-	d := &Disk{base: path, opts: opts, segs: make(map[uint32]*segment)}
-	for i := range d.stripes {
-		d.stripes[i].pages = make(map[wire.PageID]indexEntry)
-	}
-	d.comm = seglog.Committer[*diskAppend]{
-		Mu:        &d.wmu,
-		Serial:    !opts.GroupCommit,
-		Closed:    d.closed.Load,
-		ErrClosed: errStoreClosed,
-		Commit:    d.commit,
-		Apply:     d.applyBatch,
-		// The exclusive committer holds the snapshot cut shared across
-		// commit+apply, so appenders never sit in the fsync with stateMu
-		// held and a capture's exclusive acquisition fences out in-flight
-		// batches (see the stateMu field docs).
-		Outer: func() func() { d.stateMu.RLock(); return d.stateMu.RUnlock },
-		// Re-check closed before rolling: Close may have finished while
-		// the commit ran outside wmu, and a roll now would create a
-		// stray segment after closeFiles already swept the table.
-		MaybeRoll: func() {
-			if !d.closed.Load() && d.active.size.Load() >= d.opts.SegmentBytes {
-				d.rollLocked() // best effort: a failed roll leaves the oversized segment active
-			}
-		},
-	}
-	if err := d.recover(); err != nil {
-		d.closeFiles()
+	kv, err := seglog.OpenKV(path, pageLayout, opts)
+	if err != nil {
 		return nil, err
 	}
-	// Replayed tail records count toward the auto-snapshot interval, or
-	// a crash-looping store whose runs each log fewer than SnapshotEvery
-	// records would grow its tail without bound.
-	d.maintTrack.AddEvents(d.recStats.RecordsReplayed)
-	if opts.SnapshotEvery > 0 || opts.CompactRatio > 0 {
-		d.maint = seglog.NewMaintainer(d.maintainPass)
-		d.maint.Start()
-		if opts.SnapshotEvery > 0 && d.recStats.RecordsReplayed >= opts.SnapshotEvery {
-			d.nudgeMaintain()
-		}
-	}
-	return d, nil
+	return &Disk{kv: kv}, nil
 }
 
-func (d *Disk) stripe(id wire.PageID) *indexStripe {
-	// The low id bytes are a counter; the first bytes are random. Mix a
-	// few for an even spread (same scheme as Mem).
-	return &d.stripes[(uint(id[0])^uint(id[8])^uint(id[15]))%indexStripes]
-}
-
-// recover rebuilds the index from disk. See the package comments in
-// segment.go and snapshot.go for the crash-consistency argument.
-func (d *Disk) recover() error {
-	base := d.base
-	// Leftover tmp files from interrupted maintenance are garbage: only
-	// the atomic renames ever activate them.
-	seglog.RemoveTmp(base)
-
-	segIdxs, err := listSegments(base)
-	if err != nil {
-		return err
-	}
-	if len(segIdxs) == 0 {
-		migrated, err := migrateLegacy(base)
-		if err != nil {
-			return err
-		}
-		if migrated {
-			d.recStats.LegacyMigrated = true
-			if segIdxs, err = listSegments(base); err != nil {
-				return err
-			}
-		}
-	} else if info, err := os.Stat(base); err == nil && info.Mode().IsRegular() {
-		// A legacy log next to segments is the leftover of a migration
-		// that crashed between activating segment 1 and removing it.
-		if err := os.Remove(base); err != nil {
-			return fmt.Errorf("pagestore: remove migrated legacy log: %w", err)
-		}
-	}
-
-	// A roll that crashed before completing the 16-byte header leaves a
-	// short highest segment with nothing in it; drop it and append to
-	// its predecessor.
-	if n := len(segIdxs); n > 0 {
-		p := segmentPath(base, segIdxs[n-1])
-		if info, err := os.Stat(p); err == nil && info.Size() < segHeaderSize {
-			if err := os.Remove(p); err != nil {
-				return fmt.Errorf("pagestore: remove torn segment: %w", err)
-			}
-			segIdxs = segIdxs[:n-1]
-		}
-	}
-
-	snap, snapErr := loadSnapshot(snapshotPath(base))
-	if snapErr != nil {
-		// Torn or corrupt (crash racing the rename, disk fault): data
-		// segments are never deleted, so a full rescan recovers
-		// everything — the snapshot only ever buys speed.
-		snap = nil
-	}
-
-	if len(segIdxs) == 0 {
-		if snap != nil && len(snap.meta.Segs) > 0 {
-			return fmt.Errorf("pagestore: snapshot covers %d segments but none exist on disk", len(snap.meta.Segs))
-		}
-		seg, err := d.createSegment(1, 1)
-		if err != nil {
-			return err
-		}
-		d.segs[1] = seg
-		d.active = seg
-		d.nextGen.Store(1)
-		d.recStats.SegmentsOnDisk = 1
-		return nil
-	}
-	for i, idx := range segIdxs {
-		if idx != uint32(i+1) {
-			return fmt.Errorf("pagestore: segment %06d missing (found %06d): pages may be lost", i+1, idx)
-		}
-	}
-	if snap != nil && len(snap.meta.Segs) > len(segIdxs) {
-		return fmt.Errorf("pagestore: snapshot covers %d segments, only %d exist: pages may be lost",
-			len(snap.meta.Segs), len(segIdxs))
-	}
-
-	// Open every segment and validate its header.
-	var maxGen uint64
-	for _, idx := range segIdxs {
-		p := segmentPath(base, idx)
-		f, err := os.OpenFile(p, os.O_RDWR, 0)
-		if err != nil {
-			return fmt.Errorf("pagestore: open segment: %w", err)
-		}
-		gen, err := segFmt.ReadHeader(f, p)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		info, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("pagestore: stat segment: %w", err)
-		}
-		seg := &segment{idx: idx, f: f, gen: gen}
-		seg.size.Store(info.Size())
-		d.segs[idx] = seg
-		if gen > maxGen {
-			maxGen = gen
-		}
-	}
-	d.recStats.SegmentsOnDisk = len(segIdxs)
-
-	// Seed the index from the snapshot where the generations still
-	// match; a mismatch means a compaction rewrote that segment after
-	// the snapshot (its offsets are stale) and it joins the rescan.
-	highest := segIdxs[len(segIdxs)-1]
-	stale := make(map[uint32]bool)
-	var rescan []uint32
-	if snap != nil {
-		d.recStats.SnapshotLoaded = true
-		for i, sm := range snap.meta.Segs {
-			idx := uint32(i + 1)
-			if d.segs[idx].gen != sm.Gen {
-				stale[idx] = true
-				rescan = append(rescan, idx)
-			}
-		}
-		for _, e := range snap.entries {
-			if stale[e.seg] {
-				continue
-			}
-			seg := d.segs[e.seg]
-			if e.off+int64(e.len) > seg.size.Load() {
-				return fmt.Errorf("pagestore: snapshot entry for page %v beyond segment %06d", e.id, e.seg)
-			}
-			d.stripe(e.id).pages[e.id] = e.indexEntry
-			seg.liveBytes.Add(framedRecBytes + int64(e.len))
-			d.pages.Add(1)
-			d.dataBytes.Add(uint64(e.len))
-			d.recStats.SnapshotPages++
-		}
-		if snap.meta.HasMeta {
-			// v2 snapshots persist each covered segment's tombstone bytes,
-			// so seeding is exact: a v1 snapshot had no way to recount them
-			// (the entries are only the live index) and left tombBytes at
-			// zero, inflating the reclaim estimate into one spurious no-op
-			// rewrite of a tombstone-heavy segment per reopen. Stale
-			// segments recompute during their rescan, and the highest is
-			// skipped because its rescan below re-adds every tombstone.
-			for i, sm := range snap.meta.Segs {
-				idx := uint32(i + 1)
-				if stale[idx] || idx == highest {
-					continue
-				}
-				d.segs[idx].tombBytes.Store(sm.Tomb)
-			}
-		}
-		for idx := uint32(len(snap.meta.Segs) + 1); idx <= uint32(len(segIdxs)); idx++ {
-			rescan = append(rescan, idx)
-		}
-		// The highest segment is rescanned even when the snapshot covers
-		// it: a torn roll can demote the active segment back into the
-		// covered range, after which post-snapshot records append there
-		// — and a torn tail must be truncated before new appends land
-		// behind it. Duplicate puts are skipped, so re-visiting records
-		// the snapshot already indexed is a no-op.
-		if len(rescan) == 0 || rescan[len(rescan)-1] != highest {
-			rescan = append(rescan, highest)
-		}
-	} else {
-		for _, idx := range segIdxs {
-			rescan = append(rescan, idx)
-		}
-	}
-	d.recStats.StaleRescanned = len(stale)
-
-	// Rescan in index order — the chronological write order, since
-	// records never move between segments. dead remembers tombstones
-	// seen during this pass so a put record can never resurrect a page
-	// whose tombstone sits in an earlier rescanned segment.
-	dead := make(map[wire.PageID]bool)
-	for _, idx := range rescan {
-		seg := d.segs[idx]
-		size, err := scanSegment(seg.f, segmentPath(base, idx), idx == highest, func(sr scannedRecord) error {
-			d.recStats.RecordsReplayed++
-			switch sr.rec.kind {
-			case recTomb:
-				seg.tombBytes.Add(framedRecBytes)
-				dead[sr.rec.id] = true
-				d.dropEntry(sr.rec.id)
-			case recPut:
-				if dead[sr.rec.id] {
-					return nil
-				}
-				st := d.stripe(sr.rec.id)
-				if _, dup := st.pages[sr.rec.id]; dup {
-					return nil // duplicate record; first wins
-				}
-				st.pages[sr.rec.id] = indexEntry{seg: idx, off: sr.dataOff, len: sr.dataLen}
-				seg.liveBytes.Add(framedRecBytes + int64(sr.dataLen))
-				d.pages.Add(1)
-				d.dataBytes.Add(uint64(sr.dataLen))
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		seg.size.Store(size)
-		d.recStats.SegmentsRescanned++
-	}
-
-	d.active = d.segs[highest]
-	d.nextGen.Store(maxGen)
-	return nil
-}
-
-// dropEntry removes id from the index, adjusting the counters. Used by
-// recovery and by the tombstone apply path.
-func (d *Disk) dropEntry(id wire.PageID) {
-	st := d.stripe(id)
-	st.mu.Lock()
-	e, ok := st.pages[id]
-	if ok {
-		delete(st.pages, id)
-	}
-	st.mu.Unlock()
-	if !ok {
-		return
-	}
-	d.segMu.RLock()
-	seg := d.segs[e.seg]
-	d.segMu.RUnlock()
-	seg.liveBytes.Add(-(framedRecBytes + int64(e.len)))
-	d.pages.Add(^uint64(0))
-	d.dataBytes.Add(^(uint64(e.len) - 1))
-}
-
-// createSegment creates and opens a fresh segment file with a durable
-// header.
-func (d *Disk) createSegment(idx uint32, gen uint64) (*segment, error) {
-	p := segmentPath(d.base, idx)
-	f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: create segment: %w", err)
-	}
-	if err := segFmt.WriteHeader(f, gen); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if d.opts.Sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("pagestore: sync segment header: %w", err)
-		}
-		// The directory entry must be durable before any record commits
-		// into the new segment, or a crash could lose a whole synced
-		// segment while keeping its successor.
-		if err := seglog.SyncDir(filepath.Dir(d.base)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("pagestore: sync dir: %w", err)
-		}
-	}
-	seg := &segment{idx: idx, f: f, gen: gen}
-	seg.size.Store(segHeaderSize)
-	return seg, nil
-}
-
-// rollLocked seals the active segment and opens the next one. Called
-// with wmu held, and only when no commit is in flight: by the committer
-// itself after its batch, or by the snapshotter while every mutator is
-// excluded via stateMu. The sealed segment's file stays open — unlike a
-// WAL segment it still serves page reads.
-func (d *Disk) rollLocked() error {
-	seg, err := d.createSegment(d.active.idx+1, d.nextGen.Add(1))
-	if err != nil {
-		return err
-	}
-	d.segMu.Lock()
-	d.segs[seg.idx] = seg
-	d.segMu.Unlock()
-	d.active = seg
-	return nil
-}
-
-// Put implements Store: it durably appends a put record (sharing
-// write+fsync with concurrent appenders when GroupCommit is on) and
-// then indexes the page.
-func (d *Disk) Put(id wire.PageID, data []byte) error {
-	if d.closed.Load() {
-		return errStoreClosed
-	}
-	st := d.stripe(id)
-	st.mu.RLock()
-	_, dup := st.pages[id]
-	st.mu.RUnlock()
-	if dup {
-		return nil // immutable pages: idempotent
-	}
-	return d.comm.Append(&diskAppend{
-		frame:   segFmt.Frame((&segRecord{kind: recPut, id: id, data: data}).encode()),
-		kind:    recPut,
-		id:      id,
-		dataLen: uint32(len(data)),
-		cell:    seglog.NewCell(),
-	})
-}
-
-// Delete implements Store: it durably appends a tombstone and drops the
-// page from the index, making its bytes reclaimable by compaction.
-// Deleting an unknown page is a no-op.
-func (d *Disk) Delete(id wire.PageID) error {
-	if d.closed.Load() {
-		return errStoreClosed
-	}
-	st := d.stripe(id)
-	st.mu.RLock()
-	_, ok := st.pages[id]
-	st.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return d.comm.Append(&diskAppend{
-		frame: segFmt.Frame((&segRecord{kind: recTomb, id: id}).encode()),
-		kind:  recTomb,
-		id:    id,
-		cell:  seglog.NewCell(),
-	})
-}
-
-// commit appends the batch contiguously to the active segment with a
-// single write and at most one fsync, and stamps each record with where
-// its body landed. Only one committer runs at a time (the leader, or a
-// serial appender under wmu), so the active-segment fields need no
-// extra synchronization: the segment cannot roll while a commit is in
-// flight. On error nothing is applied. The committer holds stateMu
-// shared across commit+apply (the Outer hook, see OpenDisk), so a
-// snapshot capture never splits a durable record from its index change
-// — without any appender holding the cut lock across its park.
-func (d *Disk) commit(batch []*diskAppend) error {
-	d.appends.Add(uint64(len(batch)))
-	seg := d.active
-	base := seg.size.Load()
-	var n int
-	for _, a := range batch {
-		n += len(a.frame)
-	}
-	out := make([]byte, 0, n)
-	off := base
-	for _, a := range batch {
-		a.seg = seg.idx
-		a.dataOff = off + recHeaderSize + recPayloadMin
-		out = append(out, a.frame...)
-		off += int64(len(a.frame))
-	}
-	if _, err := seg.f.WriteAt(out, base); err != nil {
-		return fmt.Errorf("pagestore: append: %w", err)
-	}
-	if d.opts.Sync {
-		if err := seg.f.Sync(); err != nil {
-			return fmt.Errorf("pagestore: fsync: %w", err)
-		}
-		d.syncs.Add(1)
-	}
-	seg.size.Store(off)
-	return nil
-}
-
-// applyBatch indexes a durable batch: puts insert (first of a duplicate
-// pair wins), tombstones drop. Called with wmu held by the committer.
-func (d *Disk) applyBatch(batch []*diskAppend) {
-	var nudge bool
-	for _, a := range batch {
-		d.maintTrack.Mark(a.id)
-		switch a.kind {
-		case recPut:
-			// Resolve the segment before taking the stripe lock:
-			// segLive takes segMu, which the declared lock order puts
-			// before stripe locks (blobseer-vet: lockorder).
-			seg := d.segLive(a.seg)
-			st := d.stripe(a.id)
-			st.mu.Lock()
-			if _, dup := st.pages[a.id]; !dup {
-				st.pages[a.id] = indexEntry{seg: a.seg, off: a.dataOff, len: a.dataLen}
-				seg.liveBytes.Add(framedRecBytes + int64(a.dataLen))
-				d.pages.Add(1)
-				d.dataBytes.Add(uint64(a.dataLen))
-			}
-			st.mu.Unlock()
-		case recTomb:
-			d.segLive(a.seg).tombBytes.Add(framedRecBytes)
-			d.dropEntry(a.id)
-			if d.opts.CompactRatio > 0 {
-				nudge = true
-			}
-		}
-	}
-	events := d.maintTrack.AddEvents(len(batch))
-	if n := d.opts.SnapshotEvery; n > 0 && events >= uint64(n) {
-		nudge = true
-	}
-	if nudge {
-		d.nudgeMaintain()
-	}
-}
-
-func (d *Disk) segLive(idx uint32) *segment {
-	d.segMu.RLock()
-	seg := d.segs[idx]
-	d.segMu.RUnlock()
-	return seg
-}
+// Put implements Store.
+func (d *Disk) Put(id wire.PageID, data []byte) error { return d.kv.Put(string(id[:]), data) }
 
 // Get implements Store.
 func (d *Disk) Get(id wire.PageID, off, length uint32) ([]byte, error) {
-	if d.closed.Load() {
-		return nil, errStoreClosed
-	}
-	st := d.stripe(id)
-	st.mu.RLock()
-	e, ok := st.pages[id]
-	st.mu.RUnlock()
-	if !ok {
+	data, err := d.kv.Get(string(id[:]), off, length)
+	switch {
+	case errors.Is(err, seglog.ErrNotFound):
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
+	case errors.Is(err, seglog.ErrBadRange):
+		return nil, fmt.Errorf("%w: page %v: %v", ErrBadRange, id, err)
 	}
-	seg := d.segLive(e.seg)
-	seg.mu.RLock()
-	defer seg.mu.RUnlock()
-	// Re-fetch under the segment lock: a compaction may have moved the
-	// body between the lookup and here, and it swaps the file handle and
-	// rewrites the entries as one unit under seg.mu. Records never move
-	// between segments, so the entry still points into seg.
-	st.mu.RLock()
-	e, ok = st.pages[id]
-	st.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
-	}
-	if uint64(off) > uint64(e.len) {
-		return nil, fmt.Errorf("%w: offset %d beyond page of %d bytes", ErrBadRange, off, e.len)
-	}
-	n := e.len - off
-	if length != wire.WholePage {
-		if uint64(off)+uint64(length) > uint64(e.len) {
-			return nil, fmt.Errorf("%w: [%d,+%d) beyond page of %d bytes", ErrBadRange, off, length, e.len)
-		}
-		n = length
-	}
-	out := make([]byte, n)
-	if n > 0 {
-		if _, err := seg.f.ReadAt(out, e.off+int64(off)); err != nil {
-			if errors.Is(err, fs.ErrClosed) {
-				return nil, errStoreClosed // lost the race with Close
-			}
-			return nil, fmt.Errorf("pagestore: read page %v: %w", id, err)
-		}
-	}
-	return out, nil
+	return data, err
 }
 
 // Has implements Store.
-func (d *Disk) Has(id wire.PageID) bool {
-	st := d.stripe(id)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	_, ok := st.pages[id]
-	return ok
-}
+func (d *Disk) Has(id wire.PageID) bool { return d.kv.Has(string(id[:])) }
+
+// Delete implements Store: the tombstone is durable like a put, and the
+// page's bytes become reclaimable by compaction.
+func (d *Disk) Delete(id wire.PageID) error { return d.kv.Delete(string(id[:])) }
 
 // Stats implements Store.
 func (d *Disk) Stats() (pages, bytes uint64) {
-	return d.pages.Load(), d.dataBytes.Load()
+	st := d.kv.Stats()
+	return st.Keys, st.ValueBytes
 }
 
 // WriteStats reports records appended and fsyncs issued since open.
 // Group commit shows up as syncs < appends.
 func (d *Disk) WriteStats() (appends, syncs uint64) {
-	return d.appends.Load(), d.syncs.Load()
+	st := d.kv.Stats()
+	return st.Appends, st.Syncs
 }
 
 // LogBytes reports the store's on-disk footprint: the summed size of
 // every segment file. Compaction shrinks it.
-func (d *Disk) LogBytes() int64 {
-	d.segMu.RLock()
-	defer d.segMu.RUnlock()
-	var n int64
-	for _, seg := range d.segs {
-		n += seg.size.Load()
-	}
-	return n
-}
+func (d *Disk) LogBytes() int64 { return d.kv.Stats().LogBytes }
+
+// Snapshots reports how many index snapshots completed since open.
+func (d *Disk) Snapshots() uint64 { return d.kv.Stats().Snapshots }
+
+// Compactions reports how many segment rewrites completed since open.
+func (d *Disk) Compactions() uint64 { return d.kv.Stats().Compactions }
+
+// LastCapturePause reports the stop-the-world duration of the most
+// recent snapshot capture.
+func (d *Disk) LastCapturePause() time.Duration { return d.kv.Stats().LastCapturePause }
 
 // RecoveryStats reports what this open of the store did: whether a
 // snapshot seeded the index and how many records had to be rescanned.
-func (d *Disk) RecoveryStats() RecoveryStats { return d.recStats }
+func (d *Disk) RecoveryStats() RecoveryStats { return d.kv.RecoveryStats() }
 
-// closeFiles closes every segment file. The handles deliberately stay
-// non-nil: a group-commit leader mid-write or a reader that slipped
-// past the closed check simply gets fs.ErrClosed from the file instead
-// of a nil dereference, exactly like the version WAL's shutdown.
-func (d *Disk) closeFiles() error {
-	d.segMu.Lock()
-	defer d.segMu.Unlock()
-	var first error
-	for _, seg := range d.segs {
-		seg.mu.Lock()
-		if err := seg.f.Close(); err != nil && first == nil && !errors.Is(err, fs.ErrClosed) {
-			first = err
-		}
-		seg.mu.Unlock()
-	}
-	return first
-}
+// Snapshot writes the index snapshot now, so the next reopen replays
+// only records logged after this call.
+func (d *Disk) Snapshot() error { return d.kv.Snapshot() }
 
-// Close implements Store. It is idempotent: queued appenders fail with
-// a closed error, in-flight maintenance finishes first, and every
-// segment file is closed.
-func (d *Disk) Close() error {
-	if d.closed.Swap(true) {
-		return nil
-	}
-	d.wmu.Lock()
-	d.comm.FailQueuedLocked(errStoreClosed)
-	d.wmu.Unlock()
-	d.maint.Stop()
-	// Barrier: an in-flight snapshot or compaction finishes (its output
-	// is valid and worth keeping) before the files close under it.
-	d.maintMu.Lock()
-	err := d.closeFiles()
-	d.maintMu.Unlock()
-	return err
-}
+// Compact rewrites every sealed segment whose live-byte ratio is below
+// CompactRatio (below 1 when that is zero), dropping records of Deleted
+// pages, and covers the rewrites with a fresh index snapshot.
+func (d *Disk) Compact() error { return d.kv.Compact() }
+
+// Close implements Store. It is idempotent.
+func (d *Disk) Close() error { return d.kv.Close() }

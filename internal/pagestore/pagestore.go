@@ -4,9 +4,8 @@
 // paper), which keeps the engine interface small: put, ranged get, has.
 //
 // Two engines are provided: Mem, a sharded in-memory store matching the
-// paper's RAM-resident prototype, and Disk, a CRC-checked append-only log
-// with crash recovery for durable deployments (an extension beyond the
-// paper).
+// paper's RAM-resident prototype, and Disk, the durable keyed store of
+// internal/seglog keyed by page id (an extension beyond the paper).
 package pagestore
 
 import (

@@ -2,10 +2,8 @@ package pagestore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -190,76 +188,6 @@ func TestDiskRecovery(t *testing.T) {
 	pages, _ := d2.Stats()
 	if pages != 20 {
 		t.Fatalf("pages after recovery = %d", pages)
-	}
-}
-
-func TestDiskTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.log")
-	d, _ := OpenDisk(path, DiskOptions{})
-	d.Put(pid(1), []byte("complete record"))
-	d.Put(pid(2), []byte("this one will be torn"))
-	d.Close()
-
-	// Chop bytes off the final record to simulate a crash mid-append.
-	seg1 := segmentPath(path, 1)
-	info, _ := os.Stat(seg1)
-	if err := os.Truncate(seg1, info.Size()-5); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatalf("recovery with torn tail should succeed: %v", err)
-	}
-	defer d2.Close()
-	if !d2.Has(pid(1)) {
-		t.Fatal("intact record lost")
-	}
-	if d2.Has(pid(2)) {
-		t.Fatal("torn record resurrected")
-	}
-
-	// The store must be appendable after truncation.
-	if err := d2.Put(pid(3), []byte("after recovery")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d2.Get(pid(3), 0, wire.WholePage)
-	if err != nil || string(got) != "after recovery" {
-		t.Fatalf("Get after recovery append: %q, %v", got, err)
-	}
-}
-
-func TestDiskDetectsMidLogCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.log")
-	d, _ := OpenDisk(path, DiskOptions{})
-	d.Put(pid(1), []byte("first record here"))
-	d.Put(pid(2), []byte("second record here"))
-	d.Close()
-
-	// Flip a payload byte of the first record.
-	f, _ := os.OpenFile(segmentPath(path, 1), os.O_RDWR, 0)
-	f.WriteAt([]byte{0xFF}, segHeaderSize+recHeaderSize+recPayloadMin+2)
-	f.Close()
-
-	if _, err := OpenDisk(path, DiskOptions{}); err == nil {
-		t.Fatal("mid-log corruption not detected")
-	}
-}
-
-func TestDiskDetectsBadMagic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.log")
-	d, _ := OpenDisk(path, DiskOptions{})
-	d.Put(pid(1), []byte("record"))
-	d.Close()
-
-	f, _ := os.OpenFile(segmentPath(path, 1), os.O_RDWR, 0)
-	var bad [4]byte
-	binary.LittleEndian.PutUint32(bad[:], 0x12345678)
-	f.WriteAt(bad[:], segHeaderSize)
-	f.Close()
-
-	if _, err := OpenDisk(path, DiskOptions{}); err == nil {
-		t.Fatal("bad record magic not detected")
 	}
 }
 

@@ -5,8 +5,7 @@ import (
 	"sync"
 )
 
-// Group commit, extracted verbatim from the version WAL and the page
-// store (which had hand-copied it from each other): concurrent appends
+// Group commit, shared by the version WAL and the KV: concurrent appends
 // coalesce into batches, the first appender to find no active leader
 // becomes one, takes everything queued with it, writes the whole batch
 // with a single write and at most one fsync, and wakes the batch.
@@ -25,7 +24,7 @@ import (
 //     acknowledges after Await; FailStop keeps the durable log a prefix
 //     of the enqueue order when a commit fails.
 //   - The Outer callback: when state must apply only after the commit
-//     (the page store assigns offsets at commit time), the exclusive
+//     (the KV assigns offsets at commit time), the exclusive
 //     committer itself takes a shared outer lock across Commit+Apply,
 //     so appenders never hold it across their park and a capture's
 //     exclusive acquisition still fences out in-flight batches.

@@ -17,11 +17,18 @@ import (
 // Frame wraps an encoded payload in the on-disk frame.
 func (ft *Format) Frame(payload []byte) []byte {
 	rec := make([]byte, FrameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], ft.RecMagic)
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[8:12], crc32.ChecksumIEEE(payload))
 	copy(rec[FrameHeaderSize:], payload)
+	putFrameHeader(rec, ft.RecMagic)
 	return rec
+}
+
+// putFrameHeader fills the header of a frame whose payload is already
+// in place behind it.
+func putFrameHeader(frame []byte, magic uint32) {
+	payload := frame[FrameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], magic)
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
 }
 
 // Scan reads every record frame in one segment file, already open (and,

@@ -6,8 +6,8 @@ import (
 	"blobseer/internal/wire"
 )
 
-// Index snapshots (the page store's and the DHT log's) open with a
-// shared prefix: the format number and one entry per covered segment.
+// A KV index snapshot (see kv_codec.go for the entry section) opens
+// with this prefix: the format number and one entry per covered segment.
 // Format v1 recorded only each covered segment's generation; v2 adds
 // its live/tombstone byte counters:
 //

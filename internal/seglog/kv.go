@@ -1,0 +1,686 @@
+package seglog
+
+import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"blobseer/internal/wire"
+)
+
+// KV is the one durable keyed store behind the provider page store
+// (internal/pagestore.Disk) and the metadata nodes' pair log
+// (internal/dht): a segmented, CRC-framed log of put and tombstone
+// records with a striped in-memory index, group-committed appends, an
+// index snapshot for bounded-reopen recovery (kv_recover.go) and a
+// background compactor that rewrites mostly-dead segments
+// (kv_maintain.go). Values are immutable: a second Put of a key is a
+// no-op, and keys are never reused after Delete.
+//
+// How a keyed store is laid out on, recovered from, snapshotted over
+// and compacted in a segmented log is decided here and nowhere else.
+// An instantiation supplies only its KVLayout: the magics that brand
+// its files, its key framing, and its flush schedule.
+//
+// Safety rule for space reclamation: the store never invents garbage. A
+// value's bytes are only ever dropped by compaction after the key was
+// explicitly Deleted, and Delete's contract is that the caller (a
+// garbage collector walking version metadata) has proven the key
+// unreachable from every retained version. Everything still indexed
+// survives any crash/compaction interleaving byte-identical — the
+// invariant the crash-injection table asserts at every fault point.
+type KV struct {
+	base   string
+	ly     *KVLayout
+	opts   KVOptions
+	closed atomic.Bool
+	// errClosed is ErrClosed under the layout's name.
+	errClosed error
+
+	// stripes spread index lookups over independent RW locks so reads
+	// never serialize behind writes to unrelated keys.
+	stripes [kvStripes]kvStripe
+
+	// stateMu makes index snapshots a consistent cut: the exclusive
+	// committer (the group-commit leader, or a serial appender) holds it
+	// shared across commit+apply via the committer's Outer hook — never
+	// the appenders themselves, so no Put parks for the fsync while
+	// holding it — and the snapshotter holds it exclusively only while
+	// rolling the active segment and capturing the index. Records queued
+	// behind an exclusive capture commit into the post-roll segment and
+	// index afterwards, which keeps the captured index exactly the replay
+	// of the covered segments. Readers never touch it. The whole lock
+	// order, in the form the lockorder analyzer (cmd/blobseer-vet)
+	// enforces:
+	//
+	//blobseer:lockorder maintMu < stateMu < wmu < segMu < kvSegment.mu < kvStripe.mu
+	stateMu sync.RWMutex
+
+	// segMu guards the segment table. Segments are never removed from it
+	// (compaction rewrites in place) and indices are contiguous from 1,
+	// so segs[idx-1] read under RLock stays valid forever.
+	segMu sync.RWMutex
+	segs  []*kvSegment
+
+	// wmu guards the writer state: the active-segment pointer, the
+	// group-commit queue and shutdown. The write+fsync itself runs
+	// outside wmu by the unique leader (see Committer, which borrows it).
+	wmu    sync.Mutex
+	active *kvSegment
+	comm   Committer[*kvAppend]
+
+	nextGen    atomic.Uint64 // last generation handed out
+	keys       atomic.Uint64 // live keys
+	valueBytes atomic.Uint64 // live value bytes
+	appends    atomic.Uint64 // records accepted
+	syncs      atomic.Uint64 // fsyncs issued by commits
+
+	// Maintenance (snapshot + compaction) machinery, see kv_maintain.go.
+	// track owns the auto-snapshot countdown and the dirty key set for
+	// incremental captures; every index change marks its key there
+	// (applies, compaction retargets).
+	maintMu     sync.Mutex
+	track       Tracker[string, kvEntry]
+	snapPause   atomic.Int64 // last capture's stop-the-world ns
+	snapRuns    atomic.Uint64
+	compactRuns atomic.Uint64
+	maint       *Maintainer
+	recStats    RecoveryStats
+
+	// crashHook is the test-only maintenance fault injector.
+	crashHook func(point string) error
+}
+
+// KVLayout is everything one instantiation of the KV decides.
+type KVLayout struct {
+	// Format brands the files, so a metadata log opened as a page store
+	// fails loudly instead of replaying foreign records.
+	Format
+	// KeyLen is the fixed key size in bytes; records and snapshot entries
+	// carry the key raw. Zero means variable-length keys, framed with a
+	// uint32 length prefix.
+	KeyLen int
+	// SealSync fsyncs a segment and its directory entry when it is
+	// sealed, and every segment at Close, even with Sync off — so only
+	// the highest segment can ever carry a torn tail and a clean shutdown
+	// loses nothing. Without it and without Sync, a power loss can tear a
+	// sealed segment, which then refuses to reopen. A constant of each
+	// instantiation, not a tunable.
+	SealSync bool
+}
+
+// KVOptions tunes a KV. The zero value is serial unsynced appends,
+// 64 MB segments, no automatic snapshots or compaction.
+type KVOptions struct {
+	// Sync forces records to disk before Put or Delete returns. Slower,
+	// but a crash loses at most in-flight records instead of the OS
+	// write-back window. Pair with GroupCommit so concurrent writers
+	// share fsyncs.
+	Sync bool
+	// GroupCommit coalesces concurrent Puts/Deletes into one write (+ at
+	// most one fsync): the first appender to find no active leader writes
+	// the whole queued batch. Off, every record performs its own write
+	// (+fsync when Sync) under the writer lock — the ablation baseline.
+	GroupCommit bool
+	// SegmentBytes rolls the log into a fresh segment file once the
+	// active one exceeds this many bytes (default 64 MB). Compaction
+	// rewrites whole sealed segments, so smaller segments reclaim at a
+	// finer grain for more files.
+	SegmentBytes int64
+	// SnapshotEvery, when positive, writes an index snapshot
+	// automatically after that many appended records, bounding reopen
+	// replay by the interval. Zero disables automatic snapshots;
+	// Snapshot remains available on demand either way.
+	SnapshotEvery int
+	// CompactRatio, when positive, makes the background compactor
+	// rewrite any sealed segment whose live-byte ratio falls below this
+	// threshold (0 < ratio < 1), dropping records of Deleted keys. Zero
+	// disables automatic compaction; Compact remains available on demand.
+	CompactRatio float64
+}
+
+// KVStats is a point-in-time reading of a KV's counters.
+type KVStats struct {
+	Keys       uint64 // live keys
+	ValueBytes uint64 // their summed value sizes
+	Appends    uint64 // records accepted since open
+	Syncs      uint64 // commit fsyncs since open; group commit shows as Syncs < Appends
+	LogBytes   int64  // summed size of every segment file; compaction shrinks it
+	Snapshots  uint64 // index snapshots published since open
+	// Compactions counts segment rewrites completed since open.
+	Compactions uint64
+	// LastCapturePause is the stop-the-world duration of the most recent
+	// snapshot capture (the window stateMu was held exclusively):
+	// O(keys changed since the last snapshot), not O(keys held).
+	LastCapturePause time.Duration
+}
+
+// RecoveryStats describes what one OpenKV did: how much of the index
+// came from the snapshot and how much had to be replayed by scanning
+// segments. With automatic snapshots, RecordsReplayed stays bounded by
+// SnapshotEvery no matter how many keys the store holds.
+type RecoveryStats struct {
+	SnapshotLoaded    bool // a valid index snapshot seeded the index
+	SnapshotEntries   int  // keys restored from the snapshot
+	SegmentsOnDisk    int  // segment files found or created at open
+	SegmentsRescanned int  // segments scanned record-by-record
+	StaleRescanned    int  // of those, rewritten after the snapshot (compaction crash)
+	RecordsReplayed   int  // records applied by rescans
+}
+
+var (
+	// ErrNotFound is returned by Get for a key that is not stored.
+	ErrNotFound = errors.New("key not found")
+	// ErrBadRange is returned by Get when the byte range does not fit
+	// inside the value.
+	ErrBadRange = errors.New("byte range outside value")
+	// ErrClosed is returned by operations racing or following Close.
+	ErrClosed = errors.New("store closed")
+)
+
+const (
+	kvStripes = 64
+
+	// defaultSegmentBytes is the roll threshold when the options leave
+	// SegmentBytes zero.
+	defaultSegmentBytes = 64 << 20
+)
+
+type kvStripe struct {
+	mu sync.RWMutex
+	m  map[string]kvEntry
+}
+
+// kvEntry locates one live value: bytes [off, off+vlen) of segment seg.
+type kvEntry struct {
+	seg  uint32
+	off  int64
+	vlen uint32
+}
+
+// kvSegment is one log file and its accounting. The file handle is
+// swapped by compaction under mu; readers hold mu.RLock across their
+// pread so a swap never closes a file out from under them.
+type kvSegment struct {
+	idx uint32
+
+	mu  sync.RWMutex
+	f   *os.File
+	gen uint64
+	// size is the file length. For the active segment it is advanced
+	// only by the unique committer; for sealed segments it changes only
+	// under mu (compaction).
+	size atomic.Int64
+
+	// liveBytes is the framed bytes of put records the index still points
+	// at; tombBytes the framed bytes of tombstone records. size - header -
+	// liveBytes - tombBytes estimates what a rewrite would reclaim, and a
+	// freshly rewritten segment estimates exactly zero. Both survive
+	// reopen: v2 index snapshots persist them per segment (indexsnap.go).
+	liveBytes atomic.Int64
+	tombBytes atomic.Int64
+
+	// hygiene flags the segment for a tombstone-hygiene rewrite: an
+	// earlier segment's rewrite dropped a dead put, so tombstones here
+	// may have lost their last reason to exist (hygiene.go). pickVictim
+	// selects flagged segments even when their reclaim estimate is zero;
+	// the rewrite clears the flag.
+	hygiene atomic.Bool
+}
+
+// kvAppend is one queued record and its appender's parking spot.
+type kvAppend struct {
+	frame []byte
+	kind  byte
+	key   string
+	vlen  uint32
+
+	// Filled by the committer: where the record (and a put's value)
+	// landed.
+	seg uint32
+	off int64
+
+	cell Cell
+}
+
+func (a *kvAppend) Cell() *Cell { return &a.cell }
+
+// OpenKV opens (creating if needed) the store rooted at path and
+// rebuilds the index: it loads the newest valid index snapshot,
+// verifies each covered segment's generation, and rescans only the tail
+// (plus any segment a crashed compaction rewrote). A torn record at the
+// tail of the highest segment is truncated away; a torn or corrupt
+// snapshot degrades to a full rescan.
+func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
+	if opts.SegmentBytes <= 0 {
+		opts.SegmentBytes = defaultSegmentBytes
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, fmt.Errorf("%s: create dir: %w", ly.Name, err)
+	}
+	s := &KV{base: path, ly: ly, opts: opts, errClosed: fmt.Errorf("%s: %w", ly.Name, ErrClosed)}
+	for i := range s.stripes {
+		s.stripes[i].m = make(map[string]kvEntry)
+	}
+	s.comm = Committer[*kvAppend]{
+		Mu:        &s.wmu,
+		Serial:    !opts.GroupCommit,
+		Closed:    s.closed.Load,
+		ErrClosed: s.errClosed,
+		Commit:    s.commit,
+		Apply:     s.applyBatch,
+		// The exclusive committer holds the snapshot cut shared across
+		// commit+apply (see the stateMu field docs).
+		Outer: func() func() { s.stateMu.RLock(); return s.stateMu.RUnlock },
+		// Re-check closed before rolling: Close may have finished while
+		// the commit ran outside wmu, and a roll now would create a stray
+		// segment after closeFiles already swept the table.
+		MaybeRoll: func() {
+			if !s.closed.Load() && s.active.size.Load() >= s.opts.SegmentBytes {
+				s.rollLocked() // best effort: a failed roll leaves the oversized segment active
+			}
+		},
+	}
+	if err := s.recover(); err != nil {
+		s.closeFiles()
+		return nil, err
+	}
+	// Replayed tail records count toward the auto-snapshot interval, or
+	// a crash-looping store whose runs each log fewer than SnapshotEvery
+	// records would grow its tail without bound.
+	s.track.AddEvents(s.recStats.RecordsReplayed)
+	if opts.SnapshotEvery > 0 || opts.CompactRatio > 0 {
+		s.maint = NewMaintainer(s.maintainPass)
+		s.maint.Start()
+		if opts.SnapshotEvery > 0 && s.recStats.RecordsReplayed >= opts.SnapshotEvery {
+			s.maint.Nudge()
+		}
+	}
+	return s, nil
+}
+
+func (s *KV) stripe(key string) *kvStripe {
+	h := uint32(2166136261) // FNV-1a
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return &s.stripes[h%kvStripes]
+}
+
+func (s *KV) lookup(key string) (kvEntry, bool) {
+	st := s.stripe(key)
+	st.mu.RLock()
+	e, ok := st.m[key]
+	st.mu.RUnlock()
+	return e, ok
+}
+
+func (s *KV) segment(idx uint32) *kvSegment {
+	s.segMu.RLock()
+	seg := s.segs[idx-1]
+	s.segMu.RUnlock()
+	return seg
+}
+
+func (s *KV) segmentPath(idx uint32) string { return SegmentPath(s.base, uint64(idx)) }
+
+// dropEntry removes key from the index, adjusting the counters. Used by
+// recovery and by the tombstone apply path.
+func (s *KV) dropEntry(key string) {
+	st := s.stripe(key)
+	st.mu.Lock()
+	e, ok := st.m[key]
+	if ok {
+		delete(st.m, key)
+	}
+	st.mu.Unlock()
+	if !ok {
+		return
+	}
+	s.segment(e.seg).liveBytes.Add(-s.ly.framedSize(len(key), e.vlen))
+	s.keys.Add(^uint64(0))
+	s.valueBytes.Add(^(uint64(e.vlen) - 1))
+}
+
+// createSegment creates and opens a fresh segment file with a durable
+// header.
+func (s *KV) createSegment(idx uint32, gen uint64) (*kvSegment, error) {
+	f, err := os.OpenFile(s.segmentPath(idx), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("%s: create segment: %w", s.ly.Name, err)
+	}
+	if err := s.ly.WriteHeader(f, gen); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if s.opts.Sync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("%s: sync segment header: %w", s.ly.Name, err)
+		}
+		// The directory entry must be durable before any record commits
+		// into the new segment, or a crash could lose a whole synced
+		// segment while keeping its successor.
+		if err := SyncDir(filepath.Dir(s.base)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("%s: sync dir: %w", s.ly.Name, err)
+		}
+	}
+	seg := &kvSegment{idx: idx, f: f, gen: gen}
+	seg.size.Store(HeaderSize)
+	return seg, nil
+}
+
+// rollLocked seals the active segment and opens the next one. Called
+// with wmu held, and only when no commit is in flight: by the committer
+// itself after its batch, or by the snapshotter while every mutator is
+// excluded via stateMu. The sealed segment's file stays open — it still
+// serves reads and compaction scans.
+func (s *KV) rollLocked() error {
+	if s.ly.SealSync {
+		// Recovery tolerates a torn tail only in the highest segment, so a
+		// sealed segment's contents — and its directory entry, which must
+		// not vanish while a successor survives — have to outlive any
+		// crash from here on. One fsync per SegmentBytes.
+		if err := s.active.f.Sync(); err != nil {
+			return fmt.Errorf("%s: seal segment: %w", s.ly.Name, err)
+		}
+		if !s.opts.Sync { // with Sync on, createSegment already dir-synced it
+			if err := SyncDir(filepath.Dir(s.base)); err != nil {
+				return fmt.Errorf("%s: sync dir before roll: %w", s.ly.Name, err)
+			}
+		}
+	}
+	gen := s.nextGen.Add(1)
+	seg, err := s.createSegment(s.active.idx+1, gen)
+	if err != nil {
+		// Give the reservation back unless a rewrite reserved past it
+		// meanwhile (generations must never repeat for one segment).
+		s.nextGen.CompareAndSwap(gen, gen-1)
+		return err
+	}
+	s.segMu.Lock()
+	s.segs = append(s.segs, seg)
+	s.segMu.Unlock()
+	s.active = seg
+	return nil
+}
+
+func (s *KV) newAppend(kind byte, key string, value []byte) *kvAppend {
+	return &kvAppend{
+		frame: s.ly.encodeRecord(kind, key, value),
+		kind:  kind,
+		key:   key,
+		vlen:  uint32(len(value)),
+		cell:  NewCell(),
+	}
+}
+
+// Put durably appends a put record (sharing write+fsync with concurrent
+// appenders when GroupCommit is on) and then indexes the value. Values
+// are immutable: a Put of a stored key is a no-op.
+func (s *KV) Put(key string, value []byte) error {
+	if s.closed.Load() {
+		return s.errClosed
+	}
+	if s.ly.KeyLen != 0 && len(key) != s.ly.KeyLen {
+		return fmt.Errorf("%s: key of %d bytes, layout fixes %d", s.ly.Name, len(key), s.ly.KeyLen)
+	}
+	if _, dup := s.lookup(key); dup {
+		return nil
+	}
+	return s.comm.Append(s.newAppend(kvPut, key, value))
+}
+
+// Delete durably appends a tombstone and drops the key from the index,
+// making its bytes reclaimable by compaction. Deleting an unknown key
+// is a no-op.
+func (s *KV) Delete(key string) error {
+	if s.closed.Load() {
+		return s.errClosed
+	}
+	if _, ok := s.lookup(key); !ok {
+		return nil
+	}
+	return s.comm.Append(s.newAppend(kvTomb, key, nil))
+}
+
+// EnqueueDelete queues a tombstone without waiting for durability and
+// returns the wait for it — phase one of a two-phase delete. A caller
+// holding its own lock per key enqueues under it, releases it, and
+// calls every returned wait afterwards, so a sweep deleting thousands
+// of keys shares fsyncs instead of paying one per key. Every wait MUST
+// be called, even on error paths: the first enqueue may designate its
+// owner as the batch leader, and an unawaited leader stalls the queue.
+// The key leaves the index only when its batch commits.
+func (s *KV) EnqueueDelete(key string) (wait func() error, err error) {
+	if _, ok := s.lookup(key); !ok {
+		return func() error { return nil }, nil
+	}
+	a := s.newAppend(kvTomb, key, nil)
+	if err := s.comm.Enqueue(a); err != nil {
+		return nil, err
+	}
+	return func() error { return s.comm.Await(a) }, nil
+}
+
+// commit appends the batch contiguously to the active segment with a
+// single write and at most one fsync, and stamps each record with where
+// it landed. Only one committer runs at a time (the leader, or a serial
+// appender under wmu), so the active-segment fields need no extra
+// synchronization: the segment cannot roll while a commit is in flight.
+// On error nothing is applied.
+func (s *KV) commit(batch []*kvAppend) error {
+	s.appends.Add(uint64(len(batch)))
+	seg := s.active
+	base := seg.size.Load()
+	var n int
+	for _, a := range batch {
+		n += len(a.frame)
+	}
+	out := make([]byte, 0, n)
+	off := base
+	for _, a := range batch {
+		a.seg = seg.idx
+		a.off = off + int64(len(a.frame)) - int64(a.vlen)
+		out = append(out, a.frame...)
+		off += int64(len(a.frame))
+	}
+	if _, err := seg.f.WriteAt(out, base); err != nil {
+		return fmt.Errorf("%s: append: %w", s.ly.Name, err)
+	}
+	if s.opts.Sync {
+		if err := seg.f.Sync(); err != nil {
+			return fmt.Errorf("%s: fsync: %w", s.ly.Name, err)
+		}
+		s.syncs.Add(1)
+	}
+	seg.size.Store(off)
+	return nil
+}
+
+// applyBatch indexes a durable batch: puts insert (the first of a
+// duplicate pair wins, as in recovery), tombstones drop. Called with
+// wmu held by the committer.
+func (s *KV) applyBatch(batch []*kvAppend) {
+	var nudge bool
+	for _, a := range batch {
+		s.track.Mark(a.key)
+		// Resolve the segment before taking the stripe lock: segMu orders
+		// before stripe locks.
+		seg := s.segment(a.seg)
+		switch a.kind {
+		case kvPut:
+			st := s.stripe(a.key)
+			st.mu.Lock()
+			if _, dup := st.m[a.key]; !dup {
+				st.m[a.key] = kvEntry{seg: a.seg, off: a.off, vlen: a.vlen}
+				seg.liveBytes.Add(int64(len(a.frame)))
+				s.keys.Add(1)
+				s.valueBytes.Add(uint64(a.vlen))
+			}
+			st.mu.Unlock()
+		case kvTomb:
+			seg.tombBytes.Add(int64(len(a.frame)))
+			s.dropEntry(a.key)
+			if s.opts.CompactRatio > 0 {
+				nudge = true
+			}
+		}
+	}
+	events := s.track.AddEvents(len(batch))
+	if n := s.opts.SnapshotEvery; n > 0 && events >= uint64(n) {
+		nudge = true
+	}
+	if nudge {
+		s.maint.Nudge()
+	}
+}
+
+// Get returns length bytes starting at off within key's value; a length
+// of wire.WholePage returns everything from off to the end.
+func (s *KV) Get(key string, off, length uint32) ([]byte, error) {
+	if s.closed.Load() {
+		return nil, s.errClosed
+	}
+	e, ok := s.lookup(key)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	seg := s.segment(e.seg)
+	seg.mu.RLock()
+	defer seg.mu.RUnlock()
+	// Re-fetch under the segment lock: a compaction may have moved the
+	// value between the lookup and here, and it swaps the file handle and
+	// rewrites the entries as one unit under seg.mu. Records never move
+	// between segments, so the entry still points into seg.
+	if e, ok = s.lookup(key); !ok {
+		return nil, ErrNotFound
+	}
+	if off > e.vlen {
+		return nil, fmt.Errorf("%w: offset %d beyond %d bytes", ErrBadRange, off, e.vlen)
+	}
+	n := e.vlen - off
+	if length != wire.WholePage {
+		if uint64(off)+uint64(length) > uint64(e.vlen) {
+			return nil, fmt.Errorf("%w: [%d,+%d) beyond %d bytes", ErrBadRange, off, length, e.vlen)
+		}
+		n = length
+	}
+	out := make([]byte, n)
+	if n > 0 {
+		if _, err := seg.f.ReadAt(out, e.off+int64(off)); err != nil {
+			if errors.Is(err, fs.ErrClosed) {
+				return nil, s.errClosed // lost the race with Close
+			}
+			return nil, fmt.Errorf("%s: read value: %w", s.ly.Name, err)
+		}
+	}
+	return out, nil
+}
+
+// Has reports whether key is stored.
+func (s *KV) Has(key string) bool {
+	_, ok := s.lookup(key)
+	return ok
+}
+
+// Range calls fn with every live pair, reading each value from its
+// segment. It takes no consistent cut — keys put or deleted while it
+// runs may or may not be visited — so it is meant for loading a
+// just-opened store.
+func (s *KV) Range(fn func(key string, value []byte) error) error {
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.RLock()
+		keys := make([]string, 0, len(st.m))
+		for key := range st.m {
+			keys = append(keys, key)
+		}
+		st.mu.RUnlock()
+		for _, key := range keys {
+			value, err := s.Get(key, 0, wire.WholePage)
+			if errors.Is(err, ErrNotFound) {
+				continue
+			}
+			if err == nil {
+				err = fn(key, value)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Stats reads the store's counters.
+func (s *KV) Stats() KVStats {
+	st := KVStats{
+		Keys:             s.keys.Load(),
+		ValueBytes:       s.valueBytes.Load(),
+		Appends:          s.appends.Load(),
+		Syncs:            s.syncs.Load(),
+		Snapshots:        s.snapRuns.Load(),
+		Compactions:      s.compactRuns.Load(),
+		LastCapturePause: time.Duration(s.snapPause.Load()),
+	}
+	s.segMu.RLock()
+	for _, seg := range s.segs {
+		st.LogBytes += seg.size.Load()
+	}
+	s.segMu.RUnlock()
+	return st
+}
+
+// RecoveryStats reports what this open of the store did.
+func (s *KV) RecoveryStats() RecoveryStats { return s.recStats }
+
+// closeFiles closes every segment file, fsyncing each first (and the
+// directory after) under SealSync so a clean shutdown loses nothing.
+// The handles deliberately stay non-nil: a group-commit leader
+// mid-write or a reader that slipped past the closed check simply gets
+// fs.ErrClosed from the file instead of a nil dereference.
+func (s *KV) closeFiles() error {
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
+	var first error
+	keep := func(err error) {
+		if err != nil && first == nil && !errors.Is(err, fs.ErrClosed) {
+			first = err
+		}
+	}
+	for _, seg := range s.segs {
+		seg.mu.Lock()
+		if s.ly.SealSync {
+			keep(seg.f.Sync())
+		}
+		keep(seg.f.Close())
+		seg.mu.Unlock()
+	}
+	if s.ly.SealSync {
+		keep(SyncDir(filepath.Dir(s.base)))
+	}
+	return first
+}
+
+// Close is idempotent: queued appenders fail with a closed error,
+// in-flight maintenance finishes first (its output is valid and worth
+// keeping), and every segment file is closed.
+func (s *KV) Close() error {
+	if s.closed.Swap(true) {
+		return nil
+	}
+	s.wmu.Lock()
+	s.comm.FailQueuedLocked(s.errClosed)
+	s.wmu.Unlock()
+	s.maint.Stop()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	return s.closeFiles()
+}

@@ -1,0 +1,468 @@
+package seglog
+
+import (
+	"errors"
+	"fmt"
+	"time"
+)
+
+// Maintenance turns a KV from "rescan everything on open, grow forever"
+// into a bounded store: the snapshotter serializes the index at a
+// segment boundary so reopen replays only the tail, and the compactor
+// rewrites sealed segments whose live-byte ratio fell below the
+// configured threshold, dropping records of Deleted keys and duplicate
+// puts. Crash-consistency invariants, in order:
+//
+//  1. A snapshot capture is a consistent cut: the exclusive committer
+//     holds stateMu shared across commit+apply (Committer.Outer), and
+//     the capture holds stateMu exclusively while it rolls the active
+//     segment and resolves the dirty keys — so no record is split from
+//     its index change, records queued behind the capture land in the
+//     post-roll segment, and the captured index equals exactly the
+//     replay of all segments below the cut. The capture is incremental
+//     once a baseline snapshot published: only keys marked since then
+//     are re-resolved (Tracker), so the stop-the-world pause stops
+//     scaling with total key count.
+//  2. Snapshots and compaction outputs become visible only by the
+//     atomic rename of a fully written (and, for compaction, always
+//     fsynced) tmp file: recovery never sees a half-written one.
+//  3. A compaction rewrite bumps the segment's generation. The index
+//     snapshot records the generation of every covered segment, so a
+//     crash after the rename but before the follow-up snapshot is
+//     detected on reopen (generation mismatch) and that segment alone
+//     is rescanned instead of trusting stale offsets.
+//  4. Tombstone records are preserved by rewrites while some earlier
+//     segment still holds a put for their key, so even the no-snapshot
+//     fallback (full rescan) can never resurrect a Deleted key. Once
+//     the last such put is gone the tombstone is dead weight and the
+//     rewrite drops it (see hygiene.go).
+//
+// The crash-injection table drives a hook through every fault point
+// below, for both key framings, and asserts the recovered pairs are
+// byte-identical to an uncrashed store's.
+
+// Maintenance fault points, in execution order.
+const (
+	crashSnapBegin      = "snap-begin"       // before anything happened
+	crashSnapCaptured   = "snap-captured"    // index cloned, nothing on disk yet
+	crashSnapTmpWritten = "snap-tmp-written" // tmp snapshot fully written (+synced)
+	crashSnapRenamed    = "snap-renamed"     // snapshot live
+
+	crashCompactTmpWritten = "compact-tmp-written" // rewrite tmp fully written+synced
+	crashCompactRenamed    = "compact-renamed"     // rewrite live, index not yet updated
+	crashCompactApplied    = "compact-applied"     // index updated, snapshot not yet rewritten
+)
+
+// crashPoints lists every fault point in order, for tests that
+// enumerate them exhaustively.
+var crashPoints = []string{
+	crashSnapBegin, crashSnapCaptured, crashSnapTmpWritten, crashSnapRenamed,
+	crashCompactTmpWritten, crashCompactRenamed, crashCompactApplied,
+}
+
+// crash fires the test-only fault-injection hook; a non-nil return
+// aborts the maintenance pass exactly as a process death at that point
+// would — nothing needs unwinding, recovery handles every prefix.
+func (s *KV) crash(point string) error {
+	if s.crashHook == nil {
+		return nil
+	}
+	return s.crashHook(point)
+}
+
+// maintainPass is one wake-up of the background maintainer.
+func (s *KV) maintainPass() bool {
+	if s.closed.Load() {
+		return false
+	}
+	if n := s.opts.SnapshotEvery; n > 0 && s.track.Events() >= uint64(n) {
+		s.Snapshot()
+	}
+	if s.opts.CompactRatio > 0 {
+		s.Compact()
+	}
+	return true
+}
+
+// Snapshot serializes the index into an atomically renamed snapshot
+// file, so the next reopen replays only records logged after this call.
+// It is safe to call concurrently with traffic (the stop-the-world
+// portion is only a segment roll plus resolving the changed keys) and
+// serialized against compaction.
+func (s *KV) Snapshot() error {
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	return s.snapshotLocked()
+}
+
+//blobseer:seglog kv-snapshot
+func (s *KV) snapshotLocked() error {
+	if s.closed.Load() {
+		return s.errClosed
+	}
+	if err := s.crash(crashSnapBegin); err != nil {
+		return err
+	}
+	snap, cut, err := s.capture()
+	if err != nil {
+		return err
+	}
+	if err := s.crash(crashSnapCaptured); err != nil {
+		cut.Abort()
+		return err
+	}
+	if err := s.ly.PublishSnapshot(s.base, s.ly.encodeIndex(snap), s.opts.Sync,
+		func() error { return s.crash(crashSnapTmpWritten) },
+		func() error { return s.crash(crashSnapRenamed) },
+	); err != nil {
+		// The countdown and dirty set survive (Capture.Abort), so the next
+		// maintenance pass retries immediately instead of logging another
+		// SnapshotEvery records uncovered.
+		cut.Abort()
+		return err
+	}
+	// Only now — the snapshot is live — consume the countdown and adopt
+	// the merged entries as the next capture's baseline.
+	cut.Commit()
+	s.snapRuns.Add(1)
+	return nil
+}
+
+// capture rolls the log to a fresh segment and captures the index at
+// the cut, holding stateMu exclusively — which excludes the exclusive
+// committer, so no commit is in flight during the roll and the capture
+// is exactly the state the segments below the cut replay to. The
+// per-segment counters read here are exact for the same reason, and
+// compaction (the only other writer of gen and the counters) is
+// excluded by maintMu. The returned cut must be Committed after a
+// successful publish or Aborted on any error.
+func (s *KV) capture() (*kvIndexSnapshot, *Capture[string, kvEntry], error) {
+	s.stateMu.Lock()
+	t0 := time.Now()
+	snap, cut, err := s.captureLocked()
+	s.snapPause.Store(int64(time.Since(t0)))
+	s.stateMu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	// The merge is O(total keys) of map work, but the stop-the-world
+	// capture above was O(dirty keys): it runs after stateMu released.
+	merged := cut.Merged()
+	snap.entries = make([]kvSnapEntry, 0, len(merged))
+	for key, e := range merged {
+		snap.entries = append(snap.entries, kvSnapEntry{key: key, kvEntry: e})
+	}
+	return snap, cut, nil
+}
+
+func (s *KV) captureLocked() (*kvIndexSnapshot, *Capture[string, kvEntry], error) {
+	s.wmu.Lock()
+	if s.closed.Load() {
+		s.wmu.Unlock()
+		return nil, nil, s.errClosed
+	}
+	if s.active.size.Load() > HeaderSize {
+		if err := s.rollLocked(); err != nil {
+			s.wmu.Unlock()
+			return nil, nil, err
+		}
+	}
+	covered := s.active.idx - 1
+	s.wmu.Unlock()
+
+	snap := &kvIndexSnapshot{meta: IndexMeta{HasMeta: true, Segs: make([]SegMeta, covered)}}
+	s.segMu.RLock()
+	for i, seg := range s.segs[:covered] {
+		snap.meta.Segs[i] = SegMeta{Gen: seg.gen, Live: seg.liveBytes.Load(), Tomb: seg.tombBytes.Load()}
+	}
+	s.segMu.RUnlock()
+
+	// An index entry above the cut would mean a record applied without
+	// the committer holding the cut shared — state corruption. Publishing
+	// a snapshot that silently omits it would cement the damage (the
+	// entry's segment gets rescanned on reopen, but a later snapshot
+	// covering it would not), so fail the capture loudly instead.
+	cut := s.track.Begin()
+	resolve := func(key string, e kvEntry, ok bool) error {
+		if ok && e.seg > covered {
+			cut.Abort()
+			return fmt.Errorf("%s: snapshot capture: key %x indexed in uncovered segment %d (cut at %d)",
+				s.ly.Name, key, e.seg, covered)
+		}
+		return nil
+	}
+	if cut.Full() {
+		// First capture since open: seed from a full index scan.
+		seed := make(map[string]kvEntry, s.keys.Load())
+		for i := range s.stripes {
+			st := &s.stripes[i]
+			st.mu.RLock()
+			for key, e := range st.m {
+				if err := resolve(key, e, true); err != nil {
+					st.mu.RUnlock()
+					return nil, nil, err
+				}
+				seed[key] = e
+			}
+			st.mu.RUnlock()
+		}
+		cut.Seed(seed)
+	} else {
+		for key := range cut.Dirty() {
+			e, ok := s.lookup(key)
+			if err := resolve(key, e, ok); err != nil {
+				return nil, nil, err
+			}
+			cut.Resolve(key, e, ok)
+		}
+	}
+	return snap, cut, nil
+}
+
+// Compact rewrites every sealed segment whose live-byte ratio is below
+// CompactRatio (or, when CompactRatio is zero, below 1 — on-demand
+// compaction reclaims whatever it can), then writes a fresh index
+// snapshot so the rewrites are covered. Pairs still indexed — every key
+// not explicitly Deleted — are preserved byte-identically; only records
+// of Deleted keys, duplicate puts, and tombstones with no earlier put
+// left to suppress are dropped.
+func (s *KV) Compact() error {
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	if s.closed.Load() {
+		return s.errClosed
+	}
+	ratio := s.opts.CompactRatio
+	if ratio <= 0 {
+		ratio = 1
+	}
+	rewrote := false
+	for victim := s.pickVictim(ratio); victim != nil; victim = s.pickVictim(ratio) {
+		if err := s.rewriteSegment(victim); err != nil {
+			return err
+		}
+		rewrote = true
+	}
+	if rewrote {
+		// Cover the rewrites so reopen trusts the new offsets instead of
+		// taking the generation-mismatch rescan path.
+		return s.snapshotLocked()
+	}
+	return nil
+}
+
+// pickVictim returns the sealed segment with the most reclaimable bytes
+// among those whose live ratio is below the threshold — or, when no
+// bytes are reclaimable anywhere, the lowest hygiene-flagged segment
+// (an earlier rewrite dropped a put, so tombstones there may now be
+// droppable). A freshly rewritten segment estimates zero reclaimable
+// bytes and carries no flag, so compaction always terminates.
+func (s *KV) pickVictim(ratio float64) *kvSegment {
+	s.wmu.Lock()
+	sealed := s.active.idx - 1 // never the active segment
+	s.wmu.Unlock()
+	if s.closed.Load() {
+		return nil
+	}
+	s.segMu.RLock()
+	defer s.segMu.RUnlock()
+	var best, flagged *kvSegment
+	var bestReclaim int64
+	for _, seg := range s.segs[:sealed] {
+		payload := seg.size.Load() - HeaderSize
+		if payload <= 0 {
+			seg.hygiene.Store(false)
+			continue
+		}
+		if flagged == nil && seg.hygiene.Load() {
+			flagged = seg
+		}
+		live := seg.liveBytes.Load()
+		reclaim := payload - live - seg.tombBytes.Load()
+		if reclaim > bestReclaim && float64(live)/float64(payload) < ratio {
+			best, bestReclaim = seg, reclaim
+		}
+	}
+	if best != nil {
+		return best
+	}
+	return flagged
+}
+
+// keptRecord is one record surviving a rewrite, with its value offsets
+// in the old and new files.
+type keptRecord struct {
+	kvRecord
+	newOff int64
+}
+
+// errHygieneDone stops the tombstone-hygiene sweep early once every
+// tombstone in the victim is known to be needed.
+var errHygieneDone = errors.New("hygiene scan complete")
+
+// neededTombs resolves the hygiene rule for one victim: which of its
+// tombstones still have a put record in some earlier segment to
+// suppress. Earlier segments are sealed and maintMu excludes any other
+// rewrite, so their files are stable. With fixed-size keys the sweep
+// reads only each record's kind+key prefix, never the values — reading
+// every page body would make it cost the whole store; length-prefixed
+// keys belong to small pairs and are walked whole.
+func (s *KV) neededTombs(victim *kvSegment, tombs map[string]bool) (map[string]bool, error) {
+	return FilterTombs(tombs, func(observe func(string) bool) error {
+		visit := func(p []byte) error {
+			// The map lookup keeps the sweep allocation-free: a key string is
+			// only built for a record that does suppress a tombstone.
+			if key, ok := s.ly.putKey(p); ok && tombs[string(key)] && !observe(string(key)) {
+				return errHygieneDone
+			}
+			return nil
+		}
+		for idx := uint32(1); idx < victim.idx; idx++ {
+			seg, path := s.segment(idx), s.segmentPath(idx)
+			seg.mu.RLock()
+			var err error
+			if s.ly.KeyLen != 0 {
+				err = s.ly.ScanPrefix(seg.f, path, 1+s.ly.KeyLen, func(p []byte, _ uint32) error { return visit(p) })
+			} else {
+				_, err = s.ly.Scan(seg.f, path, false, func(p []byte, _ int64) error { return visit(p) })
+			}
+			seg.mu.RUnlock()
+			if errors.Is(err, errHygieneDone) {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// rewriteSegment compacts one sealed segment in place: the records
+// still live — puts the index points at, and tombstones some earlier
+// segment still holds a put for — are written to a tmp file under a
+// fresh generation, fsynced, renamed over the segment (see
+// SegmentWriter for why the fsync is unconditional), and the index
+// entries are retargeted to the new offsets under the segment lock.
+// Readers mid-pread keep the old file handle and stay correct; the old
+// inode lives until their locks release.
+//
+//blobseer:seglog kv-rewrite
+func (s *KV) rewriteSegment(victim *kvSegment) error {
+	if s.closed.Load() {
+		return s.errClosed
+	}
+	path := s.segmentPath(victim.idx)
+	var kept []keptRecord
+	tombs := make(map[string]bool)
+	droppedPut := false
+	if _, err := s.ly.scan(victim, path, false, func(r kvRecord) error {
+		switch r.kind {
+		case kvTomb:
+			tombs[r.key] = true
+			kept = append(kept, keptRecord{kvRecord: r})
+		case kvPut:
+			// Keep only the record the index points at: duplicates and
+			// Deleted keys are dropped. A concurrent Delete between this
+			// check and the apply below is re-checked there.
+			if e, ok := s.lookup(r.key); ok && e.seg == victim.idx && e.off == r.valOff {
+				kept = append(kept, keptRecord{kvRecord: r})
+			} else {
+				droppedPut = true
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+
+	if len(tombs) > 0 {
+		needed, err := s.neededTombs(victim, tombs)
+		if err != nil {
+			return err
+		}
+		if len(needed) < len(tombs) {
+			filtered := kept[:0]
+			for _, k := range kept {
+				if k.kind == kvPut || needed[k.key] {
+					filtered = append(filtered, k)
+				}
+			}
+			kept = filtered
+		}
+	}
+
+	newGen := s.nextGen.Add(1)
+	w, err := s.ly.NewSegmentWriter(CompactTmpPath(s.base), newGen)
+	if err != nil {
+		return err
+	}
+	var tombBytes int64
+	for i := range kept {
+		k := &kept[i]
+		// The encoding is canonical, so re-framing the scanned payload
+		// reproduces the record byte for byte.
+		start, err := w.Append(s.ly.Frame(k.payload))
+		if err != nil {
+			w.Abort()
+			return err
+		}
+		k.newOff = start + k.framed() - int64(k.vlen)
+		if k.kind == kvTomb {
+			tombBytes += k.framed()
+		}
+	}
+	if err := w.Commit(path,
+		func() error { return s.crash(crashCompactTmpWritten) },
+		func() error { return s.crash(crashCompactRenamed) },
+	); err != nil {
+		return err
+	}
+
+	// Swap the handle and retarget the index as one unit under the
+	// segment lock; Get re-fetches entries under it.
+	victim.mu.Lock()
+	old := victim.f
+	victim.f = w.File()
+	victim.gen = newGen
+	victim.size.Store(w.Size())
+	var live int64
+	for i := range kept {
+		k := &kept[i]
+		if k.kind != kvPut {
+			continue
+		}
+		st := s.stripe(k.key)
+		st.mu.Lock()
+		if e, ok := st.m[k.key]; ok && e.seg == victim.idx && e.off == k.valOff {
+			e.off = k.newOff
+			st.m[k.key] = e
+			live += k.framed()
+			// The entry moved: the next incremental snapshot must carry the
+			// new offset, or its baseline would keep pointing at the old one
+			// under a matching generation.
+			s.track.Mark(k.key)
+		}
+		st.mu.Unlock()
+	}
+	victim.liveBytes.Store(live)
+	victim.tombBytes.Store(tombBytes)
+	victim.hygiene.Store(false)
+	victim.mu.Unlock()
+	old.Close()
+	if droppedPut {
+		// The dropped puts may have been the last reason tombstones in
+		// later segments existed; flag them so this compaction pass
+		// re-evaluates the rule there too. Flags are only ever set when a
+		// record was actually dropped, so the cascade terminates.
+		s.segMu.RLock()
+		for _, seg := range s.segs[victim.idx:] {
+			if seg.tombBytes.Load() > 0 {
+				seg.hygiene.Store(true)
+			}
+		}
+		s.segMu.RUnlock()
+	}
+	s.compactRuns.Add(1)
+	return s.crash(crashCompactApplied)
+}

@@ -1,9 +1,14 @@
-// Package seglog is the one segmented-log core behind the three durable
-// stores: the version manager's WAL (internal/version), the page store's
-// data log (internal/pagestore) and the DHT's metadata log
-// (internal/dht). Each store keeps its own record encoding, index shape
-// and locking, and parameterizes this package over the rest — the
-// mechanics that used to be hand-copied three times:
+// Package seglog is the one segmented-log core behind the durable
+// stores, and home of the one durable keyed store built on it.
+//
+// The core serves two kinds of log. The version manager's WAL
+// (internal/version) is a state-machine log: it keeps its own record
+// encoding, state and locking, its segments are headerless, and covered
+// segments are deleted. KV (kv.go) is the keyed, deletable,
+// snapshotting, compacting store that both the provider page store
+// (internal/pagestore.Disk) and the metadata nodes' pair log
+// (internal/dht) instantiate with nothing but a KVLayout. The
+// mechanics, each written once:
 //
 //   - generation-stamped segment files (<base>.000001, ...) with a fixed
 //     header, or headerless segments for WAL-style logs whose covered
@@ -29,13 +34,14 @@
 //     the next maintenance pass (capture.go)
 //   - in-place segment rewrite through a tmp file that is always
 //     fsynced before the rename (writer.go)
-//   - generational tombstone hygiene for compactors (hygiene.go)
+//   - generational tombstone hygiene for the compactor (hygiene.go)
 //
-// This package declares no lock order of its own: every lock it touches
-// is owned and declared by the calling store (the Committer borrows the
-// store's writer mutex). Functions that publish files via rename keep
-// the whole sync→rename→dirsync sequence in a single function body so
-// the renamesync analyzer (cmd/blobseer-vet) can see it.
+// The core primitives declare no lock order of their own: the Committer
+// borrows its store's writer mutex, and the order is declared by the
+// store that owns the locks (KV's is in kv.go). Functions that publish
+// files via rename keep the whole sync→rename→dirsync sequence in a
+// single function body so the renamesync analyzer (cmd/blobseer-vet)
+// can see it.
 package seglog
 
 import (
@@ -95,22 +101,16 @@ func SnapshotTmpPath(base string) string { return base + ".snapshot.tmp" }
 // recovery.
 func CompactTmpPath(base string) string { return base + ".compact.tmp" }
 
-// MigrateTmpPath names an in-progress legacy-log migration; never read
-// by recovery.
-func MigrateTmpPath(base string) string { return base + ".migrate.tmp" }
-
 // RemoveTmp deletes leftover tmp files from interrupted maintenance.
 // They are garbage by construction: only the atomic renames ever
 // activate a tmp file.
 func RemoveTmp(base string) {
 	os.Remove(SnapshotTmpPath(base))
 	os.Remove(CompactTmpPath(base))
-	os.Remove(MigrateTmpPath(base))
 }
 
 // ListSegments returns the segment indices present for base, ascending.
-// Non-numeric siblings (the snapshot, tmp files, a legacy log) are
-// ignored.
+// Non-numeric siblings (the snapshot, tmp files) are ignored.
 func (ft *Format) ListSegments(base string) ([]uint64, error) {
 	entries, err := os.ReadDir(filepath.Dir(base))
 	if err != nil {

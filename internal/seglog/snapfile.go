@@ -60,10 +60,8 @@ func (ft *Format) LoadSnapshotFile(path string) ([]byte, error) {
 //blobseer:seglog snapshot-file
 func (ft *Format) WriteSnapshotFile(base string, payload []byte, fsync bool) error {
 	frame := make([]byte, FrameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], ft.SnapMagic)
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
 	copy(frame[FrameHeaderSize:], payload)
+	putFrameHeader(frame, ft.SnapMagic)
 	tmp := SnapshotTmpPath(base)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

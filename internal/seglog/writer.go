@@ -7,8 +7,7 @@ import (
 )
 
 // SegmentWriter builds a replacement segment file — a compaction
-// rewrite or a legacy-log migration — in a tmp path and activates it by
-// atomic rename. The tmp file is ALWAYS fsynced before the rename, even
+// rewrite — in a tmp path and activates it by atomic rename. The tmp file is ALWAYS fsynced before the rename, even
 // for stores that do not sync appends: the rename replaces previously
 // durable data, so the replacement must itself be durable first.
 type SegmentWriter struct {

@@ -2,10 +2,9 @@ package version
 
 import (
 	"bytes"
-	"errors"
-	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,44 +131,17 @@ func TestCheckpointIdempotentAndQuiescent(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration feeds the pre-segmentation single-file layout
-// to the new recovery: the file must be adopted as segment 1 with its
-// history intact.
-func TestLegacyWALMigration(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "vm.wal")
-	var legacy []byte
-	for _, e := range []walEvent{
-		{kind: walCreate, blob: 1, pageSize: 512},
-		{kind: walAssign, blob: 1, version: 1, size: 700, newSize: 700},
-		{kind: walComplete, blob: 1, version: 1},
-	} {
-		legacy = append(legacy, record(e)...)
-	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+// TestSingleFileWALRefused: a regular file at the base path is a
+// pre-segmentation log this build cannot read; silently starting an
+// empty WAL next to it would drop its history.
+func TestSingleFileWALRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vm.wal")
+	if err := os.WriteFile(path, record(walEvent{kind: walCreate, blob: 1, pageSize: 512}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg := ManagerConfig{WALPath: path}
-	m, stop := startDurable(t, cfg)
-	rec := apply(t, m, &wire.RecentReq{Blob: 1}).(*wire.RecentResp)
-	if rec.Version != 1 || rec.Size != 700 {
-		t.Fatalf("legacy replay: recent = %+v", rec)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("legacy file still present after migration: %v", err)
-	}
-	if _, err := os.Stat(segmentPath(path, 1)); err != nil {
-		t.Fatalf("migrated segment missing: %v", err)
-	}
-	// The migrated log keeps appending and survives another restart.
-	a := apply(t, m, &wire.AssignReq{Blob: 1, Size: 50, Append: true}).(*wire.AssignResp)
-	apply(t, m, &wire.CompleteReq{Blob: 1, Version: a.Version})
-	stop()
-	m2, stop2 := startDurable(t, cfg)
-	defer stop2()
-	rec = apply(t, m2, &wire.RecentReq{Blob: 1}).(*wire.RecentResp)
-	if rec.Version != 2 || rec.Size != 750 {
-		t.Fatalf("post-migration restart: recent = %+v", rec)
+	_, _, err := openWAL(path, walOptions{})
+	if err == nil || !strings.Contains(err.Error(), "pre-segmentation single-file log, unsupported") {
+		t.Fatalf("open over a single-file log = %v, want the unsupported-format error", err)
 	}
 }
 

@@ -240,15 +240,16 @@ func (a *walAppend) Cell() *seglog.Cell { return &a.cell }
 // covers (a compaction crash can leave them behind), replays the tail
 // segments, and opens the highest segment for appending. A torn tail in
 // the final segment is truncated; a torn or corrupt snapshot is ignored
-// and recovery falls back to replaying every segment still on disk. A
-// single-file log from before segmentation is migrated by renaming it to
-// segment 1.
+// and recovery falls back to replaying every segment still on disk.
 func openWAL(path string, opts walOptions) (*wal, *walRecovery, error) {
 	if opts.segBytes <= 0 {
 		opts.segBytes = defaultSegmentBytes
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("version: create wal dir: %w", err)
+	}
+	if info, err := os.Stat(path); err == nil && info.Mode().IsRegular() {
+		return nil, nil, fmt.Errorf("version: %s is a pre-segmentation single-file log, unsupported", path)
 	}
 	rec := &walRecovery{}
 	// A torn/corrupt snapshot (crash mid-checkpoint, disk fault) degrades
@@ -268,16 +269,6 @@ func openWAL(path string, opts walOptions) (*wal, *walRecovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(segs) == 0 && rec.snap == nil {
-		// Legacy layout: a single log file at exactly path.
-		if info, err := os.Stat(path); err == nil && info.Mode().IsRegular() {
-			if err := os.Rename(path, segmentPath(path, 1)); err != nil {
-				return nil, nil, fmt.Errorf("version: migrate legacy wal: %w", err)
-			}
-			segs = []uint64{1}
-		}
-	}
-
 	first := uint64(1)
 	if rec.snap != nil {
 		first = rec.snap.nextSeg

@@ -124,8 +124,7 @@ func TestMetadataReclamationDurableRestart(t *testing.T) {
 		DataProviders:     2,
 		MetadataProviders: 2,
 		DiskDir:           dir,
-		MetaSegmentBytes:  4 << 10,
-		MetaSnapshotEvery: 64,
+		MetaLog:           blobseer.MetaLogOptions{SegmentBytes: 4 << 10, SnapshotEvery: 64},
 	}
 	cl, err := blobseer.StartCluster(opts)
 	if err != nil {
