@@ -1,5 +1,26 @@
 package blobseer
 
+import (
+	"flag"
+	"os"
+	"testing"
+
+	"blobseer/internal/rpc"
+)
+
+// TestMain runs the package's tests — the end-to-end and streaming
+// checksum tests among them — with released rpc frame buffers poisoned,
+// so any page byte read after its buffer went back to the pool fails a
+// checksum every time, not rarely. Benchmarks measure the unpoisoned
+// path.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if flag.Lookup("test.bench").Value.String() == "" {
+		rpc.PoisonReleasedFrames()
+	}
+	os.Exit(m.Run())
+}
+
 // Test-only accessors: failure-injection tests kill individual services of
 // an embedded cluster to verify the replication extensions end to end.
 

@@ -110,8 +110,21 @@ func TestHedgedReadRescuesSlowReplica(t *testing.T) {
 			return fmt.Errorf("hedges fired/won = %d/%d, want both > 0",
 				stats.HedgesFired, stats.HedgesWon)
 		}
-		if 2*hedgedElapsed >= unhedged {
-			return fmt.Errorf("hedged read %v not at least 2x faster than unhedged %v",
+		// 1.81x here (142.8ms against 258.7ms); the bar is 1.75x. It was
+		// 2x, met at 2.06x only because the rpc pool over-dialled: the 16
+		// concurrent first fetches opened 16 connections to the four
+		// providers where ConnsPerHost allows one each. simnet shares a
+		// link equally between connections, so the provider with the most
+		// pages to send got the most of the reader's downlink. With one
+		// connection each, the busiest healthy provider — 5 primaries plus
+		// 3 hedged pages the slow node owed — sends 8 pages through a
+		// quarter of that link: 8 x 4 KiB at 250 KB/s is 131ms on its own.
+		// (Every page hedges: with 16 fetches in flight the reader's link
+		// is the bottleneck and each outlasts the delay.) A reader with
+		// ConnsPerHost 2..32 takes 139..158ms: its hedges dial connections
+		// of their own, and the wasted ones compete as equals.
+		if 7*hedgedElapsed >= 4*unhedged {
+			return fmt.Errorf("hedged read %v not at least 1.75x faster than unhedged %v",
 				hedgedElapsed, unhedged)
 		}
 		// Bounded cost: at most one hedge per page on top of one fetch

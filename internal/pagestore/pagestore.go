@@ -28,7 +28,11 @@ var ErrBadRange = errors.New("pagestore: byte range outside page")
 // contents are guaranteed identical because ids are globally unique and
 // chosen by the creator of the bytes).
 type Store interface {
-	// Put stores data under id. It copies data.
+	// Put stores data under id. It copies data: the caller may reuse or
+	// overwrite the slice the moment Put returns, and the provider's
+	// PUT_PAGE handler does — it passes bytes that alias a recycled rpc
+	// frame (wire.PutPageReq), so an engine that kept the slice would
+	// serve whatever the next frame wrote there.
 	Put(id wire.PageID, data []byte) error
 	// Get returns length bytes starting at off within page id. A length
 	// of wire.WholePage returns everything from off to the end. The

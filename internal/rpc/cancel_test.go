@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -82,7 +83,10 @@ func TestDisconnectMidReadCancelsHandler(t *testing.T) {
 // TestEncodeFailureCountedAndReported exercises the response-encoding
 // fallback: an oversized response cannot be framed, so the client must
 // get an error frame instead of a hung call, and the server must count
-// the failure.
+// the failure. The same goes for an oversized request, which fails its
+// own call only. Either way the buffer the frame was being marshalled
+// into is reused, so the next frame on the connection must come out
+// well-formed.
 func TestEncodeFailureCountedAndReported(t *testing.T) {
 	net := transport.NewInproc()
 	sched := vclock.NewReal()
@@ -91,19 +95,48 @@ func TestEncodeFailureCountedAndReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := NewMux()
-	mux.Register(wire.KindGetPageReq, func(context.Context, wire.Msg) (wire.Msg, error) {
+	mux.Register(wire.KindGetPageReq, func(_ context.Context, m wire.Msg) (wire.Msg, error) {
+		if n := m.(*wire.GetPageReq).Length; n != wire.WholePage {
+			return &wire.GetPageResp{Data: pattern(uint64(n), int(n))}, nil
+		}
 		return &wire.GetPageResp{Data: make([]byte, MaxFrameBody+1)}, nil
+	})
+	mux.Register(wire.KindDHTGetReq, func(context.Context, wire.Msg) (wire.Msg, error) {
+		// Not a sized kind: found too large only once marshalled.
+		return &wire.DHTGetResp{Found: true, Value: make([]byte, MaxFrameBody+1)}, nil
 	})
 	srv := Serve(ln, sched, mux)
 	defer srv.Close()
 	cl := NewClient(net, sched, ClientOptions{})
 	defer cl.Close()
 
-	_, err = cl.Call(context.Background(), srv.Addr(), &wire.GetPageReq{Page: wire.PageID{1}, Length: 1})
+	ctx := context.Background()
+	wellFormed := func(after string) {
+		t.Helper()
+		resp, err := cl.Call(ctx, srv.Addr(), &wire.GetPageReq{Page: wire.PageID{1}, Length: 3000})
+		if err != nil || !bytes.Equal(resp.(*wire.GetPageResp).Data, pattern(3000, 3000)) {
+			t.Fatalf("call after %s: %v", after, err)
+		}
+	}
+	wellFormed("connect")
+	_, err = cl.Call(ctx, srv.Addr(), &wire.GetPageReq{Page: wire.PageID{1}, Length: wire.WholePage})
 	if err == nil {
 		t.Fatal("oversized response produced no client error")
 	}
 	if got := srv.EncodeFailures(); got != 1 {
 		t.Fatalf("EncodeFailures = %d, want 1", got)
 	}
+	wellFormed("an oversized page response")
+	if _, err = cl.Call(ctx, srv.Addr(), &wire.DHTGetReq{Key: []byte("k")}); err == nil {
+		t.Fatal("oversized metadata response produced no client error")
+	}
+	if got := srv.EncodeFailures(); got != 2 {
+		t.Fatalf("EncodeFailures = %d, want 2", got)
+	}
+	wellFormed("an oversized metadata response")
+	_, err = cl.Call(ctx, srv.Addr(), &wire.PutPageReq{Page: wire.PageID{1}, Data: make([]byte, MaxFrameBody+1)})
+	if err == nil || errors.Is(err, ErrConnBroken) {
+		t.Fatalf("oversized request: err = %v, want a failure of that call alone", err)
+	}
+	wellFormed("an oversized request")
 }

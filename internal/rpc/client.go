@@ -223,51 +223,100 @@ type pool struct {
 	client *Client
 	addr   string
 
-	mu     sync.Mutex
-	conns  []*clientConn
-	next   int
-	closed bool
+	mu    sync.Mutex
+	conns []*clientConn
+	// dialing counts slots reserved by in-flight dials: conns plus
+	// dialing never exceeds the client's perHost.
+	dialing int
+	// waiters are callers that found every slot taken by an in-flight
+	// dial; each is fired when any dial to this peer resolves, with the
+	// dial's error if it failed.
+	waiters []vclock.Event
+	next    int
+	closed  bool
 }
 
+// pick returns a connection to the peer: a fresh one while the pool has
+// a free slot, else an existing one round-robin. A slot is reserved
+// before dialling, so concurrent first calls cannot open more than
+// perHost connections; a caller that finds only in-flight dials waits
+// for one to resolve. A dial that fails takes the callers parked on it
+// down with it — they would only meet the same dead peer one after
+// another, each for a full DialTimeout — and frees the slot for the
+// next call.
 func (p *pool) pick(ctx context.Context) (*clientConn, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	// Drop broken connections.
-	live := p.conns[:0]
-	for _, cc := range p.conns {
-		if !cc.isBroken() {
-			live = append(live, cc)
-		}
-	}
-	p.conns = live
-	if len(p.conns) < p.client.perHost {
-		p.mu.Unlock()
-		dctx, cancel := withTimeout(ctx, p.client.dialTimeout)
-		if cancel != nil {
-			defer cancel()
-		}
-		raw, err := p.client.net.Dial(dctx, p.addr)
-		if err != nil {
-			return nil, err
-		}
-		cc := newClientConn(raw, p.client.sched, p.client.wg)
+	for {
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
-			raw.Close()
 			return nil, ErrClientClosed
 		}
-		p.conns = append(p.conns, cc)
+		// Drop broken connections.
+		live := p.conns[:0]
+		for _, cc := range p.conns {
+			if !cc.isBroken() {
+				live = append(live, cc)
+			}
+		}
+		p.conns = live
+		if len(p.conns)+p.dialing < p.client.perHost {
+			p.dialing++
+			p.mu.Unlock()
+			return p.dial(ctx)
+		}
+		if len(p.conns) > 0 {
+			cc := p.conns[p.next%len(p.conns)]
+			p.next++
+			p.mu.Unlock()
+			return cc, nil
+		}
+		ev := p.client.sched.NewEvent()
+		p.waiters = append(p.waiters, ev)
 		p.mu.Unlock()
-		return cc, nil
+		v, err := ev.Wait(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if dialErr, failed := v.(error); failed {
+			return nil, dialErr
+		}
 	}
-	cc := p.conns[p.next%len(p.conns)]
-	p.next++
+}
+
+// dial fills the slot its caller reserved, or gives it back, and hands
+// the outcome to everyone waiting on it.
+func (p *pool) dial(ctx context.Context) (*clientConn, error) {
+	dctx, cancel := withTimeout(ctx, p.client.dialTimeout)
+	if cancel != nil {
+		defer cancel()
+	}
+	raw, err := p.client.net.Dial(dctx, p.addr)
+	var cc *clientConn
+	p.mu.Lock()
+	p.dialing--
+	if err == nil && p.closed {
+		err = ErrClientClosed
+	}
+	if err == nil {
+		cc = newClientConn(raw, p.client.sched, p.client.wg)
+		p.conns = append(p.conns, cc)
+	}
+	waiters := p.waiters
+	p.waiters = nil
 	p.mu.Unlock()
-	return cc, nil
+	// A dial abandoned because its own caller gave up says nothing about
+	// the peer: the waiters look again instead of inheriting that.
+	var verdict any
+	if err != nil && (ctx == nil || ctx.Err() == nil) {
+		verdict = err
+	}
+	for _, ev := range waiters {
+		ev.Fire(verdict)
+	}
+	if cc == nil && raw != nil {
+		raw.Close()
+	}
+	return cc, err
 }
 
 func (p *pool) close() {
@@ -332,18 +381,19 @@ func (cc *clientConn) roundTrip(ctx context.Context, req wire.Msg) (wire.Msg, er
 
 	err := cc.wmu.Lock()
 	if err == nil {
-		var buf []byte
-		buf, err = appendFrame(cc.wbuf[:0], id, req)
-		if err == nil {
-			cc.wbuf = buf // keep the grown buffer for reuse
-			_, err = cc.raw.Write(buf)
+		// Marshalled in place into the connection's own buffer, which is
+		// kept (grown) for the next frame: a request costs no allocation.
+		var encErr error
+		if cc.wbuf, encErr = appendFrame(cc.wbuf[:0], id, req); encErr != nil {
+			cc.wmu.Unlock()
+			cc.forget(id)
+			return nil, encErr // nothing reached the wire: only this call fails
 		}
+		_, err = cc.raw.Write(cc.wbuf)
 		cc.wmu.Unlock()
 	}
 	if err != nil {
-		cc.mu.Lock()
-		delete(cc.pending, id)
-		cc.mu.Unlock()
+		cc.forget(id)
 		cc.fail(err)
 		return nil, fmt.Errorf("%w: %v", ErrConnBroken, err)
 	}
@@ -352,9 +402,7 @@ func (cc *clientConn) roundTrip(ctx context.Context, req wire.Msg) (wire.Msg, er
 	if err != nil {
 		// Context cancellation (Real scheduler only): orphan the pending
 		// entry so a late response is dropped instead of misdelivered.
-		cc.mu.Lock()
-		delete(cc.pending, id)
-		cc.mu.Unlock()
+		cc.forget(id)
 		return nil, err
 	}
 	switch r := v.(type) {
@@ -367,6 +415,13 @@ func (cc *clientConn) roundTrip(ctx context.Context, req wire.Msg) (wire.Msg, er
 	}
 }
 
+// forget drops the pending entry of a call that will not be answered.
+func (cc *clientConn) forget(id uint64) {
+	cc.mu.Lock()
+	delete(cc.pending, id)
+	cc.mu.Unlock()
+}
+
 // readLoop dispatches inbound frames to their waiting callers.
 func (cc *clientConn) readLoop() {
 	for {
@@ -375,7 +430,11 @@ func (cc *clientConn) readLoop() {
 			cc.fail(fmt.Errorf("%w: %v", ErrConnBroken, err))
 			return
 		}
-		msg, err := wire.Decode(kind, body)
+		// Responses decode by copy, so the recycled body is done with
+		// here whatever happens next: decode error, delivery, or a late
+		// response nobody waits for.
+		msg, err := wire.Decode(kind, *body)
+		putFrame(body)
 		if err != nil {
 			cc.fail(fmt.Errorf("%w: %v", ErrConnBroken, err))
 			return

@@ -270,7 +270,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if id != 42 || kind != wire.KindPingReq {
 		t.Fatalf("id=%d kind=%v", id, kind)
 	}
-	m, err := wire.Decode(kind, body)
+	m, err := wire.Decode(kind, *body)
+	putFrame(body)
 	if err != nil || m.(*wire.PingReq).Nonce != 7 {
 		t.Fatalf("decode: %v %v", m, err)
 	}
@@ -281,5 +282,40 @@ func TestFrameRejectsOversize(t *testing.T) {
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
 		t.Fatal("oversize frame accepted")
+	}
+
+	// Encoding: a message too large to frame leaves the buffer it was
+	// being appended to exactly as long as it was, whether it is refused
+	// before marshalling (a sized kind) or after (any other), and the
+	// next frame appended there reads back whole.
+	buf, err := appendFrame(make([]byte, 0, 256), 1, &wire.PingReq{Nonce: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := make([]byte, MaxFrameBody+1)
+	for _, m := range []wire.Msg{&wire.GetPageResp{Data: huge}, &wire.DHTPutReq{Value: huge}} {
+		out, err := appendFrame(buf, 2, m)
+		if err == nil {
+			t.Fatalf("oversize %v framed", m.Kind())
+		}
+		if len(out) != len(buf) || cap(out) != cap(buf) {
+			t.Fatalf("failed %v left the buffer at len %d cap %d, was %d/%d", m.Kind(), len(out), cap(out), len(buf), cap(buf))
+		}
+		buf = out
+	}
+	if buf, err = appendFrame(buf, 3, &wire.PingReq{Nonce: 3}); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(buf)
+	for _, want := range []uint64{1, 3} {
+		id, kind, body, err := readFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := wire.Decode(kind, *body)
+		putFrame(body)
+		if err != nil || id != want || m.(*wire.PingReq).Nonce != want {
+			t.Fatalf("frame %d after a refused one: id %d, %v, %v", want, id, m, err)
+		}
 	}
 }

@@ -18,6 +18,11 @@ import (
 // does); each request runs on its own goroutine. The context is
 // cancelled when the request's connection closes or the server shuts
 // down, so a disconnected client cannot strand a blocked handler.
+//
+// A request is valid until its handler returns: wire.PutPageReq.Data
+// aliases a frame buffer the server recycles once the response is
+// encoded, so a handler copies any request bytes it keeps. The response
+// may reference the request; it is encoded before the request goes.
 type Handler interface {
 	Handle(ctx context.Context, m wire.Msg) (wire.Msg, error)
 }
@@ -162,37 +167,61 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 		if err != nil {
 			return
 		}
-		req, err := wire.Decode(kind, body)
+		req, err := wire.Decode(kind, *body)
 		if err != nil {
 			// Cannot trust the stream after a decode error.
+			putFrame(body)
 			return
 		}
-		s.wg.Go(func() {
-			resp := s.dispatch(cctx, req)
-			frame, err := appendFrame(nil, id, resp)
-			if err != nil {
-				s.encodeFailures.Add(1)
-				frame, err = appendFrame(nil, id, errorResp(err))
-				if err != nil {
-					// Even the error response failed to encode: the
-					// client's request would dangle forever on a frame we
-					// cannot produce, so drop the connection instead of
-					// shipping a broken stream.
-					s.encodeFailures.Add(1)
-					c.Close()
-					return
-				}
-			}
-			if wmu.Lock() != nil {
-				return // scheduler shut down mid-response
-			}
-			_, werr := c.Write(frame)
-			wmu.Unlock()
-			if werr != nil {
-				c.Close() // reader will exit and clean up
-			}
-		})
+		s.wg.Go(func() { s.serveRequest(cctx, c, wmu, id, req, body) })
 	}
+}
+
+// serveRequest runs one request to completion on its own goroutine. It
+// owns body, the recycled buffer req was decoded from (req may alias
+// it), and releases it once the response is encoded — the last moment
+// anything can still read the request — on every path.
+func (s *Server) serveRequest(ctx context.Context, c transport.Conn, wmu *vclock.Mutex, id uint64, req wire.Msg, body *[]byte) {
+	frame := s.responseFrame(id, s.dispatch(ctx, req))
+	putFrame(body)
+	if frame == nil {
+		// Even the error response failed to encode: the client's request
+		// would dangle forever on a frame we cannot produce, so drop the
+		// connection instead of shipping a broken stream.
+		c.Close()
+		return
+	}
+	defer putFrame(frame)
+	if wmu.Lock() != nil {
+		return // scheduler shut down mid-response
+	}
+	_, werr := c.Write(*frame)
+	wmu.Unlock()
+	if werr != nil {
+		c.Close() // reader will exit and clean up
+	}
+}
+
+// responseFrame marshals resp — or, when it cannot be framed, an error
+// response saying so — into a recycled buffer the caller releases after
+// writing it. It returns nil when neither could be encoded.
+func (s *Server) responseFrame(id uint64, resp wire.Msg) *[]byte {
+	n := wire.BodySize(resp)
+	if n > MaxFrameBody {
+		n = 0 // appendFrame refuses it; the error response sizes itself
+	}
+	frame := getFrame(frameHeaderLen + n)
+	out, err := appendFrame((*frame)[:0], id, resp)
+	if err != nil {
+		s.encodeFailures.Add(1)
+		if out, err = appendFrame(out, id, errorResp(err)); err != nil {
+			s.encodeFailures.Add(1)
+			putFrame(frame)
+			return nil
+		}
+	}
+	*frame = out
+	return frame
 }
 
 func (s *Server) dispatch(ctx context.Context, req wire.Msg) wire.Msg {

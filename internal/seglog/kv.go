@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,6 +74,10 @@ type KV struct {
 	wmu    sync.Mutex
 	active *kvSegment
 	comm   Committer[*kvAppend]
+	// batchBuf is where commit frames a batch before its one write.
+	// Owned by the exclusive committer; kept between batches unless it
+	// grew past kvBatchRetain.
+	batchBuf []byte
 
 	nextGen    atomic.Uint64 // last generation handed out
 	keys       atomic.Uint64 // live keys
@@ -189,6 +194,10 @@ const (
 	// defaultSegmentBytes is the roll threshold when the options leave
 	// SegmentBytes zero.
 	defaultSegmentBytes = 64 << 20
+
+	// kvBatchRetain is the largest batch buffer a store keeps between
+	// commits, so one huge batch cannot pin its size forever.
+	kvBatchRetain = 4 << 20
 )
 
 type kvStripe struct {
@@ -233,12 +242,15 @@ type kvSegment struct {
 	hygiene atomic.Bool
 }
 
-// kvAppend is one queued record and its appender's parking spot.
+// kvAppend is one queued record and its appender's parking spot. value
+// aliases the appender's own slice: the committer frames it straight
+// into the batch buffer, and it is never read after the appender's
+// Append returns — the appender is parked until its batch resolves, and
+// shutdown only fails records no leader has taken.
 type kvAppend struct {
-	frame []byte
 	kind  byte
 	key   string
-	vlen  uint32
+	value []byte
 
 	// Filled by the committer: where the record (and a put's value)
 	// landed.
@@ -412,18 +424,18 @@ func (s *KV) rollLocked() error {
 }
 
 func (s *KV) newAppend(kind byte, key string, value []byte) *kvAppend {
-	return &kvAppend{
-		frame: s.ly.encodeRecord(kind, key, value),
-		kind:  kind,
-		key:   key,
-		vlen:  uint32(len(value)),
-		cell:  NewCell(),
-	}
+	return &kvAppend{kind: kind, key: key, value: value, cell: NewCell()}
+}
+
+// framed is the record's size on disk.
+func (s *KV) framed(a *kvAppend) int64 {
+	return s.ly.framedSize(len(a.key), uint32(len(a.value)))
 }
 
 // Put durably appends a put record (sharing write+fsync with concurrent
 // appenders when GroupCommit is on) and then indexes the value. Values
-// are immutable: a Put of a stored key is a no-op.
+// are immutable: a Put of a stored key is a no-op. value is read until
+// the call returns, never after: the caller may reuse it immediately.
 func (s *KV) Put(key string, value []byte) error {
 	if s.closed.Load() {
 		return s.errClosed
@@ -458,38 +470,54 @@ func (s *KV) Delete(key string) error {
 // be called, even on error paths: the first enqueue may designate its
 // owner as the batch leader, and an unawaited leader stalls the queue.
 // The key leaves the index only when its batch commits.
+//
+// A store without group commit has no fsync to share, and its Puts
+// commit under wmu while a two-phase leader would commit outside it —
+// two committers in the batch buffer and the active segment at once.
+// So there the tombstone commits right here, like Delete, and the wait
+// only reports how that went.
 func (s *KV) EnqueueDelete(key string) (wait func() error, err error) {
 	if _, ok := s.lookup(key); !ok {
 		return func() error { return nil }, nil
 	}
 	a := s.newAppend(kvTomb, key, nil)
+	if s.comm.Serial {
+		err := s.comm.Append(a)
+		return func() error { return err }, nil
+	}
 	if err := s.comm.Enqueue(a); err != nil {
 		return nil, err
 	}
 	return func() error { return s.comm.Await(a) }, nil
 }
 
-// commit appends the batch contiguously to the active segment with a
-// single write and at most one fsync, and stamps each record with where
-// it landed. Only one committer runs at a time (the leader, or a serial
-// appender under wmu), so the active-segment fields need no extra
-// synchronization: the segment cannot roll while a commit is in flight.
-// On error nothing is applied.
+// commit frames the batch — header, key, value and CRC of each record,
+// straight from the appenders' slices — contiguously into the store's
+// one batch buffer, appends it to the active segment with a single
+// write and at most one fsync, and stamps each record with where it
+// landed. Only one committer runs at a time (the leader, or a serial
+// appender under wmu), so the batch buffer and the active-segment
+// fields need no extra synchronization: the segment cannot roll while
+// a commit is in flight. On error nothing is applied.
 func (s *KV) commit(batch []*kvAppend) error {
 	s.appends.Add(uint64(len(batch)))
 	seg := s.active
 	base := seg.size.Load()
-	var n int
+	var n int64
 	for _, a := range batch {
-		n += len(a.frame)
+		n += s.framed(a)
 	}
-	out := make([]byte, 0, n)
-	off := base
+	out := slices.Grow(s.batchBuf[:0], int(n))
 	for _, a := range batch {
+		out = s.ly.appendRecord(out, a.kind, a.key, a.value)
 		a.seg = seg.idx
-		a.off = off + int64(len(a.frame)) - int64(a.vlen)
-		out = append(out, a.frame...)
-		off += int64(len(a.frame))
+		a.off = base + int64(len(out)) - int64(len(a.value))
+	}
+	off := base + int64(len(out))
+	if cap(out) <= kvBatchRetain {
+		s.batchBuf = out
+	} else {
+		s.batchBuf = nil
 	}
 	if _, err := seg.f.WriteAt(out, base); err != nil {
 		return fmt.Errorf("%s: append: %w", s.ly.Name, err)
@@ -519,14 +547,14 @@ func (s *KV) applyBatch(batch []*kvAppend) {
 			st := s.stripe(a.key)
 			st.mu.Lock()
 			if _, dup := st.m[a.key]; !dup {
-				st.m[a.key] = kvEntry{seg: a.seg, off: a.off, vlen: a.vlen}
-				seg.liveBytes.Add(int64(len(a.frame)))
+				st.m[a.key] = kvEntry{seg: a.seg, off: a.off, vlen: uint32(len(a.value))}
+				seg.liveBytes.Add(s.framed(a))
 				s.keys.Add(1)
-				s.valueBytes.Add(uint64(a.vlen))
+				s.valueBytes.Add(uint64(len(a.value)))
 			}
 			st.mu.Unlock()
 		case kvTomb:
-			seg.tombBytes.Add(int64(len(a.frame)))
+			seg.tombBytes.Add(s.framed(a))
 			s.dropEntry(a.key)
 			if s.opts.CompactRatio > 0 {
 				nudge = true

@@ -54,20 +54,18 @@ func (ly *KVLayout) framedSize(keyLen int, vlen uint32) int64 {
 	return int64(FrameHeaderSize+1+ly.keyFrame(keyLen)) + int64(vlen)
 }
 
-// encodeRecord builds one record's complete frame in a single buffer.
-func (ly *KVLayout) encodeRecord(kind byte, key string, value []byte) []byte {
-	rec := make([]byte, ly.framedSize(len(key), uint32(len(value))))
-	p := rec[FrameHeaderSize:]
-	p[0] = kind
-	i := 1
+// appendRecord appends one record's complete frame to dst.
+func (ly *KVLayout) appendRecord(dst []byte, kind byte, key string, value []byte) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, FrameHeaderSize)...)
+	dst = append(dst, kind)
 	if ly.KeyLen == 0 {
-		binary.LittleEndian.PutUint32(p[1:5], uint32(len(key)))
-		i = 5
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
 	}
-	i += copy(p[i:], key)
-	copy(p[i:], value)
-	putFrameHeader(rec, ly.RecMagic)
-	return rec
+	dst = append(dst, key...)
+	dst = append(dst, value...)
+	putFrameHeader(dst[start:], ly.RecMagic)
+	return dst
 }
 
 func (ly *KVLayout) readKey(r *wire.Reader) string {

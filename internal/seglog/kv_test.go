@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -291,78 +293,87 @@ func TestKVCompactionShrinksAndPreservesLive(t *testing.T) {
 // compactions, and stats reads; under -race it checks that the commit
 // write, the size accounting and the capture cut are synchronized. The
 // final reopen checks nothing was lost or resurrected.
+//
+// It runs group-committed and serial: serial, a Put commits under the
+// writer lock, so a two-phase delete must commit there too — never
+// through a leader outside it, sharing the commit and the batch buffer.
 func TestKVConcurrentTrafficAndMaintenance(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
-		path := filepath.Join(t.TempDir(), "kv.log")
-		opts := KVOptions{Sync: true, GroupCommit: true, SegmentBytes: 4096, SnapshotEvery: 64, CompactRatio: 0.6}
-		s := mustOpenKV(t, path, ly, opts)
-		const workers, per = 8, 60
-		// Worker w owns keys [w*per, (w+1)*per): multiples of 3 die one at
-		// a time as they are written, i%3 == 1 die in one two-phase batch.
-		alive := func(n int) bool { return n%per%3 == 2 }
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					n := w*per + i
-					key := tkey(ly, n)
-					if err := s.Put(key, tval(n)); err != nil {
-						t.Errorf("put %d: %v", n, err)
-						return
-					}
-					if got, err := s.Get(key, 0, wire.WholePage); err != nil || !bytes.Equal(got, tval(n)) {
-						t.Errorf("get %d: %v", n, err)
-						return
-					}
-					if i%3 == 0 {
-						if err := s.Delete(key); err != nil {
-							t.Errorf("delete %d: %v", n, err)
-							return
-						}
-					}
-				}
-				var waits []func() error
-				for i := 1; i < per; i += 3 {
-					wait, err := s.EnqueueDelete(tkey(ly, w*per+i))
-					if err != nil {
-						t.Errorf("enqueue delete: %v", err)
-						break
-					}
-					waits = append(waits, wait)
-				}
-				for _, wait := range waits {
-					if err := wait(); err != nil {
-						t.Errorf("await delete: %v", err)
-					}
-				}
-			}(w)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if err := s.Snapshot(); err != nil {
-					t.Errorf("snapshot: %v", err)
-				}
-				if err := s.Compact(); err != nil {
-					t.Errorf("compact: %v", err)
-				}
-				s.Stats()
-			}
-		}()
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		st := s.Stats()
-		if st.Syncs == 0 || st.Syncs >= st.Appends {
-			t.Fatalf("group commit shared no fsyncs: %d syncs for %d appends", st.Syncs, st.Appends)
-		}
-		must(t, s.Close())
-		verifyLive(t, mustOpenKV(t, path, ly, opts), workers*per, alive)
+		t.Run("group", func(t *testing.T) { testKVConcurrentTraffic(t, ly, true) })
+		t.Run("serial", func(t *testing.T) { testKVConcurrentTraffic(t, ly, false) })
 	})
+}
+
+func testKVConcurrentTraffic(t *testing.T, ly *KVLayout, group bool) {
+	path := filepath.Join(t.TempDir(), "kv.log")
+	opts := KVOptions{Sync: true, GroupCommit: group, SegmentBytes: 4096, SnapshotEvery: 64, CompactRatio: 0.6}
+	s := mustOpenKV(t, path, ly, opts)
+	const workers, per = 8, 60
+	// Worker w owns keys [w*per, (w+1)*per): multiples of 3 die one at
+	// a time as they are written, i%3 == 1 die in one two-phase batch.
+	alive := func(n int) bool { return n%per%3 == 2 }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				n := w*per + i
+				key := tkey(ly, n)
+				if err := s.Put(key, tval(n)); err != nil {
+					t.Errorf("put %d: %v", n, err)
+					return
+				}
+				if got, err := s.Get(key, 0, wire.WholePage); err != nil || !bytes.Equal(got, tval(n)) {
+					t.Errorf("get %d: %v", n, err)
+					return
+				}
+				if i%3 == 0 {
+					if err := s.Delete(key); err != nil {
+						t.Errorf("delete %d: %v", n, err)
+						return
+					}
+				}
+			}
+			var waits []func() error
+			for i := 1; i < per; i += 3 {
+				wait, err := s.EnqueueDelete(tkey(ly, w*per+i))
+				if err != nil {
+					t.Errorf("enqueue delete: %v", err)
+					break
+				}
+				waits = append(waits, wait)
+			}
+			for _, wait := range waits {
+				if err := wait(); err != nil {
+					t.Errorf("await delete: %v", err)
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if err := s.Snapshot(); err != nil {
+				t.Errorf("snapshot: %v", err)
+			}
+			if err := s.Compact(); err != nil {
+				t.Errorf("compact: %v", err)
+			}
+			s.Stats()
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	st := s.Stats()
+	if st.Syncs == 0 || group == (st.Syncs >= st.Appends) {
+		t.Fatalf("group commit %v: %d syncs for %d appends", group, st.Syncs, st.Appends)
+	}
+	must(t, s.Close())
+	verifyLive(t, mustOpenKV(t, path, ly, opts), workers*per, alive)
 }
 
 func TestKVDuplicateConcurrentPuts(t *testing.T) {
@@ -516,5 +527,35 @@ func TestKVTornRollAndAppendsIntoCoveredSegment(t *testing.T) {
 		putN(t, s4, 2, 3)
 		must(t, s4.Close())
 		verifyLive(t, mustOpenKV(t, path, ly, KVOptions{}), 3, func(i int) bool { return i != 0 })
+	})
+}
+
+// TestKVPutAllocBudget pins what a Put costs in heap once the store's
+// batch buffer is warm: the value is framed straight into it, so the
+// process allocates a small fraction of the value's size, under either
+// key framing.
+func TestKVPutAllocBudget(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{GroupCommit: true})
+		const n = 200
+		keys := make([]string, 20+n)
+		for i := range keys {
+			keys[i] = tkey(ly, i)
+		}
+		for _, k := range keys[:20] {
+			must(t, s.Put(k, benchValue))
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, k := range keys[20:] {
+			must(t, s.Put(k, benchValue))
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("%.0f B allocated per %d-byte Put", got, len(benchValue))
+		if got > 0.1*float64(len(benchValue)) {
+			t.Fatalf("a Put allocates %.0f B, budget 0.1 x %d", got, len(benchValue))
+		}
 	})
 }

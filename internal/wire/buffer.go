@@ -34,6 +34,15 @@ type Writer struct {
 	buf []byte
 }
 
+// AppendMsg appends m's encoded body to buf in place — no intermediate
+// buffer — and returns the extended slice. A caller that has made room
+// for BodySize(m) bytes sees no regrowth however many pages m holds.
+func AppendMsg(buf []byte, m Msg) []byte {
+	w := Writer{buf: buf}
+	m.MarshalTo(&w)
+	return w.buf
+}
+
 // NewWriter returns a Writer with capacity preallocated for n bytes.
 func NewWriter(n int) *Writer {
 	return &Writer{buf: make([]byte, 0, n)}
@@ -174,8 +183,10 @@ func (r *Reader) Uint64() uint64 {
 }
 
 // Bytes32 decodes a uint32-length-prefixed byte slice. The returned slice
-// aliases the Reader's input; callers that retain it across frame reuse
-// must copy.
+// aliases the Reader's input, which the rpc layer recycles: a field
+// decoded this way is valid only as long as the body it was decoded
+// from (for a request, until its handler returns). Only PutPageReq.Data
+// decodes this way; every other field uses Bytes32Copy.
 func (r *Reader) Bytes32() []byte {
 	n := r.Uint32()
 	if r.err != nil {
@@ -188,7 +199,9 @@ func (r *Reader) Bytes32() []byte {
 	return r.take(int(n))
 }
 
-// Bytes32Copy decodes a length-prefixed byte slice into fresh storage.
+// Bytes32Copy decodes a length-prefixed byte slice into fresh storage of
+// exactly its length, owned by the decoded message: it outlives the
+// input and may be retained (DHT values, cached pages).
 func (r *Reader) Bytes32Copy() []byte {
 	p := r.Bytes32()
 	if p == nil {

@@ -151,7 +151,22 @@ type Msg interface {
 	unmarshal(r *Reader)
 }
 
-// Decode decodes a message body of the given kind.
+// sized is implemented by the kinds that carry page payloads, whose
+// encoded size is worth computing before marshalling.
+type sized interface{ bodySize() int }
+
+// BodySize returns the exact encoded body size of the kinds that carry
+// page payloads (PutPageReq, GetPageResp, GetPagesResp) and 0 for every
+// other kind, whose bodies are small enough to size by growing.
+func BodySize(m Msg) int {
+	if s, ok := m.(sized); ok {
+		return s.bodySize()
+	}
+	return 0
+}
+
+// Decode decodes a message body of the given kind. The message owns
+// every field it decodes except PutPageReq.Data, which aliases body.
 func Decode(k Kind, body []byte) (Msg, error) {
 	m := New(k)
 	if m == nil {
@@ -311,6 +326,11 @@ func (m *PingResp) unmarshal(r *Reader) { m.Nonce = r.Uint64() }
 // ------------------------------------------------------- data provider
 
 // PutPageReq stores one immutable page under a globally unique id.
+//
+// A decoded PutPageReq's Data aliases the frame body it was decoded
+// from instead of copying it: the rpc server recycles that body, so
+// Data is valid until the request's handler returns and must be copied
+// by whoever keeps it (pagestore.Store.Put does).
 type PutPageReq struct {
 	Page PageID
 	Data []byte
@@ -327,8 +347,10 @@ func (m *PutPageReq) MarshalTo(w *Writer) {
 
 func (m *PutPageReq) unmarshal(r *Reader) {
 	copy(m.Page[:], r.Raw(16))
-	m.Data = r.Bytes32Copy()
+	m.Data = r.Bytes32()
 }
+
+func (m *PutPageReq) bodySize() int { return len(m.Page) + 4 + len(m.Data) }
 
 // PutPageResp acknowledges PutPageReq.
 type PutPageResp struct{}
@@ -376,6 +398,7 @@ func (*GetPageResp) Kind() Kind { return KindGetPageResp }
 // MarshalTo implements Msg.
 func (m *GetPageResp) MarshalTo(w *Writer) { w.Bytes32(m.Data) }
 func (m *GetPageResp) unmarshal(r *Reader) { m.Data = r.Bytes32Copy() }
+func (m *GetPageResp) bodySize() int       { return 4 + len(m.Data) }
 
 // HasPageReq asks whether the provider stores a page.
 type HasPageReq struct{ Page PageID }
@@ -1441,4 +1464,12 @@ func (m *GetPagesResp) unmarshal(r *Reader) {
 		m.Found = append(m.Found, r.Bool())
 		m.Data = append(m.Data, r.Bytes32Copy())
 	}
+}
+
+func (m *GetPagesResp) bodySize() int {
+	n := 4 + 5*len(m.Found)
+	for i := range m.Found {
+		n += len(m.Data[i])
+	}
+	return n
 }

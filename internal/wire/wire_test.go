@@ -327,3 +327,31 @@ func TestErrorHelpers(t *testing.T) {
 		t.Error("empty error strings")
 	}
 }
+
+// TestBodySizeMatchesEncoding pins BodySize, which restates the layout
+// of the page-carrying kinds by hand, to what they really marshal to:
+// an under-count brings buffer regrowth back, an over-count could refuse
+// a legal frame.
+func TestBodySizeMatchesEncoding(t *testing.T) {
+	page := bytes.Repeat([]byte{0xA5}, 4096)
+	for i, m := range []Msg{
+		&PutPageReq{},
+		&PutPageReq{Page: PageID{1, 2, 3}, Data: page},
+		&GetPageResp{},
+		&GetPageResp{Data: page},
+		&GetPagesResp{},
+		&GetPagesResp{Found: []bool{false}, Data: [][]byte{nil}},
+		&GetPagesResp{
+			Found: []bool{true, false, true, true},
+			Data:  [][]byte{page, nil, {}, page[:17]},
+		},
+	} {
+		if got, want := BodySize(m), len(AppendMsg(nil, m)); got != want {
+			t.Errorf("case %d, %v: BodySize %d, encodes to %d bytes", i, m.Kind(), got, want)
+		}
+	}
+	// Every other kind sizes by growing.
+	if got := BodySize(&PingReq{Nonce: 7}); got != 0 {
+		t.Errorf("BodySize(PingReq) = %d, want 0", got)
+	}
+}
