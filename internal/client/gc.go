@@ -129,7 +129,7 @@ func (c *Client) CollectGarbage(ctx context.Context, id wire.BlobID) (GCStats, e
 	retained := make(map[core.NodeID]bool)
 	if info.Retained.Size > 0 {
 		root := core.RootID(info.Retained.Version, pagesOf(info.Retained.Size, ps))
-		err := c.walkTree(ctx, h.store, root, info.OwnMin, retained, nil, false, &stats, func(n core.Node) {
+		err := c.walkTree(ctx, h.store, []core.NodeID{root}, info.OwnMin, retained, nil, false, &stats, func(n core.Node) {
 			mark[n.Page] = true
 		})
 		if err != nil {
@@ -139,41 +139,43 @@ func (c *Client) CollectGarbage(ctx context.Context, id wire.BlobID) (GCStats, e
 
 	// Sweep candidates: expired-reachable pages the mark does not cover.
 	// Consecutive expired snapshots share most of their trees (that is
-	// the whole versioning design), so a visited set shared across the
-	// walks prunes every shared subtree after its first visit — a NodeID
-	// names an immutable subtree, the same property the mark diff rests
-	// on. The retained set prunes too: a node the oldest retained tree
-	// holds roots an entirely-retained subtree, so descending it again
-	// would only re-fetch structure the mark walk already proved alive.
-	// These walks tolerate missing nodes: a previous crashed sweep may
-	// already have deleted whole expired subtrees.
+	// the whole versioning design), so all of them are walked as one
+	// breadth-first frontier over one visited set: every shared subtree
+	// is descended once — a NodeID names an immutable subtree, the same
+	// property the mark diff rests on — and a root a previous sweep
+	// already collected costs a slot in the first batched fetch, not a
+	// round trip of its own. The retained set prunes too: a node the
+	// oldest retained tree holds roots an entirely-retained subtree, so
+	// descending it again would only re-fetch structure the mark walk
+	// already proved alive. This walk tolerates missing nodes: a previous
+	// crashed sweep may already have deleted whole expired subtrees.
 	visited := make(map[core.NodeID]bool)
 	seen := make(map[wire.PageID]bool)
 	victims := make(map[wire.PageID][]string)
+	roots := make([]core.NodeID, 0, len(info.Expired))
 	for _, e := range info.Expired {
-		if e.Size == 0 {
-			continue // the empty snapshot 0 has no tree
+		if e.Size > 0 { // the empty snapshot 0 has no tree
+			roots = append(roots, core.RootID(e.Version, pagesOf(e.Size, ps)))
 		}
-		root := core.RootID(e.Version, pagesOf(e.Size, ps))
-		err := c.walkTree(ctx, h.store, root, info.OwnMin, visited, retained, true, &stats, func(n core.Node) {
-			if seen[n.Page] {
-				return
-			}
-			seen[n.Page] = true
-			if mark[n.Page] {
-				// Defense in depth: page ids are written once and named
-				// by exactly the leaf their writer created, so a marked
-				// page should only ever be reachable through a retained
-				// (pruned) leaf — but deletion stays gated on the page
-				// mark, not on that structural argument.
-				stats.RetainedPages++
-				return
-			}
-			victims[n.Page] = n.Providers
-		})
-		if err != nil {
-			return stats, fmt.Errorf("gc: walking expired snapshot %d: %w", e.Version, err)
+	}
+	err = c.walkTree(ctx, h.store, roots, info.OwnMin, visited, retained, true, &stats, func(n core.Node) {
+		if seen[n.Page] {
+			return
 		}
+		seen[n.Page] = true
+		if mark[n.Page] {
+			// Defense in depth: page ids are written once and named
+			// by exactly the leaf their writer created, so a marked
+			// page should only ever be reachable through a retained
+			// (pruned) leaf — but deletion stays gated on the page
+			// mark, not on that structural argument.
+			stats.RetainedPages++
+			return
+		}
+		victims[n.Page] = n.Providers
+	})
+	if err != nil {
+		return stats, fmt.Errorf("gc: walking %d expired snapshots: %w", len(roots), err)
 	}
 	stats.CandidatePages = len(seen)
 	stats.DeletedPages = len(victims)
@@ -324,35 +326,46 @@ func (c *Client) deleteNodes(ctx context.Context, id wire.BlobID, victims []core
 	return nil
 }
 
-// walkTree visits every leaf of one snapshot tree that belongs to the
-// blob's own namespace, descending breadth-first with one batched
-// metadata fetch per level (the read-path pattern). Links carrying
-// wire.NoVersion (never-written holes of an incomplete tree) and links
-// below ownMin (subtrees woven in from an ancestor blob's namespace) are
-// pruned, as is any node already in visited (shared across walks of
-// trees that weave into each other: nodes are immutable, so a NodeID
-// seen once never needs descending again). A non-nil retained set also
-// prunes: a node the retained tree holds roots an entirely-retained,
-// entirely-already-fetched subtree; the pruned node is still added to
-// visited so the victim diff can count it (and skip it) without a
-// second fetch. With tolerateMissing set, a node absent from every
-// metadata replica prunes its subtree instead of failing the walk —
-// expired trees may be partially deleted by a previous crashed
+// walkTree visits every leaf of the given snapshot trees that belongs
+// to the blob's own namespace, descending all of them together,
+// breadth-first, with one batched metadata fetch per level (the
+// read-path pattern). Links carrying wire.NoVersion (never-written
+// holes of an incomplete tree) and links below ownMin (subtrees woven
+// in from an ancestor blob's namespace) are pruned, as is any node
+// already in visited (trees weave into each other and nodes are
+// immutable, so a NodeID seen once never needs descending again). A
+// non-nil retained set also prunes: a node the retained tree holds
+// roots an entirely-retained, entirely-already-fetched subtree; the
+// pruned node is still added to visited so the victim diff can count it
+// (and skip it) without a second fetch. Every rule looks at one node
+// only, so what is reached does not depend on which root it is reached
+// from, or in what order. With tolerateMissing set, a node absent from
+// every metadata replica prunes its subtree instead of failing the walk
+// — expired trees may be partially deleted by a previous crashed
 // collection; strict walks treat absence as the corruption it would be
 // in a retained tree.
-func (c *Client) walkTree(ctx context.Context, st *meta.Store, root core.NodeID,
+func (c *Client) walkTree(ctx context.Context, st *meta.Store, roots []core.NodeID,
 	ownMin wire.Version, visited, retained map[core.NodeID]bool, tolerateMissing bool,
 	stats *GCStats, leaf func(core.Node)) error {
 
-	if root.Version == wire.NoVersion || root.Version < ownMin || visited[root] {
-		return nil
+	// admit applies the prune rules to one link and queues what passes
+	// them for the next level's fetch.
+	var next []core.NodeID
+	admit := func(id core.NodeID) {
+		if id.Version == wire.NoVersion || id.Version < ownMin || visited[id] {
+			return
+		}
+		visited[id] = true
+		if !retained[id] { // a retained subtree is alive by definition, and already fetched
+			next = append(next, id)
+		}
 	}
-	visited[root] = true
-	if retained[root] {
-		return nil
+	for _, root := range roots {
+		admit(root)
 	}
-	frontier := []core.NodeID{root}
-	for len(frontier) > 0 {
+	for len(next) > 0 {
+		frontier := next
+		next = nil
 		var nodes []core.Node
 		var found []bool
 		var err error
@@ -364,7 +377,6 @@ func (c *Client) walkTree(ctx context.Context, st *meta.Store, root core.NodeID,
 		if err != nil {
 			return err
 		}
-		var next []core.NodeID
 		for i, id := range frontier {
 			if found != nil && !found[i] {
 				continue // already collected by a previous sweep
@@ -381,18 +393,9 @@ func (c *Client) walkTree(ctx context.Context, st *meta.Store, root core.NodeID,
 			if n.Leaf {
 				return fmt.Errorf("node %v should be inner", id)
 			}
-			for _, child := range []core.NodeID{id.Left(n.VL), id.Right(n.VR)} {
-				if child.Version == wire.NoVersion || child.Version < ownMin || visited[child] {
-					continue
-				}
-				visited[child] = true
-				if retained[child] {
-					continue // retained subtree: alive by definition, already fetched
-				}
-				next = append(next, child)
-			}
+			admit(id.Left(n.VL))
+			admit(id.Right(n.VR))
 		}
-		frontier = next
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package seglog
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -252,5 +253,98 @@ func TestHeaderlessSegmentsStartAtZero(t *testing.T) {
 		return nil
 	}); err != nil || n != 1 {
 		t.Fatalf("headerless scan: %d records, %v", n, err)
+	}
+}
+
+// TestScanPayloadIsOnlyValidDuringVisit pins Scan's reuse contract: a
+// payload is a slice of the scan's window, not a copy of the record. The
+// test lends the scan a window of its own and overwrites it afterwards,
+// as the next pread would: what a visitor kept reads garbage, what it
+// copied does not.
+func TestScanPayloadIsOnlyValidDuringVisit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.000001")
+	writeTestSegment(t, testFmt, path, 3, "rec")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var win []byte
+	var kept, copied [][]byte
+	if _, err := testFmt.scanFrames(&win, f, path, false, -1, func(p []byte, _ int64, _ uint32) error {
+		kept = append(kept, p)
+		copied = append(copied, append([]byte(nil), p...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range win {
+		win[i] = 0xDB
+	}
+	for i, want := range []string{"rec-0", "rec-1", "rec-2"} {
+		if string(copied[i]) != want {
+			t.Fatalf("copied payload %d = %q, want %q", i, copied[i], want)
+		}
+		if string(kept[i]) != strings.Repeat("\xDB", len(want)) {
+			t.Fatalf("payload %d kept past its visit reads %q: it is not the window's", i, kept[i])
+		}
+	}
+}
+
+// TestScanCrossesWindows walks records that straddle the scan's window
+// in every way: ending exactly where a window could, split across two,
+// larger than a whole window — and then the same file torn inside its
+// last record.
+func TestScanCrossesWindows(t *testing.T) {
+	sizes := []int{10, ioWindow - 2*FrameHeaderSize - 10 - HeaderSize, 700_000, 500_000, ioWindow + 500_000, 5, 0, 900_000}
+	path := filepath.Join(t.TempDir(), "log.000001")
+	w, err := testFmt.NewSegmentWriter(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := func(i int) []byte {
+		p := make([]byte, sizes[i])
+		for j := range p {
+			p[j] = byte(i*31 + j*7)
+		}
+		return p
+	}
+	var offs []int64
+	for i := range sizes {
+		off, err := w.Append(testFmt.Frame(payload(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, off+FrameHeaderSize)
+	}
+	if err := w.Commit(path, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	f := w.File()
+	defer f.Close()
+	scan := func(allowTorn bool, want int) int64 {
+		t.Helper()
+		n := 0
+		end, err := testFmt.Scan(f, path, allowTorn, func(p []byte, off int64) error {
+			if off != offs[n] || !bytes.Equal(p, payload(n)) {
+				t.Fatalf("record %d: offset %d (want %d), %d bytes (want %d) or wrong bytes", n, off, offs[n], len(p), sizes[n])
+			}
+			n++
+			return nil
+		})
+		if err != nil || n != want {
+			t.Fatalf("scan visited %d records, want %d: %v", n, want, err)
+		}
+		return end
+	}
+	if end := scan(false, len(sizes)); end != w.Size() {
+		t.Fatalf("scan ended at %d, want %d", end, w.Size())
+	}
+	if err := f.Truncate(w.Size() - 400_000); err != nil {
+		t.Fatal(err)
+	}
+	last := len(sizes) - 1
+	if end := scan(true, last); end != offs[last]-FrameHeaderSize {
+		t.Fatalf("torn scan ended at %d, want %d", end, offs[last]-FrameHeaderSize)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 )
 
@@ -12,9 +13,29 @@ import (
 //	uint32 RecMagic | uint32 payloadLen | uint32 crc32(payload) | payload
 //
 // The payload encoding is the store's business; this file only frames,
-// walks and truncates.
+// walks, verifies and truncates.
 
-// Frame wraps an encoded payload in the on-disk frame.
+// ioWindow is how much of a segment one pread brings in when a segment
+// is scanned or rewritten. A record larger than this is read whole.
+const ioWindow = 1 << 20
+
+// resize returns a buffer of length n, its contents unspecified: *win
+// itself when that is large enough, else a fresh one, which replaces
+// *win unless it is larger than kvBatchRetain — one huge record must not
+// pin a window of its size forever.
+func resize(win *[]byte, n int) []byte {
+	if cap(*win) >= n {
+		return (*win)[:n]
+	}
+	buf := make([]byte, n)
+	if n <= kvBatchRetain {
+		*win = buf
+	}
+	return buf
+}
+
+// Frame wraps an encoded payload in the on-disk frame, in a buffer of
+// its own — for logs that frame one record at a time (the version WAL).
 func (ft *Format) Frame(payload []byte) []byte {
 	rec := make([]byte, FrameHeaderSize+len(payload))
 	copy(rec[FrameHeaderSize:], payload)
@@ -31,6 +52,32 @@ func putFrameHeader(frame []byte, magic uint32) {
 	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
 }
 
+// corrupted is the error for a record that fails a check, at frame
+// offset off of the segment file at path.
+func (ft *Format) corrupted(what, path string, off int64) error {
+	return fmt.Errorf("%s: %s in %s at offset %d: log corrupted", ft.Name, what, path, off)
+}
+
+// checkFrame verifies one complete frame that was read from offset off
+// of the segment file at path: its magic, that its header announces
+// exactly the payload behind it, and the payload's CRC.
+func (ft *Format) checkFrame(frame []byte, path string, off int64) error {
+	switch payload := frame[FrameHeaderSize:]; {
+	case binary.LittleEndian.Uint32(frame[0:4]) != ft.RecMagic:
+		return ft.corrupted("bad record magic", path, off)
+	case binary.LittleEndian.Uint32(frame[4:8]) != uint32(len(payload)):
+		return ft.corrupted("record length mismatch", path, off)
+	case binary.LittleEndian.Uint32(frame[8:12]) != crc32.ChecksumIEEE(payload):
+		return ft.corrupted("record crc mismatch", path, off)
+	}
+	return nil
+}
+
+// frameVisitor is what scanFrames calls for each record: p is the front
+// of the record's payload, or all of it, of the payloadLen bytes that
+// start at file offset payloadOff. p is valid until the call returns.
+type frameVisitor = func(p []byte, payloadOff int64, payloadLen uint32) error
+
 // Scan reads every record frame in one segment file, already open (and,
 // for header-carrying formats, already validated). visit receives each
 // CRC-checked payload and its file offset. A torn frame at the tail is
@@ -39,42 +86,79 @@ func putFrameHeader(frame []byte, magic uint32) {
 // and compaction outputs are only ever activated complete. The file
 // size after any truncation is returned.
 //
-//blobseer:seglog scan-segment
+// The file is read through one window, a pread per ioWindow bytes, and
+// payload is a slice of that window: it is valid until visit returns,
+// and a visitor that keeps any of it must copy. Scan's window is its
+// own; a KV lends its scans the store's (see scanFrames).
 func (ft *Format) Scan(f *os.File, path string, allowTorn bool, visit func(payload []byte, payloadOff int64) error) (int64, error) {
+	return ft.scanFrames(new([]byte), f, path, allowTorn, -1, func(payload []byte, payloadOff int64, _ uint32) error {
+		return visit(payload, payloadOff)
+	})
+}
+
+// scanFrames is Scan through the caller's window — resized as needed,
+// left with the caller for its next scan — and, with prefixLen >= 0, the
+// walk that reads no bodies: visit gets only the first prefixLen bytes
+// of each payload (all of a shorter one) beside the payload's length,
+// one small pread a record, and nothing behind the prefix is read or
+// CRC-checked (KVLayout.walk says who wants that, and why). A record that
+// ends within the prefix — a tombstone — is in hand whole, and is checked
+// like any other.
+//
+//blobseer:seglog scan-segment
+func (ft *Format) scanFrames(win *[]byte, f *os.File, path string, allowTorn bool, prefixLen int, visit frameVisitor) (int64, error) {
 	info, err := f.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("%s: stat segment: %w", ft.Name, err)
 	}
 	logLen := info.Size()
 	off := ft.DataStart()
-	var hdr [FrameHeaderSize]byte
+	// A pread brings in a step; of each record, limit bytes are wanted.
+	step, limit := int64(ioWindow), int64(math.MaxInt64)
+	if prefixLen >= 0 {
+		step = FrameHeaderSize + int64(prefixLen)
+		limit = step
+	}
+	// have is the part of the window not yet consumed: the file's bytes
+	// [off, off+len(have)). need refills it from off, a step at least,
+	// once it holds fewer than n bytes; n never reaches past logLen.
+	var have []byte
+	need := func(n int64) error {
+		if int64(len(have)) >= n {
+			return nil
+		}
+		have = resize(win, int(min(max(n, step), logLen-off)))
+		_, err := f.ReadAt(have, off)
+		return err
+	}
 	for off < logLen {
 		if logLen-off < FrameHeaderSize {
 			break // torn header
 		}
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
+		if err := need(FrameHeaderSize); err != nil {
 			return 0, fmt.Errorf("%s: read record header at %d: %w", ft.Name, off, err)
 		}
-		if binary.LittleEndian.Uint32(hdr[0:4]) != ft.RecMagic {
-			return 0, fmt.Errorf("%s: bad record magic in %s at offset %d: log corrupted", ft.Name, path, off)
+		if binary.LittleEndian.Uint32(have[0:4]) != ft.RecMagic {
+			return 0, ft.corrupted("bad record magic", path, off)
 		}
-		payloadLen := binary.LittleEndian.Uint32(hdr[4:8])
-		wantCRC := binary.LittleEndian.Uint32(hdr[8:12])
-		payloadOff := off + FrameHeaderSize
-		if payloadOff+int64(payloadLen) > logLen {
+		framed := FrameHeaderSize + int64(binary.LittleEndian.Uint32(have[4:8]))
+		if off+framed > logLen {
 			break // torn payload
 		}
-		payload := make([]byte, payloadLen)
-		if _, err := f.ReadAt(payload, payloadOff); err != nil {
-			return 0, fmt.Errorf("%s: read record payload at %d: %w", ft.Name, payloadOff, err)
+		end := min(framed, limit)
+		if err := need(end); err != nil {
+			return 0, fmt.Errorf("%s: read record payload at %d: %w", ft.Name, off+FrameHeaderSize, err)
 		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return 0, fmt.Errorf("%s: record crc mismatch in %s at offset %d: log corrupted", ft.Name, path, off)
+		if framed <= limit { // all of the frame is in hand
+			if err := ft.checkFrame(have[:framed], path, off); err != nil {
+				return 0, err
+			}
 		}
-		if err := visit(payload, payloadOff); err != nil {
+		if err := visit(have[FrameHeaderSize:end], off+FrameHeaderSize, uint32(framed-FrameHeaderSize)); err != nil {
 			return 0, err
 		}
-		off = payloadOff + int64(payloadLen)
+		have = have[min(framed, int64(len(have))):]
+		off += framed
 	}
 	if off < logLen {
 		if !allowTorn {
@@ -85,52 +169,4 @@ func (ft *Format) Scan(f *os.File, path string, allowTorn bool, visit func(paylo
 		}
 	}
 	return off, nil
-}
-
-// ScanPrefix walks a sealed segment reading only the first prefixLen
-// payload bytes of each record — enough for a kind byte and a key —
-// without the payload CRC check (the full bytes are not read). It
-// exists for the compactor's tombstone-hygiene sweep, where earlier
-// segments are consulted for key presence only and reading every page
-// body would make the sweep cost the whole store. A torn frame fails:
-// sealed segments are complete by invariant.
-func (ft *Format) ScanPrefix(f *os.File, path string, prefixLen int, visit func(prefix []byte, payloadLen uint32) error) error {
-	info, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("%s: stat segment: %w", ft.Name, err)
-	}
-	logLen := info.Size()
-	off := ft.DataStart()
-	var hdr [FrameHeaderSize]byte
-	buf := make([]byte, prefixLen)
-	for off < logLen {
-		if logLen-off < FrameHeaderSize {
-			return fmt.Errorf("%s: torn record in sealed segment %s: log corrupted", ft.Name, path)
-		}
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return fmt.Errorf("%s: read record header at %d: %w", ft.Name, off, err)
-		}
-		if binary.LittleEndian.Uint32(hdr[0:4]) != ft.RecMagic {
-			return fmt.Errorf("%s: bad record magic in %s at offset %d: log corrupted", ft.Name, path, off)
-		}
-		payloadLen := binary.LittleEndian.Uint32(hdr[4:8])
-		payloadOff := off + FrameHeaderSize
-		if payloadOff+int64(payloadLen) > logLen {
-			return fmt.Errorf("%s: torn record in sealed segment %s: log corrupted", ft.Name, path)
-		}
-		n := prefixLen
-		if int64(n) > int64(payloadLen) {
-			n = int(payloadLen)
-		}
-		if n > 0 {
-			if _, err := f.ReadAt(buf[:n], payloadOff); err != nil {
-				return fmt.Errorf("%s: read record prefix at %d: %w", ft.Name, payloadOff, err)
-			}
-		}
-		if err := visit(buf[:n], payloadLen); err != nil {
-			return err
-		}
-		off = payloadOff + int64(payloadLen)
-	}
-	return nil
 }

@@ -89,7 +89,12 @@ type KV struct {
 	// track owns the auto-snapshot countdown and the dirty key set for
 	// incremental captures; every index change marks its key there
 	// (applies, compaction retargets).
-	maintMu     sync.Mutex
+	maintMu sync.Mutex
+	// ioBuf is the one window segment files are read through when they
+	// are scanned or rewritten: by recovery before the store is shared,
+	// by maintenance under maintMu afterwards. Grow-only, and never
+	// larger than kvBatchRetain (see resize).
+	ioBuf       []byte
 	track       Tracker[string, kvEntry]
 	snapPause   atomic.Int64 // last capture's stop-the-world ns
 	snapRuns    atomic.Uint64
@@ -231,6 +236,9 @@ type kvSegment struct {
 	// liveBytes - tombBytes estimates what a rewrite would reclaim, and a
 	// freshly rewritten segment estimates exactly zero. Both survive
 	// reopen: v2 index snapshots persist them per segment (indexsnap.go).
+	// Only an apply changes liveBytes, by the size of the record it indexes
+	// or drops, so with stateMu held exclusively it is exact — what
+	// checkLocated holds a rewrite's first pass against.
 	liveBytes atomic.Int64
 	tombBytes atomic.Int64
 

@@ -75,26 +75,27 @@ func (ly *KVLayout) readKey(r *wire.Reader) string {
 	return r.String()
 }
 
-// decodeRecord parses a record payload; value aliases payload. It never
-// panics on arbitrary bytes.
-func (ly *KVLayout) decodeRecord(payload []byte) (kind byte, key string, value []byte, err error) {
-	r := wire.NewReader(payload)
+// decodeHead parses the front of a record payload: p is at least the
+// kind and the key of a payload that is payloadLen bytes long in all.
+// It returns the kind, the key and the length of the value behind them
+// (zero for a tombstone), and never panics on arbitrary bytes. The
+// bytes past the key are not looked at, so the compactor can locate a
+// record from its prefix alone.
+func (ly *KVLayout) decodeHead(p []byte, payloadLen int) (kind byte, key string, vlen int, err error) {
+	r := wire.NewReader(p)
 	kind = r.Uint8()
 	key = ly.readKey(r)
-	switch kind {
-	case kvPut:
-		value = r.Raw(r.Remaining())
-	case kvTomb:
-		// No value; trailing bytes are a corrupt frame.
-	default:
-		if r.Err() == nil {
-			return 0, "", nil, fmt.Errorf("%s: unknown record kind %d", ly.Name, kind)
-		}
+	if err := r.Err(); err != nil {
+		return 0, "", 0, fmt.Errorf("%s: decoding record: %w", ly.Name, err)
 	}
-	if err := r.Finish(); err != nil {
-		return 0, "", nil, fmt.Errorf("%s: decoding record: %w", ly.Name, err)
+	vlen = payloadLen - (len(p) - r.Remaining())
+	switch {
+	case kind != kvPut && kind != kvTomb:
+		return 0, "", 0, fmt.Errorf("%s: unknown record kind %d", ly.Name, kind)
+	case kind == kvTomb && vlen != 0: // no value; trailing bytes are a corrupt frame
+		return 0, "", 0, fmt.Errorf("%s: decoding record: %d bytes behind a tombstone's key", ly.Name, vlen)
 	}
-	return kind, key, value, nil
+	return kind, key, vlen, nil
 }
 
 // putKey extracts the key from (a prefix of) a put record's payload
@@ -119,34 +120,62 @@ func (ly *KVLayout) putKey(p []byte) (key []byte, ok bool) {
 	return p[:n], true
 }
 
-// kvRecord is one record located by scan.
+// kvRecord is one record located in a segment file. It carries no
+// bytes of the record: a put's value is the vlen bytes at valOff, the
+// last of the payload.
 type kvRecord struct {
-	kind    byte
-	key     string
-	payload []byte // the raw payload; a put's value is its last vlen bytes
-	valOff  int64  // file offset of the value
-	vlen    uint32
+	kind   byte
+	key    string
+	valOff int64 // file offset of the value (of the frame's end, for a tombstone)
+	vlen   uint32
+	plen   uint32 // payload length
 }
 
 // framed is the record's size on disk.
-func (r *kvRecord) framed() int64 { return int64(FrameHeaderSize + len(r.payload)) }
+func (r *kvRecord) framed() int64 { return FrameHeaderSize + int64(r.plen) }
 
-// scan reads every record of one open, header-validated segment file;
-// see Format.Scan for the torn-tail rule and the returned size.
-func (ly *KVLayout) scan(seg *kvSegment, path string, allowTorn bool, visit func(kvRecord) error) (int64, error) {
-	return ly.Scan(seg.f, path, allowTorn, func(payload []byte, payloadOff int64) error {
-		kind, key, value, err := ly.decodeRecord(payload)
+// frameOff is the file offset the record's frame starts at.
+func (r *kvRecord) frameOff() int64 { return r.valOff + int64(r.vlen) - r.framed() }
+
+// locating adapts visit to scanFrames: it builds the kvRecord of each
+// payload — payloadLen bytes at payloadOff, of which p is the front,
+// the key at least — and hands that on.
+func (ly *KVLayout) locating(path string, visit func(kvRecord) error) frameVisitor {
+	return func(p []byte, payloadOff int64, payloadLen uint32) error {
+		kind, key, vlen, err := ly.decodeHead(p, int(payloadLen))
 		if err != nil {
 			return fmt.Errorf("%s at offset %d: %w", path, payloadOff-FrameHeaderSize, err)
 		}
-		return visit(kvRecord{
-			kind:    kind,
-			key:     key,
-			payload: payload,
-			valOff:  payloadOff + int64(len(payload)-len(value)),
-			vlen:    uint32(len(value)),
-		})
-	})
+		valOff := payloadOff + int64(payloadLen) - int64(vlen)
+		return visit(kvRecord{kind: kind, key: key, valOff: valOff, vlen: uint32(vlen), plen: payloadLen})
+	}
+}
+
+// scan locates every record of one open, header-validated segment file,
+// reading — and CRC-checking — all of it through win; see Format.Scan
+// for the torn-tail rule and the returned size.
+func (ly *KVLayout) scan(win *[]byte, seg *kvSegment, path string, allowTorn bool, visit func(kvRecord) error) (int64, error) {
+	return ly.scanFrames(win, seg.f, path, allowTorn, -1, ly.locating(path, visit))
+}
+
+// walk visits the front of every record of a sealed segment — the kind
+// and the key at least — for the compactor, which locates records by
+// key and wants no values: its tombstone-hygiene sweep consults earlier
+// segments for key presence only, and the first pass of a rewrite
+// decides what survives before reading any of it. With fixed-size keys
+// exactly that prefix is read and no put is CRC-checked — a tombstone
+// is, being no longer than the prefix — so the bodies of the records a
+// rewrite drops are never read at all; the ones it keeps it checks when
+// it copies them, and KV.checkLocated is what makes it safe to take the
+// keys on trust. Keys with a length prefix belong to small pairs, which
+// are scanned whole.
+func (ly *KVLayout) walk(win *[]byte, seg *kvSegment, path string, visit frameVisitor) error {
+	prefixLen := -1
+	if ly.KeyLen != 0 {
+		prefixLen = 1 + ly.KeyLen
+	}
+	_, err := ly.scanFrames(win, seg.f, path, false, prefixLen, visit)
+	return err
 }
 
 // kvSnapEntry pairs a key with its location, the unit of the snapshot

@@ -26,6 +26,16 @@ func fuzzDecodeKVRecord(f *testing.F, ly *KVLayout) {
 	f.Add([]byte{kvTomb, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, key, value, err := ly.decodeRecord(data)
+		if ly.KeyLen != 0 {
+			// A rewrite locates a fixed-key record from its kind+key prefix
+			// and its length alone: that must accept, reject and report
+			// exactly what the decode of the whole payload does.
+			k2, key2, vlen, err2 := ly.decodeHead(data[:min(len(data), 1+ly.KeyLen)], len(data))
+			if (err == nil) != (err2 == nil) || k2 != kind || key2 != key || vlen != len(value) {
+				t.Fatalf("decodeHead(%x) = (%d, %x, %d, %v); decodeRecord says (%d, %x, %d, %v)",
+					data, k2, key2, vlen, err2, kind, key, len(value), err)
+			}
+		}
 		if err != nil {
 			return
 		}

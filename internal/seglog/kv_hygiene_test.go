@@ -19,7 +19,7 @@ func countRecordKinds(t *testing.T, ly *KVLayout, base string) (puts, tombs int)
 		must(t, err)
 		_, err = ly.ReadHeader(f, path)
 		must(t, err)
-		_, err = ly.scan(&kvSegment{f: f}, path, false, func(r kvRecord) error {
+		_, err = ly.scan(new([]byte), &kvSegment{f: f}, path, false, func(r kvRecord) error {
 			if r.kind == kvPut {
 				puts++
 			} else {

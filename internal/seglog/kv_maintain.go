@@ -3,6 +3,7 @@ package seglog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -289,8 +290,8 @@ func (s *KV) pickVictim(ratio float64) *kvSegment {
 	return flagged
 }
 
-// keptRecord is one record surviving a rewrite, with its value offsets
-// in the old and new files.
+// keptRecord is one record surviving a rewrite: where it is in the old
+// file, and where its value lands in the new one.
 type keptRecord struct {
 	kvRecord
 	newOff int64
@@ -303,13 +304,12 @@ var errHygieneDone = errors.New("hygiene scan complete")
 // neededTombs resolves the hygiene rule for one victim: which of its
 // tombstones still have a put record in some earlier segment to
 // suppress. Earlier segments are sealed and maintMu excludes any other
-// rewrite, so their files are stable. With fixed-size keys the sweep
-// reads only each record's kind+key prefix, never the values — reading
-// every page body would make it cost the whole store; length-prefixed
-// keys belong to small pairs and are walked whole.
+// rewrite, so their files are stable. The sweep wants keys only
+// (KVLayout.walk): reading every page body would make it cost the whole
+// store.
 func (s *KV) neededTombs(victim *kvSegment, tombs map[string]bool) (map[string]bool, error) {
 	return FilterTombs(tombs, func(observe func(string) bool) error {
-		visit := func(p []byte) error {
+		visit := func(p []byte, _ int64, _ uint32) error {
 			// The map lookup keeps the sweep allocation-free: a key string is
 			// only built for a record that does suppress a tombstone.
 			if key, ok := s.ly.putKey(p); ok && tombs[string(key)] && !observe(string(key)) {
@@ -318,14 +318,9 @@ func (s *KV) neededTombs(victim *kvSegment, tombs map[string]bool) (map[string]b
 			return nil
 		}
 		for idx := uint32(1); idx < victim.idx; idx++ {
-			seg, path := s.segment(idx), s.segmentPath(idx)
+			seg := s.segment(idx)
 			seg.mu.RLock()
-			var err error
-			if s.ly.KeyLen != 0 {
-				err = s.ly.ScanPrefix(seg.f, path, 1+s.ly.KeyLen, func(p []byte, _ uint32) error { return visit(p) })
-			} else {
-				_, err = s.ly.Scan(seg.f, path, false, func(p []byte, _ int64) error { return visit(p) })
-			}
+			err := s.ly.walk(&s.ioBuf, seg, s.segmentPath(idx), visit)
 			seg.mu.RUnlock()
 			if errors.Is(err, errHygieneDone) {
 				return nil
@@ -338,6 +333,39 @@ func (s *KV) neededTombs(victim *kvSegment, tombs map[string]bool) (map[string]b
 	})
 }
 
+// checkLocated fails a rewrite whose first pass missed a record the
+// index points at. A fixed-key walk reads each put's key without a CRC,
+// and a key that rotted names no entry of the index (or some other
+// record's): its record — live, its value intact — was just counted as
+// garbage, pass 2 would never read it, and the real key's entry would
+// keep its old offset into the rewritten file. The accounting knows what
+// the walk cannot: liveBytes is the framed size of exactly the records
+// the index holds in the victim, so the kept puts still indexed must add
+// up to it. Both are read with every mutator fenced out (stateMu, as for
+// a snapshot capture — the counters are exact there), for as long as one
+// lookup per kept put takes; a Delete since the walk has taken the same
+// bytes off both. Length-prefixed keys make pass 1 scan, and CRC-check,
+// the whole victim, so there is nothing left to check.
+func (s *KV) checkLocated(victim *kvSegment, kept []keptRecord, path string) error {
+	if s.ly.KeyLen == 0 {
+		return nil
+	}
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	var located int64
+	for i := range kept {
+		k := &kept[i]
+		if e, ok := s.lookup(k.key); ok && k.kind == kvPut && e.seg == victim.idx && e.off == k.valOff {
+			located += k.framed()
+		}
+	}
+	if live := victim.liveBytes.Load(); located != live {
+		return fmt.Errorf("%s: the index holds %d bytes of records in %s, the records found there under their keys come to %d: log corrupted",
+			s.ly.Name, live, path, located)
+	}
+	return nil
+}
+
 // rewriteSegment compacts one sealed segment in place: the records
 // still live — puts the index points at, and tombstones some earlier
 // segment still holds a put for — are written to a tmp file under a
@@ -346,6 +374,21 @@ func (s *KV) neededTombs(victim *kvSegment, tombs map[string]bool) (map[string]b
 // entries are retargeted to the new offsets under the segment lock.
 // Readers mid-pread keep the old file handle and stay correct; the old
 // inode lives until their locks release.
+//
+// It runs in two passes and never holds more of the segment than one
+// window. Pass 1 locates the records (KVLayout.walk) and keeps, for
+// each survivor, only where it is. Pass 2 copies the survivors, in
+// file order, as runs of frames that were adjacent in the old file:
+// each run is read in pieces of whole frames up to ioWindow long into
+// the store's ioBuf, every frame in the piece is checked against what
+// pass 1 saw of it — magic, length, CRC — and the piece goes to the
+// SegmentWriter with one write. The check is why this is not a
+// kernel-side file copy: a rewrite that copied blindly would launder a
+// rotten record into a fresh generation under a fresh fsync. A frame
+// that fails it fails the rewrite before anything was activated. What
+// pass 1 drops it never reads past the key, so rot there goes out with
+// the garbage — and checkLocated sees to it that nothing live is among
+// what it drops.
 //
 //blobseer:seglog kv-rewrite
 func (s *KV) rewriteSegment(victim *kvSegment) error {
@@ -356,7 +399,7 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 	var kept []keptRecord
 	tombs := make(map[string]bool)
 	droppedPut := false
-	if _, err := s.ly.scan(victim, path, false, func(r kvRecord) error {
+	if err := s.ly.walk(&s.ioBuf, victim, path, s.ly.locating(path, func(r kvRecord) error {
 		switch r.kind {
 		case kvTomb:
 			tombs[r.key] = true
@@ -372,7 +415,10 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 			}
 		}
 		return nil
-	}); err != nil {
+	})); err != nil {
+		return err
+	}
+	if err := s.checkLocated(victim, kept, path); err != nil {
 		return err
 	}
 
@@ -381,15 +427,7 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 		if err != nil {
 			return err
 		}
-		if len(needed) < len(tombs) {
-			filtered := kept[:0]
-			for _, k := range kept {
-				if k.kind == kvPut || needed[k.key] {
-					filtered = append(filtered, k)
-				}
-			}
-			kept = filtered
-		}
+		kept = slices.DeleteFunc(kept, func(k keptRecord) bool { return k.kind == kvTomb && !needed[k.key] })
 	}
 
 	newGen := s.nextGen.Add(1)
@@ -398,18 +436,36 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 		return err
 	}
 	var tombBytes int64
-	for i := range kept {
-		k := &kept[i]
-		// The encoding is canonical, so re-framing the scanned payload
-		// reproduces the record byte for byte.
-		start, err := w.Append(s.ly.Frame(k.payload))
-		if err != nil {
+	for i := 0; i < len(kept); {
+		// One piece: kept[i:j], adjacent in the old file, ioWindow at most
+		// unless a single record is larger.
+		start, n := kept[i].frameOff(), kept[i].framed()
+		j := i + 1
+		for ; j < len(kept) && kept[j].frameOff() == start+n && n+kept[j].framed() <= ioWindow; j++ {
+			n += kept[j].framed()
+		}
+		piece := resize(&s.ioBuf, int(n))
+		if _, err := victim.f.ReadAt(piece, start); err != nil {
+			w.Abort()
+			return fmt.Errorf("%s: read records at %d of %s: %w", s.ly.Name, start, path, err)
+		}
+		// The packed order decides the new offsets: the piece lands at the
+		// writer's end, each frame as far into it as it was into the piece.
+		shift := w.Size() - start
+		for ; i < j; i++ {
+			k := &kept[i]
+			if err := s.ly.checkFrame(piece[k.frameOff()-start:][:k.framed()], path, k.frameOff()); err != nil {
+				w.Abort()
+				return err
+			}
+			k.newOff = k.valOff + shift
+			if k.kind == kvTomb {
+				tombBytes += k.framed()
+			}
+		}
+		if _, err := w.Append(piece); err != nil {
 			w.Abort()
 			return err
-		}
-		k.newOff = start + k.framed() - int64(k.vlen)
-		if k.kind == kvTomb {
-			tombBytes += k.framed()
 		}
 	}
 	if err := w.Commit(path,
@@ -426,7 +482,6 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 	victim.f = w.File()
 	victim.gen = newGen
 	victim.size.Store(w.Size())
-	var live int64
 	for i := range kept {
 		k := &kept[i]
 		if k.kind != kvPut {
@@ -437,7 +492,6 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 		if e, ok := st.m[k.key]; ok && e.seg == victim.idx && e.off == k.valOff {
 			e.off = k.newOff
 			st.m[k.key] = e
-			live += k.framed()
 			// The entry moved: the next incremental snapshot must carry the
 			// new offset, or its baseline would keep pointing at the old one
 			// under a matching generation.
@@ -445,7 +499,10 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 		}
 		st.mu.Unlock()
 	}
-	victim.liveBytes.Store(live)
+	// liveBytes stays as it is: a retargeted record is as large as it was,
+	// and a Delete racing this loop has taken, or will take, its own bytes
+	// off. Storing a sum made here would count such a record twice over or
+	// not at all, and checkLocated needs the counter exact.
 	victim.tombBytes.Store(tombBytes)
 	victim.hygiene.Store(false)
 	victim.mu.Unlock()

@@ -161,7 +161,7 @@ func (s *KV) recover() error {
 	dead := make(map[string]bool)
 	for _, idx := range rescan {
 		seg := s.segs[idx-1]
-		size, err := s.ly.scan(seg, s.segmentPath(idx), idx == highest, func(r kvRecord) error {
+		size, err := s.ly.scan(&s.ioBuf, seg, s.segmentPath(idx), idx == highest, func(r kvRecord) error {
 			s.recStats.RecordsReplayed++
 			switch r.kind {
 			case kvTomb:

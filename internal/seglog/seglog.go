@@ -15,7 +15,10 @@
 //     segments are deleted instead of rewritten
 //   - CRC-framed records with torn-tail truncation on the highest
 //     segment only (a crash mid-append), and hard failure anywhere else
-//     (sealed segments are only ever activated complete)
+//     (sealed segments are only ever activated complete); a segment is
+//     read through one reusable window, a pread per MiB, and a visitor
+//     sees each payload as a slice of it, valid until it returns
+//     (frame.go)
 //   - snapshot files published by tmp + fsync + atomic rename + dirsync
 //   - index snapshots that record each covered segment's generation —
 //     and, since format v2, its live/tombstone byte counters — so
@@ -32,8 +35,22 @@
 //     whose commit/abort protocol consumes the auto-snapshot countdown
 //     only after a successful publish, so a failed publish retries on
 //     the next maintenance pass (capture.go)
-//   - in-place segment rewrite through a tmp file that is always
-//     fsynced before the rename (writer.go)
+//   - in-place segment rewrite as verified range copies, through a tmp
+//     file that is always fsynced before the rename: pass 1 locates the
+//     records and decides what survives without holding a byte of it
+//     (with fixed-size keys, without reading a body at all — the keys it
+//     read unverified are then held against the index's own account of
+//     the segment's live bytes, so a live record cannot go missing
+//     unseen); pass 2
+//     reads the survivors that were adjacent in the old file in pieces
+//     of whole frames, a window at most, checks every frame's magic,
+//     length and CRC there — a rewrite must not launder a rotten record
+//     into a fresh generation, which is why it is not a kernel-side file
+//     copy — and writes each piece through a writer that buffers
+//     nothing. The window is the store's, one per KV, shared by its
+//     scans and its rewrites; the rewritten file is byte for byte what
+//     re-framing every kept payload would produce (kv_maintain.go,
+//     writer.go)
 //   - generational tombstone hygiene for the compactor (hygiene.go)
 //
 // The core primitives declare no lock order of their own: the Committer
