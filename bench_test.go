@@ -194,28 +194,6 @@ func BenchmarkFig2b(b *testing.B) {
 	}
 }
 
-// BenchmarkVersionManagerSharding runs a reduced A6 ablation and reports
-// the aggregate update throughput of the sharded, group-committed version
-// manager plus its speedup over the single-global-lock baseline. Full
-// table: go run ./cmd/blobseer-bench -exp vm.
-func BenchmarkVersionManagerSharding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunVersionManager(bench.VMConfig{
-			Writers: 8, Blobs: 8, OpsPerWriter: 100, WALDir: b.TempDir(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sharded := res.Row("sharded", 8, true, true)
-		global := res.Row("global", 8, true, true)
-		if sharded == nil || global == nil {
-			b.Fatal("ablation rows missing")
-		}
-		b.ReportMetric(sharded.UpdatesPerSec, "updates/s")
-		b.ReportMetric(sharded.UpdatesPerSec/global.UpdatesPerSec, "x-vs-global")
-	}
-}
-
 // BenchmarkReplicatedAppend measures the write cost of the replication
 // extension on the in-process transport. Here extra copies are memory
 // copies, so the slowdown is small; the real 1/R bandwidth cost appears

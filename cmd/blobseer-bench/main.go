@@ -7,18 +7,16 @@
 //	blobseer-bench -exp fig2a      # Figure 2(a): append throughput vs blob size
 //	blobseer-bench -exp fig2b      # Figure 2(b): read throughput vs concurrent readers
 //	blobseer-bench -exp calibrate  # T1: link calibration against §5's measured figures
-//	blobseer-bench -exp writers    # A1: concurrent writers vs serialized-metadata baseline
+//	blobseer-bench -exp writers    # A1: aggregate throughput of concurrent appenders
 //	blobseer-bench -exp space      # A2: versioning storage overhead vs naive copies
 //	blobseer-bench -exp replication # A5: page replication cost/benefit (extension)
-//	blobseer-bench -exp vm         # A6: version-manager sharding + WAL group commit
 //	blobseer-bench -exp recovery   # A7: restart cost, WAL compaction on/off
-//	blobseer-bench -exp pagestore  # A8: provider page store — group commit, bounded reopen, compaction
 //	blobseer-bench -exp gc         # A9: retention + distributed page GC, footprint shrink vs read-back
 //	blobseer-bench -exp dhtgc      # A10: metadata reclamation — DHT node deletion + log compaction
 //	blobseer-bench -exp read       # A11: production read path — page cache, hedged replicas, coalescing
 //	blobseer-bench -exp all        # everything above
 //
-// -exp also accepts a comma-separated list (`-exp vm,recovery,pagestore`),
+// -exp also accepts a comma-separated list (`-exp recovery,gc,dhtgc,read`),
 // which is how CI's bench-smoke job runs the fast ablations in one go.
 //
 // The -quick flag shrinks every experiment (fewer providers, smaller
@@ -42,7 +40,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment, or comma-separated list: fig2a, fig2b, calibrate, writers, space, replication, vm, recovery, pagestore, gc, dhtgc, read, all")
+	exp := flag.String("exp", "all", "experiment, or comma-separated list: fig2a, fig2b, calibrate, writers, space, replication, recovery, gc, dhtgc, read, all")
 	quick := flag.Bool("quick", false, "shrink experiments for a fast smoke run")
 	scale := flag.Uint64("scale", 64, "data/bandwidth scale divisor (1 = full paper scale)")
 	jsonDir := flag.String("json", "", "write each experiment's raw result as BENCH_<exp>.json into this directory")
@@ -50,8 +48,8 @@ func main() {
 
 	known := map[string]bool{
 		"all": true, "calibrate": true, "fig2a": true, "fig2b": true, "writers": true,
-		"space": true, "vm": true, "recovery": true, "pagestore": true, "gc": true,
-		"dhtgc": true, "replication": true, "read": true,
+		"space": true, "recovery": true, "gc": true, "dhtgc": true,
+		"replication": true, "read": true,
 	}
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*exp, ",") {
@@ -152,15 +150,13 @@ func main() {
 			cfg.WriterCounts = []int{1, 4, 16}
 			cfg.AppendsPerWriter = 4
 		}
-		series, err := bench.RunWriters(cfg)
+		s, err := bench.RunWriters(cfg)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Println("Ablation A1: concurrent appenders, border-set weaving vs serialized metadata")
-		for _, s := range series {
-			s.Fprint(os.Stdout)
-		}
-		return series, nil
+		fmt.Println("A1: concurrent appenders (serialized-metadata baseline: BENCH_baselines.json)")
+		s.Fprint(os.Stdout)
+		return s, nil
 	})
 
 	run("space", func() (any, error) {
@@ -176,26 +172,6 @@ func main() {
 		fmt.Println("Ablation A2: versioning storage overhead")
 		tab.Fprint(os.Stdout)
 		return tab, nil
-	})
-
-	run("vm", func() (any, error) {
-		dir, err := os.MkdirTemp("", "blobseer-vm-bench")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		cfg := bench.VMConfig{Writers: 8, WALDir: dir}
-		if !*quick {
-			cfg.Writers = 16
-			cfg.OpsPerWriter = 1000
-		}
-		res, err := bench.RunVersionManager(cfg)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println("Ablation A6: version-manager per-blob locking + WAL group commit")
-		res.Table().Fprint(os.Stdout)
-		return res, nil
 	})
 
 	run("recovery", func() (any, error) {
@@ -217,32 +193,6 @@ func main() {
 		fmt.Println("Ablation A7: bounded recovery — segmented WAL + snapshot/compaction")
 		res.Table().Fprint(os.Stdout)
 		res.PauseTable().Fprint(os.Stdout)
-		return res, nil
-	})
-
-	run("pagestore", func() (any, error) {
-		dir, err := os.MkdirTemp("", "blobseer-pagestore-bench")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		cfg := bench.PageStoreConfig{Dir: dir}
-		if *quick {
-			cfg.Writers = 4
-			cfg.PutsPerWriter = 150
-			cfg.PageBytes = 1024
-			cfg.ReopenPages = 3000
-			cfg.ChurnPages = 1500
-			cfg.SegmentBytes = 64 << 10
-		}
-		res, err := bench.RunPageStore(cfg)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println("Ablation A8: provider page store — group commit, bounded reopen, compaction")
-		for _, tab := range res.Tables() {
-			tab.Fprint(os.Stdout)
-		}
 		return res, nil
 	})
 

@@ -1,13 +1,12 @@
 // Command blobseer-vet runs the repository's invariant analyzers: the
 // declared lock orders, the tmp+fsync+rename durability contract, the
-// append-only wire-kind registry, encoder/decoder/fuzz pairing, and the
-// seglog-containment tripwire. See README.md "Static analysis".
+// append-only wire-kind registry, encoder/decoder/fuzz pairing, context
+// flow and goroutine lifecycles. See README.md "Static analysis".
 //
 // Usage:
 //
 //	blobseer-vet ./...              # standalone, from the module root
 //	blobseer-vet -list              # print the analyzers and what they check
-//	go vet -vettool=$(which blobseer-vet) ./...   # as a vet tool
 //
 // Exit status is 0 when clean, 1 when findings remain unsuppressed, 2
 // on tool failure. Suppressions (//blobseer:ignore) are counted and
@@ -24,13 +23,6 @@ import (
 )
 
 func main() {
-	// `go vet -vettool` speaks its own protocol (-flags, -V=full, a
-	// single *.cfg argument); detect it before flag parsing so the
-	// protocol flags never collide with ours.
-	if analysis.VetMain(suite.Analyzers, os.Args[1:]) {
-		return
-	}
-
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Parse()
 

@@ -42,18 +42,14 @@ func main() {
 	diskPath := flag.String("disk", "", "durable storage log path (data role: pages; metadata role: tree-node pairs; default RAM)")
 	walPath := flag.String("wal", "", "write-ahead log path for version state (version-manager role; default in-memory)")
 	walSync := flag.Bool("wal-sync", true, "fsync version WAL commits; concurrent updates share fsyncs via group commit (version-manager role)")
-	walSerial := flag.Bool("wal-serial", false, "disable WAL group commit: one write+fsync per event (version-manager role; ablation baseline)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 64<<20, "roll the version WAL into a new segment past this size (version-manager role)")
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "snapshot version state and compact the WAL every N logged events; 0 = manual only (version-manager role)")
 	retain := flag.Int("retain-versions", 1, "keep-last-N retention policy: EXPIRE keeps at least this many newest versions per blob (version-manager role)")
-	stripes := flag.Int("registry-stripes", 16, "RW-lock stripes over the blob registry (version-manager role)")
-	globalLock := flag.Bool("global-lock", false, "serialize all version-manager handlers behind one mutex (ablation baseline)")
 	deadTimeout := flag.Duration("dead-writer-timeout", 0, "abort updates of silent writers after this duration (version-manager role; 0 disables)")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "heartbeat period (data role)")
 	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-call deadline on manager-facing RPCs (data role; 0 = heartbeat period)")
 	dialTimeout := flag.Duration("dial-timeout", 0, "deadline on establishing manager connections (data role; 0 = unbounded)")
 	pageSync := flag.Bool("page-sync", false, "fsync page records before PUT_PAGE acknowledges (data role)")
-	pageGroup := flag.Bool("page-group-commit", true, "coalesce concurrent page writes into shared write+fsync batches (data role)")
 	pageSegBytes := flag.Int64("page-segment-bytes", 64<<20, "roll the page log into a new segment past this size (data role)")
 	pageSnapEvery := flag.Int("page-snapshot-every", 4096, "write the page-index snapshot every N records; 0 = manual only (data role)")
 	pageCompact := flag.Float64("page-compact-ratio", 0.5, "rewrite page-log segments whose live ratio drops below this; 0 disables (data role)")
@@ -78,12 +74,9 @@ func main() {
 			DeadWriterTimeout: *deadTimeout,
 			WALPath:           *walPath,
 			WALSync:           *walPath != "" && *walSync, // durability is the point of -wal
-			WALSerial:         *walSerial,
 			WALSegmentBytes:   *walSegBytes,
 			CheckpointEvery:   *checkpointEvery,
 			RetainVersions:    *retain,
-			RegistryStripes:   *stripes,
-			GlobalLock:        *globalLock,
 		})
 		if err != nil {
 			log.Fatalf("start version manager: %v", err)
@@ -135,7 +128,6 @@ func main() {
 			cfg.PageLog = *diskPath
 			cfg.PageStore = pagestore.DiskOptions{
 				Sync:          *pageSync,
-				GroupCommit:   *pageGroup,
 				SegmentBytes:  *pageSegBytes,
 				SnapshotEvery: *pageSnapEvery,
 				CompactRatio:  *pageCompact,

@@ -6,23 +6,8 @@ import (
 	"blobseer/internal/cluster"
 	"blobseer/internal/dht"
 	"blobseer/internal/pagestore"
-	"blobseer/internal/provider"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
-)
-
-// PlacementStrategy selects how the provider manager spreads pages.
-type PlacementStrategy = provider.Strategy
-
-// Placement strategies for ClusterOptions.Strategy.
-const (
-	// PlacementRoundRobin distributes pages evenly in registration order
-	// (the paper's strategy; default).
-	PlacementRoundRobin = provider.RoundRobin
-	// PlacementRandom picks providers uniformly at random.
-	PlacementRandom = provider.Random
-	// PlacementLeastLoaded prefers providers holding the fewest pages.
-	PlacementLeastLoaded = provider.LeastLoaded
 )
 
 // ClusterOptions sizes an embedded cluster.
@@ -39,8 +24,6 @@ type ClusterOptions struct {
 	// the cost of R× write traffic. Replication is the extension the paper
 	// names as future work (§3.2).
 	PageReplication int
-	// Strategy is the page placement policy (default round-robin).
-	Strategy PlacementStrategy
 	// DiskDir, when non-empty, makes the cluster durable: each data
 	// provider stores pages in a crash-safe segmented page log under
 	// this directory instead of RAM, and the version manager keeps a
@@ -98,7 +81,6 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		MetaProviders:     opts.MetadataProviders,
 		Replication:       opts.MetadataReplication,
 		PageReplication:   opts.PageReplication,
-		Strategy:          opts.Strategy,
 		DeadWriterTimeout: opts.DeadWriterTimeout,
 		RetainVersions:    opts.RetainVersions,
 	}

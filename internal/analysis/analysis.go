@@ -3,11 +3,10 @@
 // golang.org/x/tools module is deliberately not a dependency (the tree
 // builds offline with a zero-entry go.sum); instead this package defines
 // the same Analyzer/Pass/Diagnostic contract, a loader built on
-// `go list -export`, a standalone runner, and a unitchecker-protocol
-// shim so `go vet -vettool=$(which blobseer-vet)` works unmodified.
+// `go list -export` and a standalone runner.
 //
 // The analyzers themselves live in subpackages (lockorder, renamesync,
-// wirekinds, encdecpair, segdrift) and are registered by
+// wirekinds, encdecpair, ctxflow, goleak) and are registered by
 // internal/analysis/suite.
 package analysis
 
@@ -59,11 +58,9 @@ type Pass struct {
 	PkgPath string
 	Dir     string
 
-	// ModPath and ModDir locate the enclosing module ("blobseer" at
-	// the repository root). Analyzers that read repo-level golden
-	// files (segdrift) anchor on ModDir.
+	// ModPath is the enclosing module's path ("blobseer" at the
+	// repository root).
 	ModPath string
-	ModDir  string
 
 	// Report records one finding.
 	Report func(Diagnostic)
@@ -95,11 +92,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 //	    runner counts every suppression and prints the tally, so silent
 //	    waivers cannot accumulate.
 //
-//	//blobseer:seglog role
-//	    Marks a fault point of the shared segmented-log core. Allowed
-//	    only inside internal/seglog; the segdrift analyzer flags any
-//	    occurrence elsewhere as a re-ported copy of skeleton logic.
-//
 //	//blobseer:ctx reason...
 //	    Justifies a ctxflow finding on the same line or the line
 //	    directly below: a deliberate lifecycle root
@@ -118,7 +110,7 @@ const directivePrefix = "blobseer:"
 // Directive is one parsed //blobseer: comment.
 type Directive struct {
 	Pos  token.Pos
-	Verb string // "lockorder", "ignore", "seglog", ...
+	Verb string // "lockorder", "ignore", "ctx", ...
 	Args string // remainder of the line, space-trimmed
 }
 

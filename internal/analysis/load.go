@@ -27,7 +27,6 @@ type Package struct {
 	PkgPath   string
 	Dir       string
 	ModPath   string
-	ModDir    string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	TestFiles []*ast.File
@@ -53,7 +52,6 @@ type listPkg struct {
 	Incomplete  bool
 	Module      *struct {
 		Path string
-		Dir  string
 	}
 	Error *struct {
 		Err string
@@ -143,7 +141,6 @@ func typecheck(p *listPkg, exports map[string]string) (*Package, error) {
 	}
 	if p.Module != nil {
 		lp.ModPath = p.Module.Path
-		lp.ModDir = p.Module.Dir
 	}
 	if p.Error != nil {
 		lp.Errors = append(lp.Errors, fmt.Errorf("%s", p.Error.Err))

@@ -76,7 +76,6 @@ func Run(analyzers []*Analyzer, pkgs []*Package) *Result {
 				PkgPath:   pkg.PkgPath,
 				Dir:       pkg.Dir,
 				ModPath:   pkg.ModPath,
-				ModDir:    pkg.ModDir,
 			}
 			pass.Report = func(d Diagnostic) {
 				p := pkg.Fset.Position(d.Pos)

@@ -10,7 +10,6 @@ import (
 	"blobseer/internal/analysis/goleak"
 	"blobseer/internal/analysis/lockorder"
 	"blobseer/internal/analysis/renamesync"
-	"blobseer/internal/analysis/segdrift"
 	"blobseer/internal/analysis/wirekinds"
 )
 
@@ -20,7 +19,6 @@ var Analyzers = []*analysis.Analyzer{
 	renamesync.Analyzer,
 	wirekinds.Analyzer,
 	encdecpair.Analyzer,
-	segdrift.Analyzer,
 	ctxflow.Analyzer,
 	goleak.Analyzer,
 }

@@ -47,11 +47,12 @@ func (t Table) Fprint(w io.Writer) {
 	}
 }
 
-// WritersConfig parameterizes the A1 ablation: aggregate throughput of N
-// concurrent appenders to one blob, with the paper's border-set weaving
-// versus a baseline that serializes metadata on the predecessor's
-// publication. This isolates the contribution of §4.2 ("Why WRITEs and
-// APPENDs may proceed in parallel").
+// WritersConfig parameterizes the A1 experiment: aggregate throughput of
+// N concurrent appenders to one blob under the paper's border-set
+// weaving (§4.2, "Why WRITEs and APPENDs may proceed in parallel"). The
+// baseline to read it against — every writer waiting for its
+// predecessor's publication before weaving its metadata — is a recorded
+// series in BENCH_baselines.json, not a mode of the client.
 type WritersConfig struct {
 	Sim SimParams
 	// PageSize in paper-unit bytes (default 64 KB).
@@ -84,37 +85,25 @@ func (c *WritersConfig) fill() {
 	}
 }
 
-// RunWriters measures aggregate append throughput vs writer count, in
-// both modes. It returns one series per mode.
-func RunWriters(cfg WritersConfig) ([]Series, error) {
+// RunWriters measures aggregate append throughput vs writer count.
+func RunWriters(cfg WritersConfig) (Series, error) {
 	cfg.fill()
-	modes := []struct {
-		name      string
-		serialize bool
-	}{
-		{"border-set weaving (paper)", false},
-		{"serialized metadata (baseline)", true},
+	s := Series{
+		Name:   "aggregate append throughput — border-set weaving (paper)",
+		XLabel: "writers",
+		YLabel: "aggregate MB/s",
 	}
-	var out []Series
-	for _, mode := range modes {
-		s := Series{
-			Name:   fmt.Sprintf("aggregate append throughput — %s", mode.name),
-			XLabel: "writers",
-			YLabel: "aggregate MB/s",
+	for _, writers := range cfg.WriterCounts {
+		bw, err := runWritersOne(cfg, writers)
+		if err != nil {
+			return Series{}, fmt.Errorf("writers=%d: %w", writers, err)
 		}
-		for _, writers := range cfg.WriterCounts {
-			bw, err := runWritersOne(cfg, writers, mode.serialize)
-			if err != nil {
-				return nil, fmt.Errorf("writers=%d serialize=%v: %w", writers, mode.serialize, err)
-			}
-			s.Points = append(s.Points, Point{X: float64(writers), Y: bw})
-		}
-		out = append(out, s)
+		s.Points = append(s.Points, Point{X: float64(writers), Y: bw})
 	}
-	return out, nil
+	return s, nil
 }
 
-func runWritersOne(cfg WritersConfig, writers int, serialize bool) (float64, error) {
+func runWritersOne(cfg WritersConfig, writers int) (float64, error) {
 	scale := cfg.Sim.Scale
 	simPS := cfg.PageSize / scale
 	simChunk := cfg.ChunkBytes / scale
@@ -123,9 +112,7 @@ func runWritersOne(cfg WritersConfig, writers int, serialize bool) (float64, err
 		ctx := context.Background()
 		clients := make([]*client.Client, writers)
 		for i := range clients {
-			c, err := e.cl.NewClientCfg(fmt.Sprintf("writer%d", i), func(cc *client.Config) {
-				cc.SerializeMetadata = serialize
-			})
+			c, err := e.cl.NewClient(fmt.Sprintf("writer%d", i))
 			if err != nil {
 				return err
 			}

@@ -75,8 +75,16 @@ func TestFig2bSmall(t *testing.T) {
 	}
 }
 
+// serializedWriters4 is the 4-writer aggregate (MB/s) of the
+// serialized-metadata baseline at TestWritersAblationSmall's
+// configuration, recorded in BENCH_baselines.json (a1_writers_small);
+// no code in the tree can produce it. Both sides are virtual-clock
+// figures that repeat to the printed digit: border-set weaving gives
+// 334.7.
+const serializedWriters4 = 279.1
+
 func TestWritersAblationSmall(t *testing.T) {
-	series, err := RunWriters(WritersConfig{
+	s, err := RunWriters(WritersConfig{
 		Providers:        8,
 		WriterCounts:     []int{1, 4},
 		AppendsPerWriter: 4,
@@ -85,21 +93,18 @@ func TestWritersAblationSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("series = %d", len(series))
+	if len(s.Points) != 2 {
+		t.Fatalf("points = %d", len(s.Points))
 	}
-	borderset, serialized := series[0], series[1]
 	// With 4 writers the paper's mechanism must beat the serialized
 	// baseline on aggregate throughput.
-	b4 := borderset.Points[1].Y
-	s4 := serialized.Points[1].Y
-	if !(b4 > s4) {
-		t.Errorf("border-set %.1f MB/s not better than serialized %.1f MB/s", b4, s4)
+	w1, w4 := s.Points[0].Y, s.Points[1].Y
+	if !(w4 > serializedWriters4) {
+		t.Errorf("border-set %.1f MB/s not better than serialized %.1f MB/s", w4, serializedWriters4)
 	}
 	// And concurrency must help the paper's mode.
-	if borderset.Points[1].Y <= borderset.Points[0].Y*1.2 {
-		t.Errorf("aggregate did not scale: 1 writer %.1f, 4 writers %.1f",
-			borderset.Points[0].Y, borderset.Points[1].Y)
+	if w4 <= w1*1.2 {
+		t.Errorf("aggregate did not scale: 1 writer %.1f, 4 writers %.1f", w1, w4)
 	}
 }
 

@@ -242,8 +242,7 @@ func runRecoveryMode(cfg RecoveryConfig, name string, checkpointEvery int) (Reco
 		WALPath:         filepath.Join(cfg.WALDir, name, "vm.wal"),
 		WALSegmentBytes: cfg.SegmentBytes,
 		CheckpointEvery: checkpointEvery,
-		// No fsync: the experiment isolates replay work, not commit cost
-		// (the vm ablation measures that).
+		// No fsync: the experiment isolates replay work, not commit cost.
 	}
 	net := transport.NewInproc()
 	defer net.Close()
@@ -298,13 +297,18 @@ func runRecoveryMode(cfg RecoveryConfig, name string, checkpointEvery int) (Reco
 		// background checkpointer to have caught up with the traffic —
 		// not just completed once: under CPU starvation (the full test
 		// suite, race-instrumented CI) the loop can lag far behind the
-		// writers. Wait until it has run at least once and then quiesced.
+		// writers. Wait until it has run at least once and then quiesced:
+		// no new checkpoint for 100 ms, because on an oversubscribed host
+		// a single pass (snapshot write, rename, segment deletes) can
+		// outlast a shorter window and look like quiescence.
 		deadline := time.Now().Add(10 * time.Second)
 		var last uint64
-		for time.Now().Before(deadline) {
+		for stable := 0; stable < 20 && time.Now().Before(deadline); {
 			n := m.Checkpoints()
 			if n > 0 && n == last {
-				break
+				stable++
+			} else {
+				stable = 0
 			}
 			last = n
 			time.Sleep(5 * time.Millisecond)

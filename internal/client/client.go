@@ -63,11 +63,6 @@ type Config struct {
 	// fail over when a provider is unreachable. Replication is the paper's
 	// stated future work (§3.2); writes cost R times the page traffic.
 	PageReplication int
-	// SerializeMetadata forces every writer to wait for its
-	// predecessor's publication before weaving its metadata tree,
-	// disabling the paper's border-set mechanism (§4.2). It exists only
-	// as the baseline for the writer-concurrency ablation benchmark.
-	SerializeMetadata bool
 }
 
 // Client is a BlobSeer client. It is safe for concurrent use by many

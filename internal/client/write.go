@@ -172,13 +172,6 @@ func (c *Client) mergeAndFinish(ctx context.Context, id wire.BlobID, h *blobHand
 func (c *Client) finishUpdate(ctx context.Context, id wire.BlobID, h *blobHandle,
 	resp *wire.AssignResp, startPage uint64, pws []core.PageWrite) (wire.Version, error) {
 
-	if c.cfg.SerializeMetadata && resp.Version > 1 {
-		// Ablation baseline: behave like a versioning scheme without the
-		// in-flight border set — metadata writes wait for the predecessor.
-		if err := c.Sync(ctx, id, resp.Version-1); err != nil {
-			return 0, c.abortAfter(ctx, id, resp.Version, pws, err)
-		}
-	}
 	if err := c.buildMetadata(ctx, h, resp, startPage, pws); err != nil {
 		return 0, c.abortAfter(ctx, id, resp.Version, pws, err)
 	}

@@ -42,8 +42,6 @@ type Config struct {
 	// providers (default 1, the paper's layout; >1 enables the replication
 	// extension with read failover).
 	PageReplication int
-	// Strategy is the provider manager's page placement policy.
-	Strategy provider.Strategy
 	// NewStore builds each data provider's page engine. Nil defaults to
 	// in-memory stores, or — when PageDir is set — to durable page
 	// stores owned by the providers.
@@ -229,10 +227,7 @@ func (cl *Cluster) start(
 	if err != nil {
 		return fmt.Errorf("cluster: provider manager listener: %w", err)
 	}
-	cl.PM = provider.ServeManager(ln, provider.ManagerConfig{
-		Sched:    cl.sched,
-		Strategy: cfg.Strategy,
-	})
+	cl.PM = provider.ServeManager(ln, provider.ManagerConfig{Sched: cl.sched})
 
 	metaAddrs := make([]string, cfg.MetaProviders)
 	for i := 0; i < cfg.MetaProviders; i++ {

@@ -64,7 +64,6 @@ type LogOptions struct {
 func ServeDurableNode(ln transport.Listener, sched vclock.Scheduler, path string, opts LogOptions) (*Node, error) {
 	log, err := seglog.OpenKV(path, metaLayout, seglog.KVOptions{
 		Sync:          opts.Sync,
-		GroupCommit:   true,
 		SegmentBytes:  opts.SegmentBytes,
 		SnapshotEvery: opts.SnapshotEvery,
 		CompactRatio:  opts.CompactRatio,

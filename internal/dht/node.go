@@ -98,8 +98,7 @@ func (n *Node) put(key, value []byte) error {
 // and the whole batch is awaited at once after the loop, so its records
 // share write+fsync via group commit — GC sweeps delete thousands of
 // keys per request, and one fsync per key would serialize the sweep on
-// the disk. (A log opened without group commit commits each one at its
-// enqueue instead.) A crash before the batch commits may resurrect some pairs
+// the disk. A crash before the batch commits may resurrect some pairs
 // of an unacknowledged batch; deletes are idempotent, so the
 // collector's re-run removes them again. Unknown keys are no-ops.
 func (n *Node) delete(keys [][]byte) (uint64, error) {

@@ -31,7 +31,7 @@ func TestPageLayoutPinned(t *testing.T) {
 // point and counter of the Disk API once, across a restart.
 func TestDiskMaintenanceThroughAdaptor(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.log")
-	opts := DiskOptions{Sync: true, GroupCommit: true, SegmentBytes: 512}
+	opts := DiskOptions{Sync: true, SegmentBytes: 512}
 	d, err := OpenDisk(path, opts)
 	if err != nil {
 		t.Fatal(err)

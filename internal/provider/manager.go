@@ -2,8 +2,6 @@ package provider
 
 import (
 	"context"
-	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,48 +12,14 @@ import (
 	"blobseer/internal/wire"
 )
 
-// Strategy selects how the provider manager spreads pages over providers.
-type Strategy int
-
-// Allocation strategies. The paper requires "an even distribution of
-// pages among providers" (§3.1); RoundRobin achieves exactly that and is
-// the default. The alternatives exist for the ablation benchmarks.
-const (
-	// RoundRobin cycles through providers in registration order.
-	RoundRobin Strategy = iota
-	// Random picks providers uniformly at random.
-	Random
-	// LeastLoaded picks the providers currently holding the fewest
-	// pages, counting pages allocated in this cycle.
-	LeastLoaded
-)
-
-// String names the strategy for logs and benchmark tables.
-func (s Strategy) String() string {
-	switch s {
-	case RoundRobin:
-		return "round-robin"
-	case Random:
-		return "random"
-	case LeastLoaded:
-		return "least-loaded"
-	default:
-		return "unknown"
-	}
-}
-
 // ManagerConfig configures the provider manager.
 type ManagerConfig struct {
 	// Sched drives expiry checks; defaults to the real clock.
 	Sched vclock.Scheduler
-	// Strategy is the page distribution policy (default RoundRobin).
-	Strategy Strategy
 	// Expiry drops providers that have not heartbeated for this long.
 	// Zero disables expiry (useful under the simulated clock where
 	// providers never crash unless the harness kills them).
 	Expiry time.Duration
-	// Seed makes the Random strategy reproducible.
-	Seed int64
 }
 
 // registryStripes shards the id-to-entry lookup map, the same pattern as
@@ -66,16 +30,17 @@ type ManagerConfig struct {
 const registryStripes = 16
 
 // Manager is the provider manager service: the directory of live data
-// providers and the page placement policy.
+// providers and the page placement policy — round-robin over providers
+// in registration order, the paper's "even distribution of pages among
+// providers" (§3.1).
 //
 // Concurrency regime: the entry registry is striped with RW locks and
 // each entry's mutable load statistics are atomics, so heartbeats touch
 // nothing global. Membership and placement (registration order,
-// round-robin cursor, RNG, in-cycle counts) stay behind a single
-// allocMu — allocation is inherently a global decision — which is taken
-// only by register, allocate, list and expiry. Lock order: allocMu,
-// then a stripe lock; a stripe lock is never held while acquiring
-// allocMu.
+// round-robin cursor) stay behind a single allocMu — allocation is
+// inherently a global decision — which is taken only by register,
+// allocate, list and expiry. Lock order: allocMu, then a stripe lock; a
+// stripe lock is never held while acquiring allocMu.
 type Manager struct {
 	cfg   ManagerConfig
 	sched vclock.Scheduler
@@ -88,10 +53,6 @@ type Manager struct {
 	order   []uint32 // registration order, for round-robin
 	nextID  uint32
 	rr      int
-	rng     *rand.Rand
-	// inCycle counts pages handed out per provider since the last
-	// heartbeat refresh; LeastLoaded uses it to spread within a burst.
-	inCycle map[uint32]uint64
 }
 
 type registryStripe struct {
@@ -105,7 +66,6 @@ type registryStripe struct {
 type entry struct {
 	id       uint32
 	addr     string
-	weight   atomic.Uint32
 	pages    atomic.Uint64
 	bytes    atomic.Uint64
 	lastSeen atomic.Int64 // sched.Now(), as nanoseconds
@@ -117,11 +77,9 @@ func ServeManager(ln transport.Listener, cfg ManagerConfig) *Manager {
 		cfg.Sched = vclock.NewReal()
 	}
 	m := &Manager{
-		cfg:     cfg,
-		sched:   cfg.Sched,
-		byAddr:  make(map[string]uint32),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		inCycle: make(map[uint32]uint64),
+		cfg:    cfg,
+		sched:  cfg.Sched,
+		byAddr: make(map[string]uint32),
 	}
 	for i := range m.stripes {
 		m.stripes[i].entries = make(map[uint32]*entry)
@@ -167,7 +125,7 @@ func (m *Manager) mux() *rpc.Mux {
 		if req.Addr == "" {
 			return nil, wire.NewError(wire.CodeBadRequest, "empty provider address")
 		}
-		return &wire.RegisterResp{ID: m.register(req.Addr, req.Weight)}, nil
+		return &wire.RegisterResp{ID: m.register(req.Addr)}, nil
 	})
 	mux.Register(wire.KindHeartbeatReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.HeartbeatReq)
@@ -187,7 +145,7 @@ func (m *Manager) mux() *rpc.Mux {
 	return mux
 }
 
-func (m *Manager) register(addr string, weight uint32) uint32 {
+func (m *Manager) register(addr string) uint32 {
 	m.allocMu.Lock()
 	defer m.allocMu.Unlock()
 	if id, ok := m.byAddr[addr]; ok {
@@ -195,13 +153,11 @@ func (m *Manager) register(addr string, weight uint32) uint32 {
 		// entry is always present.
 		e := m.lookup(id)
 		e.lastSeen.Store(int64(m.sched.Now()))
-		e.weight.Store(weight)
 		return id
 	}
 	m.nextID++
 	id := m.nextID
 	e := &entry{id: id, addr: addr}
-	e.weight.Store(weight)
 	e.lastSeen.Store(int64(m.sched.Now()))
 	s := m.stripe(id)
 	s.mu.Lock()
@@ -230,14 +186,6 @@ func (m *Manager) heartbeat(req *wire.HeartbeatReq) bool {
 	e.bytes.Store(req.Bytes)
 	e.lastSeen.Store(int64(m.sched.Now()))
 	s.mu.RUnlock()
-	if m.cfg.Strategy == LeastLoaded {
-		// Fresh ground truth supersedes the in-cycle estimates. Only
-		// LeastLoaded keeps them, so the other strategies' heartbeats
-		// stay entirely off the placement lock.
-		m.allocMu.Lock()
-		delete(m.inCycle, req.ID)
-		m.allocMu.Unlock()
-	}
 	return true
 }
 
@@ -263,47 +211,13 @@ func (m *Manager) Allocate(n, copies int) ([]string, error) {
 	if len(m.order) == 0 {
 		return nil, wire.NewError(wire.CodeUnavailable, "no data providers registered")
 	}
-	// pickLocked returns one provider id by the configured strategy.
-	pickLocked := func() uint32 {
-		switch m.cfg.Strategy {
-		case Random:
-			return m.order[m.rng.Intn(len(m.order))]
-		case LeastLoaded:
-			best := uint32(0)
-			var bestLoad uint64
-			for _, id := range m.order {
-				load := m.lookup(id).pages.Load() + m.inCycle[id]
-				if best == 0 || load < bestLoad {
-					best, bestLoad = id, load
-				}
-			}
-			m.inCycle[best]++
-			return best
-		default: // RoundRobin
-			id := m.order[m.rr%len(m.order)]
-			m.rr++
-			return id
-		}
-	}
+	// The next n*copies entries of the ring: any copies consecutive
+	// entries — one page's replicas — are distinct providers whenever
+	// copies <= len(m.order).
 	addrs := make([]string, 0, n*copies)
-	group := make(map[uint32]struct{}, copies)
-	for i := 0; i < n; i++ {
-		clear(group)
-		for c := 0; c < copies; c++ {
-			id := pickLocked()
-			if _, dup := group[id]; dup && copies <= len(m.order) {
-				// Retry for a distinct provider; bounded so a pathological
-				// strategy (Random on a tiny cluster) cannot spin.
-				for retry := 0; retry < 4*len(m.order); retry++ {
-					id = pickLocked()
-					if _, dup = group[id]; !dup {
-						break
-					}
-				}
-			}
-			group[id] = struct{}{}
-			addrs = append(addrs, m.lookup(id).addr)
-		}
+	for i := 0; i < n*copies; i++ {
+		addrs = append(addrs, m.lookup(m.order[m.rr%len(m.order)]).addr)
+		m.rr++
 	}
 	return addrs, nil
 }
@@ -347,11 +261,9 @@ func (m *Manager) expireLocked() {
 		}
 		if expired {
 			delete(m.byAddr, e.addr)
-			delete(m.inCycle, id)
 			continue
 		}
 		keep = append(keep, id)
 	}
 	m.order = keep
-	sort.Slice(m.order, func(i, j int) bool { return m.order[i] < m.order[j] })
 }

@@ -222,7 +222,7 @@ func TestPutZeroPageIDRejected(t *testing.T) {
 }
 
 func TestRoundRobinAllocationIsEven(t *testing.T) {
-	r := newRig(t, 5, ManagerConfig{Strategy: RoundRobin})
+	r := newRig(t, 5, ManagerConfig{})
 	resp := r.call(t, "manager", &wire.AllocateReq{N: 100})
 	addrs := resp.(*wire.AllocateResp).Addrs
 	if len(addrs) != 100 {
@@ -239,43 +239,6 @@ func TestRoundRobinAllocationIsEven(t *testing.T) {
 		if c != 20 {
 			t.Errorf("provider %s got %d pages, want exactly 20", a, c)
 		}
-	}
-}
-
-func TestRandomAllocationCoversAll(t *testing.T) {
-	r := newRig(t, 4, ManagerConfig{Strategy: Random, Seed: 42})
-	resp := r.call(t, "manager", &wire.AllocateReq{N: 400})
-	counts := map[string]int{}
-	for _, a := range resp.(*wire.AllocateResp).Addrs {
-		counts[a]++
-	}
-	if len(counts) != 4 {
-		t.Fatalf("random spread over %d providers, want 4", len(counts))
-	}
-	for a, c := range counts {
-		if c < 50 || c > 150 {
-			t.Errorf("provider %s share %d is implausible for uniform", a, c)
-		}
-	}
-}
-
-func TestLeastLoadedPrefersEmpty(t *testing.T) {
-	r := newRig(t, 3, ManagerConfig{Strategy: LeastLoaded})
-	// Preload provider 0 heavily, then heartbeat so the manager knows.
-	addr0 := r.provs[0].Addr()
-	gen := wire.NewPageIDGen()
-	for i := 0; i < 30; i++ {
-		r.call(t, addr0, &wire.PutPageReq{Page: gen.Next(), Data: []byte("x")})
-	}
-	time.Sleep(30 * time.Millisecond) // allow a heartbeat cycle
-
-	resp := r.call(t, "manager", &wire.AllocateReq{N: 20})
-	counts := map[string]int{}
-	for _, a := range resp.(*wire.AllocateResp).Addrs {
-		counts[a]++
-	}
-	if counts[addr0] != 0 {
-		t.Errorf("least-loaded sent %d pages to the loaded provider", counts[addr0])
 	}
 }
 
@@ -345,7 +308,7 @@ func TestExpiryDropsSilentProviders(t *testing.T) {
 		}
 		mgr := ServeManager(mln, ManagerConfig{Sched: clock, Expiry: time.Second})
 		defer mgr.Close()
-		mgr.register("dead-provider:1", 1)
+		mgr.register("dead-provider:1")
 		if n := mgr.ProviderCount(); n != 1 {
 			t.Errorf("count = %d, want 1", n)
 		}
@@ -356,16 +319,6 @@ func TestExpiryDropsSilentProviders(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	for s, want := range map[Strategy]string{
-		RoundRobin: "round-robin", Random: "random", LeastLoaded: "least-loaded", Strategy(99): "unknown",
-	} {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q", s, s.String())
-		}
 	}
 }
 
@@ -385,17 +338,6 @@ func TestAllocateReplicasDistinct(t *testing.T) {
 				t.Fatalf("page %d: duplicate replica provider %s in %v", p, a, group)
 			}
 			seen[a] = true
-		}
-	}
-}
-
-func TestAllocateReplicasDistinctRandomStrategy(t *testing.T) {
-	r := newRig(t, 4, ManagerConfig{Strategy: Random, Seed: 42})
-	resp := r.call(t, "manager", &wire.AllocateReq{N: 30, Copies: 2})
-	addrs := resp.(*wire.AllocateResp).Addrs
-	for p := 0; p < 30; p++ {
-		if addrs[2*p] == addrs[2*p+1] {
-			t.Fatalf("page %d: both replicas on %s", p, addrs[2*p])
 		}
 	}
 }
@@ -437,11 +379,11 @@ func TestHeartbeatsDoNotSerializeBehindAllocate(t *testing.T) {
 	// The striped registry's contract: heartbeats from many providers
 	// race Allocate/list/expiry without data races or lost updates.
 	// Run with -race to make this meaningful.
-	r := newRig(t, 0, ManagerConfig{Strategy: LeastLoaded, Expiry: time.Hour})
+	r := newRig(t, 0, ManagerConfig{Expiry: time.Hour})
 	const providers = 24
 	ids := make([]uint32, providers)
 	for i := range ids {
-		ids[i] = r.manager.register(fmt.Sprintf("prov-%d:1", i), 1)
+		ids[i] = r.manager.register(fmt.Sprintf("prov-%d:1", i))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -488,7 +430,7 @@ func TestProviderOwnsPageLog(t *testing.T) {
 		p, err := Serve(ln, Config{
 			Sched:     sched,
 			PageLog:   filepath.Join(dir, "pages.log"),
-			PageStore: pagestore.DiskOptions{GroupCommit: true, SegmentBytes: 4096},
+			PageStore: pagestore.DiskOptions{SegmentBytes: 4096},
 		})
 		if err != nil {
 			t.Fatal(err)

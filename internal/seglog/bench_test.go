@@ -20,41 +20,35 @@ var benchValue = func() []byte {
 }()
 
 // BenchmarkKVPut appends 64 KiB values under fresh keys, unsynced (the
-// benchmark's flush policy): serial and group-committed, from 1 and
-// from 8 appenders. The fixed-key framing is the page store's.
+// benchmark's flush policy), from 1 and from 8 appenders. The fixed-key
+// framing is the page store's.
 func BenchmarkKVPut(b *testing.B) {
 	ly := kvFramings[0].ly
-	for _, group := range []bool{false, true} {
-		for _, appenders := range []int{1, 8} {
-			mode := "serial"
-			if group {
-				mode = "group"
+	for _, appenders := range []int{1, 8} {
+		b.Run(fmt.Sprintf("%dappenders", appenders), func(b *testing.B) {
+			s, err := OpenKV(filepath.Join(b.TempDir(), "kv.log"), ly, KVOptions{})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s/%dappenders", mode, appenders), func(b *testing.B) {
-				s, err := OpenKV(filepath.Join(b.TempDir(), "kv.log"), ly, KVOptions{GroupCommit: group})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Close()
-				b.ReportAllocs()
-				b.SetBytes(int64(len(benchValue)))
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < appenders; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := w; i < b.N; i += appenders {
-							if err := s.Put(tkey(ly, i), benchValue); err != nil {
-								b.Error(err)
-								return
-							}
+			defer s.Close()
+			b.ReportAllocs()
+			b.SetBytes(int64(len(benchValue)))
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < appenders; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < b.N; i += appenders {
+						if err := s.Put(tkey(ly, i), benchValue); err != nil {
+							b.Error(err)
+							return
 						}
-					}(w)
-				}
-				wg.Wait()
-			})
-		}
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
 	}
 }
 
@@ -110,7 +104,7 @@ func BenchmarkKVCompact(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				dir := b.TempDir()
-				s, err := OpenKV(filepath.Join(dir, "kv.log"), sh.ly, KVOptions{GroupCommit: true})
+				s, err := OpenKV(filepath.Join(dir, "kv.log"), sh.ly, KVOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -150,7 +144,7 @@ func BenchmarkKVReopenRescan(b *testing.B) {
 	for _, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "kv.log")
-			s, err := OpenKV(path, sh.ly, KVOptions{GroupCommit: true})
+			s, err := OpenKV(path, sh.ly, KVOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

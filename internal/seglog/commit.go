@@ -64,20 +64,15 @@ type Committer[T Parked] struct {
 	// flag here plus whatever writer state the store keeps (active
 	// segment, sizes). The store declares its lock order.
 	Mu *sync.Mutex
-	// Serial disables group commit: one write (+fsync when the store
-	// syncs) per record with Mu held throughout, so concurrent
-	// appenders serialize on the disk — the ablation baseline.
-	Serial bool
 	// Closed reports shutdown; called with Mu held.
 	Closed func() bool
 	// ErrClosed is returned to appenders racing shutdown.
 	ErrClosed error
 	// Commit writes one batch contiguously to the active segment with a
 	// single write and at most one fsync. Called by the exclusive
-	// committer — the leader outside Mu, or a serial appender under it —
-	// so the store's active-segment fields need no extra
-	// synchronization: the segment cannot roll while a commit is in
-	// flight. On error nothing may be applied.
+	// committer — the leader, outside Mu — so the store's active-segment
+	// fields need no extra synchronization: the segment cannot roll while
+	// a commit is in flight. On error nothing may be applied.
 	Commit func(batch []T) error
 	// Apply, when set, applies a durable batch's state effects; called
 	// with Mu held.
@@ -111,33 +106,8 @@ type Committer[T Parked] struct {
 }
 
 // Append writes one record durably and applies its effects. Concurrent
-// appends coalesce into group commits unless the committer is serial.
+// appends coalesce into group commits.
 func (c *Committer[T]) Append(a T) error {
-	if c.Serial {
-		// The serial appender is the exclusive committer, so it takes the
-		// outer lock itself — before Mu, matching the declared order.
-		var release func()
-		if c.Outer != nil {
-			release = c.Outer()
-			defer release()
-		}
-		c.Mu.Lock()
-		err := c.admitLocked()
-		if err == nil {
-			if err = c.Commit([]T{a}); err == nil {
-				if c.Apply != nil {
-					c.Apply([]T{a})
-				}
-				if c.MaybeRoll != nil {
-					c.MaybeRoll()
-				}
-			} else if c.FailStop {
-				c.failed = err
-			}
-		}
-		c.Mu.Unlock()
-		return err
-	}
 	c.Mu.Lock()
 	if err := c.admitLocked(); err != nil {
 		c.Mu.Unlock()
@@ -176,9 +146,6 @@ func (c *Committer[T]) admitLocked() error {
 // holds store locks Append would stall across the fsync; it applies the
 // record's state effects under those locks (the committer's Apply must
 // be nil then), releases them, and calls Await to park for durability.
-// Serial committers queue too: lead commits their records one write
-// (+fsync) per record, preserving the ablation baseline while keeping
-// enqueue-order = commit-order per key.
 func (c *Committer[T]) Enqueue(a T) error {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
@@ -269,18 +236,7 @@ func (c *Committer[T]) lead(self *Cell) error {
 			release = c.Outer()
 		}
 		committed = true
-		if c.Serial {
-			// Two-phase records on a serial committer: one write (+fsync)
-			// per record, stopping at the first failure so the durable
-			// log stays a prefix of the enqueue order.
-			for _, a := range batch {
-				if err = c.Commit([]T{a}); err != nil {
-					break
-				}
-			}
-		} else {
-			err = c.Commit(batch)
-		}
+		err = c.Commit(batch)
 	}
 	c.Mu.Lock()
 	if err == nil && len(batch) > 0 {

@@ -28,11 +28,10 @@ type testStore struct {
 
 var errTestClosed = errors.New("test store closed")
 
-func newTestStore(serial bool) *testStore {
+func newTestStore() *testStore {
 	s := &testStore{}
 	s.comm = Committer[*testAppend]{
 		Mu:        &s.mu,
-		Serial:    serial,
 		Closed:    func() bool { return s.closed },
 		ErrClosed: errTestClosed,
 		Commit: func(batch []*testAppend) error {
@@ -53,7 +52,7 @@ func (s *testStore) append(rec string) error {
 // marked active, concurrent appends queue, and one caretaker pass
 // commits them all as a single batch.
 func TestGroupCommitBatches(t *testing.T) {
-	s := newTestStore(false)
+	s := newTestStore()
 	s.mu.Lock()
 	s.comm.SetLeadingLocked(true)
 	s.mu.Unlock()
@@ -90,7 +89,7 @@ func TestGroupCommitBatches(t *testing.T) {
 // election, one-batch tenure, promotion — under the race detector, and
 // checks no record is lost or double-committed.
 func TestGroupCommitConcurrent(t *testing.T) {
-	s := newTestStore(false)
+	s := newTestStore()
 	const workers, each = 8, 64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -114,25 +113,11 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-// TestSerialCommitsPerRecord pins the ablation baseline: one commit per
-// record, no batching.
-func TestSerialCommitsPerRecord(t *testing.T) {
-	s := newTestStore(true)
-	for i := 0; i < 10; i++ {
-		if err := s.append("r"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c := s.commits.Load(); c != 10 {
-		t.Fatalf("serial commits = %d, want 10", c)
-	}
-}
-
 // TestCloseFailsQueuedAppends checks shutdown while appends are parked
 // behind a leader: queued-but-untaken records fail with the store's
 // error, and later appends fail fast.
 func TestCloseFailsQueuedAppends(t *testing.T) {
-	s := newTestStore(false)
+	s := newTestStore()
 	s.mu.Lock()
 	s.comm.SetLeadingLocked(true) // no real leader will ever drain
 	s.mu.Unlock()
@@ -170,7 +155,7 @@ func TestCloseFailsQueuedAppends(t *testing.T) {
 // as one batch when the designated leader finally parks, and every
 // Await observes the outcome.
 func TestTwoPhaseAppendBatches(t *testing.T) {
-	s := newTestStore(false)
+	s := newTestStore()
 	s.comm.Apply = nil // two-phase stores apply at enqueue time
 	const n = 4
 	recs := make([]*testAppend, n)
@@ -198,35 +183,11 @@ func TestTwoPhaseAppendBatches(t *testing.T) {
 	}
 }
 
-// TestTwoPhaseSerialCommitsPerRecord: on a serial committer the
-// enqueue/await path still commits one write per record (the ablation
-// baseline) in enqueue order.
-func TestTwoPhaseSerialCommitsPerRecord(t *testing.T) {
-	s := newTestStore(true)
-	s.comm.Apply = nil
-	const n = 6
-	recs := make([]*testAppend, n)
-	for i := range recs {
-		recs[i] = &testAppend{rec: "r", cell: NewCell()}
-		if err := s.comm.Enqueue(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range recs {
-		if err := s.comm.Await(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c := s.commits.Load(); c != n {
-		t.Fatalf("serial two-phase commits = %d, want %d", c, n)
-	}
-}
-
 // TestTwoPhaseFailStopWedges: after one commit failure a fail-stop
 // committer fails the whole batch and every later enqueue, so the
 // durable log stays a prefix of the enqueue order.
 func TestTwoPhaseFailStopWedges(t *testing.T) {
-	s := newTestStore(false)
+	s := newTestStore()
 	s.comm.Apply = nil
 	s.comm.FailStop = true
 	errDisk := errors.New("disk gone")
@@ -251,7 +212,7 @@ func TestTwoPhaseFailStopWedges(t *testing.T) {
 // delivers the close error to the designated leader instead of letting
 // it commit through a closed store.
 func TestTwoPhaseCloseBeforeAwait(t *testing.T) {
-	s := newTestStore(false)
+	s := newTestStore()
 	s.comm.Apply = nil
 	a := &testAppend{rec: "r", cell: NewCell()}
 	if err := s.comm.Enqueue(a); err != nil {
@@ -273,7 +234,7 @@ func TestTwoPhaseCloseBeforeAwait(t *testing.T) {
 // enqueued record has resolved, including batches taken but not yet
 // durable.
 func TestQuiesceWaitsForPending(t *testing.T) {
-	s := newTestStore(false)
+	s := newTestStore()
 	s.comm.Apply = nil
 	gate := make(chan struct{})
 	s.comm.Commit = func(batch []*testAppend) error {
@@ -316,7 +277,7 @@ func TestQuiesceWaitsForPending(t *testing.T) {
 // TestTwoPhaseStress hammers Enqueue/Await from many goroutines mixed
 // with one-phase appends under the race detector.
 func TestTwoPhaseStress(t *testing.T) {
-	s := newTestStore(false)
+	s := newTestStore()
 	const workers, each = 8, 64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -350,7 +311,7 @@ func TestTwoPhaseStress(t *testing.T) {
 // TestCommitErrorPropagatesToWholeBatch: a failed batch fails every
 // appender in it and applies nothing.
 func TestCommitErrorPropagatesToWholeBatch(t *testing.T) {
-	s := newTestStore(false)
+	s := newTestStore()
 	errDisk := errors.New("disk gone")
 	s.comm.Commit = func(batch []*testAppend) error { return errDisk }
 	s.mu.Lock()

@@ -104,8 +104,6 @@ func (ft *Format) Scan(f *os.File, path string, allowTorn bool, visit func(paylo
 // CRC-checked (KVLayout.walk says who wants that, and why). A record that
 // ends within the prefix — a tombstone — is in hand whole, and is checked
 // like any other.
-//
-//blobseer:seglog scan-segment
 func (ft *Format) scanFrames(win *[]byte, f *os.File, path string, allowTorn bool, prefixLen int, visit frameVisitor) (int64, error) {
 	info, err := f.Stat()
 	if err != nil {

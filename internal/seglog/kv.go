@@ -48,9 +48,9 @@ type KV struct {
 	stripes [kvStripes]kvStripe
 
 	// stateMu makes index snapshots a consistent cut: the exclusive
-	// committer (the group-commit leader, or a serial appender) holds it
-	// shared across commit+apply via the committer's Outer hook — never
-	// the appenders themselves, so no Put parks for the fsync while
+	// committer (the group-commit leader) holds it shared across
+	// commit+apply via the committer's Outer hook — never the
+	// appenders themselves, so no Put parks for the fsync while
 	// holding it — and the snapshotter holds it exclusively only while
 	// rolling the active segment and capturing the index. Records queued
 	// behind an exclusive capture commit into the post-roll segment and
@@ -124,18 +124,18 @@ type KVLayout struct {
 	SealSync bool
 }
 
-// KVOptions tunes a KV. The zero value is serial unsynced appends,
-// 64 MB segments, no automatic snapshots or compaction.
+// KVOptions tunes a KV. The zero value is unsynced appends, 64 MB
+// segments, no automatic snapshots or compaction. Every KV
+// group-commits: concurrent Puts/Deletes coalesce into one write (+ at
+// most one fsync), written by the first appender to find no active
+// leader.
 type KVOptions struct {
 	// Sync forces records to disk before Put or Delete returns. Slower,
 	// but a crash loses at most in-flight records instead of the OS
-	// write-back window. Pair with GroupCommit so concurrent writers
-	// share fsyncs.
+	// write-back window; concurrent writers share fsyncs.
 	Sync bool
-	// GroupCommit coalesces concurrent Puts/Deletes into one write (+ at
-	// most one fsync): the first appender to find no active leader writes
-	// the whole queued batch. Off, every record performs its own write
-	// (+fsync when Sync) under the writer lock — the ablation baseline.
+	// Deprecated: ignored, every KV group-commits; kept only until
+	// internal/blast stops naming it.
 	GroupCommit bool
 	// SegmentBytes rolls the log into a fresh segment file once the
 	// active one exceeds this many bytes (default 64 MB). Compaction
@@ -289,7 +289,6 @@ func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
 	}
 	s.comm = Committer[*kvAppend]{
 		Mu:        &s.wmu,
-		Serial:    !opts.GroupCommit,
 		Closed:    s.closed.Load,
 		ErrClosed: s.errClosed,
 		Commit:    s.commit,
@@ -441,9 +440,9 @@ func (s *KV) framed(a *kvAppend) int64 {
 }
 
 // Put durably appends a put record (sharing write+fsync with concurrent
-// appenders when GroupCommit is on) and then indexes the value. Values
-// are immutable: a Put of a stored key is a no-op. value is read until
-// the call returns, never after: the caller may reuse it immediately.
+// appenders) and then indexes the value. Values are immutable: a Put of
+// a stored key is a no-op. value is read until the call returns, never
+// after: the caller may reuse it immediately.
 func (s *KV) Put(key string, value []byte) error {
 	if s.closed.Load() {
 		return s.errClosed
@@ -478,21 +477,11 @@ func (s *KV) Delete(key string) error {
 // be called, even on error paths: the first enqueue may designate its
 // owner as the batch leader, and an unawaited leader stalls the queue.
 // The key leaves the index only when its batch commits.
-//
-// A store without group commit has no fsync to share, and its Puts
-// commit under wmu while a two-phase leader would commit outside it —
-// two committers in the batch buffer and the active segment at once.
-// So there the tombstone commits right here, like Delete, and the wait
-// only reports how that went.
 func (s *KV) EnqueueDelete(key string) (wait func() error, err error) {
 	if _, ok := s.lookup(key); !ok {
 		return func() error { return nil }, nil
 	}
 	a := s.newAppend(kvTomb, key, nil)
-	if s.comm.Serial {
-		err := s.comm.Append(a)
-		return func() error { return err }, nil
-	}
 	if err := s.comm.Enqueue(a); err != nil {
 		return nil, err
 	}
@@ -503,10 +492,10 @@ func (s *KV) EnqueueDelete(key string) (wait func() error, err error) {
 // straight from the appenders' slices — contiguously into the store's
 // one batch buffer, appends it to the active segment with a single
 // write and at most one fsync, and stamps each record with where it
-// landed. Only one committer runs at a time (the leader, or a serial
-// appender under wmu), so the batch buffer and the active-segment
-// fields need no extra synchronization: the segment cannot roll while
-// a commit is in flight. On error nothing is applied.
+// landed. Only one committer runs at a time (the leader), so the batch
+// buffer and the active-segment fields need no extra synchronization:
+// the segment cannot roll while a commit is in flight. On error nothing
+// is applied.
 func (s *KV) commit(batch []*kvAppend) error {
 	s.appends.Add(uint64(len(batch)))
 	seg := s.active

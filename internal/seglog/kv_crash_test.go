@@ -10,7 +10,7 @@ import (
 // crashOpts uses segments small enough that the workload spans many of
 // them, so compaction has real victims to crash on.
 func crashOpts() KVOptions {
-	return KVOptions{Sync: true, GroupCommit: true, SegmentBytes: 256}
+	return KVOptions{Sync: true, SegmentBytes: 256}
 }
 
 const crashKeys = 24

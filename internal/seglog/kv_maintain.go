@@ -96,7 +96,6 @@ func (s *KV) Snapshot() error {
 	return s.snapshotLocked()
 }
 
-//blobseer:seglog kv-snapshot
 func (s *KV) snapshotLocked() error {
 	if s.closed.Load() {
 		return s.errClosed
@@ -389,8 +388,6 @@ func (s *KV) checkLocated(victim *kvSegment, kept []keptRecord, path string) err
 // pass 1 drops it never reads past the key, so rot there goes out with
 // the garbage — and checkLocated sees to it that nothing live is among
 // what it drops.
-//
-//blobseer:seglog kv-rewrite
 func (s *KV) rewriteSegment(victim *kvSegment) error {
 	if s.closed.Load() {
 		return s.errClosed

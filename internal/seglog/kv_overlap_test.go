@@ -36,7 +36,7 @@ func gateCommit(s *KV) (entered, release chan struct{}) {
 func TestKVReadsOverlapParkedCommit(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
-		s := mustOpenKV(t, path, ly, KVOptions{Sync: true, GroupCommit: true, SegmentBytes: 1 << 20})
+		s := mustOpenKV(t, path, ly, KVOptions{Sync: true, SegmentBytes: 1 << 20})
 		putN(t, s, 1, 2)
 		entered, release := gateCommit(s)
 
@@ -129,7 +129,7 @@ func TestKVSnapshotFailureKeepsCountdown(t *testing.T) {
 func TestKVBatchDeleteSharesOneCommit(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
-		s := mustOpenKV(t, path, ly, KVOptions{Sync: true, GroupCommit: true})
+		s := mustOpenKV(t, path, ly, KVOptions{Sync: true})
 		const n = 8
 		putN(t, s, 0, n)
 		before := s.Stats()

@@ -12,8 +12,6 @@ import (
 // reproduces the index; the snapshot only ever buys speed, and every
 // way it can be wrong (torn, corrupt, older than a rewrite) degrades to
 // rescanning more.
-//
-//blobseer:seglog kv-recover
 func (s *KV) recover() error {
 	name, base := s.ly.Name, s.base
 	if info, err := os.Stat(base); err == nil && info.Mode().IsRegular() {

@@ -173,7 +173,7 @@ func TestKVRewriteNeverReadsDroppedBodies(t *testing.T) {
 // allocates a fraction of what it moves, under either key framing.
 func TestKVRewriteAllocBudget(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
-		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{GroupCommit: true})
+		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
 		const n = 128 // x 64 KiB
 		for i := 0; i < n; i++ {
 			must(t, s.Put(tkey(ly, i), benchValue))

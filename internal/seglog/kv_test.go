@@ -293,20 +293,15 @@ func TestKVCompactionShrinksAndPreservesLive(t *testing.T) {
 // compactions, and stats reads; under -race it checks that the commit
 // write, the size accounting and the capture cut are synchronized. The
 // final reopen checks nothing was lost or resurrected.
-//
-// It runs group-committed and serial: serial, a Put commits under the
-// writer lock, so a two-phase delete must commit there too — never
-// through a leader outside it, sharing the commit and the batch buffer.
 func TestKVConcurrentTrafficAndMaintenance(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
-		t.Run("group", func(t *testing.T) { testKVConcurrentTraffic(t, ly, true) })
-		t.Run("serial", func(t *testing.T) { testKVConcurrentTraffic(t, ly, false) })
+		t.Run("group", func(t *testing.T) { testKVConcurrentTraffic(t, ly) })
 	})
 }
 
-func testKVConcurrentTraffic(t *testing.T, ly *KVLayout, group bool) {
+func testKVConcurrentTraffic(t *testing.T, ly *KVLayout) {
 	path := filepath.Join(t.TempDir(), "kv.log")
-	opts := KVOptions{Sync: true, GroupCommit: group, SegmentBytes: 4096, SnapshotEvery: 64, CompactRatio: 0.6}
+	opts := KVOptions{Sync: true, SegmentBytes: 4096, SnapshotEvery: 64, CompactRatio: 0.6}
 	s := mustOpenKV(t, path, ly, opts)
 	const workers, per = 8, 60
 	// Worker w owns keys [w*per, (w+1)*per): multiples of 3 die one at
@@ -369,8 +364,8 @@ func testKVConcurrentTraffic(t *testing.T, ly *KVLayout, group bool) {
 		return
 	}
 	st := s.Stats()
-	if st.Syncs == 0 || group == (st.Syncs >= st.Appends) {
-		t.Fatalf("group commit %v: %d syncs for %d appends", group, st.Syncs, st.Appends)
+	if st.Syncs == 0 || st.Syncs >= st.Appends {
+		t.Fatalf("group commit: %d syncs for %d appends", st.Syncs, st.Appends)
 	}
 	must(t, s.Close())
 	verifyLive(t, mustOpenKV(t, path, ly, opts), workers*per, alive)
@@ -381,7 +376,7 @@ func TestKVDuplicateConcurrentPuts(t *testing.T) {
 	// store must stay consistent and recovery must keep exactly one.
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
-		s := mustOpenKV(t, path, ly, KVOptions{GroupCommit: true})
+		s := mustOpenKV(t, path, ly, KVOptions{})
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -536,7 +531,7 @@ func TestKVTornRollAndAppendsIntoCoveredSegment(t *testing.T) {
 // key framing.
 func TestKVPutAllocBudget(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
-		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{GroupCommit: true})
+		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
 		const n = 200
 		keys := make([]string, 20+n)
 		for i := range keys {

@@ -26,8 +26,6 @@ func NewMaintainer(pass func() bool) *Maintainer {
 }
 
 // Start launches the maintenance goroutine, which Stop joins.
-//
-//blobseer:seglog maintain-loop
 func (m *Maintainer) Start() {
 	m.wg.Add(1)
 	go func() {

@@ -152,8 +152,6 @@ func (ft *Format) ListSegments(base string) ([]uint64, error) {
 
 // SyncDir fsyncs a directory so renames, creations and deletions in it
 // are durable.
-//
-//blobseer:seglog sync-dir
 func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -25,8 +25,6 @@ import (
 // and returns its payload. A missing file is (nil, nil); a torn or
 // corrupt one is an error the caller downgrades to a full rescan or
 // replay.
-//
-//blobseer:seglog load-snapshot
 func (ft *Format) LoadSnapshotFile(path string) ([]byte, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -56,8 +54,6 @@ func (ft *Format) LoadSnapshotFile(path string) ([]byte, error) {
 
 // WriteSnapshotFile writes the framed payload to the tmp path and, when
 // syncing, fsyncs it — everything short of the activating rename.
-//
-//blobseer:seglog snapshot-file
 func (ft *Format) WriteSnapshotFile(base string, payload []byte, fsync bool) error {
 	frame := make([]byte, FrameHeaderSize+len(payload))
 	copy(frame[FrameHeaderSize:], payload)
@@ -88,8 +84,6 @@ func (ft *Format) WriteSnapshotFile(base string, payload []byte, fsync bool) err
 // syncs). The two hooks are the stores' crash-injection points: written
 // fires once the tmp file is fully on disk, renamed once the snapshot
 // is live. Either may be nil.
-//
-//blobseer:seglog snapshot-write
 func (ft *Format) PublishSnapshot(base string, payload []byte, fsync bool, written, renamed func() error) error {
 	if err := ft.WriteSnapshotFile(base, payload, fsync); err != nil {
 		return err

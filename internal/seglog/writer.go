@@ -62,8 +62,6 @@ func (w *SegmentWriter) File() *os.File { return w.f }
 // file handle stays open (see File); on any error it is closed and the
 // caller abandons the rewrite — a leftover tmp is removed by the next
 // recovery.
-//
-//blobseer:seglog rewrite-commit
 func (w *SegmentWriter) Commit(path string, written, renamed func() error) error {
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()

@@ -462,39 +462,11 @@ func TestConcurrentStressSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestGlobalLockBaselineSemantics runs a publication cycle under the
-// ablation baseline to keep the GlobalLock knob honest.
-func TestGlobalLockBaselineSemantics(t *testing.T) {
-	m := startManager(t, ManagerConfig{GlobalLock: true, RegistryStripes: 1})
-	id := apply(t, m, &wire.CreateBlobReq{PageSize: 4096}).(*wire.CreateBlobResp).Blob
-	a := apply(t, m, &wire.AssignReq{Blob: id, Size: 100, Append: true}).(*wire.AssignResp)
-	// SYNC must park without wedging the global lock.
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.Apply(context.Background(), &wire.SyncReq{Blob: id, Version: a.Version})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	apply(t, m, &wire.CompleteReq{Blob: id, Version: a.Version})
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("SYNC under global lock: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("SYNC wedged under global lock")
-	}
-	rec := apply(t, m, &wire.RecentReq{Blob: id}).(*wire.RecentResp)
-	if rec.Version != 1 || rec.Size != 100 {
-		t.Fatalf("recent = %+v", rec)
-	}
-}
-
 // TestBranchAcrossShardsUnderLoad branches while the parent is being
 // written concurrently: the lineage size resolution takes a second shard
 // lock (child -> ancestor), which must never deadlock.
 func TestBranchAcrossShardsUnderLoad(t *testing.T) {
-	m := startManager(t, ManagerConfig{RegistryStripes: 2})
+	m := startManager(t, ManagerConfig{})
 	ctx := context.Background()
 	id := apply(t, m, &wire.CreateBlobReq{PageSize: 4096}).(*wire.CreateBlobResp).Blob
 	a := apply(t, m, &wire.AssignReq{Blob: id, Size: 100, Append: true}).(*wire.AssignResp)

@@ -35,12 +35,8 @@ type ManagerConfig struct {
 	// the paper's prototype kept version state in memory.)
 	WALPath string
 	// WALSync forces an fsync before any event takes effect. Concurrent
-	// handlers share fsyncs through group commit unless WALSerial is set.
+	// handlers share fsyncs through group commit.
 	WALSync bool
-	// WALSerial disables WAL group commit: every append performs its own
-	// write+fsync with the log locked, the pre-sharding behavior. Kept as
-	// an ablation baseline.
-	WALSerial bool
 	// WALSegmentBytes rolls the write-ahead log into a fresh segment file
 	// once the active one exceeds this many bytes (default 64 MB).
 	// Compaction deletes only whole segments covered by a checkpoint, so
@@ -58,16 +54,6 @@ type ManagerConfig struct {
 	// versions stay readable (default 1 — the newest readable snapshot
 	// can never expire regardless).
 	RetainVersions int
-	// RegistryStripes is the number of RW-locked stripes sharding the
-	// blob-id registry (default 16). Only blob lookup, create, and branch
-	// touch the registry; all per-blob work runs under that blob's own
-	// mutex.
-	RegistryStripes int
-	// GlobalLock serializes every handler behind one manager-wide mutex,
-	// recreating the pre-sharding design. Kept as an ablation baseline:
-	// the vm ablation in internal/bench measures the sharded registry
-	// against it.
-	GlobalLock bool
 }
 
 // Manager is the running version manager service.
@@ -87,10 +73,6 @@ type Manager struct {
 	mux   *rpc.Mux
 	log   *wal // nil when not durable
 
-	// global is taken by every handler iff cfg.GlobalLock (ablation
-	// baseline); otherwise it is never touched.
-	global sync.Mutex
-
 	// stateMu makes checkpoints a consistent cut: every mutating handler
 	// holds it shared from before its event is enqueued until after the
 	// state change applies (the durability await happens after release),
@@ -100,7 +82,7 @@ type Manager struct {
 	// stateMu, then shard mutexes, then wal internals.
 	stateMu sync.RWMutex
 
-	stripes  []registryStripe
+	stripes  [registryStripes]registryStripe
 	nextBlob atomic.Uint64 // last allocated blob id
 
 	// Checkpoint machinery (see checkpoint.go). ckptMu serializes
@@ -125,6 +107,11 @@ type Manager struct {
 	closed    atomic.Bool
 	closeOnce sync.Once
 }
+
+// registryStripes shards the blob-id registry. Only blob lookup, create
+// and branch touch the registry; all per-blob work runs under that
+// blob's own mutex.
+const registryStripes = 16
 
 // registryStripe is one slice of the id-to-shard map.
 type registryStripe struct {
@@ -164,21 +151,13 @@ func ServeManagerDurable(ln transport.Listener, cfg ManagerConfig) (*Manager, er
 	if cfg.SweepEvery <= 0 {
 		cfg.SweepEvery = cfg.DeadWriterTimeout / 4
 	}
-	if cfg.RegistryStripes <= 0 {
-		cfg.RegistryStripes = 16
-	}
-	m := &Manager{
-		cfg:     cfg,
-		sched:   cfg.Sched,
-		stripes: make([]registryStripe, cfg.RegistryStripes),
-	}
+	m := &Manager{cfg: cfg, sched: cfg.Sched}
 	for i := range m.stripes {
 		m.stripes[i].blobs = make(map[wire.BlobID]*blobShard)
 	}
 	if cfg.WALPath != "" {
 		log, rec, err := openWAL(cfg.WALPath, walOptions{
 			fsync:    cfg.WALSync,
-			serial:   cfg.WALSerial,
 			segBytes: cfg.WALSegmentBytes,
 		})
 		if err != nil {
@@ -301,18 +280,8 @@ func (m *Manager) Close() {
 	})
 }
 
-// enter takes the manager-wide mutex in the GlobalLock ablation baseline;
-// the returned func releases whatever was taken.
-func (m *Manager) enter() func() {
-	if !m.cfg.GlobalLock {
-		return func() {}
-	}
-	m.global.Lock()
-	return m.global.Unlock
-}
-
 func (m *Manager) stripe(id wire.BlobID) *registryStripe {
-	return &m.stripes[uint64(id)%uint64(len(m.stripes))]
+	return &m.stripes[uint64(id)%registryStripes]
 }
 
 // shard looks the blob up in the registry. The stripe lock is released
@@ -468,7 +437,6 @@ func (m *Manager) sweepLoop(ctx context.Context) {
 		if m.closed.Load() || ctx.Err() != nil {
 			return
 		}
-		unlock := m.enter()
 		release := m.mutate() // sweeper aborts are state changes too
 		cutoff := int64(m.sched.Now()) - int64(m.cfg.DeadWriterTimeout)
 		var wake []func()
@@ -508,7 +476,6 @@ func (m *Manager) sweepLoop(ctx context.Context) {
 			sh.mu.Unlock()
 		}
 		release()
-		unlock()
 		for _, a := range awaits {
 			// A durability failure wedges the log fail-stop; the aborts
 			// stay applied in memory and the next mutation reports it.
@@ -546,8 +513,6 @@ func (m *Manager) handleCreate(_ context.Context, msg wire.Msg) (wire.Msg, error
 		return nil, wire.NewError(wire.CodeBadRequest,
 			"page size %d is not a power of two", ps)
 	}
-	unlock := m.enter()
-	defer unlock()
 	if m.closed.Load() {
 		return nil, wire.NewError(wire.CodeUnavailable, "version manager shutting down")
 	}
@@ -575,8 +540,6 @@ func (m *Manager) handleCreate(_ context.Context, msg wire.Msg) (wire.Msg, error
 
 func (m *Manager) handleBlobInfo(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.BlobInfoReq)
-	unlock := m.enter()
-	defer unlock()
 	sh, err := m.shard(req.Blob)
 	if err != nil {
 		return nil, err
@@ -591,8 +554,6 @@ func (m *Manager) handleBlobInfo(_ context.Context, msg wire.Msg) (wire.Msg, err
 
 func (m *Manager) handleAssign(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.AssignReq)
-	unlock := m.enter()
-	defer unlock()
 	sh, err := m.shard(req.Blob)
 	if err != nil {
 		return nil, err
@@ -629,8 +590,6 @@ func (m *Manager) handleAssign(_ context.Context, msg wire.Msg) (wire.Msg, error
 
 func (m *Manager) handleComplete(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.CompleteReq)
-	unlock := m.enter()
-	defer unlock()
 	sh, err := m.shard(req.Blob)
 	if err != nil {
 		return nil, err
@@ -674,8 +633,6 @@ func (m *Manager) handleComplete(_ context.Context, msg wire.Msg) (wire.Msg, err
 
 func (m *Manager) handleAbort(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.AbortReq)
-	unlock := m.enter()
-	defer unlock()
 	sh, err := m.shard(req.Blob)
 	if err != nil {
 		return nil, err
@@ -735,8 +692,6 @@ func readableAfterAbort(b *blobState) []wire.Version {
 
 func (m *Manager) handleRecent(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.RecentReq)
-	unlock := m.enter()
-	defer unlock()
 	sh, err := m.shard(req.Blob)
 	if err != nil {
 		return nil, err
@@ -755,8 +710,6 @@ func (m *Manager) handleRecent(_ context.Context, msg wire.Msg) (wire.Msg, error
 
 func (m *Manager) handleSize(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.SizeReq)
-	unlock := m.enter()
-	defer unlock()
 	sh, err := m.shard(req.Blob)
 	if err != nil {
 		return nil, err
@@ -779,10 +732,8 @@ func (m *Manager) handleSize(_ context.Context, msg wire.Msg) (wire.Msg, error) 
 
 func (m *Manager) handleSync(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.SyncReq)
-	unlock := m.enter()
 	sh, err := m.shard(req.Blob)
 	if err != nil {
-		unlock()
 		return nil, err
 	}
 	sh.mu.Lock()
@@ -790,7 +741,6 @@ func (m *Manager) handleSync(_ context.Context, msg wire.Msg) (wire.Msg, error) 
 	if req.Version <= b.published || b.isAborted(req.Version) {
 		aborted := b.isAborted(req.Version)
 		sh.mu.Unlock()
-		unlock()
 		if aborted {
 			return nil, wire.NewError(wire.CodeAborted, "version %d was aborted", req.Version)
 		}
@@ -798,7 +748,6 @@ func (m *Manager) handleSync(_ context.Context, msg wire.Msg) (wire.Msg, error) 
 	}
 	if req.Version >= b.next {
 		sh.mu.Unlock()
-		unlock()
 		return nil, wire.NewError(wire.CodeNotFound,
 			"version %d of blob %v was never assigned", req.Version, b.id)
 	}
@@ -806,13 +755,11 @@ func (m *Manager) handleSync(_ context.Context, msg wire.Msg) (wire.Msg, error) 
 		// Close drained the watchers (or is about to, after taking this
 		// shard's lock); parking now would leak the waiter.
 		sh.mu.Unlock()
-		unlock()
 		return nil, wire.NewError(wire.CodeUnavailable, "version manager shutting down")
 	}
 	ev := m.sched.NewEvent()
 	sh.watchers[req.Version] = append(sh.watchers[req.Version], ev)
 	sh.mu.Unlock()
-	unlock()
 
 	v, err := ev.Wait(nil)
 	if err != nil {
@@ -826,8 +773,6 @@ func (m *Manager) handleSync(_ context.Context, msg wire.Msg) (wire.Msg, error) 
 
 func (m *Manager) handleBranch(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.BranchReq)
-	unlock := m.enter()
-	defer unlock()
 	sh, err := m.shard(req.Blob)
 	if err != nil {
 		return nil, err
@@ -900,8 +845,6 @@ func (m *Manager) handleBranch(_ context.Context, msg wire.Msg) (wire.Msg, error
 
 func (m *Manager) handleExpire(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.ExpireReq)
-	unlock := m.enter()
-	defer unlock()
 	sh, err := m.shard(req.Blob)
 	if err != nil {
 		return nil, err
@@ -939,8 +882,6 @@ func (m *Manager) handleExpire(_ context.Context, msg wire.Msg) (wire.Msg, error
 
 func (m *Manager) handleGCInfo(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.GCInfoReq)
-	unlock := m.enter()
-	defer unlock()
 	sh, err := m.shard(req.Blob)
 	if err != nil {
 		return nil, err

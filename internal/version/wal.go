@@ -182,7 +182,6 @@ type RecoveryStats struct {
 // walOptions configures openWAL.
 type walOptions struct {
 	fsync    bool  // fsync each commit
-	serial   bool  // disable group commit (ablation baseline)
 	segBytes int64 // roll threshold (0 = defaultSegmentBytes)
 }
 
@@ -196,13 +195,11 @@ type walRecovery struct {
 }
 
 // wal is the open segmented log. Appends are safe for concurrent use
-// and, by default, group-committed through seglog.Committer: the first
-// appender to find no active leader becomes one, takes everything
-// queued with it, writes the whole batch with a single WriteAt and at
-// most one fsync, and wakes the batch (see internal/seglog/commit.go
-// for the one-batch-tenure protocol). The serial flag reverts to one
-// write+fsync per event under the lock — the pre-sharding behavior,
-// kept as an ablation baseline.
+// and group-committed through seglog.Committer: the first appender to
+// find no active leader becomes one, takes everything queued with it,
+// writes the whole batch with a single WriteAt and at most one fsync,
+// and wakes the batch (see internal/seglog/commit.go for the
+// one-batch-tenure protocol).
 //
 // The active-segment fields (f, segIdx, size) are owned by whichever
 // goroutine is the exclusive committer; they change under mu (roll,
@@ -349,7 +346,6 @@ func openWAL(path string, opts walOptions) (*wal, *walRecovery, error) {
 	}
 	w.comm = seglog.Committer[*walAppend]{
 		Mu:        &w.mu,
-		Serial:    opts.serial,
 		Closed:    func() bool { return w.closed },
 		ErrClosed: errWALClosed,
 		Commit:    w.commit,
@@ -438,9 +434,9 @@ func (w *wal) append(e walEvent) error {
 
 // commit appends one batch contiguously to the active segment with a
 // single write and at most one fsync. Only one committer runs at a time
-// (the leader, or a serial appender under the lock), so the
-// active-segment fields need no extra synchronization. On error w.size
-// is not advanced and no state based on the batch may be applied.
+// (the leader), so the active-segment fields need no extra
+// synchronization. On error w.size is not advanced and no state based
+// on the batch may be applied.
 func (w *wal) commit(batch []*walAppend) error {
 	w.appends.Add(uint64(len(batch)))
 	var n int
