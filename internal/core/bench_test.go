@@ -56,38 +56,46 @@ func BenchmarkReadPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkBorderResolution measures the writer-side border descent with
-// concurrent in-flight updates present — the §4.2 hot path.
+// BenchmarkBorderResolution measures the writer-side border descent —
+// plan, resolve against the published tree, finalize: the §4.2 hot path.
+// One case weaves a 32-page update around ten in-flight updates; the
+// other is the small-update shape where the descent is the whole cost,
+// one page of a 16 384-page blob with one border per level.
 func BenchmarkBorderResolution(b *testing.B) {
-	sim := newBlobSimB(b)
-	sim.update(0, 4096)
-	// Ten in-flight updates the writer must weave around.
-	type job struct {
-		u  Update
-		pw []PageWrite
+	for _, tc := range []struct {
+		name               string
+		blobPages          uint64
+		inFlight           int
+		start, updatePages uint64
+	}{
+		{"32pages@4096/inflight=10", 4096, 10, 2048, 32},
+		{"1page@16384", 16384, 0, 5000, 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			sim := newBlobSimB(b)
+			sim.update(0, tc.blobPages)
+			for i := 0; i < tc.inFlight; i++ {
+				sim.assign(uint64(i*128), 64) // assigned, never published
+			}
+			target, targetPw := sim.assign(tc.start, tc.updatePages)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan, err := PlanUpdate(target, targetPw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				resolved, err := ResolvePublished(context.Background(), sim.st,
+					target.Published, target.PublishedSizePages, plan.NeedPublished())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := plan.Finalize(resolved); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	var jobs []job
-	for i := 0; i < 10; i++ {
-		u, pw := sim.assign(uint64(i*128), 64)
-		jobs = append(jobs, job{u, pw})
-	}
-	target, targetPw := sim.assign(2048, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan, err := PlanUpdate(target, targetPw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		resolved, err := ResolvePublished(context.Background(), sim.st,
-			target.Published, target.PublishedSizePages, plan.NeedPublished())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := plan.Finalize(resolved); err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = jobs
 }
 
 // newBlobSimB adapts the test harness for benchmarks.

@@ -50,15 +50,18 @@ type Plan struct {
 	ids    []NodeID
 	nodes  []Node
 
-	// pending maps an unresolved border range to the node field(s) that
-	// need its version filled in.
-	pending map[Range][]slot
+	// pending lists the unresolved borders in the order they were met. A
+	// border range is the child of exactly one planned node, so no range
+	// appears twice.
+	pending []border
 }
 
-// slot addresses one child-version field of one planned node.
-type slot struct {
-	node int  // index into nodes
-	left bool // which child field
+// border is one child-version field of one planned node that awaits the
+// published tree: nodes[node].VL (left) or .VR covers r.
+type border struct {
+	r    Range
+	node int
+	left bool
 }
 
 // PlanUpdate implements the pure part of BUILD_META (Algorithm 4): it
@@ -79,30 +82,35 @@ func PlanUpdate(u Update, pages []PageWrite) (*Plan, error) {
 			u.NewSizePages, u.Pages.End())
 	}
 	rootSpan := RootSpan(u.NewSizePages)
-	p := &Plan{update: u, pending: make(map[Range][]slot)}
 
-	// Leaves for the new pages.
-	levelOffsets := make([]uint64, 0, u.Pages.Count)
-	for i := uint64(0); i < u.Pages.Count; i++ {
-		off := u.Pages.Start + i
-		p.ids = append(p.ids, NodeID{Version: u.Version, Offset: off, Span: 1})
-		p.nodes = append(p.nodes, Node{Leaf: true, Page: pages[i].Page, Providers: pages[i].Providers})
-		levelOffsets = append(levelOffsets, off)
+	// At each level the built nodes are exactly the aligned ranges
+	// intersecting the update: a contiguous row, ending in the one root.
+	// So the node count is known before the first node is built, and only
+	// the row's two outer children can be borders — one per level for the
+	// common narrow update, which is what pending is sized for.
+	first, last := u.Pages.Start, u.Pages.End()-1
+	total, levels := 0, 0
+	for span := uint64(1); span <= rootSpan; span *= 2 {
+		total += int(last/span - first/span + 1)
+		levels++
+	}
+	p := &Plan{
+		update:  u,
+		ids:     make([]NodeID, 0, total),
+		nodes:   make([]Node, 0, total),
+		pending: make([]border, 0, levels),
 	}
 
-	// Inner nodes, one level at a time up to the root. At each level the
-	// built nodes are exactly the aligned ranges intersecting the update.
+	// Leaves for the new pages.
+	for i, pw := range pages {
+		p.ids = append(p.ids, NodeID{Version: u.Version, Offset: first + uint64(i), Span: 1})
+		p.nodes = append(p.nodes, Node{Leaf: true, Page: pw.Page, Providers: pw.Providers})
+	}
+
+	// Inner nodes, one level at a time up to the root.
 	for span := uint64(1); span < rootSpan; span *= 2 {
 		parentSpan := span * 2
-		var parents []uint64
-		for _, off := range levelOffsets {
-			pOff := off - off%parentSpan
-			if len(parents) == 0 || parents[len(parents)-1] != pOff {
-				parents = append(parents, pOff)
-			}
-		}
-		for _, pOff := range parents {
-			id := NodeID{Version: u.Version, Offset: pOff, Span: parentSpan}
+		for pOff := first - first%parentSpan; pOff <= last; pOff += parentSpan {
 			var n Node
 			var err error
 			n.VL, err = p.childVersion(Range{Start: pOff, Count: span}, len(p.nodes), true)
@@ -113,13 +121,9 @@ func PlanUpdate(u Update, pages []PageWrite) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.ids = append(p.ids, id)
+			p.ids = append(p.ids, NodeID{Version: u.Version, Offset: pOff, Span: parentSpan})
 			p.nodes = append(p.nodes, n)
 		}
-		levelOffsets = parents
-	}
-	if len(levelOffsets) != 1 || levelOffsets[0] != 0 {
-		return nil, fmt.Errorf("core: tree did not converge to a root (top level %v)", levelOffsets)
 	}
 	return p, nil
 }
@@ -162,16 +166,16 @@ func (p *Plan) childVersion(c Range, nodeIdx int, left bool) (wire.Version, erro
 		// nodes contains exactly one node: the root of snapshot vp".
 		return u.Published, nil
 	}
-	p.pending[c] = append(p.pending[c], slot{node: nodeIdx, left: left})
+	p.pending = append(p.pending, border{r: c, node: nodeIdx, left: left})
 	return 0, nil // placeholder; Finalize fills it
 }
 
 // NeedPublished lists the border ranges that must be resolved by
 // descending the published tree (see ResolvePublished).
 func (p *Plan) NeedPublished() []Range {
-	out := make([]Range, 0, len(p.pending))
-	for r := range p.pending {
-		out = append(out, r)
+	out := make([]Range, len(p.pending))
+	for i, b := range p.pending {
+		out[i] = b.r
 	}
 	return out
 }
@@ -185,17 +189,15 @@ func (p *Plan) Published() (wire.Version, uint64) {
 // Finalize fills the resolved border versions in and returns the complete
 // node set to store. resolved must cover every range from NeedPublished.
 func (p *Plan) Finalize(resolved map[Range]wire.Version) (ids []NodeID, nodes []Node, err error) {
-	for r, slots := range p.pending {
-		v, ok := resolved[r]
+	for _, b := range p.pending {
+		v, ok := resolved[b.r]
 		if !ok {
-			return nil, nil, fmt.Errorf("core: border %v left unresolved", r)
+			return nil, nil, fmt.Errorf("core: border %v left unresolved", b.r)
 		}
-		for _, s := range slots {
-			if s.left {
-				p.nodes[s.node].VL = v
-			} else {
-				p.nodes[s.node].VR = v
-			}
+		if b.left {
+			p.nodes[b.node].VL = v
+		} else {
+			p.nodes[b.node].VR = v
 		}
 	}
 	return p.ids, p.nodes, nil

@@ -331,6 +331,25 @@ func TestReadPlanErrors(t *testing.T) {
 	}
 }
 
+// TestNodeEncodedLenIsExact: the size PutNodes reserves per node is the
+// size AppendTo writes, for every layout, and appending leaves what was
+// already in the buffer alone.
+func TestNodeEncodedLenIsExact(t *testing.T) {
+	for _, n := range []Node{
+		{VL: 7, VR: wire.NoVersion},
+		{Leaf: true, Page: wire.PageID{1, 2}, Providers: []string{"10.0.0.1:4403"}},
+		{Leaf: true, Page: wire.PageID{3}, Providers: []string{"a:1", "", "a-much-longer-address:40400"}},
+	} {
+		enc := n.Encode()
+		if n.EncodedLen() != len(enc) {
+			t.Fatalf("%+v: EncodedLen %d, encoding is %d bytes", n, n.EncodedLen(), len(enc))
+		}
+		if got := n.AppendTo([]byte("prefix")); string(got) != "prefix"+string(enc) {
+			t.Fatalf("%+v: AppendTo = %x, want the prefix then %x", n, got, enc)
+		}
+	}
+}
+
 func TestPlanUpdateValidation(t *testing.T) {
 	if _, err := PlanUpdate(Update{Version: 1}, nil); err == nil {
 		t.Error("empty update accepted")
@@ -415,6 +434,132 @@ func TestResolvePublishedDirect(t *testing.T) {
 	if _, err := ResolvePublished(ctx, b.st, 3, 9, []Range{{Start: 16, Count: 4}}); err == nil {
 		t.Error("out-of-tree range accepted")
 	}
+}
+
+// TestResolvePublishedMatchesModel holds the border descent against an
+// oracle that never looks at a tree: the version covering an aligned
+// range in snapshot pv is the highest version <= pv whose update range
+// intersects it, or a hole if none does. Random histories of appends
+// and overwrites, resolved against random published versions (trees are
+// immutable, so any of them is fair) with target sets that nest, repeat,
+// sit under holes and include the root range; out-of-tree input must be
+// an error and unaligned input must not panic. The descent is one
+// batched fetch per level, whatever the targets.
+func TestResolvePublishedMatchesModel(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := newBlobSim(t)
+		updates := []Range{{}} // index = version
+		for n := 2 + rng.Intn(30); n > 0; n-- {
+			start, count := ^uint64(0), uint64(1+rng.Intn(9))
+			if b.pendingSize > 0 && rng.Intn(3) > 0 {
+				start = uint64(rng.Int63n(int64(b.pendingSize) + 1))
+			}
+			at := start
+			if at == ^uint64(0) {
+				at = b.pendingSize
+			}
+			b.update(start, count)
+			updates = append(updates, Range{Start: at, Count: count})
+		}
+		oracle := func(pv wire.Version, r Range) wire.Version {
+			for v := pv; v >= 1; v-- {
+				if updates[v].Intersects(r) {
+					return v
+				}
+			}
+			return wire.NoVersion
+		}
+
+		for round := 0; round < 20; round++ {
+			pv := wire.Version(1 + rng.Intn(int(b.published)))
+			size := b.model[pv].size
+			root := RootID(pv, size).Range()
+			aligned := func() Range {
+				span := uint64(1) << rng.Intn(bitsLen(root.Count))
+				return Range{Start: uint64(rng.Int63n(int64(root.Count/span))) * span, Count: span}
+			}
+			var targets []Range
+			for n := 1 + rng.Intn(12); n > 0; n-- {
+				r := aligned()
+				targets = append(targets, r)
+				switch rng.Intn(4) {
+				case 0: // a duplicate
+					targets = append(targets, r)
+				case 1: // a child nested inside it
+					if r.Count > 1 {
+						half := r.Count / 2
+						targets = append(targets, Range{Start: r.Start + half*uint64(rng.Intn(2)), Count: half})
+					}
+				case 2: // its parent
+					if r.Count < root.Count {
+						targets = append(targets, Range{Start: r.Start - r.Start%(2*r.Count), Count: 2 * r.Count})
+					}
+				}
+			}
+			if rng.Intn(3) == 0 {
+				targets = append(targets, root)
+			}
+			rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
+			asked := append([]Range(nil), targets...)
+
+			before := b.st.gets
+			got, err := ResolvePublished(ctx, b.st, pv, size, targets)
+			if err != nil {
+				t.Fatalf("seed %d v%d %v: %v", seed, pv, targets, err)
+			}
+			if depth := bitsLen(root.Count) - 1; b.st.gets-before > depth {
+				t.Fatalf("seed %d v%d: %d fetches for a tree of depth %d", seed, pv, b.st.gets-before, depth)
+			}
+			if !reflect.DeepEqual(targets, asked) {
+				t.Fatalf("seed %d: ResolvePublished reordered its input", seed)
+			}
+			for _, r := range targets {
+				want := oracle(pv, r)
+				if r == root {
+					want = pv
+				}
+				if v, ok := got[r]; !ok || v != want {
+					t.Fatalf("seed %d v%d (size %d): %v resolved to v%d (present %v), model says v%d",
+						seed, pv, size, r, v, ok, want)
+				}
+			}
+
+			// Beside and beyond the tree: an input error, whatever else is asked.
+			for _, out := range []Range{
+				{Start: root.Count, Count: 1},
+				{Start: 0, Count: 2 * root.Count},
+				{Start: root.Count - 1, Count: 2},
+			} {
+				if _, err := ResolvePublished(ctx, b.st, pv, size, append(targets, out)); err == nil {
+					t.Fatalf("seed %d v%d: out-of-tree range %v accepted", seed, pv, out)
+				}
+			}
+			// Unaligned garbage inside the tree: an error or a hole, never a
+			// panic or a wrong version for the well-formed targets beside it.
+			junk := Range{Start: uint64(rng.Int63n(int64(root.Count))), Count: uint64(rng.Intn(4))}
+			if junk.End() <= root.Count {
+				if got, err := ResolvePublished(ctx, b.st, pv, size, append(targets, junk)); err == nil {
+					for _, r := range targets {
+						if want := oracle(pv, r); r != root && got[r] != want {
+							t.Fatalf("seed %d v%d: %v resolved to v%d beside junk %v, model says v%d",
+								seed, pv, r, got[r], junk, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// bitsLen is bits.Len64 for the powers of two the tests deal in.
+func bitsLen(pow2 uint64) int {
+	n := 0
+	for ; pow2 > 0; pow2 >>= 1 {
+		n++
+	}
+	return n
 }
 
 func TestQuickSequentialModelEquivalence(t *testing.T) {

@@ -34,8 +34,13 @@ const (
 )
 
 // Encode serializes the node for storage in the metadata DHT.
-func (n *Node) Encode() []byte {
-	w := wire.NewWriter(32)
+func (n *Node) Encode() []byte { return n.AppendTo(nil) }
+
+// AppendTo appends the node's encoding to buf in place and returns the
+// extended slice, so a writer can lay a whole update's nodes out in one
+// buffer.
+func (n *Node) AppendTo(buf []byte) []byte {
+	w := wire.WriterOn(buf)
 	switch {
 	case n.Leaf && len(n.Providers) == 1:
 		w.Uint8(nodeTagLeaf)
@@ -54,6 +59,22 @@ func (n *Node) Encode() []byte {
 		w.Uint64(n.VR)
 	}
 	return w.Bytes()
+}
+
+// EncodedLen is the exact size of the node's encoding, for sizing the
+// buffer AppendTo appends to.
+func (n *Node) EncodedLen() int {
+	if !n.Leaf {
+		return 1 + 8 + 8
+	}
+	size := 1 + len(n.Page)
+	if len(n.Providers) != 1 {
+		size++ // the replica count
+	}
+	for _, p := range n.Providers {
+		size += 4 + len(p)
+	}
+	return size
 }
 
 // DecodeNode parses a node encoded with Encode.
@@ -96,7 +117,9 @@ func DecodeNode(p []byte) (Node, error) {
 type NodeStore interface {
 	// GetNodes fetches the given nodes. Every id must exist: a missing
 	// node means metadata corruption (or a reference to an aborted
-	// update) and must surface as an error naming the id.
+	// update) and must surface as an error naming the id. ids is the
+	// caller's scratch, reused for the next level of a descent: the
+	// store must not keep it past the call.
 	GetNodes(ctx context.Context, ids []NodeID) ([]Node, error)
 	// PutNodes stores nodes; ids[i] describes nodes[i]. Nodes are
 	// immutable, so re-storing an existing id is a harmless no-op.

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"blobseer/internal/wire"
 )
@@ -32,13 +33,14 @@ func ReadPlan(ctx context.Context, st NodeStore, root NodeID, want Range) ([]Pag
 		return nil, fmt.Errorf("core: read %v outside tree root %v", want, root)
 	}
 	out := make([]PageRead, 0, want.Count)
-	frontier := []NodeID{root}
+	// Two slices alternate as this level's fetch list and the next one's.
+	frontier, next := []NodeID{root}, []NodeID(nil)
 	for len(frontier) > 0 {
 		nodes, err := st.GetNodes(ctx, frontier)
 		if err != nil {
 			return nil, err
 		}
-		var next []NodeID
+		next = next[:0]
 		for i, id := range frontier {
 			n := nodes[i]
 			if id.IsLeaf() {
@@ -51,26 +53,20 @@ func ReadPlan(ctx context.Context, st NodeStore, root NodeID, want Range) ([]Pag
 			if n.Leaf {
 				return nil, fmt.Errorf("core: node %v should be inner", id)
 			}
-			for _, half := range []struct {
-				id NodeID
-				v  wire.Version
-			}{
-				{id.Left(n.VL), n.VL},
-				{id.Right(n.VR), n.VR},
-			} {
-				if !half.id.Range().Intersects(want) {
+			for _, child := range [2]NodeID{id.Left(n.VL), id.Right(n.VR)} {
+				if !child.Range().Intersects(want) {
 					continue
 				}
-				if half.v == wire.NoVersion {
+				if child.Version == wire.NoVersion {
 					return nil, fmt.Errorf("core: read %v crosses hole at %v under %v",
-						want, half.id.Range(), id)
+						want, child.Range(), id)
 				}
-				next = append(next, half.id)
+				next = append(next, child)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	slices.SortFunc(out, func(a, b PageRead) int { return cmp.Compare(a.Index, b.Index) })
 	if uint64(len(out)) != want.Count {
 		return nil, fmt.Errorf("core: read %v resolved %d pages, want %d",
 			want, len(out), want.Count)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"blobseer/internal/wire"
 )
@@ -31,12 +33,11 @@ func ResolvePublished(ctx context.Context, st NodeStore, published wire.Version,
 	}
 	root := RootID(published, publishedSizePages)
 
-	// Targets are grouped by the tree node currently covering them.
-	type group struct {
-		id      NodeID
-		targets []Range
-	}
-	frontier := map[NodeID][]Range{}
+	// The targets still to resolve, sorted by start, wider first. Aligned
+	// ranges nest or are disjoint, so the targets under any tree node are
+	// one contiguous run of this slice, and the ones equal to the node's
+	// own range lead their run.
+	targets := make([]Range, 0, len(ranges))
 	for _, r := range ranges {
 		switch {
 		case r == root.Range():
@@ -44,49 +45,71 @@ func ResolvePublished(ctx context.Context, st NodeStore, published wire.Version,
 		case !root.Range().Contains(r):
 			return nil, fmt.Errorf("core: range %v outside published tree %v", r, root)
 		default:
-			frontier[root] = append(frontier[root], r)
+			targets = append(targets, r)
 		}
 	}
+	if len(targets) == 0 {
+		return out, nil
+	}
+	slices.SortFunc(targets, func(a, b Range) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(b.Count, a.Count))
+	})
 
-	for len(frontier) > 0 {
-		groups := make([]group, 0, len(frontier))
-		ids := make([]NodeID, 0, len(frontier))
-		for id, ts := range frontier {
-			groups = append(groups, group{id: id, targets: ts})
-			ids = append(ids, id)
+	// One level of the descent: each node with the run of targets lying
+	// strictly inside it. Two slices alternate between levels; ids is the
+	// level's fetch list.
+	type run struct {
+		id     NodeID
+		lo, hi int // targets[lo:hi]
+	}
+	level, next := []run{{id: root, lo: 0, hi: len(targets)}}, []run(nil)
+	var ids []NodeID
+	for len(level) > 0 {
+		ids = ids[:0]
+		for _, g := range level {
+			ids = append(ids, g.id)
 		}
 		nodes, err := st.GetNodes(ctx, ids)
 		if err != nil {
 			return nil, err
 		}
-		next := map[NodeID][]Range{}
-		for gi, g := range groups {
+		next = next[:0]
+		for gi, g := range level {
 			n := nodes[gi]
 			if n.Leaf {
 				return nil, fmt.Errorf("core: descended into leaf %v with pending targets", g.id)
 			}
-			for _, tgt := range g.targets {
-				var childVer wire.Version
-				var child NodeID
-				if tgt.End() <= g.id.Offset+g.id.Span/2 {
-					childVer, child = n.VL, g.id.Left(n.VL)
-				} else if tgt.Start >= g.id.Offset+g.id.Span/2 {
-					childVer, child = n.VR, g.id.Right(n.VR)
-				} else {
-					return nil, fmt.Errorf("core: target %v straddles children of %v", tgt, g.id)
+			// Split the run at the midpoint: everything starting before
+			// it must end by it (left child), the rest goes right.
+			mid := g.id.Offset + g.id.Span/2
+			split := g.lo
+			for split < g.hi && targets[split].Start < mid {
+				if targets[split].End() > mid {
+					return nil, fmt.Errorf("core: target %v straddles children of %v", targets[split], g.id)
 				}
-				switch {
-				case childVer == wire.NoVersion:
+				split++
+			}
+			for _, half := range [2]run{
+				{id: g.id.Left(n.VL), lo: g.lo, hi: split},
+				{id: g.id.Right(n.VR), lo: split, hi: g.hi},
+			} {
+				if half.id.Version == wire.NoVersion {
 					// The hole covers everything below it.
-					out[tgt] = wire.NoVersion
-				case child.Range() == tgt:
-					out[tgt] = childVer
-				default:
-					next[child] = append(next[child], tgt)
+					for _, tgt := range targets[half.lo:half.hi] {
+						out[tgt] = wire.NoVersion
+					}
+					continue
+				}
+				for half.lo < half.hi && targets[half.lo] == half.id.Range() {
+					out[targets[half.lo]] = half.id.Version
+					half.lo++
+				}
+				if half.lo < half.hi {
+					next = append(next, half)
 				}
 			}
 		}
-		frontier = next
+		level, next = next, level
 	}
 	return out, nil
 }

@@ -10,10 +10,7 @@
 // replicas never diverge, any copy is authoritative.
 package dht
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // Ring is the static key→node mapping. It is immutable after creation and
 // therefore safe to share between any number of clients.
@@ -47,26 +44,32 @@ func (r *Ring) Size() int { return len(r.addrs) }
 // Addrs returns the node addresses (do not modify).
 func (r *Ring) Addrs() []string { return r.addrs }
 
-// hash uses FNV-1a: cheap, stdlib, and plenty uniform for the static
-// distribution the paper describes.
-func (r *Ring) hash(key []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(key)
-	return h.Sum64()
+// primary returns the ring position that owns key: its FNV-1a hash
+// (cheap, and plenty uniform for the static distribution the paper
+// describes; inlined, hash/fnv's New64a allocates) modulo the ring
+// size. The key's replica set is that position and the next
+// replicas-1 positions, see at.
+func (r *Ring) primary(key []byte) int {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return int(h % uint64(len(r.addrs)))
 }
 
+// at returns the position i steps clockwise of pos.
+func (r *Ring) at(pos, i int) int { return (pos + i) % len(r.addrs) }
+
 // Primary returns the node that owns key.
-func (r *Ring) Primary(key []byte) string {
-	return r.addrs[r.hash(key)%uint64(len(r.addrs))]
-}
+func (r *Ring) Primary(key []byte) string { return r.addrs[r.primary(key)] }
 
 // Nodes returns the replica set for key: the primary followed by the next
 // replicas-1 nodes on the ring.
 func (r *Ring) Nodes(key []byte) []string {
-	start := int(r.hash(key) % uint64(len(r.addrs)))
+	start := r.primary(key)
 	out := make([]string, r.replicas)
-	for i := 0; i < r.replicas; i++ {
-		out[i] = r.addrs[(start+i)%len(r.addrs)]
+	for i := range out {
+		out[i] = r.addrs[r.at(start, i)]
 	}
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +18,11 @@ import (
 // newCluster spins up n metadata nodes plus a client with the given
 // replication factor.
 func newCluster(t *testing.T, n, replicas int) (*Client, []*Node) {
+	return newClusterWith(t, n, replicas, func(h rpc.Handler) rpc.Handler { return h })
+}
+
+// newClusterWith is newCluster with every node's handler wrapped.
+func newClusterWith(t *testing.T, n, replicas int, wrap func(rpc.Handler) rpc.Handler) (*Client, []*Node) {
 	t.Helper()
 	net := transport.NewInproc()
 	sched := vclock.NewReal()
@@ -26,7 +33,8 @@ func newCluster(t *testing.T, n, replicas int) (*Client, []*Node) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = ServeNode(ln, sched)
+		nodes[i] = newNode(nil)
+		nodes[i].srv = rpc.Serve(ln, sched, wrap(nodes[i].mux()))
 		addrs[i] = nodes[i].Addr()
 	}
 	ring, err := NewRing(addrs, replicas)
@@ -342,5 +350,126 @@ func TestQuickRoundTripAnyKeyValue(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRingHashIsFNV1a pins the placement function: the inlined hash is
+// hash/fnv's 64-bit FNV-1a, bit for bit — a durable deployment's keys
+// live where that function put them.
+func TestRingHashIsFNV1a(t *testing.T) {
+	r, err := NewRing([]string{"a", "b", "c", "d", "e", "f", "g"}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		key := []byte(fmt.Sprintf("key-%d-%x", i, i*2654435761))
+		h := fnv.New64a()
+		h.Write(key)
+		want := int(h.Sum64() % uint64(r.Size()))
+		if got := r.primary(key); got != want {
+			t.Fatalf("primary(%q) = %d, hash/fnv says %d", key, got, want)
+		}
+		for j, addr := range r.Nodes(key) {
+			if addr != r.Addrs()[r.at(want, j)] {
+				t.Fatalf("Nodes(%q)[%d] = %s, want ring position %d", key, j, addr, r.at(want, j))
+			}
+		}
+	}
+}
+
+// countingCluster is newCluster with a tally of the requests the nodes
+// were sent, by kind; reading the tally resets it.
+func countingCluster(t *testing.T, n, replicas int) (*Client, []*Node, func() map[wire.Kind]int) {
+	var mu sync.Mutex
+	seen := make(map[wire.Kind]int)
+	c, nodes := newClusterWith(t, n, replicas, func(h rpc.Handler) rpc.Handler {
+		return rpc.HandlerFunc(func(ctx context.Context, m wire.Msg) (wire.Msg, error) {
+			mu.Lock()
+			seen[m.Kind()]++
+			mu.Unlock()
+			return h.Handle(ctx, m)
+		})
+	})
+	return c, nodes, func() map[wire.Kind]int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := seen
+		seen = make(map[wire.Kind]int)
+		return out
+	}
+}
+
+// TestMultiGetRetriesMissesInBatches: with replication, keys a primary
+// does not have are asked of the next replica as one MULTI_GET per
+// node, not one GET per key per replica — a GC re-walk asks for
+// thousands of legitimately absent keys. A pair that survives only on
+// its second replica is still found; a key is absent only if every
+// replica said so.
+func TestMultiGetRetriesMissesInBatches(t *testing.T) {
+	const nodesN, replicas, absent = 4, 2, 200
+	c, nodes, tally := countingCluster(t, nodesN, replicas)
+	ctx := context.Background()
+
+	survivor, value := []byte("kept by the second replica"), []byte("still here")
+	if err := c.Put(ctx, survivor, value); err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range nodes {
+		if nd.Addr() == c.Ring().Primary(survivor) {
+			if removed, err := nd.delete([][]byte{survivor}); err != nil || removed != 1 {
+				t.Fatalf("dropping the primary copy: %d %v", removed, err)
+			}
+		}
+	}
+	keys := [][]byte{survivor}
+	for i := 0; i < absent; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("never-written/%d", i)))
+	}
+	tally()
+
+	values, found, err := c.MultiGet(ctx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !found[0] || !bytes.Equal(values[0], value) {
+		t.Fatalf("pair on its second replica only: found %v value %q", found[0], values[0])
+	}
+	for i := 1; i < len(keys); i++ {
+		if found[i] {
+			t.Fatalf("absent key %s reported found", keys[i])
+		}
+	}
+	seen := tally()
+	if n := seen[wire.KindDHTMultiGetReq]; n > replicas*nodesN || len(seen) != 1 {
+		t.Fatalf("%d absent keys cost %v requests, want at most %d MULTI_GETs and nothing else",
+			absent, seen, replicas*nodesN)
+	}
+
+	// One key, the commonest call: one request per replica asked.
+	if _, found, err := c.MultiGet(ctx, keys[1:2]); err != nil || found[0] {
+		t.Fatalf("single absent key: found %v, %v", found, err)
+	}
+	if seen := tally(); seen[wire.KindDHTMultiGetReq] != replicas || len(seen) != 1 {
+		t.Fatalf("single absent key cost %v requests, want %d MULTI_GETs", seen, replicas)
+	}
+
+	// A replica that cannot answer leaves its absent keys undecided: that
+	// is an error, not an absence — while a pair its other replica holds
+	// is still served.
+	var orphan []byte
+	for i := 0; orphan == nil; i++ {
+		if k := []byte(fmt.Sprintf("primary-down/%d", i)); c.Ring().Primary(k) == nodes[0].Addr() {
+			orphan = k
+		}
+	}
+	if err := c.Put(ctx, orphan, value); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].Close()
+	if _, _, err := c.MultiGet(ctx, keys[1:]); err == nil {
+		t.Fatal("keys reported absent although one of their replicas never answered")
+	}
+	if values, found, err := c.MultiGet(ctx, [][]byte{orphan}); err != nil || !found[0] || !bytes.Equal(values[0], value) {
+		t.Fatalf("stored pair with its primary down: found %v, %v", found, err)
 	}
 }

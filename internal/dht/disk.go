@@ -14,10 +14,19 @@ import (
 // reads its log after the reload; layout, recovery, snapshots and
 // compaction are the KV's (see internal/seglog/kv.go).
 //
-// Durability contract: with Sync on, a record is on disk before the put
-// or delete is acknowledged. With Sync off, acknowledged records in the
-// active segment may be lost by a crash — but never by a clean shutdown
-// and never in a way that prevents reopening, because the layout below
+// Durability contract: a request is acknowledged after it is logged —
+// all the records of one PUT, MULTI_PUT or DELETE in one batch, one
+// write and at most one fsync — and the shard lock is not held across
+// that commit, so the RAM state changes first: a pair is visible before
+// it is logged, a deleted one gone before its tombstone is. Nobody can
+// observe the difference. A tree node is reachable only from a root
+// whose writer was acknowledged, and a writer is acknowledged only
+// after every node under that root is logged; a key is deleted only
+// once no retained root reaches it. A failed commit withdraws what the
+// request had made visible (see Node.putBatch). With Sync on, logged
+// means on disk. With Sync off, acknowledged records in the active
+// segment may be lost by a crash — but never by a clean shutdown and
+// never in a way that prevents reopening, because the layout below
 // seals segments with an fsync.
 
 // metaLayout is the metadata log's instantiation of the KV: its file
@@ -39,8 +48,9 @@ var metaLayout = &seglog.KVLayout{
 // compaction. Appends always group-commit.
 type LogOptions struct {
 	// Sync forces records to disk before a put or delete is
-	// acknowledged. Slower, but a crash loses at most in-flight pairs
-	// instead of the OS write-back window.
+	// acknowledged: one fsync per request, shared with whatever else
+	// commits alongside. Slower, but a crash loses at most in-flight
+	// pairs instead of the OS write-back window.
 	Sync bool
 	// SegmentBytes rolls the log into a fresh segment file once the
 	// active one exceeds this many bytes (default 64 MB). Compaction

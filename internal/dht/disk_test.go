@@ -34,7 +34,7 @@ func TestMetaLayoutPinned(t *testing.T) {
 
 // durableNodeRig serves one durable node and can restart it on its log.
 type durableNodeRig struct {
-	t     *testing.T
+	t     testing.TB
 	path  string
 	opts  LogOptions
 	net   *transport.Inproc
@@ -45,11 +45,11 @@ type durableNodeRig struct {
 	addr  string
 }
 
-func newDurableNodeRig(t *testing.T) *durableNodeRig {
+func newDurableNodeRig(t testing.TB) *durableNodeRig {
 	return newDurableNodeRigOpts(t, LogOptions{})
 }
 
-func newDurableNodeRigOpts(t *testing.T, opts LogOptions) *durableNodeRig {
+func newDurableNodeRigOpts(t testing.TB, opts LogOptions) *durableNodeRig {
 	t.Helper()
 	r := &durableNodeRig{
 		t:     t,

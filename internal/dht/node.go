@@ -24,6 +24,12 @@ type Node struct {
 	shards [kvShards]kvShard
 }
 
+// kvShard is one lock's worth of the RAM state. A handler holds at most
+// one shard lock at a time and never across a wait on the log; the
+// log's own locks (its writer mutex and index stripes, taken by
+// EnqueuePut, EnqueueDelete and Has) nest inside it.
+//
+//blobseer:lockorder kvShard.mu
 type kvShard struct {
 	mu    sync.RWMutex
 	m     map[string][]byte
@@ -64,42 +70,131 @@ func (n *Node) shard(key []byte) *kvShard {
 	return &n.shards[h%kvShards]
 }
 
-// put stores a pair. Values are immutable: a re-put of the stored value
-// is an idempotent no-op, but a re-put with a *different* value is
-// rejected — node keys embed version+range, so two writers can only
-// ever produce identical bytes for the same key, and divergence signals
-// corruption (or a buggy client) that silently keeping the first value
-// would hide. On durable nodes the pair is logged before it becomes
-// visible.
-func (n *Node) put(key, value []byte) error {
-	s := n.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, dup := s.m[string(key)]; dup {
-		if !bytes.Equal(old, value) {
-			return wire.NewError(wire.CodeBadRequest,
-				"divergent re-put of key %x: stored %d bytes, got %d", key, len(old), len(value))
-		}
-		return nil
+// putBatch stores the pairs of one DHT_PUT or DHT_MULTI_PUT request as
+// one unit. Values are immutable: a re-put of the stored value is an
+// idempotent no-op, but a re-put with a *different* value is rejected —
+// node keys embed version+range, so two writers can only ever produce
+// identical bytes for the same key, and divergence signals corruption
+// (or a buggy client) that silently keeping the first value would hide.
+//
+// Per key the shard lock covers only the dup/divergence check, the
+// insert of an exact-size copy (keys and values alias the request
+// frame, and a sub-slice would pin it) and, on a durable node, the
+// enqueue of the log record. The lock is not held across the commit:
+// every record is awaited once after the loop, so a request is one
+// write and at most one fsync, readers of the shard are not parked
+// behind it, and the request is acknowledged only after it is logged.
+// A pair is therefore visible before it is durable. Nobody can tell:
+// a tree node is reachable only from a root whose writer was
+// acknowledged, which is after this returns; and because the insert is
+// under the same lock as the check, the immutability rule also holds
+// against a put that is enqueued but not yet committed and against a
+// key repeated inside one request.
+//
+// A request that finds its key stored but not yet logged — a concurrent
+// request's put of the same bytes, still in flight — logs the pair
+// again instead of trusting the other's commit, so its own
+// acknowledgement too comes after the log; the log's first-record-wins
+// apply absorbs the duplicate. If a commit fails, the pairs this
+// request made visible and the log does not hold are withdrawn. (A
+// divergence error does not withdraw the earlier pairs of its request:
+// they are logged, and what is logged stays visible.) Deleting a key
+// whose put is in flight is outside the contract — keys are collected
+// only once unreachable, and a key being put belongs to an unpublished
+// version.
+func (n *Node) putBatch(keys, values [][]byte) error {
+	if len(keys) != len(values) {
+		return wire.NewError(wire.CodeBadRequest,
+			"key/value count mismatch: %d vs %d", len(keys), len(values))
 	}
-	k := string(key)
+	for i := range keys {
+		if len(keys[i]) == 0 {
+			return wire.NewError(wire.CodeBadRequest, "empty key at index %d", i)
+		}
+	}
+	var waits []func() error
 	if n.log != nil {
-		if err := n.log.Put(k, value); err != nil {
-			return wire.NewError(wire.CodeUnavailable, "metadata log: %v", err)
+		waits = make([]func() error, 0, len(keys))
+	}
+	// done counts the keys handled; raced is set when one of them was
+	// logged although already visible (see above).
+	done, raced := 0, false
+	var firstErr error
+	for i, key := range keys {
+		s := n.shard(key)
+		s.mu.Lock()
+		old, dup := s.m[string(key)]
+		if dup && !bytes.Equal(old, values[i]) {
+			s.mu.Unlock()
+			firstErr = wire.NewError(wire.CodeBadRequest,
+				"divergent re-put of key %x: stored %d bytes, got %d", key, len(old), len(values[i]))
+			break
+		}
+		if dup && (n.log == nil || n.log.Has(string(key))) {
+			s.mu.Unlock()
+			done++
+			continue
+		}
+		k := string(key)
+		if n.log != nil {
+			wait, err := n.log.EnqueuePut(k, values[i])
+			if err != nil {
+				s.mu.Unlock()
+				firstErr = wire.NewError(wire.CodeUnavailable, "metadata log: %v", err)
+				break
+			}
+			waits = append(waits, wait)
+			raced = raced || dup
+		}
+		if !dup {
+			s.m[k] = append([]byte(nil), values[i]...)
+			s.bytes += uint64(len(values[i]))
+		}
+		s.mu.Unlock()
+		done++
+	}
+	// Every enqueued record must be awaited even when a later key failed:
+	// the first one may have designated this handler as the batch leader,
+	// and an unawaited leader stalls the whole queue.
+	var commitErr error
+	for _, wait := range waits {
+		if err := wait(); err != nil && commitErr == nil {
+			commitErr = err
 		}
 	}
-	s.m[k] = append([]byte(nil), value...)
-	s.bytes += uint64(len(value))
-	return nil
+	if commitErr != nil {
+		firstErr = wire.NewError(wire.CodeUnavailable, "metadata log: %v", commitErr)
+	}
+	if commitErr != nil || raced {
+		// Settle what is visible against what the log holds, for the keys
+		// this request handled (and so logged, unless the log had them):
+		// withdraw the pairs of a failed commit, and restore a pair this
+		// request logged after the request it raced failed and withdrew it.
+		for i, key := range keys[:done] {
+			s := n.shard(key)
+			s.mu.Lock()
+			old, visible := s.m[string(key)]
+			switch logged := n.log.Has(string(key)); {
+			case visible && !logged:
+				delete(s.m, string(key))
+				s.bytes -= uint64(len(old))
+			case logged && !visible:
+				s.m[string(key)] = append([]byte(nil), values[i]...)
+				s.bytes += uint64(len(values[i]))
+			}
+			s.mu.Unlock()
+		}
+	}
+	return firstErr
 }
 
-// delete removes a batch of pairs, returning how many existed here. On
-// durable nodes each delete is enqueued to the log under the shard lock
-// and the whole batch is awaited at once after the loop, so its records
-// share write+fsync via group commit — GC sweeps delete thousands of
-// keys per request, and one fsync per key would serialize the sweep on
-// the disk. A crash before the batch commits may resurrect some pairs
-// of an unacknowledged batch; deletes are idempotent, so the
+// delete removes a batch of pairs, returning how many existed here. Like
+// putBatch, on durable nodes each tombstone is enqueued to the log under
+// the shard lock and the whole batch is awaited at once after the loop,
+// so its records share write+fsync via group commit — GC sweeps delete
+// thousands of keys per request, and one fsync per key would serialize
+// the sweep on the disk. A crash before the batch commits may resurrect
+// some pairs of an unacknowledged batch; deletes are idempotent, so the
 // collector's re-run removes them again. Unknown keys are no-ops.
 func (n *Node) delete(keys [][]byte) (uint64, error) {
 	var deleted uint64
@@ -198,10 +293,7 @@ func (n *Node) mux() *rpc.Mux {
 	})
 	m.Register(wire.KindDHTPutReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTPutReq)
-		if len(req.Key) == 0 {
-			return nil, wire.NewError(wire.CodeBadRequest, "empty key")
-		}
-		if err := n.put(req.Key, req.Value); err != nil {
+		if err := n.putBatch([][]byte{req.Key}, [][]byte{req.Value}); err != nil {
 			return nil, err
 		}
 		return &wire.DHTPutResp{}, nil
@@ -213,17 +305,8 @@ func (n *Node) mux() *rpc.Mux {
 	})
 	m.Register(wire.KindDHTMultiPutReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTMultiPutReq)
-		if len(req.Keys) != len(req.Values) {
-			return nil, wire.NewError(wire.CodeBadRequest,
-				"key/value count mismatch: %d vs %d", len(req.Keys), len(req.Values))
-		}
-		for i := range req.Keys {
-			if len(req.Keys[i]) == 0 {
-				return nil, wire.NewError(wire.CodeBadRequest, "empty key at index %d", i)
-			}
-			if err := n.put(req.Keys[i], req.Values[i]); err != nil {
-				return nil, err
-			}
+		if err := n.putBatch(req.Keys, req.Values); err != nil {
+			return nil, err
 		}
 		return &wire.DHTMultiPutResp{}, nil
 	})

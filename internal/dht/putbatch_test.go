@@ -1,0 +1,294 @@
+package dht
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+
+	"blobseer/internal/wire"
+)
+
+// pairs builds n distinct keys with distinct 64-byte values.
+func pairs(prefix string, n int) (keys, values [][]byte) {
+	for i := 0; i < n; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("%s/%d", prefix, i)))
+		values = append(values, bytes.Repeat([]byte{byte(i + 1)}, 64))
+	}
+	return keys, values
+}
+
+// wantStored checks that every pair reads back through the client.
+func wantStored(t *testing.T, c *Client, keys, values [][]byte) {
+	t.Helper()
+	got, found, err := c.MultiGet(context.Background(), keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		if !found[i] || !bytes.Equal(got[i], values[i]) {
+			t.Fatalf("key %s: found %v, value %x, want %x", keys[i], found[i], got[i], values[i])
+		}
+	}
+}
+
+// TestDurableNodeMultiPutSharesOneCommit is the put-side twin of
+// TestDurableNodeBatchDeleteSharesOneCommit: one MULTI_PUT request's
+// records are enqueued under the shard locks and awaited together, so a
+// whole update's tree nodes cost one write+fsync, not one per node.
+func TestDurableNodeMultiPutSharesOneCommit(t *testing.T) {
+	r := newDurableNodeRigOpts(t, LogOptions{Sync: true})
+	keys, values := pairs("node", 8)
+	before := r.node.log.Stats()
+	if err := r.client().MultiPut(context.Background(), keys, values); err != nil {
+		t.Fatal(err)
+	}
+	after := r.node.log.Stats()
+	if commits, records := after.Syncs-before.Syncs, after.Appends-before.Appends; commits != 1 || records != 8 {
+		t.Fatalf("put batch took %d commits for %d records, want 1 for 8", commits, records)
+	}
+	// What the node keeps is its own: the request's frame is long gone
+	// (and poisoned) by now.
+	wantStored(t, r.client(), keys, values)
+	r.restart()
+	wantStored(t, r.client(), keys, values)
+}
+
+// sameShard returns n distinct keys that all fall into one shard.
+func sameShard(nd *Node, n int) [][]byte {
+	var keys [][]byte
+	var shard *kvShard
+	for i := 0; len(keys) < n; i++ {
+		k := []byte(fmt.Sprintf("shard-mate/%d", i))
+		if shard == nil {
+			shard = nd.shard(k)
+		}
+		if nd.shard(k) == shard {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestDurableNodeGetOverlapsParkedPutCommit pins that the shard lock is
+// not held across the commit: while a put's batch sits in its write, a
+// GET on the same shard — of an older pair and of the very pair being
+// put — returns. Every step synchronizes on channels; a regression
+// deadlocks and the test times out.
+func TestDurableNodeGetOverlapsParkedPutCommit(t *testing.T) {
+	r := newDurableNodeRigOpts(t, LogOptions{Sync: true})
+	ctx := context.Background()
+	c := r.client()
+	keys := sameShard(r.node, 2)
+	if err := c.Put(ctx, keys[0], []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := r.node.log.GateNextCommit()
+	put := make(chan error, 1)
+	go func() { put <- c.MultiPut(ctx, keys[1:], [][]byte{[]byte("new")}) }()
+	<-entered
+
+	if v, ok, err := c.Get(ctx, keys[0]); err != nil || !ok || string(v) != "old" {
+		t.Fatalf("GET of a stored pair while its shard's put is mid-commit = %q %v %v", v, ok, err)
+	}
+	// The pair being put is already visible (nothing can name it before
+	// its writer is acknowledged, so nobody but a test looks) but not
+	// yet logged, and its writer is still waiting.
+	if v, ok, err := c.Get(ctx, keys[1]); err != nil || !ok || string(v) != "new" {
+		t.Fatalf("GET of the pair mid-commit = %q %v %v", v, ok, err)
+	}
+	if r.node.log.Has(string(keys[1])) {
+		t.Fatal("pair logged while its commit is parked")
+	}
+	select {
+	case err := <-put:
+		t.Fatalf("put acknowledged before its commit finished: %v", err)
+	default:
+	}
+	close(release)
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	r.restart()
+	wantStored(t, r.client(), keys, [][]byte{[]byte("old"), []byte("new")})
+}
+
+// TestDurableNodeFailedCommitLeavesNothingVisible: a commit error fails
+// the request and withdraws every pair it had made visible; the node is
+// not wedged, and the same request goes through afterwards.
+func TestDurableNodeFailedCommitLeavesNothingVisible(t *testing.T) {
+	r := newDurableNodeRigOpts(t, LogOptions{})
+	ctx := context.Background()
+	c := r.client()
+	keys, values := pairs("doomed", 6)
+	keys0, bytes0 := r.node.Stats()
+
+	entered, release := r.node.log.GateNextCommit()
+	put := make(chan error, 1)
+	go func() { put <- c.MultiPut(ctx, keys, values) }()
+	<-entered
+	release <- errors.New("disk on fire")
+	if err := <-put; wire.CodeOf(err) != wire.CodeUnavailable {
+		t.Fatalf("put over a failed commit = %v, want CodeUnavailable", err)
+	}
+	_, found, err := c.MultiGet(ctx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ok := range found {
+		if ok {
+			t.Fatalf("key %s readable after its commit failed", keys[i])
+		}
+	}
+	if k, b := r.node.Stats(); k != keys0 || b != bytes0 {
+		t.Fatalf("stats after a failed put: %d keys %d bytes, want %d %d", k, b, keys0, bytes0)
+	}
+
+	if err := c.MultiPut(ctx, keys, values); err != nil {
+		t.Fatalf("put after a failed commit: %v", err)
+	}
+	r.restart()
+	wantStored(t, r.client(), keys, values)
+}
+
+// TestReputAgainstInFlightPut pins the immutability rule against a put
+// that is enqueued but not yet committed: a divergent re-put is rejected
+// at once, an identical one is a success — but acknowledged only after
+// the log holds the pair, which it makes sure of by logging it again
+// (the log's first-record-wins apply absorbs the duplicate).
+func TestReputAgainstInFlightPut(t *testing.T) {
+	r := newDurableNodeRigOpts(t, LogOptions{})
+	ctx := context.Background()
+	c := r.client()
+	key, value := []byte("contested"), []byte("the one value")
+	before := r.node.log.Stats()
+
+	entered, release := r.node.log.GateNextCommit()
+	first := make(chan error, 1)
+	go func() { first <- c.Put(ctx, key, value) }()
+	<-entered
+
+	if err := c.Put(ctx, key, []byte("another value")); wire.CodeOf(err) != wire.CodeBadRequest {
+		t.Fatalf("divergent re-put of an in-flight pair = %v, want CodeBadRequest", err)
+	}
+	same := make(chan error, 1)
+	go func() { same <- c.MultiPut(ctx, [][]byte{key}, [][]byte{value}) }()
+	select {
+	case err := <-same:
+		t.Fatalf("identical re-put acknowledged before the pair was logged: %v", err)
+	case err := <-first:
+		t.Fatalf("gated put returned early: %v", err)
+	default:
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-same; err != nil {
+		t.Fatalf("identical re-put of an in-flight pair: %v", err)
+	}
+	after := r.node.log.Stats()
+	if k, recs := after.Keys-before.Keys, after.Appends-before.Appends; k != 1 || recs < 1 || recs > 2 {
+		t.Fatalf("%d keys from %d records, want 1 key from 1 or 2", k, recs)
+	}
+	r.restart()
+	wantStored(t, r.client(), [][]byte{key}, [][]byte{value})
+}
+
+// TestConcurrentReputsOneWinner races identical and divergent puts of
+// one fresh key, on an in-memory and on a durable node: whichever value
+// lands first is the value, every put of it succeeds, every put of the
+// other is rejected — during the race, after it, and across a restart —
+// and the log holds one key. Run under -race.
+func TestConcurrentReputsOneWinner(t *testing.T) {
+	ctx := context.Background()
+	durable := newDurableNodeRigOpts(t, LogOptions{})
+	mem, _ := newCluster(t, 1, 1)
+	for name, c := range map[string]*Client{"memory": mem, "durable": durable.client()} {
+		for round := 0; round < 20; round++ {
+			key := []byte(fmt.Sprintf("race/%d", round))
+			vals := [2][]byte{[]byte("value A"), []byte("value B, longer")}
+			var wg sync.WaitGroup
+			var errs [16]error
+			for g := range errs {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					if g%4 < 2 {
+						errs[g] = c.Put(ctx, key, vals[g%2])
+					} else {
+						errs[g] = c.MultiPut(ctx, [][]byte{[]byte("bystander"), key}, [][]byte{[]byte("x"), vals[g%2]})
+					}
+				}(g)
+			}
+			wg.Wait()
+			got, ok, err := c.Get(ctx, key)
+			if err != nil || !ok {
+				t.Fatalf("%s round %d: Get = %v %v", name, round, ok, err)
+			}
+			for g, err := range errs {
+				switch won := bytes.Equal(got, vals[g%2]); {
+				case won && err != nil:
+					t.Fatalf("%s round %d: put of the stored value failed: %v", name, round, err)
+				case !won && wire.CodeOf(err) != wire.CodeBadRequest:
+					t.Fatalf("%s round %d: put of the other value = %v, want CodeBadRequest", name, round, err)
+				}
+			}
+		}
+	}
+	if st := durable.node.log.Stats(); st.Keys != 21 {
+		t.Fatalf("log holds %d keys, want 20 contested + 1 bystander", st.Keys)
+	}
+	before, _ := durable.node.Stats()
+	durable.restart()
+	if after, _ := durable.node.Stats(); after != before {
+		t.Fatalf("%d keys before the restart, %d after", before, after)
+	}
+}
+
+// TestKeyRepeatedInsideOneRequest: the second occurrence meets the first
+// one's not-yet-committed pair under the same rule as any other re-put.
+func TestKeyRepeatedInsideOneRequest(t *testing.T) {
+	ctx := context.Background()
+	durable := newDurableNodeRigOpts(t, LogOptions{Sync: true})
+	mem, _ := newCluster(t, 1, 1)
+	for name, c := range map[string]*Client{"memory": mem, "durable": durable.client()} {
+		k, v := []byte("twice"), []byte("same bytes")
+		if err := c.MultiPut(ctx, [][]byte{k, k}, [][]byte{v, v}); err != nil {
+			t.Fatalf("%s: identical repeat: %v", name, err)
+		}
+		wantStored(t, c, [][]byte{k}, [][]byte{v})
+
+		k2 := []byte("twice, differently")
+		err := c.MultiPut(ctx, [][]byte{k2, k2}, [][]byte{v, []byte("other bytes")})
+		if wire.CodeOf(err) != wire.CodeBadRequest {
+			t.Fatalf("%s: divergent repeat = %v, want CodeBadRequest", name, err)
+		}
+		// The first occurrence was logged before the second was refused,
+		// and what is logged stays visible.
+		wantStored(t, c, [][]byte{k2}, [][]byte{v})
+	}
+	if st := durable.node.log.Stats(); st.Keys != 2 || st.Syncs > 2 {
+		t.Fatalf("durable log: %d keys in %d commits, want 2 keys in at most 2", st.Keys, st.Syncs)
+	}
+	durable.restart()
+	if k, _ := durable.node.Stats(); k != 2 {
+		t.Fatalf("%d keys after the restart, want 2", k)
+	}
+}
+
+// TestMultiPutValidatesBeforeStoring: a malformed request stores nothing,
+// wherever in it the defect sits.
+func TestMultiPutValidatesBeforeStoring(t *testing.T) {
+	c, nodes := newCluster(t, 1, 1)
+	err := c.MultiPut(context.Background(),
+		[][]byte{[]byte("fine"), nil}, [][]byte{[]byte("v"), []byte("w")})
+	if wire.CodeOf(err) != wire.CodeBadRequest {
+		t.Fatalf("empty key inside a batch = %v, want CodeBadRequest", err)
+	}
+	if k, _ := nodes[0].Stats(); k != 0 {
+		t.Fatalf("%d pairs stored by a rejected request", k)
+	}
+}

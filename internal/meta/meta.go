@@ -21,12 +21,21 @@ import (
 	"blobseer/internal/wire"
 )
 
-// keyPrefix distinguishes tree-node keys from any other DHT use.
+// nodeKeyPrefix distinguishes tree-node keys from any other DHT use.
 const nodeKeyPrefix = 'n'
+
+// nodeKeyLen is the size of every node key: the prefix and four uint64s.
+const nodeKeyLen = 1 + 8 + 8 + 8 + 8
 
 // NodeKey builds the DHT key for a node owned by the given blob.
 func NodeKey(owner wire.BlobID, id core.NodeID) []byte {
-	w := wire.NewWriter(1 + 8 + 8 + 8 + 8)
+	return AppendNodeKey(make([]byte, 0, nodeKeyLen), owner, id)
+}
+
+// AppendNodeKey appends the node's DHT key to buf in place and returns
+// the extended slice, so one buffer can hold the keys of a whole batch.
+func AppendNodeKey(buf []byte, owner wire.BlobID, id core.NodeID) []byte {
+	w := wire.WriterOn(buf)
 	w.Uint8(nodeKeyPrefix)
 	w.Uint64(uint64(owner))
 	w.Uint64(id.Version)
@@ -51,9 +60,18 @@ func NewStore(d *dht.Client, lineage wire.Lineage, cache *Cache) *Store {
 	return &Store{dht: d, lineage: lineage, cache: cache}
 }
 
-// key resolves the owning namespace of a node through the lineage.
-func (s *Store) key(id core.NodeID) []byte {
-	return NodeKey(s.lineage.Owner(id.Version), id)
+// cacheKey resolves the owning namespace of a node through the lineage.
+func (s *Store) cacheKey(id core.NodeID) cacheKey {
+	return cacheKey{Owner: s.lineage.Owner(id.Version), ID: id}
+}
+
+// appendKey spells out ck's DHT key at the end of slab and returns it
+// as a slice of its own (capped, so a later append to the slab cannot
+// run into it).
+func appendKey(slab []byte, ck cacheKey) (key, grown []byte) {
+	at := len(slab)
+	slab = AppendNodeKey(slab, ck.Owner, ck.ID)
+	return slab[at:len(slab):len(slab)], slab
 }
 
 // GetNodes implements core.NodeStore.
@@ -79,18 +97,26 @@ func (s *Store) GetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node, e
 func (s *Store) TryGetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node, []bool, error) {
 	out := make([]core.Node, len(ids))
 	ok := make([]bool, len(ids))
-	keys := make([][]byte, 0, len(ids))
-	missIdx := make([]int, 0, len(ids))
+	// DHT keys are spelled out only for the misses, in one slab sized at
+	// the first of them. ok[i] is false for exactly the misses until the
+	// answers are filled in, in the same order.
+	var slab []byte
+	var keys [][]byte
 	for i, id := range ids {
-		k := s.key(id)
+		ck := s.cacheKey(id)
 		if s.cache != nil {
-			if n, hit := s.cache.get(k); hit {
+			if n, hit := s.cache.get(ck); hit {
 				out[i], ok[i] = n, true
 				continue
 			}
 		}
-		keys = append(keys, k)
-		missIdx = append(missIdx, i)
+		if keys == nil {
+			slab = make([]byte, 0, (len(ids)-i)*nodeKeyLen)
+			keys = make([][]byte, 0, len(ids)-i)
+		}
+		var key []byte
+		key, slab = appendKey(slab, ck)
+		keys = append(keys, key)
 	}
 	if len(keys) == 0 {
 		return out, ok, nil
@@ -99,18 +125,22 @@ func (s *Store) TryGetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node
 	if err != nil {
 		return nil, nil, fmt.Errorf("meta: fetching %d nodes: %w", len(keys), err)
 	}
-	for j, i := range missIdx {
-		if !found[j] {
+	j := 0
+	for i := range ids {
+		if ok[i] {
 			continue
 		}
-		n, err := core.DecodeNode(values[j])
-		if err != nil {
-			return nil, nil, fmt.Errorf("meta: node %v: %w", ids[i], err)
+		if found[j] {
+			n, err := core.DecodeNode(values[j])
+			if err != nil {
+				return nil, nil, fmt.Errorf("meta: node %v: %w", ids[i], err)
+			}
+			out[i], ok[i] = n, true
+			if s.cache != nil {
+				s.cache.put(s.cacheKey(ids[i]), n)
+			}
 		}
-		out[i], ok[i] = n, true
-		if s.cache != nil {
-			s.cache.put(keys[j], n)
-		}
+		j++
 	}
 	return out, ok, nil
 }
@@ -122,18 +152,26 @@ func (s *Store) PutNodes(ctx context.Context, ids []core.NodeID, nodes []core.No
 	if len(ids) != len(nodes) {
 		return fmt.Errorf("meta: %d ids but %d nodes", len(ids), len(nodes))
 	}
-	keys := make([][]byte, len(ids))
-	values := make([][]byte, len(ids))
+	// One slab holds every key and every encoded node of the update.
+	size := len(ids) * nodeKeyLen
+	for i := range nodes {
+		size += nodes[i].EncodedLen()
+	}
+	slab := make([]byte, 0, size)
+	pairs := make([][]byte, 2*len(ids))
+	keys, values := pairs[:len(ids)], pairs[len(ids):]
 	for i := range ids {
-		keys[i] = s.key(ids[i])
-		values[i] = nodes[i].Encode()
+		keys[i], slab = appendKey(slab, s.cacheKey(ids[i]))
+		at := len(slab)
+		slab = nodes[i].AppendTo(slab)
+		values[i] = slab[at:len(slab):len(slab)]
 	}
 	if err := s.dht.MultiPut(ctx, keys, values); err != nil {
 		return fmt.Errorf("meta: storing %d nodes: %w", len(ids), err)
 	}
 	if s.cache != nil {
 		for i := range ids {
-			s.cache.put(keys[i], nodes[i])
+			s.cache.put(s.cacheKey(ids[i]), nodes[i])
 		}
 	}
 	return nil

@@ -15,7 +15,7 @@ import (
 	"blobseer/internal/wire"
 )
 
-func newDHT(t *testing.T, nodes int) *dht.Client {
+func newDHT(t testing.TB, nodes int) *dht.Client {
 	t.Helper()
 	net := transport.NewInproc()
 	sched := vclock.NewReal()
@@ -202,20 +202,29 @@ func TestStoreMixedCacheHitMiss(t *testing.T) {
 	}
 }
 
+// ck names a cache entry for the tests below: one key per (letter, i).
+func ck(letter string, i ...int) cacheKey {
+	k := cacheKey{Owner: wire.BlobID(letter[0])}
+	if len(i) > 0 {
+		k.ID.Offset = uint64(i[0])
+	}
+	return k
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
 	n := core.Node{VL: 1, VR: 2}
-	c.put([]byte("a"), n)
-	c.put([]byte("b"), n)
-	c.get([]byte("a")) // a is now most recent
-	c.put([]byte("c"), n)
-	if _, ok := c.get([]byte("b")); ok {
+	c.put(ck("a"), n)
+	c.put(ck("b"), n)
+	c.get(ck("a")) // a is now most recent
+	c.put(ck("c"), n)
+	if _, ok := c.get(ck("b")); ok {
 		t.Fatal("LRU entry not evicted")
 	}
-	if _, ok := c.get([]byte("a")); !ok {
+	if _, ok := c.get(ck("a")); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, ok := c.get([]byte("c")); !ok {
+	if _, ok := c.get(ck("c")); !ok {
 		t.Fatal("new entry missing")
 	}
 	if c.Len() != 2 {
@@ -232,10 +241,10 @@ func TestCacheByteBoundEvictsHeavyTail(t *testing.T) {
 	}
 	light := core.Node{VL: 1, VR: 2}
 
-	perHeavy := entryBytes([]byte("k0"), heavy)
+	perHeavy := entryBytes(heavy)
 	c := NewCacheBytes(1000, 3*perHeavy)
 	for i := 0; i < 6; i++ {
-		c.put([]byte{'h', byte(i)}, heavy)
+		c.put(ck("h", i), heavy)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 heavy entries within the byte budget", c.Len())
@@ -246,17 +255,17 @@ func TestCacheByteBoundEvictsHeavyTail(t *testing.T) {
 	// The same budget holds many more light entries: bytes, not entries,
 	// are what bound it.
 	for i := 0; i < 20; i++ {
-		c.put([]byte{'l', byte(i)}, light)
+		c.put(ck("l", i), light)
 	}
 	if c.Len() <= 3 {
 		t.Fatalf("Len = %d, light entries should fit well past 3", c.Len())
 	}
 	// Hitting an entry protects it from byte-pressure eviction: a heavy
 	// insert evicts from the LRU tail, not the freshly touched front.
-	c.get([]byte{'l', 0})
+	c.get(ck("l", 0))
 	before := c.Len()
-	c.put([]byte{'H', 0}, heavy)
-	if _, ok := c.get([]byte{'l', 0}); !ok {
+	c.put(ck("H", 0), heavy)
+	if _, ok := c.get(ck("l", 0)); !ok {
 		t.Fatal("recently used entry evicted under byte pressure")
 	}
 	if c.Len() >= before+1 {
@@ -268,19 +277,19 @@ func TestCacheOversizedEntryNotRetained(t *testing.T) {
 	heavy := core.Node{Leaf: true, Page: wire.PageID{1},
 		Providers: []string{"one", "two", "three", "four"}}
 	c := NewCacheBytes(10, 8) // smaller than any entry
-	c.put([]byte("a"), heavy)
+	c.put(ck("a"), heavy)
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatalf("oversized entry retained: len %d bytes %d", c.Len(), c.Bytes())
 	}
 	// The cache still works for gets (they just miss).
-	if _, ok := c.get([]byte("a")); ok {
+	if _, ok := c.get(ck("a")); ok {
 		t.Fatal("phantom hit")
 	}
 }
 
 func TestCacheZeroCapacity(t *testing.T) {
 	c := NewCache(0)
-	c.put([]byte("a"), core.Node{})
+	c.put(ck("a"), core.Node{})
 	if c.Len() != 0 {
 		t.Fatal("zero-capacity cache stored an entry")
 	}

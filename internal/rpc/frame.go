@@ -22,9 +22,9 @@
 //     copy, so what a caller receives never aliases a recycled buffer.
 //   - a request body, by the server's per-request goroutine once the
 //     response is encoded (or on any earlier exit). A decoded
-//     PutPageReq.Data aliases that body: a decoded request is valid
-//     until its handler returns, and a handler that keeps request bytes
-//     copies them.
+//     PutPageReq.Data, and a decoded DHTMultiPutReq's keys and values,
+//     alias that body: a decoded request is valid until its handler
+//     returns, and a handler that keeps request bytes copies them.
 //   - a response frame, by the server right after it is written to the
 //     connection.
 package rpc
@@ -64,9 +64,9 @@ var poisonFrames bool
 
 // PoisonReleasedFrames switches the poison mode on for the rest of the
 // process. It is a test hook, called only from export_test.go files
-// (this package's, and the root and provider packages', whose checksum
-// tests run under it) before their first test starts — which is why a
-// plain bool will do.
+// (this package's, and the root, provider and dht packages', whose
+// tests check what a handler kept against it) before their first test
+// starts — which is why a plain bool will do.
 func PoisonReleasedFrames() { poisonFrames = true }
 
 // getFrame returns a buffer of length n from the smallest class that

@@ -20,8 +20,9 @@ import (
 // down, so a disconnected client cannot strand a blocked handler.
 //
 // A request is valid until its handler returns: wire.PutPageReq.Data
-// aliases a frame buffer the server recycles once the response is
-// encoded, so a handler copies any request bytes it keeps. The response
+// and wire.DHTMultiPutReq's keys and values alias a frame buffer the
+// server recycles once the response is encoded, so a handler copies
+// any request bytes it keeps. The response
 // may reference the request; it is encoded before the request goes.
 type Handler interface {
 	Handle(ctx context.Context, m wire.Msg) (wire.Msg, error)

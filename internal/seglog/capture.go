@@ -37,7 +37,9 @@ import "sync"
 // snapshot captures of one store. The zero value is ready to use; the
 // first capture is always full (no published baseline exists).
 type Tracker[K comparable, V any] struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// began is set by the first Begin; until then Mark records nothing.
+	began bool
 	dirty map[K]struct{}
 	// prev holds the entries of the last published snapshot. It is
 	// mutated in place by Capture.Merged: even if the publish then
@@ -52,12 +54,21 @@ type Tracker[K comparable, V any] struct {
 // retarget) since the last capture began. Callers hold whatever store
 // lock orders their mutation; the Tracker has its own mutex, so any
 // context may call it.
+//
+// Before the first Begin it records nothing: the first capture is a
+// full scan at its cut and never reads the dirty set, so a store that
+// takes no snapshots (SnapshotEvery 0) would otherwise remember every
+// key it ever wrote. The switch is the first Begin, not the first
+// Commit — marks that land between the two are exactly what the second,
+// incremental capture has to resolve.
 func (t *Tracker[K, V]) Mark(k K) {
 	t.mu.Lock()
-	if t.dirty == nil {
-		t.dirty = make(map[K]struct{})
+	if t.began {
+		if t.dirty == nil {
+			t.dirty = make(map[K]struct{})
+		}
+		t.dirty[k] = struct{}{}
 	}
-	t.dirty[k] = struct{}{}
 	t.mu.Unlock()
 }
 
@@ -87,6 +98,7 @@ func (t *Tracker[K, V]) Begin() *Capture[K, V] {
 	t.mu.Lock()
 	cut := &Capture[K, V]{t: t, dirty: t.dirty, events: t.events, full: t.prev == nil}
 	t.dirty = nil
+	t.began = true
 	t.mu.Unlock()
 	if !cut.full {
 		cut.upd = make(map[K]V, len(cut.dirty))

@@ -168,6 +168,81 @@ func TestCaptureCountdownCarriesEventsDuringPublish(t *testing.T) {
 	}
 }
 
+// TestCaptureMarksBeforeFirstBeginCostNothing pins the dirty-set bound:
+// the first capture is a full scan that never reads the dirty set, so
+// until a capture has begun Mark must retain nothing — a store that
+// never snapshots would otherwise remember every key it ever wrote. The
+// switch is the first Begin, not its Commit: marks between the two are
+// what the second, incremental capture resolves, and they survive an
+// Abort of the first.
+func TestCaptureMarksBeforeFirstBeginCostNothing(t *testing.T) {
+	tr := &Tracker[string, int]{}
+	state := map[string]int{}
+	for i := 0; i < 1000; i++ {
+		k := string(rune('a' + i%26))
+		state[k] = i
+		tr.Mark(k)
+	}
+	if tr.dirty != nil {
+		t.Fatalf("%d keys retained before any capture began", len(tr.dirty))
+	}
+
+	// The full capture needs none of those marks: it seeds from state.
+	first := tr.Begin()
+	if !first.Full() || len(first.Dirty()) != 0 {
+		t.Fatalf("first capture: full=%v dirty=%v", first.Full(), first.Dirty())
+	}
+	seed := make(map[string]int, len(state))
+	for k, v := range state {
+		seed[k] = v
+	}
+	first.Seed(seed)
+	first.Merged()
+
+	// Mutations after the cut, before the publish finishes.
+	state["a"] = -1
+	tr.Mark("a")
+	delete(state, "b")
+	tr.Mark("b")
+	first.Commit()
+
+	second := tr.Begin()
+	if second.Full() || len(second.Dirty()) != 2 {
+		t.Fatalf("second capture: full=%v dirty=%v, want incremental {a,b}", second.Full(), second.Dirty())
+	}
+	wantDirty := func(cut *Capture[string, int]) {
+		t.Helper()
+		for _, k := range []string{"a", "b"} {
+			if _, ok := cut.Dirty()[k]; !ok {
+				t.Fatalf("dirty = %v, want %q in it", cut.Dirty(), k)
+			}
+		}
+	}
+	wantDirty(second)
+	second.Abort()
+	wantEntries(t, drive(t, tr, state), state)
+
+	// The same marks survive an aborted first capture: the retry is full
+	// again and ignores them, but the capture after it must see them.
+	tr2 := &Tracker[string, int]{}
+	failed := tr2.Begin()
+	failed.Seed(map[string]int{"x": 1})
+	tr2.Mark("x")
+	failed.Abort()
+	retry := tr2.Begin()
+	if !retry.Full() {
+		t.Fatal("capture after an aborted first capture must be full")
+	}
+	retry.Seed(map[string]int{"x": 2})
+	retry.Merged()
+	tr2.Mark("y")
+	retry.Commit()
+	next := tr2.Begin()
+	if _, ok := next.Dirty()["y"]; next.Full() || !ok {
+		t.Fatalf("capture after the retry: full=%v dirty=%v, want incremental with y", next.Full(), next.Dirty())
+	}
+}
+
 // TestCaptureMarkRace exercises Mark/AddEvents against Begin/Commit
 // under the race detector.
 func TestCaptureMarkRace(t *testing.T) {

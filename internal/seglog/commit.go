@@ -34,14 +34,19 @@ import (
 // of the mutex for rolls, captures and shutdown) unchanged.
 
 // Cell is one queued appender's parking spot, embedded in the store's
-// append-request type.
+// append-request type. The zero value is ready to use.
 type Cell struct {
+	// done is made, under the writer mutex, only by an owner that finds
+	// its record undelivered and has to park; delivery closes it if it
+	// is there. A leader never parks, and a two-phase owner whose batch
+	// resolved before it came back to Await does not either, so most
+	// records of a batched request never pay for a channel.
 	done chan struct{}
 	err  error
-	// delivered guards done against double close; promoted tells the
+	// delivered guards against double delivery; promoted tells the
 	// woken waiter its record is NOT yet durable and it must lead the
-	// next batch itself. Both are written under the writer mutex before
-	// done is closed and read only after done fires.
+	// next batch itself. Both are written under the writer mutex and
+	// read by the owner either under it or after done fires.
 	delivered bool
 	promoted  bool
 	// leads marks a record whose Enqueue found no active leader: its
@@ -49,9 +54,6 @@ type Cell struct {
 	// by the owning goroutine (set under Mu, but that is incidental).
 	leads bool
 }
-
-// NewCell returns a Cell ready to park on.
-func NewCell() Cell { return Cell{done: make(chan struct{})} }
 
 // Parked is implemented by the store's append-request type.
 type Parked interface{ Cell() *Cell }
@@ -119,9 +121,21 @@ func (c *Committer[T]) Append(a T) error {
 		c.leading = true
 		return c.lead(a.Cell()) // releases Mu
 	}
-	c.Mu.Unlock()
-	cell := a.Cell()
-	<-cell.done
+	return c.park(a.Cell()) // releases Mu
+}
+
+// park waits, if it still has to, until cell is delivered — its batch
+// resolved, or leadership handed to it — and returns the record's
+// outcome, leading the next batch first when promoted. Called with Mu
+// held; returns with Mu released.
+func (c *Committer[T]) park(cell *Cell) error {
+	if !cell.delivered {
+		cell.done = make(chan struct{})
+		c.Mu.Unlock()
+		<-cell.done
+	} else {
+		c.Mu.Unlock()
+	}
 	if cell.promoted {
 		c.Mu.Lock()
 		return c.lead(cell) // releases Mu
@@ -166,9 +180,9 @@ func (c *Committer[T]) Enqueue(a T) error {
 // at or after Mu.
 func (c *Committer[T]) Await(a T) error {
 	cell := a.Cell()
+	c.Mu.Lock()
 	if cell.leads {
 		cell.leads = false
-		c.Mu.Lock()
 		if cell.delivered {
 			// Shutdown (or a caretaker pass) resolved the record before
 			// its owner came back to lead.
@@ -178,12 +192,7 @@ func (c *Committer[T]) Await(a T) error {
 		}
 		return c.lead(cell) // releases Mu
 	}
-	<-cell.done
-	if cell.promoted {
-		c.Mu.Lock()
-		return c.lead(cell) // releases Mu
-	}
-	return cell.err
+	return c.park(cell) // releases Mu
 }
 
 // QuiesceLocked blocks until no queued or in-flight record remains, so
@@ -253,8 +262,8 @@ func (c *Committer[T]) lead(self *Cell) error {
 	for _, a := range batch {
 		cell := a.Cell()
 		if cell == self {
-			// Self returns synchronously; its done channel may already
-			// be closed when it led a batch it was promoted into.
+			// Self returns synchronously; it may already be marked
+			// delivered when it led a batch it was promoted into.
 			cell.delivered = true
 			cell.err = err
 		} else {
@@ -290,7 +299,9 @@ func deliverLocked(cell *Cell, err error) {
 	}
 	cell.delivered = true
 	cell.err = err
-	close(cell.done)
+	if cell.done != nil {
+		close(cell.done)
+	}
 }
 
 // FailQueuedLocked delivers err to every queued appender and empties

@@ -45,7 +45,7 @@ func newTestStore() *testStore {
 }
 
 func (s *testStore) append(rec string) error {
-	return s.comm.Append(&testAppend{rec: rec, cell: NewCell()})
+	return s.comm.Append(&testAppend{rec: rec})
 }
 
 // TestGroupCommitBatches pins the deterministic mechanics: with a leader
@@ -160,7 +160,7 @@ func TestTwoPhaseAppendBatches(t *testing.T) {
 	const n = 4
 	recs := make([]*testAppend, n)
 	for i := range recs {
-		recs[i] = &testAppend{rec: "r", cell: NewCell()}
+		recs[i] = &testAppend{rec: "r"}
 		if err := s.comm.Enqueue(recs[i]); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
@@ -193,14 +193,14 @@ func TestTwoPhaseFailStopWedges(t *testing.T) {
 	errDisk := errors.New("disk gone")
 	s.comm.Commit = func(batch []*testAppend) error { return errDisk }
 
-	a := &testAppend{rec: "r", cell: NewCell()}
+	a := &testAppend{rec: "r"}
 	if err := s.comm.Enqueue(a); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.comm.Await(a); !errors.Is(err, errDisk) {
 		t.Fatalf("await: %v, want %v", err, errDisk)
 	}
-	if err := s.comm.Enqueue(&testAppend{rec: "r", cell: NewCell()}); !errors.Is(err, errDisk) {
+	if err := s.comm.Enqueue(&testAppend{rec: "r"}); !errors.Is(err, errDisk) {
 		t.Fatalf("enqueue after wedge: %v, want %v", err, errDisk)
 	}
 	if err := s.append("r"); !errors.Is(err, errDisk) {
@@ -214,7 +214,7 @@ func TestTwoPhaseFailStopWedges(t *testing.T) {
 func TestTwoPhaseCloseBeforeAwait(t *testing.T) {
 	s := newTestStore()
 	s.comm.Apply = nil
-	a := &testAppend{rec: "r", cell: NewCell()}
+	a := &testAppend{rec: "r"}
 	if err := s.comm.Enqueue(a); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestQuiesceWaitsForPending(t *testing.T) {
 		<-gate // a leader parked mid-fsync
 		return nil
 	}
-	a := &testAppend{rec: "r", cell: NewCell()}
+	a := &testAppend{rec: "r"}
 	if err := s.comm.Enqueue(a); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestTwoPhaseStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				if w%2 == 0 {
-					a := &testAppend{rec: "r", cell: NewCell()}
+					a := &testAppend{rec: "r"}
 					if err := s.comm.Enqueue(a); err != nil {
 						t.Errorf("enqueue: %v", err)
 						return

@@ -431,7 +431,7 @@ func (s *KV) rollLocked() error {
 }
 
 func (s *KV) newAppend(kind byte, key string, value []byte) *kvAppend {
-	return &kvAppend{kind: kind, key: key, value: value, cell: NewCell()}
+	return &kvAppend{kind: kind, key: key, value: value}
 }
 
 // framed is the record's size on disk.
@@ -469,23 +469,75 @@ func (s *KV) Delete(key string) error {
 	return s.comm.Append(s.newAppend(kvTomb, key, nil))
 }
 
-// EnqueueDelete queues a tombstone without waiting for durability and
-// returns the wait for it — phase one of a two-phase delete. A caller
+// EnqueuePut queues a put record without waiting for durability and
+// returns the wait for it — phase one of a two-phase put. A caller
 // holding its own lock per key enqueues under it, releases it, and
-// calls every returned wait afterwards, so a sweep deleting thousands
-// of keys shares fsyncs instead of paying one per key. Every wait MUST
-// be called, even on error paths: the first enqueue may designate its
-// owner as the batch leader, and an unawaited leader stalls the queue.
-// The key leaves the index only when its batch commits.
+// calls every returned wait afterwards, so the records of one request
+// travel as one batch: one write and at most one fsync, with the
+// caller's lock free while the leader sits in it. Every wait MUST be
+// called exactly once, even on error paths: the first enqueue may
+// designate its owner as the batch leader, and an unawaited leader
+// stalls the queue. value is framed straight from the caller's slice
+// when the batch commits, so it must stay valid and unmodified until
+// the wait returns — never after. The key enters the index only when
+// its batch commits; a Put of a stored key is a no-op whose wait
+// returns nil at once. A key enqueued twice before the first commits is
+// logged twice and indexed once (the first record wins, as in
+// recovery; compaction drops the other).
+func (s *KV) EnqueuePut(key string, value []byte) (wait func() error, err error) {
+	if s.ly.KeyLen != 0 && len(key) != s.ly.KeyLen {
+		return nil, fmt.Errorf("%s: key of %d bytes, layout fixes %d", s.ly.Name, len(key), s.ly.KeyLen)
+	}
+	if _, dup := s.lookup(key); dup {
+		return noWait, nil
+	}
+	return s.enqueue(s.newAppend(kvPut, key, value))
+}
+
+// EnqueueDelete is EnqueuePut's twin for tombstones: a sweep deleting
+// thousands of keys shares fsyncs instead of paying one per key. The
+// same rule holds — every wait MUST be called. The key leaves the index
+// only when its batch commits; deleting an unknown key is a no-op.
 func (s *KV) EnqueueDelete(key string) (wait func() error, err error) {
 	if _, ok := s.lookup(key); !ok {
-		return func() error { return nil }, nil
+		return noWait, nil
 	}
-	a := s.newAppend(kvTomb, key, nil)
+	return s.enqueue(s.newAppend(kvTomb, key, nil))
+}
+
+func noWait() error { return nil }
+
+func (s *KV) enqueue(a *kvAppend) (wait func() error, err error) {
 	if err := s.comm.Enqueue(a); err != nil {
 		return nil, err
 	}
 	return func() error { return s.comm.Await(a) }, nil
+}
+
+// GateNextCommit makes the next batch park inside its commit — the
+// committer holds the snapshot cut shared, nothing is written yet —
+// and closes entered once it is parked. Closing release (or sending
+// nil) lets the batch go on; sending an error fails it with that error,
+// unwritten. Only that one batch parks. A test hook, for the tests here
+// and in the instantiating packages that pin what stays available while
+// a commit is in flight and what a failed one leaves behind. It swaps
+// the commit callback unsynchronized, so install it before any
+// concurrent traffic.
+func (s *KV) GateNextCommit() (entered <-chan struct{}, release chan<- error) {
+	parked, verdict := make(chan struct{}), make(chan error)
+	var gated atomic.Bool
+	gated.Store(true)
+	inner := s.comm.Commit
+	s.comm.Commit = func(batch []*kvAppend) error {
+		if gated.CompareAndSwap(true, false) {
+			close(parked)
+			if err := <-verdict; err != nil {
+				return err
+			}
+		}
+		return inner(batch)
+	}
+	return parked, verdict
 }
 
 // commit frames the batch — header, key, value and CRC of each record,

@@ -1,30 +1,11 @@
 package seglog
 
 import (
+	"errors"
 	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"testing"
 )
-
-// gateCommit wraps the store's commit hook so the next batch parks
-// inside the (simulated) write+fsync until release is closed; only the
-// first batch after arming parks. Installed before any concurrent
-// traffic, so swapping the hook is race-free.
-func gateCommit(s *KV) (entered, release chan struct{}) {
-	entered, release = make(chan struct{}), make(chan struct{})
-	var gated atomic.Bool
-	gated.Store(true)
-	inner := s.comm.Commit
-	s.comm.Commit = func(batch []*kvAppend) error {
-		if gated.CompareAndSwap(true, false) {
-			close(entered)
-			<-release
-		}
-		return inner(batch)
-	}
-	return entered, release
-}
 
 // TestKVReadsOverlapParkedCommit pins the early-lock-release contract:
 // while the group-commit leader sits in the fsync it holds the snapshot
@@ -38,7 +19,7 @@ func TestKVReadsOverlapParkedCommit(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{Sync: true, SegmentBytes: 1 << 20})
 		putN(t, s, 1, 2)
-		entered, release := gateCommit(s)
+		entered, release := s.GateNextCommit()
 
 		put2 := make(chan error, 1)
 		go func() { put2 <- s.Put(tkey(ly, 2), tval(2)) }()
@@ -152,5 +133,115 @@ func TestKVBatchDeleteSharesOneCommit(t *testing.T) {
 		}
 		must(t, s.Close())
 		verifyLive(t, mustOpenKV(t, path, ly, KVOptions{}), n, func(int) bool { return false })
+	})
+}
+
+// TestKVEnqueuePutContract pins the two-phase put: records enqueued
+// together and then awaited commit as ONE batch; nothing is indexed
+// before its batch commits; the value is read when the batch is framed,
+// not at enqueue, and never after the wait returns; a stored key is a
+// no-op whose wait costs nothing; and a key enqueued twice before the
+// first commits is logged twice but indexed once, first record winning.
+func TestKVEnqueuePutContract(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		path := filepath.Join(t.TempDir(), "kv.log")
+		s := mustOpenKV(t, path, ly, KVOptions{Sync: true})
+		const n = 8
+		before := s.Stats()
+
+		// One reusable buffer per record, as a request frame would be:
+		// scribbled on before the commit frames it (must be seen) and
+		// again after the wait returned (must not be).
+		bufs := make([][]byte, n)
+		var waits []func() error
+		for i := 0; i < n; i++ {
+			bufs[i] = make([]byte, len(tval(i)))
+			wait, err := s.EnqueuePut(tkey(ly, i), bufs[i])
+			must(t, err)
+			waits = append(waits, wait)
+			copy(bufs[i], tval(i))
+		}
+		if s.Has(tkey(ly, 0)) {
+			t.Fatal("enqueued put indexed before its batch committed")
+		}
+		for _, wait := range waits {
+			must(t, wait())
+		}
+		for i := range bufs {
+			clear(bufs[i])
+		}
+		after := s.Stats()
+		if c, r := after.Syncs-before.Syncs, after.Appends-before.Appends; c != 1 || r != n {
+			t.Fatalf("put batch took %d commits for %d records, want 1 for %d", c, r, n)
+		}
+		verifyLive(t, s, n, all)
+
+		// A stored key: nothing queued, nothing logged.
+		wait, err := s.EnqueuePut(tkey(ly, 3), tval(3))
+		must(t, err)
+		must(t, wait())
+		if got := s.Stats().Appends; got != after.Appends {
+			t.Fatalf("re-put of a stored key logged %d records", got-after.Appends)
+		}
+
+		// The same key twice in one batch, different bytes: both records
+		// are logged (the index is only consulted at enqueue), the first
+		// wins now and after a reopen.
+		w1, err := s.EnqueuePut(tkey(ly, n), tval(n))
+		must(t, err)
+		w2, err := s.EnqueuePut(tkey(ly, n), tval(n+1))
+		must(t, err)
+		must(t, w1())
+		must(t, w2())
+		final := s.Stats()
+		if r, k := final.Appends-after.Appends, final.Keys-after.Keys; r != 2 || k != 1 {
+			t.Fatalf("double enqueue: %d records, %d keys; want 2, 1", r, k)
+		}
+		verifyLive(t, s, n+1, all)
+		must(t, s.Close())
+		s2 := mustOpenKV(t, path, ly, KVOptions{})
+		verifyLive(t, s2, n+1, all)
+
+		// A closed store refuses the enqueue; there is then no wait to call.
+		must(t, s2.Close())
+		if wait, err := s2.EnqueuePut(tkey(ly, n+2), tval(0)); err == nil || wait != nil {
+			t.Fatalf("enqueue on a closed store: wait %v, err %v", wait != nil, err)
+		}
+	})
+}
+
+// TestKVEnqueuePutParkedBehindCommit: puts enqueued while another batch
+// is mid-commit queue behind it without becoming visible, and a failed
+// commit fails every wait of its batch and indexes none of it.
+func TestKVEnqueuePutParkedBehindCommit(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
+		entered, release := s.GateNextCommit()
+		first := make(chan error, 1)
+		go func() { first <- s.Put(tkey(ly, 0), tval(0)) }()
+		<-entered
+
+		var waits []func() error
+		for i := 1; i <= 3; i++ {
+			wait, err := s.EnqueuePut(tkey(ly, i), tval(i))
+			must(t, err)
+			waits = append(waits, wait)
+		}
+		// Fail the batch those three land in: the gated one is already
+		// past its hook, so the next gate is theirs.
+		close(release)
+		must(t, <-first)
+		entered, release = s.GateNextCommit()
+		go func() { <-entered; release <- errors.New("disk on fire") }()
+		for _, wait := range waits {
+			if err := wait(); err == nil {
+				t.Fatal("wait of a failed batch returned nil")
+			}
+		}
+		verifyLive(t, s, 4, func(i int) bool { return i == 0 })
+		// The store is not wedged: the same keys go through afterwards.
+		putN(t, s, 1, 4)
+		verifyLive(t, s, 4, all)
+		must(t, s.Close())
 	})
 }

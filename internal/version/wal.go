@@ -409,7 +409,7 @@ func record(e walEvent) []byte { return walFmt.Frame(e.encode()) }
 // always a prefix of the enqueue order and replay never sees per-blob
 // gaps.
 func (w *wal) enqueue(e walEvent) (*walAppend, error) {
-	a := &walAppend{rec: record(e), cell: seglog.NewCell()}
+	a := &walAppend{rec: record(e)}
 	if err := w.comm.Enqueue(a); err != nil {
 		return nil, err
 	}

@@ -38,10 +38,15 @@ type Writer struct {
 // buffer — and returns the extended slice. A caller that has made room
 // for BodySize(m) bytes sees no regrowth however many pages m holds.
 func AppendMsg(buf []byte, m Msg) []byte {
-	w := Writer{buf: buf}
+	w := WriterOn(buf)
 	m.MarshalTo(&w)
 	return w.buf
 }
+
+// WriterOn returns a Writer that appends to buf in place; Bytes returns
+// the extended slice. It is a value, so an encoder that keeps it in a
+// local allocates nothing of its own.
+func WriterOn(buf []byte) Writer { return Writer{buf: buf} }
 
 // NewWriter returns a Writer with capacity preallocated for n bytes.
 func NewWriter(n int) *Writer {
@@ -186,7 +191,8 @@ func (r *Reader) Uint64() uint64 {
 // aliases the Reader's input, which the rpc layer recycles: a field
 // decoded this way is valid only as long as the body it was decoded
 // from (for a request, until its handler returns). Only PutPageReq.Data
-// decodes this way; every other field uses Bytes32Copy.
+// and DHTMultiPutReq's keys and values decode this way — the stores
+// behind them copy what they keep; every other field uses Bytes32Copy.
 func (r *Reader) Bytes32() []byte {
 	n := r.Uint32()
 	if r.err != nil {

@@ -166,7 +166,9 @@ func BodySize(m Msg) int {
 }
 
 // Decode decodes a message body of the given kind. The message owns
-// every field it decodes except PutPageReq.Data, which aliases body.
+// every field it decodes except PutPageReq.Data and DHTMultiPutReq's
+// keys and values, which alias body: the two requests whose handlers
+// copy what they keep into storage of their own anyway.
 func Decode(k Kind, body []byte) (Msg, error) {
 	m := New(k)
 	if m == nil {
@@ -675,6 +677,11 @@ func (m *DHTGetResp) unmarshal(r *Reader) {
 
 // DHTMultiPutReq stores several pairs in one round trip. Writers use it to
 // store all tree nodes destined for the same metadata provider at once.
+//
+// A decoded DHTMultiPutReq's keys and values alias the frame body they
+// were decoded from, like PutPageReq.Data: they are valid until the
+// request's handler returns, and the metadata node copies what it keeps
+// (dht.Node.putBatch does, at exact size).
 type DHTMultiPutReq struct {
 	Keys   [][]byte
 	Values [][]byte
@@ -694,15 +701,17 @@ func (m *DHTMultiPutReq) MarshalTo(w *Writer) {
 
 func (m *DHTMultiPutReq) unmarshal(r *Reader) {
 	n := int(r.Uint32())
-	if n > MaxSliceLen/8 {
+	// Every pair carries two length prefixes, so the input bounds the
+	// count and a hostile one cannot size the allocation below.
+	if n > r.Remaining()/8 {
 		r.fail(ErrTooLarge)
 		return
 	}
-	m.Keys = make([][]byte, 0, n)
-	m.Values = make([][]byte, 0, n)
+	pairs := make([][]byte, 2*n)
+	m.Keys, m.Values = pairs[:n:n], pairs[n:]
 	for i := 0; i < n; i++ {
-		m.Keys = append(m.Keys, r.Bytes32Copy())
-		m.Values = append(m.Values, r.Bytes32Copy())
+		m.Keys[i] = r.Bytes32()
+		m.Values[i] = r.Bytes32()
 	}
 }
 
