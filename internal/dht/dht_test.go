@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -472,4 +473,79 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 	if values, found, err := c.MultiGet(ctx, [][]byte{orphan}); err != nil || !found[0] || !bytes.Equal(values[0], value) {
 		t.Fatalf("stored pair with its primary down: found %v, %v", found, err)
 	}
+}
+
+// TestMultiGetKeysAliasTheirFrame: a decoded MULTI_GET's keys point
+// into the request's frame, which the server recycles — poisoned, in
+// this package's tests — only once the response is encoded. Readers
+// look up batches of stored and never-stored keys while writers churn
+// frames of every size through the same two servers, and each handler
+// dawdles before its lookups; a key that changed under a lookup would
+// turn a hit into a miss or into another key's value.
+func TestMultiGetKeysAliasTheirFrame(t *testing.T) {
+	c, _ := newClusterWith(t, 2, 1, func(h rpc.Handler) rpc.Handler {
+		return rpc.HandlerFunc(func(ctx context.Context, m wire.Msg) (wire.Msg, error) {
+			if m.Kind() == wire.KindDHTMultiGetReq {
+				for i := 0; i < 4; i++ {
+					runtime.Gosched()
+				}
+			}
+			return h.Handle(ctx, m)
+		})
+	})
+	ctx := context.Background()
+	const stored = 300
+	key := func(i int) []byte { return []byte(fmt.Sprintf("tree/%d/node/%d", i%7, i)) }
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 10+i%40) }
+	var keys, vals [][]byte
+	for i := 0; i < stored; i++ {
+		keys, vals = append(keys, key(i)), append(vals, val(i))
+	}
+	if err := c.MultiPut(ctx, keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func(g int) { // reader: every third key of a batch was never stored
+			defer wg.Done()
+			for round := 0; round < 60; round++ {
+				var batch [][]byte
+				var want []int
+				for k := 0; k < 1+(g+round)%24; k++ {
+					i := (g*131 + round*17 + k*29) % stored
+					if k%3 == 2 {
+						i += stored
+					}
+					batch, want = append(batch, key(i)), append(want, i)
+				}
+				got, found, err := c.MultiGet(ctx, batch)
+				if err != nil {
+					t.Errorf("reader %d: %v", g, err)
+					return
+				}
+				for k, i := range want {
+					if found[k] != (i < stored) || (found[k] && !bytes.Equal(got[k], val(i))) {
+						t.Errorf("reader %d round %d: key %s: found %v, value %x", g, round, batch[k], found[k], got[k])
+						return
+					}
+				}
+			}
+		}(g)
+		go func(g int) { // writer: fresh pairs, in frames from 100 B to 40 KB
+			defer wg.Done()
+			for round := 0; round < 60; round++ {
+				var ks, vs [][]byte
+				for k := 0; k <= round%8; k++ {
+					ks = append(ks, []byte(fmt.Sprintf("churn/%d/%d/%d", g, round, k)))
+					vs = append(vs, bytes.Repeat([]byte{byte(round)}, 100+round*80))
+				}
+				if err := c.MultiPut(ctx, ks, vs); err != nil {
+					t.Errorf("writer %d: %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

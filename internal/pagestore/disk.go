@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/seglog"
 	"blobseer/internal/wire"
 )
@@ -51,17 +52,35 @@ func OpenDisk(path string, opts DiskOptions) (*Disk, error) {
 // Put implements Store.
 func (d *Disk) Put(id wire.PageID, data []byte) error { return d.kv.Put(string(id[:]), data) }
 
-// Get implements Store.
+// Get implements Store. The page is read into a buffer from the pool
+// the rpc frames come from — sized from the index, never from the
+// request, and not taken at all for a page the index does not know —
+// which Release hands back to that pool. When the read fails, Get
+// hands it back itself.
 func (d *Disk) Get(id wire.PageID, off, length uint32) ([]byte, error) {
-	data, err := d.kv.Get(string(id[:]), off, length)
+	key := string(id[:])
+	var buf []byte
+	if n, ok := d.kv.Len(key); ok {
+		buf = bufpool.GetBytes(int(min(n, length)))
+	}
+	data, err := d.kv.GetAppend(buf[:0], key, off, length)
+	if err == nil {
+		return data, nil
+	}
+	if buf != nil {
+		bufpool.PutBytes(buf)
+	}
 	switch {
 	case errors.Is(err, seglog.ErrNotFound):
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
 	case errors.Is(err, seglog.ErrBadRange):
 		return nil, fmt.Errorf("%w: page %v: %v", ErrBadRange, id, err)
 	}
-	return data, err
+	return nil, err
 }
+
+// Release implements Store: the buffer goes back to the pool.
+func (d *Disk) Release(data []byte) { bufpool.PutBytes(data) }
 
 // Has implements Store.
 func (d *Disk) Has(id wire.PageID) bool { return d.kv.Has(string(id[:])) }

@@ -2,8 +2,11 @@ package pagestore
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"blobseer/internal/seglog"
@@ -89,5 +92,75 @@ func TestDiskMaintenanceThroughAdaptor(t *testing.T) {
 		} else if err != nil || !bytes.Equal(got, page(i)) {
 			t.Fatalf("page %d after compaction and restart: %v", i, err)
 		}
+	}
+}
+
+// TestDiskGetKeepsNoBufferOnFailure: a Get that fails has lent nothing,
+// so whatever it took from the pool it puts back itself. A page-sized
+// buffer leaked per failed read would show as a page allocated per
+// failed read; a returned one is the next read's buffer. (The bound is
+// half a page, not zero, because under the race detector sync.Pool
+// drops a quarter of what it is given.)
+func TestDiskGetKeepsNoBufferOnFailure(t *testing.T) {
+	const pageSize = 64 << 10
+	d, err := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Put(pid(1), make([]byte, pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	perFailure := func(id wire.PageID, off, length uint32, want error) float64 {
+		t.Helper()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		const n = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if data, err := d.Get(id, off, length); data != nil || !errors.Is(err, want) {
+				t.Fatalf("Get = %d bytes, %v; want %v", len(data), err, want)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	if got := perFailure(pid(1), 1, pageSize, ErrBadRange); got > pageSize/2 {
+		t.Errorf("a bad range costs %.0f B per Get: its buffer is not going back to the pool", got)
+	}
+	if got := perFailure(pid(2), 0, wire.WholePage, ErrNotFound); got > 1<<10 {
+		t.Errorf("a missing page costs %.0f B per Get: it should never reach the pool", got)
+	}
+	d.Close()
+	if got := perFailure(pid(1), 0, wire.WholePage, seglog.ErrClosed); got > pageSize/2 {
+		t.Errorf("a read after Close costs %.0f B per Get: its buffer is not going back to the pool", got)
+	}
+}
+
+// BenchmarkDiskGet reads whole 64 KiB pages the way the provider does:
+// Get, then Release once the bytes have been used.
+func BenchmarkDiskGet(b *testing.B) {
+	const pageSize, pages = 64 << 10, 256 // one page per pid
+	d, err := OpenDisk(filepath.Join(b.TempDir(), "pages.log"), DiskOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	page := make([]byte, pageSize)
+	for i := 0; i < pages; i++ {
+		page[0] = byte(i)
+		if err := d.Put(pid(byte(i)), page); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.SetBytes(pageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := d.Get(pid(byte(i)), 0, wire.WholePage)
+		if err != nil || len(data) != pageSize || data[0] != byte(i) {
+			b.Fatal(err)
+		}
+		d.Release(data)
 	}
 }

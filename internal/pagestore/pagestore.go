@@ -36,8 +36,16 @@ type Store interface {
 	Put(id wire.PageID, data []byte) error
 	// Get returns length bytes starting at off within page id. A length
 	// of wire.WholePage returns everything from off to the end. The
-	// returned slice must not be modified by the caller.
+	// returned slice must not be modified by the caller. It is the
+	// caller's until the caller passes it to Release, at most once and
+	// as the last thing it does with those bytes; not releasing is
+	// always safe — the garbage collector takes the slice. A failed Get
+	// lends nothing.
 	Get(id wire.PageID, off, length uint32) ([]byte, error)
+	// Release gives back a slice Get returned, so an engine that reads
+	// pages into recycled buffers (Disk) can reuse it for a later Get.
+	// The caller must hold no reference into data afterwards.
+	Release(data []byte)
 	// Has reports whether the page exists.
 	Has(id wire.PageID) bool
 	// Delete removes the page, making its bytes reclaimable. Deleting
@@ -110,7 +118,9 @@ func (m *Mem) Put(id wire.PageID, data []byte) error {
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store. The slice it returns aliases the stored page —
+// serving a page from memory copies nothing — which is why Release
+// must leave it alone.
 func (m *Mem) Get(id wire.PageID, off, length uint32) ([]byte, error) {
 	s := m.shard(id)
 	s.mu.RLock()
@@ -121,6 +131,11 @@ func (m *Mem) Get(id wire.PageID, off, length uint32) ([]byte, error) {
 	}
 	return slicePage(data, off, length)
 }
+
+// Release implements Store by doing nothing: what Get returned is the
+// stored page itself, and recycling it would let a later read of
+// anything overwrite a page this store still serves.
+func (*Mem) Release([]byte) {}
 
 // Has implements Store.
 func (m *Mem) Has(id wire.PageID) bool {

@@ -125,6 +125,45 @@ func TestDiskConformance(t *testing.T) {
 	exerciseStore(t, d)
 }
 
+// TestReleaseNeverTouchesAStoredPage: whatever an engine does with the
+// slices it is handed back, the pages it stores are not among them. Mem
+// hands out the stored page itself, so its Release must not recycle —
+// with released buffers poisoned (export_test.go) the very first one
+// would destroy the page, and the thousand reads of other pages after
+// it would be served out of its memory.
+func TestReleaseNeverTouchesAStoredPage(t *testing.T) {
+	disk, err := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	for name, s := range map[string]Store{"Mem": NewMem(), "Disk": disk} {
+		page := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8), 0x5A}, 700) }
+		const others = 8
+		for i := 0; i <= others; i++ {
+			if err := s.Put(pid(byte(i)), page(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := s.Get(pid(0), 0, wire.WholePage)
+		if err != nil || !bytes.Equal(got, page(0)) {
+			t.Fatalf("%s: Get = %v", name, err)
+		}
+		s.Release(got)
+		for i := 0; i < 1000; i++ {
+			n := 1 + i%others
+			got, err := s.Get(pid(byte(n)), uint32(i%5), wire.WholePage)
+			if err != nil || !bytes.Equal(got, page(n)[i%5:]) {
+				t.Fatalf("%s: read %d of page %d damaged: %v", name, i, n, err)
+			}
+			s.Release(got)
+		}
+		if got, err = s.Get(pid(0), 0, wire.WholePage); err != nil || !bytes.Equal(got, page(0)) {
+			t.Fatalf("%s: a page read and released once no longer reads back: %v", name, err)
+		}
+	}
+}
+
 func TestMemConcurrentPutGet(t *testing.T) {
 	m := NewMem()
 	const workers = 16

@@ -213,7 +213,7 @@ func (p *Provider) mux() *rpc.Mux {
 		if err != nil {
 			return nil, storeError(err)
 		}
-		return &wire.GetPageResp{Data: data}, nil
+		return &lentPage{wire.GetPageResp{Data: data}, p.store}, nil
 	})
 	m.Register(wire.KindGetPagesReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.GetPagesReq)
@@ -225,10 +225,10 @@ func (p *Provider) mux() *rpc.Mux {
 			return nil, wire.NewError(wire.CodeBadRequest,
 				"%d ranges in one batch, cap %d", len(req.Ranges), wire.MaxGetPagesRanges)
 		}
-		resp := &wire.GetPagesResp{
+		resp := &lentPages{wire.GetPagesResp{
 			Found: make([]bool, len(req.Ranges)),
 			Data:  make([][]byte, len(req.Ranges)),
-		}
+		}, p.store}
 		var total uint64
 		for i, pr := range req.Ranges {
 			data, err := p.store.Get(pr.Page, pr.Offset, pr.Length)
@@ -237,18 +237,18 @@ func (p *Provider) mux() *rpc.Mux {
 				// the client falls back to another replica for just that
 				// page — but a bad range is a malformed request.
 				if errors.Is(err, pagestore.ErrNotFound) {
-					resp.Data[i] = nil
 					continue
 				}
+				resp.Release() // the pages read before this one
 				return nil, storeError(err)
 			}
+			resp.Found[i], resp.Data[i] = true, data
 			total += uint64(len(data))
 			if total > wire.MaxGetPagesBytes && i > 0 {
+				resp.Release() // this page included
 				return nil, wire.NewError(wire.CodeBadRequest,
 					"batch response exceeds %d bytes", wire.MaxGetPagesBytes)
 			}
-			resp.Found[i] = true
-			resp.Data[i] = data
 		}
 		return resp, nil
 	})
@@ -276,6 +276,34 @@ func (p *Provider) mux() *rpc.Mux {
 		return &wire.ProviderStatsResp{Pages: pages, Bytes: bytes}, nil
 	})
 	return m
+}
+
+// lentPage and lentPages are the GET_PAGE and GET_PAGES responses as
+// the provider's handlers return them: the wire message — they marshal
+// as exactly that, its methods are promoted — plus the store its pages
+// are on loan from (pagestore.Store.Get). They implement rpc.Borrower,
+// so the server gives every page back once the response is framed; a
+// handler that fails after borrowing calls Release itself and returns
+// no response. Either way each page is released exactly once.
+type lentPage struct {
+	wire.GetPageResp
+	store pagestore.Store
+}
+
+func (r *lentPage) Release() { r.store.Release(r.Data) }
+
+type lentPages struct {
+	wire.GetPagesResp
+	store pagestore.Store
+}
+
+// Release gives back the pages read so far: Found marks exactly those.
+func (r *lentPages) Release() {
+	for i, found := range r.Found {
+		if found {
+			r.store.Release(r.Data[i])
+		}
+	}
 }
 
 // storeError maps pagestore errors to protocol errors so clients can

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -424,17 +425,9 @@ func (cc *clientConn) forget(id uint64) {
 
 // readLoop dispatches inbound frames to their waiting callers.
 func (cc *clientConn) readLoop() {
+	var dec wire.Decoder
 	for {
 		id, kind, body, err := readFrame(cc.raw)
-		if err != nil {
-			cc.fail(fmt.Errorf("%w: %v", ErrConnBroken, err))
-			return
-		}
-		// Responses decode by copy, so the recycled body is done with
-		// here whatever happens next: decode error, delivery, or a late
-		// response nobody waits for.
-		msg, err := wire.Decode(kind, *body)
-		putFrame(body)
 		if err != nil {
 			cc.fail(fmt.Errorf("%w: %v", ErrConnBroken, err))
 			return
@@ -443,11 +436,27 @@ func (cc *clientConn) readLoop() {
 		ev, ok := cc.pending[id]
 		delete(cc.pending, id)
 		cc.mu.Unlock()
-		if ok {
-			ev.Fire(msg)
+		if !ok {
+			// Nobody waits: the caller abandoned the request after a
+			// context cancellation (every hedge loser does). Framing is
+			// length-prefixed, so the body goes back undecoded — decoding
+			// would copy every page it carries only to drop them.
+			bufpool.Put(body)
+			continue
 		}
-		// Unknown ids are tolerated: the caller may have abandoned the
-		// request after a context cancellation.
+		// Responses decode by copy, so the recycled body is done with
+		// here whether or not it decoded.
+		msg, err := dec.Decode(kind, *body)
+		bufpool.Put(body)
+		if err != nil {
+			// The stream cannot be trusted past this point. The caller is
+			// no longer in pending, so fail would miss it.
+			err = fmt.Errorf("%w: %v", ErrConnBroken, err)
+			ev.Fire(err)
+			cc.fail(err)
+			return
+		}
+		ev.Fire(msg)
 	}
 }
 

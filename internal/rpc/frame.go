@@ -14,17 +14,25 @@
 // Buffer ownership: a page's bytes are allocated once, on the side that
 // keeps them. Frames are marshalled in place into their destination
 // buffer and every frame body read off a connection — plus every
-// response frame a server builds — lives in a recycled buffer (see
-// getFrame), released by exactly one owner:
+// response frame a server builds, plus every page a durable store reads
+// for a GET — lives in a recycled buffer (internal/bufpool), released
+// by exactly one owner:
 //
 //   - a response body, by the client's read loop right after
-//     wire.Decode, on every exit of the iteration. Responses decode by
-//     copy, so what a caller receives never aliases a recycled buffer.
+//     wire.Decode — or undecoded, when the caller has given up — on
+//     every exit of the iteration. Responses decode by copy, so what a
+//     caller receives never aliases a recycled buffer.
 //   - a request body, by the server's per-request goroutine once the
 //     response is encoded (or on any earlier exit). A decoded
-//     PutPageReq.Data, and a decoded DHTMultiPutReq's keys and values,
-//     alias that body: a decoded request is valid until its handler
-//     returns, and a handler that keeps request bytes copies them.
+//     PutPageReq.Data, a decoded DHTMultiPutReq's keys and values and a
+//     decoded DHTMultiGetReq's keys alias that body: a decoded request
+//     is valid until its handler returns, and a handler that keeps
+//     request bytes copies them.
+//   - a response's borrowed buffers — what a handler's response says it
+//     holds on loan (see Borrower; the data provider's GET_PAGE and
+//     GET_PAGES answers carry pages lent by pagestore.Store.Get) — by
+//     the server's per-request goroutine once the response is framed,
+//     beside the request body.
 //   - a response frame, by the server right after it is written to the
 //     connection.
 package rpc
@@ -33,10 +41,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 	"slices"
-	"sync"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/wire"
 )
 
@@ -47,65 +54,14 @@ const frameHeaderLen = 4 + 8 + 1
 // multi-put metadata batches stay well under this.
 const MaxFrameBody = 64 << 20
 
-// Recycled frame buffers come in power-of-two size classes from 1 KiB
-// to 4 MiB. Anything larger is allocated for its one use and never
-// pooled, so a 64 MiB frame cannot pin memory.
-const (
-	minFrameShift = 10
-	maxFrameShift = 22
-)
-
-var framePools [maxFrameShift - minFrameShift + 1]sync.Pool
-
-// poisonFrames makes putFrame overwrite every buffer it is handed, so a
-// use after release reads garbage every time instead of only when the
-// buffer happens to have been reused.
-var poisonFrames bool
-
-// PoisonReleasedFrames switches the poison mode on for the rest of the
-// process. It is a test hook, called only from export_test.go files
+// PoisonReleasedFrames makes every buffer released to the shared pool
+// (internal/bufpool: frame bodies, response frames and the pages a
+// durable store lends a GET) be overwritten on release, for the rest of
+// the process. It is a test hook, called only from export_test.go files
 // (this package's, and the root, provider and dht packages', whose
 // tests check what a handler kept against it) before their first test
-// starts — which is why a plain bool will do.
-func PoisonReleasedFrames() { poisonFrames = true }
-
-// getFrame returns a buffer of length n from the smallest class that
-// holds it. The caller owns it until it passes the same pointer to
-// putFrame; if it grows the slice, it stores the grown one back through
-// the pointer first.
-func getFrame(n int) *[]byte {
-	if n > 1<<maxFrameShift {
-		b := make([]byte, n)
-		return &b
-	}
-	class := 0
-	if n > 1<<minFrameShift {
-		class = bits.Len(uint(n-1)) - minFrameShift
-	}
-	if p, _ := framePools[class].Get().(*[]byte); p != nil {
-		*p = (*p)[:n]
-		return p
-	}
-	b := make([]byte, n, 1<<(class+minFrameShift))
-	return &b
-}
-
-// putFrame releases a buffer obtained from getFrame. It files the
-// buffer under the largest class its capacity covers, and drops one
-// that is smaller than the smallest class or larger than the largest.
-func putFrame(p *[]byte) {
-	b := (*p)[:cap(*p)]
-	if poisonFrames && len(b) > 0 {
-		b[0] = 0xDB
-		for n := 1; n < len(b); n *= 2 {
-			copy(b[n:], b[:n])
-		}
-	}
-	if len(b) < 1<<minFrameShift || len(b) > 1<<maxFrameShift {
-		return
-	}
-	framePools[bits.Len(uint(len(b)))-1-minFrameShift].Put(p)
-}
+// starts.
+func PoisonReleasedFrames() { bufpool.PoisonReleased() }
 
 // appendFrame marshals a complete frame in place onto buf and returns
 // the result. Kinds that carry pages are sized first, so buf grows at
@@ -134,7 +90,7 @@ func errOversize(m wire.Msg, n int) error {
 }
 
 // readFrame reads one complete frame from r. The body is a recycled
-// buffer the caller owns and must release with putFrame once nothing
+// buffer the caller owns and must release with bufpool.Put once nothing
 // decoded from it by alias (see wire.PutPageReq) is in use.
 func readFrame(r io.Reader) (id uint64, kind wire.Kind, body *[]byte, err error) {
 	var hdr [frameHeaderLen]byte
@@ -147,9 +103,9 @@ func readFrame(r io.Reader) (id uint64, kind wire.Kind, body *[]byte, err error)
 	}
 	id = binary.LittleEndian.Uint64(hdr[4:12])
 	kind = wire.Kind(hdr[12])
-	body = getFrame(int(n))
+	body = bufpool.Get(int(n))
 	if _, err = io.ReadFull(r, *body); err != nil {
-		putFrame(body)
+		bufpool.Put(body)
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -42,36 +43,6 @@ func pageOf(id wire.PageID) []byte {
 	return pattern(binary.LittleEndian.Uint64(id[0:8]), int(binary.LittleEndian.Uint64(id[8:16])))
 }
 
-func TestFramePoolClasses(t *testing.T) {
-	for _, n := range []int{0, 1, 1 << minFrameShift, 1<<minFrameShift + 1, 65536 + 33, 1 << maxFrameShift} {
-		p := getFrame(n)
-		if c := cap(*p); len(*p) != n || c < n || c&(c-1) != 0 || c < 1<<minFrameShift {
-			t.Fatalf("getFrame(%d): len %d cap %d, want a power-of-two class holding it", n, len(*p), cap(*p))
-		}
-		putFrame(p)
-	}
-	// Above the top class: exact, and never pooled.
-	big := getFrame(1<<maxFrameShift + 1)
-	if cap(*big) != 1<<maxFrameShift+1 {
-		t.Fatalf("oversize frame got cap %d", cap(*big))
-	}
-	putFrame(big)
-	// A buffer that grew past its class is filed under the class it
-	// still covers, so whoever gets it next has the room it asked for.
-	grown := append(make([]byte, 0, 5000), 1)
-	putFrame(&grown)
-	for i := 0; i < 64; i++ {
-		p := getFrame(1 << maxFrameShift)
-		if cap(*p) != 1<<maxFrameShift {
-			t.Fatalf("an oversize buffer came back from the pool: cap %d", cap(*p))
-		}
-		q := getFrame(4096)
-		if cap(*q) < 4096 {
-			t.Fatalf("class 4096 handed out cap %d", cap(*q))
-		}
-	}
-}
-
 // TestGarbageLengthAllocatesOnce feeds readFrame a length prefix that
 // is legal but absurd, with no body behind it: the one buffer it costs
 // is not kept.
@@ -90,7 +61,7 @@ func TestGarbageLengthAllocatesOnce(t *testing.T) {
 		t.Fatalf("a %d-byte length prefix allocated %d bytes", n, got)
 	}
 	for i := 0; i < 64; i++ {
-		if p := getFrame(1 << maxFrameShift); cap(*p) != 1<<maxFrameShift {
+		if p := bufpool.Get(bufpool.MaxPooled); cap(*p) != bufpool.MaxPooled {
 			t.Fatalf("the oversize body was pooled: cap %d", cap(*p))
 		}
 	}

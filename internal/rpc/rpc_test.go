@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -271,7 +272,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("id=%d kind=%v", id, kind)
 	}
 	m, err := wire.Decode(kind, *body)
-	putFrame(body)
+	bufpool.Put(body)
 	if err != nil || m.(*wire.PingReq).Nonce != 7 {
 		t.Fatalf("decode: %v %v", m, err)
 	}
@@ -313,7 +314,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 			t.Fatal(err)
 		}
 		m, err := wire.Decode(kind, *body)
-		putFrame(body)
+		bufpool.Put(body)
 		if err != nil || id != want || m.(*wire.PingReq).Nonce != want {
 			t.Fatalf("frame %d after a refused one: id %d, %v, %v", want, id, m, err)
 		}

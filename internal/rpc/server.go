@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -19,14 +20,24 @@ import (
 // cancelled when the request's connection closes or the server shuts
 // down, so a disconnected client cannot strand a blocked handler.
 //
-// A request is valid until its handler returns: wire.PutPageReq.Data
-// and wire.DHTMultiPutReq's keys and values alias a frame buffer the
-// server recycles once the response is encoded, so a handler copies
-// any request bytes it keeps. The response
+// A request is valid until its handler returns: wire.PutPageReq.Data,
+// wire.DHTMultiPutReq's keys and values and wire.DHTMultiGetReq's keys
+// alias a frame buffer the server recycles once the response is
+// encoded, so a handler copies any request bytes it keeps. The response
 // may reference the request; it is encoded before the request goes.
+//
+// A response may also carry buffers its handler borrowed: see Borrower.
 type Handler interface {
 	Handle(ctx context.Context, m wire.Msg) (wire.Msg, error)
 }
+
+// Borrower is implemented by a response that carries buffers it does
+// not own — the mirror of the request-body rule. The server calls
+// Release exactly once per response a handler returns without an error,
+// right after the response has been framed (or has turned out not to be
+// frameable), so nothing reads the buffers afterwards; whatever a
+// handler borrowed before it failed, it gives back itself.
+type Borrower interface{ Release() }
 
 // HandlerFunc adapts a function to the Handler interface.
 type HandlerFunc func(ctx context.Context, m wire.Msg) (wire.Msg, error)
@@ -163,15 +174,16 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 	// virtual time under simnet. A plain sync.Mutex here wedges the
 	// simulation when two responses race for the same connection.
 	wmu := vclock.NewMutex(s.sched)
+	var dec wire.Decoder // this goroutine decodes every request of the connection
 	for {
 		id, kind, body, err := readFrame(c)
 		if err != nil {
 			return
 		}
-		req, err := wire.Decode(kind, *body)
+		req, err := dec.Decode(kind, *body)
 		if err != nil {
 			// Cannot trust the stream after a decode error.
-			putFrame(body)
+			bufpool.Put(body)
 			return
 		}
 		s.wg.Go(func() { s.serveRequest(cctx, c, wmu, id, req, body) })
@@ -180,11 +192,16 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 
 // serveRequest runs one request to completion on its own goroutine. It
 // owns body, the recycled buffer req was decoded from (req may alias
-// it), and releases it once the response is encoded — the last moment
-// anything can still read the request — on every path.
+// it), and whatever the response borrowed, and releases both once the
+// response is encoded — the last moment anything can still read either
+// — on every path.
 func (s *Server) serveRequest(ctx context.Context, c transport.Conn, wmu *vclock.Mutex, id uint64, req wire.Msg, body *[]byte) {
-	frame := s.responseFrame(id, s.dispatch(ctx, req))
-	putFrame(body)
+	resp := s.dispatch(ctx, req)
+	frame := s.responseFrame(id, resp)
+	bufpool.Put(body)
+	if b, ok := resp.(Borrower); ok {
+		b.Release()
+	}
 	if frame == nil {
 		// Even the error response failed to encode: the client's request
 		// would dangle forever on a frame we cannot produce, so drop the
@@ -192,7 +209,7 @@ func (s *Server) serveRequest(ctx context.Context, c transport.Conn, wmu *vclock
 		c.Close()
 		return
 	}
-	defer putFrame(frame)
+	defer bufpool.Put(frame)
 	if wmu.Lock() != nil {
 		return // scheduler shut down mid-response
 	}
@@ -211,13 +228,13 @@ func (s *Server) responseFrame(id uint64, resp wire.Msg) *[]byte {
 	if n > MaxFrameBody {
 		n = 0 // appendFrame refuses it; the error response sizes itself
 	}
-	frame := getFrame(frameHeaderLen + n)
+	frame := bufpool.Get(frameHeaderLen + n)
 	out, err := appendFrame((*frame)[:0], id, resp)
 	if err != nil {
 		s.encodeFailures.Add(1)
 		if out, err = appendFrame(out, id, errorResp(err)); err != nil {
 			s.encodeFailures.Add(1)
-			putFrame(frame)
+			bufpool.Put(frame)
 			return nil
 		}
 	}

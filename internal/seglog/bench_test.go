@@ -52,7 +52,9 @@ func BenchmarkKVPut(b *testing.B) {
 	}
 }
 
-// BenchmarkKVGet reads whole 64 KiB values back from a 256-key store.
+// BenchmarkKVGet reads whole 64 KiB values back from a 256-key store:
+// Get into memory of its own each time, GetAppend into one buffer the
+// caller keeps.
 func BenchmarkKVGet(b *testing.B) {
 	ly := kvFramings[0].ly
 	s, err := OpenKV(filepath.Join(b.TempDir(), "kv.log"), ly, KVOptions{})
@@ -66,14 +68,24 @@ func BenchmarkKVGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(benchValue)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := s.Get(tkey(ly, i%keys), 0, wire.WholePage)
-		if err != nil || len(v) != len(benchValue) {
-			b.Fatal(err)
-		}
+	buf := make([]byte, 0, len(benchValue))
+	for _, bc := range []struct {
+		name string
+		get  func(key string) ([]byte, error)
+	}{
+		{"Get", func(key string) ([]byte, error) { return s.Get(key, 0, wire.WholePage) }},
+		{"GetAppend", func(key string) ([]byte, error) { return s.GetAppend(buf[:0], key, 0, wire.WholePage) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(benchValue)))
+			for i := 0; i < b.N; i++ {
+				v, err := bc.get(tkey(ly, i%keys))
+				if err != nil || len(v) != len(benchValue) {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -619,9 +619,20 @@ func (s *KV) applyBatch(batch []*kvAppend) {
 	}
 }
 
-// Get returns length bytes starting at off within key's value; a length
-// of wire.WholePage returns everything from off to the end.
+// Get returns length bytes starting at off within key's value, in
+// memory of their own; a length of wire.WholePage returns everything
+// from off to the end.
 func (s *KV) Get(key string, off, length uint32) ([]byte, error) {
+	return s.GetAppend(nil, key, off, length)
+}
+
+// GetAppend is Get onto memory the caller supplies: it reads the range
+// into dst's spare capacity, growing dst — once, to exactly what is
+// needed — only when that is too small, and returns the extended slice.
+// On error it returns nil and has written nothing into dst's length;
+// the spare capacity is the caller's to reuse either way. Len tells a
+// caller how much room a whole value needs.
+func (s *KV) GetAppend(dst []byte, key string, off, length uint32) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, s.errClosed
 	}
@@ -649,16 +660,26 @@ func (s *KV) Get(key string, off, length uint32) ([]byte, error) {
 		}
 		n = length
 	}
-	out := make([]byte, n)
+	start, end := len(dst), len(dst)+int(n)
+	if end > cap(dst) {
+		dst = append(make([]byte, 0, end), dst...)
+	}
+	dst = dst[:end]
 	if n > 0 {
-		if _, err := seg.f.ReadAt(out, e.off+int64(off)); err != nil {
+		if _, err := seg.f.ReadAt(dst[start:], e.off+int64(off)); err != nil {
 			if errors.Is(err, fs.ErrClosed) {
 				return nil, s.errClosed // lost the race with Close
 			}
 			return nil, fmt.Errorf("%s: read value: %w", s.ly.Name, err)
 		}
 	}
-	return out, nil
+	return dst, nil
+}
+
+// Len reports the size of key's value, and whether key is stored.
+func (s *KV) Len(key string) (uint32, bool) {
+	e, ok := s.lookup(key)
+	return e.vlen, ok
 }
 
 // Has reports whether key is stored.

@@ -204,6 +204,110 @@ func TestKVContract(t *testing.T) {
 	})
 }
 
+// TestKVGetAppend: GetAppend is Get onto the caller's memory — the
+// prefix stays, room that is there is used, room that is not is made
+// once and exactly, and a failure hands nothing back.
+func TestKVGetAppend(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
+		k, v := tkey(ly, 1), []byte("0123456789")
+		must(t, s.Put(k, v))
+		if n, ok := s.Len(k); n != 10 || !ok {
+			t.Fatalf("Len = %d, %v", n, ok)
+		}
+		if n, ok := s.Len(tkey(ly, 2)); n != 0 || ok {
+			t.Fatalf("Len of unknown key = %d, %v", n, ok)
+		}
+
+		roomy := append(make([]byte, 0, 64), "prefix:"...)
+		got, err := s.GetAppend(roomy, k, 2, 4)
+		if err != nil || string(got) != "prefix:2345" || &got[0] != &roomy[0] {
+			t.Fatalf("GetAppend with room = %q, %v (in place: %v)", got, err, &got[0] == &roomy[0])
+		}
+		tight := []byte("prefix:")
+		got, err = s.GetAppend(tight, k, 0, wire.WholePage)
+		if err != nil || string(got) != "prefix:0123456789" || cap(got) != len(got) {
+			t.Fatalf("GetAppend without room = %q (cap %d), %v", got, cap(got), err)
+		}
+		if string(tight) != "prefix:" {
+			t.Fatalf("the caller's slice was touched: %q", tight)
+		}
+		if got, err = s.GetAppend(roomy, k, 10, wire.WholePage); err != nil || string(got) != "prefix:" {
+			t.Fatalf("empty range = %q, %v", got, err)
+		}
+
+		for _, c := range []struct {
+			key         string
+			off, length uint32
+			want        error
+		}{{k, 11, wire.WholePage, ErrBadRange}, {k, 8, 3, ErrBadRange}, {tkey(ly, 2), 0, wire.WholePage, ErrNotFound}} {
+			if got, err := s.GetAppend(roomy, c.key, c.off, c.length); got != nil || !errors.Is(err, c.want) {
+				t.Fatalf("GetAppend(%d,%d) = %q, %v; want nil, %v", c.off, c.length, got, err, c.want)
+			}
+		}
+		must(t, s.Close())
+		if got, err := s.GetAppend(roomy, k, 0, 1); got != nil || !errors.Is(err, ErrClosed) {
+			t.Fatalf("GetAppend after Close = %q, %v", got, err)
+		}
+		if string(roomy) != "prefix:" {
+			t.Fatalf("failed reads changed the caller's slice: %q", roomy)
+		}
+	})
+}
+
+// TestKVGetAppendAcrossCompaction reads every surviving key both ways
+// while a compactor rewrites the segments under the readers — the
+// file-handle swap a read must not straddle. Each reader keeps one
+// buffer for all its reads, as a pooled caller would.
+func TestKVGetAppendAcrossCompaction(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{SegmentBytes: 2048})
+		const n = 96
+		putN(t, s, 0, n)
+		alive := func(i int) bool { return i%4 == 3 }
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				buf := make([]byte, 0, 128)
+				for i := r; ; i = (i + 7) % n {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if !alive(i) {
+						continue
+					}
+					key := tkey(ly, i)
+					into, err := s.GetAppend(buf[:0], key, 0, wire.WholePage)
+					if err != nil || !bytes.Equal(into, tval(i)) {
+						t.Errorf("GetAppend %d: %q, %v", i, into, err)
+						return
+					}
+					fresh, err := s.Get(key, 1, 5)
+					if err != nil || !bytes.Equal(fresh, into[1:6]) {
+						t.Errorf("Get %d disagrees with GetAppend: %q, %v", i, fresh, err)
+						return
+					}
+				}
+			}(r)
+		}
+		for round := 0; round < 3; round++ {
+			deleteIf(t, s, n, func(i int) bool { return i%4 == round })
+			must(t, s.Compact())
+		}
+		close(done)
+		wg.Wait()
+		if st := s.Stats(); st.Compactions == 0 {
+			t.Fatal("no segment was rewritten under the readers")
+		}
+		verifyLive(t, s, n, alive)
+	})
+}
+
 func TestKVRollsSegmentsAndFullRescan(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")

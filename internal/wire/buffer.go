@@ -190,9 +190,10 @@ func (r *Reader) Uint64() uint64 {
 // Bytes32 decodes a uint32-length-prefixed byte slice. The returned slice
 // aliases the Reader's input, which the rpc layer recycles: a field
 // decoded this way is valid only as long as the body it was decoded
-// from (for a request, until its handler returns). Only PutPageReq.Data
-// and DHTMultiPutReq's keys and values decode this way — the stores
-// behind them copy what they keep; every other field uses Bytes32Copy.
+// from (for a request, until its handler returns). Only PutPageReq.Data,
+// DHTMultiPutReq's keys and values and DHTMultiGetReq's keys decode
+// this way — the stores behind them copy what they keep, and a lookup
+// keeps nothing; every other field uses Bytes32Copy.
 func (r *Reader) Bytes32() []byte {
 	n := r.Uint32()
 	if r.err != nil {

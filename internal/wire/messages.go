@@ -166,17 +166,36 @@ func BodySize(m Msg) int {
 }
 
 // Decode decodes a message body of the given kind. The message owns
-// every field it decodes except PutPageReq.Data and DHTMultiPutReq's
-// keys and values, which alias body: the two requests whose handlers
-// copy what they keep into storage of their own anyway.
+// every field it decodes except PutPageReq.Data, DHTMultiPutReq's keys
+// and values and DHTMultiGetReq's keys, which alias body: the requests
+// whose handlers copy what they keep into storage of their own anyway,
+// or keep nothing.
 func Decode(k Kind, body []byte) (Msg, error) {
+	var d Decoder
+	return d.Decode(k, body)
+}
+
+// Decoder decodes message bodies one after another through one Reader
+// of its own. A Reader escapes to the heap through the unmarshal
+// interface call, so a goroutine that decodes every frame of a
+// connection keeps a Decoder and pays for that once, not per message.
+// The zero value is ready to use; a Decoder is not safe for concurrent
+// use. It holds no reference to a body once Decode has returned, so the
+// caller may recycle the body as soon as nothing decoded by alias is in
+// use.
+type Decoder struct{ r Reader }
+
+// Decode is the package-level Decode through d's Reader.
+func (d *Decoder) Decode(k Kind, body []byte) (Msg, error) {
 	m := New(k)
 	if m == nil {
 		return nil, fmt.Errorf("wire: unknown message kind %d", uint8(k))
 	}
-	r := NewReader(body)
-	m.unmarshal(r)
-	if err := r.Finish(); err != nil {
+	d.r = Reader{buf: body}
+	m.unmarshal(&d.r)
+	err := d.r.Finish()
+	d.r = Reader{}
+	if err != nil {
 		return nil, fmt.Errorf("wire: decoding %v: %w", k, err)
 	}
 	return m, nil
@@ -726,6 +745,10 @@ func (m *DHTMultiPutResp) MarshalTo(*Writer) {}
 func (m *DHTMultiPutResp) unmarshal(*Reader) {}
 
 // DHTMultiGetReq fetches several keys in one round trip.
+//
+// A decoded DHTMultiGetReq's keys alias the frame body they were decoded
+// from, like DHTMultiPutReq's: they are valid until the request's
+// handler returns, which is as long as a lookup needs them.
 type DHTMultiGetReq struct{ Keys [][]byte }
 
 // Kind implements Msg.
@@ -747,7 +770,7 @@ func (m *DHTMultiGetReq) unmarshal(r *Reader) {
 	}
 	m.Keys = make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
-		m.Keys = append(m.Keys, r.Bytes32Copy())
+		m.Keys = append(m.Keys, r.Bytes32())
 	}
 }
 
