@@ -1,8 +1,9 @@
 // Package bufpool is the one recycled-buffer pool of the page path: rpc
-// frames on both sides of a connection and the pages a durable store
-// reads for a GET all come from here and go back here, so a buffer a
-// read released is the buffer the next frame is built in. It imports
-// nothing of the repository's, so any layer may use it.
+// frames on both sides of a connection and the pages — or tree-node
+// values — a durable store reads for a GET all come from here and go
+// back here, so a buffer a read released is the buffer the next frame
+// is built in. It imports nothing of the repository's, so any layer
+// may use it.
 package bufpool
 
 import (

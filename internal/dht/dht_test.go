@@ -18,12 +18,12 @@ import (
 
 // newCluster spins up n metadata nodes plus a client with the given
 // replication factor.
-func newCluster(t *testing.T, n, replicas int) (*Client, []*Node) {
+func newCluster(t testing.TB, n, replicas int) (*Client, []*Node) {
 	return newClusterWith(t, n, replicas, func(h rpc.Handler) rpc.Handler { return h })
 }
 
 // newClusterWith is newCluster with every node's handler wrapped.
-func newClusterWith(t *testing.T, n, replicas int, wrap func(rpc.Handler) rpc.Handler) (*Client, []*Node) {
+func newClusterWith(t testing.TB, n, replicas int, wrap func(rpc.Handler) rpc.Handler) (*Client, []*Node) {
 	t.Helper()
 	net := transport.NewInproc()
 	sched := vclock.NewReal()
@@ -417,7 +417,7 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 	}
 	for _, nd := range nodes {
 		if nd.Addr() == c.Ring().Primary(survivor) {
-			if removed, err := nd.delete([][]byte{survivor}); err != nil || removed != 1 {
+			if removed, err := nd.eng.deleteBatch([][]byte{survivor}); err != nil || removed != 1 {
 				t.Fatalf("dropping the primary copy: %d %v", removed, err)
 			}
 		}

@@ -1,0 +1,435 @@
+package dht
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+	"unsafe"
+
+	"blobseer/internal/rpc"
+	"blobseer/internal/seglog"
+	"blobseer/internal/transport"
+	"blobseer/internal/vclock"
+	"blobseer/internal/wire"
+)
+
+// wantNothingInFlight checks that the durable node holds no pair in RAM:
+// every shard's in-flight table is empty, and what the node reports is
+// what its log counts.
+func wantNothingInFlight(t *testing.T, nd *Node) {
+	t.Helper()
+	d := nd.eng.(*Disk)
+	for i := range d.shards {
+		s := &d.shards[i]
+		s.mu.RLock()
+		n := len(s.inflight)
+		s.mu.RUnlock()
+		if n != 0 {
+			t.Fatalf("shard %d holds %d in-flight entries at rest", i, n)
+		}
+	}
+	st := nd.log.Stats()
+	if k, b := nd.Stats(); k != st.Keys || b != st.ValueBytes {
+		t.Fatalf("node stats %d keys %d bytes, log stats %d keys %d bytes", k, b, st.Keys, st.ValueBytes)
+	}
+}
+
+// TestDurableNodeKeepsNoPairAtRest: whatever acknowledged requests did —
+// concurrent MULTI_PUTs sharing keys, a failed commit, a sweep — once
+// they have returned the node's RAM holds none of their pairs.
+func TestDurableNodeKeepsNoPairAtRest(t *testing.T) {
+	r := newDurableNodeRigOpts(t, LogOptions{})
+	ctx := context.Background()
+	c := r.client()
+	shared, sharedValues := pairs("shared", 10)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 25; round++ {
+				keys, values := pairs(fmt.Sprintf("own/%d/%d", g, round), 12)
+				keys, values = append(keys, shared...), append(values, sharedValues...)
+				if err := c.MultiPut(ctx, keys, values); err != nil {
+					t.Errorf("writer %d round %d: %v", g, round, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if k, _ := r.node.Stats(); k != 4*25*12+10 {
+		t.Fatalf("%d keys stored, want %d", k, 4*25*12+10)
+	}
+	wantNothingInFlight(t, r.node)
+
+	doomed, doomedValues := pairs("doomed", 5)
+	entered, release := r.node.log.GateNextCommit()
+	put := make(chan error, 1)
+	go func() { put <- c.MultiPut(ctx, doomed, doomedValues) }()
+	<-entered
+	release <- errors.New("disk on fire")
+	if err := <-put; wire.CodeOf(err) != wire.CodeUnavailable {
+		t.Fatalf("put over a failed commit = %v, want CodeUnavailable", err)
+	}
+	wantNothingInFlight(t, r.node)
+
+	if removed, err := c.Delete(ctx, shared); err != nil || removed != 10 {
+		t.Fatalf("delete: removed %d, %v", removed, err)
+	}
+	wantNothingInFlight(t, r.node)
+}
+
+// TestDeleteRepeatedKeyCountsOnce: DHTDeleteResp.Deleted counts pairs,
+// not mentions. On the durable engine a key leaves the log's index only
+// when its tombstone's batch applies, so a repeat inside one request and
+// a second sweep racing the first must both meet the pending tombstone:
+// one record logged, one pair counted — and until that record is logged
+// the pair stays readable.
+func TestDeleteRepeatedKeyCountsOnce(t *testing.T) {
+	ctx := context.Background()
+	durable := newDurableNodeRigOpts(t, LogOptions{})
+	mem, _ := newCluster(t, 1, 1)
+	for name, c := range map[string]*Client{"memory": mem, "durable": durable.client()} {
+		k, other := []byte("named twice"), []byte("named once")
+		if err := c.MultiPut(ctx, [][]byte{k, other}, [][]byte{[]byte("v"), []byte("w")}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		before := durable.node.log.Stats().Appends
+		removed, err := c.Delete(ctx, [][]byte{k, []byte("never stored"), k, other, k})
+		if err != nil || removed != 2 {
+			t.Fatalf("%s: delete naming a key three times removed %d pairs (%v), want 2", name, removed, err)
+		}
+		if recs := durable.node.log.Stats().Appends - before; name == "durable" && recs != 2 {
+			t.Fatalf("%d tombstones logged for 2 pairs", recs)
+		}
+		if keys, _, err := c.Stats(ctx); err != nil || keys != 0 {
+			t.Fatalf("%s: %d keys left (%v)", name, keys, err)
+		}
+	}
+
+	c := durable.client()
+	k, v := []byte("swept twice"), []byte("still logged")
+	if err := c.Put(ctx, k, v); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := durable.node.log.GateNextCommit()
+	type result struct {
+		removed uint64
+		err     error
+	}
+	first := make(chan result, 1)
+	go func() {
+		n, err := c.Delete(ctx, [][]byte{k})
+		first <- result{n, err}
+	}()
+	<-entered
+	if n, err := c.Delete(ctx, [][]byte{k}); err != nil || n != 0 {
+		t.Fatalf("second sweep of a key whose tombstone is pending removed %d (%v), want 0", n, err)
+	}
+	if got, ok, err := c.Get(ctx, k); err != nil || !ok || !bytes.Equal(got, v) {
+		t.Fatalf("GET while the tombstone's commit is parked = %q %v %v, want the logged pair", got, ok, err)
+	}
+	close(release)
+	if res := <-first; res.err != nil || res.removed != 1 {
+		t.Fatalf("first sweep removed %d (%v), want 1", res.removed, res.err)
+	}
+	if _, ok, err := c.Get(ctx, k); err != nil || ok {
+		t.Fatalf("GET after the delete was acknowledged: found %v, %v", ok, err)
+	}
+	wantNothingInFlight(t, durable.node)
+	durable.restart()
+	if keys, _ := durable.node.Stats(); keys != 0 {
+		t.Fatalf("%d keys after the restart, want 0", keys)
+	}
+}
+
+// TestDivergentReputOfLoggedPairSameLength: against a pair that is
+// logged and no longer in flight the immutability compare has only the
+// log to go by, and it must read the bytes — the index's length alone
+// cannot tell two values of one size apart.
+func TestDivergentReputOfLoggedPairSameLength(t *testing.T) {
+	r := newDurableNodeRigOpts(t, LogOptions{})
+	ctx := context.Background()
+	k, v := []byte("k"), []byte("first value")
+	if err := r.client().Put(ctx, k, v); err != nil {
+		t.Fatal(err)
+	}
+	for _, when := range []string{"same run", "after a restart"} {
+		c := r.client()
+		before := r.node.log.Stats().Appends
+		if err := c.Put(ctx, k, []byte("other value")); wire.CodeOf(err) != wire.CodeBadRequest {
+			t.Fatalf("%s: divergent re-put of equal length = %v, want CodeBadRequest", when, err)
+		}
+		if err := c.Put(ctx, k, []byte("a longer value")); wire.CodeOf(err) != wire.CodeBadRequest {
+			t.Fatalf("%s: divergent re-put of another length = %v, want CodeBadRequest", when, err)
+		}
+		if err := c.MultiPut(ctx, [][]byte{k}, [][]byte{v}); err != nil {
+			t.Fatalf("%s: identical re-put: %v", when, err)
+		}
+		if recs := r.node.log.Stats().Appends - before; recs != 0 {
+			t.Fatalf("%s: re-puts of a logged pair logged %d records", when, recs)
+		}
+		wantStored(t, c, [][]byte{k}, [][]byte{v})
+		r.restart()
+	}
+}
+
+// TestGetRacesCompaction: a GET reads its pair from a log segment, and
+// the compactor rewrites segments — moving the live pairs and swapping
+// the file — underneath it. Readers check every byte of pairs that stay
+// live while the main goroutine deletes their neighbours and compacts,
+// segment after segment. Released buffers are poisoned in this package's
+// tests, so a response buffer handed back before its frame was built
+// reads as 0xDB. Run under -race.
+func TestGetRacesCompaction(t *testing.T) {
+	r := newDurableNodeRigOpts(t, LogOptions{SegmentBytes: 2048})
+	ctx := context.Background()
+	c := r.client()
+	const total = 400
+	key := func(i int) []byte { return []byte(fmt.Sprintf("tree/%d/node/%d", i%5, i)) }
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8), 0x5A}, 8+i%32) }
+	var keys, vals [][]byte
+	for i := 0; i < total; i++ {
+		keys, vals = append(keys, key(i)), append(vals, val(i))
+	}
+	for at := 0; at < total; at += 20 { // a commit lands in one segment: spread them
+		if err := c.MultiPut(ctx, keys[at:at+20], vals[at:at+20]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func(i int) bool { return i%4 == 0 }
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; ; round++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var batch [][]byte
+				var want []int
+				for k := 0; k < 1+(g+round)%16; k++ {
+					i := ((g*97 + round*13 + k*7) % (total / 4)) * 4
+					batch, want = append(batch, key(i)), append(want, i)
+				}
+				got, found, err := c.MultiGet(ctx, batch)
+				if err != nil {
+					t.Errorf("reader %d: %v", g, err)
+					return
+				}
+				for k, i := range want {
+					if !found[k] || !bytes.Equal(got[k], val(i)) {
+						t.Errorf("reader %d round %d: key %s: found %v, value %x", g, round, batch[k], found[k], got[k])
+						return
+					}
+				}
+				if v, ok, err := c.Get(ctx, batch[0]); err != nil || !ok || !bytes.Equal(v, val(want[0])) {
+					t.Errorf("reader %d round %d: GET %s = %x %v %v", g, round, batch[0], v, ok, err)
+					return
+				}
+			}
+		}(g)
+	}
+	for lo := 0; lo < total; lo += 40 {
+		var victims [][]byte
+		for i := lo; i < lo+40; i++ {
+			if !live(i) {
+				victims = append(victims, key(i))
+			}
+		}
+		if removed, err := c.Delete(ctx, victims); err != nil || removed != 30 {
+			t.Fatalf("delete: removed %d, %v", removed, err)
+		}
+		if err := r.node.CompactLog(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := r.node.log.Stats(); st.Compactions == 0 || st.Keys != total/4 {
+		t.Fatalf("%d rewrites, %d keys left; want some rewrites and %d keys", st.Compactions, st.Keys, total/4)
+	}
+}
+
+// ledgerEngine is an engine that keeps books on what it lends: every
+// successful getBatch is a loan until release brings that same buffer
+// back, once. Two keys are special, so a test can stage the exits a real
+// engine makes hard to reach.
+type ledgerEngine struct {
+	engine
+	huge []byte // what oversizeKey reads as: more than one frame can carry
+
+	mu       sync.Mutex
+	out      map[*byte]int // start of a lent buffer -> times on loan
+	open     int           // loans not yet released, those of no buffer included
+	lent     int
+	released int
+	bad      []string
+}
+
+var (
+	brokenKey   = []byte("ledger: broken")   // getBatch fails with an error of the engine's own
+	oversizeKey = []byte("ledger: oversize") // found, with a value no frame can carry
+)
+
+func (e *ledgerEngine) getBatch(keys [][]byte, found []bool, values [][]byte) ([]byte, error) {
+	for _, k := range keys {
+		if bytes.Equal(k, brokenKey) {
+			return nil, wire.NewError(wire.CodeUnavailable, "ledger: medium error")
+		}
+	}
+	lent, err := e.engine.getBatch(keys, found, values)
+	if err != nil {
+		return nil, err
+	}
+	for i, k := range keys {
+		if bytes.Equal(k, oversizeKey) {
+			found[i], values[i] = true, e.huge
+		}
+	}
+	e.mu.Lock()
+	if lent != nil {
+		e.out[unsafe.SliceData(lent)]++
+	}
+	e.open++
+	e.lent++
+	e.mu.Unlock()
+	return lent, nil
+}
+
+func (e *ledgerEngine) release(lent []byte) {
+	e.mu.Lock()
+	switch p := unsafe.SliceData(lent); {
+	case e.open == 0:
+		e.bad = append(e.bad, "release with nothing on loan")
+	case lent != nil && e.out[p] == 0:
+		e.bad = append(e.bad, fmt.Sprintf("release of a %d-byte buffer that is not on loan", cap(lent)))
+	case lent != nil:
+		e.out[p]--
+	}
+	e.open--
+	e.released++
+	e.mu.Unlock()
+	e.engine.release(lent)
+}
+
+// settled waits until nothing is on loan — the server releases on its
+// own goroutine, after the handler — and checks the books since the
+// last call: loans made, as many given back, none of them wrong.
+func (e *ledgerEngine) settled(t *testing.T, when string, loans int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		e.mu.Lock()
+		open, lent, released, bad := e.open, e.lent, e.released, e.bad
+		for _, n := range e.out {
+			if n != 0 && open == 0 {
+				bad = append(bad, "a buffer is out although every loan was released")
+			}
+		}
+		if open == 0 {
+			e.lent, e.released = 0, 0
+		}
+		e.mu.Unlock()
+		switch {
+		case len(bad) > 0:
+			t.Fatalf("%s: %v", when, bad)
+		case open == 0 && (lent != loans || released != loans):
+			t.Fatalf("%s: %d loans made and %d released, want %d of each", when, lent, released, loans)
+		case open == 0:
+			return
+		case time.Now().After(deadline):
+			t.Fatalf("%s: %d of %d loans never came back", when, open, lent)
+		}
+	}
+}
+
+// TestEveryLentValueBufferReleasedOnce walks DHT_GET and DHT_MULTI_GET
+// out of every exit they have, over either engine, and checks the
+// engine's books after each: what getBatch lent came back through
+// release exactly once, and nothing else did.
+func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
+	for _, name := range []string{"Disk", "Mem"} {
+		t.Run(name, func(t *testing.T) {
+			var inner engine = newMem()
+			if name == "Disk" {
+				kv, err := seglog.OpenKV(filepath.Join(t.TempDir(), "meta.log"), metaLayout, seglog.KVOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				inner = newDisk(kv) // closed with the node
+			}
+			eng := &ledgerEngine{engine: inner, huge: make([]byte, rpc.MaxFrameBody+1), out: make(map[*byte]int)}
+			net := transport.NewInproc()
+			ln, err := net.Listen("meta")
+			if err != nil {
+				t.Fatal(err)
+			}
+			nd := &Node{eng: eng}
+			nd.srv = rpc.Serve(ln, vclock.NewReal(), nd.mux())
+			cl := rpc.NewClient(net, vclock.NewReal(), rpc.ClientOptions{})
+			t.Cleanup(func() {
+				cl.Close()
+				nd.Close()
+				net.Close()
+			})
+			ctx := context.Background()
+			a, b, missing := []byte("a"), []byte("b"), []byte("missing")
+			put := &wire.DHTMultiPutReq{Keys: [][]byte{a, b}, Values: [][]byte{[]byte("0123456789"), []byte("abcdef")}}
+			if _, err := cl.Call(ctx, "meta", put); err != nil {
+				t.Fatal(err)
+			}
+
+			resp, err := cl.Call(ctx, "meta", &wire.DHTGetReq{Key: a})
+			if err != nil || string(resp.(*wire.DHTGetResp).Value) != "0123456789" {
+				t.Fatalf("GET = %v, %v", resp, err)
+			}
+			eng.settled(t, "GET served", 1)
+
+			resp, err = cl.Call(ctx, "meta", &wire.DHTGetReq{Key: missing})
+			if err != nil || resp.(*wire.DHTGetResp).Found {
+				t.Fatalf("GET of a missing key = %v, %v", resp, err)
+			}
+			eng.settled(t, "GET of a missing key", 1)
+
+			resp, err = cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{missing, missing}})
+			if err != nil || resp.(*wire.DHTMultiGetResp).Found[0] {
+				t.Fatalf("MULTI_GET of missing keys = %v, %v", resp, err)
+			}
+			eng.settled(t, "MULTI_GET that found nothing", 1)
+
+			resp, err = cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{a, missing, b}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := resp.(*wire.DHTMultiGetResp); !r.Found[0] || r.Found[1] || !r.Found[2] ||
+				string(r.Values[0]) != "0123456789" || string(r.Values[2]) != "abcdef" {
+				t.Fatalf("MULTI_GET around a missing key = %+v", r)
+			}
+			eng.settled(t, "MULTI_GET served around a missing key", 1)
+
+			if _, err := cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{a, brokenKey}}); wire.CodeOf(err) != wire.CodeUnavailable {
+				t.Fatalf("err = %v, want the engine's", err)
+			}
+			eng.settled(t, "engine error", 0)
+
+			if _, err := cl.Call(ctx, "meta", &wire.DHTGetReq{Key: oversizeKey}); err == nil {
+				t.Fatal("a value no frame can carry was served")
+			}
+			eng.settled(t, "GET response failed to encode", 1)
+			if _, err := cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{a, oversizeKey, b}}); err == nil {
+				t.Fatal("a value no frame can carry was served")
+			}
+			eng.settled(t, "MULTI_GET response failed to encode", 1)
+		})
+	}
+}

@@ -1,9 +1,7 @@
 package dht
 
 import (
-	"bytes"
 	"context"
-	"sync"
 
 	"blobseer/internal/rpc"
 	"blobseer/internal/seglog"
@@ -12,249 +10,97 @@ import (
 	"blobseer/internal/wire"
 )
 
-// kvShards spreads the key space over independent locks; metadata trees
-// are read by many concurrent clients (§4.2).
+// Node is one metadata provider: the wire front-end — validation,
+// request and response framing, buffer ownership — over a storage
+// engine that holds the pairs: Mem (ServeNode) or Disk
+// (ServeDurableNode).
+type Node struct {
+	srv *rpc.Server
+	eng engine
+	// log is the Disk engine's store, nil over Mem: what LogBytes,
+	// SnapshotLog and CompactLog act on.
+	log *seglog.KV
+}
+
+// engine stores a node's pairs. Keys are non-empty and values are
+// immutable: a re-put of the stored value is an idempotent no-op, but a
+// re-put with a *different* value is rejected — node keys embed
+// version+range, so two writers can only ever produce identical bytes
+// for the same key, and divergence signals corruption (or a buggy
+// client) that silently keeping the first value would hide. The rule
+// holds against concurrent requests and against a key repeated inside
+// one. Implementations are safe for concurrent use.
+type engine interface {
+	// putBatch stores the pairs of one request as one unit and returns
+	// once they are as durable as the engine makes them. keys and values
+	// alias the request's frame: the engine copies what it keeps. A
+	// divergence error stops the batch; the pairs before it stay stored.
+	putBatch(keys, values [][]byte) error
+	// getBatch looks keys up, setting found[i] and values[i] for each
+	// keys[i] it holds. The values are read-only and on loan together
+	// with lent until the caller passes lent to release, once, as the
+	// last thing it does with them. A failed getBatch lends nothing.
+	getBatch(keys [][]byte, found []bool, values [][]byte) (lent []byte, err error)
+	// release takes back what one getBatch lent.
+	release(lent []byte)
+	// deleteBatch removes pairs, returning how many were stored here:
+	// unknown keys are no-ops, and a key named twice — in one request or
+	// by two concurrent ones — counts once. The caller (a collector
+	// walking version metadata) has proven every key unreachable; keys
+	// are never reused afterwards.
+	deleteBatch(keys [][]byte) (deleted uint64, err error)
+	// stats returns the number of keys and total value bytes stored.
+	stats() (keys, bytes uint64)
+	close() error
+}
+
+// divergent is the error of a re-put that breaks the immutability rule.
+func divergent(key []byte, stored, got int) error {
+	return wire.NewError(wire.CodeBadRequest,
+		"divergent re-put of key %x: stored %d bytes, got %d", key, stored, got)
+}
+
+// kvShards spreads an engine's key space over independent locks;
+// metadata trees are read by many concurrent clients (§4.2).
 const kvShards = 64
 
-// Node is one metadata provider: an RPC service storing key/value pairs,
-// optionally persisted to a segmented log (see ServeDurableNode).
-type Node struct {
-	srv    *rpc.Server
-	log    *seglog.KV // nil for the in-memory node
-	shards [kvShards]kvShard
+// shardOf picks a key's lock among an engine's kvShards.
+func shardOf[K string | []byte](key K) uint {
+	h := uint(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint(key[i])) * 16777619
+	}
+	return h % kvShards
 }
 
-// kvShard is one lock's worth of the RAM state. A handler holds at most
-// one shard lock at a time and never across a wait on the log; the
-// log's own locks (its writer mutex and index stripes, taken by
-// EnqueuePut, EnqueueDelete and Has) nest inside it.
-//
-//blobseer:lockorder kvShard.mu
-type kvShard struct {
-	mu    sync.RWMutex
-	m     map[string][]byte
-	bytes uint64
-}
-
-// ServeNode starts a metadata provider on ln.
+// ServeNode starts a metadata provider on ln, its pairs in RAM.
 func ServeNode(ln transport.Listener, sched vclock.Scheduler) *Node {
 	n := newNode(nil)
 	n.srv = rpc.Serve(ln, sched, n.mux())
 	return n
 }
 
+// newNode builds the node over the Disk engine of log, or over Mem when
+// log is nil.
 func newNode(log *seglog.KV) *Node {
-	n := &Node{log: log}
-	for i := range n.shards {
-		n.shards[i].m = make(map[string][]byte)
+	if log == nil {
+		return &Node{eng: newMem()}
 	}
-	return n
+	return &Node{eng: newDisk(log), log: log}
 }
 
 // Addr returns the node's service address.
 func (n *Node) Addr() string { return n.srv.Addr() }
 
-// Close stops the service and, for durable nodes, closes the log.
+// Close stops the service and closes the engine (for durable nodes, the
+// log).
 func (n *Node) Close() {
 	n.srv.Close()
-	if n.log != nil {
-		n.log.Close()
-	}
-}
-
-func (n *Node) shard(key []byte) *kvShard {
-	h := uint(2166136261)
-	for _, b := range key {
-		h = (h ^ uint(b)) * 16777619
-	}
-	return &n.shards[h%kvShards]
-}
-
-// putBatch stores the pairs of one DHT_PUT or DHT_MULTI_PUT request as
-// one unit. Values are immutable: a re-put of the stored value is an
-// idempotent no-op, but a re-put with a *different* value is rejected —
-// node keys embed version+range, so two writers can only ever produce
-// identical bytes for the same key, and divergence signals corruption
-// (or a buggy client) that silently keeping the first value would hide.
-//
-// Per key the shard lock covers only the dup/divergence check, the
-// insert of an exact-size copy (keys and values alias the request
-// frame, and a sub-slice would pin it) and, on a durable node, the
-// enqueue of the log record. The lock is not held across the commit:
-// every record is awaited once after the loop, so a request is one
-// write and at most one fsync, readers of the shard are not parked
-// behind it, and the request is acknowledged only after it is logged.
-// A pair is therefore visible before it is durable. Nobody can tell:
-// a tree node is reachable only from a root whose writer was
-// acknowledged, which is after this returns; and because the insert is
-// under the same lock as the check, the immutability rule also holds
-// against a put that is enqueued but not yet committed and against a
-// key repeated inside one request.
-//
-// A request that finds its key stored but not yet logged — a concurrent
-// request's put of the same bytes, still in flight — logs the pair
-// again instead of trusting the other's commit, so its own
-// acknowledgement too comes after the log; the log's first-record-wins
-// apply absorbs the duplicate. If a commit fails, the pairs this
-// request made visible and the log does not hold are withdrawn. (A
-// divergence error does not withdraw the earlier pairs of its request:
-// they are logged, and what is logged stays visible.) Deleting a key
-// whose put is in flight is outside the contract — keys are collected
-// only once unreachable, and a key being put belongs to an unpublished
-// version.
-func (n *Node) putBatch(keys, values [][]byte) error {
-	if len(keys) != len(values) {
-		return wire.NewError(wire.CodeBadRequest,
-			"key/value count mismatch: %d vs %d", len(keys), len(values))
-	}
-	for i := range keys {
-		if len(keys[i]) == 0 {
-			return wire.NewError(wire.CodeBadRequest, "empty key at index %d", i)
-		}
-	}
-	var waits []func() error
-	if n.log != nil {
-		waits = make([]func() error, 0, len(keys))
-	}
-	// done counts the keys handled; raced is set when one of them was
-	// logged although already visible (see above).
-	done, raced := 0, false
-	var firstErr error
-	for i, key := range keys {
-		s := n.shard(key)
-		s.mu.Lock()
-		old, dup := s.m[string(key)]
-		if dup && !bytes.Equal(old, values[i]) {
-			s.mu.Unlock()
-			firstErr = wire.NewError(wire.CodeBadRequest,
-				"divergent re-put of key %x: stored %d bytes, got %d", key, len(old), len(values[i]))
-			break
-		}
-		if dup && (n.log == nil || n.log.Has(string(key))) {
-			s.mu.Unlock()
-			done++
-			continue
-		}
-		k := string(key)
-		if n.log != nil {
-			wait, err := n.log.EnqueuePut(k, values[i])
-			if err != nil {
-				s.mu.Unlock()
-				firstErr = wire.NewError(wire.CodeUnavailable, "metadata log: %v", err)
-				break
-			}
-			waits = append(waits, wait)
-			raced = raced || dup
-		}
-		if !dup {
-			s.m[k] = append([]byte(nil), values[i]...)
-			s.bytes += uint64(len(values[i]))
-		}
-		s.mu.Unlock()
-		done++
-	}
-	// Every enqueued record must be awaited even when a later key failed:
-	// the first one may have designated this handler as the batch leader,
-	// and an unawaited leader stalls the whole queue.
-	var commitErr error
-	for _, wait := range waits {
-		if err := wait(); err != nil && commitErr == nil {
-			commitErr = err
-		}
-	}
-	if commitErr != nil {
-		firstErr = wire.NewError(wire.CodeUnavailable, "metadata log: %v", commitErr)
-	}
-	if commitErr != nil || raced {
-		// Settle what is visible against what the log holds, for the keys
-		// this request handled (and so logged, unless the log had them):
-		// withdraw the pairs of a failed commit, and restore a pair this
-		// request logged after the request it raced failed and withdrew it.
-		for i, key := range keys[:done] {
-			s := n.shard(key)
-			s.mu.Lock()
-			old, visible := s.m[string(key)]
-			switch logged := n.log.Has(string(key)); {
-			case visible && !logged:
-				delete(s.m, string(key))
-				s.bytes -= uint64(len(old))
-			case logged && !visible:
-				s.m[string(key)] = append([]byte(nil), values[i]...)
-				s.bytes += uint64(len(values[i]))
-			}
-			s.mu.Unlock()
-		}
-	}
-	return firstErr
-}
-
-// delete removes a batch of pairs, returning how many existed here. Like
-// putBatch, on durable nodes each tombstone is enqueued to the log under
-// the shard lock and the whole batch is awaited at once after the loop,
-// so its records share write+fsync via group commit — GC sweeps delete
-// thousands of keys per request, and one fsync per key would serialize
-// the sweep on the disk. A crash before the batch commits may resurrect
-// some pairs of an unacknowledged batch; deletes are idempotent, so the
-// collector's re-run removes them again. Unknown keys are no-ops.
-func (n *Node) delete(keys [][]byte) (uint64, error) {
-	var deleted uint64
-	var enqueued []func() error
-	var firstErr error
-	for _, key := range keys {
-		s := n.shard(key)
-		s.mu.Lock()
-		old, ok := s.m[string(key)]
-		if !ok {
-			s.mu.Unlock()
-			continue
-		}
-		if n.log != nil {
-			wait, err := n.log.EnqueueDelete(string(key))
-			if err != nil {
-				s.mu.Unlock()
-				firstErr = err
-				break
-			}
-			enqueued = append(enqueued, wait)
-		}
-		delete(s.m, string(key))
-		s.bytes -= uint64(len(old))
-		s.mu.Unlock()
-		deleted++
-	}
-	// Every enqueued record must be awaited even when a later enqueue
-	// failed: the first one may have designated this handler as the batch
-	// leader, and an unawaited leader stalls the whole queue.
-	for _, wait := range enqueued {
-		if err := wait(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return deleted, wire.NewError(wire.CodeUnavailable, "metadata log: %v", firstErr)
-	}
-	return deleted, nil
-}
-
-func (n *Node) get(key []byte) ([]byte, bool) {
-	s := n.shard(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.m[string(key)]
-	return v, ok
+	n.eng.close()
 }
 
 // Stats returns the number of keys and total value bytes stored.
-func (n *Node) Stats() (keys, bytes uint64) {
-	for i := range n.shards {
-		s := &n.shards[i]
-		s.mu.RLock()
-		keys += uint64(len(s.m))
-		bytes += s.bytes
-		s.mu.RUnlock()
-	}
-	return keys, bytes
-}
+func (n *Node) Stats() (keys, bytes uint64) { return n.eng.stats() }
 
 // LogBytes reports the durable node's on-disk footprint: the summed
 // size of every metadata log segment (0 for an in-memory node).
@@ -286,6 +132,51 @@ func (n *Node) CompactLog() error {
 	return n.log.Compact()
 }
 
+// put validates and stores the pairs of one DHT_PUT or DHT_MULTI_PUT:
+// a malformed request stores nothing, wherever in it the defect sits.
+func (n *Node) put(keys, values [][]byte) error {
+	if len(keys) != len(values) {
+		return wire.NewError(wire.CodeBadRequest,
+			"key/value count mismatch: %d vs %d", len(keys), len(values))
+	}
+	if err := nonEmpty(keys); err != nil {
+		return err
+	}
+	return n.eng.putBatch(keys, values)
+}
+
+func nonEmpty(keys [][]byte) error {
+	for i := range keys {
+		if len(keys[i]) == 0 {
+			return wire.NewError(wire.CodeBadRequest, "empty key at index %d", i)
+		}
+	}
+	return nil
+}
+
+// lentValue and lentValues are the DHT_GET and DHT_MULTI_GET responses
+// as the node's handlers return them: the wire message — they marshal
+// as exactly that, its methods are promoted — plus the engine its
+// values are on loan from (engine.getBatch). They implement
+// rpc.Borrower, so the server gives the loan back once the response is
+// framed; a failed getBatch lends nothing, so there is no handler path
+// that releases. Either way each loan is released exactly once.
+type lentValue struct {
+	wire.DHTGetResp
+	eng  engine
+	lent []byte
+}
+
+func (r *lentValue) Release() { r.eng.release(r.lent) }
+
+type lentValues struct {
+	wire.DHTMultiGetResp
+	eng  engine
+	lent []byte
+}
+
+func (r *lentValues) Release() { r.eng.release(r.lent) }
+
 func (n *Node) mux() *rpc.Mux {
 	m := rpc.NewMux()
 	m.Register(wire.KindPingReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
@@ -293,31 +184,40 @@ func (n *Node) mux() *rpc.Mux {
 	})
 	m.Register(wire.KindDHTPutReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTPutReq)
-		if err := n.putBatch([][]byte{req.Key}, [][]byte{req.Value}); err != nil {
+		if err := n.put([][]byte{req.Key}, [][]byte{req.Value}); err != nil {
 			return nil, err
 		}
 		return &wire.DHTPutResp{}, nil
 	})
 	m.Register(wire.KindDHTGetReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTGetReq)
-		v, ok := n.get(req.Key)
-		return &wire.DHTGetResp{Found: ok, Value: v}, nil
+		var found [1]bool
+		var value [1][]byte
+		lent, err := n.eng.getBatch([][]byte{req.Key}, found[:], value[:])
+		if err != nil {
+			return nil, err
+		}
+		return &lentValue{
+			DHTGetResp: wire.DHTGetResp{Found: found[0], Value: value[0]},
+			eng:        n.eng,
+			lent:       lent,
+		}, nil
 	})
 	m.Register(wire.KindDHTMultiPutReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTMultiPutReq)
-		if err := n.putBatch(req.Keys, req.Values); err != nil {
+		if err := n.put(req.Keys, req.Values); err != nil {
 			return nil, err
 		}
 		return &wire.DHTMultiPutResp{}, nil
 	})
 	m.Register(wire.KindDHTMultiGetReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTMultiGetReq)
-		resp := &wire.DHTMultiGetResp{
-			Found:  make([]bool, len(req.Keys)),
-			Values: make([][]byte, len(req.Keys)),
-		}
-		for i, k := range req.Keys {
-			resp.Values[i], resp.Found[i] = n.get(k)
+		resp := &lentValues{eng: n.eng}
+		resp.Found = make([]bool, len(req.Keys))
+		resp.Values = make([][]byte, len(req.Keys))
+		var err error
+		if resp.lent, err = n.eng.getBatch(req.Keys, resp.Found, resp.Values); err != nil {
+			return nil, err
 		}
 		return resp, nil
 	})
@@ -327,12 +227,10 @@ func (n *Node) mux() *rpc.Mux {
 	})
 	m.Register(wire.KindDHTDeleteReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTDeleteReq)
-		for i := range req.Keys {
-			if len(req.Keys[i]) == 0 {
-				return nil, wire.NewError(wire.CodeBadRequest, "empty key at index %d", i)
-			}
+		if err := nonEmpty(req.Keys); err != nil {
+			return nil, err
 		}
-		deleted, err := n.delete(req.Keys)
+		deleted, err := n.eng.deleteBatch(req.Keys)
 		if err != nil {
 			return nil, err
 		}

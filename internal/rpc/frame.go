@@ -30,9 +30,10 @@
 //     request bytes copies them.
 //   - a response's borrowed buffers — what a handler's response says it
 //     holds on loan (see Borrower; the data provider's GET_PAGE and
-//     GET_PAGES answers carry pages lent by pagestore.Store.Get) — by
-//     the server's per-request goroutine once the response is framed,
-//     beside the request body.
+//     GET_PAGES answers carry pages lent by pagestore.Store.Get, a
+//     metadata node's DHT_GET and DHT_MULTI_GET answers the buffer its
+//     engine read their values into) — by the server's per-request
+//     goroutine once the response is framed, beside the request body.
 //   - a response frame, by the server right after it is written to the
 //     connection.
 package rpc

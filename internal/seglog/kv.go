@@ -211,9 +211,11 @@ type kvStripe struct {
 }
 
 // kvEntry locates one live value: bytes [off, off+vlen) of segment seg.
+// Every indexed key carries one, so the fields are ordered to pack into
+// 16 bytes.
 type kvEntry struct {
-	seg  uint32
 	off  int64
+	seg  uint32
 	vlen uint32
 }
 
@@ -323,7 +325,12 @@ func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
 	return s, nil
 }
 
-func (s *KV) stripe(key string) *kvStripe {
+// keyBytes is a key as the read path takes it: the string the index
+// holds, or the bytes a caller decoded off the wire (LenBytes,
+// GetAppendBytes), which a lookup must not have to copy into a string.
+type keyBytes interface{ string | []byte }
+
+func stripeOf[K keyBytes](s *KV, key K) *kvStripe {
 	h := uint32(2166136261) // FNV-1a
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619
@@ -331,13 +338,17 @@ func (s *KV) stripe(key string) *kvStripe {
 	return &s.stripes[h%kvStripes]
 }
 
-func (s *KV) lookup(key string) (kvEntry, bool) {
-	st := s.stripe(key)
+func (s *KV) stripe(key string) *kvStripe { return stripeOf(s, key) }
+
+func lookup[K keyBytes](s *KV, key K) (kvEntry, bool) {
+	st := stripeOf(s, key)
 	st.mu.RLock()
-	e, ok := st.m[key]
+	e, ok := st.m[string(key)] // a conversion that only indexes a map allocates nothing
 	st.mu.RUnlock()
 	return e, ok
 }
+
+func (s *KV) lookup(key string) (kvEntry, bool) { return lookup(s, key) }
 
 func (s *KV) segment(idx uint32) *kvSegment {
 	s.segMu.RLock()
@@ -633,10 +644,21 @@ func (s *KV) Get(key string, off, length uint32) ([]byte, error) {
 // the spare capacity is the caller's to reuse either way. Len tells a
 // caller how much room a whole value needs.
 func (s *KV) GetAppend(dst []byte, key string, off, length uint32) ([]byte, error) {
+	return getAppend(s, dst, key, off, length)
+}
+
+// GetAppendBytes is GetAppend for a key held as bytes — one decoded off
+// the wire, say — without the string copy a conversion at the call site
+// would cost.
+func (s *KV) GetAppendBytes(dst, key []byte, off, length uint32) ([]byte, error) {
+	return getAppend(s, dst, key, off, length)
+}
+
+func getAppend[K keyBytes](s *KV, dst []byte, key K, off, length uint32) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, s.errClosed
 	}
-	e, ok := s.lookup(key)
+	e, ok := lookup(s, key)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -647,7 +669,7 @@ func (s *KV) GetAppend(dst []byte, key string, off, length uint32) ([]byte, erro
 	// value between the lookup and here, and it swaps the file handle and
 	// rewrites the entries as one unit under seg.mu. Records never move
 	// between segments, so the entry still points into seg.
-	if e, ok = s.lookup(key); !ok {
+	if e, ok = lookup(s, key); !ok {
 		return nil, ErrNotFound
 	}
 	if off > e.vlen {
@@ -679,6 +701,12 @@ func (s *KV) GetAppend(dst []byte, key string, off, length uint32) ([]byte, erro
 // Len reports the size of key's value, and whether key is stored.
 func (s *KV) Len(key string) (uint32, bool) {
 	e, ok := s.lookup(key)
+	return e.vlen, ok
+}
+
+// LenBytes is Len for a key held as bytes (see GetAppendBytes).
+func (s *KV) LenBytes(key []byte) (uint32, bool) {
+	e, ok := lookup(s, key)
 	return e.vlen, ok
 }
 

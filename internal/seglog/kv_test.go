@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"blobseer/internal/wire"
 )
@@ -655,6 +656,50 @@ func TestKVPutAllocBudget(t *testing.T) {
 		t.Logf("%.0f B allocated per %d-byte Put", got, len(benchValue))
 		if got > 0.1*float64(len(benchValue)) {
 			t.Fatalf("a Put allocates %.0f B, budget 0.1 x %d", got, len(benchValue))
+		}
+	})
+}
+
+// TestKVByteKeyedReads: LenBytes and GetAppendBytes are Len and
+// GetAppend for a caller that holds the key as bytes, and exist so the
+// lookup does not copy it into a string first — they allocate nothing,
+// even for a key past the 32 bytes a conversion converts on the stack.
+// The index entry they find is what every stored key pays for in RAM.
+func TestKVByteKeyedReads(t *testing.T) {
+	if size := unsafe.Sizeof(kvEntry{}); size != 16 {
+		t.Fatalf("an index entry is %d bytes, want 16", size)
+	}
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
+		k := tkey(ly, 1)
+		if ly.KeyLen == 0 {
+			k = strings.Repeat("tree/node/", 4) // 40 bytes
+		}
+		must(t, s.Put(k, []byte("0123456789")))
+		key, missing := []byte(k), []byte(tkey(ly, 2))
+		if n, ok := s.LenBytes(key); n != 10 || !ok {
+			t.Fatalf("LenBytes = %d, %v", n, ok)
+		}
+		if n, ok := s.LenBytes(missing); n != 0 || ok {
+			t.Fatalf("LenBytes of unknown key = %d, %v", n, ok)
+		}
+		roomy := append(make([]byte, 0, 64), "prefix:"...)
+		got, err := s.GetAppendBytes(roomy, key, 2, 4)
+		if err != nil || string(got) != "prefix:2345" || &got[0] != &roomy[0] {
+			t.Fatalf("GetAppendBytes with room = %q, %v", got, err)
+		}
+		if got, err := s.GetAppendBytes(roomy, missing, 0, wire.WholePage); got != nil || !errors.Is(err, ErrNotFound) {
+			t.Fatalf("GetAppendBytes of unknown key = %q, %v", got, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := s.LenBytes(key); !ok {
+				t.Fatal("key lost")
+			}
+			if _, err := s.GetAppendBytes(roomy, key, 0, wire.WholePage); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("a byte-keyed Len and read allocate %v times, want 0", allocs)
 		}
 	})
 }

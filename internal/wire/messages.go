@@ -700,7 +700,7 @@ func (m *DHTGetResp) unmarshal(r *Reader) {
 // A decoded DHTMultiPutReq's keys and values alias the frame body they
 // were decoded from, like PutPageReq.Data: they are valid until the
 // request's handler returns, and the metadata node copies what it keeps
-// (dht.Node.putBatch does, at exact size).
+// (the node's engines do, at exact size).
 type DHTMultiPutReq struct {
 	Keys   [][]byte
 	Values [][]byte
