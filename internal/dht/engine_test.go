@@ -18,21 +18,10 @@ import (
 	"blobseer/internal/wire"
 )
 
-// wantNothingInFlight checks that the durable node holds no pair in RAM:
-// every shard's in-flight table is empty, and what the node reports is
-// what its log counts.
-func wantNothingInFlight(t *testing.T, nd *Node) {
+// wantLogIsAllState checks that the durable node counts no pair its log
+// does not: what the node reports is what its log counts.
+func wantLogIsAllState(t *testing.T, nd *Node) {
 	t.Helper()
-	d := nd.eng.(*Disk)
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		n := len(s.inflight)
-		s.mu.RUnlock()
-		if n != 0 {
-			t.Fatalf("shard %d holds %d in-flight entries at rest", i, n)
-		}
-	}
 	st := nd.log.Stats()
 	if k, b := nd.Stats(); k != st.Keys || b != st.ValueBytes {
 		t.Fatalf("node stats %d keys %d bytes, log stats %d keys %d bytes", k, b, st.Keys, st.ValueBytes)
@@ -41,7 +30,7 @@ func wantNothingInFlight(t *testing.T, nd *Node) {
 
 // TestDurableNodeKeepsNoPairAtRest: whatever acknowledged requests did —
 // concurrent MULTI_PUTs sharing keys, a failed commit, a sweep — once
-// they have returned the node's RAM holds none of their pairs.
+// they have returned the node holds exactly what its log does.
 func TestDurableNodeKeepsNoPairAtRest(t *testing.T) {
 	r := newDurableNodeRigOpts(t, LogOptions{})
 	ctx := context.Background()
@@ -66,7 +55,7 @@ func TestDurableNodeKeepsNoPairAtRest(t *testing.T) {
 	if k, _ := r.node.Stats(); k != 4*25*12+10 {
 		t.Fatalf("%d keys stored, want %d", k, 4*25*12+10)
 	}
-	wantNothingInFlight(t, r.node)
+	wantLogIsAllState(t, r.node)
 
 	doomed, doomedValues := pairs("doomed", 5)
 	entered, release := r.node.log.GateNextCommit()
@@ -77,20 +66,20 @@ func TestDurableNodeKeepsNoPairAtRest(t *testing.T) {
 	if err := <-put; wire.CodeOf(err) != wire.CodeUnavailable {
 		t.Fatalf("put over a failed commit = %v, want CodeUnavailable", err)
 	}
-	wantNothingInFlight(t, r.node)
+	wantLogIsAllState(t, r.node)
 
 	if removed, err := c.Delete(ctx, shared); err != nil || removed != 10 {
 		t.Fatalf("delete: removed %d, %v", removed, err)
 	}
-	wantNothingInFlight(t, r.node)
+	wantLogIsAllState(t, r.node)
 }
 
 // TestDeleteRepeatedKeyCountsOnce: DHTDeleteResp.Deleted counts pairs,
 // not mentions. On the durable engine a key leaves the log's index only
 // when its tombstone's batch applies, so a repeat inside one request and
-// a second sweep racing the first must both meet the pending tombstone:
-// one record logged, one pair counted — and until that record is logged
-// the pair stays readable.
+// a second sweep racing the first each log a tombstone of their own: the
+// first to apply counts the pair, the others count nothing — and until
+// one is logged the pair stays readable.
 func TestDeleteRepeatedKeyCountsOnce(t *testing.T) {
 	ctx := context.Background()
 	durable := newDurableNodeRigOpts(t, LogOptions{})
@@ -105,8 +94,8 @@ func TestDeleteRepeatedKeyCountsOnce(t *testing.T) {
 		if err != nil || removed != 2 {
 			t.Fatalf("%s: delete naming a key three times removed %d pairs (%v), want 2", name, removed, err)
 		}
-		if recs := durable.node.log.Stats().Appends - before; name == "durable" && recs != 2 {
-			t.Fatalf("%d tombstones logged for 2 pairs", recs)
+		if recs := durable.node.log.Stats().Appends - before; name == "durable" && (recs < 2 || recs > 4) {
+			t.Fatalf("%d tombstones logged for 2 pairs named 4 times", recs)
 		}
 		if keys, _, err := c.Stats(ctx); err != nil || keys != 0 {
 			t.Fatalf("%s: %d keys left (%v)", name, keys, err)
@@ -123,26 +112,30 @@ func TestDeleteRepeatedKeyCountsOnce(t *testing.T) {
 		removed uint64
 		err     error
 	}
-	first := make(chan result, 1)
-	go func() {
-		n, err := c.Delete(ctx, [][]byte{k})
-		first <- result{n, err}
-	}()
-	<-entered
-	if n, err := c.Delete(ctx, [][]byte{k}); err != nil || n != 0 {
-		t.Fatalf("second sweep of a key whose tombstone is pending removed %d (%v), want 0", n, err)
+	sweep := func() chan result {
+		done := make(chan result, 1)
+		go func() {
+			n, err := c.Delete(ctx, [][]byte{k})
+			done <- result{n, err}
+		}()
+		return done
 	}
+	first := sweep()
+	<-entered
+	second := sweep()
 	if got, ok, err := c.Get(ctx, k); err != nil || !ok || !bytes.Equal(got, v) {
 		t.Fatalf("GET while the tombstone's commit is parked = %q %v %v, want the logged pair", got, ok, err)
 	}
 	close(release)
-	if res := <-first; res.err != nil || res.removed != 1 {
-		t.Fatalf("first sweep removed %d (%v), want 1", res.removed, res.err)
+	res1, res2 := <-first, <-second
+	if res1.err != nil || res2.err != nil || res1.removed+res2.removed != 1 {
+		t.Fatalf("two sweeps of one pair removed %d (%v) and %d (%v), want 1 between them",
+			res1.removed, res1.err, res2.removed, res2.err)
 	}
 	if _, ok, err := c.Get(ctx, k); err != nil || ok {
 		t.Fatalf("GET after the delete was acknowledged: found %v, %v", ok, err)
 	}
-	wantNothingInFlight(t, durable.node)
+	wantLogIsAllState(t, durable.node)
 	durable.restart()
 	if keys, _ := durable.node.Stats(); keys != 0 {
 		t.Fatalf("%d keys after the restart, want 0", keys)

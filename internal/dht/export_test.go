@@ -7,7 +7,3 @@ import "blobseer/internal/rpc"
 // that kept a sub-slice instead of a copy would serve garbage every
 // time, not rarely.
 func init() { rpc.PoisonReleasedFrames() }
-
-// shard is the durable node's in-flight shard for key, so a test can
-// pick keys that share one lock.
-func (n *Node) shard(key []byte) *kvShard { return n.eng.(*Disk).shard(key) }

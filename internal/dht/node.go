@@ -34,7 +34,8 @@ type engine interface {
 	// putBatch stores the pairs of one request as one unit and returns
 	// once they are as durable as the engine makes them. keys and values
 	// alias the request's frame: the engine copies what it keeps. A
-	// divergence error stops the batch; the pairs before it stay stored.
+	// divergence error fails the request; the pairs before it stay
+	// stored, and those after it may.
 	putBatch(keys, values [][]byte) error
 	// getBatch looks keys up, setting found[i] and values[i] for each
 	// keys[i] it holds. The values are read-only and on loan together

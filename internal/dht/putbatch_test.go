@@ -36,8 +36,8 @@ func wantStored(t *testing.T, c *Client, keys, values [][]byte) {
 
 // TestDurableNodeMultiPutSharesOneCommit is the put-side twin of
 // TestDurableNodeBatchDeleteSharesOneCommit: one MULTI_PUT request's
-// records are enqueued under the shard locks and awaited together, so a
-// whole update's tree nodes cost one write+fsync, not one per node.
+// records are all queued before any is awaited, so a whole update's
+// tree nodes cost one write+fsync, not one per node.
 func TestDurableNodeMultiPutSharesOneCommit(t *testing.T) {
 	r := newDurableNodeRigOpts(t, LogOptions{Sync: true})
 	keys, values := pairs("node", 8)
@@ -56,32 +56,17 @@ func TestDurableNodeMultiPutSharesOneCommit(t *testing.T) {
 	wantStored(t, r.client(), keys, values)
 }
 
-// sameShard returns n distinct keys that all fall into one shard.
-func sameShard(nd *Node, n int) [][]byte {
-	var keys [][]byte
-	var shard *kvShard
-	for i := 0; len(keys) < n; i++ {
-		k := []byte(fmt.Sprintf("shard-mate/%d", i))
-		if shard == nil {
-			shard = nd.shard(k)
-		}
-		if nd.shard(k) == shard {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
-// TestDurableNodeGetOverlapsParkedPutCommit pins that the shard lock is
-// not held across the commit: while a put's batch sits in its write, a
-// GET on the same shard — of an older pair and of the very pair being
-// put — returns. Every step synchronizes on channels; a regression
-// deadlocks and the test times out.
+// TestDurableNodeGetOverlapsParkedPutCommit pins that nothing a GET
+// needs is held across the commit, and that a pair is readable iff
+// logged: while a put's batch sits in its write, a GET of an older pair
+// returns it and a GET of the very pair being put returns absent; the
+// same GET after the acknowledgement finds it. Every step synchronizes
+// on channels; a regression deadlocks and the test times out.
 func TestDurableNodeGetOverlapsParkedPutCommit(t *testing.T) {
 	r := newDurableNodeRigOpts(t, LogOptions{Sync: true})
 	ctx := context.Background()
 	c := r.client()
-	keys := sameShard(r.node, 2)
+	keys := [][]byte{[]byte("older pair"), []byte("newer pair")}
 	if err := c.Put(ctx, keys[0], []byte("old")); err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +76,13 @@ func TestDurableNodeGetOverlapsParkedPutCommit(t *testing.T) {
 	<-entered
 
 	if v, ok, err := c.Get(ctx, keys[0]); err != nil || !ok || string(v) != "old" {
-		t.Fatalf("GET of a stored pair while its shard's put is mid-commit = %q %v %v", v, ok, err)
+		t.Fatalf("GET of a stored pair while a put is mid-commit = %q %v %v", v, ok, err)
 	}
-	// The pair being put is already visible (nothing can name it before
-	// its writer is acknowledged, so nobody but a test looks) but not
-	// yet logged, and its writer is still waiting.
-	if v, ok, err := c.Get(ctx, keys[1]); err != nil || !ok || string(v) != "new" {
-		t.Fatalf("GET of the pair mid-commit = %q %v %v", v, ok, err)
+	// The pair being put is not logged yet, so it is not there (nothing
+	// can name it before its writer is acknowledged, so nobody but a
+	// test looks), and its writer is still waiting.
+	if v, ok, err := c.Get(ctx, keys[1]); err != nil || ok {
+		t.Fatalf("GET of the pair mid-commit = %q %v %v, want absent", v, ok, err)
 	}
 	if r.node.log.Has(string(keys[1])) {
 		t.Fatal("pair logged while its commit is parked")
@@ -110,6 +95,9 @@ func TestDurableNodeGetOverlapsParkedPutCommit(t *testing.T) {
 	close(release)
 	if err := <-put; err != nil {
 		t.Fatal(err)
+	}
+	if v, ok, err := c.Get(ctx, keys[1]); err != nil || !ok || string(v) != "new" {
+		t.Fatalf("GET of the pair after its acknowledgement = %q %v %v", v, ok, err)
 	}
 	r.restart()
 	wantStored(t, r.client(), keys, [][]byte{[]byte("old"), []byte("new")})
@@ -154,10 +142,11 @@ func TestDurableNodeFailedCommitLeavesNothingVisible(t *testing.T) {
 }
 
 // TestReputAgainstInFlightPut pins the immutability rule against a put
-// that is enqueued but not yet committed: a divergent re-put is rejected
-// at once, an identical one is a success — but acknowledged only after
-// the log holds the pair, which it makes sure of by logging it again
-// (the log's first-record-wins apply absorbs the duplicate).
+// that is queued but not yet committed: a re-put queues behind it and is
+// answered once the log has the pair to hold it against — a divergent
+// one is rejected, an identical one is a success, acknowledged only
+// after the log holds the pair (the log's first-record-wins apply
+// absorbs both duplicates).
 func TestReputAgainstInFlightPut(t *testing.T) {
 	r := newDurableNodeRigOpts(t, LogOptions{})
 	ctx := context.Background()
@@ -170,12 +159,13 @@ func TestReputAgainstInFlightPut(t *testing.T) {
 	go func() { first <- c.Put(ctx, key, value) }()
 	<-entered
 
-	if err := c.Put(ctx, key, []byte("another value")); wire.CodeOf(err) != wire.CodeBadRequest {
-		t.Fatalf("divergent re-put of an in-flight pair = %v, want CodeBadRequest", err)
-	}
+	other := make(chan error, 1)
+	go func() { other <- c.Put(ctx, key, []byte("another value")) }()
 	same := make(chan error, 1)
 	go func() { same <- c.MultiPut(ctx, [][]byte{key}, [][]byte{value}) }()
 	select {
+	case err := <-other:
+		t.Fatalf("divergent re-put answered before the pair was logged: %v", err)
 	case err := <-same:
 		t.Fatalf("identical re-put acknowledged before the pair was logged: %v", err)
 	case err := <-first:
@@ -186,13 +176,50 @@ func TestReputAgainstInFlightPut(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
+	if err := <-other; wire.CodeOf(err) != wire.CodeBadRequest {
+		t.Fatalf("divergent re-put of an in-flight pair = %v, want CodeBadRequest", err)
+	}
 	if err := <-same; err != nil {
 		t.Fatalf("identical re-put of an in-flight pair: %v", err)
 	}
 	after := r.node.log.Stats()
-	if k, recs := after.Keys-before.Keys, after.Appends-before.Appends; k != 1 || recs < 1 || recs > 2 {
-		t.Fatalf("%d keys from %d records, want 1 key from 1 or 2", k, recs)
+	if k, recs := after.Keys-before.Keys, after.Appends-before.Appends; k != 1 || recs < 1 || recs > 3 {
+		t.Fatalf("%d keys from %d records, want 1 key from 1 to 3", k, recs)
 	}
+	r.restart()
+	wantStored(t, r.client(), [][]byte{key}, [][]byte{value})
+}
+
+// TestDivergentPutBehindFailedCommit: a put loses only to a pair the log
+// holds. Two divergent puts of one fresh key, the first's commit fails:
+// the first is refused as unavailable and leaves nothing, so the second
+// is not divergent from anything — it is stored, acknowledged, and
+// survives a restart.
+func TestDivergentPutBehindFailedCommit(t *testing.T) {
+	r := newDurableNodeRigOpts(t, LogOptions{})
+	ctx := context.Background()
+	c := r.client()
+	key, value := []byte("contested"), []byte("the value that is logged")
+
+	entered, release := r.node.log.GateNextCommit()
+	first := make(chan error, 1)
+	go func() { first <- c.Put(ctx, key, []byte("the value whose commit fails")) }()
+	<-entered
+	second := make(chan error, 1)
+	go func() { second <- c.Put(ctx, key, value) }()
+	select {
+	case err := <-second:
+		t.Fatalf("put of a key whose only other put is unlogged answered early: %v", err)
+	default:
+	}
+	release <- errors.New("disk on fire")
+	if err := <-first; wire.CodeOf(err) != wire.CodeUnavailable {
+		t.Fatalf("put over a failed commit = %v, want CodeUnavailable", err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("put behind a failed commit of another value: %v", err)
+	}
+	wantStored(t, c, [][]byte{key}, [][]byte{value})
 	r.restart()
 	wantStored(t, r.client(), [][]byte{key}, [][]byte{value})
 }

@@ -260,11 +260,14 @@ func (p *Provider) mux() *rpc.Mux {
 		// The caller (the metadata-walking GC, or a writer reclaiming
 		// pages it abandoned) vouches the pages are unreachable from
 		// every retained snapshot; unknown ids are no-ops, so retried
-		// and concurrent sweeps are harmless.
+		// and concurrent sweeps are harmless. A malformed request deletes
+		// nothing, wherever in it the defect sits.
 		for _, id := range req.Pages {
 			if id.IsZero() {
 				return nil, wire.NewError(wire.CodeBadRequest, "zero page id")
 			}
+		}
+		for _, id := range req.Pages {
 			if err := p.store.Delete(id); err != nil {
 				return nil, err
 			}

@@ -206,9 +206,14 @@ func TestDeletePagesReclaimsAndIsIdempotent(t *testing.T) {
 	// Idempotent: a retried sweep changes nothing.
 	r.call(t, addr, &wire.DeletePagesReq{Pages: []wire.PageID{gone}})
 
+	// A malformed request deletes nothing, wherever in it the defect sits.
 	if _, err := r.client.Call(context.Background(), addr,
-		&wire.DeletePagesReq{Pages: []wire.PageID{{}}}); wire.CodeOf(err) != wire.CodeBadRequest {
+		&wire.DeletePagesReq{Pages: []wire.PageID{keep, {}}}); wire.CodeOf(err) != wire.CodeBadRequest {
 		t.Fatal("zero page id accepted by delete")
+	}
+	resp = r.call(t, addr, &wire.GetPageReq{Page: keep, Length: wire.WholePage})
+	if !bytes.Equal(resp.(*wire.GetPageResp).Data, []byte("keep")) {
+		t.Fatal("a rejected delete removed the page named before its zero id")
 	}
 }
 

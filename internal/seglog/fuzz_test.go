@@ -2,7 +2,7 @@ package seglog
 
 import (
 	"bytes"
-	"errors"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,17 +16,33 @@ import (
 // the encodings are canonical — a successful decode re-encodes to
 // exactly the consumed input.
 
-var errFuzzTag = errors.New("seglog: invalid fuzz encoding")
+// v1IndexMeta is the prefix as format 1 wrote it — generations only. No
+// KV writes it any more and the decoder must turn it away.
+func v1IndexMeta(gens ...uint64) []byte {
+	w := wire.NewWriter(64)
+	w.Uint32(1)
+	w.Uint32(uint32(len(gens)))
+	for _, g := range gens {
+		w.Uint64(g)
+	}
+	return w.Bytes()
+}
+
+// asFormat1 is a snapshot payload covering len(gens) segments as format
+// 1 would have written it: the prefix swapped, the entry section kept.
+func asFormat1(payload []byte, gens ...uint64) []byte {
+	return append(v1IndexMeta(gens...), payload[8+24*len(gens):]...)
+}
 
 func FuzzDecodeIndexMeta(f *testing.F) {
 	seed := func(m *IndexMeta) []byte {
 		w := wire.NewWriter(64)
-		EncodeIndexMeta(w, 1, 2, m)
+		encodeIndexMeta(w, m)
 		return w.Bytes()
 	}
-	f.Add(seed(&IndexMeta{}))
-	f.Add(seed(&IndexMeta{Segs: []SegMeta{{Gen: 1}, {Gen: 7}, {Gen: 3}}}))
-	f.Add(seed(&IndexMeta{HasMeta: true, Segs: []SegMeta{
+	f.Add(v1IndexMeta())
+	f.Add(v1IndexMeta(1, 7, 3))
+	f.Add(seed(&IndexMeta{Segs: []SegMeta{
 		{Gen: 1, Live: 211, Tomb: 42},
 		{Gen: 2},
 		{Gen: 9, Live: 0, Tomb: 63},
@@ -37,15 +53,18 @@ func FuzzDecodeIndexMeta(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := wire.NewReader(data)
-		m, err := DecodeIndexMeta(r, 1, 2, errFuzzTag)
+		m, err := decodeIndexMeta(r)
 		if err != nil || r.Err() != nil {
 			return
+		}
+		if binary.LittleEndian.Uint32(data) != kvSnapFmt {
+			t.Fatalf("decoded a prefix of format %d", binary.LittleEndian.Uint32(data))
 		}
 		consumed := data[:len(data)-r.Remaining()]
 		if enc := seed(m); !bytes.Equal(enc, consumed) {
 			t.Fatalf("decode of %x re-encodes to %x", consumed, enc)
 		}
-		// v2 counters are validated non-negative on the way in.
+		// The counters are validated non-negative on the way in.
 		for _, s := range m.Segs {
 			if s.Live < 0 || s.Tomb < 0 {
 				t.Fatalf("decoded negative counter: %+v", s)

@@ -31,18 +31,18 @@ package seglog
 // actually dropped, so the cascade terminates, and a full compaction
 // pass converges the log to exactly its live set.
 
-// FilterTombs resolves the rule for one victim: tombs is the set of
+// filterTombs resolves the rule for one victim: tombs is the set of
 // tombstone keys found in the victim, and scan must walk every segment
 // strictly below it, calling observe for each put record's key. observe
 // returns false once every tombstone is known to be needed, letting the
 // scan stop early. The returned set holds the tombstones that must be
 // preserved; the rest are droppable.
-func FilterTombs[K comparable](tombs map[K]bool, scan func(observe func(key K) bool) error) (map[K]bool, error) {
-	needed := make(map[K]bool, len(tombs))
+func filterTombs(tombs map[string]bool, scan func(observe func(key string) bool) error) (map[string]bool, error) {
+	needed := make(map[string]bool, len(tombs))
 	if len(tombs) == 0 {
 		return needed, nil
 	}
-	err := scan(func(key K) bool {
+	err := scan(func(key string) bool {
 		if tombs[key] {
 			needed[key] = true
 		}

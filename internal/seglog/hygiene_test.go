@@ -8,7 +8,7 @@ import (
 func TestFilterTombsKeepsOnlyCoveredKeys(t *testing.T) {
 	tombs := map[string]bool{"a": true, "b": true, "c": true}
 	// Earlier segments hold puts for a and c (b's put is long gone).
-	needed, err := FilterTombs(tombs, func(observe func(string) bool) error {
+	needed, err := filterTombs(tombs, func(observe func(string) bool) error {
 		for _, k := range []string{"x", "a", "y", "c"} {
 			if !observe(k) {
 				break
@@ -25,7 +25,7 @@ func TestFilterTombsKeepsOnlyCoveredKeys(t *testing.T) {
 }
 
 func TestFilterTombsEmptySkipsScan(t *testing.T) {
-	needed, err := FilterTombs(map[string]bool{}, func(func(string) bool) error {
+	needed, err := filterTombs(map[string]bool{}, func(func(string) bool) error {
 		t.Fatal("scan ran with no tombstones to resolve")
 		return nil
 	})
@@ -37,7 +37,7 @@ func TestFilterTombsEmptySkipsScan(t *testing.T) {
 func TestFilterTombsStopsEarlyWhenAllNeeded(t *testing.T) {
 	tombs := map[string]bool{"a": true, "b": true}
 	calls := 0
-	_, err := FilterTombs(tombs, func(observe func(string) bool) error {
+	_, err := filterTombs(tombs, func(observe func(string) bool) error {
 		for _, k := range []string{"a", "b", "never-reached", "never-reached"} {
 			calls++
 			if !observe(k) {
@@ -57,7 +57,7 @@ func TestFilterTombsStopsEarlyWhenAllNeeded(t *testing.T) {
 
 func TestFilterTombsPropagatesScanError(t *testing.T) {
 	errScan := errors.New("disk fault")
-	_, err := FilterTombs(map[string]bool{"a": true}, func(func(string) bool) error {
+	_, err := filterTombs(map[string]bool{"a": true}, func(func(string) bool) error {
 		return errScan
 	})
 	if !errors.Is(err, errScan) {

@@ -237,7 +237,7 @@ type kvSegment struct {
 	// at; tombBytes the framed bytes of tombstone records. size - header -
 	// liveBytes - tombBytes estimates what a rewrite would reclaim, and a
 	// freshly rewritten segment estimates exactly zero. Both survive
-	// reopen: v2 index snapshots persist them per segment (indexsnap.go).
+	// reopen: index snapshots persist them per segment (indexsnap.go).
 	// Only an apply changes liveBytes, by the size of the record it indexes
 	// or drops, so with stateMu held exclusively it is exact — what
 	// checkLocated holds a rewrite's first pass against.
@@ -258,9 +258,14 @@ type kvSegment struct {
 // Append returns — the appender is parked until its batch resolves, and
 // shutdown only fails records no leader has taken.
 type kvAppend struct {
-	kind  byte
-	key   string
-	value []byte
+	kind byte
+	// changed is set by applyBatch when the record changed the index: a
+	// put inserted its key, a tombstone dropped an entry. It stays false
+	// for a record that lost to one applied ahead of it, and for every
+	// record of a failed commit. It sits in kind's padding.
+	changed bool
+	key     string
+	value   []byte
 
 	// Filled by the committer: where the record (and a put's value)
 	// landed.
@@ -359,9 +364,10 @@ func (s *KV) segment(idx uint32) *kvSegment {
 
 func (s *KV) segmentPath(idx uint32) string { return SegmentPath(s.base, uint64(idx)) }
 
-// dropEntry removes key from the index, adjusting the counters. Used by
-// recovery and by the tombstone apply path.
-func (s *KV) dropEntry(key string) {
+// dropEntry removes key from the index, adjusting the counters, and
+// reports whether there was an entry to remove. Used by recovery and by
+// the tombstone apply path.
+func (s *KV) dropEntry(key string) bool {
 	st := s.stripe(key)
 	st.mu.Lock()
 	e, ok := st.m[key]
@@ -370,11 +376,12 @@ func (s *KV) dropEntry(key string) {
 	}
 	st.mu.Unlock()
 	if !ok {
-		return
+		return false
 	}
 	s.segment(e.seg).liveBytes.Add(-s.ly.framedSize(len(key), e.vlen))
 	s.keys.Add(^uint64(0))
 	s.valueBytes.Add(^(uint64(e.vlen) - 1))
+	return true
 }
 
 // createSegment creates and opens a fresh segment file with a durable
@@ -480,49 +487,87 @@ func (s *KV) Delete(key string) error {
 	return s.comm.Append(s.newAppend(kvTomb, key, nil))
 }
 
-// EnqueuePut queues a put record without waiting for durability and
-// returns the wait for it — phase one of a two-phase put. A caller
-// holding its own lock per key enqueues under it, releases it, and
-// calls every returned wait afterwards, so the records of one request
-// travel as one batch: one write and at most one fsync, with the
-// caller's lock free while the leader sits in it. Every wait MUST be
-// called exactly once, even on error paths: the first enqueue may
-// designate its owner as the batch leader, and an unawaited leader
-// stalls the queue. value is framed straight from the caller's slice
-// when the batch commits, so it must stay valid and unmodified until
-// the wait returns — never after. The key enters the index only when
-// its batch commits; a Put of a stored key is a no-op whose wait
-// returns nil at once. A key enqueued twice before the first commits is
-// logged twice and indexed once (the first record wins, as in
-// recovery; compaction drops the other).
-func (s *KV) EnqueuePut(key string, value []byte) (wait func() error, err error) {
-	if s.ly.KeyLen != 0 && len(key) != s.ly.KeyLen {
-		return nil, fmt.Errorf("%s: key of %d bytes, layout fixes %d", s.ly.Name, len(key), s.ly.KeyLen)
+// PutBatch is Put for the pairs of one request: every record is queued
+// before any is awaited, so together they are one write and at most one
+// fsync (more only when a batch already forming takes the first of
+// them). values[i] is framed straight from the caller's slice when its
+// batch commits: it is read until the call returns, never after. lost
+// lists, ascending, each i whose record did not enter the index because
+// a pair of keys[i] was there first — stored when the call looked, or
+// applied ahead of it, be that by a concurrent request or by a smaller
+// i of this one (such a record is logged all the same; compaction drops
+// it). Whether values[i] is what the log holds for a lost key is the
+// caller's to check. A failed commit indexes none of its batch, and err
+// is the first failure.
+func (s *KV) PutBatch(keys, values [][]byte) (lost []int, err error) {
+	recs := make([]*kvAppend, len(keys))
+	for i, key := range keys {
+		if s.ly.KeyLen != 0 && len(key) != s.ly.KeyLen {
+			return nil, fmt.Errorf("%s: key of %d bytes, layout fixes %d", s.ly.Name, len(key), s.ly.KeyLen)
+		}
+		if _, dup := lookup(s, key); !dup {
+			recs[i] = s.newAppend(kvPut, string(key), values[i])
+		}
 	}
-	if _, dup := s.lookup(key); dup {
-		return noWait, nil
-	}
-	return s.enqueue(s.newAppend(kvPut, key, value))
-}
-
-// EnqueueDelete is EnqueuePut's twin for tombstones: a sweep deleting
-// thousands of keys shares fsyncs instead of paying one per key. The
-// same rule holds — every wait MUST be called. The key leaves the index
-// only when its batch commits; deleting an unknown key is a no-op.
-func (s *KV) EnqueueDelete(key string) (wait func() error, err error) {
-	if _, ok := s.lookup(key); !ok {
-		return noWait, nil
-	}
-	return s.enqueue(s.newAppend(kvTomb, key, nil))
-}
-
-func noWait() error { return nil }
-
-func (s *KV) enqueue(a *kvAppend) (wait func() error, err error) {
-	if err := s.comm.Enqueue(a); err != nil {
+	if err := s.commitAll(recs); err != nil {
 		return nil, err
 	}
-	return func() error { return s.comm.Await(a) }, nil
+	for i, a := range recs {
+		if a == nil || !a.changed {
+			lost = append(lost, i)
+		}
+	}
+	return lost, nil
+}
+
+// DeleteBatch is PutBatch's twin for tombstones: a sweep deleting
+// thousands of keys shares fsyncs instead of paying one per key. dropped
+// counts the keys whose entry a record of this call removed from the
+// index, so a key named twice, here or by a concurrent sweep, counts
+// once — for whichever tombstone applies first; the others are logged
+// and drop nothing. Unknown keys are no-ops. On error dropped counts
+// what the batches that did commit removed.
+func (s *KV) DeleteBatch(keys [][]byte) (dropped uint64, err error) {
+	recs := make([]*kvAppend, 0, len(keys))
+	for _, key := range keys {
+		if _, ok := lookup(s, key); ok {
+			recs = append(recs, s.newAppend(kvTomb, string(key), nil))
+		}
+	}
+	err = s.commitAll(recs)
+	for _, a := range recs {
+		if a.changed {
+			dropped++
+		}
+	}
+	return dropped, err
+}
+
+// commitAll queues recs (nil entries are skipped) in order and then
+// parks until every one it queued is resolved; it returns the first
+// failure. Every queued record is awaited whatever the others return:
+// the first may have made this goroutine the batch leader, and an
+// unawaited leader stalls the queue.
+func (s *KV) commitAll(recs []*kvAppend) error {
+	var first error
+	queued := 0 // recs[:queued] are queued, or nil
+	for _, a := range recs {
+		if a != nil {
+			if first = s.comm.Enqueue(a); first != nil {
+				break
+			}
+		}
+		queued++
+	}
+	for _, a := range recs[:queued] {
+		if a == nil {
+			continue
+		}
+		if err := s.comm.Await(a); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // GateNextCommit makes the next batch park inside its commit — the
@@ -593,8 +638,9 @@ func (s *KV) commit(batch []*kvAppend) error {
 }
 
 // applyBatch indexes a durable batch: puts insert (the first of a
-// duplicate pair wins, as in recovery), tombstones drop. Called with
-// wmu held by the committer.
+// duplicate pair wins, as in recovery), tombstones drop, and each record
+// learns whether it changed the index. Called with wmu held by the
+// committer.
 func (s *KV) applyBatch(batch []*kvAppend) {
 	var nudge bool
 	for _, a := range batch {
@@ -611,11 +657,12 @@ func (s *KV) applyBatch(batch []*kvAppend) {
 				seg.liveBytes.Add(s.framed(a))
 				s.keys.Add(1)
 				s.valueBytes.Add(uint64(len(a.value)))
+				a.changed = true
 			}
 			st.mu.Unlock()
 		case kvTomb:
 			seg.tombBytes.Add(s.framed(a))
-			s.dropEntry(a.key)
+			a.changed = s.dropEntry(a.key)
 			if s.opts.CompactRatio > 0 {
 				nudge = true
 			}

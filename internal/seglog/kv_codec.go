@@ -34,11 +34,8 @@ const (
 	kvTomb byte = 2
 )
 
-// index snapshot format numbers (see indexsnap.go for the v2 story).
-const (
-	kvSnapFmtV1 = 1
-	kvSnapFmtV2 = 2
-)
+// kvSnapFmt is the index snapshot format number (see indexsnap.go).
+const kvSnapFmt = 2
 
 // keyFrame is the encoded size of a key of n bytes.
 func (ly *KVLayout) keyFrame(n int) int {
@@ -202,7 +199,7 @@ func (ly *KVLayout) encodeIndex(s *kvIndexSnapshot) []byte {
 		n += ly.keyFrame(len(e.key)) + 16
 	}
 	w := wire.NewWriter(n)
-	EncodeIndexMeta(w, kvSnapFmtV1, kvSnapFmtV2, &s.meta)
+	encodeIndexMeta(w, &s.meta)
 	w.Uint32(uint32(len(s.entries)))
 	for _, e := range s.entries {
 		if ly.KeyLen != 0 {
@@ -224,11 +221,10 @@ var errSnapshotEncoding = errors.New("invalid index snapshot encoding")
 // bytes and rejects non-canonical input — unsorted or duplicate keys,
 // entries pointing outside the covered segments or before the first
 // possible value offset, trailing bytes — so a successful decode
-// re-encodes to exactly the input (the decoded meta remembers whether
-// the input was v1 or v2).
+// re-encodes to exactly the input.
 func (ly *KVLayout) decodeIndex(data []byte) (*kvIndexSnapshot, error) {
 	r := wire.NewReader(data)
-	meta, err := DecodeIndexMeta(r, kvSnapFmtV1, kvSnapFmtV2, errSnapshotEncoding)
+	meta, err := decodeIndexMeta(r)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", ly.Name, err)
 	}

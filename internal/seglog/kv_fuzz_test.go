@@ -2,6 +2,7 @@ package seglog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -59,16 +60,18 @@ func fuzzDecodeKVIndex(f *testing.F, ly *KVLayout) {
 		return kvSnapEntry{key: tkey(ly, i), kvEntry: kvEntry{seg: seg, off: off, vlen: vlen}}
 	}
 	entries := []kvSnapEntry{at(1, 1, 45, 100), at(2, 3, 1<<20, 0), at(3, 2, 4096, 1<<16)}
-	f.Add(ly.encodeIndex(&kvIndexSnapshot{}))
-	f.Add(ly.encodeIndex(&kvIndexSnapshot{meta: IndexMeta{Segs: []SegMeta{{Gen: 1}, {Gen: 7}, {Gen: 3}}}}))
-	// The same entries as v1 and as v2 (per-segment counters persisted):
-	// both formats must round-trip — decode preserves which one it read.
+	// What format 1 wrote for no segments, for three, and for three with
+	// entries: nobody is on it, and each must be turned away (the open
+	// then rescans, see TestKVCorruptSnapshotFallsBackToRescan).
+	v1 := func(entries []kvSnapEntry, gens ...uint64) []byte {
+		meta := IndexMeta{Segs: make([]SegMeta, len(gens))}
+		return asFormat1(ly.encodeIndex(&kvIndexSnapshot{meta: meta, entries: entries}), gens...)
+	}
+	f.Add(v1(nil))
+	f.Add(v1(nil, 1, 7, 3))
+	f.Add(v1(entries, 1, 2, 9))
 	f.Add(ly.encodeIndex(&kvIndexSnapshot{
-		meta:    IndexMeta{Segs: []SegMeta{{Gen: 1}, {Gen: 2}, {Gen: 9}}},
-		entries: entries,
-	}))
-	f.Add(ly.encodeIndex(&kvIndexSnapshot{
-		meta: IndexMeta{HasMeta: true, Segs: []SegMeta{
+		meta: IndexMeta{Segs: []SegMeta{
 			{Gen: 1, Live: 129, Tomb: 29}, {Gen: 2}, {Gen: 9, Live: 0, Tomb: 58},
 		}},
 		entries: entries,
@@ -80,6 +83,9 @@ func fuzzDecodeKVIndex(f *testing.F, ly *KVLayout) {
 		s, err := ly.decodeIndex(data)
 		if err != nil {
 			return
+		}
+		if format := binary.LittleEndian.Uint32(data); format != kvSnapFmt {
+			t.Fatalf("decoded a snapshot of format %d", format)
 		}
 		if !bytes.Equal(ly.encodeIndex(s), data) {
 			t.Fatalf("snapshot decode of %d bytes re-encodes differently", len(data))

@@ -170,7 +170,7 @@ func (s *KV) captureLocked() (*kvIndexSnapshot, *Capture[string, kvEntry], error
 	covered := s.active.idx - 1
 	s.wmu.Unlock()
 
-	snap := &kvIndexSnapshot{meta: IndexMeta{HasMeta: true, Segs: make([]SegMeta, covered)}}
+	snap := &kvIndexSnapshot{meta: IndexMeta{Segs: make([]SegMeta, covered)}}
 	s.segMu.RLock()
 	for i, seg := range s.segs[:covered] {
 		snap.meta.Segs[i] = SegMeta{Gen: seg.gen, Live: seg.liveBytes.Load(), Tomb: seg.tombBytes.Load()}
@@ -307,7 +307,7 @@ var errHygieneDone = errors.New("hygiene scan complete")
 // (KVLayout.walk): reading every page body would make it cost the whole
 // store.
 func (s *KV) neededTombs(victim *kvSegment, tombs map[string]bool) (map[string]bool, error) {
-	return FilterTombs(tombs, func(observe func(string) bool) error {
+	return filterTombs(tombs, func(observe func(string) bool) error {
 		visit := func(p []byte, _ int64, _ uint32) error {
 			// The map lookup keeps the sweep allocation-free: a key string is
 			// only built for a record that does suppress a tombstone.

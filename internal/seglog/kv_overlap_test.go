@@ -2,9 +2,12 @@ package seglog
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // TestKVReadsOverlapParkedCommit pins the early-lock-release contract:
@@ -104,9 +107,21 @@ func TestKVSnapshotFailureKeepsCountdown(t *testing.T) {
 	})
 }
 
+// bkeys is tkey for the byte-keyed batch calls.
+func bkeys(ly *KVLayout, is ...int) [][]byte {
+	keys := make([][]byte, len(is))
+	for j, i := range is {
+		keys[j] = []byte(tkey(ly, i))
+	}
+	return keys
+}
+
 // TestKVBatchDeleteSharesOneCommit pins the group-commit economics the
-// GC sweep depends on: a batch of deletes enqueued together and then
-// awaited commits as ONE batch — one write+fsync — not one per key.
+// GC sweep depends on: the tombstones of one DeleteBatch commit as ONE
+// batch — one write+fsync — not one per key; no key leaves the index
+// before that batch commits; and the count is of entries dropped, so an
+// unknown key counts nothing and a key named twice counts once, though
+// both its tombstones are logged.
 func TestKVBatchDeleteSharesOneCommit(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
@@ -115,34 +130,52 @@ func TestKVBatchDeleteSharesOneCommit(t *testing.T) {
 		putN(t, s, 0, n)
 		before := s.Stats()
 
-		var waits []func() error
-		for i := 0; i < n; i++ {
-			wait, err := s.EnqueueDelete(tkey(ly, i))
-			must(t, err)
-			waits = append(waits, wait)
+		entered, release := s.GateNextCommit()
+		type result struct {
+			dropped uint64
+			err     error
 		}
+		done := make(chan result, 1)
+		go func() {
+			dropped, err := s.DeleteBatch(bkeys(ly, 0, 1, 2, 3, n+1, 4, 5, 6, 7, 0))
+			done <- result{dropped, err}
+		}()
+		<-entered
 		if !s.Has(tkey(ly, 0)) {
-			t.Fatal("enqueued delete applied before its batch committed")
+			t.Fatal("queued delete applied before its batch committed")
 		}
-		for _, wait := range waits {
-			must(t, wait())
+		close(release)
+		if res := <-done; res.err != nil || res.dropped != n {
+			t.Fatalf("DeleteBatch dropped %d (%v), want %d", res.dropped, res.err, n)
 		}
 		after := s.Stats()
-		if c, r := after.Syncs-before.Syncs, after.Appends-before.Appends; c != 1 || r != n {
-			t.Fatalf("delete batch took %d commits for %d records, want 1 for %d", c, r, n)
+		if c, r := after.Syncs-before.Syncs, after.Appends-before.Appends; c != 1 || r != n+1 {
+			t.Fatalf("delete batch took %d commits for %d records, want 1 for %d", c, r, n+1)
+		}
+		if dropped, err := s.DeleteBatch(bkeys(ly, 0, 1)); err != nil || dropped != 0 {
+			t.Fatalf("DeleteBatch of deleted keys dropped %d (%v)", dropped, err)
+		}
+		if got := s.Stats().Appends; got != after.Appends {
+			t.Fatalf("delete of unknown keys logged %d records", got-after.Appends)
 		}
 		must(t, s.Close())
 		verifyLive(t, mustOpenKV(t, path, ly, KVOptions{}), n, func(int) bool { return false })
 	})
 }
 
-// TestKVEnqueuePutContract pins the two-phase put: records enqueued
-// together and then awaited commit as ONE batch; nothing is indexed
-// before its batch commits; the value is read when the batch is framed,
-// not at enqueue, and never after the wait returns; a stored key is a
-// no-op whose wait costs nothing; and a key enqueued twice before the
-// first commits is logged twice but indexed once, first record winning.
+// TestKVEnqueuePutContract pins PutBatch, the put whose records are all
+// queued before any is awaited: they commit as ONE batch; nothing is
+// indexed before its batch commits; a value is read when the batch is
+// framed, not when the call starts, and never after it returns; and
+// lost names exactly the records that did not enter the index — a
+// stored key, which is not even logged, and the later of a key repeated
+// in the batch, which is logged but loses to the first.
 func TestKVEnqueuePutContract(t *testing.T) {
+	// The changed flag rides in kind's padding: a record must not grow
+	// into the next size class for it.
+	if size := unsafe.Sizeof(kvAppend{}); size != 96 {
+		t.Fatalf("a queued record is %d bytes, want 96", size)
+	}
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{Sync: true})
@@ -151,22 +184,30 @@ func TestKVEnqueuePutContract(t *testing.T) {
 
 		// One reusable buffer per record, as a request frame would be:
 		// scribbled on before the commit frames it (must be seen) and
-		// again after the wait returned (must not be).
+		// again after the call returned (must not be).
+		all8 := []int{0, 1, 2, 3, 4, 5, 6, 7}
 		bufs := make([][]byte, n)
-		var waits []func() error
-		for i := 0; i < n; i++ {
+		for i := range bufs {
 			bufs[i] = make([]byte, len(tval(i)))
-			wait, err := s.EnqueuePut(tkey(ly, i), bufs[i])
-			must(t, err)
-			waits = append(waits, wait)
+		}
+		entered, release := s.GateNextCommit()
+		done := make(chan error, 1)
+		go func() {
+			lost, err := s.PutBatch(bkeys(ly, all8...), bufs)
+			if err == nil && len(lost) != 0 {
+				err = fmt.Errorf("fresh keys reported lost: %v", lost)
+			}
+			done <- err
+		}()
+		<-entered
+		for i := range bufs {
 			copy(bufs[i], tval(i))
 		}
 		if s.Has(tkey(ly, 0)) {
-			t.Fatal("enqueued put indexed before its batch committed")
+			t.Fatal("queued put indexed before its batch committed")
 		}
-		for _, wait := range waits {
-			must(t, wait())
-		}
+		close(release)
+		must(t, <-done)
 		for i := range bufs {
 			clear(bufs[i])
 		}
@@ -176,43 +217,48 @@ func TestKVEnqueuePutContract(t *testing.T) {
 		}
 		verifyLive(t, s, n, all)
 
-		// A stored key: nothing queued, nothing logged.
-		wait, err := s.EnqueuePut(tkey(ly, 3), tval(3))
+		// A stored key: lost, nothing queued, nothing logged.
+		lost, err := s.PutBatch(bkeys(ly, 3), [][]byte{tval(3)})
 		must(t, err)
-		must(t, wait())
+		if !slices.Equal(lost, []int{0}) {
+			t.Fatalf("re-put of a stored key: lost = %v, want [0]", lost)
+		}
 		if got := s.Stats().Appends; got != after.Appends {
 			t.Fatalf("re-put of a stored key logged %d records", got-after.Appends)
 		}
 
-		// The same key twice in one batch, different bytes: both records
-		// are logged (the index is only consulted at enqueue), the first
-		// wins now and after a reopen.
-		w1, err := s.EnqueuePut(tkey(ly, n), tval(n))
+		// The same key twice in one batch, different bytes, among a stored
+		// key and a fresh one: both records of the repeat are logged (the
+		// index is only consulted when a record is queued), the first wins
+		// now and after a reopen, and lost is the stored key and the
+		// second of the repeat — nothing else.
+		lost, err = s.PutBatch(bkeys(ly, n, 5, n, n+1),
+			[][]byte{tval(n), []byte("not what is stored"), tval(n + 1), tval(n + 1)})
 		must(t, err)
-		w2, err := s.EnqueuePut(tkey(ly, n), tval(n+1))
-		must(t, err)
-		must(t, w1())
-		must(t, w2())
-		final := s.Stats()
-		if r, k := final.Appends-after.Appends, final.Keys-after.Keys; r != 2 || k != 1 {
-			t.Fatalf("double enqueue: %d records, %d keys; want 2, 1", r, k)
+		if !slices.Equal(lost, []int{1, 2}) {
+			t.Fatalf("lost = %v, want [1 2]", lost)
 		}
-		verifyLive(t, s, n+1, all)
+		final := s.Stats()
+		if r, k := final.Appends-after.Appends, final.Keys-after.Keys; r != 3 || k != 2 {
+			t.Fatalf("repeat among a stored and a fresh key: %d records, %d keys; want 3, 2", r, k)
+		}
+		verifyLive(t, s, n+2, all)
 		must(t, s.Close())
 		s2 := mustOpenKV(t, path, ly, KVOptions{})
-		verifyLive(t, s2, n+1, all)
+		verifyLive(t, s2, n+2, all)
 
-		// A closed store refuses the enqueue; there is then no wait to call.
+		// A closed store refuses the batch.
 		must(t, s2.Close())
-		if wait, err := s2.EnqueuePut(tkey(ly, n+2), tval(0)); err == nil || wait != nil {
-			t.Fatalf("enqueue on a closed store: wait %v, err %v", wait != nil, err)
+		if lost, err := s2.PutBatch(bkeys(ly, n+2), [][]byte{tval(0)}); err == nil || lost != nil {
+			t.Fatalf("PutBatch on a closed store: lost %v, err %v", lost, err)
 		}
 	})
 }
 
-// TestKVEnqueuePutParkedBehindCommit: puts enqueued while another batch
-// is mid-commit queue behind it without becoming visible, and a failed
-// commit fails every wait of its batch and indexes none of it.
+// TestKVEnqueuePutParkedBehindCommit: the records of a PutBatch that
+// arrives while another batch is mid-commit queue behind it without
+// becoming visible, and a failed commit fails the call and indexes none
+// of its records.
 func TestKVEnqueuePutParkedBehindCommit(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
@@ -221,27 +267,44 @@ func TestKVEnqueuePutParkedBehindCommit(t *testing.T) {
 		go func() { first <- s.Put(tkey(ly, 0), tval(0)) }()
 		<-entered
 
-		var waits []func() error
-		for i := 1; i <= 3; i++ {
-			wait, err := s.EnqueuePut(tkey(ly, i), tval(i))
-			must(t, err)
-			waits = append(waits, wait)
+		batch := func(is ...int) chan error {
+			done := make(chan error, 1)
+			values := make([][]byte, len(is))
+			for j, i := range is {
+				values[j] = tval(i)
+			}
+			go func() {
+				_, err := s.PutBatch(bkeys(ly, is...), values)
+				done <- err
+			}()
+			return done
 		}
-		// Fail the batch those three land in: the gated one is already
-		// past its hook, so the next gate is theirs.
+		behind := batch(1, 2, 3)
+		for queued := 0; queued < 3; runtime.Gosched() {
+			s.wmu.Lock()
+			queued = s.comm.QueueLenLocked()
+			s.wmu.Unlock()
+		}
+		if s.Has(tkey(ly, 0)) || s.Has(tkey(ly, 1)) {
+			t.Fatal("pair visible while its commit is parked or queued")
+		}
 		close(release)
 		must(t, <-first)
-		entered, release = s.GateNextCommit()
-		go func() { <-entered; release <- errors.New("disk on fire") }()
-		for _, wait := range waits {
-			if err := wait(); err == nil {
-				t.Fatal("wait of a failed batch returned nil")
-			}
-		}
-		verifyLive(t, s, 4, func(i int) bool { return i == 0 })
-		// The store is not wedged: the same keys go through afterwards.
-		putN(t, s, 1, 4)
+		must(t, <-behind)
 		verifyLive(t, s, 4, all)
+
+		// Fail the batch the next three land in.
+		entered, release = s.GateNextCommit()
+		doomed := batch(4, 5, 6)
+		<-entered
+		release <- errors.New("disk on fire")
+		if err := <-doomed; err == nil {
+			t.Fatal("PutBatch over a failed commit returned nil")
+		}
+		verifyLive(t, s, 7, func(i int) bool { return i < 4 })
+		// The store is not wedged: the same keys go through afterwards.
+		putN(t, s, 4, 7)
+		verifyLive(t, s, 7, all)
 		must(t, s.Close())
 	})
 }

@@ -120,17 +120,13 @@ func (s *KV) recover() error {
 			s.valueBytes.Add(uint64(e.vlen))
 			s.recStats.SnapshotEntries++
 		}
-		if snap.meta.HasMeta {
-			// v2 snapshots persist each covered segment's tombstone bytes,
-			// so the reclaim estimates match the pre-restart accounting
-			// exactly (a v1 snapshot leaves them zero until the next rescan
-			// or rewrite). Stale segments recompute during their rescan,
-			// and the highest is skipped because its rescan below re-adds
-			// every tombstone.
-			for i, sm := range snap.meta.Segs {
-				if idx := uint32(i + 1); !stale[idx] && idx != highest {
-					s.segs[i].tombBytes.Store(sm.Tomb)
-				}
+		// The snapshot persists each covered segment's tombstone bytes, so
+		// the reclaim estimates match the pre-restart accounting exactly.
+		// Stale segments recompute during their rescan, and the highest is
+		// skipped because its rescan below re-adds every tombstone.
+		for i, sm := range snap.meta.Segs {
+			if idx := uint32(i + 1); !stale[idx] && idx != highest {
+				s.segs[i].tombBytes.Store(sm.Tomb)
 			}
 		}
 		for idx := uint32(len(snap.meta.Segs) + 1); idx <= highest; idx++ {
