@@ -96,10 +96,6 @@ type ClientOptions struct {
 	// MetadataCacheNodes bounds the client metadata cache (default
 	// 16384 nodes; negative disables caching).
 	MetadataCacheNodes int
-	// MetadataCacheBytes additionally bounds the metadata cache by the
-	// bytes of its keys and node payloads, so a few wide replicated
-	// leaves cannot dominate memory (0 = no byte bound).
-	MetadataCacheBytes int64
 	// ReadTuning tunes the read path: page cache size, hedged replica
 	// requests, range coalescing and transfer fanout. The zero value
 	// means all defaults; each knob disables its mechanism when
@@ -144,7 +140,6 @@ func newClient(net transport.Network, sched vclock.Scheduler, opts ClientOptions
 		MetaRing:        ring,
 		ConnsPerHost:    opts.ConnsPerHost,
 		MetaCacheNodes:  opts.MetadataCacheNodes,
-		MetaCacheBytes:  opts.MetadataCacheBytes,
 		Read:            opts.ReadTuning,
 		PageReplication: opts.PageReplication,
 	})

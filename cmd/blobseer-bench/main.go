@@ -1,6 +1,7 @@
 // Command blobseer-bench regenerates the paper's evaluation figures and
-// the ablation experiments of DESIGN.md on the simulated Grid'5000
-// substrate.
+// the ablation experiments of README.md ("Benchmarks") on the simulated
+// Grid'5000 substrate. The deleted experiments' last numbers (A1's
+// serialized series, A6, A8, A9, A10) are frozen in BENCH_baselines.json.
 //
 // Usage:
 //
@@ -11,12 +12,10 @@
 //	blobseer-bench -exp space      # A2: versioning storage overhead vs naive copies
 //	blobseer-bench -exp replication # A5: page replication cost/benefit (extension)
 //	blobseer-bench -exp recovery   # A7: restart cost, WAL compaction on/off
-//	blobseer-bench -exp gc         # A9: retention + distributed page GC, footprint shrink vs read-back
-//	blobseer-bench -exp dhtgc      # A10: metadata reclamation — DHT node deletion + log compaction
 //	blobseer-bench -exp read       # A11: production read path — page cache, hedged replicas, coalescing
 //	blobseer-bench -exp all        # everything above
 //
-// -exp also accepts a comma-separated list (`-exp recovery,gc,dhtgc,read`),
+// -exp also accepts a comma-separated list (`-exp recovery,read`),
 // which is how CI's bench-smoke job runs the fast ablations in one go.
 //
 // The -quick flag shrinks every experiment (fewer providers, smaller
@@ -40,7 +39,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment, or comma-separated list: fig2a, fig2b, calibrate, writers, space, replication, recovery, gc, dhtgc, read, all")
+	exp := flag.String("exp", "all", "experiment, or comma-separated list: fig2a, fig2b, calibrate, writers, space, replication, recovery, read, all")
 	quick := flag.Bool("quick", false, "shrink experiments for a fast smoke run")
 	scale := flag.Uint64("scale", 64, "data/bandwidth scale divisor (1 = full paper scale)")
 	jsonDir := flag.String("json", "", "write each experiment's raw result as BENCH_<exp>.json into this directory")
@@ -48,8 +47,7 @@ func main() {
 
 	known := map[string]bool{
 		"all": true, "calibrate": true, "fig2a": true, "fig2b": true, "writers": true,
-		"space": true, "recovery": true, "gc": true, "dhtgc": true,
-		"replication": true, "read": true,
+		"space": true, "recovery": true, "replication": true, "read": true,
 	}
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*exp, ",") {
@@ -193,52 +191,6 @@ func main() {
 		fmt.Println("Ablation A7: bounded recovery — segmented WAL + snapshot/compaction")
 		res.Table().Fprint(os.Stdout)
 		res.PauseTable().Fprint(os.Stdout)
-		return res, nil
-	})
-
-	run("gc", func() (any, error) {
-		dir, err := os.MkdirTemp("", "blobseer-gc-bench")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		cfg := bench.GCConfig{Dir: dir}
-		if *quick {
-			cfg.BlobPages = 64
-			cfg.Churn = 16
-			cfg.OverwritePages = 16
-			cfg.PageSize = 1024
-			cfg.SegmentBytes = 32 << 10
-		}
-		res, err := bench.RunGC(cfg)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println("Ablation A9: retention + distributed page GC")
-		res.Table().Fprint(os.Stdout)
-		return res, nil
-	})
-
-	run("dhtgc", func() (any, error) {
-		dir, err := os.MkdirTemp("", "blobseer-dhtgc-bench")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		cfg := bench.DHTGCConfig{Dir: dir}
-		if *quick {
-			cfg.BlobPages = 64
-			cfg.Churn = 24
-			cfg.OverwritePages = 16
-			cfg.PageSize = 1024
-			cfg.MetaSegmentBytes = 8 << 10
-		}
-		res, err := bench.RunDHTGC(cfg)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println("Ablation A10: metadata reclamation — DHT delete + segmented-log compaction")
-		res.Table().Fprint(os.Stdout)
 		return res, nil
 	})
 

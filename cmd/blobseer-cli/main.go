@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"blobseer"
+	"blobseer/internal/wire"
 )
 
 func main() {
@@ -126,9 +127,9 @@ func main() {
 				log.Fatalf("size: %v", err)
 			}
 		}
-		n := *length
-		if n == 0 {
-			n = size - *off
+		n, err := readSpan(v, size, *off, *length)
+		if err != nil {
+			log.Fatalf("read: %v", err)
 		}
 		buf := make([]byte, n)
 		if err := blob.Read(ctx, v, buf, *off); err != nil {
@@ -209,6 +210,22 @@ func openBlob(ctx context.Context, c *blobseer.Client, args []string) *blobseer.
 		log.Fatalf("open blob %d: %v", id, err)
 	}
 	return blob
+}
+
+// readSpan returns how many bytes `read -offset off -length length`
+// takes from snapshot v of the given size (length 0 = to the end), or
+// the out-of-bounds error Blob.Read gives for a range outside it —
+// before a buffer of that length is allocated, and without size-off
+// wrapping for an offset past the end.
+func readSpan(v blobseer.Version, size, off, length uint64) (uint64, error) {
+	if off > size || length > size-off {
+		return 0, wire.NewError(wire.CodeOutOfBounds,
+			"read [%d,+%d) beyond snapshot %d of size %d", off, length, v, size)
+	}
+	if length == 0 {
+		return size - off, nil
+	}
+	return length, nil
 }
 
 func argsTail(args []string) []string {

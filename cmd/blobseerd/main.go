@@ -34,29 +34,29 @@ import (
 	blobdht "blobseer/internal/dht"
 )
 
+// A process runs one role with one log, so the log settings say each
+// thing once, whatever the role; TestFlagCount pins how many flags
+// there are.
+var (
+	role          = flag.String("role", "", "version-manager | provider-manager | metadata | data")
+	listen        = flag.String("listen", ":0", "address to listen on")
+	managerAddr   = flag.String("manager", "", "provider manager address (data role)")
+	advertise     = flag.String("advertise", "", "address clients should dial (data role; defaults to the listen address)")
+	diskPath      = flag.String("disk", "", "durable storage log path (data role: pages; metadata role: tree-node pairs; default RAM)")
+	walPath       = flag.String("wal", "", "write-ahead log path for version state (version-manager role; default in-memory)")
+	walSync       = flag.Bool("wal-sync", true, "fsync version WAL commits; concurrent updates share fsyncs via group commit (version-manager role)")
+	logSync       = flag.Bool("sync", false, "fsync records of the -disk log before a put or delete acknowledges (data and metadata roles)")
+	segmentBytes  = flag.Int64("segment-bytes", 64<<20, "roll the role's log (-disk or -wal) into a new segment past this size")
+	snapshotEvery = flag.Int("snapshot-every", 4096, "snapshot the role's state — page index, metadata index, or version state, compacting the WAL — every N logged records; 0 = manual only")
+	compactRatio  = flag.Float64("compact-ratio", 0.5, "rewrite -disk log segments whose live ratio drops below this; 0 disables (data and metadata roles)")
+	retain        = flag.Int("retain-versions", 1, "keep-last-N retention policy: EXPIRE keeps at least this many newest versions per blob (version-manager role)")
+	deadTimeout   = flag.Duration("dead-writer-timeout", 0, "abort updates of silent writers after this duration (version-manager role; 0 disables)")
+	heartbeat     = flag.Duration("heartbeat", 5*time.Second, "heartbeat period (data role)")
+	rpcTimeout    = flag.Duration("rpc-timeout", 0, "per-call deadline on manager-facing RPCs (data role; 0 = heartbeat period)")
+	dialTimeout   = flag.Duration("dial-timeout", 0, "deadline on establishing manager connections (data role; 0 = unbounded)")
+)
+
 func main() {
-	role := flag.String("role", "", "version-manager | provider-manager | metadata | data")
-	listen := flag.String("listen", ":0", "address to listen on")
-	managerAddr := flag.String("manager", "", "provider manager address (data role)")
-	advertise := flag.String("advertise", "", "address clients should dial (data role; defaults to the listen address)")
-	diskPath := flag.String("disk", "", "durable storage log path (data role: pages; metadata role: tree-node pairs; default RAM)")
-	walPath := flag.String("wal", "", "write-ahead log path for version state (version-manager role; default in-memory)")
-	walSync := flag.Bool("wal-sync", true, "fsync version WAL commits; concurrent updates share fsyncs via group commit (version-manager role)")
-	walSegBytes := flag.Int64("wal-segment-bytes", 64<<20, "roll the version WAL into a new segment past this size (version-manager role)")
-	checkpointEvery := flag.Int("checkpoint-every", 4096, "snapshot version state and compact the WAL every N logged events; 0 = manual only (version-manager role)")
-	retain := flag.Int("retain-versions", 1, "keep-last-N retention policy: EXPIRE keeps at least this many newest versions per blob (version-manager role)")
-	deadTimeout := flag.Duration("dead-writer-timeout", 0, "abort updates of silent writers after this duration (version-manager role; 0 disables)")
-	heartbeat := flag.Duration("heartbeat", 5*time.Second, "heartbeat period (data role)")
-	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-call deadline on manager-facing RPCs (data role; 0 = heartbeat period)")
-	dialTimeout := flag.Duration("dial-timeout", 0, "deadline on establishing manager connections (data role; 0 = unbounded)")
-	pageSync := flag.Bool("page-sync", false, "fsync page records before PUT_PAGE acknowledges (data role)")
-	pageSegBytes := flag.Int64("page-segment-bytes", 64<<20, "roll the page log into a new segment past this size (data role)")
-	pageSnapEvery := flag.Int("page-snapshot-every", 4096, "write the page-index snapshot every N records; 0 = manual only (data role)")
-	pageCompact := flag.Float64("page-compact-ratio", 0.5, "rewrite page-log segments whose live ratio drops below this; 0 disables (data role)")
-	metaSync := flag.Bool("meta-sync", false, "fsync metadata records before DHT puts/deletes acknowledge (metadata role)")
-	metaSegBytes := flag.Int64("meta-segment-bytes", 64<<20, "roll the metadata log into a new segment past this size (metadata role)")
-	metaSnapEvery := flag.Int("meta-snapshot-every", 4096, "write the metadata index snapshot every N records; 0 = manual only (metadata role)")
-	metaCompact := flag.Float64("meta-compact-ratio", 0.5, "rewrite metadata-log segments whose live ratio drops below this; 0 disables (metadata role)")
 	flag.Parse()
 
 	sched := vclock.NewReal()
@@ -74,8 +74,8 @@ func main() {
 			DeadWriterTimeout: *deadTimeout,
 			WALPath:           *walPath,
 			WALSync:           *walPath != "" && *walSync, // durability is the point of -wal
-			WALSegmentBytes:   *walSegBytes,
-			CheckpointEvery:   *checkpointEvery,
+			WALSegmentBytes:   *segmentBytes,
+			CheckpointEvery:   *snapshotEvery,
 			RetainVersions:    *retain,
 		})
 		if err != nil {
@@ -96,10 +96,10 @@ func main() {
 		var n *blobdht.Node
 		if *diskPath != "" {
 			n, err = blobdht.ServeDurableNode(ln, sched, *diskPath, blobdht.LogOptions{
-				Sync:          *metaSync,
-				SegmentBytes:  *metaSegBytes,
-				SnapshotEvery: *metaSnapEvery,
-				CompactRatio:  *metaCompact,
+				Sync:          *logSync,
+				SegmentBytes:  *segmentBytes,
+				SnapshotEvery: *snapshotEvery,
+				CompactRatio:  *compactRatio,
 			})
 			if err != nil {
 				log.Fatalf("start metadata provider: %v", err)
@@ -127,10 +127,10 @@ func main() {
 		if *diskPath != "" {
 			cfg.PageLog = *diskPath
 			cfg.PageStore = pagestore.DiskOptions{
-				Sync:          *pageSync,
-				SegmentBytes:  *pageSegBytes,
-				SnapshotEvery: *pageSnapEvery,
-				CompactRatio:  *pageCompact,
+				Sync:          *logSync,
+				SegmentBytes:  *segmentBytes,
+				SnapshotEvery: *snapshotEvery,
+				CompactRatio:  *compactRatio,
 			}
 		}
 		p, err := serveDataProvider(ln, cfg, *advertise)

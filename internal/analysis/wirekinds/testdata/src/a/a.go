@@ -20,17 +20,13 @@ type B struct{}
 type Low struct{}
 type Fresh struct{}
 
-// New dispatches every kind, so no dispatch findings mix in here.
-func New(k Kind) interface{} {
-	switch k {
-	case KindA:
-		return &A{}
-	case KindB:
-		return &B{}
-	case KindLow:
-		return &Low{}
-	case KindFresh:
-		return &Fresh{}
-	}
-	return nil
+// kindTable constructs every kind, so no dispatch findings mix in here.
+var kindTable = [kindMax]struct {
+	name string
+	new  func() interface{}
+}{
+	KindA:     {"A", func() interface{} { return &A{} }},
+	KindB:     {"B", func() interface{} { return &B{} }},
+	KindLow:   {name: "Low", new: func() interface{} { return &Low{} }},
+	KindFresh: {"Fresh", func() interface{} { return &Fresh{} }},
 }

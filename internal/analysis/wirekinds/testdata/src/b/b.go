@@ -1,5 +1,6 @@
 // Package b is golden input for the wirekinds analyzer: a clean
-// registry, but KindPong is neither dispatched in New nor fuzzed.
+// registry, but KindPong is declared in kindTable without a constructor
+// and not fuzzed.
 package b
 
 // Kind tags a wire message type.
@@ -8,17 +9,17 @@ type Kind uint8
 const (
 	KindInvalid Kind = 0
 	KindPing    Kind = 1
-	KindPong    Kind = 2 // want `kind KindPong has no dispatch case in New` `kind KindPong has no fuzz seed`
+	KindPong    Kind = 2 // want `kind KindPong has no constructor in kindTable` `kind KindPong has no fuzz seed`
 	kindMax     Kind = 3
 )
 
 type Ping struct{}
 type Pong struct{}
 
-func New(k Kind) interface{} {
-	switch k {
-	case KindPing:
-		return &Ping{}
-	}
-	return nil
+var kindTable = [kindMax]struct {
+	name string
+	new  func() interface{}
+}{
+	KindPing: {"Ping", func() interface{} { return &Ping{} }},
+	KindPong: {name: "Pong"},
 }

@@ -13,8 +13,8 @@
 //   - every kind in the source must be registered (adding a kind forces
 //     a deliberate registry append, which a reviewer sees as an
 //     append-only diff);
-//   - every kind must have a dispatch case in New, or decoding that
-//     code off the network fails;
+//   - every kind must have an entry with a constructor in kindTable, or
+//     decoding that code off the network fails;
 //   - every kind's message type must appear in some Fuzz* target, so
 //     the decoder actually faces adversarial bytes for it.
 //
@@ -178,40 +178,72 @@ func readGolden(path string) (map[string]int64, error) {
 	return out, sc.Err()
 }
 
-// checkDispatch requires a `case KindX` in the New constructor for
-// every kind.
+// checkDispatch requires a kindTable entry with a constructor for every
+// kind.
 func checkDispatch(pass *analysis.Pass, kinds []kindConst) {
-	dispatched := make(map[string]bool)
-	var newFound bool
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "New" || fd.Recv != nil || fd.Body == nil {
-				continue
-			}
-			newFound = true
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				cc, ok := n.(*ast.CaseClause)
-				if !ok {
-					return true
-				}
-				for _, e := range cc.List {
-					if id, ok := e.(*ast.Ident); ok {
-						dispatched[id.Name] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	if !newFound {
+	table := kindTable(pass)
+	if table == nil {
 		return
 	}
-	for _, k := range kinds {
-		if !dispatched[k.name] {
-			pass.Reportf(k.pos, "kind %s has no dispatch case in New: messages of this kind cannot be decoded off the wire", k.name)
+	constructible := make(map[string]bool)
+	for _, e := range table.Elts {
+		kv, ok := e.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		kind, isIdent := kv.Key.(*ast.Ident)
+		entry, isLit := kv.Value.(*ast.CompositeLit)
+		if isIdent && isLit && constructor(entry) != nil {
+			constructible[kind.Name] = true
 		}
 	}
+	for _, k := range kinds {
+		if !constructible[k.name] {
+			pass.Reportf(k.pos, "kind %s has no constructor in kindTable: messages of this kind cannot be decoded off the wire", k.name)
+		}
+	}
+}
+
+// constructor returns what a kindTable entry gives its new field —
+// positional in `{"X", ctor}`, keyed in `{name: "X", new: ctor}` — or
+// nil when it gives none or a literal nil.
+func constructor(entry *ast.CompositeLit) ast.Expr {
+	var ctor ast.Expr
+	for i, f := range entry.Elts {
+		if kv, keyed := f.(*ast.KeyValueExpr); !keyed {
+			if i == 1 {
+				ctor = f
+			}
+		} else if name, ok := kv.Key.(*ast.Ident); ok && name.Name == "new" {
+			ctor = kv.Value
+		}
+	}
+	if id, ok := ctor.(*ast.Ident); ok && id.Name == "nil" {
+		return nil
+	}
+	return ctor
+}
+
+// kindTable returns the literal of the package-level kindTable
+// variable, the one place a kind's name and constructor are declared,
+// or nil when the package has none.
+func kindTable(pass *analysis.Pass) *ast.CompositeLit {
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				if len(vs.Names) == 1 && vs.Names[0].Name == "kindTable" && len(vs.Values) == 1 {
+					lit, _ := vs.Values[0].(*ast.CompositeLit)
+					return lit
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // checkFuzzSeeds requires the message type of every kind to appear

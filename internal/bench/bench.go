@@ -1,5 +1,6 @@
 // Package bench regenerates the paper's evaluation (§5) on the simulated
-// Grid'5000 substrate, plus the ablations listed in DESIGN.md. Each
+// Grid'5000 substrate, plus the ablations listed in README.md
+// ("Benchmarks" and the budget sections under it). Each
 // experiment runs the real BlobSeer stack over internal/simnet under a
 // virtual clock and reports bandwidth in the paper's units.
 //

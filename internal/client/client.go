@@ -7,8 +7,10 @@
 // with no mutual synchronization; the single ordering point is version
 // assignment at the version manager. Unaligned updates need the previous
 // snapshot's boundary bytes, so they alone synchronize on the previous
-// version before merging (the paper only sketches unaligned handling; see
-// DESIGN.md for the exact semantics implemented here).
+// version before merging (the paper only sketches unaligned handling; the
+// exact semantics implemented here are stated on Write, slowWrite and
+// mergeAndFinish in write.go, and what becomes of the optimistically
+// stored pages in README.md, "Retention and garbage collection").
 package client
 
 import (
@@ -48,11 +50,6 @@ type Config struct {
 	// MetaCacheNodes sets the client metadata cache capacity in nodes
 	// (default 16384; negative disables caching).
 	MetaCacheNodes int
-	// MetaCacheBytes additionally bounds the metadata cache by the bytes
-	// of its keys and node payloads, so a few wide replicated leaves
-	// cannot dominate memory while the entry count looks modest (0 = no
-	// byte bound).
-	MetaCacheBytes int64
 	// Read tunes the read path — page cache, hedged replica requests,
 	// range coalescing and transfer fanout — as one struct, passed
 	// through unchanged from the public API. The zero value means all
@@ -121,7 +118,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	var cache *meta.Cache
 	if cacheNodes > 0 {
-		cache = meta.NewCacheBytes(cacheNodes, cfg.MetaCacheBytes)
+		cache = meta.NewCache(cacheNodes)
 	}
 	rc := rpc.NewClient(cfg.Net, cfg.Sched, rpc.ClientOptions{
 		ConnsPerHost: cfg.ConnsPerHost,

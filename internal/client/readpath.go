@@ -271,10 +271,11 @@ type raceOutcome struct {
 }
 
 // fetchHedged races the batch's replicas: attempt 0 starts immediately;
-// a timer launches the next replica after the hedge delay (at most
-// HedgeMax times); a hard error launches the next replica at once
-// (failover, not counted against HedgeMax). The first successful
-// attempt wins; the race fails only once every replica has failed.
+// a timer launches the next replica after the hedge delay, once; a
+// hard error launches the next replica at once (failover, which is not
+// a hedge: a fetch may still try every replica when providers actually
+// fail). The first successful attempt wins; the race fails only once
+// every replica has failed.
 func (c *Client) fetchHedged(ctx context.Context, jobs []*pageJob) ([][]byte, error) {
 	reps, healthy := c.orderReplicas(jobs[0].pr)
 	if len(reps) == 0 {
@@ -286,8 +287,7 @@ func (c *Client) fetchHedged(ctx context.Context, jobs []*pageJob) ([][]byte, er
 	delivered := false
 	launched := 1 // attempt 0 starts below
 	failed := 0
-	hedges := 0
-	isHedge := make([]bool, len(reps))
+	hedge := -1 // the attempt the timer launched, if it did
 	var lastErr error
 
 	var launch func(attempt int)
@@ -319,7 +319,7 @@ func (c *Client) fetchHedged(ctx context.Context, jobs []*pageJob) ([][]byte, er
 				return
 			}
 			delivered = true
-			won := isHedge[attempt]
+			won := attempt == hedge
 			mu.Unlock()
 			if won {
 				c.rstats.hedgesWon.Add(1)
@@ -334,25 +334,22 @@ func (c *Client) fetchHedged(ctx context.Context, jobs []*pageJob) ([][]byte, er
 	// burns the slow provider's bandwidth. Demoted replicas stay
 	// reachable through error failover above.
 	if delay, ok := c.hedgeDelay(reps); ok && healthy > 1 {
-		//blobseer:goroutine detached the hedge timer self-terminates: every loop iteration re-checks delivered/launched under mu and exits once the race is settled, and the fetch itself is joined through the done event above
+		//blobseer:goroutine detached the hedge timer self-terminates: it sleeps once, re-checks delivered/launched under mu and launches at most one attempt; the fetch itself is joined through the done event above
 		c.sched.Go(func() {
-			for {
-				if c.sched.Sleep(delay) != nil {
-					return
-				}
-				mu.Lock()
-				if delivered || launched >= healthy || hedges >= c.tun.HedgeMax {
-					mu.Unlock()
-					return
-				}
-				next := launched
-				launched++
-				hedges++
-				isHedge[next] = true
-				mu.Unlock()
-				c.rstats.hedgesFired.Add(1)
-				launch(next)
+			if c.sched.Sleep(delay) != nil {
+				return
 			}
+			mu.Lock()
+			if delivered || launched >= healthy {
+				mu.Unlock()
+				return
+			}
+			next := launched
+			launched++
+			hedge = next
+			mu.Unlock()
+			c.rstats.hedgesFired.Add(1)
+			launch(next)
 		})
 	}
 

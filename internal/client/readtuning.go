@@ -19,16 +19,13 @@ type ReadTuning struct {
 	// (and with it single-flight dedup).
 	PageCacheBytes int64
 	// HedgeDelay is how long a page fetch waits on one replica before
-	// hedging: firing the same request at the next replica and taking
-	// whichever answers first. 0 means adaptive — twice the observed
-	// p99 latency of the chosen replica (floor 1ms), no hedging until
-	// enough calls have completed to estimate it. Negative disables
-	// hedging; fetches still fail over on hard errors.
+	// hedging: firing the same request at the next replica, once, and
+	// taking whichever answers first. 0 means adaptive — twice the
+	// observed p99 latency of the chosen replica (floor 1ms), no
+	// hedging until enough calls have completed to estimate it.
+	// Negative disables hedging; fetches still fail over on hard
+	// errors, through every replica if need be.
 	HedgeDelay time.Duration
-	// HedgeMax bounds how many extra replicas one fetch may hedge to
-	// (default 1). Failover on hard errors is not counted: a fetch may
-	// still try every replica when providers actually fail.
-	HedgeMax int
 	// CoalescePages bounds how many pages of one read are batched into
 	// a single provider round trip when their replica sets coincide.
 	// 0 means the default of 16; negative (or 1) disables coalescing.
@@ -45,7 +42,6 @@ const (
 	defPageCacheBytes = 32 << 20
 	defCoalescePages  = 16
 	defMaxFanout      = 64
-	defHedgeMax       = 1
 	// minHedgeDelay floors the adaptive hedge delay: below it the
 	// latency estimate is noise and hedges would fire on every call.
 	minHedgeDelay = time.Millisecond
@@ -55,9 +51,6 @@ const (
 func (t ReadTuning) withDefaults() ReadTuning {
 	if t.PageCacheBytes == 0 {
 		t.PageCacheBytes = defPageCacheBytes
-	}
-	if t.HedgeMax == 0 {
-		t.HedgeMax = defHedgeMax
 	}
 	if t.CoalescePages == 0 {
 		t.CoalescePages = defCoalescePages

@@ -180,12 +180,6 @@ func (p *Plan) NeedPublished() []Range {
 	return out
 }
 
-// Published returns the published version/size the plan was built
-// against, for convenience when calling ResolvePublished.
-func (p *Plan) Published() (wire.Version, uint64) {
-	return p.update.Published, p.update.PublishedSizePages
-}
-
 // Finalize fills the resolved border versions in and returns the complete
 // node set to store. resolved must cover every range from NeedPublished.
 func (p *Plan) Finalize(resolved map[Range]wire.Version) (ids []NodeID, nodes []Node, err error) {
@@ -201,12 +195,4 @@ func (p *Plan) Finalize(resolved map[Range]wire.Version) (ids []NodeID, nodes []
 		}
 	}
 	return p.ids, p.nodes, nil
-}
-
-// NodeCount returns how many nodes the plan creates (leaves + inner).
-func (p *Plan) NodeCount() int { return len(p.nodes) }
-
-// RootID returns the id of the new snapshot's root node.
-func (p *Plan) RootID() NodeID {
-	return RootID(p.update.Version, p.update.NewSizePages)
 }

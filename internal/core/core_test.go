@@ -105,7 +105,7 @@ func TestNodeEncodeDecode(t *testing.T) {
 	leaf := Node{Leaf: true, Page: wire.PageID{1, 2, 3}, Providers: []string{"node-7:data"}}
 	inner := Node{VL: 12, VR: wire.NoVersion}
 	for _, n := range []Node{leaf, inner} {
-		got, err := DecodeNode(n.Encode())
+		got, err := DecodeNode(n.AppendTo(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,10 +116,10 @@ func TestNodeEncodeDecode(t *testing.T) {
 	if _, err := DecodeNode([]byte{99}); err == nil {
 		t.Error("bad tag accepted")
 	}
-	if _, err := DecodeNode(append(leaf.Encode(), 0)); err == nil {
+	if _, err := DecodeNode(append(leaf.AppendTo(nil), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	if _, err := DecodeNode(inner.Encode()[:5]); err == nil {
+	if _, err := DecodeNode(inner.AppendTo(nil)[:5]); err == nil {
 		t.Error("truncated node accepted")
 	}
 }
@@ -340,7 +340,7 @@ func TestNodeEncodedLenIsExact(t *testing.T) {
 		{Leaf: true, Page: wire.PageID{1, 2}, Providers: []string{"10.0.0.1:4403"}},
 		{Leaf: true, Page: wire.PageID{3}, Providers: []string{"a:1", "", "a-much-longer-address:40400"}},
 	} {
-		enc := n.Encode()
+		enc := n.AppendTo(nil)
 		if n.EncodedLen() != len(enc) {
 			t.Fatalf("%+v: EncodedLen %d, encoding is %d bytes", n, n.EncodedLen(), len(enc))
 		}
@@ -611,7 +611,7 @@ func TestNodeExists(t *testing.T) {
 
 func TestNodeEncodeDecodeReplicated(t *testing.T) {
 	leaf := Node{Leaf: true, Page: wire.PageID{9, 9}, Providers: []string{"a:1", "b:2", "c:3"}}
-	got, err := DecodeNode(leaf.Encode())
+	got, err := DecodeNode(leaf.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +621,7 @@ func TestNodeEncodeDecodeReplicated(t *testing.T) {
 	// Single-provider leaves must keep the compact paper-layout encoding.
 	single := Node{Leaf: true, Page: wire.PageID{1}, Providers: []string{"a:1"}}
 	multi := Node{Leaf: true, Page: wire.PageID{1}, Providers: []string{"a:1", "b:2"}}
-	if len(single.Encode()) >= len(multi.Encode()) {
+	if len(single.AppendTo(nil)) >= len(multi.AppendTo(nil)) {
 		t.Fatal("single-replica leaf encoding is not the compact form")
 	}
 	// A leaf with no providers must be rejected on decode.
@@ -648,7 +648,7 @@ func TestNodeEncodeDecodeQuick(t *testing.T) {
 		} else {
 			n = Node{VL: vl, VR: vr}
 		}
-		got, err := DecodeNode(n.Encode())
+		got, err := DecodeNode(n.AppendTo(nil))
 		return err == nil && reflect.DeepEqual(got, n)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -33,12 +33,9 @@ const (
 	nodeTagLeafR byte = 2 // replicated leaf: uint8 count, then addresses
 )
 
-// Encode serializes the node for storage in the metadata DHT.
-func (n *Node) Encode() []byte { return n.AppendTo(nil) }
-
-// AppendTo appends the node's encoding to buf in place and returns the
-// extended slice, so a writer can lay a whole update's nodes out in one
-// buffer.
+// AppendTo appends the node's encoding — its stored form in the metadata
+// DHT — to buf in place and returns the extended slice, so a writer can
+// lay a whole update's nodes out in one buffer.
 func (n *Node) AppendTo(buf []byte) []byte {
 	w := wire.WriterOn(buf)
 	switch {

@@ -134,7 +134,7 @@ func BenchmarkDurableNodeReopen(b *testing.B) {
 				}
 			}
 			if snapshot {
-				if err := r.node.SnapshotLog(); err != nil {
+				if err := r.node.log.Snapshot(); err != nil {
 					b.Fatal(err)
 				}
 			}

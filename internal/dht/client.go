@@ -22,39 +22,6 @@ func NewClient(ring *Ring, rc *rpc.Client, sched vclock.Scheduler) *Client {
 	return &Client{ring: ring, rpc: rc, sched: sched}
 }
 
-// Ring exposes the client's ring (shared, immutable).
-func (c *Client) Ring() *Ring { return c.ring }
-
-// Put stores key=value on every replica in parallel. All replicas must
-// acknowledge: metadata loss would orphan part of a snapshot.
-func (c *Client) Put(ctx context.Context, key, value []byte) error {
-	nodes := c.ring.Nodes(key)
-	return vclock.Parallel(c.sched, len(nodes), func(i int) error {
-		_, err := c.rpc.Call(ctx, nodes[i], &wire.DHTPutReq{Key: key, Value: value})
-		return err
-	})
-}
-
-// Get fetches key, trying replicas in ring order: because values are
-// immutable, the first copy found is authoritative. Found=false with a
-// nil error means every replica answered and none has the key.
-func (c *Client) Get(ctx context.Context, key []byte) (value []byte, found bool, err error) {
-	var lastErr error
-	for _, node := range c.ring.Nodes(key) {
-		resp, err := c.rpc.Call(ctx, node, &wire.DHTGetReq{Key: key})
-		if err != nil {
-			lastErr = err // node down: try the next replica
-			continue
-		}
-		r := resp.(*wire.DHTGetResp)
-		if r.Found {
-			return r.Value, true, nil
-		}
-		lastErr = nil
-	}
-	return nil, false, lastErr
-}
-
 // batch is the share of one call that goes to one ring node.
 type batch struct {
 	node         string
@@ -258,18 +225,4 @@ func (c *Client) Delete(ctx context.Context, keys [][]byte) (uint64, error) {
 		total += d
 	}
 	return total, err
-}
-
-// Stats sums key and byte counts over all ring nodes.
-func (c *Client) Stats(ctx context.Context) (keys, bytes uint64, err error) {
-	for _, node := range c.ring.Addrs() {
-		resp, err := c.rpc.Call(ctx, node, &wire.DHTStatsReq{})
-		if err != nil {
-			return 0, 0, err
-		}
-		r := resp.(*wire.DHTStatsResp)
-		keys += r.Keys
-		bytes += r.Bytes
-	}
-	return keys, bytes, nil
 }

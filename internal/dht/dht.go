@@ -35,15 +35,6 @@ func NewRing(addrs []string, replicas int) (*Ring, error) {
 	return r, nil
 }
 
-// Replicas returns the ring's replication factor.
-func (r *Ring) Replicas() int { return r.replicas }
-
-// Size returns the number of nodes on the ring.
-func (r *Ring) Size() int { return len(r.addrs) }
-
-// Addrs returns the node addresses (do not modify).
-func (r *Ring) Addrs() []string { return r.addrs }
-
 // primary returns the ring position that owns key: its FNV-1a hash
 // (cheap, and plenty uniform for the static distribution the paper
 // describes; inlined, hash/fnv's New64a allocates) modulo the ring
@@ -59,17 +50,3 @@ func (r *Ring) primary(key []byte) int {
 
 // at returns the position i steps clockwise of pos.
 func (r *Ring) at(pos, i int) int { return (pos + i) % len(r.addrs) }
-
-// Primary returns the node that owns key.
-func (r *Ring) Primary(key []byte) string { return r.addrs[r.primary(key)] }
-
-// Nodes returns the replica set for key: the primary followed by the next
-// replicas-1 nodes on the ring.
-func (r *Ring) Nodes(key []byte) []string {
-	start := r.primary(key)
-	out := make([]string, r.replicas)
-	for i := range out {
-		out[i] = r.addrs[r.at(start, i)]
-	}
-	return out
-}

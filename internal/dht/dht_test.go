@@ -61,12 +61,12 @@ func TestRingRejectsEmpty(t *testing.T) {
 
 func TestRingReplicaClamping(t *testing.T) {
 	r, _ := NewRing([]string{"a", "b"}, 5)
-	if r.Replicas() != 2 {
-		t.Fatalf("replicas = %d, want clamped 2", r.Replicas())
+	if r.replicas != 2 {
+		t.Fatalf("replicas = %d, want clamped 2", r.replicas)
 	}
 	r, _ = NewRing([]string{"a", "b"}, 0)
-	if r.Replicas() != 1 {
-		t.Fatalf("replicas = %d, want 1", r.Replicas())
+	if r.replicas != 1 {
+		t.Fatalf("replicas = %d, want 1", r.replicas)
 	}
 }
 
@@ -114,6 +114,22 @@ func TestPutGetSingleNode(t *testing.T) {
 	_, ok, err = c.Get(ctx, []byte("missing"))
 	if err != nil || ok {
 		t.Fatalf("missing key: ok=%v err=%v", ok, err)
+	}
+	// The one-pair kinds stay on the wire (kinds are append-only) with
+	// no client method in front of them: same engine, same answers.
+	node := c.ring.addrs[0]
+	if _, err := c.rpc.Call(ctx, node, &wire.DHTPutReq{Key: []byte("k2"), Value: []byte("v2")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.rpc.Call(ctx, node, &wire.DHTPutReq{Key: []byte("k2"), Value: []byte("other")}); wire.CodeOf(err) != wire.CodeBadRequest {
+		t.Fatalf("divergent DHT_PUT = %v, want CodeBadRequest", err)
+	}
+	if v, ok, err := c.Get(ctx, []byte("k2")); err != nil || !ok || string(v) != "v2" {
+		t.Fatalf("Get of a DHT_PUT pair = %q, %v, %v", v, ok, err)
+	}
+	resp, err := c.rpc.Call(ctx, node, &wire.DHTGetReq{Key: []byte("k")})
+	if r, _ := resp.(*wire.DHTGetResp); err != nil || !r.Found || string(r.Value) != "v" {
+		t.Fatalf("DHT_GET = %+v, %v", r, err)
 	}
 }
 
@@ -167,7 +183,7 @@ func TestReplicationSurvivesPrimaryLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill the primary; Get must fall through to the replica.
-	primary := c.Ring().Primary(key)
+	primary := c.ring.Primary(key)
 	for _, nd := range nodes {
 		if nd.Addr() == primary {
 			nd.Close()
@@ -320,10 +336,23 @@ func TestStats(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Put(ctx, []byte(fmt.Sprintf("k%d", i)), make([]byte, 100))
 	}
-	keys, bytes, err := c.Stats(ctx)
+	keys, bytes, err := clusterStats(ctx, c)
 	if err != nil || keys != 10 || bytes != 1000 {
 		t.Fatalf("Stats = %d keys %d bytes %v", keys, bytes, err)
 	}
+}
+
+// clusterStats sums DHT_STATS over every ring node.
+func clusterStats(ctx context.Context, c *Client) (keys, bytes uint64, err error) {
+	for _, node := range c.ring.addrs {
+		resp, err := c.rpc.Call(ctx, node, &wire.DHTStatsReq{})
+		if err != nil {
+			return 0, 0, err
+		}
+		r := resp.(*wire.DHTStatsResp)
+		keys, bytes = keys+r.Keys, bytes+r.Bytes
+	}
+	return keys, bytes, nil
 }
 
 func TestQuickRoundTripAnyKeyValue(t *testing.T) {
@@ -366,12 +395,12 @@ func TestRingHashIsFNV1a(t *testing.T) {
 		key := []byte(fmt.Sprintf("key-%d-%x", i, i*2654435761))
 		h := fnv.New64a()
 		h.Write(key)
-		want := int(h.Sum64() % uint64(r.Size()))
+		want := int(h.Sum64() % uint64(len(r.addrs)))
 		if got := r.primary(key); got != want {
 			t.Fatalf("primary(%q) = %d, hash/fnv says %d", key, got, want)
 		}
 		for j, addr := range r.Nodes(key) {
-			if addr != r.Addrs()[r.at(want, j)] {
+			if addr != r.addrs[r.at(want, j)] {
 				t.Fatalf("Nodes(%q)[%d] = %s, want ring position %d", key, j, addr, r.at(want, j))
 			}
 		}
@@ -416,7 +445,7 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nd := range nodes {
-		if nd.Addr() == c.Ring().Primary(survivor) {
+		if nd.Addr() == c.ring.Primary(survivor) {
 			if removed, err := nd.eng.deleteBatch([][]byte{survivor}); err != nil || removed != 1 {
 				t.Fatalf("dropping the primary copy: %d %v", removed, err)
 			}
@@ -459,7 +488,7 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 	// is still served.
 	var orphan []byte
 	for i := 0; orphan == nil; i++ {
-		if k := []byte(fmt.Sprintf("primary-down/%d", i)); c.Ring().Primary(k) == nodes[0].Addr() {
+		if k := []byte(fmt.Sprintf("primary-down/%d", i)); c.ring.Primary(k) == nodes[0].Addr() {
 			orphan = k
 		}
 	}

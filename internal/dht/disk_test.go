@@ -193,7 +193,7 @@ func TestDurableNodeSnapshotBoundsReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := r.node.SnapshotLog(); err != nil {
+	if err := r.node.log.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	// A few tail records after the snapshot.

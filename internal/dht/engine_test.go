@@ -97,7 +97,7 @@ func TestDeleteRepeatedKeyCountsOnce(t *testing.T) {
 		if recs := durable.node.log.Stats().Appends - before; name == "durable" && (recs < 2 || recs > 4) {
 			t.Fatalf("%d tombstones logged for 2 pairs named 4 times", recs)
 		}
-		if keys, _, err := c.Stats(ctx); err != nil || keys != 0 {
+		if keys, _, err := clusterStats(ctx, c); err != nil || keys != 0 {
 			t.Fatalf("%s: %d keys left (%v)", name, keys, err)
 		}
 	}

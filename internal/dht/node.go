@@ -17,8 +17,8 @@ import (
 type Node struct {
 	srv *rpc.Server
 	eng engine
-	// log is the Disk engine's store, nil over Mem: what LogBytes,
-	// SnapshotLog and CompactLog act on.
+	// log is the Disk engine's store, nil over Mem: what LogBytes and
+	// CompactLog act on.
 	log *seglog.KV
 }
 
@@ -61,19 +61,6 @@ func divergent(key []byte, stored, got int) error {
 		"divergent re-put of key %x: stored %d bytes, got %d", key, stored, got)
 }
 
-// kvShards spreads an engine's key space over independent locks;
-// metadata trees are read by many concurrent clients (§4.2).
-const kvShards = 64
-
-// shardOf picks a key's lock among an engine's kvShards.
-func shardOf[K string | []byte](key K) uint {
-	h := uint(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint(key[i])) * 16777619
-	}
-	return h % kvShards
-}
-
 // ServeNode starts a metadata provider on ln, its pairs in RAM.
 func ServeNode(ln transport.Listener, sched vclock.Scheduler) *Node {
 	n := newNode(nil)
@@ -111,16 +98,6 @@ func (n *Node) LogBytes() int64 {
 		return 0
 	}
 	return n.log.Stats().LogBytes
-}
-
-// SnapshotLog writes the durable node's index snapshot on demand, so
-// the next reopen replays only records logged after this call. No-op
-// for an in-memory node.
-func (n *Node) SnapshotLog() error {
-	if n.log == nil {
-		return nil
-	}
-	return n.log.Snapshot()
 }
 
 // CompactLog rewrites metadata log segments dominated by deleted pairs

@@ -227,70 +227,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.get(ck("c")); !ok {
 		t.Fatal("new entry missing")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
-func TestCacheByteBoundEvictsHeavyTail(t *testing.T) {
-	// Entry count alone would let a few replicated leaves with huge
-	// provider lists dominate memory; the byte bound must evict for them.
-	heavy := core.Node{Leaf: true, Page: wire.PageID{1}}
-	for i := 0; i < 10; i++ {
-		heavy.Providers = append(heavy.Providers, "data-provider-with-a-long-address:40400")
-	}
-	light := core.Node{VL: 1, VR: 2}
-
-	perHeavy := entryBytes(heavy)
-	c := NewCacheBytes(1000, 3*perHeavy)
-	for i := 0; i < 6; i++ {
-		c.put(ck("h", i), heavy)
-	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 heavy entries within the byte budget", c.Len())
-	}
-	if c.Bytes() > 3*perHeavy {
-		t.Fatalf("Bytes = %d exceeds budget %d", c.Bytes(), 3*perHeavy)
-	}
-	// The same budget holds many more light entries: bytes, not entries,
-	// are what bound it.
-	for i := 0; i < 20; i++ {
-		c.put(ck("l", i), light)
-	}
-	if c.Len() <= 3 {
-		t.Fatalf("Len = %d, light entries should fit well past 3", c.Len())
-	}
-	// Hitting an entry protects it from byte-pressure eviction: a heavy
-	// insert evicts from the LRU tail, not the freshly touched front.
-	c.get(ck("l", 0))
-	before := c.Len()
-	c.put(ck("H", 0), heavy)
-	if _, ok := c.get(ck("l", 0)); !ok {
-		t.Fatal("recently used entry evicted under byte pressure")
-	}
-	if c.Len() >= before+1 {
-		t.Fatalf("heavy insert evicted nothing: %d -> %d", before, c.Len())
-	}
-}
-
-func TestCacheOversizedEntryNotRetained(t *testing.T) {
-	heavy := core.Node{Leaf: true, Page: wire.PageID{1},
-		Providers: []string{"one", "two", "three", "four"}}
-	c := NewCacheBytes(10, 8) // smaller than any entry
-	c.put(ck("a"), heavy)
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("oversized entry retained: len %d bytes %d", c.Len(), c.Bytes())
-	}
-	// The cache still works for gets (they just miss).
-	if _, ok := c.get(ck("a")); ok {
-		t.Fatal("phantom hit")
+	if len(c.entries) != 2 {
+		t.Fatalf("Len = %d", len(c.entries))
 	}
 }
 
 func TestCacheZeroCapacity(t *testing.T) {
 	c := NewCache(0)
 	c.put(ck("a"), core.Node{})
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Fatal("zero-capacity cache stored an entry")
 	}
 }

@@ -35,9 +35,6 @@ var pageLayout = &seglog.KVLayout{
 // DiskOptions tunes a Disk store; see the field docs on seglog.KVOptions.
 type DiskOptions = seglog.KVOptions
 
-// RecoveryStats describes what one OpenDisk did.
-type RecoveryStats = seglog.RecoveryStats
-
 // OpenDisk opens (creating if needed) the segmented page store rooted
 // at path and rebuilds its index from the newest valid index snapshot
 // plus the log tail.
@@ -95,19 +92,9 @@ func (d *Disk) Stats() (pages, bytes uint64) {
 	return st.Keys, st.ValueBytes
 }
 
-// WriteStats reports records appended and fsyncs issued since open.
-// Group commit shows up as syncs < appends.
-func (d *Disk) WriteStats() (appends, syncs uint64) {
-	st := d.kv.Stats()
-	return st.Appends, st.Syncs
-}
-
 // LogBytes reports the store's on-disk footprint: the summed size of
 // every segment file. Compaction shrinks it.
 func (d *Disk) LogBytes() int64 { return d.kv.Stats().LogBytes }
-
-// Snapshots reports how many index snapshots completed since open.
-func (d *Disk) Snapshots() uint64 { return d.kv.Stats().Snapshots }
 
 // Compactions reports how many segment rewrites completed since open.
 func (d *Disk) Compactions() uint64 { return d.kv.Stats().Compactions }
@@ -115,14 +102,6 @@ func (d *Disk) Compactions() uint64 { return d.kv.Stats().Compactions }
 // LastCapturePause reports the stop-the-world duration of the most
 // recent snapshot capture.
 func (d *Disk) LastCapturePause() time.Duration { return d.kv.Stats().LastCapturePause }
-
-// RecoveryStats reports what this open of the store did: whether a
-// snapshot seeded the index and how many records had to be rescanned.
-func (d *Disk) RecoveryStats() RecoveryStats { return d.kv.RecoveryStats() }
-
-// Snapshot writes the index snapshot now, so the next reopen replays
-// only records logged after this call.
-func (d *Disk) Snapshot() error { return d.kv.Snapshot() }
 
 // Compact rewrites every sealed segment whose live-byte ratio is below
 // CompactRatio (below 1 when that is zero), dropping records of Deleted

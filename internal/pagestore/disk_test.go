@@ -50,18 +50,18 @@ func TestDiskMaintenanceThroughAdaptor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Snapshot(); err != nil {
+	if err := d.kv.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	before := d.LogBytes()
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if after := d.LogBytes(); after >= before || d.Compactions() == 0 || d.Snapshots() < 2 {
-		t.Fatalf("compaction: %d -> %d bytes, %d rewrites, %d snapshots", before, after, d.Compactions(), d.Snapshots())
+	if after := d.LogBytes(); after >= before || d.Compactions() == 0 || d.kv.Stats().Snapshots < 2 {
+		t.Fatalf("compaction: %d -> %d bytes, %d rewrites, %d snapshots", before, after, d.Compactions(), d.kv.Stats().Snapshots)
 	}
-	if appends, syncs := d.WriteStats(); appends != 70 || syncs != 70 {
-		t.Fatalf("write stats = %d appends, %d syncs, want 70 each", appends, syncs)
+	if st := d.kv.Stats(); st.Appends != 70 || st.Syncs != 70 {
+		t.Fatalf("write stats = %d appends, %d syncs, want 70 each", st.Appends, st.Syncs)
 	}
 	if d.LastCapturePause() <= 0 {
 		t.Fatal("no capture pause recorded")
@@ -80,7 +80,7 @@ func TestDiskMaintenanceThroughAdaptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if st := d2.RecoveryStats(); !st.SnapshotLoaded || st.SnapshotEntries != 10 || st.RecordsReplayed != 0 {
+	if st := d2.kv.RecoveryStats(); !st.SnapshotLoaded || st.SnapshotEntries != 10 || st.RecordsReplayed != 0 {
 		t.Fatalf("recovery stats = %+v, want 10 pages from the covering snapshot", st)
 	}
 	for i := byte(0); i < 40; i++ {

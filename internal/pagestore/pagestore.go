@@ -3,16 +3,17 @@
 // unique PageID; BlobSeer never overwrites a page in place (§3 of the
 // paper), which keeps the engine interface small: put, ranged get, has.
 //
-// Two engines are provided: Mem, a sharded in-memory store matching the
-// paper's RAM-resident prototype, and Disk, the durable keyed store of
-// internal/seglog keyed by page id (an extension beyond the paper).
+// Two engines are provided: Mem, the sharded in-memory map of
+// internal/memkv matching the paper's RAM-resident prototype, and Disk,
+// the durable keyed store of internal/seglog keyed by page id (an
+// extension beyond the paper).
 package pagestore
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
+	"blobseer/internal/memkv"
 	"blobseer/internal/wire"
 )
 
@@ -75,46 +76,17 @@ func slicePage(data []byte, off, length uint32) ([]byte, error) {
 	return data[off : off+length], nil
 }
 
-// memShards spreads page lookups over independent locks so concurrent
-// clients (the paper's central scenario) do not serialize on one mutex.
-const memShards = 64
-
-// Mem is the in-memory Store. Construct with NewMem.
-type Mem struct {
-	shards [memShards]memShard
-}
-
-type memShard struct {
-	mu    sync.RWMutex
-	pages map[wire.PageID][]byte
-	bytes uint64
-}
+// Mem is the in-memory Store: pages in a memkv.Map keyed by their raw
+// 16-byte id. Construct with NewMem.
+type Mem struct{ m *memkv.Map }
 
 // NewMem returns an empty in-memory store.
-func NewMem() *Mem {
-	m := &Mem{}
-	for i := range m.shards {
-		m.shards[i].pages = make(map[wire.PageID][]byte)
-	}
-	return m
-}
+func NewMem() *Mem { return &Mem{m: memkv.New()} }
 
-func (m *Mem) shard(id wire.PageID) *memShard {
-	// The low id bytes are a counter; the first bytes are random. Mix a
-	// few for an even spread.
-	return &m.shards[(uint(id[0])^uint(id[8])^uint(id[15]))%memShards]
-}
-
-// Put implements Store.
+// Put implements Store. Pages are immutable, so a second Put of an id
+// is a no-op.
 func (m *Mem) Put(id wire.PageID, data []byte) error {
-	s := m.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.pages[id]; dup {
-		return nil // immutable pages: idempotent
-	}
-	s.pages[id] = append([]byte(nil), data...)
-	s.bytes += uint64(len(data))
+	m.m.Put(id[:], data)
 	return nil
 }
 
@@ -122,10 +94,7 @@ func (m *Mem) Put(id wire.PageID, data []byte) error {
 // serving a page from memory copies nothing — which is why Release
 // must leave it alone.
 func (m *Mem) Get(id wire.PageID, off, length uint32) ([]byte, error) {
-	s := m.shard(id)
-	s.mu.RLock()
-	data, ok := s.pages[id]
-	s.mu.RUnlock()
+	data, ok := m.m.Get(id[:])
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
@@ -139,36 +108,18 @@ func (*Mem) Release([]byte) {}
 
 // Has implements Store.
 func (m *Mem) Has(id wire.PageID) bool {
-	s := m.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.pages[id]
+	_, ok := m.m.Get(id[:])
 	return ok
 }
 
 // Delete implements Store.
 func (m *Mem) Delete(id wire.PageID) error {
-	s := m.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if data, ok := s.pages[id]; ok {
-		s.bytes -= uint64(len(data))
-		delete(s.pages, id)
-	}
+	m.m.Delete(id[:])
 	return nil
 }
 
 // Stats implements Store.
-func (m *Mem) Stats() (pages, bytes uint64) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		pages += uint64(len(s.pages))
-		bytes += s.bytes
-		s.mu.RUnlock()
-	}
-	return pages, bytes
-}
+func (m *Mem) Stats() (pages, bytes uint64) { return m.m.Stats() }
 
 // Close implements Store.
 func (m *Mem) Close() error { return nil }

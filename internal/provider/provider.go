@@ -43,8 +43,6 @@ type Config struct {
 	// manager (default HeartbeatEvery), so a dead manager cannot wedge
 	// the loop. Inert under a Virtual scheduler, like all deadlines.
 	CallTimeout time.Duration
-	// Weight biases allocation toward bigger providers (default 1).
-	Weight uint32
 }
 
 // Provider is a running data provider service.
@@ -88,9 +86,6 @@ func Serve(ln transport.Listener, cfg Config) (*Provider, error) {
 	}
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = cfg.HeartbeatEvery
-	}
-	if cfg.Weight == 0 {
-		cfg.Weight = 1
 	}
 	p := &Provider{store: cfg.Store, ownStore: ownStore, sched: cfg.Sched, cfg: cfg, closed: make(chan struct{})}
 	p.wg = vclock.NewWaitGroup(cfg.Sched)
@@ -142,8 +137,7 @@ func (p *Provider) Close() {
 func (p *Provider) register(ctx context.Context) (uint32, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.CallTimeout)
 	defer cancel()
-	resp, err := p.cfg.Client.Call(ctx, p.cfg.ManagerAddr,
-		&wire.RegisterReq{Addr: p.srv.Addr(), Weight: p.cfg.Weight})
+	resp, err := p.cfg.Client.Call(ctx, p.cfg.ManagerAddr, wire.NewRegisterReq(p.srv.Addr()))
 	if err != nil {
 		return 0, err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -320,6 +321,54 @@ func TestExpiryDropsSilentProviders(t *testing.T) {
 		clock.Sleep(2 * time.Second)
 		if n := mgr.ProviderCount(); n != 0 {
 			t.Errorf("count after expiry = %d, want 0", n)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHeartbeatVersusExpiryScan pins the one ordering rule between a
+// beat and an expiry scan: a beat acknowledged before the scan keeps
+// its entry; a beat that arrives after the scan dropped the entry is
+// answered Known false, and the provider's next register gets a fresh
+// id at the end of the placement order.
+func TestHeartbeatVersusExpiryScan(t *testing.T) {
+	clock := vclock.NewVirtual(0)
+	net := simnet.New(clock, simnet.Config{})
+	err := clock.Run(func() {
+		mln, err := net.Host("mgr").Listen("manager")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mgr := ServeManager(mln, ManagerConfig{Sched: clock, Expiry: time.Second})
+		defer mgr.Close()
+		early, late := mgr.register("early:1"), mgr.register("late:1")
+		clock.Sleep(900 * time.Millisecond)
+		if !mgr.heartbeat(&wire.HeartbeatReq{ID: early, Pages: 3}) {
+			t.Error("beat inside the expiry window not acknowledged")
+		}
+		clock.Sleep(200 * time.Millisecond) // early was seen 0.2 s ago, late 1.1 s ago
+		if n := mgr.ProviderCount(); n != 1 {
+			t.Errorf("%d providers after the scan, want the one that beat before it", n)
+		}
+		if !mgr.heartbeat(&wire.HeartbeatReq{ID: early, Pages: 4}) {
+			t.Error("the scan dropped an entry whose beat it had acknowledged")
+		}
+		if mgr.heartbeat(&wire.HeartbeatReq{ID: late}) {
+			t.Error("beat after the scan dropped its entry was acknowledged")
+		}
+		again := mgr.register("late:1")
+		if again == late || again == early {
+			t.Errorf("re-register after expiry reused id %d (early %d, late %d)", again, early, late)
+		}
+		var got []string
+		for _, p := range mgr.list().Providers {
+			got = append(got, fmt.Sprintf("%s/%d", p.Addr, p.Pages))
+		}
+		if want := []string{"early:1/4", "late:1/0"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("providers = %v, want %v", got, want)
 		}
 	})
 	if err != nil {

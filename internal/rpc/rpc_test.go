@@ -271,7 +271,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if id != 42 || kind != wire.KindPingReq {
 		t.Fatalf("id=%d kind=%v", id, kind)
 	}
-	m, err := wire.Decode(kind, *body)
+	m, err := new(wire.Decoder).Decode(kind, *body)
 	bufpool.Put(body)
 	if err != nil || m.(*wire.PingReq).Nonce != 7 {
 		t.Fatalf("decode: %v %v", m, err)
@@ -313,7 +313,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := wire.Decode(kind, *body)
+		m, err := new(wire.Decoder).Decode(kind, *body)
 		bufpool.Put(body)
 		if err != nil || id != want || m.(*wire.PingReq).Nonce != want {
 			t.Fatalf("frame %d after a refused one: id %d, %v, %v", want, id, m, err)

@@ -73,71 +73,85 @@ const (
 	kindMax
 )
 
-var kindNames = [...]string{
-	KindInvalid:           "Invalid",
-	KindPingReq:           "PingReq",
-	KindPingResp:          "PingResp",
-	KindPutPageReq:        "PutPageReq",
-	KindPutPageResp:       "PutPageResp",
-	KindGetPageReq:        "GetPageReq",
-	KindGetPageResp:       "GetPageResp",
-	KindHasPageReq:        "HasPageReq",
-	KindHasPageResp:       "HasPageResp",
-	KindProviderStatsReq:  "ProviderStatsReq",
-	KindProviderStatsResp: "ProviderStatsResp",
-	KindRegisterReq:       "RegisterReq",
-	KindRegisterResp:      "RegisterResp",
-	KindHeartbeatReq:      "HeartbeatReq",
-	KindHeartbeatResp:     "HeartbeatResp",
-	KindAllocateReq:       "AllocateReq",
-	KindAllocateResp:      "AllocateResp",
-	KindListProvidersReq:  "ListProvidersReq",
-	KindListProvidersResp: "ListProvidersResp",
-	KindDHTPutReq:         "DHTPutReq",
-	KindDHTPutResp:        "DHTPutResp",
-	KindDHTGetReq:         "DHTGetReq",
-	KindDHTGetResp:        "DHTGetResp",
-	KindDHTMultiPutReq:    "DHTMultiPutReq",
-	KindDHTMultiPutResp:   "DHTMultiPutResp",
-	KindDHTMultiGetReq:    "DHTMultiGetReq",
-	KindDHTMultiGetResp:   "DHTMultiGetResp",
-	KindDHTStatsReq:       "DHTStatsReq",
-	KindDHTStatsResp:      "DHTStatsResp",
-	KindCreateBlobReq:     "CreateBlobReq",
-	KindCreateBlobResp:    "CreateBlobResp",
-	KindBlobInfoReq:       "BlobInfoReq",
-	KindBlobInfoResp:      "BlobInfoResp",
-	KindAssignReq:         "AssignReq",
-	KindAssignResp:        "AssignResp",
-	KindCompleteReq:       "CompleteReq",
-	KindCompleteResp:      "CompleteResp",
-	KindAbortReq:          "AbortReq",
-	KindAbortResp:         "AbortResp",
-	KindRecentReq:         "RecentReq",
-	KindRecentResp:        "RecentResp",
-	KindSizeReq:           "SizeReq",
-	KindSizeResp:          "SizeResp",
-	KindSyncReq:           "SyncReq",
-	KindSyncResp:          "SyncResp",
-	KindBranchReq:         "BranchReq",
-	KindBranchResp:        "BranchResp",
-	KindErrorResp:         "ErrorResp",
-	KindDeletePagesReq:    "DeletePagesReq",
-	KindDeletePagesResp:   "DeletePagesResp",
-	KindExpireReq:         "ExpireReq",
-	KindExpireResp:        "ExpireResp",
-	KindGCInfoReq:         "GCInfoReq",
-	KindGCInfoResp:        "GCInfoResp",
-	KindDHTDeleteReq:      "DHTDeleteReq",
-	KindDHTDeleteResp:     "DHTDeleteResp",
-	KindGetPagesReq:       "GetPagesReq",
-	KindGetPagesResp:      "GetPagesResp",
+// kindTable declares each kind once: its symbolic name and the
+// constructor of its zero message, which is what makes a kind decodable
+// off the wire. blobseer-vet's wirekinds check reads it.
+var kindTable = [kindMax]struct {
+	name string
+	new  func() Msg
+}{
+	KindInvalid:           {name: "Invalid"},
+	KindPingReq:           {"PingReq", zero[PingReq]},
+	KindPingResp:          {"PingResp", zero[PingResp]},
+	KindPutPageReq:        {"PutPageReq", zero[PutPageReq]},
+	KindPutPageResp:       {"PutPageResp", zero[PutPageResp]},
+	KindGetPageReq:        {"GetPageReq", zero[GetPageReq]},
+	KindGetPageResp:       {"GetPageResp", zero[GetPageResp]},
+	KindHasPageReq:        {"HasPageReq", zero[HasPageReq]},
+	KindHasPageResp:       {"HasPageResp", zero[HasPageResp]},
+	KindProviderStatsReq:  {"ProviderStatsReq", zero[ProviderStatsReq]},
+	KindProviderStatsResp: {"ProviderStatsResp", zero[ProviderStatsResp]},
+	KindRegisterReq:       {"RegisterReq", zero[RegisterReq]},
+	KindRegisterResp:      {"RegisterResp", zero[RegisterResp]},
+	KindHeartbeatReq:      {"HeartbeatReq", zero[HeartbeatReq]},
+	KindHeartbeatResp:     {"HeartbeatResp", zero[HeartbeatResp]},
+	KindAllocateReq:       {"AllocateReq", zero[AllocateReq]},
+	KindAllocateResp:      {"AllocateResp", zero[AllocateResp]},
+	KindListProvidersReq:  {"ListProvidersReq", zero[ListProvidersReq]},
+	KindListProvidersResp: {"ListProvidersResp", zero[ListProvidersResp]},
+	KindDHTPutReq:         {"DHTPutReq", zero[DHTPutReq]},
+	KindDHTPutResp:        {"DHTPutResp", zero[DHTPutResp]},
+	KindDHTGetReq:         {"DHTGetReq", zero[DHTGetReq]},
+	KindDHTGetResp:        {"DHTGetResp", zero[DHTGetResp]},
+	KindDHTMultiPutReq:    {"DHTMultiPutReq", zero[DHTMultiPutReq]},
+	KindDHTMultiPutResp:   {"DHTMultiPutResp", zero[DHTMultiPutResp]},
+	KindDHTMultiGetReq:    {"DHTMultiGetReq", zero[DHTMultiGetReq]},
+	KindDHTMultiGetResp:   {"DHTMultiGetResp", zero[DHTMultiGetResp]},
+	KindDHTStatsReq:       {"DHTStatsReq", zero[DHTStatsReq]},
+	KindDHTStatsResp:      {"DHTStatsResp", zero[DHTStatsResp]},
+	KindCreateBlobReq:     {"CreateBlobReq", zero[CreateBlobReq]},
+	KindCreateBlobResp:    {"CreateBlobResp", zero[CreateBlobResp]},
+	KindBlobInfoReq:       {"BlobInfoReq", zero[BlobInfoReq]},
+	KindBlobInfoResp:      {"BlobInfoResp", zero[BlobInfoResp]},
+	KindAssignReq:         {"AssignReq", zero[AssignReq]},
+	KindAssignResp:        {"AssignResp", zero[AssignResp]},
+	KindCompleteReq:       {"CompleteReq", zero[CompleteReq]},
+	KindCompleteResp:      {"CompleteResp", zero[CompleteResp]},
+	KindAbortReq:          {"AbortReq", zero[AbortReq]},
+	KindAbortResp:         {"AbortResp", zero[AbortResp]},
+	KindRecentReq:         {"RecentReq", zero[RecentReq]},
+	KindRecentResp:        {"RecentResp", zero[RecentResp]},
+	KindSizeReq:           {"SizeReq", zero[SizeReq]},
+	KindSizeResp:          {"SizeResp", zero[SizeResp]},
+	KindSyncReq:           {"SyncReq", zero[SyncReq]},
+	KindSyncResp:          {"SyncResp", zero[SyncResp]},
+	KindBranchReq:         {"BranchReq", zero[BranchReq]},
+	KindBranchResp:        {"BranchResp", zero[BranchResp]},
+	KindErrorResp:         {"ErrorResp", zero[ErrorResp]},
+	KindDeletePagesReq:    {"DeletePagesReq", zero[DeletePagesReq]},
+	KindDeletePagesResp:   {"DeletePagesResp", zero[DeletePagesResp]},
+	KindExpireReq:         {"ExpireReq", zero[ExpireReq]},
+	KindExpireResp:        {"ExpireResp", zero[ExpireResp]},
+	KindGCInfoReq:         {"GCInfoReq", zero[GCInfoReq]},
+	KindGCInfoResp:        {"GCInfoResp", zero[GCInfoResp]},
+	KindDHTDeleteReq:      {"DHTDeleteReq", zero[DHTDeleteReq]},
+	KindDHTDeleteResp:     {"DHTDeleteResp", zero[DHTDeleteResp]},
+	KindGetPagesReq:       {"GetPagesReq", zero[GetPagesReq]},
+	KindGetPagesResp:      {"GetPagesResp", zero[GetPagesResp]},
+}
+
+// zero builds the zero message of type T.
+func zero[T any, P interface {
+	*T
+	Msg
+}]() Msg {
+	return P(new(T))
 }
 
 // String returns the symbolic name of the kind.
 func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
+	if k < kindMax {
+		return kindTable[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -165,16 +179,6 @@ func BodySize(m Msg) int {
 	return 0
 }
 
-// Decode decodes a message body of the given kind. The message owns
-// every field it decodes except PutPageReq.Data, DHTMultiPutReq's keys
-// and values and DHTMultiGetReq's keys, which alias body: the requests
-// whose handlers copy what they keep into storage of their own anyway,
-// or keep nothing.
-func Decode(k Kind, body []byte) (Msg, error) {
-	var d Decoder
-	return d.Decode(k, body)
-}
-
 // Decoder decodes message bodies one after another through one Reader
 // of its own. A Reader escapes to the heap through the unmarshal
 // interface call, so a goroutine that decodes every frame of a
@@ -185,7 +189,11 @@ func Decode(k Kind, body []byte) (Msg, error) {
 // use.
 type Decoder struct{ r Reader }
 
-// Decode is the package-level Decode through d's Reader.
+// Decode decodes a message body of the given kind. The message owns
+// every field it decodes except PutPageReq.Data, DHTMultiPutReq's keys
+// and values and DHTMultiGetReq's keys, which alias body: the requests
+// whose handlers copy what they keep into storage of their own anyway,
+// or keep nothing.
 func (d *Decoder) Decode(k Kind, body []byte) (Msg, error) {
 	m := New(k)
 	if m == nil {
@@ -203,121 +211,8 @@ func (d *Decoder) Decode(k Kind, body []byte) (Msg, error) {
 
 // New returns a zero message of the given kind, or nil if unknown.
 func New(k Kind) Msg {
-	switch k {
-	case KindPingReq:
-		return &PingReq{}
-	case KindPingResp:
-		return &PingResp{}
-	case KindPutPageReq:
-		return &PutPageReq{}
-	case KindPutPageResp:
-		return &PutPageResp{}
-	case KindGetPageReq:
-		return &GetPageReq{}
-	case KindGetPageResp:
-		return &GetPageResp{}
-	case KindHasPageReq:
-		return &HasPageReq{}
-	case KindHasPageResp:
-		return &HasPageResp{}
-	case KindProviderStatsReq:
-		return &ProviderStatsReq{}
-	case KindProviderStatsResp:
-		return &ProviderStatsResp{}
-	case KindRegisterReq:
-		return &RegisterReq{}
-	case KindRegisterResp:
-		return &RegisterResp{}
-	case KindHeartbeatReq:
-		return &HeartbeatReq{}
-	case KindHeartbeatResp:
-		return &HeartbeatResp{}
-	case KindAllocateReq:
-		return &AllocateReq{}
-	case KindAllocateResp:
-		return &AllocateResp{}
-	case KindListProvidersReq:
-		return &ListProvidersReq{}
-	case KindListProvidersResp:
-		return &ListProvidersResp{}
-	case KindDHTPutReq:
-		return &DHTPutReq{}
-	case KindDHTPutResp:
-		return &DHTPutResp{}
-	case KindDHTGetReq:
-		return &DHTGetReq{}
-	case KindDHTGetResp:
-		return &DHTGetResp{}
-	case KindDHTMultiPutReq:
-		return &DHTMultiPutReq{}
-	case KindDHTMultiPutResp:
-		return &DHTMultiPutResp{}
-	case KindDHTMultiGetReq:
-		return &DHTMultiGetReq{}
-	case KindDHTMultiGetResp:
-		return &DHTMultiGetResp{}
-	case KindDHTStatsReq:
-		return &DHTStatsReq{}
-	case KindDHTStatsResp:
-		return &DHTStatsResp{}
-	case KindCreateBlobReq:
-		return &CreateBlobReq{}
-	case KindCreateBlobResp:
-		return &CreateBlobResp{}
-	case KindBlobInfoReq:
-		return &BlobInfoReq{}
-	case KindBlobInfoResp:
-		return &BlobInfoResp{}
-	case KindAssignReq:
-		return &AssignReq{}
-	case KindAssignResp:
-		return &AssignResp{}
-	case KindCompleteReq:
-		return &CompleteReq{}
-	case KindCompleteResp:
-		return &CompleteResp{}
-	case KindAbortReq:
-		return &AbortReq{}
-	case KindAbortResp:
-		return &AbortResp{}
-	case KindRecentReq:
-		return &RecentReq{}
-	case KindRecentResp:
-		return &RecentResp{}
-	case KindSizeReq:
-		return &SizeReq{}
-	case KindSizeResp:
-		return &SizeResp{}
-	case KindSyncReq:
-		return &SyncReq{}
-	case KindSyncResp:
-		return &SyncResp{}
-	case KindBranchReq:
-		return &BranchReq{}
-	case KindBranchResp:
-		return &BranchResp{}
-	case KindErrorResp:
-		return &ErrorResp{}
-	case KindDeletePagesReq:
-		return &DeletePagesReq{}
-	case KindDeletePagesResp:
-		return &DeletePagesResp{}
-	case KindExpireReq:
-		return &ExpireReq{}
-	case KindExpireResp:
-		return &ExpireResp{}
-	case KindGCInfoReq:
-		return &GCInfoReq{}
-	case KindGCInfoResp:
-		return &GCInfoResp{}
-	case KindDHTDeleteReq:
-		return &DHTDeleteReq{}
-	case KindDHTDeleteResp:
-		return &DHTDeleteResp{}
-	case KindGetPagesReq:
-		return &GetPagesReq{}
-	case KindGetPagesResp:
-		return &GetPagesResp{}
+	if k < kindMax && kindTable[k].new != nil {
+		return kindTable[k].new()
 	}
 	return nil
 }
@@ -474,11 +369,16 @@ func (m *ProviderStatsResp) unmarshal(r *Reader) {
 // ----------------------------------------------------- provider manager
 
 // RegisterReq announces a (re)joining data provider to the provider
-// manager. Addr is the address clients should dial to reach it.
+// manager. Addr is the address clients should dial to reach it. Weight
+// is a reserved slot: placement is round-robin and no manager has ever
+// read it; NewRegisterReq fills in the 1 every provider has ever sent.
 type RegisterReq struct {
 	Addr   string
 	Weight uint32
 }
+
+// NewRegisterReq builds the registration of the provider at addr.
+func NewRegisterReq(addr string) *RegisterReq { return &RegisterReq{Addr: addr, Weight: 1} }
 
 // Kind implements Msg.
 func (*RegisterReq) Kind() Kind { return KindRegisterReq }

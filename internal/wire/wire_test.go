@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -102,7 +103,13 @@ func normalize(m Msg) Msg {
 }
 
 func TestEveryKindConstructible(t *testing.T) {
-	for k := KindPingReq; k < kindMax; k++ {
+	for k := KindInvalid + 1; k < kindMax; k++ {
+		if kindTable[k].name == "" || kindTable[k].new == nil {
+			t.Fatalf("kind %d has no name or no constructor in kindTable: %+v", k, kindTable[k])
+		}
+		if k.String() != kindTable[k].name {
+			t.Fatalf("kind %d prints as %q, declared as %q", k, k.String(), kindTable[k].name)
+		}
 		m := New(k)
 		if m == nil {
 			t.Fatalf("New(%v) returned nil", k)
@@ -110,15 +117,15 @@ func TestEveryKindConstructible(t *testing.T) {
 		if m.Kind() != k {
 			t.Fatalf("New(%v).Kind() = %v", k, m.Kind())
 		}
-		if k.String() == "" || k.String()[0] == 'K' && k.String()[1] == 'i' && k != KindInvalid {
-			t.Fatalf("kind %d has no name", k)
-		}
 	}
 	if New(kindMax) != nil {
 		t.Fatal("New(kindMax) should be nil")
 	}
 	if New(KindInvalid) != nil {
 		t.Fatal("New(KindInvalid) should be nil")
+	}
+	if got := kindMax.String(); got != fmt.Sprintf("Kind(%d)", uint8(kindMax)) {
+		t.Fatalf("kindMax prints as %q", got)
 	}
 }
 
