@@ -182,7 +182,6 @@ func main() {
 		if *quick {
 			cfg.Updates = 1000
 			cfg.CheckpointEvery = 200
-			cfg.PauseBlobs = []int{256, 1024}
 		}
 		res, err := bench.RunRecovery(cfg)
 		if err != nil {
@@ -190,7 +189,6 @@ func main() {
 		}
 		fmt.Println("Ablation A7: bounded recovery — segmented WAL + snapshot/compaction")
 		res.Table().Fprint(os.Stdout)
-		res.PauseTable().Fprint(os.Stdout)
 		return res, nil
 	})
 

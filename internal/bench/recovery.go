@@ -34,13 +34,6 @@ type RecoveryConfig struct {
 	SegmentBytes int64
 	// WALDir holds the per-mode logs. Required.
 	WALDir string
-	// PauseBlobs lists the state sizes (blob counts) for the capture-pause
-	// sweep (default 512, 2048, 8192). Empty slice allowed; nil means the
-	// default.
-	PauseBlobs []int
-	// PauseTouch is how many blobs the incremental round dirties between
-	// checkpoints (default 16).
-	PauseTouch int
 }
 
 func (c *RecoveryConfig) fill() {
@@ -59,12 +52,6 @@ func (c *RecoveryConfig) fill() {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 64 << 10
 	}
-	if c.PauseBlobs == nil {
-		c.PauseBlobs = []int{512, 2048, 8192}
-	}
-	if c.PauseTouch <= 0 {
-		c.PauseTouch = 16
-	}
 }
 
 // RecoveryRow is one measured mode of the recovery ablation.
@@ -75,26 +62,18 @@ type RecoveryRow struct {
 	SnapshotLoaded bool
 	EventsReplayed int
 	RestartMillis  float64
-}
-
-// CapturePauseRow is one state size of the capture-pause sweep: the
-// stop-the-world portion of a checkpoint, full (the first capture seeds
-// its baseline by cloning every shard) against incremental (follow-up
-// captures resolve only the blobs dirtied since the last published
-// snapshot). The claim under test is that the incremental pause tracks
-// the write rate, not the state size.
-type CapturePauseRow struct {
-	Blobs           int
-	DirtyBlobs      int     // blobs touched before the incremental capture
-	FullPauseMicros float64 // first checkpoint's capture pause
-	IncrPauseMicros float64 // best follow-up checkpoint capture pause
+	// CheckpointMillis is the wall time of one explicit Checkpoint() at
+	// the end of the compacted run (zero for replay-all): a checkpoint
+	// folds the sealed segments over the previous snapshot in the
+	// background, so its cost is off the request path but not off the
+	// ledger.
+	CheckpointMillis float64
 }
 
 // RecoveryResult is the ablation outcome: raw rows plus the rendered table.
 type RecoveryResult struct {
 	Updates int
 	Rows    []RecoveryRow
-	Pauses  []CapturePauseRow
 }
 
 // Row returns the row for the named mode, or nil.
@@ -111,12 +90,13 @@ func (r *RecoveryResult) Row(mode string) *RecoveryRow {
 func (r *RecoveryResult) Table() Table {
 	tab := Table{
 		Name:   fmt.Sprintf("recovery: restart cost after %d updates, WAL compaction on/off", r.Updates),
-		Header: []string{"mode", "events logged", "segments on disk", "snapshot", "events replayed", "restart ms"},
+		Header: []string{"mode", "events logged", "segments on disk", "snapshot", "events replayed", "restart ms", "checkpoint ms"},
 	}
 	for _, row := range r.Rows {
-		snap := "-"
+		snap, ckpt := "-", "-"
 		if row.SnapshotLoaded {
 			snap = "loaded"
+			ckpt = fmt.Sprintf("%.2f", row.CheckpointMillis)
 		}
 		tab.Rows = append(tab.Rows, []string{
 			row.Mode,
@@ -125,30 +105,13 @@ func (r *RecoveryResult) Table() Table {
 			snap,
 			fmt.Sprintf("%d", row.EventsReplayed),
 			fmt.Sprintf("%.2f", row.RestartMillis),
+			ckpt,
 		})
 	}
 	return tab
 }
 
-// PauseTable renders the capture-pause sweep.
-func (r *RecoveryResult) PauseTable() Table {
-	tab := Table{
-		Name:   "checkpoint capture pause: full (first) vs incremental (dirty-set) capture",
-		Header: []string{"blobs", "dirty", "full µs", "incremental µs"},
-	}
-	for _, row := range r.Pauses {
-		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("%d", row.Blobs),
-			fmt.Sprintf("%d", row.DirtyBlobs),
-			fmt.Sprintf("%.1f", row.FullPauseMicros),
-			fmt.Sprintf("%.1f", row.IncrPauseMicros),
-		})
-	}
-	return tab
-}
-
-// RunRecovery measures both restart modes, then sweeps the checkpoint
-// capture pause over state sizes.
+// RunRecovery measures both restart modes.
 func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	cfg.fill()
 	res := &RecoveryResult{Updates: cfg.Updates}
@@ -165,76 +128,7 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	for _, blobs := range cfg.PauseBlobs {
-		row, err := runCapturePause(cfg, blobs)
-		if err != nil {
-			return nil, fmt.Errorf("capture pause sweep %d blobs: %w", blobs, err)
-		}
-		res.Pauses = append(res.Pauses, row)
-	}
 	return res, nil
-}
-
-// runCapturePause populates a manager with blobs shards, checkpoints
-// once (full capture: the baseline seed clones every shard), then
-// repeatedly dirties a fixed handful of blobs and checkpoints again,
-// keeping the best incremental pause — the minimum damps scheduler
-// noise, which at microsecond scale otherwise dominates.
-func runCapturePause(cfg RecoveryConfig, blobs int) (CapturePauseRow, error) {
-	mc := version.ManagerConfig{
-		WALPath:         filepath.Join(cfg.WALDir, fmt.Sprintf("pause-%d", blobs), "vm.wal"),
-		WALSegmentBytes: cfg.SegmentBytes,
-	}
-	net := transport.NewInproc()
-	defer net.Close()
-	ln, err := net.Listen("vm")
-	if err != nil {
-		return CapturePauseRow{}, err
-	}
-	m, err := version.ServeManagerDurable(ln, mc)
-	if err != nil {
-		return CapturePauseRow{}, err
-	}
-	defer m.Close()
-	ctx := context.Background()
-	ids := make([]wire.BlobID, blobs)
-	for i := range ids {
-		resp, err := m.Apply(ctx, &wire.CreateBlobReq{PageSize: 4096})
-		if err != nil {
-			return CapturePauseRow{}, err
-		}
-		ids[i] = resp.(*wire.CreateBlobResp).Blob
-	}
-	if err := m.Checkpoint(); err != nil {
-		return CapturePauseRow{}, err
-	}
-	row := CapturePauseRow{
-		Blobs:           blobs,
-		DirtyBlobs:      cfg.PauseTouch,
-		FullPauseMicros: float64(m.LastCapturePause().Nanoseconds()) / 1e3,
-	}
-	const rounds = 3
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < cfg.PauseTouch && i < blobs; i++ {
-			id := ids[(r*cfg.PauseTouch+i)%blobs]
-			resp, err := m.Apply(ctx, &wire.AssignReq{Blob: id, Size: 4096, Append: true})
-			if err != nil {
-				return CapturePauseRow{}, err
-			}
-			v := resp.(*wire.AssignResp).Version
-			if _, err := m.Apply(ctx, &wire.CompleteReq{Blob: id, Version: v}); err != nil {
-				return CapturePauseRow{}, err
-			}
-		}
-		if err := m.Checkpoint(); err != nil {
-			return CapturePauseRow{}, err
-		}
-		pause := float64(m.LastCapturePause().Nanoseconds()) / 1e3
-		if r == 0 || pause < row.IncrPauseMicros {
-			row.IncrPauseMicros = pause
-		}
-	}
-	return row, nil
 }
 
 func runRecoveryMode(cfg RecoveryConfig, name string, checkpointEvery int) (RecoveryRow, error) {
@@ -255,6 +149,7 @@ func runRecoveryMode(cfg RecoveryConfig, name string, checkpointEvery int) (Reco
 		return RecoveryRow{}, err
 	}
 	ctx := context.Background()
+	var checkpointMillis float64
 	ids := make([]wire.BlobID, cfg.Blobs)
 	for i := range ids {
 		resp, err := m.Apply(ctx, &wire.CreateBlobReq{PageSize: 4096})
@@ -317,6 +212,12 @@ func runRecoveryMode(cfg RecoveryConfig, name string, checkpointEvery int) (Reco
 			m.Close()
 			return RecoveryRow{}, fmt.Errorf("no checkpoint completed")
 		}
+		t0 := time.Now()
+		if err := m.Checkpoint(); err != nil {
+			m.Close()
+			return RecoveryRow{}, err
+		}
+		checkpointMillis = float64(time.Since(t0).Nanoseconds()) / 1e6
 	}
 	appends, _ := m.WALStats()
 	m.Close()
@@ -340,5 +241,7 @@ func runRecoveryMode(cfg RecoveryConfig, name string, checkpointEvery int) (Reco
 		SnapshotLoaded: stats.SnapshotLoaded,
 		EventsReplayed: stats.EventsReplayed,
 		RestartMillis:  float64(elapsed.Nanoseconds()) / 1e6,
+
+		CheckpointMillis: checkpointMillis,
 	}, nil
 }

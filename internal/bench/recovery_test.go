@@ -13,8 +13,6 @@ func TestRunRecoverySmall(t *testing.T) {
 		CheckpointEvery: 50,
 		SegmentBytes:    2 << 10,
 		WALDir:          t.TempDir(),
-		PauseBlobs:      []int{64, 2048},
-		PauseTouch:      8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,29 +36,11 @@ func TestRunRecoverySmall(t *testing.T) {
 		t.Fatalf("compaction did not bound segments: %d vs %d",
 			compacted.SegmentsOnDisk, replayAll.SegmentsOnDisk)
 	}
+	if compacted.CheckpointMillis <= 0 || replayAll.CheckpointMillis != 0 {
+		t.Fatalf("checkpoint wall time: compacted %.3f ms, replay-all %.3f ms; want measured and zero",
+			compacted.CheckpointMillis, replayAll.CheckpointMillis)
+	}
 	res.Table().Fprint(testWriter{t})
-
-	// Capture-pause sweep: at the larger state size the incremental
-	// capture (8 dirty blobs) must undercut the full capture, which
-	// clones all 2048 shards — the pause tracks the write rate, not the
-	// state size. The incremental number is a min over several rounds,
-	// so only a systemic regression (full clone on every capture) trips
-	// this, not scheduler noise.
-	if len(res.Pauses) != 2 {
-		t.Fatalf("pause rows = %d, want 2", len(res.Pauses))
-	}
-	big := res.Pauses[1]
-	if big.Blobs != 2048 || big.DirtyBlobs != 8 {
-		t.Fatalf("unexpected sweep row: %+v", big)
-	}
-	if big.FullPauseMicros <= 0 || big.IncrPauseMicros <= 0 {
-		t.Fatalf("pause not measured: %+v", big)
-	}
-	if big.IncrPauseMicros >= big.FullPauseMicros {
-		t.Errorf("incremental capture pause %.1fµs not below full %.1fµs at %d blobs",
-			big.IncrPauseMicros, big.FullPauseMicros, big.Blobs)
-	}
-	res.PauseTable().Fprint(testWriter{t})
 }
 
 // testWriter adapts t.Logf for table rendering.

@@ -2,9 +2,9 @@ package seglog
 
 import "sync"
 
-// Incremental snapshot capture. The three stores used to clone their
-// full index/state under an exclusive lock on every snapshot, so the
-// stop-the-world pause scaled with blob/page/key count no matter how
+// Incremental snapshot capture, the KV's. A store used to clone its
+// full index under an exclusive lock on every snapshot, so the
+// stop-the-world pause scaled with page/key count no matter how
 // little had changed since the last snapshot. A Tracker turns that into
 // a diff: mutators mark the keys they touch, and a capture resolves
 // only the marked keys against current state, merging them over the

@@ -22,7 +22,12 @@ import (
 //     durability — so a blob's shard is free while the leader sits in
 //     the fsync. The store applies state at enqueue time and
 //     acknowledges after Await; FailStop keeps the durable log a prefix
-//     of the enqueue order when a commit fails.
+//     of the enqueue order when a commit fails. Such a store cannot cut
+//     a snapshot of its live state at a log position — records are
+//     applied before they are durable — and does not try: the version
+//     WAL snapshots by folding sealed segments, and to seal one it
+//     needs only LeadingLocked (roll now, or leave it to the leader's
+//     MaybeRoll), never a wait for the queue to drain.
 //   - The Outer callback: when state must apply only after the commit
 //     (the KV assigns offsets at commit time), the exclusive
 //     committer itself takes a shared outer lock across Commit+Apply,
@@ -99,11 +104,6 @@ type Committer[T Parked] struct {
 
 	queue   []T
 	leading bool
-	// pending counts records enqueued (either phase) whose batch has not
-	// yet resolved; idle is signalled when it reaches zero, for
-	// QuiesceLocked. Both are guarded by Mu.
-	pending int
-	idle    *sync.Cond
 	failed  error
 }
 
@@ -116,7 +116,6 @@ func (c *Committer[T]) Append(a T) error {
 		return err
 	}
 	c.queue = append(c.queue, a)
-	c.pending++
 	if !c.leading {
 		c.leading = true
 		return c.lead(a.Cell()) // releases Mu
@@ -167,7 +166,6 @@ func (c *Committer[T]) Enqueue(a T) error {
 		return err
 	}
 	c.queue = append(c.queue, a)
-	c.pending++
 	if !c.leading {
 		c.leading = true
 		a.Cell().leads = true
@@ -195,20 +193,13 @@ func (c *Committer[T]) Await(a T) error {
 	return c.park(cell) // releases Mu
 }
 
-// QuiesceLocked blocks until no queued or in-flight record remains, so
-// a capture can cut the log knowing every enqueued record is resolved —
-// two-phase appenders release store locks before durability, so a
-// store-level exclusive lock alone no longer implies this. The caller
-// must already exclude new mutators (its exclusive state lock); Mu is
-// released while waiting and held again on return.
-func (c *Committer[T]) QuiesceLocked() {
-	for c.pending > 0 {
-		if c.idle == nil {
-			c.idle = sync.NewCond(c.Mu)
-		}
-		c.idle.Wait()
-	}
-}
+// LeadingLocked reports whether a leader is designated or mid-batch.
+// When none is, the queue is empty and no commit is in flight, so a
+// caller holding Mu may change the writer state Commit reads lock-free
+// (roll the segment). When one is, its batch is still to come: work left
+// for MaybeRoll gets done unless that commit fails or the store closes.
+// Called with Mu held.
+func (c *Committer[T]) LeadingLocked() bool { return c.leading }
 
 // lead commits one batch — the current queue, which includes self's own
 // record — delivers the outcome, and hands leadership to the first
@@ -270,10 +261,6 @@ func (c *Committer[T]) lead(self *Cell) error {
 			deliverLocked(cell, err)
 		}
 	}
-	c.pending -= len(batch)
-	if c.pending == 0 && c.idle != nil {
-		c.idle.Broadcast()
-	}
 	if len(c.queue) > 0 && !c.Closed() {
 		// One-batch tenure: whoever queued first behind this batch leads
 		// the next one; its record stays queued and commits in that
@@ -312,11 +299,7 @@ func (c *Committer[T]) FailQueuedLocked(err error) {
 	for _, a := range c.queue {
 		deliverLocked(a.Cell(), err)
 	}
-	c.pending -= len(c.queue)
 	c.queue = nil
-	if c.pending == 0 && c.idle != nil {
-		c.idle.Broadcast()
-	}
 }
 
 // CaretakeLocked runs one leader pass with no record of its own — a

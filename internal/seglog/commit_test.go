@@ -230,47 +230,54 @@ func TestTwoPhaseCloseBeforeAwait(t *testing.T) {
 	}
 }
 
-// TestQuiesceWaitsForPending: QuiesceLocked returns only once every
-// enqueued record has resolved, including batches taken but not yet
-// durable.
-func TestQuiesceWaitsForPending(t *testing.T) {
+// TestLeadingSpansDesignationAndBatch: LeadingLocked is true from the
+// Enqueue that designates a leader, through its batch in flight, until
+// the tenure ends with nothing queued — the window in which the store
+// must not touch what Commit reads lock-free, and MaybeRoll is still to
+// run.
+func TestLeadingSpansDesignationAndBatch(t *testing.T) {
 	s := newTestStore()
 	s.comm.Apply = nil
+	leading := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.comm.LeadingLocked()
+	}
 	gate := make(chan struct{})
+	var rolledWhileLeading atomic.Bool
 	s.comm.Commit = func(batch []*testAppend) error {
 		s.commits.Add(1)
-		s.records.Add(uint64(len(batch)))
 		<-gate // a leader parked mid-fsync
 		return nil
+	}
+	s.comm.MaybeRoll = func() { rolledWhileLeading.Store(s.comm.LeadingLocked()) }
+	if leading() {
+		t.Fatal("an idle committer reports a leader")
 	}
 	a := &testAppend{rec: "r"}
 	if err := s.comm.Enqueue(a); err != nil {
 		t.Fatal(err)
+	}
+	if !leading() {
+		t.Fatal("a designated leader that has not come back yet does not count")
 	}
 	awaitDone := make(chan error, 1)
 	go func() { awaitDone <- s.comm.Await(a) }()
 	for s.commits.Load() == 0 {
 		runtime.Gosched() // leader is inside Commit now
 	}
-	quiesced := make(chan struct{})
-	go func() {
-		s.mu.Lock()
-		s.comm.QuiesceLocked()
-		s.mu.Unlock()
-		close(quiesced)
-	}()
-	for i := 0; i < 100; i++ {
-		runtime.Gosched()
-	}
-	select {
-	case <-quiesced:
-		t.Fatal("quiesce returned while a batch was in flight")
-	default:
+	if !leading() {
+		t.Fatal("a batch in flight does not count")
 	}
 	close(gate)
-	<-quiesced
 	if err := <-awaitDone; err != nil {
 		t.Fatal(err)
+	}
+	if !rolledWhileLeading.Load() {
+		t.Fatal("MaybeRoll ran outside the leader's tenure")
+	}
+	if leading() {
+		t.Fatal("the tenure ended with nothing queued, yet a leader is reported")
 	}
 }
 

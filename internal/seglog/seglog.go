@@ -30,11 +30,13 @@
 //     lock, and appends split into enqueue/await so callers can apply
 //     under their own locks at enqueue time and ack after durability
 //     (commit.go)
-//   - incremental snapshot capture: a dirty-set tracker whose captures
-//     clone only what changed since the last *published* snapshot and
-//     whose commit/abort protocol consumes the auto-snapshot countdown
-//     only after a successful publish, so a failed publish retries on
-//     the next maintenance pass (capture.go)
+//   - incremental snapshot capture, for the KV: a dirty-set tracker
+//     whose captures clone only what changed since the last *published*
+//     snapshot and whose commit/abort protocol consumes the
+//     auto-snapshot countdown only after a successful publish, so a
+//     failed publish retries on the next maintenance pass (capture.go).
+//     The version WAL captures nothing: its checkpoint folds sealed
+//     segments over the previous snapshot, off the disk
 //   - in-place segment rewrite as verified range copies, through a tmp
 //     file that is always fsynced before the rename: pass 1 locates the
 //     records and decides what survives without holding a byte of it

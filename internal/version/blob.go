@@ -11,6 +11,7 @@
 package version
 
 import (
+	"fmt"
 	"sort"
 
 	"blobseer/internal/wire"
@@ -47,13 +48,15 @@ type blobState struct {
 	// this blob's namespace owns is expired — permanently unreadable, its
 	// exclusively owned pages fair game for the garbage collector. It only
 	// ever rises, and never past the oldest version a reader, branch or
-	// in-flight update still needs (EXPIRE enforces that before logging).
+	// in-flight update still needs (planExpire enforces that before the
+	// event is logged).
 	expireFloor wire.Version
 
 	// pins maps each live child blob branched off this one to its branch
 	// point. A branch's whole lineage rests on that snapshot, so EXPIRE
-	// refuses to move the floor past any pin. Derived state: rebuilt from
-	// blob lineages on recovery, not persisted separately.
+	// refuses to move the floor past any pin. Derived state: registered by
+	// the branch event, re-derived from the lineages when a snapshot is
+	// decoded, not persisted separately.
 	pins map[wire.BlobID]wire.Version
 
 	sizes    map[wire.Version]uint64 // sizes of published versions owned by this blob
@@ -101,97 +104,131 @@ func newBranchState(id wire.BlobID, parent *blobState, at wire.Version, sizeAt u
 	}
 }
 
-// clone deep-copies the state machine. The checkpointer clones every
-// blob under full state exclusion and serializes the clones after
-// traffic has resumed, so the stop-the-world window is map copies, not
-// disk writes.
-func (b *blobState) clone() *blobState {
-	c := *b
-	c.lineage = append(wire.Lineage(nil), b.lineage...)
-	if b.pins != nil {
-		c.pins = make(map[wire.BlobID]wire.Version, len(b.pins))
-		for id, at := range b.pins {
-			c.pins[id] = at
-		}
-	}
-	c.sizes = make(map[wire.Version]uint64, len(b.sizes))
-	for v, sz := range b.sizes {
-		c.sizes[v] = sz
-	}
-	c.aborted = make(map[wire.Version]bool, len(b.aborted))
-	for v := range b.aborted {
-		c.aborted[v] = true
-	}
-	c.inflight = make(map[wire.Version]*update, len(b.inflight))
-	for v, u := range b.inflight {
-		uc := *u
-		c.inflight[v] = &uc
-	}
-	return &c
+// blobTable is where the transition function finds and files blob
+// states: the live registry (*Manager, whose caller holds the shard lock
+// of every existing blob the event touches) or a folded log (*state).
+type blobTable interface {
+	lookup(id wire.BlobID) *blobState // nil when the blob does not exist
+	insert(b *blobState)
 }
 
-// assignPlan is the decision an ASSIGN makes, computed once by planAssign
-// and consumed both by the write-ahead log record and by applyAssign, so
-// the logged event and the applied state cannot disagree.
-type assignPlan struct {
-	version  wire.Version
-	offset   uint64
-	size     uint64
-	prevSize uint64
-	newSize  uint64
+// woken lists the versions an applied event resolved on its blob, for
+// whoever is parked in SYNC on them.
+type woken struct {
+	readable []wire.Version // became readable
+	aborted  []wire.Version // were withdrawn
+}
+
+// transition is the version manager's one transition function: the only code
+// that constructs or mutates a blobState or registers a pin. A handler
+// (or the dead-writer sweeper) validates its request read-only, logs the
+// event and runs it through here under its shard locks; recovery and
+// the checkpointer fold the same events off the disk through here — so
+// live state, recovered state and snapshotted state are equal by
+// construction, and the next change to the serialisation point is one
+// case in this switch.
+//
+// Events of different blobs may interleave in the log in any order
+// (handlers append concurrently under per-blob locks), but each blob's
+// events appear in its apply order, which is all a fold needs:
+// create/branch records are keyed by the ids they introduce, and a
+// blob's id is only revealed to clients after its create or branch
+// record is durable. An error means the event does not follow from the
+// state — a corrupt log for a fold, a validation bug for a handler.
+// now stamps a new update for the dead-writer sweeper; folds pass 0
+// ("assigned before this incarnation started").
+func transition(t blobTable, e walEvent, now int64) (w woken, err error) {
+	b := t.lookup(e.blob)
+	// Create and branch introduce e.blob; every other kind needs it.
+	if introduces := e.kind == walCreate || e.kind == walBranch; introduces != (b == nil) {
+		if introduces {
+			return w, fmt.Errorf("version: event recreates blob %v", e.blob)
+		}
+		return w, fmt.Errorf("version: event kind %d on unknown blob %v", e.kind, e.blob)
+	}
+	switch e.kind {
+	case walCreate:
+		t.insert(newBlobState(e.blob, e.pageSize))
+	case walBranch:
+		parent := t.lookup(e.parent)
+		if parent == nil {
+			return w, fmt.Errorf("version: event branches unknown blob %v", e.parent)
+		}
+		// The branch point's snapshot lives in its namespace owner, which
+		// the new branch pins: EXPIRE keeps refusing to cut the ground
+		// from under it, after a restart too (pins are not stored; a
+		// decoded snapshot re-derives its own from the lineages).
+		owner := parent
+		if id := parent.lineage.Owner(e.version); id != parent.id {
+			if owner = t.lookup(id); owner == nil {
+				return w, fmt.Errorf("version: event branches blob %v at a version of unknown blob %v", e.parent, id)
+			}
+		}
+		t.insert(newBranchState(e.blob, parent, e.version, e.newSize))
+		owner.registerPin(e.blob, e.version)
+	// An assign, complete or abort must be the very event its plan
+	// yields on this state — which is how the handler made it. (EXPIRE's
+	// plan leans on configuration and on pins a checkpoint fold does not
+	// need; its floor applies verbatim, the refusal checks ran before it
+	// was logged.)
+	case walAssign:
+		if p, _ := b.planAssign(e.offset, e.size, false); p != e {
+			return w, errUnplanned(e)
+		}
+		b.assign(e, now)
+	case walComplete:
+		if p, _ := b.planComplete(e.version); p != e {
+			return w, errUnplanned(e)
+		}
+		w.readable = b.complete(b.inflight[e.version])
+	case walAbort:
+		if p, _ := b.planAbort(e.version); p != e {
+			return w, errUnplanned(e)
+		}
+		w.aborted = b.abort(e.version)
+	case walExpire:
+		b.applyExpire(e.version)
+	}
+	return w, nil
+}
+
+func errUnplanned(e walEvent) error {
+	return fmt.Errorf("version: event %+v does not follow from the state of blob %v", e, e.blob)
 }
 
 // planAssign validates an update request against the current state and
-// returns the assignment it would make, without mutating anything. For an
-// append, offset is chosen by the manager: the size of snapshot next-1
-// (§3.3), i.e. the current pending size.
-func (b *blobState) planAssign(offset, size uint64, isAppend bool) (assignPlan, error) {
+// returns the event that would assign it, without mutating anything: the
+// logged record and the applied state cannot disagree. For an append,
+// offset is chosen by the manager: the size of snapshot next-1 (§3.3),
+// i.e. the current pending size.
+func (b *blobState) planAssign(offset, size uint64, isAppend bool) (walEvent, error) {
 	if size == 0 {
-		return assignPlan{}, wire.NewError(wire.CodeBadRequest, "empty update")
+		return walEvent{}, wire.NewError(wire.CodeBadRequest, "empty update")
 	}
 	if isAppend {
 		offset = b.pendingSize
 	} else if offset > b.pendingSize {
-		return assignPlan{}, wire.NewError(wire.CodeOutOfBounds,
+		return walEvent{}, wire.NewError(wire.CodeOutOfBounds,
 			"write at %d beyond blob size %d", offset, b.pendingSize)
 	}
 	newSize := b.pendingSize
 	if offset+size > newSize {
 		newSize = offset + size
 	}
-	return assignPlan{
-		version: b.next, offset: offset, size: size,
-		prevSize: b.pendingSize, newSize: newSize,
+	return walEvent{
+		kind: walAssign, blob: b.id, version: b.next,
+		offset: offset, size: size, newSize: newSize,
 	}, nil
 }
 
-// applyAssignState registers the planned update, mutating state only.
-// The plan must come from planAssign on this state (or from a replayed
-// log record) with no mutation in between. Replay calls this directly —
-// nobody reads a response there.
-func (b *blobState) applyAssignState(p assignPlan, now int64) {
-	b.next = p.version + 1
-	b.pendingSize = p.newSize
-	b.inflight[p.version] = &update{
-		version: p.version, offset: p.offset, size: p.size,
-		newSize: p.newSize, basePublished: b.readable, assignedAt: now,
+// assign registers the update a walAssign event describes.
+func (b *blobState) assign(e walEvent, now int64) {
+	b.next = e.version + 1
+	b.pendingSize = e.newSize
+	b.inflight[e.version] = &update{
+		version: e.version, offset: e.offset, size: e.size,
+		newSize: e.newSize, basePublished: b.readable, assignedAt: now,
 	}
-}
-
-// applyAssign registers the planned update and returns the response
-// payload.
-func (b *blobState) applyAssign(p assignPlan, now int64) *wire.AssignResp {
-	resp := &wire.AssignResp{
-		Version:       p.version,
-		Offset:        p.offset,
-		NewSize:       p.newSize,
-		PrevSize:      p.prevSize,
-		Published:     b.readable,
-		PublishedSize: b.sizeOfOwn(b.readable),
-		InFlight:      b.inflightBelow(p.version),
-	}
-	b.applyAssignState(p, now)
-	return resp
 }
 
 // inflightBelow lists non-aborted assigned-but-unpublished updates with a
@@ -220,20 +257,15 @@ func (b *blobState) isAborted(v wire.Version) bool {
 	return false
 }
 
-// sizeOfOwn returns the size of a published version owned by this blob
-// state (not following lineage). The caller guarantees v is published.
-func (b *blobState) sizeOfOwn(v wire.Version) uint64 {
-	return b.sizes[v]
-}
-
-// complete marks version v's writer as done and advances publication.
-// It returns the versions that became readable (for SYNC waiters) and the
-// versions found aborted that the caller asked about.
-func (b *blobState) complete(v wire.Version) (newlyReadable []wire.Version, err error) {
+// planComplete validates a COMPLETE of version v without mutating
+// anything and returns the event that carries it out — the zero event
+// when nothing changes: a duplicate (the update already completed, or
+// already published) is an unlogged success.
+func (b *blobState) planComplete(v wire.Version) (walEvent, error) {
 	u, ok := b.inflight[v]
 	if !ok {
 		if b.aborted[v] {
-			return nil, wire.NewError(wire.CodeAborted, "version %d was aborted", v)
+			return walEvent{}, wire.NewError(wire.CodeAborted, "version %d was aborted", v)
 		}
 		// Only versions this namespace actually published count as
 		// idempotent duplicates. v <= b.published alone is not enough: on
@@ -244,16 +276,25 @@ func (b *blobState) complete(v wire.Version) (newlyReadable []wire.Version, err 
 		// guard matters because a branch seeds sizes with its (parent-
 		// owned) branch point.
 		if _, published := b.sizes[v]; published && v >= b.ownMin() {
-			return nil, nil // duplicate completion after publication: idempotent
+			return walEvent{}, nil
 		}
-		return nil, wire.NewError(wire.CodeNotFound,
+		return walEvent{}, wire.NewError(wire.CodeNotFound,
 			"version %d was never assigned on blob %v", v, b.id)
 	}
 	if u.aborted {
-		return nil, wire.NewError(wire.CodeAborted, "version %d was aborted", v)
+		return walEvent{}, wire.NewError(wire.CodeAborted, "version %d was aborted", v)
 	}
+	if u.completed {
+		return walEvent{}, nil
+	}
+	return walEvent{kind: walComplete, blob: b.id, version: v}, nil
+}
+
+// complete marks in-flight update u's writer as done, advances
+// publication and returns the versions that became readable.
+func (b *blobState) complete(u *update) []wire.Version {
 	u.completed = true
-	return b.advance(), nil
+	return b.advance()
 }
 
 // advance publishes completed updates in version order, skipping aborted
@@ -277,25 +318,30 @@ func (b *blobState) advance() []wire.Version {
 	}
 }
 
-// abort withdraws version v and — because later in-flight updates may
-// hold border references to v, and later appends may sit above a hole v
-// would have filled — cascades to every in-flight version above v. It
-// returns all versions aborted by the call.
-func (b *blobState) abort(v wire.Version) (abortedVersions []wire.Version, err error) {
+// planAbort validates an ABORT of version v without mutating anything
+// and returns the event that carries it out — the zero event when
+// nothing changes: repeating an abort is an unlogged success.
+func (b *blobState) planAbort(v wire.Version) (walEvent, error) {
 	u, ok := b.inflight[v]
-	if !ok {
-		if b.aborted[v] {
-			return nil, nil // idempotent
-		}
-		if v <= b.published {
-			return nil, wire.NewError(wire.CodeBadRequest,
-				"version %d is already published and cannot be aborted", v)
-		}
-		return nil, wire.NewError(wire.CodeNotFound, "version %d was never assigned", v)
+	switch {
+	case ok && !u.aborted:
+		return walEvent{kind: walAbort, blob: b.id, version: v}, nil
+	case ok || b.aborted[v]:
+		return walEvent{}, nil
+	case v <= b.published:
+		return walEvent{}, wire.NewError(wire.CodeBadRequest,
+			"version %d is already published and cannot be aborted", v)
 	}
-	if u.aborted {
-		return nil, nil
-	}
+	return walEvent{}, wire.NewError(wire.CodeNotFound, "version %d was never assigned", v)
+}
+
+// abort withdraws in-flight version v and — because later in-flight
+// updates may hold border references to v, and later appends may sit
+// above a hole v would have filled — cascades to every in-flight version
+// above v. It returns all versions aborted by the call. Nothing becomes
+// readable: whatever sits above v is withdrawn with it, and whatever
+// sits below still waits for what it waited for.
+func (b *blobState) abort(v wire.Version) (abortedVersions []wire.Version) {
 	// The no-survivor fallback must be the readable version, not the
 	// publication pointer: published may rest on an aborted version (one a
 	// previous cascade let advance() skip over), and aborted versions have
@@ -318,7 +364,7 @@ func (b *blobState) abort(v wire.Version) (abortedVersions []wire.Version, err e
 	// readable size if none survives above the publication point).
 	b.pendingSize = b.sizeAfter(maxKept)
 	b.advance() // aborted versions at the front can be skipped over now
-	return abortedVersions, nil
+	return abortedVersions
 }
 
 // sizeAfter returns the blob size as of version v, whether published or
@@ -414,8 +460,7 @@ func (b *blobState) planExpire(upTo wire.Version, retain int) (wire.Version, []w
 	return floor, expired, nil
 }
 
-// applyExpire raises the retention floor (replay applies logged floors
-// without re-validation: the checks ran before the event was logged).
+// applyExpire raises the retention floor.
 func (b *blobState) applyExpire(floor wire.Version) {
 	if floor > b.expireFloor {
 		b.expireFloor = floor

@@ -4,24 +4,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
-	"blobseer/internal/seglog"
 	"blobseer/internal/wire"
 )
 
 // The checkpointer turns the write-ahead log from "replay everything"
-// into a bounded-recovery subsystem: it serializes the full version
-// state into a snapshot file at a segment boundary and deletes the
-// segments the snapshot covers. Crash-consistency invariants, in order:
+// into a bounded-recovery subsystem: it folds the sealed segments over
+// the previous snapshot — recovery's own function, run in the background
+// on the disk's own bytes — into a new snapshot file and deletes the
+// segments that one covers. It never reads the live state and no handler
+// ever waits for it. Crash-consistency invariants, in order:
 //
-//  1. The capture is a consistent cut: every mutating handler holds
-//     stateMu.RLock from before its event is enqueued until after it is
-//     applied (durability is awaited after release — two-phase append),
-//     and the capture holds stateMu exclusively while it quiesces the
-//     committer, rolls the segment and resolves the dirty blobs — so
-//     the captured state equals exactly the replay of all segments
-//     below the cut.
+//  1. The snapshot is fold(previous snapshot, segments below the cut),
+//     and the cut is a segment boundary (wal.seal): the snapshot holds
+//     exactly the events of the segments it covers — never one the log
+//     does not hold, whatever the live state has applied since or a
+//     wedged commit left it with.
 //  2. The snapshot becomes visible only by the atomic rename of a fully
 //     written (and, when syncing, fsynced) tmp file: recovery never sees
 //     a half-written snapshot under the live name.
@@ -34,19 +32,19 @@ import (
 // and assert the recovered state is byte-identical to an uncrashed
 // manager's.
 //
-// The manager-wide lock order those invariants lean on — checkpointer
-// outermost, then the state cut, then a blob's shard, then the WAL;
-// registry stripes innermost (see the Manager field docs) — in the
-// machine-checked form the lockorder analyzer (cmd/blobseer-vet)
-// enforces:
+// The manager-wide lock order — the checkpointer's mutex outside the
+// WAL's, a blob's shard outside the WAL's and outside the registry
+// stripes (see the Manager field docs) — in the machine-checked form the
+// lockorder analyzer (cmd/blobseer-vet) enforces:
 //
-//blobseer:lockorder ckptMu < stateMu < blobShard.mu < wal.mu
+//blobseer:lockorder ckptMu < wal.mu
+//blobseer:lockorder blobShard.mu < wal.mu
 //blobseer:lockorder blobShard.mu < registryStripe.mu
 
 // Checkpoint fault points, in execution order. Tests enumerate these.
 const (
 	crashBegin          = "begin"           // before anything happened
-	crashCaptured       = "captured"        // state cloned, nothing on disk yet
+	crashCaptured       = "captured"        // snapshot payload built, nothing on disk yet
 	crashTmpWritten     = "tmp-written"     // tmp snapshot fully written+synced
 	crashRenamed        = "renamed"         // snapshot live, segments not yet deleted
 	crashSegmentDeleted = "segment-deleted" // after each covered-segment delete
@@ -67,12 +65,12 @@ func (m *Manager) crash(point string) error {
 	return m.crashHook(point)
 }
 
-// Checkpoint serializes the full version state into an atomically
-// renamed snapshot file and deletes the write-ahead-log segments it
-// covers, so a restart replays only events logged after this call. It is
-// a no-op without a WAL, safe to call concurrently with traffic (the
-// stop-the-world portion is only a segment roll plus a state clone), and
-// serialized against other checkpoints. The background checkpointer
+// Checkpoint folds every event logged before this call into an
+// atomically renamed snapshot file and deletes the write-ahead-log
+// segments it covers, so a restart folds only events logged after. It
+// is a no-op without a WAL, runs beside traffic without stopping any of
+// it (the one thing it shares with a handler is the segment roll), and
+// is serialized against other checkpoints. The background checkpointer
 // calls it every CheckpointEvery events; it is also the on-demand hook.
 func (m *Manager) Checkpoint() error {
 	if m.log == nil {
@@ -86,122 +84,45 @@ func (m *Manager) Checkpoint() error {
 	if err := m.crash(crashBegin); err != nil {
 		return err
 	}
-	m.stateMu.Lock()
-	t0 := time.Now()
-	snap, cut, err := m.captureLocked()
-	m.capturePause.Store(int64(time.Since(t0)))
-	m.stateMu.Unlock()
+	w := m.log
+	cut, records, err := w.seal()
 	if err != nil {
 		return err
 	}
-	// The merge is O(total blobs) of map work, but the stop-the-world
-	// capture above was O(dirty blobs): it runs after stateMu released.
-	merged := cut.Merged()
-	snap.blobs = make([]*blobState, 0, len(merged))
-	for _, b := range merged {
-		snap.blobs = append(snap.blobs, b)
-	}
-	if err := m.crash(crashCaptured); err != nil {
-		cut.Abort()
+	fl, err := foldLog(w.base, cut)
+	if err != nil {
 		return err
 	}
-	err = walFmt.PublishSnapshot(m.log.base, encodeSnapshot(snap), m.log.fsync,
+	fl.st.nextSeg = cut
+	payload := encodeSnapshot(fl.st)
+	if err := m.crash(crashCaptured); err != nil {
+		return err
+	}
+	err = walFmt.PublishSnapshot(w.base, payload, w.fsync,
 		func() error { return m.crash(crashTmpWritten) },
 		func() error { return m.crash(crashRenamed) })
 	if err != nil {
-		// The countdown and dirty set survive (see seglog.Capture.Abort),
-		// so the next checkpoint pass retries immediately.
-		cut.Abort()
+		// The countdown survives, so the next pass retries at once.
 		return err
 	}
-	// The snapshot is live: commit the baseline and consume the countdown
-	// before the (restartable) segment deletes.
-	cut.Commit()
-	segs, err := listSegments(m.log.base)
-	if err != nil {
-		return err
-	}
-	for _, s := range segs {
-		if s >= snap.nextSeg {
-			continue
-		}
-		if err := os.Remove(segmentPath(m.log.base, s)); err != nil {
+	// The snapshot is live: consume the countdown before the
+	// (restartable) segment deletes.
+	w.covered.Store(records)
+	for _, s := range append(fl.stale, fl.live...) {
+		if err := os.Remove(segmentPath(w.base, s)); err != nil {
 			return fmt.Errorf("version: compact wal segment: %w", err)
 		}
 		if err := m.crash(crashSegmentDeleted); err != nil {
 			return err
 		}
 	}
-	if m.log.fsync {
-		if err := syncDir(filepath.Dir(m.log.base)); err != nil {
+	if w.fsync {
+		if err := syncDir(filepath.Dir(w.base)); err != nil {
 			return fmt.Errorf("version: sync wal dir after compaction: %w", err)
 		}
 	}
 	m.ckptRuns.Add(1)
 	return nil
-}
-
-// captureLocked quiesces the log, rolls it to a fresh segment, and
-// captures the state at the cut — incrementally when a published
-// baseline exists: only blobs marked dirty since the last checkpoint are
-// cloned, so the stop-the-world pause stops scaling with total blob
-// count. Called with stateMu held exclusively, which excludes every
-// mutating handler from enqueueing; records already enqueued (their
-// owners released stateMu before parking for durability — two-phase
-// append) are waited out by the quiesce, so the capture is exactly the
-// state the segments below the cut replay to.
-func (m *Manager) captureLocked() (*snapshotState, *seglog.Capture[wire.BlobID, *blobState], error) {
-	w := m.log
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil, nil, errWALClosed
-	}
-	// Wait out enqueued-but-not-yet-durable records: their state is
-	// already applied, so letting them commit past the roll would make
-	// replay apply them twice on top of the snapshot.
-	w.comm.QuiesceLocked()
-	if w.closed { // quiesce releases the mutex while waiting
-		w.mu.Unlock()
-		return nil, nil, errWALClosed
-	}
-	if w.size > 0 {
-		if err := w.rollLocked(); err != nil {
-			w.mu.Unlock()
-			return nil, nil, err
-		}
-	}
-	nextSeg := w.segIdx
-	w.mu.Unlock()
-	s := &snapshotState{nextSeg: nextSeg, nextBlob: wire.BlobID(m.nextBlob.Load())}
-	cut := m.ckptTrack.Begin()
-	if cut.Full() {
-		// First capture since open (or the fallback): seed from a full
-		// clone of every shard.
-		seed := make(map[wire.BlobID]*blobState)
-		for _, sh := range m.allShards() {
-			seed[sh.state.id] = sh.state.clone()
-		}
-		cut.Seed(seed)
-	} else {
-		for id := range cut.Dirty() {
-			sh, err := m.shard(id)
-			if err != nil {
-				// Blobs are never deleted; a dirty id without a shard is
-				// state corruption — abort loudly, publish nothing.
-				cut.Abort()
-				return nil, nil, fmt.Errorf("version: checkpoint capture: dirty blob %v has no shard: %w", id, err)
-			}
-			cut.Resolve(id, sh.state.clone(), true)
-		}
-	}
-	return s, cut, nil
-}
-
-// writeSnapshotFile writes the framed payload to the tmp path and, when
-// syncing, fsyncs it — everything short of the activating rename.
-func writeSnapshotFile(base string, payload []byte, fsync bool) error {
-	return walFmt.WriteSnapshotFile(base, payload, fsync)
 }
 
 // checkpointPass runs one automatic checkpoint when the maintainer is
@@ -220,17 +141,14 @@ func (m *Manager) checkpointPass() bool {
 // Checkpoints reports how many checkpoints completed since start.
 func (m *Manager) Checkpoints() uint64 { return m.ckptRuns.Load() }
 
-// LastCapturePause reports the stop-the-world duration of the most
-// recent checkpoint capture (the window stateMu was held exclusively).
-// With incremental capture this is O(blobs dirtied since the last
-// checkpoint), not O(total blobs) — the A7 ablation measures it.
-func (m *Manager) LastCapturePause() time.Duration {
-	return time.Duration(m.capturePause.Load())
-}
-
 // RecoveryStats reports what this incarnation's open of the write-ahead
 // log did: whether a snapshot seeded the state and how many tail events
-// had to be replayed (all zeros when not durable). With compaction
+// had to be folded in (all zeros when not durable). With compaction
 // enabled, EventsReplayed is bounded by the checkpoint interval
 // regardless of the manager's total history.
-func (m *Manager) RecoveryStats() RecoveryStats { return m.recStats }
+func (m *Manager) RecoveryStats() RecoveryStats {
+	if m.log == nil {
+		return RecoveryStats{}
+	}
+	return m.log.recovery
+}

@@ -2,6 +2,7 @@ package version
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,11 +44,11 @@ type ManagerConfig struct {
 	// smaller segments reclaim space at a finer grain for more files.
 	WALSegmentBytes int64
 	// CheckpointEvery, when positive, checkpoints automatically after
-	// that many logged events: the full version state is serialized into
-	// an atomically renamed snapshot file and the segments it covers are
-	// deleted, bounding both the log's disk footprint and the restart
-	// replay work by the interval. Zero disables automatic checkpoints;
-	// Checkpoint() remains available on demand either way.
+	// that many logged events: the sealed segments are folded into an
+	// atomically renamed snapshot file and deleted, bounding both the
+	// log's disk footprint and the restart's fold by the interval. Zero
+	// disables automatic checkpoints; Checkpoint() remains available on
+	// demand either way.
 	CheckpointEvery int
 	// RetainVersions is the keep-last-N retention policy: EXPIRE requests
 	// are clamped so at least this many of a blob's newest own published
@@ -66,37 +67,33 @@ type ManagerConfig struct {
 // mutex; a second shard mutex is only ever taken for a lineage ancestor,
 // which always has a smaller blob id than its descendants, so shard-lock
 // cycles cannot form.
+//
+// Every state change is an event (wal.go) run through the one
+// transition function (blob.go): a mutating handler validates its
+// request read-only under the shard lock, builds the event, and hands it
+// to step, which enqueues it to the log and applies it; the handler then
+// unlocks, awaits durability and wakes whom the event resolved. Recovery
+// and the checkpointer fold the logged events through the same function,
+// so they never look at — or wait for — the live state.
 type Manager struct {
 	cfg   ManagerConfig
 	sched vclock.Scheduler
 	srv   *rpc.Server
 	mux   *rpc.Mux
 	log   *wal // nil when not durable
-
-	// stateMu makes checkpoints a consistent cut: every mutating handler
-	// holds it shared from before its event is enqueued until after the
-	// state change applies (the durability await happens after release),
-	// and the checkpointer holds it exclusively only while quiescing the
-	// committer, rolling the log segment and resolving the dirty blobs.
-	// Readers and parked SYNC waiters never touch it. Lock order:
-	// stateMu, then shard mutexes, then wal internals.
-	stateMu sync.RWMutex
+	// started is the scheduler time this incarnation began: the sweeper
+	// counts an update it inherited from the log as assigned then.
+	started int64
 
 	stripes  [registryStripes]registryStripe
 	nextBlob atomic.Uint64 // last allocated blob id
 
 	// Checkpoint machinery (see checkpoint.go). ckptMu serializes
-	// checkpoint runs and doubles as the shutdown barrier; ckptTrack
-	// owns the dirty-blob set and the events-since-last-cut countdown
-	// for incremental capture; ckpt is the background checkpointer
-	// goroutine; capturePause records the last capture's stop-the-world
-	// duration for the A7 ablation.
-	ckptMu       sync.Mutex
-	ckptTrack    seglog.Tracker[wire.BlobID, *blobState]
-	ckptRuns     atomic.Uint64
-	capturePause atomic.Int64
-	ckpt         *seglog.Maintainer
-	recStats     RecoveryStats
+	// checkpoint runs and doubles as the shutdown barrier; ckpt is the
+	// background checkpointer goroutine.
+	ckptMu   sync.Mutex
+	ckptRuns atomic.Uint64
+	ckpt     *seglog.Maintainer
 
 	// crashHook is the test-only checkpoint fault injector.
 	crashHook func(point string) error
@@ -131,19 +128,8 @@ func newShard(b *blobState) *blobShard {
 	return &blobShard{state: b, watchers: make(map[wire.Version][]vclock.Event)}
 }
 
-// ServeManager starts the version manager on ln. It panics if cfg asks
-// for a write-ahead log that cannot be opened; use ServeManagerDurable to
-// handle that error.
-func ServeManager(ln transport.Listener, cfg ManagerConfig) *Manager {
-	m, err := ServeManagerDurable(ln, cfg)
-	if err != nil {
-		panic("version: " + err.Error())
-	}
-	return m
-}
-
-// ServeManagerDurable is ServeManager with the write-ahead log's open or
-// replay error reported instead of panicking.
+// ServeManagerDurable starts the version manager on ln, reporting the
+// write-ahead log's open or fold error when cfg asks for one.
 func ServeManagerDurable(ln transport.Listener, cfg ManagerConfig) (*Manager, error) {
 	if cfg.Sched == nil {
 		cfg.Sched = vclock.NewReal()
@@ -151,61 +137,23 @@ func ServeManagerDurable(ln transport.Listener, cfg ManagerConfig) (*Manager, er
 	if cfg.SweepEvery <= 0 {
 		cfg.SweepEvery = cfg.DeadWriterTimeout / 4
 	}
-	m := &Manager{cfg: cfg, sched: cfg.Sched}
+	m := &Manager{cfg: cfg, sched: cfg.Sched, started: int64(cfg.Sched.Now())}
 	for i := range m.stripes {
 		m.stripes[i].blobs = make(map[wire.BlobID]*blobShard)
 	}
 	if cfg.WALPath != "" {
-		log, rec, err := openWAL(cfg.WALPath, walOptions{
+		log, st, err := openLog(cfg.WALPath, walOptions{
 			fsync:    cfg.WALSync,
 			segBytes: cfg.WALSegmentBytes,
 		})
 		if err != nil {
 			return nil, err
 		}
-		now := int64(cfg.Sched.Now())
-		blobs := make(map[wire.BlobID]*blobState)
-		var next wire.BlobID
-		if rec.snap != nil {
-			next = rec.snap.nextBlob
-			for _, b := range rec.snap.blobs {
-				// Snapshots do not store assignedAt (it is restart-relative):
-				// the sweeper measures staleness from this incarnation.
-				for _, u := range b.inflight {
-					u.assignedAt = now
-				}
-				blobs[b.id] = b
-				if b.id > next {
-					next = b.id
-				}
-			}
-		}
-		rnext, err := replay(rec.events, blobs, now)
-		if err != nil {
-			log.close()
-			return nil, err
-		}
-		if rnext > next {
-			next = rnext
-		}
 		m.log = log
-		m.recStats = rec.stats
-		m.nextBlob.Store(uint64(next))
-		// Branch pins are derived state: every blob with a parent entry in
-		// its lineage pins its branch point on the owner of that snapshot,
-		// so EXPIRE keeps refusing to cut the ground from under branches
-		// after a restart.
-		for _, b := range blobs {
-			if len(b.lineage) < 2 {
-				continue
-			}
-			if owner := blobs[b.lineage[1].Blob]; owner != nil {
-				owner.registerPin(b.id, b.lineage[0].MinVersion-1)
-			}
-		}
+		m.nextBlob.Store(uint64(st.nextBlob))
 		// Pre-serve: no handler can race these inserts.
-		for id, b := range blobs {
-			m.stripe(id).blobs[id] = newShard(b)
+		for _, b := range st.blobs {
+			m.insert(b)
 		}
 	}
 	m.mux = m.newMux()
@@ -261,9 +209,7 @@ func (m *Manager) Close() {
 			sh.watchers = make(map[wire.Version][]vclock.Event)
 			sh.mu.Unlock()
 		}
-		for _, ev := range evs {
-			ev.Fire(wire.NewError(wire.CodeUnavailable, "version manager shutting down"))
-		}
+		fire(evs, wire.NewError(wire.CodeUnavailable, "version manager shutting down"))
 		m.srv.Close()
 		if m.cancel != nil {
 			m.cancel()
@@ -284,17 +230,41 @@ func (m *Manager) stripe(id wire.BlobID) *registryStripe {
 	return &m.stripes[uint64(id)%registryStripes]
 }
 
-// shard looks the blob up in the registry. The stripe lock is released
-// before returning: shards are never deleted, so the pointer stays valid.
-func (m *Manager) shard(id wire.BlobID) (*blobShard, error) {
+// find looks the blob up in the registry, nil if it does not exist. The
+// stripe lock is released before returning: shards are never deleted,
+// so the pointer stays valid.
+func (m *Manager) find(id wire.BlobID) *blobShard {
 	s := m.stripe(id)
 	s.mu.RLock()
 	sh := s.blobs[id]
 	s.mu.RUnlock()
+	return sh
+}
+
+// shard is find for a request: a missing blob is the client's error.
+func (m *Manager) shard(id wire.BlobID) (*blobShard, error) {
+	sh := m.find(id)
 	if sh == nil {
 		return nil, wire.NewError(wire.CodeNotFound, "blob %v does not exist", id)
 	}
 	return sh, nil
+}
+
+// lookup and insert make the live registry the blobTable transition runs
+// over. lookup hands out a blob's state, not its lock: the handler
+// holds the shard mutex of every existing blob its event touches.
+func (m *Manager) lookup(id wire.BlobID) *blobState {
+	if sh := m.find(id); sh != nil {
+		return sh.state
+	}
+	return nil
+}
+
+func (m *Manager) insert(b *blobState) {
+	s := m.stripe(b.id)
+	s.mu.Lock()
+	s.blobs[b.id] = newShard(b)
+	s.mu.Unlock()
 }
 
 // allShards snapshots every registered shard.
@@ -311,67 +281,45 @@ func (m *Manager) allShards() []*blobShard {
 	return out
 }
 
-// register inserts a freshly created or branched shard.
-func (m *Manager) register(id wire.BlobID, sh *blobShard) {
-	s := m.stripe(id)
-	s.mu.Lock()
-	s.blobs[id] = sh
-	s.mu.Unlock()
+// step logs e and applies it — the state-changing middle of every
+// mutating handler and of the sweeper. The event is enqueued to the
+// write-ahead log (when durable) and run through transition while the
+// caller holds the shard lock of every existing blob it touches (none
+// exists yet for a create), so each blob's log order matches its apply
+// order even though batches interleave events of different blobs. The
+// caller then releases its locks and only then awaits a — the shard is
+// free while the leader sits in the fsync, and the client is
+// acknowledged only once the event is durable. Every step that succeeds
+// MUST be awaited (an unawaited designated leader stalls the queue); a
+// refused enqueue (closed or wedged log) changes nothing.
+func (m *Manager) step(e walEvent) (w woken, a *walAppend, err error) {
+	if m.log != nil {
+		if a, err = m.log.enqueue(e); err != nil {
+			return w, nil, wire.NewError(wire.CodeUnavailable, "version log: %v", err)
+		}
+	}
+	if w, err = transition(m, e, int64(m.sched.Now())); err != nil {
+		// The handler validated e against this very state under the same
+		// locks. Carrying on would leave a log no restart can fold.
+		panic(err)
+	}
+	return w, a, nil
 }
 
-// noAwait is logEventBegin's result when the manager is not durable.
-var noAwait = func() error { return nil }
-
-// logEventBegin enqueues e to the write-ahead log (no-op when not
-// durable) and returns the await for its durability — phase one of the
-// two-phase append. Callers hold the lock of the shard e mutates (none
-// yet exists for a create), so each blob's log order matches its apply
-// order even though batches interleave events of different blobs — and
-// they hold stateMu shared (see mutate), so a checkpoint capture never
-// splits an event from its state change. The handler applies the state
-// change under those same locks, releases them, and only then invokes
-// the await — the shard is free while the leader sits in the fsync, and
-// the client is acknowledged only once the event is durable. Every
-// successful begin MUST be awaited (an unawaited designated leader
-// stalls the queue), and the enqueued blob is marked dirty for the
-// incremental checkpoint capture.
-func (m *Manager) logEventBegin(e walEvent) (await func() error, err error) {
-	if m.log == nil {
-		return noAwait, nil
+// await parks until the event step enqueued as a is durable (at once
+// when the manager is not), and winds the automatic checkpoint's
+// countdown. Callers hold no manager locks.
+func (m *Manager) await(a *walAppend) error {
+	if a == nil {
+		return nil
 	}
-	a, err := m.log.enqueue(e)
-	if err != nil {
-		return nil, wire.NewError(wire.CodeUnavailable, "version log: %v", err)
+	if err := m.log.await(a); err != nil {
+		return wire.NewError(wire.CodeUnavailable, "version log: %v", err)
 	}
-	m.ckptTrack.Mark(e.blob)
-	if n := m.cfg.CheckpointEvery; n > 0 && m.ckptTrack.AddEvents(1) >= uint64(n) {
+	if n := m.cfg.CheckpointEvery; n > 0 && m.log.uncovered() >= uint64(n) {
 		m.ckpt.Nudge()
 	}
-	return func() error {
-		if err := m.log.await(a); err != nil {
-			return wire.NewError(wire.CodeUnavailable, "version log: %v", err)
-		}
-		return nil
-	}, nil
-}
-
-// ckptDirty marks a blob dirty for the incremental checkpoint capture —
-// for mutations that land on a blob other than the logged event's own
-// (a branch pins its lineage owner). Callers hold stateMu shared, so
-// the mark cannot slip past a capture cut.
-func (m *Manager) ckptDirty(id wire.BlobID) {
-	if m.log != nil {
-		m.ckptTrack.Mark(id)
-	}
-}
-
-// mutate marks a state-changing handler region for the checkpointer: the
-// returned func must be held from before the handler logs its event
-// until after the state change applies, so a checkpoint capture is a
-// consistent cut. Read-only handlers (and parked SYNC waiters) skip it.
-func (m *Manager) mutate() func() {
-	m.stateMu.RLock()
-	return m.stateMu.RUnlock
+	return nil
 }
 
 // sizeThroughLineage resolves GET_SIZE across branch boundaries: version
@@ -394,39 +342,27 @@ func (m *Manager) sizeThroughLineage(sh *blobShard, v wire.Version) (uint64, boo
 	return osh.state.sizeOf(v)
 }
 
-// fireWatchersLocked pops and fires the SYNC events for the given
-// versions. Must be called with sh.mu held; the returned closure is
-// invoked after unlocking.
-func (sh *blobShard) fireWatchersLocked(versions []wire.Version) func() {
-	if len(versions) == 0 {
-		return func() {}
-	}
+// popWatchersLocked removes and returns the SYNC waiters parked on the
+// given versions, for the caller to fire once it has released sh.mu.
+func (sh *blobShard) popWatchersLocked(versions []wire.Version) []vclock.Event {
 	var evs []vclock.Event
 	for _, v := range versions {
 		evs = append(evs, sh.watchers[v]...)
 		delete(sh.watchers, v)
 	}
-	return func() {
-		for _, ev := range evs {
-			ev.Fire(nil)
-		}
+	return evs
+}
+
+// fire resolves parked SYNC waiters: with nil once their version is
+// readable, with the error that says why it never will be otherwise.
+func fire(evs []vclock.Event, outcome error) {
+	for _, ev := range evs {
+		ev.Fire(outcome)
 	}
 }
 
-// abortWatchersLocked fails SYNC waiters of aborted versions. Must be
-// called with sh.mu held; the returned closure is invoked after unlocking.
-func (sh *blobShard) abortWatchersLocked(versions []wire.Version) func() {
-	var evs []vclock.Event
-	for _, v := range versions {
-		evs = append(evs, sh.watchers[v]...)
-		delete(sh.watchers, v)
-	}
-	return func() {
-		for _, ev := range evs {
-			ev.Fire(wire.NewError(wire.CodeAborted, "version aborted"))
-		}
-	}
-}
+// errVersionAborted is what a SYNC parked on a withdrawn version gets.
+var errVersionAborted = wire.NewError(wire.CodeAborted, "version aborted")
 
 // sweepLoop aborts updates from writers that went silent.
 func (m *Manager) sweepLoop(ctx context.Context) {
@@ -437,53 +373,45 @@ func (m *Manager) sweepLoop(ctx context.Context) {
 		if m.closed.Load() || ctx.Err() != nil {
 			return
 		}
-		release := m.mutate() // sweeper aborts are state changes too
 		cutoff := int64(m.sched.Now()) - int64(m.cfg.DeadWriterTimeout)
-		var wake []func()
-		var awaits []func() error
+		var evs []vclock.Event
+		var appends []*walAppend
 		for _, sh := range m.allShards() {
 			sh.mu.Lock()
 			b := sh.state
 			var stale []wire.Version
 			for _, u := range b.inflight {
-				if !u.completed && !u.aborted && u.assignedAt < cutoff {
+				// An update folded in from the log has been silent for as
+				// long as this incarnation can tell: since it started.
+				if !u.completed && !u.aborted && max(u.assignedAt, m.started) < cutoff {
 					stale = append(stale, u.version)
 				}
 			}
 			// Lowest first: its cascade usually covers the rest.
 			sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
 			for _, v := range stale {
-				if u, ok := b.inflight[v]; !ok || u.aborted {
+				e, _ := b.planAbort(v)
+				if e.kind == 0 {
 					continue // a lower stale version's cascade got it
 				}
-				// Sweeper aborts are durable too; if the enqueue is refused
-				// (closed or wedged log) leave the update for the next sweep
-				// rather than diverge from the log.
-				await, err := m.logEventBegin(walEvent{kind: walAbort, blob: b.id, version: v})
+				// Sweeper aborts are durable too; if the log refuses the
+				// event (closed or wedged) leave the update for the next
+				// sweep rather than diverge from the log.
+				w, a, err := m.step(e)
 				if err != nil {
-					continue
+					break
 				}
-				// Every begun event must be awaited, even if abort then
-				// reports an error (it cannot, given the inflight check
-				// above — but an unawaited leader would stall the log).
-				awaits = append(awaits, await)
-				abortedVers, err := b.abort(v)
-				if err != nil {
-					continue
-				}
-				wake = append(wake, sh.abortWatchersLocked(abortedVers))
+				appends = append(appends, a)
+				evs = append(evs, sh.popWatchersLocked(w.aborted)...)
 			}
 			sh.mu.Unlock()
 		}
-		release()
-		for _, a := range awaits {
+		for _, a := range appends {
 			// A durability failure wedges the log fail-stop; the aborts
 			// stay applied in memory and the next mutation reports it.
-			_ = a()
+			_ = m.await(a)
 		}
-		for _, fn := range wake {
-			fn()
-		}
+		fire(evs, errVersionAborted)
 	}
 }
 
@@ -516,23 +444,18 @@ func (m *Manager) handleCreate(_ context.Context, msg wire.Msg) (wire.Msg, error
 	if m.closed.Load() {
 		return nil, wire.NewError(wire.CodeUnavailable, "version manager shutting down")
 	}
-	release := m.mutate()
-	// The id is reserved before logging; if the enqueue fails the id is
-	// simply burned (ids are unique, not dense). No other event for this
-	// blob can enter the log first, because the id is unknown to clients
-	// until the create is durable and acknowledged. The shard registers
-	// before the await so a checkpoint capture that covers the enqueued
-	// record always sees the blob; if durability then fails, the log is
-	// wedged (fail-stop) and the unacknowledged in-memory blob is inert.
+	// The id is reserved before logging; if the log refuses the event the
+	// id is simply burned (ids are unique, not dense). No other event for
+	// this blob can enter the log first, because the id is unknown to
+	// clients until the create is durable and acknowledged — so no lock is
+	// held here. If durability then fails, the log is wedged (fail-stop)
+	// and the unacknowledged in-memory blob is inert.
 	id := wire.BlobID(m.nextBlob.Add(1))
-	await, err := m.logEventBegin(walEvent{kind: walCreate, blob: id, pageSize: ps})
+	_, a, err := m.step(walEvent{kind: walCreate, blob: id, pageSize: ps})
 	if err != nil {
-		release()
 		return nil, err
 	}
-	m.register(id, newShard(newBlobState(id, ps)))
-	release()
-	if err := await(); err != nil {
+	if err := m.await(a); err != nil {
 		return nil, err
 	}
 	return &wire.CreateBlobResp{Blob: id}, nil
@@ -552,37 +475,60 @@ func (m *Manager) handleBlobInfo(_ context.Context, msg wire.Msg) (wire.Msg, err
 	}, nil
 }
 
+// update runs one request that changes a single existing blob — the
+// shape every such handler shares. plan, called under the blob's shard
+// lock, validates the request read-only and returns the event that
+// carries it out (kind 0: a repeat, nothing to log); update logs and
+// applies the event, releases the shard — apply and read traffic on the
+// same blob overlaps the event's fsync — awaits durability and wakes
+// whoever the event resolved. The state changed at enqueue, so they
+// wake even if durability failed: only the requester sees the log error.
+func (m *Manager) update(id wire.BlobID, plan func(b *blobState) (walEvent, error)) error {
+	sh, err := m.shard(id)
+	if err != nil {
+		return err
+	}
+	sh.mu.Lock()
+	e, err := plan(sh.state)
+	if err != nil || e.kind == 0 {
+		sh.mu.Unlock()
+		return err
+	}
+	w, a, err := m.step(e)
+	readable, aborted := sh.popWatchersLocked(w.readable), sh.popWatchersLocked(w.aborted)
+	sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	err = m.await(a)
+	fire(readable, nil)
+	fire(aborted, errVersionAborted)
+	return err
+}
+
 func (m *Manager) handleAssign(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.AssignReq)
-	sh, err := m.shard(req.Blob)
-	if err != nil {
-		return nil, err
-	}
-	release := m.mutate()
-	sh.mu.Lock()
-	// Plan once, log the plan, apply the same plan: the WAL record and the
-	// in-memory state cannot diverge.
-	plan, err := sh.state.planAssign(req.Offset, req.Size, req.Append)
-	if err != nil {
-		sh.mu.Unlock()
-		release()
-		return nil, err
-	}
-	await, err := m.logEventBegin(walEvent{
-		kind: walAssign, blob: req.Blob, version: plan.version,
-		offset: plan.offset, size: plan.size, newSize: plan.newSize,
+	var resp *wire.AssignResp
+	err := m.update(req.Blob, func(b *blobState) (walEvent, error) {
+		// Plan once, log the plan, apply the same plan: the WAL record
+		// and the in-memory state cannot diverge.
+		e, err := b.planAssign(req.Offset, req.Size, req.Append)
+		if err == nil {
+			// What the writer weaves against is the state just before
+			// its update.
+			resp = &wire.AssignResp{
+				Version:       e.version,
+				Offset:        e.offset,
+				NewSize:       e.newSize,
+				PrevSize:      b.pendingSize,
+				Published:     b.readable,
+				PublishedSize: b.sizes[b.readable],
+				InFlight:      b.inflightBelow(e.version),
+			}
+		}
+		return e, err
 	})
 	if err != nil {
-		sh.mu.Unlock()
-		release()
-		return nil, err
-	}
-	resp := sh.state.applyAssign(plan, int64(m.sched.Now()))
-	sh.mu.Unlock()
-	release()
-	// The shard is free from here: apply and read traffic on the same
-	// blob overlaps this event's fsync.
-	if err := await(); err != nil {
 		return nil, err
 	}
 	return resp, nil
@@ -590,104 +536,20 @@ func (m *Manager) handleAssign(_ context.Context, msg wire.Msg) (wire.Msg, error
 
 func (m *Manager) handleComplete(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.CompleteReq)
-	sh, err := m.shard(req.Blob)
+	err := m.update(req.Blob, func(b *blobState) (walEvent, error) { return b.planComplete(req.Version) })
 	if err != nil {
 		return nil, err
-	}
-	release := m.mutate()
-	sh.mu.Lock()
-	b := sh.state
-	// Log only completions that will change state; error and idempotent
-	// paths fall through to complete() unlogged.
-	var await func() error
-	if u, ok := b.inflight[req.Version]; ok && !u.aborted && !u.completed {
-		var lerr error
-		if await, lerr = m.logEventBegin(walEvent{kind: walComplete, blob: req.Blob, version: req.Version}); lerr != nil {
-			sh.mu.Unlock()
-			release()
-			return nil, lerr
-		}
-	}
-	readable, err := b.complete(req.Version)
-	var wake func()
-	if err == nil {
-		wake = sh.fireWatchersLocked(readable)
-	}
-	sh.mu.Unlock()
-	release()
-	var werr error
-	if await != nil {
-		werr = await()
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The state changed (applied at enqueue), so watchers fire even if
-	// durability failed — only the completer sees the log error.
-	wake()
-	if werr != nil {
-		return nil, werr
 	}
 	return &wire.CompleteResp{}, nil
 }
 
 func (m *Manager) handleAbort(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.AbortReq)
-	sh, err := m.shard(req.Blob)
+	err := m.update(req.Blob, func(b *blobState) (walEvent, error) { return b.planAbort(req.Version) })
 	if err != nil {
 		return nil, err
-	}
-	release := m.mutate()
-	sh.mu.Lock()
-	b := sh.state
-	// Log only aborts that will change state.
-	var await func() error
-	if u, ok := b.inflight[req.Version]; ok && !u.aborted {
-		var lerr error
-		if await, lerr = m.logEventBegin(walEvent{kind: walAbort, blob: req.Blob, version: req.Version}); lerr != nil {
-			sh.mu.Unlock()
-			release()
-			return nil, lerr
-		}
-	}
-	abortedVers, err := b.abort(req.Version)
-	var wake func()
-	if err == nil {
-		// Aborting may also let queued completed versions publish (when
-		// the aborted one was blocking the order) — advance() inside
-		// abort already handled that; wake both kinds of waiters.
-		wake = sh.abortWatchersLocked(abortedVers)
-		more := sh.fireWatchersLocked(readableAfterAbort(b))
-		prev := wake
-		wake = func() { prev(); more() }
-	}
-	sh.mu.Unlock()
-	release()
-	var werr error
-	if await != nil {
-		werr = await()
-	}
-	if err != nil {
-		return nil, err
-	}
-	wake()
-	if werr != nil {
-		return nil, werr
 	}
 	return &wire.AbortResp{}, nil
-}
-
-// readableAfterAbort returns versions that may have become readable when
-// an abort unblocked the publication order.
-func readableAfterAbort(b *blobState) []wire.Version {
-	// advance() already ran inside abort; any version at or below
-	// b.readable with a parked watcher is ready. The watcher maps are
-	// per-version, so just report the current readable version — parked
-	// watchers for lower versions were already fired when those published.
-	if b.readable == 0 {
-		return nil
-	}
-	return []wire.Version{b.readable}
 }
 
 func (m *Manager) handleRecent(_ context.Context, msg wire.Msg) (wire.Msg, error) {
@@ -730,7 +592,7 @@ func (m *Manager) handleSize(_ context.Context, msg wire.Msg) (wire.Msg, error) 
 	return &wire.SizeResp{Size: sz}, nil
 }
 
-func (m *Manager) handleSync(_ context.Context, msg wire.Msg) (wire.Msg, error) {
+func (m *Manager) handleSync(ctx context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.SyncReq)
 	sh, err := m.shard(req.Blob)
 	if err != nil {
@@ -761,8 +623,19 @@ func (m *Manager) handleSync(_ context.Context, msg wire.Msg) (wire.Msg, error) 
 	sh.watchers[req.Version] = append(sh.watchers[req.Version], ev)
 	sh.mu.Unlock()
 
-	v, err := ev.Wait(nil)
+	v, err := ev.Wait(ctx)
 	if err != nil {
+		// The client went away (or the scheduler stopped): withdraw, so
+		// an abandoned SYNC strands neither this handler nor its entry —
+		// a dead writer's version may never resolve. Whoever already
+		// popped the event fires into its buffer, harmlessly.
+		sh.mu.Lock()
+		if list := sh.watchers[req.Version]; len(list) > 1 {
+			sh.watchers[req.Version] = slices.DeleteFunc(list, func(e vclock.Event) bool { return e == ev })
+		} else if len(list) == 1 && list[0] == ev {
+			delete(sh.watchers, req.Version)
+		}
+		sh.mu.Unlock()
 		return nil, err
 	}
 	if e, ok := v.(error); ok {
@@ -777,22 +650,20 @@ func (m *Manager) handleBranch(_ context.Context, msg wire.Msg) (wire.Msg, error
 	if err != nil {
 		return nil, err
 	}
-	release := m.mutate()
 	sh.mu.Lock()
 	// The branch point's size lives on its namespace owner, and the new
 	// branch pins that owner's retention floor. Holding the owner's shard
-	// mutex from the size check through pin registration closes the race
-	// with a concurrent EXPIRE on the owner (lock nesting child-to-
-	// ancestor is safe: ancestors have strictly smaller blob ids).
-	// Everything up to and including the pin applies under the locks;
-	// they unwind before the durability await.
+	// mutex from the size check through the transition, which
+	// registers the pin, closes the race with a concurrent EXPIRE on the
+	// owner (lock nesting child-to-ancestor is safe: ancestors have
+	// strictly smaller blob ids). The locks unwind before the durability
+	// await.
 	var osh *blobShard
 	unwind := func() {
 		if osh != nil {
 			osh.mu.Unlock()
 		}
 		sh.mu.Unlock()
-		release()
 	}
 	b := sh.state
 	if req.Version > b.readable {
@@ -823,21 +694,15 @@ func (m *Manager) handleBranch(_ context.Context, msg wire.Msg) (wire.Msg, error
 		return nil, wire.NewError(wire.CodeUnavailable, "version manager shutting down")
 	}
 	id := wire.BlobID(m.nextBlob.Add(1))
-	await, err := m.logEventBegin(walEvent{
+	_, a, err := m.step(walEvent{
 		kind: walBranch, blob: id, parent: req.Blob,
 		version: req.Version, newSize: sizeAt,
 	})
+	unwind()
 	if err != nil {
-		unwind()
 		return nil, err
 	}
-	m.register(id, newShard(newBranchState(id, b, req.Version, sizeAt)))
-	ob.registerPin(id, req.Version)
-	// The pin mutates the lineage owner's state, which logEventBegin's
-	// mark (the new blob id) does not cover.
-	m.ckptDirty(ob.id)
-	unwind()
-	if err := await(); err != nil {
+	if err := m.await(a); err != nil {
 		return nil, err
 	}
 	return &wire.BranchResp{NewBlob: id}, nil
@@ -845,39 +710,23 @@ func (m *Manager) handleBranch(_ context.Context, msg wire.Msg) (wire.Msg, error
 
 func (m *Manager) handleExpire(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 	req := msg.(*wire.ExpireReq)
-	sh, err := m.shard(req.Blob)
+	var resp *wire.ExpireResp
+	err := m.update(req.Blob, func(b *blobState) (walEvent, error) {
+		floor, expired, err := b.planExpire(req.UpTo, m.cfg.RetainVersions)
+		if err != nil {
+			return walEvent{}, err
+		}
+		resp = &wire.ExpireResp{Floor: floor, Expired: expired}
+		if floor == b.expireFloor {
+			// Idempotent repeat or fully clamped request: nothing to log.
+			return walEvent{}, nil
+		}
+		return walEvent{kind: walExpire, blob: b.id, version: floor}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	release := m.mutate()
-	sh.mu.Lock()
-	b := sh.state
-	floor, expired, err := b.planExpire(req.UpTo, m.cfg.RetainVersions)
-	if err != nil {
-		sh.mu.Unlock()
-		release()
-		return nil, err
-	}
-	if floor <= b.expireFloor {
-		// Idempotent repeat or fully clamped request: nothing to log.
-		resp := &wire.ExpireResp{Floor: b.expireFloor}
-		sh.mu.Unlock()
-		release()
-		return resp, nil
-	}
-	await, err := m.logEventBegin(walEvent{kind: walExpire, blob: req.Blob, version: floor})
-	if err != nil {
-		sh.mu.Unlock()
-		release()
-		return nil, err
-	}
-	b.applyExpire(floor)
-	sh.mu.Unlock()
-	release()
-	if err := await(); err != nil {
-		return nil, err
-	}
-	return &wire.ExpireResp{Floor: floor, Expired: expired}, nil
+	return resp, nil
 }
 
 func (m *Manager) handleGCInfo(_ context.Context, msg wire.Msg) (wire.Msg, error) {

@@ -129,9 +129,9 @@ func TestAbortCascadeAfterAbortedPublishPointKeepsSize(t *testing.T) {
 }
 
 // TestCheckpointFailureKeepsCountdown pins the checkpoint-countdown
-// fix: a failed snapshot publish must leave the event countdown and
-// dirty set intact (seglog.Capture.Abort), so the retry — with no new
-// events logged — succeeds and covers everything.
+// fix: a failed snapshot publish must leave the event countdown intact
+// (it is consumed only once the snapshot is live), so the retry — with
+// no new events logged — succeeds and covers everything.
 func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 	dir := t.TempDir()
 	// The countdown only ticks when automatic checkpoints are enabled;
@@ -141,7 +141,7 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 	m, stop := startDurable(t, cfg)
 	crashWorkload(t, m)
 
-	evBefore := m.ckptTrack.Events()
+	evBefore := m.log.uncovered()
 	if evBefore == 0 {
 		t.Fatal("workload logged no events")
 	}
@@ -157,7 +157,7 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 	if n := m.Checkpoints(); n != 0 {
 		t.Fatalf("checkpoints after failed publish = %d, want 0", n)
 	}
-	if ev := m.ckptTrack.Events(); ev != evBefore {
+	if ev := m.log.uncovered(); ev != evBefore {
 		t.Fatalf("countdown consumed by failed checkpoint: events = %d, want %d", ev, evBefore)
 	}
 
@@ -168,7 +168,7 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 	if n := m.Checkpoints(); n != 1 {
 		t.Fatalf("checkpoints after retry = %d, want 1", n)
 	}
-	if ev := m.ckptTrack.Events(); ev != 0 {
+	if ev := m.log.uncovered(); ev != 0 {
 		t.Fatalf("countdown not consumed by successful checkpoint: events = %d", ev)
 	}
 

@@ -182,7 +182,7 @@ func TestCorruptSnapshotAfterCompactionRefusesOpen(t *testing.T) {
 // the failed open for manual recovery.
 func TestFailedOpenPreservesStaleSegments(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vm.wal")
-	if err := writeSnapshotFile(path, encodeSnapshot(&snapshotState{nextSeg: 5}), false); err != nil {
+	if err := walFmt.WriteSnapshotFile(path, encodeSnapshot(&snapshotState{nextSeg: 5}), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(snapshotTmpPath(path), snapshotPath(path)); err != nil {

@@ -12,8 +12,8 @@ import (
 // A snapshot is the full version state — blob registry, per-blob state
 // machines, published sizes, aborted versions, in-flight updates,
 // lineages — serialized at a segment boundary of the write-ahead log.
-// Recovery loads the newest valid snapshot and replays only the segments
-// at or above snapshotState.nextSeg; everything below it is garbage and
+// Recovery loads the newest valid snapshot and folds only the segments
+// at or above state.nextSeg over it; everything below it is garbage and
 // is deleted by compaction.
 //
 // File layout mirrors a WAL record, with its own magic:
@@ -51,20 +51,44 @@ func snapshotPath(base string) string { return seglog.SnapshotPath(base) }
 // snapshotTmpPath names the in-progress snapshot; never read by recovery.
 func snapshotTmpPath(base string) string { return seglog.SnapshotTmpPath(base) }
 
-// snapshotState is a consistent cut of the manager's version state.
-type snapshotState struct {
-	nextSeg  uint64      // first WAL segment NOT covered by this snapshot
-	nextBlob wire.BlobID // last allocated blob id at the cut
+// state is the version state as of a segment boundary of the log: what a
+// snapshot file holds, and what recovery and the checkpointer fold the
+// segments from nextSeg on into (see foldLog). The live manager keeps
+// the same blobStates in its shards, nowhere else.
+type state struct {
+	nextSeg  uint64      // first WAL segment NOT folded into this state
+	nextBlob wire.BlobID // highest blob id created so far
 	blobs    []*blobState
+	// byID indexes blobs for the fold; built by the first lookup.
+	byID map[wire.BlobID]*blobState
+}
+
+// lookup and insert make a state the blobTable a fold applies events to.
+func (s *state) lookup(id wire.BlobID) *blobState {
+	if s.byID == nil {
+		s.byID = make(map[wire.BlobID]*blobState, len(s.blobs))
+		for _, b := range s.blobs {
+			s.byID[b.id] = b
+		}
+	}
+	return s.byID[id]
+}
+
+func (s *state) insert(b *blobState) {
+	s.blobs = append(s.blobs, b)
+	s.byID[b.id] = b // transition looked the id up before creating it
+	if b.id > s.nextBlob {
+		s.nextBlob = b.id
+	}
 }
 
 // encodeSnapshot serializes s canonically (blobs sorted by id). The
 // in-flight updates' assignedAt is deliberately not stored: it is a
-// restart-relative sweeper timestamp, and recovery stamps it with the
-// new incarnation's clock — which also makes snapshots of identical
-// logical state byte-identical, the invariant the crash-injection tests
-// assert.
-func encodeSnapshot(s *snapshotState) []byte {
+// restart-relative sweeper timestamp, and the sweeper counts an update
+// assigned before its incarnation from that incarnation's start — which
+// also makes snapshots of identical logical state byte-identical, the
+// invariant the crash-injection tests assert.
+func encodeSnapshot(s *state) []byte {
 	sort.Slice(s.blobs, func(i, j int) bool { return s.blobs[i].id < s.blobs[j].id })
 	w := wire.NewWriter(256)
 	w.Uint32(snapFormat)
@@ -161,13 +185,15 @@ func snapCount(r *wire.Reader, elemBytes int) (int, error) {
 // bytes (FuzzDecodeSnapshot pins this) and rejects non-canonical input —
 // unsorted or duplicate keys, unknown flags, trailing bytes — so a
 // successful decode re-encodes to exactly the input. In-flight updates
-// come back with assignedAt zero; the manager stamps them at load.
-func decodeSnapshot(data []byte) (*snapshotState, error) {
+// come back with assignedAt zero, and the branch pins, which the
+// encoding leaves to the lineages, are derived here: a decoded state is
+// complete.
+func decodeSnapshot(data []byte) (*state, error) {
 	r := wire.NewReader(data)
 	if f := r.Uint32(); r.Err() == nil && f != snapFormat {
 		return nil, fmt.Errorf("%w: unknown format %d", errSnapshotEncoding, f)
 	}
-	s := &snapshotState{
+	s := &state{
 		nextSeg:  r.Uint64(),
 		nextBlob: wire.BlobID(r.Uint64()),
 	}
@@ -176,6 +202,7 @@ func decodeSnapshot(data []byte) (*snapshotState, error) {
 		return nil, err
 	}
 	s.blobs = make([]*blobState, 0, nblobs)
+	s.byID = make(map[wire.BlobID]*blobState, nblobs)
 	for i := 0; i < nblobs; i++ {
 		b, err := decodeBlobState(r)
 		if err != nil {
@@ -185,6 +212,17 @@ func decodeSnapshot(data []byte) (*snapshotState, error) {
 			return nil, fmt.Errorf("%w: blob ids not strictly ascending", errSnapshotEncoding)
 		}
 		s.blobs = append(s.blobs, b)
+		// A branch pins its branch point on the lineage owner of that
+		// snapshot — an ancestor, so a smaller id, so already decoded.
+		if len(b.lineage) > 1 {
+			if owner := s.byID[b.lineage[1].Blob]; owner != nil {
+				if owner.pins == nil {
+					owner.pins = make(map[wire.BlobID]wire.Version)
+				}
+				owner.pins[b.id] = b.lineage[0].MinVersion - 1
+			}
+		}
+		s.byID[b.id] = b
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("version: decoding snapshot: %w", err)
@@ -277,7 +315,7 @@ func decodeBlobState(r *wire.Reader) (*blobState, error) {
 // loadSnapshot reads and validates the snapshot file. A missing file is
 // (nil, nil); a torn or corrupt one is an error the caller downgrades to
 // full replay.
-func loadSnapshot(path string) (*snapshotState, error) {
+func loadSnapshot(path string) (*state, error) {
 	data, err := walFmt.LoadSnapshotFile(path)
 	if err != nil || data == nil {
 		return nil, err

@@ -52,8 +52,7 @@ import (
 // and records start at offset 0.
 
 const (
-	walMagic      = 0x5EE5B10C
-	walHeaderSize = seglog.FrameHeaderSize
+	walMagic = 0x5EE5B10C
 
 	// defaultSegmentBytes is the roll threshold when the config leaves
 	// WALSegmentBytes zero.
@@ -167,7 +166,7 @@ func syncDir(dir string) error { return seglog.SyncDir(dir) }
 
 // RecoveryStats describes what one open of the write-ahead log did: how
 // much of the state came from the snapshot and how much had to be
-// replayed from tail segments. With compaction running, EventsReplayed
+// folded in from tail segments. With compaction running, EventsReplayed
 // stays bounded by the checkpoint interval no matter how long the
 // manager has been alive.
 type RecoveryStats struct {
@@ -179,19 +178,10 @@ type RecoveryStats struct {
 	ActiveSegment  uint64 // index of the segment now appended to
 }
 
-// walOptions configures openWAL.
+// walOptions configures openLog.
 type walOptions struct {
 	fsync    bool  // fsync each commit
 	segBytes int64 // roll threshold (0 = defaultSegmentBytes)
-}
-
-// walRecovery is everything recovered by openWAL: the snapshot state (if
-// a valid one existed), the tail events to replay on top of it, and the
-// stats describing the recovery.
-type walRecovery struct {
-	snap   *snapshotState // nil without a usable snapshot
-	events []walEvent
-	stats  RecoveryStats
 }
 
 // wal is the open segmented log. Appends are safe for concurrent use
@@ -204,17 +194,33 @@ type walRecovery struct {
 // The active-segment fields (f, segIdx, size) are owned by whichever
 // goroutine is the exclusive committer; they change under mu (roll,
 // close) but are read lock-free inside commit, which is safe because a
-// segment never rolls while a commit is in flight.
+// segment never rolls while a commit is in flight: the leader rolls
+// after its own batch, and the checkpointer only when there is no
+// leader (see seal).
 type wal struct {
-	base     string // path prefix; segments live at base.NNNNNN
-	fsync    bool   // fsync each commit
-	segBytes int64  // roll threshold
+	base     string        // path prefix; segments live at base.NNNNNN
+	fsync    bool          // fsync each commit
+	segBytes int64         // roll threshold
+	recovery RecoveryStats // what this open folded
 
 	mu     sync.Mutex
 	f      *os.File // active segment
 	segIdx uint64   // index of the active segment
 	size   int64    // committed bytes in the active segment
 	closed bool
+	// failed is the commit error that wedged the log (the committer is
+	// fail-stop). The active segment may end in a torn batch then, which
+	// only the final segment may, so a wedged log never rolls.
+	failed error
+	// rollAsk is the checkpointer's request that the leader roll after
+	// its batch whatever the segment's size, answered with the roll's
+	// outcome — or with what made it moot: a wedge, the close.
+	rollAsk chan error
+	// sealed counts the records in segments below segIdx; covered, those
+	// the published snapshot holds. Their distance from appends is the
+	// automatic checkpoint's countdown.
+	sealed  uint64
+	covered atomic.Uint64
 
 	// comm is the group-commit machinery; it borrows mu, so the WAL's
 	// declared lock order is unchanged.
@@ -232,13 +238,122 @@ type walAppend struct {
 
 func (a *walAppend) Cell() *seglog.Cell { return &a.cell }
 
-// openWAL opens (creating if needed) the segmented log rooted at path:
-// it loads the newest valid snapshot, deletes segments the snapshot
-// covers (a compaction crash can leave them behind), replays the tail
-// segments, and opens the highest segment for appending. A torn tail in
-// the final segment is truncated; a torn or corrupt snapshot is ignored
-// and recovery falls back to replaying every segment still on disk.
-func openWAL(path string, opts walOptions) (*wal, *walRecovery, error) {
+// folded is what foldLog read off the disk.
+type folded struct {
+	st    *state
+	stale []uint64 // segments the snapshot already covered, still on disk
+	live  []uint64 // segments folded over it, ascending and gapless
+	stats RecoveryStats
+}
+
+// foldLog is state = fold(snapshot, segments): it loads the newest valid
+// snapshot of the log rooted at base (the empty state without one) and
+// runs every event of the segments that follow it through transition.
+// Recovery folds everything on disk (end 0), the last segment possibly
+// torn by a crash mid-append; a checkpoint folds the sealed segments
+// below its cut (end > 0). Nothing on disk changes but a torn tail.
+//
+// A torn or corrupt snapshot (crash mid-checkpoint, disk fault)
+// degrades to folding every segment from the first — only a durably
+// renamed snapshot ever justified deleting segments, so the fallback is
+// complete unless the disk lost an already-synced file; that case is
+// refused below rather than recovered incompletely.
+func foldLog(base string, end uint64) (*folded, error) {
+	st, snapErr := loadSnapshot(snapshotPath(base)) // nil without a usable one
+	segs, err := listSegments(base)
+	if err != nil {
+		return nil, err
+	}
+	fl := &folded{st: st}
+	first := uint64(1)
+	if st != nil {
+		first = st.nextSeg
+		fl.stats.SnapshotLoaded = true
+		fl.stats.SnapshotBlobs = len(st.blobs)
+	} else {
+		fl.st = &state{nextSeg: 1}
+	}
+	for _, s := range segs {
+		switch {
+		case s < first:
+			fl.stale = append(fl.stale, s)
+		case end == 0 || s < end:
+			fl.live = append(fl.live, s)
+		}
+	}
+	live := fl.live
+	if st == nil {
+		// Without a usable snapshot the fold needs the history from
+		// segment 1. Missing earlier segments mean a prior compaction
+		// relied on a snapshot the disk has since lost — refuse rather
+		// than come up with pre-snapshot blobs silently gone.
+		if len(live) > 0 && live[0] != 1 {
+			return nil, fmt.Errorf("version: wal segments before %06d are missing and no usable snapshot exists (snapshot: %v)",
+				live[0], snapErr)
+		}
+		if snapErr != nil && len(live) == 0 {
+			return nil, fmt.Errorf("version: snapshot unreadable and no wal segments remain: %w", snapErr)
+		}
+	}
+	if len(live) > 0 {
+		if st != nil && live[0] != first {
+			return nil, fmt.Errorf("version: wal segment %06d missing (snapshot covers up to it, oldest present is %06d)",
+				first, live[0])
+		}
+		for i, s := range live {
+			if s != live[0]+uint64(i) {
+				return nil, fmt.Errorf("version: wal segment %06d missing (gap before %06d)",
+					live[0]+uint64(i), s)
+			}
+		}
+	}
+	for i, s := range live {
+		n, err := fl.st.foldSegment(segmentPath(base, s), end == 0 && i == len(live)-1)
+		if err != nil {
+			return nil, err
+		}
+		fl.stats.EventsReplayed += n
+	}
+	return fl, nil
+}
+
+// foldSegment applies every record of one segment file to st and counts
+// them. A torn tail is truncated away when allowTorn is set (the final
+// segment — a crash mid-append); anywhere else a short or corrupt record
+// fails the fold, as does an event that does not follow from the state.
+func (st *state) foldSegment(path string, allowTorn bool) (events int, err error) {
+	err = scanSegment(path, allowTorn, func(e walEvent) error {
+		if _, err := transition(st, e, 0); err != nil {
+			return fmt.Errorf("%w (record %d of %s)", err, events, path)
+		}
+		events++
+		return nil
+	})
+	return events, err
+}
+
+// scanSegment decodes one segment file's records in order.
+func scanSegment(path string, allowTorn bool, visit func(walEvent) error) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return fmt.Errorf("version: open wal segment: %w", err)
+	}
+	defer f.Close()
+	_, err = walFmt.Scan(f, path, allowTorn, func(payload []byte, _ int64) error {
+		e, err := decodeWALEvent(payload)
+		if err != nil {
+			return err
+		}
+		return visit(e)
+	})
+	return err
+}
+
+// openLog opens (creating if needed) the segmented log rooted at path
+// and returns it with the state its disk folds to (see foldLog): it
+// deletes segments the snapshot covers (a compaction crash can leave
+// them behind) and opens the highest segment for appending.
+func openLog(path string, opts walOptions) (*wal, *state, error) {
 	if opts.segBytes <= 0 {
 		opts.segBytes = defaultSegmentBytes
 	}
@@ -248,85 +363,29 @@ func openWAL(path string, opts walOptions) (*wal, *walRecovery, error) {
 	if info, err := os.Stat(path); err == nil && info.Mode().IsRegular() {
 		return nil, nil, fmt.Errorf("version: %s is a pre-segmentation single-file log, unsupported", path)
 	}
-	rec := &walRecovery{}
-	// A torn/corrupt snapshot (crash mid-checkpoint, disk fault) degrades
-	// to full replay — only a durably renamed snapshot ever justified
-	// deleting segments, so the fallback is complete unless the disk lost
-	// an already-synced file; that case is refused below rather than
-	// recovered incompletely.
-	snap, snapErr := loadSnapshot(snapshotPath(path))
-	if snapErr == nil && snap != nil {
-		rec.snap = snap
-		rec.stats.SnapshotLoaded = true
-		rec.stats.SnapshotBlobs = len(snap.blobs)
-	}
-	os.Remove(snapshotTmpPath(path)) // a leftover tmp is garbage
-
-	segs, err := listSegments(path)
+	// Fold before touching anything on disk, so a refused open never
+	// destroys segments that could aid recovery.
+	fl, err := foldLog(path, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	first := uint64(1)
-	if rec.snap != nil {
-		first = rec.snap.nextSeg
-	}
-	var stale, live []uint64
-	for _, s := range segs {
-		if s < first {
-			stale = append(stale, s)
-		} else {
-			live = append(live, s)
-		}
-	}
-	// Validate the live set before touching anything on disk, so a
-	// refused open never destroys segments that could aid recovery.
-	if rec.snap == nil {
-		// Without a usable snapshot, recovery is full replay, which needs
-		// the history from segment 1. Missing earlier segments mean a
-		// prior compaction relied on a snapshot the disk has since lost —
-		// refuse rather than come up with pre-snapshot blobs silently gone.
-		if len(live) > 0 && live[0] != 1 {
-			return nil, nil, fmt.Errorf("version: wal segments before %06d are missing and no usable snapshot exists (snapshot: %v)",
-				live[0], snapErr)
-		}
-		if snapErr != nil && len(live) == 0 {
-			return nil, nil, fmt.Errorf("version: snapshot unreadable and no wal segments remain: %w", snapErr)
-		}
-	}
-	if len(live) > 0 {
-		if rec.snap != nil && live[0] != first {
-			return nil, nil, fmt.Errorf("version: wal segment %06d missing (snapshot covers up to it, oldest present is %06d)",
-				first, live[0])
-		}
-		for i, s := range live {
-			if s != live[0]+uint64(i) {
-				return nil, nil, fmt.Errorf("version: wal segment %06d missing (gap before %06d)",
-					live[0]+uint64(i), s)
-			}
-		}
-	}
-	for _, s := range stale {
+	os.Remove(snapshotTmpPath(path)) // a leftover tmp is garbage
+	stats := fl.stats
+	for _, s := range fl.stale {
 		// Covered by the snapshot; a crash between the snapshot rename
 		// and the deletes leaves them behind.
 		if err := os.Remove(segmentPath(path, s)); err != nil {
 			return nil, nil, fmt.Errorf("version: remove stale wal segment: %w", err)
 		}
-		rec.stats.StaleRemoved++
+		stats.StaleRemoved++
 	}
 
-	for i, s := range live {
-		events, err := scanSegment(segmentPath(path, s), i == len(live)-1)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec.events = append(rec.events, events...)
+	active := fl.st.nextSeg
+	if n := len(fl.live); n > 0 {
+		active = fl.live[n-1]
 	}
-	rec.stats.EventsReplayed = len(rec.events)
-
-	active := first
-	if len(live) > 0 {
-		active = live[len(live)-1]
-	}
+	stats.SegmentsOnDisk = max(len(fl.live), 1) // at least the active segment, created if need be
+	stats.ActiveSegment = active
 	f, err := os.OpenFile(segmentPath(path, active), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("version: open wal segment: %w", err)
@@ -343,6 +402,7 @@ func openWAL(path string, opts walOptions) (*wal, *walRecovery, error) {
 		f:        f,
 		segIdx:   active,
 		size:     info.Size(),
+		recovery: stats,
 	}
 	w.comm = seglog.Committer[*walAppend]{
 		Mu:        &w.mu,
@@ -351,12 +411,14 @@ func openWAL(path string, opts walOptions) (*wal, *walRecovery, error) {
 		Commit:    w.commit,
 		// Handlers apply state at enqueue time (two-phase append), so a
 		// commit failure must wedge the log: letting a later batch succeed
-		// would leave a gap replay rejects. The manager degrades to
+		// would leave a gap a fold rejects. The manager degrades to
 		// rejecting mutations with the wedging error.
 		FailStop: true,
 		MaybeRoll: func() {
-			if w.size >= w.segBytes {
-				w.rollLocked() // best effort: a failed roll leaves the oversized segment active
+			if w.size >= w.segBytes || w.rollAsk != nil {
+				// Best effort for the size's sake: a failed roll leaves
+				// the oversized segment active.
+				w.answerRollLocked(w.rollLocked())
 			}
 		},
 	}
@@ -366,35 +428,7 @@ func openWAL(path string, opts walOptions) (*wal, *walRecovery, error) {
 			return nil, nil, fmt.Errorf("version: sync wal dir: %w", err)
 		}
 	}
-	rec.stats.SegmentsOnDisk = len(live)
-	if len(live) == 0 {
-		rec.stats.SegmentsOnDisk = 1 // the freshly created active segment
-	}
-	rec.stats.ActiveSegment = active
-	return w, rec, nil
-}
-
-// scanSegment reads every record in one segment file. A torn tail is
-// truncated away when allowTorn is set (the final segment — a crash
-// mid-append); anywhere else a short or corrupt record fails the open.
-func scanSegment(path string, allowTorn bool) ([]walEvent, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("version: open wal segment: %w", err)
-	}
-	defer f.Close()
-	var events []walEvent
-	if _, err := walFmt.Scan(f, path, allowTorn, func(payload []byte, _ int64) error {
-		e, err := decodeWALEvent(payload)
-		if err != nil {
-			return err
-		}
-		events = append(events, e)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return events, nil
+	return w, fl.st, nil
 }
 
 // record frames one event for the log.
@@ -406,7 +440,7 @@ func record(e walEvent) []byte { return walFmt.Frame(e.encode()) }
 // happen in the same critical section), releases them, and parks in
 // await. The committer is fail-stop: once any commit fails, every queued
 // and future event fails with the same error, so the durable log is
-// always a prefix of the enqueue order and replay never sees per-blob
+// always a prefix of the enqueue order and a fold never sees per-blob
 // gaps.
 func (w *wal) enqueue(e walEvent) (*walAppend, error) {
 	a := &walAppend{rec: record(e)}
@@ -421,22 +455,11 @@ func (w *wal) enqueue(e walEvent) (*walAppend, error) {
 // sits in the fsync.
 func (w *wal) await(a *walAppend) error { return w.comm.Await(a) }
 
-// append writes one event durably before returning — the one-phase
-// convenience used by tests; handlers use enqueue/await to overlap
-// apply work with the disk wait.
-func (w *wal) append(e walEvent) error {
-	a, err := w.enqueue(e)
-	if err != nil {
-		return err
-	}
-	return w.await(a)
-}
-
 // commit appends one batch contiguously to the active segment with a
 // single write and at most one fsync. Only one committer runs at a time
 // (the leader), so the active-segment fields need no extra
-// synchronization. On error w.size is not advanced and no state based
-// on the batch may be applied.
+// synchronization. On error w.size is not advanced, the log is wedged
+// and no state based on the batch may be applied.
 func (w *wal) commit(batch []*walAppend) error {
 	w.appends.Add(uint64(len(batch)))
 	var n int
@@ -448,11 +471,11 @@ func (w *wal) commit(batch []*walAppend) error {
 		out = append(out, a.rec...)
 	}
 	if _, err := w.f.WriteAt(out, w.size); err != nil {
-		return fmt.Errorf("version: wal append: %w", err)
+		return w.wedge(fmt.Errorf("version: wal append: %w", err))
 	}
 	if w.fsync {
 		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("version: wal fsync: %w", err)
+			return w.wedge(fmt.Errorf("version: wal fsync: %w", err))
 		}
 		w.syncs.Add(1)
 	}
@@ -460,11 +483,67 @@ func (w *wal) commit(batch []*walAppend) error {
 	return nil
 }
 
+// wedge records the commit error the fail-stop committer is about to
+// wedge on and tells a checkpointer waiting for this leader's roll that
+// none will come. Called by the leader, outside mu.
+func (w *wal) wedge(err error) error {
+	w.mu.Lock()
+	w.failed = err
+	w.answerRollLocked(err)
+	w.mu.Unlock()
+	return err
+}
+
+// answerRollLocked hands the checkpointer, if one asked, the outcome of
+// the roll it is waiting for. Called with w.mu held.
+func (w *wal) answerRollLocked(err error) {
+	if w.rollAsk != nil {
+		w.rollAsk <- err
+		w.rollAsk = nil
+	}
+}
+
+// seal makes every record committed so far part of a sealed segment and
+// returns the cut — the index of the active segment, below which
+// nothing changes any more — with the number of records under it. The
+// roll must not overlap a commit, which reads the active-segment fields
+// lock-free: with no leader designated or mid-batch the queue is empty
+// and seal rolls itself, under mu; otherwise it asks the leader, who
+// rolls after its batch (MaybeRoll) and answers. Handlers never wait
+// for either. Records enqueued but not yet committed land above the
+// cut, which is fine: their state is not in what the cut folds to.
+// Called by the checkpointer, one at a time.
+func (w *wal) seal() (cut, records uint64, err error) {
+	w.mu.Lock()
+	switch {
+	case w.closed:
+		err = errWALClosed
+	case w.failed != nil:
+		err = w.failed
+	case w.comm.LeadingLocked():
+		ask := make(chan error, 1)
+		w.rollAsk = ask
+		w.mu.Unlock()
+		err = <-ask
+		w.mu.Lock()
+	case w.size > 0:
+		err = w.rollLocked()
+	}
+	// Every segment below the active one is sealed, whoever rolled last.
+	cut, records = w.segIdx, w.sealed
+	w.mu.Unlock()
+	return cut, records, err
+}
+
+// uncovered counts the records logged since the published snapshot's
+// cut: the automatic checkpoint's countdown.
+func (w *wal) uncovered() uint64 { return w.appends.Load() - w.covered.Load() }
+
 // rollLocked closes the active segment and opens the next one. Called
 // with w.mu held, and only when no commit is in flight: by the committer
-// itself after its batch, or by the checkpointer while every mutating
-// handler is excluded. Events never span segments, so each segment
-// replays independently.
+// itself after its batch, or by the checkpointer when there is no
+// leader (see seal). Events never span segments, so each segment folds
+// independently.
 func (w *wal) rollLocked() error {
 	if w.closed {
 		return errWALClosed
@@ -487,6 +566,8 @@ func (w *wal) rollLocked() error {
 	w.f = f
 	w.segIdx = next
 	w.size = 0
+	// No commit is in flight: every record so far is below next.
+	w.sealed = w.appends.Load()
 	old.Close() // contents already durable (commit fsyncs); ignore best-effort close
 	return nil
 }
@@ -514,82 +595,8 @@ func (w *wal) close() error {
 	}
 	w.closed = true
 	w.comm.FailQueuedLocked(errWALClosed)
+	w.answerRollLocked(errWALClosed)
 	f := w.f
 	w.mu.Unlock()
 	return f.Close()
-}
-
-// replay applies recovered events to the manager state — empty, or
-// seeded from a snapshot whose cut the events strictly follow. In-flight
-// updates get assignedAt = now so the dead-writer sweeper measures their
-// staleness from the restart, not from a clock that no longer exists.
-//
-// Events of different blobs may interleave in any order (handlers append
-// concurrently under per-blob locks), but each blob's events appear in its
-// apply order, which is all replay needs: create/branch records are keyed
-// by the ids they introduce, and a blob's id is only revealed to clients
-// after its create or branch record is durable.
-func replay(events []walEvent, blobs map[wire.BlobID]*blobState, now int64) (nextBlob wire.BlobID, err error) {
-	for i, e := range events {
-		switch e.kind {
-		case walCreate:
-			if _, dup := blobs[e.blob]; dup {
-				return 0, fmt.Errorf("version: wal event %d recreates blob %v", i, e.blob)
-			}
-			blobs[e.blob] = newBlobState(e.blob, e.pageSize)
-			if e.blob > nextBlob {
-				nextBlob = e.blob
-			}
-		case walBranch:
-			parent, ok := blobs[e.parent]
-			if !ok {
-				return 0, fmt.Errorf("version: wal event %d branches unknown blob %v", i, e.parent)
-			}
-			if _, dup := blobs[e.blob]; dup {
-				return 0, fmt.Errorf("version: wal event %d recreates blob %v", i, e.blob)
-			}
-			blobs[e.blob] = newBranchState(e.blob, parent, e.version, e.newSize)
-			if e.blob > nextBlob {
-				nextBlob = e.blob
-			}
-		case walAssign:
-			b, ok := blobs[e.blob]
-			if !ok {
-				return 0, fmt.Errorf("version: wal event %d assigns on unknown blob %v", i, e.blob)
-			}
-			if e.version != b.next {
-				return 0, fmt.Errorf("version: wal event %d assigns version %d, state expects %d",
-					i, e.version, b.next)
-			}
-			b.applyAssignState(assignPlan{
-				version: e.version, offset: e.offset, size: e.size,
-				prevSize: b.pendingSize, newSize: e.newSize,
-			}, now)
-		case walComplete:
-			b, ok := blobs[e.blob]
-			if !ok {
-				return 0, fmt.Errorf("version: wal event %d completes on unknown blob %v", i, e.blob)
-			}
-			if _, cerr := b.complete(e.version); cerr != nil {
-				return 0, fmt.Errorf("version: wal event %d: %v", i, cerr)
-			}
-		case walAbort:
-			b, ok := blobs[e.blob]
-			if !ok {
-				return 0, fmt.Errorf("version: wal event %d aborts on unknown blob %v", i, e.blob)
-			}
-			if _, aerr := b.abort(e.version); aerr != nil {
-				return 0, fmt.Errorf("version: wal event %d: %v", i, aerr)
-			}
-		case walExpire:
-			b, ok := blobs[e.blob]
-			if !ok {
-				return 0, fmt.Errorf("version: wal event %d expires on unknown blob %v", i, e.blob)
-			}
-			// The refusal checks ran before the event was logged; replay
-			// applies the floor verbatim.
-			b.applyExpire(e.version)
-		}
-	}
-	return nextBlob, nil
 }
