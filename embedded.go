@@ -121,9 +121,9 @@ func (c *Cluster) Checkpoint() error {
 }
 
 // CompactMetadata forces every metadata node to rewrite pair-log
-// segments dominated by deleted (garbage-collected) tree nodes and to
-// cover the rewrites with fresh index snapshots, shrinking the on-disk
-// metadata footprint after Blob.GC. It is a no-op for a non-durable
+// segments dominated by deleted (garbage-collected) tree nodes — the
+// active segment included — shrinking the on-disk metadata footprint
+// after Blob.GC. It is a no-op for a non-durable
 // cluster; automatic compaction (MetaLog.CompactRatio) makes calling it
 // optional.
 func (c *Cluster) CompactMetadata() error {

@@ -16,7 +16,9 @@ package cluster
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
+	"weak"
 
 	"blobseer/internal/client"
 	"blobseer/internal/dht"
@@ -124,8 +126,12 @@ type Cluster struct {
 	// name under simnet and ignored for in-process clusters.
 	clientNet func(host string) transport.Network
 
-	aux     []*rpc.Client // per-provider heartbeat clients
-	clients []*client.Client
+	aux []*rpc.Client // per-provider heartbeat clients
+	// clients are the clients NewClientCfg built, for Close to close the
+	// ones still in use. Weak: a client its owner closed and dropped —
+	// each cold-cache reader a benchmark dials — must not stay reachable,
+	// page cache and all, for as long as the cluster runs.
+	clients []weak.Pointer[client.Client]
 }
 
 // StartInproc stands a cluster up on a single in-process network.
@@ -311,8 +317,8 @@ func (cl *Cluster) MetaLogBytes() int64 {
 }
 
 // CompactMetadata forces every metadata node to rewrite pair-log
-// segments dominated by deleted tree nodes and cover the rewrites with
-// fresh index snapshots. No-op for in-memory nodes.
+// segments dominated by deleted tree nodes (dht.Node.CompactLog). No-op
+// for in-memory nodes.
 func (cl *Cluster) CompactMetadata() error {
 	for _, n := range cl.MetaNodes {
 		if err := n.CompactLog(); err != nil {
@@ -352,14 +358,19 @@ func (cl *Cluster) NewClientCfg(host string, tweak func(*client.Config)) (*clien
 	if err != nil {
 		return nil, err
 	}
-	cl.clients = append(cl.clients, c)
+	cl.clients = append(slices.DeleteFunc(cl.clients, func(w weak.Pointer[client.Client]) bool {
+		return w.Value() == nil
+	}), weak.Make(c))
 	return c, nil
 }
 
-// Close tears every service down.
+// Close tears every service down, and every client NewClient built that
+// is still reachable.
 func (cl *Cluster) Close() {
-	for _, c := range cl.clients {
-		c.Close()
+	for _, w := range cl.clients {
+		if c := w.Value(); c != nil {
+			c.Close()
+		}
 	}
 	for _, p := range cl.Providers {
 		p.Close()

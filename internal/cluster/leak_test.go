@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
 
+	"blobseer/internal/client"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 )
@@ -76,5 +78,78 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				before, runtime.NumGoroutine(), buf)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestClosedClientIsCollectable: a client closed and dropped while the
+// cluster runs is garbage, page cache and all — the cluster keeps it
+// only to close it, and it is closed. A benchmark dials a fresh
+// cold-cache reader per cycle; were each kept, its decoded pages would
+// pile up for the life of the cluster. A client still in use is closed
+// by Cluster.Close as before.
+func TestClosedClientIsCollectable(t *testing.T) {
+	net := transport.NewInproc()
+	defer net.Close()
+	cl, err := StartInproc(net, vclock.NewReal(), Config{DataProviders: 2, MetaProviders: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	kept, err := cl.NewClient("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	id, err := kept.Create(ctx, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("collectable "), 4096) // a dozen pages
+	v, err := kept.Append(ctx, id, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kept.Sync(ctx, id, v); err != nil {
+		t.Fatal(err)
+	}
+
+	// Built, used and closed in a frame of its own, so nothing on this
+	// stack keeps it alive.
+	gone := func() weak.Pointer[client.Client] {
+		c, err := cl.NewClient("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(data))
+		if err := c.Read(ctx, id, v, got, 0); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read through the doomed client: %v", err)
+		}
+		if st := c.PageCacheStats(); st.Misses == 0 {
+			t.Fatalf("the read cached no pages: %+v", st)
+		}
+		c.Close()
+		return weak.Make(c)
+	}()
+	for i := 0; i < 5 && gone.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if gone.Value() != nil {
+		t.Fatal("a closed, dropped client is still reachable while the cluster runs")
+	}
+
+	// Later clients prune the dead entry; the live one still works and
+	// Cluster.Close closes it.
+	if _, err := cl.NewClient(""); err != nil {
+		t.Fatal(err)
+	}
+	if len(cl.clients) != 2 {
+		t.Fatalf("cluster tracks %d clients, want the 2 alive", len(cl.clients))
+	}
+	if _, _, err := kept.Recent(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	if _, _, err := kept.Recent(ctx, id); err == nil {
+		t.Fatal("Cluster.Close left a live client open")
 	}
 }

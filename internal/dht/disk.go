@@ -68,7 +68,8 @@ type LogOptions struct {
 	SegmentBytes int64
 	// SnapshotEvery, when positive, writes an index snapshot
 	// automatically after that many appended records, bounding reopen
-	// replay by the interval. Zero disables automatic snapshots.
+	// replay by the interval. Zero disables automatic snapshots, and
+	// CompactLog then starts none either (see seglog.KVOptions).
 	SnapshotEvery int
 	// CompactRatio, when positive, makes the background compactor
 	// rewrite any sealed segment whose live-byte ratio falls below this

@@ -238,11 +238,19 @@ func TestDurableNodeCompactionShrinksLog(t *testing.T) {
 	if after >= before {
 		t.Fatalf("log did not shrink: %d -> %d bytes", before, after)
 	}
-	if st := r.node.log.Stats(); st.Compactions == 0 || st.Snapshots == 0 {
-		t.Fatalf("compaction pass ran %d rewrites, %d covering snapshots", st.Compactions, st.Snapshots)
+	// The log keeps no snapshot, and Compact does not start one.
+	if st := r.node.log.Stats(); st.Compactions == 0 || st.Snapshots != 0 {
+		t.Fatalf("compaction pass ran %d rewrites, %d snapshots (want none)", st.Compactions, st.Snapshots)
 	}
-	// Everything live survives the rewrite and a restart byte-identically.
+	if _, err := os.Stat(seglog.SnapshotPath(r.path)); !os.IsNotExist(err) {
+		t.Fatalf("Compact created a snapshot file for a log that keeps none: %v", err)
+	}
+	// Everything live survives the rewrite and a restart — a rescan of
+	// every segment — byte-identically.
 	r.restart()
+	if rs := r.node.log.RecoveryStats(); rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
+		t.Fatalf("restart after compaction did not rescan every segment: %+v", rs)
+	}
 	c = r.client()
 	for i := 45; i < 60; i++ {
 		v, ok, err := c.Get(ctx, keys[i])

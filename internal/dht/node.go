@@ -100,9 +100,12 @@ func (n *Node) LogBytes() int64 {
 	return n.log.Stats().LogBytes
 }
 
-// CompactLog rewrites metadata log segments dominated by deleted pairs
-// and covers the rewrites with a fresh index snapshot, reclaiming the
-// space of GC'd tree nodes. No-op for an in-memory node.
+// CompactLog rewrites metadata log segments dominated by deleted pairs,
+// reclaiming the space of GC'd tree nodes — the active segment too,
+// which it seals first when it qualifies. The rewrites are covered by a
+// fresh index snapshot when the log keeps one (SnapshotEvery, or a
+// snapshot already on disk); otherwise reopen rescans. No-op for an
+// in-memory node.
 func (n *Node) CompactLog() error {
 	if n.log == nil {
 		return nil

@@ -103,9 +103,12 @@ func (d *Disk) Compactions() uint64 { return d.kv.Stats().Compactions }
 // recent snapshot capture.
 func (d *Disk) LastCapturePause() time.Duration { return d.kv.Stats().LastCapturePause }
 
-// Compact rewrites every sealed segment whose live-byte ratio is below
-// CompactRatio (below 1 when that is zero), dropping records of Deleted
-// pages, and covers the rewrites with a fresh index snapshot.
+// Compact rewrites every segment whose live-byte ratio is below
+// CompactRatio (below 1 when that is zero) and that holds reclaimable
+// bytes, dropping records of Deleted pages; the active segment is
+// sealed first when it is one of them. The rewrites are covered by a
+// fresh index snapshot when the store keeps one (SnapshotEvery, or a
+// snapshot already on disk); otherwise reopen rescans.
 func (d *Disk) Compact() error { return d.kv.Compact() }
 
 // Close implements Store. It is idempotent.

@@ -145,12 +145,16 @@ type KVOptions struct {
 	// SnapshotEvery, when positive, writes an index snapshot
 	// automatically after that many appended records, bounding reopen
 	// replay by the interval. Zero disables automatic snapshots;
-	// Snapshot remains available on demand either way.
+	// Snapshot remains available on demand either way. Compact covers
+	// its rewrites with a fresh snapshot when this is positive or the
+	// store has a snapshot file; it never writes the first one of a
+	// store with neither, which reopens by rescanning every segment.
 	SnapshotEvery int
 	// CompactRatio, when positive, makes the background compactor
 	// rewrite any sealed segment whose live-byte ratio falls below this
-	// threshold (0 < ratio < 1), dropping records of Deleted keys. Zero
-	// disables automatic compaction; Compact remains available on demand.
+	// threshold (0 < ratio < 1), dropping records of Deleted keys; it
+	// never seals the active segment. Zero disables automatic
+	// compaction; Compact remains available on demand.
 	CompactRatio float64
 }
 

@@ -30,6 +30,23 @@ func crashWorkload(t *testing.T, s *KV) {
 
 func crashLive(i int) bool { return i%3 == 0 }
 
+// compactDeadTail leaves a dead pair in the active segment — past the
+// keys crashLive judges — so the Compact that follows seals it. The
+// snapshot before it starts a fresh segment, so the pair cannot
+// straddle a roll.
+func compactDeadTail(s *KV) error {
+	if err := s.Snapshot(); err != nil {
+		return err
+	}
+	if err := s.Put(tkey(s.ly, crashKeys), tval(crashKeys)); err != nil {
+		return err
+	}
+	if err := s.Delete(tkey(s.ly, crashKeys)); err != nil {
+		return err
+	}
+	return s.Compact()
+}
+
 // crashAtPoint arms s to die at one fault point: the maintenance pass
 // aborts with errCrash exactly as a process death there would, and the
 // test then reopens on whatever the disk holds.
@@ -74,6 +91,7 @@ func TestKVMaintenanceCrashInjection(t *testing.T) {
 			{name: "compact-tmp-written", op: (*KV).Compact, point: crashCompactTmpWritten},
 			{name: "compact-renamed", op: (*KV).Compact, point: crashCompactRenamed},
 			{name: "compact-applied", op: (*KV).Compact, point: crashCompactApplied},
+			{name: "compact-sealed", op: compactDeadTail, point: crashCompactSealed},
 			{name: "torn-snapshot-tmp", op: (*KV).Snapshot, point: crashSnapTmpWritten, tamper: func(t *testing.T, base string) {
 				truncateTail(t, SnapshotTmpPath(base), 7)
 			}},
@@ -128,8 +146,8 @@ func TestKVMaintenanceCrashInjection(t *testing.T) {
 }
 
 // TestKVEveryCrashPointIsExercised keeps the fault-point table honest:
-// a snapshot plus a compaction with work to do must pass through every
-// declared point.
+// a snapshot plus a compaction with work to do, the active segment's
+// included, must pass through every declared point.
 func TestKVEveryCrashPointIsExercised(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, crashOpts())
@@ -139,8 +157,7 @@ func TestKVEveryCrashPointIsExercised(t *testing.T) {
 			seen[p] = true
 			return nil
 		}
-		must(t, s.Snapshot())
-		must(t, s.Compact())
+		must(t, compactDeadTail(s))
 		for _, p := range crashPoints {
 			if !seen[p] {
 				t.Errorf("maintenance never reached fault point %q", p)

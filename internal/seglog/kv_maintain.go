@@ -3,6 +3,7 @@ package seglog
 import (
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"time"
 )
@@ -12,15 +13,17 @@ import (
 // segment boundary so reopen replays only the tail, and the compactor
 // rewrites sealed segments whose live-byte ratio fell below the
 // configured threshold, dropping records of Deleted keys and duplicate
-// puts. Crash-consistency invariants, in order:
+// puts; an explicit Compact first seals the active segment when it
+// would qualify. Crash-consistency invariants, in order:
 //
 //  1. A snapshot capture is a consistent cut: the exclusive committer
 //     holds stateMu shared across commit+apply (Committer.Outer), and
 //     the capture holds stateMu exclusively while it rolls the active
-//     segment and resolves the dirty keys — so no record is split from
-//     its index change, records queued behind the capture land in the
-//     post-roll segment, and the captured index equals exactly the
-//     replay of all segments below the cut. The capture is incremental
+//     segment (sealLocked, which Compact's seal shares) and resolves the
+//     dirty keys — so no record is split from its index change, records
+//     queued behind the capture land in the post-roll segment, and the
+//     captured index equals exactly the replay of all segments below
+//     the cut. The capture is incremental
 //     once a baseline snapshot published: only keys marked since then
 //     are re-resolved (Tracker), so the stop-the-world pause stops
 //     scaling with total key count.
@@ -33,8 +36,9 @@ import (
 //     detected on reopen (generation mismatch) and that segment alone
 //     is rescanned instead of trusting stale offsets.
 //  4. Tombstone records are preserved by rewrites while some earlier
-//     segment still holds a put for their key, so even the no-snapshot
-//     fallback (full rescan) can never resurrect a Deleted key. Once
+//     segment still holds a put for their key, so a full rescan — the
+//     fallback, and the only reopen of a store that keeps no snapshot —
+//     can never resurrect a Deleted key. Once
 //     the last such put is gone the tombstone is dead weight and the
 //     rewrite drops it (see hygiene.go).
 //
@@ -49,16 +53,19 @@ const (
 	crashSnapTmpWritten = "snap-tmp-written" // tmp snapshot fully written (+synced)
 	crashSnapRenamed    = "snap-renamed"     // snapshot live
 
+	crashCompactSealed     = "compact-sealed"      // explicit Compact rolled the active segment, nothing rewritten yet
 	crashCompactTmpWritten = "compact-tmp-written" // rewrite tmp fully written+synced
 	crashCompactRenamed    = "compact-renamed"     // rewrite live, index not yet updated
 	crashCompactApplied    = "compact-applied"     // index updated, snapshot not yet rewritten
 )
 
-// crashPoints lists every fault point in order, for tests that
-// enumerate them exhaustively.
+// crashPoints lists every fault point, for tests that enumerate them
+// exhaustively: in execution order, except that compact-sealed, added
+// last, runs before the other compaction points.
 var crashPoints = []string{
 	crashSnapBegin, crashSnapCaptured, crashSnapTmpWritten, crashSnapRenamed,
 	crashCompactTmpWritten, crashCompactRenamed, crashCompactApplied,
+	crashCompactSealed,
 }
 
 // crash fires the test-only fault-injection hook; a non-nil return
@@ -80,7 +87,9 @@ func (s *KV) maintainPass() bool {
 		s.Snapshot()
 	}
 	if s.opts.CompactRatio > 0 {
-		s.Compact()
+		// Sealed segments only: a pass runs after every tombstone batch, and
+		// sealing here would cut the log into a segment per batch.
+		s.compact(false)
 	}
 	return true
 }
@@ -155,20 +164,30 @@ func (s *KV) capture() (*kvIndexSnapshot, *Capture[string, kvEntry], error) {
 	return snap, cut, nil
 }
 
-func (s *KV) captureLocked() (*kvIndexSnapshot, *Capture[string, kvEntry], error) {
+// sealLocked rolls the active segment when seal, given it, says so, and
+// reports whether it rolled and how many segments are sealed now. Called
+// with stateMu held exclusively, which excludes the committer: no commit
+// is in flight during the roll, and the counters seal reads are exact.
+func (s *KV) sealLocked(seal func(active *kvSegment) bool) (rolled bool, sealed uint32, err error) {
 	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.closed.Load() {
-		s.wmu.Unlock()
-		return nil, nil, s.errClosed
+		return false, 0, s.errClosed
 	}
-	if s.active.size.Load() > HeaderSize {
+	if seal(s.active) {
 		if err := s.rollLocked(); err != nil {
-			s.wmu.Unlock()
-			return nil, nil, err
+			return false, 0, err
 		}
+		rolled = true
 	}
-	covered := s.active.idx - 1
-	s.wmu.Unlock()
+	return rolled, s.active.idx - 1, nil
+}
+
+func (s *KV) captureLocked() (*kvIndexSnapshot, *Capture[string, kvEntry], error) {
+	_, covered, err := s.sealLocked(func(active *kvSegment) bool { return active.size.Load() > HeaderSize })
+	if err != nil {
+		return nil, nil, err
+	}
 
 	snap := &kvIndexSnapshot{meta: IndexMeta{Segs: make([]SegMeta, covered)}}
 	s.segMu.RLock()
@@ -219,14 +238,25 @@ func (s *KV) captureLocked() (*kvIndexSnapshot, *Capture[string, kvEntry], error
 	return snap, cut, nil
 }
 
-// Compact rewrites every sealed segment whose live-byte ratio is below
+// Compact rewrites every segment whose live-byte ratio is below
 // CompactRatio (or, when CompactRatio is zero, below 1 — on-demand
-// compaction reclaims whatever it can), then writes a fresh index
-// snapshot so the rewrites are covered. Pairs still indexed — every key
-// not explicitly Deleted — are preserved byte-identically; only records
-// of Deleted keys, duplicate puts, and tombstones with no earlier put
-// left to suppress are dropped.
-func (s *KV) Compact() error {
+// compaction reclaims whatever it can) and that holds reclaimable
+// bytes. The active segment is among them: when it would qualify, it
+// is sealed first, so the garbage a sweep just left in the tail is
+// reclaimed now rather than once the segment fills. Pairs still
+// indexed — every key not explicitly Deleted — are preserved
+// byte-identically; only records of Deleted keys, duplicate puts, and
+// tombstones with no earlier put left to suppress are dropped.
+//
+// Compact keeps an existing index snapshot current — it writes a fresh
+// one covering the rewrites when SnapshotEvery is positive or the store
+// has a snapshot file — but never creates the first one: a store that
+// keeps no snapshots reopens by rescanning, rewritten segments included.
+func (s *KV) Compact() error { return s.compact(true) }
+
+// compact is Compact; the background pass runs it without sealing the
+// active segment.
+func (s *KV) compact(sealActive bool) error {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
 	if s.closed.Load() {
@@ -236,6 +266,15 @@ func (s *KV) Compact() error {
 	if ratio <= 0 {
 		ratio = 1
 	}
+	if sealActive {
+		sealed, err := s.sealVictim(ratio)
+		if err == nil && sealed {
+			err = s.crash(crashCompactSealed)
+		}
+		if err != nil {
+			return err
+		}
+	}
 	rewrote := false
 	for victim := s.pickVictim(ratio); victim != nil; victim = s.pickVictim(ratio) {
 		if err := s.rewriteSegment(victim); err != nil {
@@ -243,7 +282,7 @@ func (s *KV) Compact() error {
 		}
 		rewrote = true
 	}
-	if rewrote {
+	if rewrote && s.keepsSnapshot() {
 		// Cover the rewrites so reopen trusts the new offsets instead of
 		// taking the generation-mismatch rescan path.
 		return s.snapshotLocked()
@@ -251,12 +290,49 @@ func (s *KV) Compact() error {
 	return nil
 }
 
-// pickVictim returns the sealed segment with the most reclaimable bytes
-// among those whose live ratio is below the threshold — or, when no
-// bytes are reclaimable anywhere, the lowest hygiene-flagged segment
-// (an earlier rewrite dropped a put, so tombstones there may now be
-// droppable). A freshly rewritten segment estimates zero reclaimable
-// bytes and carries no flag, so compaction always terminates.
+// keepsSnapshot reports whether the store maintains an index snapshot:
+// automatically, or because it has a snapshot file.
+func (s *KV) keepsSnapshot() bool {
+	if s.opts.SnapshotEvery > 0 {
+		return true
+	}
+	_, err := os.Stat(SnapshotPath(s.base))
+	return err == nil
+}
+
+// qualifies reports whether seg would be a compaction victim at ratio:
+// it holds reclaimable bytes and its live ratio is below the threshold.
+func qualifies(seg *kvSegment, ratio float64) bool {
+	payload := seg.size.Load() - HeaderSize
+	live := seg.liveBytes.Load()
+	return payload-live-seg.tombBytes.Load() > 0 && float64(live)/float64(payload) < ratio
+}
+
+// sealVictim seals the active segment if it qualifies as a victim. The
+// first look reads the counters without the cut, so a Compact with a
+// clean tail never stops the world; only a candidate takes stateMu, and
+// it is checked again there, where the counters are exact.
+func (s *KV) sealVictim(ratio float64) (bool, error) {
+	s.wmu.Lock()
+	active := s.active
+	s.wmu.Unlock()
+	if !qualifies(active, ratio) {
+		return false, nil
+	}
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	rolled, _, err := s.sealLocked(func(active *kvSegment) bool { return qualifies(active, ratio) })
+	return rolled, err
+}
+
+// pickVictim returns the lowest sealed segment that qualifies — or, when
+// none does, the lowest hygiene-flagged one (an earlier rewrite dropped
+// a put, so tombstones there may now be droppable). Compact rewrites
+// every victim either way; taking them in segment order rewrites a
+// segment before the later ones whose tombstones its puts may be the
+// last reason for, so fewer of those are flagged and rewritten twice. A
+// freshly rewritten segment estimates zero reclaimable bytes and carries
+// no flag, so compaction always terminates.
 func (s *KV) pickVictim(ratio float64) *kvSegment {
 	s.wmu.Lock()
 	sealed := s.active.idx - 1 // never the active segment
@@ -266,25 +342,18 @@ func (s *KV) pickVictim(ratio float64) *kvSegment {
 	}
 	s.segMu.RLock()
 	defer s.segMu.RUnlock()
-	var best, flagged *kvSegment
-	var bestReclaim int64
+	var flagged *kvSegment
 	for _, seg := range s.segs[:sealed] {
-		payload := seg.size.Load() - HeaderSize
-		if payload <= 0 {
+		if seg.size.Load() <= HeaderSize {
 			seg.hygiene.Store(false)
 			continue
+		}
+		if qualifies(seg, ratio) {
+			return seg
 		}
 		if flagged == nil && seg.hygiene.Load() {
 			flagged = seg
 		}
-		live := seg.liveBytes.Load()
-		reclaim := payload - live - seg.tombBytes.Load()
-		if reclaim > bestReclaim && float64(live)/float64(payload) < ratio {
-			best, bestReclaim = seg, reclaim
-		}
-	}
-	if best != nil {
-		return best
 	}
 	return flagged
 }

@@ -154,7 +154,8 @@ func TestKVRewriteNeverReadsDroppedBodies(t *testing.T) {
 		must(t, err)
 		verifyLive(t, s, n, alive)
 		must(t, s.Close())
-		must(t, os.Remove(SnapshotPath(path))) // force the full rescan
+		// The store keeps no snapshot, so the reopen is the full rescan.
+		noSnapshotFile(t, path)
 		s2 := mustOpenKV(t, path, ly, KVOptions{})
 		if rs := s2.RecoveryStats(); rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
 			t.Fatalf("reopen did not rescan everything: %+v", rs)
@@ -240,7 +241,20 @@ func TestKVRewriteMovesRecordsOfAnySize(t *testing.T) {
 		}
 		check(s)
 		must(t, s.Close())
-		must(t, os.Remove(SnapshotPath(path)))
-		check(mustOpenKV(t, path, ly, KVOptions{}))
+		noSnapshotFile(t, path)
+		s2 := mustOpenKV(t, path, ly, KVOptions{})
+		if rs := s2.RecoveryStats(); rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
+			t.Fatalf("reopen did not rescan everything: %+v", rs)
+		}
+		check(s2)
 	})
+}
+
+// noSnapshotFile asserts that Compact left no snapshot file behind for
+// a store that never kept one.
+func noSnapshotFile(t *testing.T, path string) {
+	t.Helper()
+	if _, err := os.Stat(SnapshotPath(path)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a store that keeps no snapshot has a snapshot file after Compact: %v", err)
+	}
 }

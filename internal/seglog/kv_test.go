@@ -309,6 +309,53 @@ func TestKVGetAppendAcrossCompaction(t *testing.T) {
 	})
 }
 
+// TestKVGetAppendAcrossSealAndRewrite is the same race against the
+// segment readers were just appending to: every round's pairs go to
+// the active segment, and Compact seals it and rewrites it under the
+// readers.
+func TestKVGetAppendAcrossSealAndRewrite(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		path := filepath.Join(t.TempDir(), "kv.log")
+		s := mustOpenKV(t, path, ly, KVOptions{})
+		const rounds, per = 4, 32
+		alive := func(i int) bool { return i%per%2 == 1 }
+		var wg sync.WaitGroup
+		for round := 0; round < rounds; round++ {
+			from := round * per
+			putN(t, s, from, from+per)
+			done := make(chan struct{})
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					buf := make([]byte, 0, 64)
+					for j := 1 + 2*r; ; j = (j + 4) % per { // the odd, surviving offsets
+						select {
+						case <-done:
+							return
+						default:
+						}
+						i := from + j
+						got, err := s.GetAppend(buf[:0], tkey(ly, i), 0, wire.WholePage)
+						if err != nil || !bytes.Equal(got, tval(i)) {
+							t.Errorf("GetAppend %d across the seal: %q, %v", i, got, err)
+							return
+						}
+					}
+				}(r)
+			}
+			deleteIf(t, s, from+per, func(i int) bool { return i >= from && !alive(i) })
+			must(t, s.Compact())
+			close(done)
+			wg.Wait()
+			if segs, c := segmentCount(t, ly, path), s.Stats().Compactions; segs != round+2 || c != uint64(round+1) {
+				t.Fatalf("round %d: %d segments, %d rewrites; the active segment was not sealed and rewritten", round, segs, c)
+			}
+		}
+		verifyLive(t, s, rounds*per, alive)
+	})
+}
+
 func TestKVRollsSegmentsAndFullRescan(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
@@ -383,13 +430,150 @@ func TestKVCompactionShrinksAndPreservesLive(t *testing.T) {
 		before := s.Stats().LogBytes
 		must(t, s.Compact())
 		st := s.Stats()
-		if st.LogBytes >= before || st.Compactions == 0 || st.Snapshots == 0 {
-			t.Fatalf("compaction: %d -> %d bytes, %d rewrites, %d covering snapshots",
+		if st.LogBytes >= before || st.Compactions == 0 || st.Snapshots != 0 {
+			t.Fatalf("compaction: %d -> %d bytes, %d rewrites, %d snapshots (want none)",
 				before, st.LogBytes, st.Compactions, st.Snapshots)
 		}
 		verifyLive(t, s, n, alive)
 		must(t, s.Close())
-		verifyLive(t, mustOpenKV(t, path, ly, opts), n, alive)
+		noSnapshotFile(t, path)
+		s2 := mustOpenKV(t, path, ly, opts)
+		if rs := s2.RecoveryStats(); rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
+			t.Fatalf("reopen after compaction did not rescan every segment: %+v", rs)
+		}
+		verifyLive(t, s2, n, alive)
+	})
+}
+
+// TestKVCompactKeepsExistingSnapshotCurrent: Compact never creates the
+// first snapshot, but a store that has one — written on demand, or kept
+// by SnapshotEvery — gets the rewrites covered, so the reopen loads it
+// and replays nothing.
+func TestKVCompactKeepsExistingSnapshotCurrent(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		for _, c := range []struct {
+			name     string
+			opts     KVOptions
+			snapshot bool // take one on demand before the churn
+		}{
+			{"snapshot file", KVOptions{SegmentBytes: 1024}, true},
+			// Too large an interval to fire: only Compact can write it.
+			{"SnapshotEvery", KVOptions{SegmentBytes: 1024, SnapshotEvery: 1 << 20}, false},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "kv.log")
+				s := mustOpenKV(t, path, ly, c.opts)
+				const n = 80
+				putN(t, s, 0, n)
+				if c.snapshot {
+					must(t, s.Snapshot())
+				}
+				alive := func(i int) bool { return i%4 == 0 }
+				deleteIf(t, s, n, func(i int) bool { return !alive(i) })
+				snaps := s.Stats().Snapshots
+				must(t, s.Compact())
+				if st := s.Stats(); st.Compactions == 0 || st.Snapshots != snaps+1 {
+					t.Fatalf("%d rewrites, %d -> %d snapshots; want rewrites and one covering snapshot",
+						st.Compactions, snaps, st.Snapshots)
+				}
+				must(t, s.Close())
+				s2 := mustOpenKV(t, path, ly, c.opts)
+				if rs := s2.RecoveryStats(); !rs.SnapshotLoaded || rs.RecordsReplayed != 0 || rs.StaleRescanned != 0 {
+					t.Fatalf("recovery stats = %+v, want the covering snapshot and nothing replayed", rs)
+				}
+				verifyLive(t, s2, n, alive)
+			})
+		}
+	})
+}
+
+// TestKVCompactReclaimsActiveSegment: garbage that sits only in the
+// active segment — every record of a store smaller than one segment —
+// is reclaimed by an explicit Compact, which seals the segment first.
+func TestKVCompactReclaimsActiveSegment(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		path := filepath.Join(t.TempDir(), "kv.log")
+		s := mustOpenKV(t, path, ly, KVOptions{})
+		const n = 60
+		putN(t, s, 0, n)
+		alive := func(i int) bool { return i%3 == 0 }
+		deleteIf(t, s, n, func(i int) bool { return !alive(i) })
+		before := s.Stats().LogBytes
+		must(t, s.Compact())
+		st := s.Stats()
+		if st.Compactions != 1 || st.LogBytes >= before {
+			t.Fatalf("compaction of the active segment: %d rewrites, %d -> %d bytes", st.Compactions, before, st.LogBytes)
+		}
+		if segs := segmentCount(t, ly, path); segs != 2 {
+			t.Fatalf("%d segments, want the sealed one and a fresh active one", segs)
+		}
+		// The tombstones' puts were in the rewritten segment itself, so
+		// nothing but the live puts is left.
+		if puts, tombs := countRecordKinds(t, ly, path); puts != n/3 || tombs != 0 {
+			t.Fatalf("%d puts and %d tombstones on disk, want the %d live puts alone", puts, tombs, n/3)
+		}
+		verifyLive(t, s, n, alive)
+		// A clean tail is left alone: nothing to seal, nothing to rewrite.
+		must(t, s.Compact())
+		if segs := segmentCount(t, ly, path); segs != 2 || s.Stats().Compactions != 1 {
+			t.Fatalf("a Compact with nothing to reclaim sealed or rewrote: %d segments, %d rewrites", segs, s.Stats().Compactions)
+		}
+		must(t, s.Close())
+		verifyLive(t, mustOpenKV(t, path, ly, KVOptions{}), n, alive)
+	})
+}
+
+// TestKVBackgroundPassSealsNothing: the background pass runs after
+// every tombstone batch and rewrites sealed segments only — were it to
+// seal, a daemon's log would be cut into a segment per batch. An
+// explicit Compact seals. With SnapshotEvery set as well (blobseerd's
+// defaults) the pass snapshots and rewrites exactly as before the
+// explicit seal existed: a snapshot every SnapshotEvery records, the
+// segment it sealed rewritten, and a covering snapshot after it.
+func TestKVBackgroundPassSealsNothing(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		for _, c := range []struct {
+			name                     string
+			snapshotEvery            int
+			segs, snaps, compactions int // after the loop
+		}{
+			{"CompactRatio", 0, 1, 0, 0},
+			{"CompactRatio+SnapshotEvery", 8, 5, 8, 4},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "kv.log")
+				// Options set after open: no background maintainer runs, the
+				// test drives the passes itself.
+				s := mustOpenKV(t, path, ly, KVOptions{})
+				s.opts.CompactRatio, s.opts.SnapshotEvery = 0.5, c.snapshotEvery
+				const n = 16
+				for i := 0; i < n; i++ {
+					putN(t, s, i, i+1)
+					must(t, s.Delete(tkey(ly, i)))
+					if !s.maintainPass() {
+						t.Fatal("maintainPass reported closed")
+					}
+				}
+				st := s.Stats()
+				if segs := segmentCount(t, ly, path); segs != c.segs || st.Snapshots != uint64(c.snaps) || st.Compactions != uint64(c.compactions) {
+					t.Fatalf("after %d nudged passes: %d segments, %d snapshots, %d rewrites; want %d, %d, %d",
+						n, segs, st.Snapshots, st.Compactions, c.segs, c.snaps, c.compactions)
+				}
+				// One more dead pair, no pass: the tail holds garbage.
+				putN(t, s, n, n+1)
+				must(t, s.Delete(tkey(ly, n)))
+				must(t, s.Compact())
+				if segs := segmentCount(t, ly, path); segs != c.segs+1 || s.Stats().Compactions != uint64(c.compactions)+1 {
+					t.Fatalf("explicit Compact: %d segments, %d rewrites; want %d, %d",
+						segs, s.Stats().Compactions, c.segs+1, c.compactions+1)
+				}
+				if puts, tombs := countRecordKinds(t, ly, path); puts != 0 || tombs != 0 {
+					t.Fatalf("%d puts and %d tombstones left of %d deleted keys", puts, tombs, n+1)
+				}
+				must(t, s.Close())
+				verifyLive(t, mustOpenKV(t, path, ly, KVOptions{}), n+1, func(int) bool { return false })
+			})
+		}
 	})
 }
 
