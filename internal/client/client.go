@@ -141,7 +141,10 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// Close releases the client's connections.
+// Close releases the client's connections. The page cache is left to
+// the garbage collector, not drained into the buffer pool: pooled
+// buffers outliving a measured run would be counted in the next run's
+// starting heap by internal/blast, which reads it after a single GC.
 func (c *Client) Close() { c.rpc.Close() }
 
 // MetaCacheStats reports the client metadata cache hit/miss counters

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
 )
@@ -15,8 +16,18 @@ import (
 // the only reason to evict is memory, and a hit is correct across any
 // set of snapshot versions.
 //
-// pageMu is a leaf lock: it is never held across an RPC, a cache fetch
-// or another acquisition. Waiter events are fired outside it.
+// A page lives in a pooled buffer (wire.Reader.Bytes32Pooled) and its
+// entry is reference-counted: the cache holds one reference while the
+// entry is resident, and every reader holds one while it copies out of
+// the page. acquire and complete hand out references, release and
+// eviction drop them, and whoever drops the last one returns the buffer
+// to the pool. A reference that is never dropped (a waiter whose context
+// ended) only leaves the buffer to the garbage collector; recycling a
+// buffer someone still reads is the one thing that is never done.
+//
+// pageMu is a leaf lock: it is never held across an RPC, a cache fetch,
+// a pool release or another acquisition. Waiter events are fired and
+// buffers recycled outside it.
 //
 //blobseer:lockorder pageMu
 type pageCache struct {
@@ -31,9 +42,12 @@ type pageCache struct {
 	flights map[wire.PageID]*pageFlight
 }
 
+// pageEntry is one fetched page. data is nil once the last reference
+// is gone and the buffer went back to the pool.
 type pageEntry struct {
 	id   wire.PageID
 	data []byte
+	refs int // guarded by pageMu
 }
 
 // pageFlight is one in-progress fetch; waiters joined after it started
@@ -42,10 +56,11 @@ type pageFlight struct {
 	waiters []vclock.Event
 }
 
-// flightResult is the payload delivered to single-flight waiters.
+// flightResult is the payload delivered to single-flight waiters: on
+// success the entry, with a reference the waiter must release.
 type flightResult struct {
-	data []byte
-	err  error
+	ent *pageEntry
+	err error
 }
 
 func newPageCache(sched vclock.Scheduler, capBytes int64, stats *readStats) *pageCache {
@@ -60,17 +75,20 @@ func newPageCache(sched vclock.Scheduler, capBytes int64, stats *readStats) *pag
 }
 
 // acquire resolves one page lookup three ways: a hit returns the cached
-// bytes; a join returns an event that fires with the in-flight fetch's
-// result; a lead (both returns nil) registers a new flight that the
-// caller must resolve with exactly one complete call — even on failure,
-// or joined waiters would block forever.
-func (pc *pageCache) acquire(id wire.PageID) (data []byte, wait vclock.Event, lead bool) {
+// entry with a reference the caller must release; a join returns an
+// event that fires with the in-flight fetch's result; a lead (both
+// returns nil) registers a new flight that the caller must resolve with
+// exactly one complete call — even on failure, or joined waiters would
+// block forever.
+func (pc *pageCache) acquire(id wire.PageID) (ent *pageEntry, wait vclock.Event, lead bool) {
 	pc.pageMu.Lock()
 	defer pc.pageMu.Unlock()
 	if el, ok := pc.entries[id]; ok {
 		pc.ll.MoveToFront(el)
 		pc.stats.hits.Add(1)
-		return el.Value.(*pageEntry).data, nil, false
+		ent := el.Value.(*pageEntry)
+		ent.refs++
+		return ent, nil, false
 	}
 	if fl, ok := pc.flights[id]; ok {
 		pc.stats.shares.Add(1)
@@ -83,63 +101,99 @@ func (pc *pageCache) acquire(id wire.PageID) (data []byte, wait vclock.Event, le
 	return nil, nil, true
 }
 
-// complete resolves the flight acquire registered: on success the page
-// is cached and every waiter receives the bytes; on failure waiters
-// receive the error and fetch for themselves (the leader's failure may
-// be private to it — a cancelled context, a connection it alone lost).
-func (pc *pageCache) complete(id wire.PageID, data []byte, err error) {
+// complete resolves the flight acquire registered. On success data —
+// a pooled buffer the cache now owns — becomes an entry holding one
+// reference for the leader, one per joined waiter and one for the cache
+// if it is retained; the leader's entry is returned for it to release,
+// and every waiter receives it. On failure waiters receive the error
+// and fetch for themselves (the leader's failure may be private to it —
+// a cancelled context, a connection it alone lost).
+func (pc *pageCache) complete(id wire.PageID, data []byte, err error) *pageEntry {
+	var ent *pageEntry
+	var spill [2][]byte // an insert usually evicts one page at most
+	evicted := spill[:0]
 	pc.pageMu.Lock()
 	fl := pc.flights[id]
 	delete(pc.flights, id)
 	if err == nil {
-		pc.insertLocked(id, data)
+		ent = &pageEntry{id: id, data: data, refs: 1}
+		if fl != nil {
+			ent.refs += len(fl.waiters)
+		}
+		evicted = pc.insertLocked(ent, evicted)
 	}
 	pc.pageMu.Unlock()
-	if fl == nil {
-		return
+	recycle(evicted)
+	if fl != nil {
+		for _, ev := range fl.waiters {
+			ev.Fire(flightResult{ent: ent, err: err})
+		}
 	}
-	for _, ev := range fl.waiters {
-		ev.Fire(flightResult{data: data, err: err})
+	return ent
+}
+
+// release drops a reader's reference; the last one recycles the page.
+func (pc *pageCache) release(ent *pageEntry) {
+	pc.pageMu.Lock()
+	data := pc.unrefLocked(ent)
+	pc.pageMu.Unlock()
+	if data != nil {
+		bufpool.PutBytes(data)
 	}
 }
 
-// insertLocked adds a page and evicts from the LRU tail past the byte
-// budget. A page larger than the whole budget is not retained.
-func (pc *pageCache) insertLocked(id wire.PageID, data []byte) {
-	if _, ok := pc.entries[id]; ok {
-		return // immutable: the stored bytes are already correct
+// unrefLocked drops one reference and, if it was the last, detaches
+// the buffer for the caller to recycle once pageMu is released.
+func (pc *pageCache) unrefLocked(ent *pageEntry) []byte {
+	ent.refs--
+	if ent.refs > 0 {
+		return nil
 	}
-	cost := pageBytes(data)
+	data := ent.data
+	ent.data = nil
+	return data
+}
+
+// insertLocked makes ent resident, taking the cache's reference, and
+// evicts from the LRU tail past the byte budget, dropping the cache's
+// reference on each victim; it appends to evicted the buffers whose
+// last reference that was. A page larger than the whole budget is not
+// retained.
+func (pc *pageCache) insertLocked(ent *pageEntry, evicted [][]byte) [][]byte {
+	if _, ok := pc.entries[ent.id]; ok {
+		return evicted // immutable: the resident copy is already correct
+	}
+	cost := pageBytes(ent.data)
 	if cost > pc.capBytes {
-		return
+		return evicted
 	}
-	el := pc.ll.PushFront(&pageEntry{id: id, data: data})
-	pc.entries[id] = el
+	ent.refs++
+	pc.entries[ent.id] = pc.ll.PushFront(ent)
 	pc.bytes += cost
 	for pc.bytes > pc.capBytes && pc.ll.Len() > 0 {
 		oldest := pc.ll.Back()
-		ent := oldest.Value.(*pageEntry)
+		victim := oldest.Value.(*pageEntry)
 		pc.ll.Remove(oldest)
-		pc.bytes -= pageBytes(ent.data)
-		delete(pc.entries, ent.id)
+		pc.bytes -= pageBytes(victim.data)
+		delete(pc.entries, victim.id)
+		if data := pc.unrefLocked(victim); data != nil {
+			evicted = append(evicted, data)
+		}
 	}
+	return evicted
 }
 
-// pageBytes is one entry's accounted memory cost: the page bytes plus
-// the id, list element and map slot overhead.
+// pageBytes is one entry's accounted memory cost: the page's whole
+// buffer — a pooled buffer for a short page takes up its size class —
+// plus the id, list element and map slot overhead. A resident entry
+// always holds its buffer (the cache's own reference keeps it).
 func pageBytes(data []byte) int64 {
-	return int64(len(data)) + 64
+	return int64(cap(data)) + 64
 }
 
-// Len and Bytes report the cache's current footprint (tests).
-func (pc *pageCache) Len() int {
-	pc.pageMu.Lock()
-	defer pc.pageMu.Unlock()
-	return pc.ll.Len()
-}
-
-func (pc *pageCache) Bytes() int64 {
-	pc.pageMu.Lock()
-	defer pc.pageMu.Unlock()
-	return pc.bytes
+// recycle returns page buffers nobody holds any more to the pool.
+func recycle(pages [][]byte) {
+	for _, p := range pages {
+		bufpool.PutBytes(p)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/core"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -78,12 +79,13 @@ func (c *Client) Read(ctx context.Context, id wire.BlobID, v wire.Version, buf [
 // and where those bytes land in the caller's buffer.
 type pageJob struct {
 	pr       core.PageRead
-	start    uint64 // first byte of the page within the blob
-	from, to uint64 // wanted range, absolute blob offsets
-	dst      []byte // destination, len == to-from
-	wholeLen uint64 // the page's content length in this snapshot
-	lead     bool   // fetch the whole page on behalf of the cache
-	done     bool   // lead only: the flight has been complete()d
+	start    uint64     // first byte of the page within the blob
+	from, to uint64     // wanted range, absolute blob offsets
+	dst      []byte     // destination, len == to-from
+	wholeLen uint64     // the page's content length in this snapshot
+	lead     bool       // fetch the whole page on behalf of the cache
+	done     bool       // lead only: the flight has been complete()d
+	ent      *pageEntry // lead only: the completed entry, for the copy-out
 	wait     vclock.Event
 }
 
@@ -130,10 +132,10 @@ func (c *Client) runPlan(ctx context.Context, plan []core.PageRead, ps, size uin
 			jobs = append(jobs, j)
 			continue
 		}
-		data, wait, _ := c.pages.acquire(pr.Page)
+		ent, wait, _ := c.pages.acquire(pr.Page)
 		switch {
-		case data != nil:
-			if err := copyFromPage(j, data); err != nil {
+		case ent != nil:
+			if err := c.copyOut(j, ent); err != nil {
 				return err
 			}
 		case wait != nil:
@@ -172,11 +174,19 @@ func (c *Client) runPlan(ctx context.Context, plan []core.PageRead, ps, size uin
 			}
 			continue
 		}
-		if err := copyFromPage(j, fr.data); err != nil {
+		if err := c.copyOut(j, fr.ent); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// copyOut copies the job's wanted range out of a cache entry the caller
+// holds a reference on, and releases that reference.
+func (c *Client) copyOut(j *pageJob, ent *pageEntry) error {
+	err := copyFromPage(j, ent.data)
+	c.pages.release(ent)
+	return err
 }
 
 // copyFromPage copies the job's wanted range out of whole-page bytes.
@@ -228,7 +238,9 @@ func (c *Client) batch(jobs []*pageJob) [][]*pageJob {
 // fetchBatch fetches one batch from the pages' (shared) replica set,
 // hedging and failing over between replicas, then lands the bytes in
 // the jobs' destinations and resolves any cache flights. Cache flights
-// are always resolved, success or failure.
+// are always resolved, success or failure. Every fetched page buffer is
+// given up right after its copy-out: a lead's to the cache entry it
+// became (released here), a direct fetch's to the pool.
 func (c *Client) fetchBatch(ctx context.Context, jobs []*pageJob) error {
 	datas, err := c.fetchHedged(ctx, jobs)
 	if err != nil {
@@ -242,25 +254,27 @@ func (c *Client) fetchBatch(ctx context.Context, jobs []*pageJob) error {
 		}
 		return err
 	}
-	// Resolve every lead's flight before copying anything out, so a copy
-	// error on one job cannot leave a later job's waiters blocked.
+	// Resolve every lead's flight before copying anything out, so no
+	// waiter of a later job waits on this batch's copies. A copy error
+	// does not stop the loop: every page is still released.
 	for i, j := range jobs {
 		if j.lead {
 			j.done = true
-			c.pages.complete(j.pr.Page, datas[i], nil)
+			j.ent = c.pages.complete(j.pr.Page, datas[i], nil)
 		}
 	}
 	for i, j := range jobs {
 		c.rstats.pagesFetched.Add(1)
 		if j.lead {
-			if err := copyFromPage(j, datas[i]); err != nil {
-				return err
+			if cerr := c.copyOut(j, j.ent); err == nil {
+				err = cerr
 			}
 			continue
 		}
 		copy(j.dst, datas[i])
+		bufpool.PutBytes(datas[i])
 	}
-	return nil
+	return err
 }
 
 // raceOutcome is the hedged race's event payload.
@@ -297,6 +311,7 @@ func (c *Client) fetchHedged(ctx context.Context, jobs []*pageJob) ([][]byte, er
 			mu.Lock()
 			if delivered {
 				mu.Unlock()
+				recycle(datas) // a losing attempt's pages: nobody else holds them
 				return
 			}
 			if err != nil {
@@ -367,7 +382,9 @@ func (c *Client) fetchHedged(ctx context.Context, jobs []*pageJob) ([][]byte, er
 // fetchFrom issues the batch to one provider — a plain GetPageReq for a
 // single page, a coalesced GetPagesReq otherwise — and validates the
 // answer. A page the provider does not hold is an error here: the race
-// fails this attempt over to a replica that does.
+// fails this attempt over to a replica that does. The pages it returns
+// are pooled buffers the caller owns; on an error it has recycled every
+// page the answer carried.
 func (c *Client) fetchFrom(ctx context.Context, addr string, jobs []*pageJob) ([][]byte, error) {
 	c.rstats.fetchRPCs.Add(1)
 	if len(jobs) == 1 {
@@ -379,6 +396,7 @@ func (c *Client) fetchFrom(ctx context.Context, addr string, jobs []*pageJob) ([
 		}
 		data := resp.(*wire.GetPageResp).Data
 		if uint64(len(data)) != j.wantLen() {
+			bufpool.PutBytes(data)
 			return nil, fmt.Errorf("page %d from %s: got %d bytes, want %d",
 				j.pr.Index, addr, len(data), j.wantLen())
 		}
@@ -397,16 +415,19 @@ func (c *Client) fetchFrom(ctx context.Context, addr string, jobs []*pageJob) ([
 	}
 	r := resp.(*wire.GetPagesResp)
 	if len(r.Found) != len(jobs) || len(r.Data) != len(jobs) {
+		recycle(r.Data)
 		return nil, fmt.Errorf("pages from %s: %d answers for %d ranges", addr, len(r.Found), len(jobs))
 	}
 	for i, j := range jobs {
 		if !r.Found[i] {
+			recycle(r.Data)
 			return nil, fmt.Errorf("page %d from %s: %w", j.pr.Index, addr,
 				wire.NewError(wire.CodeNotFound, "page not on this replica"))
 		}
-		if uint64(len(r.Data[i])) != j.wantLen() {
+		if got := len(r.Data[i]); uint64(got) != j.wantLen() {
+			recycle(r.Data)
 			return nil, fmt.Errorf("page %d from %s: got %d bytes, want %d",
-				j.pr.Index, addr, len(r.Data[i]), j.wantLen())
+				j.pr.Index, addr, got, j.wantLen())
 		}
 	}
 	return r.Data, nil

@@ -26,7 +26,7 @@ func readTuningOff() client.ReadTuning {
 // runSimCluster boots a simulated cluster under a virtual clock and runs
 // body inside it. All timing in body goes through the virtual clock, so
 // the test never sleeps wall-clock time.
-func runSimCluster(t *testing.T, cfg cluster.Config, body func(clock *vclock.Virtual, net *simnet.Net, cl *cluster.Cluster) error) {
+func runSimCluster(t testing.TB, cfg cluster.Config, body func(clock *vclock.Virtual, net *simnet.Net, cl *cluster.Cluster) error) {
 	t.Helper()
 	clock := vclock.NewVirtual(0)
 	net := simnet.New(clock, simnet.Config{LinkBps: 1e6, Latency: 100 * time.Microsecond})
@@ -357,6 +357,10 @@ func TestFailedReadLeavesNoFlights(t *testing.T) {
 	if n := c.PageFlights(); n != 0 {
 		t.Fatalf("failed read left %d unresolved flights", n)
 	}
+	// Nor a reference: every resident entry holds the cache's alone.
+	if err := c.CheckPageRefs(client.PageEntries{}); err != nil {
+		t.Fatalf("after the failed read: %v", err)
+	}
 
 	// The pages the failed read touched must still be readable; the
 	// timeout bounds the hang a leaked flight would cause.
@@ -368,6 +372,9 @@ func TestFailedReadLeavesNoFlights(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data) {
 		t.Fatal("bytes mismatch after recovery")
+	}
+	if err := c.CheckPageRefs(client.PageEntries{}); err != nil {
+		t.Fatalf("after recovery: %v", err)
 	}
 }
 

@@ -2,9 +2,14 @@ package client_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
+	"blobseer/internal/client"
 	"blobseer/internal/cluster"
+	"blobseer/internal/simnet"
+	"blobseer/internal/vclock"
 )
 
 // TestReplicatedWriteStoresAllCopies verifies that with PageReplication=2
@@ -106,6 +111,87 @@ func TestUnreplicatedReadFailsAfterProviderLoss(t *testing.T) {
 	if err := c.Read(ctxb(), id, v, got, 0); err == nil {
 		t.Fatal("read of a blob with a dead sole-copy provider unexpectedly succeeded")
 	}
+}
+
+// TestPartitionedReplicaFailsOverMidScan cuts a reader off from one of
+// three providers in the middle of a cached scan of a blob stored twice.
+// Fetches in flight to it are reset and later dials to it refused; the
+// scan must complete by failing over to the other copies, with every
+// byte right, no flight left behind and every cache entry accounted for.
+// Hedging is off, so the only extra fetches are failovers: the scan must
+// issue more of them than the same scan without the cut.
+func TestPartitionedReplicaFailsOverMidScan(t *testing.T) {
+	cfg := cluster.Config{
+		DataProviders:   3,
+		MetaProviders:   2, // node2 serves pages only: the cut spares the metadata
+		PageReplication: 2,
+		HeartbeatEvery:  time.Hour,
+		ClientRead:      client.ReadTuning{HedgeDelay: -1, PageCacheBytes: 64 << 10},
+	}
+	runSimCluster(t, cfg, func(clock *vclock.Virtual, net *simnet.Net, cl *cluster.Cluster) error {
+		ctx := ctxb()
+		w, err := cl.NewClient("writer")
+		if err != nil {
+			return err
+		}
+		const ps, pages, chunk = 4096, 48, 4 * 4096
+		id, err := w.Create(ctx, ps)
+		if err != nil {
+			return err
+		}
+		data := randomBytes(4, ps*pages)
+		v, err := w.Append(ctx, id, data)
+		if err != nil {
+			return err
+		}
+		if err := w.Sync(ctx, id, v); err != nil {
+			return err
+		}
+
+		scan := func(c *client.Client) error {
+			buf := make([]byte, chunk)
+			for off := 0; off < len(data); off += chunk {
+				if err := c.Read(ctx, id, v, buf, uint64(off)); err != nil {
+					return fmt.Errorf("read at %d: %w", off, err)
+				}
+				if !bytes.Equal(buf, data[off:off+chunk]) {
+					return fmt.Errorf("read at %d: bytes mismatch", off)
+				}
+			}
+			if n := c.PageFlights(); n != 0 {
+				return fmt.Errorf("%d unresolved flights", n)
+			}
+			return c.CheckPageRefs(client.PageEntries{})
+		}
+		healthy, err := cl.NewClient("reader0")
+		if err != nil {
+			return err
+		}
+		start := clock.Now()
+		if err := scan(healthy); err != nil {
+			return fmt.Errorf("healthy scan: %w", err)
+		}
+		elapsed := clock.Now() - start
+
+		c, err := cl.NewClient("reader1")
+		if err != nil {
+			return err
+		}
+		cut := clock.NewEvent()
+		clock.Go(func() {
+			clock.Sleep(elapsed / 3)
+			net.Partition("reader1", "node2")
+			cut.Fire(nil)
+		})
+		if err := scan(c); err != nil {
+			return fmt.Errorf("scan across the cut: %w", err)
+		}
+		cut.Wait(nil)
+		if got, base := c.PageCacheStats().FetchRPCs, healthy.PageCacheStats().FetchRPCs; got <= base {
+			return fmt.Errorf("scan across the cut made %d fetch RPCs, the healthy scan %d: nothing failed over", got, base)
+		}
+		return nil
+	})
 }
 
 // TestReplicationDegradedSingleProvider checks that a cluster smaller than

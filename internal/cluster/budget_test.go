@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"blobseer/internal/client"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 )
@@ -146,11 +147,13 @@ func TestControlPathAllocBudget(t *testing.T) {
 // TestScanAllocBudget pins what a cold sequential read costs the whole
 // system in heap: the benchmark's scan_cold shape, a 1 MiB read of 16
 // 64 KiB pages none of which the client has seen, coalesced into one
-// GET_PAGES per provider. The client keeps each page once, at exact
-// size, in its page cache — 1 MiB, the floor while that cache owns its
-// buffers; the providers read into recycled buffers and the frames are
-// recycled on both sides, so everything else is the metadata descent
-// and per-call fixed cost. The budget is about 1.25 x what the code
+// GET_PAGES per provider. The client keeps each page once, in a pooled
+// buffer, in a page cache with room for every page the test reads: it
+// never evicts, so nothing comes back to the pool and every read takes
+// 1 MiB of fresh buffers — the floor of a cache that is still filling.
+// The providers read into recycled buffers and the frames are recycled
+// on both sides, so everything else is the metadata descent and
+// per-call fixed cost. The budget is about 1.25 x what the code
 // measured when it was set (1.04 MiB; 2.04 MiB while the durable
 // engine's Get still allocated every page it served).
 func TestScanAllocBudget(t *testing.T) {
@@ -204,5 +207,70 @@ func TestScanAllocBudget(t *testing.T) {
 	t.Logf("cold 1 MiB read: %.0f B (%.2f MiB) per op", gotBytes, gotBytes/(1<<20))
 	if budget := 1.3 * (1 << 20); gotBytes > budget {
 		t.Errorf("a cold 1 MiB read costs %.0f B of heap, budget %.0f", gotBytes, budget)
+	}
+}
+
+// TestScanChurnAllocBudget pins what a cold 1 MiB read costs once the
+// page cache is full: the reader's cache holds two of the blob's eight
+// 1 MiB chunks, so every page a read inserts evicts one an earlier read
+// fetched, and that page's buffer goes back to the pool for the next
+// fetch to decode into. What is left is the metadata descent and the
+// per-call fixed cost. The code measured 17-62 KB per read across runs
+// when the budget was set (the spread is how often a fetch finds a
+// released buffer in the pool), and 1.02-1.05 MiB while the cache kept
+// every page in an exact-size buffer of its own and left it to the
+// collector.
+func TestScanChurnAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of what it is given")
+	}
+	const pageSize, readSize, chunks = 64 << 10, 1 << 20, 8
+	cl := durableCluster(t)
+	writer, err := cl.NewClient("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := cl.NewClientCfg("", func(c *client.Config) {
+		c.Read.PageCacheBytes = 2 * readSize
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	id, err := writer.Create(ctx, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := make([]byte, readSize)
+	var v uint64
+	for i := 0; i < chunks; i++ {
+		for j := range chunk {
+			chunk[j] = byte(i + j*7)
+		}
+		if v, err = writer.Append(ctx, id, chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writer.Sync(ctx, id, v); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	read := func() {
+		i := next % chunks
+		if err := reader.Read(ctx, id, v, chunk, uint64(i)*readSize); err != nil {
+			t.Fatal(err)
+		}
+		if chunk[0] != byte(i) || chunk[readSize-1] != byte(i+(readSize-1)*7) {
+			t.Fatalf("read %d returned another chunk's bytes", next)
+		}
+		next++
+	}
+	for i := 0; i < chunks; i++ { // one pass fills the cache and the pools
+		read()
+	}
+	gotBytes, _ := heapPerOp(2*chunks, read)
+	t.Logf("1 MiB read past a full cache: %.0f B per op", gotBytes)
+	if budget := 128.0 * 1024; gotBytes > budget {
+		t.Errorf("a 1 MiB read past a full cache costs %.0f B of heap, budget %.0f", gotBytes, budget)
 	}
 }

@@ -14,14 +14,21 @@
 // Buffer ownership: a page's bytes are allocated once, on the side that
 // keeps them. Frames are marshalled in place into their destination
 // buffer and every frame body read off a connection — plus every
-// response frame a server builds, plus every page a durable store reads
-// for a GET — lives in a recycled buffer (internal/bufpool), released
-// by exactly one owner:
+// response frame a server builds, every page a durable store reads for
+// a GET and every page a client decodes — lives in a recycled buffer
+// (internal/bufpool), released by exactly one owner:
 //
 //   - a response body, by the client's read loop right after
 //     wire.Decode — or undecoded, when the caller has given up — on
 //     every exit of the iteration. Responses decode by copy, so what a
 //     caller receives never aliases a recycled buffer.
+//   - a decoded page (GetPageResp.Data, GetPagesResp.Data[i]), by the
+//     caller that received it: the page is copied into a buffer of its
+//     own from the same pool, which the caller either keeps or hands
+//     back once with bufpool.PutBytes when nothing reads it any more.
+//     The client's read path recycles a page right after its copy-out,
+//     and its page cache recycles an evicted page once the last reader
+//     copying out of it lets go.
 //   - a request body, by the server's per-request goroutine once the
 //     response is encoded (or on any earlier exit). A decoded
 //     PutPageReq.Data, a decoded DHTMultiPutReq's keys and values and a

@@ -21,6 +21,7 @@ const completionEpsilon = 0.5
 type conn struct {
 	a2b *connDir
 	b2a *connDir
+	ord uint64 // the connection's ordinal on its link, from dialer to listener
 }
 
 // endpoint is one side's view of a conn, implementing transport.Conn.
@@ -37,16 +38,20 @@ func (e *endpoint) Write(p []byte) (int, error) { return e.wr.write(p) }
 func (e *endpoint) Close() error {
 	e.wr.close()
 	e.rd.close()
+	n := e.wr.net
+	n.mu.Lock()
+	delete(n.conns, e.wr.conn)
+	n.mu.Unlock()
 	return nil
 }
 
-// newConnPair creates a connection between src and dst nodes and returns
-// the two endpoints (dialer side first).
-func (n *Net) newConnPair(src, dst *node) (*endpoint, *endpoint) {
-	c := &conn{
-		a2b: newConnDir(n, src, dst),
-		b2a: newConnDir(n, dst, src),
-	}
+// newConnPairLocked creates connection ord between src and dst nodes
+// and returns the two endpoints (dialer side first).
+func (n *Net) newConnPairLocked(src, dst *node, ord uint64) (*endpoint, *endpoint) {
+	c := &conn{ord: ord}
+	c.a2b = newConnDir(n, c, src, dst, streamKey(src.name, dst.name, ord, streamDialerWrites))
+	c.b2a = newConnDir(n, c, dst, src, streamKey(src.name, dst.name, ord, streamListenerWrites))
+	n.conns[c] = struct{}{}
 	return &endpoint{wr: c.a2b, rd: c.b2a}, &endpoint{wr: c.b2a, rd: c.a2b}
 }
 
@@ -55,17 +60,22 @@ func (n *Net) newConnPair(src, dst *node) (*endpoint, *endpoint) {
 type connDir struct {
 	net  *Net
 	flow *flow
+	conn *conn
+	key  uint64 // the fault plan's draw stream for this direction
 
 	// Receiver state, guarded by net.mu.
-	recv     []byte
-	recvOff  int
-	reader   vclock.Event // blocked reader, if any
-	closed   bool         // no more writes; reader drains then EOF
-	inFlight int          // segments drained but not yet delivered
+	recv      []byte
+	recvOff   int
+	reader    vclock.Event  // blocked reader, if any
+	closed    bool          // no more writes; reader drains then EOF
+	reset     bool          // reads and writes fail with ErrConnReset
+	pending   [][]byte      // segments drained but not yet delivered, in order
+	deliverAt time.Duration // when the last pending segment is delivered
+	segs      uint64        // segments the fault plan has drawn for
 }
 
-func newConnDir(n *Net, src, dst *node) *connDir {
-	d := &connDir{net: n}
+func newConnDir(n *Net, c *conn, src, dst *node, key uint64) *connDir {
+	d := &connDir{net: n, conn: c, key: key}
 	d.flow = &flow{dir: d, src: src, dst: dst, loopback: src == dst}
 	return d
 }
@@ -90,7 +100,8 @@ type flow struct {
 // segment is the unit of transfer: one Write call.
 type segment struct {
 	data   []byte
-	writer vclock.Event // fired when the segment has drained
+	writer vclock.Event  // fired when the segment has drained
+	extra  time.Duration // latency a fault adds to its delivery
 }
 
 // write enqueues p as one segment and blocks until it has drained at the
@@ -102,14 +113,23 @@ func (d *connDir) write(p []byte) (int, error) {
 	n := d.net
 	seg := &segment{data: append([]byte(nil), p...), writer: n.clock.NewNamedEvent("simnet-write")}
 	n.mu.Lock()
+	if d.reset {
+		n.mu.Unlock()
+		return 0, ErrConnReset
+	}
 	if d.closed || n.closed {
 		n.mu.Unlock()
 		return 0, ErrConnClosed
 	}
+	now := n.clock.Now()
+	if wake, reset := n.segmentFaultsLocked(d, seg, now); reset {
+		n.mu.Unlock()
+		wake.fire()
+		return 0, ErrConnReset
+	}
 	f := d.flow
 	f.segs = append(f.segs, seg)
 	if !f.active {
-		now := n.clock.Now()
 		n.activateLocked(f, now)
 		n.rearmLocked(now)
 	}
@@ -129,6 +149,10 @@ func (d *connDir) read(p []byte) (int, error) {
 	n := d.net
 	for {
 		n.mu.Lock()
+		if d.reset {
+			n.mu.Unlock()
+			return 0, ErrConnReset
+		}
 		if avail := len(d.recv) - d.recvOff; avail > 0 {
 			nb := copy(p, d.recv[d.recvOff:])
 			d.recvOff += nb
@@ -139,7 +163,7 @@ func (d *connDir) read(p []byte) (int, error) {
 			n.mu.Unlock()
 			return nb, nil
 		}
-		if d.closed && len(d.flow.segs) == 0 && d.inFlight == 0 {
+		if d.closed && len(d.flow.segs) == 0 && len(d.pending) == 0 {
 			n.mu.Unlock()
 			return 0, io.EOF
 		}
@@ -151,6 +175,12 @@ func (d *connDir) read(p []byte) (int, error) {
 		d.reader = ev
 		n.mu.Unlock()
 		if _, err := ev.Wait(nil); err != nil {
+			// The simulation stopped; a later close must not fire ev.
+			n.mu.Lock()
+			if d.reader == ev {
+				d.reader = nil
+			}
+			n.mu.Unlock()
 			return 0, err
 		}
 	}
@@ -303,9 +333,7 @@ func (n *Net) pumpLocked(now time.Duration) {
 		}
 		seg := f.segs[0]
 		f.segs = f.segs[1:]
-		d := f.dir
-		d.inFlight++
-		n.scheduleDeliveryLocked(d, seg.data)
+		n.scheduleDeliveryLocked(f.dir, seg, now)
 		seg.writer.Fire(nil)
 		if len(f.segs) == 0 {
 			n.deactivateLocked(f, now)
@@ -369,23 +397,32 @@ func (n *Net) rearmLocked(now time.Duration) {
 	})
 }
 
-// scheduleDeliveryLocked makes data readable at dst after the propagation
-// latency.
-func (n *Net) scheduleDeliveryLocked(d *connDir, data []byte) {
+// scheduleDeliveryLocked makes a drained segment readable at dst after
+// the propagation latency plus any delay a fault added, and never before
+// the segments ahead of it. Each delivery timer hands over the oldest
+// pending segment, so segments due at the same instant keep their order.
+func (n *Net) scheduleDeliveryLocked(d *connDir, seg *segment, now time.Duration) {
 	lat := n.cfg.Latency
 	if d.flow.loopback {
 		lat = n.cfg.LoopbackLatency
 	}
+	d.deliverAt = max(d.deliverAt, now+lat+seg.extra)
+	d.pending = append(d.pending, seg.data)
 	ev := n.clock.NewNamedEvent("simnet-deliver")
-	n.clock.FireAt(ev, lat)
+	n.clock.FireAt(ev, d.deliverAt-now)
 	//blobseer:goroutine detached the delivery parks only on its own FireAt timer, which the virtual clock always delivers (or force-fails at Stop), so it cannot outlive the simulation it belongs to
 	n.clock.Go(func() {
 		if _, err := ev.Wait(nil); err != nil {
 			return
 		}
 		n.mu.Lock()
-		d.inFlight--
-		d.recv = append(d.recv, data...)
+		if len(d.pending) == 0 { // a reset dropped it
+			n.mu.Unlock()
+			return
+		}
+		d.recv = append(d.recv, d.pending[0]...)
+		d.pending[0] = nil
+		d.pending = d.pending[1:]
 		reader := d.reader
 		d.reader = nil
 		n.mu.Unlock()
@@ -403,10 +440,19 @@ type completionEntry struct {
 	gen uint64
 }
 
+// completionHeap orders entries by time, then by connection direction:
+// which of two flows due at the same instant completes first decides
+// which one a retune pushes a nanosecond later, so the order must not
+// depend on the order the entries were pushed in.
 type completionHeap []completionEntry
 
-func (h completionHeap) Len() int            { return len(h) }
-func (h completionHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
+func (h completionHeap) Len() int { return len(h) }
+func (h completionHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].f.dir.key < h[j].f.dir.key
+}
 func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(completionEntry)) }
 func (h *completionHeap) Pop() interface{} {

@@ -23,6 +23,13 @@
 //
 // The defaults mirror the paper's measured figures: 117.5 MB/s TCP
 // throughput on the 1 Gbit/s links and 0.1 ms latency.
+//
+// # Faults
+//
+// Config.Faults is a seeded plan of link faults — extra delay, reset
+// connections, partitions and refused dials — that one seed replays bit
+// for bit (see FaultPlan); Net.Partition and Net.Heal cut and restore a
+// link by script. Without a plan the network never fails on its own.
 package simnet
 
 import (
@@ -51,6 +58,8 @@ type Config struct {
 	// LoopbackLatency is the delay between co-located endpoints
 	// (default 25 µs).
 	LoopbackLatency time.Duration
+	// Faults is the seeded fault plan; the zero value injects none.
+	Faults FaultPlan
 }
 
 func (c *Config) fillDefaults() {
@@ -83,6 +92,11 @@ type Net struct {
 	armedAt     time.Duration  // when the pending watcher fires
 	watchGen    uint64
 	closed      bool
+
+	conns    map[*conn]struct{}          // established, neither closed nor reset
+	dials    map[[2]string]uint64        // dials so far per (dialer, listener) node pair
+	cuts     map[[2]string]time.Duration // cut links (see link) and when they heal
+	injected []Fault
 }
 
 // New builds a simulated network driven by clock.
@@ -93,6 +107,9 @@ func New(clock *vclock.Virtual, cfg Config) *Net {
 		cfg:       cfg,
 		nodes:     make(map[string]*node),
 		listeners: make(map[string]*listener),
+		conns:     make(map[*conn]struct{}),
+		dials:     make(map[[2]string]uint64),
+		cuts:      make(map[[2]string]time.Duration),
 	}
 }
 
@@ -167,11 +184,20 @@ func (h *Host) Listen(service string) (transport.Listener, error) {
 }
 
 // Dial implements transport.Network. It charges one round trip of latency
-// for connection establishment.
+// for connection establishment, after which a refusal drawn by the fault
+// plan, or a cut link, fails it with ErrRefused.
 func (h *Host) Dial(_ context.Context, addr string) (transport.Conn, error) {
 	n := h.net
 	n.mu.Lock()
 	l, ok := n.listeners[addr]
+	var ord uint64
+	refused := false
+	if ok {
+		pair := [2]string{h.node.name, l.host.node.name}
+		ord = n.dials[pair]
+		n.dials[pair]++
+		refused = n.dialRefusedLocked(h.node, l.host.node, ord, n.clock.Now())
+	}
 	n.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("simnet: dial %q: %w", addr, transport.ErrUnknownAddress)
@@ -180,10 +206,16 @@ func (h *Host) Dial(_ context.Context, addr string) (transport.Conn, error) {
 	if h.node == l.host.node {
 		lat = n.cfg.LoopbackLatency
 	}
-	if err := n.clock.Sleep(2 * lat); err != nil { // SYN + SYN/ACK
+	if err := n.clock.Sleep(2 * lat); err != nil { // SYN + SYN/ACK (or RST)
 		return nil, err
 	}
-	client, server := n.newConnPair(h.node, l.host.node)
+	n.mu.Lock()
+	if refused || n.isCutLocked(h.node.name, l.host.node.name, n.clock.Now()) {
+		n.mu.Unlock()
+		return nil, fmt.Errorf("simnet: dial %q: %w", addr, ErrRefused)
+	}
+	client, server := n.newConnPairLocked(h.node, l.host.node, ord)
+	n.mu.Unlock()
 	if err := l.deliver(server); err != nil {
 		client.Close()
 		return nil, err

@@ -3,6 +3,8 @@ package wire
 import (
 	"fmt"
 	"testing"
+
+	"blobseer/internal/bufpool"
 )
 
 // benchMsgs are the two bulk kinds of the page path — a page going in,
@@ -50,7 +52,9 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 // BenchmarkDecode decodes a body the way the rpc layer does: PutPageReq
-// aliases it, GetPagesResp copies each page out of it.
+// aliases it, GetPagesResp copies each page out of it into a pooled
+// buffer, which the benchmark hands back once decoded, as the client's
+// read path does after its copy-out.
 func BenchmarkDecode(b *testing.B) {
 	for _, bm := range benchMsgs() {
 		m := bm.m
@@ -62,6 +66,11 @@ func BenchmarkDecode(b *testing.B) {
 				got, err := Decode(m.Kind(), body)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if r, ok := got.(*GetPagesResp); ok {
+					for _, p := range r.Data {
+						bufpool.PutBytes(p)
+					}
 				}
 				benchSink = got
 			}

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"blobseer/internal/bufpool"
 )
 
 // ErrTruncated is returned when a message body ends before all declared
@@ -193,7 +195,8 @@ func (r *Reader) Uint64() uint64 {
 // from (for a request, until its handler returns). Only PutPageReq.Data,
 // DHTMultiPutReq's keys and values and DHTMultiGetReq's keys decode
 // this way — the stores behind them copy what they keep, and a lookup
-// keeps nothing; every other field uses Bytes32Copy.
+// keeps nothing; page payloads in responses use Bytes32Pooled and every
+// other field uses Bytes32Copy.
 func (r *Reader) Bytes32() []byte {
 	n := r.Uint32()
 	if r.err != nil {
@@ -208,13 +211,31 @@ func (r *Reader) Bytes32() []byte {
 
 // Bytes32Copy decodes a length-prefixed byte slice into fresh storage of
 // exactly its length, owned by the decoded message: it outlives the
-// input and may be retained (DHT values, cached pages).
+// input and may be retained (DHT values and keys, the small fields).
 func (r *Reader) Bytes32Copy() []byte {
 	p := r.Bytes32()
 	if p == nil {
 		return nil
 	}
 	out := make([]byte, len(p))
+	copy(out, p)
+	return out
+}
+
+// Bytes32Pooled decodes a length-prefixed byte slice into a buffer from
+// bufpool.GetBytes; an empty field decodes as nil. Like Bytes32Copy it
+// never aliases the input. The buffer belongs to whoever receives the
+// decoded message, who either keeps it or hands it back once with
+// bufpool.PutBytes after the last read of it — never both. Only page
+// payloads decode this way (GetPageResp.Data, GetPagesResp.Data): the
+// client's page cache recycles a page it evicts once no reader is
+// copying out of it.
+func (r *Reader) Bytes32Pooled() []byte {
+	p := r.Bytes32()
+	if len(p) == 0 {
+		return nil
+	}
+	out := bufpool.GetBytes(len(p))
 	copy(out, p)
 	return out
 }

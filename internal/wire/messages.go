@@ -193,7 +193,9 @@ type Decoder struct{ r Reader }
 // every field it decodes except PutPageReq.Data, DHTMultiPutReq's keys
 // and values and DHTMultiGetReq's keys, which alias body: the requests
 // whose handlers copy what they keep into storage of their own anyway,
-// or keep nothing.
+// or keep nothing. A decoded GetPageResp.Data or GetPagesResp.Data[i]
+// is a pooled buffer that aliases nothing: its receiver may keep it, or
+// hand it back once with bufpool.PutBytes when nothing reads it any more.
 func (d *Decoder) Decode(k Kind, body []byte) (Msg, error) {
 	m := New(k)
 	if m == nil {
@@ -305,7 +307,8 @@ func (m *GetPageReq) unmarshal(r *Reader) {
 	m.Length = r.Uint32()
 }
 
-// GetPageResp carries the requested page bytes.
+// GetPageResp carries the requested page bytes. Decoded, Data is a
+// pooled buffer (Reader.Bytes32Pooled), nil when empty.
 type GetPageResp struct{ Data []byte }
 
 // Kind implements Msg.
@@ -313,7 +316,7 @@ func (*GetPageResp) Kind() Kind { return KindGetPageResp }
 
 // MarshalTo implements Msg.
 func (m *GetPageResp) MarshalTo(w *Writer) { w.Bytes32(m.Data) }
-func (m *GetPageResp) unmarshal(r *Reader) { m.Data = r.Bytes32Copy() }
+func (m *GetPageResp) unmarshal(r *Reader) { m.Data = r.Bytes32Pooled() }
 func (m *GetPageResp) bodySize() int       { return 4 + len(m.Data) }
 
 // HasPageReq asks whether the provider stores a page.
@@ -1366,7 +1369,8 @@ func (m *GetPagesReq) unmarshal(r *Reader) {
 // GetPagesResp answers GetPagesReq entry-for-entry: Found[i] says
 // whether the provider holds Ranges[i].Page, and Data[i] carries its
 // bytes (empty when absent). A missing page is per-entry data, not an
-// error, so one cold replica cannot fail a whole batch.
+// error, so one cold replica cannot fail a whole batch. Decoded, each
+// Data[i] is a pooled buffer (Reader.Bytes32Pooled), nil when empty.
 type GetPagesResp struct {
 	Found []bool
 	Data  [][]byte
@@ -1394,7 +1398,7 @@ func (m *GetPagesResp) unmarshal(r *Reader) {
 	m.Data = make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		m.Found = append(m.Found, r.Bool())
-		m.Data = append(m.Data, r.Bytes32Copy())
+		m.Data = append(m.Data, r.Bytes32Pooled())
 	}
 }
 

@@ -335,6 +335,52 @@ func TestErrorHelpers(t *testing.T) {
 	}
 }
 
+// TestPooledPagesNeverAliasBody decodes page-carrying responses and
+// then overwrites the body they were decoded from, as the rpc read loop
+// does when it recycles the frame: every decoded page must keep its
+// bytes. An absent page and an empty page decode as nil, never as an
+// empty slice of the body.
+func TestPooledPagesNeverAliasBody(t *testing.T) {
+	pages := [][]byte{
+		bytes.Repeat([]byte{0x11}, 64<<10),
+		nil,
+		bytes.Repeat([]byte{0x33}, 700),
+		{0x44},
+	}
+	body := AppendMsg(nil, &GetPagesResp{Found: []bool{true, false, true, true}, Data: pages})
+	m, err := Decode(KindGetPagesResp, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(body)
+	got := m.(*GetPagesResp)
+	for i, want := range pages {
+		if !bytes.Equal(got.Data[i], want) {
+			t.Fatalf("page %d changed with the body it was decoded from", i)
+		}
+	}
+	if got.Found[1] || got.Data[1] != nil {
+		t.Fatalf("absent page decoded as found=%v data=%#v, want false, nil", got.Found[1], got.Data[1])
+	}
+
+	one := AppendMsg(nil, &GetPageResp{Data: []byte("page")})
+	m, err = Decode(KindGetPageResp, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(one)
+	if d := m.(*GetPageResp).Data; string(d) != "page" {
+		t.Fatalf("GetPageResp.Data = %q after the body was overwritten", d)
+	}
+	m, err = Decode(KindGetPageResp, AppendMsg(nil, &GetPageResp{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := m.(*GetPageResp).Data; d != nil {
+		t.Fatalf("empty GetPageResp.Data = %#v, want nil", d)
+	}
+}
+
 // TestBodySizeMatchesEncoding pins BodySize, which restates the layout
 // of the page-carrying kinds by hand, to what they really marshal to:
 // an under-count brings buffer regrowth back, an over-count could refuse
