@@ -21,15 +21,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// Test-only accessors: failure-injection tests kill individual services of
-// an embedded cluster to verify the replication extensions end to end.
-
-// KillDataProvider stops data provider i; its pages become unreachable.
-func (c *Cluster) KillDataProvider(i int) { c.inner.Providers[i].Close() }
-
-// KillMetaNode stops metadata (DHT) node i; tree nodes whose only replica
-// lives there become unreachable.
-func (c *Cluster) KillMetaNode(i int) { c.inner.MetaNodes[i].Close() }
+// Kill stops one service of the embedded cluster, named as
+// cluster.Cluster.Kill names it ("data", "metadata", ...): failure-injection
+// tests kill a data provider or a metadata node to verify the replication
+// extensions end to end. Test-only.
+func (c *Cluster) Kill(role string, i int) error { return c.inner.Kill(role, i) }
 
 // DataProviderCount returns the number of data providers in the cluster.
 func (c *Cluster) DataProviderCount() int { return len(c.inner.Providers) }

@@ -51,7 +51,9 @@ func TestFailoverPageReplication(t *testing.T) {
 	if err := blob.Sync(ctx, v); err != nil {
 		t.Fatal(err)
 	}
-	cl.KillDataProvider(2)
+	if err := cl.Kill("data", 2); err != nil {
+		t.Fatal(err)
+	}
 	got := make([]byte, len(data))
 	if err := blob.Read(ctx, v, got, 0); err != nil {
 		t.Fatalf("read after data provider death: %v", err)
@@ -85,7 +87,9 @@ func TestFailoverMetadataReplication(t *testing.T) {
 	if err := blob.Sync(ctx, v); err != nil {
 		t.Fatal(err)
 	}
-	cl.KillMetaNode(1)
+	if err := cl.Kill("metadata", 1); err != nil {
+		t.Fatal(err)
+	}
 	// A fresh client (empty metadata cache) must still resolve the whole
 	// tree from the surviving replicas.
 	c2, err := (&clusterClientFactory{cl}).fresh(t)
@@ -135,7 +139,9 @@ func TestNoReplicationNoSurvival(t *testing.T) {
 	if err := blob.Sync(ctx, v); err != nil {
 		t.Fatal(err)
 	}
-	cl.KillDataProvider(0)
+	if err := cl.Kill("data", 0); err != nil {
+		t.Fatal(err)
+	}
 	got := make([]byte, len(data))
 	if err := blob.Read(ctx, v, got, 0); err == nil {
 		t.Fatal("read succeeded although half the pages lost their only copy")

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"blobseer/internal/bufpool"
@@ -13,15 +14,27 @@ import (
 
 // TestMain runs the package's tests with released buffers poisoned, so
 // a page the cache recycled while a reader was still copying out of it
-// reads garbage every time instead of rarely. Benchmarks measure the
-// unpoisoned path.
+// reads garbage every time instead of rarely, and with every page
+// recycle counted. Benchmarks measure the unpoisoned path.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if flag.Lookup("test.bench").Value.String() == "" {
 		bufpool.PoisonReleased()
 	}
+	put := putPage
+	putPage = func(b []byte) {
+		pagesRecycled.Add(1)
+		put(b)
+	}
 	os.Exit(m.Run())
 }
+
+var pagesRecycled atomic.Int64
+
+// PagesRecycled reports how many page buffers the package has handed
+// back to the pool through putPage: the page cache's evictions and last
+// releases, and the losing or invalid answers of a fetch.
+func PagesRecycled() int64 { return pagesRecycled.Load() }
 
 // AssignOnly registers an append with the version manager and walks
 // away — test-only, to manufacture an abandoned in-flight version.
@@ -67,16 +80,31 @@ func (c *Client) Observe(seen PageEntries) {
 	}
 	c.pages.pageMu.Lock()
 	defer c.pages.pageMu.Unlock()
-	for el := c.pages.ll.Front(); el != nil; el = el.Next() {
-		seen[el.Value.(*pageEntry)] = struct{}{}
+	for _, seg := range []*segment{&c.pages.probation, &c.pages.protected} {
+		for el := seg.ll.Front(); el != nil; el = el.Next() {
+			seen[el.Value.(*pageEntry)] = struct{}{}
+		}
 	}
 }
 
-// CheckPageRefs checks the page cache's reference accounting once every
-// read has returned: each resident entry holds exactly the cache's own
-// reference and its buffer, and each entry in seen that was evicted
-// holds none and has given its buffer back. It also checks the byte
-// account against the resident entries.
+// PageSegments reports how many pages the cache holds in probation
+// (read once since fetched or demoted) and in protected (hit since).
+func (c *Client) PageSegments() (probation, protected int) {
+	if c.pages == nil {
+		return 0, 0
+	}
+	c.pages.pageMu.Lock()
+	defer c.pages.pageMu.Unlock()
+	return c.pages.probation.ll.Len(), c.pages.protected.ll.Len()
+}
+
+// CheckPageRefs checks the page cache's accounting once every read has
+// returned. Each resident entry holds exactly the cache's own reference
+// and its buffer, and each entry in seen that was evicted holds none and
+// has given its buffer back. Each segment's byte account matches its
+// entries, whose hot flag names the segment, the entry map holds both
+// segments, protected stays within its three quarters and the two
+// together within the budget.
 func (c *Client) CheckPageRefs(seen PageEntries) error {
 	if c.pages == nil {
 		return nil
@@ -85,18 +113,33 @@ func (c *Client) CheckPageRefs(seen PageEntries) error {
 	pc := c.pages
 	pc.pageMu.Lock()
 	defer pc.pageMu.Unlock()
-	var bytes int64
-	for el := pc.ll.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*pageEntry)
-		if ent.refs != 1 || ent.data == nil {
-			return fmt.Errorf("resident page %v: refs %d, buffer held %v; want 1, true",
-				ent.id, ent.refs, ent.data != nil)
+	for _, s := range []struct {
+		name string
+		seg  *segment
+		hot  bool
+	}{{"probation", &pc.probation, false}, {"protected", &pc.protected, true}} {
+		var bytes int64
+		for el := s.seg.ll.Front(); el != nil; el = el.Next() {
+			ent := el.Value.(*pageEntry)
+			if ent.refs != 1 || ent.data == nil {
+				return fmt.Errorf("resident page %v: refs %d, buffer held %v; want 1, true",
+					ent.id, ent.refs, ent.data != nil)
+			}
+			if ent.hot != s.hot || pc.entries[ent.id] != el {
+				return fmt.Errorf("page %v in %s: hot %v, indexed %v", ent.id, s.name, ent.hot, pc.entries[ent.id] == el)
+			}
+			bytes += pageBytes(ent.data)
 		}
-		bytes += pageBytes(ent.data)
+		if bytes != s.seg.bytes {
+			return fmt.Errorf("%s accounts %d bytes, its entries hold %d", s.name, s.seg.bytes, bytes)
+		}
 	}
-	if bytes != pc.bytes || len(pc.entries) != pc.ll.Len() {
-		return fmt.Errorf("cache accounts %d bytes in %d entries, resident entries hold %d bytes in %d",
-			pc.bytes, len(pc.entries), bytes, pc.ll.Len())
+	if n := pc.probation.ll.Len() + pc.protected.ll.Len(); len(pc.entries) != n {
+		return fmt.Errorf("cache indexes %d entries, its segments hold %d", len(pc.entries), n)
+	}
+	if pc.protected.bytes > pc.capBytes-pc.probCap || pc.probation.bytes+pc.protected.bytes > pc.capBytes {
+		return fmt.Errorf("probation %d + protected %d bytes past a budget of %d (protected's share %d)",
+			pc.probation.bytes, pc.protected.bytes, pc.capBytes, pc.capBytes-pc.probCap)
 	}
 	for ent := range seen {
 		if el, ok := pc.entries[ent.id]; ok && el.Value.(*pageEntry) == ent {

@@ -44,7 +44,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // four shared pages, half pages of their own, at unaligned offsets. Every
 // insert evicts, so pages are evicted while other readers copy out of
 // them. Every byte is checked, and afterwards every entry observed along
-// the way is accounted for.
+// the way is accounted for, and every page fetched and not resident was
+// recycled exactly once.
 func TestEvictionRacesCopyOut(t *testing.T) {
 	const ps, pages = 4096, 64
 	_, c := newCluster(t, cluster.Config{
@@ -67,6 +68,7 @@ func TestEvictionRacesCopyOut(t *testing.T) {
 	}
 
 	seen := client.PageEntries{}
+	recycled0 := client.PagesRecycled()
 	stop := make(chan struct{})
 	observed := make(chan struct{})
 	go func() {
@@ -125,6 +127,182 @@ func TestEvictionRacesCopyOut(t *testing.T) {
 	}
 	if len(seen) < 3 {
 		t.Fatalf("observed %d entries; the check saw no eviction", len(seen))
+	}
+	checkRecycled(t, c, recycled0)
+}
+
+// checkRecycled checks that every page c fetched and no longer holds
+// went back to the pool exactly once: fetched − resident == recycled
+// since recycled0 (a PagesRecycled reading taken before the reads). A
+// last reference dropped without a recycle leaves the count short.
+func checkRecycled(t *testing.T, c *client.Client, recycled0 int64) {
+	t.Helper()
+	prob, prot := c.PageSegments()
+	fetched := int64(c.PageCacheStats().PagesFetched)
+	if got := client.PagesRecycled() - recycled0; fetched-int64(prob+prot) != got {
+		t.Fatalf("fetched %d pages, %d resident, recycled %d; want fetched − resident == recycled",
+			fetched, prob+prot, got)
+	}
+}
+
+// The tests below pin the cache's replacement policy on a blob of 1 KiB
+// pages. A page costs the cache its pooled buffer plus 64 bytes: at
+// least policyCost, and up to policySlack more when the pool hands back
+// a buffer that grew past its class (an rpc frame whose size was not
+// known up front is filed under the class below its capacity).
+const policyPS, policyCost, policySlack = 1024, 1024 + 64, 1024 - 1
+
+// policyClient writes a blob of the given number of 1 KiB pages and
+// returns a client whose page cache has a budget of budget bytes, and a
+// read of pages [first, first+n) that checks the bytes and the cache's
+// accounting — references, segments, budget — after every call.
+func policyClient(t *testing.T, pages int, budget int64) (*client.Client, func(first, n int)) {
+	t.Helper()
+	_, c := newCluster(t, cluster.Config{
+		DataProviders: 2,
+		MetaProviders: 2,
+		ClientRead:    client.ReadTuning{PageCacheBytes: budget},
+	})
+	id, err := c.Create(ctxb(), policyPS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := randomBytes(4, pages*policyPS)
+	v, err := c.Append(ctxb(), id, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Sync(ctxb(), id, v); err != nil {
+		t.Fatal(err)
+	}
+	seen := client.PageEntries{}
+	return c, func(first, n int) {
+		t.Helper()
+		buf := make([]byte, n*policyPS)
+		off := first * policyPS
+		if err := c.Read(ctxb(), id, v, buf, uint64(off)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, data[off:off+len(buf)]) {
+			t.Fatalf("pages [%d,+%d): bytes mismatch", first, n)
+		}
+		if err := c.CheckPageRefs(seen); err != nil {
+			t.Fatalf("after pages [%d,+%d): %v", first, n, err)
+		}
+	}
+}
+
+// TestPageCacheScanResistance reads a hot set of 4 pages twice, then
+// scans 4 times the cache's 32-page budget of other pages once, then
+// re-reads the hot set: every re-read must hit. The second read promoted
+// the hot set to protected, and the scan only ever cycles through
+// probation's quarter of the budget. A plain LRU of the same budget —
+// this cache before it was segmented — misses every re-read: the scan
+// flushed the hot set.
+func TestPageCacheScanResistance(t *testing.T) {
+	const budget, hot, scan = 32, 4, 4 * 32
+	c, read := policyClient(t, hot+scan, budget*policyCost)
+	recycled0 := client.PagesRecycled()
+	read(0, hot)
+	read(0, hot)
+	for p := hot; p < hot+scan; p += 4 {
+		read(p, 4)
+	}
+	if prob, prot := c.PageSegments(); prot != hot || prob > budget/4 {
+		t.Fatalf("after the scan: probation %d, protected %d pages; want <= %d, %d", prob, prot, budget/4, hot)
+	}
+	before := c.PageCacheStats()
+	read(0, hot)
+	after := c.PageCacheStats()
+	if fetched := after.PagesFetched - before.PagesFetched; fetched != 0 || after.Hits-before.Hits != hot {
+		t.Fatalf("hot re-read: %d hits, %d pages fetched; want %d, 0", after.Hits-before.Hits, fetched, hot)
+	}
+	checkRecycled(t, c, recycled0)
+}
+
+// TestPageCacheScanUsesAQuarter scans 4 times the budget of pages,
+// each read once: what stays resident fits probation's quarter of the
+// budget, and every other page fetched went back to the pool.
+func TestPageCacheScanUsesAQuarter(t *testing.T) {
+	const budget, scan = 32, 4 * 32
+	c, read := policyClient(t, scan, budget*policyCost)
+	recycled0 := client.PagesRecycled()
+	for p := 0; p < scan; p += 4 {
+		read(p, 4)
+	}
+	if prob, prot := c.PageSegments(); prot != 0 || prob > budget/4 {
+		t.Fatalf("after a scan: probation %d, protected %d pages; want <= %d, 0", prob, prot, budget/4)
+	}
+	checkRecycled(t, c, recycled0)
+}
+
+// TestPageCacheHitPromotes reads a page once, then again: the first read
+// leaves it in probation, the hit moves it to protected.
+func TestPageCacheHitPromotes(t *testing.T) {
+	c, read := policyClient(t, 4, 32*policyCost)
+	read(2, 1)
+	if prob, prot := c.PageSegments(); prob != 1 || prot != 0 {
+		t.Fatalf("after one read: probation %d, protected %d; want 1, 0", prob, prot)
+	}
+	read(2, 1)
+	if prob, prot := c.PageSegments(); prob != 0 || prot != 1 {
+		t.Fatalf("after a hit: probation %d, protected %d; want 0, 1", prob, prot)
+	}
+}
+
+// TestPageCacheProtectedOverflowDemotes promotes pages, each read twice,
+// until protected — three quarters of a 32-page budget — overflows. The
+// promotion that overflows it demotes protected's tail to probation
+// instead of evicting it: every promoted page stays resident, nothing is
+// recycled, and re-reading all of them fetches nothing.
+func TestPageCacheProtectedOverflowDemotes(t *testing.T) {
+	const budget, pages = 32, 32
+	c, read := policyClient(t, pages, budget*policyCost)
+	recycled0 := client.PagesRecycled()
+	promoted := 0
+	for {
+		if promoted == pages {
+			t.Fatalf("%d promotions never overflowed protected", pages)
+		}
+		read(promoted, 1)
+		read(promoted, 1)
+		promoted++
+		if prob, _ := c.PageSegments(); prob > 0 {
+			break
+		}
+	}
+	if prob, prot := c.PageSegments(); prob+prot != promoted {
+		t.Fatalf("after %d promotions: probation %d, protected %d; want all resident", promoted, prob, prot)
+	}
+	if n := client.PagesRecycled() - recycled0; n != 0 {
+		t.Fatalf("protected overflow recycled %d pages, want 0", n)
+	}
+	before := c.PageCacheStats()
+	for p := 0; p < promoted; p++ {
+		read(p, 1)
+	}
+	if fetched := c.PageCacheStats().PagesFetched - before.PagesFetched; fetched != 0 {
+		t.Fatalf("re-reading every promoted page fetched %d", fetched)
+	}
+}
+
+// TestTinyPageCachesStillHit runs 1- and 2-page caches, where one page
+// is more than probation's quarter: a page alone in probation is never
+// evicted by its own insert, so an immediate re-read always hits.
+func TestTinyPageCachesStillHit(t *testing.T) {
+	for _, pages := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("%d-page", pages), func(t *testing.T) {
+			c, read := policyClient(t, 6, pages*policyCost+policySlack)
+			for p := 0; p < 6; p++ {
+				read(p, 1)
+				before := c.PageCacheStats()
+				read(p, 1)
+				if after := c.PageCacheStats(); after.Hits != before.Hits+1 || after.PagesFetched != before.PagesFetched {
+					t.Fatalf("re-read of page %d: %d hits, %d fetched; want 1, 0",
+						p, after.Hits-before.Hits, after.PagesFetched-before.PagesFetched)
+				}
+			}
+		})
 	}
 }
 

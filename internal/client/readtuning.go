@@ -15,7 +15,9 @@ type ReadTuning struct {
 	// PageCacheBytes bounds the client page cache — whole immutable
 	// pages kept in memory so re-reads of a hot snapshot cost no RPC
 	// and concurrent readers of the same page share one in-flight
-	// fetch. 0 means the 32 MiB default; negative disables the cache
+	// fetch. Pages read once use at most a quarter of it; only a page
+	// read again earns a place in the rest, so a scan cannot flush the
+	// hot set. 0 means the 32 MiB default; negative disables the cache
 	// (and with it single-flight dedup).
 	PageCacheBytes int64
 	// HedgeDelay is how long a page fetch waits on one replica before

@@ -147,20 +147,23 @@ func TestControlPathAllocBudget(t *testing.T) {
 // TestScanAllocBudget pins what a cold sequential read costs the whole
 // system in heap: the benchmark's scan_cold shape, a 1 MiB read of 16
 // 64 KiB pages none of which the client has seen, coalesced into one
-// GET_PAGES per provider. The client keeps each page once, in a pooled
-// buffer, in a page cache with room for every page the test reads: it
-// never evicts, so nothing comes back to the pool and every read takes
-// 1 MiB of fresh buffers — the floor of a cache that is still filling.
-// The providers read into recycled buffers and the frames are recycled
-// on both sides, so everything else is the metadata descent and
-// per-call fixed cost. The budget is about 1.25 x what the code
-// measured when it was set (1.04 MiB; 2.04 MiB while the durable
-// engine's Get still allocated every page it served).
+// GET_PAGES per provider, by a reader with the default 32 MiB page
+// cache. Pages read once stay in the cache's probation quarter, so the
+// warm-up reads fill those 8 MiB and go past them; from then on every
+// page a read inserts evicts one an earlier read fetched, and decodes
+// into the buffer that eviction handed back to the pool. The providers
+// read into recycled buffers and the frames are recycled on both sides,
+// so what is left is the metadata descent and per-call fixed cost, and
+// the budget is TestScanChurnAllocBudget's. The code measured 40-57 KB
+// per read when the budget was set (the spread is how often a fetch
+// finds a released buffer in the pool), and 1.04 MiB while the cache
+// kept every page read once until its whole 32 MiB were full (2.04 MiB
+// while the durable engine's Get still allocated every page it served).
 func TestScanAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a quarter of what it is given")
 	}
-	const pageSize, readSize, warm, measured = 64 << 10, 1 << 20, 4, 12
+	const pageSize, readSize, warm, measured = 64 << 10, 1 << 20, 10, 12
 	cl := durableCluster(t)
 	writer, err := cl.NewClient("")
 	if err != nil {
@@ -189,7 +192,8 @@ func TestScanAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every read takes the next 1 MiB of the blob, so every page it
-	// touches is cold; the first few fill the pools and the connections.
+	// touches is cold; the first ones fill probation, the pools and the
+	// connections.
 	next := 0
 	read := func() {
 		if err := reader.Read(ctx, id, v, chunk, uint64(next)*readSize); err != nil {
@@ -205,7 +209,7 @@ func TestScanAllocBudget(t *testing.T) {
 	}
 	gotBytes, _ := heapPerOp(measured, read)
 	t.Logf("cold 1 MiB read: %.0f B (%.2f MiB) per op", gotBytes, gotBytes/(1<<20))
-	if budget := 1.3 * (1 << 20); gotBytes > budget {
+	if budget := 128.0 * 1024; gotBytes > budget {
 		t.Errorf("a cold 1 MiB read costs %.0f B of heap, budget %.0f", gotBytes, budget)
 	}
 }

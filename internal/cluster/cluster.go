@@ -125,6 +125,8 @@ type Cluster struct {
 	// clientNet builds the transport for new clients; host is the node
 	// name under simnet and ignored for in-process clusters.
 	clientNet func(host string) transport.Network
+	// listen opens every service's listener, at start and on Restart.
+	listen listenFunc
 
 	aux []*rpc.Client // per-provider heartbeat clients
 	// clients are the clients NewClientCfg built, for Close to close the
@@ -134,24 +136,34 @@ type Cluster struct {
 	clients []weak.Pointer[client.Client]
 }
 
+// The four roles, spelled as blobseerd's -role flag spells them.
+const (
+	roleVM   = "version-manager"
+	rolePM   = "provider-manager"
+	roleMeta = "metadata"
+	roleData = "data"
+)
+
+// listenFunc opens the listener of a role's i-th service (i is 0 for
+// the two managers). Asked again for a service Restart reopens, it
+// listens on the address the service had, so the metadata ring, the
+// providers' manager address and every client stay valid.
+type listenFunc func(role string, i int) (transport.Listener, error)
+
 // StartInproc stands a cluster up on a single in-process network.
 func StartInproc(net *transport.Inproc, sched vclock.Scheduler, cfg Config) (*Cluster, error) {
-	cfg.fillDefaults()
-	cl := &Cluster{cfg: cfg, sched: sched,
-		clientNet: func(string) transport.Network { return net }}
-
-	listen := func(name string) (transport.Listener, error) { return net.Listen(name) }
-	if err := cl.start(
-		func() (transport.Listener, error) { return listen("version-manager") },
-		func() (transport.Listener, error) { return listen("provider-manager") },
-		func(i int) (transport.Listener, error) { return listen(fmt.Sprintf("data-%d", i)) },
-		func(i int) (transport.Listener, error) { return listen(fmt.Sprintf("meta-%d", i)) },
-		func(i int) transport.Network { return net },
-	); err != nil {
-		cl.Close()
-		return nil, err
-	}
-	return cl, nil
+	return start(sched, cfg,
+		func(string) transport.Network { return net },
+		func(role string, i int) (transport.Listener, error) {
+			switch role {
+			case roleMeta:
+				return net.Listen(fmt.Sprintf("meta-%d", i))
+			case roleData:
+				return net.Listen(fmt.Sprintf("data-%d", i))
+			}
+			return net.Listen(role)
+		},
+		func(int) transport.Network { return net })
 }
 
 // StartTCP stands a cluster up on the operating system's loopback TCP
@@ -159,22 +171,22 @@ func StartInproc(net *transport.Inproc, sched vclock.Scheduler, cfg Config) (*Cl
 // This is the same transport a production deployment via cmd/blobseerd
 // uses, so it exercises real sockets, framing and connection pooling.
 func StartTCP(sched vclock.Scheduler, cfg Config) (*Cluster, error) {
-	cfg.fillDefaults()
-	cl := &Cluster{cfg: cfg, sched: sched,
-		clientNet: func(string) transport.Network { return transport.TCP{} }}
-
-	listen := func() (transport.Listener, error) { return transport.TCP{}.Listen("127.0.0.1:0") }
-	if err := cl.start(
-		listen,
-		listen,
-		func(int) (transport.Listener, error) { return listen() },
-		func(int) (transport.Listener, error) { return listen() },
-		func(int) transport.Network { return transport.TCP{} },
-	); err != nil {
-		cl.Close()
-		return nil, err
-	}
-	return cl, nil
+	addrs := make(map[string]string) // "role i" -> the port it got, for Restart
+	return start(sched, cfg,
+		func(string) transport.Network { return transport.TCP{} },
+		func(role string, i int) (transport.Listener, error) {
+			key := fmt.Sprint(role, i)
+			at, ok := addrs[key]
+			if !ok {
+				at = "127.0.0.1:0"
+			}
+			ln, err := transport.TCP{}.Listen(at)
+			if err == nil {
+				addrs[key] = ln.Addr()
+			}
+			return ln, err
+		},
+		func(int) transport.Network { return transport.TCP{} })
 }
 
 // StartSim stands a cluster up on a simulated network following the
@@ -184,52 +196,47 @@ func StartTCP(sched vclock.Scheduler, cfg Config) (*Cluster, error) {
 // are "vm", "pm" and "node0".."nodeN-1"; DataProviders and MetaProviders
 // should normally be equal for pairwise co-deployment.
 func StartSim(net *simnet.Net, sched vclock.Scheduler, cfg Config) (*Cluster, error) {
-	cfg.fillDefaults()
-	cl := &Cluster{cfg: cfg, sched: sched,
-		clientNet: func(host string) transport.Network { return net.Host(host) }}
+	return start(sched, cfg,
+		func(host string) transport.Network { return net.Host(host) },
+		func(role string, i int) (transport.Listener, error) {
+			switch role {
+			case roleVM:
+				return net.Host("vm").Listen(role)
+			case rolePM:
+				return net.Host("pm").Listen(role)
+			case roleMeta:
+				return net.Host(fmt.Sprintf("node%d", i)).Listen("meta")
+			}
+			return net.Host(fmt.Sprintf("node%d", i)).Listen(role)
+		},
+		func(i int) transport.Network { return net.Host(fmt.Sprintf("node%d", i)) })
+}
 
-	if err := cl.start(
-		func() (transport.Listener, error) { return net.Host("vm").Listen("version-manager") },
-		func() (transport.Listener, error) { return net.Host("pm").Listen("provider-manager") },
-		func(i int) (transport.Listener, error) {
-			return net.Host(fmt.Sprintf("node%d", i)).Listen("data")
-		},
-		func(i int) (transport.Listener, error) {
-			return net.Host(fmt.Sprintf("node%d", i)).Listen("meta")
-		},
-		func(i int) transport.Network { return net.Host(fmt.Sprintf("node%d", i)) },
-	); err != nil {
+// start wires all services of a cluster; providerNet is the network
+// data provider i heartbeats from. On failure it tears down what it
+// started.
+func start(sched vclock.Scheduler, cfg Config,
+	clientNet func(host string) transport.Network,
+	listen listenFunc,
+	providerNet func(i int) transport.Network,
+) (*Cluster, error) {
+	cfg.fillDefaults()
+	cl := &Cluster{cfg: cfg, sched: sched, clientNet: clientNet, listen: listen}
+	if err := cl.startServices(providerNet); err != nil {
 		cl.Close()
 		return nil, err
 	}
 	return cl, nil
 }
 
-// start wires all services given per-role listener factories.
-func (cl *Cluster) start(
-	vmLn, pmLn func() (transport.Listener, error),
-	dataLn, metaLn func(i int) (transport.Listener, error),
-	providerNet func(i int) transport.Network,
-) error {
+func (cl *Cluster) startServices(providerNet func(i int) transport.Network) error {
 	cfg := cl.cfg
-
-	ln, err := vmLn()
-	if err != nil {
-		return fmt.Errorf("cluster: version manager listener: %w", err)
-	}
-	cl.VM, err = version.ServeManagerDurable(ln, version.ManagerConfig{
-		Sched:             cl.sched,
-		DeadWriterTimeout: cfg.DeadWriterTimeout,
-		WALPath:           cfg.VersionWALPath,
-		WALSegmentBytes:   cfg.VersionWALSegmentBytes,
-		CheckpointEvery:   cfg.VersionCheckpointEvery,
-		RetainVersions:    cfg.RetainVersions,
-	})
-	if err != nil {
-		return fmt.Errorf("cluster: version manager: %w", err)
+	var err error
+	if cl.VM, err = cl.openVM(); err != nil {
+		return err
 	}
 
-	ln, err = pmLn()
+	ln, err := cl.listen(rolePM, 0)
 	if err != nil {
 		return fmt.Errorf("cluster: provider manager listener: %w", err)
 	}
@@ -237,20 +244,9 @@ func (cl *Cluster) start(
 
 	metaAddrs := make([]string, cfg.MetaProviders)
 	for i := 0; i < cfg.MetaProviders; i++ {
-		ln, err := metaLn(i)
+		node, err := cl.openMeta(i)
 		if err != nil {
-			return fmt.Errorf("cluster: metadata provider %d: %w", i, err)
-		}
-		var node *dht.Node
-		if cfg.MetaLogDir != "" {
-			node, err = dht.ServeDurableNode(ln, cl.sched,
-				fmt.Sprintf("%s/meta-%d.log", cfg.MetaLogDir, i), cfg.MetaLog)
-			if err != nil {
-				ln.Close()
-				return fmt.Errorf("cluster: metadata provider %d: %w", i, err)
-			}
-		} else {
-			node = dht.ServeNode(ln, cl.sched)
+			return err
 		}
 		cl.MetaNodes = append(cl.MetaNodes, node)
 		metaAddrs[i] = node.Addr()
@@ -261,35 +257,147 @@ func (cl *Cluster) start(
 	}
 
 	for i := 0; i < cfg.DataProviders; i++ {
-		ln, err := dataLn(i)
-		if err != nil {
-			return fmt.Errorf("cluster: data provider %d: %w", i, err)
-		}
 		// Each provider heartbeats from its own node so the simulated
 		// network charges the right links.
-		aux := rpc.NewClient(providerNet(i), cl.sched, rpc.ClientOptions{
+		cl.aux = append(cl.aux, rpc.NewClient(providerNet(i), cl.sched, rpc.ClientOptions{
 			CallTimeout: cfg.CallTimeout,
 			DialTimeout: cfg.DialTimeout,
-		})
-		cl.aux = append(cl.aux, aux)
-		pcfg := provider.Config{
-			Sched:          cl.sched,
-			ManagerAddr:    cl.PM.Addr(),
-			Client:         aux,
-			HeartbeatEvery: cfg.HeartbeatEvery,
-			CallTimeout:    cfg.CallTimeout,
-		}
-		if cfg.NewStore != nil {
-			pcfg.Store = cfg.NewStore(i)
-		} else if cfg.PageDir != "" {
-			pcfg.PageLog = filepath.Join(cfg.PageDir, fmt.Sprintf("provider-%d.log", i))
-			pcfg.PageStore = cfg.PageStore
-		}
-		p, err := provider.Serve(ln, pcfg)
+		}))
+		p, err := cl.openData(i)
 		if err != nil {
-			return fmt.Errorf("cluster: data provider %d: %w", i, err)
+			return err
 		}
 		cl.Providers = append(cl.Providers, p)
+	}
+	return nil
+}
+
+// openVM starts the version manager, recovering its WAL if it has one.
+func (cl *Cluster) openVM() (*version.Manager, error) {
+	ln, err := cl.listen(roleVM, 0)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: version manager listener: %w", err)
+	}
+	m, err := version.ServeManagerDurable(ln, version.ManagerConfig{
+		Sched:             cl.sched,
+		DeadWriterTimeout: cl.cfg.DeadWriterTimeout,
+		WALPath:           cl.cfg.VersionWALPath,
+		WALSegmentBytes:   cl.cfg.VersionWALSegmentBytes,
+		CheckpointEvery:   cl.cfg.VersionCheckpointEvery,
+		RetainVersions:    cl.cfg.RetainVersions,
+	})
+	if err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("cluster: version manager: %w", err)
+	}
+	return m, nil
+}
+
+// openMeta starts metadata node i, reloading its pair log if it has one.
+func (cl *Cluster) openMeta(i int) (*dht.Node, error) {
+	ln, err := cl.listen(roleMeta, i)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: metadata provider %d: %w", i, err)
+	}
+	if cl.cfg.MetaLogDir == "" {
+		return dht.ServeNode(ln, cl.sched), nil
+	}
+	node, err := dht.ServeDurableNode(ln, cl.sched,
+		fmt.Sprintf("%s/meta-%d.log", cl.cfg.MetaLogDir, i), cl.cfg.MetaLog)
+	if err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("cluster: metadata provider %d: %w", i, err)
+	}
+	return node, nil
+}
+
+// openData starts data provider i, reopening its page log if it has
+// one, and registers it with the provider manager.
+func (cl *Cluster) openData(i int) (*provider.Provider, error) {
+	ln, err := cl.listen(roleData, i)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: data provider %d: %w", i, err)
+	}
+	pcfg := provider.Config{
+		Sched:          cl.sched,
+		ManagerAddr:    cl.PM.Addr(),
+		Client:         cl.aux[i],
+		HeartbeatEvery: cl.cfg.HeartbeatEvery,
+		CallTimeout:    cl.cfg.CallTimeout,
+	}
+	if cl.cfg.NewStore != nil {
+		pcfg.Store = cl.cfg.NewStore(i)
+	} else if cl.cfg.PageDir != "" {
+		pcfg.PageLog = filepath.Join(cl.cfg.PageDir, fmt.Sprintf("provider-%d.log", i))
+		pcfg.PageStore = cl.cfg.PageStore
+	}
+	p, err := provider.Serve(ln, pcfg)
+	if err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("cluster: data provider %d: %w", i, err)
+	}
+	return p, nil
+}
+
+// Kill stops a role's i-th service — role is "version-manager",
+// "provider-manager", "metadata" or "data", as blobseerd's -role flag
+// names them, and i is 0 for the two managers. Its listener and
+// connections close, so its clients see errors, and its logs are closed
+// where they stand, for Restart to reopen. Kill and Restart must not run
+// concurrently with other calls on the cluster.
+func (cl *Cluster) Kill(role string, i int) error {
+	switch {
+	case role == roleVM && i == 0:
+		cl.VM.Close()
+	case role == rolePM && i == 0:
+		cl.PM.Close()
+	case role == roleMeta && i >= 0 && i < len(cl.MetaNodes):
+		cl.MetaNodes[i].Close()
+	case role == roleData && i >= 0 && i < len(cl.Providers):
+		cl.Providers[i].Close()
+	default:
+		return fmt.Errorf("cluster: no %s %d", role, i)
+	}
+	return nil
+}
+
+// Restart stops a role's i-th service if it still runs and brings it
+// back from its durable state — the version manager's WAL, a metadata
+// node's pair log, a data provider's page log — through the open path a
+// deployment uses, on the same address. A service with no durable state
+// (the provider manager, or one the cluster keeps in memory) has nothing
+// to come back from: Restart leaves it alone and returns an error.
+func (cl *Cluster) Restart(role string, i int) error {
+	durable := map[string]bool{
+		roleVM:   cl.cfg.VersionWALPath != "",
+		roleMeta: cl.cfg.MetaLogDir != "",
+		roleData: cl.cfg.NewStore == nil && cl.cfg.PageDir != "",
+	}
+	if !durable[role] {
+		return fmt.Errorf("cluster: %s %d keeps no durable state to restart from", role, i)
+	}
+	if err := cl.Kill(role, i); err != nil {
+		return err
+	}
+	switch role {
+	case roleVM:
+		m, err := cl.openVM()
+		if err != nil {
+			return err
+		}
+		cl.VM = m
+	case roleMeta:
+		n, err := cl.openMeta(i)
+		if err != nil {
+			return err
+		}
+		cl.MetaNodes[i] = n
+	case roleData:
+		p, err := cl.openData(i)
+		if err != nil {
+			return err
+		}
+		cl.Providers[i] = p
 	}
 	return nil
 }
