@@ -82,7 +82,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 //
 //	//blobseer:lockorder A < B < C
 //	    Declares a partial lock order: A is acquired strictly before B,
-//	    B before C. Tokens are either a bare mutex field name ("stateMu",
+//	    B before C. Tokens are either a bare mutex field name ("maintMu",
 //	    matching that field on any type) or Type-qualified
 //	    ("segment.mu"). Multiple annotations union into one order.
 //

@@ -110,7 +110,7 @@ func Reachable(funcs map[string][]*ast.FuncDecl, roots []string) map[string]bool
 }
 
 // ReceiverTypeName resolves the named type of an expression (typically a
-// selector base like `d` in d.stateMu), stripping pointers. Returns ""
+// selector base like `s` in s.wmu), stripping pointers. Returns ""
 // when the type is unnamed or unknown.
 func ReceiverTypeName(info *types.Info, e ast.Expr) string {
 	tv, ok := info.Types[e]

@@ -6,10 +6,10 @@
 // argument in their maintenance loops leans on it. This analyzer makes
 // the order machine-readable and machine-checked: an annotation like
 //
-//	//blobseer:lockorder maintMu < stateMu < wmu < segMu
+//	//blobseer:lockorder maintMu < wmu < segMu
 //
-// declares that maintMu is always acquired before stateMu, and so on.
-// Tokens name mutex fields, either bare ("stateMu" — that field on any
+// declares that maintMu is always acquired before wmu, and so on.
+// Tokens name mutex fields, either bare ("maintMu" — that field on any
 // type) or type-qualified ("segment.mu"). Multiple annotations in a
 // package union into one partial order.
 //
@@ -193,7 +193,7 @@ func scan(pass *analysis.Pass, o *order, funcs map[string][]*ast.FuncDecl, body 
 }
 
 // mutexOperand names the mutex an x.Lock() call operates on: for
-// d.stateMu.Lock() it returns ("Disk", "stateMu"); for a bare
+// s.wmu.Lock() it returns ("KV", "wmu"); for a bare
 // mu.Lock() it returns ("", "mu").
 func mutexOperand(pass *analysis.Pass, x ast.Expr) (typeName, fieldName string) {
 	switch x := x.(type) {

@@ -97,6 +97,14 @@ type Config struct {
 	// coalescing, fanout); zero value = defaults. Per-client overrides
 	// go through NewClientCfg.
 	ClientRead client.ReadTuning
+	// Fault, when set, is called at every maintenance fault point of
+	// every durable service — a data provider's page log, a metadata
+	// node's pair log, the version manager's checkpoint — with the
+	// service's role (as Kill names it), its index and the point. An
+	// error aborts that service's maintenance there exactly as a process
+	// death at that point would; Kill and Restart then reopen what the
+	// disk holds. A test seam: no deployment sets it.
+	Fault func(role string, i int, point string) error
 }
 
 func (c *Config) fillDefaults() {
@@ -285,6 +293,7 @@ func (cl *Cluster) openVM() (*version.Manager, error) {
 		WALSegmentBytes:   cl.cfg.VersionWALSegmentBytes,
 		CheckpointEvery:   cl.cfg.VersionCheckpointEvery,
 		RetainVersions:    cl.cfg.RetainVersions,
+		Fault:             cl.fault(roleVM, 0),
 	})
 	if err != nil {
 		ln.Close()
@@ -302,8 +311,10 @@ func (cl *Cluster) openMeta(i int) (*dht.Node, error) {
 	if cl.cfg.MetaLogDir == "" {
 		return dht.ServeNode(ln, cl.sched), nil
 	}
+	opts := cl.cfg.MetaLog
+	opts.Fault = cl.fault(roleMeta, i)
 	node, err := dht.ServeDurableNode(ln, cl.sched,
-		fmt.Sprintf("%s/meta-%d.log", cl.cfg.MetaLogDir, i), cl.cfg.MetaLog)
+		fmt.Sprintf("%s/meta-%d.log", cl.cfg.MetaLogDir, i), opts)
 	if err != nil {
 		ln.Close()
 		return nil, fmt.Errorf("cluster: metadata provider %d: %w", i, err)
@@ -330,6 +341,7 @@ func (cl *Cluster) openData(i int) (*provider.Provider, error) {
 	} else if cl.cfg.PageDir != "" {
 		pcfg.PageLog = filepath.Join(cl.cfg.PageDir, fmt.Sprintf("provider-%d.log", i))
 		pcfg.PageStore = cl.cfg.PageStore
+		pcfg.PageStore.Fault = cl.fault(roleData, i)
 	}
 	p, err := provider.Serve(ln, pcfg)
 	if err != nil {
@@ -337,6 +349,14 @@ func (cl *Cluster) openData(i int) (*provider.Provider, error) {
 		return nil, fmt.Errorf("cluster: data provider %d: %w", i, err)
 	}
 	return p, nil
+}
+
+// fault binds Config.Fault to one service; nil without one.
+func (cl *Cluster) fault(role string, i int) func(point string) error {
+	if cl.cfg.Fault == nil {
+		return nil
+	}
+	return func(point string) error { return cl.cfg.Fault(role, i, point) }
 }
 
 // Kill stops a role's i-th service — role is "version-manager",

@@ -77,6 +77,9 @@ type LogOptions struct {
 	// Zero disables automatic compaction; CompactLog remains available
 	// on demand.
 	CompactRatio float64
+	// Fault is the log's maintenance fault seam (seglog.KVOptions.Fault):
+	// test-only.
+	Fault func(point string) error
 }
 
 // ServeDurableNode starts a metadata provider whose pairs live in a
@@ -87,6 +90,7 @@ func ServeDurableNode(ln transport.Listener, sched vclock.Scheduler, path string
 		SegmentBytes:  opts.SegmentBytes,
 		SnapshotEvery: opts.SnapshotEvery,
 		CompactRatio:  opts.CompactRatio,
+		Fault:         opts.Fault,
 	})
 	if err != nil {
 		return nil, err

@@ -99,9 +99,9 @@ func (d *Disk) LogBytes() int64 { return d.kv.Stats().LogBytes }
 // Compactions reports how many segment rewrites completed since open.
 func (d *Disk) Compactions() uint64 { return d.kv.Stats().Compactions }
 
-// LastCapturePause reports the stop-the-world duration of the most
-// recent snapshot capture.
-func (d *Disk) LastCapturePause() time.Duration { return d.kv.Stats().LastCapturePause }
+// Deprecated: always 0 — an index snapshot is a fold of sealed segments
+// and stops nothing; kept only until internal/blast stops naming it.
+func (d *Disk) LastCapturePause() time.Duration { return 0 }
 
 // Compact rewrites every segment whose live-byte ratio is below
 // CompactRatio (below 1 when that is zero) and that holds reclaimable

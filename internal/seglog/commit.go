@@ -15,28 +15,29 @@ import (
 // after the record is on disk) holds while concurrent handlers share
 // fsyncs.
 //
-// Stores keep their outer locks out of the fsync two ways:
+// Stores keep their locks out of the fsync two ways:
 //
 //   - Two-phase append (Enqueue + Await): the handler enqueues while
 //     holding its store locks, releases them, and only then parks for
 //     durability — so a blob's shard is free while the leader sits in
 //     the fsync. The store applies state at enqueue time and
 //     acknowledges after Await; FailStop keeps the durable log a prefix
-//     of the enqueue order when a commit fails. Such a store cannot cut
-//     a snapshot of its live state at a log position — records are
-//     applied before they are durable — and does not try: the version
-//     WAL snapshots by folding sealed segments, and to seal one it
-//     needs only LeadingLocked (roll now, or leave it to the leader's
-//     MaybeRoll), never a wait for the queue to drain.
-//   - The Outer callback: when state must apply only after the commit
-//     (the KV assigns offsets at commit time), the exclusive
-//     committer itself takes a shared outer lock across Commit+Apply,
-//     so appenders never hold it across their park and a capture's
-//     exclusive acquisition still fences out in-flight batches.
+//     of the enqueue order when a commit fails.
+//   - Apply: when state must apply only after the commit (the KV assigns
+//     offsets at commit time), the leader applies the durable batch
+//     under the writer mutex, so appenders never hold a store lock
+//     across their park.
+//
+// Neither kind of store cuts a snapshot of its live state at a log
+// position: both snapshot by folding sealed segments over the previous
+// snapshot, off the disk. To seal a segment a snapshotter needs the one
+// hand-off below, SealLocked: roll now when no leader is designated or
+// mid-batch, or have the leader roll at its batch tail and answer — the
+// roll never overlaps a commit, and no appender ever waits for it.
 //
 // The Committer borrows the store's writer mutex rather than owning
 // one, so the store keeps its declared lock order (and its direct uses
-// of the mutex for rolls, captures and shutdown) unchanged.
+// of the mutex for rolls and shutdown) unchanged.
 
 // Cell is one queued appender's parking spot, embedded in the store's
 // append-request type. The zero value is ready to use.
@@ -88,13 +89,6 @@ type Committer[T Parked] struct {
 	// commit+apply; the store rolls its active segment if oversized
 	// (best effort — a failed roll leaves the oversized segment active).
 	MaybeRoll func()
-	// Outer, when set, acquires a shared outer lock and returns its
-	// release. The exclusive committer holds it from just before Commit
-	// until after Apply+MaybeRoll, so a capture that takes the same lock
-	// exclusively fences out in-flight batches without appenders ever
-	// holding it across their park. Acquired with Mu released (the outer
-	// lock orders before Mu in the store's declared order).
-	Outer func() func()
 	// FailStop wedges the committer after the first commit error: every
 	// queued and future append fails with that error. Required by stores
 	// that apply state at enqueue time (the version WAL) — without it a
@@ -105,6 +99,10 @@ type Committer[T Parked] struct {
 	queue   []T
 	leading bool
 	failed  error
+	// seal is a SealLocked caller's roll, handed to the leader to run at
+	// its batch tail; sealDone receives its outcome.
+	seal     func() error
+	sealDone chan error
 }
 
 // Append writes one record durably and applies its effects. Concurrent
@@ -197,8 +195,8 @@ func (c *Committer[T]) Await(a T) error {
 // When none is, the queue is empty and no commit is in flight, so a
 // caller holding Mu may change the writer state Commit reads lock-free
 // (roll the segment). When one is, its batch is still to come: work left
-// for MaybeRoll gets done unless that commit fails or the store closes.
-// Called with Mu held.
+// for its tail — MaybeRoll, a SealLocked roll — gets done unless that
+// commit fails or the store closes. Called with Mu held.
 func (c *Committer[T]) LeadingLocked() bool { return c.leading }
 
 // lead commits one batch — the current queue, which includes self's own
@@ -222,7 +220,6 @@ func (c *Committer[T]) lead(self *Cell) error {
 	failed := c.failed
 	c.Mu.Unlock()
 	var err error
-	var release func()
 	committed := false
 	if closed {
 		// Shutdown may already have drained the queue (batch can even be
@@ -232,9 +229,6 @@ func (c *Committer[T]) lead(self *Cell) error {
 	} else if failed != nil {
 		err = failed
 	} else if len(batch) > 0 {
-		if c.Outer != nil {
-			release = c.Outer()
-		}
 		committed = true
 		err = c.Commit(batch)
 	}
@@ -250,6 +244,7 @@ func (c *Committer[T]) lead(self *Cell) error {
 	if committed && err != nil && c.FailStop && c.failed == nil {
 		c.failed = err
 	}
+	c.answerSealLocked(err)
 	for _, a := range batch {
 		cell := a.Cell()
 		if cell == self {
@@ -272,9 +267,6 @@ func (c *Committer[T]) lead(self *Cell) error {
 		c.leading = false
 	}
 	c.Mu.Unlock()
-	if release != nil {
-		release()
-	}
 	return err
 }
 
@@ -291,16 +283,60 @@ func deliverLocked(cell *Cell, err error) {
 	}
 }
 
-// FailQueuedLocked delivers err to every queued appender and empties
-// the queue; the store's shutdown calls it with Mu held. A promoted
-// waiter was already woken and will observe closed when it leads;
-// delivery skips it.
+// FailQueuedLocked delivers err to every queued appender and to a
+// waiting SealLocked, and empties the queue; the store's shutdown calls
+// it with Mu held. A promoted waiter was already woken and will observe
+// closed when it leads; delivery skips it.
 func (c *Committer[T]) FailQueuedLocked(err error) {
 	for _, a := range c.queue {
 		deliverLocked(a.Cell(), err)
 	}
 	c.queue = nil
+	c.answerSealLocked(err)
 }
+
+// SealLocked runs roll — a change to the writer state Commit reads
+// lock-free, typically sealing the active segment — where no commit is
+// in flight, and returns its outcome. With no leader designated or
+// mid-batch the queue is empty and roll runs here; otherwise the leader
+// runs it at its batch tail, after Apply and MaybeRoll, and SealLocked
+// waits with Mu released. When that batch fails, or the store closes
+// first, roll never runs and the failure is returned: a segment whose
+// tail a failed write may have left torn must not be sealed. Appenders
+// never wait for a seal. Called with Mu held, by one caller at a time
+// (the store's maintenance serializes them); returns with Mu held.
+func (c *Committer[T]) SealLocked(roll func() error) error {
+	if err := c.admitLocked(); err != nil {
+		return err
+	}
+	if !c.LeadingLocked() {
+		return roll()
+	}
+	done := make(chan error, 1)
+	c.seal, c.sealDone = roll, done
+	c.Mu.Unlock()
+	err := <-done
+	c.Mu.Lock()
+	return err
+}
+
+// answerSealLocked hands a waiting SealLocked its outcome: err when the
+// batch it waited for failed, else what its roll returns. Called with
+// Mu held, with no commit in flight.
+func (c *Committer[T]) answerSealLocked(err error) {
+	if c.sealDone == nil {
+		return
+	}
+	if err == nil {
+		err = c.seal()
+	}
+	c.sealDone <- err
+	c.seal, c.sealDone = nil, nil
+}
+
+// SealWaitingLocked reports whether a SealLocked is waiting for the
+// leader — a test hook. Called with Mu held.
+func (c *Committer[T]) SealWaitingLocked() bool { return c.sealDone != nil }
 
 // CaretakeLocked runs one leader pass with no record of its own — a
 // test hook standing in for a returning leader. Called with Mu held;

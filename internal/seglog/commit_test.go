@@ -350,3 +350,94 @@ func TestCommitErrorPropagatesToWholeBatch(t *testing.T) {
 		t.Fatalf("%d records applied from a failed batch", a)
 	}
 }
+
+// TestSealRunsWhereNoCommitIsInFlight pins the seal hand-off: with no
+// leader SealLocked rolls at once; behind a batch in flight it waits,
+// and the leader rolls at its batch tail, after Apply; a failed batch or
+// a close answers the seal with that error and the roll never runs.
+func TestSealRunsWhereNoCommitIsInFlight(t *testing.T) {
+	s := newTestStore()
+	var rolls, appliedAtRoll atomic.Uint64
+	roll := func() error {
+		rolls.Add(1)
+		appliedAtRoll.Store(s.applied.Load())
+		return nil
+	}
+	seal := func() error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.comm.SealLocked(roll)
+	}
+	if err := seal(); err != nil || rolls.Load() != 1 {
+		t.Fatalf("idle seal: %v, %d rolls", err, rolls.Load())
+	}
+
+	// gated parks the next commit until its verdict arrives.
+	gated := func() (entered chan struct{}, verdict chan error) {
+		entered, verdict = make(chan struct{}), make(chan error)
+		inner := s.comm.Commit
+		s.comm.Commit = func(batch []*testAppend) error {
+			s.comm.Commit = inner
+			close(entered)
+			if err := <-verdict; err != nil {
+				return err
+			}
+			return inner(batch)
+		}
+		return entered, verdict
+	}
+	waitAsked := func() {
+		for asked := false; !asked; runtime.Gosched() {
+			s.mu.Lock()
+			asked = s.comm.SealWaitingLocked()
+			s.mu.Unlock()
+		}
+	}
+
+	entered, verdict := gated()
+	appended := make(chan error, 1)
+	go func() { appended <- s.append("r") }()
+	<-entered
+	sealed := make(chan error, 1)
+	go func() { sealed <- seal() }()
+	waitAsked()
+	if rolls.Load() != 1 {
+		t.Fatal("the seal rolled while a commit was in flight")
+	}
+	verdict <- nil
+	if err := <-sealed; err != nil || rolls.Load() != 2 || appliedAtRoll.Load() != 1 {
+		t.Fatalf("seal behind a batch: %v, %d rolls, %d applied at the roll; want nil, 2, 1",
+			err, rolls.Load(), appliedAtRoll.Load())
+	}
+	must(t, <-appended)
+
+	errDisk := errors.New("disk gone")
+	entered, verdict = gated()
+	go func() { appended <- s.append("r") }()
+	<-entered
+	go func() { sealed <- seal() }()
+	waitAsked()
+	verdict <- errDisk
+	if err := <-sealed; !errors.Is(err, errDisk) || rolls.Load() != 2 {
+		t.Fatalf("seal behind a failed batch: %v, %d rolls; want %v and no roll", err, rolls.Load(), errDisk)
+	}
+	if err := <-appended; !errors.Is(err, errDisk) {
+		t.Fatalf("append of the failed batch: %v", err)
+	}
+
+	s.mu.Lock()
+	s.comm.SetLeadingLocked(true) // a leader that will never come back
+	s.mu.Unlock()
+	go func() { sealed <- seal() }()
+	waitAsked()
+	s.mu.Lock()
+	s.closed = true
+	s.comm.FailQueuedLocked(errTestClosed)
+	s.mu.Unlock()
+	if err := <-sealed; !errors.Is(err, errTestClosed) || rolls.Load() != 2 {
+		t.Fatalf("seal across a close: %v, %d rolls", err, rolls.Load())
+	}
+	if err := seal(); !errors.Is(err, errTestClosed) {
+		t.Fatalf("seal of a closed store: %v", err)
+	}
+}

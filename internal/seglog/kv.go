@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"blobseer/internal/wire"
 )
@@ -44,23 +43,15 @@ type KV struct {
 	errClosed error
 
 	// stripes spread index lookups over independent RW locks so reads
-	// never serialize behind writes to unrelated keys.
-	stripes [kvStripes]kvStripe
-
-	// stateMu makes index snapshots a consistent cut: the exclusive
-	// committer (the group-commit leader) holds it shared across
-	// commit+apply via the committer's Outer hook — never the
-	// appenders themselves, so no Put parks for the fsync while
-	// holding it — and the snapshotter holds it exclusively only while
-	// rolling the active segment and capturing the index. Records queued
-	// behind an exclusive capture commit into the post-roll segment and
-	// index afterwards, which keeps the captured index exactly the replay
-	// of the covered segments. Readers never touch it. The whole lock
-	// order, in the form the lockorder analyzer (cmd/blobseer-vet)
+	// never serialize behind writes to unrelated keys. The index is
+	// written only by applies (under wmu) and by compaction's retargets
+	// (under the victim's mu); nothing else ever reads all of it — an
+	// index snapshot is folded off the disk (kv_maintain.go). The whole
+	// lock order, in the form the lockorder analyzer (cmd/blobseer-vet)
 	// enforces:
 	//
-	//blobseer:lockorder maintMu < stateMu < wmu < segMu < kvSegment.mu < kvStripe.mu
-	stateMu sync.RWMutex
+	//blobseer:lockorder maintMu < wmu < segMu < kvSegment.mu < kvStripe.mu
+	stripes [kvStripes]kvStripe
 
 	// segMu guards the segment table. Segments are never removed from it
 	// (compaction rewrites in place) and indices are contiguous from 1,
@@ -70,7 +61,9 @@ type KV struct {
 
 	// wmu guards the writer state: the active-segment pointer, the
 	// group-commit queue and shutdown. The write+fsync itself runs
-	// outside wmu by the unique leader (see Committer, which borrows it).
+	// outside wmu by the unique leader (see Committer, which borrows it);
+	// every apply, and so every change of a segment's liveBytes, runs
+	// under it.
 	wmu    sync.Mutex
 	active *kvSegment
 	comm   Committer[*kvAppend]
@@ -86,24 +79,21 @@ type KV struct {
 	syncs      atomic.Uint64 // fsyncs issued by commits
 
 	// Maintenance (snapshot + compaction) machinery, see kv_maintain.go.
-	// track owns the auto-snapshot countdown and the dirty key set for
-	// incremental captures; every index change marks its key there
-	// (applies, compaction retargets).
 	maintMu sync.Mutex
 	// ioBuf is the one window segment files are read through when they
 	// are scanned or rewritten: by recovery before the store is shared,
 	// by maintenance under maintMu afterwards. Grow-only, and never
 	// larger than kvBatchRetain (see resize).
-	ioBuf       []byte
-	track       Tracker[string, kvEntry]
-	snapPause   atomic.Int64 // last capture's stop-the-world ns
+	ioBuf []byte
+	// covered counts the records the published snapshot holds: appends
+	// plus those replayed at open, read where the snapshot's seal cut the
+	// log. Their distance from it is the auto-snapshot countdown
+	// (uncovered), consumed only by a successful publish.
+	covered     atomic.Uint64
 	snapRuns    atomic.Uint64
 	compactRuns atomic.Uint64
 	maint       *Maintainer
 	recStats    RecoveryStats
-
-	// crashHook is the test-only maintenance fault injector.
-	crashHook func(point string) error
 }
 
 // KVLayout is everything one instantiation of the KV decides.
@@ -156,6 +146,11 @@ type KVOptions struct {
 	// never seals the active segment. Zero disables automatic
 	// compaction; Compact remains available on demand.
 	CompactRatio float64
+	// Fault, when set, is called at every maintenance fault point (the
+	// crashPoints of kv_maintain.go); an error aborts the pass there
+	// exactly as a process death at that point would. A test seam: no
+	// deployment sets it.
+	Fault func(point string) error
 }
 
 // KVStats is a point-in-time reading of a KV's counters.
@@ -168,10 +163,6 @@ type KVStats struct {
 	Snapshots  uint64 // index snapshots published since open
 	// Compactions counts segment rewrites completed since open.
 	Compactions uint64
-	// LastCapturePause is the stop-the-world duration of the most recent
-	// snapshot capture (the window stateMu was held exclusively):
-	// O(keys changed since the last snapshot), not O(keys held).
-	LastCapturePause time.Duration
 }
 
 // RecoveryStats describes what one OpenKV did: how much of the index
@@ -243,8 +234,8 @@ type kvSegment struct {
 	// freshly rewritten segment estimates exactly zero. Both survive
 	// reopen: index snapshots persist them per segment (indexsnap.go).
 	// Only an apply changes liveBytes, by the size of the record it indexes
-	// or drops, so with stateMu held exclusively it is exact — what
-	// checkLocated holds a rewrite's first pass against.
+	// or drops, so under wmu it is exact — what checkLocated holds a
+	// rewrite's first pass against.
 	liveBytes atomic.Int64
 	tombBytes atomic.Int64
 
@@ -304,14 +295,8 @@ func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
 		ErrClosed: s.errClosed,
 		Commit:    s.commit,
 		Apply:     s.applyBatch,
-		// The exclusive committer holds the snapshot cut shared across
-		// commit+apply (see the stateMu field docs).
-		Outer: func() func() { s.stateMu.RLock(); return s.stateMu.RUnlock },
-		// Re-check closed before rolling: Close may have finished while
-		// the commit ran outside wmu, and a roll now would create a stray
-		// segment after closeFiles already swept the table.
 		MaybeRoll: func() {
-			if !s.closed.Load() && s.active.size.Load() >= s.opts.SegmentBytes {
+			if s.active.size.Load() >= s.opts.SegmentBytes {
 				s.rollLocked() // best effort: a failed roll leaves the oversized segment active
 			}
 		},
@@ -320,10 +305,6 @@ func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
 		s.closeFiles()
 		return nil, err
 	}
-	// Replayed tail records count toward the auto-snapshot interval, or
-	// a crash-looping store whose runs each log fewer than SnapshotEvery
-	// records would grow its tail without bound.
-	s.track.AddEvents(s.recStats.RecordsReplayed)
 	if opts.SnapshotEvery > 0 || opts.CompactRatio > 0 {
 		s.maint = NewMaintainer(s.maintainPass)
 		s.maint.Start()
@@ -369,8 +350,7 @@ func (s *KV) segment(idx uint32) *kvSegment {
 func (s *KV) segmentPath(idx uint32) string { return SegmentPath(s.base, uint64(idx)) }
 
 // dropEntry removes key from the index, adjusting the counters, and
-// reports whether there was an entry to remove. Used by recovery and by
-// the tombstone apply path.
+// reports whether there was an entry to remove: the tombstone apply.
 func (s *KV) dropEntry(key string) bool {
 	st := s.stripe(key)
 	st.mu.Lock()
@@ -419,10 +399,15 @@ func (s *KV) createSegment(idx uint32, gen uint64) (*kvSegment, error) {
 
 // rollLocked seals the active segment and opens the next one. Called
 // with wmu held, and only when no commit is in flight: by the committer
-// itself after its batch, or by the snapshotter while every mutator is
-// excluded via stateMu. The sealed segment's file stays open — it still
-// serves reads and compaction scans.
+// itself after its batch (MaybeRoll), or through Committer.SealLocked.
+// The sealed segment's file stays open — it still serves reads and
+// compaction scans. It re-checks closed: Close may have finished while
+// a commit ran outside wmu, and a roll now would create a stray segment
+// after closeFiles already swept the table.
 func (s *KV) rollLocked() error {
+	if s.closed.Load() {
+		return s.errClosed
+	}
 	if s.ly.SealSync {
 		// Recovery tolerates a torn tail only in the highest segment, so a
 		// sealed segment's contents — and its directory entry, which must
@@ -575,8 +560,8 @@ func (s *KV) commitAll(recs []*kvAppend) error {
 }
 
 // GateNextCommit makes the next batch park inside its commit — the
-// committer holds the snapshot cut shared, nothing is written yet —
-// and closes entered once it is parked. Closing release (or sending
+// leader holds no store lock there, nothing is written yet — and closes
+// entered once it is parked. Closing release (or sending
 // nil) lets the batch go on; sending an error fails it with that error,
 // unwritten. Only that one batch parks. A test hook, for the tests here
 // and in the instantiating packages that pin what stays available while
@@ -606,8 +591,9 @@ func (s *KV) GateNextCommit() (entered <-chan struct{}, release chan<- error) {
 // write and at most one fsync, and stamps each record with where it
 // landed. Only one committer runs at a time (the leader), so the batch
 // buffer and the active-segment fields need no extra synchronization:
-// the segment cannot roll while a commit is in flight. On error nothing
-// is applied.
+// the segment cannot roll while a commit is in flight (rolls run under
+// wmu at a batch tail, or with no leader at all). On error nothing is
+// applied.
 func (s *KV) commit(batch []*kvAppend) error {
 	s.appends.Add(uint64(len(batch)))
 	seg := s.active
@@ -648,7 +634,6 @@ func (s *KV) commit(batch []*kvAppend) error {
 func (s *KV) applyBatch(batch []*kvAppend) {
 	var nudge bool
 	for _, a := range batch {
-		s.track.Mark(a.key)
 		// Resolve the segment before taking the stripe lock: segMu orders
 		// before stripe locks.
 		seg := s.segment(a.seg)
@@ -672,8 +657,7 @@ func (s *KV) applyBatch(batch []*kvAppend) {
 			}
 		}
 	}
-	events := s.track.AddEvents(len(batch))
-	if n := s.opts.SnapshotEvery; n > 0 && events >= uint64(n) {
+	if n := s.opts.SnapshotEvery; n > 0 && s.uncovered() >= uint64(n) {
 		nudge = true
 	}
 	if nudge {
@@ -799,13 +783,12 @@ func (s *KV) Range(fn func(key string, value []byte) error) error {
 // Stats reads the store's counters.
 func (s *KV) Stats() KVStats {
 	st := KVStats{
-		Keys:             s.keys.Load(),
-		ValueBytes:       s.valueBytes.Load(),
-		Appends:          s.appends.Load(),
-		Syncs:            s.syncs.Load(),
-		Snapshots:        s.snapRuns.Load(),
-		Compactions:      s.compactRuns.Load(),
-		LastCapturePause: time.Duration(s.snapPause.Load()),
+		Keys:        s.keys.Load(),
+		ValueBytes:  s.valueBytes.Load(),
+		Appends:     s.appends.Load(),
+		Syncs:       s.syncs.Load(),
+		Snapshots:   s.snapRuns.Load(),
+		Compactions: s.compactRuns.Load(),
 	}
 	s.segMu.RLock()
 	for _, seg := range s.segs {

@@ -52,7 +52,7 @@ func compactDeadTail(s *KV) error {
 // test then reopens on whatever the disk holds.
 func crashAtPoint(s *KV, point string) (fired *bool) {
 	fired = new(bool)
-	s.crashHook = func(p string) error {
+	s.opts.Fault = func(p string) error {
 		if p == point {
 			*fired = true
 			return errCrash
@@ -153,7 +153,7 @@ func TestKVEveryCrashPointIsExercised(t *testing.T) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, crashOpts())
 		crashWorkload(t, s)
 		seen := make(map[string]bool)
-		s.crashHook = func(p string) error {
+		s.opts.Fault = func(p string) error {
 			seen[p] = true
 			return nil
 		}

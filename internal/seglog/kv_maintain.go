@@ -5,28 +5,32 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"time"
 )
 
 // Maintenance turns a KV from "rescan everything on open, grow forever"
-// into a bounded store: the snapshotter serializes the index at a
-// segment boundary so reopen replays only the tail, and the compactor
-// rewrites sealed segments whose live-byte ratio fell below the
-// configured threshold, dropping records of Deleted keys and duplicate
-// puts; an explicit Compact first seals the active segment when it
-// would qualify. Crash-consistency invariants, in order:
+// into a bounded store: the snapshotter folds the sealed segments over
+// the previous index snapshot — recovery's own function, run in the
+// background on the disk's own bytes — so reopen replays only the tail,
+// and the compactor rewrites sealed segments whose live-byte ratio fell
+// below the configured threshold, dropping records of Deleted keys and
+// duplicate puts; an explicit Compact first seals the active segment
+// when it would qualify. Neither reads the live index to persist it, and
+// no appender ever waits for either. Crash-consistency invariants, in
+// order:
 //
-//  1. A snapshot capture is a consistent cut: the exclusive committer
-//     holds stateMu shared across commit+apply (Committer.Outer), and
-//     the capture holds stateMu exclusively while it rolls the active
-//     segment (sealLocked, which Compact's seal shares) and resolves the
-//     dirty keys — so no record is split from its index change, records
-//     queued behind the capture land in the post-roll segment, and the
-//     captured index equals exactly the replay of all segments below
-//     the cut. The capture is incremental
-//     once a baseline snapshot published: only keys marked since then
-//     are re-resolved (Tracker), so the stop-the-world pause stops
-//     scaling with total key count.
+//  1. The snapshot is fold(previous snapshot, segments below the cut),
+//     and the cut is a segment boundary (seal, through the committer's
+//     hand-off, which Compact's seal shares): the snapshot holds exactly
+//     what replaying the segments it covers yields — never a record the
+//     log does not hold, whatever has been applied since. A segment
+//     rewritten since the previous snapshot fails its generation check
+//     and is rescanned, so compaction's retargets reach the snapshot
+//     with no bookkeeping of their own. The fold reads records through
+//     the CRC-checked scan, as recovery does, never the key-only walk:
+//     reopen trusts a snapshot entry, so a rotted key must not enter
+//     one. Its price is one sequential read of every newly sealed byte
+//     per snapshot (and, after a compaction, of the rewritten segments),
+//     in the background.
 //  2. Snapshots and compaction outputs become visible only by the
 //     atomic rename of a fully written (and, for compaction, always
 //     fsynced) tmp file: recovery never sees a half-written one.
@@ -49,7 +53,7 @@ import (
 // Maintenance fault points, in execution order.
 const (
 	crashSnapBegin      = "snap-begin"       // before anything happened
-	crashSnapCaptured   = "snap-captured"    // index cloned, nothing on disk yet
+	crashSnapCaptured   = "snap-captured"    // fold built, nothing on disk yet
 	crashSnapTmpWritten = "snap-tmp-written" // tmp snapshot fully written (+synced)
 	crashSnapRenamed    = "snap-renamed"     // snapshot live
 
@@ -68,14 +72,14 @@ var crashPoints = []string{
 	crashCompactSealed,
 }
 
-// crash fires the test-only fault-injection hook; a non-nil return
-// aborts the maintenance pass exactly as a process death at that point
-// would — nothing needs unwinding, recovery handles every prefix.
+// crash fires the test seam KVOptions.Fault; a non-nil return aborts
+// the maintenance pass exactly as a process death at that point would —
+// nothing needs unwinding, recovery handles every prefix.
 func (s *KV) crash(point string) error {
-	if s.crashHook == nil {
+	if s.opts.Fault == nil {
 		return nil
 	}
-	return s.crashHook(point)
+	return s.opts.Fault(point)
 }
 
 // maintainPass is one wake-up of the background maintainer.
@@ -83,7 +87,7 @@ func (s *KV) maintainPass() bool {
 	if s.closed.Load() {
 		return false
 	}
-	if n := s.opts.SnapshotEvery; n > 0 && s.track.Events() >= uint64(n) {
+	if n := s.opts.SnapshotEvery; n > 0 && s.uncovered() >= uint64(n) {
 		s.Snapshot()
 	}
 	if s.opts.CompactRatio > 0 {
@@ -94,10 +98,10 @@ func (s *KV) maintainPass() bool {
 	return true
 }
 
-// Snapshot serializes the index into an atomically renamed snapshot
-// file, so the next reopen replays only records logged after this call.
-// It is safe to call concurrently with traffic (the stop-the-world
-// portion is only a segment roll plus resolving the changed keys) and
+// Snapshot writes an index snapshot into an atomically renamed file, so
+// the next reopen replays only records logged after this call. It seals
+// the active segment and folds the sealed segments over the previous
+// snapshot, off the disk: traffic goes on beside it, and it is
 // serialized against compaction.
 func (s *KV) Snapshot() error {
 	s.maintMu.Lock()
@@ -112,130 +116,85 @@ func (s *KV) snapshotLocked() error {
 	if err := s.crash(crashSnapBegin); err != nil {
 		return err
 	}
-	snap, cut, err := s.capture()
+	// The seal rolls an active segment that holds records, or that the
+	// previous snapshot covers — one a torn roll made active again — so
+	// the cut is past every segment the fold starts from.
+	prev, prevSegs := s.loadSnapshot(), 0
+	if prev != nil {
+		prevSegs = len(prev.meta.Segs)
+	}
+	_, cut, records, err := s.seal(func(active *kvSegment) bool {
+		return active.size.Load() > HeaderSize || int(active.idx) <= prevSegs
+	})
+	if err != nil {
+		return err
+	}
+	payload, err := s.foldSnapshot(prev, cut)
 	if err != nil {
 		return err
 	}
 	if err := s.crash(crashSnapCaptured); err != nil {
-		cut.Abort()
 		return err
 	}
-	if err := s.ly.PublishSnapshot(s.base, s.ly.encodeIndex(snap), s.opts.Sync,
+	if err := s.ly.PublishSnapshot(s.base, payload, s.opts.Sync,
 		func() error { return s.crash(crashSnapTmpWritten) },
 		func() error { return s.crash(crashSnapRenamed) },
 	); err != nil {
-		// The countdown and dirty set survive (Capture.Abort), so the next
-		// maintenance pass retries immediately instead of logging another
-		// SnapshotEvery records uncovered.
-		cut.Abort()
+		// The countdown survives, so the next maintenance pass retries
+		// immediately instead of logging another SnapshotEvery records
+		// uncovered.
 		return err
 	}
-	// Only now — the snapshot is live — consume the countdown and adopt
-	// the merged entries as the next capture's baseline.
-	cut.Commit()
+	// Only now — the snapshot is live — consume the countdown.
+	s.covered.Store(records)
 	s.snapRuns.Add(1)
 	return nil
 }
 
-// capture rolls the log to a fresh segment and captures the index at
-// the cut, holding stateMu exclusively — which excludes the exclusive
-// committer, so no commit is in flight during the roll and the capture
-// is exactly the state the segments below the cut replay to. The
-// per-segment counters read here are exact for the same reason, and
-// compaction (the only other writer of gen and the counters) is
-// excluded by maintMu. The returned cut must be Committed after a
-// successful publish or Aborted on any error.
-func (s *KV) capture() (*kvIndexSnapshot, *Capture[string, kvEntry], error) {
-	s.stateMu.Lock()
-	t0 := time.Now()
-	snap, cut, err := s.captureLocked()
-	s.snapPause.Store(int64(time.Since(t0)))
-	s.stateMu.Unlock()
+// foldSnapshot is the payload of the next snapshot: the sealed segments
+// 1..cut folded over prev, the snapshot on disk.
+func (s *KV) foldSnapshot(prev *kvIndexSnapshot, cut uint32) ([]byte, error) {
+	s.segMu.RLock()
+	segs := s.segs[:cut:cut]
+	s.segMu.RUnlock()
+	index := &snapSink{added: make(map[string]kvEntry)}
+	fl, err := s.fold(prev, segs, false, index)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// The merge is O(total keys) of map work, but the stop-the-world
-	// capture above was O(dirty keys): it runs after stateMu released.
-	merged := cut.Merged()
-	snap.entries = make([]kvSnapEntry, 0, len(merged))
-	for key, e := range merged {
-		snap.entries = append(snap.entries, kvSnapEntry{key: key, kvEntry: e})
-	}
-	return snap, cut, nil
+	return s.ly.encodeIndex(&kvIndexSnapshot{meta: IndexMeta{Segs: fl.segs}, entries: index.entries()}), nil
 }
 
-// sealLocked rolls the active segment when seal, given it, says so, and
-// reports whether it rolled and how many segments are sealed now. Called
-// with stateMu held exclusively, which excludes the committer: no commit
-// is in flight during the roll, and the counters seal reads are exact.
-func (s *KV) sealLocked(seal func(active *kvSegment) bool) (rolled bool, sealed uint32, err error) {
+// uncovered counts the records logged — appended, or replayed at open —
+// since the published snapshot's cut: the auto-snapshot countdown.
+// Replayed records count, or a crash-looping store whose runs each log
+// fewer than SnapshotEvery records would grow its tail without bound.
+func (s *KV) uncovered() uint64 {
+	covered := s.covered.Load() // first: a seal after it only raises appends
+	return s.appends.Load() + uint64(s.recStats.RecordsReplayed) - covered
+}
+
+// seal rolls the active segment when roll, given it, says so, through
+// the committer's hand-off (Committer.SealLocked): at once when no
+// leader is designated or mid-batch, else at the leader's batch tail —
+// no commit is in flight either way, so the counters roll reads are
+// exact. It reports whether it rolled, how many segments are sealed, and
+// how many records the log held then (appended, or replayed at open) —
+// all of them below the cut when the active segment is left empty.
+func (s *KV) seal(roll func(active *kvSegment) bool) (rolled bool, cut uint32, records uint64, err error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if s.closed.Load() {
-		return false, 0, s.errClosed
-	}
-	if seal(s.active) {
-		if err := s.rollLocked(); err != nil {
-			return false, 0, err
+	err = s.comm.SealLocked(func() error {
+		if roll(s.active) {
+			if err := s.rollLocked(); err != nil {
+				return err
+			}
+			rolled = true
 		}
-		rolled = true
-	}
-	return rolled, s.active.idx - 1, nil
-}
-
-func (s *KV) captureLocked() (*kvIndexSnapshot, *Capture[string, kvEntry], error) {
-	_, covered, err := s.sealLocked(func(active *kvSegment) bool { return active.size.Load() > HeaderSize })
-	if err != nil {
-		return nil, nil, err
-	}
-
-	snap := &kvIndexSnapshot{meta: IndexMeta{Segs: make([]SegMeta, covered)}}
-	s.segMu.RLock()
-	for i, seg := range s.segs[:covered] {
-		snap.meta.Segs[i] = SegMeta{Gen: seg.gen, Live: seg.liveBytes.Load(), Tomb: seg.tombBytes.Load()}
-	}
-	s.segMu.RUnlock()
-
-	// An index entry above the cut would mean a record applied without
-	// the committer holding the cut shared — state corruption. Publishing
-	// a snapshot that silently omits it would cement the damage (the
-	// entry's segment gets rescanned on reopen, but a later snapshot
-	// covering it would not), so fail the capture loudly instead.
-	cut := s.track.Begin()
-	resolve := func(key string, e kvEntry, ok bool) error {
-		if ok && e.seg > covered {
-			cut.Abort()
-			return fmt.Errorf("%s: snapshot capture: key %x indexed in uncovered segment %d (cut at %d)",
-				s.ly.Name, key, e.seg, covered)
-		}
+		cut, records = s.active.idx-1, s.appends.Load()+uint64(s.recStats.RecordsReplayed)
 		return nil
-	}
-	if cut.Full() {
-		// First capture since open: seed from a full index scan.
-		seed := make(map[string]kvEntry, s.keys.Load())
-		for i := range s.stripes {
-			st := &s.stripes[i]
-			st.mu.RLock()
-			for key, e := range st.m {
-				if err := resolve(key, e, true); err != nil {
-					st.mu.RUnlock()
-					return nil, nil, err
-				}
-				seed[key] = e
-			}
-			st.mu.RUnlock()
-		}
-		cut.Seed(seed)
-	} else {
-		for key := range cut.Dirty() {
-			e, ok := s.lookup(key)
-			if err := resolve(key, e, ok); err != nil {
-				return nil, nil, err
-			}
-			cut.Resolve(key, e, ok)
-		}
-	}
-	return snap, cut, nil
+	})
+	return rolled, cut, records, err
 }
 
 // Compact rewrites every segment whose live-byte ratio is below
@@ -309,9 +268,9 @@ func qualifies(seg *kvSegment, ratio float64) bool {
 }
 
 // sealVictim seals the active segment if it qualifies as a victim. The
-// first look reads the counters without the cut, so a Compact with a
-// clean tail never stops the world; only a candidate takes stateMu, and
-// it is checked again there, where the counters are exact.
+// first look reads the counters as they stand, so a Compact with a clean
+// tail asks nothing of the committer; a candidate is checked again where
+// the seal runs, where the counters are exact.
 func (s *KV) sealVictim(ratio float64) (bool, error) {
 	s.wmu.Lock()
 	active := s.active
@@ -319,9 +278,7 @@ func (s *KV) sealVictim(ratio float64) (bool, error) {
 	if !qualifies(active, ratio) {
 		return false, nil
 	}
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	rolled, _, err := s.sealLocked(func(active *kvSegment) bool { return qualifies(active, ratio) })
+	rolled, _, _, err := s.seal(func(active *kvSegment) bool { return qualifies(active, ratio) })
 	return rolled, err
 }
 
@@ -409,17 +366,17 @@ func (s *KV) neededTombs(victim *kvSegment, tombs map[string]bool) (map[string]b
 // keep its old offset into the rewritten file. The accounting knows what
 // the walk cannot: liveBytes is the framed size of exactly the records
 // the index holds in the victim, so the kept puts still indexed must add
-// up to it. Both are read with every mutator fenced out (stateMu, as for
-// a snapshot capture — the counters are exact there), for as long as one
-// lookup per kept put takes; a Delete since the walk has taken the same
-// bytes off both. Length-prefixed keys make pass 1 scan, and CRC-check,
-// the whole victim, so there is nothing left to check.
+// up to it. Both are read under wmu, which every apply — the only change
+// of either — runs under, for as long as one lookup per kept put takes;
+// a Delete since the walk has taken the same bytes off both.
+// Length-prefixed keys make pass 1 scan, and CRC-check, the whole victim,
+// so there is nothing left to check.
 func (s *KV) checkLocated(victim *kvSegment, kept []keptRecord, path string) error {
 	if s.ly.KeyLen == 0 {
 		return nil
 	}
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	var located int64
 	for i := range kept {
 		k := &kept[i]
@@ -558,10 +515,6 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 		if e, ok := st.m[k.key]; ok && e.seg == victim.idx && e.off == k.valOff {
 			e.off = k.newOff
 			st.m[k.key] = e
-			// The entry moved: the next incremental snapshot must carry the
-			// new offset, or its baseline would keep pointing at the old one
-			// under a matching generation.
-			s.track.Mark(k.key)
 		}
 		st.mu.Unlock()
 	}

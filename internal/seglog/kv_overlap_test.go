@@ -11,12 +11,12 @@ import (
 )
 
 // TestKVReadsOverlapParkedCommit pins the early-lock-release contract:
-// while the group-commit leader sits in the fsync it holds the snapshot
-// cut shared, never the write mutex, the segment table or the index
-// stripes — so reads and stats proceed, later appenders queue without
-// holding any lock, and an exclusive capture waits only for the
-// in-flight batch, not the queue. Every step synchronizes on channels;
-// a regression deadlocks and the test times out.
+// while the group-commit leader sits in the fsync it holds no store lock
+// — not the write mutex, the segment table or the index stripes — so
+// reads and stats proceed, later appenders queue without holding any
+// lock, and a snapshot's seal waits only for the in-flight batch, whose
+// leader rolls at its tail, not for the queue. Every step synchronizes
+// on channels; a regression deadlocks and the test times out.
 func TestKVReadsOverlapParkedCommit(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
@@ -50,8 +50,8 @@ func TestKVReadsOverlapParkedCommit(t *testing.T) {
 			s.wmu.Unlock()
 		}
 
-		// An exclusive capture can now be requested: it waits for the
-		// in-flight batch only, so once the gate opens everything drains.
+		// A snapshot can now be requested: its seal waits for the in-flight
+		// batch only, so once the gate opens everything drains.
 		snapDone := make(chan error, 1)
 		go func() { snapDone <- s.Snapshot() }()
 		close(release)
@@ -69,9 +69,9 @@ func TestKVReadsOverlapParkedCommit(t *testing.T) {
 }
 
 // TestKVSnapshotFailureKeepsCountdown pins the snapshot-countdown fix:
-// a publish failure must leave the event countdown (and the dirty set)
-// intact, so the very next maintenance pass retries instead of waiting
-// for another SnapshotEvery records.
+// a publish failure must leave the countdown — records logged since the
+// published cut — intact, so the very next maintenance pass retries
+// instead of waiting for another SnapshotEvery records.
 func TestKVSnapshotFailureKeepsCountdown(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
@@ -85,13 +85,13 @@ func TestKVSnapshotFailureKeepsCountdown(t *testing.T) {
 		if !s.maintainPass() {
 			t.Fatal("maintainPass reported closed")
 		}
-		if n, ev := s.Stats().Snapshots, s.track.Events(); n != 0 || ev < 6 {
+		if n, ev := s.Stats().Snapshots, s.uncovered(); n != 0 || ev < 6 {
 			t.Fatalf("after failed publish: %d snapshots, countdown %d (want 0, >= 6)", n, ev)
 		}
 		// No new records: the retained countdown alone must trigger the retry.
-		s.crashHook = nil
+		s.opts.Fault = nil
 		s.maintainPass()
-		if n, ev := s.Stats().Snapshots, s.track.Events(); n != 1 || ev >= 4 {
+		if n, ev := s.Stats().Snapshots, s.uncovered(); n != 1 || ev >= 4 {
 			t.Fatalf("after retry: %d snapshots, countdown %d (want 1, < 4)", n, ev)
 		}
 
@@ -104,6 +104,52 @@ func TestKVSnapshotFailureKeepsCountdown(t *testing.T) {
 			t.Fatalf("reopen after retried snapshot: %+v, want snapshot + 1 replayed", rs)
 		}
 		verifyLive(t, s2, 7, all)
+	})
+}
+
+// TestCaptureAbortRetainsDirtyAndCountdown covers an incremental
+// snapshot that fails after its fold is built: the changes logged since
+// the published snapshot — a put and two deletes — stay uncovered and
+// counted, and the retry folds every one of them over the old snapshot,
+// consuming the countdown.
+func TestCaptureAbortRetainsDirtyAndCountdown(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		path := filepath.Join(t.TempDir(), "kv.log")
+		s := mustOpenKV(t, path, ly, KVOptions{SegmentBytes: 1 << 20})
+		putN(t, s, 0, 4)
+		must(t, s.Snapshot()) // the baseline the next snapshot folds over
+		if ev := s.uncovered(); ev != 0 {
+			t.Fatalf("countdown after the seed snapshot = %d, want 0", ev)
+		}
+
+		putN(t, s, 4, 5)
+		deleteIf(t, s, 2, all)
+		if ev := s.uncovered(); ev != 3 {
+			t.Fatalf("countdown = %d, want 3", ev)
+		}
+
+		fired := crashAtPoint(s, crashSnapCaptured)
+		if err := s.Snapshot(); !errors.Is(err, errCrash) || !*fired {
+			t.Fatalf("snapshot with a fault after the fold: err %v, fired %v", err, *fired)
+		}
+		if n, ev := s.Stats().Snapshots, s.uncovered(); n != 1 || ev != 3 {
+			t.Fatalf("after the failed snapshot: %d snapshots, countdown %d (want 1, 3)", n, ev)
+		}
+
+		s.opts.Fault = nil
+		must(t, s.Snapshot())
+		if n, ev := s.Stats().Snapshots, s.uncovered(); n != 2 || ev != 0 {
+			t.Fatalf("after the retry: %d snapshots, countdown %d (want 2, 0)", n, ev)
+		}
+		alive := func(i int) bool { return i >= 2 }
+		verifyLive(t, s, 5, alive)
+		must(t, s.Close())
+
+		s2 := mustOpenKV(t, path, ly, KVOptions{})
+		if rs := s2.RecoveryStats(); !rs.SnapshotLoaded || rs.SnapshotEntries != 3 || rs.RecordsReplayed != 0 {
+			t.Fatalf("reopen after the retried snapshot: %+v, want 3 snapshot entries and none replayed", rs)
+		}
+		verifyLive(t, s2, 5, alive)
 	})
 }
 

@@ -580,7 +580,7 @@ func TestKVBackgroundPassSealsNothing(t *testing.T) {
 // TestKVConcurrentTrafficAndMaintenance races puts, gets, one-phase
 // and batched two-phase deletes, on-demand and background snapshots and
 // compactions, and stats reads; under -race it checks that the commit
-// write, the size accounting and the capture cut are synchronized. The
+// write, the size accounting and the seal hand-off are synchronized. The
 // final reopen checks nothing was lost or resurrected.
 func TestKVConcurrentTrafficAndMaintenance(t *testing.T) {
 	eachFraming(t, func(t *testing.T, ly *KVLayout) {
@@ -825,6 +825,52 @@ func TestKVTornRollAndAppendsIntoCoveredSegment(t *testing.T) {
 		putN(t, s4, 2, 3)
 		must(t, s4.Close())
 		verifyLive(t, mustOpenKV(t, path, ly, KVOptions{}), 3, func(i int) bool { return i != 0 })
+	})
+}
+
+// TestKVTornRollThenRollAgain: records appended into a segment the
+// snapshot covers — a torn roll made it active again — survive a reopen
+// after that segment has rolled on, when it is no longer the highest;
+// and a snapshot taken while the covered segment is active and empty
+// still covers past it.
+func TestKVTornRollThenRollAgain(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		path := filepath.Join(t.TempDir(), "kv.log")
+		opts := KVOptions{SegmentBytes: 512}
+		s := mustOpenKV(t, path, ly, opts)
+		putN(t, s, 0, 4)
+		must(t, s.Snapshot())
+		must(t, s.Close())
+		must(t, os.Truncate(SegmentPath(path, uint64(segmentCount(t, ly, path))), 3))
+		s2 := mustOpenKV(t, path, ly, opts)
+		putN(t, s2, 4, 30) // into the covered segment, and on past its roll
+		must(t, s2.Delete(tkey(ly, 1)))
+		must(t, s2.Close())
+		alive := func(i int) bool { return i != 1 }
+		s3 := mustOpenKV(t, path, ly, opts)
+		verifyLive(t, s3, 30, alive)
+		must(t, s3.Snapshot())
+		must(t, s3.Close())
+		verifyLive(t, mustOpenKV(t, path, ly, opts), 30, alive)
+
+		// An empty segment the snapshot covers, made active by a torn roll:
+		// the snapshot after it seals it.
+		path = filepath.Join(t.TempDir(), "kv.log")
+		s = mustOpenKV(t, path, ly, KVOptions{})
+		putN(t, s, 0, 4)
+		deleteIf(t, s, 4, all)
+		must(t, s.Snapshot())
+		must(t, s.Compact()) // rewrites segment 1 empty, and covers it
+		must(t, s.Close())
+		must(t, os.Truncate(SegmentPath(path, uint64(segmentCount(t, ly, path))), 3))
+		s = mustOpenKV(t, path, ly, KVOptions{})
+		if s.active.size.Load() != HeaderSize {
+			t.Fatal("the torn roll left records in the active segment: the seal rolls it anyway, and this proves nothing")
+		}
+		must(t, s.Snapshot())
+		putN(t, s, 4, 6)
+		must(t, s.Close())
+		verifyLive(t, mustOpenKV(t, path, ly, KVOptions{}), 6, func(i int) bool { return i >= 4 })
 	})
 }
 

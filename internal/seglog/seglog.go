@@ -25,18 +25,18 @@
 //     recovery detects post-snapshot compaction and seeds accurate
 //     reclaim accounting (see indexsnap.go for the v2 story)
 //   - leader/batch group commit with one-batch tenure and early lock
-//     release: the leader runs the batch write+fsync with the store
-//     mutex dropped, holding at most a store-supplied shared outer
+//     release: the leader runs the batch write+fsync holding no store
 //     lock, and appends split into enqueue/await so callers can apply
-//     under their own locks at enqueue time and ack after durability
-//     (commit.go)
-//   - incremental snapshot capture, for the KV: a dirty-set tracker
-//     whose captures clone only what changed since the last *published*
-//     snapshot and whose commit/abort protocol consumes the
-//     auto-snapshot countdown only after a successful publish, so a
-//     failed publish retries on the next maintenance pass (capture.go).
-//     The version WAL captures nothing: its checkpoint folds sealed
-//     segments over the previous snapshot, off the disk
+//     under their own locks at enqueue time and ack after durability;
+//     a snapshotter seals the active segment through the committer's
+//     hand-off, never a wait for the queue to drain (commit.go)
+//   - snapshots as folds: neither store ever copies its live state to
+//     persist it. The version WAL's checkpoint and the KV's index
+//     snapshot each fold the sealed segments over the previous snapshot,
+//     off the disk, with the function recovery runs (the KV's is
+//     kv_recover.go's fold); the auto-snapshot countdown is records
+//     logged since the published cut, so a failed publish retries on
+//     the next maintenance pass
 //   - in-place segment rewrite as verified range copies, through a tmp
 //     file that is always fsynced before the rename: pass 1 locates the
 //     records and decides what survives without holding a byte of it

@@ -54,15 +54,15 @@ const (
 // enumerate them exhaustively.
 var crashPoints = []string{crashBegin, crashCaptured, crashTmpWritten, crashRenamed, crashSegmentDeleted}
 
-// crash fires the test-only fault-injection hook; a non-nil return
+// crash fires the test seam ManagerConfig.Fault; a non-nil return
 // aborts the checkpoint exactly as a crash at that point would (the
 // process would simply stop — nothing needs unwinding, recovery handles
 // every prefix).
 func (m *Manager) crash(point string) error {
-	if m.crashHook == nil {
+	if m.cfg.Fault == nil {
 		return nil
 	}
-	return m.crashHook(point)
+	return m.cfg.Fault(point)
 }
 
 // Checkpoint folds every event logged before this call into an

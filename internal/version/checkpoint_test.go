@@ -92,7 +92,7 @@ func TestCheckpointUnderSustainedLoad(t *testing.T) {
 	// 2. A second checkpoint blocks at tmp-written; traffic does not.
 	entered, release := make(chan struct{}), make(chan struct{})
 	m.ckptMu.Lock() // the hook field is the checkpointer's: set it between runs
-	m.crashHook = func(point string) error {
+	m.cfg.Fault = func(point string) error {
 		if point == crashTmpWritten {
 			close(entered)
 			<-release
@@ -156,7 +156,7 @@ func TestCheckpointNeverOutrunsTheLog(t *testing.T) {
 	m.log.comm.Commit = func([]*walAppend) error {
 		close(entered)
 		<-release
-		return m.log.wedge(errInjected)
+		return errInjected
 	}
 	lost := make(chan error, 1)
 	go func() {
@@ -168,7 +168,7 @@ func TestCheckpointNeverOutrunsTheLog(t *testing.T) {
 	go func() { ckpt <- m.Checkpoint() }()
 	for asked := false; !asked; time.Sleep(time.Millisecond) {
 		m.log.mu.Lock()
-		asked = m.log.rollAsk != nil
+		asked = m.log.comm.SealWaitingLocked()
 		m.log.mu.Unlock()
 	}
 	close(release)

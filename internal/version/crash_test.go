@@ -123,7 +123,7 @@ func TestCheckpointCrashInjection(t *testing.T) {
 			crashWorkload(t, m)
 			if tc.point != "" {
 				fired := false
-				m.crashHook = func(p string) error {
+				m.cfg.Fault = func(p string) error {
 					if p == tc.point {
 						fired = true
 						return errInjected
@@ -164,7 +164,7 @@ func TestEveryCrashPointIsExercised(t *testing.T) {
 	defer stop()
 	crashWorkload(t, m)
 	seen := make(map[string]bool)
-	m.crashHook = func(p string) error {
+	m.cfg.Fault = func(p string) error {
 		seen[p] = true
 		return nil
 	}

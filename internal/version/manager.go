@@ -55,6 +55,11 @@ type ManagerConfig struct {
 	// versions stay readable (default 1 — the newest readable snapshot
 	// can never expire regardless).
 	RetainVersions int
+	// Fault, when set, is called at every checkpoint fault point (the
+	// crashPoints of checkpoint.go); an error aborts the checkpoint there
+	// exactly as a process death at that point would. A test seam: no
+	// deployment sets it.
+	Fault func(point string) error
 }
 
 // Manager is the running version manager service.
@@ -94,9 +99,6 @@ type Manager struct {
 	ckptMu   sync.Mutex
 	ckptRuns atomic.Uint64
 	ckpt     *seglog.Maintainer
-
-	// crashHook is the test-only checkpoint fault injector.
-	crashHook func(point string) error
 
 	cancel context.CancelFunc // stops the sweeper; nil without one
 	wg     *vclock.WaitGroup  // joins the sweeper on Close

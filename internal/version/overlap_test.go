@@ -145,7 +145,7 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 	if evBefore == 0 {
 		t.Fatal("workload logged no events")
 	}
-	m.crashHook = func(point string) error {
+	m.cfg.Fault = func(point string) error {
 		if point == crashTmpWritten {
 			return errInjected
 		}
@@ -161,7 +161,7 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 		t.Fatalf("countdown consumed by failed checkpoint: events = %d, want %d", ev, evBefore)
 	}
 
-	m.crashHook = nil
+	m.cfg.Fault = nil
 	if err := m.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint retry: %v", err)
 	}

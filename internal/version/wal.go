@@ -195,8 +195,8 @@ type walOptions struct {
 // goroutine is the exclusive committer; they change under mu (roll,
 // close) but are read lock-free inside commit, which is safe because a
 // segment never rolls while a commit is in flight: the leader rolls
-// after its own batch, and the checkpointer only when there is no
-// leader (see seal).
+// after its own batch — for itself, or for a checkpointer that asked —
+// and the checkpointer itself only when there is no leader (see seal).
 type wal struct {
 	base     string        // path prefix; segments live at base.NNNNNN
 	fsync    bool          // fsync each commit
@@ -208,14 +208,6 @@ type wal struct {
 	segIdx uint64   // index of the active segment
 	size   int64    // committed bytes in the active segment
 	closed bool
-	// failed is the commit error that wedged the log (the committer is
-	// fail-stop). The active segment may end in a torn batch then, which
-	// only the final segment may, so a wedged log never rolls.
-	failed error
-	// rollAsk is the checkpointer's request that the leader roll after
-	// its batch whatever the segment's size, answered with the roll's
-	// outcome — or with what made it moot: a wedge, the close.
-	rollAsk chan error
 	// sealed counts the records in segments below segIdx; covered, those
 	// the published snapshot holds. Their distance from appends is the
 	// automatic checkpoint's countdown.
@@ -415,10 +407,8 @@ func openLog(path string, opts walOptions) (*wal, *state, error) {
 		// rejecting mutations with the wedging error.
 		FailStop: true,
 		MaybeRoll: func() {
-			if w.size >= w.segBytes || w.rollAsk != nil {
-				// Best effort for the size's sake: a failed roll leaves
-				// the oversized segment active.
-				w.answerRollLocked(w.rollLocked())
+			if w.size >= w.segBytes {
+				w.rollLocked() // best effort: a failed roll leaves the oversized segment active
 			}
 		},
 	}
@@ -458,8 +448,10 @@ func (w *wal) await(a *walAppend) error { return w.comm.Await(a) }
 // commit appends one batch contiguously to the active segment with a
 // single write and at most one fsync. Only one committer runs at a time
 // (the leader), so the active-segment fields need no extra
-// synchronization. On error w.size is not advanced, the log is wedged
-// and no state based on the batch may be applied.
+// synchronization. On error w.size is not advanced, the log is wedged —
+// the active segment may end in a torn batch, which only the final
+// segment may, so a wedged log never rolls — and no state based on the
+// batch may be applied.
 func (w *wal) commit(batch []*walAppend) error {
 	w.appends.Add(uint64(len(batch)))
 	var n int
@@ -471,11 +463,11 @@ func (w *wal) commit(batch []*walAppend) error {
 		out = append(out, a.rec...)
 	}
 	if _, err := w.f.WriteAt(out, w.size); err != nil {
-		return w.wedge(fmt.Errorf("version: wal append: %w", err))
+		return fmt.Errorf("version: wal append: %w", err)
 	}
 	if w.fsync {
 		if err := w.f.Sync(); err != nil {
-			return w.wedge(fmt.Errorf("version: wal fsync: %w", err))
+			return fmt.Errorf("version: wal fsync: %w", err)
 		}
 		w.syncs.Add(1)
 	}
@@ -483,56 +475,25 @@ func (w *wal) commit(batch []*walAppend) error {
 	return nil
 }
 
-// wedge records the commit error the fail-stop committer is about to
-// wedge on and tells a checkpointer waiting for this leader's roll that
-// none will come. Called by the leader, outside mu.
-func (w *wal) wedge(err error) error {
-	w.mu.Lock()
-	w.failed = err
-	w.answerRollLocked(err)
-	w.mu.Unlock()
-	return err
-}
-
-// answerRollLocked hands the checkpointer, if one asked, the outcome of
-// the roll it is waiting for. Called with w.mu held.
-func (w *wal) answerRollLocked(err error) {
-	if w.rollAsk != nil {
-		w.rollAsk <- err
-		w.rollAsk = nil
-	}
-}
-
 // seal makes every record committed so far part of a sealed segment and
 // returns the cut — the index of the active segment, below which
 // nothing changes any more — with the number of records under it. The
-// roll must not overlap a commit, which reads the active-segment fields
-// lock-free: with no leader designated or mid-batch the queue is empty
-// and seal rolls itself, under mu; otherwise it asks the leader, who
-// rolls after its batch (MaybeRoll) and answers. Handlers never wait
-// for either. Records enqueued but not yet committed land above the
-// cut, which is fine: their state is not in what the cut folds to.
-// Called by the checkpointer, one at a time.
+// roll goes through the committer's hand-off (seglog.Committer.
+// SealLocked), so it never overlaps a commit and handlers never wait for
+// it; a wedged or closed log refuses. Records enqueued but not yet
+// committed land above the cut, which is fine: their state is not in
+// what the cut folds to. Called by the checkpointer, one at a time.
 func (w *wal) seal() (cut, records uint64, err error) {
 	w.mu.Lock()
-	switch {
-	case w.closed:
-		err = errWALClosed
-	case w.failed != nil:
-		err = w.failed
-	case w.comm.LeadingLocked():
-		ask := make(chan error, 1)
-		w.rollAsk = ask
-		w.mu.Unlock()
-		err = <-ask
-		w.mu.Lock()
-	case w.size > 0:
-		err = w.rollLocked()
-	}
+	defer w.mu.Unlock()
+	err = w.comm.SealLocked(func() error {
+		if w.size > 0 {
+			return w.rollLocked()
+		}
+		return nil
+	})
 	// Every segment below the active one is sealed, whoever rolled last.
-	cut, records = w.segIdx, w.sealed
-	w.mu.Unlock()
-	return cut, records, err
+	return w.segIdx, w.sealed, err
 }
 
 // uncovered counts the records logged since the published snapshot's
@@ -541,8 +502,8 @@ func (w *wal) uncovered() uint64 { return w.appends.Load() - w.covered.Load() }
 
 // rollLocked closes the active segment and opens the next one. Called
 // with w.mu held, and only when no commit is in flight: by the committer
-// itself after its batch, or by the checkpointer when there is no
-// leader (see seal). Events never span segments, so each segment folds
+// itself after its batch, or through the committer's seal hand-off (see
+// seal). Events never span segments, so each segment folds
 // independently.
 func (w *wal) rollLocked() error {
 	if w.closed {
@@ -595,7 +556,6 @@ func (w *wal) close() error {
 	}
 	w.closed = true
 	w.comm.FailQueuedLocked(errWALClosed)
-	w.answerRollLocked(errWALClosed)
 	f := w.f
 	w.mu.Unlock()
 	return f.Close()
