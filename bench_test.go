@@ -6,9 +6,10 @@ import (
 	"testing"
 
 	"blobseer"
-	"blobseer/internal/bench"
-	"blobseer/internal/workload"
 )
+
+// payload returns n bytes to write; what they hold moves no benchmark.
+func payload(n int) []byte { return make([]byte, n) }
 
 // benchCluster stands up an embedded cluster for end-to-end benchmarks.
 func benchCluster(b *testing.B) (*blobseer.Client, func()) {
@@ -40,7 +41,7 @@ func BenchmarkAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chunk := workload.Chunk(1, 256<<10)
+	chunk := payload(256 << 10)
 	b.SetBytes(int64(len(chunk)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,7 +60,7 @@ func BenchmarkWriteAligned(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chunk := workload.Chunk(1, 256<<10)
+	chunk := payload(256 << 10)
 	if _, err := blob.Append(ctx, chunk); err != nil {
 		b.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func BenchmarkRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := workload.Chunk(1, 4<<20)
+	data := payload(4 << 20)
 	v, err := blob.Append(ctx, data)
 	if err != nil {
 		b.Fatal(err)
@@ -111,7 +112,7 @@ func BenchmarkBranch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := blob.Append(ctx, workload.Chunk(1, 1<<20))
+	v, err := blob.Append(ctx, payload(1<<20))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func BenchmarkConcurrentAppenders(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			chunk := workload.Chunk(2, 128<<10)
+			chunk := payload(128 << 10)
 			b.SetBytes(int64(len(chunk)))
 			b.ResetTimer()
 			b.SetParallelism(writers)
@@ -154,51 +155,11 @@ func BenchmarkConcurrentAppenders(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2a runs a reduced Figure 2(a) on the simulated Grid'5000
-// substrate and reports the mean append bandwidth as a custom metric in
-// paper-unit MB/s. Full-size series: go run ./cmd/blobseer-bench -exp fig2a.
-func BenchmarkFig2a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series, err := bench.RunFig2a(bench.Fig2aConfig{
-			PageSizes:      []uint64{64 << 10},
-			ProviderCounts: []int{16},
-			TotalPages:     256,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		for _, p := range series[0].Points {
-			sum += p.Y
-		}
-		b.ReportMetric(sum/float64(len(series[0].Points)), "paperMB/s")
-	}
-}
-
-// BenchmarkFig2b runs a reduced Figure 2(b) and reports the per-reader
-// bandwidth at the highest concurrency level, in paper-unit MB/s. Full
-// series: go run ./cmd/blobseer-bench -exp fig2b.
-func BenchmarkFig2b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := bench.RunFig2b(bench.Fig2bConfig{
-			Providers:    16,
-			BlobBytes:    512 << 20,
-			ChunkBytes:   16 << 20,
-			ReaderCounts: []int{16},
-			GrowPages:    512,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(s.Points[0].Y, "paperMB/s")
-	}
-}
-
 // BenchmarkReplicatedAppend measures the write cost of the replication
 // extension on the in-process transport. Here extra copies are memory
 // copies, so the slowdown is small; the real 1/R bandwidth cost appears
-// on the simulated network (`blobseer-bench -exp replication`), where the
-// writer's uplink carries R copies of every page.
+// on the simulated network (internal/cluster's BenchmarkSimReplication),
+// where the writer's uplink carries R copies of every page.
 func BenchmarkReplicatedAppend(b *testing.B) {
 	for _, r := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("replicas=%d", r), func(b *testing.B) {
@@ -221,7 +182,7 @@ func BenchmarkReplicatedAppend(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			chunk := workload.Chunk(5, 256<<10)
+			chunk := payload(256 << 10)
 			b.SetBytes(int64(len(chunk)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -244,7 +205,7 @@ func BenchmarkSnapshotReader(b *testing.B) {
 		b.Fatal(err)
 	}
 	total := 4 << 20 // 4 MiB blob
-	v, err := blob.Append(ctx, workload.Chunk(9, total))
+	v, err := blob.Append(ctx, payload(total))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -290,7 +251,7 @@ func BenchmarkDurableAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chunk := workload.Chunk(13, 256<<10)
+	chunk := payload(256 << 10)
 	b.SetBytes(int64(len(chunk)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

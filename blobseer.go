@@ -93,9 +93,6 @@ type ClientOptions struct {
 	PageReplication int
 	// ConnsPerHost tunes the connection pool per peer (default 1).
 	ConnsPerHost int
-	// MetadataCacheNodes bounds the client metadata cache (default
-	// 16384 nodes; negative disables caching).
-	MetadataCacheNodes int
 	// ReadTuning tunes the read path: page cache size, hedged replica
 	// requests, range coalescing and transfer fanout. The zero value
 	// means all defaults; each knob disables its mechanism when
@@ -139,7 +136,6 @@ func newClient(net transport.Network, sched vclock.Scheduler, opts ClientOptions
 		ProviderManager: opts.ProviderManager,
 		MetaRing:        ring,
 		ConnsPerHost:    opts.ConnsPerHost,
-		MetaCacheNodes:  opts.MetadataCacheNodes,
 		Read:            opts.ReadTuning,
 		PageReplication: opts.PageReplication,
 	})

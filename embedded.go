@@ -26,8 +26,11 @@ type ClusterOptions struct {
 	PageReplication int
 	// DiskDir, when non-empty, makes the cluster durable: each data
 	// provider stores pages in a crash-safe segmented page log under
-	// this directory instead of RAM, and the version manager keeps a
-	// segmented write-ahead log of version state there too.
+	// this directory instead of RAM (provider-<i>.log), each metadata
+	// node keeps its tree nodes in a segmented pair log there
+	// (meta-<i>.log), and the version manager keeps a segmented
+	// write-ahead log of version state there too
+	// (version-manager.wal).
 	DiskDir string
 	// WALSegmentBytes rolls the version manager's WAL into a fresh
 	// segment file once the active one exceeds this many bytes

@@ -4,8 +4,7 @@
 // thin air mid-stack, not frozen into struct fields, and not silently
 // dropped at exported API boundaries.
 //
-// Three rules, checked over every non-main, non-test package (and not
-// over internal/bench, whose drivers are experiment entry points):
+// Three rules, checked over every non-main, non-test package:
 //
 //  1. context.Background() and context.TODO() calls are findings.
 //     Libraries receive their context; only process entry points
@@ -46,23 +45,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// BenchPkg overrides the package exempted as the benchmark driver
-// (tests point it at a fixture). Empty means <module>/internal/bench.
-var BenchPkg string
-
-func benchPkg(pass *analysis.Pass) string {
-	if BenchPkg != "" {
-		return BenchPkg
-	}
-	return pass.ModPath + "/internal/bench"
-}
-
 func run(pass *analysis.Pass) error {
 	if pass.Pkg != nil && pass.Pkg.Name() == "main" {
 		return nil // process entry points own their lifecycle roots
-	}
-	if pass.PkgPath == benchPkg(pass) {
-		return nil // experiment drivers are entry points too
 	}
 	ann := collectAnnotations(pass)
 	for _, f := range pass.Files {

@@ -1,10 +1,8 @@
 package ctxflow_test
 
 import (
-	"strings"
 	"testing"
 
-	"blobseer/internal/analysis"
 	"blobseer/internal/analysis/analysistest"
 	"blobseer/internal/analysis/ctxflow"
 )
@@ -14,30 +12,4 @@ import (
 // package-main exemption (no wants at all).
 func TestGolden(t *testing.T) {
 	analysistest.Run(t, ctxflow.Analyzer, "testdata", "ctxflow", "ctxmain")
-}
-
-// TestBenchPkgExempt: with BenchPkg pointed at the fixture, its
-// Background call stops being a finding (the fixture carries no wants,
-// so the golden harness fails if anything is reported).
-func TestBenchPkgExempt(t *testing.T) {
-	old := ctxflow.BenchPkg
-	ctxflow.BenchPkg = "blobseer/internal/analysis/ctxflow/testdata/src/ctxbench"
-	defer func() { ctxflow.BenchPkg = old }()
-	analysistest.Run(t, ctxflow.Analyzer, "testdata", "ctxbench")
-}
-
-// TestBenchPkgFlaggedByDefault: the same fixture, with no override, is
-// an ordinary library package and its Background call is reported.
-func TestBenchPkgFlaggedByDefault(t *testing.T) {
-	pkgs, err := analysis.Load("testdata/src/ctxbench", ".")
-	if err != nil {
-		t.Fatalf("load fixture: %v", err)
-	}
-	res := analysis.Run([]*analysis.Analyzer{ctxflow.Analyzer}, pkgs)
-	if len(res.Errors) != 0 {
-		t.Fatalf("analyzer errors: %v", res.Errors)
-	}
-	if len(res.Findings) != 1 || !strings.Contains(res.Findings[0].Message, "context.Background()") {
-		t.Fatalf("want exactly the Background finding, got %v", res.Findings)
-	}
 }

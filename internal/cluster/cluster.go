@@ -1,7 +1,7 @@
 // Package cluster assembles complete BlobSeer deployments: a version
 // manager, a provider manager, N data providers and M metadata providers,
-// over any transport. It exists so tests, examples and the experiment
-// harness share one way to stand up the system.
+// over any transport. It exists so tests, examples and the benchmarks
+// share one way to stand up the system.
 //
 // Two topologies are provided:
 //
@@ -90,9 +90,6 @@ type Config struct {
 	// means unbounded; both are inert under a Virtual scheduler.
 	CallTimeout time.Duration
 	DialTimeout time.Duration
-	// ClientCacheNodes sets new clients' metadata cache capacity
-	// (0 = default, negative = disabled).
-	ClientCacheNodes int
 	// ClientRead tunes new clients' read path (page cache, hedging,
 	// coalescing, fanout); zero value = defaults. Per-client overrides
 	// go through NewClientCfg.
@@ -465,7 +462,7 @@ func (cl *Cluster) NewClient(host string) (*client.Client, error) {
 }
 
 // NewClientCfg builds a client like NewClient but lets tweak adjust the
-// client configuration first (used by the ablation benchmarks).
+// client configuration first.
 func (cl *Cluster) NewClientCfg(host string, tweak func(*client.Config)) (*client.Client, error) {
 	cfg := client.Config{
 		Net:             cl.clientNet(host),
@@ -473,7 +470,6 @@ func (cl *Cluster) NewClientCfg(host string, tweak func(*client.Config)) (*clien
 		VersionManager:  cl.VM.Addr(),
 		ProviderManager: cl.PM.Addr(),
 		MetaRing:        cl.Ring,
-		MetaCacheNodes:  cl.cfg.ClientCacheNodes,
 		Read:            cl.cfg.ClientRead,
 		PageReplication: cl.cfg.PageReplication,
 		CallTimeout:     cl.cfg.CallTimeout,

@@ -138,9 +138,6 @@ func (m *Manager) checkpointPass() bool {
 	return true
 }
 
-// Checkpoints reports how many checkpoints completed since start.
-func (m *Manager) Checkpoints() uint64 { return m.ckptRuns.Load() }
-
 // RecoveryStats reports what this incarnation's open of the write-ahead
 // log did: whether a snapshot seeded the state and how many tail events
 // had to be folded in (all zeros when not durable). With compaction

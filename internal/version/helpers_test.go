@@ -84,6 +84,9 @@ func ServeManager(ln transport.Listener, cfg ManagerConfig) *Manager {
 	return m
 }
 
+// Checkpoints reports how many checkpoints completed since start.
+func (m *Manager) Checkpoints() uint64 { return m.ckptRuns.Load() }
+
 // clone deep-copies a blob's state, so a fingerprint can be encoded
 // without holding (or racing) the shard it came from.
 func (b *blobState) clone() *blobState {

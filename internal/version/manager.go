@@ -23,10 +23,9 @@ type ManagerConfig struct {
 	// DeadWriterTimeout aborts updates whose writer neither completed nor
 	// aborted within this window, so a crashed client cannot stall
 	// publication forever. Zero disables the sweeper (the paper leaves
-	// failure handling to future work; this is an extension).
+	// failure handling to future work; this is an extension). The
+	// sweeper runs every quarter of the window.
 	DeadWriterTimeout time.Duration
-	// SweepEvery is the sweeper period (default DeadWriterTimeout/4).
-	SweepEvery time.Duration
 	// WALPath, when non-empty, makes version state durable: every
 	// state-changing event is appended to a write-ahead log at this path
 	// before it takes effect, and a manager started on an existing log
@@ -94,8 +93,8 @@ type Manager struct {
 	nextBlob atomic.Uint64 // last allocated blob id
 
 	// Checkpoint machinery (see checkpoint.go). ckptMu serializes
-	// checkpoint runs and doubles as the shutdown barrier; ckpt is the
-	// background checkpointer goroutine.
+	// checkpoint runs and doubles as the shutdown barrier; ckptRuns counts
+	// the completed ones; ckpt is the background checkpointer goroutine.
 	ckptMu   sync.Mutex
 	ckptRuns atomic.Uint64
 	ckpt     *seglog.Maintainer
@@ -135,9 +134,6 @@ func newShard(b *blobState) *blobShard {
 func ServeManagerDurable(ln transport.Listener, cfg ManagerConfig) (*Manager, error) {
 	if cfg.Sched == nil {
 		cfg.Sched = vclock.NewReal()
-	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = cfg.DeadWriterTimeout / 4
 	}
 	m := &Manager{cfg: cfg, sched: cfg.Sched, started: int64(cfg.Sched.Now())}
 	for i := range m.stripes {
@@ -369,7 +365,7 @@ var errVersionAborted = wire.NewError(wire.CodeAborted, "version aborted")
 // sweepLoop aborts updates from writers that went silent.
 func (m *Manager) sweepLoop(ctx context.Context) {
 	for {
-		if err := vclock.SleepCtx(ctx, m.sched, m.cfg.SweepEvery); err != nil {
+		if err := vclock.SleepCtx(ctx, m.sched, m.cfg.DeadWriterTimeout/4); err != nil {
 			return
 		}
 		if m.closed.Load() || ctx.Err() != nil {
