@@ -110,19 +110,18 @@ func TestHedgedReadRescuesSlowReplica(t *testing.T) {
 			return fmt.Errorf("hedges fired/won = %d/%d, want both > 0",
 				stats.HedgesFired, stats.HedgesWon)
 		}
-		// 1.81x here (142.8ms against 258.7ms); the bar is 1.75x. It was
-		// 2x, met at 2.06x only because the rpc pool over-dialled: the 16
-		// concurrent first fetches opened 16 connections to the four
-		// providers where ConnsPerHost allows one each. simnet shares a
-		// link equally between connections, so the provider with the most
-		// pages to send got the most of the reader's downlink. With one
-		// connection each, the busiest healthy provider — 5 primaries plus
-		// 3 hedged pages the slow node owed — sends 8 pages through a
-		// quarter of that link: 8 x 4 KiB at 250 KB/s is 131ms on its own.
+		// 2.25x here (115.2ms against 258.7ms); the bar is 1.75x. The
+		// busiest healthy provider — 5 primaries plus 3 hedged pages the
+		// slow node owed — sends 8 pages over one connection into the
+		// reader's downlink, which simnet shares max-min fairly: the slow
+		// node's connection takes the twentieth its uplink can send, and
+		// the three healthy ones split the rest, 8 x 4 KiB at ~317 KB/s.
 		// (Every page hedges: with 16 fetches in flight the reader's link
-		// is the bottleneck and each outlasts the delay.) A reader with
-		// ConnsPerHost 2..32 takes 139..158ms: its hedges dial connections
-		// of their own, and the wasted ones compete as equals.
+		// is the bottleneck and each outlasts the delay.) When a link was
+		// split equally between its connections the slow one held a
+		// quarter it could not use, and the ratio was 1.81x (142.8ms);
+		// before that, 2.06x came only from the rpc pool over-dialling 16
+		// connections where ConnsPerHost allows one per provider.
 		if 7*hedgedElapsed >= 4*unhedged {
 			return fmt.Errorf("hedged read %v not at least 1.75x faster than unhedged %v",
 				hedgedElapsed, unhedged)

@@ -33,7 +33,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -111,14 +111,16 @@ func calibrate(w io.Writer, paper bool) (calibration, error) {
 	var err error
 	if simErr := clock.Run(func() {
 		var bw, rtt float64
-		if bw, rtt, err = measureLink(clock, net, size); err == nil {
-			c = calibration{bw * simScale / mb, rtt / 2 * 1e3}
-		}
+		bw, rtt, err = measureLink(clock, net, size)
+		c = calibration{bw * simScale / mb, rtt / 2 * 1e3}
 	}); simErr != nil {
 		return c, simErr
 	}
+	if err != nil {
+		return c, err
+	}
 	fmt.Fprintf(w, "calibrate %d B: %v MB/s, one-way latency %v ms\n", size, c.mbps, c.oneWayMS)
-	return c, err
+	return c, nil
 }
 
 // measureLink transfers size bytes between two fresh nodes and returns
@@ -518,10 +520,10 @@ func replication(w io.Writer, paper bool) ([]replicated, error) {
 // readCell is one A11 measurement: a read-tuning scenario at one reader
 // count. The times are virtual but do not repeat exactly; the counts do.
 type readCell struct {
-	readers            int
-	scenario           string
-	mbps, p50ms, p99ms float64
-	stats              client.PageCacheStats
+	readers     int
+	scenario    string
+	mbps, p99ms float64
+	stats       client.PageCacheStats
 }
 
 // readPath is A11: the production read path — the client page cache with
@@ -641,15 +643,11 @@ func readScenario(clock *vclock.Virtual, net *simnet.Net, cl *Cluster, blob wire
 	for _, l := range lats {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	quant := func(q float64) float64 {
-		return float64(all[int(q*float64(len(all)-1))]) / float64(time.Millisecond)
-	}
+	slices.Sort(all)
 	total := float64(readers) * scans * float64(blobPages*simPage)
 	return readCell{
 		mbps:  total * simScale / elapsed / mb,
-		p50ms: quant(0.50),
-		p99ms: quant(0.99),
+		p99ms: float64(all[int(0.99*float64(len(all)-1))]) / float64(time.Millisecond),
 		stats: c.PageCacheStats(),
 	}, nil
 }
@@ -929,9 +927,9 @@ func BenchmarkSimReplication(b *testing.B) {
 
 func BenchmarkSimReadPath(b *testing.B) {
 	benchSim(b, readPath, func(b *testing.B, cells []readCell) {
-		// The most readers' cells, with the times the rows leave out.
-		for _, c := range cells[len(cells)-5:] {
-			name := strings.NewReplacer(", ", "-", " ", "-").Replace(c.scenario)
+		// The times the rows leave out.
+		for _, c := range cells {
+			name := fmt.Sprintf("%dr-%s", c.readers, strings.NewReplacer(", ", "-", " ", "-").Replace(c.scenario))
 			b.ReportMetric(c.mbps, name+"-MB/s")
 			b.ReportMetric(c.p99ms, name+"-p99-ms")
 		}

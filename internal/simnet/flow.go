@@ -1,10 +1,12 @@
 package simnet
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"blobseer/internal/vclock"
@@ -82,8 +84,8 @@ func newConnDir(n *Net, c *conn, src, dst *node, key uint64) *connDir {
 
 // flow is the bandwidth-model state of one connection direction. A flow
 // is "active" while it has pending segments; its instantaneous rate is
-// its equal share of the more contended of its two links. Progress is
-// advanced lazily: headRem is valid as of lastAt.
+// its max-min fair share of its two links (see reshareLocked). Progress
+// is advanced lazily: headRem is valid as of lastAt.
 type flow struct {
 	dir      *connDir
 	src, dst *node
@@ -95,6 +97,7 @@ type flow struct {
 	rate    float64       // bytes/second
 	active  bool
 	gen     uint64 // invalidates stale heap entries
+	shared  uint64 // the run of reshareLocked that last fixed its rate
 }
 
 // segment is the unit of transfer: one Write call.
@@ -225,70 +228,128 @@ func advanceLocked(f *flow, now time.Duration) {
 	f.lastAt = now
 }
 
-// rateOf computes a flow's equal share of its two links.
-func (n *Net) rateOf(f *flow) float64 {
-	if f.loopback {
-		return n.cfg.LoopbackBps
-	}
-	up := f.src.upBps / float64(len(f.src.up))
-	down := f.dst.downBps / float64(len(f.dst.down))
-	if up < down {
-		return up
-	}
-	return down
-}
-
-// activateLocked inserts f into the flow set and recomputes the sharing
-// flows on both of its links.
+// activateLocked inserts f into the flow set and reshares the links.
 func (n *Net) activateLocked(f *flow, now time.Duration) {
 	f.active = true
 	f.headRem = float64(len(f.segs[0].data))
 	f.lastAt = now
-	if !f.loopback {
-		f.src.up[f] = struct{}{}
-		f.dst.down[f] = struct{}{}
-		n.retuneLinksLocked(f.src, f.dst, now)
-	} else {
-		n.retuneFlowLocked(f, now)
+	if f.loopback {
+		n.retuneFlowLocked(f, n.cfg.LoopbackBps, now)
+		return
 	}
+	f.rate = 0 // whatever its share, it needs a completion entry
+	f.src.up.add(f)
+	f.dst.down.add(f)
+	n.reshareLocked(now)
 }
 
-// deactivateLocked removes f from the flow set and recomputes sharers.
+// deactivateLocked removes f from the flow set and reshares the links.
 func (n *Net) deactivateLocked(f *flow, now time.Duration) {
 	f.active = false
 	f.gen++ // orphan heap entries
 	if !f.loopback {
-		delete(f.src.up, f)
-		delete(f.dst.down, f)
-		n.retuneLinksLocked(f.src, f.dst, now)
+		f.src.up.remove(f)
+		f.dst.down.remove(f)
+		n.reshareLocked(now)
 	}
 }
 
-// retuneLinksLocked re-rates every flow crossing src's uplink or dst's
-// downlink (their shares changed) and refreshes their completion entries.
-func (n *Net) retuneLinksLocked(src, dst *node, now time.Duration) {
-	for g := range src.up {
-		n.retuneFlowLocked(g, now)
-	}
-	for g := range dst.down {
-		if _, dup := src.up[g]; dup {
-			continue // already retuned
+func (l *nic) add(f *flow) {
+	i, _ := slices.BinarySearchFunc(l.flows, f.dir.key, func(g *flow, key uint64) int { return cmp.Compare(g.dir.key, key) })
+	l.flows = slices.Insert(l.flows, i, f)
+}
+
+func (l *nic) remove(f *flow) {
+	l.flows = slices.DeleteFunc(l.flows, func(g *flow) bool { return g == f })
+}
+
+// reshareLocked gives every active flow between nodes its max-min fair
+// rate by progressive filling, and retunes each flow whose rate moved.
+// The link with the smallest fair share — what it has left over the
+// flows on it not yet fixed — fixes those flows at that share; each of
+// them then takes its share off its other link, whose own fair share can
+// only grow; repeat. Links come off the heap by share, then node name,
+// uplink first, and a link's flows in connDir.key order, so the float
+// arithmetic, and with it every rate, repeats run after run.
+func (n *Net) reshareLocked(now time.Duration) {
+	n.shares++
+	h := n.sharing[:0]
+	for _, nd := range n.nodes {
+		for _, l := range [...]*nic{&nd.up, &nd.down} {
+			if l.left, l.open = l.bps, len(l.flows); l.open > 0 {
+				l.share, l.at = l.left/float64(l.open), len(h)
+				h = append(h, l)
+			}
 		}
-		n.retuneFlowLocked(g, now)
 	}
+	heap.Init(&h)
+	for h.Len() > 0 {
+		l := heap.Pop(&h).(*nic)
+		for _, f := range l.flows {
+			if f.shared == n.shares {
+				continue
+			}
+			f.shared = n.shares
+			other := &f.dst.down
+			if other == l {
+				other = &f.src.up
+			}
+			if other.left, other.open = other.left-l.share, other.open-1; other.open > 0 {
+				other.share = other.left / float64(other.open)
+				heap.Fix(&h, other.at)
+			} else {
+				heap.Remove(&h, other.at)
+			}
+			if f.rate != l.share {
+				n.retuneFlowLocked(f, l.share, now)
+			}
+		}
+	}
+	n.sharing = h
 }
 
-// retuneFlowLocked advances g, assigns its current fair rate and pushes a
-// fresh completion entry.
-func (n *Net) retuneFlowLocked(g *flow, now time.Duration) {
+// retuneFlowLocked advances g at its old rate, gives it rate and pushes
+// a fresh completion entry.
+func (n *Net) retuneFlowLocked(g *flow, rate float64, now time.Duration) {
 	advanceLocked(g, now)
-	g.rate = n.rateOf(g)
+	g.rate = rate
 	g.gen++
 	heap.Push(&n.completions, completionEntry{
 		at:  now + drainTime(g.headRem, g.rate),
 		f:   g,
 		gen: g.gen,
 	})
+}
+
+// nicHeap orders the links reshareLocked has yet to fix by fair share,
+// then node name, uplink first.
+type nicHeap []*nic
+
+func (h nicHeap) Len() int { return len(h) }
+func (h nicHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.share != b.share {
+		return a.share < b.share
+	}
+	if a.node != b.node {
+		return a.node.name < b.node.name
+	}
+	return a == &a.node.up
+}
+func (h nicHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].at, h[j].at = i, j
+}
+func (h *nicHeap) Push(x interface{}) {
+	l := x.(*nic)
+	l.at = len(*h)
+	*h = append(*h, l)
+}
+func (h *nicHeap) Pop() interface{} {
+	old := *h
+	l := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return l
 }
 
 // drainTime converts remaining bytes at a rate into a duration, rounding
@@ -491,10 +552,10 @@ func (n *Net) Close() {
 		f.dir.closed = true
 	}
 	for _, nd := range n.nodes {
-		for f := range nd.up {
+		for _, f := range nd.up.flows {
 			collect(f)
 		}
-		for f := range nd.down {
+		for _, f := range nd.down.flows {
 			collect(f)
 		}
 	}

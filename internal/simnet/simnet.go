@@ -8,18 +8,24 @@
 //
 // Every simulated machine ("node") has a full-duplex NIC with independent
 // uplink and downlink capacities. Each connection direction with pending
-// bytes is a flow; a flow's instantaneous rate is
+// bytes is a flow, crossing its source's uplink and its destination's
+// downlink. Links are shared max-min fairly, the fixed point TCP's
+// congestion control approximates: every flow's rate rises together
+// until a link saturates, the flows crossing it stay at that rate, and
+// the rest keep rising with what their links have left (progressive
+// filling). A flow held back by one link thus leaves its unused share of
+// the other to the flows there: if a node's uplink feeds one receiver
+// whose downlink takes a tenth of it and one that takes anything, the
+// second gets nine tenths, not half. Rates are recomputed whenever a
+// flow starts or stops and in a fixed order, so they repeat to the last
+// bit.
 //
-//	min(upCap(src)/upFlows(src), downCap(dst)/downFlows(dst))
-//
-// i.e. links are shared equally among the flows crossing them (a standard
-// approximation of TCP's max-min fair sharing). Each Write becomes one
-// segment: the writer blocks until the segment has drained at the flow
-// rate, and the bytes become readable at the destination one propagation
-// latency later. Connections between co-located endpoints bypass the NIC
-// through a fast loopback path, which models the paper's co-deployment of
-// data providers, metadata providers and readers on the same physical
-// nodes (§5).
+// Each Write becomes one segment: the writer blocks until the segment
+// has drained at the flow rate, and the bytes become readable at the
+// destination one propagation latency later. Connections between
+// co-located endpoints bypass the NIC through a fast loopback path,
+// which models the paper's co-deployment of data providers, metadata
+// providers and readers on the same physical nodes (§5).
 //
 // The defaults mirror the paper's measured figures: 117.5 MB/s TCP
 // throughput on the 1 Gbit/s links and 0.1 ms latency.
@@ -36,6 +42,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -85,7 +93,9 @@ type Net struct {
 	cfg   Config
 
 	mu          sync.Mutex
-	nodes       map[string]*node
+	nodes       []*node // in name order
+	shares      uint64  // runs of reshareLocked, to mark the flows one run fixed
+	sharing     nicHeap // reshareLocked's heap, kept for its storage
 	listeners   map[string]*listener
 	completions completionHeap // pending segment completions
 	armed       bool           // a wake-up watcher is pending
@@ -105,7 +115,6 @@ func New(clock *vclock.Virtual, cfg Config) *Net {
 	return &Net{
 		clock:     clock,
 		cfg:       cfg,
-		nodes:     make(map[string]*node),
 		listeners: make(map[string]*listener),
 		conns:     make(map[*conn]struct{}),
 		dials:     make(map[[2]string]uint64),
@@ -113,15 +122,23 @@ func New(clock *vclock.Virtual, cfg Config) *Net {
 	}
 }
 
-// node is one simulated machine's NIC state. up and down hold the active
-// flows crossing each direction of the NIC; a flow's fair share is the
-// link capacity divided by the set size.
+// node is one simulated machine's NIC: its uplink and its downlink.
 type node struct {
-	name    string
-	upBps   float64
-	downBps float64
-	up      map[*flow]struct{}
-	down    map[*flow]struct{}
+	name     string
+	up, down nic
+}
+
+// nic is one direction of a node's NIC: its capacity and the active flows
+// crossing it, in connDir.key order. The rest is reshareLocked's working
+// state.
+type nic struct {
+	node  *node
+	bps   float64
+	flows []*flow
+	left  float64 // capacity not yet given to fixed flows
+	open  int     // flows not yet fixed
+	share float64 // left / open
+	at    int     // index in the heap
 }
 
 // Host returns the transport.Network for the named node, creating the
@@ -134,22 +151,26 @@ func (n *Net) Host(name string) *Host {
 }
 
 // SetNodeBandwidth overrides one node's NIC capacities (bytes/second).
+// Flows in progress take the new shares at once.
 func (n *Net) SetNodeBandwidth(name string, upBps, downBps float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	nd := n.nodeLocked(name)
-	nd.upBps, nd.downBps = upBps, downBps
+	nd.up.bps, nd.down.bps = upBps, downBps
+	now := n.clock.Now()
+	n.reshareLocked(now)
+	n.rearmLocked(now)
 }
 
 func (n *Net) nodeLocked(name string) *node {
-	nd, ok := n.nodes[name]
-	if !ok {
-		nd = &node{
-			name: name, upBps: n.cfg.LinkBps, downBps: n.cfg.LinkBps,
-			up: make(map[*flow]struct{}), down: make(map[*flow]struct{}),
-		}
-		n.nodes[name] = nd
+	i, ok := slices.BinarySearchFunc(n.nodes, name, func(m *node, name string) int { return strings.Compare(m.name, name) })
+	if ok {
+		return n.nodes[i]
 	}
+	nd := &node{name: name}
+	nd.up = nic{node: nd, bps: n.cfg.LinkBps}
+	nd.down = nic{node: nd, bps: n.cfg.LinkBps}
+	n.nodes = slices.Insert(n.nodes, i, nd)
 	return nd
 }
 

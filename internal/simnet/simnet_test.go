@@ -141,6 +141,30 @@ func TestTwoFlowsShareUplink(t *testing.T) {
 	})
 }
 
+// TestBottleneckedFlowLeavesItsShare pins the max-min model: A's uplink
+// feeds B, whose downlink takes a tenth of it, and C. B holds the A->B
+// flow to that tenth, so A->C drains at the other nine tenths of A's
+// uplink; an equal split of the uplink would give it half.
+func TestBottleneckedFlowLeavesItsShare(t *testing.T) {
+	runSim(t, Config{}, func(clock *vclock.Virtual, net *Net) {
+		const link, size = 117.5 * MBps, 4 << 20
+		net.SetNodeBandwidth("b", link, link/10)
+		a := net.Host("a")
+		toB, toC := clock.NewEvent(), clock.NewEvent()
+		clock.Go(func() { toB.Fire(transfer(t, clock, a, net.Host("b"), size)) })
+		clock.Go(func() { toC.Fire(transfer(t, clock, a, net.Host("c"), size)) })
+		c, _ := toC.Wait(nil)
+		b, _ := toB.Wait(nil)
+		if c.(time.Duration) >= b.(time.Duration) {
+			t.Fatalf("A->C took %v, A->B %v: the capped flow must outlast the other", c, b)
+		}
+		bw := float64(size) / c.(time.Duration).Seconds()
+		if want := 0.9 * link; math.Abs(bw-want)/want > 0.02 {
+			t.Errorf("A->C drained at %.2f MB/s, want nine tenths of A's uplink, %.2f", bw/MBps, want/MBps)
+		}
+	})
+}
+
 func TestManyReadersShareServerUplink(t *testing.T) {
 	// N concurrent downloads from one server each get cap/N: the
 	// mechanism behind Figure 2(b)'s degradation.
