@@ -17,7 +17,7 @@ type ManagerConfig struct {
 	Sched vclock.Scheduler
 	// Expiry drops providers that have not heartbeated for this long.
 	// Zero disables expiry (useful under the simulated clock where
-	// providers never crash unless the harness kills them).
+	// providers never crash unless a test kills them).
 	Expiry time.Duration
 }
 

@@ -5,8 +5,8 @@
 //   - tcp: real TCP sockets, used by the cmd/blobseerd daemon;
 //   - inproc: in-memory pipes for tests and embedded clusters;
 //   - simnet (package internal/simnet): a flow-level network simulator
-//     over a virtual clock, used by the experiment harness to reproduce
-//     the paper's Grid'5000 testbed.
+//     over a virtual clock, used by the virtual-time rows of
+//     internal/cluster to reproduce the paper's Grid'5000 testbed.
 //
 // All higher layers (rpc and above) depend only on the interfaces here, so
 // the exact same service code runs over all three.

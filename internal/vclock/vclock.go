@@ -1,7 +1,7 @@
 // Package vclock abstracts time and goroutine scheduling so that the same
 // BlobSeer service code can run either in real time (production, tests)
-// or in simulated virtual time (the experiment harness, which replays the
-// paper's Grid'5000 testbed on one machine).
+// or in simulated virtual time (the virtual-time rows of internal/cluster,
+// which replay the paper's Grid'5000 testbed on one machine).
 //
 // The Virtual scheduler implements discrete-event simulation with
 // cooperating goroutines: every goroutine participating in the simulation
