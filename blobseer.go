@@ -42,9 +42,11 @@ package blobseer
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"blobseer/internal/client"
 	"blobseer/internal/dht"
+	"blobseer/internal/obs"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -105,9 +107,10 @@ type ClientOptions struct {
 // public API through the client config without copying field by field.
 type ReadTuning = client.ReadTuning
 
-// PageCacheStats reports the read-path counters: page cache hits and
-// misses, single-flight shares, hedges fired and won, and coalesced
-// request counts.
+// PageCacheStats is the read-path counters' old shape.
+//
+// Deprecated: read the client's series (Client.WriteMetrics); kept only
+// until internal/blast stops naming it.
 type PageCacheStats = client.PageCacheStats
 
 // Client is a handle to a BlobSeer cluster, safe for concurrent use by
@@ -203,9 +206,16 @@ func (b *Blob) Read(ctx context.Context, v Version, buf []byte, offset uint64) e
 	return b.c.inner.Read(ctx, b.id, v, buf, offset)
 }
 
-// PageCacheStats reports the client's cumulative read-path counters
-// (shared across all blobs read through this client).
-func (c *Client) PageCacheStats() PageCacheStats { return c.inner.PageCacheStats() }
+// WriteMetrics writes the client's series — its read path's page cache,
+// hedging and coalescing counters, its metadata cache's, and its failed
+// page reclaims, cumulative over every blob it served — in the
+// Prometheus text format blobseerd's /metrics serves.
+func (c *Client) WriteMetrics(w io.Writer) error {
+	var s obs.Sink
+	c.inner.Metrics(&s)
+	_, err := s.WriteTo(w)
+	return err
+}
 
 // Recent returns a recently published version and its size; the version
 // is at least as new as any publication that completed before the call.

@@ -35,7 +35,7 @@ func main() {
 	hedge := flag.Duration("hedge-delay", 0, "hedged-read delay (0 = adaptive p99-based, negative = off)")
 	coalesce := flag.Int("coalesce-pages", 0, "max pages per coalesced read RPC (0 = default, <=1 = off)")
 	fanout := flag.Int("max-fanout", 0, "max concurrent transfers per call (0 = default)")
-	readStats := flag.Bool("read-stats", false, "print read-path cache/hedge/coalesce counters to stderr on exit")
+	readStats := flag.Bool("read-stats", false, "print the client's series (read path, metadata cache, reclaims) to stderr on exit, in the /metrics text format")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		usage()
@@ -189,11 +189,7 @@ func main() {
 	}
 
 	if *readStats {
-		s := c.PageCacheStats()
-		fmt.Fprintf(os.Stderr,
-			"read path: %d hits, %d misses, %d shared flights; hedges %d fired / %d won; %d coalesced rpcs (%d pages); %d fetch rpcs, %d pages fetched\n",
-			s.Hits, s.Misses, s.Shares, s.HedgesFired, s.HedgesWon,
-			s.CoalescedRPCs, s.CoalescedPages, s.FetchRPCs, s.PagesFetched)
+		c.WriteMetrics(os.Stderr)
 	}
 }
 
@@ -248,6 +244,6 @@ commands:
   gc <blob>                   reclaim pages of expired snapshots
 read tuning (before the command):
   -page-cache-bytes N  -hedge-delay D  -coalesce-pages N  -max-fanout N
-  -read-stats                 print cache/hedge/coalesce counters to stderr`)
+  -read-stats                 print the client's series to stderr (/metrics text format)`)
 	os.Exit(2)
 }

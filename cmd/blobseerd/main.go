@@ -7,23 +7,29 @@
 //
 //	blobseerd -role version-manager  -listen :4400
 //	blobseerd -role provider-manager -listen :4401
-//	blobseerd -role metadata         -listen :4402
+//	blobseerd -role metadata         -listen :4402 -debug-addr 127.0.0.1:6402
 //	blobseerd -role data             -listen :4403 \
 //	          -manager vm-host:4401 -advertise node7:4403 -disk /var/lib/blobseer/pages.log
 //
 // Clients connect with blobseer.Dial, listing the version manager, the
-// provider manager and every metadata provider address.
+// provider manager and every metadata provider address. -debug-addr
+// serves the role's series as Prometheus text at /metrics (curl
+// 127.0.0.1:6402/metrics) and the profiler at /debug/pprof/ (go tool
+// pprof http://127.0.0.1:6402/debug/pprof/profile).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
+	_ "net/http/pprof" // registers the profiler on http.DefaultServeMux
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/provider"
 	"blobseer/internal/rpc"
@@ -54,6 +60,7 @@ var (
 	heartbeat     = flag.Duration("heartbeat", 5*time.Second, "heartbeat period (data role)")
 	rpcTimeout    = flag.Duration("rpc-timeout", 0, "per-call deadline on manager-facing RPCs (data role; 0 = heartbeat period)")
 	dialTimeout   = flag.Duration("dial-timeout", 0, "deadline on establishing manager connections (data role; 0 = unbounded)")
+	debugAddr     = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (empty: off)")
 )
 
 func main() {
@@ -66,7 +73,10 @@ func main() {
 		log.Fatalf("listen %s: %v", *listen, err)
 	}
 
-	var closer interface{ Close() }
+	var svc interface {
+		Close()
+		obs.Source
+	}
 	switch *role {
 	case "version-manager":
 		m, err := version.ServeManagerDurable(ln, version.ManagerConfig{
@@ -81,7 +91,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("start version manager: %v", err)
 		}
-		closer = m
+		svc = m
 		log.Printf("version manager listening on %s", m.Addr())
 
 	case "provider-manager":
@@ -89,7 +99,7 @@ func main() {
 			Sched:  sched,
 			Expiry: 30 * time.Second,
 		})
-		closer = m
+		svc = m
 		log.Printf("provider manager listening on %s", m.Addr())
 
 	case "metadata":
@@ -107,7 +117,7 @@ func main() {
 		} else {
 			n = blobdht.ServeNode(ln, sched)
 		}
-		closer = n
+		svc = n
 		log.Printf("metadata provider listening on %s", n.Addr())
 
 	case "data":
@@ -137,7 +147,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("start data provider: %v", err)
 		}
-		closer = p
+		svc = p
 		log.Printf("data provider listening on %s (manager %s)", p.Addr(), *managerAddr)
 
 	default:
@@ -146,11 +156,27 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *debugAddr != "" {
+		go func() { log.Fatalf("debug server: %v", debugServer(*debugAddr, svc).ListenAndServe()) }()
+		log.Printf("debug endpoints at http://%s/metrics and /debug/pprof/", *debugAddr)
+	}
+
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Print("shutting down")
-	closer.Close()
+	svc.Close()
+}
+
+// debugServer serves src's series at /metrics and the profiler at
+// /debug/pprof/ on addr, from a mux of its own that hands only
+// /debug/pprof/ to the default mux, where nothing but the profiler
+// registers.
+func debugServer(addr string, src obs.Source) *http.Server {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.Handler(src))
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
+	return &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 }
 
 // serveDataProvider wraps provider.Serve, rewriting the advertised

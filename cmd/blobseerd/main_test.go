@@ -16,8 +16,11 @@ func TestFlagCount(t *testing.T) {
 			n++
 		}
 	})
-	if n != 16 {
-		t.Fatalf("blobseerd has %d flags, want 16", n)
+	if n != 17 {
+		t.Fatalf("blobseerd has %d flags, want 17", n)
+	}
+	if *debugAddr != "" {
+		t.Fatalf("-debug-addr defaults to %q; the debug endpoints must be off unless asked for", *debugAddr)
 	}
 	if *logSync || !*walSync || *segmentBytes != 64<<20 || *snapshotEvery != 4096 || *compactRatio != 0.5 {
 		t.Fatalf("log defaults changed: sync %v wal-sync %v segment-bytes %d snapshot-every %d compact-ratio %v",

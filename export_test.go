@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 )
 
@@ -33,21 +34,10 @@ func (c *Cluster) DataProviderCount() int { return len(c.inner.Providers) }
 // MetaNodeCount returns the number of metadata nodes in the cluster.
 func (c *Cluster) MetaNodeCount() int { return len(c.inner.MetaNodes) }
 
-// ProviderPages sums live page counts over the cluster's data providers,
-// so retention tests can watch the GC actually reclaim storage.
-func (c *Cluster) ProviderPages() (pages, bytes uint64) {
-	for _, p := range c.inner.Providers {
-		n, b := p.Store().Stats()
-		pages += n
-		bytes += b
-	}
-	return pages, bytes
+// Series reads one of the embedded cluster's series (see
+// cluster.Cluster.Metrics): retention tests watch the GC reclaim pages
+// and metadata through store_keys, store_value_bytes and store_log_bytes
+// by role.
+func (c *Cluster) Series(name string, labels ...string) uint64 {
+	return uint64(obs.Value(c.inner, name, labels...))
 }
-
-// MetaStats sums key and value-byte counts over the cluster's metadata
-// nodes, so retention tests can watch the GC reclaim metadata too.
-func (c *Cluster) MetaStats() (keys, bytes uint64) { return c.inner.MetaStats() }
-
-// MetaLogBytes sums the on-disk metadata log footprint over the
-// cluster's durable metadata nodes (0 for an in-memory cluster).
-func (c *Cluster) MetaLogBytes() int64 { return c.inner.MetaLogBytes() }

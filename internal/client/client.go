@@ -22,6 +22,7 @@ import (
 
 	"blobseer/internal/dht"
 	"blobseer/internal/meta"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
@@ -76,8 +77,7 @@ type Client struct {
 	rstats readStats
 	gen    *wire.PageIDGen
 
-	// reclaimFailures counts best-effort page-reclaim deletes that
-	// failed or timed out over the client's lifetime (see reclaimPages).
+	// reclaimFailures counts failed best-effort page reclaims (reclaimPages).
 	reclaimFailures atomic.Uint64
 
 	mu    sync.Mutex
@@ -149,19 +149,21 @@ func New(cfg Config) (*Client, error) {
 // leaves a quarter of its budget behind, its probation segment.
 func (c *Client) Close() { c.rpc.Close() }
 
-// MetaCacheStats reports the client metadata cache hit/miss counters
-// (zeros when caching is disabled).
-func (c *Client) MetaCacheStats() (hits, misses uint64) {
-	if c.cache == nil {
-		return 0, 0
+// Metrics writes the client's series: its read path's, its metadata
+// cache's (when it keeps one), and the page reclaims that failed.
+func (c *Client) Metrics(s *obs.Sink) {
+	c.rstats.metrics(s)
+	if c.cache != nil {
+		c.cache.Metrics(s)
 	}
-	return c.cache.Stats()
+	s.Counter("client_reclaim_failures_total", "best-effort deletes of pages an aborted or abandoned update stored that failed: garbage no collection finds", float64(c.reclaimFailures.Load()))
 }
 
-// PageCacheStats reports the read-path counters: page cache hits and
-// misses, single-flight shares, hedges fired and won, coalesced RPCs
-// and the raw fetch counts (see PageCacheStats field docs).
-func (c *Client) PageCacheStats() PageCacheStats { return c.rstats.snapshot() }
+// Deprecated: read meta_cache_hits_total and meta_cache_misses_total
+// (Metrics); kept only until internal/blast stops naming it.
+func (c *Client) MetaCacheStats() (hits, misses uint64) {
+	return uint64(obs.Value(c, "meta_cache_hits_total")), uint64(obs.Value(c, "meta_cache_misses_total"))
+}
 
 // vm issues a call to the version manager.
 func (c *Client) vm(ctx context.Context, req wire.Msg) (wire.Msg, error) {

@@ -9,6 +9,7 @@ import (
 
 	"blobseer/internal/client"
 	"blobseer/internal/cluster"
+	"blobseer/internal/obs"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -35,6 +36,18 @@ func newCluster(t *testing.T, cfg cluster.Config) (*cluster.Cluster, *client.Cli
 }
 
 func ctxb() context.Context { return context.Background() }
+
+// readStats reads c's read-path series into one struct, for the tests
+// that compare several of them.
+func readStats(c *client.Client) client.PageCacheStats {
+	v := func(name string) uint64 { return uint64(obs.Value(c, "client_"+name+"_total")) }
+	return client.PageCacheStats{
+		Hits: v("page_cache_hits"), Misses: v("page_cache_misses"), Shares: v("single_flight_shares"),
+		HedgesFired: v("hedges_fired"), HedgesWon: v("hedges_won"),
+		CoalescedRPCs: v("coalesced_rpcs"), CoalescedPages: v("coalesced_pages"),
+		FetchRPCs: v("fetch_rpcs"), PagesFetched: v("pages_fetched"),
+	}
+}
 
 // pattern fills a buffer with a deterministic byte pattern seeded by tag.
 func pattern(tag byte, n int) []byte {

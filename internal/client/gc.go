@@ -69,12 +69,6 @@ type GCStats struct {
 	RetainedNodes     int // tree nodes kept: shared with the oldest retained tree (counted at the prune boundary)
 	DeletedNodes      int // tree nodes whose deletion was issued to the metadata replicas
 	NodeDeleteBatches int // DHT_DELETE batches issued (each fans out to the replica nodes)
-
-	// ReclaimFailures counts best-effort writer-side page reclaims (see
-	// reclaimPages) that failed or timed out, cumulative over the
-	// client's lifetime — a rising value means abandoned pages are
-	// accumulating as garbage no tree walk will ever find.
-	ReclaimFailures int
 }
 
 // ExpireVersions marks every snapshot of the blob's own namespace with
@@ -105,7 +99,6 @@ func (c *Client) ExpireVersions(ctx context.Context, id wire.BlobID, upTo wire.V
 // readers: anything they can reference is retained by construction.
 func (c *Client) CollectGarbage(ctx context.Context, id wire.BlobID) (GCStats, error) {
 	var stats GCStats
-	stats.ReclaimFailures = int(c.reclaimFailures.Load())
 	h, err := c.handle(ctx, id)
 	if err != nil {
 		return stats, err

@@ -2,29 +2,32 @@ package client_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"blobseer/internal/client"
 	"blobseer/internal/cluster"
+	"blobseer/internal/obs"
 	"blobseer/internal/pagestore"
+	"blobseer/internal/transport"
 	"blobseer/internal/wire"
 )
 
-// providerPages sums live page counts over the cluster's data providers.
-func providerPages(cl *cluster.Cluster) (pages, bytes uint64) {
-	for _, p := range cl.Providers {
-		n, b := p.Store().Stats()
-		pages += n
-		bytes += b
-	}
-	return pages, bytes
-}
+// providerPages sums live page counts and sizes over the cluster's data
+// providers.
+func providerPages(cl *cluster.Cluster) (pages, bytes uint64) { return stored(cl, "data") }
 
-// metaStats sums key and value-byte counts over the cluster's metadata
+// metaStats sums key counts and value sizes over the cluster's metadata
 // nodes.
-func metaStats(cl *cluster.Cluster) (keys, bytes uint64) { return cl.MetaStats() }
+func metaStats(cl *cluster.Cluster) (keys, bytes uint64) { return stored(cl, "metadata") }
+
+func stored(cl *cluster.Cluster, role string) (keys, bytes uint64) {
+	return uint64(obs.Value(cl, "store_keys", "role", role)), uint64(obs.Value(cl, "store_value_bytes", "role", role))
+}
 
 func TestGCReclaimsExpiredPages(t *testing.T) {
 	cl, c := newCluster(t, cluster.Config{})
@@ -473,13 +476,7 @@ func TestGCCrashBetweenDeletesAndCompaction(t *testing.T) {
 	}
 
 	// Re-run to completion, then compact the page logs and measure.
-	logBytes := func() int64 {
-		var total int64
-		for _, p := range cl.Providers {
-			total += p.Store().(*pagestore.Disk).LogBytes()
-		}
-		return total
-	}
+	logBytes := func() uint64 { return uint64(obs.Value(cl, "store_log_bytes", "role", "data")) }
 	before := logBytes()
 	stats, err := c.CollectGarbage(ctx, id)
 	if err != nil {
@@ -866,5 +863,49 @@ func TestWriterReclaimsAbandonedPages(t *testing.T) {
 	}
 	if pages, _ := providerPages(cl); pages != pagesBefore {
 		t.Fatalf("aborted update leaked pages: %d -> %d", pagesBefore, pages)
+	}
+}
+
+// killOnMetaDial is a client network whose first dial of a metadata
+// node kills every data provider and fails: an update's pages are stored
+// by then, and its abort's reclaim finds their provider gone.
+type killOnMetaDial struct {
+	transport.Network
+	cl   *cluster.Cluster
+	once sync.Once
+}
+
+func (n *killOnMetaDial) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	if !strings.HasPrefix(addr, "meta-") {
+		return n.Network.Dial(ctx, addr)
+	}
+	n.once.Do(func() {
+		for i := range n.cl.Providers {
+			n.cl.Kill("data", i)
+		}
+	})
+	return nil, errors.New("metadata node unreachable")
+}
+
+// A reclaim that fails leaves garbage no collection will find; the
+// client's series is where it shows.
+func TestReclaimFailureIsCounted(t *testing.T) {
+	cl, _ := newCluster(t, cluster.Config{DataProviders: 1})
+	c, err := cl.NewClientCfg("", func(cfg *client.Config) {
+		cfg.Net = &killOnMetaDial{Network: cfg.Net, cl: cl}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := ctxb()
+	id, err := c.Create(ctx, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(ctx, id, pattern(1, 4096), 0); err == nil {
+		t.Fatal("write with no metadata node reachable succeeded")
+	}
+	if n := obs.Value(c, "client_reclaim_failures_total"); n != 1 {
+		t.Fatalf("reclaim failures = %v, want 1: the aborted update's one provider was dead", n)
 	}
 }

@@ -138,7 +138,7 @@ func TestEvictionRacesCopyOut(t *testing.T) {
 func checkRecycled(t *testing.T, c *client.Client, recycled0 int64) {
 	t.Helper()
 	prob, prot := c.PageSegments()
-	fetched := int64(c.PageCacheStats().PagesFetched)
+	fetched := int64(readStats(c).PagesFetched)
 	if got := client.PagesRecycled() - recycled0; fetched-int64(prob+prot) != got {
 		t.Fatalf("fetched %d pages, %d resident, recycled %d; want fetched − resident == recycled",
 			fetched, prob+prot, got)
@@ -211,9 +211,9 @@ func TestPageCacheScanResistance(t *testing.T) {
 	if prob, prot := c.PageSegments(); prot != hot || prob > budget/4 {
 		t.Fatalf("after the scan: probation %d, protected %d pages; want <= %d, %d", prob, prot, budget/4, hot)
 	}
-	before := c.PageCacheStats()
+	before := readStats(c)
 	read(0, hot)
-	after := c.PageCacheStats()
+	after := readStats(c)
 	if fetched := after.PagesFetched - before.PagesFetched; fetched != 0 || after.Hits-before.Hits != hot {
 		t.Fatalf("hot re-read: %d hits, %d pages fetched; want %d, 0", after.Hits-before.Hits, fetched, hot)
 	}
@@ -277,11 +277,11 @@ func TestPageCacheProtectedOverflowDemotes(t *testing.T) {
 	if n := client.PagesRecycled() - recycled0; n != 0 {
 		t.Fatalf("protected overflow recycled %d pages, want 0", n)
 	}
-	before := c.PageCacheStats()
+	before := readStats(c)
 	for p := 0; p < promoted; p++ {
 		read(p, 1)
 	}
-	if fetched := c.PageCacheStats().PagesFetched - before.PagesFetched; fetched != 0 {
+	if fetched := readStats(c).PagesFetched - before.PagesFetched; fetched != 0 {
 		t.Fatalf("re-reading every promoted page fetched %d", fetched)
 	}
 }
@@ -295,9 +295,9 @@ func TestTinyPageCachesStillHit(t *testing.T) {
 			c, read := policyClient(t, 6, pages*policyCost+policySlack)
 			for p := 0; p < 6; p++ {
 				read(p, 1)
-				before := c.PageCacheStats()
+				before := readStats(c)
 				read(p, 1)
-				if after := c.PageCacheStats(); after.Hits != before.Hits+1 || after.PagesFetched != before.PagesFetched {
+				if after := readStats(c); after.Hits != before.Hits+1 || after.PagesFetched != before.PagesFetched {
 					t.Fatalf("re-read of page %d: %d hits, %d fetched; want 1, 0",
 						p, after.Hits-before.Hits, after.PagesFetched-before.PagesFetched)
 				}
@@ -432,7 +432,7 @@ func TestSingleFlightWaitersOutliveEviction(t *testing.T) {
 		spawn(0, 2*ps) // joins page 0's flight, then page 1's
 	}
 	waitFor(t, "every waiter to join both flights", func() bool {
-		return c.PageCacheStats().Shares == 2*waiters
+		return readStats(c).Shares == 2*waiters
 	})
 
 	close(gate1)

@@ -93,7 +93,7 @@ func TestHedgedReadRescuesSlowReplica(t *testing.T) {
 			if !bytes.Equal(buf, data) {
 				return 0, client.PageCacheStats{}, fmt.Errorf("read mismatch")
 			}
-			return clock.Now() - start, c.PageCacheStats(), nil
+			return clock.Now() - start, readStats(c), nil
 		}
 
 		unhedged, _, err := read(readTuningOff())
@@ -249,7 +249,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	// own Get, which may reach the store after the last waiter joins.
 	go func() {
 		for {
-			if c.PageCacheStats().Shares >= readers-1 {
+			if readStats(c).Shares >= readers-1 {
 				close(gs.gate)
 				return
 			}
@@ -283,7 +283,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	if got := gs.gets.Load(); got != 1 {
 		t.Fatalf("store served %d gets, want exactly 1", got)
 	}
-	stats := c.PageCacheStats()
+	stats := readStats(c)
 	if stats.Misses != 1 || stats.Shares != readers-1 {
 		t.Fatalf("misses/shares = %d/%d, want 1/%d", stats.Misses, stats.Shares, readers-1)
 	}
@@ -409,7 +409,7 @@ func TestPageCacheHotReread(t *testing.T) {
 		}
 	}
 	readAll(v1, dataV1) // cold: fills the cache with whole pages
-	afterCold := c.PageCacheStats()
+	afterCold := readStats(c)
 	if afterCold.PagesFetched != pages {
 		t.Fatalf("cold read fetched %d pages, want %d", afterCold.PagesFetched, pages)
 	}
@@ -427,7 +427,7 @@ func TestPageCacheHotReread(t *testing.T) {
 	dataV2 := append(append(append([]byte(nil), dataV1[:3*ps]...), patch...), dataV1[5*ps:]...)
 
 	readAll(v1, dataV1) // hot: must be pure cache hits
-	afterHot := c.PageCacheStats()
+	afterHot := readStats(c)
 	if afterHot.PagesFetched != afterCold.PagesFetched {
 		t.Fatalf("hot re-read fetched %d new pages, want 0",
 			afterHot.PagesFetched-afterCold.PagesFetched)
@@ -437,7 +437,7 @@ func TestPageCacheHotReread(t *testing.T) {
 	}
 
 	readAll(v2, dataV2) // only the two rewritten pages are new
-	afterV2 := c.PageCacheStats()
+	afterV2 := readStats(c)
 	if got := afterV2.PagesFetched - afterHot.PagesFetched; got != 2 {
 		t.Fatalf("v2 read fetched %d pages, want exactly the 2 rewritten", got)
 	}
@@ -492,7 +492,7 @@ func TestCoalescedReadBoundaries(t *testing.T) {
 			t.Fatalf("read [%d,+%d): bytes mismatch", r.off, r.n)
 		}
 	}
-	stats := c0.PageCacheStats()
+	stats := readStats(c0)
 	if stats.CoalescedRPCs == 0 {
 		t.Fatal("no coalesced batches despite multi-page scans")
 	}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
 
@@ -66,32 +67,30 @@ func (t ReadTuning) withDefaults() ReadTuning {
 	return t
 }
 
-// PageCacheStats counts read-path events since the client was built.
-// All counters are monotonic; ratios between them are the read
-// amplification metrics the read ablation (A11) reports.
+// PageCacheStats counts read-path events since the client was built:
+// the shape of the Deprecated PageCacheStats view, which reads each
+// field off the client's series.
 type PageCacheStats struct {
-	// Hits and Misses count page-cache lookups.
-	Hits, Misses uint64
-	// Shares counts single-flight joins: lookups that found another
-	// reader already fetching the same page and waited for its result
-	// instead of issuing a duplicate RPC.
-	Shares uint64
-	// HedgesFired counts extra replica requests launched because the
-	// first replica was slow; HedgesWon counts fetches where such a
-	// hedge delivered the winning answer.
+	Hits, Misses           uint64
+	Shares                 uint64
 	HedgesFired, HedgesWon uint64
-	// CoalescedRPCs counts batched page requests (GetPagesReq) and
-	// CoalescedPages the pages they carried.
-	CoalescedRPCs, CoalescedPages uint64
-	// FetchRPCs counts every page-fetch request put on the wire,
-	// including hedges, failovers and batches. PagesFetched counts page
-	// payloads delivered by winning attempts; FetchRPCs/PagesFetched is
-	// the per-page request overhead, and PagesFetched over the distinct
-	// pages read is the duplicate-fetch ratio.
-	FetchRPCs, PagesFetched uint64
+	CoalescedRPCs          uint64
+	CoalescedPages         uint64
+	FetchRPCs              uint64
+	PagesFetched           uint64
 }
 
-// readStats is the internal, atomically-updated form of PageCacheStats.
+// Deprecated: read the client_* read-path series (Metrics); kept only
+// until internal/blast stops naming it.
+func (c *Client) PageCacheStats() PageCacheStats {
+	v := func(name string) uint64 { return uint64(obs.Value(c, "client_"+name+"_total")) }
+	return PageCacheStats{v("page_cache_hits"), v("page_cache_misses"), v("single_flight_shares"), v("hedges_fired"),
+		v("hedges_won"), v("coalesced_rpcs"), v("coalesced_pages"), v("fetch_rpcs"), v("pages_fetched")}
+}
+
+// readStats counts read-path events; the client's series report them.
+// All counters are monotonic; ratios between them are the read
+// amplification metrics the read ablation (A11) reports.
 type readStats struct {
 	hits, misses, shares    atomic.Uint64
 	hedgesFired, hedgesWon  atomic.Uint64
@@ -99,16 +98,14 @@ type readStats struct {
 	fetchRPCs, pagesFetched atomic.Uint64
 }
 
-func (s *readStats) snapshot() PageCacheStats {
-	return PageCacheStats{
-		Hits:           s.hits.Load(),
-		Misses:         s.misses.Load(),
-		Shares:         s.shares.Load(),
-		HedgesFired:    s.hedgesFired.Load(),
-		HedgesWon:      s.hedgesWon.Load(),
-		CoalescedRPCs:  s.coalRPCs.Load(),
-		CoalescedPages: s.coalPages.Load(),
-		FetchRPCs:      s.fetchRPCs.Load(),
-		PagesFetched:   s.pagesFetched.Load(),
-	}
+func (r *readStats) metrics(s *obs.Sink) {
+	s.Counter("client_page_cache_hits_total", "page-cache lookups that found the page", float64(r.hits.Load()))
+	s.Counter("client_page_cache_misses_total", "page-cache lookups that did not", float64(r.misses.Load()))
+	s.Counter("client_single_flight_shares_total", "lookups that waited for another reader's fetch of the page instead of fetching it again", float64(r.shares.Load()))
+	s.Counter("client_hedges_fired_total", "extra replica requests sent because the first replica was slow", float64(r.hedgesFired.Load()))
+	s.Counter("client_hedges_won_total", "fetches a hedge answered first", float64(r.hedgesWon.Load()))
+	s.Counter("client_coalesced_rpcs_total", "batched page requests (GET_PAGES)", float64(r.coalRPCs.Load()))
+	s.Counter("client_coalesced_pages_total", "pages the batched requests carried", float64(r.coalPages.Load()))
+	s.Counter("client_fetch_rpcs_total", "page-fetch requests sent, hedges, failovers and batches included", float64(r.fetchRPCs.Load()))
+	s.Counter("client_pages_fetched_total", "pages delivered by winning fetches; over the distinct pages read, the duplicate-fetch ratio", float64(r.pagesFetched.Load()))
 }

@@ -28,12 +28,7 @@ func TestReplicatedWriteStoresAllCopies(t *testing.T) {
 	if err := c.Sync(ctxb(), id, v); err != nil {
 		t.Fatal(err)
 	}
-	var pages, bytesStored uint64
-	for _, p := range cl.Providers {
-		pg, by := p.Store().Stats()
-		pages += pg
-		bytesStored += by
-	}
+	pages, bytesStored := providerPages(cl)
 	if pages != 16 {
 		t.Fatalf("stored %d physical pages, want 16 (8 logical x 2 copies)", pages)
 	}
@@ -187,7 +182,7 @@ func TestPartitionedReplicaFailsOverMidScan(t *testing.T) {
 			return fmt.Errorf("scan across the cut: %w", err)
 		}
 		cut.Wait(nil)
-		if got, base := c.PageCacheStats().FetchRPCs, healthy.PageCacheStats().FetchRPCs; got <= base {
+		if got, base := readStats(c).FetchRPCs, readStats(healthy).FetchRPCs; got <= base {
 			return fmt.Errorf("scan across the cut made %d fetch RPCs, the healthy scan %d: nothing failed over", got, base)
 		}
 		return nil

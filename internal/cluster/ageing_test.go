@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
@@ -86,14 +87,12 @@ func TestAgeingIsFlat(t *testing.T) {
 		if _, err := c.CollectGarbage(ctx, id); err != nil {
 			t.Fatal(err)
 		}
-		var pageBytes int64
 		for _, p := range cl.Providers {
-			d := p.Store().(*pagestore.Disk)
-			if err := d.Compact(); err != nil {
+			if err := p.Store().(*pagestore.Disk).Compact(); err != nil {
 				t.Fatal(err)
 			}
-			pageBytes += d.LogBytes()
 		}
+		pageBytes := obs.Value(cl, "store_log_bytes", "role", roleData)
 		if err := cl.CompactMetadata(); err != nil {
 			t.Fatal(err)
 		}
@@ -104,10 +103,10 @@ func TestAgeingIsFlat(t *testing.T) {
 			t.Fatalf("cycle %d: expired v%d still reads", cycle, v-1)
 		}
 
-		keys, _ := cl.MetaStats()
-		pageRatio := float64(pageBytes) / float64(len(model))
-		metaPerKey := float64(cl.MetaLogBytes()) / float64(keys)
-		t.Logf("cycle %2d: page logs %.4f x the blob, metadata logs %.1f B per live key (%d keys)",
+		keys := obs.Value(cl, "store_keys", "role", roleMeta)
+		pageRatio := pageBytes / float64(len(model))
+		metaPerKey := obs.Value(cl, "store_log_bytes", "role", roleMeta) / keys
+		t.Logf("cycle %2d: page logs %.4f x the blob, metadata logs %.1f B per live key (%v keys)",
 			cycle, pageRatio, metaPerKey, keys)
 		switch {
 		case cycle < burnIn:

@@ -17,11 +17,13 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"time"
 	"weak"
 
 	"blobseer/internal/client"
 	"blobseer/internal/dht"
+	"blobseer/internal/obs"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/provider"
 	"blobseer/internal/rpc"
@@ -419,26 +421,29 @@ func (cl *Cluster) Restart(role string, i int) error {
 	return nil
 }
 
-// MetaStats sums key and value-byte counts over the cluster's metadata
-// nodes, so callers can watch the GC reclaim metadata.
-func (cl *Cluster) MetaStats() (keys, bytes uint64) {
-	for _, n := range cl.MetaNodes {
-		k, b := n.Stats()
-		keys += k
-		bytes += b
+// Metrics writes every service's series, labelled with its role (as Kill
+// names it) and index.
+func (cl *Cluster) Metrics(s *obs.Sink) {
+	cl.VM.Metrics(s.With("role", roleVM, "index", "0"))
+	cl.PM.Metrics(s.With("role", rolePM, "index", "0"))
+	for i, n := range cl.MetaNodes {
+		n.Metrics(s.With("role", roleMeta, "index", strconv.Itoa(i)))
 	}
-	return keys, bytes
+	for i, p := range cl.Providers {
+		p.Metrics(s.With("role", roleData, "index", strconv.Itoa(i)))
+	}
 }
 
-// MetaLogBytes sums the on-disk metadata log footprint over the
-// cluster's durable metadata nodes (0 for an in-memory cluster).
-// Compaction shrinks it.
+// Deprecated: read the metadata nodes' store_keys and store_value_bytes
+// (Metrics); kept only until internal/blast stops naming it.
+func (cl *Cluster) MetaStats() (keys, bytes uint64) {
+	return uint64(obs.Value(cl, "store_keys", "role", roleMeta)), uint64(obs.Value(cl, "store_value_bytes", "role", roleMeta))
+}
+
+// Deprecated: read the metadata nodes' store_log_bytes (Metrics); kept
+// only until internal/blast stops naming it.
 func (cl *Cluster) MetaLogBytes() int64 {
-	var total int64
-	for _, n := range cl.MetaNodes {
-		total += n.LogBytes()
-	}
-	return total
+	return int64(obs.Value(cl, "store_log_bytes", "role", roleMeta))
 }
 
 // CompactMetadata forces every metadata node to rewrite pair-log

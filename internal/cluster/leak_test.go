@@ -9,6 +9,7 @@ import (
 	"weak"
 
 	"blobseer/internal/client"
+	"blobseer/internal/obs"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 )
@@ -124,8 +125,8 @@ func TestClosedClientIsCollectable(t *testing.T) {
 		if err := c.Read(ctx, id, v, got, 0); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("read through the doomed client: %v", err)
 		}
-		if st := c.PageCacheStats(); st.Misses == 0 {
-			t.Fatalf("the read cached no pages: %+v", st)
+		if misses := obs.Value(c, "client_page_cache_misses_total"); misses == 0 {
+			t.Fatal("the read cached no pages")
 		}
 		c.Close()
 		return weak.Make(c)

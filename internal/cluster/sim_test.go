@@ -22,9 +22,12 @@ package cluster
 // The rows see round trips, bytes and queueing on the simulated links.
 // They are blind to CPU, and disk time is zero virtual time: a CPU
 // question stays on testing.B ns/op. A11's latencies and throughputs are
-// not pinned, only its counts: its readers race at the same virtual
-// instants, and which of them wins moves its times by a few percent from
-// run to run.
+// not pinned, only its counts. The virtual clock fires timers one cascade
+// at a time, in a fixed order, but one cascade can still wake several of
+// A11's readers at once — simnet's pump finishes every segment due at its
+// instant, and an rpc client's read loop wakes one caller and reads on to
+// the next — and which of them takes a lock first moves its times by a few
+// percent from run to run.
 
 import (
 	"context"
@@ -39,6 +42,7 @@ import (
 	"time"
 
 	"blobseer/internal/client"
+	"blobseer/internal/obs"
 	"blobseer/internal/simnet"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
@@ -423,13 +427,9 @@ func space(w io.Writer, paper bool) (float64, error) {
 	if err := c.Sync(ctx, blob, v); err != nil {
 		return 0, err
 	}
-	var pages, pageBytes uint64
-	for _, p := range cl.Providers {
-		n, b := p.Store().Stats()
-		pages += n
-		pageBytes += b
-	}
-	nodes, nodeBytes := cl.MetaStats()
+	series := func(name, role string) uint64 { return uint64(obs.Value(cl, name, "role", role)) }
+	pages, pageBytes := series("store_keys", roleData), series("store_value_bytes", roleData)
+	nodes, nodeBytes := series("store_keys", roleMeta), series("store_value_bytes", roleMeta)
 	versions := uint64(overwrites) + 1
 	naive := versions * blobBytes
 	saving := float64(naive) / float64(pageBytes+nodeBytes)
@@ -518,12 +518,13 @@ func replication(w io.Writer, paper bool) ([]replicated, error) {
 }
 
 // readCell is one A11 measurement: a read-tuning scenario at one reader
-// count. The times are virtual but do not repeat exactly; the counts do.
+// count. The times are virtual but do not repeat exactly; the counts —
+// the client's series of the same names — do.
 type readCell struct {
-	readers     int
-	scenario    string
-	mbps, p99ms float64
-	stats       client.PageCacheStats
+	readers                                                        int
+	scenario                                                       string
+	mbps, p99ms                                                    float64
+	fetchRPCs, pagesFetched, hedgesFired, hedgesWon, coalescedRPCs uint64
 }
 
 // readPath is A11: the production read path — the client page cache with
@@ -582,8 +583,8 @@ func readPath(w io.Writer, paper bool) ([]readCell, error) {
 					return fmt.Errorf("%d readers, %s: %w", readers, sc.name, err)
 				}
 				cell.readers, cell.scenario = readers, sc.name
-				s := cell.stats
-				fmt.Fprintf(w, "%s %s %v", sep, sc.name, []uint64{s.FetchRPCs, s.PagesFetched, s.HedgesFired, s.HedgesWon, s.CoalescedRPCs})
+				fmt.Fprintf(w, "%s %s %v", sep, sc.name,
+					[]uint64{cell.fetchRPCs, cell.pagesFetched, cell.hedgesFired, cell.hedgesWon, cell.coalescedRPCs})
 				sep = ";"
 				out = append(out, cell)
 			}
@@ -645,10 +646,15 @@ func readScenario(clock *vclock.Virtual, net *simnet.Net, cl *Cluster, blob wire
 	}
 	slices.Sort(all)
 	total := float64(readers) * scans * float64(blobPages*simPage)
+	count := func(name string) uint64 { return uint64(obs.Value(c, "client_"+name+"_total")) }
 	return readCell{
-		mbps:  total * simScale / elapsed / mb,
-		p99ms: float64(all[int(0.99*float64(len(all)-1))]) / float64(time.Millisecond),
-		stats: c.PageCacheStats(),
+		mbps:          total * simScale / elapsed / mb,
+		p99ms:         float64(all[int(0.99*float64(len(all)-1))]) / float64(time.Millisecond),
+		fetchRPCs:     count("fetch_rpcs"),
+		pagesFetched:  count("pages_fetched"),
+		hedgesFired:   count("hedges_fired"),
+		hedgesWon:     count("hedges_won"),
+		coalescedRPCs: count("coalesced_rpcs"),
 	}, nil
 }
 
@@ -821,7 +827,7 @@ func TestReadPathAblation(t *testing.T) {
 	}
 	baseline, cached, coalesced := get("baseline"), get("+cache"), get("+cache+coalesce")
 	slow, hedged := get("slow, no hedge"), get("slow, hedged")
-	dup := func(c readCell) float64 { return float64(c.stats.PagesFetched)/blobPages - 1 }
+	dup := func(c readCell) float64 { return float64(c.pagesFetched)/blobPages - 1 }
 
 	// The headline claim: with the shared page cache and single-flight
 	// on, a hot working set crosses the network once — duplicate-fetch
@@ -839,24 +845,24 @@ func TestReadPathAblation(t *testing.T) {
 
 	// Coalescing batches the misses: strictly fewer fetch RPCs than
 	// pages fetched, with multi-page batches reported.
-	if coalesced.stats.CoalescedRPCs == 0 {
+	if coalesced.coalescedRPCs == 0 {
 		t.Error("coalescing scenario reports no coalesced RPCs")
 	}
-	if coalesced.stats.FetchRPCs >= coalesced.stats.PagesFetched {
-		t.Errorf("coalesced RPCs %d not below pages fetched %d", coalesced.stats.FetchRPCs, coalesced.stats.PagesFetched)
+	if coalesced.fetchRPCs >= coalesced.pagesFetched {
+		t.Errorf("coalesced RPCs %d not below pages fetched %d", coalesced.fetchRPCs, coalesced.pagesFetched)
 	}
 
 	// Hedging under an injected slow replica: the tail drops markedly, at
 	// bounded extra cost (at most one extra RPC per fetched page), with
 	// hedges actually firing.
-	if hedged.stats.HedgesFired == 0 || hedged.stats.HedgesWon == 0 {
-		t.Errorf("hedges fired/won = %d/%d, want both > 0", hedged.stats.HedgesFired, hedged.stats.HedgesWon)
+	if hedged.hedgesFired == 0 || hedged.hedgesWon == 0 {
+		t.Errorf("hedges fired/won = %d/%d, want both > 0", hedged.hedgesFired, hedged.hedgesWon)
 	}
 	if hedged.p99ms >= 0.75*slow.p99ms {
 		t.Errorf("hedged p99 %.2f ms not at least 25%% below unhedged %.2f ms", hedged.p99ms, slow.p99ms)
 	}
-	if hedged.stats.FetchRPCs > 2*slow.stats.FetchRPCs {
-		t.Errorf("hedged fetch RPCs %d more than double the unhedged %d", hedged.stats.FetchRPCs, slow.stats.FetchRPCs)
+	if hedged.fetchRPCs > 2*slow.fetchRPCs {
+		t.Errorf("hedged fetch RPCs %d more than double the unhedged %d", hedged.fetchRPCs, slow.fetchRPCs)
 	}
 }
 

@@ -52,7 +52,7 @@ func BenchmarkDurableNodeMultiPut(b *testing.B) {
 			if err := c.MultiPut(ctx, keys, values); err != nil {
 				b.Fatal(err)
 			}
-			before := r.node.log.Stats()
+			before := stats(r.node.log)
 			writes0, procfs := writeSyscalls()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -63,7 +63,7 @@ func BenchmarkDurableNodeMultiPut(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			after := r.node.log.Stats()
+			after := stats(r.node.log)
 			if got := after.Appends - before.Appends; got != uint64(n*b.N) {
 				b.Fatalf("%d records logged, want %d", got, n*b.N)
 			}
@@ -143,7 +143,7 @@ func BenchmarkDurableNodeReopen(b *testing.B) {
 				r.restart()
 			}
 			b.StopTimer()
-			if k, _ := r.node.Stats(); k != total {
+			if k, _ := stored(r.node); k != total {
 				b.Fatalf("%d keys after the reopen, want %d", k, total)
 			}
 			got, found, err := r.client().MultiGet(ctx, keys[:1])

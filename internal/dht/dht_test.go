@@ -10,11 +10,27 @@ import (
 	"testing"
 	"testing/quick"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
+	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
 )
+
+// stored reads a node's pair count and summed value size off its series.
+func stored(n *Node) (keys, bytes uint64) {
+	return uint64(obs.Value(n, "store_keys")), uint64(obs.Value(n, "store_value_bytes"))
+}
+
+// logStats is a test's reading of the metadata-log series it asserts on.
+type logStats struct{ Keys, ValueBytes, Appends, Syncs, Snapshots, Compactions uint64 }
+
+func stats(log *seglog.KV) logStats {
+	v := func(name string) uint64 { return uint64(obs.Value(log, name)) }
+	return logStats{v("store_keys"), v("store_value_bytes"), v("store_appends_total"), v("store_syncs_total"),
+		v("store_snapshots_total"), v("store_compactions_total")}
+}
 
 // newCluster spins up n metadata nodes plus a client with the given
 // replication factor.
@@ -152,7 +168,7 @@ func TestPutGetManyNodes(t *testing.T) {
 	}
 	// Keys must actually be distributed: every node should hold some.
 	for i, nd := range nodes {
-		keys, _ := nd.Stats()
+		keys, _ := stored(nd)
 		if keys == 0 {
 			t.Errorf("node %d holds no keys", i)
 		}
@@ -167,7 +183,7 @@ func TestReplicationStoresCopies(t *testing.T) {
 	}
 	var copies uint64
 	for _, nd := range nodes {
-		k, _ := nd.Stats()
+		k, _ := stored(nd)
 		copies += k
 	}
 	if copies != 3 {
@@ -318,7 +334,7 @@ func TestDeleteRemovesPairsOnEveryReplica(t *testing.T) {
 	}
 	var totalKeys uint64
 	for _, n := range nodes {
-		k, _ := n.Stats()
+		k, _ := stored(n)
 		totalKeys += k
 	}
 	if totalKeys != 20 { // 10 live keys x 2 replicas

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"blobseer/internal/bufpool"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
@@ -210,11 +211,8 @@ func (d *Disk) deleteBatch(keys [][]byte) (uint64, error) {
 	return deleted, nil
 }
 
-// stats implements engine: the log's counters.
-func (d *Disk) stats() (keys, bytes uint64) {
-	st := d.kv.Stats()
-	return st.Keys, st.ValueBytes
-}
+// Metrics implements engine: the log's series.
+func (d *Disk) Metrics(s *obs.Sink) { d.kv.Metrics(s) }
 
 // close implements engine.
 func (d *Disk) close() error { return d.kv.Close() }

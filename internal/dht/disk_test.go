@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
@@ -110,11 +111,11 @@ func TestDurableNodeSurvivesRestart(t *testing.T) {
 	if err := c.MultiPut(ctx, keys, values); err != nil {
 		t.Fatal(err)
 	}
-	k0, b0 := r.node.Stats()
+	k0, b0 := stored(r.node)
 
 	r.restart()
 	c = r.client()
-	k1, b1 := r.node.Stats()
+	k1, b1 := stored(r.node)
 	if k0 != k1 || b0 != b1 {
 		t.Fatalf("stats changed across restart: %d/%d -> %d/%d", k0, b0, k1, b1)
 	}
@@ -160,14 +161,14 @@ func TestDurableNodeDeleteSurvivesRestart(t *testing.T) {
 	if again, err := c.Delete(ctx, keys[:10]); err != nil || again != 0 {
 		t.Fatalf("re-delete: %d, %v", again, err)
 	}
-	wantKeys, wantBytes := r.node.Stats()
+	wantKeys, wantBytes := stored(r.node)
 	if wantKeys != 10 {
 		t.Fatalf("stats keys = %d after delete, want 10", wantKeys)
 	}
 
 	r.restart()
 	c = r.client()
-	if k, b := r.node.Stats(); k != wantKeys || b != wantBytes {
+	if k, b := stored(r.node); k != wantKeys || b != wantBytes {
 		t.Fatalf("stats changed across restart: %d/%d -> %d/%d", wantKeys, wantBytes, k, b)
 	}
 	for i := range keys {
@@ -203,9 +204,8 @@ func TestDurableNodeSnapshotBoundsReplay(t *testing.T) {
 		}
 	}
 	r.restart()
-	st := r.node.log.RecoveryStats()
-	if !st.SnapshotLoaded || st.RecordsReplayed != 4 {
-		t.Fatalf("recovery stats = %+v, want the snapshot plus 4 replayed records", st)
+	if loaded, replayed := obs.Value(r.node, "store_recovery_snapshot_loaded"), obs.Value(r.node, "store_recovery_records_replayed"); loaded != 1 || replayed != 4 {
+		t.Fatalf("recovery: snapshot loaded %v, %v records replayed; want the snapshot plus 4 replayed records", loaded, replayed)
 	}
 	c = r.client()
 	for i := 0; i < 44; i++ {
@@ -230,16 +230,16 @@ func TestDurableNodeCompactionShrinksLog(t *testing.T) {
 	if _, err := c.Delete(ctx, keys[:45]); err != nil {
 		t.Fatal(err)
 	}
-	before := r.node.LogBytes()
+	before := obs.Value(r.node, "store_log_bytes")
 	if err := r.node.CompactLog(); err != nil {
 		t.Fatal(err)
 	}
-	after := r.node.LogBytes()
+	after := obs.Value(r.node, "store_log_bytes")
 	if after >= before {
-		t.Fatalf("log did not shrink: %d -> %d bytes", before, after)
+		t.Fatalf("log did not shrink: %v -> %v bytes", before, after)
 	}
 	// The log keeps no snapshot, and Compact does not start one.
-	if st := r.node.log.Stats(); st.Compactions == 0 || st.Snapshots != 0 {
+	if st := stats(r.node.log); st.Compactions == 0 || st.Snapshots != 0 {
 		t.Fatalf("compaction pass ran %d rewrites, %d snapshots (want none)", st.Compactions, st.Snapshots)
 	}
 	if _, err := os.Stat(seglog.SnapshotPath(r.path)); !os.IsNotExist(err) {
@@ -248,8 +248,10 @@ func TestDurableNodeCompactionShrinksLog(t *testing.T) {
 	// Everything live survives the rewrite and a restart — a rescan of
 	// every segment — byte-identically.
 	r.restart()
-	if rs := r.node.log.RecoveryStats(); rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
-		t.Fatalf("restart after compaction did not rescan every segment: %+v", rs)
+	loaded, rescanned, segs := obs.Value(r.node, "store_recovery_snapshot_loaded"),
+		obs.Value(r.node, "store_recovery_segments_rescanned"), obs.Value(r.node, "store_recovery_segments")
+	if loaded != 0 || rescanned != segs {
+		t.Fatalf("restart after compaction did not rescan every segment: snapshot loaded %v, %v of %v segments rescanned", loaded, rescanned, segs)
 	}
 	c = r.client()
 	for i := 45; i < 60; i++ {
@@ -300,7 +302,7 @@ func TestDurableNodeRepeatedRestartsNoGrowth(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Put(ctx, []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{1}, 100))
 	}
-	size0 := r.node.LogBytes()
+	size0 := obs.Value(r.node, "store_log_bytes")
 	for round := 0; round < 3; round++ {
 		r.restart()
 		c = r.client()
@@ -309,8 +311,8 @@ func TestDurableNodeRepeatedRestartsNoGrowth(t *testing.T) {
 			c.Put(ctx, []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{1}, 100))
 		}
 	}
-	if size := r.node.LogBytes(); size != size0 {
-		t.Fatalf("log grew from %d to %d across idempotent restarts", size0, size)
+	if size := obs.Value(r.node, "store_log_bytes"); size != size0 {
+		t.Fatalf("log grew from %v to %v across idempotent restarts", size0, size)
 	}
 }
 
@@ -330,16 +332,16 @@ func TestDurableNodeBatchDeleteSharesOneCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := r.node.log.Stats()
+	before := stats(r.node.log)
 	if removed, err := c.Delete(ctx, keys); err != nil || removed != 8 {
 		t.Fatalf("delete: removed %d, %v", removed, err)
 	}
-	after := r.node.log.Stats()
+	after := stats(r.node.log)
 	if commits, records := after.Syncs-before.Syncs, after.Appends-before.Appends; commits != 1 || records != 8 {
 		t.Fatalf("delete batch took %d commits for %d records, want 1 for 8", commits, records)
 	}
 	r.restart()
-	if k, _ := r.node.Stats(); k != 0 {
+	if k, _ := stored(r.node); k != 0 {
 		t.Fatalf("%d keys survived the batch delete across a restart", k)
 	}
 }

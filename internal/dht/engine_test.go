@@ -22,8 +22,8 @@ import (
 // does not: what the node reports is what its log counts.
 func wantLogIsAllState(t *testing.T, nd *Node) {
 	t.Helper()
-	st := nd.log.Stats()
-	if k, b := nd.Stats(); k != st.Keys || b != st.ValueBytes {
+	st := stats(nd.log)
+	if k, b := stored(nd); k != st.Keys || b != st.ValueBytes {
 		t.Fatalf("node stats %d keys %d bytes, log stats %d keys %d bytes", k, b, st.Keys, st.ValueBytes)
 	}
 }
@@ -52,7 +52,7 @@ func TestDurableNodeKeepsNoPairAtRest(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if k, _ := r.node.Stats(); k != 4*25*12+10 {
+	if k, _ := stored(r.node); k != 4*25*12+10 {
 		t.Fatalf("%d keys stored, want %d", k, 4*25*12+10)
 	}
 	wantLogIsAllState(t, r.node)
@@ -89,12 +89,12 @@ func TestDeleteRepeatedKeyCountsOnce(t *testing.T) {
 		if err := c.MultiPut(ctx, [][]byte{k, other}, [][]byte{[]byte("v"), []byte("w")}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		before := durable.node.log.Stats().Appends
+		before := stats(durable.node.log).Appends
 		removed, err := c.Delete(ctx, [][]byte{k, []byte("never stored"), k, other, k})
 		if err != nil || removed != 2 {
 			t.Fatalf("%s: delete naming a key three times removed %d pairs (%v), want 2", name, removed, err)
 		}
-		if recs := durable.node.log.Stats().Appends - before; name == "durable" && (recs < 2 || recs > 4) {
+		if recs := stats(durable.node.log).Appends - before; name == "durable" && (recs < 2 || recs > 4) {
 			t.Fatalf("%d tombstones logged for 2 pairs named 4 times", recs)
 		}
 		if keys, _, err := clusterStats(ctx, c); err != nil || keys != 0 {
@@ -137,7 +137,7 @@ func TestDeleteRepeatedKeyCountsOnce(t *testing.T) {
 	}
 	wantLogIsAllState(t, durable.node)
 	durable.restart()
-	if keys, _ := durable.node.Stats(); keys != 0 {
+	if keys, _ := stored(durable.node); keys != 0 {
 		t.Fatalf("%d keys after the restart, want 0", keys)
 	}
 }
@@ -155,7 +155,7 @@ func TestDivergentReputOfLoggedPairSameLength(t *testing.T) {
 	}
 	for _, when := range []string{"same run", "after a restart"} {
 		c := r.client()
-		before := r.node.log.Stats().Appends
+		before := stats(r.node.log).Appends
 		if err := c.Put(ctx, k, []byte("other value")); wire.CodeOf(err) != wire.CodeBadRequest {
 			t.Fatalf("%s: divergent re-put of equal length = %v, want CodeBadRequest", when, err)
 		}
@@ -165,7 +165,7 @@ func TestDivergentReputOfLoggedPairSameLength(t *testing.T) {
 		if err := c.MultiPut(ctx, [][]byte{k}, [][]byte{v}); err != nil {
 			t.Fatalf("%s: identical re-put: %v", when, err)
 		}
-		if recs := r.node.log.Stats().Appends - before; recs != 0 {
+		if recs := stats(r.node.log).Appends - before; recs != 0 {
 			t.Fatalf("%s: re-puts of a logged pair logged %d records", when, recs)
 		}
 		wantStored(t, c, [][]byte{k}, [][]byte{v})
@@ -249,7 +249,7 @@ func TestGetRacesCompaction(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if st := r.node.log.Stats(); st.Compactions == 0 || st.Keys != total/4 {
+	if st := stats(r.node.log); st.Compactions == 0 || st.Keys != total/4 {
 		t.Fatalf("%d rewrites, %d keys left; want some rewrites and %d keys", st.Compactions, st.Keys, total/4)
 	}
 }

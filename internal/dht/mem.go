@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"blobseer/internal/memkv"
+	"blobseer/internal/obs"
 )
 
 // Mem is the in-memory engine, matching the paper's RAM-resident
@@ -49,8 +50,8 @@ func (e *Mem) deleteBatch(keys [][]byte) (uint64, error) {
 	return deleted, nil
 }
 
-// stats implements engine.
-func (e *Mem) stats() (keys, bytes uint64) { return e.m.Stats() }
+// Metrics implements engine: the map's series.
+func (e *Mem) Metrics(s *obs.Sink) { e.m.Metrics(s) }
 
 // close implements engine.
 func (*Mem) close() error { return nil }

@@ -3,6 +3,7 @@ package dht
 import (
 	"context"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
@@ -17,8 +18,7 @@ import (
 type Node struct {
 	srv *rpc.Server
 	eng engine
-	// log is the Disk engine's store, nil over Mem: what LogBytes and
-	// CompactLog act on.
+	// log is the Disk engine's store, nil over Mem: what CompactLog acts on.
 	log *seglog.KV
 }
 
@@ -50,8 +50,8 @@ type engine interface {
 	// walking version metadata) has proven every key unreachable; keys
 	// are never reused afterwards.
 	deleteBatch(keys [][]byte) (deleted uint64, err error)
-	// stats returns the number of keys and total value bytes stored.
-	stats() (keys, bytes uint64)
+	// Metrics writes the engine's store_* series.
+	Metrics(*obs.Sink)
 	close() error
 }
 
@@ -87,17 +87,10 @@ func (n *Node) Close() {
 	n.eng.close()
 }
 
-// Stats returns the number of keys and total value bytes stored.
-func (n *Node) Stats() (keys, bytes uint64) { return n.eng.stats() }
-
-// LogBytes reports the durable node's on-disk footprint: the summed
-// size of every metadata log segment (0 for an in-memory node).
-// Compaction shrinks it.
-func (n *Node) LogBytes() int64 {
-	if n.log == nil {
-		return 0
-	}
-	return n.log.Stats().LogBytes
+// Metrics writes the node's series: its rpc server's and its engine's.
+func (n *Node) Metrics(s *obs.Sink) {
+	n.srv.Metrics(s)
+	n.eng.Metrics(s)
 }
 
 // CompactLog rewrites metadata log segments dominated by deleted pairs,
@@ -203,8 +196,10 @@ func (n *Node) mux() *rpc.Mux {
 		return resp, nil
 	})
 	m.Register(wire.KindDHTStatsReq, func(context.Context, wire.Msg) (wire.Msg, error) {
-		keys, bytes := n.Stats()
-		return &wire.DHTStatsResp{Keys: keys, Bytes: bytes}, nil
+		return &wire.DHTStatsResp{
+			Keys:  uint64(obs.Value(n.eng, "store_keys")),
+			Bytes: uint64(obs.Value(n.eng, "store_value_bytes")),
+		}, nil
 	})
 	m.Register(wire.KindDHTDeleteReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTDeleteReq)

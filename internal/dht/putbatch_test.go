@@ -41,11 +41,11 @@ func wantStored(t *testing.T, c *Client, keys, values [][]byte) {
 func TestDurableNodeMultiPutSharesOneCommit(t *testing.T) {
 	r := newDurableNodeRigOpts(t, LogOptions{Sync: true})
 	keys, values := pairs("node", 8)
-	before := r.node.log.Stats()
+	before := stats(r.node.log)
 	if err := r.client().MultiPut(context.Background(), keys, values); err != nil {
 		t.Fatal(err)
 	}
-	after := r.node.log.Stats()
+	after := stats(r.node.log)
 	if commits, records := after.Syncs-before.Syncs, after.Appends-before.Appends; commits != 1 || records != 8 {
 		t.Fatalf("put batch took %d commits for %d records, want 1 for 8", commits, records)
 	}
@@ -111,7 +111,7 @@ func TestDurableNodeFailedCommitLeavesNothingVisible(t *testing.T) {
 	ctx := context.Background()
 	c := r.client()
 	keys, values := pairs("doomed", 6)
-	keys0, bytes0 := r.node.Stats()
+	keys0, bytes0 := stored(r.node)
 
 	entered, release := r.node.log.GateNextCommit()
 	put := make(chan error, 1)
@@ -130,7 +130,7 @@ func TestDurableNodeFailedCommitLeavesNothingVisible(t *testing.T) {
 			t.Fatalf("key %s readable after its commit failed", keys[i])
 		}
 	}
-	if k, b := r.node.Stats(); k != keys0 || b != bytes0 {
+	if k, b := stored(r.node); k != keys0 || b != bytes0 {
 		t.Fatalf("stats after a failed put: %d keys %d bytes, want %d %d", k, b, keys0, bytes0)
 	}
 
@@ -152,7 +152,7 @@ func TestReputAgainstInFlightPut(t *testing.T) {
 	ctx := context.Background()
 	c := r.client()
 	key, value := []byte("contested"), []byte("the one value")
-	before := r.node.log.Stats()
+	before := stats(r.node.log)
 
 	entered, release := r.node.log.GateNextCommit()
 	first := make(chan error, 1)
@@ -182,7 +182,7 @@ func TestReputAgainstInFlightPut(t *testing.T) {
 	if err := <-same; err != nil {
 		t.Fatalf("identical re-put of an in-flight pair: %v", err)
 	}
-	after := r.node.log.Stats()
+	after := stats(r.node.log)
 	if k, recs := after.Keys-before.Keys, after.Appends-before.Appends; k != 1 || recs < 1 || recs > 3 {
 		t.Fatalf("%d keys from %d records, want 1 key from 1 to 3", k, recs)
 	}
@@ -265,12 +265,12 @@ func TestConcurrentReputsOneWinner(t *testing.T) {
 			}
 		}
 	}
-	if st := durable.node.log.Stats(); st.Keys != 21 {
+	if st := stats(durable.node.log); st.Keys != 21 {
 		t.Fatalf("log holds %d keys, want 20 contested + 1 bystander", st.Keys)
 	}
-	before, _ := durable.node.Stats()
+	before, _ := stored(durable.node)
 	durable.restart()
-	if after, _ := durable.node.Stats(); after != before {
+	if after, _ := stored(durable.node); after != before {
 		t.Fatalf("%d keys before the restart, %d after", before, after)
 	}
 }
@@ -297,11 +297,11 @@ func TestKeyRepeatedInsideOneRequest(t *testing.T) {
 		// and what is logged stays visible.
 		wantStored(t, c, [][]byte{k2}, [][]byte{v})
 	}
-	if st := durable.node.log.Stats(); st.Keys != 2 || st.Syncs > 2 {
+	if st := stats(durable.node.log); st.Keys != 2 || st.Syncs > 2 {
 		t.Fatalf("durable log: %d keys in %d commits, want 2 keys in at most 2", st.Keys, st.Syncs)
 	}
 	durable.restart()
-	if k, _ := durable.node.Stats(); k != 2 {
+	if k, _ := stored(durable.node); k != 2 {
 		t.Fatalf("%d keys after the restart, want 2", k)
 	}
 }
@@ -315,7 +315,7 @@ func TestMultiPutValidatesBeforeStoring(t *testing.T) {
 	if wire.CodeOf(err) != wire.CodeBadRequest {
 		t.Fatalf("empty key inside a batch = %v, want CodeBadRequest", err)
 	}
-	if k, _ := nodes[0].Stats(); k != 0 {
+	if k, _ := stored(nodes[0]); k != 0 {
 		t.Fatalf("%d pairs stored by a rejected request", k)
 	}
 }

@@ -4,7 +4,11 @@
 // prototype: pairs in sharded maps, gone with the process.
 package memkv
 
-import "sync"
+import (
+	"sync"
+
+	"blobseer/internal/obs"
+)
 
 // shards spreads lookups over independent locks so concurrent clients
 // (the paper's central scenario) do not serialize on one mutex.
@@ -86,8 +90,9 @@ func (m *Map) Delete(key []byte) bool {
 	return ok
 }
 
-// Stats returns the number of keys and their values' total size.
-func (m *Map) Stats() (keys, bytes uint64) {
+// Metrics writes the keys held and their values' summed size, as a durable store does.
+func (m *Map) Metrics(sink *obs.Sink) {
+	var keys, bytes uint64
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
@@ -95,5 +100,6 @@ func (m *Map) Stats() (keys, bytes uint64) {
 		bytes += s.bytes
 		s.mu.RUnlock()
 	}
-	return keys, bytes
+	sink.Gauge("store_keys", "live keys", float64(keys))
+	sink.Gauge("store_value_bytes", "summed size of the live values", float64(bytes))
 }

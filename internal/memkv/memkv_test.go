@@ -3,6 +3,8 @@ package memkv
 import (
 	"bytes"
 	"testing"
+
+	"blobseer/internal/obs"
 )
 
 func TestPutKeepsFirstValueAndOwnsItsCopy(t *testing.T) {
@@ -22,14 +24,15 @@ func TestPutKeepsFirstValueAndOwnsItsCopy(t *testing.T) {
 	if old, dup := m.Put([]byte("key"), []byte("second")); !dup || !bytes.Equal(old, got) {
 		t.Fatalf("re-put: old %q dup %v, want the stored value", old, dup)
 	}
-	if keys, size := m.Stats(); keys != 1 || size != uint64(len(got)) {
-		t.Fatalf("stats %d keys %d bytes", keys, size)
+	stats := func() (keys, size float64) { return obs.Value(m, "store_keys"), obs.Value(m, "store_value_bytes") }
+	if keys, size := stats(); keys != 1 || size != float64(len(got)) {
+		t.Fatalf("stats %v keys %v bytes", keys, size)
 	}
 	if !m.Delete([]byte("key")) || m.Delete([]byte("key")) {
 		t.Fatal("delete must report a stored key once")
 	}
-	if keys, size := m.Stats(); keys != 0 || size != 0 {
-		t.Fatalf("stats after delete: %d keys %d bytes", keys, size)
+	if keys, size := stats(); keys != 0 || size != 0 {
+		t.Fatalf("stats after delete: %v keys %v bytes", keys, size)
 	}
 }
 

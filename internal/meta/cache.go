@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"blobseer/internal/core"
+	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
 
@@ -101,9 +102,11 @@ func (c *Cache) evict() *cacheEntry {
 	return oldest
 }
 
-// Stats returns cumulative hit and miss counts.
-func (c *Cache) Stats() (hits, misses uint64) {
+// Metrics writes the cache's series: the lookups that hit and missed.
+func (c *Cache) Metrics(s *obs.Sink) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	hits, misses := c.hits, c.misses
+	c.mu.Unlock()
+	s.Counter("meta_cache_hits_total", "tree-node lookups the metadata cache answered", float64(hits))
+	s.Counter("meta_cache_misses_total", "tree-node lookups that went to the metadata providers", float64(misses))
 }

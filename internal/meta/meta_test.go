@@ -9,6 +9,7 @@ import (
 
 	"blobseer/internal/core"
 	"blobseer/internal/dht"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
@@ -155,18 +156,18 @@ func TestStoreCacheAvoidsRefetch(t *testing.T) {
 	if _, err := st.GetNodes(ctx, []core.NodeID{id}); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := cache.Stats()
+	hits, misses := obs.Value(cache, "meta_cache_hits_total"), obs.Value(cache, "meta_cache_misses_total")
 	if hits != 1 || misses != 0 {
-		t.Fatalf("hits=%d misses=%d, want 1/0", hits, misses)
+		t.Fatalf("hits=%v misses=%v, want 1/0", hits, misses)
 	}
 
 	// A cold cache misses once, then hits.
 	st2 := NewStore(d, soleLineage(1), NewCache(128))
 	st2.GetNodes(ctx, []core.NodeID{id})
 	st2.GetNodes(ctx, []core.NodeID{id})
-	h2, m2 := st2.cache.Stats()
+	h2, m2 := obs.Value(st2.cache, "meta_cache_hits_total"), obs.Value(st2.cache, "meta_cache_misses_total")
 	if h2 != 1 || m2 != 1 {
-		t.Fatalf("cold cache hits=%d misses=%d, want 1/1", h2, m2)
+		t.Fatalf("cold cache hits=%v misses=%v, want 1/1", h2, m2)
 	}
 }
 

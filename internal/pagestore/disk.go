@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"blobseer/internal/bufpool"
+	"blobseer/internal/obs"
 	"blobseer/internal/seglog"
 	"blobseer/internal/wire"
 )
@@ -86,18 +87,22 @@ func (d *Disk) Has(id wire.PageID) bool { return d.kv.Has(string(id[:])) }
 // page's bytes become reclaimable by compaction.
 func (d *Disk) Delete(id wire.PageID) error { return d.kv.Delete(string(id[:])) }
 
-// Stats implements Store.
+// Metrics implements Store: the page log's series.
+func (d *Disk) Metrics(s *obs.Sink) { d.kv.Metrics(s) }
+
+// Deprecated: read store_keys and store_value_bytes (Metrics); kept only
+// until internal/blast stops naming it.
 func (d *Disk) Stats() (pages, bytes uint64) {
-	st := d.kv.Stats()
-	return st.Keys, st.ValueBytes
+	return uint64(obs.Value(d, "store_keys")), uint64(obs.Value(d, "store_value_bytes"))
 }
 
-// LogBytes reports the store's on-disk footprint: the summed size of
-// every segment file. Compaction shrinks it.
-func (d *Disk) LogBytes() int64 { return d.kv.Stats().LogBytes }
+// Deprecated: read store_log_bytes (Metrics); kept only until
+// internal/blast stops naming it.
+func (d *Disk) LogBytes() int64 { return int64(obs.Value(d, "store_log_bytes")) }
 
-// Compactions reports how many segment rewrites completed since open.
-func (d *Disk) Compactions() uint64 { return d.kv.Stats().Compactions }
+// Deprecated: read store_compactions_total (Metrics); kept only until
+// internal/blast stops naming it.
+func (d *Disk) Compactions() uint64 { return uint64(obs.Value(d, "store_compactions_total")) }
 
 // Deprecated: always 0 — an index snapshot is a fold of sealed segments
 // and stops nothing; kept only until internal/blast stops naming it.

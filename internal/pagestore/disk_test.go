@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/seglog"
 	"blobseer/internal/wire"
 )
@@ -53,15 +54,16 @@ func TestDiskMaintenanceThroughAdaptor(t *testing.T) {
 	if err := d.kv.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	before := d.LogBytes()
+	series := func(name string) float64 { return obs.Value(d, name) }
+	before := series("store_log_bytes")
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if after := d.LogBytes(); after >= before || d.Compactions() == 0 || d.kv.Stats().Snapshots < 2 {
-		t.Fatalf("compaction: %d -> %d bytes, %d rewrites, %d snapshots", before, after, d.Compactions(), d.kv.Stats().Snapshots)
+	if after, rewrites, snaps := series("store_log_bytes"), series("store_compactions_total"), series("store_snapshots_total"); after >= before || rewrites == 0 || snaps < 2 {
+		t.Fatalf("compaction: %v -> %v bytes, %v rewrites, %v snapshots", before, after, rewrites, snaps)
 	}
-	if st := d.kv.Stats(); st.Appends != 70 || st.Syncs != 70 {
-		t.Fatalf("write stats = %d appends, %d syncs, want 70 each", st.Appends, st.Syncs)
+	if appends, syncs := series("store_appends_total"), series("store_syncs_total"); appends != 70 || syncs != 70 {
+		t.Fatalf("write stats = %v appends, %v syncs, want 70 each", appends, syncs)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -77,8 +79,10 @@ func TestDiskMaintenanceThroughAdaptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if st := d2.kv.RecoveryStats(); !st.SnapshotLoaded || st.SnapshotEntries != 10 || st.RecordsReplayed != 0 {
-		t.Fatalf("recovery stats = %+v, want 10 pages from the covering snapshot", st)
+	loaded, entries, replayed := obs.Value(d2, "store_recovery_snapshot_loaded"),
+		obs.Value(d2, "store_recovery_snapshot_entries"), obs.Value(d2, "store_recovery_records_replayed")
+	if loaded != 1 || entries != 10 || replayed != 0 {
+		t.Fatalf("recovery: snapshot loaded %v, %v entries, %v replayed; want 10 pages from the covering snapshot", loaded, entries, replayed)
 	}
 	for i := byte(0); i < 40; i++ {
 		got, err := d2.Get(pid(i), 0, wire.WholePage)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"blobseer/internal/memkv"
+	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
 
@@ -55,8 +56,8 @@ type Store interface {
 	// walking version metadata — must have proven the page unreachable
 	// from every retained version before calling.
 	Delete(id wire.PageID) error
-	// Stats returns the number of stored pages and their total byte size.
-	Stats() (pages, bytes uint64)
+	// Metrics writes the engine's store_* series.
+	Metrics(*obs.Sink)
 	// Close releases resources. The store must not be used afterwards.
 	Close() error
 }
@@ -118,8 +119,8 @@ func (m *Mem) Delete(id wire.PageID) error {
 	return nil
 }
 
-// Stats implements Store.
-func (m *Mem) Stats() (pages, bytes uint64) { return m.m.Stats() }
+// Metrics implements Store.
+func (m *Mem) Metrics(s *obs.Sink) { m.m.Metrics(s) }
 
 // Close implements Store.
 func (m *Mem) Close() error { return nil }

@@ -9,8 +9,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
+
+// stored reads a store's page count and summed page size off its series.
+func stored(s Store) (pages, bytes uint64) {
+	return uint64(obs.Value(s, "store_keys")), uint64(obs.Value(s, "store_value_bytes"))
+}
 
 func pid(b byte) wire.PageID {
 	var id wire.PageID
@@ -69,7 +75,7 @@ func exerciseStore(t *testing.T, s Store) {
 	if err := s.Put(pid(1), data); err != nil {
 		t.Fatal(err)
 	}
-	pages, byteCount := s.Stats()
+	pages, byteCount := stored(s)
 	if pages != 1 || byteCount != uint64(len(data)) {
 		t.Fatalf("Stats after idempotent Put = %d pages, %d bytes", pages, byteCount)
 	}
@@ -108,7 +114,7 @@ func exerciseStore(t *testing.T, s Store) {
 	if err := s.Delete(pid(99)); err != nil {
 		t.Fatal(err)
 	}
-	pages, byteCount = s.Stats()
+	pages, byteCount = stored(s)
 	if pages != 2 || byteCount != uint64(len(data)+len(buf)) {
 		t.Fatalf("Stats after Delete = %d pages, %d bytes", pages, byteCount)
 	}
@@ -190,7 +196,7 @@ func TestMemConcurrentPutGet(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	pages, _ := m.Stats()
+	pages, _ := stored(m)
 	if pages != workers*perWorker {
 		t.Fatalf("pages = %d, want %d", pages, workers*perWorker)
 	}
@@ -224,7 +230,7 @@ func TestDiskRecovery(t *testing.T) {
 			t.Fatalf("page %d after recovery: %q, %v", i, got, err)
 		}
 	}
-	pages, _ := d2.Stats()
+	pages, _ := stored(d2)
 	if pages != 20 {
 		t.Fatalf("pages after recovery = %d", pages)
 	}

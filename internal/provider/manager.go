@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
@@ -44,8 +45,6 @@ type Manager struct {
 type entry struct {
 	id       uint32
 	addr     string
-	pages    uint64
-	bytes    uint64
 	lastSeen time.Duration // sched.Now() at the last register or heartbeat
 }
 
@@ -64,6 +63,13 @@ func (m *Manager) Addr() string { return m.srv.Addr() }
 
 // Close stops the service.
 func (m *Manager) Close() { m.srv.Close() }
+
+// Metrics writes the manager's series: its rpc server's and the live
+// providers it places pages on. Each provider's load is its own series.
+func (m *Manager) Metrics(s *obs.Sink) {
+	m.srv.Metrics(s)
+	s.Gauge("provider_manager_live_providers", "data providers registered and not expired", float64(len(m.list().Providers)))
+}
 
 func (m *Manager) mux() *rpc.Mux {
 	mux := rpc.NewMux()
@@ -109,7 +115,7 @@ func (m *Manager) register(addr string) uint32 {
 	return m.nextID
 }
 
-// heartbeat refreshes one provider's liveness and load. A beat
+// heartbeat refreshes one provider's liveness. A beat
 // acknowledged before an expiry scan keeps its entry; one that arrives
 // after the scan dropped it is answered false, and the provider
 // registers again under a fresh id.
@@ -118,7 +124,7 @@ func (m *Manager) heartbeat(req *wire.HeartbeatReq) bool {
 	defer m.mu.Unlock()
 	for _, e := range m.live {
 		if e.id == req.ID {
-			e.pages, e.bytes, e.lastSeen = req.Pages, req.Bytes, m.sched.Now()
+			e.lastSeen = m.sched.Now()
 			return true
 		}
 	}
@@ -164,7 +170,7 @@ func (m *Manager) list() *wire.ListProvidersResp {
 	m.expireLocked()
 	resp := &wire.ListProvidersResp{}
 	for _, e := range m.live {
-		resp.Providers = append(resp.Providers, wire.ProviderInfo{Addr: e.addr, Pages: e.pages, Bytes: e.bytes})
+		resp.Providers = append(resp.Providers, wire.ProviderInfo{Addr: e.addr})
 	}
 	return resp
 }

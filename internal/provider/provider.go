@@ -10,6 +10,7 @@ import (
 	"errors"
 	"time"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
@@ -114,8 +115,14 @@ func Serve(ln transport.Listener, cfg Config) (*Provider, error) {
 // Addr returns the address clients use to fetch and store pages.
 func (p *Provider) Addr() string { return p.srv.Addr() }
 
-// Store exposes the underlying page engine (used by tests and stats).
+// Store exposes the underlying page engine (used by tests).
 func (p *Provider) Store() pagestore.Store { return p.store }
+
+// Metrics writes the provider's series: its rpc server's and its store's.
+func (p *Provider) Metrics(s *obs.Sink) {
+	p.srv.Metrics(s)
+	p.store.Metrics(s)
+}
 
 // Close stops serving, cancels and joins the heartbeat loop, and closes
 // the page store when the provider opened it itself (PageLog).
@@ -162,10 +169,10 @@ func (p *Provider) heartbeatLoop(ctx context.Context, id uint32) {
 		if ctx.Err() != nil {
 			return
 		}
-		pages, bytes := p.store.Stats()
+		// A beat reports liveness only: the provider's load is its own
+		// series (store_keys, store_value_bytes).
 		cctx, cancel := context.WithTimeout(ctx, p.cfg.CallTimeout)
-		resp, err := p.cfg.Client.Call(cctx, p.cfg.ManagerAddr,
-			&wire.HeartbeatReq{ID: id, Pages: pages, Bytes: bytes})
+		resp, err := p.cfg.Client.Call(cctx, p.cfg.ManagerAddr, &wire.HeartbeatReq{ID: id})
 		cancel()
 		if err != nil {
 			// Transient; next beat retries, later.
@@ -269,8 +276,10 @@ func (p *Provider) mux() *rpc.Mux {
 		return &wire.DeletePagesResp{}, nil
 	})
 	m.Register(wire.KindProviderStatsReq, func(context.Context, wire.Msg) (wire.Msg, error) {
-		pages, bytes := p.store.Stats()
-		return &wire.ProviderStatsResp{Pages: pages, Bytes: bytes}, nil
+		return &wire.ProviderStatsResp{
+			Pages: uint64(obs.Value(p.store, "store_keys")),
+			Bytes: uint64(obs.Value(p.store, "store_value_bytes")),
+		}, nil
 	})
 	return m
 }

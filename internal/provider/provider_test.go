@@ -269,29 +269,6 @@ func TestReRegisterSameAddrKeepsOneEntry(t *testing.T) {
 	}
 }
 
-func TestHeartbeatUpdatesLoad(t *testing.T) {
-	r := newRig(t, 2, ManagerConfig{})
-	addr0 := r.provs[0].Addr()
-	gen := wire.NewPageIDGen()
-	for i := 0; i < 7; i++ {
-		r.call(t, addr0, &wire.PutPageReq{Page: gen.Next(), Data: []byte("abc")})
-	}
-	time.Sleep(30 * time.Millisecond)
-	resp := r.call(t, "manager", &wire.ListProvidersReq{})
-	var found bool
-	for _, p := range resp.(*wire.ListProvidersResp).Providers {
-		if p.Addr == addr0 {
-			found = true
-			if p.Pages != 7 {
-				t.Errorf("manager sees %d pages for %s, want 7", p.Pages, addr0)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("provider missing from list")
-	}
-}
-
 func TestHeartbeatUnknownIDRequestsReRegister(t *testing.T) {
 	r := newRig(t, 1, ManagerConfig{})
 	resp := r.call(t, "manager", &wire.HeartbeatReq{ID: 9999})
@@ -346,14 +323,14 @@ func TestHeartbeatVersusExpiryScan(t *testing.T) {
 		defer mgr.Close()
 		early, late := mgr.register("early:1"), mgr.register("late:1")
 		clock.Sleep(900 * time.Millisecond)
-		if !mgr.heartbeat(&wire.HeartbeatReq{ID: early, Pages: 3}) {
+		if !mgr.heartbeat(&wire.HeartbeatReq{ID: early}) {
 			t.Error("beat inside the expiry window not acknowledged")
 		}
 		clock.Sleep(200 * time.Millisecond) // early was seen 0.2 s ago, late 1.1 s ago
 		if n := mgr.ProviderCount(); n != 1 {
 			t.Errorf("%d providers after the scan, want the one that beat before it", n)
 		}
-		if !mgr.heartbeat(&wire.HeartbeatReq{ID: early, Pages: 4}) {
+		if !mgr.heartbeat(&wire.HeartbeatReq{ID: early}) {
 			t.Error("the scan dropped an entry whose beat it had acknowledged")
 		}
 		if mgr.heartbeat(&wire.HeartbeatReq{ID: late}) {
@@ -365,9 +342,9 @@ func TestHeartbeatVersusExpiryScan(t *testing.T) {
 		}
 		var got []string
 		for _, p := range mgr.list().Providers {
-			got = append(got, fmt.Sprintf("%s/%d", p.Addr, p.Pages))
+			got = append(got, p.Addr)
 		}
-		if want := []string{"early:1/4", "late:1/0"}; !reflect.DeepEqual(got, want) {
+		if want := []string{"early:1", "late:1"}; !reflect.DeepEqual(got, want) {
 			t.Errorf("providers = %v, want %v", got, want)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/simnet"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
@@ -123,15 +124,15 @@ func TestEncodeFailureCountedAndReported(t *testing.T) {
 	if err == nil {
 		t.Fatal("oversized response produced no client error")
 	}
-	if got := srv.EncodeFailures(); got != 1 {
-		t.Fatalf("EncodeFailures = %d, want 1", got)
+	if got := obs.Value(srv, "rpc_encode_failures_total"); got != 1 {
+		t.Fatalf("rpc_encode_failures_total = %v, want 1", got)
 	}
 	wellFormed("an oversized page response")
 	if _, err = cl.Call(ctx, srv.Addr(), &wire.DHTGetReq{Key: []byte("k")}); err == nil {
 		t.Fatal("oversized metadata response produced no client error")
 	}
-	if got := srv.EncodeFailures(); got != 2 {
-		t.Fatalf("EncodeFailures = %d, want 2", got)
+	if got := obs.Value(srv, "rpc_encode_failures_total"); got != 2 {
+		t.Fatalf("rpc_encode_failures_total = %v, want 2", got)
 	}
 	wellFormed("an oversized metadata response")
 	_, err = cl.Call(ctx, srv.Addr(), &wire.PutPageReq{Page: wire.PageID{1}, Data: make([]byte, MaxFrameBody+1)})

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"blobseer/internal/bufpool"
+	"blobseer/internal/obs"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -84,6 +85,9 @@ type Server struct {
 	// signal "the error response also failed to encode", so the count is
 	// the only trace the second-level failure leaves.
 	encodeFailures atomic.Uint64
+	// latency is each request kind's handler-latency histogram, made on
+	// its first request.
+	latency [256]atomic.Pointer[obs.Histogram]
 
 	mu     sync.Mutex
 	conns  map[transport.Conn]struct{}
@@ -113,8 +117,16 @@ func Serve(ln transport.Listener, sched vclock.Scheduler, h Handler) *Server {
 // Addr returns the listener's address.
 func (s *Server) Addr() string { return s.ln.Addr() }
 
-// EncodeFailures reports how many response frames failed to encode.
-func (s *Server) EncodeFailures() uint64 { return s.encodeFailures.Load() }
+// Metrics writes the server's series: how long its handlers took, by
+// request kind, and the responses it could not frame.
+func (s *Server) Metrics(sink *obs.Sink) {
+	for k := range s.latency {
+		if h := s.latency[k].Load(); h != nil {
+			sink.Histogram("rpc_handler_seconds", "time a handler took to answer a request, by request kind", h, "kind", wire.Kind(k).String())
+		}
+	}
+	sink.Counter("rpc_encode_failures_total", "responses that could not be framed", float64(s.encodeFailures.Load()))
+}
 
 // Close stops accepting, cancels all in-flight handlers, closes all live
 // connections, and joins every goroutine the server spawned.
@@ -196,7 +208,9 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 // response is encoded — the last moment anything can still read either
 // — on every path.
 func (s *Server) serveRequest(ctx context.Context, c transport.Conn, wmu *vclock.Mutex, id uint64, req wire.Msg, body *[]byte) {
+	start := s.sched.Now()
 	resp := s.dispatch(ctx, req)
+	s.histogram(req.Kind()).Observe(s.sched.Now() - start)
 	frame := s.responseFrame(id, resp)
 	bufpool.Put(body)
 	if b, ok := resp.(Borrower); ok {
@@ -240,6 +254,15 @@ func (s *Server) responseFrame(id uint64, resp wire.Msg) *[]byte {
 	}
 	*frame = out
 	return frame
+}
+
+// histogram returns kind k's latency histogram, making it if need be.
+func (s *Server) histogram(k wire.Kind) *obs.Histogram {
+	if h := s.latency[k].Load(); h != nil {
+		return h
+	}
+	s.latency[k].CompareAndSwap(nil, new(obs.Histogram))
+	return s.latency[k].Load()
 }
 
 func (s *Server) dispatch(ctx context.Context, req wire.Msg) wire.Msg {

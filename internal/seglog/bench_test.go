@@ -140,7 +140,7 @@ func BenchmarkKVCompact(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				if st := s.Stats(); st.Compactions != 1 {
+				if st := stats(s); st.Compactions != 1 {
 					b.Fatalf("%d rewrites, want 1", st.Compactions)
 				}
 				s.Close()
@@ -166,7 +166,7 @@ func BenchmarkKVReopenRescan(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.SetBytes(s.Stats().LogBytes)
+			b.SetBytes(stats(s).LogBytes)
 			s.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -175,7 +175,7 @@ func BenchmarkKVReopenRescan(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if got := s.RecoveryStats().RecordsReplayed; got != sh.records {
+				if got := s.recStats.RecordsReplayed; got != sh.records {
 					b.Fatalf("replayed %d records, want %d", got, sh.records)
 				}
 				s.Close()

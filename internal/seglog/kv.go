@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
 
@@ -92,8 +93,11 @@ type KV struct {
 	covered     atomic.Uint64
 	snapRuns    atomic.Uint64
 	compactRuns atomic.Uint64
-	maint       *Maintainer
-	recStats    RecoveryStats
+	// Background passes that failed: nothing else reports them.
+	snapFailures    atomic.Uint64
+	compactFailures atomic.Uint64
+	maint           *Maintainer
+	recStats        recoveryStats
 }
 
 // KVLayout is everything one instantiation of the KV decides.
@@ -153,23 +157,11 @@ type KVOptions struct {
 	Fault func(point string) error
 }
 
-// KVStats is a point-in-time reading of a KV's counters.
-type KVStats struct {
-	Keys       uint64 // live keys
-	ValueBytes uint64 // their summed value sizes
-	Appends    uint64 // records accepted since open
-	Syncs      uint64 // commit fsyncs since open; group commit shows as Syncs < Appends
-	LogBytes   int64  // summed size of every segment file; compaction shrinks it
-	Snapshots  uint64 // index snapshots published since open
-	// Compactions counts segment rewrites completed since open.
-	Compactions uint64
-}
-
-// RecoveryStats describes what one OpenKV did: how much of the index
+// recoveryStats describes what one OpenKV did: how much of the index
 // came from the snapshot and how much had to be replayed by scanning
 // segments. With automatic snapshots, RecordsReplayed stays bounded by
 // SnapshotEvery no matter how many keys the store holds.
-type RecoveryStats struct {
+type recoveryStats struct {
 	SnapshotLoaded    bool // a valid index snapshot seeded the index
 	SnapshotEntries   int  // keys restored from the snapshot
 	SegmentsOnDisk    int  // segment files found or created at open
@@ -780,26 +772,39 @@ func (s *KV) Range(fn func(key string, value []byte) error) error {
 	return nil
 }
 
-// Stats reads the store's counters.
-func (s *KV) Stats() KVStats {
-	st := KVStats{
-		Keys:        s.keys.Load(),
-		ValueBytes:  s.valueBytes.Load(),
-		Appends:     s.appends.Load(),
-		Syncs:       s.syncs.Load(),
-		Snapshots:   s.snapRuns.Load(),
-		Compactions: s.compactRuns.Load(),
-	}
+// Metrics writes the store's series: what it holds, what its log costs,
+// how far its maintenance is behind, and what this open recovered.
+func (s *KV) Metrics(sink *obs.Sink) {
+	var logBytes, reclaimable int64
 	s.segMu.RLock()
 	for _, seg := range s.segs {
-		st.LogBytes += seg.size.Load()
+		logBytes += seg.size.Load()
+		reclaimable += seg.size.Load() - HeaderSize - seg.liveBytes.Load() - seg.tombBytes.Load()
 	}
 	s.segMu.RUnlock()
-	return st
+	sink.Gauge("store_keys", "live keys", float64(s.keys.Load()))
+	sink.Gauge("store_value_bytes", "summed size of the live values", float64(s.valueBytes.Load()))
+	sink.Counter("store_appends_total", "records appended since open", float64(s.appends.Load()))
+	sink.Counter("store_syncs_total", "commit fsyncs since open (fewer than appends: group commit)", float64(s.syncs.Load()))
+	sink.Gauge("store_log_bytes", "summed size of the segment files", float64(logBytes))
+	sink.Gauge("store_reclaimable_bytes", "segment bytes neither a live record nor a tombstone: what compaction is behind by", float64(reclaimable))
+	sink.Counter("store_compactions_total", "segment rewrites since open", float64(s.compactRuns.Load()))
+	sink.Gauge("store_unsnapshotted_records", "records logged past the published index snapshot: what a reopen replays", float64(s.uncovered()))
+	sink.Counter("store_snapshots_total", "index snapshots published since open", float64(s.snapRuns.Load()))
+	const failed = "background maintenance passes that failed, by pass"
+	sink.Counter("store_maintenance_failures_total", failed, float64(s.snapFailures.Load()), "pass", "snapshot")
+	sink.Counter("store_maintenance_failures_total", failed, float64(s.compactFailures.Load()), "pass", "compact")
+	r, loaded := s.recStats, 0.0
+	if r.SnapshotLoaded {
+		loaded = 1
+	}
+	sink.Gauge("store_recovery_snapshot_loaded", "1 if an index snapshot seeded this open", loaded)
+	sink.Gauge("store_recovery_snapshot_entries", "keys this open restored from the snapshot", float64(r.SnapshotEntries))
+	sink.Gauge("store_recovery_segments", "segment files this open found or created", float64(r.SegmentsOnDisk))
+	sink.Gauge("store_recovery_segments_rescanned", "segments this open scanned record by record", float64(r.SegmentsRescanned))
+	sink.Gauge("store_recovery_stale_rescanned", "rescanned segments a compaction rewrote after the snapshot", float64(r.StaleRescanned))
+	sink.Gauge("store_recovery_records_replayed", "records this open applied by rescanning", float64(r.RecordsReplayed))
 }
-
-// RecoveryStats reports what this open of the store did.
-func (s *KV) RecoveryStats() RecoveryStats { return s.recStats }
 
 // closeFiles closes every segment file, fsyncing each first (and the
 // directory after) under SealSync so a clean shutdown loses nothing.

@@ -181,7 +181,7 @@ func TestKVCompactionCrashThenCompactAgain(t *testing.T) {
 		must(t, s.Close())
 
 		s2 := mustOpenKV(t, base, ly, crashOpts())
-		if st := s2.RecoveryStats(); st.StaleRescanned == 0 {
+		if st := s2.recStats; st.StaleRescanned == 0 {
 			t.Fatalf("expected a stale (rewritten) segment rescan, got %+v", st)
 		}
 		verifyLive(t, s2, crashKeys, crashLive)

@@ -349,7 +349,7 @@ func TestKVSnapshotCountdownCarriesRecordsLoggedDuringFold(t *testing.T) {
 		}
 		must(t, s.Close())
 		s2 := mustOpenKV(t, path, ly, KVOptions{})
-		if rs := s2.RecoveryStats(); !rs.SnapshotLoaded || rs.SnapshotEntries != 10 || rs.RecordsReplayed != 3 {
+		if rs := s2.recStats; !rs.SnapshotLoaded || rs.SnapshotEntries != 10 || rs.RecordsReplayed != 3 {
 			t.Fatalf("reopen: %+v, want 10 snapshot entries and 3 replayed", rs)
 		}
 		if ev := s2.uncovered(); ev != 3 {

@@ -58,7 +58,7 @@ func TestKVGoldenBytes(t *testing.T) {
 			dumpDir(t, &got, "final", dir)
 
 			s2 := mustOpenKV(t, path, ly, opts)
-			rs, st, st1 := s2.RecoveryStats(), s2.Stats(), s.Stats()
+			rs, st, st1 := s2.recStats, stats(s2), stats(s)
 			fmt.Fprintf(&got, "recovery loaded=%v entries=%d segs=%d rescanned=%d stale=%d replayed=%d\n",
 				rs.SnapshotLoaded, rs.SnapshotEntries, rs.SegmentsOnDisk, rs.SegmentsRescanned, rs.StaleRescanned, rs.RecordsReplayed)
 			fmt.Fprintf(&got, "stats keys=%d bytes=%d log=%d snaps=%d compactions=%d\n",

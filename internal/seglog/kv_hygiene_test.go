@@ -61,7 +61,7 @@ func TestKVCompactionConvergesChurnedLogToLiveSet(t *testing.T) {
 		rollForTest(t, s) // seal the tombstone tail
 
 		must(t, s.Compact())
-		if s.Stats().Compactions == 0 {
+		if stats(s).Compactions == 0 {
 			t.Fatal("churned log compacted nothing")
 		}
 		puts, tombs := countRecordKinds(t, ly, path)
@@ -117,7 +117,7 @@ func TestKVSnapshotSeededReopenNoSpuriousRewrite(t *testing.T) {
 
 		// Steady state: nothing is reclaimable at this ratio.
 		must(t, s.Compact())
-		if c := s.Stats().Compactions; c != 0 {
+		if c := stats(s).Compactions; c != 0 {
 			t.Fatalf("fixture not steady before snapshot: %d rewrites", c)
 		}
 		// The fixture really has the shape the bug needs: a sealed segment
@@ -134,11 +134,11 @@ func TestKVSnapshotSeededReopenNoSpuriousRewrite(t *testing.T) {
 
 		s2 := mustOpenKV(t, path, ly, opts)
 		s2.opts.CompactRatio = ratio
-		if !s2.RecoveryStats().SnapshotLoaded {
-			t.Fatalf("snapshot not loaded: %+v", s2.RecoveryStats())
+		if !s2.recStats.SnapshotLoaded {
+			t.Fatalf("snapshot not loaded: %+v", s2.recStats)
 		}
 		must(t, s2.Compact())
-		if c := s2.Stats().Compactions; c != 0 {
+		if c := stats(s2).Compactions; c != 0 {
 			t.Fatalf("snapshot-seeded reopen triggered %d spurious rewrites of the tombstone-heavy segment", c)
 		}
 		if _, tombsAfter := countRecordKinds(t, ly, path); tombsAfter != tombsBefore || tombsBefore != 10 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"sync/atomic"
 )
 
 // Maintenance turns a KV from "rescan everything on open, grow forever"
@@ -82,20 +83,28 @@ func (s *KV) crash(point string) error {
 	return s.opts.Fault(point)
 }
 
-// maintainPass is one wake-up of the background maintainer.
+// maintainPass is one wake-up of the background maintainer. A failed
+// pass is counted, and left for the next nudge to retry.
 func (s *KV) maintainPass() bool {
 	if s.closed.Load() {
 		return false
 	}
 	if n := s.opts.SnapshotEvery; n > 0 && s.uncovered() >= uint64(n) {
-		s.Snapshot()
+		countFailure(&s.snapFailures, s.Snapshot())
 	}
 	if s.opts.CompactRatio > 0 {
 		// Sealed segments only: a pass runs after every tombstone batch, and
 		// sealing here would cut the log into a segment per batch.
-		s.compact(false)
+		countFailure(&s.compactFailures, s.compact(false))
 	}
 	return true
+}
+
+// countFailure counts a failed pass; losing the race with Close is not one.
+func countFailure(n *atomic.Uint64, err error) {
+	if err != nil && !errors.Is(err, ErrClosed) {
+		n.Add(1)
+	}
 }
 
 // Snapshot writes an index snapshot into an atomically renamed file, so

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"testing"
 	"unsafe"
+
+	"blobseer/internal/obs"
 )
 
 // TestKVReadsOverlapParkedCommit pins the early-lock-release contract:
@@ -31,7 +33,7 @@ func TestKVReadsOverlapParkedCommit(t *testing.T) {
 		// The leader is parked mid-commit. Reads of durable pairs and the
 		// accounting must not block behind it...
 		verifyLive(t, s, 2, func(i int) bool { return i == 1 })
-		if n := s.Stats().LogBytes; n < HeaderSize {
+		if n := stats(s).LogBytes; n < HeaderSize {
 			t.Fatalf("LogBytes while commit parked = %d", n)
 		}
 		// ...and the parked put is not yet visible: the index applies only
@@ -58,7 +60,7 @@ func TestKVReadsOverlapParkedCommit(t *testing.T) {
 		must(t, <-put2)
 		must(t, <-put3)
 		must(t, <-snapDone)
-		if n := s.Stats().Snapshots; n != 1 {
+		if n := stats(s).Snapshots; n != 1 {
 			t.Fatalf("snapshots = %d, want 1", n)
 		}
 		alive := func(i int) bool { return i >= 1 }
@@ -85,13 +87,13 @@ func TestKVSnapshotFailureKeepsCountdown(t *testing.T) {
 		if !s.maintainPass() {
 			t.Fatal("maintainPass reported closed")
 		}
-		if n, ev := s.Stats().Snapshots, s.uncovered(); n != 0 || ev < 6 {
+		if n, ev := stats(s).Snapshots, s.uncovered(); n != 0 || ev < 6 {
 			t.Fatalf("after failed publish: %d snapshots, countdown %d (want 0, >= 6)", n, ev)
 		}
 		// No new records: the retained countdown alone must trigger the retry.
 		s.opts.Fault = nil
 		s.maintainPass()
-		if n, ev := s.Stats().Snapshots, s.uncovered(); n != 1 || ev >= 4 {
+		if n, ev := stats(s).Snapshots, s.uncovered(); n != 1 || ev >= 4 {
 			t.Fatalf("after retry: %d snapshots, countdown %d (want 1, < 4)", n, ev)
 		}
 
@@ -100,10 +102,48 @@ func TestKVSnapshotFailureKeepsCountdown(t *testing.T) {
 		putN(t, s, 6, 7)
 		must(t, s.Close())
 		s2 := mustOpenKV(t, path, ly, KVOptions{})
-		if rs := s2.RecoveryStats(); !rs.SnapshotLoaded || rs.RecordsReplayed != 1 {
+		if rs := s2.recStats; !rs.SnapshotLoaded || rs.RecordsReplayed != 1 {
 			t.Fatalf("reopen after retried snapshot: %+v, want snapshot + 1 replayed", rs)
 		}
 		verifyLive(t, s2, 7, all)
+	})
+}
+
+// TestKVBackgroundSnapshotFailureIsCounted is the same failure in the
+// background maintainer, where nothing returns the error: the failed
+// pass shows exactly once in the store's series, and the countdown it
+// kept lets the next nudge publish although one more record is far
+// short of SnapshotEvery.
+func TestKVBackgroundSnapshotFailureIsCounted(t *testing.T) {
+	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+		path := filepath.Join(t.TempDir(), "kv.log")
+		failed, published := make(chan struct{}), make(chan struct{})
+		tries := 0
+		s := mustOpenKV(t, path, ly, KVOptions{SnapshotEvery: 4, Fault: func(p string) error {
+			if p != crashSnapTmpWritten {
+				return nil
+			}
+			if tries++; tries == 1 {
+				close(failed)
+				return errCrash
+			}
+			close(published)
+			return nil
+		}})
+		putN(t, s, 0, 4) // the fourth nudges the first pass
+		<-failed
+		putN(t, s, 4, 5) // its nudge waits for the failing pass to end
+		<-published
+		must(t, s.Close()) // joins the publishing pass
+		failures := obs.Value(s, "store_maintenance_failures_total", "pass", "snapshot")
+		if n := stats(s).Snapshots; failures != 1 || n != 1 || tries != 2 {
+			t.Fatalf("%v failed snapshot passes, %d published, %d publish attempts; want 1, 1, 2", failures, n, tries)
+		}
+		s2 := mustOpenKV(t, path, ly, KVOptions{})
+		if rs := s2.recStats; !rs.SnapshotLoaded || rs.RecordsReplayed != 0 {
+			t.Fatalf("reopen: %+v, want every record in the snapshot", rs)
+		}
+		verifyLive(t, s2, 5, all)
 	})
 }
 
@@ -132,13 +172,13 @@ func TestCaptureAbortRetainsDirtyAndCountdown(t *testing.T) {
 		if err := s.Snapshot(); !errors.Is(err, errCrash) || !*fired {
 			t.Fatalf("snapshot with a fault after the fold: err %v, fired %v", err, *fired)
 		}
-		if n, ev := s.Stats().Snapshots, s.uncovered(); n != 1 || ev != 3 {
+		if n, ev := stats(s).Snapshots, s.uncovered(); n != 1 || ev != 3 {
 			t.Fatalf("after the failed snapshot: %d snapshots, countdown %d (want 1, 3)", n, ev)
 		}
 
 		s.opts.Fault = nil
 		must(t, s.Snapshot())
-		if n, ev := s.Stats().Snapshots, s.uncovered(); n != 2 || ev != 0 {
+		if n, ev := stats(s).Snapshots, s.uncovered(); n != 2 || ev != 0 {
 			t.Fatalf("after the retry: %d snapshots, countdown %d (want 2, 0)", n, ev)
 		}
 		alive := func(i int) bool { return i >= 2 }
@@ -146,7 +186,7 @@ func TestCaptureAbortRetainsDirtyAndCountdown(t *testing.T) {
 		must(t, s.Close())
 
 		s2 := mustOpenKV(t, path, ly, KVOptions{})
-		if rs := s2.RecoveryStats(); !rs.SnapshotLoaded || rs.SnapshotEntries != 3 || rs.RecordsReplayed != 0 {
+		if rs := s2.recStats; !rs.SnapshotLoaded || rs.SnapshotEntries != 3 || rs.RecordsReplayed != 0 {
 			t.Fatalf("reopen after the retried snapshot: %+v, want 3 snapshot entries and none replayed", rs)
 		}
 		verifyLive(t, s2, 5, alive)
@@ -174,7 +214,7 @@ func TestKVBatchDeleteSharesOneCommit(t *testing.T) {
 		s := mustOpenKV(t, path, ly, KVOptions{Sync: true})
 		const n = 8
 		putN(t, s, 0, n)
-		before := s.Stats()
+		before := stats(s)
 
 		entered, release := s.GateNextCommit()
 		type result struct {
@@ -194,14 +234,14 @@ func TestKVBatchDeleteSharesOneCommit(t *testing.T) {
 		if res := <-done; res.err != nil || res.dropped != n {
 			t.Fatalf("DeleteBatch dropped %d (%v), want %d", res.dropped, res.err, n)
 		}
-		after := s.Stats()
+		after := stats(s)
 		if c, r := after.Syncs-before.Syncs, after.Appends-before.Appends; c != 1 || r != n+1 {
 			t.Fatalf("delete batch took %d commits for %d records, want 1 for %d", c, r, n+1)
 		}
 		if dropped, err := s.DeleteBatch(bkeys(ly, 0, 1)); err != nil || dropped != 0 {
 			t.Fatalf("DeleteBatch of deleted keys dropped %d (%v)", dropped, err)
 		}
-		if got := s.Stats().Appends; got != after.Appends {
+		if got := stats(s).Appends; got != after.Appends {
 			t.Fatalf("delete of unknown keys logged %d records", got-after.Appends)
 		}
 		must(t, s.Close())
@@ -226,7 +266,7 @@ func TestKVEnqueuePutContract(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{Sync: true})
 		const n = 8
-		before := s.Stats()
+		before := stats(s)
 
 		// One reusable buffer per record, as a request frame would be:
 		// scribbled on before the commit frames it (must be seen) and
@@ -257,7 +297,7 @@ func TestKVEnqueuePutContract(t *testing.T) {
 		for i := range bufs {
 			clear(bufs[i])
 		}
-		after := s.Stats()
+		after := stats(s)
 		if c, r := after.Syncs-before.Syncs, after.Appends-before.Appends; c != 1 || r != n {
 			t.Fatalf("put batch took %d commits for %d records, want 1 for %d", c, r, n)
 		}
@@ -269,7 +309,7 @@ func TestKVEnqueuePutContract(t *testing.T) {
 		if !slices.Equal(lost, []int{0}) {
 			t.Fatalf("re-put of a stored key: lost = %v, want [0]", lost)
 		}
-		if got := s.Stats().Appends; got != after.Appends {
+		if got := stats(s).Appends; got != after.Appends {
 			t.Fatalf("re-put of a stored key logged %d records", got-after.Appends)
 		}
 
@@ -284,7 +324,7 @@ func TestKVEnqueuePutContract(t *testing.T) {
 		if !slices.Equal(lost, []int{1, 2}) {
 			t.Fatalf("lost = %v, want [1 2]", lost)
 		}
-		final := s.Stats()
+		final := stats(s)
 		if r, k := final.Appends-after.Appends, final.Keys-after.Keys; r != 3 || k != 2 {
 			t.Fatalf("repeat among a stored and a fresh key: %d records, %d keys; want 3, 2", r, k)
 		}

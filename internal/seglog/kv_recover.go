@@ -242,7 +242,7 @@ type kvFolded struct {
 	// of its tombstones.
 	segs             []SegMeta
 	keys, valueBytes uint64 // the sink's entries, and their summed value sizes
-	stats            RecoveryStats
+	stats            recoveryStats
 }
 
 // fold is index = fold(snapshot, segments): it seeds sink with snap's

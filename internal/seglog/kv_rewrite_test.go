@@ -75,7 +75,7 @@ func TestKVRewriteRefusesCorruptKeptRecord(t *testing.T) {
 				if after, _ := s.lookup(tkey(ly, rotten)); after != before {
 					t.Fatalf("failed rewrite moved the index entry: %+v -> %+v", before, after)
 				}
-				if st := s.Stats(); st.Compactions != 0 || st.Keys != n/2 {
+				if st := stats(s); st.Compactions != 0 || st.Keys != n/2 {
 					t.Fatalf("after failed rewrite: %+v", st)
 				}
 				for i := 0; i < n; i++ {
@@ -157,7 +157,7 @@ func TestKVRewriteNeverReadsDroppedBodies(t *testing.T) {
 		// The store keeps no snapshot, so the reopen is the full rescan.
 		noSnapshotFile(t, path)
 		s2 := mustOpenKV(t, path, ly, KVOptions{})
-		if rs := s2.RecoveryStats(); rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
+		if rs := s2.recStats; rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
 			t.Fatalf("reopen did not rescan everything: %+v", rs)
 		}
 		verifyLive(t, s2, n, alive)
@@ -190,7 +190,7 @@ func TestKVRewriteAllocBudget(t *testing.T) {
 		if got >= 2<<20 {
 			t.Fatalf("compacting an 8 MiB segment allocated %d B, budget 2 MiB", got)
 		}
-		if st := s.Stats(); st.Compactions != 1 || st.Keys != n/2 {
+		if st := stats(s); st.Compactions != 1 || st.Keys != n/2 {
 			t.Fatalf("after compaction: %+v", st)
 		}
 	})
@@ -233,7 +233,7 @@ func TestKVRewriteMovesRecordsOfAnySize(t *testing.T) {
 		rollForTest(t, s)
 		deleteIf(t, s, len(sizes), func(i int) bool { return !alive(i) })
 		must(t, s.Compact())
-		if st := s.Stats(); st.Compactions != 1 {
+		if st := stats(s); st.Compactions != 1 {
 			t.Fatalf("%d rewrites, want 1", st.Compactions)
 		}
 		if cap(s.ioBuf) > kvBatchRetain {
@@ -243,7 +243,7 @@ func TestKVRewriteMovesRecordsOfAnySize(t *testing.T) {
 		must(t, s.Close())
 		noSnapshotFile(t, path)
 		s2 := mustOpenKV(t, path, ly, KVOptions{})
-		if rs := s2.RecoveryStats(); rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
+		if rs := s2.recStats; rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
 			t.Fatalf("reopen did not rescan everything: %+v", rs)
 		}
 		check(s2)

@@ -120,7 +120,7 @@ func verifyLive(t *testing.T, s *KV, n int, alive func(i int) bool) {
 			t.Fatalf("Range missed or mangled live key %d", i)
 		}
 	}
-	if st := s.Stats(); st.Keys != uint64(want) || len(ranged) != want {
+	if st := stats(s); st.Keys != uint64(want) || len(ranged) != want {
 		t.Fatalf("keys = %d, ranged = %d, want %d", st.Keys, len(ranged), want)
 	}
 }
@@ -182,11 +182,11 @@ func TestKVContract(t *testing.T) {
 			t.Fatalf("Get of unknown key = %v, want ErrNotFound", err)
 		}
 		must(t, s.Delete(tkey(ly, 2))) // unknown: no-op, logs nothing
-		if st := s.Stats(); st.Keys != 1 || st.ValueBytes != 10 || st.Appends != 1 {
+		if st := stats(s); st.Keys != 1 || st.ValueBytes != 10 || st.Appends != 1 {
 			t.Fatalf("stats = %+v, want 1 key, 10 bytes, 1 append", st)
 		}
 		must(t, s.Delete(k))
-		if st := s.Stats(); s.Has(k) || st.Keys != 0 || st.ValueBytes != 0 {
+		if st := stats(s); s.Has(k) || st.Keys != 0 || st.ValueBytes != 0 {
 			t.Fatalf("after delete: has=%v stats=%+v", s.Has(k), st)
 		}
 		if ly.KeyLen != 0 {
@@ -302,7 +302,7 @@ func TestKVGetAppendAcrossCompaction(t *testing.T) {
 		}
 		close(done)
 		wg.Wait()
-		if st := s.Stats(); st.Compactions == 0 {
+		if st := stats(s); st.Compactions == 0 {
 			t.Fatal("no segment was rewritten under the readers")
 		}
 		verifyLive(t, s, n, alive)
@@ -348,7 +348,7 @@ func TestKVGetAppendAcrossSealAndRewrite(t *testing.T) {
 			must(t, s.Compact())
 			close(done)
 			wg.Wait()
-			if segs, c := segmentCount(t, ly, path), s.Stats().Compactions; segs != round+2 || c != uint64(round+1) {
+			if segs, c := segmentCount(t, ly, path), stats(s).Compactions; segs != round+2 || c != uint64(round+1) {
 				t.Fatalf("round %d: %d segments, %d rewrites; the active segment was not sealed and rewritten", round, segs, c)
 			}
 		}
@@ -375,7 +375,7 @@ func TestKVRollsSegmentsAndFullRescan(t *testing.T) {
 		// No snapshot was ever written: the tombstone alone must keep the
 		// key dead across a full rescan.
 		s2 := mustOpenKV(t, path, ly, opts)
-		if st := s2.RecoveryStats(); st.SnapshotLoaded || st.SegmentsRescanned != segs || st.RecordsReplayed != n+1 {
+		if st := s2.recStats; st.SnapshotLoaded || st.SegmentsRescanned != segs || st.RecordsReplayed != n+1 {
 			t.Fatalf("recovery stats = %+v, want full rescan of %d segments", st, segs)
 		}
 		verifyLive(t, s2, n, alive)
@@ -401,7 +401,7 @@ func TestKVSnapshotBoundsReopenReplay(t *testing.T) {
 		must(t, s.Close())
 
 		s2 := mustOpenKV(t, path, ly, opts)
-		st := s2.RecoveryStats()
+		st := s2.recStats
 		// Only the tail (10 puts + 1 tombstone) replays, not all 61 records.
 		if !st.SnapshotLoaded || st.SnapshotEntries != 50 || st.RecordsReplayed != 11 {
 			t.Fatalf("recovery stats = %+v, want 50 snapshot entries + 11 replayed", st)
@@ -411,7 +411,7 @@ func TestKVSnapshotBoundsReopenReplay(t *testing.T) {
 		must(t, s2.Snapshot())
 		must(t, s2.Close())
 		s3 := mustOpenKV(t, path, ly, opts)
-		if st := s3.RecoveryStats(); !st.SnapshotLoaded || st.RecordsReplayed != 0 || st.SegmentsOnDisk < 5 {
+		if st := s3.recStats; !st.SnapshotLoaded || st.RecordsReplayed != 0 || st.SegmentsOnDisk < 5 {
 			t.Fatalf("stats after snapshot-covered reopen: %+v", st)
 		}
 		verifyLive(t, s3, 60, func(i int) bool { return i != 3 })
@@ -427,9 +427,9 @@ func TestKVCompactionShrinksAndPreservesLive(t *testing.T) {
 		putN(t, s, 0, n)
 		alive := func(i int) bool { return i%4 == 0 }
 		deleteIf(t, s, n, func(i int) bool { return !alive(i) })
-		before := s.Stats().LogBytes
+		before := stats(s).LogBytes
 		must(t, s.Compact())
-		st := s.Stats()
+		st := stats(s)
 		if st.LogBytes >= before || st.Compactions == 0 || st.Snapshots != 0 {
 			t.Fatalf("compaction: %d -> %d bytes, %d rewrites, %d snapshots (want none)",
 				before, st.LogBytes, st.Compactions, st.Snapshots)
@@ -438,7 +438,7 @@ func TestKVCompactionShrinksAndPreservesLive(t *testing.T) {
 		must(t, s.Close())
 		noSnapshotFile(t, path)
 		s2 := mustOpenKV(t, path, ly, opts)
-		if rs := s2.RecoveryStats(); rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
+		if rs := s2.recStats; rs.SnapshotLoaded || rs.SegmentsRescanned != rs.SegmentsOnDisk {
 			t.Fatalf("reopen after compaction did not rescan every segment: %+v", rs)
 		}
 		verifyLive(t, s2, n, alive)
@@ -470,15 +470,15 @@ func TestKVCompactKeepsExistingSnapshotCurrent(t *testing.T) {
 				}
 				alive := func(i int) bool { return i%4 == 0 }
 				deleteIf(t, s, n, func(i int) bool { return !alive(i) })
-				snaps := s.Stats().Snapshots
+				snaps := stats(s).Snapshots
 				must(t, s.Compact())
-				if st := s.Stats(); st.Compactions == 0 || st.Snapshots != snaps+1 {
+				if st := stats(s); st.Compactions == 0 || st.Snapshots != snaps+1 {
 					t.Fatalf("%d rewrites, %d -> %d snapshots; want rewrites and one covering snapshot",
 						st.Compactions, snaps, st.Snapshots)
 				}
 				must(t, s.Close())
 				s2 := mustOpenKV(t, path, ly, c.opts)
-				if rs := s2.RecoveryStats(); !rs.SnapshotLoaded || rs.RecordsReplayed != 0 || rs.StaleRescanned != 0 {
+				if rs := s2.recStats; !rs.SnapshotLoaded || rs.RecordsReplayed != 0 || rs.StaleRescanned != 0 {
 					t.Fatalf("recovery stats = %+v, want the covering snapshot and nothing replayed", rs)
 				}
 				verifyLive(t, s2, n, alive)
@@ -498,9 +498,9 @@ func TestKVCompactReclaimsActiveSegment(t *testing.T) {
 		putN(t, s, 0, n)
 		alive := func(i int) bool { return i%3 == 0 }
 		deleteIf(t, s, n, func(i int) bool { return !alive(i) })
-		before := s.Stats().LogBytes
+		before := stats(s).LogBytes
 		must(t, s.Compact())
-		st := s.Stats()
+		st := stats(s)
 		if st.Compactions != 1 || st.LogBytes >= before {
 			t.Fatalf("compaction of the active segment: %d rewrites, %d -> %d bytes", st.Compactions, before, st.LogBytes)
 		}
@@ -515,8 +515,8 @@ func TestKVCompactReclaimsActiveSegment(t *testing.T) {
 		verifyLive(t, s, n, alive)
 		// A clean tail is left alone: nothing to seal, nothing to rewrite.
 		must(t, s.Compact())
-		if segs := segmentCount(t, ly, path); segs != 2 || s.Stats().Compactions != 1 {
-			t.Fatalf("a Compact with nothing to reclaim sealed or rewrote: %d segments, %d rewrites", segs, s.Stats().Compactions)
+		if segs := segmentCount(t, ly, path); segs != 2 || stats(s).Compactions != 1 {
+			t.Fatalf("a Compact with nothing to reclaim sealed or rewrote: %d segments, %d rewrites", segs, stats(s).Compactions)
 		}
 		must(t, s.Close())
 		verifyLive(t, mustOpenKV(t, path, ly, KVOptions{}), n, alive)
@@ -554,7 +554,7 @@ func TestKVBackgroundPassSealsNothing(t *testing.T) {
 						t.Fatal("maintainPass reported closed")
 					}
 				}
-				st := s.Stats()
+				st := stats(s)
 				if segs := segmentCount(t, ly, path); segs != c.segs || st.Snapshots != uint64(c.snaps) || st.Compactions != uint64(c.compactions) {
 					t.Fatalf("after %d nudged passes: %d segments, %d snapshots, %d rewrites; want %d, %d, %d",
 						n, segs, st.Snapshots, st.Compactions, c.segs, c.snaps, c.compactions)
@@ -563,9 +563,9 @@ func TestKVBackgroundPassSealsNothing(t *testing.T) {
 				putN(t, s, n, n+1)
 				must(t, s.Delete(tkey(ly, n)))
 				must(t, s.Compact())
-				if segs := segmentCount(t, ly, path); segs != c.segs+1 || s.Stats().Compactions != uint64(c.compactions)+1 {
+				if segs := segmentCount(t, ly, path); segs != c.segs+1 || stats(s).Compactions != uint64(c.compactions)+1 {
 					t.Fatalf("explicit Compact: %d segments, %d rewrites; want %d, %d",
-						segs, s.Stats().Compactions, c.segs+1, c.compactions+1)
+						segs, stats(s).Compactions, c.segs+1, c.compactions+1)
 				}
 				if puts, tombs := countRecordKinds(t, ly, path); puts != 0 || tombs != 0 {
 					t.Fatalf("%d puts and %d tombstones left of %d deleted keys", puts, tombs, n+1)
@@ -638,14 +638,14 @@ func testKVConcurrentTraffic(t *testing.T, ly *KVLayout) {
 			if err := s.Compact(); err != nil {
 				t.Errorf("compact: %v", err)
 			}
-			s.Stats()
+			stats(s)
 		}
 	}()
 	wg.Wait()
 	if t.Failed() {
 		return
 	}
-	st := s.Stats()
+	st := stats(s)
 	if st.Syncs == 0 || st.Syncs >= st.Appends {
 		t.Fatalf("group commit: %d syncs for %d appends", st.Syncs, st.Appends)
 	}
@@ -755,7 +755,7 @@ func TestKVCorruptSnapshotFallsBackToRescan(t *testing.T) {
 			spoil(t, path)
 
 			s2 := mustOpenKV(t, path, ly, opts)
-			if st := s2.RecoveryStats(); st.SnapshotLoaded || st.SegmentsRescanned != st.SegmentsOnDisk {
+			if st := s2.recStats; st.SnapshotLoaded || st.SegmentsRescanned != st.SegmentsOnDisk {
 				t.Fatalf("%s: snapshot trusted: %+v", name, st)
 			}
 			verifyLive(t, s2, 30, func(i int) bool { return i != 7 })
@@ -786,7 +786,7 @@ func TestKVTornTailTruncated(t *testing.T) {
 		putN(t, s3, 3, 4)
 		info, err := os.Stat(SegmentPath(path, 1))
 		must(t, err)
-		if got := s3.Stats().LogBytes; info.Size() != got {
+		if got := stats(s3).LogBytes; info.Size() != got {
 			t.Fatalf("file size %d vs tracked %d", info.Size(), got)
 		}
 	})

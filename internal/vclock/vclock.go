@@ -258,31 +258,27 @@ func (v *Virtual) FireAt(e Event, d time.Duration) {
 	heap.Push(&v.timers, timerEntry{at: v.now + d, seq: v.seq, ev: ev})
 }
 
-// maybeAdvanceLocked advances simulated time when no goroutine can run.
-// Called with v.mu held.
+// maybeAdvanceLocked fires the next timer when no goroutine can run,
+// advancing simulated time to it. Timers fire one cascade at a time, in
+// (at, seq) order: the next is released only once everything the last
+// one woke has blocked again, so the order within a virtual instant is
+// fixed rather than left to the Go runtime. A timer that wakes nobody
+// hands straight on to the next. Called with v.mu held.
 func (v *Virtual) maybeAdvanceLocked() {
-	if v.runnable != 0 || v.stopped {
-		return
-	}
-	if len(v.timers) == 0 {
-		if len(v.waiting) == 0 {
-			return // everything exited; Run is about to finish
+	for v.runnable == 0 && !v.stopped {
+		if len(v.timers) == 0 {
+			if len(v.waiting) != 0 {
+				v.failLocked(ErrDeadlock)
+			}
+			return // else everything exited; Run is about to finish
 		}
-		v.failLocked(ErrDeadlock)
-		return
-	}
-	next := v.timers[0].at
-	if next > v.horizon {
-		v.failLocked(fmt.Errorf("%w (at %v)", ErrHorizon, next))
-		return
-	}
-	if next > v.now {
-		v.now = next
-	}
-	// Fire every timer scheduled for this instant.
-	for len(v.timers) > 0 && v.timers[0].at <= v.now {
-		entry := heap.Pop(&v.timers).(timerEntry)
-		entry.ev.fireLocked(nil, nil)
+		next := v.timers[0].at
+		if next > v.horizon {
+			v.failLocked(fmt.Errorf("%w (at %v)", ErrHorizon, next))
+			return
+		}
+		v.now = max(v.now, next)
+		heap.Pop(&v.timers).(timerEntry).ev.fireLocked(nil, nil)
 	}
 }
 

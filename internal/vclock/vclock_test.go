@@ -3,6 +3,7 @@ package vclock
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,6 +60,46 @@ func TestVirtualSleepOrdering(t *testing.T) {
 	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("wake order = %v, want [1 2 3]", order)
+	}
+}
+
+// TestVirtualSameInstantOneCascadeAtATime pins the order within one
+// virtual instant: timers due together fire in (at, seq) order, each
+// only once everything the one before it woke has blocked again, so the
+// goroutines they wake never run side by side.
+func TestVirtualSameInstantOneCascadeAtATime(t *testing.T) {
+	v := NewVirtual(0)
+	var mu sync.Mutex
+	var order []int
+	err := v.Run(func() {
+		timers, done := make([]Event, 3), make([]Event, 3)
+		for i := range timers {
+			timers[i], done[i] = v.NewEvent(), v.NewEvent()
+			v.FireAt(timers[i], time.Second) // one instant, seq in index order
+			v.Go(func() {
+				if _, err := timers[i].Wait(nil); err != nil {
+					return
+				}
+				for range 50 { // runnable all along: a rival woken now would interleave
+					mu.Lock()
+					order = append(order, i)
+					mu.Unlock()
+					runtime.Gosched()
+				}
+				done[i].Fire(nil)
+			})
+		}
+		for _, ev := range done {
+			ev.Wait(nil)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 1; j < len(order); j++ {
+		if order[j] < order[j-1] || order[j] > order[j-1]+1 {
+			t.Fatalf("cascades interleaved or ran out of order: %v", order)
+		}
 	}
 }
 

@@ -3,12 +3,14 @@ package version
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
 
@@ -132,8 +134,48 @@ func TestCheckpointUnderSustainedLoad(t *testing.T) {
 	if got := fingerprint(m2); !bytes.Equal(got, want) {
 		t.Fatal("state diverged across a restart after checkpoints under sustained load")
 	}
-	if !m2.RecoveryStats().SnapshotLoaded {
-		t.Fatalf("restart ignored the snapshot: %+v", m2.RecoveryStats())
+	if !m2.log.recovery.SnapshotLoaded {
+		t.Fatalf("restart ignored the snapshot: %+v", m2.log.recovery)
+	}
+}
+
+// TestBackgroundCheckpointFailureIsCounted: a checkpoint the background
+// checkpointer fails to publish returns its error to nobody, so it is
+// counted in the manager's series, exactly once; the countdown it kept
+// lets the next nudge checkpoint although one more event is far short
+// of CheckpointEvery.
+func TestBackgroundCheckpointFailureIsCounted(t *testing.T) {
+	failed, published := make(chan struct{}), make(chan struct{})
+	tries := 0
+	cfg := ManagerConfig{WALPath: filepath.Join(t.TempDir(), "vm.wal"), CheckpointEvery: 4, Fault: func(p string) error {
+		if p != crashTmpWritten {
+			return nil
+		}
+		if tries++; tries == 1 {
+			close(failed)
+			return errors.New("injected checkpoint failure")
+		}
+		close(published)
+		return nil
+	}}
+	m, stop := startDurable(t, cfg)
+	create := func() { apply(t, m, &wire.CreateBlobReq{PageSize: 1024}) }
+	for range 4 { // the fourth event nudges the first pass
+		create()
+	}
+	<-failed
+	create() // its nudge waits for the failing pass to end
+	<-published
+	stop() // joins the publishing pass
+	failures := obs.Value(m, "version_checkpoint_failures_total")
+	if n := m.Checkpoints(); failures != 1 || n != 1 || tries != 2 {
+		t.Fatalf("%v failed checkpoint passes, %d published, %d publish attempts; want 1, 1, 2", failures, n, tries)
+	}
+	cfg.Fault = nil
+	m2, stop2 := startDurable(t, cfg)
+	defer stop2()
+	if r := m2.log.recovery; !r.SnapshotLoaded || r.SnapshotBlobs != 5 || r.EventsReplayed != 0 {
+		t.Fatalf("restart: %+v, want all 5 blobs from the checkpoint", r)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/transport"
 	"blobseer/internal/wire"
 )
@@ -181,7 +182,7 @@ func TestWALGroupCommitBatches(t *testing.T) {
 			t.Fatalf("batched append: %v", err)
 		}
 	}
-	appends, syncs := w.stats()
+	appends, syncs := w.appends.Load(), w.syncs.Load()
 	if appends != n {
 		t.Fatalf("appends = %d, want %d", appends, n)
 	}
@@ -383,12 +384,12 @@ func TestConcurrentMultiBlobStress(t *testing.T) {
 				sh.mu.Unlock()
 			}
 			if durable {
-				appends, syncs := m.WALStats()
+				appends, syncs := obs.Value(m, "version_wal_appends_total"), obs.Value(m, "version_wal_syncs_total")
 				if appends == 0 {
 					t.Fatal("durable stress logged nothing")
 				}
 				if syncs > appends {
-					t.Errorf("fsyncs %d exceed appends %d", syncs, appends)
+					t.Errorf("fsyncs %v exceed appends %v", syncs, appends)
 				}
 			}
 		})

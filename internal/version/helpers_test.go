@@ -3,6 +3,7 @@ package version
 import (
 	"testing"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/wire"
@@ -85,7 +86,7 @@ func ServeManager(ln transport.Listener, cfg ManagerConfig) *Manager {
 }
 
 // Checkpoints reports how many checkpoints completed since start.
-func (m *Manager) Checkpoints() uint64 { return m.ckptRuns.Load() }
+func (m *Manager) Checkpoints() uint64 { return uint64(obs.Value(m, "version_checkpoints_total")) }
 
 // clone deep-copies a blob's state, so a fingerprint can be encoded
 // without holding (or racing) the shard it came from.

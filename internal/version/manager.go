@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
@@ -94,10 +95,15 @@ type Manager struct {
 
 	// Checkpoint machinery (see checkpoint.go). ckptMu serializes
 	// checkpoint runs and doubles as the shutdown barrier; ckptRuns counts
-	// the completed ones; ckpt is the background checkpointer goroutine.
-	ckptMu   sync.Mutex
-	ckptRuns atomic.Uint64
-	ckpt     *seglog.Maintainer
+	// the completed ones and ckptFailures the failed background passes;
+	// ckpt is the background checkpointer goroutine.
+	ckptMu       sync.Mutex
+	ckptRuns     atomic.Uint64
+	ckptFailures atomic.Uint64
+	ckpt         *seglog.Maintainer
+
+	// deadWriterAborts counts the updates the sweeper aborted.
+	deadWriterAborts atomic.Uint64
 
 	cancel context.CancelFunc // stops the sweeper; nil without one
 	wg     *vclock.WaitGroup  // joins the sweeper on Close
@@ -182,11 +188,41 @@ func (m *Manager) Apply(ctx context.Context, req wire.Msg) (wire.Msg, error) {
 	return m.mux.Handle(ctx, req)
 }
 
-// WALStats reports the number of events appended to the write-ahead log
-// and the number of fsyncs issued since start (zeros when not durable).
-// Group commit shows up as syncs < appends.
+// Metrics writes the manager's series: its rpc server's, its in-flight
+// updates, the writers its sweeper declared dead, and — when durable —
+// its write-ahead log's and checkpoints'.
+func (m *Manager) Metrics(s *obs.Sink) {
+	m.srv.Metrics(s)
+	inflight := 0
+	for _, sh := range m.allShards() {
+		sh.mu.Lock()
+		inflight += len(sh.state.inflight)
+		sh.mu.Unlock()
+	}
+	s.Gauge("version_updates_in_flight", "updates assigned a version and not yet published", float64(inflight))
+	s.Counter("version_dead_writer_aborts_total", "updates aborted because their writer went silent", float64(m.deadWriterAborts.Load()))
+	if w := m.log; w != nil {
+		s.Counter("version_wal_appends_total", "events appended to the write-ahead log since start", float64(w.appends.Load()))
+		s.Counter("version_wal_syncs_total", "write-ahead log fsyncs since start (fewer than appends: group commit)", float64(w.syncs.Load()))
+		s.Gauge("version_wal_uncheckpointed_events", "events logged past the published checkpoint: what a restart replays", float64(w.uncovered()))
+		s.Counter("version_checkpoints_total", "checkpoints published since start", float64(m.ckptRuns.Load()))
+		s.Counter("version_checkpoint_failures_total", "background checkpoint passes that failed", float64(m.ckptFailures.Load()))
+		r, loaded := w.recovery, 0.0
+		if r.SnapshotLoaded {
+			loaded = 1
+		}
+		s.Gauge("version_recovery_snapshot_loaded", "1 if a checkpoint seeded this start", loaded)
+		s.Gauge("version_recovery_snapshot_blobs", "blobs this start restored from the checkpoint", float64(r.SnapshotBlobs))
+		s.Gauge("version_recovery_segments", "write-ahead log segments this start found or created", float64(r.SegmentsOnDisk))
+		s.Gauge("version_recovery_stale_removed", "segments a checkpoint covered that this start deleted", float64(r.StaleRemoved))
+		s.Gauge("version_recovery_events_replayed", "events this start folded in from the log's tail", float64(r.EventsReplayed))
+	}
+}
+
+// Deprecated: read version_wal_appends_total and version_wal_syncs_total
+// (Metrics); kept only until internal/blast stops naming it.
 func (m *Manager) WALStats() (appends, syncs uint64) {
-	return m.log.stats()
+	return uint64(obs.Value(m, "version_wal_appends_total")), uint64(obs.Value(m, "version_wal_syncs_total"))
 }
 
 // Close stops the service and fails parked SYNC waiters. It is
@@ -399,6 +435,7 @@ func (m *Manager) sweepLoop(ctx context.Context) {
 				if err != nil {
 					break
 				}
+				m.deadWriterAborts.Add(1)
 				appends = append(appends, a)
 				evs = append(evs, sh.popWatchersLocked(w.aborted)...)
 			}

@@ -139,7 +139,7 @@ func restartOnce(cfg ManagerConfig, updates int) (restartRow, error) {
 		}
 		row.checkpoint = time.Since(t0)
 	}
-	row.eventsLogged, _ = m.WALStats()
+	row.eventsLogged = m.log.appends.Load()
 	m.Close()
 
 	ln2, err := net.Listen("vm2")
@@ -153,7 +153,7 @@ func restartOnce(cfg ManagerConfig, updates int) (restartRow, error) {
 	}
 	row.restart = time.Since(start)
 	defer m2.Close()
-	stats := m2.RecoveryStats()
+	stats := m2.log.recovery
 	row.segments, row.snapshotLoaded, row.eventsReplayed = stats.SegmentsOnDisk, stats.SnapshotLoaded, stats.EventsReplayed
 	return row, nil
 }

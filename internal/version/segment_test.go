@@ -82,7 +82,7 @@ func TestSegmentedWALBoundedRecovery(t *testing.T) {
 
 	m2, stop2 := startDurable(t, cfg)
 	defer stop2()
-	stats := m2.RecoveryStats()
+	stats := m2.log.recovery
 	if !stats.SnapshotLoaded {
 		t.Fatalf("restart ignored the snapshot: %+v", stats)
 	}

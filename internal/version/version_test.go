@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/simnet"
 	"blobseer/internal/transport"
@@ -435,6 +436,10 @@ func TestDeadWriterSweeper(t *testing.T) {
 		}
 		if got := rec.(*wire.RecentResp); got.Version != 0 || got.Size != 0 {
 			t.Errorf("after sweep: %+v", got)
+		}
+		// One writer was declared dead; v2's abort is its cascade.
+		if n := obs.Value(m, "version_dead_writer_aborts_total"); n != 1 {
+			t.Errorf("dead-writer aborts = %v, want 1", n)
 		}
 		// The blob is usable again.
 		a, err := cl.Call(ctx, "vm:vm", &wire.AssignReq{Blob: id, Size: 5, Append: true})

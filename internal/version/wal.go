@@ -164,18 +164,17 @@ func listSegments(base string) ([]uint64, error) {
 // are durable.
 func syncDir(dir string) error { return seglog.SyncDir(dir) }
 
-// RecoveryStats describes what one open of the write-ahead log did: how
+// recoveryStats describes what one open of the write-ahead log did: how
 // much of the state came from the snapshot and how much had to be
 // folded in from tail segments. With compaction running, EventsReplayed
 // stays bounded by the checkpoint interval no matter how long the
 // manager has been alive.
-type RecoveryStats struct {
-	SnapshotLoaded bool   // a valid snapshot seeded the state
-	SnapshotBlobs  int    // blobs restored from the snapshot
-	SegmentsOnDisk int    // live segments found or created at open
-	StaleRemoved   int    // covered/stale segments deleted at open
-	EventsReplayed int    // events replayed from tail segments
-	ActiveSegment  uint64 // index of the segment now appended to
+type recoveryStats struct {
+	SnapshotLoaded bool // a valid snapshot seeded the state
+	SnapshotBlobs  int  // blobs restored from the snapshot
+	SegmentsOnDisk int  // live segments found or created at open
+	StaleRemoved   int  // covered/stale segments deleted at open
+	EventsReplayed int  // events replayed from tail segments
 }
 
 // walOptions configures openLog.
@@ -201,7 +200,7 @@ type wal struct {
 	base     string        // path prefix; segments live at base.NNNNNN
 	fsync    bool          // fsync each commit
 	segBytes int64         // roll threshold
-	recovery RecoveryStats // what this open folded
+	recovery recoveryStats // what this open folded
 
 	mu     sync.Mutex
 	f      *os.File // active segment
@@ -235,7 +234,7 @@ type folded struct {
 	st    *state
 	stale []uint64 // segments the snapshot already covered, still on disk
 	live  []uint64 // segments folded over it, ascending and gapless
-	stats RecoveryStats
+	stats recoveryStats
 }
 
 // foldLog is state = fold(snapshot, segments): it loads the newest valid
@@ -377,7 +376,6 @@ func openLog(path string, opts walOptions) (*wal, *state, error) {
 		active = fl.live[n-1]
 	}
 	stats.SegmentsOnDisk = max(len(fl.live), 1) // at least the active segment, created if need be
-	stats.ActiveSegment = active
 	f, err := os.OpenFile(segmentPath(path, active), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("version: open wal segment: %w", err)
@@ -531,15 +529,6 @@ func (w *wal) rollLocked() error {
 	w.sealed = w.appends.Load()
 	old.Close() // contents already durable (commit fsyncs); ignore best-effort close
 	return nil
-}
-
-// stats reports records accepted and fsyncs issued since open. Nil-safe so
-// a non-durable manager can report zeros.
-func (w *wal) stats() (appends, syncs uint64) {
-	if w == nil {
-		return 0, 0
-	}
-	return w.appends.Load(), w.syncs.Load()
 }
 
 // close is idempotent and nil-safe. Queued appenders that no leader has

@@ -407,7 +407,8 @@ func (*RegisterResp) Kind() Kind { return KindRegisterResp }
 func (m *RegisterResp) MarshalTo(w *Writer) { w.Uint32(m.ID) }
 func (m *RegisterResp) unmarshal(r *Reader) { m.ID = r.Uint32() }
 
-// HeartbeatReq refreshes a provider's liveness and load figures.
+// HeartbeatReq refreshes a provider's liveness. Pages and Bytes keep
+// the frame's shape and go unset: a provider's load is its own series.
 type HeartbeatReq struct {
 	ID    uint32
 	Pages uint64
@@ -496,7 +497,8 @@ func (*ListProvidersReq) Kind() Kind { return KindListProvidersReq }
 func (m *ListProvidersReq) MarshalTo(*Writer) {}
 func (m *ListProvidersReq) unmarshal(*Reader) {}
 
-// ProviderInfo summarizes one live data provider.
+// ProviderInfo names one live data provider; Pages and Bytes keep the
+// frame's shape and go unset (see HeartbeatReq).
 type ProviderInfo struct {
 	Addr  string
 	Pages uint64

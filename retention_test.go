@@ -65,7 +65,7 @@ func TestRetentionEndToEnd(t *testing.T) {
 	if _, err := blob.Expire(ctx, 5); err == nil {
 		t.Fatal("expire across the branch point succeeded")
 	}
-	pagesBefore, _ := cl.ProviderPages()
+	pagesBefore := cl.Series("store_keys", "role", "data")
 	floor, err := blob.Expire(ctx, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestRetentionEndToEnd(t *testing.T) {
 	if stats.DeletedPages == 0 {
 		t.Fatalf("GC reclaimed nothing: %+v", stats)
 	}
-	pagesAfter, _ := cl.ProviderPages()
+	pagesAfter := cl.Series("store_keys", "role", "data")
 	if pagesAfter >= pagesBefore {
 		t.Fatalf("provider pages %d -> %d", pagesBefore, pagesAfter)
 	}
@@ -170,8 +170,9 @@ func TestMetadataReclamationDurableRestart(t *testing.T) {
 		golden[v] = buf
 	}
 
-	keysBefore, bytesBefore := cl.MetaStats()
-	logBefore := cl.MetaLogBytes()
+	meta := func(cl *blobseer.Cluster, name string) uint64 { return cl.Series(name, "role", "metadata") }
+	keysBefore, bytesBefore := meta(cl, "store_keys"), meta(cl, "store_value_bytes")
+	logBefore := meta(cl, "store_log_bytes")
 	floor, err := blob.Expire(ctx, branchAt-1)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestMetadataReclamationDurableRestart(t *testing.T) {
 	if stats.DeletedNodes == 0 {
 		t.Fatalf("GC deleted no metadata nodes: %+v", stats)
 	}
-	keysAfter, bytesAfter := cl.MetaStats()
+	keysAfter, bytesAfter := meta(cl, "store_keys"), meta(cl, "store_value_bytes")
 	if keysAfter >= keysBefore || bytesAfter >= bytesBefore {
 		t.Fatalf("DHT footprint did not shrink: %d keys/%d bytes -> %d/%d",
 			keysBefore, bytesBefore, keysAfter, bytesAfter)
@@ -194,7 +195,7 @@ func TestMetadataReclamationDurableRestart(t *testing.T) {
 	if err := cl.CompactMetadata(); err != nil {
 		t.Fatal(err)
 	}
-	logAfter := cl.MetaLogBytes()
+	logAfter := meta(cl, "store_log_bytes")
 	if logAfter >= logBefore {
 		t.Fatalf("on-disk metadata logs did not shrink: %d -> %d bytes", logBefore, logAfter)
 	}
@@ -209,7 +210,7 @@ func TestMetadataReclamationDurableRestart(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer cl2.Close()
-	if k, b := cl2.MetaStats(); k != keysAfter || b != bytesAfter {
+	if k, b := meta(cl2, "store_keys"), meta(cl2, "store_value_bytes"); k != keysAfter || b != bytesAfter {
 		t.Fatalf("restart changed metadata stats: %d/%d -> %d/%d", keysAfter, bytesAfter, k, b)
 	}
 	c2, err := cl2.Client()
