@@ -18,6 +18,11 @@
 //   - every kind's message type must appear in some Fuzz* target, so
 //     the decoder actually faces adversarial bytes for it.
 //
+// A registry line "value name retired" marks a kind no process sends
+// any more. Its constant stays, so its number is never reused; it must
+// have no constructor, so it decodes as an unknown kind; and it needs
+// no fuzz seed.
+//
 // The sentinel values KindInvalid and kindMax are exempt.
 package wirekinds
 
@@ -52,6 +57,12 @@ type kindConst struct {
 	pos   token.Pos
 }
 
+// registered is one kinds.golden line.
+type registered struct {
+	value   int64
+	retired bool
+}
+
 func run(pass *analysis.Pass) error {
 	kinds := enumKinds(pass)
 	if kinds == nil {
@@ -74,21 +85,21 @@ func run(pass *analysis.Pass) error {
 
 	// Registered kinds must survive unchanged.
 	maxGolden := int64(-1)
-	for name, val := range golden {
-		if val > maxGolden {
-			maxGolden = val
+	for name, reg := range golden {
+		if reg.value > maxGolden {
+			maxGolden = reg.value
 		}
 		k, ok := byName[name]
 		if !ok {
 			pass.Reportf(kinds[0].pos,
-				"kind %s (value %d) is registered in %s but missing from the enum: wire kinds are append-only and must never be deleted or renamed",
-				name, val, GoldenName)
+				"kind %s (value %d) is registered in %s but missing from the enum: wire kinds are append-only and must never be deleted or renamed, not even retired ones",
+				name, reg.value, GoldenName)
 			continue
 		}
-		if k.value != val {
+		if k.value != reg.value {
 			pass.Reportf(k.pos,
 				"kind %s has value %d but %s registers %d: wire kind values are frozen forever",
-				name, k.value, GoldenName, val)
+				name, k.value, GoldenName, reg.value)
 		}
 	}
 	// Unregistered kinds must be strict appends.
@@ -106,8 +117,8 @@ func run(pass *analysis.Pass) error {
 			k.name, GoldenName, k.value, k.name)
 	}
 
-	checkDispatch(pass, kinds)
-	checkFuzzSeeds(pass, kinds)
+	checkDispatch(pass, kinds, golden)
+	checkFuzzSeeds(pass, kinds, golden)
 	return nil
 }
 
@@ -150,13 +161,13 @@ func enumKinds(pass *analysis.Pass) []kindConst {
 	return out
 }
 
-func readGolden(path string) (map[string]int64, error) {
+func readGolden(path string) (map[string]registered, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	out := make(map[string]int64)
+	out := make(map[string]registered)
 	sc := bufio.NewScanner(f)
 	line := 0
 	for sc.Scan() {
@@ -166,21 +177,21 @@ func readGolden(path string) (map[string]int64, error) {
 			continue
 		}
 		fields := strings.Fields(text)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("%s:%d: want \"value name\", got %q", path, line, text)
+		if len(fields) != 2 && (len(fields) != 3 || fields[2] != "retired") {
+			return nil, fmt.Errorf("%s:%d: want \"value name\" or \"value name retired\", got %q", path, line, text)
 		}
 		v, err := strconv.ParseInt(fields[0], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: bad value %q", path, line, fields[0])
 		}
-		out[fields[1]] = v
+		out[fields[1]] = registered{value: v, retired: len(fields) == 3}
 	}
 	return out, sc.Err()
 }
 
 // checkDispatch requires a kindTable entry with a constructor for every
-// kind.
-func checkDispatch(pass *analysis.Pass, kinds []kindConst) {
+// kind that is not retired, and none for every kind that is.
+func checkDispatch(pass *analysis.Pass, kinds []kindConst, golden map[string]registered) {
 	table := kindTable(pass)
 	if table == nil {
 		return
@@ -198,7 +209,10 @@ func checkDispatch(pass *analysis.Pass, kinds []kindConst) {
 		}
 	}
 	for _, k := range kinds {
-		if !constructible[k.name] {
+		switch retired := golden[k.name].retired; {
+		case retired && constructible[k.name]:
+			pass.Reportf(k.pos, "retired kind %s has a constructor in kindTable: a retired number is never reused", k.name)
+		case !retired && !constructible[k.name]:
 			pass.Reportf(k.pos, "kind %s has no constructor in kindTable: messages of this kind cannot be decoded off the wire", k.name)
 		}
 	}
@@ -246,10 +260,10 @@ func kindTable(pass *analysis.Pass) *ast.CompositeLit {
 	return nil
 }
 
-// checkFuzzSeeds requires the message type of every kind to appear
-// inside some Fuzz* function body, as evidence the decoder is fuzzed
-// with a populated seed of that type.
-func checkFuzzSeeds(pass *analysis.Pass, kinds []kindConst) {
+// checkFuzzSeeds requires the message type of every kind that is not
+// retired to appear inside some Fuzz* function body, as evidence the
+// decoder is fuzzed with a populated seed of that type.
+func checkFuzzSeeds(pass *analysis.Pass, kinds []kindConst, golden map[string]registered) {
 	fuzzed := make(map[string]bool)
 	for _, f := range pass.TestFiles {
 		for _, decl := range f.Decls {
@@ -267,7 +281,7 @@ func checkFuzzSeeds(pass *analysis.Pass, kinds []kindConst) {
 	}
 	for _, k := range kinds {
 		typ := strings.TrimPrefix(k.name, "Kind")
-		if !fuzzed[typ] {
+		if !golden[k.name].retired && !fuzzed[typ] {
 			pass.Reportf(k.pos,
 				"kind %s has no fuzz seed: no Fuzz* target mentions %s, so its decoder never faces adversarial bytes",
 				k.name, typ)

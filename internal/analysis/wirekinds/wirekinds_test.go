@@ -8,5 +8,5 @@ import (
 )
 
 func TestWireKinds(t *testing.T) {
-	analysistest.Run(t, wirekinds.Analyzer, "testdata", "a", "b", "noreg")
+	analysistest.Run(t, wirekinds.Analyzer, "testdata", "a", "b", "c", "noreg")
 }

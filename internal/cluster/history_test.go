@@ -1,0 +1,476 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"fmt"
+	"math/rand/v2"
+	"path/filepath"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"blobseer/internal/client"
+	"blobseer/internal/simnet"
+	"blobseer/internal/vclock"
+	"blobseer/internal/wire"
+)
+
+var (
+	historySeed  = flag.Uint64("history-seed", 0, "replay this one seed of TestHistoryUnderFaults (0 = the default budget)")
+	historySeeds = flag.Int("history-seeds", 8, "seeds TestHistoryUnderFaults runs by default (at most 2 under -race)")
+)
+
+// The shape of one history: clients, the operations each issues, the
+// blobs they share, and the fault windows.
+const (
+	histClients    = 4
+	histOps        = 40 // per client
+	histBlobs      = 2
+	histPageSize   = 256
+	histDeadWriter = 100 * time.Millisecond // the version manager's sweeper window
+	histOutage     = 10 * time.Millisecond  // how long the partition and the kill last
+)
+
+// TestHistoryUnderFaults records what concurrent clients see of a
+// durable simulated cluster whose links delay and reset, one of whose
+// links is partitioned for a while and one of whose services is killed
+// and restarted, and checks the record against the version semantics
+// (§2.1):
+//
+//   - per blob, acknowledged writes hold distinct versions, and a write
+//     that returned before another was invoked holds the smaller one;
+//   - Recent never goes back across calls that do not overlap;
+//   - every successful read of (blob, v, range) returns the reference:
+//     the bytes of the newest readable version below v with v's payload
+//     written at its offset (an append's is Size(v) − len(payload)), so
+//     an update applied in part fails the check.
+//
+// A failed operation is no violation. Once the run is quiet the checker
+// settles every failed write: its version is either readable — and then
+// it must explain that version's bytes — or aborted. A failing seed
+// prints how to rerun it.
+func TestHistoryUnderFaults(t *testing.T) {
+	n := *historySeeds
+	if raceEnabled {
+		n = min(n, 2)
+	}
+	seeds := []uint64{*historySeed}
+	if *historySeed == 0 {
+		seeds = seeds[:0]
+		for s := uint64(1); s <= uint64(n); s++ {
+			seeds = append(seeds, s)
+		}
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			defer func() {
+				if t.Failed() {
+					t.Logf("rerun: go test ./internal/cluster -run 'TestHistoryUnderFaults' -history-seed=%d "+
+						"(a rerun may not repeat the failure: goroutines one virtual instant wakes still race)", seed)
+				}
+			}()
+			h, err := runHistory(t.TempDir(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range h.check() {
+				t.Error(v)
+			}
+			if t.Failed() {
+				t.Log("faults:", h.chaos)
+			}
+		})
+	}
+}
+
+// histOp is one operation of a history: what a client asked, what it
+// got back, and when, in virtual time.
+type histOp struct {
+	client   int
+	kind     string // "write", "append", "read", "recent" or "size"
+	blob     wire.BlobID
+	inv, ret time.Duration
+	err      error
+	off      uint64       // write and read: the offset asked
+	data     []byte       // write and append: the payload; read: the bytes returned
+	v        wire.Version // read and size: the version asked; the others: the one returned
+	size     uint64       // recent and size: the size returned
+}
+
+func (op *histOp) String() string {
+	return fmt.Sprintf("client %d's %s [%v, %v]", op.client, op.kind, op.inv, op.ret)
+}
+
+// history is one run's record and what the quiet cluster said after it.
+type history struct {
+	mu  sync.Mutex
+	ops []histOp
+	// settled holds, per blob, the bytes of every version that is
+	// readable once the run is quiet, and recent the newest of them.
+	settled map[wire.BlobID]map[wire.Version][]byte
+	recent  map[wire.BlobID]wire.Version
+	chaos   []string // the faults chaos injected, and when
+}
+
+func runHistory(dir string, seed uint64) (*history, error) {
+	clock := vclock.NewVirtual(10 * time.Minute)
+	net := simnet.New(clock, simnet.Config{Faults: simnet.FaultPlan{
+		Seed: seed, Delay: 0.05, MaxDelay: 2 * time.Millisecond, Reset: 0.005,
+	}})
+	h := &history{settled: make(map[wire.BlobID]map[wire.Version][]byte), recent: make(map[wire.BlobID]wire.Version)}
+	var err error
+	if simErr := clock.Run(func() { err = h.run(clock, net, dir, seed) }); simErr != nil {
+		return nil, fmt.Errorf("simulation: %w", simErr)
+	}
+	return h, err
+}
+
+func (h *history) run(clock *vclock.Virtual, net *simnet.Net, dir string, seed uint64) error {
+	ctx := context.Background()
+	cfg := Config{
+		DataProviders:     3,
+		MetaProviders:     3,
+		PageDir:           filepath.Join(dir, "pages"),
+		MetaLogDir:        filepath.Join(dir, "meta"),
+		VersionWALPath:    filepath.Join(dir, "vm", "wal"),
+		DeadWriterTimeout: histDeadWriter,
+		// Kill joins the provider's heartbeat sleep, which no cancellation
+		// cuts short in virtual time: a short beat keeps the outage short.
+		HeartbeatEvery: histOutage / 2,
+	}
+	// A fault can fail a provider's registration, and the start with it:
+	// start again, on the same (still empty) durable state.
+	cl, err := StartSim(net, clock, cfg)
+	for try := 0; err != nil && try < 3; try++ {
+		cl, err = StartSim(net, clock, cfg)
+	}
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	clients := make([]*client.Client, histClients)
+	for i := range clients {
+		if clients[i], err = cl.NewClient(fmt.Sprintf("client%d", i)); err != nil {
+			return err
+		}
+	}
+	blobs := make([]wire.BlobID, histBlobs)
+	for i := range blobs {
+		if err := settleRetry(clock, func() (err error) {
+			blobs[i], err = clients[0].Create(ctx, histPageSize)
+			return err
+		}); err != nil {
+			return fmt.Errorf("creating blob %d: %w", i, err)
+		}
+	}
+
+	var done atomic.Int64
+	err = vclock.Parallel(clock, histClients+1, func(i int) error {
+		rng := rand.New(rand.NewPCG(seed, uint64(i)))
+		if i == histClients {
+			return h.chaosMonkey(clock, net, cl, rng, &done)
+		}
+		h.workload(clock, clients[i], i, blobs, rng, &done)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+
+	// Quiet: every update whose writer gave up is swept, so each version
+	// up to the newest readable one is either readable or aborted.
+	clock.Sleep(3 * histDeadWriter)
+	chk, err := cl.NewClient("checker")
+	if err != nil {
+		return err
+	}
+	for _, blob := range blobs {
+		if err := h.settle(clock, chk, blob); err != nil {
+			return fmt.Errorf("settling blob %v: %w", blob, err)
+		}
+	}
+	return nil
+}
+
+// settleRetry calls op until it succeeds or finds its version aborted:
+// the links still fault once the run is quiet.
+func settleRetry(clock *vclock.Virtual, op func() error) error {
+	err := op()
+	for try := 0; err != nil && wire.CodeOf(err) != wire.CodeAborted && try < 20; try++ {
+		clock.Sleep(time.Millisecond)
+		err = op()
+	}
+	return err
+}
+
+// settle reads every readable version of blob, whole.
+func (h *history) settle(clock *vclock.Virtual, c *client.Client, blob wire.BlobID) error {
+	ctx := context.Background()
+	var recent wire.Version
+	if err := settleRetry(clock, func() (err error) {
+		recent, _, err = c.Recent(ctx, blob)
+		return err
+	}); err != nil {
+		return err
+	}
+	contents := map[wire.Version][]byte{0: {}}
+	for v := wire.Version(1); v <= recent; v++ {
+		err := settleRetry(clock, func() error { return c.Sync(ctx, blob, v) })
+		if wire.CodeOf(err) == wire.CodeAborted {
+			continue
+		}
+		var size uint64
+		if err == nil {
+			err = settleRetry(clock, func() (err error) {
+				size, err = c.Size(ctx, blob, v)
+				return err
+			})
+		}
+		buf := make([]byte, size)
+		if err == nil {
+			err = settleRetry(clock, func() error { return c.Read(ctx, blob, v, buf, 0) })
+		}
+		if err != nil {
+			return fmt.Errorf("version %d: %w", v, err)
+		}
+		contents[v] = buf
+	}
+	h.settled[blob], h.recent[blob] = contents, recent
+	return nil
+}
+
+// chaosMonkey partitions one client from one service node for a while
+// once a quarter of the operations are done, and kills and restarts one
+// service once half of them are.
+func (h *history) chaosMonkey(clock *vclock.Virtual, net *simnet.Net, cl *Cluster, rng *rand.Rand, done *atomic.Int64) error {
+	logf := func(format string, args ...any) {
+		h.chaos = append(h.chaos, fmt.Sprintf("%v: ", clock.Now())+fmt.Sprintf(format, args...))
+	}
+	waitFor := func(n int64) {
+		for done.Load() < n {
+			clock.Sleep(time.Millisecond)
+		}
+	}
+	const total = histClients * histOps
+	hosts := []string{"vm", "pm", "node0", "node1", "node2"}
+	waitFor(total / 4)
+	a, b := fmt.Sprintf("client%d", rng.IntN(histClients)), hosts[rng.IntN(len(hosts))]
+	logf("partition %s from %s", a, b)
+	net.Partition(a, b)
+	clock.Sleep(histOutage)
+	net.Heal(a, b)
+	logf("heal")
+
+	waitFor(total / 2)
+	role := []string{roleData, roleMeta, roleVM}[rng.IntN(3)]
+	i := 0
+	if role != roleVM {
+		i = rng.IntN(3)
+	}
+	logf("kill %s %d", role, i)
+	if err := cl.Kill(role, i); err != nil {
+		return err
+	}
+	clock.Sleep(histOutage)
+	// A restarted data provider registers again, which a fault can fail.
+	err := cl.Restart(role, i)
+	for try := 0; err != nil && try < 3; try++ {
+		err = cl.Restart(role, i)
+	}
+	logf("restarted: %v", err)
+	return err
+}
+
+// workload issues one client's operations: writes at offsets up to the
+// size it last saw, appends, reads of ranges of versions it saw
+// published, Recent and Size.
+func (h *history) workload(clock *vclock.Virtual, c *client.Client, id int, blobs []wire.BlobID, rng *rand.Rand, done *atomic.Int64) {
+	ctx := context.Background()
+	type seen struct {
+		v    wire.Version
+		size uint64
+	}
+	known := make(map[wire.BlobID][]seen) // what Recent returned, in order
+	for range histOps {
+		clock.Sleep(time.Duration(rng.IntN(2000)) * time.Microsecond)
+		op := histOp{client: id, blob: blobs[rng.IntN(len(blobs))]}
+		k := known[op.blob]
+		var last seen
+		if len(k) > 0 {
+			last = k[len(k)-1]
+		}
+		switch p := rng.IntN(100); {
+		case p < 30:
+			op.kind, op.off, op.data = "write", rng.Uint64N(last.size+1), payload(rng)
+		case p < 55:
+			op.kind, op.data = "append", payload(rng)
+		case p < 75 && len(k) > 0:
+			s := k[rng.IntN(len(k))]
+			op.kind, op.v, op.off = "read", s.v, rng.Uint64N(s.size+1)
+			op.data = make([]byte, rng.Uint64N(s.size-op.off+1))
+		case p < 85 && len(k) > 0:
+			op.kind, op.v = "size", k[rng.IntN(len(k))].v
+		default:
+			op.kind = "recent"
+		}
+		op.inv = clock.Now()
+		switch op.kind {
+		case "write":
+			op.v, op.err = c.Write(ctx, op.blob, op.data, op.off)
+		case "append":
+			op.v, op.err = c.Append(ctx, op.blob, op.data)
+		case "read":
+			op.err = c.Read(ctx, op.blob, op.v, op.data, op.off)
+		case "size":
+			op.size, op.err = c.Size(ctx, op.blob, op.v)
+		case "recent":
+			if op.v, op.size, op.err = c.Recent(ctx, op.blob); op.err == nil {
+				known[op.blob] = append(k, seen{op.v, op.size})
+			}
+		}
+		op.ret = clock.Now()
+		h.mu.Lock()
+		h.ops = append(h.ops, op)
+		h.mu.Unlock()
+		done.Add(1)
+		if op.err != nil {
+			clock.Sleep(histOutage) // back off, as a client would, so the run outlasts an outage
+		}
+	}
+}
+
+// payload is one update's bytes: up to three pages, rarely aligned.
+func payload(rng *rand.Rand) []byte {
+	p := make([]byte, 1+rng.IntN(3*histPageSize))
+	for i := range p {
+		p[i] = byte(rng.Uint32())
+	}
+	return p
+}
+
+// apply is what update op makes of base, the bytes of the newest
+// readable version below its own, when its version reads size bytes; ok
+// is false when no offset puts its payload there.
+func apply(base []byte, op *histOp, size int) (out []byte, ok bool) {
+	off := int(op.off)
+	if op.kind == "append" {
+		off = size - len(op.data)
+	}
+	if off < 0 || off > len(base) {
+		return nil, false
+	}
+	out = make([]byte, max(len(base), off+len(op.data)))
+	copy(out, base)
+	copy(out[off:], op.data)
+	return out, true
+}
+
+// diffAt is the first offset at which a and b differ, or the length of
+// the shorter when one is a prefix of the other.
+func diffAt(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := range n {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// check returns every way the history breaks the version semantics.
+func (h *history) check() (violations []string) {
+	bad := func(format string, args ...any) { violations = append(violations, fmt.Sprintf(format, args...)) }
+	byBlob := make(map[wire.BlobID][]*histOp)
+	for i := range h.ops {
+		op := &h.ops[i]
+		byBlob[op.blob] = append(byBlob[op.blob], op)
+	}
+	for blob, contents := range h.settled {
+		ops := byBlob[blob]
+		acked := make(map[wire.Version]*histOp)
+		var failed, recents []*histOp
+		for _, op := range ops {
+			switch {
+			case op.kind == "recent" && op.err == nil:
+				recents = append(recents, op)
+			case op.kind != "write" && op.kind != "append":
+			case op.err != nil:
+				failed = append(failed, op)
+			case acked[op.v] != nil:
+				bad("blob %v: %s and %s both acknowledged as version %d", blob, acked[op.v], op, op.v)
+			default:
+				acked[op.v] = op
+			}
+		}
+		for _, a := range acked {
+			for _, b := range acked {
+				if a.ret < b.inv && a.v > b.v {
+					bad("blob %v: %s returned version %d before %s was invoked, which got %d", blob, a, a.v, b, b.v)
+				}
+			}
+		}
+		for _, a := range recents {
+			for _, b := range recents {
+				if a.ret < b.inv && b.v < a.v {
+					bad("blob %v: %s saw version %d, and the later %s went back to %d", blob, a, a.v, b, b.v)
+				}
+			}
+		}
+
+		// The reference, version by version. A readable version no
+		// acknowledged write holds is a failed write that took effect:
+		// the one whose payload explains its bytes.
+		base := contents[0]
+		for v := wire.Version(1); v <= h.recent[blob]; v++ {
+			got, readable := contents[v]
+			if !readable {
+				continue
+			}
+			op := acked[v]
+			want, ok := []byte(nil), false
+			if op != nil {
+				want, ok = apply(base, op, len(got))
+			} else {
+				for i, f := range failed {
+					if want, ok = apply(base, f, len(got)); ok && bytes.Equal(want, got) {
+						op, failed = f, slices.Delete(failed, i, i+1)
+						break
+					}
+				}
+			}
+			switch {
+			case op == nil:
+				bad("blob %v: version %d is readable, but no write explains its %d bytes", blob, v, len(got))
+			case !ok || !bytes.Equal(want, got):
+				bad("blob %v: version %d of %s differs from the reference at byte %d: it reads %d bytes, the reference has %d",
+					blob, v, op, diffAt(got, want), len(got), len(want))
+			}
+			base = got
+		}
+
+		for _, op := range ops {
+			if op.err != nil {
+				continue
+			}
+			got, readable := contents[op.v]
+			switch op.kind {
+			case "recent", "size":
+				if !readable || uint64(len(got)) != op.size {
+					bad("blob %v: %s answered version %d of size %d; settled, it is readable %v with %d bytes", blob, op, op.v, op.size, readable, len(got))
+				}
+			case "read":
+				end := op.off + uint64(len(op.data))
+				if !readable || end > uint64(len(got)) {
+					bad("blob %v: %s of version %d [%d, +%d) succeeded; settled, the version is readable %v with %d bytes", blob, op, op.v, op.off, len(op.data), readable, len(got))
+				} else if i := diffAt(op.data, got[op.off:end]); i < len(op.data) {
+					bad("blob %v: %s of version %d [%d, +%d) differs from the reference at byte %d", blob, op, op.v, op.off, len(op.data), op.off+uint64(i))
+				}
+			}
+		}
+	}
+	return violations
+}

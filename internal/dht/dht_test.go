@@ -131,22 +131,6 @@ func TestPutGetSingleNode(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("missing key: ok=%v err=%v", ok, err)
 	}
-	// The one-pair kinds stay on the wire (kinds are append-only) with
-	// no client method in front of them: same engine, same answers.
-	node := c.ring.addrs[0]
-	if _, err := c.rpc.Call(ctx, node, &wire.DHTPutReq{Key: []byte("k2"), Value: []byte("v2")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.rpc.Call(ctx, node, &wire.DHTPutReq{Key: []byte("k2"), Value: []byte("other")}); wire.CodeOf(err) != wire.CodeBadRequest {
-		t.Fatalf("divergent DHT_PUT = %v, want CodeBadRequest", err)
-	}
-	if v, ok, err := c.Get(ctx, []byte("k2")); err != nil || !ok || string(v) != "v2" {
-		t.Fatalf("Get of a DHT_PUT pair = %q, %v, %v", v, ok, err)
-	}
-	resp, err := c.rpc.Call(ctx, node, &wire.DHTGetReq{Key: []byte("k")})
-	if r, _ := resp.(*wire.DHTGetResp); err != nil || !r.Found || string(r.Value) != "v" {
-		t.Fatalf("DHT_GET = %+v, %v", r, err)
-	}
 }
 
 func TestPutGetManyNodes(t *testing.T) {
@@ -178,16 +162,16 @@ func TestPutGetManyNodes(t *testing.T) {
 func TestReplicationStoresCopies(t *testing.T) {
 	c, nodes := newCluster(t, 5, 3)
 	ctx := context.Background()
-	if err := c.Put(ctx, []byte("replicated"), []byte("v")); err != nil {
+	if err := c.Put(ctx, []byte("replicated"), []byte("value")); err != nil {
 		t.Fatal(err)
 	}
-	var copies uint64
+	var copies, size uint64
 	for _, nd := range nodes {
-		k, _ := stored(nd)
-		copies += k
+		k, b := stored(nd)
+		copies, size = copies+k, size+b
 	}
-	if copies != 3 {
-		t.Fatalf("stored %d copies, want 3", copies)
+	if copies != 3 || size != 3*5 {
+		t.Fatalf("stored %d copies of %d bytes, want 3 of 15", copies, size)
 	}
 }
 
@@ -344,31 +328,6 @@ func TestDeleteRemovesPairsOnEveryReplica(t *testing.T) {
 	if again, err := c.Delete(ctx, keys[:30]); err != nil || again != 0 {
 		t.Fatalf("re-delete: %d, %v", again, err)
 	}
-}
-
-func TestStats(t *testing.T) {
-	c, _ := newCluster(t, 3, 1)
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		c.Put(ctx, []byte(fmt.Sprintf("k%d", i)), make([]byte, 100))
-	}
-	keys, bytes, err := clusterStats(ctx, c)
-	if err != nil || keys != 10 || bytes != 1000 {
-		t.Fatalf("Stats = %d keys %d bytes %v", keys, bytes, err)
-	}
-}
-
-// clusterStats sums DHT_STATS over every ring node.
-func clusterStats(ctx context.Context, c *Client) (keys, bytes uint64, err error) {
-	for _, node := range c.ring.addrs {
-		resp, err := c.rpc.Call(ctx, node, &wire.DHTStatsReq{})
-		if err != nil {
-			return 0, 0, err
-		}
-		r := resp.(*wire.DHTStatsResp)
-		keys, bytes = keys+r.Keys, bytes+r.Bytes
-	}
-	return keys, bytes, nil
 }
 
 func TestQuickRoundTripAnyKeyValue(t *testing.T) {

@@ -106,8 +106,8 @@ func (n *Node) CompactLog() error {
 	return n.log.Compact()
 }
 
-// put validates and stores the pairs of one DHT_PUT or DHT_MULTI_PUT:
-// a malformed request stores nothing, wherever in it the defect sits.
+// put validates and stores the pairs of one DHT_MULTI_PUT: a malformed
+// request stores nothing, wherever in it the defect sits.
 func (n *Node) put(keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return wire.NewError(wire.CodeBadRequest,
@@ -128,21 +128,13 @@ func nonEmpty(keys [][]byte) error {
 	return nil
 }
 
-// lentValue and lentValues are the DHT_GET and DHT_MULTI_GET responses
-// as the node's handlers return them: the wire message — they marshal
-// as exactly that, its methods are promoted — plus the engine its
-// values are on loan from (engine.getBatch). They implement
-// rpc.Borrower, so the server gives the loan back once the response is
-// framed; a failed getBatch lends nothing, so there is no handler path
-// that releases. Either way each loan is released exactly once.
-type lentValue struct {
-	wire.DHTGetResp
-	eng  engine
-	lent []byte
-}
-
-func (r *lentValue) Release() { r.eng.release(r.lent) }
-
+// lentValues is the DHT_MULTI_GET response as the node's handler
+// returns it: the wire message — it marshals as exactly that, its
+// methods are promoted — plus the engine its values are on loan from
+// (engine.getBatch). It implements rpc.Borrower, so the server gives the
+// loan back once the response is framed; a failed getBatch lends
+// nothing, so there is no handler path that releases. Either way each
+// loan is released exactly once.
 type lentValues struct {
 	wire.DHTMultiGetResp
 	eng  engine
@@ -155,27 +147,6 @@ func (n *Node) mux() *rpc.Mux {
 	m := rpc.NewMux()
 	m.Register(wire.KindPingReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		return &wire.PingResp{Nonce: msg.(*wire.PingReq).Nonce}, nil
-	})
-	m.Register(wire.KindDHTPutReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
-		req := msg.(*wire.DHTPutReq)
-		if err := n.put([][]byte{req.Key}, [][]byte{req.Value}); err != nil {
-			return nil, err
-		}
-		return &wire.DHTPutResp{}, nil
-	})
-	m.Register(wire.KindDHTGetReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
-		req := msg.(*wire.DHTGetReq)
-		var found [1]bool
-		var value [1][]byte
-		lent, err := n.eng.getBatch([][]byte{req.Key}, found[:], value[:])
-		if err != nil {
-			return nil, err
-		}
-		return &lentValue{
-			DHTGetResp: wire.DHTGetResp{Found: found[0], Value: value[0]},
-			eng:        n.eng,
-			lent:       lent,
-		}, nil
 	})
 	m.Register(wire.KindDHTMultiPutReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTMultiPutReq)
@@ -194,12 +165,6 @@ func (n *Node) mux() *rpc.Mux {
 			return nil, err
 		}
 		return resp, nil
-	})
-	m.Register(wire.KindDHTStatsReq, func(context.Context, wire.Msg) (wire.Msg, error) {
-		return &wire.DHTStatsResp{
-			Keys:  uint64(obs.Value(n.eng, "store_keys")),
-			Bytes: uint64(obs.Value(n.eng, "store_value_bytes")),
-		}, nil
 	})
 	m.Register(wire.KindDHTDeleteReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTDeleteReq)

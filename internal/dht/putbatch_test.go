@@ -84,7 +84,7 @@ func TestDurableNodeGetOverlapsParkedPutCommit(t *testing.T) {
 	if v, ok, err := c.Get(ctx, keys[1]); err != nil || ok {
 		t.Fatalf("GET of the pair mid-commit = %q %v %v, want absent", v, ok, err)
 	}
-	if r.node.log.Has(string(keys[1])) {
+	if _, ok := r.node.log.Len(string(keys[1])); ok {
 		t.Fatal("pair logged while its commit is parked")
 	}
 	select {

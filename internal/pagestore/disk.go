@@ -80,9 +80,6 @@ func (d *Disk) Get(id wire.PageID, off, length uint32) ([]byte, error) {
 // Release implements Store: the buffer goes back to the pool.
 func (d *Disk) Release(data []byte) { bufpool.PutBytes(data) }
 
-// Has implements Store.
-func (d *Disk) Has(id wire.PageID) bool { return d.kv.Has(string(id[:])) }
-
 // Delete implements Store: the tombstone is durable like a put, and the
 // page's bytes become reclaimable by compaction.
 func (d *Disk) Delete(id wire.PageID) error { return d.kv.Delete(string(id[:])) }

@@ -48,8 +48,6 @@ type Store interface {
 	// pages into recycled buffers (Disk) can reuse it for a later Get.
 	// The caller must hold no reference into data afterwards.
 	Release(data []byte)
-	// Has reports whether the page exists.
-	Has(id wire.PageID) bool
 	// Delete removes the page, making its bytes reclaimable. Deleting
 	// an unknown page is a no-op. Deletion is final: ids are globally
 	// unique and never reused, and the caller — a garbage collector
@@ -106,12 +104,6 @@ func (m *Mem) Get(id wire.PageID, off, length uint32) ([]byte, error) {
 // stored page itself, and recycling it would let a later read of
 // anything overwrite a page this store still serves.
 func (*Mem) Release([]byte) {}
-
-// Has implements Store.
-func (m *Mem) Has(id wire.PageID) bool {
-	_, ok := m.m.Get(id[:])
-	return ok
-}
 
 // Delete implements Store.
 func (m *Mem) Delete(id wire.PageID) error {

@@ -33,9 +33,6 @@ func exerciseStore(t *testing.T, s Store) {
 	if _, err := s.Get(pid(1), 0, wire.WholePage); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get missing = %v, want ErrNotFound", err)
 	}
-	if s.Has(pid(1)) {
-		t.Fatal("Has on missing page")
-	}
 
 	// Round trip.
 	data := []byte("0123456789abcdef")
@@ -45,9 +42,6 @@ func exerciseStore(t *testing.T, s Store) {
 	got, err := s.Get(pid(1), 0, wire.WholePage)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("Get = %q, %v", got, err)
-	}
-	if !s.Has(pid(1)) {
-		t.Fatal("Has after Put")
 	}
 
 	// Ranged reads.
@@ -101,9 +95,6 @@ func exerciseStore(t *testing.T, s Store) {
 	// no-op.
 	if err := s.Delete(pid(2)); err != nil {
 		t.Fatal(err)
-	}
-	if s.Has(pid(2)) {
-		t.Fatal("Has after Delete")
 	}
 	if _, err := s.Get(pid(2), 0, wire.WholePage); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after Delete = %v, want ErrNotFound", err)

@@ -1,6 +1,9 @@
 package provider
 
-import "blobseer/internal/rpc"
+import (
+	"blobseer/internal/obs"
+	"blobseer/internal/rpc"
+)
 
 // The package's tests run with released rpc frame buffers poisoned: a
 // handler that kept page bytes past its return would serve garbage every
@@ -8,10 +11,7 @@ import "blobseer/internal/rpc"
 func init() { rpc.PoisonReleasedFrames() }
 
 // ProviderCount returns the number of live providers, after an expiry
-// scan.
+// scan, as the manager's metrics report it.
 func (m *Manager) ProviderCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.expireLocked()
-	return len(m.live)
+	return int(obs.Value(m, "provider_manager_live_providers"))
 }

@@ -68,7 +68,11 @@ func (m *Manager) Close() { m.srv.Close() }
 // providers it places pages on. Each provider's load is its own series.
 func (m *Manager) Metrics(s *obs.Sink) {
 	m.srv.Metrics(s)
-	s.Gauge("provider_manager_live_providers", "data providers registered and not expired", float64(len(m.list().Providers)))
+	m.mu.Lock()
+	m.expireLocked()
+	live := len(m.live)
+	m.mu.Unlock()
+	s.Gauge("provider_manager_live_providers", "data providers registered and not expired", float64(live))
 }
 
 func (m *Manager) mux() *rpc.Mux {
@@ -95,11 +99,14 @@ func (m *Manager) mux() *rpc.Mux {
 		}
 		return &wire.AllocateResp{Addrs: addrs}, nil
 	})
-	mux.Register(wire.KindListProvidersReq, func(context.Context, wire.Msg) (wire.Msg, error) {
-		return m.list(), nil
-	})
 	return mux
 }
+
+// maxAllocAddrs bounds the addresses one ALLOCATE may ask for. Each
+// costs at least its 4-byte length prefix, so no AllocateResp beyond it
+// fits one rpc frame; the bound keeps a hostile N×Copies from sizing the
+// manager's allocation.
+const maxAllocAddrs = rpc.MaxFrameBody / 4
 
 func (m *Manager) register(addr string) uint32 {
 	m.mu.Lock()
@@ -139,13 +146,17 @@ func (m *Manager) heartbeat(req *wire.HeartbeatReq) bool {
 // matching the availability-first behaviour of the paper's testbed). When
 // n exceeds the provider count, different pages share providers, exactly
 // like the paper's experiments where a blob has far more pages than there
-// are providers.
+// are providers. More than maxAllocAddrs addresses is a bad request.
 func (m *Manager) Allocate(n, copies int) ([]string, error) {
 	if n < 0 {
 		return nil, wire.NewError(wire.CodeBadRequest, "negative page count")
 	}
 	if copies < 1 {
 		copies = 1
+	}
+	if n > maxAllocAddrs/copies {
+		return nil, wire.NewError(wire.CodeBadRequest,
+			"%d pages of %d copies: more than %d addresses", n, copies, maxAllocAddrs)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -162,17 +173,6 @@ func (m *Manager) Allocate(n, copies int) ([]string, error) {
 		m.rr++
 	}
 	return addrs, nil
-}
-
-func (m *Manager) list() *wire.ListProvidersResp {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.expireLocked()
-	resp := &wire.ListProvidersResp{}
-	for _, e := range m.live {
-		resp.Providers = append(resp.Providers, wire.ProviderInfo{Addr: e.addr})
-	}
-	return resp
 }
 
 // expireLocked drops providers whose heartbeats stopped. Called with

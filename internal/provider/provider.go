@@ -253,9 +253,6 @@ func (p *Provider) mux() *rpc.Mux {
 		}
 		return resp, nil
 	})
-	m.Register(wire.KindHasPageReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
-		return &wire.HasPageResp{Found: p.store.Has(msg.(*wire.HasPageReq).Page)}, nil
-	})
 	m.Register(wire.KindDeletePagesReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DeletePagesReq)
 		// The caller (the metadata-walking GC, or a writer reclaiming
@@ -274,12 +271,6 @@ func (p *Provider) mux() *rpc.Mux {
 			}
 		}
 		return &wire.DeletePagesResp{}, nil
-	})
-	m.Register(wire.KindProviderStatsReq, func(context.Context, wire.Msg) (wire.Msg, error) {
-		return &wire.ProviderStatsResp{
-			Pages: uint64(obs.Value(p.store, "store_keys")),
-			Bytes: uint64(obs.Value(p.store, "store_value_bytes")),
-		}, nil
 	})
 	return m
 }

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"blobseer/internal/obs"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/rpc"
 	"blobseer/internal/simnet"
@@ -95,15 +97,14 @@ func TestPutGetPageOverRPC(t *testing.T) {
 		t.Fatalf("partial read = %q", got)
 	}
 
-	has := r.call(t, addr, &wire.HasPageReq{Page: id})
-	if !has.(*wire.HasPageResp).Found {
-		t.Fatal("HasPage = false")
+	if pages, size := storeLoad(r.provs[0]); pages != 1 || size != len(data) {
+		t.Fatalf("store holds %d pages, %d bytes; want 1, %d", pages, size, len(data))
 	}
+}
 
-	stats := r.call(t, addr, &wire.ProviderStatsReq{})
-	if s := stats.(*wire.ProviderStatsResp); s.Pages != 1 || s.Bytes != uint64(len(data)) {
-		t.Fatalf("stats = %+v", s)
-	}
+// storeLoad reads a provider's page count and bytes off its metrics.
+func storeLoad(p *Provider) (pages, size int) {
+	return int(obs.Value(p, "store_keys")), int(obs.Value(p, "store_value_bytes"))
 }
 
 func TestGetMissingPageError(t *testing.T) {
@@ -200,9 +201,8 @@ func TestDeletePagesReclaimsAndIsIdempotent(t *testing.T) {
 	if !bytes.Equal(resp.(*wire.GetPageResp).Data, []byte("keep")) {
 		t.Fatal("unrelated page affected by delete")
 	}
-	stats := r.call(t, addr, &wire.ProviderStatsReq{}).(*wire.ProviderStatsResp)
-	if stats.Pages != 1 || stats.Bytes != 4 {
-		t.Fatalf("stats after delete = %+v", stats)
+	if pages, size := storeLoad(r.provs[0]); pages != 1 || size != 4 {
+		t.Fatalf("store after delete holds %d pages, %d bytes; want 1, 4", pages, size)
 	}
 	// Idempotent: a retried sweep changes nothing.
 	r.call(t, addr, &wire.DeletePagesReq{Pages: []wire.PageID{gone}})
@@ -253,6 +253,29 @@ func TestAllocateNoProviders(t *testing.T) {
 	_, err := r.client.Call(context.Background(), "manager", &wire.AllocateReq{N: 1})
 	if wire.CodeOf(err) != wire.CodeUnavailable {
 		t.Fatalf("err = %v, want unavailable", err)
+	}
+}
+
+// TestAllocateBeyondOneFrameRejected sends ALLOCATEs whose N×Copies no
+// response frame could carry. The manager refuses each as a bad request
+// instead of sizing an allocation on it (1<<31 × 1<<31 once panicked in
+// make and took the process down), and the same connection then serves
+// a normal ALLOCATE.
+func TestAllocateBeyondOneFrameRejected(t *testing.T) {
+	r := newRig(t, 2, ManagerConfig{})
+	for _, req := range []*wire.AllocateReq{
+		{N: 1 << 31, Copies: 1 << 31},
+		{N: math.MaxUint32, Copies: math.MaxUint32},
+		{N: maxAllocAddrs + 1},
+	} {
+		_, err := r.client.Call(context.Background(), "manager", req)
+		if wire.CodeOf(err) != wire.CodeBadRequest {
+			t.Fatalf("ALLOCATE %d×%d: err = %v, want bad-request", req.N, req.Copies, err)
+		}
+	}
+	resp := r.call(t, "manager", &wire.AllocateReq{N: 3, Copies: 2})
+	if n := len(resp.(*wire.AllocateResp).Addrs); n != 6 {
+		t.Fatalf("ALLOCATE 3×2 after the refusals: %d addresses, want 6", n)
 	}
 }
 
@@ -340,12 +363,9 @@ func TestHeartbeatVersusExpiryScan(t *testing.T) {
 		if again == late || again == early {
 			t.Errorf("re-register after expiry reused id %d (early %d, late %d)", again, early, late)
 		}
-		var got []string
-		for _, p := range mgr.list().Providers {
-			got = append(got, p.Addr)
-		}
-		if want := []string{"early:1", "late:1"}; !reflect.DeepEqual(got, want) {
-			t.Errorf("providers = %v, want %v", got, want)
+		got, err := mgr.Allocate(2, 1)
+		if want := []string{"early:1", "late:1"}; err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("placement order = %v, %v; want %v", got, err, want)
 		}
 	})
 	if err != nil {
@@ -408,7 +428,7 @@ func TestAllocateEvenDistributionWithReplicas(t *testing.T) {
 
 func TestHeartbeatsDoNotSerializeBehindAllocate(t *testing.T) {
 	// The striped registry's contract: heartbeats from many providers
-	// race Allocate/list/expiry without data races or lost updates.
+	// race Allocate/scrape/expiry without data races or lost updates.
 	// Run with -race to make this meaningful.
 	r := newRig(t, 0, ManagerConfig{Expiry: time.Hour})
 	const providers = 24
@@ -438,7 +458,6 @@ func TestHeartbeatsDoNotSerializeBehindAllocate(t *testing.T) {
 				t.Errorf("allocate: %v", err)
 				return
 			}
-			r.manager.list()
 			r.manager.ProviderCount()
 		}
 	}()

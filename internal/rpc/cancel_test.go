@@ -102,9 +102,9 @@ func TestEncodeFailureCountedAndReported(t *testing.T) {
 		}
 		return &wire.GetPageResp{Data: make([]byte, MaxFrameBody+1)}, nil
 	})
-	mux.Register(wire.KindDHTGetReq, func(context.Context, wire.Msg) (wire.Msg, error) {
+	mux.Register(wire.KindDHTMultiGetReq, func(context.Context, wire.Msg) (wire.Msg, error) {
 		// Not a sized kind: found too large only once marshalled.
-		return &wire.DHTGetResp{Found: true, Value: make([]byte, MaxFrameBody+1)}, nil
+		return &wire.DHTMultiGetResp{Found: []bool{true}, Values: [][]byte{make([]byte, MaxFrameBody+1)}}, nil
 	})
 	srv := Serve(ln, sched, mux)
 	defer srv.Close()
@@ -128,7 +128,7 @@ func TestEncodeFailureCountedAndReported(t *testing.T) {
 		t.Fatalf("rpc_encode_failures_total = %v, want 1", got)
 	}
 	wellFormed("an oversized page response")
-	if _, err = cl.Call(ctx, srv.Addr(), &wire.DHTGetReq{Key: []byte("k")}); err == nil {
+	if _, err = cl.Call(ctx, srv.Addr(), &wire.DHTMultiGetReq{Keys: [][]byte{[]byte("k")}}); err == nil {
 		t.Fatal("oversized metadata response produced no client error")
 	}
 	if got := obs.Value(srv, "rpc_encode_failures_total"); got != 2 {

@@ -38,8 +38,8 @@
 //   - a response's borrowed buffers — what a handler's response says it
 //     holds on loan (see Borrower; the data provider's GET_PAGE and
 //     GET_PAGES answers carry pages lent by pagestore.Store.Get, a
-//     metadata node's DHT_GET and DHT_MULTI_GET answers the buffer its
-//     engine read their values into) — by the server's per-request
+//     metadata node's DHT_MULTI_GET answer the buffer its engine read
+//     its values into) — by the server's per-request
 //     goroutine once the response is framed, beside the request body.
 //   - a response frame, by the server right after it is written to the
 //     connection.

@@ -186,10 +186,12 @@ func TestSharedConnectionStress(t *testing.T) {
 		}
 		return resp, nil
 	})
-	mux.Register(wire.KindDHTPutReq, func(_ context.Context, m wire.Msg) (wire.Msg, error) {
-		req := m.(*wire.DHTPutReq)
-		kept.Store(string(req.Key), req.Value)
-		return &wire.DHTPutResp{}, nil
+	// DHT_DELETE's decoder copies its keys out of the frame, so the
+	// handler may keep them: the second key stands for a value.
+	mux.Register(wire.KindDHTDeleteReq, func(_ context.Context, m wire.Msg) (wire.Msg, error) {
+		req := m.(*wire.DHTDeleteReq)
+		kept.Store(string(req.Keys[0]), req.Keys[1])
+		return &wire.DHTDeleteResp{}, nil
 	})
 	net := transport.NewInproc()
 	ln, err := net.Listen("server")
@@ -230,10 +232,10 @@ func TestSharedConnectionStress(t *testing.T) {
 						}
 					}
 				case 2:
-					_, err = cl.Call(ctx, srv.Addr(), &wire.DHTPutReq{
-						Key:   []byte(fmt.Sprintf("node/%d", seed)),
-						Value: pattern(seed, size%4096),
-					})
+					_, err = cl.Call(ctx, srv.Addr(), &wire.DHTDeleteReq{Keys: [][]byte{
+						[]byte(fmt.Sprintf("node/%d", seed)),
+						pattern(seed, size%4096),
+					}})
 				}
 				if err != nil {
 					t.Errorf("worker %d round %d: %v", g, i, err)

@@ -16,7 +16,7 @@ import (
 )
 
 // echoHandler answers PingReq and GetPageReq (echoing a synthetic page),
-// and fails DHTGetReq with a typed error.
+// and fails DHTMultiGetReq with a typed error.
 func echoHandler() Handler {
 	mux := NewMux()
 	mux.Register(wire.KindPingReq, func(_ context.Context, m wire.Msg) (wire.Msg, error) {
@@ -27,7 +27,7 @@ func echoHandler() Handler {
 		data := bytes.Repeat([]byte{req.Page[0]}, int(req.Length))
 		return &wire.GetPageResp{Data: data}, nil
 	})
-	mux.Register(wire.KindDHTGetReq, func(context.Context, wire.Msg) (wire.Msg, error) {
+	mux.Register(wire.KindDHTMultiGetReq, func(context.Context, wire.Msg) (wire.Msg, error) {
 		return nil, wire.NewError(wire.CodeNotFound, "no such key")
 	})
 	mux.Register(wire.KindSyncReq, func(context.Context, wire.Msg) (wire.Msg, error) {
@@ -69,7 +69,7 @@ func TestCallRoundTrip(t *testing.T) {
 func TestCallTypedError(t *testing.T) {
 	cl, addr, cleanup := newTestServer(t)
 	defer cleanup()
-	_, err := cl.Call(context.Background(), addr, &wire.DHTGetReq{Key: []byte("k")})
+	_, err := cl.Call(context.Background(), addr, &wire.DHTMultiGetReq{Keys: [][]byte{[]byte("k")}})
 	if !wire.IsNotFound(err) {
 		t.Fatalf("err = %v, want typed not-found", err)
 	}
@@ -294,7 +294,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 		t.Fatal(err)
 	}
 	huge := make([]byte, MaxFrameBody+1)
-	for _, m := range []wire.Msg{&wire.GetPageResp{Data: huge}, &wire.DHTPutReq{Value: huge}} {
+	for _, m := range []wire.Msg{&wire.GetPageResp{Data: huge}, &wire.DHTMultiPutReq{Keys: [][]byte{{1}}, Values: [][]byte{huge}}} {
 		out, err := appendFrame(buf, 2, m)
 		if err == nil {
 			t.Fatalf("oversize %v framed", m.Kind())

@@ -737,12 +737,6 @@ func (s *KV) LenBytes(key []byte) (uint32, bool) {
 	return e.vlen, ok
 }
 
-// Has reports whether key is stored.
-func (s *KV) Has(key string) bool {
-	_, ok := s.lookup(key)
-	return ok
-}
-
 // Range calls fn with every live pair, reading each value from its
 // segment. It takes no consistent cut — keys put or deleted while it
 // runs may or may not be visited — so it is meant for loading a

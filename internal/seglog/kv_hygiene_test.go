@@ -146,7 +146,7 @@ func TestKVSnapshotSeededReopenNoSpuriousRewrite(t *testing.T) {
 		}
 		// The tombstones are still doing their job.
 		for i := 0; i < 10; i++ {
-			if s2.Has(tkey(ly, i)) {
+			if has(s2, tkey(ly, i)) {
 				t.Fatalf("deleted key %d resurrected after seeded reopen", i)
 			}
 		}

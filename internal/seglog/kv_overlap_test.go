@@ -38,7 +38,7 @@ func TestKVReadsOverlapParkedCommit(t *testing.T) {
 		}
 		// ...and the parked put is not yet visible: the index applies only
 		// after durability.
-		if s.Has(tkey(ly, 2)) {
+		if has(s, tkey(ly, 2)) {
 			t.Fatal("pair visible before its batch committed")
 		}
 
@@ -227,7 +227,7 @@ func TestKVBatchDeleteSharesOneCommit(t *testing.T) {
 			done <- result{dropped, err}
 		}()
 		<-entered
-		if !s.Has(tkey(ly, 0)) {
+		if !has(s, tkey(ly, 0)) {
 			t.Fatal("queued delete applied before its batch committed")
 		}
 		close(release)
@@ -289,7 +289,7 @@ func TestKVEnqueuePutContract(t *testing.T) {
 		for i := range bufs {
 			copy(bufs[i], tval(i))
 		}
-		if s.Has(tkey(ly, 0)) {
+		if has(s, tkey(ly, 0)) {
 			t.Fatal("queued put indexed before its batch committed")
 		}
 		close(release)
@@ -371,7 +371,7 @@ func TestKVEnqueuePutParkedBehindCommit(t *testing.T) {
 			queued = s.comm.QueueLenLocked()
 			s.wmu.Unlock()
 		}
-		if s.Has(tkey(ly, 0)) || s.Has(tkey(ly, 1)) {
+		if has(s, tkey(ly, 0)) || has(s, tkey(ly, 1)) {
 			t.Fatal("pair visible while its commit is parked or queued")
 		}
 		close(release)

@@ -56,6 +56,12 @@ func tkey(ly *KVLayout, i int) string {
 
 func tval(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 3)}, 20+i%23) }
 
+// has reports whether s stores key.
+func has(s *KV, key string) bool {
+	_, ok := s.Len(key)
+	return ok
+}
+
 func mustOpenKV(t *testing.T, path string, ly *KVLayout, opts KVOptions) *KV {
 	t.Helper()
 	s, err := OpenKV(path, ly, opts)
@@ -99,7 +105,7 @@ func verifyLive(t *testing.T, s *KV, n int, alive func(i int) bool) {
 	for i := 0; i < n; i++ {
 		key := tkey(s.ly, i)
 		if !alive(i) {
-			if s.Has(key) {
+			if has(s, key) {
 				t.Fatalf("deleted key %d resurrected", i)
 			}
 			continue
@@ -186,8 +192,8 @@ func TestKVContract(t *testing.T) {
 			t.Fatalf("stats = %+v, want 1 key, 10 bytes, 1 append", st)
 		}
 		must(t, s.Delete(k))
-		if st := stats(s); s.Has(k) || st.Keys != 0 || st.ValueBytes != 0 {
-			t.Fatalf("after delete: has=%v stats=%+v", s.Has(k), st)
+		if st := stats(s); has(s, k) || st.Keys != 0 || st.ValueBytes != 0 {
+			t.Fatalf("after delete: has=%v stats=%+v", has(s, k), st)
 		}
 		if ly.KeyLen != 0 {
 			if err := s.Put("short", v); err == nil {

@@ -77,7 +77,8 @@ func checkDecodeFixedPoint(t *testing.T, k Kind, data []byte) {
 
 // FuzzDecodeWire seeds every wire kind with a populated message — the
 // wirekinds analyzer (cmd/blobseer-vet) enforces that the seed list
-// stays exhaustive as kinds are appended — and pins the same two
+// stays exhaustive as kinds are appended — and every retired kind with
+// what its last encoder wrote, and pins the same two
 // properties as FuzzDecodeGCWire on the whole protocol surface: no
 // decoder panics on arbitrary bytes, and decode∘encode is a fixed
 // point.
@@ -90,28 +91,16 @@ func FuzzDecodeWire(f *testing.F) {
 		&PutPageResp{},
 		&GetPageReq{Page: pid, Offset: 64, Length: WholePage},
 		&GetPageResp{Data: []byte{0xde, 0xad}},
-		&HasPageReq{Page: pid},
-		&HasPageResp{Found: true},
-		&ProviderStatsReq{},
-		&ProviderStatsResp{Pages: 3, Bytes: 1 << 16},
 		&RegisterReq{Addr: "127.0.0.1:7000", Weight: 2},
 		&RegisterResp{ID: 11},
 		&HeartbeatReq{ID: 11, Pages: 5, Bytes: 640},
 		&HeartbeatResp{Known: true},
 		&AllocateReq{N: 4, Copies: 2},
 		&AllocateResp{Addrs: []string{"a:1", "b:2", "", "c:3"}},
-		&ListProvidersReq{},
-		&ListProvidersResp{Providers: []ProviderInfo{{Addr: "a:1", Pages: 1, Bytes: 4096}}},
-		&DHTPutReq{Key: []byte("k"), Value: []byte("v")},
-		&DHTPutResp{},
-		&DHTGetReq{Key: []byte("k")},
-		&DHTGetResp{Found: true, Value: []byte("v")},
 		&DHTMultiPutReq{Keys: [][]byte{[]byte("k1"), {}}, Values: [][]byte{[]byte("v1"), {0xff}}},
 		&DHTMultiPutResp{},
 		&DHTMultiGetReq{Keys: [][]byte{[]byte("k1"), []byte("k2")}},
 		&DHTMultiGetResp{Found: []bool{true, false}, Values: [][]byte{[]byte("v1"), {}}},
-		&DHTStatsReq{},
-		&DHTStatsResp{Keys: 9, Bytes: 1 << 10},
 		&CreateBlobReq{PageSize: 4096},
 		&CreateBlobResp{Blob: 3},
 		&BlobInfoReq{Blob: 3},
@@ -157,6 +146,10 @@ func FuzzDecodeWire(f *testing.F) {
 	for _, m := range seed {
 		covered[m.Kind()] = true
 		f.Add(uint8(m.Kind()), marshalBody(m))
+	}
+	for _, r := range retiredKinds {
+		covered[r.kind] = true
+		f.Add(uint8(r.kind), r.body())
 	}
 	// The seed list must span the whole enum; a miss here means a kind
 	// was appended without a seed (blobseer-vet flags the same gap).

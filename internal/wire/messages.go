@@ -7,6 +7,9 @@ import "fmt"
 type Kind uint8
 
 // Message type codes. The numbering is part of the protocol; append only.
+// A kind no process sends any more is retired, not deleted: its constant
+// stays so its number is never reused, and its kindTable entry has no
+// constructor, so it decodes as an unknown kind.
 const (
 	KindInvalid Kind = iota
 	KindPingReq
@@ -75,7 +78,8 @@ const (
 
 // kindTable declares each kind once: its symbolic name and the
 // constructor of its zero message, which is what makes a kind decodable
-// off the wire. blobseer-vet's wirekinds check reads it.
+// off the wire; a retired kind keeps its name and has no constructor.
+// blobseer-vet's wirekinds check reads it.
 var kindTable = [kindMax]struct {
 	name string
 	new  func() Msg
@@ -87,28 +91,28 @@ var kindTable = [kindMax]struct {
 	KindPutPageResp:       {"PutPageResp", zero[PutPageResp]},
 	KindGetPageReq:        {"GetPageReq", zero[GetPageReq]},
 	KindGetPageResp:       {"GetPageResp", zero[GetPageResp]},
-	KindHasPageReq:        {"HasPageReq", zero[HasPageReq]},
-	KindHasPageResp:       {"HasPageResp", zero[HasPageResp]},
-	KindProviderStatsReq:  {"ProviderStatsReq", zero[ProviderStatsReq]},
-	KindProviderStatsResp: {"ProviderStatsResp", zero[ProviderStatsResp]},
+	KindHasPageReq:        {name: "HasPageReq"},
+	KindHasPageResp:       {name: "HasPageResp"},
+	KindProviderStatsReq:  {name: "ProviderStatsReq"},
+	KindProviderStatsResp: {name: "ProviderStatsResp"},
 	KindRegisterReq:       {"RegisterReq", zero[RegisterReq]},
 	KindRegisterResp:      {"RegisterResp", zero[RegisterResp]},
 	KindHeartbeatReq:      {"HeartbeatReq", zero[HeartbeatReq]},
 	KindHeartbeatResp:     {"HeartbeatResp", zero[HeartbeatResp]},
 	KindAllocateReq:       {"AllocateReq", zero[AllocateReq]},
 	KindAllocateResp:      {"AllocateResp", zero[AllocateResp]},
-	KindListProvidersReq:  {"ListProvidersReq", zero[ListProvidersReq]},
-	KindListProvidersResp: {"ListProvidersResp", zero[ListProvidersResp]},
-	KindDHTPutReq:         {"DHTPutReq", zero[DHTPutReq]},
-	KindDHTPutResp:        {"DHTPutResp", zero[DHTPutResp]},
-	KindDHTGetReq:         {"DHTGetReq", zero[DHTGetReq]},
-	KindDHTGetResp:        {"DHTGetResp", zero[DHTGetResp]},
+	KindListProvidersReq:  {name: "ListProvidersReq"},
+	KindListProvidersResp: {name: "ListProvidersResp"},
+	KindDHTPutReq:         {name: "DHTPutReq"},
+	KindDHTPutResp:        {name: "DHTPutResp"},
+	KindDHTGetReq:         {name: "DHTGetReq"},
+	KindDHTGetResp:        {name: "DHTGetResp"},
 	KindDHTMultiPutReq:    {"DHTMultiPutReq", zero[DHTMultiPutReq]},
 	KindDHTMultiPutResp:   {"DHTMultiPutResp", zero[DHTMultiPutResp]},
 	KindDHTMultiGetReq:    {"DHTMultiGetReq", zero[DHTMultiGetReq]},
 	KindDHTMultiGetResp:   {"DHTMultiGetResp", zero[DHTMultiGetResp]},
-	KindDHTStatsReq:       {"DHTStatsReq", zero[DHTStatsReq]},
-	KindDHTStatsResp:      {"DHTStatsResp", zero[DHTStatsResp]},
+	KindDHTStatsReq:       {name: "DHTStatsReq"},
+	KindDHTStatsResp:      {name: "DHTStatsResp"},
 	KindCreateBlobReq:     {"CreateBlobReq", zero[CreateBlobReq]},
 	KindCreateBlobResp:    {"CreateBlobResp", zero[CreateBlobResp]},
 	KindBlobInfoReq:       {"BlobInfoReq", zero[BlobInfoReq]},
@@ -319,56 +323,6 @@ func (m *GetPageResp) MarshalTo(w *Writer) { w.Bytes32(m.Data) }
 func (m *GetPageResp) unmarshal(r *Reader) { m.Data = r.Bytes32Pooled() }
 func (m *GetPageResp) bodySize() int       { return 4 + len(m.Data) }
 
-// HasPageReq asks whether the provider stores a page.
-type HasPageReq struct{ Page PageID }
-
-// Kind implements Msg.
-func (*HasPageReq) Kind() Kind { return KindHasPageReq }
-
-// MarshalTo implements Msg.
-func (m *HasPageReq) MarshalTo(w *Writer) { w.Raw(m.Page[:]) }
-func (m *HasPageReq) unmarshal(r *Reader) { copy(m.Page[:], r.Raw(16)) }
-
-// HasPageResp answers HasPageReq.
-type HasPageResp struct{ Found bool }
-
-// Kind implements Msg.
-func (*HasPageResp) Kind() Kind { return KindHasPageResp }
-
-// MarshalTo implements Msg.
-func (m *HasPageResp) MarshalTo(w *Writer) { w.Bool(m.Found) }
-func (m *HasPageResp) unmarshal(r *Reader) { m.Found = r.Bool() }
-
-// ProviderStatsReq asks a data provider for storage statistics.
-type ProviderStatsReq struct{}
-
-// Kind implements Msg.
-func (*ProviderStatsReq) Kind() Kind { return KindProviderStatsReq }
-
-// MarshalTo implements Msg.
-func (m *ProviderStatsReq) MarshalTo(*Writer) {}
-func (m *ProviderStatsReq) unmarshal(*Reader) {}
-
-// ProviderStatsResp reports a data provider's storage statistics.
-type ProviderStatsResp struct {
-	Pages uint64
-	Bytes uint64
-}
-
-// Kind implements Msg.
-func (*ProviderStatsResp) Kind() Kind { return KindProviderStatsResp }
-
-// MarshalTo implements Msg.
-func (m *ProviderStatsResp) MarshalTo(w *Writer) {
-	w.Uint64(m.Pages)
-	w.Uint64(m.Bytes)
-}
-
-func (m *ProviderStatsResp) unmarshal(r *Reader) {
-	m.Pages = r.Uint64()
-	m.Bytes = r.Uint64()
-}
-
 // ----------------------------------------------------- provider manager
 
 // RegisterReq announces a (re)joining data provider to the provider
@@ -487,117 +441,7 @@ func (m *AllocateResp) unmarshal(r *Reader) {
 	}
 }
 
-// ListProvidersReq asks for a snapshot of all live providers.
-type ListProvidersReq struct{}
-
-// Kind implements Msg.
-func (*ListProvidersReq) Kind() Kind { return KindListProvidersReq }
-
-// MarshalTo implements Msg.
-func (m *ListProvidersReq) MarshalTo(*Writer) {}
-func (m *ListProvidersReq) unmarshal(*Reader) {}
-
-// ProviderInfo names one live data provider; Pages and Bytes keep the
-// frame's shape and go unset (see HeartbeatReq).
-type ProviderInfo struct {
-	Addr  string
-	Pages uint64
-	Bytes uint64
-}
-
-// ListProvidersResp carries a snapshot of all live providers.
-type ListProvidersResp struct{ Providers []ProviderInfo }
-
-// Kind implements Msg.
-func (*ListProvidersResp) Kind() Kind { return KindListProvidersResp }
-
-// MarshalTo implements Msg.
-func (m *ListProvidersResp) MarshalTo(w *Writer) {
-	w.Uint32(uint32(len(m.Providers)))
-	for _, p := range m.Providers {
-		w.String(p.Addr)
-		w.Uint64(p.Pages)
-		w.Uint64(p.Bytes)
-	}
-}
-
-func (m *ListProvidersResp) unmarshal(r *Reader) {
-	n := int(r.Uint32())
-	if n > MaxSliceLen/16 {
-		r.fail(ErrTooLarge)
-		return
-	}
-	m.Providers = make([]ProviderInfo, 0, n)
-	for i := 0; i < n; i++ {
-		m.Providers = append(m.Providers, ProviderInfo{
-			Addr:  r.String(),
-			Pages: r.Uint64(),
-			Bytes: r.Uint64(),
-		})
-	}
-}
-
 // ------------------------------------------------------------------ DHT
-
-// DHTPutReq stores a key/value pair on a metadata provider.
-type DHTPutReq struct {
-	Key   []byte
-	Value []byte
-}
-
-// Kind implements Msg.
-func (*DHTPutReq) Kind() Kind { return KindDHTPutReq }
-
-// MarshalTo implements Msg.
-func (m *DHTPutReq) MarshalTo(w *Writer) {
-	w.Bytes32(m.Key)
-	w.Bytes32(m.Value)
-}
-
-func (m *DHTPutReq) unmarshal(r *Reader) {
-	m.Key = r.Bytes32Copy()
-	m.Value = r.Bytes32Copy()
-}
-
-// DHTPutResp acknowledges DHTPutReq.
-type DHTPutResp struct{}
-
-// Kind implements Msg.
-func (*DHTPutResp) Kind() Kind { return KindDHTPutResp }
-
-// MarshalTo implements Msg.
-func (m *DHTPutResp) MarshalTo(*Writer) {}
-func (m *DHTPutResp) unmarshal(*Reader) {}
-
-// DHTGetReq fetches the value stored under Key.
-type DHTGetReq struct{ Key []byte }
-
-// Kind implements Msg.
-func (*DHTGetReq) Kind() Kind { return KindDHTGetReq }
-
-// MarshalTo implements Msg.
-func (m *DHTGetReq) MarshalTo(w *Writer) { w.Bytes32(m.Key) }
-func (m *DHTGetReq) unmarshal(r *Reader) { m.Key = r.Bytes32Copy() }
-
-// DHTGetResp answers DHTGetReq.
-type DHTGetResp struct {
-	Found bool
-	Value []byte
-}
-
-// Kind implements Msg.
-func (*DHTGetResp) Kind() Kind { return KindDHTGetResp }
-
-// MarshalTo implements Msg.
-func (m *DHTGetResp) MarshalTo(w *Writer) {
-	w.Bool(m.Found)
-	w.Bytes32(m.Value)
-}
-
-func (m *DHTGetResp) unmarshal(r *Reader) {
-	m.Found = r.Bool()
-	m.Value = r.Bytes32Copy()
-}
 
 // DHTMultiPutReq stores several pairs in one round trip. Writers use it to
 // store all tree nodes destined for the same metadata provider at once.
@@ -709,36 +553,6 @@ func (m *DHTMultiGetResp) unmarshal(r *Reader) {
 		m.Found = append(m.Found, r.Bool())
 		m.Values = append(m.Values, r.Bytes32Copy())
 	}
-}
-
-// DHTStatsReq asks a metadata provider for storage statistics.
-type DHTStatsReq struct{}
-
-// Kind implements Msg.
-func (*DHTStatsReq) Kind() Kind { return KindDHTStatsReq }
-
-// MarshalTo implements Msg.
-func (m *DHTStatsReq) MarshalTo(*Writer) {}
-func (m *DHTStatsReq) unmarshal(*Reader) {}
-
-// DHTStatsResp reports a metadata provider's storage statistics.
-type DHTStatsResp struct {
-	Keys  uint64
-	Bytes uint64
-}
-
-// Kind implements Msg.
-func (*DHTStatsResp) Kind() Kind { return KindDHTStatsResp }
-
-// MarshalTo implements Msg.
-func (m *DHTStatsResp) MarshalTo(w *Writer) {
-	w.Uint64(m.Keys)
-	w.Uint64(m.Bytes)
-}
-
-func (m *DHTStatsResp) unmarshal(r *Reader) {
-	m.Keys = r.Uint64()
-	m.Bytes = r.Uint64()
 }
 
 // -------------------------------------------------------- version manager
