@@ -58,8 +58,7 @@ var (
 	retain        = flag.Int("retain-versions", 1, "keep-last-N retention policy: EXPIRE keeps at least this many newest versions per blob (version-manager role)")
 	deadTimeout   = flag.Duration("dead-writer-timeout", 0, "abort updates of silent writers after this duration (version-manager role; 0 disables)")
 	heartbeat     = flag.Duration("heartbeat", 5*time.Second, "heartbeat period (data role)")
-	rpcTimeout    = flag.Duration("rpc-timeout", 0, "per-call deadline on manager-facing RPCs (data role; 0 = heartbeat period)")
-	dialTimeout   = flag.Duration("dial-timeout", 0, "deadline on establishing manager connections (data role; 0 = unbounded)")
+	rpcTimeout    = flag.Duration("rpc-timeout", 0, "per-call deadline on manager-facing RPCs, dial included (data role; 0 = heartbeat period)")
 	debugAddr     = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (empty: off)")
 )
 
@@ -125,12 +124,9 @@ func main() {
 			log.Fatal("data role requires -manager")
 		}
 		cfg := provider.Config{
-			Sched:       sched,
-			ManagerAddr: *managerAddr,
-			Client: rpc.NewClient(net, sched, rpc.ClientOptions{
-				CallTimeout: *rpcTimeout,
-				DialTimeout: *dialTimeout,
-			}),
+			Sched:          sched,
+			ManagerAddr:    *managerAddr,
+			Client:         rpc.NewClient(net, sched, rpc.ClientOptions{}),
 			HeartbeatEvery: *heartbeat,
 			CallTimeout:    *rpcTimeout,
 		}

@@ -8,7 +8,9 @@ import (
 
 // TestFlagCount pins how many flags blobseerd has, so the next one is a
 // deliberate bump here and not a habit: one role, one log, each setting
-// said once. The retired role-prefixed spellings stay retired.
+// said once. The retired role-prefixed spellings stay retired, and so
+// does -dial-timeout: a call's deadline is its context's, which
+// -rpc-timeout sets.
 func TestFlagCount(t *testing.T) {
 	n := 0
 	flag.VisitAll(func(f *flag.Flag) {
@@ -16,8 +18,8 @@ func TestFlagCount(t *testing.T) {
 			n++
 		}
 	})
-	if n != 17 {
-		t.Fatalf("blobseerd has %d flags, want 17", n)
+	if n != 16 {
+		t.Fatalf("blobseerd has %d flags, want 16", n)
 	}
 	if *debugAddr != "" {
 		t.Fatalf("-debug-addr defaults to %q; the debug endpoints must be off unless asked for", *debugAddr)
@@ -29,6 +31,7 @@ func TestFlagCount(t *testing.T) {
 	for _, old := range []string{
 		"page-sync", "meta-sync", "page-segment-bytes", "meta-segment-bytes", "wal-segment-bytes",
 		"page-snapshot-every", "meta-snapshot-every", "checkpoint-every", "page-compact-ratio", "meta-compact-ratio",
+		"dial-timeout",
 	} {
 		if flag.Lookup(old) != nil {
 			t.Errorf("-%s is back", old)

@@ -8,7 +8,7 @@
 // assignment at the version manager. Unaligned updates need the previous
 // snapshot's boundary bytes, so they alone synchronize on the previous
 // version before merging (the paper only sketches unaligned handling; the
-// exact semantics implemented here are stated on Write, slowWrite and
+// exact semantics implemented here are stated on Write, update and
 // mergeAndFinish in write.go, and what becomes of the optimistically
 // stored pages in README.md, "Retention and garbage collection").
 package client
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"blobseer/internal/dht"
 	"blobseer/internal/meta"
@@ -42,12 +41,6 @@ type Config struct {
 	MetaRing *dht.Ring
 	// ConnsPerHost tunes the rpc connection pool (default 1).
 	ConnsPerHost int
-	// CallTimeout bounds each RPC whose context carries no deadline of
-	// its own; DialTimeout bounds connection establishment. Zero means
-	// unbounded; both are inert under a Virtual scheduler (deadlines are
-	// wall-clock, and simulated time must stay causal).
-	CallTimeout time.Duration
-	DialTimeout time.Duration
 	// MetaCacheNodes sets the client metadata cache capacity in nodes
 	// (default 16384; negative disables caching).
 	MetaCacheNodes int
@@ -120,11 +113,7 @@ func New(cfg Config) (*Client, error) {
 	if cacheNodes > 0 {
 		cache = meta.NewCache(cacheNodes)
 	}
-	rc := rpc.NewClient(cfg.Net, cfg.Sched, rpc.ClientOptions{
-		ConnsPerHost: cfg.ConnsPerHost,
-		CallTimeout:  cfg.CallTimeout,
-		DialTimeout:  cfg.DialTimeout,
-	})
+	rc := rpc.NewClient(cfg.Net, cfg.Sched, rpc.ClientOptions{ConnsPerHost: cfg.ConnsPerHost})
 	c := &Client{
 		cfg:   cfg,
 		tun:   cfg.Read.withDefaults(),

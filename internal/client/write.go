@@ -28,12 +28,16 @@ func (c *Client) Append(ctx context.Context, id wire.BlobID, buf []byte) (wire.V
 // store pages on providers, obtain a snapshot version, weave metadata,
 // report completion (§3.3, Algorithm 2).
 //
-// Aligned updates (and appends landing on a page boundary) follow the
-// paper's order exactly — pages first, version second — so concurrent
-// updates proceed with no synchronization at all. Updates with an
-// unaligned boundary must merge the neighbouring bytes of snapshot vw-1,
-// which requires vw-1 to be published; only those synchronize (on SYNC of
-// their predecessor) before storing the boundary pages.
+// An aligned WRITE and every APPEND follow the paper's order — pages
+// first, version second — so concurrent updates proceed with no
+// synchronization at all. An append bets that its assigned offset lands
+// on a page boundary (true whenever all writers use page-aligned sizes,
+// as in the paper's experiments). Updates with an unaligned boundary
+// must merge the neighbouring bytes of snapshot vw-1, which requires
+// vw-1 to be published; only those synchronize (on SYNC of their
+// predecessor) before storing the boundary pages. An unaligned WRITE
+// knows it is one, so it asks for its version first: the version pins
+// the predecessor whose bytes it merges.
 func (c *Client) update(ctx context.Context, id wire.BlobID, buf []byte, offset uint64, isAppend bool) (wire.Version, error) {
 	if len(buf) == 0 {
 		return 0, wire.NewError(wire.CodeBadRequest, "empty update")
@@ -44,65 +48,33 @@ func (c *Client) update(ctx context.Context, id wire.BlobID, buf []byte, offset 
 	}
 	ps := h.pageSize
 	size := uint64(len(buf))
-
-	// Fast path: a WRITE with both boundaries page-aligned, per Algorithm 2.
-	if !isAppend && offset%ps == 0 && (offset+size)%ps == 0 {
-		pws, err := c.storePages(ctx, buf, ps)
-		if err != nil {
-			return 0, err
-		}
+	if !isAppend && (offset%ps != 0 || (offset+size)%ps != 0) {
 		resp, err := c.assign(ctx, id, offset, size, false)
 		if err != nil {
-			// No version was assigned, so no abort can ever cover these
-			// pages — reclaim them now or they leak forever (no metadata
-			// names them, so GC can never find them).
-			c.reclaimPages(ctx, pws)
 			return 0, err
 		}
-		return c.finishUpdate(ctx, id, h, resp, offset/ps, pws)
+		return c.mergeAndFinish(ctx, id, h, resp, buf)
 	}
 
-	if isAppend {
-		return c.appendUpdate(ctx, id, h, buf)
-	}
-	return c.slowWrite(ctx, id, h, buf, offset)
-}
-
-// appendUpdate optimistically stores the pages before asking for a
-// version, betting that the assigned offset lands on a page boundary
-// (true whenever all writers use page-aligned sizes, as in the paper's
-// experiments). If the bet fails, the stored pages are abandoned as
-// garbage and the update is redone with boundary merging.
-func (c *Client) appendUpdate(ctx context.Context, id wire.BlobID, h *blobHandle, buf []byte) (wire.Version, error) {
-	ps := h.pageSize
 	pws, err := c.storePages(ctx, buf, ps)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.assign(ctx, id, 0, uint64(len(buf)), true)
+	resp, err := c.assign(ctx, id, offset, size, isAppend)
 	if err != nil {
-		// No version assigned: reclaim now, nothing else ever will.
+		// No version was assigned, so no abort can ever cover these
+		// pages — reclaim them now or they leak forever (no metadata
+		// names them, so GC can never find them).
 		c.reclaimPages(ctx, pws)
 		return 0, err
 	}
 	if resp.Offset%ps == 0 {
 		return c.finishUpdate(ctx, id, h, resp, resp.Offset/ps, pws)
 	}
-	// Unaligned append offset: the optimistic pages have the wrong
-	// layout. Reclaim them — no metadata will ever name them — then
-	// merge the boundary and restore.
+	// An append's lost bet: the stored pages have the wrong layout.
+	// Reclaim them — no metadata will ever name them — then merge the
+	// boundary and store again.
 	c.reclaimPages(ctx, pws)
-	return c.mergeAndFinish(ctx, id, h, resp, buf)
-}
-
-// slowWrite handles WRITEs with at least one unaligned boundary: assign
-// first (the version pins the predecessor whose bytes we merge), then
-// merge, store, weave.
-func (c *Client) slowWrite(ctx context.Context, id wire.BlobID, h *blobHandle, buf []byte, offset uint64) (wire.Version, error) {
-	resp, err := c.assign(ctx, id, offset, uint64(len(buf)), false)
-	if err != nil {
-		return 0, err
-	}
 	return c.mergeAndFinish(ctx, id, h, resp, buf)
 }
 
@@ -118,7 +90,7 @@ func (c *Client) mergeAndFinish(ctx context.Context, id wire.BlobID, h *blobHand
 	headLen := offset % ps
 	var tailLen uint64
 	if end%ps != 0 && end < resp.PrevSize {
-		tailLen = min64(ps-end%ps, resp.PrevSize-end)
+		tailLen = min(ps-end%ps, resp.PrevSize-end)
 	}
 
 	merged := buf
@@ -290,11 +262,4 @@ func (c *Client) buildMetadata(ctx context.Context, h *blobHandle, resp *wire.As
 		return err
 	}
 	return h.store.PutNodes(ctx, ids, nodes)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

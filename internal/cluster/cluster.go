@@ -11,6 +11,12 @@
 //     network — version manager and provider manager on dedicated nodes,
 //     data and metadata providers co-deployed pairwise on the remaining
 //     nodes, clients placed on any node.
+//
+// A cluster adds no deadline of its own: a data provider bounds its
+// manager calls by the provider's default (its heartbeat period), and
+// every other call by its caller's context. Kill and Close wake the
+// services' periodic loops — heartbeats, the dead-writer sweeper —
+// through the scheduler, so under StartSim they take no virtual time.
 package cluster
 
 import (
@@ -85,13 +91,6 @@ type Config struct {
 	MetaLog dht.LogOptions
 	// HeartbeatEvery tunes provider heartbeats (default 5s).
 	HeartbeatEvery time.Duration
-	// CallTimeout bounds every RPC issued by the cluster's own plumbing
-	// (provider registration and heartbeats) and by clients built with
-	// NewClient, unless the call's context already carries a deadline.
-	// DialTimeout bounds connection establishment the same way. Zero
-	// means unbounded; both are inert under a Virtual scheduler.
-	CallTimeout time.Duration
-	DialTimeout time.Duration
 	// ClientRead tunes new clients' read path (page cache, hedging,
 	// coalescing, fanout); zero value = defaults. Per-client overrides
 	// go through NewClientCfg.
@@ -266,10 +265,7 @@ func (cl *Cluster) startServices(providerNet func(i int) transport.Network) erro
 	for i := 0; i < cfg.DataProviders; i++ {
 		// Each provider heartbeats from its own node so the simulated
 		// network charges the right links.
-		cl.aux = append(cl.aux, rpc.NewClient(providerNet(i), cl.sched, rpc.ClientOptions{
-			CallTimeout: cfg.CallTimeout,
-			DialTimeout: cfg.DialTimeout,
-		}))
+		cl.aux = append(cl.aux, rpc.NewClient(providerNet(i), cl.sched, rpc.ClientOptions{}))
 		p, err := cl.openData(i)
 		if err != nil {
 			return err
@@ -333,7 +329,6 @@ func (cl *Cluster) openData(i int) (*provider.Provider, error) {
 		ManagerAddr:    cl.PM.Addr(),
 		Client:         cl.aux[i],
 		HeartbeatEvery: cl.cfg.HeartbeatEvery,
-		CallTimeout:    cl.cfg.CallTimeout,
 	}
 	if cl.cfg.NewStore != nil {
 		pcfg.Store = cl.cfg.NewStore(i)
@@ -477,8 +472,6 @@ func (cl *Cluster) NewClientCfg(host string, tweak func(*client.Config)) (*clien
 		MetaRing:        cl.Ring,
 		Read:            cl.cfg.ClientRead,
 		PageReplication: cl.cfg.PageReplication,
-		CallTimeout:     cl.cfg.CallTimeout,
-		DialTimeout:     cl.cfg.DialTimeout,
 	}
 	if tweak != nil {
 		tweak(&cfg)

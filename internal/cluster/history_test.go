@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"blobseer/internal/client"
+	"blobseer/internal/rpc"
 	"blobseer/internal/simnet"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -33,6 +34,7 @@ const (
 	histPageSize   = 256
 	histDeadWriter = 100 * time.Millisecond // the version manager's sweeper window
 	histOutage     = 10 * time.Millisecond  // how long the partition and the kill last
+	histProbeTries = 5                      // the liveness probe's appends per blob
 )
 
 // TestHistoryUnderFaults records what concurrent clients see of a
@@ -49,10 +51,13 @@ const (
 //     written at its offset (an append's is Size(v) − len(payload)), so
 //     an update applied in part fails the check.
 //
-// A failed operation is no violation. Once the run is quiet the checker
-// settles every failed write: its version is either readable — and then
-// it must explain that version's bytes — or aborted. A failing seed
-// prints how to rerun it.
+// Clients also abandon updates: a bare ASSIGN that nothing completes,
+// for the version manager's sweeper to abort. A failed operation is no
+// violation, but a wedged blob is: once the run is quiet and a sweeper
+// window has passed, an unaligned append to each blob must go through
+// within a few tries. The checker then settles every failed write: its
+// version is either readable — and then it must explain that version's
+// bytes — or aborted. A failing seed prints how to rerun it.
 func TestHistoryUnderFaults(t *testing.T) {
 	n := *historySeeds
 	if raceEnabled {
@@ -114,6 +119,7 @@ type history struct {
 	settled map[wire.BlobID]map[wire.Version][]byte
 	recent  map[wire.BlobID]wire.Version
 	chaos   []string // the faults chaos injected, and when
+	stuck   []string // blobs the liveness probe could not append to
 }
 
 func runHistory(dir string, seed uint64) (*history, error) {
@@ -138,8 +144,8 @@ func (h *history) run(clock *vclock.Virtual, net *simnet.Net, dir string, seed u
 		MetaLogDir:        filepath.Join(dir, "meta"),
 		VersionWALPath:    filepath.Join(dir, "vm", "wal"),
 		DeadWriterTimeout: histDeadWriter,
-		// Kill joins the provider's heartbeat sleep, which no cancellation
-		// cuts short in virtual time: a short beat keeps the outage short.
+		// Beats well inside the run, so HEARTBEAT traffic, and the faults
+		// that hit it, are part of every history.
 		HeartbeatEvery: histOutage / 2,
 	}
 	// A fault can fail a provider's registration, and the start with it:
@@ -169,12 +175,19 @@ func (h *history) run(clock *vclock.Virtual, net *simnet.Net, dir string, seed u
 	}
 
 	var done atomic.Int64
+	vm := cl.VM.Addr() // a restart keeps it
 	err = vclock.Parallel(clock, histClients+1, func(i int) error {
 		rng := rand.New(rand.NewPCG(seed, uint64(i)))
 		if i == histClients {
 			return h.chaosMonkey(clock, net, cl, rng, &done)
 		}
-		h.workload(clock, clients[i], i, blobs, rng, &done)
+		// Abandoned updates leave from the client's own host.
+		abandoner := rpc.NewClient(net.Host(fmt.Sprintf("client%d", i)), clock, rpc.ClientOptions{})
+		defer abandoner.Close()
+		abandon := func(blob wire.BlobID, size uint64) {
+			_, _ = abandoner.Call(context.Background(), vm, &wire.AssignReq{Blob: blob, Size: size, Append: true})
+		}
+		h.workload(clock, clients[i], i, blobs, rng, abandon, &done)
 		return nil
 	})
 	if err != nil {
@@ -187,6 +200,10 @@ func (h *history) run(clock *vclock.Virtual, net *simnet.Net, dir string, seed u
 	chk, err := cl.NewClient("checker")
 	if err != nil {
 		return err
+	}
+	rng := rand.New(rand.NewPCG(seed, histClients+1))
+	for _, blob := range blobs {
+		h.probe(clock, chk, blob, rng)
 	}
 	for _, blob := range blobs {
 		if err := h.settle(clock, chk, blob); err != nil {
@@ -205,6 +222,26 @@ func settleRetry(clock *vclock.Virtual, op func() error) error {
 		err = op()
 	}
 	return err
+}
+
+// probe is the liveness check: an append to a quiet blob goes through
+// within histProbeTries tries, whatever the run aborted. The blob's size
+// is a page multiple only by chance, so the append is unaligned and
+// merges the bytes of its latest surviving predecessor. Each try is
+// recorded, so check holds the one that lands to the reference too.
+func (h *history) probe(clock *vclock.Virtual, c *client.Client, blob wire.BlobID, rng *rand.Rand) {
+	var err error
+	for range histProbeTries {
+		op := histOp{client: histClients, kind: "append", blob: blob, data: payload(rng), inv: clock.Now()}
+		op.v, op.err = c.Append(context.Background(), blob, op.data)
+		op.ret, err = clock.Now(), op.err
+		h.ops = append(h.ops, op)
+		if err == nil {
+			return
+		}
+		clock.Sleep(histOutage)
+	}
+	h.stuck = append(h.stuck, fmt.Sprintf("blob %v: no append went through in %d tries once the run was quiet; the last failed with %v", blob, histProbeTries, err))
 }
 
 // settle reads every readable version of blob, whole.
@@ -287,8 +324,9 @@ func (h *history) chaosMonkey(clock *vclock.Virtual, net *simnet.Net, cl *Cluste
 
 // workload issues one client's operations: writes at offsets up to the
 // size it last saw, appends, reads of ranges of versions it saw
-// published, Recent and Size.
-func (h *history) workload(clock *vclock.Virtual, c *client.Client, id int, blobs []wire.BlobID, rng *rand.Rand, done *atomic.Int64) {
+// published, Recent and Size, and now and then an abandoned update.
+func (h *history) workload(clock *vclock.Virtual, c *client.Client, id int, blobs []wire.BlobID, rng *rand.Rand,
+	abandon func(wire.BlobID, uint64), done *atomic.Int64) {
 	ctx := context.Background()
 	type seen struct {
 		v    wire.Version
@@ -308,6 +346,12 @@ func (h *history) workload(clock *vclock.Virtual, c *client.Client, id int, blob
 			op.kind, op.off, op.data = "write", rng.Uint64N(last.size+1), payload(rng)
 		case p < 55:
 			op.kind, op.data = "append", payload(rng)
+		case p < 60:
+			// Not a client operation: nothing records it, and the sweeper
+			// aborts what it assigned.
+			abandon(op.blob, 1+rng.Uint64N(3*histPageSize))
+			done.Add(1)
+			continue
 		case p < 75 && len(k) > 0:
 			s := k[rng.IntN(len(k))]
 			op.kind, op.v, op.off = "read", s.v, rng.Uint64N(s.size+1)
@@ -383,6 +427,7 @@ func diffAt(a, b []byte) int {
 
 // check returns every way the history breaks the version semantics.
 func (h *history) check() (violations []string) {
+	violations = append(violations, h.stuck...)
 	bad := func(format string, args ...any) { violations = append(violations, fmt.Sprintf(format, args...)) }
 	byBlob := make(map[wire.BlobID][]*histOp)
 	for i := range h.ops {

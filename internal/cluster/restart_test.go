@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"blobseer/internal/client"
+	"blobseer/internal/simnet"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 )
@@ -117,5 +118,37 @@ func TestRestartNeedsDurableState(t *testing.T) {
 	}
 	if err := cl.Kill("data", 99); err == nil {
 		t.Fatal("killed a data provider the cluster does not have")
+	}
+}
+
+// TestSimKillTakesNoVirtualTime: Kill of a data provider joins its
+// heartbeat loop, and Kill of the version manager its dead-writer
+// sweeper, each asleep for an hour of virtual time. Close wakes each
+// loop through the scheduler, so neither Kill moves the clock.
+func TestSimKillTakesNoVirtualTime(t *testing.T) {
+	clock := vclock.NewVirtual(0)
+	net := simnet.New(clock, simnet.Config{})
+	err := clock.Run(func() {
+		cl, err := StartSim(net, clock, Config{
+			DataProviders: 2, MetaProviders: 2, HeartbeatEvery: time.Hour, DeadWriterTimeout: time.Hour,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer cl.Close()
+		clock.Sleep(time.Second) // every loop is asleep
+		for _, role := range []string{roleData, roleVM} {
+			before := clock.Now()
+			if err := cl.Kill(role, 0); err != nil {
+				t.Error(err)
+			}
+			if took := clock.Now() - before; took != 0 {
+				t.Errorf("Kill %s 0 took %v of virtual time", role, took)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -587,28 +587,6 @@ func TestQuickSequentialModelEquivalence(t *testing.T) {
 	}
 }
 
-func TestNodeExists(t *testing.T) {
-	upd := Range{Start: 4, Count: 2} // pages 4,5 of a 6-page blob
-	size := uint64(6)
-	cases := []struct {
-		r    Range
-		want bool
-	}{
-		{Range{Start: 4, Count: 1}, true},   // updated leaf
-		{Range{Start: 0, Count: 1}, false},  // untouched leaf
-		{Range{Start: 4, Count: 2}, true},   // exact update range
-		{Range{Start: 0, Count: 8}, true},   // root
-		{Range{Start: 0, Count: 4}, false},  // left subtree untouched
-		{Range{Start: 8, Count: 1}, false},  // beyond root span
-		{Range{Start: 0, Count: 16}, false}, // wider than root
-	}
-	for _, c := range cases {
-		if got := NodeExists(upd, size, c.r); got != c.want {
-			t.Errorf("NodeExists(%v) = %v, want %v", c.r, got, c.want)
-		}
-	}
-}
-
 func TestNodeEncodeDecodeReplicated(t *testing.T) {
 	leaf := Node{Leaf: true, Page: wire.PageID{9, 9}, Providers: []string{"a:1", "b:2", "c:3"}}
 	got, err := DecodeNode(leaf.AppendTo(nil))

@@ -87,11 +87,3 @@ func RootSpan(sizePages uint64) uint64 {
 func RootID(v wire.Version, sizePages uint64) NodeID {
 	return NodeID{Version: v, Offset: 0, Span: RootSpan(sizePages)}
 }
-
-// NodeExists reports whether the tree of an update with range upd and
-// post-update size sizePages contains a node covering r. Per §4.2, the
-// built node set is exactly the aligned ranges that intersect the update
-// range, from leaves up to the root span.
-func NodeExists(upd Range, sizePages uint64, r Range) bool {
-	return r.Start < RootSpan(sizePages) && r.Intersects(upd) && r.Count <= RootSpan(sizePages)
-}

@@ -50,11 +50,11 @@ type Config struct {
 type Provider struct {
 	store    pagestore.Store
 	ownStore bool // the provider opened it (PageLog) and closes it
-	sched    vclock.Scheduler
 	srv      *rpc.Server
 	cfg      Config
 	closed   chan struct{}
 	cancel   context.CancelFunc
+	beat     *vclock.Sleeper // the heartbeat loop's sleep; Close stops it
 	wg       *vclock.WaitGroup
 }
 
@@ -88,11 +88,11 @@ func Serve(ln transport.Listener, cfg Config) (*Provider, error) {
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = cfg.HeartbeatEvery
 	}
-	p := &Provider{store: cfg.Store, ownStore: ownStore, sched: cfg.Sched, cfg: cfg, closed: make(chan struct{})}
-	p.wg = vclock.NewWaitGroup(cfg.Sched)
+	p := &Provider{store: cfg.Store, ownStore: ownStore, cfg: cfg, closed: make(chan struct{}),
+		beat: vclock.NewSleeper(cfg.Sched), wg: vclock.NewWaitGroup(cfg.Sched)}
 	// The provider is the lifecycle root for its manager-facing loops:
-	// Close cancels the context, which interrupts the heartbeat sleep and
-	// any in-flight registration or heartbeat call.
+	// Close cancels the context, which interrupts any in-flight
+	// registration or heartbeat call, and stops the heartbeat sleep.
 	//blobseer:ctx lifecycle root: Close cancels registration and heartbeats
 	ctx, cancel := context.WithCancel(context.Background())
 	p.cancel = cancel
@@ -134,6 +134,7 @@ func (p *Provider) Close() {
 		close(p.closed)
 	}
 	p.cancel()
+	p.beat.Stop()
 	p.srv.Close()
 	if p.ownStore {
 		p.store.Close()
@@ -158,7 +159,7 @@ func (p *Provider) heartbeatLoop(ctx context.Context, id uint32) {
 	const maxBackoffBeats = 8
 	wait := p.cfg.HeartbeatEvery
 	for {
-		if err := vclock.SleepCtx(ctx, p.sched, wait); err != nil {
+		if err := p.beat.Sleep(wait); err != nil {
 			return
 		}
 		select {

@@ -28,12 +28,10 @@ var ErrConnBroken = errors.New("rpc: connection broken")
 //
 //blobseer:lockorder latMu
 type Client struct {
-	net         transport.Network
-	sched       vclock.Scheduler
-	perHost     int
-	callTimeout time.Duration
-	dialTimeout time.Duration
-	wg          *vclock.WaitGroup // joins per-connection read loops on Close
+	net     transport.Network
+	sched   vclock.Scheduler
+	perHost int
+	wg      *vclock.WaitGroup // joins per-connection read loops on Close
 
 	mu     sync.Mutex
 	pools  map[string]*pool
@@ -72,15 +70,6 @@ type ClientOptions struct {
 	// address. Zero means 1. More connections let large transfers to the
 	// same peer proceed in parallel at the cost of sockets.
 	ConnsPerHost int
-
-	// CallTimeout bounds each Call whose context carries no deadline of
-	// its own. Zero means unbounded. Deadlines are wall-clock, so under a
-	// Virtual scheduler the bound is inert by design: cancellation from
-	// outside the simulation would break causal determinism.
-	CallTimeout time.Duration
-
-	// DialTimeout bounds connection establishment the same way.
-	DialTimeout time.Duration
 }
 
 // NewClient builds a Client over the given transport and scheduler.
@@ -90,36 +79,19 @@ func NewClient(net transport.Network, sched vclock.Scheduler, opts ClientOptions
 		per = 1
 	}
 	return &Client{
-		net:         net,
-		sched:       sched,
-		perHost:     per,
-		callTimeout: opts.CallTimeout,
-		dialTimeout: opts.DialTimeout,
-		wg:          vclock.NewWaitGroup(sched),
-		pools:       make(map[string]*pool),
+		net:     net,
+		sched:   sched,
+		perHost: per,
+		wg:      vclock.NewWaitGroup(sched),
+		pools:   make(map[string]*pool),
 	}
-}
-
-// withTimeout applies d to ctx unless ctx already carries a deadline.
-// The returned cancel is non-nil only when a timeout was attached.
-func withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 || ctx == nil {
-		return ctx, nil
-	}
-	if _, ok := ctx.Deadline(); ok {
-		return ctx, nil
-	}
-	return context.WithTimeout(ctx, d)
 }
 
 // Call sends req to addr and waits for the matching response. A response
 // of kind ErrorResp is converted to a *wire.Error. Transport failures
-// surface as ErrConnBroken (wrapped); the caller owns retry policy.
+// surface as ErrConnBroken (wrapped); the caller owns retry policy, and
+// ctx bounds the dial and the round trip alike.
 func (c *Client) Call(ctx context.Context, addr string, req wire.Msg) (wire.Msg, error) {
-	ctx, cancel := withTimeout(ctx, c.callTimeout)
-	if cancel != nil {
-		defer cancel()
-	}
 	cc, err := c.conn(ctx, addr)
 	if err != nil {
 		return nil, err
@@ -243,7 +215,7 @@ type pool struct {
 // perHost connections; a caller that finds only in-flight dials waits
 // for one to resolve. A dial that fails takes the callers parked on it
 // down with it — they would only meet the same dead peer one after
-// another, each for a full DialTimeout — and frees the slot for the
+// another, each until its own deadline — and frees the slot for the
 // next call.
 func (p *pool) pick(ctx context.Context) (*clientConn, error) {
 	for {
@@ -287,11 +259,7 @@ func (p *pool) pick(ctx context.Context) (*clientConn, error) {
 // dial fills the slot its caller reserved, or gives it back, and hands
 // the outcome to everyone waiting on it.
 func (p *pool) dial(ctx context.Context) (*clientConn, error) {
-	dctx, cancel := withTimeout(ctx, p.client.dialTimeout)
-	if cancel != nil {
-		defer cancel()
-	}
-	raw, err := p.client.net.Dial(dctx, p.addr)
+	raw, err := p.client.net.Dial(ctx, p.addr)
 	var cc *clientConn
 	p.mu.Lock()
 	p.dialing--

@@ -1,7 +1,9 @@
 // Package rpc implements the request/response messaging layer every
 // BlobSeer service speaks. It multiplexes concurrent requests over shared
 // connections, so a client needs only one connection per peer no matter
-// how many goroutines are issuing calls.
+// how many goroutines are issuing calls. A call's only deadline is its
+// context's, and it covers the dial too; the client adds none of its
+// own.
 //
 // Framing: every message travels as
 //

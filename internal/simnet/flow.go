@@ -234,7 +234,7 @@ func (n *Net) activateLocked(f *flow, now time.Duration) {
 	f.headRem = float64(len(f.segs[0].data))
 	f.lastAt = now
 	if f.loopback {
-		n.retuneFlowLocked(f, n.cfg.LoopbackBps, now)
+		n.retuneFlowLocked(f, loopbackBps, now)
 		return
 	}
 	f.rate = 0 // whatever its share, it needs a completion entry
@@ -465,7 +465,7 @@ func (n *Net) rearmLocked(now time.Duration) {
 func (n *Net) scheduleDeliveryLocked(d *connDir, seg *segment, now time.Duration) {
 	lat := n.cfg.Latency
 	if d.flow.loopback {
-		lat = n.cfg.LoopbackLatency
+		lat = loopbackLatency
 	}
 	d.deliverAt = max(d.deliverAt, now+lat+seg.extra)
 	d.pending = append(d.pending, seg.data)

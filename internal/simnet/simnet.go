@@ -54,6 +54,13 @@ import (
 // MBps is a convenience multiplier: bytes per second in one MB/s.
 const MBps = 1e6
 
+// The loopback path between co-located endpoints: its rate and its
+// one-way delay.
+const (
+	loopbackBps     = 4000 * MBps
+	loopbackLatency = 25 * time.Microsecond
+)
+
 // Config describes the simulated cluster's network characteristics.
 type Config struct {
 	// LinkBps is each NIC's capacity in bytes/second, per direction.
@@ -61,11 +68,6 @@ type Config struct {
 	LinkBps float64
 	// Latency is the one-way propagation delay. Defaults to 0.1 ms.
 	Latency time.Duration
-	// LoopbackBps is the rate between co-located endpoints (default 4 GB/s).
-	LoopbackBps float64
-	// LoopbackLatency is the delay between co-located endpoints
-	// (default 25 µs).
-	LoopbackLatency time.Duration
 	// Faults is the seeded fault plan; the zero value injects none.
 	Faults FaultPlan
 }
@@ -76,12 +78,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Latency == 0 {
 		c.Latency = 100 * time.Microsecond
-	}
-	if c.LoopbackBps == 0 {
-		c.LoopbackBps = 4000 * MBps
-	}
-	if c.LoopbackLatency == 0 {
-		c.LoopbackLatency = 25 * time.Microsecond
 	}
 }
 
@@ -225,7 +221,7 @@ func (h *Host) Dial(_ context.Context, addr string) (transport.Conn, error) {
 	}
 	lat := n.cfg.Latency
 	if h.node == l.host.node {
-		lat = n.cfg.LoopbackLatency
+		lat = loopbackLatency
 	}
 	if err := n.clock.Sleep(2 * lat); err != nil { // SYN + SYN/ACK (or RST)
 		return nil, err

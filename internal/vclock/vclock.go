@@ -56,7 +56,10 @@ type Scheduler interface {
 // be called at most once; Wait blocks until Fire (or scheduler shutdown)
 // and returns the payload. Wait may be called at most once.
 type Event interface {
-	// Fire delivers v to the waiter. Calling Fire twice panics.
+	// Fire delivers v to the waiter. Calling Fire twice panics. Under
+	// Virtual, a Fire on an event the scheduler already resolved — its
+	// timer fired, or shutdown failed its waiter — is a no-op, so a
+	// service still unwinding may fire its own events.
 	Fire(v any)
 	// Wait blocks until Fire. Under Real, ctx cancellation aborts the
 	// wait; under Virtual ctx is ignored (the simulation is causal and
@@ -272,13 +275,17 @@ func (v *Virtual) maybeAdvanceLocked() {
 			}
 			return // else everything exited; Run is about to finish
 		}
+		if v.timers[0].ev.fired {
+			heap.Pop(&v.timers) // a Fire beat its timer: the clock stays
+			continue
+		}
 		next := v.timers[0].at
 		if next > v.horizon {
 			v.failLocked(fmt.Errorf("%w (at %v)", ErrHorizon, next))
 			return
 		}
 		v.now = max(v.now, next)
-		heap.Pop(&v.timers).(timerEntry).ev.fireLocked(nil, nil)
+		heap.Pop(&v.timers).(timerEntry).ev.deliverLocked(nil, nil)
 	}
 }
 
@@ -323,7 +330,8 @@ func (v *Virtual) snapshotLocked() string {
 // protected by the scheduler mutex so runnable accounting is exact.
 type virtEvent struct {
 	clock   *Virtual
-	fired   bool
+	fired   bool // resolved: by Fire, by its timer or by shutdown
+	owned   bool // Fire was called: a second call is a bug
 	waited  bool
 	payload any
 	err     error
@@ -334,17 +342,15 @@ type virtEvent struct {
 func (e *virtEvent) Fire(v any) {
 	e.clock.mu.Lock()
 	defer e.clock.mu.Unlock()
-	e.fireLocked(v, nil)
-}
-
-// fireLocked delivers the payload, waking the waiter if present.
-func (e *virtEvent) fireLocked(v any, err error) {
-	if e.fired {
+	if e.owned {
 		panic("vclock: Event fired twice")
 	}
-	e.deliverLocked(v, err)
+	e.owned = true
+	e.deliverLocked(v, nil)
 }
 
+// deliverLocked resolves the event, waking the waiter if present, unless
+// it is resolved already.
 func (e *virtEvent) deliverLocked(v any, err error) {
 	if e.fired {
 		return

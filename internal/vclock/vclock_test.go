@@ -239,6 +239,81 @@ func TestVirtualDoubleFirePanics(t *testing.T) {
 	})
 }
 
+// TestVirtualLateFireAfterShutdownIsNoop: the horizon fails a parked
+// waiter, and the goroutine that owns the event, itself unwinding, fires
+// it late. That Fire is a no-op, not a double-Fire panic, and Run reports
+// the horizon.
+func TestVirtualLateFireAfterShutdownIsNoop(t *testing.T) {
+	v := NewVirtual(time.Second)
+	waitErr := make(chan error, 1)
+	err := v.Run(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("late Fire panicked: %v", r)
+			}
+		}()
+		ev := v.NewEvent()
+		v.Go(func() {
+			_, err := ev.Wait(nil)
+			waitErr <- err
+		})
+		if err := v.Sleep(time.Hour); !errors.Is(err, ErrHorizon) {
+			t.Errorf("Sleep past the horizon: %v, want ErrHorizon", err)
+		}
+		ev.Fire(nil)
+	})
+	if !errors.Is(err, ErrHorizon) {
+		t.Fatalf("Run err = %v, want ErrHorizon", err)
+	}
+	if err := <-waitErr; !errors.Is(err, ErrHorizon) {
+		t.Fatalf("waiter got %v, want ErrHorizon", err)
+	}
+}
+
+// TestSleeperStopWakesAtOnce: Stop cuts a sleep short without moving the
+// virtual clock, the sleep's own timer is dropped when its instant comes,
+// and every later Sleep returns at once.
+func TestSleeperStopWakesAtOnce(t *testing.T) {
+	v := NewVirtual(0)
+	err := v.Run(func() {
+		s := NewSleeper(v)
+		done := v.NewEvent()
+		v.Go(func() { done.Fire(s.Sleep(time.Hour)) })
+		v.Sleep(time.Second) // the sleeper is parked
+		s.Stop()
+		if got, _ := done.Wait(nil); got != ErrStopped {
+			t.Errorf("stopped Sleep = %v, want ErrStopped", got)
+		}
+		if err := s.Sleep(time.Hour); err != ErrStopped {
+			t.Errorf("Sleep after Stop = %v, want ErrStopped", err)
+		}
+		if now := v.Now(); now != time.Second {
+			t.Errorf("Now = %v after Stop, want 1s", now)
+		}
+		v.Sleep(2 * time.Hour) // past the dropped timer: nothing fires twice
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewReal()
+	s := NewSleeper(r)
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		s.Stop()
+	}()
+	start := time.Now()
+	if err := s.Sleep(time.Hour); err != ErrStopped {
+		t.Fatalf("real stopped Sleep = %v, want ErrStopped", err)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("Stop took %v to wake a real sleep", took)
+	}
+	if err := NewSleeper(r).Sleep(time.Millisecond); err != nil {
+		t.Fatalf("real Sleep = %v", err)
+	}
+}
+
 func TestVirtualZeroSleepIsNoop(t *testing.T) {
 	v := NewVirtual(0)
 	err := v.Run(func() {

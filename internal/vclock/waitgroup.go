@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"context"
 	"sync"
 	"time"
 )
@@ -81,21 +80,56 @@ func (w *WaitGroup) Wait() error {
 	return err
 }
 
-// SleepCtx sleeps for d or until ctx is cancelled, whichever comes
-// first, returning nil after a full sleep and the cancellation or
-// shutdown error otherwise. Under a Virtual scheduler ctx is ignored —
-// exactly like Event.Wait — because cancellation from outside the
-// simulation would break causal determinism; virtual sleeps are free,
-// so loops simply check ctx.Err after waking. Under Real it makes
-// periodic loops (heartbeats, sweeps) promptly interruptible, so Close
-// never stalls for a full period.
-func SleepCtx(ctx context.Context, s Scheduler, d time.Duration) error {
-	if _, ok := s.(*Virtual); ok || ctx == nil {
-		return s.Sleep(d)
+// Sleeper is the sleep of a periodic loop — a heartbeat, a sweep — that
+// its owner's Close cuts short, so Close never waits out a period. Stop
+// fires the pending sleep's event from the goroutine that calls it,
+// through the scheduler: under Virtual it costs no virtual time and
+// stays causal, which a context cancelled from a runtime goroutine
+// would not.
+type Sleeper struct {
+	sched Scheduler
+
+	mu      sync.Mutex
+	stopped bool
+	wake    Event // the pending Sleep's, nil between sleeps
+}
+
+// NewSleeper returns a Sleeper that sleeps on sched.
+func NewSleeper(sched Scheduler) *Sleeper { return &Sleeper{sched: sched} }
+
+// Sleep pauses for d. It returns ErrStopped once Stop has been called,
+// and the scheduler's error if it shuts down first.
+func (s *Sleeper) Sleep(d time.Duration) error {
+	ev := s.sched.NewEvent()
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
+		return ErrStopped
 	}
-	ev := s.NewEvent()
-	t := time.AfterFunc(d, func() { ev.Fire(nil) })
-	defer t.Stop()
-	_, err := ev.Wait(ctx)
+	s.wake = ev
+	s.mu.Unlock()
+	if v, ok := s.sched.(*Virtual); ok {
+		v.FireAt(ev, d) // dropped unfired if Stop fires ev first
+	} else {
+		defer time.AfterFunc(d, func() { tryFire(ev, nil) }).Stop()
+	}
+	_, err := ev.Wait(nil)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.wake = nil
+	if err == nil && s.stopped {
+		err = ErrStopped
+	}
 	return err
+}
+
+// Stop wakes a pending Sleep and makes every later one return at once.
+func (s *Sleeper) Stop() {
+	s.mu.Lock()
+	s.stopped = true
+	ev := s.wake
+	s.mu.Unlock()
+	if ev != nil {
+		tryFire(ev, nil)
+	}
 }

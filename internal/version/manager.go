@@ -105,8 +105,8 @@ type Manager struct {
 	// deadWriterAborts counts the updates the sweeper aborted.
 	deadWriterAborts atomic.Uint64
 
-	cancel context.CancelFunc // stops the sweeper; nil without one
-	wg     *vclock.WaitGroup  // joins the sweeper on Close
+	sweep *vclock.Sleeper   // the sweeper's sleep; Close stops it
+	wg    *vclock.WaitGroup // joins the sweeper on Close
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -162,14 +162,10 @@ func ServeManagerDurable(ln transport.Listener, cfg ManagerConfig) (*Manager, er
 	}
 	m.mux = m.newMux()
 	m.srv = rpc.Serve(ln, cfg.Sched, m.mux)
+	m.sweep = vclock.NewSleeper(cfg.Sched)
 	m.wg = vclock.NewWaitGroup(cfg.Sched)
 	if cfg.DeadWriterTimeout > 0 {
-		// The manager is the sweeper's lifecycle root: Close cancels the
-		// context, which interrupts the sweep sleep, then joins.
-		//blobseer:ctx lifecycle root: Close cancels and joins the sweeper
-		ctx, cancel := context.WithCancel(context.Background())
-		m.cancel = cancel
-		m.wg.Go(func() { m.sweepLoop(ctx) })
+		m.wg.Go(m.sweepLoop)
 	}
 	if m.log != nil && cfg.CheckpointEvery > 0 {
 		m.ckpt = seglog.NewMaintainer(m.checkpointPass)
@@ -245,9 +241,7 @@ func (m *Manager) Close() {
 		}
 		fire(evs, wire.NewError(wire.CodeUnavailable, "version manager shutting down"))
 		m.srv.Close()
-		if m.cancel != nil {
-			m.cancel()
-		}
+		m.sweep.Stop()
 		_ = m.wg.Wait() // ErrStopped means the scheduler already unwound it
 		m.ckpt.Stop()
 		// Closing the log under ckptMu is the shutdown barrier: an
@@ -399,12 +393,9 @@ func fire(evs []vclock.Event, outcome error) {
 var errVersionAborted = wire.NewError(wire.CodeAborted, "version aborted")
 
 // sweepLoop aborts updates from writers that went silent.
-func (m *Manager) sweepLoop(ctx context.Context) {
+func (m *Manager) sweepLoop() {
 	for {
-		if err := vclock.SleepCtx(ctx, m.sched, m.cfg.DeadWriterTimeout/4); err != nil {
-			return
-		}
-		if m.closed.Load() || ctx.Err() != nil {
+		if err := m.sweep.Sleep(m.cfg.DeadWriterTimeout / 4); err != nil || m.closed.Load() {
 			return
 		}
 		cutoff := int64(m.sched.Now()) - int64(m.cfg.DeadWriterTimeout)

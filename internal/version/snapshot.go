@@ -3,6 +3,8 @@ package version
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"blobseer/internal/seglog"
@@ -117,32 +119,20 @@ func encodeBlobState(w *wire.Writer, b *blobState) {
 	w.Uint64(b.pendingSize)
 	w.Uint64(uint64(b.expireFloor))
 
-	sizes := sortedVersions(len(b.sizes), func(yield func(wire.Version)) {
-		for v := range b.sizes {
-			yield(v)
-		}
-	})
+	sizes := slices.Sorted(maps.Keys(b.sizes))
 	w.Uint32(uint32(len(sizes)))
 	for _, v := range sizes {
 		w.Uint64(uint64(v))
 		w.Uint64(b.sizes[v])
 	}
 
-	aborted := sortedVersions(len(b.aborted), func(yield func(wire.Version)) {
-		for v := range b.aborted {
-			yield(v)
-		}
-	})
+	aborted := slices.Sorted(maps.Keys(b.aborted))
 	w.Uint32(uint32(len(aborted)))
 	for _, v := range aborted {
 		w.Uint64(uint64(v))
 	}
 
-	inflight := sortedVersions(len(b.inflight), func(yield func(wire.Version)) {
-		for v := range b.inflight {
-			yield(v)
-		}
-	})
+	inflight := slices.Sorted(maps.Keys(b.inflight))
 	w.Uint32(uint32(len(inflight)))
 	for _, v := range inflight {
 		u := b.inflight[v]
@@ -160,15 +150,6 @@ func encodeBlobState(w *wire.Writer, b *blobState) {
 		}
 		w.Uint8(flags)
 	}
-}
-
-// sortedVersions collects map keys via the collect callback and returns
-// them ascending.
-func sortedVersions(n int, collect func(yield func(wire.Version))) []wire.Version {
-	out := make([]wire.Version, 0, n)
-	collect(func(v wire.Version) { out = append(out, v) })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // errSnapshotEncoding tags structurally invalid snapshot payloads.
