@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -15,6 +16,7 @@ import (
 
 	"blobseer/internal/client"
 	"blobseer/internal/rpc"
+	"blobseer/internal/seglog"
 	"blobseer/internal/simnet"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -40,7 +42,8 @@ const (
 // TestHistoryUnderFaults records what concurrent clients see of a
 // durable simulated cluster whose links delay and reset, one of whose
 // links is partitioned for a while and one of whose services is killed
-// and restarted, and checks the record against the version semantics
+// — its log left with a torn tail, as a crash mid-append leaves it — and
+// restarted, and checks the record against the version semantics
 // (§2.1):
 //
 //   - per blob, acknowledged writes hold distinct versions, and a write
@@ -54,7 +57,8 @@ const (
 // Clients also abandon updates: a bare ASSIGN that nothing completes,
 // for the version manager's sweeper to abort. A failed operation is no
 // violation, but a wedged blob is: once the run is quiet and a sweeper
-// window has passed, an unaligned append to each blob must go through
+// window has passed, every durable service restarts on what its log
+// recovered, and an unaligned append to each blob must then go through
 // within a few tries. The checker then settles every failed write: its
 // version is either readable — and then it must explain that version's
 // bytes — or aborted. A failing seed prints how to rerun it.
@@ -195,8 +199,24 @@ func (h *history) run(clock *vclock.Virtual, net *simnet.Net, dir string, seed u
 	}
 
 	// Quiet: every update whose writer gave up is swept, so each version
-	// up to the newest readable one is either readable or aborted.
+	// up to the newest readable one is either readable or aborted. Then
+	// every durable service comes back from its log, so what the probe
+	// and the settle read is what the logs recovered — the torn tail the
+	// chaos left included — not what a process remembered.
 	clock.Sleep(3 * histDeadWriter)
+	if err := restart(cl, roleVM, 0); err != nil {
+		return err
+	}
+	for i := range cl.MetaNodes {
+		if err := restart(cl, roleMeta, i); err != nil {
+			return err
+		}
+	}
+	for i := range cl.Providers {
+		if err := restart(cl, roleData, i); err != nil {
+			return err
+		}
+	}
 	chk, err := cl.NewClient("checker")
 	if err != nil {
 		return err
@@ -281,8 +301,8 @@ func (h *history) settle(clock *vclock.Virtual, c *client.Client, blob wire.Blob
 }
 
 // chaosMonkey partitions one client from one service node for a while
-// once a quarter of the operations are done, and kills and restarts one
-// service once half of them are.
+// once a quarter of the operations are done, and kills one service once
+// half of them are, tears the tail of its log and restarts it.
 func (h *history) chaosMonkey(clock *vclock.Virtual, net *simnet.Net, cl *Cluster, rng *rand.Rand, done *atomic.Int64) error {
 	logf := func(format string, args ...any) {
 		h.chaos = append(h.chaos, fmt.Sprintf("%v: ", clock.Now())+fmt.Sprintf(format, args...))
@@ -312,14 +332,62 @@ func (h *history) chaosMonkey(clock *vclock.Virtual, net *simnet.Net, cl *Cluste
 	if err := cl.Kill(role, i); err != nil {
 		return err
 	}
+	torn, err := tearTail(cl.cfg, role, i, rng)
+	if err != nil {
+		return err
+	}
+	logf("tore %s", torn)
 	clock.Sleep(histOutage)
-	// A restarted data provider registers again, which a fault can fail.
+	err = restart(cl, role, i)
+	logf("restarted: %v", err)
+	return err
+}
+
+// restart restarts a role's i-th service. A restarted data provider
+// registers again, which a fault can fail.
+func restart(cl *Cluster, role string, i int) error {
 	err := cl.Restart(role, i)
 	for try := 0; err != nil && try < 3; try++ {
 		err = cl.Restart(role, i)
 	}
-	logf("restarted: %v", err)
 	return err
+}
+
+// histRecMagic is each durable role's record magic, spelled out here, as
+// the seglog tests spell their layouts, so a torn frame is one its log
+// would have written.
+var histRecMagic = map[string]uint32{roleVM: 0x5EE5B10C, roleMeta: 0xD47A5EE5, roleData: 0xB10B5EE5}
+
+// tearTail leaves what a crash mid-append leaves in the log of a role's
+// killed i-th service: a seeded strict prefix of a well-formed record
+// frame behind the last record of its highest segment. It only appends,
+// so no acknowledged byte is lost. It returns what it did, for the fault
+// timeline.
+func tearTail(cfg Config, role string, i int, rng *rand.Rand) (string, error) {
+	base := cfg.VersionWALPath
+	switch role {
+	case roleMeta:
+		base = filepath.Join(cfg.MetaLogDir, fmt.Sprintf("meta-%d.log", i))
+	case roleData:
+		base = filepath.Join(cfg.PageDir, fmt.Sprintf("provider-%d.log", i))
+	}
+	ft := &seglog.Format{Name: role, RecMagic: histRecMagic[role]}
+	segs, err := ft.ListSegments(base)
+	if err != nil || len(segs) == 0 {
+		return "", fmt.Errorf("tearing %s %d: segments %v, %v", role, i, segs, err)
+	}
+	path := seglog.SegmentPath(base, segs[len(segs)-1])
+	frame := ft.Frame(payload(rng))
+	torn := frame[:1+rng.IntN(len(frame)-1)]
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(torn)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return fmt.Sprintf("%d of a %d-byte frame onto %s", len(torn), len(frame), filepath.Base(path)), err
 }
 
 // workload issues one client's operations: writes at offsets up to the

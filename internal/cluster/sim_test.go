@@ -30,10 +30,12 @@ package cluster
 // percent from run to run.
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -658,6 +660,73 @@ func readScenario(clock *vclock.Virtual, net *simnet.Net, cl *Cluster, blob wire
 	}, nil
 }
 
+// gcRow is one blob size's GC row.
+type gcRow struct {
+	pages int
+	stats client.GCStats
+	ms    float64 // virtual time CollectGarbage took
+}
+
+// gcCost is the GC row, the before of ROADMAP item 13: what one
+// CollectGarbage costs after a 1-page overwrite of an N-page blob, once
+// the version it overwrote is expired. The collector runs on a cold
+// client, so every tree node it walks is fetched. A 1-page overwrite
+// gives the new version its own log2(N)+1 nodes on the path to that
+// page; the expired version's nodes on the same path, and its one page
+// there, are all there is to reclaim — whatever the walk fetches beyond
+// them is the price of the whole-tree mark.
+func gcCost(w io.Writer, paper bool) ([]gcRow, error) {
+	sizes := []int{256, 1024}
+	if paper {
+		sizes = []int{256, 1024, 4096, 16384}
+	}
+	const providers = 4
+	var rows []gcRow
+	for _, n := range sizes {
+		row := gcRow{pages: n}
+		err := simRun(providers, Config{}, func(clock *vclock.Virtual, _ *simnet.Net, cl *Cluster) error {
+			ctx := context.Background()
+			wr, err := coldClient(cl, "writer", readOff)
+			if err != nil {
+				return err
+			}
+			blob, err := wr.Create(ctx, simPage)
+			if err != nil {
+				return err
+			}
+			old, err := wr.Append(ctx, blob, make([]byte, n*simPage))
+			if err != nil {
+				return err
+			}
+			v, err := wr.Write(ctx, blob, bytes.Repeat([]byte{1}, simPage), uint64(n/3*simPage))
+			if err == nil {
+				err = wr.Sync(ctx, blob, v)
+			}
+			if err != nil {
+				return err
+			}
+			if _, _, err := wr.ExpireVersions(ctx, blob, old); err != nil {
+				return err
+			}
+			gc, err := coldClient(cl, "collector", readOff)
+			if err != nil {
+				return err
+			}
+			start := clock.Now()
+			row.stats, err = gc.CollectGarbage(ctx, blob)
+			row.ms = float64(clock.Now()-start) / float64(time.Millisecond)
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%d pages: %w", n, err)
+		}
+		fmt.Fprintf(w, "gc %d pages, 1-page overwrite expired: walked %d nodes, deleted %d nodes and %d pages, retained %d nodes, %.3f ms\n",
+			n, row.stats.WalkedNodes, row.stats.DeletedNodes, row.stats.DeletedPages, row.stats.RetainedNodes, row.ms)
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
 // experiments lists every experiment at its pinned size, for
 // TestSimRowsRepeat.
 var experiments = []struct {
@@ -671,6 +740,7 @@ var experiments = []struct {
 	{"space", pinned(space)},
 	{"replication", pinned(replication)},
 	{"read", pinned(readPath)},
+	{"gc", pinned(gcCost)},
 }
 
 func pinned[T any](run func(io.Writer, bool) (T, error)) func(io.Writer) error {
@@ -866,6 +936,17 @@ func TestReadPathAblation(t *testing.T) {
 	}
 }
 
+// TestGCRow: one CollectGarbage after a 1-page overwrite reclaims
+// exactly the overwritten page and the expired version's log2(N)+1 nodes
+// on the path to it.
+func TestGCRow(t *testing.T) {
+	for _, r := range pinnedRows(t, "gc", gcCost) {
+		if want := bits.Len(uint(r.pages)); r.stats.DeletedPages != 1 || r.stats.DeletedNodes != want {
+			t.Errorf("%d pages: deleted %d pages and %d nodes, want 1 and %d", r.pages, r.stats.DeletedPages, r.stats.DeletedNodes, want)
+		}
+	}
+}
+
 // benchSim runs an experiment as a benchmark, at its pinned and its paper
 // size; report turns its result into metrics. The first iteration logs
 // the rows the experiment printed.
@@ -938,6 +1019,14 @@ func BenchmarkSimReadPath(b *testing.B) {
 			name := fmt.Sprintf("%dr-%s", c.readers, strings.NewReplacer(", ", "-", " ", "-").Replace(c.scenario))
 			b.ReportMetric(c.mbps, name+"-MB/s")
 			b.ReportMetric(c.p99ms, name+"-p99-ms")
+		}
+	})
+}
+
+func BenchmarkSimGC(b *testing.B) {
+	benchSim(b, gcCost, func(b *testing.B, rows []gcRow) {
+		for _, r := range rows {
+			b.ReportMetric(float64(r.stats.WalkedNodes), fmt.Sprintf("%dp-walked-nodes", r.pages))
 		}
 	})
 }

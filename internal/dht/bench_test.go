@@ -40,7 +40,7 @@ func BenchmarkDurableNodeMultiPut(b *testing.B) {
 			const n = 10
 			keys, values := make([][]byte, n), make([][]byte, n)
 			for j := range keys {
-				keys[j] = make([]byte, 33)
+				keys[j] = make([]byte, KeyLen)
 				values[j] = bytes.Repeat([]byte{byte(j)}, 17)
 			}
 			fresh := func(i int) {
@@ -84,7 +84,7 @@ func BenchmarkNodeMultiGet(b *testing.B) {
 	const n = 64
 	keys, values := make([][]byte, n), make([][]byte, n)
 	for j := range keys {
-		keys[j] = []byte(fmt.Sprintf("n%015d/%015d", 7, j))
+		keys[j] = nkey(fmt.Sprintf("n%015d/%015d", 7, j))
 		values[j] = bytes.Repeat([]byte{byte(j)}, 17)
 	}
 	run := func(b *testing.B, c *Client) {
@@ -126,7 +126,7 @@ func BenchmarkDurableNodeReopen(b *testing.B) {
 			keys, values := make([][]byte, batch), make([][]byte, batch)
 			for i := 0; i < total; i += batch {
 				for j := range keys {
-					keys[j] = []byte(fmt.Sprintf("n%015d/%015d", i, j))
+					keys[j] = nkey(fmt.Sprintf("n%015d/%015d", i, j))
 					values[j] = bytes.Repeat([]byte{byte(j)}, 17)
 				}
 				if err := c.MultiPut(ctx, keys, values); err != nil {

@@ -18,6 +18,15 @@ import (
 	"blobseer/internal/wire"
 )
 
+// nkey is the key a test calls name: its bytes, zero-padded to the
+// KeyLen every key a node stores has.
+func nkey(name string) []byte {
+	if len(name) > KeyLen {
+		panic(fmt.Sprintf("test key %q is longer than %d bytes", name, KeyLen))
+	}
+	return append([]byte(name), make([]byte, KeyLen-len(name))...)
+}
+
 // stored reads a node's pair count and summed value size off its series.
 func stored(n *Node) (keys, bytes uint64) {
 	return uint64(obs.Value(n, "store_keys")), uint64(obs.Value(n, "store_value_bytes"))
@@ -120,14 +129,14 @@ func TestRingSpreadsKeys(t *testing.T) {
 func TestPutGetSingleNode(t *testing.T) {
 	c, _ := newCluster(t, 1, 1)
 	ctx := context.Background()
-	if err := c.Put(ctx, []byte("k"), []byte("v")); err != nil {
+	if err := c.Put(ctx, nkey("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := c.Get(ctx, []byte("k"))
+	v, ok, err := c.Get(ctx, nkey("k"))
 	if err != nil || !ok || string(v) != "v" {
 		t.Fatalf("Get = %q, %v, %v", v, ok, err)
 	}
-	_, ok, err = c.Get(ctx, []byte("missing"))
+	_, ok, err = c.Get(ctx, nkey("missing"))
 	if err != nil || ok {
 		t.Fatalf("missing key: ok=%v err=%v", ok, err)
 	}
@@ -138,13 +147,13 @@ func TestPutGetManyNodes(t *testing.T) {
 	ctx := context.Background()
 	const n = 500
 	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("key-%d", i))
+		k := nkey(fmt.Sprintf("key-%d", i))
 		if err := c.Put(ctx, k, append([]byte("val-"), k...)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("key-%d", i))
+		k := nkey(fmt.Sprintf("key-%d", i))
 		v, ok, err := c.Get(ctx, k)
 		if err != nil || !ok || !bytes.Equal(v, append([]byte("val-"), k...)) {
 			t.Fatalf("key %d: %q %v %v", i, v, ok, err)
@@ -162,7 +171,7 @@ func TestPutGetManyNodes(t *testing.T) {
 func TestReplicationStoresCopies(t *testing.T) {
 	c, nodes := newCluster(t, 5, 3)
 	ctx := context.Background()
-	if err := c.Put(ctx, []byte("replicated"), []byte("value")); err != nil {
+	if err := c.Put(ctx, nkey("replicated"), []byte("value")); err != nil {
 		t.Fatal(err)
 	}
 	var copies, size uint64
@@ -178,7 +187,7 @@ func TestReplicationStoresCopies(t *testing.T) {
 func TestReplicationSurvivesPrimaryLoss(t *testing.T) {
 	c, nodes := newCluster(t, 4, 2)
 	ctx := context.Background()
-	key := []byte("precious")
+	key := nkey("precious")
 	if err := c.Put(ctx, key, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +211,7 @@ func TestMultiPutMultiGet(t *testing.T) {
 	keys := make([][]byte, n)
 	vals := make([][]byte, n)
 	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("mk-%d", i))
+		keys[i] = nkey(fmt.Sprintf("mk-%d", i))
 		vals[i] = []byte(fmt.Sprintf("mv-%d", i))
 	}
 	if err := c.MultiPut(ctx, keys, vals); err != nil {
@@ -218,7 +227,7 @@ func TestMultiPutMultiGet(t *testing.T) {
 		}
 	}
 	// Mixed present/missing batch.
-	got, found, err = c.MultiGet(ctx, [][]byte{keys[0], []byte("nope"), keys[1]})
+	got, found, err = c.MultiGet(ctx, [][]byte{keys[0], nkey("nope"), keys[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,30 +266,30 @@ func TestEmptyKeyRejected(t *testing.T) {
 func TestImmutableReput(t *testing.T) {
 	c, _ := newCluster(t, 1, 1)
 	ctx := context.Background()
-	if err := c.Put(ctx, []byte("k"), []byte("first")); err != nil {
+	if err := c.Put(ctx, nkey("k"), []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	// An identical re-put is an idempotent no-op (writers retry, replicas
 	// re-send)...
-	if err := c.Put(ctx, []byte("k"), []byte("first")); err != nil {
+	if err := c.Put(ctx, nkey("k"), []byte("first")); err != nil {
 		t.Fatalf("identical re-put rejected: %v", err)
 	}
 	// ...but a divergent re-put is a corruption signal, not a silent
 	// keep-first: node keys embed version+range, so two writers can only
 	// ever produce identical bytes for the same key.
-	err := c.Put(ctx, []byte("k"), []byte("second"))
+	err := c.Put(ctx, nkey("k"), []byte("second"))
 	if err == nil {
 		t.Fatal("divergent re-put accepted")
 	}
 	if wire.CodeOf(err) != wire.CodeBadRequest {
 		t.Fatalf("divergent re-put error = %v, want CodeBadRequest", err)
 	}
-	v, _, _ := c.Get(ctx, []byte("k"))
+	v, _, _ := c.Get(ctx, nkey("k"))
 	if string(v) != "first" {
 		t.Fatalf("divergent re-put overwrote immutable value: %q", v)
 	}
 	// The same contract holds inside a MultiPut batch.
-	err = c.MultiPut(ctx, [][]byte{[]byte("k")}, [][]byte{[]byte("third")})
+	err = c.MultiPut(ctx, [][]byte{nkey("k")}, [][]byte{[]byte("third")})
 	if err == nil || wire.CodeOf(err) != wire.CodeBadRequest {
 		t.Fatalf("divergent multi-put error = %v, want CodeBadRequest", err)
 	}
@@ -291,7 +300,7 @@ func TestDeleteRemovesPairsOnEveryReplica(t *testing.T) {
 	ctx := context.Background()
 	var keys [][]byte
 	for i := 0; i < 40; i++ {
-		k := []byte(fmt.Sprintf("k%d", i))
+		k := nkey(fmt.Sprintf("k%d", i))
 		keys = append(keys, k)
 		if err := c.Put(ctx, k, bytes.Repeat([]byte{byte(i)}, 25)); err != nil {
 			t.Fatal(err)
@@ -334,10 +343,8 @@ func TestQuickRoundTripAnyKeyValue(t *testing.T) {
 	c, _ := newCluster(t, 4, 2)
 	ctx := context.Background()
 	seen := make(map[string][]byte)
-	f := func(key, value []byte) bool {
-		if len(key) == 0 {
-			return true // empty keys are rejected by design
-		}
+	f := func(k [KeyLen]byte, value []byte) bool {
+		key := k[:]
 		if prev, dup := seen[string(key)]; dup && !bytes.Equal(prev, value) {
 			// Re-put with a different value is rejected by design
 			// (divergence is a corruption signal); the first value stays.
@@ -415,7 +422,7 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 	c, nodes, tally := countingCluster(t, nodesN, replicas)
 	ctx := context.Background()
 
-	survivor, value := []byte("kept by the second replica"), []byte("still here")
+	survivor, value := nkey("kept by the second replica"), []byte("still here")
 	if err := c.Put(ctx, survivor, value); err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +435,7 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 	}
 	keys := [][]byte{survivor}
 	for i := 0; i < absent; i++ {
-		keys = append(keys, []byte(fmt.Sprintf("never-written/%d", i)))
+		keys = append(keys, nkey(fmt.Sprintf("never-written/%d", i)))
 	}
 	tally()
 
@@ -463,7 +470,7 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 	// is still served.
 	var orphan []byte
 	for i := 0; orphan == nil; i++ {
-		if k := []byte(fmt.Sprintf("primary-down/%d", i)); c.ring.Primary(k) == nodes[0].Addr() {
+		if k := nkey(fmt.Sprintf("primary-down/%d", i)); c.ring.Primary(k) == nodes[0].Addr() {
 			orphan = k
 		}
 	}
@@ -499,7 +506,7 @@ func TestMultiGetKeysAliasTheirFrame(t *testing.T) {
 	})
 	ctx := context.Background()
 	const stored = 300
-	key := func(i int) []byte { return []byte(fmt.Sprintf("tree/%d/node/%d", i%7, i)) }
+	key := func(i int) []byte { return nkey(fmt.Sprintf("tree/%d/node/%d", i%7, i)) }
 	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 10+i%40) }
 	var keys, vals [][]byte
 	for i := 0; i < stored; i++ {
@@ -541,7 +548,7 @@ func TestMultiGetKeysAliasTheirFrame(t *testing.T) {
 			for round := 0; round < 60; round++ {
 				var ks, vs [][]byte
 				for k := 0; k <= round%8; k++ {
-					ks = append(ks, []byte(fmt.Sprintf("churn/%d/%d/%d", g, round, k)))
+					ks = append(ks, nkey(fmt.Sprintf("churn/%d/%d/%d", g, round, k)))
 					vs = append(vs, bytes.Repeat([]byte{byte(round)}, 100+round*80))
 				}
 				if err := c.MultiPut(ctx, ks, vs); err != nil {

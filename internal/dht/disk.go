@@ -40,16 +40,19 @@ import (
 // reopening, because the layout below seals segments with an fsync.
 
 // metaLayout is the metadata log's instantiation of the KV: its file
-// magics, uint32-length-prefixed keys, and an fsync of every segment
-// (and the directory) at seal and at Close even with Sync off.
+// magics, raw KeyLen-byte keys, and an fsync of every segment (and the
+// directory) at seal and at Close even with Sync off. Segment format 1
+// framed each key with a uint32 length; a log of that format refuses to
+// open rather than be misread.
 var metaLayout = &seglog.KVLayout{
 	Format: seglog.Format{
 		Name:      "dht",
 		RecMagic:  0xD47A5EE5,
 		SegMagic:  0xD47A5E60,
-		SegFormat: 1,
+		SegFormat: 2,
 		SnapMagic: 0xD47A55A9,
 	},
+	KeyLen:   KeyLen,
 	SealSync: true,
 }
 

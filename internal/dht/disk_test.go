@@ -3,9 +3,11 @@ package dht
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"blobseer/internal/obs"
@@ -16,16 +18,16 @@ import (
 )
 
 // The log behind a durable node is proven in internal/seglog, against
-// this layout's key framing; the tests here pin the instantiation and
-// what is the node's own: reload on restart, dedupe before logging,
-// batched deletes.
+// this layout; the tests here pin the instantiation and what is the
+// node's own: reload on restart, dedupe before logging, batched deletes.
 
-// TestMetaLayoutPinned: the magics are the on-disk format, and the seal
-// fsyncs are the durability contract documented in disk.go — neither
-// may change by accident.
+// TestMetaLayoutPinned: the magics, the format number and the key size
+// are the on-disk format, and the seal fsyncs are the durability
+// contract documented in disk.go — none may change by accident.
 func TestMetaLayoutPinned(t *testing.T) {
 	want := seglog.KVLayout{
-		Format:   seglog.Format{Name: "dht", RecMagic: 0xD47A5EE5, SegMagic: 0xD47A5E60, SegFormat: 1, SnapMagic: 0xD47A55A9},
+		Format:   seglog.Format{Name: "dht", RecMagic: 0xD47A5EE5, SegMagic: 0xD47A5E60, SegFormat: 2, SnapMagic: 0xD47A55A9},
+		KeyLen:   33,
 		SealSync: true,
 	}
 	if *metaLayout != want {
@@ -105,7 +107,7 @@ func TestDurableNodeSurvivesRestart(t *testing.T) {
 	c := r.client()
 	var keys, values [][]byte
 	for i := 0; i < 50; i++ {
-		keys = append(keys, []byte(fmt.Sprintf("node/%d", i)))
+		keys = append(keys, nkey(fmt.Sprintf("node/%d", i)))
 		values = append(values, bytes.Repeat([]byte{byte(i)}, i+1))
 	}
 	if err := c.MultiPut(ctx, keys, values); err != nil {
@@ -129,10 +131,10 @@ func TestDurableNodeSurvivesRestart(t *testing.T) {
 		}
 	}
 	// The restarted node keeps accepting new pairs.
-	if err := c.Put(ctx, []byte("after"), []byte("restart")); err != nil {
+	if err := c.Put(ctx, nkey("after"), []byte("restart")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := c.Get(ctx, []byte("after"))
+	v, ok, err := c.Get(ctx, nkey("after"))
 	if err != nil || !ok || string(v) != "restart" {
 		t.Fatalf("post-restart put/get: %q %v %v", v, ok, err)
 	}
@@ -144,7 +146,7 @@ func TestDurableNodeDeleteSurvivesRestart(t *testing.T) {
 	c := r.client()
 	var keys, values [][]byte
 	for i := 0; i < 20; i++ {
-		keys = append(keys, []byte(fmt.Sprintf("node/%d", i)))
+		keys = append(keys, nkey(fmt.Sprintf("node/%d", i)))
 		values = append(values, bytes.Repeat([]byte{byte(i)}, 64))
 	}
 	if err := c.MultiPut(ctx, keys, values); err != nil {
@@ -190,7 +192,7 @@ func TestDurableNodeSnapshotBoundsReplay(t *testing.T) {
 	ctx := context.Background()
 	c := r.client()
 	for i := 0; i < 40; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("node/%d", i)), bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
+		if err := c.Put(ctx, nkey(fmt.Sprintf("node/%d", i)), bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +201,7 @@ func TestDurableNodeSnapshotBoundsReplay(t *testing.T) {
 	}
 	// A few tail records after the snapshot.
 	for i := 40; i < 44; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("node/%d", i)), bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
+		if err := c.Put(ctx, nkey(fmt.Sprintf("node/%d", i)), bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +211,7 @@ func TestDurableNodeSnapshotBoundsReplay(t *testing.T) {
 	}
 	c = r.client()
 	for i := 0; i < 44; i++ {
-		v, ok, err := c.Get(ctx, []byte(fmt.Sprintf("node/%d", i)))
+		v, ok, err := c.Get(ctx, nkey(fmt.Sprintf("node/%d", i)))
 		if err != nil || !ok || !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, 32)) {
 			t.Fatalf("key %d after snapshot+tail reopen: ok=%v err=%v", i, ok, err)
 		}
@@ -222,7 +224,7 @@ func TestDurableNodeCompactionShrinksLog(t *testing.T) {
 	c := r.client()
 	var keys [][]byte
 	for i := 0; i < 60; i++ {
-		keys = append(keys, []byte(fmt.Sprintf("node/%d", i)))
+		keys = append(keys, nkey(fmt.Sprintf("node/%d", i)))
 		if err := c.Put(ctx, keys[i], bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
 			t.Fatal(err)
 		}
@@ -271,8 +273,8 @@ func TestDurableNodeTornTail(t *testing.T) {
 	r := newDurableNodeRig(t)
 	ctx := context.Background()
 	c := r.client()
-	c.Put(ctx, []byte("alpha"), []byte("1"))
-	c.Put(ctx, []byte("beta"), []byte("2"))
+	c.Put(ctx, nkey("alpha"), []byte("1"))
+	c.Put(ctx, nkey("beta"), []byte("2"))
 	r.node.Close()
 
 	seg := seglog.SegmentPath(r.path, 1)
@@ -285,10 +287,10 @@ func TestDurableNodeTornTail(t *testing.T) {
 	}
 	r.start()
 	c = r.client()
-	if _, ok, _ := c.Get(ctx, []byte("alpha")); !ok {
+	if _, ok, _ := c.Get(ctx, nkey("alpha")); !ok {
 		t.Fatal("first record lost after torn-tail recovery")
 	}
-	if _, ok, _ := c.Get(ctx, []byte("beta")); ok {
+	if _, ok, _ := c.Get(ctx, nkey("beta")); ok {
 		t.Fatal("torn record resurfaced")
 	}
 }
@@ -300,7 +302,7 @@ func TestDurableNodeRepeatedRestartsNoGrowth(t *testing.T) {
 	ctx := context.Background()
 	c := r.client()
 	for i := 0; i < 10; i++ {
-		c.Put(ctx, []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{1}, 100))
+		c.Put(ctx, nkey(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{1}, 100))
 	}
 	size0 := obs.Value(r.node, "store_log_bytes")
 	for round := 0; round < 3; round++ {
@@ -308,7 +310,7 @@ func TestDurableNodeRepeatedRestartsNoGrowth(t *testing.T) {
 		c = r.client()
 		// Re-put the same pairs: immutable dedup must keep the log fixed.
 		for i := 0; i < 10; i++ {
-			c.Put(ctx, []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{1}, 100))
+			c.Put(ctx, nkey(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{1}, 100))
 		}
 	}
 	if size := obs.Value(r.node, "store_log_bytes"); size != size0 {
@@ -327,7 +329,7 @@ func TestDurableNodeBatchDeleteSharesOneCommit(t *testing.T) {
 	c := r.client()
 	var keys [][]byte
 	for i := 0; i < 8; i++ {
-		keys = append(keys, []byte(fmt.Sprintf("node/%d", i)))
+		keys = append(keys, nkey(fmt.Sprintf("node/%d", i)))
 		if err := c.Put(ctx, keys[i], bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
 			t.Fatal(err)
 		}
@@ -343,5 +345,47 @@ func TestDurableNodeBatchDeleteSharesOneCommit(t *testing.T) {
 	r.restart()
 	if k, _ := stored(r.node); k != 0 {
 		t.Fatalf("%d keys survived the batch delete across a restart", k)
+	}
+}
+
+// TestMetaLogRefusesFormat1: segment format 1 framed every key with a
+// length. A log in that format fails to open, by name, rather than have
+// its records read as raw KeyLen-byte keys; the same log with its
+// format number restored opens.
+func TestMetaLogRefusesFormat1(t *testing.T) {
+	r := newDurableNodeRig(t)
+	ctx := context.Background()
+	k, v := nkey("written before the format check"), []byte("v")
+	if err := r.client().Put(ctx, k, v); err != nil {
+		t.Fatal(err)
+	}
+	r.node.Close()
+	setFormat := func(format uint32) {
+		t.Helper()
+		f, err := os.OpenFile(seglog.SegmentPath(r.path, 1), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(binary.LittleEndian.AppendUint32(nil, format), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setFormat(1)
+	ln, err := r.net.Listen("format-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ServeDurableNode(ln, r.sched, r.path, r.opts); err == nil || !strings.Contains(err.Error(), "unknown segment format 1") {
+		if n != nil {
+			n.Close()
+		}
+		t.Fatalf("opening a format-1 metadata log = %v, want an unknown segment format error", err)
+	}
+	ln.Close()
+	setFormat(metaLayout.SegFormat)
+	r.start()
+	if got, ok, err := r.client().Get(ctx, k); err != nil || !ok || !bytes.Equal(got, v) {
+		t.Fatalf("the pair after the format was restored: %q %v %v", got, ok, err)
 	}
 }

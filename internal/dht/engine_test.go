@@ -86,12 +86,12 @@ func TestDeleteRepeatedKeyCountsOnce(t *testing.T) {
 	mem, memNodes := newCluster(t, 1, 1)
 	node := map[string]*Node{"memory": memNodes[0], "durable": durable.node}
 	for name, c := range map[string]*Client{"memory": mem, "durable": durable.client()} {
-		k, other := []byte("named twice"), []byte("named once")
+		k, other := nkey("named twice"), nkey("named once")
 		if err := c.MultiPut(ctx, [][]byte{k, other}, [][]byte{[]byte("v"), []byte("w")}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		before := stats(durable.node.log).Appends
-		removed, err := c.Delete(ctx, [][]byte{k, []byte("never stored"), k, other, k})
+		removed, err := c.Delete(ctx, [][]byte{k, nkey("never stored"), k, other, k})
 		if err != nil || removed != 2 {
 			t.Fatalf("%s: delete naming a key three times removed %d pairs (%v), want 2", name, removed, err)
 		}
@@ -104,7 +104,7 @@ func TestDeleteRepeatedKeyCountsOnce(t *testing.T) {
 	}
 
 	c := durable.client()
-	k, v := []byte("swept twice"), []byte("still logged")
+	k, v := nkey("swept twice"), []byte("still logged")
 	if err := c.Put(ctx, k, v); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDeleteRepeatedKeyCountsOnce(t *testing.T) {
 func TestDivergentReputOfLoggedPairSameLength(t *testing.T) {
 	r := newDurableNodeRigOpts(t, LogOptions{})
 	ctx := context.Background()
-	k, v := []byte("k"), []byte("first value")
+	k, v := nkey("k"), []byte("first value")
 	if err := r.client().Put(ctx, k, v); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestGetRacesCompaction(t *testing.T) {
 	ctx := context.Background()
 	c := r.client()
 	const total = 400
-	key := func(i int) []byte { return []byte(fmt.Sprintf("tree/%d/node/%d", i%5, i)) }
+	key := func(i int) []byte { return nkey(fmt.Sprintf("tree/%d/node/%d", i%5, i)) }
 	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8), 0x5A}, 8+i%32) }
 	var keys, vals [][]byte
 	for i := 0; i < total; i++ {
@@ -272,8 +272,8 @@ type ledgerEngine struct {
 }
 
 var (
-	brokenKey   = []byte("ledger: broken")   // getBatch fails with an error of the engine's own
-	oversizeKey = []byte("ledger: oversize") // found, with a value no frame can carry
+	brokenKey   = nkey("ledger: broken")   // getBatch fails with an error of the engine's own
+	oversizeKey = nkey("ledger: oversize") // found, with a value no frame can carry
 )
 
 func (e *ledgerEngine) getBatch(keys [][]byte, found []bool, values [][]byte) ([]byte, error) {
@@ -377,7 +377,7 @@ func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 				net.Close()
 			})
 			ctx := context.Background()
-			a, b, missing := []byte("a"), []byte("b"), []byte("missing")
+			a, b, missing := nkey("a"), nkey("b"), nkey("missing")
 			put := &wire.DHTMultiPutReq{Keys: [][]byte{a, b}, Values: [][]byte{[]byte("0123456789"), []byte("abcdef")}}
 			if _, err := cl.Call(ctx, "meta", put); err != nil {
 				t.Fatal(err)
@@ -424,6 +424,52 @@ func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 				t.Fatal("a value no frame can carry was served")
 			}
 			eng.settled(t, "MULTI_GET response failed to encode", 1)
+		})
+	}
+}
+
+// TestNodeRefusesKeysOfAnyOtherSize: every key a node stores is a tree
+// node's KeyLen-byte name, and a request naming any other size is
+// refused whole, on either engine, before the engine sees it — a put
+// stores none of its pairs, a delete removes none, a lookup answers
+// nothing.
+func TestNodeRefusesKeysOfAnyOtherSize(t *testing.T) {
+	ctx := context.Background()
+	mem, memNodes := newCluster(t, 1, 1)
+	durable := newDurableNodeRig(t)
+	for _, e := range []struct {
+		name string
+		c    *Client
+		node *Node
+	}{{"Mem", mem, memNodes[0]}, {"Disk", durable.client(), durable.node}} {
+		t.Run(e.name, func(t *testing.T) {
+			stored0, v := nkey("stored"), []byte("v")
+			if err := e.c.Put(ctx, stored0, v); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{KeyLen - 1, KeyLen + 1} {
+				bad, good := bytes.Repeat([]byte{'k'}, n), nkey(fmt.Sprintf("good beside %d", n))
+				refused := func(op string, err error) {
+					t.Helper()
+					if wire.CodeOf(err) != wire.CodeBadRequest {
+						t.Fatalf("%s naming a %d-byte key = %v, want CodeBadRequest", op, n, err)
+					}
+					if keys, _ := stored(e.node); keys != 1 {
+						t.Fatalf("%s naming a %d-byte key left %d keys stored, want 1", op, n, keys)
+					}
+				}
+				refused("MULTI_PUT", e.c.MultiPut(ctx, [][]byte{good, bad}, [][]byte{v, v}))
+				_, _, err := e.c.MultiGet(ctx, [][]byte{stored0, bad})
+				refused("MULTI_GET", err)
+				_, err = e.c.Delete(ctx, [][]byte{stored0, bad})
+				refused("DELETE", err)
+				if _, ok, err := e.c.Get(ctx, good); err != nil || ok {
+					t.Fatalf("the good key of a refused MULTI_PUT: found %v, %v", ok, err)
+				}
+				if got, ok, err := e.c.Get(ctx, stored0); err != nil || !ok || !bytes.Equal(got, v) {
+					t.Fatalf("the good key of a refused DELETE: %q %v %v", got, ok, err)
+				}
+			}
 		})
 	}
 }

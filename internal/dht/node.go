@@ -22,7 +22,13 @@ type Node struct {
 	log *seglog.KV
 }
 
-// engine stores a node's pairs. Keys are non-empty and values are
+// KeyLen is the size of every key a node stores: a tree node's name,
+// as internal/meta builds it — a prefix byte, then the owning blob, the
+// version, the offset and the span, a uint64 each. A node refuses any
+// other size, whichever engine it runs on.
+const KeyLen = 1 + 8 + 8 + 8 + 8
+
+// engine stores a node's pairs. Keys are KeyLen bytes and values are
 // immutable: a re-put of the stored value is an idempotent no-op, but a
 // re-put with a *different* value is rejected — node keys embed
 // version+range, so two writers can only ever produce identical bytes
@@ -113,16 +119,19 @@ func (n *Node) put(keys, values [][]byte) error {
 		return wire.NewError(wire.CodeBadRequest,
 			"key/value count mismatch: %d vs %d", len(keys), len(values))
 	}
-	if err := nonEmpty(keys); err != nil {
+	if err := checkKeys(keys); err != nil {
 		return err
 	}
 	return n.eng.putBatch(keys, values)
 }
 
-func nonEmpty(keys [][]byte) error {
-	for i := range keys {
-		if len(keys[i]) == 0 {
-			return wire.NewError(wire.CodeBadRequest, "empty key at index %d", i)
+// checkKeys refuses a request that names a key of any size but KeyLen,
+// before the engine sees any of it: a malformed request stores, finds
+// and deletes nothing.
+func checkKeys(keys [][]byte) error {
+	for i, key := range keys {
+		if len(key) != KeyLen {
+			return wire.NewError(wire.CodeBadRequest, "key %d is %d bytes, want %d", i, len(key), KeyLen)
 		}
 	}
 	return nil
@@ -157,6 +166,9 @@ func (n *Node) mux() *rpc.Mux {
 	})
 	m.Register(wire.KindDHTMultiGetReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTMultiGetReq)
+		if err := checkKeys(req.Keys); err != nil {
+			return nil, err
+		}
 		resp := &lentValues{eng: n.eng}
 		resp.Found = make([]bool, len(req.Keys))
 		resp.Values = make([][]byte, len(req.Keys))
@@ -168,7 +180,7 @@ func (n *Node) mux() *rpc.Mux {
 	})
 	m.Register(wire.KindDHTDeleteReq, func(_ context.Context, msg wire.Msg) (wire.Msg, error) {
 		req := msg.(*wire.DHTDeleteReq)
-		if err := nonEmpty(req.Keys); err != nil {
+		if err := checkKeys(req.Keys); err != nil {
 			return nil, err
 		}
 		deleted, err := n.eng.deleteBatch(req.Keys)

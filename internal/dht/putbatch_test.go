@@ -14,7 +14,7 @@ import (
 // pairs builds n distinct keys with distinct 64-byte values.
 func pairs(prefix string, n int) (keys, values [][]byte) {
 	for i := 0; i < n; i++ {
-		keys = append(keys, []byte(fmt.Sprintf("%s/%d", prefix, i)))
+		keys = append(keys, nkey(fmt.Sprintf("%s/%d", prefix, i)))
 		values = append(values, bytes.Repeat([]byte{byte(i + 1)}, 64))
 	}
 	return keys, values
@@ -66,7 +66,7 @@ func TestDurableNodeGetOverlapsParkedPutCommit(t *testing.T) {
 	r := newDurableNodeRigOpts(t, LogOptions{Sync: true})
 	ctx := context.Background()
 	c := r.client()
-	keys := [][]byte{[]byte("older pair"), []byte("newer pair")}
+	keys := [][]byte{nkey("older pair"), nkey("newer pair")}
 	if err := c.Put(ctx, keys[0], []byte("old")); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestReputAgainstInFlightPut(t *testing.T) {
 	r := newDurableNodeRigOpts(t, LogOptions{})
 	ctx := context.Background()
 	c := r.client()
-	key, value := []byte("contested"), []byte("the one value")
+	key, value := nkey("contested"), []byte("the one value")
 	before := stats(r.node.log)
 
 	entered, release := r.node.log.GateNextCommit()
@@ -199,7 +199,7 @@ func TestDivergentPutBehindFailedCommit(t *testing.T) {
 	r := newDurableNodeRigOpts(t, LogOptions{})
 	ctx := context.Background()
 	c := r.client()
-	key, value := []byte("contested"), []byte("the value that is logged")
+	key, value := nkey("contested"), []byte("the value that is logged")
 
 	entered, release := r.node.log.GateNextCommit()
 	first := make(chan error, 1)
@@ -235,7 +235,7 @@ func TestConcurrentReputsOneWinner(t *testing.T) {
 	mem, _ := newCluster(t, 1, 1)
 	for name, c := range map[string]*Client{"memory": mem, "durable": durable.client()} {
 		for round := 0; round < 20; round++ {
-			key := []byte(fmt.Sprintf("race/%d", round))
+			key := nkey(fmt.Sprintf("race/%d", round))
 			vals := [2][]byte{[]byte("value A"), []byte("value B, longer")}
 			var wg sync.WaitGroup
 			var errs [16]error
@@ -246,7 +246,7 @@ func TestConcurrentReputsOneWinner(t *testing.T) {
 					if g%4 < 2 {
 						errs[g] = c.Put(ctx, key, vals[g%2])
 					} else {
-						errs[g] = c.MultiPut(ctx, [][]byte{[]byte("bystander"), key}, [][]byte{[]byte("x"), vals[g%2]})
+						errs[g] = c.MultiPut(ctx, [][]byte{nkey("bystander"), key}, [][]byte{[]byte("x"), vals[g%2]})
 					}
 				}(g)
 			}
@@ -282,13 +282,13 @@ func TestKeyRepeatedInsideOneRequest(t *testing.T) {
 	durable := newDurableNodeRigOpts(t, LogOptions{Sync: true})
 	mem, _ := newCluster(t, 1, 1)
 	for name, c := range map[string]*Client{"memory": mem, "durable": durable.client()} {
-		k, v := []byte("twice"), []byte("same bytes")
+		k, v := nkey("twice"), []byte("same bytes")
 		if err := c.MultiPut(ctx, [][]byte{k, k}, [][]byte{v, v}); err != nil {
 			t.Fatalf("%s: identical repeat: %v", name, err)
 		}
 		wantStored(t, c, [][]byte{k}, [][]byte{v})
 
-		k2 := []byte("twice, differently")
+		k2 := nkey("twice, differently")
 		err := c.MultiPut(ctx, [][]byte{k2, k2}, [][]byte{v, []byte("other bytes")})
 		if wire.CodeOf(err) != wire.CodeBadRequest {
 			t.Fatalf("%s: divergent repeat = %v, want CodeBadRequest", name, err)
@@ -311,7 +311,7 @@ func TestKeyRepeatedInsideOneRequest(t *testing.T) {
 func TestMultiPutValidatesBeforeStoring(t *testing.T) {
 	c, nodes := newCluster(t, 1, 1)
 	err := c.MultiPut(context.Background(),
-		[][]byte{[]byte("fine"), nil}, [][]byte{[]byte("v"), []byte("w")})
+		[][]byte{nkey("fine"), nil}, [][]byte{[]byte("v"), []byte("w")})
 	if wire.CodeOf(err) != wire.CodeBadRequest {
 		t.Fatalf("empty key inside a batch = %v, want CodeBadRequest", err)
 	}

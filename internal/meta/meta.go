@@ -24,12 +24,10 @@ import (
 // nodeKeyPrefix distinguishes tree-node keys from any other DHT use.
 const nodeKeyPrefix = 'n'
 
-// nodeKeyLen is the size of every node key: the prefix and four uint64s.
-const nodeKeyLen = 1 + 8 + 8 + 8 + 8
-
-// NodeKey builds the DHT key for a node owned by the given blob.
+// NodeKey builds the DHT key for a node owned by the given blob: the
+// prefix and four uint64s, dht.KeyLen bytes.
 func NodeKey(owner wire.BlobID, id core.NodeID) []byte {
-	return AppendNodeKey(make([]byte, 0, nodeKeyLen), owner, id)
+	return AppendNodeKey(make([]byte, 0, dht.KeyLen), owner, id)
 }
 
 // AppendNodeKey appends the node's DHT key to buf in place and returns
@@ -111,7 +109,7 @@ func (s *Store) TryGetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node
 			}
 		}
 		if keys == nil {
-			slab = make([]byte, 0, (len(ids)-i)*nodeKeyLen)
+			slab = make([]byte, 0, (len(ids)-i)*dht.KeyLen)
 			keys = make([][]byte, 0, len(ids)-i)
 		}
 		var key []byte
@@ -153,7 +151,7 @@ func (s *Store) PutNodes(ctx context.Context, ids []core.NodeID, nodes []core.No
 		return fmt.Errorf("meta: %d ids but %d nodes", len(ids), len(nodes))
 	}
 	// One slab holds every key and every encoded node of the update.
-	size := len(ids) * nodeKeyLen
+	size := len(ids) * dht.KeyLen
 	for i := range nodes {
 		size += nodes[i].EncodedLen()
 	}

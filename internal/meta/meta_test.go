@@ -66,6 +66,12 @@ func TestNodeKeyDeterministicAndDistinct(t *testing.T) {
 			t.Fatalf("variant %d collides", i)
 		}
 	}
+	// A metadata node stores keys of exactly this size and refuses others.
+	for _, k := range append(variants, a, NodeKey(^wire.BlobID(0), core.NodeID{Version: ^uint64(0), Offset: ^uint64(0), Span: ^uint64(0)})) {
+		if len(k) != dht.KeyLen {
+			t.Fatalf("node key of %d bytes, the DHT stores %d", len(k), dht.KeyLen)
+		}
+	}
 }
 
 func TestStoreRoundTrip(t *testing.T) {

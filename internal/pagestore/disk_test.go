@@ -15,8 +15,8 @@ import (
 )
 
 // The store behind Disk is proven in internal/seglog, against this
-// layout's key framing; what is left to pin here is the instantiation
-// itself and the wiring through the adaptor.
+// layout; what is left to pin here is the instantiation itself and the
+// wiring through the adaptor.
 
 // TestPageLayoutPinned: the magics are the on-disk format, and the
 // absence of seal fsyncs is a measured-performance decision — neither

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -21,10 +22,10 @@ var benchValue = func() []byte {
 }()
 
 // BenchmarkKVPut appends 64 KiB values under fresh keys, unsynced (the
-// benchmark's flush policy), from 1 and from 8 appenders. The fixed-key
-// framing is the page store's.
+// benchmark's flush policy), from 1 and from 8 appenders, in the page
+// store's layout.
 func BenchmarkKVPut(b *testing.B) {
-	ly := kvFramings[0].ly
+	ly := kvLayouts[0].ly
 	for _, appenders := range []int{1, 8} {
 		b.Run(fmt.Sprintf("%dappenders", appenders), func(b *testing.B) {
 			s, err := OpenKV(filepath.Join(b.TempDir(), "kv.log"), ly, KVOptions{})
@@ -57,7 +58,7 @@ func BenchmarkKVPut(b *testing.B) {
 // Get into memory of its own each time, GetAppend into one buffer the
 // caller keeps.
 func BenchmarkKVGet(b *testing.B) {
-	ly := kvFramings[0].ly
+	ly := kvLayouts[0].ly
 	s, err := OpenKV(filepath.Join(b.TempDir(), "kv.log"), ly, KVOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -94,15 +95,15 @@ func BenchmarkKVGet(b *testing.B) {
 var benchNode = benchValue[:75]
 
 // benchShapes are the two record shapes in production: 64 KiB pages
-// under fixed keys, 75-byte tree nodes under length-prefixed ones.
+// under 16-byte keys, 75-byte tree nodes under 33-byte ones.
 var benchShapes = []struct {
 	name    string
 	ly      *KVLayout
 	value   []byte
 	records int
 }{
-	{"fixed16/64KiB", kvFramings[0].ly, benchValue, 128},
-	{"varkey/75B", kvFramings[1].ly, benchNode, 16384},
+	{"page16/64KiB", kvLayouts[0].ly, benchValue, 128},
+	{"node33/75B", kvLayouts[1].ly, benchNode, 16384},
 }
 
 // BenchmarkKVCompact rewrites one sealed segment of which every other
@@ -113,7 +114,7 @@ func BenchmarkKVCompact(b *testing.B) {
 	for _, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(sh.records/2) * sh.ly.framedSize(len(tkey(sh.ly, 0)), uint32(len(sh.value))))
+			b.SetBytes(int64(sh.records/2) * sh.ly.framedSize(uint32(len(sh.value))))
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				dir := b.TempDir()
@@ -185,7 +186,7 @@ func BenchmarkKVReopenRescan(b *testing.B) {
 }
 
 // BenchmarkKVSnapshot is one Snapshot of a store of 10^5 keys, 75-byte
-// values under either key framing, after 4 096 records were logged since
+// values under either layout, after 4 096 records were logged since
 // the last one: 2 048 puts of fresh keys and 2 048 deletes of the
 // oldest, outside the timer. The timed part is the seal, the fold — the
 // previous snapshot read back and decoded, the newly sealed segment read
@@ -195,9 +196,9 @@ func BenchmarkKVReopenRescan(b *testing.B) {
 // snapshot and two collections, over the keys held.
 func BenchmarkKVSnapshot(b *testing.B) {
 	const keys, logged, batch = 100_000, 4096, 1000
-	for _, fr := range kvFramings {
-		b.Run(fr.name, func(b *testing.B) {
-			s, err := OpenKV(filepath.Join(b.TempDir(), "kv.log"), fr.ly, KVOptions{})
+	for _, sh := range benchShapes {
+		b.Run(strings.Split(sh.name, "/")[0], func(b *testing.B) {
+			s, err := OpenKV(filepath.Join(b.TempDir(), "kv.log"), sh.ly, KVOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -216,7 +217,7 @@ func BenchmarkKVSnapshot(b *testing.B) {
 				for j := range doomed {
 					doomed[j] = next - keys + j
 				}
-				if _, err := s.DeleteBatch(bkeys(fr.ly, doomed...)); err != nil {
+				if _, err := s.DeleteBatch(bkeys(sh.ly, doomed...)); err != nil {
 					b.Fatal(err)
 				}
 				read += foldInput(b, s)

@@ -271,7 +271,7 @@ func TestScanPayloadIsOnlyValidDuringVisit(t *testing.T) {
 	defer f.Close()
 	var win []byte
 	var kept, copied [][]byte
-	if _, err := testFmt.scanFrames(&win, f, path, false, -1, func(p []byte, _ int64, _ uint32) error {
+	if _, _, err := testFmt.scanFrames(&win, f, path, false, -1, func(p []byte, _ int64, _ uint32) error {
 		kept = append(kept, p)
 		copied = append(copied, append([]byte(nil), p...))
 		return nil
@@ -346,5 +346,83 @@ func TestScanCrossesWindows(t *testing.T) {
 	last := len(sizes) - 1
 	if end := scan(true, last); end != offs[last]-FrameHeaderSize {
 		t.Fatalf("torn scan ended at %d, want %d", end, offs[last]-FrameHeaderSize)
+	}
+}
+
+// TestSkimDecidesBySize walks records on either side of skimMin with a
+// prefix wanted: a frame no longer than skimMin reaches the visitor
+// whole and CRC-checked, so rot anywhere in it fails the walk; a longer
+// one contributes its prefix alone, so rot behind the prefix goes
+// unseen. The walk reports that it skimmed exactly when some frame was
+// longer than skimMin.
+func TestSkimDecidesBySize(t *testing.T) {
+	const prefix = 8
+	edge := skimMin - FrameHeaderSize // the largest payload read whole
+	for _, c := range []struct {
+		name  string
+		sizes []int
+	}{
+		{"short", []int{0, 5, 700, edge, 9}},
+		{"long", []int{edge + 1, 64 << 10, 4096}},
+		{"mixed", []int{3, 4096, 700, edge + 1, 64 << 10, edge, 10}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "log.000001")
+			w, err := testFmt.NewSegmentWriter(path, 1)
+			must(t, err)
+			payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, c.sizes[i]) }
+			var offs []int64
+			long := false
+			for i, n := range c.sizes {
+				off, err := w.Append(testFmt.Frame(payload(i)))
+				must(t, err)
+				offs = append(offs, off+FrameHeaderSize)
+				long = long || n > edge
+			}
+			must(t, w.Commit(path, nil, nil))
+			f := w.File()
+			defer f.Close()
+			walk := func() (bool, error) {
+				var win []byte
+				n := 0
+				_, skimmed, err := testFmt.scanFrames(&win, f, path, false, prefix, func(p []byte, off int64, plen uint32) error {
+					want := payload(n)
+					if c.sizes[n] > edge {
+						want = want[:prefix]
+					}
+					if off != offs[n] || int(plen) != c.sizes[n] || !bytes.Equal(p, want) {
+						t.Fatalf("record %d: %d of %d bytes at %d, want %d of %d at %d", n, len(p), plen, off, len(want), c.sizes[n], offs[n])
+					}
+					n++
+					return nil
+				})
+				if err == nil && n != len(c.sizes) {
+					t.Fatalf("walk visited %d of %d records", n, len(c.sizes))
+				}
+				return skimmed, err
+			}
+			if skimmed, err := walk(); err != nil || skimmed != long {
+				t.Fatalf("walk = skimmed %v, %v; want skimmed %v", skimmed, err, long)
+			}
+			short := -1
+			for i, n := range c.sizes {
+				switch {
+				case n > edge:
+					flipByte(t, path, offs[i]+prefix)
+				case n > prefix:
+					short = i
+				}
+			}
+			if _, err := walk(); err != nil {
+				t.Fatalf("rot behind the prefix of a skimmed record was read: %v", err)
+			}
+			if short < 0 {
+				return
+			}
+			flipByte(t, path, offs[short]+prefix)
+			if _, err := walk(); err == nil || !strings.Contains(err.Error(), "record crc mismatch") {
+				t.Fatalf("walk over a rotten %d-byte record = %v, want a crc mismatch", c.sizes[short], err)
+			}
+		})
 	}
 }

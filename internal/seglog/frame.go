@@ -19,6 +19,11 @@ import (
 // is scanned or rewritten. A record larger than this is read whole.
 const ioWindow = 1 << 20
 
+// skimMin is the frame size past which a walk that wants only each
+// record's front skims it: a page is, a tree node or a tombstone is read
+// whole (see scanFrames).
+const skimMin = 1 << 10
+
 // resize returns a buffer of length n, its contents unspecified: *win
 // itself when that is large enough, else a fresh one, which replaces
 // *win unless it is larger than kvBatchRetain — one huge record must not
@@ -91,31 +96,36 @@ type frameVisitor = func(p []byte, payloadOff int64, payloadLen uint32) error
 // and a visitor that keeps any of it must copy. Scan's window is its
 // own; a KV lends its scans the store's (see scanFrames).
 func (ft *Format) Scan(f *os.File, path string, allowTorn bool, visit func(payload []byte, payloadOff int64) error) (int64, error) {
-	return ft.scanFrames(new([]byte), f, path, allowTorn, -1, func(payload []byte, payloadOff int64, _ uint32) error {
+	size, _, err := ft.scanFrames(new([]byte), f, path, allowTorn, -1, func(payload []byte, payloadOff int64, _ uint32) error {
 		return visit(payload, payloadOff)
 	})
+	return size, err
 }
 
 // scanFrames is Scan through the caller's window — resized as needed,
 // left with the caller for its next scan — and, with prefixLen >= 0, the
-// walk that reads no bodies: visit gets only the first prefixLen bytes
-// of each payload (all of a shorter one) beside the payload's length,
-// one small pread a record, and nothing behind the prefix is read or
-// CRC-checked (KVLayout.walk says who wants that, and why). A record that
-// ends within the prefix — a tombstone — is in hand whole, and is checked
-// like any other.
-func (ft *Format) scanFrames(win *[]byte, f *os.File, path string, allowTorn bool, prefixLen int, visit frameVisitor) (int64, error) {
+// walk that skims: of a frame longer than skimMin, visit gets only the
+// first prefixLen bytes of the payload beside the payload's length, one
+// small pread, and nothing behind the prefix is read or CRC-checked
+// (KVLayout.walk says who wants that, and why). A frame no longer than
+// skimMin is read whole through the window and checked like any other.
+// The read after a skimmed frame is prefix-sized, the read after a whole
+// one window-sized, so a run of pages costs a pread each and a run of
+// small records one pread per window. skimmed reports whether any frame
+// was skimmed.
+func (ft *Format) scanFrames(win *[]byte, f *os.File, path string, allowTorn bool, prefixLen int, visit frameVisitor) (size int64, skimmed bool, err error) {
 	info, err := f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("%s: stat segment: %w", ft.Name, err)
+		return 0, false, fmt.Errorf("%s: stat segment: %w", ft.Name, err)
 	}
 	logLen := info.Size()
 	off := ft.DataStart()
-	// A pread brings in a step; of each record, limit bytes are wanted.
-	step, limit := int64(ioWindow), int64(math.MaxInt64)
+	// A pread brings in a step: a window, or where pages are likely — at
+	// the start of a skimming walk, and behind a skimmed frame — a prefix.
+	prefix, step := int64(math.MaxInt64), int64(ioWindow)
 	if prefixLen >= 0 {
-		step = FrameHeaderSize + int64(prefixLen)
-		limit = step
+		prefix = FrameHeaderSize + int64(prefixLen)
+		step = prefix
 	}
 	// have is the part of the window not yet consumed: the file's bytes
 	// [off, off+len(have)). need refills it from off, a step at least,
@@ -134,37 +144,44 @@ func (ft *Format) scanFrames(win *[]byte, f *os.File, path string, allowTorn boo
 			break // torn header
 		}
 		if err := need(FrameHeaderSize); err != nil {
-			return 0, fmt.Errorf("%s: read record header at %d: %w", ft.Name, off, err)
+			return 0, false, fmt.Errorf("%s: read record header at %d: %w", ft.Name, off, err)
 		}
 		if binary.LittleEndian.Uint32(have[0:4]) != ft.RecMagic {
-			return 0, ft.corrupted("bad record magic", path, off)
+			return 0, false, ft.corrupted("bad record magic", path, off)
 		}
 		framed := FrameHeaderSize + int64(binary.LittleEndian.Uint32(have[4:8]))
 		if off+framed > logLen {
 			break // torn payload
 		}
-		end := min(framed, limit)
-		if err := need(end); err != nil {
-			return 0, fmt.Errorf("%s: read record payload at %d: %w", ft.Name, off+FrameHeaderSize, err)
+		// Of a long frame only the prefix is wanted; of any other, all of it.
+		end := framed
+		step = ioWindow
+		if framed > skimMin && prefix < framed {
+			end, step = prefix, prefix
 		}
-		if framed <= limit { // all of the frame is in hand
+		if err := need(end); err != nil {
+			return 0, false, fmt.Errorf("%s: read record payload at %d: %w", ft.Name, off+FrameHeaderSize, err)
+		}
+		if end == framed { // all of the frame is in hand
 			if err := ft.checkFrame(have[:framed], path, off); err != nil {
-				return 0, err
+				return 0, false, err
 			}
+		} else {
+			skimmed = true
 		}
 		if err := visit(have[FrameHeaderSize:end], off+FrameHeaderSize, uint32(framed-FrameHeaderSize)); err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		have = have[min(framed, int64(len(have))):]
 		off += framed
 	}
 	if off < logLen {
 		if !allowTorn {
-			return 0, fmt.Errorf("%s: torn record in sealed segment %s: log corrupted", ft.Name, path)
+			return 0, false, fmt.Errorf("%s: torn record in sealed segment %s: log corrupted", ft.Name, path)
 		}
 		if err := f.Truncate(off); err != nil {
-			return 0, fmt.Errorf("%s: truncate torn tail: %w", ft.Name, err)
+			return 0, false, fmt.Errorf("%s: truncate torn tail: %w", ft.Name, err)
 		}
 	}
-	return off, nil
+	return off, skimmed, nil
 }

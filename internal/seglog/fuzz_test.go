@@ -117,20 +117,27 @@ func FuzzScan(f *testing.F) {
 				t.Fatalf("record %d differs across rescans", i)
 			}
 		}
-		// The walk that reads no bodies sees the same records: their
-		// lengths, and of each as much of its front as it asks for — less
-		// than most records hold, and more (so one pread spans several).
+		// The walk that skims sees the same records: their lengths, all of
+		// a short one, and of a long one as much of its front as it asks
+		// for — less than most records hold, and more.
 		for _, prefixLen := range []int{3, 20} {
 			n := 0
-			end3, err := testWALFmt.scanFrames(new([]byte), fh, path, false, prefixLen, func(p []byte, _ int64, payloadLen uint32) error {
-				if n < len(first) && (int(payloadLen) != len(first[n]) || !bytes.Equal(p, first[n][:min(prefixLen, len(first[n]))])) {
-					t.Fatalf("record %d: prefix walk saw %x of %d bytes, scan saw %x", n, p, payloadLen, first[n])
+			end3, _, err := testWALFmt.scanFrames(new([]byte), fh, path, false, prefixLen, func(p []byte, _ int64, payloadLen uint32) error {
+				if n >= len(first) {
+					return nil
+				}
+				want := first[n]
+				if FrameHeaderSize+len(want) > skimMin {
+					want = want[:min(prefixLen, len(want))]
+				}
+				if int(payloadLen) != len(first[n]) || !bytes.Equal(p, want) {
+					t.Fatalf("record %d: skimming walk saw %x of %d bytes, scan saw %x", n, p, payloadLen, first[n])
 				}
 				n++
 				return nil
 			})
 			if err != nil || end3 != end || n != len(first) {
-				t.Fatalf("prefix walk: %d/%d records, end %d/%d, %v", n, len(first), end3, end, err)
+				t.Fatalf("skimming walk: %d/%d records, end %d/%d, %v", n, len(first), end3, end, err)
 			}
 		}
 	})

@@ -26,7 +26,7 @@ import (
 // How a keyed store is laid out on, recovered from, snapshotted over
 // and compacted in a segmented log is decided here and nowhere else.
 // An instantiation supplies only its KVLayout: the magics that brand
-// its files, its key framing, and its flush schedule.
+// its files, its key size, and its flush schedule.
 //
 // Safety rule for space reclamation: the store never invents garbage. A
 // value's bytes are only ever dropped by compaction after the key was
@@ -105,9 +105,9 @@ type KVLayout struct {
 	// Format brands the files, so a metadata log opened as a page store
 	// fails loudly instead of replaying foreign records.
 	Format
-	// KeyLen is the fixed key size in bytes; records and snapshot entries
-	// carry the key raw. Zero means variable-length keys, framed with a
-	// uint32 length prefix.
+	// KeyLen is the size in bytes of every key: each layout fixes it, Put
+	// refuses any other, and records and snapshot entries carry the key
+	// raw.
 	KeyLen int
 	// SealSync fsyncs a segment and its directory entry when it is
 	// sealed, and every segment at Close, even with Sync off — so only
@@ -354,7 +354,7 @@ func (s *KV) dropEntry(key string) bool {
 	if !ok {
 		return false
 	}
-	s.segment(e.seg).liveBytes.Add(-s.ly.framedSize(len(key), e.vlen))
+	s.segment(e.seg).liveBytes.Add(-s.ly.framedSize(e.vlen))
 	s.keys.Add(^uint64(0))
 	s.valueBytes.Add(^(uint64(e.vlen) - 1))
 	return true
@@ -435,7 +435,7 @@ func (s *KV) newAppend(kind byte, key string, value []byte) *kvAppend {
 
 // framed is the record's size on disk.
 func (s *KV) framed(a *kvAppend) int64 {
-	return s.ly.framedSize(len(a.key), uint32(len(a.value)))
+	return s.ly.framedSize(uint32(len(a.value)))
 }
 
 // Put durably appends a put record (sharing write+fsync with concurrent
@@ -446,7 +446,7 @@ func (s *KV) Put(key string, value []byte) error {
 	if s.closed.Load() {
 		return s.errClosed
 	}
-	if s.ly.KeyLen != 0 && len(key) != s.ly.KeyLen {
+	if len(key) != s.ly.KeyLen {
 		return fmt.Errorf("%s: key of %d bytes, layout fixes %d", s.ly.Name, len(key), s.ly.KeyLen)
 	}
 	if _, dup := s.lookup(key); dup {
@@ -483,7 +483,7 @@ func (s *KV) Delete(key string) error {
 func (s *KV) PutBatch(keys, values [][]byte) (lost []int, err error) {
 	recs := make([]*kvAppend, len(keys))
 	for i, key := range keys {
-		if s.ly.KeyLen != 0 && len(key) != s.ly.KeyLen {
+		if len(key) != s.ly.KeyLen {
 			return nil, fmt.Errorf("%s: key of %d bytes, layout fixes %d", s.ly.Name, len(key), s.ly.KeyLen)
 		}
 		if _, dup := lookup(s, key); !dup {

@@ -1,7 +1,6 @@
 package seglog
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -22,11 +21,10 @@ import (
 //	uint32 nentries
 //	per entry: key | uint32 seg | uint64 off | uint32 vlen
 //
-// where a key is KeyLen raw bytes, or a uint32 length and that many
-// bytes when KeyLen is zero. Both encodings are canonical — entries
-// strictly ascending by key, counts bounded by the remaining input, no
-// trailing bytes — so a successful decode re-encodes to exactly the
-// input, which the fuzz targets pin for both key framings.
+// where a key is always KeyLen raw bytes. Both encodings are canonical —
+// entries strictly ascending by key, counts bounded by the remaining
+// input, no trailing bytes — so a successful decode re-encodes to
+// exactly the input, which the fuzz targets pin for both layouts.
 
 // record kinds.
 const (
@@ -37,18 +35,11 @@ const (
 // kvSnapFmt is the index snapshot format number (see indexsnap.go).
 const kvSnapFmt = 2
 
-// keyFrame is the encoded size of a key of n bytes.
-func (ly *KVLayout) keyFrame(n int) int {
-	if ly.KeyLen != 0 {
-		return n
-	}
-	return 4 + n
-}
-
-// framedSize is the framed size of a record — the unit of the
-// live/tombstone byte accounting that drives victim selection.
-func (ly *KVLayout) framedSize(keyLen int, vlen uint32) int64 {
-	return int64(FrameHeaderSize+1+ly.keyFrame(keyLen)) + int64(vlen)
+// framedSize is the framed size of a record with a vlen-byte value (0
+// for a tombstone) — the unit of the live/tombstone byte accounting that
+// drives victim selection.
+func (ly *KVLayout) framedSize(vlen uint32) int64 {
+	return int64(FrameHeaderSize+1+ly.KeyLen) + int64(vlen)
 }
 
 // appendRecord appends one record's complete frame to dst.
@@ -56,20 +47,10 @@ func (ly *KVLayout) appendRecord(dst []byte, kind byte, key string, value []byte
 	start := len(dst)
 	dst = append(dst, make([]byte, FrameHeaderSize)...)
 	dst = append(dst, kind)
-	if ly.KeyLen == 0 {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
-	}
 	dst = append(dst, key...)
 	dst = append(dst, value...)
 	putFrameHeader(dst[start:], ly.RecMagic)
 	return dst
-}
-
-func (ly *KVLayout) readKey(r *wire.Reader) string {
-	if ly.KeyLen != 0 {
-		return string(r.Raw(ly.KeyLen))
-	}
-	return r.String()
 }
 
 // decodeHead parses the front of a record payload: p is at least the
@@ -81,7 +62,7 @@ func (ly *KVLayout) readKey(r *wire.Reader) string {
 func (ly *KVLayout) decodeHead(p []byte, payloadLen int) (kind byte, key string, vlen int, err error) {
 	r := wire.NewReader(p)
 	kind = r.Uint8()
-	key = ly.readKey(r)
+	key = string(r.Raw(ly.KeyLen))
 	if err := r.Err(); err != nil {
 		return 0, "", 0, fmt.Errorf("%s: decoding record: %w", ly.Name, err)
 	}
@@ -99,22 +80,10 @@ func (ly *KVLayout) decodeHead(p []byte, payloadLen int) (kind byte, key string,
 // without decoding the rest; ok is false for tombstones and for a
 // prefix too short to hold the key.
 func (ly *KVLayout) putKey(p []byte) (key []byte, ok bool) {
-	if len(p) < 1 || p[0] != kvPut {
+	if len(p) < 1+ly.KeyLen || p[0] != kvPut {
 		return nil, false
 	}
-	p = p[1:]
-	n := ly.KeyLen
-	if n == 0 {
-		if len(p) < 4 {
-			return nil, false
-		}
-		n = int(binary.LittleEndian.Uint32(p))
-		p = p[4:]
-	}
-	if n < 0 || n > len(p) {
-		return nil, false
-	}
-	return p[:n], true
+	return p[1 : 1+ly.KeyLen], true
 }
 
 // kvRecord is one record located in a segment file. It carries no
@@ -152,27 +121,26 @@ func (ly *KVLayout) locating(path string, visit func(kvRecord) error) frameVisit
 // reading — and CRC-checking — all of it through win; see Format.Scan
 // for the torn-tail rule and the returned size.
 func (ly *KVLayout) scan(win *[]byte, seg *kvSegment, path string, allowTorn bool, visit func(kvRecord) error) (int64, error) {
-	return ly.scanFrames(win, seg.f, path, allowTorn, -1, ly.locating(path, visit))
+	size, _, err := ly.scanFrames(win, seg.f, path, allowTorn, -1, ly.locating(path, visit))
+	return size, err
 }
 
 // walk visits the front of every record of a sealed segment — the kind
 // and the key at least — for the compactor, which locates records by
 // key and wants no values: its tombstone-hygiene sweep consults earlier
 // segments for key presence only, and the first pass of a rewrite
-// decides what survives before reading any of it. With fixed-size keys
-// exactly that prefix is read and no put is CRC-checked — a tombstone
-// is, being no longer than the prefix — so the bodies of the records a
-// rewrite drops are never read at all; the ones it keeps it checks when
-// it copies them, and KV.checkLocated is what makes it safe to take the
-// keys on trust. Keys with a length prefix belong to small pairs, which
-// are scanned whole.
-func (ly *KVLayout) walk(win *[]byte, seg *kvSegment, path string, visit frameVisitor) error {
-	prefixLen := -1
-	if ly.KeyLen != 0 {
-		prefixLen = 1 + ly.KeyLen
-	}
-	_, err := ly.scanFrames(win, seg.f, path, false, prefixLen, visit)
-	return err
+// decides what survives before reading any of it. It skims by size
+// (scanFrames): of a record longer than skimMin — a page — only the kind
+// and the key are read, unchecked, so the bodies of the pages a rewrite
+// drops are never read at all; the ones it keeps it checks when it
+// copies them, and KV.checkLocated is what makes it safe to take their
+// keys on trust. A shorter record — a tree node, any tombstone — is read
+// whole through the window and CRC-checked, which costs less than a
+// pread per record would. skimmed reports whether any record was
+// skimmed.
+func (ly *KVLayout) walk(win *[]byte, seg *kvSegment, path string, visit frameVisitor) (skimmed bool, err error) {
+	_, skimmed, err = ly.scanFrames(win, seg.f, path, false, 1+ly.KeyLen, visit)
+	return skimmed, err
 }
 
 // kvSnapEntry pairs a key with its location, the unit of the snapshot
@@ -195,18 +163,12 @@ type kvIndexSnapshot struct {
 func (ly *KVLayout) encodeIndex(s *kvIndexSnapshot) []byte {
 	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].key < s.entries[j].key })
 	n := 16 + len(s.meta.Segs)*24
-	for _, e := range s.entries {
-		n += ly.keyFrame(len(e.key)) + 16
-	}
+	n += len(s.entries) * (ly.KeyLen + 16)
 	w := wire.NewWriter(n)
 	encodeIndexMeta(w, &s.meta)
 	w.Uint32(uint32(len(s.entries)))
 	for _, e := range s.entries {
-		if ly.KeyLen != 0 {
-			w.Raw([]byte(e.key))
-		} else {
-			w.String(e.key)
-		}
+		w.Raw([]byte(e.key))
 		w.Uint32(e.seg)
 		w.Uint64(uint64(e.off))
 		w.Uint32(e.vlen)
@@ -229,15 +191,15 @@ func (ly *KVLayout) decodeIndex(data []byte) (*kvIndexSnapshot, error) {
 		return nil, fmt.Errorf("%s: %w", ly.Name, err)
 	}
 	s := &kvIndexSnapshot{meta: *meta}
-	nent, err := Count(r, ly.keyFrame(ly.KeyLen)+16, errSnapshotEncoding)
+	nent, err := Count(r, ly.KeyLen+16, errSnapshotEncoding)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", ly.Name, err)
 	}
 	s.entries = make([]kvSnapEntry, 0, nent)
-	minOff := HeaderSize + ly.framedSize(ly.KeyLen, 0)
+	minOff := HeaderSize + ly.framedSize(0)
 	for i := 0; i < nent; i++ {
 		var e kvSnapEntry
-		e.key = ly.readKey(r)
+		e.key = string(r.Raw(ly.KeyLen))
 		e.seg = r.Uint32()
 		e.off = int64(r.Uint64())
 		e.vlen = r.Uint32()

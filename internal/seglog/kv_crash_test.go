@@ -67,7 +67,7 @@ func crashAtPoint(s *KV, point string) (fired *bool) {
 // cannot express — and asserts the recovered pairs are byte-identical
 // to an uncrashed store's.
 func TestKVMaintenanceCrashInjection(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		// The control must survive a clean restart unchanged, or the
 		// comparisons below prove nothing.
 		controlPath := filepath.Join(t.TempDir(), "kv.log")
@@ -149,7 +149,7 @@ func TestKVMaintenanceCrashInjection(t *testing.T) {
 // a snapshot plus a compaction with work to do, the active segment's
 // included, must pass through every declared point.
 func TestKVEveryCrashPointIsExercised(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, crashOpts())
 		crashWorkload(t, s)
 		seen := make(map[string]bool)
@@ -170,7 +170,7 @@ func TestKVEveryCrashPointIsExercised(t *testing.T) {
 // recovery path end to end: crash after the rewrite is live but before
 // the covering snapshot, recover (stale rescan), then compact again.
 func TestKVCompactionCrashThenCompactAgain(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		base := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, base, ly, crashOpts())
 		crashWorkload(t, s)

@@ -13,7 +13,7 @@ import (
 
 var (
 	kvFoldSeed  = flag.Int64("kvfold-seed", 0, "replay this one seed of TestKVFoldEqualsLive (0 = the default budget)")
-	kvFoldSeeds = flag.Int("kvfold-seeds", 12, "seeds TestKVFoldEqualsLive runs by default, per key framing")
+	kvFoldSeeds = flag.Int("kvfold-seeds", 12, "seeds TestKVFoldEqualsLive runs by default, per layout")
 )
 
 // TestKVFoldEqualsLive is the property the snapshotter's fold exists
@@ -33,7 +33,7 @@ func TestKVFoldEqualsLive(t *testing.T) {
 	for s := int64(1); len(seeds) < cap(seeds) && *kvFoldSeed == 0; s++ {
 		seeds = append(seeds, s)
 	}
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 				runKVFoldSchedule(t, ly, seed, 120)
@@ -282,7 +282,7 @@ func TestKVSnapshotHeapAtRest(t *testing.T) {
 		t.Skip("heap budgets are meaningless under the race detector")
 	}
 	const n, batch = 100_000, 1000
-	ly := kvFramings[0].ly
+	ly := kvLayouts[0].ly
 	path := filepath.Join(t.TempDir(), "kv.log")
 	s := mustOpenKV(t, path, ly, KVOptions{})
 	putKeys(t, s, 0, n, batch)
@@ -332,7 +332,7 @@ func heapAtRest() uint64 {
 // while the fold and the publish run — above the cut — stay counted
 // after the publish, and a reopen replays exactly them.
 func TestKVSnapshotCountdownCarriesRecordsLoggedDuringFold(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{SegmentBytes: 1 << 20})
 		putN(t, s, 0, 10)

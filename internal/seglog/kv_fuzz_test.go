@@ -7,16 +7,18 @@ import (
 )
 
 // The KV's decoders face bytes from disk, where a crash or disk fault
-// can produce anything. The targets pin two properties per key framing
-// (a -fuzz pattern must select exactly one target, hence the pairs):
+// can produce anything. The targets pin two properties per layout —
+// 16-byte page ids, and the 33-byte tree-node keys the VarKey targets
+// keep their historical names for (a -fuzz pattern must select exactly
+// one target, hence the pairs):
 // the decoders never panic on arbitrary input, and — because both
 // encodings are canonical — a successful decode re-encodes to exactly
 // the input.
 
-func FuzzDecodeKVRecordFixed16(f *testing.F) { fuzzDecodeKVRecord(f, kvFramings[0].ly) }
-func FuzzDecodeKVRecordVarKey(f *testing.F)  { fuzzDecodeKVRecord(f, kvFramings[1].ly) }
-func FuzzDecodeKVIndexFixed16(f *testing.F)  { fuzzDecodeKVIndex(f, kvFramings[0].ly) }
-func FuzzDecodeKVIndexVarKey(f *testing.F)   { fuzzDecodeKVIndex(f, kvFramings[1].ly) }
+func FuzzDecodeKVRecordFixed16(f *testing.F) { fuzzDecodeKVRecord(f, kvLayouts[0].ly) }
+func FuzzDecodeKVRecordVarKey(f *testing.F)  { fuzzDecodeKVRecord(f, kvLayouts[1].ly) }
+func FuzzDecodeKVIndexFixed16(f *testing.F)  { fuzzDecodeKVIndex(f, kvLayouts[0].ly) }
+func FuzzDecodeKVIndexVarKey(f *testing.F)   { fuzzDecodeKVIndex(f, kvLayouts[1].ly) }
 
 func fuzzDecodeKVRecord(f *testing.F, ly *KVLayout) {
 	f.Add(ly.encodeRecord(kvPut, tkey(ly, 1), []byte("value"))[FrameHeaderSize:])
@@ -27,15 +29,13 @@ func fuzzDecodeKVRecord(f *testing.F, ly *KVLayout) {
 	f.Add([]byte{kvTomb, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, key, value, err := ly.decodeRecord(data)
-		if ly.KeyLen != 0 {
-			// A rewrite locates a fixed-key record from its kind+key prefix
-			// and its length alone: that must accept, reject and report
-			// exactly what the decode of the whole payload does.
-			k2, key2, vlen, err2 := ly.decodeHead(data[:min(len(data), 1+ly.KeyLen)], len(data))
-			if (err == nil) != (err2 == nil) || k2 != kind || key2 != key || vlen != len(value) {
-				t.Fatalf("decodeHead(%x) = (%d, %x, %d, %v); decodeRecord says (%d, %x, %d, %v)",
-					data, k2, key2, vlen, err2, kind, key, len(value), err)
-			}
+		// A rewrite locates a skimmed record from its kind+key prefix and
+		// its length alone: that must accept, reject and report exactly
+		// what the decode of the whole payload does.
+		k2, key2, vlen, err2 := ly.decodeHead(data[:min(len(data), 1+ly.KeyLen)], len(data))
+		if (err == nil) != (err2 == nil) || k2 != kind || key2 != key || vlen != len(value) {
+			t.Fatalf("decodeHead(%x) = (%d, %x, %d, %v); decodeRecord says (%d, %x, %d, %v)",
+				data, k2, key2, vlen, err2, kind, key, len(value), err)
 		}
 		if err != nil {
 			return

@@ -50,7 +50,7 @@ func rollForTest(t *testing.T, s *KV) {
 // dropped from earlier segments nothing is left to resurrect its key.
 // Without the cascade, tombstones of long-dead keys ride along forever.
 func TestKVCompactionConvergesChurnedLogToLiveSet(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		opts := KVOptions{SegmentBytes: 512}
 		s := mustOpenKV(t, path, ly, opts)
@@ -87,7 +87,7 @@ func TestKVCompactionConvergesChurnedLogToLiveSet(t *testing.T) {
 // post-reopen compaction stays a no-op instead of pointlessly rewriting
 // the segment to byte-identical contents.
 func TestKVSnapshotSeededReopenNoSpuriousRewrite(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		// CompactRatio is set after open so no background compactor runs:
 		// the test drives compaction itself.

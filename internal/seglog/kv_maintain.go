@@ -48,7 +48,8 @@ import (
 //     rewrite drops it (see hygiene.go).
 //
 // The crash-injection table drives a hook through every fault point
-// below, for both key framings, and asserts the recovered pairs are
+// below, for both layouts — 64 KiB pages under 16-byte keys, small
+// tree nodes under 33-byte ones — and asserts the recovered pairs are
 // byte-identical to an uncrashed store's.
 
 // Maintenance fault points, in execution order.
@@ -354,7 +355,7 @@ func (s *KV) neededTombs(victim *kvSegment, tombs map[string]bool) (map[string]b
 		for idx := uint32(1); idx < victim.idx; idx++ {
 			seg := s.segment(idx)
 			seg.mu.RLock()
-			err := s.ly.walk(&s.ioBuf, seg, s.segmentPath(idx), visit)
+			_, err := s.ly.walk(&s.ioBuf, seg, s.segmentPath(idx), visit)
 			seg.mu.RUnlock()
 			if errors.Is(err, errHygieneDone) {
 				return nil
@@ -368,7 +369,7 @@ func (s *KV) neededTombs(victim *kvSegment, tombs map[string]bool) (map[string]b
 }
 
 // checkLocated fails a rewrite whose first pass missed a record the
-// index points at. A fixed-key walk reads each put's key without a CRC,
+// index points at. The walk reads a skimmed put's key without a CRC,
 // and a key that rotted names no entry of the index (or some other
 // record's): its record — live, its value intact — was just counted as
 // garbage, pass 2 would never read it, and the real key's entry would
@@ -377,13 +378,10 @@ func (s *KV) neededTombs(victim *kvSegment, tombs map[string]bool) (map[string]b
 // the index holds in the victim, so the kept puts still indexed must add
 // up to it. Both are read under wmu, which every apply — the only change
 // of either — runs under, for as long as one lookup per kept put takes;
-// a Delete since the walk has taken the same bytes off both.
-// Length-prefixed keys make pass 1 scan, and CRC-check, the whole victim,
-// so there is nothing left to check.
+// a Delete since the walk has taken the same bytes off both. A walk that
+// skimmed nothing CRC-checked every key it read, so the rewrite skips
+// this check, and writers never wait on it.
 func (s *KV) checkLocated(victim *kvSegment, kept []keptRecord, path string) error {
-	if s.ly.KeyLen == 0 {
-		return nil
-	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	var located int64
@@ -431,7 +429,7 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 	var kept []keptRecord
 	tombs := make(map[string]bool)
 	droppedPut := false
-	if err := s.ly.walk(&s.ioBuf, victim, path, s.ly.locating(path, func(r kvRecord) error {
+	skimmed, err := s.ly.walk(&s.ioBuf, victim, path, s.ly.locating(path, func(r kvRecord) error {
 		switch r.kind {
 		case kvTomb:
 			tombs[r.key] = true
@@ -447,11 +445,14 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 			}
 		}
 		return nil
-	})); err != nil {
+	}))
+	if err != nil {
 		return err
 	}
-	if err := s.checkLocated(victim, kept, path); err != nil {
-		return err
+	if skimmed {
+		if err := s.checkLocated(victim, kept, path); err != nil {
+			return err
+		}
 	}
 
 	if len(tombs) > 0 {

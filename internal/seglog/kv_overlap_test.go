@@ -20,7 +20,7 @@ import (
 // leader rolls at its tail, not for the queue. Every step synchronizes
 // on channels; a regression deadlocks and the test times out.
 func TestKVReadsOverlapParkedCommit(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{Sync: true, SegmentBytes: 1 << 20})
 		putN(t, s, 1, 2)
@@ -75,7 +75,7 @@ func TestKVReadsOverlapParkedCommit(t *testing.T) {
 // published cut — intact, so the very next maintenance pass retries
 // instead of waiting for another SnapshotEvery records.
 func TestKVSnapshotFailureKeepsCountdown(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		// No SnapshotEvery at open: the store runs no background
 		// maintainer, so the test drives maintainPass deterministically.
@@ -115,7 +115,7 @@ func TestKVSnapshotFailureKeepsCountdown(t *testing.T) {
 // kept lets the next nudge publish although one more record is far
 // short of SnapshotEvery.
 func TestKVBackgroundSnapshotFailureIsCounted(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		failed, published := make(chan struct{}), make(chan struct{})
 		tries := 0
@@ -153,7 +153,7 @@ func TestKVBackgroundSnapshotFailureIsCounted(t *testing.T) {
 // counted, and the retry folds every one of them over the old snapshot,
 // consuming the countdown.
 func TestCaptureAbortRetainsDirtyAndCountdown(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{SegmentBytes: 1 << 20})
 		putN(t, s, 0, 4)
@@ -209,7 +209,7 @@ func bkeys(ly *KVLayout, is ...int) [][]byte {
 // unknown key counts nothing and a key named twice counts once, though
 // both its tombstones are logged.
 func TestKVBatchDeleteSharesOneCommit(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{Sync: true})
 		const n = 8
@@ -262,7 +262,7 @@ func TestKVEnqueuePutContract(t *testing.T) {
 	if size := unsafe.Sizeof(kvAppend{}); size != 96 {
 		t.Fatalf("a queued record is %d bytes, want 96", size)
 	}
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{Sync: true})
 		const n = 8
@@ -346,7 +346,7 @@ func TestKVEnqueuePutContract(t *testing.T) {
 // becoming visible, and a failed commit fails the call and indexes none
 // of its records.
 func TestKVEnqueuePutParkedBehindCommit(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
 		entered, release := s.GateNextCommit()
 		first := make(chan error, 1)

@@ -297,7 +297,7 @@ func (s *KV) fold(snap *kvIndexSnapshot, segs []*kvSegment, recovering bool, sin
 			if e.off+int64(e.vlen) > segs[e.seg-1].size.Load() {
 				return nil, fmt.Errorf("%s: snapshot entry for key %x beyond segment %06d", name, e.key, e.seg)
 			}
-			fl.segs[e.seg-1].Live += s.ly.framedSize(len(e.key), e.vlen)
+			fl.segs[e.seg-1].Live += s.ly.framedSize(e.vlen)
 			fl.keys++
 			fl.valueBytes += uint64(e.vlen)
 			fl.stats.SnapshotEntries++
@@ -332,7 +332,7 @@ func (s *KV) fold(snap *kvIndexSnapshot, segs []*kvSegment, recovering bool, sin
 				sm.Tomb += r.framed()
 				dead[r.key] = true
 				if e, ok := sink.remove(r.key); ok {
-					fl.segs[e.seg-1].Live -= s.ly.framedSize(len(r.key), e.vlen)
+					fl.segs[e.seg-1].Live -= s.ly.framedSize(e.vlen)
 					fl.keys--
 					fl.valueBytes -= uint64(e.vlen)
 				}

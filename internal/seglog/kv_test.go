@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,12 +16,15 @@ import (
 	"blobseer/internal/wire"
 )
 
-// The KV's proof harness runs every scenario against both key framings
-// in production: the page store's fixed 16-byte ids without seal
-// fsyncs, and the metadata log's length-prefixed keys with them. The
-// layouts are spelled out here, not imported, so the golden-bytes test
-// pins the magics independently of the packages that declare them.
-var kvFramings = []struct {
+// The KV's proof harness runs every scenario against both layouts in
+// production: the page store's 16-byte page ids without seal fsyncs,
+// and the metadata log's 33-byte tree-node keys with them. The layouts
+// are spelled out here, not imported, so the golden-bytes test pins the
+// magics independently of the packages that declare them. The subtest
+// labels are the ids these scenarios have always run under: "varkey" is
+// the metadata log's layout, whose keys segment format 1 framed with a
+// length.
+var kvLayouts = []struct {
 	name string
 	ly   *KVLayout
 }{
@@ -31,27 +33,25 @@ var kvFramings = []struct {
 		KeyLen: 16,
 	}},
 	{"varkey", &KVLayout{
-		Format:   Format{Name: "dht", RecMagic: 0xD47A5EE5, SegMagic: 0xD47A5E60, SegFormat: 1, SnapMagic: 0xD47A55A9},
+		Format:   Format{Name: "dht", RecMagic: 0xD47A5EE5, SegMagic: 0xD47A5E60, SegFormat: 2, SnapMagic: 0xD47A55A9},
+		KeyLen:   33,
 		SealSync: true,
 	}},
 }
 
-// eachFraming runs f once per key framing, as a subtest.
-func eachFraming(t *testing.T, f func(t *testing.T, ly *KVLayout)) {
-	for _, fr := range kvFramings {
-		t.Run(fr.name, func(t *testing.T) { f(t, fr.ly) })
+// eachLayout runs f once per layout, as a subtest.
+func eachLayout(t *testing.T, f func(t *testing.T, ly *KVLayout)) {
+	for _, l := range kvLayouts {
+		t.Run(l.name, func(t *testing.T) { f(t, l.ly) })
 	}
 }
 
-// tkey builds the i-th deterministic key in ly's framing.
+// tkey builds the i-th deterministic key of ly's size.
 func tkey(ly *KVLayout, i int) string {
-	if ly.KeyLen == 0 {
-		return fmt.Sprintf("tree/node/%03d", i)
-	}
-	var id [16]byte
+	id := make([]byte, ly.KeyLen)
 	binary.LittleEndian.PutUint64(id[0:8], uint64(i+1)*0x9E3779B97F4A7C15)
 	binary.LittleEndian.PutUint64(id[8:16], uint64(i))
-	return string(id[:])
+	return string(id)
 }
 
 func tval(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 3)}, 20+i%23) }
@@ -165,7 +165,7 @@ func segmentCount(t *testing.T, ly *KVLayout, base string) int {
 }
 
 func TestKVContract(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
 		k, v := tkey(ly, 1), []byte("0123456789")
 		must(t, s.Put(k, v))
@@ -195,9 +195,12 @@ func TestKVContract(t *testing.T) {
 		if st := stats(s); has(s, k) || st.Keys != 0 || st.ValueBytes != 0 {
 			t.Fatalf("after delete: has=%v stats=%+v", has(s, k), st)
 		}
-		if ly.KeyLen != 0 {
-			if err := s.Put("short", v); err == nil {
-				t.Fatal("Put accepted a key of the wrong fixed size")
+		for _, bad := range []string{"short", tkey(ly, 1) + "x"} {
+			if err := s.Put(bad, v); err == nil {
+				t.Fatalf("Put accepted a %d-byte key", len(bad))
+			}
+			if _, err := s.PutBatch([][]byte{[]byte(tkey(ly, 4)), []byte(bad)}, [][]byte{v, v}); err == nil || has(s, tkey(ly, 4)) {
+				t.Fatalf("PutBatch with a %d-byte key: %v", len(bad), err)
 			}
 		}
 		must(t, s.Close())
@@ -215,7 +218,7 @@ func TestKVContract(t *testing.T) {
 // prefix stays, room that is there is used, room that is not is made
 // once and exactly, and a failure hands nothing back.
 func TestKVGetAppend(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
 		k, v := tkey(ly, 1), []byte("0123456789")
 		must(t, s.Put(k, v))
@@ -267,7 +270,7 @@ func TestKVGetAppend(t *testing.T) {
 // file-handle swap a read must not straddle. Each reader keeps one
 // buffer for all its reads, as a pooled caller would.
 func TestKVGetAppendAcrossCompaction(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{SegmentBytes: 2048})
 		const n = 96
 		putN(t, s, 0, n)
@@ -320,7 +323,7 @@ func TestKVGetAppendAcrossCompaction(t *testing.T) {
 // the active segment, and Compact seals it and rewrites it under the
 // readers.
 func TestKVGetAppendAcrossSealAndRewrite(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{})
 		const rounds, per = 4, 32
@@ -363,7 +366,7 @@ func TestKVGetAppendAcrossSealAndRewrite(t *testing.T) {
 }
 
 func TestKVRollsSegmentsAndFullRescan(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		opts := KVOptions{SegmentBytes: 256}
 		s := mustOpenKV(t, path, ly, opts)
@@ -389,7 +392,7 @@ func TestKVRollsSegmentsAndFullRescan(t *testing.T) {
 }
 
 func TestKVSnapshotBoundsReopenReplay(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		opts := KVOptions{SegmentBytes: 512}
 		s := mustOpenKV(t, path, ly, opts)
@@ -425,7 +428,7 @@ func TestKVSnapshotBoundsReopenReplay(t *testing.T) {
 }
 
 func TestKVCompactionShrinksAndPreservesLive(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		opts := KVOptions{SegmentBytes: 1024}
 		s := mustOpenKV(t, path, ly, opts)
@@ -456,7 +459,7 @@ func TestKVCompactionShrinksAndPreservesLive(t *testing.T) {
 // by SnapshotEvery — gets the rewrites covered, so the reopen loads it
 // and replays nothing.
 func TestKVCompactKeepsExistingSnapshotCurrent(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		for _, c := range []struct {
 			name     string
 			opts     KVOptions
@@ -497,7 +500,7 @@ func TestKVCompactKeepsExistingSnapshotCurrent(t *testing.T) {
 // active segment — every record of a store smaller than one segment —
 // is reclaimed by an explicit Compact, which seals the segment first.
 func TestKVCompactReclaimsActiveSegment(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{})
 		const n = 60
@@ -537,7 +540,7 @@ func TestKVCompactReclaimsActiveSegment(t *testing.T) {
 // explicit seal existed: a snapshot every SnapshotEvery records, the
 // segment it sealed rewritten, and a covering snapshot after it.
 func TestKVBackgroundPassSealsNothing(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		for _, c := range []struct {
 			name                     string
 			snapshotEvery            int
@@ -589,7 +592,7 @@ func TestKVBackgroundPassSealsNothing(t *testing.T) {
 // write, the size accounting and the seal hand-off are synchronized. The
 // final reopen checks nothing was lost or resurrected.
 func TestKVConcurrentTrafficAndMaintenance(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		t.Run("group", func(t *testing.T) { testKVConcurrentTraffic(t, ly) })
 	})
 }
@@ -662,7 +665,7 @@ func testKVConcurrentTraffic(t *testing.T, ly *KVLayout) {
 func TestKVDuplicateConcurrentPuts(t *testing.T) {
 	// Concurrent puts of the same key may both append a record; the
 	// store must stay consistent and recovery must keep exactly one.
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{})
 		var wg sync.WaitGroup
@@ -688,11 +691,11 @@ func TestKVDuplicateConcurrentPuts(t *testing.T) {
 // TestKVRefusesDamagedLogs covers every way an open must fail loudly
 // rather than come up with data silently missing or foreign.
 func TestKVRefusesDamagedLogs(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
-		firstValue := int64(HeaderSize) + ly.framedSize(len(tkey(ly, 0)), 0)
-		other := kvFramings[0].ly // the other instantiation
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
+		firstValue := int64(HeaderSize) + ly.framedSize(0)
+		other := kvLayouts[0].ly // the other instantiation
 		if other == ly {
-			other = kvFramings[1].ly
+			other = kvLayouts[1].ly
 		}
 		cases := []struct {
 			name   string
@@ -734,7 +737,7 @@ func TestKVRefusesDamagedLogs(t *testing.T) {
 // file of format 1, which nobody is on and the decoder no longer knows —
 // is ignored, and the open rebuilds the index by full rescan.
 func TestKVCorruptSnapshotFallsBackToRescan(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		for name, spoil := range map[string]func(t *testing.T, path string){
 			"flipped byte": func(t *testing.T, path string) {
 				flipByte(t, SnapshotPath(path), FrameHeaderSize+5)
@@ -774,7 +777,7 @@ func TestKVCorruptSnapshotFallsBackToRescan(t *testing.T) {
 // the cut — also after a clean close with Sync off, whose tail SealSync
 // layouts flush and others leave to the OS.
 func TestKVTornTailTruncated(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{})
 		putN(t, s, 0, 2)
@@ -803,7 +806,7 @@ func TestKVTornRollAndAppendsIntoCoveredSegment(t *testing.T) {
 	// snapshot covers; records appended there afterwards must still be
 	// replayed on the next open (regression: the covered-highest segment
 	// was skipped entirely, silently dropping acknowledged puts).
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		s := mustOpenKV(t, path, ly, KVOptions{})
 		putN(t, s, 0, 1)
@@ -840,7 +843,7 @@ func TestKVTornRollAndAppendsIntoCoveredSegment(t *testing.T) {
 // and a snapshot taken while the covered segment is active and empty
 // still covers past it.
 func TestKVTornRollThenRollAgain(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		path := filepath.Join(t.TempDir(), "kv.log")
 		opts := KVOptions{SegmentBytes: 512}
 		s := mustOpenKV(t, path, ly, opts)
@@ -883,9 +886,9 @@ func TestKVTornRollThenRollAgain(t *testing.T) {
 // TestKVPutAllocBudget pins what a Put costs in heap once the store's
 // batch buffer is warm: the value is framed straight into it, so the
 // process allocates a small fraction of the value's size, under either
-// key framing.
+// layout.
 func TestKVPutAllocBudget(t *testing.T) {
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
 		const n = 200
 		keys := make([]string, 20+n)
@@ -913,18 +916,16 @@ func TestKVPutAllocBudget(t *testing.T) {
 // TestKVByteKeyedReads: LenBytes and GetAppendBytes are Len and
 // GetAppend for a caller that holds the key as bytes, and exist so the
 // lookup does not copy it into a string first — they allocate nothing,
-// even for a key past the 32 bytes a conversion converts on the stack.
+// even for a tree-node key, past the 32 bytes a conversion converts on
+// the stack.
 // The index entry they find is what every stored key pays for in RAM.
 func TestKVByteKeyedReads(t *testing.T) {
 	if size := unsafe.Sizeof(kvEntry{}); size != 16 {
 		t.Fatalf("an index entry is %d bytes, want 16", size)
 	}
-	eachFraming(t, func(t *testing.T, ly *KVLayout) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
 		k := tkey(ly, 1)
-		if ly.KeyLen == 0 {
-			k = strings.Repeat("tree/node/", 4) // 40 bytes
-		}
 		must(t, s.Put(k, []byte("0123456789")))
 		key, missing := []byte(k), []byte(tkey(ly, 2))
 		if n, ok := s.LenBytes(key); n != 10 || !ok {

@@ -7,8 +7,9 @@
 // segments are deleted. KV (kv.go) is the keyed, deletable,
 // snapshotting, compacting store that both the provider page store
 // (internal/pagestore.Disk) and the metadata nodes' pair log
-// (internal/dht) instantiate with nothing but a KVLayout. The
-// mechanics, each written once:
+// (internal/dht) instantiate with nothing but a KVLayout — magics, a
+// fixed key size (16-byte page ids, 33-byte tree-node keys) and a seal
+// rule. The mechanics, each written once:
 //
 //   - generation-stamped segment files (<base>.000001, ...) with a fixed
 //     header, or headerless segments for WAL-style logs whose covered
@@ -40,10 +41,10 @@
 //   - in-place segment rewrite as verified range copies, through a tmp
 //     file that is always fsynced before the rename: pass 1 locates the
 //     records and decides what survives without holding a byte of it
-//     (with fixed-size keys, without reading a body at all — the keys it
-//     read unverified are then held against the index's own account of
-//     the segment's live bytes, so a live record cannot go missing
-//     unseen); pass 2
+//     (a record past skimMin — a page — without reading its body at all;
+//     the keys it read unverified are then held against the index's own
+//     account of the segment's live bytes, so a live record cannot go
+//     missing unseen; smaller records are read whole and verified); pass 2
 //     reads the survivors that were adjacent in the old file in pieces
 //     of whole frames, a window at most, checks every frame's magic,
 //     length and CRC there — a rewrite must not launder a rotten record

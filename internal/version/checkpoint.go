@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"blobseer/internal/seglog"
 	"blobseer/internal/wire"
 )
 
@@ -109,7 +110,7 @@ func (m *Manager) Checkpoint() error {
 	// (restartable) segment deletes.
 	w.covered.Store(records)
 	for _, s := range append(fl.stale, fl.live...) {
-		if err := os.Remove(segmentPath(w.base, s)); err != nil {
+		if err := os.Remove(seglog.SegmentPath(w.base, s)); err != nil {
 			return fmt.Errorf("version: compact wal segment: %w", err)
 		}
 		if err := m.crash(crashSegmentDeleted); err != nil {
@@ -117,7 +118,7 @@ func (m *Manager) Checkpoint() error {
 		}
 	}
 	if w.fsync {
-		if err := syncDir(filepath.Dir(w.base)); err != nil {
+		if err := seglog.SyncDir(filepath.Dir(w.base)); err != nil {
 			return fmt.Errorf("version: sync wal dir after compaction: %w", err)
 		}
 	}

@@ -87,7 +87,7 @@ func TestCheckpointUnderSustainedLoad(t *testing.T) {
 		}
 	}
 	within("checkpoint", 10*time.Second, m.Checkpoint)
-	if segs, err := listSegments(cfg.WALPath); err != nil || len(segs) != 1 || segs[0] < 2 {
+	if segs, err := walFmt.ListSegments(cfg.WALPath); err != nil || len(segs) != 1 || segs[0] < 2 {
 		t.Fatalf("segments after the checkpoint = %v (err %v), want only the one it rolled to", segs, err)
 	}
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"blobseer/internal/obs"
+	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/wire"
 )
@@ -259,7 +260,7 @@ func TestWALTornBatchTailRestartsCleanly(t *testing.T) {
 	m.Close()
 
 	// Tear into the middle of the final record of the active segment.
-	seg := segmentPath(path, 1)
+	seg := seglog.SegmentPath(path, 1)
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)

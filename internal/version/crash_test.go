@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"blobseer/internal/seglog"
 	"blobseer/internal/wire"
 )
 
@@ -95,15 +96,15 @@ func TestCheckpointCrashInjection(t *testing.T) {
 		{name: "renamed", point: crashRenamed},
 		{name: "segment-deleted", point: crashSegmentDeleted},
 		{name: "torn-tmp", point: crashTmpWritten, tamper: func(t *testing.T, base string) {
-			truncateTail(t, snapshotTmpPath(base), 9)
+			truncateTail(t, seglog.SnapshotTmpPath(base), 9)
 		}},
 		{name: "torn-snapshot", point: crashRenamed, tamper: func(t *testing.T, base string) {
 			// Segments are all still present (the crash preceded deletion),
 			// so recovery must fall back to full replay.
-			truncateTail(t, snapshotPath(base), 9)
+			truncateTail(t, seglog.SnapshotPath(base), 9)
 		}},
 		{name: "corrupt-snapshot-crc", point: crashRenamed, tamper: func(t *testing.T, base string) {
-			flipByte(t, snapshotPath(base), walHeaderSize+3)
+			flipByte(t, seglog.SnapshotPath(base), walHeaderSize+3)
 		}},
 		{name: "torn-segment-tail", point: "", tamper: func(t *testing.T, base string) {
 			// A crash mid-append of a record that never applied: a valid
@@ -273,9 +274,9 @@ func appendBytes(t *testing.T, path string, p []byte) {
 
 func newestSegment(t *testing.T, base string) string {
 	t.Helper()
-	segs, err := listSegments(base)
+	segs, err := walFmt.ListSegments(base)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments at %s: %v", base, err)
 	}
-	return segmentPath(base, segs[len(segs)-1])
+	return seglog.SegmentPath(base, segs[len(segs)-1])
 }

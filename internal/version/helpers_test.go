@@ -30,7 +30,7 @@ func openWAL(path string, opts walOptions) (*wal, *walTail, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	segs, err := listSegments(path)
+	segs, err := walFmt.ListSegments(path)
 	if err != nil {
 		w.close()
 		return nil, nil, err
@@ -40,7 +40,7 @@ func openWAL(path string, opts walOptions) (*wal, *walTail, error) {
 		if s < st.nextSeg {
 			continue
 		}
-		if err := scanSegment(segmentPath(path, s), false, func(e walEvent) error {
+		if err := scanSegment(seglog.SegmentPath(path, s), false, func(e walEvent) error {
 			rec.events = append(rec.events, e)
 			return nil
 		}); err != nil {

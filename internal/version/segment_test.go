@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/wire"
 )
@@ -69,7 +70,7 @@ func TestSegmentedWALBoundedRecovery(t *testing.T) {
 	apply(t, m, &wire.CompleteReq{Blob: id, Version: tail.Version})
 	rec := apply(t, m, &wire.RecentReq{Blob: id}).(*wire.RecentResp)
 
-	segs, err := listSegments(path)
+	segs, err := walFmt.ListSegments(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestCheckpointIdempotentAndQuiescent(t *testing.T) {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
 	}
-	segs, err := listSegments(path)
+	segs, err := walFmt.ListSegments(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +164,12 @@ func TestCorruptSnapshotAfterCompactionRefusesOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop()
-	raw, err := os.ReadFile(snapshotPath(path))
+	raw, err := os.ReadFile(seglog.SnapshotPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)-1] ^= 0xFF
-	if err := os.WriteFile(snapshotPath(path), raw, 0o644); err != nil {
+	if err := os.WriteFile(seglog.SnapshotPath(path), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := openWAL(path, walOptions{}); err == nil {
@@ -185,11 +186,11 @@ func TestFailedOpenPreservesStaleSegments(t *testing.T) {
 	if err := walFmt.WriteSnapshotFile(path, encodeSnapshot(&snapshotState{nextSeg: 5}), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(snapshotTmpPath(path), snapshotPath(path)); err != nil {
+	if err := os.Rename(seglog.SnapshotTmpPath(path), seglog.SnapshotPath(path)); err != nil {
 		t.Fatal(err)
 	}
 	for _, idx := range []uint64{2, 3, 7} {
-		if err := os.WriteFile(segmentPath(path, idx), nil, 0o644); err != nil {
+		if err := os.WriteFile(seglog.SegmentPath(path, idx), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +198,7 @@ func TestFailedOpenPreservesStaleSegments(t *testing.T) {
 		t.Fatal("open succeeded over a missing segment")
 	}
 	for _, idx := range []uint64{2, 3, 7} {
-		if _, err := os.Stat(segmentPath(path, idx)); err != nil {
+		if _, err := os.Stat(seglog.SegmentPath(path, idx)); err != nil {
 			t.Fatalf("failed open removed segment %d: %v", idx, err)
 		}
 	}

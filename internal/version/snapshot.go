@@ -47,12 +47,6 @@ const (
 	snapInflightAborted   = 2
 )
 
-// snapshotPath names the live snapshot of the log rooted at base.
-func snapshotPath(base string) string { return seglog.SnapshotPath(base) }
-
-// snapshotTmpPath names the in-progress snapshot; never read by recovery.
-func snapshotTmpPath(base string) string { return seglog.SnapshotTmpPath(base) }
-
 // state is the version state as of a segment boundary of the log: what a
 // snapshot file holds, and what recovery and the checkpointer fold the
 // segments from nextSeg on into (see foldLog). The live manager keeps
@@ -155,13 +149,6 @@ func encodeBlobState(w *wire.Writer, b *blobState) {
 // errSnapshotEncoding tags structurally invalid snapshot payloads.
 var errSnapshotEncoding = errors.New("version: invalid snapshot encoding")
 
-// snapCount reads a length prefix and bounds it by the bytes that many
-// entries of at least elemBytes each would need, so a hostile prefix
-// cannot drive a huge allocation.
-func snapCount(r *wire.Reader, elemBytes int) (int, error) {
-	return seglog.Count(r, elemBytes, errSnapshotEncoding)
-}
-
 // decodeSnapshot parses a snapshot payload. It never panics on arbitrary
 // bytes (FuzzDecodeSnapshot pins this) and rejects non-canonical input —
 // unsorted or duplicate keys, unknown flags, trailing bytes — so a
@@ -178,7 +165,7 @@ func decodeSnapshot(data []byte) (*state, error) {
 		nextSeg:  r.Uint64(),
 		nextBlob: wire.BlobID(r.Uint64()),
 	}
-	nblobs, err := snapCount(r, 8+4+4+5*8+3*4)
+	nblobs, err := seglog.Count(r, 8+4+4+5*8+3*4, errSnapshotEncoding)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +203,7 @@ func decodeBlobState(r *wire.Reader) (*blobState, error) {
 		id:       wire.BlobID(r.Uint64()),
 		pageSize: r.Uint32(),
 	}
-	nlin, err := snapCount(r, 16)
+	nlin, err := seglog.Count(r, 16, errSnapshotEncoding)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +220,7 @@ func decodeBlobState(r *wire.Reader) (*blobState, error) {
 	b.pendingSize = r.Uint64()
 	b.expireFloor = wire.Version(r.Uint64())
 
-	nsizes, err := snapCount(r, 16)
+	nsizes, err := seglog.Count(r, 16, errSnapshotEncoding)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +234,7 @@ func decodeBlobState(r *wire.Reader) (*blobState, error) {
 		b.sizes[v] = r.Uint64()
 	}
 
-	naborted, err := snapCount(r, 8)
+	naborted, err := seglog.Count(r, 8, errSnapshotEncoding)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +248,7 @@ func decodeBlobState(r *wire.Reader) (*blobState, error) {
 		b.aborted[v] = true
 	}
 
-	ninflight, err := snapCount(r, 5*8+1)
+	ninflight, err := seglog.Count(r, 5*8+1, errSnapshotEncoding)
 	if err != nil {
 		return nil, err
 	}

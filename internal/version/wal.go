@@ -149,21 +149,6 @@ func decodeWALEvent(data []byte) (walEvent, error) {
 // errWALClosed is returned to appenders racing a manager shutdown.
 var errWALClosed = errors.New("version: wal closed")
 
-// segmentPath names segment idx of the log rooted at base.
-func segmentPath(base string, idx uint64) string {
-	return seglog.SegmentPath(base, idx)
-}
-
-// listSegments returns the segment indices present for base, ascending.
-// Non-numeric siblings (the snapshot, stray files) are ignored.
-func listSegments(base string) ([]uint64, error) {
-	return walFmt.ListSegments(base)
-}
-
-// syncDir fsyncs a directory so renames, creations and deletions in it
-// are durable.
-func syncDir(dir string) error { return seglog.SyncDir(dir) }
-
 // recoveryStats describes what one open of the write-ahead log did: how
 // much of the state came from the snapshot and how much had to be
 // folded in from tail segments. With compaction running, EventsReplayed
@@ -250,8 +235,8 @@ type folded struct {
 // complete unless the disk lost an already-synced file; that case is
 // refused below rather than recovered incompletely.
 func foldLog(base string, end uint64) (*folded, error) {
-	st, snapErr := loadSnapshot(snapshotPath(base)) // nil without a usable one
-	segs, err := listSegments(base)
+	st, snapErr := loadSnapshot(seglog.SnapshotPath(base)) // nil without a usable one
+	segs, err := walFmt.ListSegments(base)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +284,7 @@ func foldLog(base string, end uint64) (*folded, error) {
 		}
 	}
 	for i, s := range live {
-		n, err := fl.st.foldSegment(segmentPath(base, s), end == 0 && i == len(live)-1)
+		n, err := fl.st.foldSegment(seglog.SegmentPath(base, s), end == 0 && i == len(live)-1)
 		if err != nil {
 			return nil, err
 		}
@@ -360,12 +345,12 @@ func openLog(path string, opts walOptions) (*wal, *state, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	os.Remove(snapshotTmpPath(path)) // a leftover tmp is garbage
+	os.Remove(seglog.SnapshotTmpPath(path)) // a leftover tmp is garbage
 	stats := fl.stats
 	for _, s := range fl.stale {
 		// Covered by the snapshot; a crash between the snapshot rename
 		// and the deletes leaves them behind.
-		if err := os.Remove(segmentPath(path, s)); err != nil {
+		if err := os.Remove(seglog.SegmentPath(path, s)); err != nil {
 			return nil, nil, fmt.Errorf("version: remove stale wal segment: %w", err)
 		}
 		stats.StaleRemoved++
@@ -376,7 +361,7 @@ func openLog(path string, opts walOptions) (*wal, *state, error) {
 		active = fl.live[n-1]
 	}
 	stats.SegmentsOnDisk = max(len(fl.live), 1) // at least the active segment, created if need be
-	f, err := os.OpenFile(segmentPath(path, active), os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(seglog.SegmentPath(path, active), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("version: open wal segment: %w", err)
 	}
@@ -411,7 +396,7 @@ func openLog(path string, opts walOptions) (*wal, *state, error) {
 		},
 	}
 	if opts.fsync {
-		if err := syncDir(filepath.Dir(path)); err != nil {
+		if err := seglog.SyncDir(filepath.Dir(path)); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("version: sync wal dir: %w", err)
 		}
@@ -508,7 +493,7 @@ func (w *wal) rollLocked() error {
 		return errWALClosed
 	}
 	next := w.segIdx + 1
-	f, err := os.OpenFile(segmentPath(w.base, next), os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(seglog.SegmentPath(w.base, next), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("version: roll wal segment: %w", err)
 	}
@@ -516,7 +501,7 @@ func (w *wal) rollLocked() error {
 		// The new segment's directory entry must be durable before any
 		// event commits into it, or a crash could lose a whole synced
 		// segment while keeping its successor.
-		if err := syncDir(filepath.Dir(w.base)); err != nil {
+		if err := seglog.SyncDir(filepath.Dir(w.base)); err != nil {
 			f.Close()
 			return fmt.Errorf("version: sync wal dir: %w", err)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"blobseer/internal/rpc"
+	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -217,7 +218,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear the final record in the active segment: drop its last 3 bytes.
-	seg := segmentPath(path, 1)
+	seg := seglog.SegmentPath(path, 1)
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +251,7 @@ func TestWALDetectsCorruption(t *testing.T) {
 	w.append(walEvent{kind: walCreate, blob: 1, pageSize: 512})
 	w.append(walEvent{kind: walCreate, blob: 2, pageSize: 512})
 	w.close()
-	seg := segmentPath(path, 1)
+	seg := seglog.SegmentPath(path, 1)
 	raw, _ := os.ReadFile(seg)
 	raw[walHeaderSize] ^= 0xFF // flip a payload byte of the first record
 	os.WriteFile(seg, raw, 0o644)
