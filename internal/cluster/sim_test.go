@@ -21,10 +21,9 @@ package cluster
 //
 // The rows see round trips, bytes and queueing on the simulated links.
 // They are blind to CPU, and disk time is zero virtual time: a CPU
-// question stays on testing.B ns/op. A11's golden holds its counts, not
-// yet its latencies and throughputs, though those repeat too: the virtual
-// clock runs one simulated goroutine at a time, in the order they were
-// woken, so a run interleaves the same way every time.
+// question stays on testing.B ns/op. The virtual clock runs one simulated
+// goroutine at a time, in the order they were woken, so a run interleaves
+// the same way every time and every row, times included, repeats.
 
 import (
 	"bytes"
@@ -534,7 +533,7 @@ type readCell struct {
 // each scans the blob twice in chunks from a rotated start (the second
 // scan re-reads hot pages). The two "slow" scenarios cut one provider's
 // link to a twentieth and compare the latency tail with hedging off and
-// on. It prints each cell's counts.
+// on. It prints each cell's throughput, p99 read latency and counts.
 func readPath(w io.Writer, paper bool) ([]readCell, error) {
 	providers, blobPages, chunkPages, readerCounts := 8, uint64(64), uint64(16), []int{16}
 	if paper {
@@ -562,9 +561,6 @@ func readPath(w io.Writer, paper bool) ([]readCell, error) {
 			return err
 		}
 		for _, readers := range readerCounts {
-			fmt.Fprintf(w, "read %d providers, %d-page blob, %d readers; fetch RPCs, pages fetched, hedges fired and won, coalesced RPCs",
-				providers, blobPages, readers)
-			sep := ":"
 			for _, sc := range []struct {
 				name string
 				read client.ReadTuning
@@ -581,12 +577,11 @@ func readPath(w io.Writer, paper bool) ([]readCell, error) {
 					return fmt.Errorf("%d readers, %s: %w", readers, sc.name, err)
 				}
 				cell.readers, cell.scenario = readers, sc.name
-				fmt.Fprintf(w, "%s %s %v", sep, sc.name,
+				fmt.Fprintf(w, "read %d providers, %d-page blob, %d readers, %s: %v MB/s, p99 %v ms; fetch RPCs, pages fetched, hedges fired and won, coalesced RPCs %v\n",
+					providers, blobPages, readers, sc.name, cell.mbps, cell.p99ms,
 					[]uint64{cell.fetchRPCs, cell.pagesFetched, cell.hedgesFired, cell.hedgesWon, cell.coalescedRPCs})
-				sep = ";"
 				out = append(out, cell)
 			}
-			fmt.Fprintln(w)
 		}
 		return nil
 	})
@@ -903,9 +898,6 @@ func TestReadPathAblation(t *testing.T) {
 	if want := float64(readers*scans) - 1; dup(baseline) < want-0.01 {
 		t.Errorf("baseline dup ratio = %.2f, want %.2f (every reader fetches every page)", dup(baseline), want)
 	}
-	if cached.mbps < 2*baseline.mbps {
-		t.Errorf("cache throughput %.1f MB/s not >= 2x baseline %.1f", cached.mbps, baseline.mbps)
-	}
 
 	// Coalescing batches the misses: strictly fewer fetch RPCs than
 	// pages fetched, with multi-page batches reported.
@@ -916,14 +908,11 @@ func TestReadPathAblation(t *testing.T) {
 		t.Errorf("coalesced RPCs %d not below pages fetched %d", coalesced.fetchRPCs, coalesced.pagesFetched)
 	}
 
-	// Hedging under an injected slow replica: the tail drops markedly, at
-	// bounded extra cost (at most one extra RPC per fetched page), with
-	// hedges actually firing.
+	// Hedging under an injected slow replica, at bounded extra cost (at
+	// most one extra RPC per fetched page), with hedges actually firing;
+	// what it does to the tail is in the golden file.
 	if hedged.hedgesFired == 0 || hedged.hedgesWon == 0 {
 		t.Errorf("hedges fired/won = %d/%d, want both > 0", hedged.hedgesFired, hedged.hedgesWon)
-	}
-	if hedged.p99ms >= 0.75*slow.p99ms {
-		t.Errorf("hedged p99 %.2f ms not at least 25%% below unhedged %.2f ms", hedged.p99ms, slow.p99ms)
 	}
 	if hedged.fetchRPCs > 2*slow.fetchRPCs {
 		t.Errorf("hedged fetch RPCs %d more than double the unhedged %d", hedged.fetchRPCs, slow.fetchRPCs)
@@ -1008,7 +997,6 @@ func BenchmarkSimReplication(b *testing.B) {
 
 func BenchmarkSimReadPath(b *testing.B) {
 	benchSim(b, readPath, func(b *testing.B, cells []readCell) {
-		// The times the rows leave out.
 		for _, c := range cells {
 			name := fmt.Sprintf("%dr-%s", c.readers, strings.NewReplacer(", ", "-", " ", "-").Replace(c.scenario))
 			b.ReportMetric(c.mbps, name+"-MB/s")
