@@ -33,8 +33,9 @@
 //	r := view.Reader()            // io.ReadSeeker over the same snapshot
 //
 // Reads go through a client-side page cache with single-flight dedup,
-// hedged replica requests and range coalescing; ClientOptions.ReadTuning
-// holds the knobs.
+// hedged replica requests and range coalescing, all on by default;
+// ClientOptions.ReadTuning holds the cache's budget and a switch to turn
+// hedging or coalescing off.
 //
 // Use Dial to connect to a cluster served by cmd/blobseerd over TCP.
 package blobseer
@@ -93,17 +94,18 @@ type ClientOptions struct {
 	// PageReplication stores each data page on this many distinct
 	// providers (default 1). All clients of a cluster should agree on it.
 	PageReplication int
-	// ConnsPerHost tunes the connection pool per peer (default 1).
+	// Deprecated: ignored, a client keeps one connection per peer; kept
+	// only until internal/blast stops naming it.
 	ConnsPerHost int
-	// ReadTuning tunes the read path: page cache size, hedged replica
-	// requests, range coalescing and transfer fanout. The zero value
-	// means all defaults; each knob disables its mechanism when
-	// negative. The struct is passed through to the client unchanged.
+	// ReadTuning tunes the read path: the page cache's budget (negative
+	// turns the cache off), and switches that turn hedged replica
+	// requests and range coalescing off. The zero value means all on, at
+	// the defaults. The struct is passed through to the client unchanged.
 	ReadTuning ReadTuning
 }
 
-// ReadTuning collects the read-path knobs; see the field docs on
-// client.ReadTuning. It is an alias so the same value flows from the
+// ReadTuning is the read path's budget and switches; see the field docs
+// on client.ReadTuning. It is an alias so the same value flows from the
 // public API through the client config without copying field by field.
 type ReadTuning = client.ReadTuning
 
@@ -138,7 +140,6 @@ func newClient(net transport.Network, sched vclock.Scheduler, opts ClientOptions
 		VersionManager:  opts.VersionManager,
 		ProviderManager: opts.ProviderManager,
 		MetaRing:        ring,
-		ConnsPerHost:    opts.ConnsPerHost,
 		Read:            opts.ReadTuning,
 		PageReplication: opts.PageReplication,
 	})

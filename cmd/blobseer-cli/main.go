@@ -26,16 +26,17 @@ import (
 	"blobseer/internal/wire"
 )
 
+// The flags name the cluster and nothing else: one command is one
+// operation, so the read path has nothing to tune that would show.
+var (
+	vm        = flag.String("vm", os.Getenv("BLOBSEER_VM"), "version manager address")
+	pm        = flag.String("pm", os.Getenv("BLOBSEER_PM"), "provider manager address")
+	meta      = flag.String("meta", os.Getenv("BLOBSEER_META"), "comma-separated metadata provider addresses")
+	readStats = flag.Bool("read-stats", false, "print the client's series (read path, metadata cache, reclaims) to stderr on exit, in the /metrics text format")
+)
+
 func main() {
 	log.SetFlags(0)
-	vm := flag.String("vm", os.Getenv("BLOBSEER_VM"), "version manager address")
-	pm := flag.String("pm", os.Getenv("BLOBSEER_PM"), "provider manager address")
-	meta := flag.String("meta", os.Getenv("BLOBSEER_META"), "comma-separated metadata provider addresses")
-	cacheBytes := flag.Int64("page-cache-bytes", 0, "client page cache budget (0 = default, negative = off)")
-	hedge := flag.Duration("hedge-delay", 0, "hedged-read delay (0 = adaptive p99-based, negative = off)")
-	coalesce := flag.Int("coalesce-pages", 0, "max pages per coalesced read RPC (0 = default, <=1 = off)")
-	fanout := flag.Int("max-fanout", 0, "max concurrent transfers per call (0 = default)")
-	readStats := flag.Bool("read-stats", false, "print the client's series (read path, metadata cache, reclaims) to stderr on exit, in the /metrics text format")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		usage()
@@ -47,12 +48,6 @@ func main() {
 		VersionManager:    *vm,
 		ProviderManager:   *pm,
 		MetadataProviders: strings.Split(*meta, ","),
-		ReadTuning: blobseer.ReadTuning{
-			PageCacheBytes: *cacheBytes,
-			HedgeDelay:     *hedge,
-			CoalescePages:  *coalesce,
-			MaxFanout:      *fanout,
-		},
 	})
 	if err != nil {
 		log.Fatalf("connect: %v", err)
@@ -242,8 +237,7 @@ commands:
   branch <blob> -version V    branch at a published version
   expire <blob> -up-to V      expire snapshots <= V (retention floor)
   gc <blob>                   reclaim pages of expired snapshots
-read tuning (before the command):
-  -page-cache-bytes N  -hedge-delay D  -coalesce-pages N  -max-fanout N
+before the command:
   -read-stats                 print the client's series to stderr (/metrics text format)`)
 	os.Exit(2)
 }

@@ -1,10 +1,32 @@
 package main
 
 import (
+	"flag"
+	"strings"
 	"testing"
 
 	"blobseer"
 )
+
+// TestFlagCount pins how many flags blobseer-cli has: the cluster's three
+// addresses and -read-stats. One command is one operation, so the read
+// path's tuning flags stay retired.
+func TestFlagCount(t *testing.T) {
+	n := 0
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			n++
+		}
+	})
+	if n != 4 {
+		t.Fatalf("blobseer-cli has %d flags, want 4", n)
+	}
+	for _, old := range []string{"page-cache-bytes", "hedge-delay", "coalesce-pages", "max-fanout"} {
+		if flag.Lookup(old) != nil {
+			t.Errorf("-%s is back", old)
+		}
+	}
+}
 
 // TestReadSpan: `read -offset N` with N past the snapshot's end used to
 // compute size-N, which wraps, and panic in make.

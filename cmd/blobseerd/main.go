@@ -126,7 +126,7 @@ func main() {
 		cfg := provider.Config{
 			Sched:          sched,
 			ManagerAddr:    *managerAddr,
-			Client:         rpc.NewClient(net, sched, rpc.ClientOptions{}),
+			Client:         rpc.NewClient(net, sched),
 			HeartbeatEvery: *heartbeat,
 			CallTimeout:    *rpcTimeout,
 		}

@@ -39,15 +39,16 @@ type Config struct {
 	ProviderManager string
 	// MetaRing maps metadata keys to metadata provider addresses.
 	MetaRing *dht.Ring
-	// ConnsPerHost tunes the rpc connection pool (default 1).
+	// Deprecated: ignored, the rpc client keeps one connection per peer;
+	// kept only until internal/blast stops naming it.
 	ConnsPerHost int
 	// MetaCacheNodes sets the client metadata cache capacity in nodes
 	// (default 16384; negative disables caching).
 	MetaCacheNodes int
-	// Read tunes the read path — page cache, hedged replica requests,
-	// range coalescing and transfer fanout — as one struct, passed
-	// through unchanged from the public API. The zero value means all
-	// defaults; see ReadTuning.
+	// Read tunes the read path — the page cache's budget, and hedged
+	// replica requests and range coalescing on or off — as one struct,
+	// passed through unchanged from the public API. The zero value means
+	// all on, at the defaults; see ReadTuning.
 	Read ReadTuning
 	// PageReplication stores each page on this many distinct providers
 	// (default 1 — the paper's layout). Reads spread over the replicas and
@@ -61,7 +62,6 @@ type Config struct {
 // readers and writers through handles like this one.
 type Client struct {
 	cfg    Config
-	tun    ReadTuning // cfg.Read with defaults resolved
 	sched  vclock.Scheduler
 	rpc    *rpc.Client
 	dht    *dht.Client
@@ -113,10 +113,9 @@ func New(cfg Config) (*Client, error) {
 	if cacheNodes > 0 {
 		cache = meta.NewCache(cacheNodes)
 	}
-	rc := rpc.NewClient(cfg.Net, cfg.Sched, rpc.ClientOptions{ConnsPerHost: cfg.ConnsPerHost})
+	rc := rpc.NewClient(cfg.Net, cfg.Sched)
 	c := &Client{
 		cfg:   cfg,
-		tun:   cfg.Read.withDefaults(),
 		sched: cfg.Sched,
 		rpc:   rc,
 		dht:   dht.NewClient(cfg.MetaRing, rc, cfg.Sched),
@@ -124,8 +123,12 @@ func New(cfg Config) (*Client, error) {
 		gen:   wire.NewPageIDGen(),
 		blobs: make(map[wire.BlobID]*blobHandle),
 	}
-	if c.tun.PageCacheBytes > 0 {
-		c.pages = newPageCache(c.sched, c.tun.PageCacheBytes, &c.rstats)
+	budget := cfg.Read.PageCacheBytes
+	if budget == 0 {
+		budget = defPageCacheBytes
+	}
+	if budget > 0 {
+		c.pages = newPageCache(c.sched, budget, &c.rstats)
 	}
 	return c, nil
 }

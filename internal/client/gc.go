@@ -236,7 +236,7 @@ func (c *Client) deletePages(ctx context.Context, victims map[wire.PageID][]stri
 		}
 	}
 	stats.DeleteRPCs = len(chunks)
-	return vclock.ParallelLimit(c.sched, len(chunks), c.tun.MaxFanout, func(i int) error {
+	return vclock.ParallelLimit(c.sched, len(chunks), maxFanout, func(i int) error {
 		if c.gcCrash != nil {
 			// Test-only fault injection: simulate the collector dying
 			// after issuing only part of its deletes.
@@ -300,7 +300,7 @@ func (c *Client) deleteNodes(ctx context.Context, id wire.BlobID, victims []core
 		stats.NodeDeleteBatches += len(chunks)
 		base := chunkNo
 		chunkNo += len(chunks)
-		err := vclock.ParallelLimit(c.sched, len(chunks), c.tun.MaxFanout, func(i int) error {
+		err := vclock.ParallelLimit(c.sched, len(chunks), maxFanout, func(i int) error {
 			if c.gcCrash != nil {
 				if err := c.gcCrash(base + i); err != nil {
 					return err

@@ -21,7 +21,7 @@ import (
 var errFetchAbandoned = errors.New("page fetch abandoned: leading read failed before dispatch")
 
 // This file is the read fetch pipeline. A read resolves its plan in
-// three stages, each optional under ReadTuning:
+// three stages, each of which ReadTuning can turn off:
 //
 //  1. Page cache + single-flight: pages already in memory are copied
 //     out; pages another reader is fetching right now are joined, not
@@ -148,7 +148,7 @@ func (c *Client) runPlan(ctx context.Context, plan []core.PageRead, ps, size uin
 	}
 
 	batches := c.batch(jobs)
-	err := vclock.ParallelLimit(c.sched, len(batches), c.tun.MaxFanout, func(i int) error {
+	err := vclock.ParallelLimit(c.sched, len(batches), maxFanout, func(i int) error {
 		return c.fetchBatch(ctx, batches[i])
 	})
 	if err != nil {
@@ -201,14 +201,17 @@ func copyFromPage(j *pageJob, page []byte) error {
 }
 
 // batch groups jobs into per-request batches: jobs sharing an identical
-// replica set coalesce into one GetPagesReq of at most CoalescePages
+// replica set coalesce into one GetPagesReq of at most coalescePages
 // pages (every replica can then serve or hedge the whole batch); the
-// rest go one request per page. Batches also stay under the protocol's
+// rest, and every page under NoCoalesce, go one request per page. Batches also stay under the protocol's
 // wire.MaxGetPagesBytes response cap, which providers enforce; a lone
 // oversized page is not subject to it (the cap exempts a batch's first
 // range).
 func (c *Client) batch(jobs []*pageJob) [][]*pageJob {
-	limit := c.tun.CoalescePages
+	limit := coalescePages
+	if c.cfg.Read.NoCoalesce {
+		limit = 1
+	}
 	var out [][]*pageJob
 	type openBatch struct {
 		idx   int
@@ -486,18 +489,14 @@ func pageSpread(id wire.PageID) uint64 {
 	return x ^ (x >> 31)
 }
 
-// hedgeDelay resolves the hedge policy for a fetch over reps: a fixed
-// positive HedgeDelay is used as-is; zero means adaptive — twice the
+// hedgeDelay resolves the hedge delay for a fetch over reps: twice the
 // best observed p99 across the replica set (floored), so a slow first
 // choice is judged against the latency another copy could deliver, not
 // against its own tail. No hedging until enough calls have completed to
-// estimate a p99; negative disables hedging entirely.
+// estimate a p99, nor under NoHedge.
 func (c *Client) hedgeDelay(reps []string) (time.Duration, bool) {
-	switch {
-	case c.tun.HedgeDelay < 0:
+	if c.cfg.Read.NoHedge {
 		return 0, false
-	case c.tun.HedgeDelay > 0:
-		return c.tun.HedgeDelay, true
 	}
 	best := time.Duration(-1)
 	for _, addr := range reps {

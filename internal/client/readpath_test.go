@@ -20,7 +20,7 @@ import (
 
 // readTuningOff disables every read-path mechanism: the paper's path.
 func readTuningOff() client.ReadTuning {
-	return client.ReadTuning{PageCacheBytes: -1, HedgeDelay: -1, CoalescePages: -1}
+	return client.ReadTuning{PageCacheBytes: -1, NoHedge: true, NoCoalesce: true}
 }
 
 // runSimCluster boots a simulated cluster under a virtual clock and runs
@@ -49,8 +49,11 @@ func runSimCluster(t testing.TB, cfg cluster.Config, body func(clock *vclock.Vir
 
 // TestHedgedReadRescuesSlowReplica injects a 20x slower provider and
 // compares a full read of a replicated blob with hedging off and on.
-// The hedged read must race past the slow copy: much faster end to end,
-// with at least one hedge fired and won, and identical bytes.
+// Hedging is adaptive: each reader first reads the blob three times at
+// full speed, which gives every provider the latency samples a hedge
+// delay is estimated from. The hedged read must then race past the slow
+// copy: much faster end to end, with at least one hedge fired and won,
+// and identical bytes.
 func TestHedgedReadRescuesSlowReplica(t *testing.T) {
 	cfg := cluster.Config{
 		DataProviders:   4,
@@ -78,7 +81,6 @@ func TestHedgedReadRescuesSlowReplica(t *testing.T) {
 			return err
 		}
 
-		net.SetNodeBandwidth("node0", 1e6/20, 1e6/20)
 		read := func(tun client.ReadTuning) (time.Duration, client.PageCacheStats, error) {
 			c, err := cl.NewClientCfg("reader", func(cc *client.Config) { cc.Read = tun })
 			if err != nil {
@@ -86,6 +88,14 @@ func TestHedgedReadRescuesSlowReplica(t *testing.T) {
 			}
 			defer c.Close()
 			buf := make([]byte, len(data))
+			for range 3 {
+				if err := c.Read(ctx, id, v, buf, 0); err != nil {
+					return 0, client.PageCacheStats{}, err
+				}
+			}
+			warm := readStats(c)
+			net.SetNodeBandwidth("node0", 1e6/20, 1e6/20)
+			defer net.SetNodeBandwidth("node0", 1e6, 1e6)
 			start := clock.Now()
 			if err := c.Read(ctx, id, v, buf, 0); err != nil {
 				return 0, client.PageCacheStats{}, err
@@ -93,16 +103,16 @@ func TestHedgedReadRescuesSlowReplica(t *testing.T) {
 			if !bytes.Equal(buf, data) {
 				return 0, client.PageCacheStats{}, fmt.Errorf("read mismatch")
 			}
-			return clock.Now() - start, readStats(c), nil
+			s := readStats(c)
+			return clock.Now() - start, client.PageCacheStats{HedgesFired: s.HedgesFired - warm.HedgesFired,
+				HedgesWon: s.HedgesWon - warm.HedgesWon, FetchRPCs: s.FetchRPCs - warm.FetchRPCs}, nil
 		}
 
 		unhedged, _, err := read(readTuningOff())
 		if err != nil {
 			return fmt.Errorf("unhedged: %w", err)
 		}
-		hedged := readTuningOff()
-		hedged.HedgeDelay = 10 * time.Millisecond // ~2x a healthy page fetch
-		hedgedElapsed, stats, err := read(hedged)
+		hedgedElapsed, stats, err := read(client.ReadTuning{PageCacheBytes: -1, NoCoalesce: true})
 		if err != nil {
 			return fmt.Errorf("hedged: %w", err)
 		}
@@ -110,20 +120,13 @@ func TestHedgedReadRescuesSlowReplica(t *testing.T) {
 			return fmt.Errorf("hedges fired/won = %d/%d, want both > 0",
 				stats.HedgesFired, stats.HedgesWon)
 		}
-		// 2.25x here (115.2ms against 258.7ms); the bar is 1.75x. The
-		// busiest healthy provider — 5 primaries plus 3 hedged pages the
-		// slow node owed — sends 8 pages over one connection into the
-		// reader's downlink, which simnet shares max-min fairly: the slow
-		// node's connection takes the twentieth its uplink can send, and
-		// the three healthy ones split the rest, 8 x 4 KiB at ~317 KB/s.
-		// (Every page hedges: with 16 fetches in flight the reader's link
-		// is the bottleneck and each outlasts the delay.) When a link was
-		// split equally between its connections the slow one held a
-		// quarter it could not use, and the ratio was 1.81x (142.8ms);
-		// before that, 2.06x came only from the rpc pool over-dialling 16
-		// connections where ConnsPerHost allows one per provider.
-		if 7*hedgedElapsed >= 4*unhedged {
-			return fmt.Errorf("hedged read %v not at least 1.75x faster than unhedged %v",
+		// 2.28x here (108.7ms against 248.4ms: 2 hedges fired and won, 18
+		// fetch RPCs for 16 pages); the bar is 2x. Only the pages whose
+		// first choice is the slow node wait, for the hedge delay — twice
+		// the best p99 the warm-up saw — before another replica serves
+		// them. A fixed 10ms delay, the knob this replaced, gave 2.25x.
+		if hedgedElapsed*2 >= unhedged {
+			return fmt.Errorf("hedged read %v not at least 2x faster than unhedged %v",
 				hedgedElapsed, unhedged)
 		}
 		// Bounded cost: at most one hedge per page on top of one fetch
@@ -166,8 +169,7 @@ func TestHedgedReadSurvivesDeadReplica(t *testing.T) {
 		}
 
 		cl.Providers[0].Close()
-		tun := client.ReadTuning{HedgeDelay: 5 * time.Millisecond}
-		c, err := cl.NewClientCfg("reader", func(cc *client.Config) { cc.Read = tun })
+		c, err := cl.NewClient("reader")
 		if err != nil {
 			return err
 		}
@@ -324,17 +326,18 @@ func TestFailedReadLeavesNoFlights(t *testing.T) {
 		cl.Close()
 		net.Close()
 	})
-	// MaxFanout 1 with coalescing off dispatches batches strictly in page
-	// order, so the first page's failure leaves every later page's batch
-	// undispatched — the exact shape that used to leak.
+	// With coalescing off every page is a batch of its own, and a read
+	// keeps at most 64 of them in flight: once those fail, the other 64
+	// pages' batches are never dispatched — the exact shape that used to
+	// leak.
 	c, err := cl.NewClientCfg("", func(cc *client.Config) {
-		cc.Read = client.ReadTuning{HedgeDelay: -1, CoalescePages: -1, MaxFanout: 1}
+		cc.Read = client.ReadTuning{NoHedge: true, NoCoalesce: true}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const ps, pages = 512, 8
+	const ps, pages = 512, 128
 	id, err := c.Create(ctxb(), ps)
 	if err != nil {
 		t.Fatal(err)
@@ -454,8 +457,7 @@ func TestCoalescedReadBoundaries(t *testing.T) {
 		PageReplication: 2,
 		ClientRead: client.ReadTuning{
 			PageCacheBytes: -1, // force every read to the providers
-			HedgeDelay:     -1,
-			CoalescePages:  4,
+			NoHedge:        true,
 		},
 	})
 	const ps = 256

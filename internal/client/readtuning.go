@@ -5,13 +5,11 @@ import (
 	"time"
 
 	"blobseer/internal/obs"
-	"blobseer/internal/wire"
 )
 
-// ReadTuning collects every read-path knob as one struct, so the public
-// API, the client config and the binaries pass the same value through
-// instead of copying knobs field by field. The zero value means "all
-// defaults"; each knob uses a negative value to disable its mechanism.
+// ReadTuning is the read path's one budget and two switches, passed
+// through unchanged from the public API to the client. The zero value
+// turns every mechanism on at its default.
 type ReadTuning struct {
 	// PageCacheBytes bounds the client page cache — whole immutable
 	// pages kept in memory so re-reads of a hot snapshot cost no RPC
@@ -21,51 +19,32 @@ type ReadTuning struct {
 	// hot set. 0 means the 32 MiB default; negative disables the cache
 	// (and with it single-flight dedup).
 	PageCacheBytes int64
-	// HedgeDelay is how long a page fetch waits on one replica before
-	// hedging: firing the same request at the next replica, once, and
-	// taking whichever answers first. 0 means adaptive — twice the
-	// observed p99 latency of the chosen replica (floor 1ms), no
-	// hedging until enough calls have completed to estimate it.
-	// Negative disables hedging; fetches still fail over on hard
-	// errors, through every replica if need be.
-	HedgeDelay time.Duration
-	// CoalescePages bounds how many pages of one read are batched into
-	// a single provider round trip when their replica sets coincide.
-	// 0 means the default of 16; negative (or 1) disables coalescing.
-	// Values above wire.MaxGetPagesRanges (the protocol's per-request
-	// cap, which providers enforce) are clamped to it.
-	CoalescePages int
-	// MaxFanout bounds how many page transfers one operation keeps in
-	// flight (default 64, like the prototype's bounded I/O threads;
-	// negative means unbounded). Writes and GC sweeps share the bound.
-	MaxFanout int
+	// NoHedge turns hedging off. On, a page fetch that one replica has
+	// not answered within twice the best p99 latency observed across its
+	// replicas (floor 1ms) fires the same request at the next replica,
+	// once, and takes whichever answers first; no fetch hedges until
+	// enough calls have completed to estimate that p99. Either way a
+	// fetch fails over on hard errors, through every replica if need be.
+	NoHedge bool
+	// NoCoalesce turns coalescing off. On, up to coalescePages pages of
+	// one read whose replica sets coincide travel in one provider round
+	// trip.
+	NoCoalesce bool
 }
 
 const (
 	defPageCacheBytes = 32 << 20
-	defCoalescePages  = 16
-	defMaxFanout      = 64
+	// coalescePages is how many pages one fetch carries at most: 1 MiB
+	// of the default 64 KiB pages.
+	coalescePages = 16
+	// maxFanout bounds how many page transfers one operation keeps in
+	// flight, like the prototype's bounded I/O threads. Reads, writes and
+	// GC sweeps share it.
+	maxFanout = 64
 	// minHedgeDelay floors the adaptive hedge delay: below it the
 	// latency estimate is noise and hedges would fire on every call.
 	minHedgeDelay = time.Millisecond
 )
-
-// withDefaults resolves the zero values to the documented defaults.
-func (t ReadTuning) withDefaults() ReadTuning {
-	if t.PageCacheBytes == 0 {
-		t.PageCacheBytes = defPageCacheBytes
-	}
-	if t.CoalescePages == 0 {
-		t.CoalescePages = defCoalescePages
-	}
-	if t.CoalescePages > wire.MaxGetPagesRanges {
-		t.CoalescePages = wire.MaxGetPagesRanges
-	}
-	if t.MaxFanout == 0 {
-		t.MaxFanout = defMaxFanout
-	}
-	return t
-}
 
 // PageCacheStats counts read-path events since the client was built:
 // the shape of the Deprecated PageCacheStats view, which reads each

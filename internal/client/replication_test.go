@@ -121,7 +121,7 @@ func TestPartitionedReplicaFailsOverMidScan(t *testing.T) {
 		MetaProviders:   2, // node2 serves pages only: the cut spares the metadata
 		PageReplication: 2,
 		HeartbeatEvery:  time.Hour,
-		ClientRead:      client.ReadTuning{HedgeDelay: -1, PageCacheBytes: 64 << 10},
+		ClientRead:      client.ReadTuning{NoHedge: true, PageCacheBytes: 64 << 10},
 	}
 	runSimCluster(t, cfg, func(clock *vclock.Virtual, net *simnet.Net, cl *cluster.Cluster) error {
 		ctx := ctxb()

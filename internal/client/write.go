@@ -204,7 +204,7 @@ func (c *Client) storePages(ctx context.Context, data []byte, ps uint64) ([]core
 	}
 	// One task per (page, replica) pair: replicas of one page transfer in
 	// parallel just like distinct pages.
-	err = vclock.ParallelLimit(c.sched, n*reps, c.tun.MaxFanout, func(t int) error {
+	err = vclock.ParallelLimit(c.sched, n*reps, maxFanout, func(t int) error {
 		i, r := t/reps, t%reps
 		from := uint64(i) * ps
 		to := from + ps

@@ -265,7 +265,7 @@ func (cl *Cluster) startServices(providerNet func(i int) transport.Network) erro
 	for i := 0; i < cfg.DataProviders; i++ {
 		// Each provider heartbeats from its own node so the simulated
 		// network charges the right links.
-		cl.aux = append(cl.aux, rpc.NewClient(providerNet(i), cl.sched, rpc.ClientOptions{}))
+		cl.aux = append(cl.aux, rpc.NewClient(providerNet(i), cl.sched))
 		p, err := cl.openData(i)
 		if err != nil {
 			return err

@@ -203,7 +203,7 @@ func (h *history) run(clock *vclock.Virtual, net *simnet.Net, dir string, seed u
 			return h.chaosMonkey(clock, net, cl, rng, &done)
 		}
 		// Abandoned updates leave from the client's own host.
-		abandoner := rpc.NewClient(net.Host(fmt.Sprintf("client%d", i)), clock, rpc.ClientOptions{})
+		abandoner := rpc.NewClient(net.Host(fmt.Sprintf("client%d", i)), clock)
 		defer abandoner.Close()
 		abandon := func(blob wire.BlobID, size uint64) {
 			_, _ = abandoner.Call(context.Background(), vm, &wire.AssignReq{Blob: blob, Size: size, Append: true})

@@ -60,7 +60,7 @@ var update = flag.Bool("update", false, "rewrite testdata/sim/*.golden from this
 
 // readOff is the paper's read path: no page cache, no hedging, no
 // coalescing. A11 turns the rest on mechanism by mechanism.
-var readOff = client.ReadTuning{PageCacheBytes: -1, HedgeDelay: -1, CoalescePages: -1}
+var readOff = client.ReadTuning{PageCacheBytes: -1, NoHedge: true, NoCoalesce: true}
 
 // simRun stands the paper's deployment up on the scaled links — the two
 // managers on nodes of their own, a data and a metadata provider on each
@@ -567,10 +567,10 @@ func readPath(w io.Writer, paper bool) ([]readCell, error) {
 				slow bool
 			}{
 				{"baseline", readOff, false},
-				{"+cache", client.ReadTuning{HedgeDelay: -1, CoalescePages: -1}, false},
-				{"+cache+coalesce", client.ReadTuning{HedgeDelay: -1}, false},
+				{"+cache", client.ReadTuning{NoHedge: true, NoCoalesce: true}, false},
+				{"+cache+coalesce", client.ReadTuning{NoHedge: true}, false},
 				{"slow, no hedge", readOff, true},
-				{"slow, hedged", client.ReadTuning{PageCacheBytes: -1, CoalescePages: -1}, true},
+				{"slow, hedged", client.ReadTuning{PageCacheBytes: -1, NoCoalesce: true}, true},
 			} {
 				cell, err := readScenario(clock, net, cl, blob, v, blobPages, chunkPages, readers, sc.read, sc.slow)
 				if err != nil {

@@ -67,7 +67,7 @@ func newClusterWith(t testing.TB, n, replicas int, wrap func(rpc.Handler) rpc.Ha
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := rpc.NewClient(net, sched, rpc.ClientOptions{})
+	rc := rpc.NewClient(net, sched)
 	t.Cleanup(func() {
 		rc.Close()
 		for _, nd := range nodes {

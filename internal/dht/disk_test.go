@@ -61,7 +61,7 @@ func newDurableNodeRigOpts(t testing.TB, opts LogOptions) *durableNodeRig {
 		net:   transport.NewInproc(),
 		sched: vclock.NewReal(),
 	}
-	r.rc = rpc.NewClient(r.net, r.sched, rpc.ClientOptions{})
+	r.rc = rpc.NewClient(r.net, r.sched)
 	r.start()
 	t.Cleanup(func() {
 		r.rc.Close()

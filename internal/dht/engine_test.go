@@ -370,7 +370,7 @@ func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 			}
 			nd := &Node{eng: eng}
 			nd.srv = rpc.Serve(ln, vclock.NewReal(), nd.mux())
-			cl := rpc.NewClient(net, vclock.NewReal(), rpc.ClientOptions{})
+			cl := rpc.NewClient(net, vclock.NewReal())
 			t.Cleanup(func() {
 				cl.Close()
 				nd.Close()

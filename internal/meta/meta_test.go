@@ -34,7 +34,7 @@ func newDHT(t testing.TB, nodes int) *dht.Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := rpc.NewClient(net, sched, rpc.ClientOptions{})
+	rc := rpc.NewClient(net, sched)
 	t.Cleanup(func() {
 		rc.Close()
 		for _, n := range served {

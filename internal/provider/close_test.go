@@ -22,7 +22,7 @@ func TestClosePromptDespiteLongHeartbeat(t *testing.T) {
 	}
 	m := ServeManager(mln, ManagerConfig{Sched: sched})
 	defer m.Close()
-	cl := rpc.NewClient(net, sched, rpc.ClientOptions{})
+	cl := rpc.NewClient(net, sched)
 	defer cl.Close()
 
 	ln, err := net.Listen("")

@@ -134,7 +134,7 @@ func serveStore(t *testing.T, store pagestore.Store) (string, *rpc.Client, *tran
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := rpc.NewClient(net, vclock.NewReal(), rpc.ClientOptions{})
+	cl := rpc.NewClient(net, vclock.NewReal())
 	t.Cleanup(func() {
 		cl.Close()
 		p.Close()
@@ -203,7 +203,7 @@ func TestEveryLentPageReleasedOnce(t *testing.T) {
 
 	// A client that hangs up while the engine is still reading: the
 	// response is built for nobody, and its pages come back all the same.
-	gone := rpc.NewClient(net, vclock.NewReal(), rpc.ClientOptions{})
+	gone := rpc.NewClient(net, vclock.NewReal())
 	cctx, cancel := context.WithCancel(ctx)
 	go func() {
 		<-store.entered

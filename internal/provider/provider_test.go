@@ -37,7 +37,7 @@ func newRig(t *testing.T, n int, mcfg ManagerConfig) *testRig {
 	if mcfg.Sched == nil {
 		mcfg.Sched = r.sched
 	}
-	r.client = rpc.NewClient(r.net, r.sched, rpc.ClientOptions{})
+	r.client = rpc.NewClient(r.net, r.sched)
 	mln, err := r.net.Listen("manager")
 	if err != nil {
 		t.Fatal(err)

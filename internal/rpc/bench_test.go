@@ -60,7 +60,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 				}
 				srv := Serve(ln, vclock.NewReal(), mux)
 				defer srv.Close()
-				cl := NewClient(nw.net, vclock.NewReal(), ClientOptions{})
+				cl := NewClient(nw.net, vclock.NewReal())
 				defer cl.Close()
 				ctx := context.Background()
 				b.ReportAllocs()

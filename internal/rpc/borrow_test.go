@@ -57,7 +57,7 @@ func TestServerReleasesBorrowedBuffers(t *testing.T) {
 	}
 	srv := Serve(ln, vclock.NewReal(), mux)
 	defer srv.Close()
-	cl := NewClient(net, vclock.NewReal(), ClientOptions{})
+	cl := NewClient(net, vclock.NewReal())
 	defer cl.Close()
 	ctx := context.Background()
 
@@ -94,7 +94,7 @@ func TestServerReleasesBorrowedBuffers(t *testing.T) {
 	}
 	releases(0, "handler failed")
 
-	gone := NewClient(net, vclock.NewReal(), ClientOptions{})
+	gone := NewClient(net, vclock.NewReal())
 	cctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()
 	if _, err := gone.Call(cctx, srv.Addr(), onePage(wire.PageID{}, 1)); err == nil {

@@ -108,7 +108,7 @@ func TestEncodeFailureCountedAndReported(t *testing.T) {
 	})
 	srv := Serve(ln, sched, mux)
 	defer srv.Close()
-	cl := NewClient(net, sched, ClientOptions{})
+	cl := NewClient(net, sched)
 	defer cl.Close()
 
 	ctx := context.Background()

@@ -23,15 +23,13 @@ var ErrClientClosed = errors.New("rpc: client closed")
 var ErrConnBroken = errors.New("rpc: connection broken")
 
 // Client issues requests to any number of peers, multiplexing concurrent
-// calls over a small pool of connections per peer. It is safe for
-// concurrent use.
+// calls over one connection per peer. It is safe for concurrent use.
 //
 //blobseer:lockorder latMu
 type Client struct {
-	net     transport.Network
-	sched   vclock.Scheduler
-	perHost int
-	wg      *vclock.WaitGroup // joins per-connection read loops on Close
+	net   transport.Network
+	sched vclock.Scheduler
+	wg    *vclock.WaitGroup // joins per-connection read loops on Close
 
 	mu     sync.Mutex
 	pools  map[string]*pool
@@ -64,26 +62,13 @@ type hostLatency struct {
 	next    int                           // ring cursor
 }
 
-// ClientOptions tunes a Client.
-type ClientOptions struct {
-	// ConnsPerHost is the maximum number of connections kept per peer
-	// address. Zero means 1. More connections let large transfers to the
-	// same peer proceed in parallel at the cost of sockets.
-	ConnsPerHost int
-}
-
 // NewClient builds a Client over the given transport and scheduler.
-func NewClient(net transport.Network, sched vclock.Scheduler, opts ClientOptions) *Client {
-	per := opts.ConnsPerHost
-	if per <= 0 {
-		per = 1
-	}
+func NewClient(net transport.Network, sched vclock.Scheduler) *Client {
 	return &Client{
-		net:     net,
-		sched:   sched,
-		perHost: per,
-		wg:      vclock.NewWaitGroup(sched),
-		pools:   make(map[string]*pool),
+		net:   net,
+		sched: sched,
+		wg:    vclock.NewWaitGroup(sched),
+		pools: make(map[string]*pool),
 	}
 }
 
@@ -175,7 +160,7 @@ func (c *Client) Close() {
 	_ = c.wg.Wait() // ErrStopped means the scheduler already unwound them
 }
 
-// conn returns a live connection to addr, dialing if the pool is not full.
+// conn returns a live connection to addr, dialing if there is none.
 func (c *Client) conn(ctx context.Context, addr string) (*clientConn, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -191,32 +176,27 @@ func (c *Client) conn(ctx context.Context, addr string) (*clientConn, error) {
 	return p.pick(ctx)
 }
 
-// pool holds the connections to one peer.
+// pool holds the one connection to a peer.
 type pool struct {
 	client *Client
 	addr   string
 
-	mu    sync.Mutex
-	conns []*clientConn
-	// dialing counts slots reserved by in-flight dials: conns plus
-	// dialing never exceeds the client's perHost.
-	dialing int
-	// waiters are callers that found every slot taken by an in-flight
-	// dial; each is fired when any dial to this peer resolves, with the
-	// dial's error if it failed.
+	mu sync.Mutex
+	cc *clientConn // nil until dialled, and again once broken
+	// dialing is set while a dial to the peer is in flight.
+	dialing bool
+	// waiters are callers that found the dial in flight; each is fired
+	// when it resolves, with the dial's error if it failed.
 	waiters []vclock.Event
-	next    int
 	closed  bool
 }
 
-// pick returns a connection to the peer: a fresh one while the pool has
-// a free slot, else an existing one round-robin. A slot is reserved
-// before dialling, so concurrent first calls cannot open more than
-// perHost connections; a caller that finds only in-flight dials waits
-// for one to resolve. A dial that fails takes the callers parked on it
-// down with it — they would only meet the same dead peer one after
-// another, each until its own deadline — and frees the slot for the
-// next call.
+// pick returns the connection to the peer, dialling it if there is none
+// or it broke. Concurrent first calls share one dial: a caller that finds
+// it in flight waits for it to resolve. A dial that fails takes the
+// callers parked on it down with it — they would only meet the same dead
+// peer one after another, each until its own deadline — and the next
+// call dials afresh.
 func (p *pool) pick(ctx context.Context) (*clientConn, error) {
 	for {
 		p.mu.Lock()
@@ -224,24 +204,17 @@ func (p *pool) pick(ctx context.Context) (*clientConn, error) {
 			p.mu.Unlock()
 			return nil, ErrClientClosed
 		}
-		// Drop broken connections.
-		live := p.conns[:0]
-		for _, cc := range p.conns {
-			if !cc.isBroken() {
-				live = append(live, cc)
-			}
+		if p.cc != nil && p.cc.isBroken() {
+			p.cc = nil
 		}
-		p.conns = live
-		if len(p.conns)+p.dialing < p.client.perHost {
-			p.dialing++
-			p.mu.Unlock()
-			return p.dial(ctx)
-		}
-		if len(p.conns) > 0 {
-			cc := p.conns[p.next%len(p.conns)]
-			p.next++
+		if cc := p.cc; cc != nil {
 			p.mu.Unlock()
 			return cc, nil
+		}
+		if !p.dialing {
+			p.dialing = true
+			p.mu.Unlock()
+			return p.dial(ctx)
 		}
 		ev := p.client.sched.NewEvent()
 		p.waiters = append(p.waiters, ev)
@@ -256,19 +229,19 @@ func (p *pool) pick(ctx context.Context) (*clientConn, error) {
 	}
 }
 
-// dial fills the slot its caller reserved, or gives it back, and hands
+// dial connects to the peer for the caller that set dialing, and hands
 // the outcome to everyone waiting on it.
 func (p *pool) dial(ctx context.Context) (*clientConn, error) {
 	raw, err := p.client.net.Dial(ctx, p.addr)
 	var cc *clientConn
 	p.mu.Lock()
-	p.dialing--
+	p.dialing = false
 	if err == nil && p.closed {
 		err = ErrClientClosed
 	}
 	if err == nil {
 		cc = newClientConn(raw, p.client.sched, p.client.wg)
-		p.conns = append(p.conns, cc)
+		p.cc = cc
 	}
 	waiters := p.waiters
 	p.waiters = nil
@@ -290,11 +263,11 @@ func (p *pool) dial(ctx context.Context) (*clientConn, error) {
 
 func (p *pool) close() {
 	p.mu.Lock()
-	conns := p.conns
-	p.conns = nil
+	cc := p.cc
+	p.cc = nil
 	p.closed = true
 	p.mu.Unlock()
-	for _, cc := range conns {
+	if cc != nil {
 		cc.fail(ErrClientClosed)
 	}
 }

@@ -43,7 +43,7 @@ func firstCalls(t *testing.T, net *gatedNet, n int, after func(cl *Client, addr 
 	}
 	srv := Serve(ln, vclock.NewReal(), echoHandler())
 	defer srv.Close()
-	cl := NewClient(net, vclock.NewReal(), ClientOptions{ConnsPerHost: 1})
+	cl := NewClient(net, vclock.NewReal())
 	defer cl.Close()
 
 	// The calls' only deadline is a watchdog: a caller stranded behind
@@ -90,7 +90,7 @@ func TestConcurrentFirstCallsDialOnce(t *testing.T) {
 		t.Fatalf("%d of 32 calls failed", failed)
 	}
 	if got := net.dials.Load(); got != 1 {
-		t.Fatalf("32 concurrent first calls with ConnsPerHost 1 dialled %d times, want 1", got)
+		t.Fatalf("32 concurrent first calls dialled %d times, want 1", got)
 	}
 }
 

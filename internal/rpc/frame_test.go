@@ -120,7 +120,7 @@ func TestPagePathAllocBudget(t *testing.T) {
 	}
 	srv := Serve(ln, vclock.NewReal(), mux)
 	defer srv.Close()
-	cl := NewClient(net, vclock.NewReal(), ClientOptions{})
+	cl := NewClient(net, vclock.NewReal())
 	defer cl.Close()
 	ctx := context.Background()
 
@@ -200,7 +200,7 @@ func TestSharedConnectionStress(t *testing.T) {
 	}
 	srv := Serve(ln, vclock.NewReal(), mux)
 	defer srv.Close()
-	cl := NewClient(net, vclock.NewReal(), ClientOptions{ConnsPerHost: 1})
+	cl := NewClient(net, vclock.NewReal())
 	defer cl.Close()
 
 	const workers, rounds = 16, 60

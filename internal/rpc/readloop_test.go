@@ -38,7 +38,7 @@ func scriptedPeer(t *testing.T, script func(c transport.Conn)) *Client {
 		defer c.Close()
 		script(c)
 	}()
-	cl := NewClient(net, vclock.NewReal(), ClientOptions{})
+	cl := NewClient(net, vclock.NewReal())
 	t.Cleanup(func() {
 		cl.Close()
 		ln.Close()

@@ -63,7 +63,7 @@ func newTestServer(t *testing.T) (*Client, string, func()) {
 		t.Fatal(err)
 	}
 	srv := Serve(ln, sched, echoHandler())
-	cl := NewClient(net, sched, ClientOptions{ConnsPerHost: 2})
+	cl := NewClient(net, sched)
 	return cl, srv.Addr(), func() {
 		cl.Close()
 		srv.Close()
@@ -185,7 +185,7 @@ func TestServerCloseFailsInflight(t *testing.T) {
 		}
 	})
 	srv := Serve(ln, sched, mux)
-	cl := NewClient(net, sched, ClientOptions{})
+	cl := NewClient(net, sched)
 	defer cl.Close()
 
 	errCh := make(chan error, 1)
@@ -218,7 +218,7 @@ func TestContextCancelAbandonsCall(t *testing.T) {
 	})
 	srv := Serve(ln, sched, mux)
 	defer srv.Close()
-	cl := NewClient(net, sched, ClientOptions{})
+	cl := NewClient(net, sched)
 	defer cl.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -236,7 +236,7 @@ func TestContextCancelAbandonsCall(t *testing.T) {
 
 func TestCallDialFailure(t *testing.T) {
 	net := transport.NewInproc()
-	cl := NewClient(net, vclock.NewReal(), ClientOptions{})
+	cl := NewClient(net, vclock.NewReal())
 	defer cl.Close()
 	if _, err := cl.Call(context.Background(), "nobody", echo(0)); err == nil {
 		t.Fatal("expected dial error")
@@ -260,7 +260,7 @@ func TestRPCOverVirtualClock(t *testing.T) {
 		}
 		srv := Serve(ln, v, echoHandler())
 		defer srv.Close()
-		cl := NewClient(net.Host("client"), v, ClientOptions{})
+		cl := NewClient(net.Host("client"), v)
 		defer cl.Close()
 		resp, err := cl.Call(context.Background(), ln.Addr(), echo(5))
 		if err != nil {

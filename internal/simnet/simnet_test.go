@@ -322,7 +322,7 @@ func TestRPCOverSimnet(t *testing.T) {
 		srv := rpc.Serve(ln, clock, mux)
 		defer srv.Close()
 
-		cl := rpc.NewClient(net.Host("client"), clock, rpc.ClientOptions{})
+		cl := rpc.NewClient(net.Host("client"), clock)
 		defer cl.Close()
 		start := clock.Now()
 		resp, err := cl.Call(context.Background(), "server:echo", &wire.SizeReq{Version: 3})

@@ -32,7 +32,7 @@ func newRig(t *testing.T, cfg ManagerConfig) *rig {
 		t.Fatal(err)
 	}
 	m := ServeManager(ln, cfg)
-	cl := rpc.NewClient(net, sched, rpc.ClientOptions{ConnsPerHost: 2})
+	cl := rpc.NewClient(net, sched)
 	t.Cleanup(func() {
 		cl.Close()
 		m.Close()
@@ -398,7 +398,7 @@ func TestDeadWriterSweeper(t *testing.T) {
 			DeadWriterTimeout: 2 * time.Second,
 		})
 		defer m.Close()
-		cl := rpc.NewClient(net.Host("client"), clock, rpc.ClientOptions{})
+		cl := rpc.NewClient(net.Host("client"), clock)
 		defer cl.Close()
 		ctx := context.Background()
 

@@ -36,7 +36,7 @@ func newDurableRig(t *testing.T, cfg ManagerConfig) *durableRig {
 		cfg.Sched = sched
 	}
 	cfg.WALPath = filepath.Join(r.dir, "vm.wal")
-	r.cl = rpc.NewClient(r.net, sched, rpc.ClientOptions{})
+	r.cl = rpc.NewClient(r.net, sched)
 	r.startWith(cfg)
 	t.Cleanup(func() {
 		r.cl.Close()
