@@ -84,8 +84,8 @@ func TestHistoryUnderFaults(t *testing.T) {
 			defer func() {
 				if t.Failed() {
 					t.Logf("rerun: go test ./internal/cluster -run 'TestHistoryUnderFaults' -history-seed=%d "+
-						"(one simulated goroutine runs at a time, but a rerun can still differ where map order "+
-						"decides whom a reset wakes first, or where a store's maintenance goroutine interleaves)", seed)
+						"(one simulated goroutine runs at a time, but a rerun can still differ where a store's "+
+						"maintenance goroutine interleaves)", seed)
 				}
 			}()
 			h, err := runHistory(t.TempDir(), seed)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -401,7 +403,10 @@ func (cc *clientConn) readLoop() {
 	}
 }
 
-// fail marks the connection broken and fails all in-flight calls.
+// fail marks the connection broken and fails all in-flight calls, in
+// the order they were issued: under a virtual clock the callers resume in
+// the order their events fire, so a run that breaks a connection replays
+// the same way every time.
 func (cc *clientConn) fail(cause error) {
 	cc.mu.Lock()
 	if cc.broken != nil {
@@ -413,7 +418,7 @@ func (cc *clientConn) fail(cause error) {
 	cc.pending = make(map[uint64]vclock.Event)
 	cc.mu.Unlock()
 	cc.raw.Close()
-	for _, ev := range pending {
-		ev.Fire(cause)
+	for _, id := range slices.Sorted(maps.Keys(pending)) {
+		pending[id].Fire(cause)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -274,6 +275,62 @@ func TestRPCOverVirtualClock(t *testing.T) {
 	}
 	if got != 5 {
 		t.Fatalf("echoed %d", got)
+	}
+}
+
+// TestBrokenConnFailsCallsInIDOrder parks 16 calls on one connection
+// under the virtual clock and breaks it: the callers resume in the order
+// they were issued, which is their request ids' order, and not in the
+// order of a map of pending calls.
+func TestBrokenConnFailsCallsInIDOrder(t *testing.T) {
+	const calls = 16
+	v := vclock.NewVirtual(0)
+	net := simnet.New(v, simnet.Config{Latency: 100 * time.Microsecond})
+	var order []int
+	err := v.Run(func() {
+		ln, err := net.Host("server").Listen("rpc")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer ln.Close()
+		// The peer reads every request, answers none and hangs up.
+		v.Go(func() {
+			c, err := ln.Accept()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for range calls {
+				nextRequest(t, c)
+			}
+			c.Close()
+		})
+		cl := NewClient(net.Host("client"), v)
+		defer cl.Close()
+		var mu sync.Mutex
+		err = vclock.Parallel(v, calls, func(i int) error {
+			// One at a time, so the i-th call takes the i-th request id.
+			if err := v.Sleep(time.Duration(i) * time.Millisecond); err != nil {
+				return err
+			}
+			if _, err := cl.Call(context.Background(), ln.Addr(), echo(uint64(i))); !errors.Is(err, ErrConnBroken) {
+				return fmt.Errorf("call %d: %v, want ErrConnBroken", i, err)
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != calls || !slices.IsSorted(order) {
+		t.Fatalf("the broken connection's calls resumed in the order %v, want the order they were issued", order)
 	}
 }
 
