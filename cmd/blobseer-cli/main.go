@@ -26,8 +26,10 @@ import (
 	"blobseer/internal/wire"
 )
 
-// The flags name the cluster and nothing else: one command is one
-// operation, so the read path has nothing to tune that would show.
+// The flags name the cluster, and -read-stats prints the client's
+// series. There is no read tuning: one command is one operation, with no
+// re-read for a page cache to serve and too few calls for an adaptive
+// hedge delay.
 var (
 	vm        = flag.String("vm", os.Getenv("BLOBSEER_VM"), "version manager address")
 	pm        = flag.String("pm", os.Getenv("BLOBSEER_PM"), "provider manager address")

@@ -203,10 +203,10 @@ func copyFromPage(j *pageJob, page []byte) error {
 // batch groups jobs into per-request batches: jobs sharing an identical
 // replica set coalesce into one GetPagesReq of at most coalescePages
 // pages (every replica can then serve or hedge the whole batch); the
-// rest, and every page under NoCoalesce, go one request per page. Batches also stay under the protocol's
-// wire.MaxGetPagesBytes response cap, which providers enforce; a lone
-// oversized page is not subject to it (the cap exempts a batch's first
-// range).
+// rest, and every page under NoCoalesce, go one request per page.
+// Batches also stay under the protocol's wire.MaxGetPagesBytes response
+// cap, which providers enforce; a lone oversized page is not subject to
+// it (the cap exempts a batch's first range).
 func (c *Client) batch(jobs []*pageJob) [][]*pageJob {
 	limit := coalescePages
 	if c.cfg.Read.NoCoalesce {

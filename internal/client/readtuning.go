@@ -26,9 +26,8 @@ type ReadTuning struct {
 	// enough calls have completed to estimate that p99. Either way a
 	// fetch fails over on hard errors, through every replica if need be.
 	NoHedge bool
-	// NoCoalesce turns coalescing off. On, up to coalescePages pages of
-	// one read whose replica sets coincide travel in one provider round
-	// trip.
+	// NoCoalesce turns coalescing off. On, up to 16 pages of one read
+	// whose replica sets coincide travel in one provider round trip.
 	NoCoalesce bool
 }
 

@@ -94,8 +94,8 @@ func TestConcurrentFirstCallsDialOnce(t *testing.T) {
 	}
 }
 
-// callAfter is the call after a failed dial: the slot is free again, so
-// it dials for itself and goes through.
+// callAfter is the call after a failed dial: no dial is in flight any
+// more, so it dials for itself and goes through.
 func callAfter(t *testing.T, net *gatedNet) func(*Client, string) {
 	return func(cl *Client, addr string) {
 		t.Helper()
@@ -110,7 +110,7 @@ func callAfter(t *testing.T, net *gatedNet) func(*Client, string) {
 
 // TestFailedDialFailsItsWaiters: a refused dial fails the caller that
 // made it and every caller parked on it — nobody is stranded and nobody
-// redials a peer that just refused — and leaves the slot free.
+// redials a peer that just refused — and lets the next call dial.
 func TestFailedDialFailsItsWaiters(t *testing.T) {
 	net := &gatedNet{Network: transport.NewInproc(), gate: make(chan struct{}), failFirst: true}
 	if failed := firstCalls(t, net, 32, callAfter(t, net)); failed != 32 {
