@@ -57,7 +57,11 @@ const (
 //   - a branch never observes a parent write made past its branch point:
 //     clients branch a blob at a version Recent showed, and the branch
 //     joins the blobs they write and read. Its reference starts from the
-//     parent's bytes at the branch point and takes its own writes only.
+//     parent's bytes at the branch point and takes its own writes only;
+//   - progress: the version manager's sweeper aborts nothing within its
+//     dead-writer timeout of the manager's start, so a write invoked
+//     after a start that learns within that window that its version was
+//     aborted owes it to another write's failure (see progress).
 //
 // Clients also abandon updates: a bare ASSIGN that nothing completes,
 // for the version manager's sweeper to abort. A failed operation is no
@@ -116,8 +120,13 @@ type histOp struct {
 	size     uint64       // recent and size: the size returned
 }
 
+// String names the operation, and for a failed one why it failed.
 func (op *histOp) String() string {
-	return fmt.Sprintf("client %d's %s [%v, %v]", op.client, op.kind, op.inv, op.ret)
+	s := fmt.Sprintf("client %d's %s [%v, %v]", op.client, op.kind, op.inv, op.ret)
+	if op.err != nil {
+		s += fmt.Sprintf(", which failed: %v", op.err)
+	}
+	return s
 }
 
 // branchPoint is where a branch leaves its parent.
@@ -140,6 +149,9 @@ type history struct {
 	recent  map[wire.BlobID]wire.Version
 	chaos   []string // the faults chaos injected, and when
 	stuck   []string // blobs the liveness probe could not append to
+	// vmStarts are the times the version manager started: the cluster's
+	// start and every restart, each read before the manager reads its own.
+	vmStarts []time.Duration
 }
 
 func runHistory(dir string, seed uint64) (*history, error) {
@@ -171,6 +183,7 @@ func (h *history) run(clock *vclock.Virtual, net *simnet.Net, dir string, seed u
 	}
 	// A fault can fail a provider's registration, and the start with it:
 	// start again, on the same (still empty) durable state.
+	h.vmStarts = append(h.vmStarts, clock.Now())
 	cl, err := StartSim(net, clock, cfg)
 	for try := 0; err != nil && try < 3; try++ {
 		cl, err = StartSim(net, clock, cfg)
@@ -221,6 +234,7 @@ func (h *history) run(clock *vclock.Virtual, net *simnet.Net, dir string, seed u
 	// and the settle read is what the logs recovered — the torn tail the
 	// chaos left included — not what a process remembered.
 	clock.Sleep(3 * histDeadWriter)
+	h.vmStarts = append(h.vmStarts, clock.Now())
 	if err := restart(cl, roleVM, 0); err != nil {
 		return err
 	}
@@ -361,6 +375,9 @@ func (h *history) chaosMonkey(clock *vclock.Virtual, net *simnet.Net, cl *Cluste
 	}
 	logf("tore %s", torn)
 	clock.Sleep(histOutage)
+	if role == roleVM {
+		h.vmStarts = append(h.vmStarts, clock.Now())
+	}
 	err = restart(cl, role, i)
 	logf("restarted: %v", err)
 	return err
@@ -570,6 +587,7 @@ func (h *history) check() (violations []string) {
 				}
 			}
 		}
+		h.progress(blob, ops, bad)
 
 		// The reference, version by version. A readable version no
 		// acknowledged write holds is a failed write that took effect:
@@ -632,4 +650,42 @@ func (h *history) check() (violations []string) {
 		}
 	}
 	return violations
+}
+
+// progress holds the dead-writer sweeper to what the clients saw. The
+// sweeper aborts an update only after histDeadWriter of silence since its
+// ASSIGN, and it counts an update the manager folded in from its log as
+// assigned when the manager started: within histDeadWriter of a start it
+// aborts nothing. So a write invoked after a start that learns within that
+// window that its version was aborted owes it to a client. A write that
+// fails after its ASSIGN aborts its version, and the abort withdraws every
+// version above it too, so a failed write on the blob whose abort could
+// have landed while this one's version existed explains it (an abort lands
+// within its writer's call, or a fault's delay after). With none, the
+// sweeper struck early. A write invoked before the start is not judged:
+// the manager may have aborted it before it stopped.
+func (h *history) progress(blob wire.BlobID, ops []*histOp, bad func(string, ...any)) {
+	isUpdate := func(op *histOp) bool { return op.kind == "write" || op.kind == "append" }
+	for _, w := range ops {
+		if !isUpdate(w) || wire.CodeOf(w.err) != wire.CodeAborted {
+			continue
+		}
+		start := h.vmStarts[0]
+		for _, s := range h.vmStarts {
+			if s <= w.ret {
+				start = s
+			}
+		}
+		if w.inv < start || w.ret-start >= histDeadWriter {
+			continue
+		}
+		explained := slices.ContainsFunc(ops, func(f *histOp) bool {
+			return f != w && isUpdate(f) && f.err != nil && wire.CodeOf(f.err) != wire.CodeAborted &&
+				f.inv <= w.ret && f.ret+histOutage >= w.inv
+		})
+		if !explained {
+			bad("blob %v: %s %v after the version manager started, and no failed write's abort explains it: the sweeper aborted an update whose writer had been silent for less than %v",
+				blob, w, w.ret-start, histDeadWriter)
+		}
+	}
 }
