@@ -449,7 +449,8 @@ func TestPageCacheHotReread(t *testing.T) {
 // TestCoalescedReadBoundaries reads assorted ranges — unaligned ends,
 // single bytes straddling page boundaries, the full blob, a short tail
 // page — through a coalescing, cache-less client over a replicated blob
-// and checks every byte, plus that multi-page batches actually happened.
+// and checks every byte, plus that batches form per replica set and stop
+// at the coalescing width.
 func TestCoalescedReadBoundaries(t *testing.T) {
 	_, c0 := newCluster(t, cluster.Config{
 		DataProviders:   3,
@@ -460,8 +461,12 @@ func TestCoalescedReadBoundaries(t *testing.T) {
 			NoHedge:        true,
 		},
 	})
-	const ps = 256
-	const size = 16*ps + 40 // 17 pages, short tail
+	// Placement is round-robin, so with 3 providers and 2 copies page i
+	// lands on replica set i mod 3: 50 pages split 17/17/16, and each set
+	// holds more pages than one batch may carry.
+	const ps, pages = 256, 50
+	const size = (pages-1)*ps + 40 // short tail
+	const tail = (pages - 1) * ps
 	id, err := c0.Create(ctxb(), ps)
 	if err != nil {
 		t.Fatal(err)
@@ -480,12 +485,12 @@ func TestCoalescedReadBoundaries(t *testing.T) {
 		{0, 1},               // first byte
 		{ps - 1, 2},          // straddles the first page boundary
 		{100, 3000},          // unaligned both ends, many pages
-		{16 * ps, 40},        // exactly the short tail page
-		{16*ps - 7, 47},      // tail crossing into the short page
+		{tail, 40},           // exactly the short tail page
+		{tail - 7, 47},       // tail crossing into the short page
 		{5*ps + 1, 2*ps - 2}, // interior, unaligned both ends
 		{size - 1, 1},        // last byte
 	}
-	for _, r := range ranges {
+	for i, r := range ranges {
 		buf := make([]byte, r.n)
 		if err := c0.Read(ctxb(), id, v, buf, r.off); err != nil {
 			t.Fatalf("read [%d,+%d): %v", r.off, r.n, err)
@@ -493,11 +498,18 @@ func TestCoalescedReadBoundaries(t *testing.T) {
 		if !bytes.Equal(buf, data[r.off:r.off+r.n]) {
 			t.Fatalf("read [%d,+%d): bytes mismatch", r.off, r.n)
 		}
+		if i == 0 {
+			// The full scan: each replica set's first 16 pages go as one
+			// batch, and the two sets holding 17 send their last page alone
+			// (a one-page batch is not counted as coalesced).
+			s := readStats(c0)
+			if s.CoalescedRPCs != 3 || s.CoalescedPages != 48 {
+				t.Fatalf("full scan coalesced %d pages over %d batches, want 48 over 3",
+					s.CoalescedPages, s.CoalescedRPCs)
+			}
+		}
 	}
 	stats := readStats(c0)
-	if stats.CoalescedRPCs == 0 {
-		t.Fatal("no coalesced batches despite multi-page scans")
-	}
 	if stats.CoalescedPages <= stats.CoalescedRPCs {
 		t.Fatalf("coalesced %d pages over %d batches: batches not multi-page",
 			stats.CoalescedPages, stats.CoalescedRPCs)
