@@ -58,10 +58,11 @@ const (
 //     clients branch a blob at a version Recent showed, and the branch
 //     joins the blobs they write and read. Its reference starts from the
 //     parent's bytes at the branch point and takes its own writes only;
-//   - progress: the version manager's sweeper aborts nothing within its
-//     dead-writer timeout of the manager's start, so a write invoked
-//     after a start that learns within that window that its version was
-//     aborted owes it to another write's failure (see progress).
+//   - progress: the version manager's sweeper aborts an update only
+//     after its dead-writer timeout of silence since the writer's ASSIGN
+//     or the manager's start, whichever is later, so a write that learns
+//     sooner that its version was aborted owes it to another update's
+//     failure or abandonment (see progress).
 //
 // Clients also abandon updates: a bare ASSIGN that nothing completes,
 // for the version manager's sweeper to abort. A failed operation is no
@@ -110,7 +111,7 @@ func TestHistoryUnderFaults(t *testing.T) {
 // got back, and when, in virtual time.
 type histOp struct {
 	client   int
-	kind     string // "write", "append", "read", "recent", "size" or "branch"
+	kind     string // "write", "append", "read", "recent", "size", "branch" or "abandon"
 	blob     wire.BlobID
 	inv, ret time.Duration
 	err      error
@@ -459,11 +460,9 @@ func (h *history) workload(clock *vclock.Virtual, c *client.Client, id int, rng 
 		case p < 55:
 			op.kind, op.data = "append", payload(rng)
 		case p < 60:
-			// Not a client operation: nothing records it, and the sweeper
-			// aborts what it assigned.
-			abandon(op.blob, 1+rng.Uint64N(3*histPageSize))
-			done.Add(1)
-			continue
+			// Not a client operation: the sweeper aborts what it assigned,
+			// and progress reads only when it was sent.
+			op.kind = "abandon"
 		case p < 64 && len(k) > 0 && branchable:
 			op.kind, op.v = "branch", k[rng.IntN(len(k))].v
 		case p < 75 && len(k) > 0:
@@ -477,6 +476,8 @@ func (h *history) workload(clock *vclock.Virtual, c *client.Client, id int, rng 
 		}
 		op.inv = clock.Now()
 		switch op.kind {
+		case "abandon":
+			abandon(op.blob, 1+rng.Uint64N(3*histPageSize))
 		case "write":
 			op.v, op.err = c.Write(ctx, op.blob, op.data, op.off)
 		case "append":
@@ -653,39 +654,54 @@ func (h *history) check() (violations []string) {
 }
 
 // progress holds the dead-writer sweeper to what the clients saw. The
-// sweeper aborts an update only after histDeadWriter of silence since its
-// ASSIGN, and it counts an update the manager folded in from its log as
-// assigned when the manager started: within histDeadWriter of a start it
-// aborts nothing. So a write invoked after a start that learns within that
-// window that its version was aborted owes it to a client. A write that
-// fails after its ASSIGN aborts its version, and the abort withdraws every
-// version above it too, so a failed write on the blob whose abort could
-// have landed while this one's version existed explains it (an abort lands
-// within its writer's call, or a fault's delay after). With none, the
-// sweeper struck early. A write invoked before the start is not judged:
-// the manager may have aborted it before it stopped.
+// sweeper aborts an update only after histDeadWriter of silence since the
+// writer's last contact: its ASSIGN, or the manager's start when the
+// manager folded the update in from its log. The ASSIGN leaves after the
+// call is invoked, so a write that learns its version was aborted less
+// than histDeadWriter after both its invocation and the latest start owes
+// the abort to someone else. An abort withdraws every in-flight version
+// above it too, so it is explained by
+//   - a failed write on the blob that aborted its own version while this
+//     one's existed (an abort lands within its writer's call, or a fault's
+//     delay after), or
+//   - an update the sweeper could have swept before this write returned:
+//     a failed write (this one included) or an abandoned ASSIGN, silent
+//     histDeadWriter since it was invoked and since the start that was
+//     latest when this write was invoked.
+//
+// With neither, the sweeper struck early.
 func (h *history) progress(blob wire.BlobID, ops []*histOp, bad func(string, ...any)) {
 	isUpdate := func(op *histOp) bool { return op.kind == "write" || op.kind == "append" }
+	startAt := func(t time.Duration) time.Duration { // the latest start at or before t
+		s := h.vmStarts[0]
+		for _, v := range h.vmStarts {
+			if v <= t {
+				s = v
+			}
+		}
+		return s
+	}
 	for _, w := range ops {
 		if !isUpdate(w) || wire.CodeOf(w.err) != wire.CodeAborted {
 			continue
 		}
-		start := h.vmStarts[0]
-		for _, s := range h.vmStarts {
-			if s <= w.ret {
-				start = s
-			}
-		}
-		if w.inv < start || w.ret-start >= histDeadWriter {
+		contact := max(w.inv, startAt(w.ret))
+		if w.ret-contact >= histDeadWriter {
 			continue
 		}
+		since := startAt(w.inv)
 		explained := slices.ContainsFunc(ops, func(f *histOp) bool {
-			return f != w && isUpdate(f) && f.err != nil && wire.CodeOf(f.err) != wire.CodeAborted &&
-				f.inv <= w.ret && f.ret+histOutage >= w.inv
+			switch {
+			case f.inv > w.ret || (f.kind != "abandon" && (!isUpdate(f) || f.err == nil)):
+				return false
+			case max(f.inv, since)+histDeadWriter <= w.ret:
+				return true // the sweeper could have swept f
+			}
+			return f != w && f.kind != "abandon" && wire.CodeOf(f.err) != wire.CodeAborted && f.ret+histOutage >= w.inv
 		})
 		if !explained {
-			bad("blob %v: %s %v after the version manager started, and no failed write's abort explains it: the sweeper aborted an update whose writer had been silent for less than %v",
-				blob, w, w.ret-start, histDeadWriter)
+			bad("blob %v: %s %v after its writer's last contact with the version manager, and no failed write or abandoned update explains it: the sweeper aborted an update whose writer had been silent for less than %v",
+				blob, w, w.ret-contact, histDeadWriter)
 		}
 	}
 }
