@@ -68,35 +68,6 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPublicAPIBranch(t *testing.T) {
-	c := startCluster(t, blobseer.ClusterOptions{})
-	ctx := context.Background()
-	blob, _ := c.Create(ctx, blobseer.Options{PageSize: 1024})
-	v1, _ := blob.Append(ctx, bytes.Repeat([]byte{1}, 2048))
-	blob.Sync(ctx, v1)
-
-	fork, err := blob.Branch(ctx, v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := fork.Write(ctx, bytes.Repeat([]byte{2}, 1024), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork.Sync(ctx, v2)
-
-	// Original unchanged; fork diverged.
-	b1 := make([]byte, 1)
-	blob.Read(ctx, v1, b1, 0)
-	if b1[0] != 1 {
-		t.Fatal("original mutated by branch write")
-	}
-	fork.Read(ctx, v2, b1, 0)
-	if b1[0] != 2 {
-		t.Fatal("fork did not apply its write")
-	}
-}
-
 func TestPublicAPIErrors(t *testing.T) {
 	c := startCluster(t, blobseer.ClusterOptions{})
 	ctx := context.Background()

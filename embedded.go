@@ -68,7 +68,7 @@ type (
 
 // Cluster is an embedded single-process BlobSeer deployment: every
 // service runs in this process over an in-memory transport. It is the
-// easiest way to use the library and the backbone of the examples.
+// easiest way to use the library, and every Example function runs one.
 type Cluster struct {
 	inner *cluster.Cluster
 	net   *transport.Inproc

@@ -1,36 +1,32 @@
-// Command mapreduce runs a word-count map-reduce job over a BlobSeer
-// blob, the workload class the paper positions blob storage under:
-// "specialized abstractions like MapReduce [5] ... are implemented on top
-// of huge object storage and target high performance by optimizing the
-// parallel execution of the computation. This leads to heavy access
-// concurrency to the blobs" (§1).
-//
-// The job reads one immutable snapshot while producers keep appending —
-// versioning is what makes the computation consistent without stopping
-// ingestion — and APPENDs its result to an output blob, so successive job
-// runs form their own versioned history.
-package main
+package blobseer_test
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
 	"blobseer"
 )
 
-// mapFunc emits key/value pairs for one input line.
-type mapFunc func(line string, emit func(k string, v int))
-
-// reduceFunc folds all values of one key.
-type reduceFunc func(k string, vs []int) int
-
-func main() {
+// A word-count map-reduce job over a BlobSeer blob, the workload class
+// the paper positions blob storage under: "specialized abstractions like
+// MapReduce [5] ... are implemented on top of huge object storage and
+// target high performance by optimizing the parallel execution of the
+// computation. This leads to heavy access concurrency to the blobs" (§1).
+//
+// The job reads one immutable snapshot while producers keep appending —
+// versioning is what makes the computation consistent without stopping
+// ingestion — and APPENDs its result to an output blob, so successive job
+// runs form their own versioned history.
+func ExampleBlob_NewReader() {
 	ctx := context.Background()
 	cl, err := blobseer.StartCluster(blobseer.ClusterOptions{DataProviders: 8, MetadataProviders: 8})
 	if err != nil {
@@ -41,6 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer c.Close()
 
 	input, err := c.Create(ctx, blobseer.Options{PageSize: 4 << 10})
 	if err != nil {
@@ -63,29 +60,20 @@ func main() {
 			rng := rand.New(rand.NewSource(int64(site) + 1))
 			var buf []byte
 			var last blobseer.Version
-			flush := func() {
-				if len(buf) == 0 {
-					return
-				}
-				v, err := input.Append(ctx, buf)
-				if err != nil {
-					log.Fatal(err)
-				}
-				last, buf = v, buf[:0]
-			}
 			for line := 0; line < 2000; line++ {
-				var b strings.Builder
 				for k := 0; k < 8; k++ {
-					b.WriteString(words[rng.Intn(len(words))])
-					b.WriteByte(' ')
+					buf = append(buf, words[rng.Intn(len(words))]...)
+					buf = append(buf, ' ')
 				}
-				b.WriteByte('\n')
-				buf = append(buf, b.String()...)
-				if len(buf) >= 8<<10 { // flush whole lines only
-					flush()
+				buf = append(buf, '\n')
+				if len(buf) >= 8<<10 || line == 1999 { // whole lines only
+					v, err := input.Append(ctx, buf)
+					if err != nil {
+						log.Fatal(err)
+					}
+					last, buf = v, buf[:0]
 				}
 			}
-			flush()
 			if err := input.Sync(ctx, last); err != nil {
 				log.Fatal(err)
 			}
@@ -100,19 +88,11 @@ func main() {
 	}
 	fmt.Printf("map-reduce over snapshot %d (%d bytes)\n", v, size)
 
-	counts, err := run(ctx, input, v, 8,
-		func(line string, emit func(string, int)) {
-			for _, w := range strings.Fields(line) {
-				emit(w, 1)
-			}
-		},
-		func(_ string, vs []int) int {
-			total := 0
-			for _, x := range vs {
-				total += x
-			}
-			return total
-		})
+	counts, err := mapReduce(ctx, input, v, 8, func(line string, emit func(string, int)) {
+		for _, w := range strings.Fields(line) {
+			emit(w, 1)
+		}
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,14 +103,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(counts))
 	var report strings.Builder
+	var total int
 	for _, k := range keys {
 		fmt.Fprintf(&report, "%s\t%d\n", k, counts[k])
+		total += counts[k]
 	}
 	ov, err := output.Append(ctx, []byte(report.String()))
 	if err != nil {
@@ -140,24 +118,31 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var total int
-	for _, k := range keys {
-		total += counts[k]
-	}
 	fmt.Printf("%d distinct words, %d total; result stored as output snapshot %d\n",
 		len(keys), total, ov)
 	for _, k := range keys[:min(5, len(keys))] {
 		fmt.Printf("  %-10s %d\n", k, counts[k])
 	}
+	// Output:
+	// map-reduce over snapshot 39 (303264 bytes)
+	// 10 distinct words, 48000 total; result stored as output snapshot 1
+	//   append     4823
+	//   blob       4785
+	//   branch     4717
+	//   grid       4799
+	//   page       4842
 }
 
-// run executes a line-oriented map-reduce job over snapshot v of the
-// blob with the given number of map workers. Each worker streams a
-// disjoint range through a SnapshotReader; ranges are split on line
-// boundaries by scanning forward past the first newline, the standard
-// record-alignment trick of MapReduce input splits.
-func run(ctx context.Context, blob *blobseer.Blob, v blobseer.Version,
-	workers int, mapf mapFunc, reducef reduceFunc) (map[string]int, error) {
+// mapReduce executes a line-oriented map-reduce job over snapshot v of
+// the blob with the given number of map workers, and reduces each key by
+// summing the values mapf emitted for it. Each worker streams a
+// disjoint byte range [start, end) through a SnapshotReader and maps the
+// lines that start in it. A worker after the first seeks to start-1 and
+// discards through the first newline, so it begins at the first line
+// starting at or after start; it stops at the first line starting at or
+// after end, which the next worker owns (Hadoop's LineRecordReader rule).
+func mapReduce(ctx context.Context, blob *blobseer.Blob, v blobseer.Version, workers int,
+	mapf func(line string, emit func(k string, v int))) (map[string]int, error) {
 
 	size, err := blob.Size(ctx, v)
 	if err != nil {
@@ -168,13 +153,11 @@ func run(ctx context.Context, blob *blobseer.Blob, v blobseer.Version,
 		per, workers = size, 1
 	}
 
-	type shard map[string][]int
-	shards := make([]shard, workers)
+	shards := make([]map[string]int, workers)
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
-		w := w
 		go func() {
-			shards[w] = make(shard)
+			shards[w] = make(map[string]int)
 			start := uint64(w) * per
 			end := start + per
 			if w == workers-1 {
@@ -185,15 +168,18 @@ func run(ctx context.Context, blob *blobseer.Blob, v blobseer.Version,
 				errs <- err
 				return
 			}
-			if _, err := r.Seek(int64(start), 0); err != nil {
+			pos := start
+			if w > 0 {
+				pos--
+			}
+			if _, err := r.Seek(int64(pos), io.SeekStart); err != nil {
 				errs <- err
 				return
 			}
 			sc := bufio.NewScanner(r)
 			sc.Buffer(make([]byte, 64<<10), 1<<20)
-			pos := start
-			// Skip the partial first line: the previous worker owns it
-			// (workers after the first one only).
+			// Discard the line the byte before start belongs to: the
+			// previous worker owns it (workers after the first one only).
 			if w > 0 && sc.Scan() {
 				pos += uint64(len(sc.Bytes())) + 1
 			}
@@ -201,35 +187,25 @@ func run(ctx context.Context, blob *blobseer.Blob, v blobseer.Version,
 				line := sc.Text()
 				pos += uint64(len(line)) + 1
 				mapf(line, func(k string, val int) {
-					shards[w][k] = append(shards[w][k], val)
+					shards[w][k] += val
 				})
 			}
 			errs <- sc.Err()
 		}()
 	}
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil {
-			return nil, err
-		}
+	for range workers {
+		err = errors.Join(err, <-errs)
+	}
+	if err != nil {
+		return nil, err
 	}
 
-	// Shuffle: merge the shards by key, then reduce.
-	merged := make(map[string][]int)
+	// Shuffle and reduce: sum each key's values over the shards.
+	out := make(map[string]int)
 	for _, sh := range shards {
-		for k, vs := range sh {
-			merged[k] = append(merged[k], vs...)
+		for k, n := range sh {
+			out[k] += n
 		}
-	}
-	out := make(map[string]int, len(merged))
-	for k, vs := range merged {
-		out[k] = reducef(k, vs)
 	}
 	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,4 @@
-// Command quickstart shows the BlobSeer basics on an embedded cluster:
-// create a blob, append and overwrite data, read back any snapshot
-// version, and observe that history is kept cheaply.
-package main
+package blobseer_test
 
 import (
 	"bytes"
@@ -12,7 +9,10 @@ import (
 	"blobseer"
 )
 
-func main() {
+// The BlobSeer basics on an embedded cluster: create a blob, append and
+// overwrite data, read back any snapshot version, and observe that
+// history is kept cheaply.
+func ExampleStartCluster() {
 	// An embedded cluster: version manager, provider manager, 4 data
 	// providers and 4 metadata providers in this process.
 	cl, err := blobseer.StartCluster(blobseer.ClusterOptions{})
@@ -57,8 +57,7 @@ func main() {
 	}
 
 	// Read the same range from both snapshots.
-	old := make([]byte, 12)
-	cur := make([]byte, 12)
+	old, cur := make([]byte, 12), make([]byte, 12)
 	if err := blob.Read(ctx, v1, old, 8192); err != nil {
 		log.Fatalf("read v1: %v", err)
 	}
@@ -71,4 +70,10 @@ func main() {
 	// GET_RECENT names the latest published snapshot for new readers.
 	recent, size, _ := blob.Recent(ctx)
 	fmt.Printf("recent snapshot: %d (%d bytes)\n", recent, size)
+	// Output:
+	// created blob-1
+	// snapshot 1: 24576 bytes
+	// offset 8192 in snapshot 1: "pha-alpha-al"
+	// offset 8192 in snapshot 2: "BETA##BETA##"
+	// recent snapshot: 2 (24576 bytes)
 }

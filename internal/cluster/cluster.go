@@ -1,12 +1,12 @@
 // Package cluster assembles complete BlobSeer deployments: a version
 // manager, a provider manager, N data providers and M metadata providers,
-// over any transport. It exists so tests, examples and the benchmarks
-// share one way to stand up the system.
+// over any transport. It exists so tests and the benchmarks share one
+// way to stand up the system.
 //
 // Two topologies are provided:
 //
 //   - StartInproc: every service on one in-process network — the
-//     embedded deployment used by tests and examples.
+//     embedded deployment used by tests and by blobseer.StartCluster.
 //   - StartSim: the paper's Grid'5000 deployment (§5) on a simulated
 //     network — version manager and provider manager on dedicated nodes,
 //     data and metadata providers co-deployed pairwise on the remaining
