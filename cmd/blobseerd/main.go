@@ -48,13 +48,13 @@ var (
 	listen        = flag.String("listen", ":0", "address to listen on")
 	managerAddr   = flag.String("manager", "", "provider manager address (data role)")
 	advertise     = flag.String("advertise", "", "address clients should dial (data role; defaults to the listen address)")
-	diskPath      = flag.String("disk", "", "durable storage log path (data role: pages; metadata role: tree-node pairs; default RAM)")
+	diskPath      = flag.String("disk", "", "durable storage log path (data role: pages; metadata role: tree-node pairs; empty: the same log in RAM)")
 	walPath       = flag.String("wal", "", "write-ahead log path for version state (version-manager role; default in-memory)")
 	walSync       = flag.Bool("wal-sync", true, "fsync version WAL commits; concurrent updates share fsyncs via group commit (version-manager role)")
 	logSync       = flag.Bool("sync", false, "fsync records of the -disk log before a put or delete acknowledges (data and metadata roles)")
-	segmentBytes  = flag.Int64("segment-bytes", 64<<20, "roll the role's log (-disk or -wal) into a new segment past this size")
+	segmentBytes  = flag.Int64("segment-bytes", 64<<20, "roll the role's log (-wal, or the data and metadata roles' log, on -disk or in RAM) into a new segment past this size")
 	snapshotEvery = flag.Int("snapshot-every", 4096, "snapshot the role's state — page index, metadata index, or version state, compacting the WAL — every N logged records; 0 = manual only")
-	compactRatio  = flag.Float64("compact-ratio", 0.5, "rewrite -disk log segments whose live ratio drops below this; 0 disables (data and metadata roles)")
+	compactRatio  = flag.Float64("compact-ratio", 0.5, "rewrite log segments, on -disk or in RAM, whose live ratio drops below this; 0 disables (data and metadata roles)")
 	retain        = flag.Int("retain-versions", 1, "keep-last-N retention policy: EXPIRE keeps at least this many newest versions per blob (version-manager role)")
 	deadTimeout   = flag.Duration("dead-writer-timeout", 0, "abort updates of silent writers after this duration (version-manager role; 0 disables)")
 	heartbeat     = flag.Duration("heartbeat", 5*time.Second, "heartbeat period (data role)")
@@ -102,19 +102,14 @@ func main() {
 		log.Printf("provider manager listening on %s", m.Addr())
 
 	case "metadata":
-		var n *blobdht.Node
-		if *diskPath != "" {
-			n, err = blobdht.ServeDurableNode(ln, sched, *diskPath, blobdht.LogOptions{
-				Sync:          *logSync,
-				SegmentBytes:  *segmentBytes,
-				SnapshotEvery: *snapshotEvery,
-				CompactRatio:  *compactRatio,
-			})
-			if err != nil {
-				log.Fatalf("start metadata provider: %v", err)
-			}
-		} else {
-			n = blobdht.ServeNode(ln, sched)
+		n, err := blobdht.ServeNode(ln, sched, *diskPath, blobdht.LogOptions{
+			Sync:          *logSync,
+			SegmentBytes:  *segmentBytes,
+			SnapshotEvery: *snapshotEvery,
+			CompactRatio:  *compactRatio,
+		})
+		if err != nil {
+			log.Fatalf("start metadata provider: %v", err)
 		}
 		svc = n
 		log.Printf("metadata provider listening on %s", n.Addr())
@@ -129,15 +124,13 @@ func main() {
 			Client:         rpc.NewClient(net, sched),
 			HeartbeatEvery: *heartbeat,
 			CallTimeout:    *rpcTimeout,
-		}
-		if *diskPath != "" {
-			cfg.PageLog = *diskPath
-			cfg.PageStore = pagestore.DiskOptions{
+			PageLog:        *diskPath,
+			PageStore: pagestore.DiskOptions{
 				Sync:          *logSync,
 				SegmentBytes:  *segmentBytes,
 				SnapshotEvery: *snapshotEvery,
 				CompactRatio:  *compactRatio,
-			}
+			},
 		}
 		p, err := serveDataProvider(ln, cfg, *advertise)
 		if err != nil {

@@ -49,18 +49,18 @@ type ClusterOptions struct {
 	// guaranteed).
 	RetainVersions int
 
-	// PageStore tunes each data provider's durable page store and
-	// MetaLog each metadata node's pair log: segment size, index-snapshot
-	// interval, compaction threshold, fsync and (pages only) group
-	// commit. Only meaningful with DiskDir; the zero values are 64 MB
-	// segments, no automatic snapshots or compaction, no fsync.
+	// PageStore tunes each data provider's page store and MetaLog each
+	// metadata node's pair log, on disk or in RAM: segment size,
+	// index-snapshot interval (disk only), compaction threshold and
+	// fsync. The zero values are 64 MB segments, no automatic snapshots
+	// or compaction, no fsync.
 	PageStore PageStoreOptions
 	MetaLog   MetaLogOptions
 }
 
 // PageStoreOptions and MetaLogOptions are aliases so the same values
 // flow from the public API to the stores untouched; see the field docs
-// on seglog.KVOptions and dht.LogOptions.
+// on seglog.KVOptions.
 type (
 	PageStoreOptions = pagestore.DiskOptions
 	MetaLogOptions   = dht.LogOptions
@@ -86,6 +86,8 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		PageReplication:   opts.PageReplication,
 		DeadWriterTimeout: opts.DeadWriterTimeout,
 		RetainVersions:    opts.RetainVersions,
+		MetaLog:           opts.MetaLog,
+		PageStore:         opts.PageStore,
 	}
 	if opts.DiskDir != "" {
 		dir := opts.DiskDir
@@ -93,9 +95,7 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		cfg.VersionWALSegmentBytes = opts.WALSegmentBytes
 		cfg.VersionCheckpointEvery = opts.CheckpointEvery
 		cfg.MetaLogDir = dir
-		cfg.MetaLog = opts.MetaLog
 		cfg.PageDir = dir
-		cfg.PageStore = opts.PageStore
 	}
 	inner, err := cluster.StartInproc(net, sched, cfg)
 	if err != nil {
@@ -125,10 +125,9 @@ func (c *Cluster) Checkpoint() error {
 
 // CompactMetadata forces every metadata node to rewrite pair-log
 // segments dominated by deleted (garbage-collected) tree nodes — the
-// active segment included — shrinking the on-disk metadata footprint
-// after Blob.GC. It is a no-op for a non-durable
-// cluster; automatic compaction (MetaLog.CompactRatio) makes calling it
-// optional.
+// active segment included — shrinking the metadata footprint after
+// Blob.GC: on disk, or in RAM for a cluster without DiskDir. Automatic
+// compaction (MetaLog.CompactRatio) makes calling it optional.
 func (c *Cluster) CompactMetadata() error {
 	return c.inner.CompactMetadata()
 }

@@ -32,9 +32,10 @@ func CalleeName(call *ast.CallExpr) string {
 
 // LocalCalleeName resolves a call to a function or method declared in
 // pkg, returning its bare name, or "" for builtins, other packages'
-// functions (os.File.Close vs a local Close method) and indirect calls.
-// Use it wherever typed files are available; the pure name-based
-// CalleeName is for syntax-only test files.
+// functions (os.File.Close vs a local Close method), indirect calls and
+// calls through an interface, which has no body to summarize. Use it
+// wherever typed files are available; the pure name-based CalleeName is
+// for syntax-only test files.
 func LocalCalleeName(info *types.Info, pkg *types.Package, call *ast.CallExpr) string {
 	var id *ast.Ident
 	switch fn := call.Fun.(type) {
@@ -47,6 +48,9 @@ func LocalCalleeName(info *types.Info, pkg *types.Package, call *ast.CallExpr) s
 	}
 	fn, ok := info.Uses[id].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg() != pkg {
+		return ""
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
 		return ""
 	}
 	return fn.Name()

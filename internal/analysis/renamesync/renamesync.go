@@ -10,22 +10,31 @@
 // correct sequence — this analyzer makes sure nobody quietly ships an
 // incorrect sequence the tests never enumerate.
 //
-// The rule fires on every os.Rename whose source operand is "tmp-ish"
-// (its expression text contains "tmp", which all tmp-path helpers in
-// this repo do: snapshotTmpPath, dhtCompactTmpPath, a local named tmp).
-// Renames of already-durable files are deliberately out of scope. For an in-scope rename, the enclosing function must contain,
-// in source order:
+// A store that reaches its files through a file seam — interfaces its
+// package declares, as internal/seglog's fileSystem and file — publishes
+// through the seam's methods instead, and they count as what they stand
+// for: a Rename called through such an interface as os.Rename, a Sync as
+// (*os.File).Sync, a SyncDir as a directory sync.
 //
-//   - before it: a (*os.File).Sync call, or a call to a same-package
-//     function that may sync (conditional fsync helpers such as
+// The rule fires on every rename whose source operand is "tmp-ish"
+// (its expression text contains "tmp", which all tmp-path helpers in
+// this repo do: SnapshotTmpPath, CompactTmpPath, a local named tmp).
+// Renames of already-durable files are deliberately out of scope. For
+// an in-scope rename, the enclosing function must contain, in source
+// order:
+//
+//   - before it: a file sync, or a call to a same-package function that
+//     may sync (conditional fsync helpers such as
 //     writeSnapshotFile(..., fsync bool) count: the analyzer checks the
 //     sequence exists, the option decides whether it executes);
-//   - after it: a directory sync — a call to a function named syncDir,
-//     or to a same-package function that may call one.
+//   - after it: a directory sync — a seam's SyncDir, a call to a
+//     function named syncDir, or to a same-package function that may
+//     call either.
 package renamesync
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 
 	"blobseer/internal/analysis"
@@ -34,7 +43,7 @@ import (
 // Analyzer is the renamesync analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "renamesync",
-	Doc:  "check that durable os.Rename calls are fsynced before and dir-synced after",
+	Doc:  "check that durable renames (os.Rename, or a file seam's Rename) are fsynced before and dir-synced after",
 	Run:  run,
 }
 
@@ -81,16 +90,29 @@ func run(pass *analysis.Pass) error {
 				}
 				if !synced {
 					pass.Reportf(o.call.Pos(),
-						"os.Rename of a tmp file without a preceding File.Sync: the published file may not be on disk after a crash")
+						"rename of a tmp file without a preceding File.Sync: the published file may not be on disk after a crash")
 				}
 				if !dirSynced {
 					pass.Reportf(o.call.Pos(),
-						"os.Rename of a tmp file without a following directory sync: the rename itself may not survive a crash")
+						"rename of a tmp file without a following directory sync: the rename itself may not survive a crash")
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// seamMethod returns the name of the method call invokes through an
+// interface the package declares, or "".
+func seamMethod(pass *analysis.Pass, call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	if n, ok := pass.TypesInfo.TypeOf(sel.X).(*types.Named); ok && n.Obj().Pkg() == pass.Pkg && types.IsInterface(n) {
+		return sel.Sel.Name
+	}
+	return ""
 }
 
 // summarize computes which same-package functions may fsync a file and
@@ -113,8 +135,12 @@ func summarize(pass *analysis.Pass, funcs map[string][]*ast.FuncDecl) (syncers, 
 				if !ok {
 					return true
 				}
-				if analysis.IsOSFileSync(pass.TypesInfo, call) {
+				seam := seamMethod(pass, call)
+				if analysis.IsOSFileSync(pass.TypesInfo, call) || seam == "Sync" {
 					syncers[name] = true
+				}
+				if seam == "SyncDir" {
+					dirSyncers[name] = true
 				}
 				if c := analysis.LocalCalleeName(pass.TypesInfo, pass.Pkg, call); c != "" {
 					if _, local := funcs[c]; local {
@@ -160,10 +186,13 @@ func collect(pass *analysis.Pass, body ast.Node, syncers, dirSyncers map[string]
 		if !ok {
 			return true
 		}
+		seam := seamMethod(pass, call)
 		switch {
-		case analysis.IsOSFileSync(pass.TypesInfo, call):
+		case analysis.IsOSFileSync(pass.TypesInfo, call) || seam == "Sync":
 			ops = append(ops, op{kind: opFileSync, call: call})
-		case analysis.IsPkgFunc(pass.TypesInfo, call, "os", "Rename"):
+		case seam == "SyncDir":
+			ops = append(ops, op{kind: opDirSync, call: call})
+		case analysis.IsPkgFunc(pass.TypesInfo, call, "os", "Rename") || seam == "Rename":
 			srcTmp := false
 			if len(call.Args) > 0 {
 				srcTmp = exprLooksTmp(call.Args[0])

@@ -360,7 +360,7 @@ func TestSingleFlightWaitersOutliveEviction(t *testing.T) {
 	const ps, waiters = 512, 16
 	data := randomBytes(2, 3*ps)
 	gs := &pageGates{
-		Store: pagestore.NewMem(),
+		Store: memStore(t),
 		pages: [][]byte{data[:ps], data[ps : 2*ps], data[2*ps:]},
 		index: make(map[wire.PageID]int),
 		gates: make(map[int]chan struct{}),

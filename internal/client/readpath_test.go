@@ -26,6 +26,17 @@ func readTuningOff() client.ReadTuning {
 // runSimCluster boots a simulated cluster under a virtual clock and runs
 // body inside it. All timing in body goes through the virtual clock, so
 // the test never sleeps wall-clock time.
+// memStore opens a page store in memory, closed when the test ends.
+func memStore(t testing.TB) pagestore.Store {
+	t.Helper()
+	s, err := pagestore.OpenDisk("", pagestore.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 func runSimCluster(t testing.TB, cfg cluster.Config, body func(clock *vclock.Virtual, net *simnet.Net, cl *cluster.Cluster) error) {
 	t.Helper()
 	clock := vclock.NewVirtual(0)
@@ -209,7 +220,7 @@ func (g *gatedStore) Get(id wire.PageID, off, length uint32) ([]byte, error) {
 // right bytes. Run under -race this also exercises the cache and flight
 // bookkeeping for data races.
 func TestSingleFlightDedup(t *testing.T) {
-	gs := &gatedStore{Store: pagestore.NewMem(), gate: make(chan struct{})}
+	gs := &gatedStore{Store: memStore(t), gate: make(chan struct{})}
 	net := transport.NewInproc()
 	cl, err := cluster.StartInproc(net, vclock.NewReal(), cluster.Config{
 		DataProviders: 1,
@@ -312,7 +323,7 @@ func (f *faultStore) Get(id wire.PageID, off, length uint32) ([]byte, error) {
 // first error leaked their flights, and every later reader of those
 // pages joined a flight nobody would ever complete and hung forever.
 func TestFailedReadLeavesNoFlights(t *testing.T) {
-	fs := &faultStore{Store: pagestore.NewMem()}
+	fs := &faultStore{Store: memStore(t)}
 	net := transport.NewInproc()
 	cl, err := cluster.StartInproc(net, vclock.NewReal(), cluster.Config{
 		DataProviders: 1,

@@ -52,16 +52,16 @@ type Config struct {
 	// providers (default 1, the paper's layout; >1 enables the replication
 	// extension with read failover).
 	PageReplication int
-	// NewStore builds each data provider's page engine. Nil defaults to
-	// in-memory stores, or — when PageDir is set — to durable page
-	// stores owned by the providers.
+	// NewStore builds each data provider's page engine. Nil has each
+	// provider open, and close, a page store of its own: in memory, or
+	// on disk under PageDir.
 	NewStore func(i int) pagestore.Store
-	// PageDir, when non-empty and NewStore is nil, gives every data
-	// provider a durable segmented page store at
-	// PageDir/provider-<i>.log, tuned by PageStore. The provider opens
-	// and closes it.
+	// PageDir, when non-empty and NewStore is nil, makes the providers'
+	// page stores durable: provider i's is a segmented page log at
+	// PageDir/provider-<i>.log.
 	PageDir string
-	// PageStore tunes the page stores opened under PageDir.
+	// PageStore tunes the page stores the providers open, in memory or
+	// under PageDir.
 	PageStore pagestore.DiskOptions
 	// DeadWriterTimeout enables the version manager's crashed-writer
 	// sweeper when positive.
@@ -86,8 +86,8 @@ type Config struct {
 	// on start. Combine with VersionWALPath and a disk-backed NewStore
 	// for a fully restartable cluster.
 	MetaLogDir string
-	// MetaLog tunes the durable metadata logs opened under MetaLogDir
-	// (segment size, index-snapshot interval, compaction threshold).
+	// MetaLog tunes the metadata nodes' pair logs, in memory or under
+	// MetaLogDir.
 	MetaLog dht.LogOptions
 	// HeartbeatEvery tunes provider heartbeats (default 5s).
 	HeartbeatEvery time.Duration
@@ -303,13 +303,9 @@ func (cl *Cluster) openMeta(i int) (*dht.Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: metadata provider %d: %w", i, err)
 	}
-	if cl.cfg.MetaLogDir == "" {
-		return dht.ServeNode(ln, cl.sched), nil
-	}
 	opts := cl.cfg.MetaLog
 	opts.Fault = cl.fault(roleMeta, i)
-	node, err := dht.ServeDurableNode(ln, cl.sched,
-		fmt.Sprintf("%s/meta-%d.log", cl.cfg.MetaLogDir, i), opts)
+	node, err := dht.ServeNode(ln, cl.sched, logPath(cl.cfg.MetaLogDir, "meta", i), opts)
 	if err != nil {
 		ln.Close()
 		return nil, fmt.Errorf("cluster: metadata provider %d: %w", i, err)
@@ -332,8 +328,8 @@ func (cl *Cluster) openData(i int) (*provider.Provider, error) {
 	}
 	if cl.cfg.NewStore != nil {
 		pcfg.Store = cl.cfg.NewStore(i)
-	} else if cl.cfg.PageDir != "" {
-		pcfg.PageLog = filepath.Join(cl.cfg.PageDir, fmt.Sprintf("provider-%d.log", i))
+	} else {
+		pcfg.PageLog = logPath(cl.cfg.PageDir, "provider", i)
 		pcfg.PageStore = cl.cfg.PageStore
 		pcfg.PageStore.Fault = cl.fault(roleData, i)
 	}
@@ -343,6 +339,15 @@ func (cl *Cluster) openData(i int) (*provider.Provider, error) {
 		return nil, fmt.Errorf("cluster: data provider %d: %w", i, err)
 	}
 	return p, nil
+}
+
+// logPath names service i's log in dir: dir/<name>-<i>.log, or "" — a
+// log in memory — when dir is empty.
+func logPath(dir, name string, i int) string {
+	if dir == "" {
+		return ""
+	}
+	return filepath.Join(dir, fmt.Sprintf("%s-%d.log", name, i))
 }
 
 // fault binds Config.Fault to one service; nil without one.
@@ -442,8 +447,8 @@ func (cl *Cluster) MetaLogBytes() int64 {
 }
 
 // CompactMetadata forces every metadata node to rewrite pair-log
-// segments dominated by deleted tree nodes (dht.Node.CompactLog). No-op
-// for in-memory nodes.
+// segments dominated by deleted tree nodes (dht.Node.CompactLog), on
+// disk or, for in-memory nodes, in RAM.
 func (cl *Cluster) CompactMetadata() error {
 	for _, n := range cl.MetaNodes {
 		if err := n.CompactLog(); err != nil {

@@ -77,9 +77,9 @@ func BenchmarkDurableNodeMultiPut(b *testing.B) {
 
 // BenchmarkNodeMultiGet is one MULTI_GET of 64 stored inner-node sized
 // pairs, answered: what a metadata provider pays per request of a tree
-// descent or a GC walk, on either engine. B/op and allocs/op are the
-// same on both up to the buffer Disk borrows for the values, which a
-// collector cycle makes it allocate afresh.
+// descent or a GC walk, with its log in memory (Mem) and on disk. Both
+// read the values into one buffer borrowed from the pool, which a
+// collector cycle makes them allocate afresh.
 func BenchmarkNodeMultiGet(b *testing.B) {
 	const n = 64
 	keys, values := make([][]byte, n), make([][]byte, n)

@@ -59,7 +59,9 @@ func newClusterWith(t testing.TB, n, replicas int, wrap func(rpc.Handler) rpc.Ha
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = newNode(nil)
+		if nodes[i], err = newNode("", LogOptions{}); err != nil {
+			t.Fatal(err)
+		}
 		nodes[i].srv = rpc.Serve(ln, sched, wrap(nodes[i].mux()))
 		addrs[i] = nodes[i].Addr()
 	}

@@ -6,17 +6,15 @@ import (
 
 	"blobseer/internal/bufpool"
 	"blobseer/internal/obs"
-	"blobseer/internal/rpc"
 	"blobseer/internal/seglog"
-	"blobseer/internal/transport"
-	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
 )
 
-// Durable metadata nodes keep every pair in a seglog.KV and nowhere
-// else, so the segment trees survive a restart of the whole cluster
-// (extension — the paper's metadata lived in RAM and node volatility
-// was future work) and a node's RAM and restart time do not grow with
+// A metadata node keeps every pair in a seglog.KV and nowhere else: in
+// RAM for a node started with no path (the paper's RAM-resident
+// metadata providers), or on disk, so the segment trees survive a
+// restart of the whole cluster (extension — node volatility was future
+// work in the paper) and a node's RAM and restart time do not grow with
 // every tree node it was ever handed: a GET reads the pair from its log
 // segment (the OS page cache is the only cache), a restart rebuilds the
 // KV's index and reads no value. Layout, recovery, snapshots and
@@ -56,57 +54,13 @@ var metaLayout = &seglog.KVLayout{
 	SealSync: true,
 }
 
-// LogOptions tunes a durable node's metadata log. The zero value is
-// unsynced appends, 64 MB segments, no automatic snapshots or
-// compaction. Appends always group-commit.
-type LogOptions struct {
-	// Sync forces records to disk before a put or delete is
-	// acknowledged: one fsync per request, shared with whatever else
-	// commits alongside. Slower, but a crash loses at most in-flight
-	// pairs instead of the OS write-back window.
-	Sync bool
-	// SegmentBytes rolls the log into a fresh segment file once the
-	// active one exceeds this many bytes (default 64 MB). Compaction
-	// rewrites whole sealed segments, so smaller segments reclaim at a
-	// finer grain for more files.
-	SegmentBytes int64
-	// SnapshotEvery, when positive, writes an index snapshot
-	// automatically after that many appended records, bounding reopen
-	// replay by the interval. Zero disables automatic snapshots, and
-	// CompactLog then starts none either (see seglog.KVOptions).
-	SnapshotEvery int
-	// CompactRatio, when positive, makes the background compactor
-	// rewrite any sealed segment whose live-byte ratio falls below this
-	// threshold (0 < ratio < 1), dropping records of deleted pairs.
-	// Zero disables automatic compaction; CompactLog remains available
-	// on demand.
-	CompactRatio float64
-	// Fault is the log's maintenance fault seam (seglog.KVOptions.Fault):
-	// test-only.
-	Fault func(point string) error
-}
+// LogOptions tunes a node's metadata log, on disk or in memory: the
+// KV's own options, as pagestore.DiskOptions are (see seglog.KVOptions).
+type LogOptions = seglog.KVOptions
 
-// ServeDurableNode starts a metadata provider whose pairs live in a
-// segmented log rooted at path; a restart serves what the log holds.
-func ServeDurableNode(ln transport.Listener, sched vclock.Scheduler, path string, opts LogOptions) (*Node, error) {
-	log, err := seglog.OpenKV(path, metaLayout, seglog.KVOptions{
-		Sync:          opts.Sync,
-		SegmentBytes:  opts.SegmentBytes,
-		SnapshotEvery: opts.SnapshotEvery,
-		CompactRatio:  opts.CompactRatio,
-		Fault:         opts.Fault,
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := newNode(log)
-	n.srv = rpc.Serve(ln, sched, n.mux())
-	return n, nil
-}
-
-// Disk is the durable engine: the pairs are the seglog.KV's, and
-// there is no other state — this file only maps the engine contract
-// onto the log, as pagestore.Disk maps the page store's.
+// Disk is the engine: the pairs are the seglog.KV's, and there is no
+// other state — this file only maps the engine contract onto the log,
+// as pagestore.Disk maps the page store's.
 type Disk struct{ kv *seglog.KV }
 
 func newDisk(kv *seglog.KV) *Disk { return &Disk{kv: kv} }

@@ -79,7 +79,7 @@ func (r *durableNodeRig) start() {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	node, err := ServeDurableNode(ln, r.sched, r.path, r.opts)
+	node, err := ServeNode(ln, r.sched, r.path, r.opts)
 	if err != nil {
 		r.t.Fatalf("start durable node: %v", err)
 	}
@@ -376,7 +376,7 @@ func TestMetaLogRefusesFormat1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := ServeDurableNode(ln, r.sched, r.path, r.opts); err == nil || !strings.Contains(err.Error(), "unknown segment format 1") {
+	if n, err := ServeNode(ln, r.sched, r.path, r.opts); err == nil || !strings.Contains(err.Error(), "unknown segment format 1") {
 		if n != nil {
 			n.Close()
 		}

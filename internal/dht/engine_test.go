@@ -348,20 +348,21 @@ func (e *ledgerEngine) settled(t *testing.T, when string, loans int) {
 }
 
 // TestEveryLentValueBufferReleasedOnce walks DHT_MULTI_GET out of every
-// exit it has, over either engine, and checks the
+// exit it has, over a log on disk and one in memory, and checks the
 // engine's books after each: what getBatch lent came back through
 // release exactly once, and nothing else did.
 func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 	for _, name := range []string{"Disk", "Mem"} {
 		t.Run(name, func(t *testing.T) {
-			var inner engine = newMem()
+			path := ""
 			if name == "Disk" {
-				kv, err := seglog.OpenKV(filepath.Join(t.TempDir(), "meta.log"), metaLayout, seglog.KVOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				inner = newDisk(kv) // closed with the node
+				path = filepath.Join(t.TempDir(), "meta.log")
 			}
+			kv, err := seglog.OpenKV(path, metaLayout, seglog.KVOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := newDisk(kv) // closed with the node
 			eng := &ledgerEngine{engine: inner, huge: make([]byte, rpc.MaxFrameBody+1), out: make(map[*byte]int)}
 			net := transport.NewInproc()
 			ln, err := net.Listen("meta")
@@ -430,7 +431,7 @@ func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 
 // TestNodeRefusesKeysOfAnyOtherSize: every key a node stores is a tree
 // node's KeyLen-byte name, and a request naming any other size is
-// refused whole, on either engine, before the engine sees it — a put
+// refused whole, in memory or on disk, before the engine sees it — a put
 // stores none of its pairs, a delete removes none, a lookup answers
 // nothing.
 func TestNodeRefusesKeysOfAnyOtherSize(t *testing.T) {

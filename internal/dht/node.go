@@ -12,20 +12,20 @@ import (
 )
 
 // Node is one metadata provider: the wire front-end — validation,
-// request and response framing, buffer ownership — over a storage
-// engine that holds the pairs: Mem (ServeNode) or Disk
-// (ServeDurableNode).
+// request and response framing, buffer ownership — over the storage
+// engine that holds the pairs, Disk: a segmented log on disk, or in
+// memory for a node started with no path.
 type Node struct {
 	srv *rpc.Server
 	eng engine
-	// log is the Disk engine's store, nil over Mem: what CompactLog acts on.
+	// log is the Disk engine's store: what CompactLog acts on.
 	log *seglog.KV
 }
 
 // KeyLen is the size of every key a node stores: a tree node's name,
 // as internal/meta builds it — a prefix byte, then the owning blob, the
 // version, the offset and the span, a uint64 each. A node refuses any
-// other size, whichever engine it runs on.
+// other size.
 const KeyLen = 1 + 8 + 8 + 8 + 8
 
 // engine stores a node's pairs. Keys are KeyLen bytes and values are
@@ -67,27 +67,31 @@ func divergent(key []byte, stored, got int) error {
 		"divergent re-put of key %x: stored %d bytes, got %d", key, stored, got)
 }
 
-// ServeNode starts a metadata provider on ln, its pairs in RAM.
-func ServeNode(ln transport.Listener, sched vclock.Scheduler) *Node {
-	n := newNode(nil)
+// ServeNode starts a metadata provider on ln whose pairs live in a
+// segmented log rooted at path, or in memory when path is empty. A
+// restart on the same path serves what the log holds.
+func ServeNode(ln transport.Listener, sched vclock.Scheduler, path string, opts LogOptions) (*Node, error) {
+	n, err := newNode(path, opts)
+	if err != nil {
+		return nil, err
+	}
 	n.srv = rpc.Serve(ln, sched, n.mux())
-	return n
+	return n, nil
 }
 
-// newNode builds the node over the Disk engine of log, or over Mem when
-// log is nil.
-func newNode(log *seglog.KV) *Node {
-	if log == nil {
-		return &Node{eng: newMem()}
+// newNode opens the node's log, for its caller to serve.
+func newNode(path string, opts LogOptions) (*Node, error) {
+	log, err := seglog.OpenKV(path, metaLayout, opts)
+	if err != nil {
+		return nil, err
 	}
-	return &Node{eng: newDisk(log), log: log}
+	return &Node{eng: newDisk(log), log: log}, nil
 }
 
 // Addr returns the node's service address.
 func (n *Node) Addr() string { return n.srv.Addr() }
 
-// Close stops the service and closes the engine (for durable nodes, the
-// log).
+// Close stops the service and closes the engine, and so the log.
 func (n *Node) Close() {
 	n.srv.Close()
 	n.eng.close()
@@ -100,17 +104,12 @@ func (n *Node) Metrics(s *obs.Sink) {
 }
 
 // CompactLog rewrites metadata log segments dominated by deleted pairs,
-// reclaiming the space of GC'd tree nodes — the active segment too,
-// which it seals first when it qualifies. The rewrites are covered by a
-// fresh index snapshot when the log keeps one (SnapshotEvery, or a
-// snapshot already on disk); otherwise reopen rescans. No-op for an
-// in-memory node.
-func (n *Node) CompactLog() error {
-	if n.log == nil {
-		return nil
-	}
-	return n.log.Compact()
-}
+// reclaiming the space of GC'd tree nodes, on disk or in RAM — the
+// active segment too, which it seals first when it qualifies. The
+// rewrites are covered by a fresh index snapshot when the log keeps one
+// (SnapshotEvery, or a snapshot already on disk); otherwise reopen
+// rescans.
+func (n *Node) CompactLog() error { return n.log.Compact() }
 
 // put validates and stores the pairs of one DHT_MULTI_PUT: a malformed
 // request stores nothing, wherever in it the defect sits.

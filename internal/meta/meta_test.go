@@ -27,7 +27,9 @@ func newDHT(t testing.TB, nodes int) *dht.Client {
 		if err != nil {
 			t.Fatal(err)
 		}
-		served[i] = dht.ServeNode(ln, sched)
+		if served[i], err = dht.ServeNode(ln, sched, "", dht.LogOptions{}); err != nil {
+			t.Fatal(err)
+		}
 		addrs[i] = served[i].Addr()
 	}
 	ring, err := dht.NewRing(addrs, 1)

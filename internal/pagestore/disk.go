@@ -11,11 +11,11 @@ import (
 	"blobseer/internal/wire"
 )
 
-// Disk is the durable Store: pages in a seglog.KV keyed by their raw
-// 16-byte id. Layout, recovery, snapshots and compaction are the KV's
-// (see internal/seglog/kv.go, including the safety rule for space
-// reclamation that Delete's contract feeds); this file only names the
-// page store's instantiation and maps the Store contract onto it.
+// Disk is the Store: pages in a seglog.KV, on disk or in RAM, keyed by
+// their raw 16-byte id. Layout, recovery, snapshots and compaction are
+// the KV's (see internal/seglog/kv.go, including the safety rule for
+// space reclamation that Delete's contract feeds); this file only names
+// the page store's instantiation and maps the Store contract onto it.
 type Disk struct{ kv *seglog.KV }
 
 // pageLayout is the page store's instantiation of the KV: its file
@@ -38,7 +38,7 @@ type DiskOptions = seglog.KVOptions
 
 // OpenDisk opens (creating if needed) the segmented page store rooted
 // at path and rebuilds its index from the newest valid index snapshot
-// plus the log tail.
+// plus the log tail; an empty path opens a fresh one in memory.
 func OpenDisk(path string, opts DiskOptions) (*Disk, error) {
 	kv, err := seglog.OpenKV(path, pageLayout, opts)
 	if err != nil {

@@ -1,19 +1,16 @@
-// Package pagestore implements the storage engines behind a data
+// Package pagestore implements the storage engine behind a data
 // provider. A page is an immutable blob of bytes identified by a globally
 // unique PageID; BlobSeer never overwrites a page in place (§3 of the
 // paper), which keeps the engine interface small: put, ranged get, has.
 //
-// Two engines are provided: Mem, the sharded in-memory map of
-// internal/memkv matching the paper's RAM-resident prototype, and Disk,
-// the durable keyed store of internal/seglog keyed by page id (an
-// extension beyond the paper).
+// The engine is Disk, internal/seglog's keyed store keyed by page id:
+// durable when opened with a path (an extension beyond the paper), else
+// the same log in RAM, the paper's RAM-resident prototype.
 package pagestore
 
 import (
 	"errors"
-	"fmt"
 
-	"blobseer/internal/memkv"
 	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
@@ -59,60 +56,3 @@ type Store interface {
 	// Close releases resources. The store must not be used afterwards.
 	Close() error
 }
-
-// slicePage extracts the [off, off+length) range from a stored page,
-// handling the WholePage sentinel and bounds checks. Shared by engines.
-func slicePage(data []byte, off, length uint32) ([]byte, error) {
-	if uint64(off) > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: offset %d beyond page of %d bytes", ErrBadRange, off, len(data))
-	}
-	if length == wire.WholePage {
-		return data[off:], nil
-	}
-	if uint64(off)+uint64(length) > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: [%d,+%d) beyond page of %d bytes", ErrBadRange, off, length, len(data))
-	}
-	return data[off : off+length], nil
-}
-
-// Mem is the in-memory Store: pages in a memkv.Map keyed by their raw
-// 16-byte id. Construct with NewMem.
-type Mem struct{ m *memkv.Map }
-
-// NewMem returns an empty in-memory store.
-func NewMem() *Mem { return &Mem{m: memkv.New()} }
-
-// Put implements Store. Pages are immutable, so a second Put of an id
-// is a no-op.
-func (m *Mem) Put(id wire.PageID, data []byte) error {
-	m.m.Put(id[:], data)
-	return nil
-}
-
-// Get implements Store. The slice it returns aliases the stored page —
-// serving a page from memory copies nothing — which is why Release
-// must leave it alone.
-func (m *Mem) Get(id wire.PageID, off, length uint32) ([]byte, error) {
-	data, ok := m.m.Get(id[:])
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
-	}
-	return slicePage(data, off, length)
-}
-
-// Release implements Store by doing nothing: what Get returned is the
-// stored page itself, and recycling it would let a later read of
-// anything overwrite a page this store still serves.
-func (*Mem) Release([]byte) {}
-
-// Delete implements Store.
-func (m *Mem) Delete(id wire.PageID) error {
-	m.m.Delete(id[:])
-	return nil
-}
-
-// Metrics implements Store.
-func (m *Mem) Metrics(s *obs.Sink) { m.m.Metrics(s) }
-
-// Close implements Store.
-func (m *Mem) Close() error { return nil }

@@ -111,7 +111,18 @@ func exerciseStore(t *testing.T, s Store) {
 	}
 }
 
-func TestMemConformance(t *testing.T) { exerciseStore(t, NewMem()) }
+// openMem opens a page store in memory, closed when the test ends.
+func openMem(t *testing.T) *Disk {
+	t.Helper()
+	d, err := OpenDisk("", DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+func TestMemConformance(t *testing.T) { exerciseStore(t, openMem(t)) }
 
 func TestDiskConformance(t *testing.T) {
 	d, err := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
@@ -122,19 +133,20 @@ func TestDiskConformance(t *testing.T) {
 	exerciseStore(t, d)
 }
 
-// TestReleaseNeverTouchesAStoredPage: whatever an engine does with the
-// slices it is handed back, the pages it stores are not among them. Mem
-// hands out the stored page itself, so its Release must not recycle —
-// with released buffers poisoned (export_test.go) the very first one
-// would destroy the page, and the thousand reads of other pages after
-// it would be served out of its memory.
+// TestReleaseNeverTouchesAStoredPage: whatever a store does with the
+// slices it is handed back, the pages it stores are not among them —
+// on disk, and in memory, where a page is a few bytes of the same RAM
+// the lent buffers come from. With released buffers poisoned
+// (export_test.go) a Release that reached a stored page would destroy
+// it, and the thousand reads of other pages after it would be served
+// out of recycled memory.
 func TestReleaseNeverTouchesAStoredPage(t *testing.T) {
 	disk, err := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	for name, s := range map[string]Store{"Mem": NewMem(), "Disk": disk} {
+	for name, s := range map[string]Store{"Mem": openMem(t), "Disk": disk} {
 		page := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8), 0x5A}, 700) }
 		const others = 8
 		for i := 0; i <= others; i++ {
@@ -162,7 +174,7 @@ func TestReleaseNeverTouchesAStoredPage(t *testing.T) {
 }
 
 func TestMemConcurrentPutGet(t *testing.T) {
-	m := NewMem()
+	m := openMem(t)
 	const workers = 16
 	const perWorker = 200
 	var wg sync.WaitGroup
@@ -256,33 +268,82 @@ func TestDiskUseAfterClose(t *testing.T) {
 	}
 }
 
+// TestQuickMemMatchesDisk: the store in memory and the store on disk
+// both answer every put and ranged get as a plain map of pages does —
+// the first put of an id wins, and a range must lie inside its page.
 func TestQuickMemMatchesDisk(t *testing.T) {
-	// Property: Mem and Disk agree on every operation sequence.
-	mem := NewMem()
 	disk, err := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
+	stores := map[string]Store{"Mem": openMem(t), "Disk": disk}
+	model := make(map[wire.PageID][]byte)
 	f := func(idByte byte, data []byte, off, length uint16) bool {
 		id := pid(idByte)
-		if err := mem.Put(id, data); err != nil {
-			return false
+		if _, ok := model[id]; !ok {
+			model[id] = append([]byte{}, data...)
 		}
-		if err := disk.Put(id, data); err != nil {
-			return false
+		page := model[id]
+		end := int(off) + int(length)
+		inside := int(off) <= len(page) && end <= len(page)
+		for name, s := range stores {
+			if err := s.Put(id, data); err != nil {
+				t.Logf("%s: Put: %v", name, err)
+				return false
+			}
+			got, err := s.Get(id, uint32(off), uint32(length))
+			if !inside {
+				if !errors.Is(err, ErrBadRange) {
+					t.Logf("%s: Get [%d,+%d) of a %d-byte page = %v, want ErrBadRange", name, off, length, len(page), err)
+					return false
+				}
+				continue
+			}
+			if err != nil || !bytes.Equal(got, page[off:end]) {
+				t.Logf("%s: Get [%d,+%d) = %q, %v, want %q", name, off, length, got, err, page[off:end])
+				return false
+			}
+			s.Release(got)
 		}
-		mGot, mErr := mem.Get(id, uint32(off), uint32(length))
-		dGot, dErr := disk.Get(id, uint32(off), uint32(length))
-		if (mErr == nil) != (dErr == nil) {
-			return false
-		}
-		if mErr != nil {
-			return errors.Is(mErr, ErrBadRange) && errors.Is(dErr, ErrBadRange)
-		}
-		return bytes.Equal(mGot, dGot)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemReturnsDeletedPagesAtCompaction: a store in memory gives the
+// RAM of deleted pages back when it compacts, as a store on disk gives
+// back its disk space: store_log_bytes, which in memory is RAM held,
+// falls to what the live pages need.
+func TestMemReturnsDeletedPagesAtCompaction(t *testing.T) {
+	m := openMem(t)
+	page := bytes.Repeat([]byte{0xA5}, 4096)
+	for i := byte(0); i < 64; i++ {
+		if err := m.Put(pid(i), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func() float64 { return obs.Value(m, "store_log_bytes") }
+	full := held()
+	for i := byte(0); i < 60; i++ {
+		if err := m.Delete(pid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := held(); got < full {
+		t.Fatalf("store_log_bytes fell from %v to %v before any compaction", full, got)
+	}
+	if err := m.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := held(); got > full/8 {
+		t.Fatalf("store_log_bytes after deleting 60 of 64 pages and compacting = %v, want at most %v (of %v)", got, full/8, full)
+	}
+	for i := byte(60); i < 64; i++ {
+		if got, err := m.Get(pid(i), 0, wire.WholePage); err != nil || !bytes.Equal(got, page) {
+			t.Fatalf("live page %d after compaction: %v", i, err)
+		}
 	}
 }

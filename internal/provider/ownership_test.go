@@ -143,12 +143,23 @@ func serveStore(t *testing.T, store pagestore.Store) (string, *rpc.Client, *tran
 	return p.Addr(), cl, net
 }
 
+// memStore opens a page store in memory, closed when the test ends.
+func memStore(t *testing.T) pagestore.Store {
+	t.Helper()
+	s, err := pagestore.OpenDisk("", pagestore.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 // TestEveryLentPageReleasedOnce walks GET_PAGES out of every exit it
 // has and checks the engine's books after each: what
 // Get lent came back through Release exactly once, and nothing else did
 // — not a missing entry, not a buffer twice.
 func TestEveryLentPageReleasedOnce(t *testing.T) {
-	store := newLedger(pagestore.NewMem())
+	store := newLedger(memStore(t))
 	addr, cl, net := serveStore(t, store)
 	ctx := context.Background()
 	whole := func(ids ...wire.PageID) *wire.GetPagesReq {
@@ -218,18 +229,18 @@ func TestEveryLentPageReleasedOnce(t *testing.T) {
 }
 
 // TestConcurrentReadsSeeWholePages has 8 readers fetch overlapping
-// batches from a durable engine and from an in-memory one and checksum
+// batches from a store on disk and from one in memory and checksum
 // every page that arrives. Released buffers are poisoned in this
 // package's tests: a page handed back before its response was framed,
-// or a stored Mem page handed to the pool at all, reads as 0xDB on
-// every run, not on a lucky one.
+// or a buffer the store still reads from handed to the pool at all,
+// reads as 0xDB on every run, not on a lucky one.
 func TestConcurrentReadsSeeWholePages(t *testing.T) {
 	disk, err := pagestore.OpenDisk(filepath.Join(t.TempDir(), "pages"), pagestore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	for name, inner := range map[string]pagestore.Store{"Disk": disk, "Mem": pagestore.NewMem()} {
+	for name, inner := range map[string]pagestore.Store{"Disk": disk, "Mem": memStore(t)} {
 		t.Run(name, func(t *testing.T) {
 			store := newLedger(inner)
 			addr, cl, _ := serveStore(t, store)

@@ -20,15 +20,12 @@ import (
 
 // Config configures a data provider.
 type Config struct {
-	// Store is the page engine; defaults to a disk store at PageLog
-	// when that is set, else an in-memory store.
+	// Store is the page engine; nil has the provider open, own and close
+	// one at PageLog: durable at that path, in memory when it is empty.
 	Store pagestore.Store
-	// PageLog, when Store is nil, makes the provider open — and own,
-	// closing it on Close — a durable page store rooted at this path,
-	// tuned by PageStore. This is how blobseerd and cluster deployments
-	// plumb the page-store knobs down to the engine.
-	PageLog string
-	// PageStore tunes the disk store opened for PageLog.
+	// PageLog and PageStore root and tune that store: how blobseerd and
+	// cluster deployments plumb the page-store knobs down to the engine.
+	PageLog   string
 	PageStore pagestore.DiskOptions
 	// Sched drives background loops; defaults to the real clock.
 	Sched vclock.Scheduler
@@ -49,7 +46,7 @@ type Config struct {
 // Provider is a running data provider service.
 type Provider struct {
 	store    pagestore.Store
-	ownStore bool // the provider opened it (PageLog) and closes it
+	ownStore bool // the provider opened it (at PageLog) and closes it
 	srv      *rpc.Server
 	cfg      Config
 	closed   chan struct{}
@@ -67,17 +64,13 @@ type Provider struct {
 //
 //blobseer:ctx lifecycle root: registration runs under the provider's own Close-cancelled context
 func Serve(ln transport.Listener, cfg Config) (*Provider, error) {
-	var ownStore bool
-	if cfg.Store == nil && cfg.PageLog != "" {
+	ownStore := cfg.Store == nil
+	if ownStore {
 		d, err := pagestore.OpenDisk(cfg.PageLog, cfg.PageStore)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Store = d
-		ownStore = true
-	}
-	if cfg.Store == nil {
-		cfg.Store = pagestore.NewMem()
 	}
 	if cfg.Sched == nil {
 		cfg.Sched = vclock.NewReal()
@@ -125,7 +118,7 @@ func (p *Provider) Metrics(s *obs.Sink) {
 }
 
 // Close stops serving, cancels and joins the heartbeat loop, and closes
-// the page store when the provider opened it itself (PageLog).
+// the page store when the provider opened it itself (Store was nil).
 func (p *Provider) Close() {
 	select {
 	case <-p.closed:

@@ -16,7 +16,7 @@
 // Buffer ownership: a page's bytes are allocated once, on the side that
 // keeps them. Frames are marshalled in place into their destination
 // buffer and every frame body read off a connection — plus every
-// response frame a server builds, every page a durable store reads for
+// response frame a server builds, every page a store reads for
 // a GET and every page a client decodes — lives in a recycled buffer
 // (internal/bufpool), released by exactly one owner:
 //
@@ -66,7 +66,7 @@ const MaxFrameBody = 64 << 20
 
 // PoisonReleasedFrames makes every buffer released to the shared pool
 // (internal/bufpool: frame bodies, response frames and the pages a
-// durable store lends a GET) be overwritten on release, for the rest of
+// store lends a GET) be overwritten on release, for the rest of
 // the process. It is a test hook, called only from export_test.go files
 // (this package's, and the root, provider and dht packages', whose
 // tests check what a handler kept against it) before their first test

@@ -56,7 +56,7 @@ func TestPublishSnapshotCrashPoints(t *testing.T) {
 
 			// What recovery finds. RemoveTmp is what every store's open does
 			// first; the live snapshot must then be one complete state.
-			RemoveTmp(base)
+			removeTmp(osFS{}, base)
 			data, err := testFmt.LoadSnapshotFile(SnapshotPath(base))
 			if err != nil {
 				t.Fatalf("snapshot after crash at %s unreadable: %v", point, err)
@@ -82,7 +82,7 @@ func TestSegmentWriterCommitCrashPoints(t *testing.T) {
 			path := SegmentPath(base, 1)
 			writeTestSegment(t, testFmt, path, 3, "orig")
 
-			w, err := testFmt.NewSegmentWriter(CompactTmpPath(base), 7)
+			w, err := testFmt.newSegmentWriter(osFS{}, CompactTmpPath(base), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,13 +94,13 @@ func TestSegmentWriterCommitCrashPoints(t *testing.T) {
 				t.Fatalf("crash at %s not surfaced: %v", point, err)
 			}
 
-			RemoveTmp(base)
+			removeTmp(osFS{}, base)
 			f, err := os.Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			gen, err := testFmt.ReadHeader(f, path)
+			gen, err := testFmt.readHeader(osFile{f}, path)
 			if err != nil {
 				t.Fatalf("segment after crash at %s unreadable: %v", point, err)
 			}
@@ -130,7 +130,7 @@ func TestSegmentWriterCommitCrashPoints(t *testing.T) {
 // records "<tag>-<i>", generation 1.
 func writeTestSegment(t *testing.T, ft *Format, path string, n int, tag string) {
 	t.Helper()
-	w, err := ft.NewSegmentWriter(path, 1)
+	w, err := ft.newSegmentWriter(osFS{}, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestScanRejectsCorruption(t *testing.T) {
 func TestHeaderlessSegmentsStartAtZero(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.000001")
-	w, err := testWALFmt.NewSegmentWriter(path, 99)
+	w, err := testWALFmt.newSegmentWriter(osFS{}, path, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestScanPayloadIsOnlyValidDuringVisit(t *testing.T) {
 	defer f.Close()
 	var win []byte
 	var kept, copied [][]byte
-	if _, _, err := testFmt.scanFrames(&win, f, path, false, -1, func(p []byte, _ int64, _ uint32) error {
+	if _, _, err := testFmt.scanFrames(&win, osFile{f}, path, false, -1, func(p []byte, _ int64, _ uint32) error {
 		kept = append(kept, p)
 		copied = append(copied, append([]byte(nil), p...))
 		return nil
@@ -298,7 +298,7 @@ func TestScanPayloadIsOnlyValidDuringVisit(t *testing.T) {
 func TestScanCrossesWindows(t *testing.T) {
 	sizes := []int{10, ioWindow - 2*FrameHeaderSize - 10 - HeaderSize, 700_000, 500_000, ioWindow + 500_000, 5, 0, 900_000}
 	path := filepath.Join(t.TempDir(), "log.000001")
-	w, err := testFmt.NewSegmentWriter(path, 1)
+	w, err := testFmt.newSegmentWriter(osFS{}, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestScanCrossesWindows(t *testing.T) {
 	if err := w.Commit(path, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	f := w.File()
+	f := w.File().(osFile).File
 	defer f.Close()
 	scan := func(allowTorn bool, want int) int64 {
 		t.Helper()
@@ -368,7 +368,7 @@ func TestSkimDecidesBySize(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "log.000001")
-			w, err := testFmt.NewSegmentWriter(path, 1)
+			w, err := testFmt.newSegmentWriter(osFS{}, path, 1)
 			must(t, err)
 			payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, c.sizes[i]) }
 			var offs []int64
@@ -380,12 +380,12 @@ func TestSkimDecidesBySize(t *testing.T) {
 				long = long || n > edge
 			}
 			must(t, w.Commit(path, nil, nil))
-			f := w.File()
+			f := w.File().(osFile).File
 			defer f.Close()
 			walk := func() (bool, error) {
 				var win []byte
 				n := 0
-				_, skimmed, err := testFmt.scanFrames(&win, f, path, false, prefix, func(p []byte, off int64, plen uint32) error {
+				_, skimmed, err := testFmt.scanFrames(&win, osFile{f}, path, false, prefix, func(p []byte, off int64, plen uint32) error {
 					want := payload(n)
 					if c.sizes[n] > edge {
 						want = want[:prefix]

@@ -96,7 +96,7 @@ type frameVisitor = func(p []byte, payloadOff int64, payloadLen uint32) error
 // and a visitor that keeps any of it must copy. Scan's window is its
 // own; a KV lends its scans the store's (see scanFrames).
 func (ft *Format) Scan(f *os.File, path string, allowTorn bool, visit func(payload []byte, payloadOff int64) error) (int64, error) {
-	size, _, err := ft.scanFrames(new([]byte), f, path, allowTorn, -1, func(payload []byte, payloadOff int64, _ uint32) error {
+	size, _, err := ft.scanFrames(new([]byte), osFile{f}, path, allowTorn, -1, func(payload []byte, payloadOff int64, _ uint32) error {
 		return visit(payload, payloadOff)
 	})
 	return size, err
@@ -113,12 +113,11 @@ func (ft *Format) Scan(f *os.File, path string, allowTorn bool, visit func(paylo
 // one window-sized, so a run of pages costs a pread each and a run of
 // small records one pread per window. skimmed reports whether any frame
 // was skimmed.
-func (ft *Format) scanFrames(win *[]byte, f *os.File, path string, allowTorn bool, prefixLen int, visit frameVisitor) (size int64, skimmed bool, err error) {
-	info, err := f.Stat()
+func (ft *Format) scanFrames(win *[]byte, f file, path string, allowTorn bool, prefixLen int, visit frameVisitor) (size int64, skimmed bool, err error) {
+	logLen, err := f.Size()
 	if err != nil {
 		return 0, false, fmt.Errorf("%s: stat segment: %w", ft.Name, err)
 	}
-	logLen := info.Size()
 	off := ft.DataStart()
 	// A pread brings in a step: a window, or where pages are likely — at
 	// the start of a skimming walk, and behind a skimmed frame — a prefix.

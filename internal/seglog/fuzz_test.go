@@ -122,7 +122,7 @@ func FuzzScan(f *testing.F) {
 		// for — less than most records hold, and more.
 		for _, prefixLen := range []int{3, 20} {
 			n := 0
-			end3, _, err := testWALFmt.scanFrames(new([]byte), fh, path, false, prefixLen, func(p []byte, _ int64, payloadLen uint32) error {
+			end3, _, err := testWALFmt.scanFrames(new([]byte), osFile{fh}, path, false, prefixLen, func(p []byte, _ int64, payloadLen uint32) error {
 				if n >= len(first) {
 					return nil
 				}

@@ -14,14 +14,14 @@ import (
 	"blobseer/internal/wire"
 )
 
-// KV is the one durable keyed store behind the provider page store
+// KV is the one keyed store behind the provider page store
 // (internal/pagestore.Disk) and the metadata nodes' pair log
-// (internal/dht): a segmented, CRC-framed log of put and tombstone
-// records with a striped in-memory index, group-committed appends, an
-// index snapshot for bounded-reopen recovery (kv_recover.go) and a
-// background compactor that rewrites mostly-dead segments
-// (kv_maintain.go). Values are immutable: a second Put of a key is a
-// no-op, and keys are never reused after Delete.
+// (internal/dht), on disk or in memory: a segmented, CRC-framed log of
+// put and tombstone records with a striped index, group-committed
+// appends, an index snapshot for bounded-reopen recovery
+// (kv_recover.go) and a background compactor that rewrites mostly-dead
+// segments (kv_maintain.go). Values are immutable: a second Put of a
+// key is a no-op, and keys are never reused after Delete.
 //
 // How a keyed store is laid out on, recovered from, snapshotted over
 // and compacted in a segmented log is decided here and nowhere else.
@@ -36,6 +36,7 @@ import (
 // survives any crash/compaction interleaving byte-identical — the
 // invariant the crash-injection table asserts at every fault point.
 type KV struct {
+	fs     fileSystem
 	base   string
 	ly     *KVLayout
 	opts   KVOptions
@@ -90,7 +91,10 @@ type KV struct {
 	// plus those replayed at open, read where the snapshot's seal cut the
 	// log. Their distance from it is the auto-snapshot countdown
 	// (uncovered), consumed only by a successful publish.
-	covered     atomic.Uint64
+	covered atomic.Uint64
+	// hasSnapshot records that a snapshot file exists: loadSnapshot found
+	// one, or a snapshot was published. Under maintMu once shared.
+	hasSnapshot bool
 	snapRuns    atomic.Uint64
 	compactRuns atomic.Uint64
 	// Background passes that failed: nothing else reports them.
@@ -213,7 +217,7 @@ type kvSegment struct {
 	idx uint32
 
 	mu  sync.RWMutex
-	f   *os.File
+	f   file
 	gen uint64
 	// size is the file length. For the active segment it is advanced
 	// only by the unique committer; for sealed segments it changes only
@@ -270,14 +274,22 @@ func (a *kvAppend) Cell() *Cell { return &a.cell }
 // (plus any segment a crashed compaction rewrote). A torn record at the
 // tail of the highest segment is truncated away; a torn or corrupt
 // snapshot degrades to a full rescan.
+//
+// An empty path opens a fresh store in memory, in a file system of its
+// own (memfs.go). Nothing reopens it, so SnapshotEvery is ignored; what
+// Delete leaves behind returns to RAM at compaction.
 func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
+	var fsys fileSystem = osFS{}
+	if path == "" {
+		fsys, path, opts.SnapshotEvery = newMemFS(), "mem", 0
+	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := fsys.MkdirAll(filepath.Dir(path)); err != nil {
 		return nil, fmt.Errorf("%s: create dir: %w", ly.Name, err)
 	}
-	s := &KV{base: path, ly: ly, opts: opts, errClosed: fmt.Errorf("%s: %w", ly.Name, ErrClosed)}
+	s := &KV{fs: fsys, base: path, ly: ly, opts: opts, errClosed: fmt.Errorf("%s: %w", ly.Name, ErrClosed)}
 	for i := range s.stripes {
 		s.stripes[i].m = make(map[string]kvEntry)
 	}
@@ -363,11 +375,11 @@ func (s *KV) dropEntry(key string) bool {
 // createSegment creates and opens a fresh segment file with a durable
 // header.
 func (s *KV) createSegment(idx uint32, gen uint64) (*kvSegment, error) {
-	f, err := os.OpenFile(s.segmentPath(idx), os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := s.fs.OpenFile(s.segmentPath(idx), os.O_CREATE)
 	if err != nil {
 		return nil, fmt.Errorf("%s: create segment: %w", s.ly.Name, err)
 	}
-	if err := s.ly.WriteHeader(f, gen); err != nil {
+	if err := s.ly.writeHeader(f, gen); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -379,7 +391,7 @@ func (s *KV) createSegment(idx uint32, gen uint64) (*kvSegment, error) {
 		// The directory entry must be durable before any record commits
 		// into the new segment, or a crash could lose a whole synced
 		// segment while keeping its successor.
-		if err := SyncDir(filepath.Dir(s.base)); err != nil {
+		if err := s.fs.SyncDir(filepath.Dir(s.base)); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("%s: sync dir: %w", s.ly.Name, err)
 		}
@@ -409,7 +421,7 @@ func (s *KV) rollLocked() error {
 			return fmt.Errorf("%s: seal segment: %w", s.ly.Name, err)
 		}
 		if !s.opts.Sync { // with Sync on, createSegment already dir-synced it
-			if err := SyncDir(filepath.Dir(s.base)); err != nil {
+			if err := s.fs.SyncDir(filepath.Dir(s.base)); err != nil {
 				return fmt.Errorf("%s: sync dir before roll: %w", s.ly.Name, err)
 			}
 		}
@@ -737,35 +749,6 @@ func (s *KV) LenBytes(key []byte) (uint32, bool) {
 	return e.vlen, ok
 }
 
-// Range calls fn with every live pair, reading each value from its
-// segment. It takes no consistent cut — keys put or deleted while it
-// runs may or may not be visited — so it is meant for loading a
-// just-opened store.
-func (s *KV) Range(fn func(key string, value []byte) error) error {
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		keys := make([]string, 0, len(st.m))
-		for key := range st.m {
-			keys = append(keys, key)
-		}
-		st.mu.RUnlock()
-		for _, key := range keys {
-			value, err := s.Get(key, 0, wire.WholePage)
-			if errors.Is(err, ErrNotFound) {
-				continue
-			}
-			if err == nil {
-				err = fn(key, value)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Metrics writes the store's series: what it holds, what its log costs,
 // how far its maintenance is behind, and what this open recovered.
 func (s *KV) Metrics(sink *obs.Sink) {
@@ -823,7 +806,7 @@ func (s *KV) closeFiles() error {
 		seg.mu.Unlock()
 	}
 	if s.ly.SealSync {
-		keep(SyncDir(filepath.Dir(s.base)))
+		keep(s.fs.SyncDir(filepath.Dir(s.base)))
 	}
 	return first
 }

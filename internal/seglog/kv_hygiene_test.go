@@ -17,9 +17,9 @@ func countRecordKinds(t *testing.T, ly *KVLayout, base string) (puts, tombs int)
 		path := SegmentPath(base, uint64(idx))
 		f, err := os.Open(path)
 		must(t, err)
-		_, err = ly.ReadHeader(f, path)
+		_, err = ly.readHeader(osFile{f}, path)
 		must(t, err)
-		_, err = ly.scan(new([]byte), &kvSegment{f: f}, path, false, func(r kvRecord) error {
+		_, err = ly.scan(new([]byte), &kvSegment{f: osFile{f}}, path, false, func(r kvRecord) error {
 			if r.kind == kvPut {
 				puts++
 			} else {

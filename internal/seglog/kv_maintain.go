@@ -3,7 +3,6 @@ package seglog
 import (
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"sync/atomic"
 )
@@ -146,7 +145,7 @@ func (s *KV) snapshotLocked() error {
 	if err := s.crash(crashSnapCaptured); err != nil {
 		return err
 	}
-	if err := s.ly.PublishSnapshot(s.base, payload, s.opts.Sync,
+	if err := s.ly.publishSnapshot(s.fs, s.base, payload, s.opts.Sync,
 		func() error { return s.crash(crashSnapTmpWritten) },
 		func() error { return s.crash(crashSnapRenamed) },
 	); err != nil {
@@ -156,6 +155,7 @@ func (s *KV) snapshotLocked() error {
 		return err
 	}
 	// Only now — the snapshot is live — consume the countdown.
+	s.hasSnapshot = true
 	s.covered.Store(records)
 	s.snapRuns.Add(1)
 	return nil
@@ -251,22 +251,13 @@ func (s *KV) compact(sealActive bool) error {
 		}
 		rewrote = true
 	}
-	if rewrote && s.keepsSnapshot() {
-		// Cover the rewrites so reopen trusts the new offsets instead of
-		// taking the generation-mismatch rescan path.
+	if rewrote && (s.opts.SnapshotEvery > 0 || s.hasSnapshot) {
+		// The store keeps a snapshot, automatically or because it has a
+		// snapshot file: cover the rewrites so reopen trusts the new
+		// offsets instead of taking the generation-mismatch rescan path.
 		return s.snapshotLocked()
 	}
 	return nil
-}
-
-// keepsSnapshot reports whether the store maintains an index snapshot:
-// automatically, or because it has a snapshot file.
-func (s *KV) keepsSnapshot() bool {
-	if s.opts.SnapshotEvery > 0 {
-		return true
-	}
-	_, err := os.Stat(SnapshotPath(s.base))
-	return err == nil
 }
 
 // qualifies reports whether seg would be a compaction victim at ratio:
@@ -464,7 +455,7 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 	}
 
 	newGen := s.nextGen.Add(1)
-	w, err := s.ly.NewSegmentWriter(CompactTmpPath(s.base), newGen)
+	w, err := s.ly.newSegmentWriter(s.fs, CompactTmpPath(s.base), newGen)
 	if err != nil {
 		return err
 	}

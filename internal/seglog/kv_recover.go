@@ -2,7 +2,6 @@ package seglog
 
 import (
 	"fmt"
-	"os"
 	"sort"
 )
 
@@ -10,14 +9,15 @@ import (
 // folds them over the newest valid index snapshot (fold).
 func (s *KV) recover() error {
 	name, base := s.ly.Name, s.base
-	if info, err := os.Stat(base); err == nil && info.Mode().IsRegular() {
+	if f, err := s.fs.OpenFile(base, 0); err == nil {
+		f.Close()
 		return fmt.Errorf("%s: %s is a pre-segmentation single-file log, unsupported", name, base)
 	}
 	// Leftover tmp files from interrupted maintenance are garbage: only
 	// the atomic renames ever activate them.
-	RemoveTmp(base)
+	removeTmp(s.fs, base)
 
-	segIdxs, err := s.ly.ListSegments(base)
+	segIdxs, err := s.ly.listSegments(s.fs, base)
 	if err != nil {
 		return err
 	}
@@ -26,11 +26,15 @@ func (s *KV) recover() error {
 	// its predecessor.
 	if n := len(segIdxs); n > 0 {
 		p := SegmentPath(base, segIdxs[n-1])
-		if info, err := os.Stat(p); err == nil && info.Size() < HeaderSize {
-			if err := os.Remove(p); err != nil {
-				return fmt.Errorf("%s: remove torn segment: %w", name, err)
+		if f, err := s.fs.OpenFile(p, 0); err == nil {
+			size, err := f.Size()
+			f.Close()
+			if err == nil && size < HeaderSize {
+				if err := s.fs.Remove(p); err != nil {
+					return fmt.Errorf("%s: remove torn segment: %w", name, err)
+				}
+				segIdxs = segIdxs[:n-1]
 			}
-			segIdxs = segIdxs[:n-1]
 		}
 	}
 
@@ -61,20 +65,20 @@ func (s *KV) recover() error {
 	for i := range segIdxs {
 		idx := uint32(i + 1)
 		p := s.segmentPath(idx)
-		f, err := os.OpenFile(p, os.O_RDWR, 0)
+		f, err := s.fs.OpenFile(p, 0)
 		if err != nil {
 			return fmt.Errorf("%s: open segment: %w", name, err)
 		}
 		seg := &kvSegment{idx: idx, f: f}
 		s.segs = append(s.segs, seg) // before any error, so closeFiles sweeps it
-		if seg.gen, err = s.ly.ReadHeader(f, p); err != nil {
+		if seg.gen, err = s.ly.readHeader(f, p); err != nil {
 			return err
 		}
-		info, err := f.Stat()
+		size, err := f.Size()
 		if err != nil {
 			return fmt.Errorf("%s: stat segment: %w", name, err)
 		}
-		seg.size.Store(info.Size())
+		seg.size.Store(size)
 		maxGen = max(maxGen, seg.gen)
 	}
 
@@ -91,7 +95,7 @@ func (s *KV) recover() error {
 		// it, as after a rewrite, until a snapshot records the new one.
 		seg := s.segs[highest-1]
 		maxGen++ // a generation no segment has had
-		if err := s.ly.WriteHeader(seg.f, maxGen); err != nil {
+		if err := s.ly.writeHeader(seg.f, maxGen); err != nil {
 			return err
 		}
 		if err := seg.f.Sync(); err != nil {
@@ -116,7 +120,8 @@ func (s *KV) recover() error {
 // none, or when it is torn or corrupt (a crash racing the rename, a disk
 // fault) or of an unknown format — a fold then rescans every segment.
 func (s *KV) loadSnapshot() *kvIndexSnapshot {
-	data, err := s.ly.LoadSnapshotFile(SnapshotPath(s.base))
+	data, err := s.ly.loadSnapshotFile(s.fs, SnapshotPath(s.base))
+	s.hasSnapshot = err != nil || data != nil
 	if err != nil || data == nil {
 		return nil
 	}

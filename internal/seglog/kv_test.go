@@ -46,6 +46,16 @@ func eachLayout(t *testing.T, f func(t *testing.T, ly *KVLayout)) {
 	}
 }
 
+// eachFS runs f under eachLayout on the operating system's file system
+// and in memory (an empty path): for the tests that never reopen a
+// store, which is all a store in memory ever does.
+func eachFS(t *testing.T, f func(t *testing.T, ly *KVLayout, path string)) {
+	eachLayout(t, func(t *testing.T, ly *KVLayout) {
+		t.Run("os", func(t *testing.T) { f(t, ly, filepath.Join(t.TempDir(), "kv.log")) })
+		t.Run("mem", func(t *testing.T) { f(t, ly, "") })
+	})
+}
+
 // tkey builds the i-th deterministic key of ly's size.
 func tkey(ly *KVLayout, i int) string {
 	id := make([]byte, ly.KeyLen)
@@ -98,7 +108,7 @@ func deleteIf(t *testing.T, s *KV, n int, dead func(i int) bool) {
 }
 
 // verifyLive asserts that of keys [0, n) exactly those alive selects
-// are stored, byte-identically — through Get and through Range.
+// are stored, byte-identically, and that the store holds no other key.
 func verifyLive(t *testing.T, s *KV, n int, alive func(i int) bool) {
 	t.Helper()
 	want := 0
@@ -116,18 +126,8 @@ func verifyLive(t *testing.T, s *KV, n int, alive func(i int) bool) {
 			t.Fatalf("live key %d not byte-identical: %v", i, err)
 		}
 	}
-	ranged := make(map[string][]byte)
-	must(t, s.Range(func(key string, value []byte) error {
-		ranged[key] = value
-		return nil
-	}))
-	for i := 0; i < n; i++ {
-		if alive(i) && !bytes.Equal(ranged[tkey(s.ly, i)], tval(i)) {
-			t.Fatalf("Range missed or mangled live key %d", i)
-		}
-	}
-	if st := stats(s); st.Keys != uint64(want) || len(ranged) != want {
-		t.Fatalf("keys = %d, ranged = %d, want %d", st.Keys, len(ranged), want)
+	if st := stats(s); st.Keys != uint64(want) {
+		t.Fatalf("keys = %d, want %d", st.Keys, want)
 	}
 }
 
@@ -165,8 +165,8 @@ func segmentCount(t *testing.T, ly *KVLayout, base string) int {
 }
 
 func TestKVContract(t *testing.T) {
-	eachLayout(t, func(t *testing.T, ly *KVLayout) {
-		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
+	eachFS(t, func(t *testing.T, ly *KVLayout, path string) {
+		s := mustOpenKV(t, path, ly, KVOptions{})
 		k, v := tkey(ly, 1), []byte("0123456789")
 		must(t, s.Put(k, v))
 		must(t, s.Put(k, []byte("ignored: values are immutable")))
@@ -218,8 +218,8 @@ func TestKVContract(t *testing.T) {
 // prefix stays, room that is there is used, room that is not is made
 // once and exactly, and a failure hands nothing back.
 func TestKVGetAppend(t *testing.T) {
-	eachLayout(t, func(t *testing.T, ly *KVLayout) {
-		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
+	eachFS(t, func(t *testing.T, ly *KVLayout, path string) {
+		s := mustOpenKV(t, path, ly, KVOptions{})
 		k, v := tkey(ly, 1), []byte("0123456789")
 		must(t, s.Put(k, v))
 		if n, ok := s.Len(k); n != 10 || !ok {
@@ -270,8 +270,8 @@ func TestKVGetAppend(t *testing.T) {
 // file-handle swap a read must not straddle. Each reader keeps one
 // buffer for all its reads, as a pooled caller would.
 func TestKVGetAppendAcrossCompaction(t *testing.T) {
-	eachLayout(t, func(t *testing.T, ly *KVLayout) {
-		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{SegmentBytes: 2048})
+	eachFS(t, func(t *testing.T, ly *KVLayout, path string) {
+		s := mustOpenKV(t, path, ly, KVOptions{SegmentBytes: 2048})
 		const n = 96
 		putN(t, s, 0, n)
 		alive := func(i int) bool { return i%4 == 3 }
@@ -923,8 +923,8 @@ func TestKVByteKeyedReads(t *testing.T) {
 	if size := unsafe.Sizeof(kvEntry{}); size != 16 {
 		t.Fatalf("an index entry is %d bytes, want 16", size)
 	}
-	eachLayout(t, func(t *testing.T, ly *KVLayout) {
-		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, KVOptions{})
+	eachFS(t, func(t *testing.T, ly *KVLayout, path string) {
+		s := mustOpenKV(t, path, ly, KVOptions{})
 		k := tkey(ly, 1)
 		must(t, s.Put(k, []byte("0123456789")))
 		key, missing := []byte(k), []byte(tkey(ly, 2))

@@ -1,5 +1,5 @@
-// Package seglog is the one segmented-log core behind the durable
-// stores, and home of the one durable keyed store built on it.
+// Package seglog is the one segmented-log core behind the stores, and
+// home of the one keyed store built on it.
 //
 // The core serves two kinds of log. The version manager's WAL
 // (internal/version) is a state-machine log: it keeps its own record
@@ -11,6 +11,9 @@
 // fixed key size (16-byte page ids, 33-byte tree-node keys) and a seal
 // rule. The mechanics, each written once:
 //
+//   - a file seam (fs.go): a KV reaches its files only through a
+//     fileSystem, the operating system's or a private one in RAM
+//     (memfs.go), so a store in memory is the same log as one on disk
 //   - generation-stamped segment files (<base>.000001, ...) with a fixed
 //     header, or headerless segments for WAL-style logs whose covered
 //     segments are deleted instead of rewritten
@@ -61,7 +64,8 @@
 // store that owns the locks (KV's is in kv.go). Functions that publish
 // files via rename keep the whole sync→rename→dirsync sequence in a
 // single function body so the renamesync analyzer (cmd/blobseer-vet)
-// can see it.
+// can see it; it reads the seam's Sync, Rename and SyncDir as the os
+// calls they stand for.
 package seglog
 
 import (
@@ -121,25 +125,28 @@ func SnapshotTmpPath(base string) string { return base + ".snapshot.tmp" }
 // recovery.
 func CompactTmpPath(base string) string { return base + ".compact.tmp" }
 
-// RemoveTmp deletes leftover tmp files from interrupted maintenance.
+// removeTmp deletes leftover tmp files from interrupted maintenance.
 // They are garbage by construction: only the atomic renames ever
 // activate a tmp file.
-func RemoveTmp(base string) {
-	os.Remove(SnapshotTmpPath(base))
-	os.Remove(CompactTmpPath(base))
+func removeTmp(fsys fileSystem, base string) {
+	fsys.Remove(SnapshotTmpPath(base))
+	fsys.Remove(CompactTmpPath(base))
 }
 
 // ListSegments returns the segment indices present for base, ascending.
 // Non-numeric siblings (the snapshot, tmp files) are ignored.
 func (ft *Format) ListSegments(base string) ([]uint64, error) {
-	entries, err := os.ReadDir(filepath.Dir(base))
+	return ft.listSegments(osFS{}, base)
+}
+
+func (ft *Format) listSegments(fsys fileSystem, base string) ([]uint64, error) {
+	names, err := fsys.List(filepath.Dir(base))
 	if err != nil {
 		return nil, fmt.Errorf("%s: list segments: %w", ft.Name, err)
 	}
 	prefix := filepath.Base(base) + "."
 	var out []uint64
-	for _, ent := range entries {
-		name := ent.Name()
+	for _, name := range names {
 		if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
 			continue
 		}
@@ -167,9 +174,9 @@ func SyncDir(dir string) error {
 	return err
 }
 
-// WriteHeader writes the segment header to a fresh segment file.
+// writeHeader writes the segment header to a fresh segment file.
 // Headerless formats must not call it.
-func (ft *Format) WriteHeader(f *os.File, gen uint64) error {
+func (ft *Format) writeHeader(f file, gen uint64) error {
 	var hdr [HeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], ft.SegMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], ft.SegFormat)
@@ -180,9 +187,9 @@ func (ft *Format) WriteHeader(f *os.File, gen uint64) error {
 	return nil
 }
 
-// ReadHeader validates a segment file's header and returns its
+// readHeader validates a segment file's header and returns its
 // generation.
-func (ft *Format) ReadHeader(f *os.File, path string) (uint64, error) {
+func (ft *Format) readHeader(f file, path string) (uint64, error) {
 	var hdr [HeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return 0, fmt.Errorf("%s: read segment header of %s: %w", ft.Name, path, err)

@@ -26,7 +26,11 @@ import (
 // corrupt one is an error the caller downgrades to a full rescan or
 // replay.
 func (ft *Format) LoadSnapshotFile(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
+	return ft.loadSnapshotFile(osFS{}, path)
+}
+
+func (ft *Format) loadSnapshotFile(fsys fileSystem, path string) ([]byte, error) {
+	raw, err := fsys.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -52,18 +56,18 @@ func (ft *Format) LoadSnapshotFile(path string) ([]byte, error) {
 	return data, nil
 }
 
-// WriteSnapshotFile writes the framed payload to the tmp path and, when
+// writeSnapshotFile writes the framed payload to the tmp path and, when
 // syncing, fsyncs it — everything short of the activating rename.
-func (ft *Format) WriteSnapshotFile(base string, payload []byte, fsync bool) error {
+func (ft *Format) writeSnapshotFile(fsys fileSystem, base string, payload []byte, fsync bool) error {
 	frame := make([]byte, FrameHeaderSize+len(payload))
 	copy(frame[FrameHeaderSize:], payload)
 	putFrameHeader(frame, ft.SnapMagic)
 	tmp := SnapshotTmpPath(base)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("%s: create snapshot tmp: %w", ft.Name, err)
 	}
-	if _, err := f.Write(frame); err != nil {
+	if _, err := f.WriteAt(frame, 0); err != nil {
 		f.Close()
 		return fmt.Errorf("%s: write snapshot: %w", ft.Name, err)
 	}
@@ -85,7 +89,11 @@ func (ft *Format) WriteSnapshotFile(base string, payload []byte, fsync bool) err
 // fires once the tmp file is fully on disk, renamed once the snapshot
 // is live. Either may be nil.
 func (ft *Format) PublishSnapshot(base string, payload []byte, fsync bool, written, renamed func() error) error {
-	if err := ft.WriteSnapshotFile(base, payload, fsync); err != nil {
+	return ft.publishSnapshot(osFS{}, base, payload, fsync, written, renamed)
+}
+
+func (ft *Format) publishSnapshot(fsys fileSystem, base string, payload []byte, fsync bool, written, renamed func() error) error {
+	if err := ft.writeSnapshotFile(fsys, base, payload, fsync); err != nil {
 		return err
 	}
 	if written != nil {
@@ -93,11 +101,11 @@ func (ft *Format) PublishSnapshot(base string, payload []byte, fsync bool, writt
 			return err
 		}
 	}
-	if err := os.Rename(SnapshotTmpPath(base), SnapshotPath(base)); err != nil {
+	if err := fsys.Rename(SnapshotTmpPath(base), SnapshotPath(base)); err != nil {
 		return fmt.Errorf("%s: activate snapshot: %w", ft.Name, err)
 	}
 	if fsync {
-		if err := SyncDir(filepath.Dir(base)); err != nil {
+		if err := fsys.SyncDir(filepath.Dir(base)); err != nil {
 			return fmt.Errorf("%s: sync snapshot dir: %w", ft.Name, err)
 		}
 	}

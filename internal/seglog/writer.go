@@ -16,25 +16,26 @@ import (
 // first.
 type SegmentWriter struct {
 	ft  *Format
-	f   *os.File
+	fs  fileSystem
+	f   file
 	tmp string
 	off int64 // end offset: header + appended frames
 }
 
-// NewSegmentWriter creates the tmp file and, for header-carrying
-// formats, stamps it with gen.
-func (ft *Format) NewSegmentWriter(tmp string, gen uint64) (*SegmentWriter, error) {
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// newSegmentWriter creates the tmp file in fsys and, for
+// header-carrying formats, stamps it with gen.
+func (ft *Format) newSegmentWriter(fsys fileSystem, tmp string, gen uint64) (*SegmentWriter, error) {
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return nil, fmt.Errorf("%s: create segment tmp: %w", ft.Name, err)
 	}
 	if ft.SegMagic != 0 {
-		if err := ft.WriteHeader(f, gen); err != nil {
+		if err := ft.writeHeader(f, gen); err != nil {
 			f.Close()
 			return nil, err
 		}
 	}
-	return &SegmentWriter{ft: ft, f: f, tmp: tmp, off: ft.DataStart()}, nil
+	return &SegmentWriter{ft: ft, fs: fsys, f: f, tmp: tmp, off: ft.DataStart()}, nil
 }
 
 // Append writes one or more complete frames through to the file and
@@ -54,7 +55,7 @@ func (w *SegmentWriter) Size() int64 { return w.off }
 
 // File exposes the underlying handle after a successful Commit, for
 // stores that keep serving reads from the renamed file.
-func (w *SegmentWriter) File() *os.File { return w.f }
+func (w *SegmentWriter) File() file { return w.f }
 
 // Commit makes the built segment live: fsync, the written hook
 // (a crash-injection point; may be nil), atomic rename onto path, a
@@ -73,11 +74,11 @@ func (w *SegmentWriter) Commit(path string, written, renamed func() error) error
 			return err
 		}
 	}
-	if err := os.Rename(w.tmp, path); err != nil {
+	if err := w.fs.Rename(w.tmp, path); err != nil {
 		w.f.Close()
 		return fmt.Errorf("%s: activate rewritten segment: %w", w.ft.Name, err)
 	}
-	if err := SyncDir(filepath.Dir(path)); err != nil {
+	if err := w.fs.SyncDir(filepath.Dir(path)); err != nil {
 		w.f.Close()
 		return fmt.Errorf("%s: sync dir after rewrite: %w", w.ft.Name, err)
 	}

@@ -183,10 +183,7 @@ func TestCorruptSnapshotAfterCompactionRefusesOpen(t *testing.T) {
 // the failed open for manual recovery.
 func TestFailedOpenPreservesStaleSegments(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vm.wal")
-	if err := walFmt.WriteSnapshotFile(path, encodeSnapshot(&snapshotState{nextSeg: 5}), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(seglog.SnapshotTmpPath(path), seglog.SnapshotPath(path)); err != nil {
+	if err := walFmt.PublishSnapshot(path, encodeSnapshot(&snapshotState{nextSeg: 5}), false, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, idx := range []uint64{2, 3, 7} {
