@@ -54,7 +54,7 @@ var (
 	logSync       = flag.Bool("sync", false, "fsync records of the -disk log before a put or delete acknowledges (data and metadata roles)")
 	segmentBytes  = flag.Int64("segment-bytes", 64<<20, "roll the role's log (-wal, or the data and metadata roles' log, on -disk or in RAM) into a new segment past this size")
 	snapshotEvery = flag.Int("snapshot-every", 4096, "snapshot the role's state — page index, metadata index, or version state, compacting the WAL — every N logged records; 0 = manual only")
-	compactRatio  = flag.Float64("compact-ratio", 0.5, "rewrite log segments, on -disk or in RAM, whose live ratio drops below this; 0 disables (data and metadata roles)")
+	compactRatio  = flag.Float64("compact-ratio", 0.5, "rewrite log segments, on -disk or in RAM, whose live ratio drops below this; 0 disables on -disk and means 0.5 in RAM (data and metadata roles)")
 	retain        = flag.Int("retain-versions", 1, "keep-last-N retention policy: EXPIRE keeps at least this many newest versions per blob (version-manager role)")
 	deadTimeout   = flag.Duration("dead-writer-timeout", 0, "abort updates of silent writers after this duration (version-manager role; 0 disables)")
 	heartbeat     = flag.Duration("heartbeat", 5*time.Second, "heartbeat period (data role)")
@@ -72,6 +72,13 @@ func main() {
 		log.Fatalf("listen %s: %v", *listen, err)
 	}
 
+	// The data and metadata roles tune their log alike.
+	logOpts := pagestore.DiskOptions{
+		Sync:          *logSync,
+		SegmentBytes:  *segmentBytes,
+		SnapshotEvery: *snapshotEvery,
+		CompactRatio:  *compactRatio,
+	}
 	var svc interface {
 		Close()
 		obs.Source
@@ -102,12 +109,7 @@ func main() {
 		log.Printf("provider manager listening on %s", m.Addr())
 
 	case "metadata":
-		n, err := blobdht.ServeNode(ln, sched, *diskPath, blobdht.LogOptions{
-			Sync:          *logSync,
-			SegmentBytes:  *segmentBytes,
-			SnapshotEvery: *snapshotEvery,
-			CompactRatio:  *compactRatio,
-		})
+		n, err := blobdht.ServeNode(ln, sched, *diskPath, logOpts)
 		if err != nil {
 			log.Fatalf("start metadata provider: %v", err)
 		}
@@ -125,12 +127,7 @@ func main() {
 			HeartbeatEvery: *heartbeat,
 			CallTimeout:    *rpcTimeout,
 			PageLog:        *diskPath,
-			PageStore: pagestore.DiskOptions{
-				Sync:          *logSync,
-				SegmentBytes:  *segmentBytes,
-				SnapshotEvery: *snapshotEvery,
-				CompactRatio:  *compactRatio,
-			},
+			PageStore:      logOpts,
 		}
 		p, err := serveDataProvider(ln, cfg, *advertise)
 		if err != nil {

@@ -52,8 +52,10 @@ type ClusterOptions struct {
 	// PageStore tunes each data provider's page store and MetaLog each
 	// metadata node's pair log, on disk or in RAM: segment size,
 	// index-snapshot interval (disk only), compaction threshold and
-	// fsync. The zero values are 64 MB segments, no automatic snapshots
-	// or compaction, no fsync.
+	// fsync. The zero values are 64 MB segments, no automatic snapshots,
+	// no fsync, and automatic compaction in RAM only, of segments less
+	// than half live: without DiskDir it is how Blob.GC's deletions
+	// return memory.
 	PageStore PageStoreOptions
 	MetaLog   MetaLogOptions
 }

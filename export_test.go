@@ -5,8 +5,8 @@ import (
 	"os"
 	"testing"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/obs"
-	"blobseer/internal/rpc"
 )
 
 // TestMain runs the package's tests — the end-to-end and streaming
@@ -17,7 +17,7 @@ import (
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if flag.Lookup("test.bench").Value.String() == "" {
-		rpc.PoisonReleasedFrames()
+		bufpool.PoisonReleased()
 	}
 	os.Exit(m.Run())
 }

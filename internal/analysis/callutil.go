@@ -5,17 +5,12 @@ import (
 	"go/types"
 )
 
-// Name-level call-graph helpers shared by the analyzers. The graph is
-// deliberately coarse — edges by bare function/method name, within one
-// package — because the invariants being checked (lock acquisition,
-// fsync-before-rename, fuzz reachability) are all "does some path
-// exist" properties where over-approximation costs at worst a
-// justified //blobseer:ignore and under-approximation costs a missed
-// crash bug.
-
-// FuncName returns the bare name of a func or method declaration
-// ("applyBatch" for both func applyBatch and func (d *Disk) applyBatch).
-func FuncName(fd *ast.FuncDecl) string { return fd.Name.Name }
+// Call-graph helpers shared by the analyzers, within one package. The
+// invariants being checked (lock acquisition, fsync-before-rename, fuzz
+// reachability) are all "does some path exist" properties where
+// over-approximation costs at worst a justified //blobseer:ignore and
+// under-approximation costs a missed crash bug. The syntax-only graph
+// (Callees, Reachable) is deliberately coarse: edges by bare name.
 
 // CalleeName extracts the bare callee name of a call expression:
 // "f" for f(...), "m" for x.m(...) and pkg.m(...). Returns "" for
@@ -30,41 +25,74 @@ func CalleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// LocalCalleeName resolves a call to a function or method declared in
-// pkg, returning its bare name, or "" for builtins, other packages'
-// functions (os.File.Close vs a local Close method), indirect calls and
-// calls through an interface, which has no body to summarize. Use it
-// wherever typed files are available; the pure name-based CalleeName is
-// for syntax-only test files.
-func LocalCalleeName(info *types.Info, pkg *types.Package, call *ast.CallExpr) string {
-	var id *ast.Ident
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		id = fn
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	default:
-		return ""
-	}
-	fn, ok := info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg() != pkg {
-		return ""
-	}
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-		return ""
+// FuncKey names a function as the typed call graph does: "f", or "T.m"
+// for a method of T or *T.
+func FuncKey(fn *types.Func) string {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			return n.Obj().Name() + "." + fn.Name()
+		}
 	}
 	return fn.Name()
 }
 
+// LocalCallees resolves a call to the FuncKeys of what in pkg it may
+// run: the function or method it names or, through an interface pkg
+// declares, that method of each type in pkg implementing it (a generic
+// type, when it has the method) — a file interface's Close never
+// reaches an unrelated KV.Close. Nil for builtins, indirect calls and
+// other packages' functions (os.File.Close vs a local Close method).
+func LocalCallees(info *types.Info, pkg *types.Package, call *ast.CallExpr) []string {
+	id, _ := call.Fun.(*ast.Ident)
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() != pkg {
+		return nil
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil || !types.IsInterface(recv.Type()) {
+		return []string{FuncKey(fn)}
+	}
+	var keys []string
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+			continue
+		}
+		ptr := types.NewPointer(tn.Type())
+		sel := types.NewMethodSet(ptr).Lookup(pkg, fn.Name())
+		generic := tn.Type().(*types.Named).TypeParams().Len() > 0
+		if sel == nil || !generic && !types.Implements(ptr, recv.Type().Underlying().(*types.Interface)) {
+			continue
+		}
+		if m := sel.Obj().(*types.Func); m.Pkg() == pkg {
+			keys = append(keys, FuncKey(m))
+		}
+	}
+	return keys
+}
+
 // PackageFuncs indexes every function declaration in the given files by
-// bare name. Methods and functions share the namespace on purpose (see
-// package comment); when names collide, all declarations are kept.
-func PackageFuncs(files []*ast.File) map[string][]*ast.FuncDecl {
+// bare name — methods and functions share it on purpose (see package
+// comment) — or, given info, by FuncKey. Colliding ones are all kept.
+func PackageFuncs(files []*ast.File, info *types.Info) map[string][]*ast.FuncDecl {
 	out := make(map[string][]*ast.FuncDecl)
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok {
-				out[fd.Name.Name] = append(out[fd.Name.Name], fd)
+				key := fd.Name.Name
+				if info != nil {
+					if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+						key = FuncKey(fn)
+					}
+				}
+				out[key] = append(out[key], fd)
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func run(pass *analysis.Pass) error {
 	// The call graph spans checked and test files: fuzz targets live in
 	// tests, decoders in the package proper.
 	allFiles := append(append([]*ast.File{}, pass.Files...), pass.TestFiles...)
-	funcs := analysis.PackageFuncs(allFiles)
+	funcs := analysis.PackageFuncs(allFiles, nil)
 
 	var fuzzRoots []string
 	for _, f := range pass.TestFiles {

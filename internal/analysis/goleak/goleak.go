@@ -62,7 +62,7 @@ func run(pass *analysis.Pass) error {
 		return nil // a process's goroutines die with the process
 	}
 	ann := collectAnnotations(pass)
-	pkgFuncs := analysis.PackageFuncs(pass.Files)
+	pkgFuncs := analysis.PackageFuncs(pass.Files, nil)
 	pkg := packageTokens(pass.Files)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {

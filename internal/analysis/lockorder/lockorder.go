@@ -25,8 +25,9 @@
 //     justified //blobseer:ignore at the site.
 //
 // The check is interprocedural within the package: each function gets a
-// transitive may-acquire summary over a name-based call graph, so a
-// helper that takes segMu is flagged when called under a stripe lock.
+// transitive may-acquire summary over the typed call graph
+// (analysis.LocalCallees), so a helper that takes segMu is flagged when
+// called under a stripe lock.
 package lockorder
 
 import (
@@ -133,11 +134,11 @@ type event struct {
 	deferred bool
 }
 
-// callSite is a call to a same-package function, interleaved with lock
-// events in source order.
+// callSite is a call to same-package functions (each implementation of
+// an interface method), interleaved with lock events in source order.
 type callSite struct {
-	call   *ast.CallExpr
-	callee string
+	call    *ast.CallExpr
+	callees []string
 }
 
 type step struct {
@@ -147,7 +148,7 @@ type step struct {
 
 // scan extracts lock events and package-local call sites from a body in
 // source order.
-func scan(pass *analysis.Pass, o *order, funcs map[string][]*ast.FuncDecl, body ast.Node) []step {
+func scan(pass *analysis.Pass, o *order, body ast.Node) []step {
 	var steps []step
 	inDefer := 0
 	var walk func(n ast.Node)
@@ -179,10 +180,8 @@ func scan(pass *analysis.Pass, o *order, funcs map[string][]*ast.FuncDecl, body 
 						return true
 					}
 				}
-				if callee := analysis.LocalCalleeName(pass.TypesInfo, pass.Pkg, n); callee != "" {
-					if _, local := funcs[callee]; local {
-						steps = append(steps, step{cs: &callSite{call: n, callee: callee}})
-					}
+				if callees := analysis.LocalCallees(pass.TypesInfo, pass.Pkg, n); callees != nil {
+					steps = append(steps, step{cs: &callSite{call: n, callees: callees}})
 				}
 			}
 			return true
@@ -205,7 +204,7 @@ func mutexOperand(pass *analysis.Pass, x ast.Expr) (typeName, fieldName string) 
 	return "", ""
 }
 
-// summaries computes, for every function name, the set of tokens the
+// summaries computes, for every function key, the set of tokens the
 // function may transitively acquire (deferred acquires included — they
 // still take the lock).
 func summaries(pass *analysis.Pass, o *order, funcs map[string][]*ast.FuncDecl) map[string]map[string]bool {
@@ -218,12 +217,14 @@ func summaries(pass *analysis.Pass, o *order, funcs map[string][]*ast.FuncDecl) 
 			if fd.Body == nil {
 				continue
 			}
-			for _, st := range scan(pass, o, funcs, fd.Body) {
+			for _, st := range scan(pass, o, fd.Body) {
 				if st.ev != nil && st.ev.acquire {
 					direct[name][st.ev.token] = true
 				}
 				if st.cs != nil {
-					callees[name][st.cs.callee] = true
+					for _, c := range st.cs.callees {
+						callees[name][c] = true
+					}
 				}
 			}
 		}
@@ -252,7 +253,7 @@ func run(pass *analysis.Pass) error {
 	if len(o.tokens) == 0 {
 		return nil // package declares no lock order
 	}
-	funcs := analysis.PackageFuncs(pass.Files)
+	funcs := analysis.PackageFuncs(pass.Files, pass.TypesInfo)
 	sums := summaries(pass, o, funcs)
 
 	for _, f := range pass.Files {
@@ -262,7 +263,7 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			held := make(map[string]int)
-			for _, st := range scan(pass, o, funcs, fd.Body) {
+			for _, st := range scan(pass, o, fd.Body) {
 				switch {
 				case st.ev != nil && st.ev.acquire:
 					ev := st.ev
@@ -286,18 +287,24 @@ func run(pass *analysis.Pass) error {
 					// A deferred unlock keeps the token held through
 					// the rest of the scan: that is the point.
 				case st.cs != nil:
-					for tok := range sums[st.cs.callee] {
+					name, may := analysis.CalleeName(st.cs.call), make(map[string]int)
+					for _, c := range st.cs.callees {
+						for tok := range sums[c] {
+							may[tok] = 1
+						}
+					}
+					for _, tok := range heldTokens(may) {
 						if held[tok] > 0 {
 							pass.Reportf(st.cs.call.Pos(),
 								"call to %s may re-acquire %s which is already held",
-								st.cs.callee, tok)
+								name, tok)
 							continue
 						}
 						for _, h := range heldTokens(held) {
 							if o.before[tok][h] {
 								pass.Reportf(st.cs.call.Pos(),
 									"call to %s may acquire %s while %s is held; declared order is %s < %s",
-									st.cs.callee, tok, h, tok, h)
+									name, tok, h, tok, h)
 							}
 						}
 					}

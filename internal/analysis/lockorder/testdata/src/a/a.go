@@ -93,3 +93,40 @@ func closures(s *S) {
 	}
 	s.b.Unlock()
 }
+
+// taker is a local interface; locker implements it by taking S.a.
+type taker interface{ take() }
+
+type locker struct{ s *S }
+
+func (l locker) take() { takeA(l.s) }
+
+// throughInterface reaches S.a through a call on a local interface:
+// the call resolves to every local implementation.
+func throughInterface(s *S, t taker) {
+	s.b.Lock()
+	t.take() // want `call to take may acquire S\.a while S\.b is held`
+	s.b.Unlock()
+}
+
+// closer's only local implementation takes no lock.
+type closer interface{ Close() error }
+
+type nopCloser struct{}
+
+func (nopCloser) Close() error { return nil }
+
+// Close takes S.a, but *S does not implement closer: its Close has
+// another signature.
+func (s *S) Close() {
+	s.a.Lock()
+	s.a.Unlock()
+}
+
+// closeUnderB calls closer.Close under S.b: only nopCloser.Close can
+// run, so no finding, though S.Close shares the name.
+func closeUnderB(s *S, c closer) {
+	s.b.Lock()
+	c.Close()
+	s.b.Unlock()
+}

@@ -63,7 +63,7 @@ const (
 )
 
 func run(pass *analysis.Pass) error {
-	funcs := analysis.PackageFuncs(pass.Files)
+	funcs := analysis.PackageFuncs(pass.Files, pass.TypesInfo)
 	syncers, dirSyncers := summarize(pass, funcs)
 
 	for _, f := range pass.Files {
@@ -116,8 +116,8 @@ func seamMethod(pass *analysis.Pass, call *ast.CallExpr) string {
 }
 
 // summarize computes which same-package functions may fsync a file and
-// which may sync a directory, transitively over the name-based call
-// graph.
+// which may sync a directory, transitively over the typed call graph
+// (analysis.LocalCallees), keyed by analysis.FuncKey.
 func summarize(pass *analysis.Pass, funcs map[string][]*ast.FuncDecl) (syncers, dirSyncers map[string]bool) {
 	syncers = make(map[string]bool)
 	dirSyncers = make(map[string]bool)
@@ -142,11 +142,7 @@ func summarize(pass *analysis.Pass, funcs map[string][]*ast.FuncDecl) (syncers, 
 				if seam == "SyncDir" {
 					dirSyncers[name] = true
 				}
-				if c := analysis.LocalCalleeName(pass.TypesInfo, pass.Pkg, call); c != "" {
-					if _, local := funcs[c]; local {
-						callees[name] = append(callees[name], c)
-					}
-				}
+				callees[name] = append(callees[name], analysis.LocalCallees(pass.TypesInfo, pass.Pkg, call)...)
 				return true
 			})
 		}
@@ -199,13 +195,14 @@ func collect(pass *analysis.Pass, body ast.Node, syncers, dirSyncers map[string]
 			}
 			ops = append(ops, op{kind: opRename, call: call, srcTmp: srcTmp})
 		default:
-			name := analysis.LocalCalleeName(pass.TypesInfo, pass.Pkg, call)
-			if name == "" {
-				return true
+			dirSync, sync := false, false
+			for _, c := range analysis.LocalCallees(pass.TypesInfo, pass.Pkg, call) {
+				dirSync = dirSync || isDirSyncName(c) || dirSyncers[c]
+				sync = sync || syncers[c]
 			}
-			if isDirSyncName(name) || dirSyncers[name] {
+			if dirSync {
 				ops = append(ops, op{kind: opDirSync, call: call})
-			} else if syncers[name] {
+			} else if sync {
 				ops = append(ops, op{kind: opFileSync, call: call})
 			}
 		}

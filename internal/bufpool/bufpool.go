@@ -30,9 +30,10 @@ var classes [maxShift - minShift + 1]sync.Pool
 var poison bool
 
 // PoisonReleased switches the poison mode on for the rest of the
-// process. It is a test hook, called — directly or through
-// rpc.PoisonReleasedFrames — only from export_test.go files, before
-// their first test starts, which is why a plain bool will do.
+// process: every buffer released here — rpc frame bodies, response
+// frames, the pages a store lends a GET — is overwritten. It is a test
+// hook, called only from export_test.go files before their first test
+// starts, which is why a plain bool will do.
 func PoisonReleased() { poison = true }
 
 // Get returns a buffer of length n from the smallest class that holds

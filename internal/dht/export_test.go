@@ -3,14 +3,14 @@ package dht
 import (
 	"context"
 
-	"blobseer/internal/rpc"
+	"blobseer/internal/bufpool"
 )
 
 // The package's tests run with released rpc frame buffers poisoned: a
 // decoded DHT_MULTI_PUT's keys and values alias their frame, so a node
 // that kept a sub-slice instead of a copy would serve garbage every
 // time, not rarely.
-func init() { rpc.PoisonReleasedFrames() }
+func init() { bufpool.PoisonReleased() }
 
 // Put and Get are the one-pair calls of the batch API, for tests that
 // store or look up a single pair.

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"os"
 	"testing"
+
+	"blobseer/internal/bufpool"
 )
 
 // TestMain runs the package's tests with released frame buffers
@@ -12,7 +14,7 @@ import (
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if flag.Lookup("test.bench").Value.String() == "" {
-		PoisonReleasedFrames()
+		bufpool.PoisonReleased()
 	}
 	os.Exit(m.Run())
 }

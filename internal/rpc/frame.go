@@ -64,15 +64,6 @@ const frameHeaderLen = 4 + 8 + 1
 // multi-put metadata batches stay well under this.
 const MaxFrameBody = 64 << 20
 
-// PoisonReleasedFrames makes every buffer released to the shared pool
-// (internal/bufpool: frame bodies, response frames and the pages a
-// store lends a GET) be overwritten on release, for the rest of
-// the process. It is a test hook, called only from export_test.go files
-// (this package's, and the root, provider and dht packages', whose
-// tests check what a handler kept against it) before their first test
-// starts.
-func PoisonReleasedFrames() { bufpool.PoisonReleased() }
-
 // appendFrame marshals a complete frame in place onto buf and returns
 // the result. Kinds that carry pages are sized first, so buf grows at
 // most once. On error buf is returned at its original length.

@@ -91,10 +91,7 @@ type KV struct {
 	// plus those replayed at open, read where the snapshot's seal cut the
 	// log. Their distance from it is the auto-snapshot countdown
 	// (uncovered), consumed only by a successful publish.
-	covered atomic.Uint64
-	// hasSnapshot records that a snapshot file exists: loadSnapshot found
-	// one, or a snapshot was published. Under maintMu once shared.
-	hasSnapshot bool
+	covered     atomic.Uint64
 	snapRuns    atomic.Uint64
 	compactRuns atomic.Uint64
 	// Background passes that failed: nothing else reports them.
@@ -152,7 +149,8 @@ type KVOptions struct {
 	// rewrite any sealed segment whose live-byte ratio falls below this
 	// threshold (0 < ratio < 1), dropping records of Deleted keys; it
 	// never seals the active segment. Zero disables automatic
-	// compaction; Compact remains available on demand.
+	// compaction on disk (in memory, where it is how RAM comes back, zero
+	// means 0.5); Compact remains available on demand.
 	CompactRatio float64
 	// Fault, when set, is called at every maintenance fault point (the
 	// crashPoints of kv_maintain.go); an error aborts the pass there
@@ -282,6 +280,9 @@ func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
 	var fsys fileSystem = osFS{}
 	if path == "" {
 		fsys, path, opts.SnapshotEvery = newMemFS(), "mem", 0
+		if opts.CompactRatio <= 0 {
+			opts.CompactRatio = 0.5 // blobseerd's -compact-ratio default
+		}
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes

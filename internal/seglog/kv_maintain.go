@@ -155,7 +155,6 @@ func (s *KV) snapshotLocked() error {
 		return err
 	}
 	// Only now — the snapshot is live — consume the countdown.
-	s.hasSnapshot = true
 	s.covered.Store(records)
 	s.snapRuns.Add(1)
 	return nil
@@ -251,13 +250,24 @@ func (s *KV) compact(sealActive bool) error {
 		}
 		rewrote = true
 	}
-	if rewrote && (s.opts.SnapshotEvery > 0 || s.hasSnapshot) {
+	if rewrote && (s.opts.SnapshotEvery > 0 || s.hasSnapshotFile()) {
 		// The store keeps a snapshot, automatically or because it has a
 		// snapshot file: cover the rewrites so reopen trusts the new
 		// offsets instead of taking the generation-mismatch rescan path.
 		return s.snapshotLocked()
 	}
 	return nil
+}
+
+// hasSnapshotFile reports whether a snapshot file exists: one loaded at
+// open, published since, or left live by a publish that failed after
+// its rename.
+func (s *KV) hasSnapshotFile() bool {
+	f, err := s.fs.OpenFile(SnapshotPath(s.base), 0)
+	if err == nil {
+		f.Close()
+	}
+	return err == nil
 }
 
 // qualifies reports whether seg would be a compaction victim at ratio:

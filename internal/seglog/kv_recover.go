@@ -121,7 +121,6 @@ func (s *KV) recover() error {
 // fault) or of an unknown format — a fold then rescans every segment.
 func (s *KV) loadSnapshot() *kvIndexSnapshot {
 	data, err := s.ly.loadSnapshotFile(s.fs, SnapshotPath(s.base))
-	s.hasSnapshot = err != nil || data != nil
 	if err != nil || data == nil {
 		return nil
 	}

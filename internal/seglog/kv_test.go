@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -460,6 +461,15 @@ func TestKVCompactionShrinksAndPreservesLive(t *testing.T) {
 // and replays nothing.
 func TestKVCompactKeepsExistingSnapshotCurrent(t *testing.T) {
 	eachLayout(t, func(t *testing.T, ly *KVLayout) {
+		// failRenamed fails the first publish past its rename: the
+		// snapshot file is live though Snapshot returned an error.
+		var renamedOnce atomic.Bool
+		failRenamed := func(point string) error {
+			if point == crashSnapRenamed && renamedOnce.CompareAndSwap(false, true) {
+				return errors.New("injected failure after the rename")
+			}
+			return nil
+		}
 		for _, c := range []struct {
 			name     string
 			opts     KVOptions
@@ -468,6 +478,7 @@ func TestKVCompactKeepsExistingSnapshotCurrent(t *testing.T) {
 			{"snapshot file", KVOptions{SegmentBytes: 1024}, true},
 			// Too large an interval to fire: only Compact can write it.
 			{"SnapshotEvery", KVOptions{SegmentBytes: 1024, SnapshotEvery: 1 << 20}, false},
+			{"publish failed after rename", KVOptions{SegmentBytes: 1024, Fault: failRenamed}, true},
 		} {
 			t.Run(c.name, func(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "kv.log")
@@ -475,7 +486,9 @@ func TestKVCompactKeepsExistingSnapshotCurrent(t *testing.T) {
 				const n = 80
 				putN(t, s, 0, n)
 				if c.snapshot {
-					must(t, s.Snapshot())
+					if err := s.Snapshot(); (err != nil) != (c.opts.Fault != nil) {
+						t.Fatalf("snapshot: %v", err)
+					}
 				}
 				alive := func(i int) bool { return i%4 == 0 }
 				deleteIf(t, s, n, func(i int) bool { return !alive(i) })

@@ -5,6 +5,7 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"blobseer"
 )
@@ -108,6 +109,60 @@ func TestRetentionEndToEnd(t *testing.T) {
 	// measurably fewer tree nodes than before.
 	if stats.DeletedNodes == 0 {
 		t.Fatalf("GC deleted no metadata nodes: %+v", stats)
+	}
+}
+
+// TestInMemoryGCReturnsRAM: a cluster without DiskDir, its compaction
+// left at the zero value, gives the RAM of the pages Blob.GC deletes
+// back on its own once their segments are sealed: store_log_bytes,
+// which in memory is RAM held, falls with no explicit compaction.
+func TestInMemoryGCReturnsRAM(t *testing.T) {
+	cl, err := blobseer.StartCluster(blobseer.ClusterOptions{
+		PageStore: blobseer.PageStoreOptions{SegmentBytes: 16 << 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	c, err := cl.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	const ps = 4096
+	blob, err := c.Create(ctx, blobseer.Options{PageSize: ps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last blobseer.Version
+	for i := 0; i < 8; i++ {
+		if last, err = blob.Write(ctx, bytes.Repeat([]byte{byte(i + 1)}, 16*ps), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := blob.Sync(ctx, last); err != nil {
+		t.Fatal(err)
+	}
+	held := func() uint64 { return cl.Series("store_log_bytes", "role", "data") }
+	before := held()
+	if _, err := blob.Expire(ctx, last-1); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := blob.GC(ctx); err != nil || stats.DeletedPages == 0 {
+		t.Fatalf("GC: %+v, %v", stats, err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for held() > before/2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("store_log_bytes %d -> %d after GC of 7 of 8 versions; want at most %d", before, held(), before/2)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	got := make([]byte, 16*ps)
+	if err := blob.Read(ctx, last, got, 0); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{8}, 16*ps)) {
+		t.Fatalf("retained version after compaction: %v", err)
 	}
 }
 
