@@ -413,11 +413,12 @@ func tearTail(cfg Config, role string, i int, rng *rand.Rand) (string, error) {
 		base = filepath.Join(cfg.PageDir, fmt.Sprintf("provider-%d.log", i))
 	}
 	ft := &seglog.Format{Name: role, RecMagic: histRecMagic[role]}
-	segs, err := ft.ListSegments(base)
+	// Segment names carry fixed-width indices, so the highest sorts last.
+	segs, err := filepath.Glob(base + ".[0-9]*")
 	if err != nil || len(segs) == 0 {
 		return "", fmt.Errorf("tearing %s %d: segments %v, %v", role, i, segs, err)
 	}
-	path := seglog.SegmentPath(base, segs[len(segs)-1])
+	path := segs[len(segs)-1]
 	frame := ft.Frame(payload(rng))
 	torn := frame[:1+rng.IntN(len(frame)-1)]
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)

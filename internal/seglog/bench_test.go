@@ -153,7 +153,7 @@ func BenchmarkKVCompact(b *testing.B) {
 }
 
 // BenchmarkKVReopenRescan opens a store that has no index snapshot, so
-// recovery replays every record of its one segment through Format.Scan.
+// recovery replays every record of its one segment through scanFrames.
 func BenchmarkKVReopenRescan(b *testing.B) {
 	for _, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {

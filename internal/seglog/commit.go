@@ -3,9 +3,10 @@ package seglog
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// Group commit, shared by the version WAL and the KV: concurrent appends
+// Group commit, shared by the Log and the KV: concurrent appends
 // coalesce into batches, the first appender to find no active leader
 // becomes one, takes everything queued with it, writes the whole batch
 // with a single write and at most one fsync, and wakes the batch.
@@ -35,13 +36,13 @@ import (
 // mid-batch, or have the leader roll at its batch tail and answer — the
 // roll never overlaps a commit, and no appender ever waits for it.
 //
-// The Committer borrows the store's writer mutex rather than owning
+// The committer borrows the store's writer mutex rather than owning
 // one, so the store keeps its declared lock order (and its direct uses
 // of the mutex for rolls and shutdown) unchanged.
 
-// Cell is one queued appender's parking spot, embedded in the store's
+// cell is one queued appender's parking spot, embedded in the store's
 // append-request type. The zero value is ready to use.
-type Cell struct {
+type cell struct {
 	// done is made, under the writer mutex, only by an owner that finds
 	// its record undelivered and has to park; delivery closes it if it
 	// is there. A leader never parks, and a two-phase owner whose batch
@@ -61,13 +62,13 @@ type Cell struct {
 	leads bool
 }
 
-// Parked is implemented by the store's append-request type.
-type Parked interface{ Cell() *Cell }
+// parked is implemented by the store's append-request type.
+type parked interface{ slot() *cell }
 
-// Committer runs the leader/batch protocol over the store's request
+// committer runs the leader/batch protocol over the store's request
 // type T. All callback fields must be set before the first Append
 // (MaybeRoll and Apply may be nil).
-type Committer[T Parked] struct {
+type committer[T parked] struct {
 	// Mu is the store's writer mutex; it guards the queue and leader
 	// flag here plus whatever writer state the store keeps (active
 	// segment, sizes). The store declares its lock order.
@@ -91,7 +92,7 @@ type Committer[T Parked] struct {
 	MaybeRoll func()
 	// FailStop wedges the committer after the first commit error: every
 	// queued and future append fails with that error. Required by stores
-	// that apply state at enqueue time (the version WAL) — without it a
+	// that apply state at enqueue time (the Log) — without it a
 	// failed batch followed by a successful one would leave per-key gaps
 	// in the durable log that replay rejects.
 	FailStop bool
@@ -107,7 +108,7 @@ type Committer[T Parked] struct {
 
 // Append writes one record durably and applies its effects. Concurrent
 // appends coalesce into group commits.
-func (c *Committer[T]) Append(a T) error {
+func (c *committer[T]) Append(a T) error {
 	c.Mu.Lock()
 	if err := c.admitLocked(); err != nil {
 		c.Mu.Unlock()
@@ -116,16 +117,16 @@ func (c *Committer[T]) Append(a T) error {
 	c.queue = append(c.queue, a)
 	if !c.leading {
 		c.leading = true
-		return c.lead(a.Cell()) // releases Mu
+		return c.lead(a.slot()) // releases Mu
 	}
-	return c.park(a.Cell()) // releases Mu
+	return c.park(a.slot()) // releases Mu
 }
 
 // park waits, if it still has to, until cell is delivered — its batch
 // resolved, or leadership handed to it — and returns the record's
 // outcome, leading the next batch first when promoted. Called with Mu
 // held; returns with Mu released.
-func (c *Committer[T]) park(cell *Cell) error {
+func (c *committer[T]) park(cell *cell) error {
 	if !cell.delivered {
 		cell.done = make(chan struct{})
 		c.Mu.Unlock()
@@ -142,7 +143,7 @@ func (c *Committer[T]) park(cell *Cell) error {
 
 // admitLocked is the shared entry check: closed stores and wedged
 // fail-stop committers reject new records. Called with Mu held.
-func (c *Committer[T]) admitLocked() error {
+func (c *committer[T]) admitLocked() error {
 	if c.Closed() {
 		return c.ErrClosed
 	}
@@ -157,7 +158,7 @@ func (c *Committer[T]) admitLocked() error {
 // holds store locks Append would stall across the fsync; it applies the
 // record's state effects under those locks (the committer's Apply must
 // be nil then), releases them, and calls Await to park for durability.
-func (c *Committer[T]) Enqueue(a T) error {
+func (c *committer[T]) Enqueue(a T) error {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
 	if err := c.admitLocked(); err != nil {
@@ -166,7 +167,7 @@ func (c *Committer[T]) Enqueue(a T) error {
 	c.queue = append(c.queue, a)
 	if !c.leading {
 		c.leading = true
-		a.Cell().leads = true
+		a.slot().leads = true
 	}
 	return nil
 }
@@ -174,8 +175,8 @@ func (c *Committer[T]) Enqueue(a T) error {
 // Await parks until a record queued with Enqueue is durable and returns
 // its outcome — phase two. Must not be called holding any lock ordered
 // at or after Mu.
-func (c *Committer[T]) Await(a T) error {
-	cell := a.Cell()
+func (c *committer[T]) Await(a T) error {
+	cell := a.slot()
 	c.Mu.Lock()
 	if cell.leads {
 		cell.leads = false
@@ -191,20 +192,12 @@ func (c *Committer[T]) Await(a T) error {
 	return c.park(cell) // releases Mu
 }
 
-// LeadingLocked reports whether a leader is designated or mid-batch.
-// When none is, the queue is empty and no commit is in flight, so a
-// caller holding Mu may change the writer state Commit reads lock-free
-// (roll the segment). When one is, its batch is still to come: work left
-// for its tail — MaybeRoll, a SealLocked roll — gets done unless that
-// commit fails or the store closes. Called with Mu held.
-func (c *Committer[T]) LeadingLocked() bool { return c.leading }
-
 // lead commits one batch — the current queue, which includes self's own
 // record — delivers the outcome, and hands leadership to the first
 // appender queued behind the batch. self is nil for a caretaker pass
 // with no record of its own (tests). Called with Mu held; returns
 // self's outcome with Mu released.
-func (c *Committer[T]) lead(self *Cell) error {
+func (c *committer[T]) lead(self *cell) error {
 	// Collect: yield once so appenders that are runnable right now —
 	// typically the batch just delivered, already back with their next
 	// record — join this batch instead of each eating an fsync. This is
@@ -246,7 +239,7 @@ func (c *Committer[T]) lead(self *Cell) error {
 	}
 	c.answerSealLocked(err)
 	for _, a := range batch {
-		cell := a.Cell()
+		cell := a.slot()
 		if cell == self {
 			// Self returns synchronously; it may already be marked
 			// delivered when it led a batch it was promoted into.
@@ -260,7 +253,7 @@ func (c *Committer[T]) lead(self *Cell) error {
 		// One-batch tenure: whoever queued first behind this batch leads
 		// the next one; its record stays queued and commits in that
 		// batch.
-		next := c.queue[0].Cell()
+		next := c.queue[0].slot()
 		next.promoted = true
 		deliverLocked(next, nil)
 	} else {
@@ -272,7 +265,7 @@ func (c *Committer[T]) lead(self *Cell) error {
 
 // deliverLocked wakes a parked appender exactly once. Called with the
 // writer mutex held.
-func deliverLocked(cell *Cell, err error) {
+func deliverLocked(cell *cell, err error) {
 	if cell.delivered {
 		return
 	}
@@ -287,9 +280,9 @@ func deliverLocked(cell *Cell, err error) {
 // waiting SealLocked, and empties the queue; the store's shutdown calls
 // it with Mu held. A promoted waiter was already woken and will observe
 // closed when it leads; delivery skips it.
-func (c *Committer[T]) FailQueuedLocked(err error) {
+func (c *committer[T]) FailQueuedLocked(err error) {
 	for _, a := range c.queue {
-		deliverLocked(a.Cell(), err)
+		deliverLocked(a.slot(), err)
 	}
 	c.queue = nil
 	c.answerSealLocked(err)
@@ -305,11 +298,11 @@ func (c *Committer[T]) FailQueuedLocked(err error) {
 // tail a failed write may have left torn must not be sealed. Appenders
 // never wait for a seal. Called with Mu held, by one caller at a time
 // (the store's maintenance serializes them); returns with Mu held.
-func (c *Committer[T]) SealLocked(roll func() error) error {
+func (c *committer[T]) SealLocked(roll func() error) error {
 	if err := c.admitLocked(); err != nil {
 		return err
 	}
-	if !c.LeadingLocked() {
+	if !c.leading {
 		return roll()
 	}
 	done := make(chan error, 1)
@@ -323,7 +316,7 @@ func (c *Committer[T]) SealLocked(roll func() error) error {
 // answerSealLocked hands a waiting SealLocked its outcome: err when the
 // batch it waited for failed, else what its roll returns. Called with
 // Mu held, with no commit in flight.
-func (c *Committer[T]) answerSealLocked(err error) {
+func (c *committer[T]) answerSealLocked(err error) {
 	if c.sealDone == nil {
 		return
 	}
@@ -334,18 +327,24 @@ func (c *Committer[T]) answerSealLocked(err error) {
 	c.seal, c.sealDone = nil, nil
 }
 
-// SealWaitingLocked reports whether a SealLocked is waiting for the
-// leader — a test hook. Called with Mu held.
-func (c *Committer[T]) SealWaitingLocked() bool { return c.sealDone != nil }
-
-// CaretakeLocked runs one leader pass with no record of its own — a
-// test hook standing in for a returning leader. Called with Mu held;
-// returns with Mu released.
-func (c *Committer[T]) CaretakeLocked() error { return c.lead(nil) }
-
-// SetLeadingLocked forces the leader flag — a test hook for pinning the
-// queueing behaviour behind a leader mid-commit. Called with Mu held.
-func (c *Committer[T]) SetLeadingLocked(v bool) { c.leading = v }
-
-// QueueLenLocked reports the queued appender count. Called with Mu held.
-func (c *Committer[T]) QueueLenLocked() int { return len(c.queue) }
+// gateNext makes the next batch park inside Commit — where the leader
+// holds no lock and nothing is written — and closes entered once it is
+// parked. Closing release (or sending nil) lets it go on; sending an
+// error fails it with that error, unwritten. It swaps Commit
+// unsynchronized: the logs' GateNextCommit test hooks.
+func (c *committer[T]) gateNext() (entered <-chan struct{}, release chan<- error) {
+	parked, verdict := make(chan struct{}), make(chan error)
+	var gated atomic.Bool
+	gated.Store(true)
+	inner := c.Commit
+	c.Commit = func(batch []T) error {
+		if gated.CompareAndSwap(true, false) {
+			close(parked)
+			if err := <-verdict; err != nil {
+				return err
+			}
+		}
+		return inner(batch)
+	}
+	return parked, verdict
+}

@@ -11,10 +11,10 @@ import (
 // testAppend is the minimal Parked implementation.
 type testAppend struct {
 	rec  string
-	cell Cell
+	cell cell
 }
 
-func (a *testAppend) Cell() *Cell { return &a.cell }
+func (a *testAppend) slot() *cell { return &a.cell }
 
 // testStore wires a Committer to counters instead of a disk.
 type testStore struct {
@@ -23,14 +23,14 @@ type testStore struct {
 	commits atomic.Uint64 // batches committed (≈ fsyncs)
 	records atomic.Uint64 // records committed
 	applied atomic.Uint64 // records applied
-	comm    Committer[*testAppend]
+	comm    committer[*testAppend]
 }
 
 var errTestClosed = errors.New("test store closed")
 
 func newTestStore() *testStore {
 	s := &testStore{}
-	s.comm = Committer[*testAppend]{
+	s.comm = committer[*testAppend]{
 		Mu:        &s.mu,
 		Closed:    func() bool { return s.closed },
 		ErrClosed: errTestClosed,
@@ -54,7 +54,7 @@ func (s *testStore) append(rec string) error {
 func TestGroupCommitBatches(t *testing.T) {
 	s := newTestStore()
 	s.mu.Lock()
-	s.comm.SetLeadingLocked(true)
+	s.comm.leading = true
 	s.mu.Unlock()
 
 	const n = 5
@@ -64,7 +64,7 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 	for {
 		s.mu.Lock()
-		queued := s.comm.QueueLenLocked()
+		queued := len(s.comm.queue)
 		s.mu.Unlock()
 		if queued == n {
 			break
@@ -72,7 +72,7 @@ func TestGroupCommitBatches(t *testing.T) {
 		runtime.Gosched()
 	}
 	s.mu.Lock()
-	if err := s.comm.CaretakeLocked(); err != nil {
+	if err := s.comm.lead(nil); err != nil {
 		t.Fatalf("caretake: %v", err)
 	}
 	for i := 0; i < n; i++ {
@@ -119,7 +119,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 func TestCloseFailsQueuedAppends(t *testing.T) {
 	s := newTestStore()
 	s.mu.Lock()
-	s.comm.SetLeadingLocked(true) // no real leader will ever drain
+	s.comm.leading = true // no real leader will ever drain
 	s.mu.Unlock()
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -127,7 +127,7 @@ func TestCloseFailsQueuedAppends(t *testing.T) {
 	}
 	for {
 		s.mu.Lock()
-		queued := s.comm.QueueLenLocked()
+		queued := len(s.comm.queue)
 		s.mu.Unlock()
 		if queued == 2 {
 			break
@@ -166,7 +166,7 @@ func TestTwoPhaseAppendBatches(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	if q := s.comm.QueueLenLocked(); q != n {
+	if q := len(s.comm.queue); q != n {
 		t.Fatalf("queued = %d, want %d", q, n)
 	}
 	s.mu.Unlock()
@@ -241,7 +241,7 @@ func TestLeadingSpansDesignationAndBatch(t *testing.T) {
 	leading := func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.comm.LeadingLocked()
+		return s.comm.leading
 	}
 	gate := make(chan struct{})
 	var rolledWhileLeading atomic.Bool
@@ -250,7 +250,7 @@ func TestLeadingSpansDesignationAndBatch(t *testing.T) {
 		<-gate // a leader parked mid-fsync
 		return nil
 	}
-	s.comm.MaybeRoll = func() { rolledWhileLeading.Store(s.comm.LeadingLocked()) }
+	s.comm.MaybeRoll = func() { rolledWhileLeading.Store(s.comm.leading) }
 	if leading() {
 		t.Fatal("an idle committer reports a leader")
 	}
@@ -322,7 +322,7 @@ func TestCommitErrorPropagatesToWholeBatch(t *testing.T) {
 	errDisk := errors.New("disk gone")
 	s.comm.Commit = func(batch []*testAppend) error { return errDisk }
 	s.mu.Lock()
-	s.comm.SetLeadingLocked(true)
+	s.comm.leading = true
 	s.mu.Unlock()
 	errs := make(chan error, 3)
 	for i := 0; i < 3; i++ {
@@ -330,7 +330,7 @@ func TestCommitErrorPropagatesToWholeBatch(t *testing.T) {
 	}
 	for {
 		s.mu.Lock()
-		queued := s.comm.QueueLenLocked()
+		queued := len(s.comm.queue)
 		s.mu.Unlock()
 		if queued == 3 {
 			break
@@ -338,7 +338,7 @@ func TestCommitErrorPropagatesToWholeBatch(t *testing.T) {
 		runtime.Gosched()
 	}
 	s.mu.Lock()
-	if err := s.comm.CaretakeLocked(); !errors.Is(err, errDisk) {
+	if err := s.comm.lead(nil); !errors.Is(err, errDisk) {
 		t.Fatalf("caretake: %v, want %v", err, errDisk)
 	}
 	for i := 0; i < 3; i++ {
@@ -389,7 +389,7 @@ func TestSealRunsWhereNoCommitIsInFlight(t *testing.T) {
 	waitAsked := func() {
 		for asked := false; !asked; runtime.Gosched() {
 			s.mu.Lock()
-			asked = s.comm.SealWaitingLocked()
+			asked = s.comm.sealDone != nil
 			s.mu.Unlock()
 		}
 	}
@@ -426,7 +426,7 @@ func TestSealRunsWhereNoCommitIsInFlight(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	s.comm.SetLeadingLocked(true) // a leader that will never come back
+	s.comm.leading = true // a leader that will never come back
 	s.mu.Unlock()
 	go func() { sealed <- seal() }()
 	waitAsked()

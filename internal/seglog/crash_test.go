@@ -44,11 +44,11 @@ func TestPublishSnapshotCrashPoints(t *testing.T) {
 	for _, point := range []string{"tmp-written", "renamed"} {
 		t.Run(point, func(t *testing.T) {
 			base := filepath.Join(t.TempDir(), "log")
-			if err := testFmt.PublishSnapshot(base, []byte("old state"), true, nil, nil); err != nil {
+			if err := testFmt.publishSnapshot(osFS{}, base, []byte("old state"), true, nil, nil); err != nil {
 				t.Fatalf("seed snapshot: %v", err)
 			}
 
-			err := testFmt.PublishSnapshot(base, []byte("new state"), true,
+			err := testFmt.publishSnapshot(osFS{}, base, []byte("new state"), true,
 				crashAt(point, "tmp-written"), crashAt(point, "renamed"))
 			if !errors.Is(err, errCrash) {
 				t.Fatalf("crash at %s not surfaced: %v", point, err)
@@ -57,7 +57,7 @@ func TestPublishSnapshotCrashPoints(t *testing.T) {
 			// What recovery finds. RemoveTmp is what every store's open does
 			// first; the live snapshot must then be one complete state.
 			removeTmp(osFS{}, base)
-			data, err := testFmt.LoadSnapshotFile(SnapshotPath(base))
+			data, err := testFmt.loadSnapshotFile(osFS{}, SnapshotPath(base))
 			if err != nil {
 				t.Fatalf("snapshot after crash at %s unreadable: %v", point, err)
 			}
@@ -82,7 +82,7 @@ func TestSegmentWriterCommitCrashPoints(t *testing.T) {
 			path := SegmentPath(base, 1)
 			writeTestSegment(t, testFmt, path, 3, "orig")
 
-			w, err := testFmt.newSegmentWriter(osFS{}, CompactTmpPath(base), 7)
+			w, err := testFmt.newSegmentWriter(osFS{}, compactTmpPath(base), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestSegmentWriterCommitCrashPoints(t *testing.T) {
 				t.Fatalf("segment after crash at %s unreadable: %v", point, err)
 			}
 			var payloads []string
-			if _, err := testFmt.Scan(f, path, false, func(p []byte, _ int64) error {
+			if _, err := testFmt.scan(f, path, false, func(p []byte, _ int64) error {
 				payloads = append(payloads, string(p))
 				return nil
 			}); err != nil {
@@ -166,13 +166,13 @@ func TestScanTruncatesTornTailOnHighestSegmentOnly(t *testing.T) {
 	}
 
 	// A sealed segment must refuse the torn frame...
-	if _, err := testFmt.Scan(f, path, false, func([]byte, int64) error { return nil }); err == nil ||
+	if _, err := testFmt.scan(f, path, false, func([]byte, int64) error { return nil }); err == nil ||
 		!strings.Contains(err.Error(), "torn") {
 		t.Fatalf("sealed segment accepted a torn record: %v", err)
 	}
 	// ...and the highest segment truncates it away and keeps the prefix.
 	var got []string
-	end, err := testFmt.Scan(f, path, true, func(p []byte, _ int64) error {
+	end, err := testFmt.scan(f, path, true, func(p []byte, _ int64) error {
 		got = append(got, string(p))
 		return nil
 	})
@@ -198,7 +198,7 @@ func TestScanRejectsCorruption(t *testing.T) {
 	}
 	for name, corrupt := range map[string]func([]byte){
 		"payload-bit-flip": func(b []byte) { b[len(b)-1] ^= 0x01 },
-		"frame-magic":      func(b []byte) { b[HeaderSize] ^= 0xFF },
+		"frame-magic":      func(b []byte) { b[headerSize] ^= 0xFF },
 	} {
 		t.Run(name, func(t *testing.T) {
 			bad := append([]byte(nil), raw...)
@@ -214,7 +214,7 @@ func TestScanRejectsCorruption(t *testing.T) {
 			defer f.Close()
 			// Corruption is corruption on every segment: allowTorn only
 			// forgives a clean tear at the tail, never a failed check.
-			if _, err := testFmt.Scan(f, p, true, func([]byte, int64) error { return nil }); err == nil {
+			if _, err := testFmt.scan(f, p, true, func([]byte, int64) error { return nil }); err == nil {
 				t.Fatal("scan accepted corrupted segment")
 			}
 		})
@@ -245,7 +245,7 @@ func TestHeaderlessSegmentsStartAtZero(t *testing.T) {
 	}
 	defer f.Close()
 	n := 0
-	if _, err := testWALFmt.Scan(f, path, false, func(p []byte, off int64) error {
+	if _, err := testWALFmt.scan(f, path, false, func(p []byte, off int64) error {
 		if off != FrameHeaderSize {
 			t.Errorf("payload offset %d, want %d", off, FrameHeaderSize)
 		}
@@ -256,7 +256,7 @@ func TestHeaderlessSegmentsStartAtZero(t *testing.T) {
 	}
 }
 
-// TestScanPayloadIsOnlyValidDuringVisit pins Scan's reuse contract: a
+// TestScanPayloadIsOnlyValidDuringVisit pins the scan's reuse contract: a
 // payload is a slice of the scan's window, not a copy of the record. The
 // test lends the scan a window of its own and overwrites it afterwards,
 // as the next pread would: what a visitor kept reads garbage, what it
@@ -296,7 +296,7 @@ func TestScanPayloadIsOnlyValidDuringVisit(t *testing.T) {
 // larger than a whole window — and then the same file torn inside its
 // last record.
 func TestScanCrossesWindows(t *testing.T) {
-	sizes := []int{10, ioWindow - 2*FrameHeaderSize - 10 - HeaderSize, 700_000, 500_000, ioWindow + 500_000, 5, 0, 900_000}
+	sizes := []int{10, ioWindow - 2*FrameHeaderSize - 10 - headerSize, 700_000, 500_000, ioWindow + 500_000, 5, 0, 900_000}
 	path := filepath.Join(t.TempDir(), "log.000001")
 	w, err := testFmt.newSegmentWriter(osFS{}, path, 1)
 	if err != nil {
@@ -325,7 +325,7 @@ func TestScanCrossesWindows(t *testing.T) {
 	scan := func(allowTorn bool, want int) int64 {
 		t.Helper()
 		n := 0
-		end, err := testFmt.Scan(f, path, allowTorn, func(p []byte, off int64) error {
+		end, err := testFmt.scan(f, path, allowTorn, func(p []byte, off int64) error {
 			if off != offs[n] || !bytes.Equal(p, payload(n)) {
 				t.Fatalf("record %d: offset %d (want %d), %d bytes (want %d) or wrong bytes", n, off, offs[n], len(p), sizes[n])
 			}

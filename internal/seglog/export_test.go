@@ -1,6 +1,19 @@
 package seglog
 
-import "blobseer/internal/obs"
+import (
+	"os"
+
+	"blobseer/internal/obs"
+)
+
+// scan is the whole-record walk over one segment file, through a window
+// of its own: the shape the frame tests drive.
+func (ft *Format) scan(f *os.File, path string, allowTorn bool, visit func(payload []byte, payloadOff int64) error) (int64, error) {
+	size, _, err := ft.scanFrames(new([]byte), osFile{f}, path, allowTorn, -1, func(p []byte, off int64, _ uint32) error {
+		return visit(p, off)
+	})
+	return size, err
+}
 
 // encodeRecord builds one record's complete frame in a fresh buffer,
 // for the tests that pin the record encoding.

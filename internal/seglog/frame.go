@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
+	"slices"
 )
 
 // Record frame (little-endian), shared by every store:
@@ -40,12 +40,17 @@ func resize(win *[]byte, n int) []byte {
 }
 
 // Frame wraps an encoded payload in the on-disk frame, in a buffer of
-// its own — for logs that frame one record at a time (the version WAL).
-func (ft *Format) Frame(payload []byte) []byte {
-	rec := make([]byte, FrameHeaderSize+len(payload))
-	copy(rec[FrameHeaderSize:], payload)
-	putFrameHeader(rec, ft.RecMagic)
-	return rec
+// its own — for the crash tables that write records the way a store
+// would.
+func (ft *Format) Frame(payload []byte) []byte { return appendFrame(nil, ft.RecMagic, payload) }
+
+// appendFrame appends payload to dst in a frame branded magic.
+func appendFrame(dst []byte, magic uint32, payload []byte) []byte {
+	dst = slices.Grow(dst, FrameHeaderSize+len(payload))
+	dst = append(dst, make([]byte, FrameHeaderSize)...)
+	dst = append(dst, payload...)
+	putFrameHeader(dst[len(dst)-FrameHeaderSize-len(payload):], magic)
+	return dst
 }
 
 // putFrameHeader fills the header of a frame whose payload is already
@@ -83,28 +88,20 @@ func (ft *Format) checkFrame(frame []byte, path string, off int64) error {
 // start at file offset payloadOff. p is valid until the call returns.
 type frameVisitor = func(p []byte, payloadOff int64, payloadLen uint32) error
 
-// Scan reads every record frame in one segment file, already open (and,
-// for header-carrying formats, already validated). visit receives each
-// CRC-checked payload and its file offset. A torn frame at the tail is
-// truncated away when allowTorn is set (the highest segment — a crash
-// mid-append); anywhere else it fails the open, because sealed segments
-// and compaction outputs are only ever activated complete. The file
-// size after any truncation is returned.
+// scanFrames reads every record frame in one segment file, already
+// open (and, for header-carrying formats, already validated). visit
+// receives each CRC-checked payload and its file offset. A torn frame at
+// the tail is truncated away when allowTorn is set (the highest segment —
+// a crash mid-append); anywhere else it fails the open, because sealed
+// segments and compaction outputs are only ever activated complete. The
+// file size after any truncation is returned.
 //
-// The file is read through one window, a pread per ioWindow bytes, and
-// payload is a slice of that window: it is valid until visit returns,
-// and a visitor that keeps any of it must copy. Scan's window is its
-// own; a KV lends its scans the store's (see scanFrames).
-func (ft *Format) Scan(f *os.File, path string, allowTorn bool, visit func(payload []byte, payloadOff int64) error) (int64, error) {
-	size, _, err := ft.scanFrames(new([]byte), osFile{f}, path, allowTorn, -1, func(payload []byte, payloadOff int64, _ uint32) error {
-		return visit(payload, payloadOff)
-	})
-	return size, err
-}
-
-// scanFrames is Scan through the caller's window — resized as needed,
-// left with the caller for its next scan — and, with prefixLen >= 0, the
-// walk that skims: of a frame longer than skimMin, visit gets only the
+// The file is read through the caller's window, a pread per ioWindow
+// bytes, resized as needed and left with the caller for its next scan;
+// payload is a slice of it, valid until visit returns, and a visitor
+// that keeps any of it must copy.
+//
+// With prefixLen >= 0 it is the walk that skims: of a frame longer than skimMin, visit gets only the
 // first prefixLen bytes of the payload beside the payload's length, one
 // small pread, and nothing behind the prefix is read or CRC-checked
 // (KVLayout.walk says who wants that, and why). A frame no longer than
@@ -118,7 +115,7 @@ func (ft *Format) scanFrames(win *[]byte, f file, path string, allowTorn bool, p
 	if err != nil {
 		return 0, false, fmt.Errorf("%s: stat segment: %w", ft.Name, err)
 	}
-	off := ft.DataStart()
+	off := ft.dataStart()
 	// A pread brings in a step: a window, or where pages are likely — at
 	// the start of a skimming walk, and behind a skimmed frame — a prefix.
 	prefix, step := int64(math.MaxInt64), int64(ioWindow)

@@ -6,8 +6,7 @@ import (
 )
 
 // fileSystem is where one store's files live: osFS, or a private memFS
-// (memfs.go). Names are paths as the os package takes them. The exported
-// helpers the version WAL calls bind osFS.
+// (memfs.go). Names are paths as the os package takes them.
 type fileSystem interface {
 	// OpenFile opens name for reading and writing; flag may add
 	// os.O_CREATE and os.O_TRUNC, meaning what they mean to os.OpenFile.
@@ -60,7 +59,20 @@ func (osFS) List(dir string) ([]string, error) {
 func (osFS) Remove(name string) error     { return os.Remove(name) }
 func (osFS) Rename(from, to string) error { return os.Rename(from, to) }
 func (osFS) MkdirAll(dir string) error    { return os.MkdirAll(dir, 0o755) }
-func (osFS) SyncDir(dir string) error     { return SyncDir(dir) }
+
+// SyncDir fsyncs a directory so renames, creations and deletions in it
+// are durable.
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // osFile is an open operating-system file.
 type osFile struct{ *os.File }

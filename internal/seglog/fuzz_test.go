@@ -35,14 +35,14 @@ func asFormat1(payload []byte, gens ...uint64) []byte {
 }
 
 func FuzzDecodeIndexMeta(f *testing.F) {
-	seed := func(m *IndexMeta) []byte {
+	seed := func(m *indexMeta) []byte {
 		w := wire.NewWriter(64)
 		encodeIndexMeta(w, m)
 		return w.Bytes()
 	}
 	f.Add(v1IndexMeta())
 	f.Add(v1IndexMeta(1, 7, 3))
-	f.Add(seed(&IndexMeta{Segs: []SegMeta{
+	f.Add(seed(&indexMeta{Segs: []segMeta{
 		{Gen: 1, Live: 211, Tomb: 42},
 		{Gen: 2},
 		{Gen: 9, Live: 0, Tomb: 63},
@@ -94,7 +94,7 @@ func FuzzScan(f *testing.F) {
 		}
 		defer fh.Close()
 		var first [][]byte
-		end, err := testWALFmt.Scan(fh, path, true, func(p []byte, _ int64) error {
+		end, err := testWALFmt.scan(fh, path, true, func(p []byte, _ int64) error {
 			first = append(first, append([]byte(nil), p...))
 			return nil
 		})
@@ -102,7 +102,7 @@ func FuzzScan(f *testing.F) {
 			return // corrupt, rejected — fine
 		}
 		var second [][]byte
-		end2, err := testWALFmt.Scan(fh, path, false, func(p []byte, _ int64) error {
+		end2, err := testWALFmt.scan(fh, path, false, func(p []byte, _ int64) error {
 			second = append(second, append([]byte(nil), p...))
 			return nil
 		})

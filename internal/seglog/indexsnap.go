@@ -22,20 +22,20 @@ import (
 // writes, included — is an unknown format: the snapshot is ignored and
 // the open rescans.
 
-// SegMeta is one covered segment's entry in an index snapshot.
-type SegMeta struct {
+// segMeta is one covered segment's entry in an index snapshot.
+type segMeta struct {
 	Gen  uint64
 	Live int64 // framed bytes of records the index points at
 	Tomb int64 // framed bytes of tombstone records
 }
 
-// IndexMeta is the decoded prefix of an index snapshot.
-type IndexMeta struct {
-	Segs []SegMeta
+// indexMeta is the decoded prefix of an index snapshot.
+type indexMeta struct {
+	Segs []segMeta
 }
 
 // encodeIndexMeta appends the prefix to w.
-func encodeIndexMeta(w *wire.Writer, m *IndexMeta) {
+func encodeIndexMeta(w *wire.Writer, m *indexMeta) {
 	w.Uint32(kvSnapFmt)
 	w.Uint32(uint32(len(m.Segs)))
 	for _, s := range m.Segs {
@@ -47,7 +47,7 @@ func encodeIndexMeta(w *wire.Writer, m *IndexMeta) {
 
 // decodeIndexMeta parses the prefix from r, leaving r positioned at the
 // entry section.
-func decodeIndexMeta(r *wire.Reader) (*IndexMeta, error) {
+func decodeIndexMeta(r *wire.Reader) (*indexMeta, error) {
 	f := r.Uint32()
 	if r.Err() == nil && f != kvSnapFmt {
 		return nil, fmt.Errorf("%w: unknown format %d", errSnapshotEncoding, f)
@@ -56,9 +56,9 @@ func decodeIndexMeta(r *wire.Reader) (*IndexMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &IndexMeta{Segs: make([]SegMeta, 0, nsegs)}
+	m := &indexMeta{Segs: make([]segMeta, 0, nsegs)}
 	for i := 0; i < nsegs; i++ {
-		s := SegMeta{Gen: r.Uint64(), Live: int64(r.Uint64()), Tomb: int64(r.Uint64())}
+		s := segMeta{Gen: r.Uint64(), Live: int64(r.Uint64()), Tomb: int64(r.Uint64())}
 		if s.Live < 0 || s.Tomb < 0 {
 			return nil, fmt.Errorf("%w: negative segment counter", errSnapshotEncoding)
 		}

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -63,22 +61,19 @@ type KV struct {
 
 	// wmu guards the writer state: the active-segment pointer, the
 	// group-commit queue and shutdown. The write+fsync itself runs
-	// outside wmu by the unique leader (see Committer, which borrows it);
+	// outside wmu by the unique leader (see committer, which borrows it);
 	// every apply, and so every change of a segment's liveBytes, runs
 	// under it.
 	wmu    sync.Mutex
 	active *kvSegment
-	comm   Committer[*kvAppend]
-	// batchBuf is where commit frames a batch before its one write.
-	// Owned by the exclusive committer; kept between batches unless it
-	// grew past kvBatchRetain.
-	batchBuf []byte
+	comm   committer[*kvAppend]
+	// appender holds the batch buffer, the append and fsync counts and
+	// the auto-snapshot countdown (uncovered).
+	appender
 
 	nextGen    atomic.Uint64 // last generation handed out
 	keys       atomic.Uint64 // live keys
 	valueBytes atomic.Uint64 // live value bytes
-	appends    atomic.Uint64 // records accepted
-	syncs      atomic.Uint64 // fsyncs issued by commits
 
 	// Maintenance (snapshot + compaction) machinery, see kv_maintain.go.
 	maintMu sync.Mutex
@@ -86,18 +81,13 @@ type KV struct {
 	// are scanned or rewritten: by recovery before the store is shared,
 	// by maintenance under maintMu afterwards. Grow-only, and never
 	// larger than kvBatchRetain (see resize).
-	ioBuf []byte
-	// covered counts the records the published snapshot holds: appends
-	// plus those replayed at open, read where the snapshot's seal cut the
-	// log. Their distance from it is the auto-snapshot countdown
-	// (uncovered), consumed only by a successful publish.
-	covered     atomic.Uint64
+	ioBuf       []byte
 	snapRuns    atomic.Uint64
 	compactRuns atomic.Uint64
 	// Background passes that failed: nothing else reports them.
 	snapFailures    atomic.Uint64
 	compactFailures atomic.Uint64
-	maint           *Maintainer
+	maint           *maintainer
 	recStats        recoveryStats
 }
 
@@ -261,10 +251,10 @@ type kvAppend struct {
 	seg uint32
 	off int64
 
-	cell Cell
+	cell cell
 }
 
-func (a *kvAppend) Cell() *Cell { return &a.cell }
+func (a *kvAppend) slot() *cell { return &a.cell }
 
 // OpenKV opens (creating if needed) the store rooted at path and
 // rebuilds the index: it loads the newest valid index snapshot,
@@ -294,7 +284,7 @@ func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
 	for i := range s.stripes {
 		s.stripes[i].m = make(map[string]kvEntry)
 	}
-	s.comm = Committer[*kvAppend]{
+	s.comm = committer[*kvAppend]{
 		Mu:        &s.wmu,
 		Closed:    s.closed.Load,
 		ErrClosed: s.errClosed,
@@ -311,11 +301,7 @@ func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
 		return nil, err
 	}
 	if opts.SnapshotEvery > 0 || opts.CompactRatio > 0 {
-		s.maint = NewMaintainer(s.maintainPass)
-		s.maint.Start()
-		if opts.SnapshotEvery > 0 && s.recStats.RecordsReplayed >= opts.SnapshotEvery {
-			s.maint.Nudge()
-		}
+		s.maint = startMaintainer(s.maintainPass, s.due(opts.SnapshotEvery))
 	}
 	return s, nil
 }
@@ -376,9 +362,9 @@ func (s *KV) dropEntry(key string) bool {
 // createSegment creates and opens a fresh segment file with a durable
 // header.
 func (s *KV) createSegment(idx uint32, gen uint64) (*kvSegment, error) {
-	f, err := s.fs.OpenFile(s.segmentPath(idx), os.O_CREATE)
+	f, err := s.ly.Format.createSegment(s.fs, s.segmentPath(idx), s.opts.Sync)
 	if err != nil {
-		return nil, fmt.Errorf("%s: create segment: %w", s.ly.Name, err)
+		return nil, err
 	}
 	if err := s.ly.writeHeader(f, gen); err != nil {
 		f.Close()
@@ -389,16 +375,9 @@ func (s *KV) createSegment(idx uint32, gen uint64) (*kvSegment, error) {
 			f.Close()
 			return nil, fmt.Errorf("%s: sync segment header: %w", s.ly.Name, err)
 		}
-		// The directory entry must be durable before any record commits
-		// into the new segment, or a crash could lose a whole synced
-		// segment while keeping its successor.
-		if err := s.fs.SyncDir(filepath.Dir(s.base)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("%s: sync dir: %w", s.ly.Name, err)
-		}
 	}
 	seg := &kvSegment{idx: idx, f: f, gen: gen}
-	seg.size.Store(HeaderSize)
+	seg.size.Store(headerSize)
 	return seg, nil
 }
 
@@ -564,30 +543,12 @@ func (s *KV) commitAll(recs []*kvAppend) error {
 	return first
 }
 
-// GateNextCommit makes the next batch park inside its commit — the
-// leader holds no store lock there, nothing is written yet — and closes
-// entered once it is parked. Closing release (or sending
-// nil) lets the batch go on; sending an error fails it with that error,
-// unwritten. Only that one batch parks. A test hook, for the tests here
-// and in the instantiating packages that pin what stays available while
-// a commit is in flight and what a failed one leaves behind. It swaps
-// the commit callback unsynchronized, so install it before any
-// concurrent traffic.
+// GateNextCommit parks the next batch inside its commit until release
+// (see committer.gateNext): a test hook, for the tests that pin what
+// stays available while a commit is in flight and what a failed one
+// leaves behind. Install it before any concurrent traffic.
 func (s *KV) GateNextCommit() (entered <-chan struct{}, release chan<- error) {
-	parked, verdict := make(chan struct{}), make(chan error)
-	var gated atomic.Bool
-	gated.Store(true)
-	inner := s.comm.Commit
-	s.comm.Commit = func(batch []*kvAppend) error {
-		if gated.CompareAndSwap(true, false) {
-			close(parked)
-			if err := <-verdict; err != nil {
-				return err
-			}
-		}
-		return inner(batch)
-	}
-	return parked, verdict
+	return s.comm.gateNext()
 }
 
 // commit frames the batch — header, key, value and CRC of each record,
@@ -600,35 +561,22 @@ func (s *KV) GateNextCommit() (entered <-chan struct{}, release chan<- error) {
 // wmu at a batch tail, or with no leader at all). On error nothing is
 // applied.
 func (s *KV) commit(batch []*kvAppend) error {
-	s.appends.Add(uint64(len(batch)))
 	seg := s.active
 	base := seg.size.Load()
 	var n int64
 	for _, a := range batch {
 		n += s.framed(a)
 	}
-	out := slices.Grow(s.batchBuf[:0], int(n))
+	out := s.frameBuf(len(batch), int(n))
 	for _, a := range batch {
 		out = s.ly.appendRecord(out, a.kind, a.key, a.value)
 		a.seg = seg.idx
 		a.off = base + int64(len(out)) - int64(len(a.value))
 	}
-	off := base + int64(len(out))
-	if cap(out) <= kvBatchRetain {
-		s.batchBuf = out
-	} else {
-		s.batchBuf = nil
+	if err := s.writeBatch(&s.ly.Format, seg.f, base, out, s.opts.Sync); err != nil {
+		return err
 	}
-	if _, err := seg.f.WriteAt(out, base); err != nil {
-		return fmt.Errorf("%s: append: %w", s.ly.Name, err)
-	}
-	if s.opts.Sync {
-		if err := seg.f.Sync(); err != nil {
-			return fmt.Errorf("%s: fsync: %w", s.ly.Name, err)
-		}
-		s.syncs.Add(1)
-	}
-	seg.size.Store(off)
+	seg.size.Store(base + int64(len(out)))
 	return nil
 }
 
@@ -662,11 +610,8 @@ func (s *KV) applyBatch(batch []*kvAppend) {
 			}
 		}
 	}
-	if n := s.opts.SnapshotEvery; n > 0 && s.uncovered() >= uint64(n) {
-		nudge = true
-	}
-	if nudge {
-		s.maint.Nudge()
+	if nudge || s.due(s.opts.SnapshotEvery) {
+		s.maint.nudge()
 	}
 }
 
@@ -757,7 +702,7 @@ func (s *KV) Metrics(sink *obs.Sink) {
 	s.segMu.RLock()
 	for _, seg := range s.segs {
 		logBytes += seg.size.Load()
-		reclaimable += seg.size.Load() - HeaderSize - seg.liveBytes.Load() - seg.tombBytes.Load()
+		reclaimable += seg.size.Load() - headerSize - seg.liveBytes.Load() - seg.tombBytes.Load()
 	}
 	s.segMu.RUnlock()
 	sink.Gauge("store_keys", "live keys", float64(s.keys.Load()))
@@ -822,7 +767,7 @@ func (s *KV) Close() error {
 	s.wmu.Lock()
 	s.comm.FailQueuedLocked(s.errClosed)
 	s.wmu.Unlock()
-	s.maint.Stop()
+	s.maint.stop()
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
 	return s.closeFiles()

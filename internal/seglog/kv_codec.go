@@ -155,7 +155,7 @@ type kvSnapEntry struct {
 // the entries, and meta.Segs[i] describes segment i+1 at the cut.
 // Segments above the covered range are the tail recovery replays.
 type kvIndexSnapshot struct {
-	meta    IndexMeta
+	meta    indexMeta
 	entries []kvSnapEntry
 }
 
@@ -196,7 +196,7 @@ func (ly *KVLayout) decodeIndex(data []byte) (*kvIndexSnapshot, error) {
 		return nil, fmt.Errorf("%s: %w", ly.Name, err)
 	}
 	s.entries = make([]kvSnapEntry, 0, nent)
-	minOff := HeaderSize + ly.framedSize(0)
+	minOff := headerSize + ly.framedSize(0)
 	for i := 0; i < nent; i++ {
 		var e kvSnapEntry
 		e.key = string(r.Raw(ly.KeyLen))

@@ -102,7 +102,7 @@ func TestKVMaintenanceCrashInjection(t *testing.T) {
 				flipByte(t, SnapshotPath(base), FrameHeaderSize+3)
 			}},
 			{name: "torn-compact-tmp", op: (*KV).Compact, point: crashCompactTmpWritten, tamper: func(t *testing.T, base string) {
-				truncateTail(t, CompactTmpPath(base), 5)
+				truncateTail(t, compactTmpPath(base), 5)
 			}},
 			{name: "torn-segment-tail", tamper: func(t *testing.T, base string) {
 				// A crash mid-append of a record that never applied: a valid

@@ -206,7 +206,7 @@ func (r *kvFoldRun) snapshot(what string) {
 	t, s := r.t, r.s
 	r.at = what
 	must(t, s.Snapshot())
-	payload, err := r.ly.LoadSnapshotFile(SnapshotPath(r.path))
+	payload, err := r.ly.loadSnapshotFile(osFS{}, SnapshotPath(r.path))
 	if err != nil || payload == nil {
 		t.Fatalf("%s: snapshot file: %v", what, err)
 	}
@@ -233,7 +233,7 @@ func (r *kvFoldRun) snapshot(what string) {
 	}
 	for i, sm := range snap.meta.Segs {
 		seg := s.segs[i]
-		if got := (SegMeta{Gen: seg.gen, Live: seg.liveBytes.Load(), Tomb: seg.tombBytes.Load()}); got != sm {
+		if got := (segMeta{Gen: seg.gen, Live: seg.liveBytes.Load(), Tomb: seg.tombBytes.Load()}); got != sm {
 			t.Fatalf("%s: segment %d: snapshot %+v, live %+v", what, i+1, sm, got)
 		}
 	}
@@ -248,17 +248,17 @@ func (r *kvFoldRun) snapshot(what string) {
 func (r *kvFoldRun) reopen(tornRoll bool, what string) {
 	must(r.t, r.s.Close())
 	if tornRoll {
-		segs, err := r.ly.ListSegments(r.path)
+		segs, err := r.ly.listSegments(osFS{}, r.path)
 		must(r.t, err)
 		covered := 0
-		if payload, err := r.ly.LoadSnapshotFile(SnapshotPath(r.path)); err == nil && payload != nil {
+		if payload, err := r.ly.loadSnapshotFile(osFS{}, SnapshotPath(r.path)); err == nil && payload != nil {
 			snap, err := r.ly.decodeIndex(payload)
 			must(r.t, err)
 			covered = len(snap.meta.Segs)
 		}
 		if n := len(segs); n > 1 && n > covered {
 			p := SegmentPath(r.path, segs[n-1])
-			if info, err := os.Stat(p); err == nil && info.Size() == HeaderSize {
+			if info, err := os.Stat(p); err == nil && info.Size() == headerSize {
 				must(r.t, os.Truncate(p, 3))
 			}
 		}

@@ -64,14 +64,14 @@ func fuzzDecodeKVIndex(f *testing.F, ly *KVLayout) {
 	// entries: nobody is on it, and each must be turned away (the open
 	// then rescans, see TestKVCorruptSnapshotFallsBackToRescan).
 	v1 := func(entries []kvSnapEntry, gens ...uint64) []byte {
-		meta := IndexMeta{Segs: make([]SegMeta, len(gens))}
+		meta := indexMeta{Segs: make([]segMeta, len(gens))}
 		return asFormat1(ly.encodeIndex(&kvIndexSnapshot{meta: meta, entries: entries}), gens...)
 	}
 	f.Add(v1(nil))
 	f.Add(v1(nil, 1, 7, 3))
 	f.Add(v1(entries, 1, 2, 9))
 	f.Add(ly.encodeIndex(&kvIndexSnapshot{
-		meta: IndexMeta{Segs: []SegMeta{
+		meta: indexMeta{Segs: []segMeta{
 			{Gen: 1, Live: 129, Tomb: 29}, {Gen: 2}, {Gen: 9, Live: 0, Tomb: 58},
 		}},
 		entries: entries,

@@ -124,7 +124,7 @@ func TestKVSnapshotSeededReopenNoSpuriousRewrite(t *testing.T) {
 		// whose tombstone bytes put its reclaim at zero while its live
 		// ratio is below the threshold.
 		seg := s.segment(2)
-		payload, tomb, live := seg.size.Load()-HeaderSize, seg.tombBytes.Load(), seg.liveBytes.Load()
+		payload, tomb, live := seg.size.Load()-headerSize, seg.tombBytes.Load(), seg.liveBytes.Load()
 		if tomb == 0 || payload-live-tomb != 0 || float64(live)/float64(payload) >= ratio {
 			t.Fatalf("fixture built no tombstone-heavy zero-reclaim segment (payload %d live %d tomb %d)", payload, live, tomb)
 		}

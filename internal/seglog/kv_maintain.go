@@ -89,7 +89,7 @@ func (s *KV) maintainPass() bool {
 	if s.closed.Load() {
 		return false
 	}
-	if n := s.opts.SnapshotEvery; n > 0 && s.uncovered() >= uint64(n) {
+	if s.due(s.opts.SnapshotEvery) {
 		countFailure(&s.snapFailures, s.Snapshot())
 	}
 	if s.opts.CompactRatio > 0 {
@@ -133,7 +133,7 @@ func (s *KV) snapshotLocked() error {
 		prevSegs = len(prev.meta.Segs)
 	}
 	_, cut, records, err := s.seal(func(active *kvSegment) bool {
-		return active.size.Load() > HeaderSize || int(active.idx) <= prevSegs
+		return active.size.Load() > headerSize || int(active.idx) <= prevSegs
 	})
 	if err != nil {
 		return err
@@ -171,16 +171,7 @@ func (s *KV) foldSnapshot(prev *kvIndexSnapshot, cut uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.ly.encodeIndex(&kvIndexSnapshot{meta: IndexMeta{Segs: fl.segs}, entries: index.entries()}), nil
-}
-
-// uncovered counts the records logged — appended, or replayed at open —
-// since the published snapshot's cut: the auto-snapshot countdown.
-// Replayed records count, or a crash-looping store whose runs each log
-// fewer than SnapshotEvery records would grow its tail without bound.
-func (s *KV) uncovered() uint64 {
-	covered := s.covered.Load() // first: a seal after it only raises appends
-	return s.appends.Load() + uint64(s.recStats.RecordsReplayed) - covered
+	return s.ly.encodeIndex(&kvIndexSnapshot{meta: indexMeta{Segs: fl.segs}, entries: index.entries()}), nil
 }
 
 // seal rolls the active segment when roll, given it, says so, through
@@ -200,7 +191,7 @@ func (s *KV) seal(roll func(active *kvSegment) bool) (rolled bool, cut uint32, r
 			}
 			rolled = true
 		}
-		cut, records = s.active.idx-1, s.appends.Load()+uint64(s.recStats.RecordsReplayed)
+		cut, records = s.active.idx-1, s.logged()
 		return nil
 	})
 	return rolled, cut, records, err
@@ -273,7 +264,7 @@ func (s *KV) hasSnapshotFile() bool {
 // qualifies reports whether seg would be a compaction victim at ratio:
 // it holds reclaimable bytes and its live ratio is below the threshold.
 func qualifies(seg *kvSegment, ratio float64) bool {
-	payload := seg.size.Load() - HeaderSize
+	payload := seg.size.Load() - headerSize
 	live := seg.liveBytes.Load()
 	return payload-live-seg.tombBytes.Load() > 0 && float64(live)/float64(payload) < ratio
 }
@@ -312,7 +303,7 @@ func (s *KV) pickVictim(ratio float64) *kvSegment {
 	defer s.segMu.RUnlock()
 	var flagged *kvSegment
 	for _, seg := range s.segs[:sealed] {
-		if seg.size.Load() <= HeaderSize {
+		if seg.size.Load() <= headerSize {
 			seg.hygiene.Store(false)
 			continue
 		}
@@ -465,7 +456,7 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 	}
 
 	newGen := s.nextGen.Add(1)
-	w, err := s.ly.newSegmentWriter(s.fs, CompactTmpPath(s.base), newGen)
+	w, err := s.ly.newSegmentWriter(s.fs, compactTmpPath(s.base), newGen)
 	if err != nil {
 		return err
 	}

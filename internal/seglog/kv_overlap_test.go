@@ -33,7 +33,7 @@ func TestKVReadsOverlapParkedCommit(t *testing.T) {
 		// The leader is parked mid-commit. Reads of durable pairs and the
 		// accounting must not block behind it...
 		verifyLive(t, s, 2, func(i int) bool { return i == 1 })
-		if n := stats(s).LogBytes; n < HeaderSize {
+		if n := stats(s).LogBytes; n < headerSize {
 			t.Fatalf("LogBytes while commit parked = %d", n)
 		}
 		// ...and the parked put is not yet visible: the index applies only
@@ -48,7 +48,7 @@ func TestKVReadsOverlapParkedCommit(t *testing.T) {
 		go func() { put3 <- s.Put(tkey(ly, 3), tval(3)) }()
 		for queued := 0; queued < 1; runtime.Gosched() {
 			s.wmu.Lock()
-			queued = s.comm.QueueLenLocked()
+			queued = len(s.comm.queue)
 			s.wmu.Unlock()
 		}
 
@@ -368,7 +368,7 @@ func TestKVEnqueuePutParkedBehindCommit(t *testing.T) {
 		behind := batch(1, 2, 3)
 		for queued := 0; queued < 3; runtime.Gosched() {
 			s.wmu.Lock()
-			queued = s.comm.QueueLenLocked()
+			queued = len(s.comm.queue)
 			s.wmu.Unlock()
 		}
 		if has(s, tkey(ly, 0)) || has(s, tkey(ly, 1)) {

@@ -9,9 +9,8 @@ import (
 // folds them over the newest valid index snapshot (fold).
 func (s *KV) recover() error {
 	name, base := s.ly.Name, s.base
-	if f, err := s.fs.OpenFile(base, 0); err == nil {
-		f.Close()
-		return fmt.Errorf("%s: %s is a pre-segmentation single-file log, unsupported", name, base)
+	if err := s.ly.refuseSingleFile(s.fs, base); err != nil {
+		return err
 	}
 	// Leftover tmp files from interrupted maintenance are garbage: only
 	// the atomic renames ever activate them.
@@ -29,7 +28,7 @@ func (s *KV) recover() error {
 		if f, err := s.fs.OpenFile(p, 0); err == nil {
 			size, err := f.Size()
 			f.Close()
-			if err == nil && size < HeaderSize {
+			if err == nil && size < headerSize {
 				if err := s.fs.Remove(p); err != nil {
 					return fmt.Errorf("%s: remove torn segment: %w", name, err)
 				}
@@ -111,6 +110,7 @@ func (s *KV) recover() error {
 	s.valueBytes.Store(fl.valueBytes)
 	fl.stats.SegmentsOnDisk = len(s.segs)
 	s.recStats = fl.stats
+	s.replayed = uint64(fl.stats.RecordsReplayed)
 	s.active = s.segs[highest-1]
 	s.nextGen.Store(maxGen)
 	return nil
@@ -244,7 +244,7 @@ type kvFolded struct {
 	// segs describes each folded segment at the end of the fold: its
 	// generation, the framed bytes of the records the sink points at, and
 	// of its tombstones.
-	segs             []SegMeta
+	segs             []segMeta
 	keys, valueBytes uint64 // the sink's entries, and their summed value sizes
 	stats            recoveryStats
 }
@@ -272,7 +272,7 @@ type kvFolded struct {
 // rewrite) degrades to rescanning more.
 func (s *KV) fold(snap *kvIndexSnapshot, segs []*kvSegment, recovering bool, sink kvSink) (*kvFolded, error) {
 	name := s.ly.Name
-	fl := &kvFolded{segs: make([]SegMeta, len(segs))}
+	fl := &kvFolded{segs: make([]segMeta, len(segs))}
 	for i, seg := range segs {
 		fl.segs[i].Gen = seg.gen
 	}

@@ -125,7 +125,7 @@ func TestKVRewriteRefusesCorruptTombstone(t *testing.T) {
 		rollForTest(t, s)
 		deleteIf(t, s, n, func(i int) bool { return i < 2 }) // segment 2: two tombstones
 		rollForTest(t, s)
-		flipByte(t, SegmentPath(path, 2), HeaderSize+ly.framedSize(0)-1)
+		flipByte(t, SegmentPath(path, 2), headerSize+ly.framedSize(0)-1)
 
 		err := s.Compact()
 		if err == nil || !strings.Contains(err.Error(), "record crc mismatch") {

@@ -160,7 +160,7 @@ func appendBytes(t *testing.T, path string, p []byte) {
 
 func segmentCount(t *testing.T, ly *KVLayout, base string) int {
 	t.Helper()
-	segs, err := ly.ListSegments(base)
+	segs, err := ly.listSegments(osFS{}, base)
 	must(t, err)
 	return len(segs)
 }
@@ -705,7 +705,7 @@ func TestKVDuplicateConcurrentPuts(t *testing.T) {
 // rather than come up with data silently missing or foreign.
 func TestKVRefusesDamagedLogs(t *testing.T) {
 	eachLayout(t, func(t *testing.T, ly *KVLayout) {
-		firstValue := int64(HeaderSize) + ly.framedSize(0)
+		firstValue := int64(headerSize) + ly.framedSize(0)
 		other := kvLayouts[0].ly // the other instantiation
 		if other == ly {
 			other = kvLayouts[1].ly
@@ -718,7 +718,7 @@ func TestKVRefusesDamagedLogs(t *testing.T) {
 		}{
 			{"segment-gap", func(t *testing.T, path string) { must(t, os.Remove(SegmentPath(path, 2))) }, ly, "missing"},
 			{"payload-corruption", func(t *testing.T, path string) { flipByte(t, SegmentPath(path, 1), firstValue+2) }, ly, "crc"},
-			{"bad-record-magic", func(t *testing.T, path string) { flipByte(t, SegmentPath(path, 1), HeaderSize) }, ly, "magic"},
+			{"bad-record-magic", func(t *testing.T, path string) { flipByte(t, SegmentPath(path, 1), headerSize) }, ly, "magic"},
 			{"torn-sealed-segment", func(t *testing.T, path string) { truncateTail(t, SegmentPath(path, 1), 5) }, ly, "sealed"},
 			{"foreign-format", func(t *testing.T, path string) {}, other, "segment magic"},
 			{"single-file-log", func(t *testing.T, path string) {
@@ -756,7 +756,7 @@ func TestKVCorruptSnapshotFallsBackToRescan(t *testing.T) {
 				flipByte(t, SnapshotPath(path), FrameHeaderSize+5)
 			},
 			"format 1": func(t *testing.T, path string) {
-				payload, err := ly.LoadSnapshotFile(SnapshotPath(path))
+				payload, err := ly.loadSnapshotFile(osFS{}, SnapshotPath(path))
 				must(t, err)
 				snap, err := ly.decodeIndex(payload)
 				must(t, err)
@@ -764,7 +764,7 @@ func TestKVCorruptSnapshotFallsBackToRescan(t *testing.T) {
 				for _, sm := range snap.meta.Segs {
 					gens = append(gens, sm.Gen)
 				}
-				must(t, ly.PublishSnapshot(path, asFormat1(payload, gens...), false, nil, nil))
+				must(t, ly.publishSnapshot(osFS{}, path, asFormat1(payload, gens...), false, nil, nil))
 			},
 		} {
 			path := filepath.Join(t.TempDir(), "kv.log")
@@ -886,7 +886,7 @@ func TestKVTornRollThenRollAgain(t *testing.T) {
 		must(t, s.Close())
 		must(t, os.Truncate(SegmentPath(path, uint64(segmentCount(t, ly, path))), 3))
 		s = mustOpenKV(t, path, ly, KVOptions{})
-		if s.active.size.Load() != HeaderSize {
+		if s.active.size.Load() != headerSize {
 			t.Fatal("the torn roll left records in the active segment: the seal rolls it anyway, and this proves nothing")
 		}
 		must(t, s.Snapshot())

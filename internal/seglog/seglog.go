@@ -1,22 +1,26 @@
-// Package seglog is the one segmented-log core behind the stores, and
-// home of the one keyed store built on it.
+// Package seglog is the one segmented-log core behind every store, and
+// home of the two logs built on it; how any log lives on disk is decided
+// here and nowhere else.
 //
-// The core serves two kinds of log. The version manager's WAL
-// (internal/version) is a state-machine log: it keeps its own record
-// encoding, state and locking, its segments are headerless, and covered
-// segments are deleted. KV (kv.go) is the keyed, deletable,
+// The core serves two kinds of log. Log (log.go) is the state-machine
+// log behind the version manager's WAL (internal/version): the owner
+// keeps its record encoding, state and locking and hands over a Machine
+// that folds them; its segments are headerless, and a checkpoint deletes
+// the segments it covers. KV (kv.go) is the keyed, deletable,
 // snapshotting, compacting store that both the provider page store
 // (internal/pagestore.Disk) and the metadata nodes' pair log
 // (internal/dht) instantiate with nothing but a KVLayout — magics, a
 // fixed key size (16-byte page ids, 33-byte tree-node keys) and a seal
 // rule. The mechanics, each written once:
 //
-//   - a file seam (fs.go): a KV reaches its files only through a
+//   - a file seam (fs.go): both logs reach their files only through a
 //     fileSystem, the operating system's or a private one in RAM
-//     (memfs.go), so a store in memory is the same log as one on disk
-//   - generation-stamped segment files (<base>.000001, ...) with a fixed
-//     header, or headerless segments for WAL-style logs whose covered
-//     segments are deleted instead of rewritten
+//     (memfs.go), so a log in memory is the same log as one on disk
+//   - segment files (<base>.000001, ...): the KV's generation-stamped
+//     behind a fixed header, the Log's headerless; created, with their
+//     directory entry synced, and committed into — one batch, one write,
+//     at most one fsync, through a reused buffer — by the same code
+//     (appender, createSegment)
 //   - CRC-framed records with torn-tail truncation on the highest
 //     segment only (a crash mid-append), and hard failure anywhere else
 //     (sealed segments are only ever activated complete); a segment is
@@ -34,13 +38,13 @@
 //     under their own locks at enqueue time and ack after durability;
 //     a snapshotter seals the active segment through the committer's
 //     hand-off, never a wait for the queue to drain (commit.go)
-//   - snapshots as folds: neither store ever copies its live state to
-//     persist it. The version WAL's checkpoint and the KV's index
-//     snapshot each fold the sealed segments over the previous snapshot,
-//     off the disk, with the function recovery runs (the KV's is
-//     kv_recover.go's fold); the auto-snapshot countdown is records
-//     logged since the published cut, so a failed publish retries on
-//     the next maintenance pass
+//   - snapshots as folds: neither log ever copies its live state to
+//     persist it. The Log's checkpoint and the KV's index snapshot each
+//     fold the sealed segments over the previous snapshot, off the disk,
+//     with the function its open runs; the countdown (appender) is the
+//     records logged since the published cut, so a failed publish
+//     retries on the next pass of the store's maintainer, all of which
+//     start in one place (maintain.go)
 //   - in-place segment rewrite as verified range copies, through a tmp
 //     file that is always fsynced before the rename: pass 1 locates the
 //     records and decides what survives without holding a byte of it
@@ -59,9 +63,9 @@
 //     writer.go)
 //   - generational tombstone hygiene for the compactor (hygiene.go)
 //
-// The core primitives declare no lock order of their own: the Committer
-// borrows its store's writer mutex, and the order is declared by the
-// store that owns the locks (KV's is in kv.go). Functions that publish
+// The core primitives declare no lock order of their own: the committer
+// borrows its log's writer mutex, and the order is declared by the log
+// that owns the locks (in kv.go and log.go). Functions that publish
 // files via rename keep the whole sync→rename→dirsync sequence in a
 // single function body so the renamesync analyzer (cmd/blobseer-vet)
 // can see it; it reads the seam's Sync, Rename and SyncDir as the os
@@ -73,13 +77,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
+	"sync/atomic"
 )
 
 // Format names one store's on-disk dialect: the magics that brand its
 // files and the prefix its errors carry. A zero SegMagic means the
-// store's segments are headerless (the version WAL): they start with
+// store's segments are headerless (a Log): they start with
 // records at offset 0 and carry no generation.
 type Format struct {
 	Name      string // error prefix, e.g. "pagestore"
@@ -90,10 +96,10 @@ type Format struct {
 }
 
 const (
-	// HeaderSize is the segment file header:
+	// headerSize is the segment file header:
 	//
 	//	uint32 SegMagic | uint32 SegFormat | uint64 generation
-	HeaderSize = 4 + 4 + 8
+	headerSize = 4 + 4 + 8
 
 	// FrameHeaderSize is the record frame header:
 	//
@@ -101,13 +107,13 @@ const (
 	FrameHeaderSize = 4 + 4 + 4
 )
 
-// DataStart is the file offset of the first record: past the header for
+// dataStart is the file offset of the first record: past the header for
 // generation-stamped segments, 0 for headerless ones.
-func (ft *Format) DataStart() int64 {
+func (ft *Format) dataStart() int64 {
 	if ft.SegMagic == 0 {
 		return 0
 	}
-	return HeaderSize
+	return headerSize
 }
 
 // SegmentPath names segment idx of the log rooted at base.
@@ -121,24 +127,20 @@ func SnapshotPath(base string) string { return base + ".snapshot" }
 // SnapshotTmpPath names the in-progress snapshot; never read by recovery.
 func SnapshotTmpPath(base string) string { return base + ".snapshot.tmp" }
 
-// CompactTmpPath names an in-progress segment rewrite; never read by
+// compactTmpPath names an in-progress segment rewrite; never read by
 // recovery.
-func CompactTmpPath(base string) string { return base + ".compact.tmp" }
+func compactTmpPath(base string) string { return base + ".compact.tmp" }
 
 // removeTmp deletes leftover tmp files from interrupted maintenance.
 // They are garbage by construction: only the atomic renames ever
 // activate a tmp file.
 func removeTmp(fsys fileSystem, base string) {
 	fsys.Remove(SnapshotTmpPath(base))
-	fsys.Remove(CompactTmpPath(base))
+	fsys.Remove(compactTmpPath(base))
 }
 
-// ListSegments returns the segment indices present for base, ascending.
+// listSegments returns the segment indices present for base, ascending.
 // Non-numeric siblings (the snapshot, tmp files) are ignored.
-func (ft *Format) ListSegments(base string) ([]uint64, error) {
-	return ft.listSegments(osFS{}, base)
-}
-
 func (ft *Format) listSegments(fsys fileSystem, base string) ([]uint64, error) {
 	names, err := fsys.List(filepath.Dir(base))
 	if err != nil {
@@ -160,24 +162,96 @@ func (ft *Format) listSegments(fsys fileSystem, base string) ([]uint64, error) {
 	return out, nil
 }
 
-// SyncDir fsyncs a directory so renames, creations and deletions in it
-// are durable.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
+// refuseSingleFile fails the open of a log whose base path is a file: a
+// pre-segmentation log, which an empty log beside it would silently drop.
+func (ft *Format) refuseSingleFile(fsys fileSystem, base string) error {
+	f, err := fsys.OpenFile(base, 0)
 	if err != nil {
-		return err
+		return nil
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	f.Close()
+	return fmt.Errorf("%s: %s is a pre-segmentation single-file log, unsupported", ft.Name, base)
 }
+
+// createSegment creates (or opens) the segment file at path and, when
+// sync, makes its directory entry durable before any record commits
+// into it — or a crash could lose a whole synced segment while keeping
+// its successor.
+func (ft *Format) createSegment(fsys fileSystem, path string, sync bool) (file, error) {
+	f, err := fsys.OpenFile(path, os.O_CREATE)
+	if err != nil {
+		return nil, fmt.Errorf("%s: create segment: %w", ft.Name, err)
+	}
+	if sync {
+		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("%s: sync dir: %w", ft.Name, err)
+		}
+	}
+	return f, nil
+}
+
+// appender is what the KV and the Log keep alike on the commit side:
+// the batch buffer (the exclusive committer's), the counts of records
+// appended and fsyncs issued, and the automatic snapshot's countdown —
+// the records logged (appended, or replayed by the open past the
+// snapshot) beyond those the published snapshot covers.
+type appender struct {
+	batchBuf []byte
+	appends  atomic.Uint64
+	syncs    atomic.Uint64
+	replayed uint64
+	covered  atomic.Uint64
+}
+
+// frameBuf counts a batch of records and returns the batch buffer,
+// emptied, with room for the n bytes they frame to.
+func (a *appender) frameBuf(records, n int) []byte {
+	a.appends.Add(uint64(records))
+	return slices.Grow(a.batchBuf[:0], n)
+}
+
+// writeBatch appends out, a framed batch, at offset off of f with a
+// single write and, when sync, one fsync, and keeps out as the batch
+// buffer unless it grew past kvBatchRetain. Called by the exclusive
+// committer; on error the batch is not durable.
+func (a *appender) writeBatch(ft *Format, f file, off int64, out []byte, sync bool) error {
+	if cap(out) <= kvBatchRetain {
+		a.batchBuf = out
+	} else {
+		a.batchBuf = nil
+	}
+	if _, err := f.WriteAt(out, off); err != nil {
+		return fmt.Errorf("%s: append: %w", ft.Name, err)
+	}
+	if sync {
+		if err := f.Sync(); err != nil {
+			return fmt.Errorf("%s: fsync: %w", ft.Name, err)
+		}
+		a.syncs.Add(1)
+	}
+	return nil
+}
+
+// logged counts the records logged since open — appended, or replayed
+// at open; exact when no commit is in flight, as under a seal.
+func (a *appender) logged() uint64 { return a.appends.Load() + a.replayed }
+
+// uncovered is the countdown. Replayed records count, or a store that
+// crash-loops short of the interval would grow its tail without bound.
+func (a *appender) uncovered() uint64 {
+	covered := a.covered.Load() // first: a seal after it only raises appends
+	return a.logged() - covered
+}
+
+// due reports whether a snapshot every n records (none when n is not
+// positive) is due.
+func (a *appender) due(n int) bool { return n > 0 && a.uncovered() >= uint64(n) }
 
 // writeHeader writes the segment header to a fresh segment file.
 // Headerless formats must not call it.
 func (ft *Format) writeHeader(f file, gen uint64) error {
-	var hdr [HeaderSize]byte
+	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], ft.SegMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], ft.SegFormat)
 	binary.LittleEndian.PutUint64(hdr[8:16], gen)
@@ -190,7 +264,7 @@ func (ft *Format) writeHeader(f file, gen uint64) error {
 // readHeader validates a segment file's header and returns its
 // generation.
 func (ft *Format) readHeader(f file, path string) (uint64, error) {
-	var hdr [HeaderSize]byte
+	var hdr [headerSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return 0, fmt.Errorf("%s: read segment header of %s: %w", ft.Name, path, err)
 	}

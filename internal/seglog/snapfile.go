@@ -18,17 +18,13 @@ import (
 // written to <base>.snapshot.tmp, fsynced (when the store syncs), then
 // atomically renamed to <base>.snapshot — so the snapshot visible under
 // the live name is always internally complete. The payload encoding is
-// the store's business (full state for the version manager, an index
-// snapshot for the page and metadata logs).
+// the store's business (a Log's Machine encodes its state, a KV an index
+// snapshot).
 
-// LoadSnapshotFile reads and validates the snapshot envelope at path
+// loadSnapshotFile reads and validates the snapshot envelope at path
 // and returns its payload. A missing file is (nil, nil); a torn or
 // corrupt one is an error the caller downgrades to a full rescan or
 // replay.
-func (ft *Format) LoadSnapshotFile(path string) ([]byte, error) {
-	return ft.loadSnapshotFile(osFS{}, path)
-}
-
 func (ft *Format) loadSnapshotFile(fsys fileSystem, path string) ([]byte, error) {
 	raw, err := fsys.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -59,9 +55,7 @@ func (ft *Format) loadSnapshotFile(fsys fileSystem, path string) ([]byte, error)
 // writeSnapshotFile writes the framed payload to the tmp path and, when
 // syncing, fsyncs it — everything short of the activating rename.
 func (ft *Format) writeSnapshotFile(fsys fileSystem, base string, payload []byte, fsync bool) error {
-	frame := make([]byte, FrameHeaderSize+len(payload))
-	copy(frame[FrameHeaderSize:], payload)
-	putFrameHeader(frame, ft.SnapMagic)
+	frame := appendFrame(nil, ft.SnapMagic, payload)
 	tmp := SnapshotTmpPath(base)
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC)
 	if err != nil {
@@ -83,15 +77,11 @@ func (ft *Format) writeSnapshotFile(fsys fileSystem, base string, payload []byte
 	return nil
 }
 
-// PublishSnapshot writes the framed payload to the tmp path and
+// publishSnapshot writes the framed payload to the tmp path and
 // activates it by atomic rename (plus a directory sync when the store
 // syncs). The two hooks are the stores' crash-injection points: written
 // fires once the tmp file is fully on disk, renamed once the snapshot
 // is live. Either may be nil.
-func (ft *Format) PublishSnapshot(base string, payload []byte, fsync bool, written, renamed func() error) error {
-	return ft.publishSnapshot(osFS{}, base, payload, fsync, written, renamed)
-}
-
 func (ft *Format) publishSnapshot(fsys fileSystem, base string, payload []byte, fsync bool, written, renamed func() error) error {
 	if err := ft.writeSnapshotFile(fsys, base, payload, fsync); err != nil {
 		return err

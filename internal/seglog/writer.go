@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 )
 
-// SegmentWriter builds a replacement segment file — a compaction
+// segmentWriter builds a replacement segment file — a compaction
 // rewrite — in a tmp path and activates it by atomic rename. It holds
 // no buffer: the caller hands it runs of whole frames, already batched
 // and verified in the caller's own window, and each goes to the file
@@ -14,7 +14,7 @@ import (
 // even for stores that do not sync appends: the rename replaces
 // previously durable data, so the replacement must itself be durable
 // first.
-type SegmentWriter struct {
+type segmentWriter struct {
 	ft  *Format
 	fs  fileSystem
 	f   file
@@ -24,7 +24,7 @@ type SegmentWriter struct {
 
 // newSegmentWriter creates the tmp file in fsys and, for
 // header-carrying formats, stamps it with gen.
-func (ft *Format) newSegmentWriter(fsys fileSystem, tmp string, gen uint64) (*SegmentWriter, error) {
+func (ft *Format) newSegmentWriter(fsys fileSystem, tmp string, gen uint64) (*segmentWriter, error) {
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return nil, fmt.Errorf("%s: create segment tmp: %w", ft.Name, err)
@@ -35,13 +35,13 @@ func (ft *Format) newSegmentWriter(fsys fileSystem, tmp string, gen uint64) (*Se
 			return nil, err
 		}
 	}
-	return &SegmentWriter{ft: ft, fs: fsys, f: f, tmp: tmp, off: ft.DataStart()}, nil
+	return &segmentWriter{ft: ft, fs: fsys, f: f, tmp: tmp, off: ft.dataStart()}, nil
 }
 
 // Append writes one or more complete frames through to the file and
 // returns the offset the first one starts at. frames is the caller's
 // again as soon as Append returns.
-func (w *SegmentWriter) Append(frames []byte) (int64, error) {
+func (w *segmentWriter) Append(frames []byte) (int64, error) {
 	start := w.off
 	if _, err := w.f.WriteAt(frames, start); err != nil {
 		return 0, fmt.Errorf("%s: write segment tmp: %w", w.ft.Name, err)
@@ -51,11 +51,11 @@ func (w *SegmentWriter) Append(frames []byte) (int64, error) {
 }
 
 // Size reports the size of the segment built so far.
-func (w *SegmentWriter) Size() int64 { return w.off }
+func (w *segmentWriter) Size() int64 { return w.off }
 
 // File exposes the underlying handle after a successful Commit, for
 // stores that keep serving reads from the renamed file.
-func (w *SegmentWriter) File() file { return w.f }
+func (w *segmentWriter) File() file { return w.f }
 
 // Commit makes the built segment live: fsync, the written hook
 // (a crash-injection point; may be nil), atomic rename onto path, a
@@ -63,7 +63,7 @@ func (w *SegmentWriter) File() file { return w.f }
 // file handle stays open (see File); on any error it is closed and the
 // caller abandons the rewrite — a leftover tmp is removed by the next
 // recovery.
-func (w *SegmentWriter) Commit(path string, written, renamed func() error) error {
+func (w *segmentWriter) Commit(path string, written, renamed func() error) error {
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()
 		return fmt.Errorf("%s: sync segment tmp: %w", w.ft.Name, err)
@@ -93,4 +93,4 @@ func (w *SegmentWriter) Commit(path string, written, renamed func() error) error
 
 // Abort discards an unfinished rewrite: the handle closes and the tmp
 // file, never activated, is garbage the next recovery removes.
-func (w *SegmentWriter) Abort() { w.f.Close() }
+func (w *segmentWriter) Abort() { w.f.Close() }

@@ -87,13 +87,13 @@ func TestCheckpointUnderSustainedLoad(t *testing.T) {
 		}
 	}
 	within("checkpoint", 10*time.Second, m.Checkpoint)
-	if segs, err := walFmt.ListSegments(cfg.WALPath); err != nil || len(segs) != 1 || segs[0] < 2 {
+	if segs, err := listSegments(cfg.WALPath); err != nil || len(segs) != 1 || segs[0] < 2 {
 		t.Fatalf("segments after the checkpoint = %v (err %v), want only the one it rolled to", segs, err)
 	}
 
 	// 2. A second checkpoint blocks at tmp-written; traffic does not.
 	entered, release := make(chan struct{}), make(chan struct{})
-	m.ckptMu.Lock() // the hook field is the checkpointer's: set it between runs
+	// The hook field is the checkpointer's: set it between runs.
 	m.cfg.Fault = func(point string) error {
 		if point == crashTmpWritten {
 			close(entered)
@@ -101,7 +101,6 @@ func TestCheckpointUnderSustainedLoad(t *testing.T) {
 		}
 		return nil
 	}
-	m.ckptMu.Unlock()
 	ckpt := make(chan error, 1)
 	go func() { ckpt <- m.Checkpoint() }()
 	select {
@@ -134,8 +133,8 @@ func TestCheckpointUnderSustainedLoad(t *testing.T) {
 	if got := fingerprint(m2); !bytes.Equal(got, want) {
 		t.Fatal("state diverged across a restart after checkpoints under sustained load")
 	}
-	if !m2.log.recovery.SnapshotLoaded {
-		t.Fatalf("restart ignored the snapshot: %+v", m2.log.recovery)
+	if r := m2.log.Stats(); !r.SnapshotLoaded {
+		t.Fatalf("restart ignored the snapshot: %+v", r)
 	}
 }
 
@@ -174,7 +173,7 @@ func TestBackgroundCheckpointFailureIsCounted(t *testing.T) {
 	cfg.Fault = nil
 	m2, stop2 := startDurable(t, cfg)
 	defer stop2()
-	if r := m2.log.recovery; !r.SnapshotLoaded || r.SnapshotBlobs != 5 || r.EventsReplayed != 0 {
+	if r := m2.log.Stats(); !r.SnapshotLoaded || r.SnapshotEntries != 5 || r.Replayed != 0 {
 		t.Fatalf("restart: %+v, want all 5 blobs from the checkpoint", r)
 	}
 }
@@ -194,12 +193,7 @@ func TestCheckpointNeverOutrunsTheLog(t *testing.T) {
 	apply(t, m, &wire.CompleteReq{Blob: id, Version: a1.Version})
 	want := fingerprint(m)
 
-	entered, release := make(chan struct{}), make(chan struct{})
-	m.log.comm.Commit = func([]*walAppend) error {
-		close(entered)
-		<-release
-		return errInjected
-	}
+	entered, release := m.log.GateNextCommit()
 	lost := make(chan error, 1)
 	go func() {
 		_, err := m.Apply(context.Background(), &wire.AssignReq{Blob: id, Size: 50, Append: true})
@@ -208,12 +202,10 @@ func TestCheckpointNeverOutrunsTheLog(t *testing.T) {
 	<-entered // the leader is mid-batch: a checkpoint has to ask it to roll
 	ckpt := make(chan error, 1)
 	go func() { ckpt <- m.Checkpoint() }()
-	for asked := false; !asked; time.Sleep(time.Millisecond) {
-		m.log.mu.Lock()
-		asked = m.log.comm.SealWaitingLocked()
-		m.log.mu.Unlock()
+	for !m.log.SealWaiting() {
+		time.Sleep(time.Millisecond)
 	}
-	close(release)
+	release <- errInjected
 	if err := <-lost; wire.CodeOf(err) != wire.CodeUnavailable {
 		t.Fatalf("assign over a failing log: %v, want Unavailable", err)
 	}

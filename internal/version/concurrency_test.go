@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -93,22 +92,22 @@ func TestManagerCloseIdempotent(t *testing.T) {
 	md.Close()
 	md.Close()
 
-	var w *wal
-	if err := w.close(); err != nil {
+	var w *walLog
+	if err := w.Close(); err != nil {
 		t.Fatalf("nil wal close: %v", err)
 	}
 	w2, _, err := openWAL(filepath.Join(dir, "other.wal"), walOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.close(); err != nil {
+	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.close(); err != nil {
+	if err := w2.Close(); err != nil {
 		t.Fatalf("second wal close: %v", err)
 	}
 	// Appends after close fail instead of writing to a dead file.
-	if err := w2.append(walEvent{kind: walCreate, blob: 1, pageSize: 512}); err == nil {
+	if err := appendEvent(w2, walEvent{kind: walCreate, blob: 1, pageSize: 512}); err == nil {
 		t.Fatal("append after close succeeded")
 	}
 }
@@ -138,101 +137,6 @@ func TestManagerCloseFailsParkedSyncOnce(t *testing.T) {
 	// A SYNC arriving after close fails fast instead of parking forever.
 	if _, err := m.Apply(context.Background(), &wire.SyncReq{Blob: id, Version: 1}); err == nil {
 		t.Fatal("SYNC after close succeeded")
-	}
-}
-
-// TestWALGroupCommitBatches pins the group-commit mechanics
-// deterministically: with a leader marked active, concurrent appends
-// queue up, and one lead() pass commits all of them with a single fsync.
-func TestWALGroupCommitBatches(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "vm.wal")
-	w, _, err := openWAL(path, walOptions{fsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.close()
-
-	// Pretend a leader is mid-commit so appenders can only enqueue.
-	w.mu.Lock()
-	w.comm.SetLeadingLocked(true)
-	w.mu.Unlock()
-
-	const n = 5
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			errs <- w.append(walEvent{kind: walCreate, blob: wire.BlobID(i + 1), pageSize: 512})
-		}(i)
-	}
-	for {
-		w.mu.Lock()
-		queued := w.comm.QueueLenLocked()
-		w.mu.Unlock()
-		if queued == n {
-			break
-		}
-		runtime.Gosched()
-	}
-	// Stand in for the returning leader: drain the whole queue as one batch.
-	w.mu.Lock()
-	if err := w.comm.CaretakeLocked(); err != nil {
-		t.Fatalf("caretake: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("batched append: %v", err)
-		}
-	}
-	appends, syncs := w.appends.Load(), w.syncs.Load()
-	if appends != n {
-		t.Fatalf("appends = %d, want %d", appends, n)
-	}
-	if syncs != 1 {
-		t.Fatalf("syncs = %d, want 1 (group commit)", syncs)
-	}
-	// All records actually landed: the log replays n creates.
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, rec, err := openWAL(path, walOptions{})
-	if err == nil {
-		defer w2.close()
-	}
-	if err != nil || len(rec.events) != n {
-		t.Fatalf("reopen: %d events, err %v; want %d", len(rec.events), err, n)
-	}
-}
-
-// TestWALCloseFailsQueuedAppends checks shutdown while appends are parked
-// behind a leader: queued-but-untaken records fail with a clean error.
-func TestWALCloseFailsQueuedAppends(t *testing.T) {
-	w, _, err := openWAL(filepath.Join(t.TempDir(), "vm.wal"), walOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.mu.Lock()
-	w.comm.SetLeadingLocked(true) // no real leader will ever drain
-	w.mu.Unlock()
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() { errs <- w.append(walEvent{kind: walCreate, blob: 9, pageSize: 512}) }()
-	}
-	for {
-		w.mu.Lock()
-		queued := w.comm.QueueLenLocked()
-		w.mu.Unlock()
-		if queued == 2 {
-			break
-		}
-		runtime.Gosched()
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err == nil {
-			t.Fatal("append parked at close reported success")
-		}
 	}
 }
 

@@ -274,7 +274,7 @@ func appendBytes(t *testing.T, path string, p []byte) {
 
 func newestSegment(t *testing.T, base string) string {
 	t.Helper()
-	segs, err := walFmt.ListSegments(base)
+	segs, err := listSegments(base)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments at %s: %v", base, err)
 	}

@@ -234,7 +234,7 @@ func TestExpireSurvivesRestartAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	if !m2.log.recovery.SnapshotLoaded {
+	if !m2.log.Stats().SnapshotLoaded {
 		t.Fatal("snapshot not loaded on restart")
 	}
 	if _, err := m2.Apply(ctx, &wire.SizeReq{Blob: blob, Version: 2}); err == nil {

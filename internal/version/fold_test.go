@@ -237,15 +237,15 @@ func (r *foldRun) restart() {
 // check compares the live state with what the disk folds to right now.
 func (r *foldRun) check(when string) {
 	r.t.Helper()
-	fl, err := foldLog(r.cfg.WALPath, 0)
+	st, err := foldDisk(r.t, r.cfg.WALPath)
 	if err != nil {
 		r.t.Fatalf("%s: fold of the disk: %v", when, err)
 	}
-	if got, want := pinsOf(fl.st.blobs), livePins(r.m); got != want {
+	if got, want := pinsOf(st.blobs), livePins(r.m); got != want {
 		r.t.Fatalf("%s: fold(disk) and the live state disagree on pins\nfold: %s\nlive: %s", when, got, want)
 	}
-	fl.st.nextSeg = 0
-	if got, want := encodeSnapshot(fl.st), fingerprint(r.m); !bytes.Equal(got, want) {
+	st.nextSeg = 0
+	if got, want := encodeSnapshot(st), fingerprint(r.m); !bytes.Equal(got, want) {
 		r.t.Fatalf("%s: fold(disk) differs from the live state\nfold: %x\nlive: %x", when, got, want)
 	}
 }

@@ -1,6 +1,10 @@
 package version
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"blobseer/internal/obs"
@@ -20,35 +24,75 @@ type snapshotState = state
 // walHeaderSize is where a segment's first record's payload starts.
 const walHeaderSize = seglog.FrameHeaderSize
 
+// walLog is the version WAL as the manager opens it.
+type walLog = seglog.Log
+
+// walOptions configures openWAL.
+type walOptions struct{ fsync bool }
+
 // walTail is what openWAL hands a test beside the log: the events of the
 // segments the snapshot does not cover, in log order.
 type walTail struct{ events []walEvent }
 
-// openWAL is openLog plus a second scan for the raw tail events.
-func openWAL(path string, opts walOptions) (*wal, *walTail, error) {
-	w, st, err := openLog(path, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	segs, err := walFmt.ListSegments(path)
-	if err != nil {
-		w.close()
-		return nil, nil, err
-	}
+// openWAL opens the log at path with the manager's machine, recording
+// each event the open folds from the tail segments.
+func openWAL(path string, opts walOptions) (*walLog, *walTail, error) {
 	rec := &walTail{}
-	for _, s := range segs {
-		if s < st.nextSeg {
-			continue
-		}
-		if err := scanSegment(seglog.SegmentPath(path, s), false, func(e walEvent) error {
+	m := *walMachine
+	m.Apply = func(st *state, payload []byte) error {
+		if e, err := decodeWALEvent(payload); err == nil {
 			rec.events = append(rec.events, e)
-			return nil
-		}); err != nil {
-			w.close()
-			return nil, nil, err
+		}
+		return walMachine.Apply(st, payload)
+	}
+	w, _, err := seglog.OpenLog(path, &m, seglog.LogOptions{Sync: opts.fsync})
+	return w, rec, err
+}
+
+// appendEvent writes one event durably before returning: enqueue and
+// await in one step, for tests of the log's own mechanics.
+func appendEvent(w *walLog, e walEvent) error {
+	p, err := w.Enqueue(e.encode())
+	if err != nil {
+		return err
+	}
+	return w.Await(p)
+}
+
+// listSegments returns the indices of the segment files of the log at
+// base, ascending.
+func listSegments(base string) ([]uint64, error) {
+	names, err := os.ReadDir(filepath.Dir(base))
+	if err != nil {
+		return nil, err
+	}
+	var segs []uint64
+	for _, n := range names {
+		rest, ok := strings.CutPrefix(n.Name(), filepath.Base(base)+".")
+		if idx, err := strconv.ParseUint(rest, 10, 64); ok && err == nil && idx > 0 {
+			segs = append(segs, idx)
 		}
 	}
-	return w, rec, nil
+	return segs, nil // ReadDir sorts by name, and indices are fixed-width
+}
+
+// snapshotFile is a snapshot file's bytes: the payload framed with the
+// snapshot magic.
+func snapshotFile(payload []byte) []byte {
+	return (&seglog.Format{RecMagic: snapMagic}).Frame(payload)
+}
+
+// foldDisk is what the log at path folds to now, read from a copy of
+// its directory so that nothing on disk changes.
+func foldDisk(t *testing.T, path string) (*state, error) {
+	t.Helper()
+	dir := t.TempDir()
+	copyDir(t, filepath.Dir(path), dir)
+	w, st, err := seglog.OpenLog(filepath.Join(dir, filepath.Base(path)), walMachine, seglog.LogOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return st, w.Close()
 }
 
 // replay folds events over blobs through the transition function.
@@ -63,16 +107,6 @@ func replay(events []walEvent, blobs map[wire.BlobID]*blobState, now int64) (wir
 		}
 	}
 	return st.nextBlob, nil
-}
-
-// append writes one event durably before returning: enqueue and await
-// in one step, for tests of the log's own mechanics.
-func (w *wal) append(e walEvent) error {
-	a, err := w.enqueue(e)
-	if err != nil {
-		return err
-	}
-	return w.await(a)
 }
 
 // ServeManager is ServeManagerDurable for configurations that cannot
@@ -108,16 +142,4 @@ func (b *blobState) clone() *blobState {
 		c.inflight[v] = &uc
 	}
 	return &c
-}
-
-// fingerprintDisk is fingerprint's counterpart for what the disk at
-// cfg.WALPath folds to, read without opening the log for appending.
-func fingerprintDisk(t *testing.T, cfg ManagerConfig) []byte {
-	t.Helper()
-	fl, err := foldLog(cfg.WALPath, 0)
-	if err != nil {
-		t.Fatalf("fold of %s: %v", cfg.WALPath, err)
-	}
-	fl.st.nextSeg = 0
-	return encodeSnapshot(fl.st)
 }

@@ -56,7 +56,7 @@ type ManagerConfig struct {
 	// can never expire regardless).
 	RetainVersions int
 	// Fault, when set, is called at every checkpoint fault point (the
-	// crashPoints of checkpoint.go); an error aborts the checkpoint there
+	// crashPoints of wal.go); an error aborts the checkpoint there
 	// exactly as a process death at that point would. A test seam: no
 	// deployment sets it.
 	Fault func(point string) error
@@ -80,27 +80,23 @@ type ManagerConfig struct {
 // unlocks, awaits durability and wakes whom the event resolved. Recovery
 // and the checkpointer fold the logged events through the same function,
 // so they never look at — or wait for — the live state.
+//
+// The lock order, in the form the lockorder analyzer (cmd/blobseer-vet)
+// enforces:
+//
+//blobseer:lockorder blobShard.mu < registryStripe.mu
 type Manager struct {
 	cfg   ManagerConfig
 	sched vclock.Scheduler
 	srv   *rpc.Server
 	mux   *rpc.Mux
-	log   *wal // nil when not durable
+	log   *seglog.Log // nil when not durable
 	// started is the scheduler time this incarnation began: the sweeper
 	// counts an update it inherited from the log as assigned then.
 	started int64
 
 	stripes  [registryStripes]registryStripe
 	nextBlob atomic.Uint64 // last allocated blob id
-
-	// Checkpoint machinery (see checkpoint.go). ckptMu serializes
-	// checkpoint runs and doubles as the shutdown barrier; ckptRuns counts
-	// the completed ones and ckptFailures the failed background passes;
-	// ckpt is the background checkpointer goroutine.
-	ckptMu       sync.Mutex
-	ckptRuns     atomic.Uint64
-	ckptFailures atomic.Uint64
-	ckpt         *seglog.Maintainer
 
 	// deadWriterAborts counts the updates the sweeper aborted.
 	deadWriterAborts atomic.Uint64
@@ -146,9 +142,11 @@ func ServeManagerDurable(ln transport.Listener, cfg ManagerConfig) (*Manager, er
 		m.stripes[i].blobs = make(map[wire.BlobID]*blobShard)
 	}
 	if cfg.WALPath != "" {
-		log, st, err := openLog(cfg.WALPath, walOptions{
-			fsync:    cfg.WALSync,
-			segBytes: cfg.WALSegmentBytes,
+		log, st, err := seglog.OpenLog(cfg.WALPath, walMachine, seglog.LogOptions{
+			Sync:            cfg.WALSync,
+			SegmentBytes:    cfg.WALSegmentBytes,
+			CheckpointEvery: cfg.CheckpointEvery,
+			Fault:           m.crash,
 		})
 		if err != nil {
 			return nil, err
@@ -166,10 +164,6 @@ func ServeManagerDurable(ln transport.Listener, cfg ManagerConfig) (*Manager, er
 	m.wg = vclock.NewWaitGroup(cfg.Sched)
 	if cfg.DeadWriterTimeout > 0 {
 		m.wg.Go(m.sweepLoop)
-	}
-	if m.log != nil && cfg.CheckpointEvery > 0 {
-		m.ckpt = seglog.NewMaintainer(m.checkpointPass)
-		m.ckpt.Start()
 	}
 	return m, nil
 }
@@ -197,21 +191,21 @@ func (m *Manager) Metrics(s *obs.Sink) {
 	}
 	s.Gauge("version_updates_in_flight", "updates assigned a version and not yet published", float64(inflight))
 	s.Counter("version_dead_writer_aborts_total", "updates aborted because their writer went silent", float64(m.deadWriterAborts.Load()))
-	if w := m.log; w != nil {
-		s.Counter("version_wal_appends_total", "events appended to the write-ahead log since start", float64(w.appends.Load()))
-		s.Counter("version_wal_syncs_total", "write-ahead log fsyncs since start (fewer than appends: group commit)", float64(w.syncs.Load()))
-		s.Gauge("version_wal_uncheckpointed_events", "events logged past the published checkpoint: what a restart replays", float64(w.uncovered()))
-		s.Counter("version_checkpoints_total", "checkpoints published since start", float64(m.ckptRuns.Load()))
-		s.Counter("version_checkpoint_failures_total", "background checkpoint passes that failed", float64(m.ckptFailures.Load()))
-		r, loaded := w.recovery, 0.0
+	if m.log != nil {
+		r, loaded := m.log.Stats(), 0.0
 		if r.SnapshotLoaded {
 			loaded = 1
 		}
+		s.Counter("version_wal_appends_total", "events appended to the write-ahead log since start", float64(r.Appends))
+		s.Counter("version_wal_syncs_total", "write-ahead log fsyncs since start (fewer than appends: group commit)", float64(r.Syncs))
+		s.Gauge("version_wal_uncheckpointed_events", "events logged past the published checkpoint: what a restart replays", float64(r.Uncovered))
+		s.Counter("version_checkpoints_total", "checkpoints published since start", float64(r.Checkpoints))
+		s.Counter("version_checkpoint_failures_total", "background checkpoint passes that failed", float64(r.CheckpointFailures))
 		s.Gauge("version_recovery_snapshot_loaded", "1 if a checkpoint seeded this start", loaded)
-		s.Gauge("version_recovery_snapshot_blobs", "blobs this start restored from the checkpoint", float64(r.SnapshotBlobs))
-		s.Gauge("version_recovery_segments", "write-ahead log segments this start found or created", float64(r.SegmentsOnDisk))
+		s.Gauge("version_recovery_snapshot_blobs", "blobs this start restored from the checkpoint", float64(r.SnapshotEntries))
+		s.Gauge("version_recovery_segments", "write-ahead log segments this start found or created", float64(r.Segments))
 		s.Gauge("version_recovery_stale_removed", "segments a checkpoint covered that this start deleted", float64(r.StaleRemoved))
-		s.Gauge("version_recovery_events_replayed", "events this start folded in from the log's tail", float64(r.EventsReplayed))
+		s.Gauge("version_recovery_events_replayed", "events this start folded in from the log's tail", float64(r.Replayed))
 	}
 }
 
@@ -243,14 +237,7 @@ func (m *Manager) Close() {
 		m.srv.Close()
 		m.sweep.Stop()
 		_ = m.wg.Wait() // ErrStopped means the scheduler already unwound it
-		m.ckpt.Stop()
-		// Closing the log under ckptMu is the shutdown barrier: an
-		// in-flight checkpoint finishes first (its snapshot is valid and
-		// worth keeping), and any later Checkpoint observes the closed
-		// flag before touching the log.
-		m.ckptMu.Lock()
-		m.log.close()
-		m.ckptMu.Unlock()
+		m.log.Close()   // after an in-flight checkpoint, whose snapshot is worth keeping
 	})
 }
 
@@ -320,9 +307,9 @@ func (m *Manager) allShards() []*blobShard {
 // acknowledged only once the event is durable. Every step that succeeds
 // MUST be awaited (an unawaited designated leader stalls the queue); a
 // refused enqueue (closed or wedged log) changes nothing.
-func (m *Manager) step(e walEvent) (w woken, a *walAppend, err error) {
+func (m *Manager) step(e walEvent) (w woken, a *seglog.Pending, err error) {
 	if m.log != nil {
-		if a, err = m.log.enqueue(e); err != nil {
+		if a, err = m.log.Enqueue(e.encode()); err != nil {
 			return w, nil, wire.NewError(wire.CodeUnavailable, "version log: %v", err)
 		}
 	}
@@ -335,17 +322,13 @@ func (m *Manager) step(e walEvent) (w woken, a *walAppend, err error) {
 }
 
 // await parks until the event step enqueued as a is durable (at once
-// when the manager is not), and winds the automatic checkpoint's
-// countdown. Callers hold no manager locks.
-func (m *Manager) await(a *walAppend) error {
+// when the manager is not). Callers hold no manager locks.
+func (m *Manager) await(a *seglog.Pending) error {
 	if a == nil {
 		return nil
 	}
-	if err := m.log.await(a); err != nil {
+	if err := m.log.Await(a); err != nil {
 		return wire.NewError(wire.CodeUnavailable, "version log: %v", err)
-	}
-	if n := m.cfg.CheckpointEvery; n > 0 && m.log.uncovered() >= uint64(n) {
-		m.ckpt.Nudge()
 	}
 	return nil
 }
@@ -400,7 +383,7 @@ func (m *Manager) sweepLoop() {
 		}
 		cutoff := int64(m.sched.Now()) - int64(m.cfg.DeadWriterTimeout)
 		var evs []vclock.Event
-		var appends []*walAppend
+		var appends []*seglog.Pending
 		for _, sh := range m.allShards() {
 			sh.mu.Lock()
 			b := sh.state

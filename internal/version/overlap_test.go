@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"blobseer/internal/wire"
@@ -31,18 +30,7 @@ func TestReadOverlapsParkedCommit(t *testing.T) {
 	apply(t, m, &wire.CompleteReq{Blob: b, Version: a1.Version})
 	a2 := apply(t, m, &wire.AssignReq{Blob: b, Size: 200, Append: true}).(*wire.AssignResp)
 
-	var gated atomic.Bool
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	inner := m.log.comm.Commit
-	m.log.comm.Commit = func(batch []*walAppend) error {
-		if gated.CompareAndSwap(true, false) {
-			close(entered)
-			<-release
-		}
-		return inner(batch)
-	}
-	gated.Store(true)
+	entered, release := m.log.GateNextCommit()
 
 	// The publish of a2 parks in the WAL commit...
 	done := make(chan error, 1)
@@ -141,7 +129,7 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 	m, stop := startDurable(t, cfg)
 	crashWorkload(t, m)
 
-	evBefore := m.log.uncovered()
+	evBefore := m.log.Stats().Uncovered
 	if evBefore == 0 {
 		t.Fatal("workload logged no events")
 	}
@@ -157,7 +145,7 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 	if n := m.Checkpoints(); n != 0 {
 		t.Fatalf("checkpoints after failed publish = %d, want 0", n)
 	}
-	if ev := m.log.uncovered(); ev != evBefore {
+	if ev := m.log.Stats().Uncovered; ev != evBefore {
 		t.Fatalf("countdown consumed by failed checkpoint: events = %d, want %d", ev, evBefore)
 	}
 
@@ -168,7 +156,7 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 	if n := m.Checkpoints(); n != 1 {
 		t.Fatalf("checkpoints after retry = %d, want 1", n)
 	}
-	if ev := m.log.uncovered(); ev != 0 {
+	if ev := m.log.Stats().Uncovered; ev != 0 {
 		t.Fatalf("countdown not consumed by successful checkpoint: events = %d", ev)
 	}
 

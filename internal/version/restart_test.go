@@ -139,7 +139,7 @@ func restartOnce(cfg ManagerConfig, updates int) (restartRow, error) {
 		}
 		row.checkpoint = time.Since(t0)
 	}
-	row.eventsLogged = m.log.appends.Load()
+	row.eventsLogged = m.log.Stats().Appends
 	m.Close()
 
 	ln2, err := net.Listen("vm2")
@@ -153,8 +153,8 @@ func restartOnce(cfg ManagerConfig, updates int) (restartRow, error) {
 	}
 	row.restart = time.Since(start)
 	defer m2.Close()
-	stats := m2.log.recovery
-	row.segments, row.snapshotLoaded, row.eventsReplayed = stats.SegmentsOnDisk, stats.SnapshotLoaded, stats.EventsReplayed
+	stats := m2.log.Stats()
+	row.segments, row.snapshotLoaded, row.eventsReplayed = stats.Segments, stats.SnapshotLoaded, stats.Replayed
 	return row, nil
 }
 

@@ -70,7 +70,7 @@ func TestSegmentedWALBoundedRecovery(t *testing.T) {
 	apply(t, m, &wire.CompleteReq{Blob: id, Version: tail.Version})
 	rec := apply(t, m, &wire.RecentReq{Blob: id}).(*wire.RecentResp)
 
-	segs, err := walFmt.ListSegments(path)
+	segs, err := listSegments(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +83,14 @@ func TestSegmentedWALBoundedRecovery(t *testing.T) {
 
 	m2, stop2 := startDurable(t, cfg)
 	defer stop2()
-	stats := m2.log.recovery
+	stats := m2.log.Stats()
 	if !stats.SnapshotLoaded {
 		t.Fatalf("restart ignored the snapshot: %+v", stats)
 	}
 	// A pending auto-checkpoint may cover part of the tail too; either
 	// way the replay is bounded by the interval, not the 600-event history.
-	if stats.EventsReplayed > 20 {
-		t.Fatalf("restart replayed %d events, want only the post-checkpoint tail (<= 20)", stats.EventsReplayed)
+	if stats.Replayed > 20 {
+		t.Fatalf("restart replayed %d events, want only the post-checkpoint tail (<= 20)", stats.Replayed)
 	}
 	rec2 := apply(t, m2, &wire.RecentReq{Blob: id}).(*wire.RecentResp)
 	if rec2.Version != rec.Version || rec2.Size != rec.Size {
@@ -120,7 +120,7 @@ func TestCheckpointIdempotentAndQuiescent(t *testing.T) {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
 	}
-	segs, err := walFmt.ListSegments(path)
+	segs, err := listSegments(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCheckpointIdempotentAndQuiescent(t *testing.T) {
 // empty WAL next to it would drop its history.
 func TestSingleFileWALRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vm.wal")
-	if err := os.WriteFile(path, record(walEvent{kind: walCreate, blob: 1, pageSize: 512}), 0o644); err != nil {
+	if err := os.WriteFile(path, walMachine.Frame((&walEvent{kind: walCreate, blob: 1, pageSize: 512}).encode()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := openWAL(path, walOptions{})
@@ -183,7 +183,7 @@ func TestCorruptSnapshotAfterCompactionRefusesOpen(t *testing.T) {
 // the failed open for manual recovery.
 func TestFailedOpenPreservesStaleSegments(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vm.wal")
-	if err := walFmt.PublishSnapshot(path, encodeSnapshot(&snapshotState{nextSeg: 5}), false, nil, nil); err != nil {
+	if err := os.WriteFile(seglog.SnapshotPath(path), snapshotFile(encodeSnapshot(&snapshotState{nextSeg: 5})), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, idx := range []uint64{2, 3, 7} {

@@ -16,17 +16,8 @@ import (
 // lineages — serialized at a segment boundary of the write-ahead log.
 // Recovery loads the newest valid snapshot and folds only the segments
 // at or above state.nextSeg over it; everything below it is garbage and
-// is deleted by compaction.
-//
-// File layout mirrors a WAL record, with its own magic:
-//
-//	uint32 snapMagic | uint32 dataLen | uint32 crc32(data) | data
-//
-// and the file is written to <base>.snapshot.tmp, fsynced, then
-// atomically renamed to <base>.snapshot, so the snapshot visible at that
-// name is always internally complete (a torn one can only mean a disk
-// fault or a crash racing the rename of a never-activated tmp, and
-// recovery falls back to full replay).
+// is deleted by the checkpoint. seglog.Log frames the payload below with
+// snapMagic and publishes it by atomic rename (see wal.go).
 //
 // The encoding is canonical: blobs ascend by id, map entries ascend by
 // key, and the decoder rejects anything unsorted, duplicated, or
@@ -49,7 +40,7 @@ const (
 
 // state is the version state as of a segment boundary of the log: what a
 // snapshot file holds, and what recovery and the checkpointer fold the
-// segments from nextSeg on into (see foldLog). The live manager keeps
+// segments from nextSeg on into (walMachine). The live manager keeps
 // the same blobStates in its shards, nowhere else.
 type state struct {
 	nextSeg  uint64      // first WAL segment NOT folded into this state
@@ -278,15 +269,4 @@ func decodeBlobState(r *wire.Reader) (*blobState, error) {
 		return nil, fmt.Errorf("version: decoding snapshot blob: %w", r.Err())
 	}
 	return b, nil
-}
-
-// loadSnapshot reads and validates the snapshot file. A missing file is
-// (nil, nil); a torn or corrupt one is an error the caller downgrades to
-// full replay.
-func loadSnapshot(path string) (*state, error) {
-	data, err := walFmt.LoadSnapshotFile(path)
-	if err != nil || data == nil {
-		return nil, err
-	}
-	return decodeSnapshot(data)
 }

@@ -208,13 +208,13 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(walEvent{kind: walCreate, blob: 1, pageSize: 512}); err != nil {
+	if err := appendEvent(w, walEvent{kind: walCreate, blob: 1, pageSize: 512}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(walEvent{kind: walAssign, blob: 1, version: 1, size: 512, newSize: 512}); err != nil {
+	if err := appendEvent(w, walEvent{kind: walAssign, blob: 1, version: 1, size: 512, newSize: 512}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the final record in the active segment: drop its last 3 bytes.
@@ -230,13 +230,13 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery after torn tail: %v", err)
 	}
-	defer w2.close()
+	defer w2.Close()
 	events := rec.events
 	if len(events) != 1 || events[0].kind != walCreate {
 		t.Fatalf("recovered %d events, want just the create", len(events))
 	}
 	// The torn bytes are gone: appending works and yields a clean log.
-	if err := w2.append(walEvent{kind: walAssign, blob: 1, version: 1, size: 512, newSize: 512}); err != nil {
+	if err := appendEvent(w2, walEvent{kind: walAssign, blob: 1, version: 1, size: 512, newSize: 512}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -248,9 +248,9 @@ func TestWALDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.append(walEvent{kind: walCreate, blob: 1, pageSize: 512})
-	w.append(walEvent{kind: walCreate, blob: 2, pageSize: 512})
-	w.close()
+	appendEvent(w, walEvent{kind: walCreate, blob: 1, pageSize: 512})
+	appendEvent(w, walEvent{kind: walCreate, blob: 2, pageSize: 512})
+	w.Close()
 	seg := seglog.SegmentPath(path, 1)
 	raw, _ := os.ReadFile(seg)
 	raw[walHeaderSize] ^= 0xFF // flip a payload byte of the first record
@@ -313,7 +313,7 @@ func TestWALReplayIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer w.close()
+		defer w.Close()
 		blobs := make(map[wire.BlobID]*blobState)
 		next, err := replay(rec.events, blobs, 0)
 		if err != nil {

@@ -68,7 +68,7 @@ func (s *SnapshotView) ReadAt(p []byte, off int64) (int, error) {
 // It buffers nothing; each Read issues one ranged blob read, so wrap it
 // in a bufio.Reader for byte-at-a-time consumers.
 func (s *SnapshotView) Reader() *SnapshotReader {
-	return &SnapshotReader{view: s}
+	return &SnapshotReader{view: s, sr: io.NewSectionReader(s, 0, int64(s.size))}
 }
 
 // NewReader returns an io.ReadSeeker over snapshot v of the blob,
@@ -85,9 +85,11 @@ func (b *Blob) NewReader(ctx context.Context, v Version) (*SnapshotReader, error
 // SnapshotReader adds a cursor to a SnapshotView: io.Reader, io.ReaderAt
 // and io.Seeker over one snapshot. It is safe for concurrent use through
 // ReadAt; Read/Seek share the cursor and need external synchronization.
+// Read and Seek run under the context the view was created with (see
+// SnapshotView.ctx).
 type SnapshotReader struct {
 	view *SnapshotView
-	pos  uint64
+	sr   *io.SectionReader // the cursor, over view
 }
 
 // View returns the underlying snapshot view.
@@ -99,27 +101,8 @@ func (r *SnapshotReader) Size() uint64 { return r.view.size }
 // Version returns the snapshot the reader is pinned to.
 func (r *SnapshotReader) Version() Version { return r.view.v }
 
-// Read implements io.Reader. It runs under the context its view was
-// created with (see SnapshotView.ctx).
-//
-//blobseer:ctx io.Reader signature; the view's pinned creator context applies
-func (r *SnapshotReader) Read(p []byte) (int, error) {
-	s := r.view
-	if r.pos >= s.size {
-		return 0, io.EOF
-	}
-	if rem := s.size - r.pos; uint64(len(p)) > rem {
-		p = p[:rem]
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	if err := s.b.Read(s.ctx, s.v, p, r.pos); err != nil {
-		return 0, err
-	}
-	r.pos += uint64(len(p))
-	return len(p), nil
-}
+// Read implements io.Reader.
+func (r *SnapshotReader) Read(p []byte) (int, error) { return r.sr.Read(p) }
 
 // ReadAt implements io.ReaderAt; it delegates to the view and ignores
 // the cursor.
@@ -129,25 +112,7 @@ func (r *SnapshotReader) ReadAt(p []byte, off int64) (int, error) {
 
 // Seek implements io.Seeker.
 func (r *SnapshotReader) Seek(offset int64, whence int) (int64, error) {
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = int64(r.pos)
-	case io.SeekEnd:
-		base = int64(r.view.size)
-	default:
-		return 0, fmt.Errorf("blobseer: bad whence %d", whence)
-	}
-	// Both operands are below 1<<63, so a wrapped sum is always
-	// negative; the single check catches overflow and underflow alike.
-	np := base + offset
-	if np < 0 {
-		return 0, fmt.Errorf("blobseer: seek to negative offset %d", np)
-	}
-	r.pos = uint64(np)
-	return np, nil
+	return r.sr.Seek(offset, whence)
 }
 
 var (
