@@ -29,7 +29,7 @@ func readTuningOff() client.ReadTuning {
 // memStore opens a page store in memory, closed when the test ends.
 func memStore(t testing.TB) pagestore.Store {
 	t.Helper()
-	s, err := pagestore.OpenDisk("", pagestore.DiskOptions{})
+	s, err := pagestore.Open(nil, "", pagestore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

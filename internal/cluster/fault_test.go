@@ -18,9 +18,8 @@ import (
 	"blobseer/internal/wire"
 )
 
-// The maintenance fault points, as the stores declare them (the
-// crashPoints tables of internal/seglog's KV and of internal/version's
-// checkpoint). TestKillAtEveryMaintenanceFaultPoint checks first that
+// The maintenance fault points, as the stores declare them (the KV's
+// crashPoints table and the Log's checkpoint, both in internal/seglog). TestKillAtEveryMaintenanceFaultPoint checks first that
 // its cycle passes through exactly these, so a point added there fails
 // here until it is listed.
 var faultPoints = map[string][]string{

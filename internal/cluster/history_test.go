@@ -9,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"blobseer/internal/client"
+	"blobseer/internal/dht"
 	"blobseer/internal/rpc"
 	"blobseer/internal/seglog"
 	"blobseer/internal/simnet"
@@ -38,7 +40,15 @@ const (
 	histOutage     = 10 * time.Millisecond  // how long the partition and the kill last
 	histProbeTries = 5                      // the liveness probe's appends per blob
 	histBranches   = 3                      // branches the clients take, at most (give or take a race)
+	// histRepeats is how many of the first seeds run twice: the second
+	// run's record must be the first's, virtual times and all.
+	histRepeats = 8
 )
+
+// histLogs tunes the page and metadata logs: small segments, so index
+// snapshots and compaction run beside the traffic, and the writers'
+// reclaims leave tombstones for compaction to drop.
+var histLogs = dht.LogOptions{SegmentBytes: 4 << 10, SnapshotEvery: 16, CompactRatio: 0.5}
 
 // TestHistoryUnderFaults records what concurrent clients see of a
 // durable simulated cluster whose links delay and reset, one of whose
@@ -89,8 +99,7 @@ func TestHistoryUnderFaults(t *testing.T) {
 			defer func() {
 				if t.Failed() {
 					t.Logf("rerun: go test ./internal/cluster -run 'TestHistoryUnderFaults' -history-seed=%d "+
-						"(one simulated goroutine runs at a time, but a rerun can still differ where a store's "+
-						"maintenance goroutine interleaves)", seed)
+						"(one simulated goroutine runs at a time)", seed)
 				}
 			}()
 			h, err := runHistory(t.TempDir(), seed)
@@ -100,8 +109,22 @@ func TestHistoryUnderFaults(t *testing.T) {
 			for _, v := range h.check() {
 				t.Error(v)
 			}
+			if h.snapshots.Load() == 0 || h.checkpoints.Load() == 0 {
+				t.Errorf("%d index snapshots and %d WAL checkpoints published; the run must have both",
+					h.snapshots.Load(), h.checkpoints.Load())
+			}
 			if t.Failed() {
 				t.Log("faults:", h.chaos)
+			}
+			if seed > histRepeats {
+				return
+			}
+			again, err := runHistory(t.TempDir(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first, second := h.record(), again.record(); first != second {
+				t.Errorf("a rerun recorded another history:\n%s", seriesDiff(first, second))
 			}
 		})
 	}
@@ -153,6 +176,35 @@ type history struct {
 	// vmStarts are the times the version manager started: the cluster's
 	// start and every restart, each read before the manager reads its own.
 	vmStarts []time.Duration
+	// snapshots and checkpoints count the index snapshots and the WAL
+	// checkpoints that went live (maintenance).
+	snapshots, checkpoints atomic.Int64
+}
+
+// maintenance is the run's Config.Fault: it fails nothing, and counts
+// the snapshots and checkpoints that reach their rename.
+func (h *history) maintenance(role string, _ int, point string) error {
+	switch {
+	case point == "snap-renamed":
+		h.snapshots.Add(1)
+	case role == roleVM && point == "renamed":
+		h.checkpoints.Add(1)
+	}
+	return nil
+}
+
+// record renders what a rerun of the seed must repeat: every operation
+// with its virtual times, outcome and payload, then the chaos log.
+func (h *history) record() string {
+	var b strings.Builder
+	for i := range h.ops {
+		op := &h.ops[i]
+		fmt.Fprintf(&b, "%v: blob %v off %d v %d size %d data %x\n", op, op.blob, op.off, op.v, op.size, op.data)
+	}
+	for _, c := range h.chaos {
+		fmt.Fprintln(&b, c)
+	}
+	return b.String()
 }
 
 func runHistory(dir string, seed uint64) (*history, error) {
@@ -181,6 +233,14 @@ func (h *history) run(clock *vclock.Virtual, net *simnet.Net, dir string, seed u
 		// Beats well inside the run, so HEARTBEAT traffic, and the faults
 		// that hit it, are part of every history.
 		HeartbeatEvery: histOutage / 2,
+		// Every store maintains itself beside the traffic and the faults:
+		// index snapshots and compaction in the page and metadata logs,
+		// checkpoints in the version WAL.
+		PageStore:              histLogs,
+		MetaLog:                histLogs,
+		VersionWALSegmentBytes: 1 << 10,
+		VersionCheckpointEvery: 16,
+		Fault:                  h.maintenance,
 	}
 	// A fault can fail a provider's registration, and the start with it:
 	// start again, on the same (still empty) durable state.

@@ -59,7 +59,7 @@ func newClusterWith(t testing.TB, n, replicas int, wrap func(rpc.Handler) rpc.Ha
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nodes[i], err = newNode("", LogOptions{}); err != nil {
+		if nodes[i], err = newNode(nil, "", LogOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		nodes[i].srv = rpc.Serve(ln, sched, wrap(nodes[i].mux()))

@@ -358,7 +358,7 @@ func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 			if name == "Disk" {
 				path = filepath.Join(t.TempDir(), "meta.log")
 			}
-			kv, err := seglog.OpenKV(path, metaLayout, seglog.KVOptions{})
+			kv, err := seglog.OpenKV(nil, path, metaLayout, seglog.KVOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

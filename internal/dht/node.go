@@ -68,10 +68,11 @@ func divergent(key []byte, stored, got int) error {
 }
 
 // ServeNode starts a metadata provider on ln whose pairs live in a
-// segmented log rooted at path, or in memory when path is empty. A
-// restart on the same path serves what the log holds.
+// segmented log rooted at path, or in memory when path is empty; the
+// log's maintenance runs on sched. A restart on the same path serves
+// what the log holds.
 func ServeNode(ln transport.Listener, sched vclock.Scheduler, path string, opts LogOptions) (*Node, error) {
-	n, err := newNode(path, opts)
+	n, err := newNode(sched, path, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -79,9 +80,10 @@ func ServeNode(ln transport.Listener, sched vclock.Scheduler, path string, opts 
 	return n, nil
 }
 
-// newNode opens the node's log, for its caller to serve.
-func newNode(path string, opts LogOptions) (*Node, error) {
-	log, err := seglog.OpenKV(path, metaLayout, opts)
+// newNode opens the node's log, its maintenance on sched, for its caller
+// to serve.
+func newNode(sched vclock.Scheduler, path string, opts LogOptions) (*Node, error) {
+	log, err := seglog.OpenKV(sched, path, metaLayout, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"blobseer/internal/bufpool"
 	"blobseer/internal/obs"
 	"blobseer/internal/seglog"
+	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
 )
 
@@ -36,16 +37,22 @@ var pageLayout = &seglog.KVLayout{
 // DiskOptions tunes a Disk store; see the field docs on seglog.KVOptions.
 type DiskOptions = seglog.KVOptions
 
-// OpenDisk opens (creating if needed) the segmented page store rooted
-// at path and rebuilds its index from the newest valid index snapshot
-// plus the log tail; an empty path opens a fresh one in memory.
-func OpenDisk(path string, opts DiskOptions) (*Disk, error) {
-	kv, err := seglog.OpenKV(path, pageLayout, opts)
+// Open opens (creating if needed) the segmented page store rooted at
+// path and rebuilds its index from the newest valid index snapshot plus
+// the log tail; an empty path opens a fresh one in memory. Its
+// maintenance passes run on sched, the owner's scheduler (nil: the real
+// clock).
+func Open(sched vclock.Scheduler, path string, opts DiskOptions) (*Disk, error) {
+	kv, err := seglog.OpenKV(sched, path, pageLayout, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Disk{kv: kv}, nil
 }
+
+// Deprecated: use Open, with the owner's scheduler; kept only until
+// internal/blast stops naming it.
+func OpenDisk(path string, opts DiskOptions) (*Disk, error) { return Open(nil, path, opts) }
 
 // Put implements Store.
 func (d *Disk) Put(id wire.PageID, data []byte) error { return d.kv.Put(string(id[:]), data) }

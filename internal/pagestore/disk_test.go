@@ -36,7 +36,7 @@ func TestPageLayoutPinned(t *testing.T) {
 func TestDiskMaintenanceThroughAdaptor(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.log")
 	opts := DiskOptions{Sync: true, SegmentBytes: 512}
-	d, err := OpenDisk(path, opts)
+	d, err := Open(nil, path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDiskMaintenanceThroughAdaptor(t *testing.T) {
 		}
 	}
 
-	d2, err := OpenDisk(path, opts)
+	d2, err := Open(nil, path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDiskMaintenanceThroughAdaptor(t *testing.T) {
 // drops a quarter of what it is given.)
 func TestDiskGetKeepsNoBufferOnFailure(t *testing.T) {
 	const pageSize = 64 << 10
-	d, err := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
+	d, err := Open(nil, filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDiskGetKeepsNoBufferOnFailure(t *testing.T) {
 // Get, then Release once the bytes have been used.
 func BenchmarkDiskGet(b *testing.B) {
 	const pageSize, pages = 64 << 10, 256 // one page per pid
-	d, err := OpenDisk(filepath.Join(b.TempDir(), "pages.log"), DiskOptions{})
+	d, err := Open(nil, filepath.Join(b.TempDir(), "pages.log"), DiskOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func exerciseStore(t *testing.T, s Store) {
 // openMem opens a page store in memory, closed when the test ends.
 func openMem(t *testing.T) *Disk {
 	t.Helper()
-	d, err := OpenDisk("", DiskOptions{})
+	d, err := Open(nil, "", DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func openMem(t *testing.T) *Disk {
 func TestMemConformance(t *testing.T) { exerciseStore(t, openMem(t)) }
 
 func TestDiskConformance(t *testing.T) {
-	d, err := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
+	d, err := Open(nil, filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDiskConformance(t *testing.T) {
 // it, and the thousand reads of other pages after it would be served
 // out of recycled memory.
 func TestReleaseNeverTouchesAStoredPage(t *testing.T) {
-	disk, err := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
+	disk, err := Open(nil, filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestMemConcurrentPutGet(t *testing.T) {
 
 func TestDiskRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.log")
-	d, err := OpenDisk(path, DiskOptions{})
+	d, err := Open(nil, path, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestDiskRecovery(t *testing.T) {
 	d.Close()
 
 	// Reopen and verify every page survived.
-	d2, err := OpenDisk(path, DiskOptions{})
+	d2, err := Open(nil, path, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestDiskRecovery(t *testing.T) {
 }
 
 func TestDiskSyncMode(t *testing.T) {
-	d, err := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{Sync: true})
+	d, err := Open(nil, filepath.Join(t.TempDir(), "pages.log"), DiskOptions{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestDiskSyncMode(t *testing.T) {
 }
 
 func TestDiskUseAfterClose(t *testing.T) {
-	d, _ := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
+	d, _ := Open(nil, filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
 	d.Close()
 	if err := d.Put(pid(1), []byte("x")); err == nil {
 		t.Fatal("Put after Close should fail")
@@ -272,7 +272,7 @@ func TestDiskUseAfterClose(t *testing.T) {
 // both answer every put and ranged get as a plain map of pages does —
 // the first put of an id wins, and a range must lie inside its page.
 func TestQuickMemMatchesDisk(t *testing.T) {
-	disk, err := OpenDisk(filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
+	disk, err := Open(nil, filepath.Join(t.TempDir(), "pages.log"), DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

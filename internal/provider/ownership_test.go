@@ -146,7 +146,7 @@ func serveStore(t *testing.T, store pagestore.Store) (string, *rpc.Client, *tran
 // memStore opens a page store in memory, closed when the test ends.
 func memStore(t *testing.T) pagestore.Store {
 	t.Helper()
-	s, err := pagestore.OpenDisk("", pagestore.DiskOptions{})
+	s, err := pagestore.Open(nil, "", pagestore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestEveryLentPageReleasedOnce(t *testing.T) {
 // or a buffer the store still reads from handed to the pool at all,
 // reads as 0xDB on every run, not on a lucky one.
 func TestConcurrentReadsSeeWholePages(t *testing.T) {
-	disk, err := pagestore.OpenDisk(filepath.Join(t.TempDir(), "pages"), pagestore.DiskOptions{})
+	disk, err := pagestore.Open(nil, filepath.Join(t.TempDir(), "pages"), pagestore.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,16 +64,16 @@ type Provider struct {
 //
 //blobseer:ctx lifecycle root: registration runs under the provider's own Close-cancelled context
 func Serve(ln transport.Listener, cfg Config) (*Provider, error) {
+	if cfg.Sched == nil {
+		cfg.Sched = vclock.NewReal()
+	}
 	ownStore := cfg.Store == nil
 	if ownStore {
-		d, err := pagestore.OpenDisk(cfg.PageLog, cfg.PageStore)
+		d, err := pagestore.Open(cfg.Sched, cfg.PageLog, cfg.PageStore)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Store = d
-	}
-	if cfg.Sched == nil {
-		cfg.Sched = vclock.NewReal()
 	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 5 * time.Second

@@ -28,7 +28,7 @@ func BenchmarkKVPut(b *testing.B) {
 	ly := kvLayouts[0].ly
 	for _, appenders := range []int{1, 8} {
 		b.Run(fmt.Sprintf("%dappenders", appenders), func(b *testing.B) {
-			s, err := OpenKV(filepath.Join(b.TempDir(), "kv.log"), ly, KVOptions{})
+			s, err := OpenKV(nil, filepath.Join(b.TempDir(), "kv.log"), ly, KVOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func BenchmarkKVPut(b *testing.B) {
 // caller keeps.
 func BenchmarkKVGet(b *testing.B) {
 	ly := kvLayouts[0].ly
-	s, err := OpenKV(filepath.Join(b.TempDir(), "kv.log"), ly, KVOptions{})
+	s, err := OpenKV(nil, filepath.Join(b.TempDir(), "kv.log"), ly, KVOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func BenchmarkKVCompact(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				dir := b.TempDir()
-				s, err := OpenKV(filepath.Join(dir, "kv.log"), sh.ly, KVOptions{})
+				s, err := OpenKV(nil, filepath.Join(dir, "kv.log"), sh.ly, KVOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -158,7 +158,7 @@ func BenchmarkKVReopenRescan(b *testing.B) {
 	for _, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "kv.log")
-			s, err := OpenKV(path, sh.ly, KVOptions{})
+			s, err := OpenKV(nil, path, sh.ly, KVOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func BenchmarkKVReopenRescan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, err := OpenKV(path, sh.ly, KVOptions{})
+				s, err := OpenKV(nil, path, sh.ly, KVOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -198,7 +198,7 @@ func BenchmarkKVSnapshot(b *testing.B) {
 	const keys, logged, batch = 100_000, 4096, 1000
 	for _, sh := range benchShapes {
 		b.Run(strings.Split(sh.name, "/")[0], func(b *testing.B) {
-			s, err := OpenKV(filepath.Join(b.TempDir(), "kv.log"), sh.ly, KVOptions{})
+			s, err := OpenKV(nil, filepath.Join(b.TempDir(), "kv.log"), sh.ly, KVOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

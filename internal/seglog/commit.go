@@ -16,18 +16,19 @@ import (
 // after the record is on disk) holds while concurrent handlers share
 // fsyncs.
 //
-// Stores keep their locks out of the fsync two ways:
+// Every record enters through one protocol, the two-phase append:
+// Enqueue queues it, Await parks until it is durable. A store keeps its
+// locks out of the fsync either way it applies state:
 //
-//   - Two-phase append (Enqueue + Await): the handler enqueues while
-//     holding its store locks, releases them, and only then parks for
-//     durability — so a blob's shard is free while the leader sits in
-//     the fsync. The store applies state at enqueue time and
+//   - At enqueue time (the Log): the handler enqueues while holding its
+//     store locks, applies, releases them, and only then awaits — so a
+//     blob's shard is free while the leader sits in the fsync, and it
 //     acknowledges after Await; FailStop keeps the durable log a prefix
 //     of the enqueue order when a commit fails.
-//   - Apply: when state must apply only after the commit (the KV assigns
-//     offsets at commit time), the leader applies the durable batch
-//     under the writer mutex, so appenders never hold a store lock
-//     across their park.
+//   - At commit time, through Apply (the KV, which assigns offsets at
+//     commit time): the leader applies the durable batch under the
+//     writer mutex, so appenders never hold a store lock across their
+//     park. A single record is a batch of one.
 //
 // Neither kind of store cuts a snapshot of its live state at a log
 // position: both snapshot by folding sealed segments over the previous
@@ -66,7 +67,7 @@ type cell struct {
 type parked interface{ slot() *cell }
 
 // committer runs the leader/batch protocol over the store's request
-// type T. All callback fields must be set before the first Append
+// type T. All callback fields must be set before the first Enqueue
 // (MaybeRoll and Apply may be nil).
 type committer[T parked] struct {
 	// Mu is the store's writer mutex; it guards the queue and leader
@@ -106,22 +107,6 @@ type committer[T parked] struct {
 	sealDone chan error
 }
 
-// Append writes one record durably and applies its effects. Concurrent
-// appends coalesce into group commits.
-func (c *committer[T]) Append(a T) error {
-	c.Mu.Lock()
-	if err := c.admitLocked(); err != nil {
-		c.Mu.Unlock()
-		return err
-	}
-	c.queue = append(c.queue, a)
-	if !c.leading {
-		c.leading = true
-		return c.lead(a.slot()) // releases Mu
-	}
-	return c.park(a.slot()) // releases Mu
-}
-
 // park waits, if it still has to, until cell is delivered — its batch
 // resolved, or leadership handed to it — and returns the record's
 // outcome, leading the next batch first when promoted. Called with Mu
@@ -154,10 +139,10 @@ func (c *committer[T]) admitLocked() error {
 }
 
 // Enqueue queues one record for commit and returns without waiting for
-// durability — phase one of a two-phase append. The caller typically
-// holds store locks Append would stall across the fsync; it applies the
-// record's state effects under those locks (the committer's Apply must
-// be nil then), releases them, and calls Await to park for durability.
+// durability — phase one of the append. A caller that applies state at
+// enqueue time holds the store locks an fsync must not stall: it
+// applies the record's effects under them (the committer's Apply must be
+// nil then), releases them, and calls Await to park for durability.
 func (c *committer[T]) Enqueue(a T) error {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()

@@ -45,7 +45,11 @@ func newTestStore() *testStore {
 }
 
 func (s *testStore) append(rec string) error {
-	return s.comm.Append(&testAppend{rec: rec})
+	a := &testAppend{rec: rec}
+	if err := s.comm.Enqueue(a); err != nil {
+		return err
+	}
+	return s.comm.Await(a)
 }
 
 // TestGroupCommitBatches pins the deterministic mechanics: with a leader

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"blobseer/internal/obs"
+	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
 )
 
@@ -234,7 +235,7 @@ type kvSegment struct {
 // kvAppend is one queued record and its appender's parking spot. value
 // aliases the appender's own slice: the committer frames it straight
 // into the batch buffer, and it is never read after the appender's
-// Append returns — the appender is parked until its batch resolves, and
+// Await returns — the appender is parked until its batch resolves, and
 // shutdown only fails records no leader has taken.
 type kvAppend struct {
 	kind byte
@@ -265,8 +266,9 @@ func (a *kvAppend) slot() *cell { return &a.cell }
 //
 // An empty path opens a fresh store in memory, in a file system of its
 // own (memfs.go). Nothing reopens it, so SnapshotEvery is ignored; what
-// Delete leaves behind returns to RAM at compaction.
-func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
+// Delete leaves behind returns to RAM at compaction. Maintenance passes
+// run on sched, the owner's scheduler (nil: the real clock).
+func OpenKV(sched vclock.Scheduler, path string, ly *KVLayout, opts KVOptions) (*KV, error) {
 	var fsys fileSystem = osFS{}
 	if path == "" {
 		fsys, path, opts.SnapshotEvery = newMemFS(), "mem", 0
@@ -301,7 +303,7 @@ func OpenKV(path string, ly *KVLayout, opts KVOptions) (*KV, error) {
 		return nil, err
 	}
 	if opts.SnapshotEvery > 0 || opts.CompactRatio > 0 {
-		s.maint = startMaintainer(s.maintainPass, s.due(opts.SnapshotEvery))
+		s.maint = startMaintainer(sched, s.maintainPass, s.due(opts.SnapshotEvery))
 	}
 	return s, nil
 }
@@ -444,7 +446,7 @@ func (s *KV) Put(key string, value []byte) error {
 	if _, dup := s.lookup(key); dup {
 		return nil
 	}
-	return s.comm.Append(s.newAppend(kvPut, key, value))
+	return s.commitAll([]*kvAppend{s.newAppend(kvPut, key, value)})
 }
 
 // Delete durably appends a tombstone and drops the key from the index,
@@ -457,7 +459,7 @@ func (s *KV) Delete(key string) error {
 	if _, ok := s.lookup(key); !ok {
 		return nil
 	}
-	return s.comm.Append(s.newAppend(kvTomb, key, nil))
+	return s.commitAll([]*kvAppend{s.newAppend(kvTomb, key, nil)})
 }
 
 // PutBatch is Put for the pairs of one request: every record is queued

@@ -81,7 +81,7 @@ func runKVFoldSchedule(t *testing.T, ly *KVLayout, seed int64, steps int) {
 // opts keeps a handful of records per segment, and no background
 // maintainer: every Snapshot and Compact is the schedule's.
 func (r *kvFoldRun) open() {
-	s, err := OpenKV(r.path, r.ly, KVOptions{SegmentBytes: 384})
+	s, err := OpenKV(nil, r.path, r.ly, KVOptions{SegmentBytes: 384})
 	if err != nil {
 		r.t.Fatalf("open: %v", err)
 	}

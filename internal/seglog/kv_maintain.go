@@ -83,11 +83,11 @@ func (s *KV) crash(point string) error {
 	return s.opts.Fault(point)
 }
 
-// maintainPass is one wake-up of the background maintainer. A failed
-// pass is counted, and left for the next nudge to retry.
-func (s *KV) maintainPass() bool {
+// maintainPass is one background maintenance pass, spawned by a nudge.
+// A failed pass is counted, and left for the next nudge to retry.
+func (s *KV) maintainPass() {
 	if s.closed.Load() {
-		return false
+		return
 	}
 	if s.due(s.opts.SnapshotEvery) {
 		countFailure(&s.snapFailures, s.Snapshot())
@@ -97,7 +97,6 @@ func (s *KV) maintainPass() bool {
 		// sealing here would cut the log into a segment per batch.
 		countFailure(&s.compactFailures, s.compact(false))
 	}
-	return true
 }
 
 // countFailure counts a failed pass; losing the race with Close is not one.

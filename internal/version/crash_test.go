@@ -90,20 +90,20 @@ func TestCheckpointCrashInjection(t *testing.T) {
 		point  string // "" = no checkpoint hook crash
 		tamper tamper
 	}{
-		{name: "begin", point: crashBegin},
-		{name: "captured", point: crashCaptured},
-		{name: "tmp-written", point: crashTmpWritten},
-		{name: "renamed", point: crashRenamed},
-		{name: "segment-deleted", point: crashSegmentDeleted},
-		{name: "torn-tmp", point: crashTmpWritten, tamper: func(t *testing.T, base string) {
+		{name: "begin", point: "begin"},
+		{name: "captured", point: "captured"},
+		{name: "tmp-written", point: "tmp-written"},
+		{name: "renamed", point: "renamed"},
+		{name: "segment-deleted", point: "segment-deleted"},
+		{name: "torn-tmp", point: "tmp-written", tamper: func(t *testing.T, base string) {
 			truncateTail(t, seglog.SnapshotTmpPath(base), 9)
 		}},
-		{name: "torn-snapshot", point: crashRenamed, tamper: func(t *testing.T, base string) {
+		{name: "torn-snapshot", point: "renamed", tamper: func(t *testing.T, base string) {
 			// Segments are all still present (the crash preceded deletion),
 			// so recovery must fall back to full replay.
 			truncateTail(t, seglog.SnapshotPath(base), 9)
 		}},
-		{name: "corrupt-snapshot-crc", point: crashRenamed, tamper: func(t *testing.T, base string) {
+		{name: "corrupt-snapshot-crc", point: "renamed", tamper: func(t *testing.T, base string) {
 			flipByte(t, seglog.SnapshotPath(base), walHeaderSize+3)
 		}},
 		{name: "torn-segment-tail", point: "", tamper: func(t *testing.T, base string) {
@@ -120,11 +120,12 @@ func TestCheckpointCrashInjection(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := crashCfg(dir)
+			fault := armFault(&cfg)
 			m, stop := startDurable(t, cfg)
 			crashWorkload(t, m)
 			if tc.point != "" {
 				fired := false
-				m.cfg.Fault = func(p string) error {
+				*fault = func(p string) error {
 					if p == tc.point {
 						fired = true
 						return errInjected
@@ -161,18 +162,20 @@ func TestCheckpointCrashInjection(t *testing.T) {
 // TestEveryCrashPointIsExercised keeps the fault-point table honest: a
 // checkpoint with work to do must pass through every declared point.
 func TestEveryCrashPointIsExercised(t *testing.T) {
-	m, stop := startDurable(t, crashCfg(t.TempDir()))
+	cfg := crashCfg(t.TempDir())
+	fault := armFault(&cfg)
+	m, stop := startDurable(t, cfg)
 	defer stop()
 	crashWorkload(t, m)
 	seen := make(map[string]bool)
-	m.cfg.Fault = func(p string) error {
+	*fault = func(p string) error {
 		seen[p] = true
 		return nil
 	}
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range crashPoints {
+	for _, p := range []string{"begin", "captured", "tmp-written", "renamed", "segment-deleted"} {
 		if !seen[p] {
 			t.Errorf("checkpoint never reached fault point %q", p)
 		}

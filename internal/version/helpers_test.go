@@ -45,8 +45,23 @@ func openWAL(path string, opts walOptions) (*walLog, *walTail, error) {
 		}
 		return walMachine.Apply(st, payload)
 	}
-	w, _, err := seglog.OpenLog(path, &m, seglog.LogOptions{Sync: opts.fsync})
+	w, _, err := seglog.OpenLog(nil, path, &m, seglog.LogOptions{Sync: opts.fsync})
 	return w, rec, err
+}
+
+// armFault gives cfg a Fault that calls whatever *hook holds when a
+// checkpoint reaches a fault point, and nothing while it is nil: the
+// manager hands cfg.Fault to its log at open, so a test arms and
+// disarms the hook through the pointer while the manager runs.
+func armFault(cfg *ManagerConfig) (hook *func(point string) error) {
+	hook = new(func(string) error)
+	cfg.Fault = func(point string) error {
+		if *hook == nil {
+			return nil
+		}
+		return (*hook)(point)
+	}
+	return hook
 }
 
 // appendEvent writes one event durably before returning: enqueue and
@@ -88,7 +103,7 @@ func foldDisk(t *testing.T, path string) (*state, error) {
 	t.Helper()
 	dir := t.TempDir()
 	copyDir(t, filepath.Dir(path), dir)
-	w, st, err := seglog.OpenLog(filepath.Join(dir, filepath.Base(path)), walMachine, seglog.LogOptions{})
+	w, st, err := seglog.OpenLog(nil, filepath.Join(dir, filepath.Base(path)), walMachine, seglog.LogOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -55,10 +55,10 @@ type ManagerConfig struct {
 	// versions stay readable (default 1 — the newest readable snapshot
 	// can never expire regardless).
 	RetainVersions int
-	// Fault, when set, is called at every checkpoint fault point (the
-	// crashPoints of wal.go); an error aborts the checkpoint there
-	// exactly as a process death at that point would. A test seam: no
-	// deployment sets it.
+	// Fault, when set, is called at every checkpoint fault point (as
+	// seglog.LogOptions.Fault names them); an error aborts the checkpoint
+	// there exactly as a process death at that point would. A test seam:
+	// no deployment sets it.
 	Fault func(point string) error
 }
 
@@ -142,11 +142,11 @@ func ServeManagerDurable(ln transport.Listener, cfg ManagerConfig) (*Manager, er
 		m.stripes[i].blobs = make(map[wire.BlobID]*blobShard)
 	}
 	if cfg.WALPath != "" {
-		log, st, err := seglog.OpenLog(cfg.WALPath, walMachine, seglog.LogOptions{
+		log, st, err := seglog.OpenLog(cfg.Sched, cfg.WALPath, walMachine, seglog.LogOptions{
 			Sync:            cfg.WALSync,
 			SegmentBytes:    cfg.WALSegmentBytes,
 			CheckpointEvery: cfg.CheckpointEvery,
-			Fault:           m.crash,
+			Fault:           cfg.Fault,
 		})
 		if err != nil {
 			return nil, err

@@ -126,6 +126,7 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 	// a huge interval keeps the maintainer from ever firing on its own.
 	cfg := crashCfg(dir)
 	cfg.CheckpointEvery = 1 << 20
+	fault := armFault(&cfg)
 	m, stop := startDurable(t, cfg)
 	crashWorkload(t, m)
 
@@ -133,8 +134,8 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 	if evBefore == 0 {
 		t.Fatal("workload logged no events")
 	}
-	m.cfg.Fault = func(point string) error {
-		if point == crashTmpWritten {
+	*fault = func(point string) error {
+		if point == "tmp-written" {
 			return errInjected
 		}
 		return nil
@@ -149,7 +150,7 @@ func TestCheckpointFailureKeepsCountdown(t *testing.T) {
 		t.Fatalf("countdown consumed by failed checkpoint: events = %d, want %d", ev, evBefore)
 	}
 
-	m.cfg.Fault = nil
+	*fault = nil
 	if err := m.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint retry: %v", err)
 	}

@@ -19,9 +19,8 @@ import (
 // How the log lives on disk — segments, framing, torn tails, group
 // commit, checkpoints — is seglog.Log's business, behind its file seam.
 // This file holds what only the version manager knows: the record (a
-// wire-encoded event), walMachine, which folds records and snapshots
-// (snapshot.go) through the one transition function (blob.go), and the
-// names of the checkpoint's fault points.
+// wire-encoded event) and walMachine, which folds records and snapshots
+// (snapshot.go) through the one transition function (blob.go).
 
 const walMagic = 0x5EE5B10C
 
@@ -128,28 +127,6 @@ func decodeWALEvent(data []byte) (walEvent, error) {
 		return walEvent{}, fmt.Errorf("version: decoding wal event: %w", err)
 	}
 	return e, nil
-}
-
-// Checkpoint fault points, by the stage seglog.Log reaches them in:
-// the names ManagerConfig.Fault is called with.
-const (
-	crashBegin          = "begin"           // before anything happened
-	crashCaptured       = "captured"        // snapshot payload built, nothing on disk yet
-	crashTmpWritten     = "tmp-written"     // tmp snapshot fully written+synced
-	crashRenamed        = "renamed"         // snapshot live, segments not yet deleted
-	crashSegmentDeleted = "segment-deleted" // after each covered-segment delete
-)
-
-// crashPoints lists every fault point in stage order.
-var crashPoints = []string{crashBegin, crashCaptured, crashTmpWritten, crashRenamed, crashSegmentDeleted}
-
-// crash fires the test seam ManagerConfig.Fault at a checkpoint stage of
-// the log: an error aborts the checkpoint there, as a crash would.
-func (m *Manager) crash(stage int) error {
-	if m.cfg.Fault == nil {
-		return nil
-	}
-	return m.cfg.Fault(crashPoints[stage])
 }
 
 // Checkpoint folds every event logged before this call into a snapshot
