@@ -1,49 +1,36 @@
 // Package a is golden input for the encdecpair analyzer.
 package a
 
-import "errors"
+import "blobseer/internal/wire"
 
-// Rec pairs a bare encode method with decodeRec by result type.
-type Rec struct {
-	X byte
+// Rec's layout is reached directly from FuzzDecode.
+type Rec struct{ X uint8 }
+
+func (r *Rec) code(c *wire.Codec) { c.Uint8(&r.X) }
+
+// Hdr's layout is reached through decodeHdr, exercising transitive
+// reachability.
+type Hdr struct{ N uint32 }
+
+func codeHdr(c *wire.Codec, h *Hdr) { c.Uint32(&h.N) }
+
+func decodeHdr(p []byte) (Hdr, error) {
+	var h Hdr
+	c := wire.DecodeFrom(p)
+	codeHdr(&c, &h)
+	return h, c.Finish()
 }
 
-func (r Rec) encode() []byte { return []byte{r.X} }
+// Cold's layout takes its Codec by value, and nothing fuzzes it.
+type Cold struct{ V uint64 }
 
-func decodeRec(b []byte) (Rec, error) {
-	if len(b) != 1 {
-		return Rec{}, errors.New("bad length")
-	}
-	return Rec{X: b[0]}, nil
+func codeCold(c wire.Codec, v *Cold) wire.Codec { // want `codeCold takes a wire.Codec but no Fuzz\* target reaches it`
+	c.Uint64(&v.V)
+	return c
 }
 
-// encodeHdr pairs with decodeHdr by name; the fuzz target reaches the
-// decoder through a helper, exercising transitive reachability.
-func encodeHdr(n int) []byte { return []byte{byte(n)} }
-
-func decodeHdr(b []byte) (int, error) {
-	if len(b) != 1 {
-		return 0, errors.New("bad length")
-	}
-	return int(b[0]), nil
-}
-
-func decodeAll(b []byte) error {
-	if _, err := decodeHdr(b); err != nil {
-		return err
-	}
-	return nil
-}
-
-// encodeOrphan has no decoder at all.
-func encodeOrphan(n int) []byte { return []byte{byte(n)} } // want `encoder encodeOrphan has no matching decoder \(wanted decodeOrphan\)`
-
-// encodeCold has a decoder, but nothing fuzzes it.
-func encodeCold(n int) []byte { return []byte{byte(n)} } // want `decoder decodeCold \(pairing encoder encodeCold\) is not reachable from any Fuzz\* target`
-
-func decodeCold(b []byte) (int, error) {
-	if len(b) != 1 {
-		return 0, errors.New("bad length")
-	}
-	return int(b[0]), nil
+// EncodeCold encodes v; encoding alone is no reason to fuzz.
+func EncodeCold(v Cold) []byte {
+	c := codeCold(wire.EncodeTo(nil), &v)
+	return c.Encoded()
 }

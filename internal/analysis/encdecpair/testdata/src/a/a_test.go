@@ -1,10 +1,16 @@
 package a
 
-import "testing"
+import (
+	"testing"
+
+	"blobseer/internal/wire"
+)
 
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeRec(data)
-		decodeAll(data)
+		var r Rec
+		c := wire.DecodeFrom(data)
+		r.code(&c)
+		decodeHdr(data)
 	})
 }

@@ -38,7 +38,7 @@ var putPage = bufpool.PutBytes
 // probation stays, and when it does not fit beside protected,
 // protected's tail makes room.
 //
-// A page lives in a pooled buffer (wire.Reader.Bytes32Pooled) and its
+// A page lives in a pooled buffer (wire.Codec.BytesPooled) and its
 // entry is reference-counted: the cache holds one reference while the
 // entry is resident, and every reader holds one while it copies out of
 // the page. acquire and complete hand out references, release and

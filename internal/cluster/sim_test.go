@@ -56,7 +56,7 @@ const (
 	simPage    = 64 << 10 / simScale
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/sim/*.golden from this run")
+var update = flag.Bool("update", false, "rewrite testdata/sim/*.golden (with -mutants, testdata/mutants.golden) from this run")
 
 // readOff is the paper's read path: no page cache, no hedging, no
 // coalescing. A11 turns the rest on mechanism by mechanism.

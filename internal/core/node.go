@@ -37,25 +37,9 @@ const (
 // DHT — to buf in place and returns the extended slice, so a writer can
 // lay a whole update's nodes out in one buffer.
 func (n *Node) AppendTo(buf []byte) []byte {
-	w := wire.WriterOn(buf)
-	switch {
-	case n.Leaf && len(n.Providers) == 1:
-		w.Uint8(nodeTagLeaf)
-		w.Raw(n.Page[:])
-		w.String(n.Providers[0])
-	case n.Leaf:
-		w.Uint8(nodeTagLeafR)
-		w.Raw(n.Page[:])
-		w.Uint8(uint8(len(n.Providers)))
-		for _, p := range n.Providers {
-			w.String(p)
-		}
-	default:
-		w.Uint8(nodeTagInner)
-		w.Uint64(n.VL)
-		w.Uint64(n.VR)
-	}
-	return w.Bytes()
+	c := wire.EncodeTo(buf)
+	n.code(&c)
+	return c.Encoded()
 }
 
 // EncodedLen is the exact size of the node's encoding, for sizing the
@@ -74,36 +58,56 @@ func (n *Node) EncodedLen() int {
 	return size
 }
 
-// DecodeNode parses a node encoded with Encode.
+// DecodeNode parses a node encoded with AppendTo.
 func DecodeNode(p []byte) (Node, error) {
-	r := wire.NewReader(p)
 	var n Node
-	switch tag := r.Uint8(); tag {
-	case nodeTagLeaf:
-		n.Leaf = true
-		copy(n.Page[:], r.Raw(16))
-		n.Providers = []string{r.String()}
-	case nodeTagLeafR:
-		n.Leaf = true
-		copy(n.Page[:], r.Raw(16))
-		cnt := int(r.Uint8())
-		n.Providers = make([]string, 0, cnt)
-		for i := 0; i < cnt; i++ {
-			n.Providers = append(n.Providers, r.String())
-		}
-	case nodeTagInner:
-		n.VL = r.Uint64()
-		n.VR = r.Uint64()
-	default:
-		return Node{}, fmt.Errorf("core: unknown node tag %d", tag)
-	}
-	if err := r.Finish(); err != nil {
+	c := wire.DecodeFrom(p)
+	n.code(&c)
+	if err := c.Finish(); err != nil {
 		return Node{}, fmt.Errorf("core: decoding node: %w", err)
 	}
-	if n.Leaf && len(n.Providers) == 0 {
-		return Node{}, fmt.Errorf("core: leaf node with no providers")
-	}
 	return n, nil
+}
+
+// code is the node's layout: a tag, then a leaf's page and providers —
+// one, or a uint8 count of them — or an inner node's child versions.
+func (n *Node) code(c *wire.Codec) {
+	var tag byte
+	switch {
+	case c.Decoding():
+	case n.Leaf && len(n.Providers) == 1:
+		tag = nodeTagLeaf
+	case n.Leaf:
+		tag = nodeTagLeafR
+	default:
+		tag = nodeTagInner
+	}
+	c.Uint8(&tag)
+	switch tag {
+	case nodeTagInner:
+		c.Uint64(&n.VL)
+		c.Uint64(&n.VR)
+		return
+	case nodeTagLeaf, nodeTagLeafR:
+	default:
+		c.Fail(fmt.Errorf("unknown node tag %d", tag))
+		return
+	}
+	c.Fixed(n.Page[:])
+	count := uint8(1)
+	if tag == nodeTagLeafR {
+		count = uint8(len(n.Providers))
+		c.Uint8(&count)
+	}
+	if c.Decoding() {
+		if count == 0 {
+			c.Fail(fmt.Errorf("leaf node with no providers"))
+		}
+		n.Leaf, n.Providers = true, make([]string, count)
+	}
+	for i := range n.Providers {
+		c.String(&n.Providers[i])
+	}
 }
 
 // NodeStore is the persistence interface the algorithms traverse and

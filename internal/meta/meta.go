@@ -14,6 +14,7 @@ package meta
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"blobseer/internal/core"
@@ -33,13 +34,11 @@ func NodeKey(owner wire.BlobID, id core.NodeID) []byte {
 // AppendNodeKey appends the node's DHT key to buf in place and returns
 // the extended slice, so one buffer can hold the keys of a whole batch.
 func AppendNodeKey(buf []byte, owner wire.BlobID, id core.NodeID) []byte {
-	w := wire.WriterOn(buf)
-	w.Uint8(nodeKeyPrefix)
-	w.Uint64(uint64(owner))
-	w.Uint64(id.Version)
-	w.Uint64(id.Offset)
-	w.Uint64(id.Span)
-	return w.Bytes()
+	buf = append(buf, nodeKeyPrefix)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(owner))
+	buf = binary.LittleEndian.AppendUint64(buf, id.Version)
+	buf = binary.LittleEndian.AppendUint64(buf, id.Offset)
+	return binary.LittleEndian.AppendUint64(buf, id.Span)
 }
 
 // Store gives the core algorithms access to one blob's metadata tree. It

@@ -368,7 +368,6 @@ func (cc *clientConn) forget(id uint64) {
 
 // readLoop dispatches inbound frames to their waiting callers.
 func (cc *clientConn) readLoop() {
-	var dec wire.Decoder
 	for {
 		id, kind, body, err := readFrame(cc.raw)
 		if err != nil {
@@ -389,7 +388,7 @@ func (cc *clientConn) readLoop() {
 		}
 		// Responses decode by copy, so the recycled body is done with
 		// here whether or not it decoded.
-		msg, err := dec.Decode(kind, *body)
+		msg, err := wire.Decode(kind, *body)
 		bufpool.Put(body)
 		if err != nil {
 			// The stream cannot be trusted past this point. The caller is

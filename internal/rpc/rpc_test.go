@@ -346,7 +346,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if id != 42 || kind != wire.KindSizeReq {
 		t.Fatalf("id=%d kind=%v", id, kind)
 	}
-	m, err := new(wire.Decoder).Decode(kind, *body)
+	m, err := wire.Decode(kind, *body)
 	bufpool.Put(body)
 	if err != nil || m.(*wire.SizeReq).Version != 7 {
 		t.Fatalf("decode: %v %v", m, err)
@@ -391,7 +391,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := new(wire.Decoder).Decode(kind, *body)
+		m, err := wire.Decode(kind, *body)
 		bufpool.Put(body)
 		if err != nil || id != want || m.(*wire.SizeReq).Version != want {
 			t.Fatalf("frame %d after a refused one: id %d, %v, %v", want, id, m, err)

@@ -186,13 +186,12 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 	// virtual time under simnet. A plain sync.Mutex here wedges the
 	// simulation when two responses race for the same connection.
 	wmu := vclock.NewMutex(s.sched)
-	var dec wire.Decoder // this goroutine decodes every request of the connection
 	for {
 		id, kind, body, err := readFrame(c)
 		if err != nil {
 			return
 		}
-		req, err := dec.Decode(kind, *body)
+		req, err := wire.Decode(kind, *body)
 		if err != nil {
 			// Cannot trust the stream after a decode error.
 			bufpool.Put(body)

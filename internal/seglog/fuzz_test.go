@@ -19,13 +19,12 @@ import (
 // v1IndexMeta is the prefix as format 1 wrote it — generations only. No
 // KV writes it any more and the decoder must turn it away.
 func v1IndexMeta(gens ...uint64) []byte {
-	w := wire.NewWriter(64)
-	w.Uint32(1)
-	w.Uint32(uint32(len(gens)))
+	p := binary.LittleEndian.AppendUint32(nil, 1)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(gens)))
 	for _, g := range gens {
-		w.Uint64(g)
+		p = binary.LittleEndian.AppendUint64(p, g)
 	}
-	return w.Bytes()
+	return p
 }
 
 // asFormat1 is a snapshot payload covering len(gens) segments as format
@@ -36,9 +35,9 @@ func asFormat1(payload []byte, gens ...uint64) []byte {
 
 func FuzzDecodeIndexMeta(f *testing.F) {
 	seed := func(m *indexMeta) []byte {
-		w := wire.NewWriter(64)
-		encodeIndexMeta(w, m)
-		return w.Bytes()
+		c := wire.EncodeTo(nil)
+		m.code(&c)
+		return c.Encoded()
 	}
 	f.Add(v1IndexMeta())
 	f.Add(v1IndexMeta(1, 7, 3))
@@ -52,15 +51,15 @@ func FuzzDecodeIndexMeta(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0})
 	f.Add([]byte{3, 0, 0, 0, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := wire.NewReader(data)
-		m, err := decodeIndexMeta(r)
-		if err != nil || r.Err() != nil {
+		m := new(indexMeta)
+		c := wire.DecodeFrom(data)
+		if m.code(&c); c.Err() != nil {
 			return
 		}
 		if binary.LittleEndian.Uint32(data) != kvSnapFmt {
 			t.Fatalf("decoded a prefix of format %d", binary.LittleEndian.Uint32(data))
 		}
-		consumed := data[:len(data)-r.Remaining()]
+		consumed := data[:8+24*len(m.Segs)]
 		if enc := seed(m); !bytes.Equal(enc, consumed) {
 			t.Fatalf("decode of %x re-encodes to %x", consumed, enc)
 		}

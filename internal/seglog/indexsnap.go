@@ -34,49 +34,22 @@ type indexMeta struct {
 	Segs []segMeta
 }
 
-// encodeIndexMeta appends the prefix to w.
-func encodeIndexMeta(w *wire.Writer, m *indexMeta) {
-	w.Uint32(kvSnapFmt)
-	w.Uint32(uint32(len(m.Segs)))
-	for _, s := range m.Segs {
-		w.Uint64(s.Gen)
-		w.Uint64(uint64(s.Live))
-		w.Uint64(uint64(s.Tomb))
-	}
-}
-
-// decodeIndexMeta parses the prefix from r, leaving r positioned at the
+// code is the prefix's layout. Decoding, it leaves c positioned at the
 // entry section.
-func decodeIndexMeta(r *wire.Reader) (*indexMeta, error) {
-	f := r.Uint32()
-	if r.Err() == nil && f != kvSnapFmt {
-		return nil, fmt.Errorf("%w: unknown format %d", errSnapshotEncoding, f)
+func (m *indexMeta) code(c *wire.Codec) {
+	format := uint32(kvSnapFmt)
+	c.Uint32(&format)
+	if format != kvSnapFmt {
+		c.Fail(fmt.Errorf("%w: unknown format %d", errSnapshotEncoding, format))
+		return
 	}
-	nsegs, err := Count(r, 24, errSnapshotEncoding)
-	if err != nil {
-		return nil, err
-	}
-	m := &indexMeta{Segs: make([]segMeta, 0, nsegs)}
-	for i := 0; i < nsegs; i++ {
-		s := segMeta{Gen: r.Uint64(), Live: int64(r.Uint64()), Tomb: int64(r.Uint64())}
-		if s.Live < 0 || s.Tomb < 0 {
-			return nil, fmt.Errorf("%w: negative segment counter", errSnapshotEncoding)
+	for i := range wire.Slice(c, &m.Segs, 24) {
+		s := &m.Segs[i]
+		c.Uint64(&s.Gen)
+		c.Int64(&s.Live)
+		c.Int64(&s.Tomb)
+		if c.Decoding() && (s.Live < 0 || s.Tomb < 0) {
+			c.Fail(fmt.Errorf("%w: negative segment counter", errSnapshotEncoding))
 		}
-		m.Segs = append(m.Segs, s)
 	}
-	return m, nil
-}
-
-// Count reads a length prefix and bounds it by the bytes that many
-// entries of at least elemBytes each would need, so a hostile prefix
-// cannot drive a huge allocation.
-func Count(r *wire.Reader, elemBytes int, errTag error) (int, error) {
-	n := r.Uint32()
-	if r.Err() != nil {
-		return 0, r.Err()
-	}
-	if int64(n)*int64(elemBytes) > int64(r.Remaining()) {
-		return 0, fmt.Errorf("%w: count %d exceeds remaining input", errTag, n)
-	}
-	return int(n), nil
 }

@@ -60,13 +60,13 @@ func (ly *KVLayout) appendRecord(dst []byte, kind byte, key string, value []byte
 // bytes past the key are not looked at, so the compactor can locate a
 // record from its prefix alone.
 func (ly *KVLayout) decodeHead(p []byte, payloadLen int) (kind byte, key string, vlen int, err error) {
-	r := wire.NewReader(p)
-	kind = r.Uint8()
-	key = string(r.Raw(ly.KeyLen))
-	if err := r.Err(); err != nil {
+	c := wire.DecodeFrom(p)
+	c.Uint8(&kind)
+	c.FixedString(&key, ly.KeyLen)
+	if err := c.Err(); err != nil {
 		return 0, "", 0, fmt.Errorf("%s: decoding record: %w", ly.Name, err)
 	}
-	vlen = payloadLen - (len(p) - r.Remaining())
+	vlen = payloadLen - 1 - ly.KeyLen
 	switch {
 	case kind != kvPut && kind != kvTomb:
 		return 0, "", 0, fmt.Errorf("%s: unknown record kind %d", ly.Name, kind)
@@ -164,16 +164,9 @@ func (ly *KVLayout) encodeIndex(s *kvIndexSnapshot) []byte {
 	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].key < s.entries[j].key })
 	n := 16 + len(s.meta.Segs)*24
 	n += len(s.entries) * (ly.KeyLen + 16)
-	w := wire.NewWriter(n)
-	encodeIndexMeta(w, &s.meta)
-	w.Uint32(uint32(len(s.entries)))
-	for _, e := range s.entries {
-		w.Raw([]byte(e.key))
-		w.Uint32(e.seg)
-		w.Uint64(uint64(e.off))
-		w.Uint32(e.vlen)
-	}
-	return w.Bytes()
+	c := wire.EncodeTo(make([]byte, 0, n))
+	ly.codeIndex(&c, s)
+	return c.Encoded()
 }
 
 // errSnapshotEncoding tags structurally invalid snapshot payloads.
@@ -185,42 +178,35 @@ var errSnapshotEncoding = errors.New("invalid index snapshot encoding")
 // possible value offset, trailing bytes — so a successful decode
 // re-encodes to exactly the input.
 func (ly *KVLayout) decodeIndex(data []byte) (*kvIndexSnapshot, error) {
-	r := wire.NewReader(data)
-	meta, err := decodeIndexMeta(r)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", ly.Name, err)
-	}
-	s := &kvIndexSnapshot{meta: *meta}
-	nent, err := Count(r, ly.KeyLen+16, errSnapshotEncoding)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", ly.Name, err)
-	}
-	s.entries = make([]kvSnapEntry, 0, nent)
-	minOff := headerSize + ly.framedSize(0)
-	for i := 0; i < nent; i++ {
-		var e kvSnapEntry
-		e.key = string(r.Raw(ly.KeyLen))
-		e.seg = r.Uint32()
-		e.off = int64(r.Uint64())
-		e.vlen = r.Uint32()
-		if r.Err() != nil {
-			break
-		}
-		switch {
-		case i > 0 && e.key <= s.entries[i-1].key:
-			err = fmt.Errorf("keys not strictly ascending")
-		case e.seg == 0 || int(e.seg) > len(s.meta.Segs):
-			err = fmt.Errorf("entry in uncovered segment %d", e.seg)
-		case e.off < minOff:
-			err = fmt.Errorf("entry offset %d inside segment header", e.off)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w: %v", ly.Name, errSnapshotEncoding, err)
-		}
-		s.entries = append(s.entries, e)
-	}
-	if err := r.Finish(); err != nil {
+	s := new(kvIndexSnapshot)
+	c := wire.DecodeFrom(data)
+	ly.codeIndex(&c, s)
+	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("%s: decoding snapshot: %w", ly.Name, err)
 	}
 	return s, nil
+}
+
+// codeIndex is the snapshot's layout: the prefix, then the entries.
+func (ly *KVLayout) codeIndex(c *wire.Codec, s *kvIndexSnapshot) {
+	s.meta.code(c)
+	minOff := headerSize + ly.framedSize(0)
+	for i := range wire.Slice(c, &s.entries, ly.KeyLen+16) {
+		e := &s.entries[i]
+		c.FixedString(&e.key, ly.KeyLen)
+		c.Uint32(&e.seg)
+		c.Int64(&e.off)
+		c.Uint32(&e.vlen)
+		if !c.Decoding() || c.Err() != nil {
+			continue
+		}
+		switch {
+		case i > 0 && e.key <= s.entries[i-1].key:
+			c.Fail(fmt.Errorf("%w: keys not strictly ascending", errSnapshotEncoding))
+		case e.seg == 0 || int(e.seg) > len(s.meta.Segs):
+			c.Fail(fmt.Errorf("%w: entry in uncovered segment %d", errSnapshotEncoding, e.seg))
+		case e.off < minOff:
+			c.Fail(fmt.Errorf("%w: entry offset %d inside segment header", errSnapshotEncoding, e.off))
+		}
+	}
 }

@@ -20,26 +20,15 @@ var testMachine = &Machine[*recState]{
 	Format: Format{Name: "testlog", RecMagic: 0x7E57C0DE, SnapMagic: 0x5AA75E67},
 	Empty:  func() *recState { return &recState{} },
 	Decode: func(p []byte) (*recState, uint64, error) {
-		r := wire.NewReader(p)
-		next := r.Uint64()
-		n, err := Count(r, 4, errors.New("bad count"))
-		if err != nil {
-			return nil, 0, err
-		}
-		st := &recState{}
-		for range n {
-			st.recs = append(st.recs, r.String())
-		}
-		return st, next, r.Finish()
+		st, next := &recState{}, uint64(0)
+		c := wire.DecodeFrom(p)
+		st.code(&c, &next)
+		return st, next, c.Finish()
 	},
 	Encode: func(st *recState, next uint64) []byte {
-		w := wire.NewWriter(64)
-		w.Uint64(next)
-		w.Uint32(uint32(len(st.recs)))
-		for _, rec := range st.recs {
-			w.String(rec)
-		}
-		return w.Bytes()
+		c := wire.EncodeTo(nil)
+		st.code(&c, &next)
+		return c.Encoded()
 	},
 	Apply: func(st *recState, p []byte) error {
 		if len(p) == 0 {
@@ -49,6 +38,14 @@ var testMachine = &Machine[*recState]{
 		return nil
 	},
 	Len: func(st *recState) int { return len(st.recs) },
+}
+
+// code is the test snapshot's layout: next, then the records.
+func (st *recState) code(c *wire.Codec, next *uint64) {
+	c.Uint64(next)
+	for i := range wire.Slice(c, &st.recs, 4) {
+		c.String(&st.recs[i])
+	}
 }
 
 // eachLogFS runs f on the operating system's file system and in

@@ -66,9 +66,7 @@ func TestInFlightEncodingIsDeterministic(t *testing.T) {
 					i, resp.InFlight[i].Version, want)
 			}
 		}
-		w := wire.NewWriter(512)
-		resp.MarshalTo(w)
-		return append([]byte(nil), w.Bytes()...)
+		return wire.AppendMsg(nil, resp)
 	}
 	first := encodeLast()
 	for i := 0; i < 3; i++ {

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"blobseer/internal/seglog"
 	"blobseer/internal/wire"
 )
 
@@ -77,64 +76,9 @@ func (s *state) insert(b *blobState) {
 // invariant the crash-injection tests assert.
 func encodeSnapshot(s *state) []byte {
 	sort.Slice(s.blobs, func(i, j int) bool { return s.blobs[i].id < s.blobs[j].id })
-	w := wire.NewWriter(256)
-	w.Uint32(snapFormat)
-	w.Uint64(s.nextSeg)
-	w.Uint64(uint64(s.nextBlob))
-	w.Uint32(uint32(len(s.blobs)))
-	for _, b := range s.blobs {
-		encodeBlobState(w, b)
-	}
-	return w.Bytes()
-}
-
-func encodeBlobState(w *wire.Writer, b *blobState) {
-	w.Uint64(uint64(b.id))
-	w.Uint32(b.pageSize)
-	// Lineage order is semantic (youngest entry first) and deterministic
-	// by construction, so it is stored verbatim, not sorted.
-	w.Uint32(uint32(len(b.lineage)))
-	for _, e := range b.lineage {
-		w.Uint64(uint64(e.Blob))
-		w.Uint64(e.MinVersion)
-	}
-	w.Uint64(uint64(b.next))
-	w.Uint64(uint64(b.published))
-	w.Uint64(uint64(b.readable))
-	w.Uint64(b.pendingSize)
-	w.Uint64(uint64(b.expireFloor))
-
-	sizes := slices.Sorted(maps.Keys(b.sizes))
-	w.Uint32(uint32(len(sizes)))
-	for _, v := range sizes {
-		w.Uint64(uint64(v))
-		w.Uint64(b.sizes[v])
-	}
-
-	aborted := slices.Sorted(maps.Keys(b.aborted))
-	w.Uint32(uint32(len(aborted)))
-	for _, v := range aborted {
-		w.Uint64(uint64(v))
-	}
-
-	inflight := slices.Sorted(maps.Keys(b.inflight))
-	w.Uint32(uint32(len(inflight)))
-	for _, v := range inflight {
-		u := b.inflight[v]
-		w.Uint64(uint64(v))
-		w.Uint64(u.offset)
-		w.Uint64(u.size)
-		w.Uint64(u.newSize)
-		w.Uint64(uint64(u.basePublished))
-		var flags uint8
-		if u.completed {
-			flags |= snapInflightCompleted
-		}
-		if u.aborted {
-			flags |= snapInflightAborted
-		}
-		w.Uint8(flags)
-	}
+	c := wire.EncodeTo(make([]byte, 0, 256))
+	s.code(&c)
+	return c.Encoded()
 }
 
 // errSnapshotEncoding tags structurally invalid snapshot payloads.
@@ -148,31 +92,19 @@ var errSnapshotEncoding = errors.New("version: invalid snapshot encoding")
 // encoding leaves to the lineages, are derived here: a decoded state is
 // complete.
 func decodeSnapshot(data []byte) (*state, error) {
-	r := wire.NewReader(data)
-	if f := r.Uint32(); r.Err() == nil && f != snapFormat {
-		return nil, fmt.Errorf("%w: unknown format %d", errSnapshotEncoding, f)
+	s := &state{}
+	c := wire.DecodeFrom(data)
+	s.code(&c)
+	if err := c.Finish(); err != nil {
+		return nil, fmt.Errorf("version: decoding snapshot: %w", err)
 	}
-	s := &state{
-		nextSeg:  r.Uint64(),
-		nextBlob: wire.BlobID(r.Uint64()),
-	}
-	nblobs, err := seglog.Count(r, 8+4+4+5*8+3*4, errSnapshotEncoding)
-	if err != nil {
-		return nil, err
-	}
-	s.blobs = make([]*blobState, 0, nblobs)
-	s.byID = make(map[wire.BlobID]*blobState, nblobs)
-	for i := 0; i < nblobs; i++ {
-		b, err := decodeBlobState(r)
-		if err != nil {
-			return nil, err
-		}
+	s.byID = make(map[wire.BlobID]*blobState, len(s.blobs))
+	for i, b := range s.blobs {
 		if i > 0 && b.id <= s.blobs[i-1].id {
 			return nil, fmt.Errorf("%w: blob ids not strictly ascending", errSnapshotEncoding)
 		}
-		s.blobs = append(s.blobs, b)
 		// A branch pins its branch point on the lineage owner of that
-		// snapshot — an ancestor, so a smaller id, so already decoded.
+		// snapshot — an ancestor, so a smaller id, so already indexed.
 		if len(b.lineage) > 1 {
 			if owner := s.byID[b.lineage[1].Blob]; owner != nil {
 				if owner.pins == nil {
@@ -183,90 +115,104 @@ func decodeSnapshot(data []byte) (*state, error) {
 		}
 		s.byID[b.id] = b
 	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("version: decoding snapshot: %w", err)
-	}
 	return s, nil
 }
 
-func decodeBlobState(r *wire.Reader) (*blobState, error) {
-	b := &blobState{
-		id:       wire.BlobID(r.Uint64()),
-		pageSize: r.Uint32(),
+// code is the snapshot's layout: the format, the state's counters and
+// every blob.
+func (s *state) code(c *wire.Codec) {
+	format := uint32(snapFormat)
+	c.Uint32(&format)
+	if format != snapFormat {
+		c.Fail(fmt.Errorf("%w: unknown format %d", errSnapshotEncoding, format))
+		return
 	}
-	nlin, err := seglog.Count(r, 16, errSnapshotEncoding)
-	if err != nil {
-		return nil, err
+	c.Uint64(&s.nextSeg)
+	c.Uint64((*uint64)(&s.nextBlob))
+	for i := range wire.Slice(c, &s.blobs, 8+4+4+5*8+3*4) {
+		if c.Decoding() {
+			s.blobs[i] = new(blobState)
+		}
+		s.blobs[i].code(c)
 	}
-	b.lineage = make(wire.Lineage, 0, nlin)
-	for i := 0; i < nlin; i++ {
-		b.lineage = append(b.lineage, wire.LineageEntry{
-			Blob:       wire.BlobID(r.Uint64()),
-			MinVersion: r.Uint64(),
-		})
-	}
-	b.next = wire.Version(r.Uint64())
-	b.published = wire.Version(r.Uint64())
-	b.readable = wire.Version(r.Uint64())
-	b.pendingSize = r.Uint64()
-	b.expireFloor = wire.Version(r.Uint64())
+}
 
-	nsizes, err := seglog.Count(r, 16, errSnapshotEncoding)
-	if err != nil {
-		return nil, err
+// code is one blob's layout.
+func (b *blobState) code(c *wire.Codec) {
+	c.Uint64((*uint64)(&b.id))
+	c.Uint32(&b.pageSize)
+	// Lineage order is semantic (youngest entry first) and deterministic
+	// by construction, so it is stored verbatim, not sorted.
+	for i := range wire.Slice(c, (*[]wire.LineageEntry)(&b.lineage), 16) {
+		b.lineage[i].Code(c)
 	}
-	b.sizes = make(map[wire.Version]uint64, nsizes)
-	for i, prev := 0, wire.Version(0); i < nsizes; i++ {
-		v := wire.Version(r.Uint64())
-		if i > 0 && v <= prev {
-			return nil, fmt.Errorf("%w: size versions not strictly ascending", errSnapshotEncoding)
+	c.Uint64(&b.next)
+	c.Uint64(&b.published)
+	c.Uint64(&b.readable)
+	c.Uint64(&b.pendingSize)
+	c.Uint64(&b.expireFloor)
+	codeVersions(c, &b.sizes, 8, "size", func(c *wire.Codec, _ wire.Version, size *uint64) {
+		c.Uint64(size)
+	})
+	codeVersions(c, &b.aborted, 0, "aborted", func(_ *wire.Codec, _ wire.Version, aborted *bool) {
+		*aborted = true
+	})
+	codeVersions(c, &b.inflight, 4*8+1, "in-flight", func(c *wire.Codec, v wire.Version, p **update) {
+		if c.Decoding() {
+			*p = &update{version: v}
+		}
+		u := *p
+		c.Uint64(&u.offset)
+		c.Uint64(&u.size)
+		c.Uint64(&u.newSize)
+		c.Uint64(&u.basePublished)
+		var flags uint8
+		if u.completed {
+			flags |= snapInflightCompleted
+		}
+		if u.aborted {
+			flags |= snapInflightAborted
+		}
+		c.Uint8(&flags)
+		if c.Decoding() {
+			if flags&^uint8(snapInflightCompleted|snapInflightAborted) != 0 {
+				c.Fail(fmt.Errorf("%w: unknown in-flight flags %#x", errSnapshotEncoding, flags))
+			}
+			u.completed = flags&snapInflightCompleted != 0
+			u.aborted = flags&snapInflightAborted != 0
+		}
+	})
+}
+
+// codeVersions is the layout of one of a blob's version-keyed maps: a
+// count, then per entry its version and what entry codes, canonically —
+// encoding sorts the versions, and decoding refuses them in any other
+// order than strictly ascending.
+func codeVersions[V any](c *wire.Codec, m *map[wire.Version]V, entryBytes int, what string, entry func(c *wire.Codec, v wire.Version, val *V)) {
+	var versions []wire.Version
+	if !c.Decoding() {
+		versions = slices.Sorted(maps.Keys(*m))
+	}
+	n := c.Len(len(versions), 8+entryBytes)
+	if c.Decoding() {
+		*m = make(map[wire.Version]V, n)
+	}
+	var prev wire.Version
+	for i := range n {
+		var v wire.Version
+		var val V
+		if !c.Decoding() {
+			v = versions[i]
+			val = (*m)[v]
+		}
+		c.Uint64(&v)
+		entry(c, v, &val)
+		if c.Decoding() {
+			if i > 0 && v <= prev {
+				c.Fail(fmt.Errorf("%w: %s versions not strictly ascending", errSnapshotEncoding, what))
+			}
+			(*m)[v] = val
 		}
 		prev = v
-		b.sizes[v] = r.Uint64()
 	}
-
-	naborted, err := seglog.Count(r, 8, errSnapshotEncoding)
-	if err != nil {
-		return nil, err
-	}
-	b.aborted = make(map[wire.Version]bool, naborted)
-	for i, prev := 0, wire.Version(0); i < naborted; i++ {
-		v := wire.Version(r.Uint64())
-		if i > 0 && v <= prev {
-			return nil, fmt.Errorf("%w: aborted versions not strictly ascending", errSnapshotEncoding)
-		}
-		prev = v
-		b.aborted[v] = true
-	}
-
-	ninflight, err := seglog.Count(r, 5*8+1, errSnapshotEncoding)
-	if err != nil {
-		return nil, err
-	}
-	b.inflight = make(map[wire.Version]*update, ninflight)
-	for i, prev := 0, wire.Version(0); i < ninflight; i++ {
-		v := wire.Version(r.Uint64())
-		if i > 0 && v <= prev {
-			return nil, fmt.Errorf("%w: in-flight versions not strictly ascending", errSnapshotEncoding)
-		}
-		prev = v
-		u := &update{
-			version:       v,
-			offset:        r.Uint64(),
-			size:          r.Uint64(),
-			newSize:       r.Uint64(),
-			basePublished: wire.Version(r.Uint64()),
-		}
-		flags := r.Uint8()
-		if flags&^uint8(snapInflightCompleted|snapInflightAborted) != 0 {
-			return nil, fmt.Errorf("%w: unknown in-flight flags %#x", errSnapshotEncoding, flags)
-		}
-		u.completed = flags&snapInflightCompleted != 0
-		u.aborted = flags&snapInflightAborted != 0
-		b.inflight[v] = u
-	}
-	if r.Err() != nil {
-		return nil, fmt.Errorf("version: decoding snapshot blob: %w", r.Err())
-	}
-	return b, nil
 }

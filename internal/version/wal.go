@@ -72,61 +72,48 @@ type walEvent struct {
 }
 
 func (e *walEvent) encode() []byte {
-	w := wire.NewWriter(64)
-	w.Uint8(e.kind)
-	switch e.kind {
-	case walCreate:
-		w.Uint64(uint64(e.blob))
-		w.Uint32(e.pageSize)
-	case walBranch:
-		w.Uint64(uint64(e.blob))
-		w.Uint64(uint64(e.parent))
-		w.Uint64(uint64(e.version))
-		w.Uint64(e.newSize)
-	case walAssign:
-		w.Uint64(uint64(e.blob))
-		w.Uint64(uint64(e.version))
-		w.Uint64(e.offset)
-		w.Uint64(e.size)
-		w.Uint64(e.newSize)
-	case walComplete, walAbort, walExpire:
-		w.Uint64(uint64(e.blob))
-		w.Uint64(uint64(e.version))
-	default:
-		panic(fmt.Sprintf("version: encoding unknown wal event kind %d", e.kind))
+	c := wire.EncodeTo(make([]byte, 0, 64))
+	e.code(&c)
+	if err := c.Err(); err != nil {
+		panic("version: encoding wal event: " + err.Error())
 	}
-	return w.Bytes()
+	return c.Encoded()
 }
 
 func decodeWALEvent(data []byte) (walEvent, error) {
-	r := wire.NewReader(data)
 	var e walEvent
-	e.kind = r.Uint8()
-	switch e.kind {
-	case walCreate:
-		e.blob = wire.BlobID(r.Uint64())
-		e.pageSize = r.Uint32()
-	case walBranch:
-		e.blob = wire.BlobID(r.Uint64())
-		e.parent = wire.BlobID(r.Uint64())
-		e.version = wire.Version(r.Uint64())
-		e.newSize = r.Uint64()
-	case walAssign:
-		e.blob = wire.BlobID(r.Uint64())
-		e.version = wire.Version(r.Uint64())
-		e.offset = r.Uint64()
-		e.size = r.Uint64()
-		e.newSize = r.Uint64()
-	case walComplete, walAbort, walExpire:
-		e.blob = wire.BlobID(r.Uint64())
-		e.version = wire.Version(r.Uint64())
-	default:
-		return walEvent{}, fmt.Errorf("version: unknown wal event kind %d", e.kind)
-	}
-	if err := r.Finish(); err != nil {
+	c := wire.DecodeFrom(data)
+	e.code(&c)
+	if err := c.Finish(); err != nil {
 		return walEvent{}, fmt.Errorf("version: decoding wal event: %w", err)
 	}
 	return e, nil
+}
+
+// code is the record's layout: the kind, then the fields it uses.
+func (e *walEvent) code(c *wire.Codec) {
+	c.Uint8(&e.kind)
+	switch e.kind {
+	case walCreate:
+		c.Uint64((*uint64)(&e.blob))
+		c.Uint32(&e.pageSize)
+	case walBranch:
+		c.Uint64((*uint64)(&e.blob))
+		c.Uint64((*uint64)(&e.parent))
+		c.Uint64(&e.version)
+		c.Uint64(&e.newSize)
+	case walAssign:
+		c.Uint64((*uint64)(&e.blob))
+		c.Uint64(&e.version)
+		c.Uint64(&e.offset)
+		c.Uint64(&e.size)
+		c.Uint64(&e.newSize)
+	case walComplete, walAbort, walExpire:
+		c.Uint64((*uint64)(&e.blob))
+		c.Uint64(&e.version)
+	default:
+		c.Fail(fmt.Errorf("unknown wal event kind %d", e.kind))
+	}
 }
 
 // Checkpoint folds every event logged before this call into a snapshot

@@ -163,10 +163,11 @@ func (k Kind) String() string {
 // Msg is implemented by every protocol message.
 type Msg interface {
 	Kind() Kind
-	// MarshalTo appends the message body (excluding kind) to w.
-	MarshalTo(w *Writer)
-	// unmarshal decodes the message body from r.
-	unmarshal(r *Reader)
+	// code is the message body's layout (excluding kind). It takes and
+	// returns the Codec by value: the argument of an interface call
+	// escapes to the heap, and a value argument is a copy, so the
+	// caller's Codec stays on its stack.
+	code(c Codec) Codec
 }
 
 // sized is implemented by the kinds that carry page payloads, whose
@@ -181,38 +182,6 @@ func BodySize(m Msg) int {
 		return s.bodySize()
 	}
 	return 0
-}
-
-// Decoder decodes message bodies one after another through one Reader
-// of its own. A Reader escapes to the heap through the unmarshal
-// interface call, so a goroutine that decodes every frame of a
-// connection keeps a Decoder and pays for that once, not per message.
-// The zero value is ready to use; a Decoder is not safe for concurrent
-// use. It holds no reference to a body once Decode has returned, so the
-// caller may recycle the body as soon as nothing decoded by alias is in
-// use.
-type Decoder struct{ r Reader }
-
-// Decode decodes a message body of the given kind. The message owns
-// every field it decodes except PutPageReq.Data, DHTMultiPutReq's keys
-// and values and DHTMultiGetReq's keys, which alias body: the requests
-// whose handlers copy what they keep into storage of their own anyway,
-// or keep nothing. A decoded GetPagesResp.Data[i] is a pooled buffer
-// that aliases nothing: its receiver may keep it, or hand it back once
-// with bufpool.PutBytes when nothing reads it any more.
-func (d *Decoder) Decode(k Kind, body []byte) (Msg, error) {
-	m := New(k)
-	if m == nil {
-		return nil, fmt.Errorf("wire: unknown message kind %d", uint8(k))
-	}
-	d.r = Reader{buf: body}
-	m.unmarshal(&d.r)
-	err := d.r.Finish()
-	d.r = Reader{}
-	if err != nil {
-		return nil, fmt.Errorf("wire: decoding %v: %w", k, err)
-	}
-	return m, nil
 }
 
 // New returns a zero message of the given kind, or nil if unknown.
@@ -239,16 +208,7 @@ type PutPageReq struct {
 // Kind implements Msg.
 func (*PutPageReq) Kind() Kind { return KindPutPageReq }
 
-// MarshalTo implements Msg.
-func (m *PutPageReq) MarshalTo(w *Writer) {
-	w.Raw(m.Page[:])
-	w.Bytes32(m.Data)
-}
-
-func (m *PutPageReq) unmarshal(r *Reader) {
-	copy(m.Page[:], r.Raw(16))
-	m.Data = r.Bytes32()
-}
+func (m *PutPageReq) code(c Codec) Codec { c.Fixed(m.Page[:]); c.BytesAlias(&m.Data); return c }
 
 func (m *PutPageReq) bodySize() int { return len(m.Page) + 4 + len(m.Data) }
 
@@ -258,9 +218,7 @@ type PutPageResp struct{}
 // Kind implements Msg.
 func (*PutPageResp) Kind() Kind { return KindPutPageResp }
 
-// MarshalTo implements Msg.
-func (m *PutPageResp) MarshalTo(*Writer) {}
-func (m *PutPageResp) unmarshal(*Reader) {}
+func (*PutPageResp) code(c Codec) Codec { return c }
 
 // ----------------------------------------------------- provider manager
 
@@ -279,16 +237,7 @@ func NewRegisterReq(addr string) *RegisterReq { return &RegisterReq{Addr: addr, 
 // Kind implements Msg.
 func (*RegisterReq) Kind() Kind { return KindRegisterReq }
 
-// MarshalTo implements Msg.
-func (m *RegisterReq) MarshalTo(w *Writer) {
-	w.String(m.Addr)
-	w.Uint32(m.Weight)
-}
-
-func (m *RegisterReq) unmarshal(r *Reader) {
-	m.Addr = r.String()
-	m.Weight = r.Uint32()
-}
+func (m *RegisterReq) code(c Codec) Codec { c.String(&m.Addr); c.Uint32(&m.Weight); return c }
 
 // RegisterResp acknowledges registration with the manager-local id.
 type RegisterResp struct{ ID uint32 }
@@ -296,9 +245,7 @@ type RegisterResp struct{ ID uint32 }
 // Kind implements Msg.
 func (*RegisterResp) Kind() Kind { return KindRegisterResp }
 
-// MarshalTo implements Msg.
-func (m *RegisterResp) MarshalTo(w *Writer) { w.Uint32(m.ID) }
-func (m *RegisterResp) unmarshal(r *Reader) { m.ID = r.Uint32() }
+func (m *RegisterResp) code(c Codec) Codec { c.Uint32(&m.ID); return c }
 
 // HeartbeatReq refreshes a provider's liveness. Pages and Bytes keep
 // the frame's shape and go unset: a provider's load is its own series.
@@ -311,17 +258,11 @@ type HeartbeatReq struct {
 // Kind implements Msg.
 func (*HeartbeatReq) Kind() Kind { return KindHeartbeatReq }
 
-// MarshalTo implements Msg.
-func (m *HeartbeatReq) MarshalTo(w *Writer) {
-	w.Uint32(m.ID)
-	w.Uint64(m.Pages)
-	w.Uint64(m.Bytes)
-}
-
-func (m *HeartbeatReq) unmarshal(r *Reader) {
-	m.ID = r.Uint32()
-	m.Pages = r.Uint64()
-	m.Bytes = r.Uint64()
+func (m *HeartbeatReq) code(c Codec) Codec {
+	c.Uint32(&m.ID)
+	c.Uint64(&m.Pages)
+	c.Uint64(&m.Bytes)
+	return c
 }
 
 // HeartbeatResp acknowledges a heartbeat. Known=false instructs the
@@ -331,9 +272,7 @@ type HeartbeatResp struct{ Known bool }
 // Kind implements Msg.
 func (*HeartbeatResp) Kind() Kind { return KindHeartbeatResp }
 
-// MarshalTo implements Msg.
-func (m *HeartbeatResp) MarshalTo(w *Writer) { w.Bool(m.Known) }
-func (m *HeartbeatResp) unmarshal(r *Reader) { m.Known = r.Bool() }
+func (m *HeartbeatResp) code(c Codec) Codec { c.Bool(&m.Known); return c }
 
 // AllocateReq asks the provider manager for N page providers chosen by
 // its distribution strategy (one per page to be stored, §3.3). Copies
@@ -348,9 +287,7 @@ type AllocateReq struct {
 // Kind implements Msg.
 func (*AllocateReq) Kind() Kind { return KindAllocateReq }
 
-// MarshalTo implements Msg.
-func (m *AllocateReq) MarshalTo(w *Writer) { w.Uint32(m.N); w.Uint32(m.Copies) }
-func (m *AllocateReq) unmarshal(r *Reader) { m.N = r.Uint32(); m.Copies = r.Uint32() }
+func (m *AllocateReq) code(c Codec) Codec { c.Uint32(&m.N); c.Uint32(&m.Copies); return c }
 
 // AllocateResp lists the chosen provider addresses: one group of Copies
 // addresses per page, flattened, so page i's replicas are
@@ -360,24 +297,11 @@ type AllocateResp struct{ Addrs []string }
 // Kind implements Msg.
 func (*AllocateResp) Kind() Kind { return KindAllocateResp }
 
-// MarshalTo implements Msg.
-func (m *AllocateResp) MarshalTo(w *Writer) {
-	w.Uint32(uint32(len(m.Addrs)))
-	for _, a := range m.Addrs {
-		w.String(a)
+func (m *AllocateResp) code(c Codec) Codec {
+	for i := range Slice(&c, &m.Addrs, 4) {
+		c.String(&m.Addrs[i])
 	}
-}
-
-func (m *AllocateResp) unmarshal(r *Reader) {
-	n := int(r.Uint32())
-	if n > MaxSliceLen/8 {
-		r.fail(ErrTooLarge)
-		return
-	}
-	m.Addrs = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		m.Addrs = append(m.Addrs, r.String())
-	}
+	return c
 }
 
 // ------------------------------------------------------------------ DHT
@@ -397,29 +321,19 @@ type DHTMultiPutReq struct {
 // Kind implements Msg.
 func (*DHTMultiPutReq) Kind() Kind { return KindDHTMultiPutReq }
 
-// MarshalTo implements Msg.
-func (m *DHTMultiPutReq) MarshalTo(w *Writer) {
-	w.Uint32(uint32(len(m.Keys)))
-	for i := range m.Keys {
-		w.Bytes32(m.Keys[i])
-		w.Bytes32(m.Values[i])
+func (m *DHTMultiPutReq) code(c Codec) Codec {
+	// Every pair carries two length prefixes; one allocation holds both
+	// halves.
+	n := c.Len(len(m.Keys), 8)
+	if c.dec {
+		pairs := make([][]byte, 2*n)
+		m.Keys, m.Values = pairs[:n:n], pairs[n:]
 	}
-}
-
-func (m *DHTMultiPutReq) unmarshal(r *Reader) {
-	n := int(r.Uint32())
-	// Every pair carries two length prefixes, so the input bounds the
-	// count and a hostile one cannot size the allocation below.
-	if n > r.Remaining()/8 {
-		r.fail(ErrTooLarge)
-		return
+	for i := range n {
+		c.BytesAlias(&m.Keys[i])
+		c.BytesAlias(&m.Values[i])
 	}
-	pairs := make([][]byte, 2*n)
-	m.Keys, m.Values = pairs[:n:n], pairs[n:]
-	for i := 0; i < n; i++ {
-		m.Keys[i] = r.Bytes32()
-		m.Values[i] = r.Bytes32()
-	}
+	return c
 }
 
 // DHTMultiPutResp acknowledges DHTMultiPutReq.
@@ -428,9 +342,7 @@ type DHTMultiPutResp struct{}
 // Kind implements Msg.
 func (*DHTMultiPutResp) Kind() Kind { return KindDHTMultiPutResp }
 
-// MarshalTo implements Msg.
-func (m *DHTMultiPutResp) MarshalTo(*Writer) {}
-func (m *DHTMultiPutResp) unmarshal(*Reader) {}
+func (*DHTMultiPutResp) code(c Codec) Codec { return c }
 
 // DHTMultiGetReq fetches several keys in one round trip.
 //
@@ -442,24 +354,11 @@ type DHTMultiGetReq struct{ Keys [][]byte }
 // Kind implements Msg.
 func (*DHTMultiGetReq) Kind() Kind { return KindDHTMultiGetReq }
 
-// MarshalTo implements Msg.
-func (m *DHTMultiGetReq) MarshalTo(w *Writer) {
-	w.Uint32(uint32(len(m.Keys)))
-	for _, k := range m.Keys {
-		w.Bytes32(k)
+func (m *DHTMultiGetReq) code(c Codec) Codec {
+	for i := range Slice(&c, &m.Keys, 4) {
+		c.BytesAlias(&m.Keys[i])
 	}
-}
-
-func (m *DHTMultiGetReq) unmarshal(r *Reader) {
-	n := int(r.Uint32())
-	if n > MaxSliceLen/8 {
-		r.fail(ErrTooLarge)
-		return
-	}
-	m.Keys = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		m.Keys = append(m.Keys, r.Bytes32())
-	}
+	return c
 }
 
 // DHTMultiGetResp answers DHTMultiGetReq; entries align with request keys.
@@ -471,27 +370,16 @@ type DHTMultiGetResp struct {
 // Kind implements Msg.
 func (*DHTMultiGetResp) Kind() Kind { return KindDHTMultiGetResp }
 
-// MarshalTo implements Msg.
-func (m *DHTMultiGetResp) MarshalTo(w *Writer) {
-	w.Uint32(uint32(len(m.Found)))
-	for i := range m.Found {
-		w.Bool(m.Found[i])
-		w.Bytes32(m.Values[i])
+func (m *DHTMultiGetResp) code(c Codec) Codec {
+	n := Slice(&c, &m.Found, 5)
+	if c.dec {
+		m.Values = make([][]byte, n)
 	}
-}
-
-func (m *DHTMultiGetResp) unmarshal(r *Reader) {
-	n := int(r.Uint32())
-	if n > MaxSliceLen/8 {
-		r.fail(ErrTooLarge)
-		return
+	for i := range n {
+		c.Bool(&m.Found[i])
+		c.Bytes(&m.Values[i])
 	}
-	m.Found = make([]bool, 0, n)
-	m.Values = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		m.Found = append(m.Found, r.Bool())
-		m.Values = append(m.Values, r.Bytes32Copy())
-	}
+	return c
 }
 
 // -------------------------------------------------------- version manager
@@ -502,9 +390,7 @@ type CreateBlobReq struct{ PageSize uint32 }
 // Kind implements Msg.
 func (*CreateBlobReq) Kind() Kind { return KindCreateBlobReq }
 
-// MarshalTo implements Msg.
-func (m *CreateBlobReq) MarshalTo(w *Writer) { w.Uint32(m.PageSize) }
-func (m *CreateBlobReq) unmarshal(r *Reader) { m.PageSize = r.Uint32() }
+func (m *CreateBlobReq) code(c Codec) Codec { c.Uint32(&m.PageSize); return c }
 
 // CreateBlobResp returns the globally unique id of the new blob, which is
 // born with the published empty snapshot 0.
@@ -513,9 +399,7 @@ type CreateBlobResp struct{ Blob BlobID }
 // Kind implements Msg.
 func (*CreateBlobResp) Kind() Kind { return KindCreateBlobResp }
 
-// MarshalTo implements Msg.
-func (m *CreateBlobResp) MarshalTo(w *Writer) { w.Uint64(uint64(m.Blob)) }
-func (m *CreateBlobResp) unmarshal(r *Reader) { m.Blob = BlobID(r.Uint64()) }
+func (m *CreateBlobResp) code(c Codec) Codec { c.Uint64((*uint64)(&m.Blob)); return c }
 
 // BlobInfoReq fetches a blob's immutable attributes.
 type BlobInfoReq struct{ Blob BlobID }
@@ -523,9 +407,7 @@ type BlobInfoReq struct{ Blob BlobID }
 // Kind implements Msg.
 func (*BlobInfoReq) Kind() Kind { return KindBlobInfoReq }
 
-// MarshalTo implements Msg.
-func (m *BlobInfoReq) MarshalTo(w *Writer) { w.Uint64(uint64(m.Blob)) }
-func (m *BlobInfoReq) unmarshal(r *Reader) { m.Blob = BlobID(r.Uint64()) }
+func (m *BlobInfoReq) code(c Codec) Codec { c.Uint64((*uint64)(&m.Blob)); return c }
 
 // BlobInfoResp carries a blob's page size and lineage chain (youngest
 // entry first; used to resolve which namespace owns each version's tree
@@ -538,26 +420,12 @@ type BlobInfoResp struct {
 // Kind implements Msg.
 func (*BlobInfoResp) Kind() Kind { return KindBlobInfoResp }
 
-// MarshalTo implements Msg.
-func (m *BlobInfoResp) MarshalTo(w *Writer) {
-	w.Uint32(m.PageSize)
-	w.Uint32(uint32(len(m.Lineage)))
-	for _, e := range m.Lineage {
-		e.encode(w)
+func (m *BlobInfoResp) code(c Codec) Codec {
+	c.Uint32(&m.PageSize)
+	for i := range Slice(&c, (*[]LineageEntry)(&m.Lineage), 16) {
+		m.Lineage[i].Code(&c)
 	}
-}
-
-func (m *BlobInfoResp) unmarshal(r *Reader) {
-	m.PageSize = r.Uint32()
-	n := int(r.Uint32())
-	if n > MaxSliceLen/16 {
-		r.fail(ErrTooLarge)
-		return
-	}
-	m.Lineage = make(Lineage, 0, n)
-	for i := 0; i < n; i++ {
-		m.Lineage = append(m.Lineage, decodeLineageEntry(r))
-	}
+	return c
 }
 
 // AssignReq registers an update and requests a snapshot version. For a
@@ -574,19 +442,12 @@ type AssignReq struct {
 // Kind implements Msg.
 func (*AssignReq) Kind() Kind { return KindAssignReq }
 
-// MarshalTo implements Msg.
-func (m *AssignReq) MarshalTo(w *Writer) {
-	w.Uint64(uint64(m.Blob))
-	w.Uint64(m.Offset)
-	w.Uint64(m.Size)
-	w.Bool(m.Append)
-}
-
-func (m *AssignReq) unmarshal(r *Reader) {
-	m.Blob = BlobID(r.Uint64())
-	m.Offset = r.Uint64()
-	m.Size = r.Uint64()
-	m.Append = r.Bool()
+func (m *AssignReq) code(c Codec) Codec {
+	c.Uint64((*uint64)(&m.Blob))
+	c.Uint64(&m.Offset)
+	c.Uint64(&m.Size)
+	c.Bool(&m.Append)
+	return c
 }
 
 // AssignResp returns the assigned snapshot version together with
@@ -608,36 +469,17 @@ type AssignResp struct {
 // Kind implements Msg.
 func (*AssignResp) Kind() Kind { return KindAssignResp }
 
-// MarshalTo implements Msg.
-func (m *AssignResp) MarshalTo(w *Writer) {
-	w.Uint64(m.Version)
-	w.Uint64(m.Offset)
-	w.Uint64(m.NewSize)
-	w.Uint64(m.PrevSize)
-	w.Uint64(m.Published)
-	w.Uint64(m.PublishedSize)
-	w.Uint32(uint32(len(m.InFlight)))
-	for _, u := range m.InFlight {
-		u.encode(w)
+func (m *AssignResp) code(c Codec) Codec {
+	c.Uint64(&m.Version)
+	c.Uint64(&m.Offset)
+	c.Uint64(&m.NewSize)
+	c.Uint64(&m.PrevSize)
+	c.Uint64(&m.Published)
+	c.Uint64(&m.PublishedSize)
+	for i := range Slice(&c, &m.InFlight, 24) {
+		m.InFlight[i].code(&c)
 	}
-}
-
-func (m *AssignResp) unmarshal(r *Reader) {
-	m.Version = r.Uint64()
-	m.Offset = r.Uint64()
-	m.NewSize = r.Uint64()
-	m.PrevSize = r.Uint64()
-	m.Published = r.Uint64()
-	m.PublishedSize = r.Uint64()
-	n := int(r.Uint32())
-	if n > MaxSliceLen/24 {
-		r.fail(ErrTooLarge)
-		return
-	}
-	m.InFlight = make([]UpdateDesc, 0, n)
-	for i := 0; i < n; i++ {
-		m.InFlight = append(m.InFlight, decodeUpdateDesc(r))
-	}
+	return c
 }
 
 // CompleteReq notifies the version manager that the writer finished
@@ -651,15 +493,10 @@ type CompleteReq struct {
 // Kind implements Msg.
 func (*CompleteReq) Kind() Kind { return KindCompleteReq }
 
-// MarshalTo implements Msg.
-func (m *CompleteReq) MarshalTo(w *Writer) {
-	w.Uint64(uint64(m.Blob))
-	w.Uint64(m.Version)
-}
-
-func (m *CompleteReq) unmarshal(r *Reader) {
-	m.Blob = BlobID(r.Uint64())
-	m.Version = r.Uint64()
+func (m *CompleteReq) code(c Codec) Codec {
+	c.Uint64((*uint64)(&m.Blob))
+	c.Uint64(&m.Version)
+	return c
 }
 
 // CompleteResp acknowledges CompleteReq.
@@ -668,9 +505,7 @@ type CompleteResp struct{}
 // Kind implements Msg.
 func (*CompleteResp) Kind() Kind { return KindCompleteResp }
 
-// MarshalTo implements Msg.
-func (m *CompleteResp) MarshalTo(*Writer) {}
-func (m *CompleteResp) unmarshal(*Reader) {}
+func (*CompleteResp) code(c Codec) Codec { return c }
 
 // AbortReq withdraws an assigned but unpublished update so later versions
 // are not blocked behind a writer that failed.
@@ -682,16 +517,7 @@ type AbortReq struct {
 // Kind implements Msg.
 func (*AbortReq) Kind() Kind { return KindAbortReq }
 
-// MarshalTo implements Msg.
-func (m *AbortReq) MarshalTo(w *Writer) {
-	w.Uint64(uint64(m.Blob))
-	w.Uint64(m.Version)
-}
-
-func (m *AbortReq) unmarshal(r *Reader) {
-	m.Blob = BlobID(r.Uint64())
-	m.Version = r.Uint64()
-}
+func (m *AbortReq) code(c Codec) Codec { c.Uint64((*uint64)(&m.Blob)); c.Uint64(&m.Version); return c }
 
 // AbortResp acknowledges AbortReq.
 type AbortResp struct{}
@@ -699,9 +525,7 @@ type AbortResp struct{}
 // Kind implements Msg.
 func (*AbortResp) Kind() Kind { return KindAbortResp }
 
-// MarshalTo implements Msg.
-func (m *AbortResp) MarshalTo(*Writer) {}
-func (m *AbortResp) unmarshal(*Reader) {}
+func (*AbortResp) code(c Codec) Codec { return c }
 
 // RecentReq implements GET_RECENT: a recently published version of a blob.
 type RecentReq struct{ Blob BlobID }
@@ -709,9 +533,7 @@ type RecentReq struct{ Blob BlobID }
 // Kind implements Msg.
 func (*RecentReq) Kind() Kind { return KindRecentReq }
 
-// MarshalTo implements Msg.
-func (m *RecentReq) MarshalTo(w *Writer) { w.Uint64(uint64(m.Blob)) }
-func (m *RecentReq) unmarshal(r *Reader) { m.Blob = BlobID(r.Uint64()) }
+func (m *RecentReq) code(c Codec) Codec { c.Uint64((*uint64)(&m.Blob)); return c }
 
 // RecentResp returns the latest published version and its size. The
 // guarantee is Version >= every version published before the call (§2.1).
@@ -723,16 +545,7 @@ type RecentResp struct {
 // Kind implements Msg.
 func (*RecentResp) Kind() Kind { return KindRecentResp }
 
-// MarshalTo implements Msg.
-func (m *RecentResp) MarshalTo(w *Writer) {
-	w.Uint64(m.Version)
-	w.Uint64(m.Size)
-}
-
-func (m *RecentResp) unmarshal(r *Reader) {
-	m.Version = r.Uint64()
-	m.Size = r.Uint64()
-}
+func (m *RecentResp) code(c Codec) Codec { c.Uint64(&m.Version); c.Uint64(&m.Size); return c }
 
 // SizeReq implements GET_SIZE for a published snapshot version.
 type SizeReq struct {
@@ -743,16 +556,7 @@ type SizeReq struct {
 // Kind implements Msg.
 func (*SizeReq) Kind() Kind { return KindSizeReq }
 
-// MarshalTo implements Msg.
-func (m *SizeReq) MarshalTo(w *Writer) {
-	w.Uint64(uint64(m.Blob))
-	w.Uint64(m.Version)
-}
-
-func (m *SizeReq) unmarshal(r *Reader) {
-	m.Blob = BlobID(r.Uint64())
-	m.Version = r.Uint64()
-}
+func (m *SizeReq) code(c Codec) Codec { c.Uint64((*uint64)(&m.Blob)); c.Uint64(&m.Version); return c }
 
 // SizeResp returns the snapshot's size in bytes.
 type SizeResp struct{ Size uint64 }
@@ -760,9 +564,7 @@ type SizeResp struct{ Size uint64 }
 // Kind implements Msg.
 func (*SizeResp) Kind() Kind { return KindSizeResp }
 
-// MarshalTo implements Msg.
-func (m *SizeResp) MarshalTo(w *Writer) { w.Uint64(m.Size) }
-func (m *SizeResp) unmarshal(r *Reader) { m.Size = r.Uint64() }
+func (m *SizeResp) code(c Codec) Codec { c.Uint64(&m.Size); return c }
 
 // SyncReq implements SYNC: the response is withheld until Version of Blob
 // is published.
@@ -774,16 +576,7 @@ type SyncReq struct {
 // Kind implements Msg.
 func (*SyncReq) Kind() Kind { return KindSyncReq }
 
-// MarshalTo implements Msg.
-func (m *SyncReq) MarshalTo(w *Writer) {
-	w.Uint64(uint64(m.Blob))
-	w.Uint64(m.Version)
-}
-
-func (m *SyncReq) unmarshal(r *Reader) {
-	m.Blob = BlobID(r.Uint64())
-	m.Version = r.Uint64()
-}
+func (m *SyncReq) code(c Codec) Codec { c.Uint64((*uint64)(&m.Blob)); c.Uint64(&m.Version); return c }
 
 // SyncResp is sent once the awaited version is published.
 type SyncResp struct{}
@@ -791,9 +584,7 @@ type SyncResp struct{}
 // Kind implements Msg.
 func (*SyncResp) Kind() Kind { return KindSyncResp }
 
-// MarshalTo implements Msg.
-func (m *SyncResp) MarshalTo(*Writer) {}
-func (m *SyncResp) unmarshal(*Reader) {}
+func (*SyncResp) code(c Codec) Codec { return c }
 
 // BranchReq implements BRANCH: virtually duplicate Blob at published
 // Version into a new blob.
@@ -805,16 +596,7 @@ type BranchReq struct {
 // Kind implements Msg.
 func (*BranchReq) Kind() Kind { return KindBranchReq }
 
-// MarshalTo implements Msg.
-func (m *BranchReq) MarshalTo(w *Writer) {
-	w.Uint64(uint64(m.Blob))
-	w.Uint64(m.Version)
-}
-
-func (m *BranchReq) unmarshal(r *Reader) {
-	m.Blob = BlobID(r.Uint64())
-	m.Version = r.Uint64()
-}
+func (m *BranchReq) code(c Codec) Codec { c.Uint64((*uint64)(&m.Blob)); c.Uint64(&m.Version); return c }
 
 // BranchResp returns the id of the new branched blob.
 type BranchResp struct{ NewBlob BlobID }
@@ -822,9 +604,7 @@ type BranchResp struct{ NewBlob BlobID }
 // Kind implements Msg.
 func (*BranchResp) Kind() Kind { return KindBranchResp }
 
-// MarshalTo implements Msg.
-func (m *BranchResp) MarshalTo(w *Writer) { w.Uint64(uint64(m.NewBlob)) }
-func (m *BranchResp) unmarshal(r *Reader) { m.NewBlob = BlobID(r.Uint64()) }
+func (m *BranchResp) code(c Codec) Codec { c.Uint64((*uint64)(&m.NewBlob)); return c }
 
 // ErrorResp may answer any request; it carries a stable error code and a
 // human-readable message.
@@ -836,16 +616,7 @@ type ErrorResp struct {
 // Kind implements Msg.
 func (*ErrorResp) Kind() Kind { return KindErrorResp }
 
-// MarshalTo implements Msg.
-func (m *ErrorResp) MarshalTo(w *Writer) {
-	w.Uint16(uint16(m.Code))
-	w.String(m.Msg)
-}
-
-func (m *ErrorResp) unmarshal(r *Reader) {
-	m.Code = ErrCode(r.Uint16())
-	m.Msg = r.String()
-}
+func (m *ErrorResp) code(c Codec) Codec { c.Uint16((*uint16)(&m.Code)); c.String(&m.Msg); return c }
 
 // --------------------------------------------------------- retention / GC
 
@@ -860,24 +631,11 @@ type DeletePagesReq struct{ Pages []PageID }
 // Kind implements Msg.
 func (*DeletePagesReq) Kind() Kind { return KindDeletePagesReq }
 
-// MarshalTo implements Msg.
-func (m *DeletePagesReq) MarshalTo(w *Writer) {
-	w.Uint32(uint32(len(m.Pages)))
-	for i := range m.Pages {
-		w.Raw(m.Pages[i][:])
+func (m *DeletePagesReq) code(c Codec) Codec {
+	for i := range Slice(&c, &m.Pages, 16) {
+		c.Fixed(m.Pages[i][:])
 	}
-}
-
-func (m *DeletePagesReq) unmarshal(r *Reader) {
-	n := int(r.Uint32())
-	if n > MaxSliceLen/16 {
-		r.fail(ErrTooLarge)
-		return
-	}
-	m.Pages = make([]PageID, n)
-	for i := 0; i < n; i++ {
-		copy(m.Pages[i][:], r.Raw(16))
-	}
+	return c
 }
 
 // DeletePagesResp acknowledges DeletePagesReq: every requested page is
@@ -887,9 +645,7 @@ type DeletePagesResp struct{}
 // Kind implements Msg.
 func (*DeletePagesResp) Kind() Kind { return KindDeletePagesResp }
 
-// MarshalTo implements Msg.
-func (m *DeletePagesResp) MarshalTo(*Writer) {}
-func (m *DeletePagesResp) unmarshal(*Reader) {}
+func (*DeletePagesResp) code(c Codec) Codec { return c }
 
 // ExpireReq implements EXPIRE: it asks the version manager to mark every
 // snapshot of Blob's own namespace with version <= UpTo as expired
@@ -906,16 +662,7 @@ type ExpireReq struct {
 // Kind implements Msg.
 func (*ExpireReq) Kind() Kind { return KindExpireReq }
 
-// MarshalTo implements Msg.
-func (m *ExpireReq) MarshalTo(w *Writer) {
-	w.Uint64(uint64(m.Blob))
-	w.Uint64(m.UpTo)
-}
-
-func (m *ExpireReq) unmarshal(r *Reader) {
-	m.Blob = BlobID(r.Uint64())
-	m.UpTo = r.Uint64()
-}
+func (m *ExpireReq) code(c Codec) Codec { c.Uint64((*uint64)(&m.Blob)); c.Uint64(&m.UpTo); return c }
 
 // ExpireResp reports the blob's expiry floor after the request: every
 // owned version below Floor is expired. Expired lists the published
@@ -929,26 +676,12 @@ type ExpireResp struct {
 // Kind implements Msg.
 func (*ExpireResp) Kind() Kind { return KindExpireResp }
 
-// MarshalTo implements Msg.
-func (m *ExpireResp) MarshalTo(w *Writer) {
-	w.Uint64(m.Floor)
-	w.Uint32(uint32(len(m.Expired)))
-	for _, v := range m.Expired {
-		w.Uint64(v)
+func (m *ExpireResp) code(c Codec) Codec {
+	c.Uint64(&m.Floor)
+	for i := range Slice(&c, &m.Expired, 8) {
+		c.Uint64(&m.Expired[i])
 	}
-}
-
-func (m *ExpireResp) unmarshal(r *Reader) {
-	m.Floor = r.Uint64()
-	n := int(r.Uint32())
-	if n > MaxSliceLen/8 {
-		r.fail(ErrTooLarge)
-		return
-	}
-	m.Expired = make([]Version, 0, n)
-	for i := 0; i < n; i++ {
-		m.Expired = append(m.Expired, r.Uint64())
-	}
+	return c
 }
 
 // VersionInfo pairs a snapshot version with its byte size, enough for a
@@ -958,13 +691,9 @@ type VersionInfo struct {
 	Size    uint64
 }
 
-func (v VersionInfo) encode(w *Writer) {
-	w.Uint64(v.Version)
-	w.Uint64(v.Size)
-}
-
-func decodeVersionInfo(r *Reader) VersionInfo {
-	return VersionInfo{Version: r.Uint64(), Size: r.Uint64()}
+func (v *VersionInfo) code(c *Codec) {
+	c.Uint64(&v.Version)
+	c.Uint64(&v.Size)
 }
 
 // GCInfoReq asks the version manager what a garbage collection of Blob
@@ -975,9 +704,7 @@ type GCInfoReq struct{ Blob BlobID }
 // Kind implements Msg.
 func (*GCInfoReq) Kind() Kind { return KindGCInfoReq }
 
-// MarshalTo implements Msg.
-func (m *GCInfoReq) MarshalTo(w *Writer) { w.Uint64(uint64(m.Blob)) }
-func (m *GCInfoReq) unmarshal(r *Reader) { m.Blob = BlobID(r.Uint64()) }
+func (m *GCInfoReq) code(c Codec) Codec { c.Uint64((*uint64)(&m.Blob)); return c }
 
 // GCInfoResp is the GC plan for one blob namespace: the expired published
 // versions whose trees the collector walks for deletion candidates, and
@@ -996,30 +723,14 @@ type GCInfoResp struct {
 // Kind implements Msg.
 func (*GCInfoResp) Kind() Kind { return KindGCInfoResp }
 
-// MarshalTo implements Msg.
-func (m *GCInfoResp) MarshalTo(w *Writer) {
-	w.Uint64(m.OwnMin)
-	w.Uint64(m.Floor)
-	m.Retained.encode(w)
-	w.Uint32(uint32(len(m.Expired)))
-	for _, v := range m.Expired {
-		v.encode(w)
+func (m *GCInfoResp) code(c Codec) Codec {
+	c.Uint64(&m.OwnMin)
+	c.Uint64(&m.Floor)
+	m.Retained.code(&c)
+	for i := range Slice(&c, &m.Expired, 16) {
+		m.Expired[i].code(&c)
 	}
-}
-
-func (m *GCInfoResp) unmarshal(r *Reader) {
-	m.OwnMin = r.Uint64()
-	m.Floor = r.Uint64()
-	m.Retained = decodeVersionInfo(r)
-	n := int(r.Uint32())
-	if n > MaxSliceLen/16 {
-		r.fail(ErrTooLarge)
-		return
-	}
-	m.Expired = make([]VersionInfo, 0, n)
-	for i := 0; i < n; i++ {
-		m.Expired = append(m.Expired, decodeVersionInfo(r))
-	}
+	return c
 }
 
 // DHTDeleteReq asks a metadata provider to drop a batch of key/value
@@ -1033,24 +744,11 @@ type DHTDeleteReq struct{ Keys [][]byte }
 // Kind implements Msg.
 func (*DHTDeleteReq) Kind() Kind { return KindDHTDeleteReq }
 
-// MarshalTo implements Msg.
-func (m *DHTDeleteReq) MarshalTo(w *Writer) {
-	w.Uint32(uint32(len(m.Keys)))
-	for _, k := range m.Keys {
-		w.Bytes32(k)
+func (m *DHTDeleteReq) code(c Codec) Codec {
+	for i := range Slice(&c, &m.Keys, 4) {
+		c.Bytes(&m.Keys[i])
 	}
-}
-
-func (m *DHTDeleteReq) unmarshal(r *Reader) {
-	n := int(r.Uint32())
-	if n > MaxSliceLen/8 {
-		r.fail(ErrTooLarge)
-		return
-	}
-	m.Keys = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		m.Keys = append(m.Keys, r.Bytes32Copy())
-	}
+	return c
 }
 
 // DHTDeleteResp acknowledges DHTDeleteReq: every requested key is now
@@ -1061,9 +759,7 @@ type DHTDeleteResp struct{ Deleted uint64 }
 // Kind implements Msg.
 func (*DHTDeleteResp) Kind() Kind { return KindDHTDeleteResp }
 
-// MarshalTo implements Msg.
-func (m *DHTDeleteResp) MarshalTo(w *Writer) { w.Uint64(m.Deleted) }
-func (m *DHTDeleteResp) unmarshal(r *Reader) { m.Deleted = r.Uint64() }
+func (m *DHTDeleteResp) code(c Codec) Codec { c.Uint64(&m.Deleted); return c }
 
 // PageRange addresses Length bytes starting at Offset within one page.
 type PageRange struct {
@@ -1098,37 +794,21 @@ type GetPagesReq struct{ Ranges []PageRange }
 // Kind implements Msg.
 func (*GetPagesReq) Kind() Kind { return KindGetPagesReq }
 
-// MarshalTo implements Msg.
-func (m *GetPagesReq) MarshalTo(w *Writer) {
-	w.Uint32(uint32(len(m.Ranges)))
-	for _, pr := range m.Ranges {
-		w.Raw(pr.Page[:])
-		w.Uint32(pr.Offset)
-		w.Uint32(pr.Length)
+func (m *GetPagesReq) code(c Codec) Codec {
+	for i := range Slice(&c, &m.Ranges, 24) {
+		r := &m.Ranges[i]
+		c.Fixed(r.Page[:])
+		c.Uint32(&r.Offset)
+		c.Uint32(&r.Length)
 	}
-}
-
-func (m *GetPagesReq) unmarshal(r *Reader) {
-	n := int(r.Uint32())
-	if n > MaxSliceLen/24 {
-		r.fail(ErrTooLarge)
-		return
-	}
-	m.Ranges = make([]PageRange, 0, n)
-	for i := 0; i < n; i++ {
-		var pr PageRange
-		copy(pr.Page[:], r.Raw(16))
-		pr.Offset = r.Uint32()
-		pr.Length = r.Uint32()
-		m.Ranges = append(m.Ranges, pr)
-	}
+	return c
 }
 
 // GetPagesResp answers GetPagesReq entry-for-entry: Found[i] says
 // whether the provider holds Ranges[i].Page, and Data[i] carries its
 // bytes (empty when absent). A missing page is per-entry data, not an
 // error, so one cold replica cannot fail a whole batch. Decoded, each
-// Data[i] is a pooled buffer (Reader.Bytes32Pooled), nil when empty.
+// Data[i] is a pooled buffer (Codec.BytesPooled), nil when empty.
 type GetPagesResp struct {
 	Found []bool
 	Data  [][]byte
@@ -1137,27 +817,16 @@ type GetPagesResp struct {
 // Kind implements Msg.
 func (*GetPagesResp) Kind() Kind { return KindGetPagesResp }
 
-// MarshalTo implements Msg.
-func (m *GetPagesResp) MarshalTo(w *Writer) {
-	w.Uint32(uint32(len(m.Found)))
-	for i, f := range m.Found {
-		w.Bool(f)
-		w.Bytes32(m.Data[i])
+func (m *GetPagesResp) code(c Codec) Codec {
+	n := Slice(&c, &m.Found, 5)
+	if c.dec {
+		m.Data = make([][]byte, n)
 	}
-}
-
-func (m *GetPagesResp) unmarshal(r *Reader) {
-	n := int(r.Uint32())
-	if n > MaxSliceLen/8 {
-		r.fail(ErrTooLarge)
-		return
+	for i := range n {
+		c.Bool(&m.Found[i])
+		c.BytesPooled(&m.Data[i])
 	}
-	m.Found = make([]bool, 0, n)
-	m.Data = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		m.Found = append(m.Found, r.Bool())
-		m.Data = append(m.Data, r.Bytes32Pooled())
-	}
+	return c
 }
 
 func (m *GetPagesResp) bodySize() int {

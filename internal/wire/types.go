@@ -74,14 +74,10 @@ type UpdateDesc struct {
 	Size    uint64
 }
 
-func (u UpdateDesc) encode(w *Writer) {
-	w.Uint64(u.Version)
-	w.Uint64(u.Offset)
-	w.Uint64(u.Size)
-}
-
-func decodeUpdateDesc(r *Reader) UpdateDesc {
-	return UpdateDesc{Version: r.Uint64(), Offset: r.Uint64(), Size: r.Uint64()}
+func (u *UpdateDesc) code(c *Codec) {
+	c.Uint64(&u.Version)
+	c.Uint64(&u.Offset)
+	c.Uint64(&u.Size)
 }
 
 // LineageEntry says that versions >= MinVersion of some blob were written
@@ -93,13 +89,11 @@ type LineageEntry struct {
 	MinVersion Version
 }
 
-func (e LineageEntry) encode(w *Writer) {
-	w.Uint64(uint64(e.Blob))
-	w.Uint64(e.MinVersion)
-}
-
-func decodeLineageEntry(r *Reader) LineageEntry {
-	return LineageEntry{Blob: BlobID(r.Uint64()), MinVersion: r.Uint64()}
+// Code is the entry's layout, which the version manager's snapshot
+// stores lineages with too.
+func (e *LineageEntry) Code(c *Codec) {
+	c.Uint64((*uint64)(&e.Blob))
+	c.Uint64(&e.MinVersion)
 }
 
 // Lineage is an owner-resolution chain, youngest entry first.

@@ -2,19 +2,24 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"blobseer/internal/bufpool"
 )
 
 func roundTrip(t *testing.T, m Msg) Msg {
 	t.Helper()
-	w := NewWriter(64)
-	m.MarshalTo(w)
-	out, err := Decode(m.Kind(), w.Bytes())
+	out, err := Decode(m.Kind(), AppendMsg(nil, m))
 	if err != nil {
 		t.Fatalf("Decode(%v): %v", m.Kind(), err)
 	}
@@ -83,33 +88,50 @@ func normalize(m Msg) Msg {
 // body its last encoder wrote: a peer of an older build may still send
 // one, and it must be refused like an unknown kind.
 var retiredKinds = []retiredKind{
-	{KindPingReq, func(w *Writer) { w.Uint64(7) }},
-	{KindPingResp, func(w *Writer) { w.Uint64(7) }},
-	{KindGetPageReq, func(w *Writer) { w.Raw(make([]byte, 16)); w.Uint32(64); w.Uint32(WholePage) }},
-	{KindGetPageResp, func(w *Writer) { w.Bytes32([]byte("page")) }},
-	{KindHasPageReq, func(w *Writer) { w.Raw(make([]byte, 16)) }},
-	{KindHasPageResp, func(w *Writer) { w.Bool(true) }},
-	{KindProviderStatsReq, func(*Writer) {}},
-	{KindProviderStatsResp, func(w *Writer) { w.Uint64(3); w.Uint64(1 << 16) }},
-	{KindListProvidersReq, func(*Writer) {}},
-	{KindListProvidersResp, func(w *Writer) { w.Uint32(1); w.String("a:1"); w.Uint64(0); w.Uint64(0) }},
-	{KindDHTPutReq, func(w *Writer) { w.Bytes32([]byte("k")); w.Bytes32([]byte("v")) }},
-	{KindDHTPutResp, func(*Writer) {}},
-	{KindDHTGetReq, func(w *Writer) { w.Bytes32([]byte("k")) }},
-	{KindDHTGetResp, func(w *Writer) { w.Bool(true); w.Bytes32([]byte("v")) }},
-	{KindDHTStatsReq, func(*Writer) {}},
-	{KindDHTStatsResp, func(w *Writer) { w.Uint64(9); w.Uint64(1 << 10) }},
+	{KindPingReq, body(uint64(7))},
+	{KindPingResp, body(uint64(7))},
+	{KindGetPageReq, body(make([]byte, 16), uint32(64), WholePage)},
+	{KindGetPageResp, body("page")},
+	{KindHasPageReq, body(make([]byte, 16))},
+	{KindHasPageResp, body(true)},
+	{KindProviderStatsReq, body()},
+	{KindProviderStatsResp, body(uint64(3), uint64(1<<16))},
+	{KindListProvidersReq, body()},
+	{KindListProvidersResp, body(uint32(1), "a:1", uint64(0), uint64(0))},
+	{KindDHTPutReq, body("k", "v")},
+	{KindDHTPutResp, body()},
+	{KindDHTGetReq, body("k")},
+	{KindDHTGetResp, body(true, "v")},
+	{KindDHTStatsReq, body()},
+	{KindDHTStatsResp, body(uint64(9), uint64(1<<10))},
 }
 
 type retiredKind struct {
 	kind Kind
-	last func(w *Writer)
+	body []byte
 }
 
-func (r retiredKind) body() []byte {
-	w := NewWriter(32)
-	r.last(w)
-	return append([]byte(nil), w.Bytes()...)
+// body encodes fields one after another: a string length-prefixed, a
+// []byte raw, the rest fixed width.
+func body(fields ...any) []byte {
+	c := EncodeTo(nil)
+	for _, f := range fields {
+		switch v := f.(type) {
+		case bool:
+			c.Bool(&v)
+		case uint32:
+			c.Uint32(&v)
+		case uint64:
+			c.Uint64(&v)
+		case string:
+			c.String(&v)
+		case []byte:
+			c.Fixed(v)
+		default:
+			panic(fmt.Sprintf("body: field of type %T", f))
+		}
+	}
+	return c.Encoded()
 }
 
 func TestRetiredKindsUndecodable(t *testing.T) {
@@ -120,7 +142,7 @@ func TestRetiredKindsUndecodable(t *testing.T) {
 		if m := New(r.kind); m != nil {
 			t.Errorf("New(%v) = %T, want nil for a retired kind", r.kind, m)
 		}
-		if _, err := Decode(r.kind, r.body()); err == nil {
+		if _, err := Decode(r.kind, r.body); err == nil {
 			t.Errorf("Decode(%v) of its last encoding succeeded", r.kind)
 		}
 	}
@@ -161,18 +183,14 @@ func TestEveryKindConstructible(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
-	w := NewWriter(16)
-	(&SizeResp{Size: 1}).MarshalTo(w)
-	w.Uint8(0xFF) // junk
-	if _, err := Decode(KindSizeResp, w.Bytes()); err == nil {
+	junk := append(AppendMsg(nil, &SizeResp{Size: 1}), 0xFF)
+	if _, err := Decode(KindSizeResp, junk); err == nil {
 		t.Fatal("expected trailing-bytes error")
 	}
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	w := NewWriter(64)
-	(&PutPageReq{Page: PageID{1}, Data: []byte("abcdef")}).MarshalTo(w)
-	full := w.Bytes()
+	full := AppendMsg(nil, &PutPageReq{Page: PageID{1}, Data: []byte("abcdef")})
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := Decode(KindPutPageReq, full[:cut]); err == nil {
 			t.Fatalf("truncation at %d bytes not detected", cut)
@@ -181,78 +199,126 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsHugeLengthPrefix(t *testing.T) {
-	w := NewWriter(8)
-	w.Uint32(1)
-	w.Uint32(math.MaxUint32) // claimed huge key
-	if _, err := Decode(KindDHTDeleteReq, w.Bytes()); !errors.Is(err, ErrTooLarge) {
+	// One key, whose length prefix claims 4 GiB.
+	if _, err := Decode(KindDHTDeleteReq, body(uint32(1), uint32(math.MaxUint32))); !errors.Is(err, ErrTooLarge) {
 		t.Fatal("expected too-large error")
 	}
 }
 
-func TestReaderPrimitives(t *testing.T) {
-	w := NewWriter(64)
-	w.Uint8(7)
-	w.Bool(true)
-	w.Bool(false)
-	w.Uint16(0xBEEF)
-	w.Uint32(0xDEADBEEF)
-	w.Uint64(0x0102030405060708)
-	w.Bytes32([]byte("xy"))
-	w.String("hello")
-	w.Raw([]byte{9, 9})
+// fields has one field of each kind a layout can name.
+type fields struct {
+	u8     uint8
+	t, f   bool
+	u16    uint16
+	u32    uint32
+	u64    uint64
+	i64    int64
+	fixed  [3]byte
+	key    string
+	bytes  []byte
+	alias  []byte
+	pooled []byte
+	str    string
+	list   []uint64
+}
 
-	r := NewReader(w.Bytes())
-	if got := r.Uint8(); got != 7 {
-		t.Errorf("Uint8 = %d", got)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool mismatch")
-	}
-	if got := r.Uint16(); got != 0xBEEF {
-		t.Errorf("Uint16 = %#x", got)
-	}
-	if got := r.Uint32(); got != 0xDEADBEEF {
-		t.Errorf("Uint32 = %#x", got)
-	}
-	if got := r.Uint64(); got != 0x0102030405060708 {
-		t.Errorf("Uint64 = %#x", got)
-	}
-	if got := r.Bytes32(); !bytes.Equal(got, []byte("xy")) {
-		t.Errorf("Bytes32 = %q", got)
-	}
-	if got := r.String(); got != "hello" {
-		t.Errorf("String = %q", got)
-	}
-	if got := r.Raw(2); !bytes.Equal(got, []byte{9, 9}) {
-		t.Errorf("Raw = %v", got)
-	}
-	if err := r.Finish(); err != nil {
-		t.Errorf("Finish: %v", err)
+func (v *fields) code(c *Codec) {
+	c.Uint8(&v.u8)
+	c.Bool(&v.t)
+	c.Bool(&v.f)
+	c.Uint16(&v.u16)
+	c.Uint32(&v.u32)
+	c.Uint64(&v.u64)
+	c.Int64(&v.i64)
+	c.Fixed(v.fixed[:])
+	c.FixedString(&v.key, 2)
+	c.Bytes(&v.bytes)
+	c.BytesAlias(&v.alias)
+	c.BytesPooled(&v.pooled)
+	c.String(&v.str)
+	for i := range Slice(c, &v.list, 8) {
+		c.Uint64(&v.list[i])
 	}
 }
 
-func TestReaderErrorSticky(t *testing.T) {
-	r := NewReader([]byte{1})
-	r.Uint64() // fails
-	if r.Err() == nil {
-		t.Fatal("expected error")
+// TestCodecRoundTrip pins every field method's encoding, byte for byte,
+// and that one layout decodes what it encoded.
+func TestCodecRoundTrip(t *testing.T) {
+	in := fields{
+		u8: 7, t: true, u16: 0xBEEF, u32: 0xDEADBEEF, u64: 0x0102030405060708, i64: -2,
+		fixed: [3]byte{9, 9, 9}, key: "ky", bytes: []byte("xy"), alias: []byte("al"),
+		pooled: []byte("p"), str: "hello", list: []uint64{1, 2},
 	}
-	// Subsequent reads return zero values, not panic.
-	if r.Uint32() != 0 || r.String() != "" || r.Bytes32() != nil {
-		t.Fatal("reads after error should return zero values")
+	enc := EncodeTo(nil)
+	in.code(&enc)
+	want := []byte{
+		7, 1, 0, 0xEF, 0xBE, 0xEF, 0xBE, 0xAD, 0xDE, 8, 7, 6, 5, 4, 3, 2, 1,
+		0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 9, 9, 9, 'k', 'y',
+		2, 0, 0, 0, 'x', 'y', 2, 0, 0, 0, 'a', 'l', 1, 0, 0, 0, 'p',
+		5, 0, 0, 0, 'h', 'e', 'l', 'l', 'o',
+		2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+	}
+	if !bytes.Equal(enc.Encoded(), want) {
+		t.Fatalf("encoded\n%x\nwant\n%x", enc.Encoded(), want)
+	}
+	var out fields
+	dec := DecodeFrom(want)
+	out.code(&dec)
+	if err := dec.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("decoded %+v, want %+v", out, in)
+	}
+	// Only the aliasing field shares the input's storage.
+	clear(want)
+	if string(out.bytes) != "xy" || string(out.pooled) != "p" || string(out.alias) == "al" {
+		t.Fatalf("after clearing the input: bytes %q, pooled %q, alias %q", out.bytes, out.pooled, out.alias)
 	}
 }
 
-func TestWriterReset(t *testing.T) {
-	w := NewWriter(8)
-	w.Uint64(1)
-	w.Reset()
-	if w.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", w.Len())
+// TestCodecErrorSticky decodes past the end of the input: the first
+// error sticks, every later field is left alone, and nothing panics.
+func TestCodecErrorSticky(t *testing.T) {
+	c := DecodeFrom([]byte{1, 0, 0, 0, 2})
+	var u64 uint64
+	c.Uint64(&u64) // fails: 5 bytes
+	if !errors.Is(c.Err(), ErrTruncated) {
+		t.Fatalf("Err = %v, want ErrTruncated", c.Err())
 	}
-	w.Uint8(5)
-	if !bytes.Equal(w.Bytes(), []byte{5}) {
-		t.Fatalf("Bytes after Reset = %v", w.Bytes())
+	u32, s, p := uint32(3), "kept", []byte("kept")
+	c.Uint32(&u32)
+	c.String(&s)
+	c.Bytes(&p)
+	if n := c.Len(5, 1); n != 0 {
+		t.Fatalf("Len after an error = %d, want 0", n)
+	}
+	if u64 != 0 || u32 != 3 || s != "kept" || string(p) != "kept" {
+		t.Fatalf("fields written after the error: %d %d %q %q", u64, u32, s, p)
+	}
+	if !errors.Is(c.Finish(), ErrTruncated) {
+		t.Fatalf("Finish = %v, want the first error", c.Finish())
+	}
+}
+
+// TestLenBoundedByInput pins Len's rule: a count whose entries could
+// not fit in the remaining input is refused before anything is sized
+// by it.
+func TestLenBoundedByInput(t *testing.T) {
+	for _, tc := range []struct {
+		count, min, rest int
+		ok               bool
+	}{
+		{0, 8, 0, true}, {2, 8, 16, true}, {3, 8, 16, false}, {1 << 20, 1, 100, false},
+	} {
+		c := DecodeFrom(append(body(uint32(tc.count)), make([]byte, tc.rest)...))
+		n := c.Len(0, tc.min)
+		if ok := c.Err() == nil; ok != tc.ok || ok && n != tc.count {
+			t.Errorf("%+v: Len = %d, err %v", tc, n, c.Err())
+		}
+		if !tc.ok && (n != 0 || !errors.Is(c.Err(), ErrTooLarge)) {
+			t.Errorf("%+v: refused count decoded as %d, err %v", tc, n, c.Err())
+		}
 	}
 }
 
@@ -299,9 +365,7 @@ func TestQuickAssignRespRoundTrip(t *testing.T) {
 	f := func(ver, off, sz, pub, psz uint64, inflight []UpdateDesc) bool {
 		in := &AssignResp{Version: ver, Offset: off, NewSize: sz, Published: pub,
 			PublishedSize: psz, InFlight: inflight}
-		w := NewWriter(64)
-		in.MarshalTo(w)
-		out, err := Decode(KindAssignReq+1, w.Bytes())
+		out, err := Decode(KindAssignReq+1, AppendMsg(nil, in))
 		if err != nil {
 			return false
 		}
@@ -326,9 +390,7 @@ func TestQuickDHTPairsRoundTrip(t *testing.T) {
 			vals[i] = append([]byte("v-"), keys[i]...)
 		}
 		in := &DHTMultiPutReq{Keys: keys, Values: vals}
-		w := NewWriter(64)
-		in.MarshalTo(w)
-		out, err := Decode(KindDHTMultiPutReq, w.Bytes())
+		out, err := Decode(KindDHTMultiPutReq, AppendMsg(nil, in))
 		if err != nil {
 			return false
 		}
@@ -425,4 +487,79 @@ func TestBodySizeMatchesEncoding(t *testing.T) {
 	if got := BodySize(&SizeResp{Size: 7}); got != 0 {
 		t.Errorf("BodySize(SizeResp) = %d, want 0", got)
 	}
+}
+
+// countedMsgs holds one populated message of each kind whose layout
+// has a count.
+func countedMsgs() []Msg {
+	pid := PageID{0xa, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xb}
+	return []Msg{
+		&AllocateResp{Addrs: []string{"a:1", "b:2", "c:3"}},
+		&DHTMultiPutReq{Keys: [][]byte{[]byte("k1"), []byte("k2")}, Values: [][]byte{[]byte("v1"), {0xff}}},
+		&DHTMultiGetReq{Keys: [][]byte{[]byte("k1"), []byte("k2")}},
+		&DHTMultiGetResp{Found: []bool{true, false}, Values: [][]byte{[]byte("v1"), {}}},
+		&BlobInfoResp{PageSize: 4096, Lineage: Lineage{{Blob: 3, MinVersion: 2}, {Blob: 1, MinVersion: 0}}},
+		&AssignResp{Version: 4, Offset: 8192, NewSize: 16384, InFlight: []UpdateDesc{{Version: 2, Size: 4096}, {Version: 3, Offset: 4096, Size: 4096}}},
+		&DeletePagesReq{Pages: []PageID{pid, {1}}},
+		&ExpireResp{Floor: 3, Expired: []Version{1, 2}},
+		&GCInfoResp{OwnMin: 1, Floor: 3, Retained: VersionInfo{Version: 3, Size: 8192}, Expired: []VersionInfo{{Version: 1, Size: 4096}, {Version: 2}}},
+		&DHTDeleteReq{Keys: [][]byte{[]byte("node/key"), {0xff}}},
+		&GetPagesReq{Ranges: []PageRange{{Page: pid, Length: WholePage}, {Page: PageID{1}, Offset: 128, Length: 64}}},
+		&GetPagesResp{Found: []bool{true, false}, Data: [][]byte{{0xbe, 0xef}, {}}},
+	}
+}
+
+// TestDecodeCountsBoundedByInput overwrites each 4-byte window of each
+// counted message's encoding with 1<<20 — wherever a count or a length
+// prefix sits, a hostile one — and decodes it with the collector held
+// off: no decode may allocate anywhere near what the count claims,
+// however it ends.
+func TestDecodeCountsBoundedByInput(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, m := range countedMsgs() {
+		enc := AppendMsg(nil, m)
+		for off := 0; off+4 <= len(enc); off++ {
+			p := slices.Clone(enc)
+			binary.LittleEndian.PutUint32(p[off:], 1<<20)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := Decode(m.Kind(), p)
+			runtime.ReadMemStats(&after)
+			if r, ok := got.(*GetPagesResp); ok && err == nil {
+				for _, d := range r.Data {
+					bufpool.PutBytes(d)
+				}
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+				t.Errorf("%v with 1<<20 at offset %d: decode allocated %d bytes (err %v)", m.Kind(), off, n, err)
+			}
+		}
+	}
+}
+
+// TestConcurrentEncodeIsReadOnly encodes the same messages from several
+// goroutines at once: encoding must only read a message, and under
+// -race a field method that stores through its pointer while encoding
+// is a reported race.
+func TestConcurrentEncodeIsReadOnly(t *testing.T) {
+	msgs := append(countedMsgs(),
+		&AssignReq{Blob: 3, Size: 8192, Append: true},
+		&HeartbeatResp{Known: true})
+	want := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		want[i] = AppendMsg(nil, m)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, m := range msgs {
+				if got := AppendMsg(nil, m); !bytes.Equal(got, want[i]) {
+					t.Errorf("%v encoded differently under concurrency", m.Kind())
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
