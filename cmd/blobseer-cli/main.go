@@ -175,9 +175,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("gc: %v", err)
 		}
-		fmt.Printf("expired versions %d, candidate pages %d, retained %d, deleted %d (%d rpc)\n",
-			stats.ExpiredVersions, stats.CandidatePages, stats.RetainedPages,
-			stats.DeletedPages, stats.DeleteRPCs)
+		fmt.Printf("expired versions %d, deleted pages %d (%d rpc)\n",
+			stats.ExpiredVersions, stats.DeletedPages, stats.DeleteRPCs)
 		fmt.Printf("metadata nodes walked %d, retained %d, deleted %d (%d batches)\n",
 			stats.WalkedNodes, stats.RetainedNodes, stats.DeletedNodes, stats.NodeDeleteBatches)
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"blobseer/internal/bufpool"
+	"blobseer/internal/core"
 	"blobseer/internal/wire"
 )
 
@@ -56,6 +57,41 @@ func (c *Client) AbortVersion(ctx context.Context, id wire.BlobID, v wire.Versio
 // fn runs once per delete batch and a non-nil return drops that batch
 // exactly as a collector crash at that point would.
 func (c *Client) SetGCCrashHook(fn func(chunk int) error) { c.gcCrash = fn }
+
+// GCVictims runs CollectGarbage's diff and deletes nothing: the pages
+// and tree nodes a sweep would delete now.
+func (c *Client) GCVictims(ctx context.Context, id wire.BlobID) ([]wire.PageID, []core.NodeID, error) {
+	pws, nodes, err := c.gcVictims(ctx, id, new(GCStats))
+	pages := make([]wire.PageID, len(pws))
+	for i, pw := range pws {
+		pages[i] = pw.Page
+	}
+	return pages, nodes, err
+}
+
+// GCPlan returns the version manager's GC plan for the blob and the
+// blob's page size.
+func (c *Client) GCPlan(ctx context.Context, id wire.BlobID) (*wire.GCInfoResp, uint64, error) {
+	h, err := c.handle(ctx, id)
+	if err != nil {
+		return nil, 0, err
+	}
+	resp, err := c.vm(ctx, &wire.GCInfoReq{Blob: id})
+	if err != nil {
+		return nil, 0, err
+	}
+	return resp.(*wire.GCInfoResp), h.pageSize, nil
+}
+
+// TryGetNodes fetches tree nodes of the blob's lineage from the
+// metadata replicas, reporting the absent ones.
+func (c *Client) TryGetNodes(ctx context.Context, id wire.BlobID, ids []core.NodeID) ([]core.Node, []bool, error) {
+	h, err := c.handle(ctx, id)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h.store.TryGetNodes(ctx, ids)
+}
 
 // PageFlights reports how many single-flight fetches are unresolved.
 // Test-only: every read must leave zero behind, success or failure —

@@ -14,9 +14,10 @@ import (
 
 // This file implements the client side of version retention: EXPIRE
 // marks old snapshots unreadable at the version manager, and
-// CollectGarbage turns that decision into reclaimed bytes by walking the
-// expired snapshots' segment trees and deleting every page — and every
-// metadata tree node — reachable only from them.
+// CollectGarbage turns that decision into reclaimed bytes by diffing
+// the expired snapshots' segment trees against the oldest retained one
+// and deleting every page — and every metadata tree node — only the
+// expired trees reach.
 //
 // Safety rests on one structural property of the versioned segment tree:
 // trees share monotonically. A node created at version c appears in
@@ -26,19 +27,32 @@ import (
 // against that single tree finds precisely the pages AND tree nodes no
 // retained version (or branch, whose branch point the manager pins above
 // the floor; or in-flight update, whose base the manager refuses to
-// expire) can still reach. The walk prunes at the namespace boundary
+// expire) can still reach. The diff prunes at the namespace boundary
 // (links below the blob's own lineage floor lead into an ancestor's
 // trees): pages and nodes written by an ancestor are candidates only
 // when the ancestor itself is collected, under its own pins.
+//
+// The diff is a lockstep descent (ForkBase's POS-tree diff): each
+// expired node is paired with the retained node over the same range,
+// and the retained tree holds exactly one node per range. A NodeID
+// names an immutable subtree, so a child equal to its retained
+// counterpart is shared whole and is pruned without being fetched; a
+// child that differs is not in the retained tree at all, so it is a
+// victim and is descended. The cost is the victims plus the retained
+// inner nodes they are compared against — what changed, not what the
+// blob holds — and retained leaves are never fetched. Expired nodes are
+// read around the metadata cache: they may be deleted already (a
+// cached copy would resurrect them) and are about to be (a cached copy
+// would only evict live ones). Retained nodes go through the cache.
 //
 // Crash safety: EXPIRE is durable at the manager, GC_INFO is a read, and
 // page and node deletes are idempotent, so a collector that dies
 // mid-sweep is simply re-run. Pages already deleted stay deleted (they
 // were already proven unreachable); the rest are found again. Metadata
-// nodes are deleted strictly after every page delete succeeded, so a
-// crashed sweep can never orphan a still-referenced page behind a
-// missing tree; expired-tree walks tolerate nodes a previous sweep
-// already removed by pruning the (already collected) subtree.
+// nodes are deleted strictly after every page delete succeeded, and
+// bottom-up, so a crashed sweep can never orphan a still-referenced
+// page or node behind a missing tree: an absent expired node has no
+// victims left beneath it, and the descent prunes there.
 
 // gcDeleteBatch bounds one DELETE_PAGES or DHT_DELETE request, so a
 // huge sweep neither builds one enormous frame nor serializes on a
@@ -54,19 +68,12 @@ const (
 
 // GCStats summarizes one CollectGarbage run.
 type GCStats struct {
-	ExpiredVersions int // expired snapshot trees walked
-	WalkedNodes     int // metadata nodes fetched across all walks
-	CandidatePages  int // distinct pages reachable from expired snapshots via expired-only structure
-	// RetainedPages counts candidates kept because the page mark covers
-	// them. Normally 0: a shared page sits under a shared leaf, and
-	// shared subtrees are pruned at the node level before their leaves
-	// are fetched — a nonzero value means the defense-in-depth mark
-	// caught a page shared without its leaf.
-	RetainedPages int
-	DeletedPages  int // pages whose deletion was issued
-	DeleteRPCs    int // DELETE_PAGES round trips to providers
+	ExpiredVersions int // expired snapshot trees diffed
+	WalkedNodes     int // tree nodes fetched: expired victims and the retained inner nodes they were compared against
+	DeletedPages    int // pages whose deletion was issued
+	DeleteRPCs      int // DELETE_PAGES round trips to providers
 
-	RetainedNodes     int // tree nodes kept: shared with the oldest retained tree (counted at the prune boundary)
+	RetainedNodes     int // expired-tree links pruned because the oldest retained tree shares them
 	DeletedNodes      int // tree nodes whose deletion was issued to the metadata replicas
 	NodeDeleteBatches int // DHT_DELETE batches issued (each fans out to the replica nodes)
 }
@@ -89,137 +96,72 @@ func (c *Client) ExpireVersions(ctx context.Context, id wire.BlobID, upTo wire.V
 
 // CollectGarbage reclaims the pages and the metadata of the blob's
 // expired snapshots: it fetches the GC plan from the version manager,
-// walks each expired snapshot's tree for candidate pages and tree
-// nodes, subtracts everything the oldest retained snapshot still
-// reaches, issues batched page deletes to the providers holding the
-// remainder (all replicas), and then — only once every page delete
-// succeeded — batch-deletes the exclusively-expired tree nodes from the
+// diffs each expired snapshot's tree against the oldest retained one
+// (see diffExpired), issues batched page deletes to the providers
+// holding the victim pages (all replicas), and then — only once every
+// page delete succeeded — batch-deletes the victim tree nodes from the
 // metadata replicas. It is idempotent and safe to re-run after a crash
 // or partial failure, and safe against concurrent updates, branches and
 // readers: anything they can reference is retained by construction.
 func (c *Client) CollectGarbage(ctx context.Context, id wire.BlobID) (GCStats, error) {
 	var stats GCStats
-	h, err := c.handle(ctx, id)
+	pages, nodes, err := c.gcVictims(ctx, id, &stats)
 	if err != nil {
 		return stats, err
 	}
-	resp, err := c.vm(ctx, &wire.GCInfoReq{Blob: id})
-	if err != nil {
-		return stats, err
-	}
-	info := resp.(*wire.GCInfoResp)
-	if len(info.Expired) == 0 {
-		return stats, nil
-	}
-	stats.ExpiredVersions = len(info.Expired)
-	ps := h.pageSize
-
-	// Mark: pages and tree nodes the oldest retained snapshot reaches in
-	// this namespace. This walk is strict — a node missing from a
-	// retained tree is corruption, and nothing may be deleted on top of
-	// it.
-	mark := make(map[wire.PageID]bool)
-	retained := make(map[core.NodeID]bool)
-	if info.Retained.Size > 0 {
-		root := core.RootID(info.Retained.Version, pagesOf(info.Retained.Size, ps))
-		err := c.walkTree(ctx, h.store, []core.NodeID{root}, info.OwnMin, retained, nil, false, &stats, func(n core.Node) {
-			mark[n.Page] = true
-		})
-		if err != nil {
-			return stats, fmt.Errorf("gc: walking retained snapshot %d: %w", info.Retained.Version, err)
-		}
-	}
-
-	// Sweep candidates: expired-reachable pages the mark does not cover.
-	// Consecutive expired snapshots share most of their trees (that is
-	// the whole versioning design), so all of them are walked as one
-	// breadth-first frontier over one visited set: every shared subtree
-	// is descended once — a NodeID names an immutable subtree, the same
-	// property the mark diff rests on — and a root a previous sweep
-	// already collected costs a slot in the first batched fetch, not a
-	// round trip of its own. The retained set prunes too: a node the
-	// oldest retained tree holds roots an entirely-retained subtree, so
-	// descending it again would only re-fetch structure the mark walk
-	// already proved alive. This walk tolerates missing nodes: a previous
-	// crashed sweep may already have deleted whole expired subtrees.
-	visited := make(map[core.NodeID]bool)
-	seen := make(map[wire.PageID]bool)
-	victims := make(map[wire.PageID][]string)
-	roots := make([]core.NodeID, 0, len(info.Expired))
-	for _, e := range info.Expired {
-		if e.Size > 0 { // the empty snapshot 0 has no tree
-			roots = append(roots, core.RootID(e.Version, pagesOf(e.Size, ps)))
-		}
-	}
-	err = c.walkTree(ctx, h.store, roots, info.OwnMin, visited, retained, true, &stats, func(n core.Node) {
-		if seen[n.Page] {
-			return
-		}
-		seen[n.Page] = true
-		if mark[n.Page] {
-			// Defense in depth: page ids are written once and named
-			// by exactly the leaf their writer created, so a marked
-			// page should only ever be reachable through a retained
-			// (pruned) leaf — but deletion stays gated on the page
-			// mark, not on that structural argument.
-			stats.RetainedPages++
-			return
-		}
-		victims[n.Page] = n.Providers
-	})
-	if err != nil {
-		return stats, fmt.Errorf("gc: walking %d expired snapshots: %w", len(roots), err)
-	}
-	stats.CandidatePages = len(seen)
-	stats.DeletedPages = len(victims)
-
-	// The metadata victims: every node an expired walk touched that the
-	// oldest retained tree does not share. All walked ids are >= OwnMin,
-	// so they live in the blob's own namespace and key under its id.
-	var nodeVictims []core.NodeID
-	for nid := range visited {
-		if retained[nid] {
-			stats.RetainedNodes++
-			continue
-		}
-		nodeVictims = append(nodeVictims, nid)
-	}
-	stats.DeletedNodes = len(nodeVictims)
-
-	if len(victims) > 0 {
-		if err := c.deletePages(ctx, victims, &stats); err != nil {
-			return stats, fmt.Errorf("gc: deleting pages: %w", err)
-		}
+	stats.DeletedPages, stats.DeletedNodes = len(pages), len(nodes)
+	if err := c.deletePages(ctx, pages, &stats); err != nil {
+		return stats, fmt.Errorf("gc: deleting pages: %w", err)
 	}
 	// Pages first, metadata second: a crash between the two leaves every
 	// remaining victim page still named by the expired trees, so a
 	// re-run finds it again. The reverse order could strand deleted
 	// trees' pages forever.
-	if err := c.deleteNodes(ctx, id, nodeVictims, stats.DeleteRPCs, &stats); err != nil {
+	if err := c.deleteNodes(ctx, id, nodes, stats.DeleteRPCs, &stats); err != nil {
 		return stats, fmt.Errorf("gc: deleting metadata nodes: %w", err)
 	}
 	return stats, nil
 }
 
-// deletePages groups the victim pages by provider (every replica) and
-// deletes them in bounded, deterministically ordered batches.
-func (c *Client) deletePages(ctx context.Context, victims map[wire.PageID][]string, stats *GCStats) error {
-	byAddr := make(map[string][]wire.PageID)
-	for pg, provs := range victims {
-		for _, addr := range provs {
-			byAddr[addr] = append(byAddr[addr], pg)
+// gcVictims asks the version manager for the blob's GC plan and diffs
+// its expired trees against its oldest retained tree.
+func (c *Client) gcVictims(ctx context.Context, id wire.BlobID, stats *GCStats) ([]core.PageWrite, []core.NodeID, error) {
+	h, err := c.handle(ctx, id)
+	if err != nil {
+		return nil, nil, err
+	}
+	resp, err := c.vm(ctx, &wire.GCInfoReq{Blob: id})
+	if err != nil {
+		return nil, nil, err
+	}
+	info := resp.(*wire.GCInfoResp)
+	stats.ExpiredVersions = len(info.Expired)
+	var roots []core.NodeID
+	for _, e := range info.Expired {
+		if e.Size > 0 { // the empty snapshot 0 has no tree
+			roots = append(roots, core.RootID(e.Version, pagesOf(e.Size, h.pageSize)))
 		}
 	}
+	if len(roots) == 0 {
+		return nil, nil, nil
+	}
+	ret := core.RootID(info.Retained.Version, pagesOf(info.Retained.Size, h.pageSize))
+	pages, nodes, err := diffExpired(ctx, h.store, roots, ret, info.OwnMin, stats)
+	if err != nil {
+		return nil, nil, fmt.Errorf("gc: diffing %d expired snapshots against %d: %w", len(roots), info.Retained.Version, err)
+	}
+	return pages, nodes, nil
+}
+
+// deletePages groups the victim pages by provider (every replica) and
+// deletes them in bounded, deterministically ordered batches.
+func (c *Client) deletePages(ctx context.Context, victims []core.PageWrite, stats *GCStats) error {
 	type chunk struct {
 		addr  string
 		pages []wire.PageID
 	}
 	var chunks []chunk
-	addrs := make([]string, 0, len(byAddr))
-	for addr := range byAddr {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
+	addrs, byAddr := byProvider(victims)
 	for _, addr := range addrs {
 		pages := byAddr[addr]
 		// Deterministic batch contents so a partial failure is reproducible.
@@ -227,10 +169,7 @@ func (c *Client) deletePages(ctx context.Context, victims map[wire.PageID][]stri
 			return string(pages[i][:]) < string(pages[j][:])
 		})
 		for len(pages) > 0 {
-			n := len(pages)
-			if n > gcDeleteBatch {
-				n = gcDeleteBatch
-			}
+			n := min(len(pages), gcDeleteBatch)
 			chunks = append(chunks, chunk{addr: addr, pages: pages[:n]})
 			pages = pages[n:]
 		}
@@ -247,6 +186,23 @@ func (c *Client) deletePages(ctx context.Context, victims map[wire.PageID][]stri
 		_, err := c.rpc.Call(ctx, chunks[i].addr, &wire.DeletePagesReq{Pages: chunks[i].pages})
 		return err
 	})
+}
+
+// byProvider groups pages by every provider holding a replica, and
+// lists those providers in sorted order.
+func byProvider(pws []core.PageWrite) ([]string, map[string][]wire.PageID) {
+	byAddr := make(map[string][]wire.PageID)
+	for _, pw := range pws {
+		for _, addr := range pw.Providers {
+			byAddr[addr] = append(byAddr[addr], pw.Page)
+		}
+	}
+	addrs := make([]string, 0, len(byAddr))
+	for addr := range byAddr {
+		addrs = append(addrs, addr)
+	}
+	sort.Strings(addrs)
+	return addrs, byAddr
 }
 
 // deleteNodes batch-deletes the victim tree nodes from the metadata
@@ -287,10 +243,7 @@ func (c *Client) deleteNodes(ctx context.Context, id wire.BlobID, victims []core
 		}
 		var chunks [][][]byte
 		for at := lo; at < hi; at += gcDeleteBatch {
-			end := at + gcDeleteBatch
-			if end > hi {
-				end = hi
-			}
+			end := min(at+gcDeleteBatch, hi)
 			keys := make([][]byte, 0, end-at)
 			for _, nid := range victims[at:end] {
 				keys = append(keys, meta.NodeKey(id, nid))
@@ -319,78 +272,123 @@ func (c *Client) deleteNodes(ctx context.Context, id wire.BlobID, victims []core
 	return nil
 }
 
-// walkTree visits every leaf of the given snapshot trees that belongs
-// to the blob's own namespace, descending all of them together,
-// breadth-first, with one batched metadata fetch per level (the
-// read-path pattern). Links carrying wire.NoVersion (never-written
-// holes of an incomplete tree) and links below ownMin (subtrees woven
-// in from an ancestor blob's namespace) are pruned, as is any node
-// already in visited (trees weave into each other and nodes are
-// immutable, so a NodeID seen once never needs descending again). A
-// non-nil retained set also prunes: a node the retained tree holds
-// roots an entirely-retained, entirely-already-fetched subtree; the
-// pruned node is still added to visited so the victim diff can count it
-// (and skip it) without a second fetch. Every rule looks at one node
-// only, so what is reached does not depend on which root it is reached
-// from, or in what order. With tolerateMissing set, a node absent from
-// every metadata replica prunes its subtree instead of failing the walk
-// — expired trees may be partially deleted by a previous crashed
-// collection; strict walks treat absence as the corruption it would be
-// in a retained tree.
-func (c *Client) walkTree(ctx context.Context, st *meta.Store, roots []core.NodeID,
-	ownMin wire.Version, visited, retained map[core.NodeID]bool, tolerateMissing bool,
-	stats *GCStats, leaf func(core.Node)) error {
+// diffExpired descends the expired trees rooted at roots in lockstep
+// with the retained tree rooted at ret, all of them together,
+// breadth-first, with one batched fetch per side per level (the
+// read-path pattern), and returns the victims: the nodes the retained
+// tree does not hold, and their leaves' pages (a page id is written
+// once and named by the one leaf its writer created, so a victim
+// leaf's page is garbage too). Each frontier entry pairs
+// an expired node with the retained node over the same range; an
+// expired root spanning less than ret (the blob grew since) is paired
+// with the node down ret's left spine at its span. A child is pruned
+// when its link is wire.NoVersion (a never-written hole), below ownMin
+// (a subtree woven in from an ancestor blob's namespace), already
+// visited (trees weave into each other and nodes are immutable, so a
+// NodeID seen once never needs descending again), or equal to its
+// retained counterpart (a shared subtree, alive by definition). Every
+// rule looks at one node and its range only, so what is reached does
+// not depend on which root it is reached from, or in what order.
+//
+// Expired nodes are fetched around the cache and may be absent: a
+// previous sweep deleted them, bottom-up, so nothing beneath an absent
+// node is left to find. An absent root is not a victim (most expired
+// roots are long collected); an absent node a found parent names is
+// (a crashed sweep landed its delete, and the re-run re-issues it).
+// The retained side is strict: a node missing from a retained tree is
+// corruption, and nothing may be deleted on top of it.
+func diffExpired(ctx context.Context, st *meta.Store, roots []core.NodeID, ret core.NodeID,
+	ownMin wire.Version, stats *GCStats) (pages []core.PageWrite, victims []core.NodeID, err error) {
 
-	// admit applies the prune rules to one link and queues what passes
-	// them for the next level's fetch.
-	var next []core.NodeID
-	admit := func(id core.NodeID) {
-		if id.Version == wire.NoVersion || id.Version < ownMin || visited[id] {
+	// counterpart maps each root span to the retained node over
+	// [0, span): ret's left spine, fetched down to the smallest root.
+	minSpan := ret.Span
+	for _, root := range roots {
+		minSpan = min(minSpan, root.Span)
+	}
+	counterpart := map[uint64]core.NodeID{ret.Span: ret}
+	for r := ret; r.Span > minSpan; {
+		n, err := st.GetNodes(ctx, []core.NodeID{r})
+		if err != nil {
+			return nil, nil, err
+		}
+		stats.WalkedNodes++
+		r = r.Left(n[0].VL)
+		counterpart[r.Span] = r
+	}
+
+	type pair struct{ exp, ret core.NodeID }
+	visited := make(map[core.NodeID]bool)
+	var next []pair
+	admit := func(exp, ret core.NodeID) {
+		if exp.Version == wire.NoVersion || exp.Version < ownMin || visited[exp] {
 			return
 		}
-		visited[id] = true
-		if !retained[id] { // a retained subtree is alive by definition, and already fetched
-			next = append(next, id)
+		visited[exp] = true
+		if exp == ret {
+			stats.RetainedNodes++
+			return
 		}
+		next = append(next, pair{exp, ret})
 	}
 	for _, root := range roots {
-		admit(root)
+		r, ok := counterpart[root.Span]
+		if !ok {
+			return nil, nil, fmt.Errorf("expired root %v spans more than retained root %v", root, ret)
+		}
+		admit(root, r)
 	}
-	for len(next) > 0 {
+	for level := 0; len(next) > 0; level++ {
 		frontier := next
 		next = nil
-		var nodes []core.Node
-		var found []bool
-		var err error
-		if tolerateMissing {
-			nodes, found, err = st.TryGetNodes(ctx, frontier)
-		} else {
-			nodes, err = st.GetNodes(ctx, frontier)
+		ids := make([]core.NodeID, len(frontier))
+		for i, p := range frontier {
+			ids[i] = p.exp
 		}
+		nodes, found, err := st.TryGetNodes(ctx, ids)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		for i, id := range frontier {
-			if found != nil && !found[i] {
-				continue // already collected by a previous sweep
-			}
-			stats.WalkedNodes++
-			n := nodes[i]
-			if id.IsLeaf() {
-				if !n.Leaf {
-					return fmt.Errorf("node %v should be a leaf", id)
+		// The retained counterparts of the found inner nodes, each
+		// fetched once however many expired nodes share its range.
+		at := make(map[core.NodeID]int)
+		var rids []core.NodeID
+		for i, p := range frontier {
+			if found[i] && !p.exp.IsLeaf() {
+				if _, ok := at[p.ret]; !ok {
+					at[p.ret] = len(rids)
+					rids = append(rids, p.ret)
 				}
-				leaf(n)
+			}
+		}
+		rnodes, err := st.GetNodes(ctx, rids)
+		if err != nil {
+			return nil, nil, err
+		}
+		stats.WalkedNodes += len(rids)
+		for i, p := range frontier {
+			if !found[i] {
+				if level > 0 {
+					victims = append(victims, p.exp)
+				}
 				continue
 			}
-			if n.Leaf {
-				return fmt.Errorf("node %v should be inner", id)
+			stats.WalkedNodes++
+			victims = append(victims, p.exp)
+			n := nodes[i]
+			if n.Leaf != p.exp.IsLeaf() {
+				return nil, nil, fmt.Errorf("node %v: leaf flag %v does not match its span", p.exp, n.Leaf)
 			}
-			admit(id.Left(n.VL))
-			admit(id.Right(n.VR))
+			if n.Leaf {
+				pages = append(pages, core.PageWrite{Page: n.Page, Providers: n.Providers})
+				continue
+			}
+			rn := rnodes[at[p.ret]]
+			admit(p.exp.Left(n.VL), p.ret.Left(rn.VL))
+			admit(p.exp.Right(n.VR), p.ret.Right(rn.VR))
 		}
 	}
-	return nil
+	return pages, victims, nil
 }
 
 // reclaimPages best-effort deletes pages this writer stored but will
@@ -403,17 +401,7 @@ func (c *Client) reclaimPages(ctx context.Context, pws []core.PageWrite) {
 	if len(pws) == 0 {
 		return
 	}
-	byAddr := make(map[string][]wire.PageID)
-	for _, pw := range pws {
-		for _, addr := range pw.Providers {
-			byAddr[addr] = append(byAddr[addr], pw.Page)
-		}
-	}
-	addrs := make([]string, 0, len(byAddr))
-	for addr := range byAddr {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
+	addrs, byAddr := byProvider(pws)
 	// Bounded fan-out with a per-call deadline: a hung provider costs one
 	// timed-out call, not the whole reclaim. Failures are counted, never
 	// propagated — the pages were already proven unreachable, so the only

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
 
 	"blobseer/internal/client"
 	"blobseer/internal/cluster"
+	"blobseer/internal/core"
 	"blobseer/internal/obs"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/transport"
@@ -908,4 +910,251 @@ func TestReclaimFailureIsCounted(t *testing.T) {
 	if n := obs.Value(c, "client_reclaim_failures_total"); n != 1 {
 		t.Fatalf("reclaim failures = %v, want 1: the aborted update's one provider was dead", n)
 	}
+}
+
+// TestGCSweepCostIsFlat runs cycles of overwrite, expire and collect
+// on one long-lived client whose metadata cache still holds every node
+// it wrote, the ones earlier sweeps deleted included. After a first
+// cycle that also expires the initial append, each cycle has the same
+// garbage, so each sweep must cost the same: one that re-walks or
+// re-deletes what an earlier sweep collected grows cycle by cycle.
+func TestGCSweepCostIsFlat(t *testing.T) {
+	_, c := newCluster(t, cluster.Config{})
+	ctx := ctxb()
+	const ps = 64
+	id, err := c.Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append(ctx, id, pattern(1, 64*ps)); err != nil {
+		t.Fatal(err)
+	}
+	var first client.GCStats
+	for cycle := 0; cycle < 6; cycle++ {
+		var last wire.Version
+		for i := 0; i < 4; i++ {
+			if last, err = c.Write(ctx, id, pattern(byte(cycle*4+i), 8*ps), uint64(i*16*ps)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Sync(ctx, id, last); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.ExpireVersions(ctx, id, last-1); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := c.CollectGarbage(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [3]int{stats.WalkedNodes, stats.DeletedPages, stats.DeletedNodes}
+		switch {
+		case cycle == 1:
+			first = stats
+		case cycle > 1 && got != [3]int{first.WalkedNodes, first.DeletedPages, first.DeletedNodes}:
+			t.Fatalf("cycle %d: walked %d nodes, deleted %d pages and %d nodes; cycle 1: %d, %d and %d",
+				cycle, got[0], got[1], got[2], first.WalkedNodes, first.DeletedPages, first.DeletedNodes)
+		}
+	}
+	if first.DeletedPages == 0 || first.DeletedNodes == 0 {
+		t.Fatalf("cycle 1 collected nothing: %+v", first)
+	}
+	again, err := c.CollectGarbage(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.DeletedPages != 0 || again.DeletedNodes != 0 {
+		t.Fatalf("second sweep deleted %d pages and %d nodes, want none", again.DeletedPages, again.DeletedNodes)
+	}
+}
+
+// fullMarkVictims is the oracle the lockstep diff is held to: the
+// mark-then-sweep collector it replaced. It marks every node and page
+// the oldest retained tree reaches in the blob's namespace, then walks
+// the whole of every expired tree, skipping nodes a previous sweep
+// deleted, and returns the nodes and pages it found that are not
+// marked.
+func fullMarkVictims(ctx context.Context, c *client.Client, id wire.BlobID) (map[wire.PageID]bool, map[core.NodeID]bool, error) {
+	info, ps, err := c.GCPlan(ctx, id)
+	if err != nil {
+		return nil, nil, err
+	}
+	root := func(v wire.VersionInfo) core.NodeID {
+		return core.RootID(v.Version, (v.Size+ps-1)/ps)
+	}
+	// walk visits every node reachable from roots in the namespace; a
+	// strict walk fails on an absent one.
+	walk := func(roots []core.NodeID, strict bool, visit func(core.NodeID, core.Node)) error {
+		seen := make(map[core.NodeID]bool)
+		var next []core.NodeID
+		admit := func(nid core.NodeID) {
+			if nid.Version != wire.NoVersion && nid.Version >= info.OwnMin && !seen[nid] {
+				seen[nid] = true
+				next = append(next, nid)
+			}
+		}
+		for _, r := range roots {
+			admit(r)
+		}
+		for len(next) > 0 {
+			frontier := next
+			next = nil
+			nodes, found, err := c.TryGetNodes(ctx, id, frontier)
+			if err != nil {
+				return err
+			}
+			for i, nid := range frontier {
+				if !found[i] {
+					if strict {
+						return fmt.Errorf("retained node %v missing", nid)
+					}
+					continue
+				}
+				visit(nid, nodes[i])
+				if !nodes[i].Leaf {
+					admit(nid.Left(nodes[i].VL))
+					admit(nid.Right(nodes[i].VR))
+				}
+			}
+		}
+		return nil
+	}
+	markNodes := make(map[core.NodeID]bool)
+	markPages := make(map[wire.PageID]bool)
+	if info.Retained.Size > 0 {
+		err := walk([]core.NodeID{root(info.Retained)}, true, func(nid core.NodeID, n core.Node) {
+			markNodes[nid] = true
+			if n.Leaf {
+				markPages[n.Page] = true
+			}
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	var roots []core.NodeID
+	for _, e := range info.Expired {
+		if e.Size > 0 {
+			roots = append(roots, root(e))
+		}
+	}
+	pages := make(map[wire.PageID]bool)
+	nodes := make(map[core.NodeID]bool)
+	err = walk(roots, false, func(nid core.NodeID, n core.Node) {
+		if !markNodes[nid] {
+			nodes[nid] = true
+		}
+		if n.Leaf && !markPages[n.Page] {
+			pages[n.Page] = true
+		}
+	})
+	return pages, nodes, err
+}
+
+// TestGCDiffMatchesFullMark runs seeded random histories of overwrites
+// (aligned and not), appends that grow the tree, branches and expiries
+// on a few blobs, and at every expiry holds the victims the lockstep
+// diff picks to the full-mark oracle's, then collects them, so later
+// expiries diff over trees earlier sweeps cut.
+func TestGCDiffMatchesFullMark(t *testing.T) {
+	_, c := newCluster(t, cluster.Config{})
+	for seed := range 64 {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			gcDiffHistory(t, c, uint64(seed))
+		})
+	}
+}
+
+func gcDiffHistory(t *testing.T, c *client.Client, seed uint64) {
+	ctx := ctxb()
+	rng := rand.New(rand.NewPCG(seed, 42))
+	const ps = 64
+	root, err := c.Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append(ctx, root, pattern(byte(seed), (1+rng.IntN(4))*ps)); err != nil {
+		t.Fatal(err)
+	}
+	blobs := []wire.BlobID{root}
+	floors := make(map[wire.BlobID]wire.Version)
+	check := func(b wire.BlobID) {
+		pages, nodes, err := c.GCVictims(ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPages, wantNodes, err := fullMarkVictims(ctx, c, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSet(pages, wantPages) || !sameSet(nodes, wantNodes) {
+			t.Fatalf("blob %d: lockstep picks %d pages and %d nodes %v, full mark %d and %d %v",
+				b, len(pages), len(nodes), nodes, len(wantPages), len(wantNodes), wantNodes)
+		}
+		stats, err := c.CollectGarbage(ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.DeletedPages != len(wantPages) || stats.DeletedNodes != len(wantNodes) {
+			t.Fatalf("blob %d: collected %d pages and %d nodes, planned %d and %d",
+				b, stats.DeletedPages, stats.DeletedNodes, len(wantPages), len(wantNodes))
+		}
+	}
+	for step := 0; step < 24; step++ {
+		b := blobs[rng.IntN(len(blobs))]
+		v, size, err := c.Recent(ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var written wire.Version
+		switch op := rng.IntN(10); {
+		case op < 4: // overwrite, aligned or not, possibly past the end
+			off := rng.Uint64N(size)
+			if rng.IntN(2) == 0 {
+				off -= off % ps
+			}
+			written, err = c.Write(ctx, b, pattern(byte(step), 1+rng.IntN(4*ps)), off)
+		case op < 6: // append, growing the tree now and then
+			written, err = c.Append(ctx, b, pattern(byte(step), 1+rng.IntN(6*ps)))
+		case op < 7 && len(blobs) < 4: // branch at the newest snapshot
+			var child wire.BlobID
+			if child, err = c.Branch(ctx, b, v); err == nil {
+				blobs = append(blobs, child)
+			}
+		default: // expire a random stretch, then diff and collect
+			if v <= floors[b]+1 {
+				continue
+			}
+			upTo := floors[b] + wire.Version(rng.Uint64N(uint64(v-floors[b])))
+			floor, _, err := c.ExpireVersions(ctx, b, upTo)
+			if err != nil && wire.CodeOf(err) != wire.CodeBadRequest { // a branch pins its branch point
+				t.Fatal(err)
+			}
+			if err == nil {
+				floors[b] = floor
+			}
+			check(b)
+		}
+		if err == nil && written != 0 {
+			err = c.Sync(ctx, b, written)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range blobs {
+		check(b)
+	}
+}
+
+// sameSet reports whether list holds exactly set's members, once each.
+func sameSet[K comparable](list []K, set map[K]bool) bool {
+	seen := make(map[K]bool, len(list))
+	for _, k := range list {
+		if !set[k] || seen[k] {
+			return false
+		}
+		seen[k] = true
+	}
+	return len(seen) == len(set)
 }

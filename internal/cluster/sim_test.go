@@ -656,19 +656,17 @@ type gcRow struct {
 	ms    float64 // virtual time CollectGarbage took
 }
 
-// gcCost is the GC row, the before of ROADMAP item 13: what one
-// CollectGarbage costs after a 1-page overwrite of an N-page blob, once
-// the version it overwrote is expired. The collector runs on a cold
-// client, so every tree node it walks is fetched. A 1-page overwrite
-// gives the new version its own log2(N)+1 nodes on the path to that
-// page; the expired version's nodes on the same path, and its one page
-// there, are all there is to reclaim — whatever the walk fetches beyond
-// them is the price of the whole-tree mark.
-func gcCost(w io.Writer, paper bool) ([]gcRow, error) {
-	sizes := []int{256, 1024}
-	if paper {
-		sizes = []int{256, 1024, 4096, 16384}
-	}
+// gcCost is the GC row (ROADMAP item 13): what one CollectGarbage costs
+// after a 1-page overwrite of an N-page blob, once the version it
+// overwrote is expired. The collector runs on a cold client, so every
+// tree node it walks is fetched. A 1-page overwrite gives the new
+// version its own log2(N)+1 nodes on the path to that page; the expired
+// version's nodes on the same path, and its one page there, are all
+// there is to reclaim. The lockstep diff fetches exactly those and the
+// log2(N) retained inner nodes beside them, so the pinned sizes go to
+// the paper's 16 384 pages.
+func gcCost(w io.Writer, _ bool) ([]gcRow, error) {
+	sizes := []int{256, 1024, 4096, 16384}
 	const providers = 4
 	var rows []gcRow
 	for _, n := range sizes {
@@ -921,11 +919,15 @@ func TestReadPathAblation(t *testing.T) {
 
 // TestGCRow: one CollectGarbage after a 1-page overwrite reclaims
 // exactly the overwritten page and the expired version's log2(N)+1 nodes
-// on the path to it.
+// on the path to it, fetching no more than twice that.
 func TestGCRow(t *testing.T) {
 	for _, r := range pinnedRows(t, "gc", gcCost) {
-		if want := bits.Len(uint(r.pages)); r.stats.DeletedPages != 1 || r.stats.DeletedNodes != want {
+		want := bits.Len(uint(r.pages))
+		if r.stats.DeletedPages != 1 || r.stats.DeletedNodes != want {
 			t.Errorf("%d pages: deleted %d pages and %d nodes, want 1 and %d", r.pages, r.stats.DeletedPages, r.stats.DeletedNodes, want)
+		}
+		if r.stats.WalkedNodes > 2*want {
+			t.Errorf("%d pages: walked %d nodes, want at most %d", r.pages, r.stats.WalkedNodes, 2*want)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func appendKey(slab []byte, ck cacheKey) (key, grown []byte) {
 
 // GetNodes implements core.NodeStore.
 func (s *Store) GetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node, error) {
-	out, found, err := s.TryGetNodes(ctx, ids)
+	out, found, err := s.getNodes(ctx, ids, s.cache)
 	if err != nil {
 		return nil, err
 	}
@@ -85,13 +85,21 @@ func (s *Store) GetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node, e
 	return out, nil
 }
 
-// TryGetNodes fetches ids like GetNodes but reports absent nodes in
-// found instead of failing the whole batch. The garbage collector uses
-// it to walk expired snapshot trees a previous, crashed collection
-// already partially deleted: a missing node means its subtree was
-// collected and is simply pruned. Transport failures and undecodable
-// values still error — absence is a state, corruption is not.
+// TryGetNodes fetches ids from the metadata replicas, around the cache
+// (no lookup, no fill), and reports absent nodes in found instead of
+// failing the whole batch. The garbage collector walks expired snapshot
+// trees with it: those nodes may already be deleted, which a cached
+// copy would hide, and a node about to be deleted is no use in the
+// LRU. A missing node means its subtree was collected. Transport
+// failures and undecodable values still error — absence is a state,
+// corruption is not.
 func (s *Store) TryGetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node, []bool, error) {
+	return s.getNodes(ctx, ids, nil)
+}
+
+// getNodes fetches ids through cache (nil: straight from the replicas),
+// reporting the absent ones in found.
+func (s *Store) getNodes(ctx context.Context, ids []core.NodeID, cache *Cache) ([]core.Node, []bool, error) {
 	out := make([]core.Node, len(ids))
 	ok := make([]bool, len(ids))
 	// DHT keys are spelled out only for the misses, in one slab sized at
@@ -101,8 +109,8 @@ func (s *Store) TryGetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node
 	var keys [][]byte
 	for i, id := range ids {
 		ck := s.cacheKey(id)
-		if s.cache != nil {
-			if n, hit := s.cache.get(ck); hit {
+		if cache != nil {
+			if n, hit := cache.get(ck); hit {
 				out[i], ok[i] = n, true
 				continue
 			}
@@ -133,8 +141,8 @@ func (s *Store) TryGetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node
 				return nil, nil, fmt.Errorf("meta: node %v: %w", ids[i], err)
 			}
 			out[i], ok[i] = n, true
-			if s.cache != nil {
-				s.cache.put(s.cacheKey(ids[i]), n)
+			if cache != nil {
+				cache.put(s.cacheKey(ids[i]), n)
 			}
 		}
 		j++
