@@ -58,7 +58,7 @@ var (
 	retain        = flag.Int("retain-versions", 1, "keep-last-N retention policy: EXPIRE keeps at least this many newest versions per blob (version-manager role)")
 	deadTimeout   = flag.Duration("dead-writer-timeout", 0, "abort updates of silent writers after this duration (version-manager role; 0 disables)")
 	heartbeat     = flag.Duration("heartbeat", 5*time.Second, "heartbeat period (data role)")
-	rpcTimeout    = flag.Duration("rpc-timeout", 0, "per-call deadline on manager-facing RPCs, dial included (data role; 0 = heartbeat period)")
+	rpcTimeout    = flag.Duration("rpc-timeout", 0, "per-call deadline on manager-facing RPCs, dial included (data role; 0 = heartbeat period, at least 1s)")
 	debugAddr     = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address (empty: off)")
 )
 

@@ -90,7 +90,7 @@ func (c *Client) TryGetNodes(ctx context.Context, id wire.BlobID, ids []core.Nod
 	if err != nil {
 		return nil, nil, err
 	}
-	return h.store.TryGetNodes(ctx, ids)
+	return h.store.TryGetNodes(ctx, ids, nil, nil)
 }
 
 // PageFlights reports how many single-flight fetches are unresolved.

@@ -300,6 +300,14 @@ func (c *Client) deleteNodes(ctx context.Context, id wire.BlobID, victims []core
 func diffExpired(ctx context.Context, st *meta.Store, roots []core.NodeID, ret core.NodeID,
 	ownMin wire.Version, stats *GCStats) (pages []core.PageWrite, victims []core.NodeID, err error) {
 
+	// One buffer of each kind serves every level: the expired ids and
+	// nodes, their found flags, and the retained ids and nodes.
+	var (
+		ids, rids     []core.NodeID
+		nodes, rnodes []core.Node
+		found         []bool
+	)
+
 	// counterpart maps each root span to the retained node over
 	// [0, span): ret's left spine, fetched down to the smallest root.
 	minSpan := ret.Span
@@ -308,18 +316,18 @@ func diffExpired(ctx context.Context, st *meta.Store, roots []core.NodeID, ret c
 	}
 	counterpart := map[uint64]core.NodeID{ret.Span: ret}
 	for r := ret; r.Span > minSpan; {
-		n, err := st.GetNodes(ctx, []core.NodeID{r})
-		if err != nil {
+		rids = append(rids[:0], r)
+		if rnodes, err = st.GetNodes(ctx, rids, rnodes); err != nil {
 			return nil, nil, err
 		}
 		stats.WalkedNodes++
-		r = r.Left(n[0].VL)
+		r = r.Left(rnodes[0].VL)
 		counterpart[r.Span] = r
 	}
 
 	type pair struct{ exp, ret core.NodeID }
 	visited := make(map[core.NodeID]bool)
-	var next []pair
+	var frontier, next []pair
 	admit := func(exp, ret core.NodeID) {
 		if exp.Version == wire.NoVersion || exp.Version < ownMin || visited[exp] {
 			return
@@ -338,21 +346,21 @@ func diffExpired(ctx context.Context, st *meta.Store, roots []core.NodeID, ret c
 		}
 		admit(root, r)
 	}
+	// at indexes the level's retained counterparts in rids.
+	at := make(map[core.NodeID]int)
 	for level := 0; len(next) > 0; level++ {
-		frontier := next
-		next = nil
-		ids := make([]core.NodeID, len(frontier))
-		for i, p := range frontier {
-			ids[i] = p.exp
+		frontier, next = next, frontier[:0]
+		ids = ids[:0]
+		for _, p := range frontier {
+			ids = append(ids, p.exp)
 		}
-		nodes, found, err := st.TryGetNodes(ctx, ids)
-		if err != nil {
+		if nodes, found, err = st.TryGetNodes(ctx, ids, nodes, found); err != nil {
 			return nil, nil, err
 		}
 		// The retained counterparts of the found inner nodes, each
 		// fetched once however many expired nodes share its range.
-		at := make(map[core.NodeID]int)
-		var rids []core.NodeID
+		clear(at)
+		rids = rids[:0]
 		for i, p := range frontier {
 			if found[i] && !p.exp.IsLeaf() {
 				if _, ok := at[p.ret]; !ok {
@@ -361,8 +369,7 @@ func diffExpired(ctx context.Context, st *meta.Store, roots []core.NodeID, ret c
 				}
 			}
 		}
-		rnodes, err := st.GetNodes(ctx, rids)
-		if err != nil {
+		if rnodes, err = st.GetNodes(ctx, rids, rnodes); err != nil {
 			return nil, nil, err
 		}
 		stats.WalkedNodes += len(rids)

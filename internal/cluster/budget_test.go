@@ -60,10 +60,12 @@ func heapPerOp(n int, op func()) (bytes, allocs float64) {
 // 15 tree nodes planned, resolved against 14 borders, stored); a second
 // client asks for the recent version and reads one page of it (a
 // 14-level descent, partly cached). The budgets are about 1.3 x what
-// the code measured when they were set (20.8 KB in 383 allocations per
-// write, 23.8 KB in 290 per read, repeating to a few bytes; before the
-// weave travelled as one batch it was 44.9 KB in 778 and 26.7 KB in
-// 385).
+// the code measured when they were set (13.5 KB in 192 allocations per
+// write, 14.5 KB in 165 per read, repeating to a few bytes). Before
+// round trips recycled their reply events, a request's spawn was one
+// closure and a descent kept one node buffer, they measured 18.3 KB in
+// 292 and 18.7 KB in 254; before the weave travelled as one batch,
+// 44.9 KB in 778 and 26.7 KB in 385.
 func TestControlPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a quarter of what it is given")
@@ -128,8 +130,8 @@ func TestControlPathAllocBudget(t *testing.T) {
 		op            func()
 		bytes, allocs float64
 	}{
-		{"1-page Write+Sync", write, 27e3, 500},
-		{"Recent + 1-page Read", read, 31e3, 380},
+		{"1-page Write+Sync", write, 17.6e3, 250},
+		{"Recent + 1-page Read", read, 18.8e3, 215},
 	} {
 		for i := 0; i < 100; i++ {
 			write()

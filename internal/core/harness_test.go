@@ -20,15 +20,15 @@ func newFakeStore() *fakeStore {
 	return &fakeStore{nodes: make(map[NodeID]Node)}
 }
 
-func (f *fakeStore) GetNodes(_ context.Context, ids []NodeID) ([]Node, error) {
+func (f *fakeStore) GetNodes(_ context.Context, ids []NodeID, buf []Node) ([]Node, error) {
 	f.gets++
-	out := make([]Node, len(ids))
-	for i, id := range ids {
+	out := buf[:0]
+	for _, id := range ids {
 		n, ok := f.nodes[id]
 		if !ok {
 			return nil, fmt.Errorf("fakeStore: missing node %v", id)
 		}
-		out[i] = n
+		out = append(out, n)
 	}
 	return out, nil
 }

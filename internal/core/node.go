@@ -116,12 +116,14 @@ func (n *Node) code(c *wire.Codec) {
 // package meta provides the production implementation, tests use an
 // in-memory fake.
 type NodeStore interface {
-	// GetNodes fetches the given nodes. Every id must exist: a missing
-	// node means metadata corruption (or a reference to an aborted
-	// update) and must surface as an error naming the id. ids is the
-	// caller's scratch, reused for the next level of a descent: the
-	// store must not keep it past the call.
-	GetNodes(ctx context.Context, ids []NodeID) ([]Node, error)
+	// GetNodes fetches the given nodes into buf, resized to len(ids)
+	// (in its own array when that has the room), and returns it: node i
+	// is ids[i]'s. Every id must exist: a missing node means metadata
+	// corruption (or a reference to an aborted update) and must surface
+	// as an error naming the id. ids and buf are the caller's scratch,
+	// reused for the next level of a descent: the store must not keep
+	// either past the call.
+	GetNodes(ctx context.Context, ids []NodeID, buf []Node) ([]Node, error)
 	// PutNodes stores nodes; ids[i] describes nodes[i]. Nodes are
 	// immutable, so re-storing an existing id is a harmless no-op.
 	PutNodes(ctx context.Context, ids []NodeID, nodes []Node) error

@@ -33,11 +33,13 @@ func ReadPlan(ctx context.Context, st NodeStore, root NodeID, want Range) ([]Pag
 		return nil, fmt.Errorf("core: read %v outside tree root %v", want, root)
 	}
 	out := make([]PageRead, 0, want.Count)
-	// Two slices alternate as this level's fetch list and the next one's.
+	// Two slices alternate as this level's fetch list and the next one's;
+	// every level's nodes land in one buffer.
 	frontier, next := []NodeID{root}, []NodeID(nil)
+	var nodes []Node
 	for len(frontier) > 0 {
-		nodes, err := st.GetNodes(ctx, frontier)
-		if err != nil {
+		var err error
+		if nodes, err = st.GetNodes(ctx, frontier, nodes); err != nil {
 			return nil, err
 		}
 		next = next[:0]

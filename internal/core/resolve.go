@@ -57,20 +57,21 @@ func ResolvePublished(ctx context.Context, st NodeStore, published wire.Version,
 
 	// One level of the descent: each node with the run of targets lying
 	// strictly inside it. Two slices alternate between levels; ids is the
-	// level's fetch list.
+	// level's fetch list and nodes its answer.
 	type run struct {
 		id     NodeID
 		lo, hi int // targets[lo:hi]
 	}
 	level, next := []run{{id: root, lo: 0, hi: len(targets)}}, []run(nil)
 	var ids []NodeID
+	var nodes []Node
 	for len(level) > 0 {
 		ids = ids[:0]
 		for _, g := range level {
 			ids = append(ids, g.id)
 		}
-		nodes, err := st.GetNodes(ctx, ids)
-		if err != nil {
+		var err error
+		if nodes, err = st.GetNodes(ctx, ids, nodes); err != nil {
 			return nil, err
 		}
 		next = next[:0]

@@ -38,13 +38,16 @@ var firstKey = []int{0}
 // batches come back in ring order, non-empty ones only. A batch is a
 // slice, not a map entry: the index lists are carved from one slab by a
 // counting sort over ring positions, the key and value lists from
-// another — and a batch that takes the whole call (every one-key call
-// to one replica does) borrows the caller's slices instead.
-func (c *Client) route(keys, values [][]byte, first, count int) []batch {
+// another — and a batch that takes the whole call borrows the caller's
+// slices instead. A call of one key to one replica (every level of a
+// one-page descent) has a single batch: route writes it to *one, the
+// caller's, and returns nil, so that path allocates nothing.
+func (c *Client) route(one *batch, keys, values [][]byte, first, count int) []batch {
 	r := c.ring
 	if len(keys) == 1 && count == 1 {
 		node := r.addrs[r.at(r.primary(keys[0]), first)]
-		return []batch{{node: node, idx: firstKey, keys: keys, values: values}}
+		*one = batch{node: node, idx: firstKey, keys: keys, values: values}
+		return nil
 	}
 	// next[p] is where position p's next index goes in the slab: its
 	// run's start while filling, its run's end afterwards.
@@ -118,12 +121,20 @@ func (c *Client) MultiPut(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	batches := c.route(keys, values, 0, c.ring.replicas)
+	var one batch
+	batches := c.route(&one, keys, values, 0, c.ring.replicas)
+	if batches == nil {
+		return c.put(ctx, &one)
+	}
 	return vclock.Parallel(c.sched, len(batches), func(i int) error {
-		b := &batches[i]
-		_, err := c.rpc.Call(ctx, b.node, &wire.DHTMultiPutReq{Keys: b.keys, Values: b.values})
-		return err
+		return c.put(ctx, &batches[i])
 	})
+}
+
+// put stores one batch's pairs on its node.
+func (c *Client) put(ctx context.Context, b *batch) error {
+	_, err := c.rpc.Call(ctx, b.node, &wire.DHTMultiPutReq{Keys: b.keys, Values: b.values})
+	return err
 }
 
 // MultiGet fetches a batch of keys, one round trip per involved primary
@@ -137,36 +148,33 @@ func (c *Client) MultiPut(ctx context.Context, keys, values [][]byte) error {
 // error is returned instead: absence is a state, a dead node is not.
 // Results align with keys.
 func (c *Client) MultiGet(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
-	return c.multiGet(ctx, keys, 0)
+	values = make([][]byte, len(keys))
+	found = make([]bool, len(keys))
+	if err := c.multiGet(ctx, keys, values, found, 0); err != nil {
+		return nil, nil, err
+	}
+	return values, found, nil
 }
 
 // multiGet asks replica number replica of every key's replica set, and
-// the replicas after it for what that one did not yield.
-func (c *Client) multiGet(ctx context.Context, keys [][]byte, replica int) (values [][]byte, found []bool, err error) {
-	values = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
+// the replicas after it for what that one did not yield, filling values
+// and found, which align with keys.
+func (c *Client) multiGet(ctx context.Context, keys, values [][]byte, found []bool, replica int) error {
 	if len(keys) == 0 {
-		return values, found, nil
-	}
-	batches := c.route(keys, nil, replica, 1)
-	err = vclock.Parallel(c.sched, len(batches), func(i int) error {
-		b := &batches[i]
-		resp, err := c.rpc.Call(ctx, b.node, &wire.DHTMultiGetReq{Keys: b.keys})
-		if err != nil {
-			b.err = err // node down: its keys go to the next replica
-			return nil
-		}
-		r := resp.(*wire.DHTMultiGetResp)
-		if len(r.Found) != len(b.idx) {
-			return fmt.Errorf("dht: multiget answered %d of %d keys", len(r.Found), len(b.idx))
-		}
-		for j, idx := range b.idx {
-			values[idx], found[idx] = r.Values[j], r.Found[j]
-		}
 		return nil
-	})
+	}
+	var one batch
+	batches := c.route(&one, keys, nil, replica, 1)
+	var err error
+	if batches == nil {
+		err = c.get(ctx, &one, values, found)
+	} else {
+		err = vclock.Parallel(c.sched, len(batches), func(i int) error {
+			return c.get(ctx, &batches[i], values, found)
+		})
+	}
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if replica+1 < c.ring.replicas {
 		var missed []int
@@ -176,26 +184,58 @@ func (c *Client) multiGet(ctx context.Context, keys [][]byte, replica int) (valu
 				missed, missedKeys = append(missed, i), append(missedKeys, keys[i])
 			}
 		}
-		later, laterFound, err := c.multiGet(ctx, missedKeys, replica+1)
-		if err != nil {
-			return nil, nil, err
+		later, laterFound := make([][]byte, len(missed)), make([]bool, len(missed))
+		if err := c.multiGet(ctx, missedKeys, later, laterFound, replica+1); err != nil {
+			return err
 		}
 		for j, i := range missed {
 			values[i], found[i] = later[j], laterFound[j]
 		}
 	}
-	// What no replica had is absent only if this one answered.
-	for _, b := range batches {
-		if b.err == nil {
-			continue
-		}
-		for _, i := range b.idx {
-			if !found[i] {
-				return nil, nil, b.err
-			}
+	// What no replica had is absent only if this one answered. (one is
+	// the zero batch unless the call went to a single node.)
+	if err := one.unanswered(found); err != nil {
+		return err
+	}
+	for i := range batches {
+		if err := batches[i].unanswered(found); err != nil {
+			return err
 		}
 	}
-	return values, found, nil
+	return nil
+}
+
+// get asks b's node for b's keys and files the answers in values and
+// found at b's positions. A node that does not answer is recorded in
+// b.err, not returned: its keys go to the next replica.
+func (c *Client) get(ctx context.Context, b *batch, values [][]byte, found []bool) error {
+	resp, err := c.rpc.Call(ctx, b.node, &wire.DHTMultiGetReq{Keys: b.keys})
+	if err != nil {
+		b.err = err
+		return nil
+	}
+	r := resp.(*wire.DHTMultiGetResp)
+	if len(r.Found) != len(b.idx) {
+		return fmt.Errorf("dht: multiget answered %d of %d keys", len(r.Found), len(b.idx))
+	}
+	for j, idx := range b.idx {
+		values[idx], found[idx] = r.Values[j], r.Found[j]
+	}
+	return nil
+}
+
+// unanswered returns why b's node did not answer if one of b's keys is
+// still not found, nil otherwise.
+func (b *batch) unanswered(found []bool) error {
+	if b.err == nil {
+		return nil
+	}
+	for _, i := range b.idx {
+		if !found[i] {
+			return b.err
+		}
+	}
+	return nil
 }
 
 // Delete removes a batch of keys from every replica, grouping them per
@@ -210,19 +250,30 @@ func (c *Client) Delete(ctx context.Context, keys [][]byte) (uint64, error) {
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	batches := c.route(keys, nil, 0, c.ring.replicas)
+	var one batch
+	batches := c.route(&one, keys, nil, 0, c.ring.replicas)
+	if batches == nil {
+		return c.delete(ctx, &one)
+	}
 	removed := make([]uint64, len(batches))
 	err := vclock.Parallel(c.sched, len(batches), func(i int) error {
-		resp, err := c.rpc.Call(ctx, batches[i].node, &wire.DHTDeleteReq{Keys: batches[i].keys})
-		if err != nil {
-			return err
-		}
-		removed[i] = resp.(*wire.DHTDeleteResp).Deleted
-		return nil
+		var err error
+		removed[i], err = c.delete(ctx, &batches[i])
+		return err
 	})
 	var total uint64
 	for _, d := range removed {
 		total += d
 	}
 	return total, err
+}
+
+// delete removes one batch's keys from its node and returns how many it
+// held.
+func (c *Client) delete(ctx context.Context, b *batch) (uint64, error) {
+	resp, err := c.rpc.Call(ctx, b.node, &wire.DHTDeleteReq{Keys: b.keys})
+	if err != nil {
+		return 0, err
+	}
+	return resp.(*wire.DHTDeleteResp).Deleted, nil
 }

@@ -38,9 +38,10 @@ func BenchmarkMetaPutNodes(b *testing.B) {
 }
 
 // BenchmarkMetaGetNodes walks one such path the way a descent does, one
-// GetNodes per level. warm: every level is a cache hit. cold: the cache
-// is far smaller than the paths rotated through it, so every level is a
-// miss, a DHT round trip and an insertion that evicts.
+// GetNodes per level into one node buffer. warm: every level is a cache
+// hit. cold: the cache is far smaller than the paths rotated through
+// it, so every level is a miss, a DHT round trip and an insertion that
+// evicts.
 func BenchmarkMetaGetNodes(b *testing.B) {
 	const paths = 64
 	for _, tc := range []struct {
@@ -60,8 +61,10 @@ func BenchmarkMetaGetNodes(b *testing.B) {
 			}
 			st := NewStore(d, soleLineage(1), NewCache(tc.cache))
 			walk := func(ids []core.NodeID) {
+				var nodes []core.Node // one buffer per descent
 				for level := len(ids) - 1; level >= 0; level-- {
-					if _, err := st.GetNodes(ctx, ids[level:level+1]); err != nil {
+					var err error
+					if nodes, err = st.GetNodes(ctx, ids[level:level+1], nodes); err != nil {
 						b.Fatal(err)
 					}
 				}

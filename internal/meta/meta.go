@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"blobseer/internal/core"
 	"blobseer/internal/dht"
@@ -72,8 +73,9 @@ func appendKey(slab []byte, ck cacheKey) (key, grown []byte) {
 }
 
 // GetNodes implements core.NodeStore.
-func (s *Store) GetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node, error) {
-	out, found, err := s.getNodes(ctx, ids, s.cache)
+func (s *Store) GetNodes(ctx context.Context, ids []core.NodeID, buf []core.Node) ([]core.Node, error) {
+	var narrow [16]bool // the found flags of a narrow level, off the heap
+	out, found, err := s.getNodes(ctx, ids, s.cache, buf, narrow[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -92,16 +94,17 @@ func (s *Store) GetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node, e
 // copy would hide, and a node about to be deleted is no use in the
 // LRU. A missing node means its subtree was collected. Transport
 // failures and undecodable values still error — absence is a state,
-// corruption is not.
-func (s *Store) TryGetNodes(ctx context.Context, ids []core.NodeID) ([]core.Node, []bool, error) {
-	return s.getNodes(ctx, ids, nil)
+// corruption is not. Like GetNodes it fills the caller's buffers, buf
+// and found, resized to len(ids).
+func (s *Store) TryGetNodes(ctx context.Context, ids []core.NodeID, buf []core.Node, found []bool) ([]core.Node, []bool, error) {
+	return s.getNodes(ctx, ids, nil, buf, found)
 }
 
-// getNodes fetches ids through cache (nil: straight from the replicas),
-// reporting the absent ones in found.
-func (s *Store) getNodes(ctx context.Context, ids []core.NodeID, cache *Cache) ([]core.Node, []bool, error) {
-	out := make([]core.Node, len(ids))
-	ok := make([]bool, len(ids))
+// getNodes fetches ids through cache (nil: straight from the replicas)
+// into out, reporting the absent ones in ok; both are resized to
+// len(ids).
+func (s *Store) getNodes(ctx context.Context, ids []core.NodeID, cache *Cache, out []core.Node, ok []bool) ([]core.Node, []bool, error) {
+	out, ok = resized(out, len(ids)), resized(ok, len(ids))
 	// DHT keys are spelled out only for the misses, in one slab sized at
 	// the first of them. ok[i] is false for exactly the misses until the
 	// answers are filled in, in the same order.
@@ -148,6 +151,14 @@ func (s *Store) getNodes(ctx context.Context, ids []core.NodeID, cache *Cache) (
 		j++
 	}
 	return out, ok, nil
+}
+
+// resized returns buf holding n zero values, in its own array when that
+// has the room.
+func resized[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }
 
 // PutNodes implements core.NodeStore. New nodes always belong to the

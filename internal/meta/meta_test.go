@@ -94,7 +94,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := st.PutNodes(ctx, ids, nodes); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.GetNodes(ctx, ids)
+	got, err := st.GetNodes(ctx, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreMissingNodeError(t *testing.T) {
 	d := newDHT(t, 1)
 	st := NewStore(d, soleLineage(7), nil)
-	_, err := st.GetNodes(context.Background(), []core.NodeID{{Version: 9, Offset: 0, Span: 1}})
+	_, err := st.GetNodes(context.Background(), []core.NodeID{{Version: 9, Offset: 0, Span: 1}}, nil)
 	if !wire.IsNotFound(err) {
 		t.Fatalf("err = %v, want not-found", err)
 	}
@@ -129,7 +129,7 @@ func TestStoreLineageResolution(t *testing.T) {
 
 	branch := NewStore(d, wire.Lineage{{Blob: 10, MinVersion: 6}, {Blob: 3, MinVersion: 0}}, nil)
 	// The branch sees the parent's old node through lineage resolution.
-	got, err := branch.GetNodes(ctx, []core.NodeID{oldID})
+	got, err := branch.GetNodes(ctx, []core.NodeID{oldID}, nil)
 	if err != nil || !reflect.DeepEqual(got[0], oldNode) {
 		t.Fatalf("branch read of shared node: %+v, %v", got, err)
 	}
@@ -141,10 +141,10 @@ func TestStoreLineageResolution(t *testing.T) {
 	if err := branch.PutNodes(ctx, []core.NodeID{newID}, []core.Node{newNode}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := branch.GetNodes(ctx, []core.NodeID{newID}); err != nil || !reflect.DeepEqual(got[0], newNode) {
+	if got, err := branch.GetNodes(ctx, []core.NodeID{newID}, nil); err != nil || !reflect.DeepEqual(got[0], newNode) {
 		t.Fatalf("branch read own node: %+v, %v", got, err)
 	}
-	if _, err := parent.GetNodes(ctx, []core.NodeID{newID}); !wire.IsNotFound(err) {
+	if _, err := parent.GetNodes(ctx, []core.NodeID{newID}, nil); !wire.IsNotFound(err) {
 		t.Fatalf("parent sees branch-private node: err = %v", err)
 	}
 }
@@ -161,7 +161,7 @@ func TestStoreCacheAvoidsRefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// PutNodes warms the cache; this get must not touch the DHT.
-	if _, err := st.GetNodes(ctx, []core.NodeID{id}); err != nil {
+	if _, err := st.GetNodes(ctx, []core.NodeID{id}, nil); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := obs.Value(cache, "meta_cache_hits_total"), obs.Value(cache, "meta_cache_misses_total")
@@ -171,8 +171,8 @@ func TestStoreCacheAvoidsRefetch(t *testing.T) {
 
 	// A cold cache misses once, then hits.
 	st2 := NewStore(d, soleLineage(1), NewCache(128))
-	st2.GetNodes(ctx, []core.NodeID{id})
-	st2.GetNodes(ctx, []core.NodeID{id})
+	st2.GetNodes(ctx, []core.NodeID{id}, nil)
+	st2.GetNodes(ctx, []core.NodeID{id}, nil)
 	h2, m2 := obs.Value(st2.cache, "meta_cache_hits_total"), obs.Value(st2.cache, "meta_cache_misses_total")
 	if h2 != 1 || m2 != 1 {
 		t.Fatalf("cold cache hits=%v misses=%v, want 1/1", h2, m2)
@@ -197,10 +197,10 @@ func TestStoreMixedCacheHitMiss(t *testing.T) {
 	// Read through a store with a cache warmed for only half the nodes.
 	half := NewCache(128)
 	stHalf := NewStore(d, soleLineage(1), half)
-	if _, err := stHalf.GetNodes(ctx, ids[:5]); err != nil {
+	if _, err := stHalf.GetNodes(ctx, ids[:5], nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := stHalf.GetNodes(ctx, ids) // 5 cached + 5 fetched
+	got, err := stHalf.GetNodes(ctx, ids, nil) // 5 cached + 5 fetched
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,17 @@ type Config struct {
 	// HeartbeatEvery is the heartbeat period (default 5s).
 	HeartbeatEvery time.Duration
 	// CallTimeout bounds each registration and heartbeat call to the
-	// manager (default HeartbeatEvery), so a dead manager cannot wedge
-	// the loop. Inert under a Virtual scheduler, like all deadlines.
+	// manager (default HeartbeatEvery, but at least a second), so a
+	// dead manager cannot wedge the loop. Inert under a Virtual
+	// scheduler, like all deadlines.
 	CallTimeout time.Duration
 }
+
+// minCallTimeout floors CallTimeout's default. A call's deadline covers
+// a dial and the scheduling delays of a loaded host, which do not shrink
+// with the heartbeat period: a provider beating every few milliseconds
+// must still get its registration through.
+const minCallTimeout = time.Second
 
 // Provider is a running data provider service.
 type Provider struct {
@@ -79,7 +86,7 @@ func Serve(ln transport.Listener, cfg Config) (*Provider, error) {
 		cfg.HeartbeatEvery = 5 * time.Second
 	}
 	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = cfg.HeartbeatEvery
+		cfg.CallTimeout = max(cfg.HeartbeatEvery, minCallTimeout)
 	}
 	p := &Provider{store: cfg.Store, ownStore: ownStore, cfg: cfg, closed: make(chan struct{}),
 		beat: vclock.NewSleeper(cfg.Sched), wg: vclock.NewWaitGroup(cfg.Sched)}

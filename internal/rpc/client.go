@@ -346,9 +346,13 @@ func (cc *clientConn) roundTrip(ctx context.Context, req wire.Msg) (wire.Msg, er
 	if err != nil {
 		// Context cancellation (Real scheduler only): orphan the pending
 		// entry so a late response is dropped instead of misdelivered.
+		// The event is not recycled: the read loop may have claimed it
+		// already and may still be about to fire it.
 		cc.forget(id)
 		return nil, err
 	}
+	// Delivered: the read loop (or fail) that fired ev is done with it.
+	vclock.Recycle(ev)
 	switch r := v.(type) {
 	case wire.Msg:
 		return r, nil

@@ -5,6 +5,14 @@
 // context's, and it covers the dial too; the client adds none of its
 // own.
 //
+// A call's plumbing costs next to nothing beside its payload. The
+// client's reply event goes back to vclock's pool once its Wait has
+// delivered the reply — never after a wait the context cut short, since
+// the read loop may have claimed the event and may still fire it. The
+// server binds what a connection's requests share once per connection,
+// so each request's goroutine starts from one small closure of its own
+// fields.
+//
 // Framing: every message travels as
 //
 //	uint32 bodyLen | uint64 requestID | uint8 kind | body

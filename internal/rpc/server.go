@@ -186,6 +186,11 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 	// virtual time under simnet. A plain sync.Mutex here wedges the
 	// simulation when two responses race for the same connection.
 	wmu := vclock.NewMutex(s.sched)
+	// What every request of the connection shares is bound once, here, so
+	// a request's own goroutine captures only what is its own.
+	serve := func(id uint64, req wire.Msg, body *[]byte) {
+		s.serveRequest(cctx, c, wmu, id, req, body)
+	}
 	for {
 		id, kind, body, err := readFrame(c)
 		if err != nil {
@@ -197,7 +202,13 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 			bufpool.Put(body)
 			return
 		}
-		s.wg.Go(func() { s.serveRequest(cctx, c, wmu, id, req, body) })
+		// Add and Done by hand: one closure per request, not
+		// WaitGroup.Go's wrapper around it as well.
+		s.wg.Add(1)
+		s.sched.Go(func() {
+			defer s.wg.Done()
+			serve(id, req, body)
+		})
 	}
 }
 

@@ -94,12 +94,7 @@ func tryFire(ev Event, v any) bool {
 		e.clock.dispatchLocked()
 		return true
 	case *realEvent:
-		fired := false
-		e.once.Do(func() {
-			e.ch <- v
-			fired = true
-		})
-		return fired
+		return e.fire(v)
 	default:
 		ev.Fire(v)
 		return true

@@ -37,6 +37,9 @@ func Parallel(s Scheduler, n int, fn func(i int) error) error {
 	var first error
 	for i := 0; i < n; i++ {
 		v, err := evs[i].Wait(nil)
+		if err == nil {
+			Recycle(evs[i]) // its worker's Fire was the worker's last touch
+		}
 		if err != nil && first == nil {
 			first = err
 		}

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -58,6 +59,10 @@ type Scheduler interface {
 // Event is a one-shot synchronization point carrying a payload. Fire may
 // be called at most once; Wait blocks until Fire (or scheduler shutdown)
 // and returns the payload. Wait may be called at most once.
+//
+// An event may be handed back with Recycle, under one rule: only its
+// sole remaining holder may recycle it, and only after its one Wait
+// delivered the payload. Nothing may touch the event after that.
 type Event interface {
 	// Fire delivers v to the waiter. Calling Fire twice panics. Under
 	// Virtual, a Fire on an event the scheduler already resolved — its
@@ -94,23 +99,35 @@ func (*Real) Sleep(d time.Duration) error {
 // Now implements Scheduler.
 func (r *Real) Now() time.Duration { return time.Since(r.start) }
 
-// NewEvent implements Scheduler.
-func (*Real) NewEvent() Event { return &realEvent{ch: make(chan any, 1)} }
+// NewEvent implements Scheduler. It hands out a recycled event when
+// there is one.
+func (*Real) NewEvent() Event { return realEvents.Get().(*realEvent) }
 
+// realEvents holds the Real events handed back through Recycle.
+var realEvents = sync.Pool{New: func() any { return &realEvent{ch: make(chan any, 1)} }}
+
+// realEvent fires by claiming fired, then sending: the send is the
+// firer's last touch, so once the waiter has received the payload
+// nobody else holds the event and it may be recycled.
 type realEvent struct {
-	once sync.Once
-	ch   chan any
+	fired atomic.Bool
+	ch    chan any
 }
 
 func (e *realEvent) Fire(v any) {
-	fired := false
-	e.once.Do(func() {
-		e.ch <- v
-		fired = true
-	})
-	if !fired {
+	if !e.fire(v) {
 		panic("vclock: Event fired twice")
 	}
+}
+
+// fire delivers v unless the event was fired already, and reports
+// whether this call delivered it.
+func (e *realEvent) fire(v any) bool {
+	if !e.fired.CompareAndSwap(false, true) {
+		return false
+	}
+	e.ch <- v
+	return true
 }
 
 func (e *realEvent) Wait(ctx context.Context) (any, error) {
@@ -122,6 +139,17 @@ func (e *realEvent) Wait(ctx context.Context) (any, error) {
 		return v, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	}
+}
+
+// Recycle hands back ev, whose one Wait delivered its payload, for a
+// later NewEvent to reuse. The caller must be its sole remaining holder
+// (see Event). Under Virtual it does nothing: a simulation allocates
+// its events afresh, so recycling cannot change how it runs.
+func Recycle(ev Event) {
+	if e, ok := ev.(*realEvent); ok {
+		e.fired.Store(false)
+		realEvents.Put(e)
 	}
 }
 

@@ -423,3 +423,54 @@ func TestVirtualFireAtOrdersWithSleep(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRealEventRecycle pins Recycle's reset: an event handed back after
+// its one Wait delivered comes back unfired with an empty buffer, and a
+// run of calls drawing from the pool each gets its own payload.
+func TestRealEventRecycle(t *testing.T) {
+	r := NewReal()
+	ev := r.NewEvent()
+	ev.Fire("first")
+	if got, err := ev.Wait(nil); err != nil || got != "first" {
+		t.Fatalf("Wait = %v, %v", got, err)
+	}
+	Recycle(ev)
+	e := ev.(*realEvent)
+	if e.fired.Load() || len(e.ch) != 0 {
+		t.Fatalf("recycled event: fired %v, %d buffered payloads; want unfired and empty", e.fired.Load(), len(e.ch))
+	}
+	for i := 0; i < 64; i++ {
+		ev := r.NewEvent()
+		r.Go(func() { ev.Fire(i) })
+		got, err := ev.Wait(context.Background())
+		if err != nil || got != i {
+			t.Fatalf("call %d: Wait = %v, %v", i, got, err)
+		}
+		Recycle(ev)
+	}
+}
+
+// TestVirtualRecycleIsInert: under Virtual, Recycle changes nothing, so
+// a simulation runs the same whether or not its code recycles.
+func TestVirtualRecycleIsInert(t *testing.T) {
+	v := NewVirtual(0)
+	err := v.Run(func() {
+		ev := v.NewEvent()
+		ev.Fire("x")
+		if got, err := ev.Wait(nil); err != nil || got != "x" {
+			t.Errorf("Wait = %v, %v", got, err)
+		}
+		e := ev.(*virtEvent)
+		before := *e
+		Recycle(ev)
+		if *e != before {
+			t.Errorf("Recycle changed a virtual event: %+v, was %+v", *e, before)
+		}
+		if v.NewEvent() == ev {
+			t.Error("a recycled virtual event was handed out again")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
