@@ -430,7 +430,7 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 	}
 	for _, nd := range nodes {
 		if nd.Addr() == c.ring.Primary(survivor) {
-			if removed, err := nd.eng.deleteBatch([][]byte{survivor}); err != nil || removed != 1 {
+			if removed, err := nd.deleteBatch([][]byte{survivor}); err != nil || removed != 1 {
 				t.Fatalf("dropping the primary copy: %d %v", removed, err)
 			}
 		}

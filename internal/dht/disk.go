@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"blobseer/internal/bufpool"
-	"blobseer/internal/obs"
 	"blobseer/internal/seglog"
 	"blobseer/internal/wire"
 )
@@ -18,7 +17,8 @@ import (
 // every tree node it was ever handed: a GET reads the pair from its log
 // segment (the OS page cache is the only cache), a restart rebuilds the
 // KV's index and reads no value. Layout, recovery, snapshots and
-// compaction are the KV's (see internal/seglog/kv.go).
+// compaction are the KV's (see internal/seglog/kv.go); this file holds
+// the node's contract with its log, and node.go the wire front-end.
 //
 // Durability contract: a request is acknowledged once the log holds
 // each of its keys with bytes equal to the request's; a pair is readable
@@ -58,34 +58,37 @@ var metaLayout = &seglog.KVLayout{
 // KV's own options, as pagestore.DiskOptions are (see seglog.KVOptions).
 type LogOptions = seglog.KVOptions
 
-// Disk is the engine: the pairs are the seglog.KV's, and there is no
-// other state — this file only maps the engine contract onto the log,
-// as pagestore.Disk maps the page store's.
-type Disk struct{ kv *seglog.KV }
-
-func newDisk(kv *seglog.KV) *Disk { return &Disk{kv: kv} }
+// lend and giveBack are where a MULTI_GET's value buffer comes from and
+// goes back to: the pool the rpc frames come from. Every loan goes
+// through them, so a test can keep books on them.
+var lend, giveBack = bufpool.GetBytes, bufpool.PutBytes
 
 func unavailable(err error) error {
 	return wire.NewError(wire.CodeUnavailable, "metadata log: %v", err)
 }
 
-// putBatch implements engine: one batch on the log, then the
-// immutability compare for each record that lost — to a pair logged
-// before the request came, or to one queued ahead of it by a concurrent
-// request or by an earlier mention in this one. The winner is logged by
-// then, so the compare has the log to go by: identical bytes are a
-// success, acknowledged like any other after the log holds them, and
-// different bytes are the divergence, the first in request order being
-// the one reported. A put that loses to a pair whose own commit failed
-// has lost to nothing: its record is the one that enters the log.
-func (d *Disk) putBatch(keys, values [][]byte) error {
-	lost, err := d.kv.PutBatch(keys, values)
+// putBatch stores the pairs of one request as one batch on the log and
+// returns once the log holds them; keys and values alias the request's
+// frame, and the log copies what it keeps. Values are immutable: node
+// keys embed version+range, so two writers can only ever produce
+// identical bytes for one key, and a re-put of different bytes signals
+// corruption (or a buggy client) that keeping the first value would
+// hide. So each record that lost — to a pair logged before the request
+// came, or queued ahead of it by a concurrent request or an earlier
+// mention in this one — is compared with the winner, logged by then:
+// identical bytes are a success, different bytes the divergence, the
+// first in request order being the one reported. It fails the request;
+// the pairs before it stay stored, and those after it may. A put that
+// loses to a pair whose own commit failed has lost to nothing: its
+// record is the one that enters the log.
+func (n *Node) putBatch(keys, values [][]byte) error {
+	lost, err := n.log.PutBatch(keys, values)
 	if err != nil {
 		return unavailable(err)
 	}
 	var stored []byte // checkLogged's scratch
 	for _, i := range lost {
-		if stored, err = d.checkLogged(keys[i], values[i], stored); err != nil {
+		if stored, err = n.checkLogged(keys[i], values[i], stored); err != nil {
 			return err
 		}
 	}
@@ -97,38 +100,41 @@ func (d *Disk) putBatch(keys, values [][]byte) error {
 // the compare reads them, into scratch, which it returns for reuse. A
 // key the log no longer has was deleted while it was being put, which
 // the contract rules out: the request fails as unavailable.
-func (d *Disk) checkLogged(key, value, scratch []byte) ([]byte, error) {
-	stored, err := d.kv.GetAppendBytes(scratch[:0], key, 0, wire.WholePage)
+func (n *Node) checkLogged(key, value, scratch []byte) ([]byte, error) {
+	stored, err := n.log.GetAppendBytes(scratch[:0], key, 0, wire.WholePage)
 	if err != nil {
 		return scratch, unavailable(err)
 	}
 	if !bytes.Equal(stored, value) {
-		return stored, divergent(key, len(stored), len(value))
+		return stored, wire.NewError(wire.CodeBadRequest,
+			"divergent re-put of key %x: stored %d bytes, got %d", key, len(stored), len(value))
 	}
 	return stored, nil
 }
 
-// getBatch implements engine. Every value of the response is read into
-// one buffer from the pool the rpc frames come from, sized from the
-// index before the first pread; release hands it back.
-func (d *Disk) getBatch(keys [][]byte, found []bool, values [][]byte) ([]byte, error) {
+// getBatch looks keys up, setting found[i] and values[i] for each keys[i]
+// the log holds. Every value is read into one buffer from lend, sized
+// from the index before the first pread; the values are read-only and
+// on loan with it until the caller passes it to release, once, as the
+// last thing it does with them. A failed getBatch gives it back itself.
+func (n *Node) getBatch(keys [][]byte, found []bool, values [][]byte) ([]byte, error) {
 	total := 0
 	for _, key := range keys {
-		n, _ := d.kv.LenBytes(key)
-		total += int(n)
+		l, _ := n.log.LenBytes(key)
+		total += int(l)
 	}
 	var buf []byte
 	if total > 0 {
-		buf = bufpool.GetBytes(total)[:0]
+		buf = lend(total)[:0]
 	}
 	for i, key := range keys {
 		room := buf[len(buf):]
-		v, err := d.kv.GetAppendBytes(room, key, 0, wire.WholePage)
+		v, err := n.log.GetAppendBytes(room, key, 0, wire.WholePage)
 		if err != nil {
 			if errors.Is(err, seglog.ErrNotFound) {
 				continue
 			}
-			d.release(buf)
+			release(buf)
 			return nil, unavailable(err)
 		}
 		found[i], values[i] = true, v[:len(v):len(v)]
@@ -141,35 +147,31 @@ func (d *Disk) getBatch(keys [][]byte, found []bool, values [][]byte) ([]byte, e
 	return buf, nil
 }
 
-// release implements engine: the buffer goes back to the pool.
-func (*Disk) release(lent []byte) {
+// release takes back what one getBatch lent, if it lent a buffer.
+func release(lent []byte) {
 	if lent != nil {
-		bufpool.PutBytes(lent)
+		giveBack(lent)
 	}
 }
 
-// deleteBatch implements engine: one batch of tombstones on the log —
-// GC sweeps delete thousands of keys per request, and one fsync per key
-// would serialize the sweep on the disk — and the count is of the pairs
-// those tombstones took out of the log's index. A key leaves the index
-// when the first tombstone for it applies, so a key named n times, in
-// one request or by concurrent sweeps, is counted once and may log up to
-// n tombstones; the redundant ones are hygiene's to drop (see
+// deleteBatch removes pairs with one batch of tombstones on the log — GC
+// sweeps delete thousands of keys per request, and one fsync per key
+// would serialize the sweep on the disk — and returns how many pairs
+// those tombstones took out of the log's index. The caller (a collector
+// walking version metadata) has proven every key unreachable; keys are
+// never reused afterwards, and unknown keys are no-ops. A key leaves the
+// index when the first tombstone for it applies, so a key named n times,
+// in one request or by concurrent sweeps, is counted once and may log up
+// to n tombstones; the redundant ones are hygiene's to drop (see
 // seglog/hygiene.go). A crash before the batch commits may resurrect
 // some pairs of an unacknowledged batch; deletes are idempotent, so the
 // collector's re-run removes them again. Deleting a key whose put is in
 // flight is outside the contract — keys are collected only once
 // unreachable, and a key being put belongs to an unpublished version.
-func (d *Disk) deleteBatch(keys [][]byte) (uint64, error) {
-	deleted, err := d.kv.DeleteBatch(keys)
+func (n *Node) deleteBatch(keys [][]byte) (uint64, error) {
+	deleted, err := n.log.DeleteBatch(keys)
 	if err != nil {
 		return deleted, unavailable(err)
 	}
 	return deleted, nil
 }
-
-// Metrics implements engine: the log's series.
-func (d *Disk) Metrics(s *obs.Sink) { d.kv.Metrics(s) }
-
-// close implements engine.
-func (d *Disk) close() error { return d.kv.Close() }

@@ -12,7 +12,6 @@ import (
 	"unsafe"
 
 	"blobseer/internal/rpc"
-	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -75,7 +74,7 @@ func TestDurableNodeKeepsNoPairAtRest(t *testing.T) {
 }
 
 // TestDeleteRepeatedKeyCountsOnce: DHTDeleteResp.Deleted counts pairs,
-// not mentions. On the durable engine a key leaves the log's index only
+// not mentions. On a durable node a key leaves the log's index only
 // when its tombstone's batch applies, so a repeat inside one request and
 // a second sweep racing the first each log a tombstone of their own: the
 // first to apply counts the pair, the others count nothing — and until
@@ -255,90 +254,65 @@ func TestGetRacesCompaction(t *testing.T) {
 	}
 }
 
-// ledgerEngine is an engine that keeps books on what it lends: every
-// successful getBatch is a loan until release brings that same buffer
-// back, once. Two keys are special, so a test can stage the exits a real
-// engine makes hard to reach.
-type ledgerEngine struct {
-	engine
-	huge []byte // what oversizeKey reads as: more than one frame can carry
-
+// ledger keeps books on the value buffers a node lends: every lend is a
+// loan until giveBack brings that same buffer back, once.
+type ledger struct {
 	mu       sync.Mutex
 	out      map[*byte]int // start of a lent buffer -> times on loan
-	open     int           // loans not yet released, those of no buffer included
 	lent     int
 	released int
 	bad      []string
 }
 
-var (
-	brokenKey   = nkey("ledger: broken")   // getBatch fails with an error of the engine's own
-	oversizeKey = nkey("ledger: oversize") // found, with a value no frame can carry
-)
-
-func (e *ledgerEngine) getBatch(keys [][]byte, found []bool, values [][]byte) ([]byte, error) {
-	for _, k := range keys {
-		if bytes.Equal(k, brokenKey) {
-			return nil, wire.NewError(wire.CodeUnavailable, "ledger: medium error")
+// keepBooks routes lend and giveBack through a new ledger until the test
+// ends.
+func keepBooks(t *testing.T) *ledger {
+	l := &ledger{out: make(map[*byte]int)}
+	lend0, giveBack0 := lend, giveBack
+	t.Cleanup(func() { lend, giveBack = lend0, giveBack0 })
+	lend = func(n int) []byte {
+		b := lend0(n)
+		l.mu.Lock()
+		l.out[unsafe.SliceData(b)]++
+		l.lent++
+		l.mu.Unlock()
+		return b
+	}
+	giveBack = func(b []byte) {
+		l.mu.Lock()
+		if p := unsafe.SliceData(b); l.out[p] == 0 {
+			l.bad = append(l.bad, fmt.Sprintf("give-back of a %d-byte buffer that is not on loan", cap(b)))
+		} else {
+			l.out[p]--
 		}
+		l.released++
+		l.mu.Unlock()
+		giveBack0(b)
 	}
-	lent, err := e.engine.getBatch(keys, found, values)
-	if err != nil {
-		return nil, err
-	}
-	for i, k := range keys {
-		if bytes.Equal(k, oversizeKey) {
-			found[i], values[i] = true, e.huge
-		}
-	}
-	e.mu.Lock()
-	if lent != nil {
-		e.out[unsafe.SliceData(lent)]++
-	}
-	e.open++
-	e.lent++
-	e.mu.Unlock()
-	return lent, nil
-}
-
-func (e *ledgerEngine) release(lent []byte) {
-	e.mu.Lock()
-	switch p := unsafe.SliceData(lent); {
-	case e.open == 0:
-		e.bad = append(e.bad, "release with nothing on loan")
-	case lent != nil && e.out[p] == 0:
-		e.bad = append(e.bad, fmt.Sprintf("release of a %d-byte buffer that is not on loan", cap(lent)))
-	case lent != nil:
-		e.out[p]--
-	}
-	e.open--
-	e.released++
-	e.mu.Unlock()
-	e.engine.release(lent)
+	return l
 }
 
 // settled waits until nothing is on loan — the server releases on its
 // own goroutine, after the handler — and checks the books since the
 // last call: loans made, as many given back, none of them wrong.
-func (e *ledgerEngine) settled(t *testing.T, when string, loans int) {
+func (l *ledger) settled(t *testing.T, when string, loans int) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		e.mu.Lock()
-		open, lent, released, bad := e.open, e.lent, e.released, e.bad
-		for _, n := range e.out {
-			if n != 0 && open == 0 {
-				bad = append(bad, "a buffer is out although every loan was released")
-			}
+		l.mu.Lock()
+		open := 0
+		for _, n := range l.out {
+			open += n
 		}
+		lent, released, bad := l.lent, l.released, l.bad
 		if open == 0 {
-			e.lent, e.released = 0, 0
+			l.lent, l.released = 0, 0
 		}
-		e.mu.Unlock()
+		l.mu.Unlock()
 		switch {
 		case len(bad) > 0:
 			t.Fatalf("%s: %v", when, bad)
 		case open == 0 && (lent != loans || released != loans):
-			t.Fatalf("%s: %d loans made and %d released, want %d of each", when, lent, released, loans)
+			t.Fatalf("%s: %d loans made and %d given back, want %d of each", when, lent, released, loans)
 		case open == 0:
 			return
 		case time.Now().After(deadline):
@@ -349,8 +323,8 @@ func (e *ledgerEngine) settled(t *testing.T, when string, loans int) {
 
 // TestEveryLentValueBufferReleasedOnce walks DHT_MULTI_GET out of every
 // exit it has, over a log on disk and one in memory, and checks the
-// engine's books after each: what getBatch lent came back through
-// release exactly once, and nothing else did.
+// books on the node's value buffers after each: what getBatch lent came
+// back through giveBack exactly once, and nothing else did.
 func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 	for _, name := range []string{"Disk", "Mem"} {
 		t.Run(name, func(t *testing.T) {
@@ -358,18 +332,16 @@ func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 			if name == "Disk" {
 				path = filepath.Join(t.TempDir(), "meta.log")
 			}
-			kv, err := seglog.OpenKV(nil, path, metaLayout, seglog.KVOptions{})
+			books := keepBooks(t)
+			nd, err := newNode(nil, path, LogOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			inner := newDisk(kv) // closed with the node
-			eng := &ledgerEngine{engine: inner, huge: make([]byte, rpc.MaxFrameBody+1), out: make(map[*byte]int)}
 			net := transport.NewInproc()
 			ln, err := net.Listen("meta")
 			if err != nil {
 				t.Fatal(err)
 			}
-			nd := &Node{eng: eng}
 			nd.srv = rpc.Serve(ln, vclock.NewReal(), nd.mux())
 			cl := rpc.NewClient(net, vclock.NewReal())
 			t.Cleanup(func() {
@@ -378,9 +350,14 @@ func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 				net.Close()
 			})
 			ctx := context.Background()
-			a, b, missing := nkey("a"), nkey("b"), nkey("missing")
+			a, b, missing, oversize := nkey("a"), nkey("b"), nkey("missing"), nkey("oversize")
 			put := &wire.DHTMultiPutReq{Keys: [][]byte{a, b}, Values: [][]byte{[]byte("0123456789"), []byte("abcdef")}}
 			if _, err := cl.Call(ctx, "meta", put); err != nil {
+				t.Fatal(err)
+			}
+			// A value no frame can carry: the wire refuses to bring it in,
+			// so it goes straight into the log.
+			if _, err := nd.log.PutBatch([][]byte{oversize}, [][]byte{make([]byte, rpc.MaxFrameBody+1)}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -388,19 +365,19 @@ func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 			if err != nil || string(resp.(*wire.DHTMultiGetResp).Values[0]) != "0123456789" {
 				t.Fatalf("MULTI_GET of one key = %v, %v", resp, err)
 			}
-			eng.settled(t, "MULTI_GET of one key served", 1)
+			books.settled(t, "MULTI_GET of one key served", 1)
 
 			resp, err = cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{missing}})
 			if err != nil || resp.(*wire.DHTMultiGetResp).Found[0] {
 				t.Fatalf("MULTI_GET of a missing key = %v, %v", resp, err)
 			}
-			eng.settled(t, "MULTI_GET of a missing key", 1)
+			books.settled(t, "MULTI_GET of a missing key", 0)
 
 			resp, err = cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{missing, missing}})
 			if err != nil || resp.(*wire.DHTMultiGetResp).Found[0] {
 				t.Fatalf("MULTI_GET of missing keys = %v, %v", resp, err)
 			}
-			eng.settled(t, "MULTI_GET that found nothing", 1)
+			books.settled(t, "MULTI_GET that found nothing", 0)
 
 			resp, err = cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{a, missing, b}})
 			if err != nil {
@@ -410,28 +387,33 @@ func TestEveryLentValueBufferReleasedOnce(t *testing.T) {
 				string(r.Values[0]) != "0123456789" || string(r.Values[2]) != "abcdef" {
 				t.Fatalf("MULTI_GET around a missing key = %+v", r)
 			}
-			eng.settled(t, "MULTI_GET served around a missing key", 1)
+			books.settled(t, "MULTI_GET served around a missing key", 1)
 
-			if _, err := cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{a, brokenKey}}); wire.CodeOf(err) != wire.CodeUnavailable {
-				t.Fatalf("err = %v, want the engine's", err)
-			}
-			eng.settled(t, "engine error", 0)
-
-			if _, err := cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{oversizeKey}}); err == nil {
+			if _, err := cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{oversize}}); err == nil {
 				t.Fatal("a value no frame can carry was served")
 			}
-			eng.settled(t, "MULTI_GET of one key failed to encode", 1)
-			if _, err := cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{a, oversizeKey, b}}); err == nil {
+			books.settled(t, "MULTI_GET of one key failed to encode", 1)
+			if _, err := cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{a, oversize, b}}); err == nil {
 				t.Fatal("a value no frame can carry was served")
 			}
-			eng.settled(t, "MULTI_GET response failed to encode", 1)
+			books.settled(t, "MULTI_GET response failed to encode", 1)
+
+			// Last, as it ends the log: the index still sizes the buffer,
+			// and the read that fails must give it back.
+			if err := nd.log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Call(ctx, "meta", &wire.DHTMultiGetReq{Keys: [][]byte{a, b}}); wire.CodeOf(err) != wire.CodeUnavailable {
+				t.Fatalf("err = %v, want the log's", err)
+			}
+			books.settled(t, "log error", 1)
 		})
 	}
 }
 
 // TestNodeRefusesKeysOfAnyOtherSize: every key a node stores is a tree
 // node's KeyLen-byte name, and a request naming any other size is
-// refused whole, in memory or on disk, before the engine sees it — a put
+// refused whole, in memory or on disk, before the log sees it — a put
 // stores none of its pairs, a delete removes none, a lookup answers
 // nothing.
 func TestNodeRefusesKeysOfAnyOtherSize(t *testing.T) {

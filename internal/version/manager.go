@@ -89,7 +89,6 @@ type Manager struct {
 	cfg   ManagerConfig
 	sched vclock.Scheduler
 	srv   *rpc.Server
-	mux   *rpc.Mux
 	log   *seglog.Log // nil when not durable
 	// started is the scheduler time this incarnation began: the sweeper
 	// counts an update it inherited from the log as assigned then.
@@ -158,8 +157,7 @@ func ServeManagerDurable(ln transport.Listener, cfg ManagerConfig) (*Manager, er
 			m.insert(b)
 		}
 	}
-	m.mux = m.newMux()
-	m.srv = rpc.Serve(ln, cfg.Sched, m.mux)
+	m.srv = rpc.Serve(ln, cfg.Sched, m.newMux())
 	m.sweep = vclock.NewSleeper(cfg.Sched)
 	m.wg = vclock.NewWaitGroup(cfg.Sched)
 	if cfg.DeadWriterTimeout > 0 {
@@ -170,13 +168,6 @@ func ServeManagerDurable(ln transport.Listener, cfg ManagerConfig) (*Manager, er
 
 // Addr returns the manager's service address.
 func (m *Manager) Addr() string { return m.srv.Addr() }
-
-// Apply dispatches one request in-process, bypassing the transport. It is
-// the hook for embedded use and for benchmarks that want to measure the
-// manager's own concurrency rather than RPC overhead.
-func (m *Manager) Apply(ctx context.Context, req wire.Msg) (wire.Msg, error) {
-	return m.mux.Handle(ctx, req)
-}
 
 // Metrics writes the manager's series: its rpc server's, its in-flight
 // updates, the writers its sweeper declared dead, and — when durable —
