@@ -114,14 +114,18 @@ func (n *Node) checkLogged(key, value, scratch []byte) ([]byte, error) {
 
 // getBatch looks keys up, setting found[i] and values[i] for each keys[i]
 // the log holds. Every value is read into one buffer from lend, sized
-// from the index before the first pread; the values are read-only and
-// on loan with it until the caller passes it to release, once, as the
-// last thing it does with them. A failed getBatch gives it back itself.
+// from the index's hints before the first pread — no disk is read to
+// size it — with KeyLen bytes of room on top of each value, so that
+// each read checks its key in the value's own pread; the values are
+// read-only and on loan with it until the caller passes it to release,
+// once, as the last thing it does with them. A failed getBatch gives it
+// back itself.
 func (n *Node) getBatch(keys [][]byte, found []bool, values [][]byte) ([]byte, error) {
 	total := 0
 	for _, key := range keys {
-		l, _ := n.log.LenBytes(key)
-		total += int(l)
+		if l, ok := n.log.LenHint(key); ok {
+			total += int(l) + KeyLen
+		}
 	}
 	var buf []byte
 	if total > 0 {
@@ -138,8 +142,9 @@ func (n *Node) getBatch(keys [][]byte, found []bool, values [][]byte) ([]byte, e
 			return nil, unavailable(err)
 		}
 		found[i], values[i] = true, v[:len(v):len(v)]
-		// A pair that arrived since the sizing pass may not have fit: the
-		// read then allocated its own memory and left buf alone.
+		// A pair that arrived since the sizing pass, or whose hint was
+		// another key's, may not have fit: the read then allocated its own
+		// memory and left buf alone.
 		if len(v) <= cap(room) {
 			buf = buf[:len(buf)+len(v)]
 		}

@@ -58,14 +58,16 @@ func OpenDisk(path string, opts DiskOptions) (*Disk, error) { return Open(nil, p
 func (d *Disk) Put(id wire.PageID, data []byte) error { return d.kv.Put(string(id[:]), data) }
 
 // Get implements Store. The page is read into a buffer from the pool
-// the rpc frames come from — sized from the index, never from the
-// request, and not taken at all for a page the index does not know —
-// which Release hands back to that pool. When the read fails, Get
-// hands it back itself.
+// the rpc frames come from — sized from the index's hint, never from
+// the request, and not taken at all for a page the index does not
+// know — which Release hands back to that pool. When the read fails,
+// Get hands it back itself. The read checks the page's id on its
+// record with one pread of the id's 16 bytes, into the buffer, before
+// the one that reads the page.
 func (d *Disk) Get(id wire.PageID, off, length uint32) ([]byte, error) {
 	key := string(id[:])
 	var buf []byte
-	if n, ok := d.kv.Len(key); ok {
+	if n, ok := d.kv.LenHint(id[:]); ok {
 		buf = bufpool.GetBytes(int(min(n, length)))
 	}
 	data, err := d.kv.GetAppend(buf[:0], key, off, length)

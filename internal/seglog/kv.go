@@ -1,10 +1,13 @@
 package seglog
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,6 +24,14 @@ import (
 // (kv_recover.go) and a background compactor that rewrites mostly-dead
 // segments (kv_maintain.go). Values are immutable: a second Put of a
 // key is a no-op, and keys are never reused after Delete.
+//
+// The log is the key store. A record is kind | key | value, so the
+// KeyLen bytes right before a value are its key, and the index keeps no
+// key at all: it maps a 64-bit hash of each key to where its record is
+// (FAWN-DS's DRAM index over a log, where Bitcask's keydir keeps every
+// key). A hit is confirmed by reading the key off the record, so every
+// answer stays exact under any hash; a key whose hash another key
+// already holds is indexed by the key itself, in its stripe's spill.
 //
 // How a keyed store is laid out on, recovered from, snapshotted over
 // and compacted in a segmented log is decided here and nowhere else.
@@ -47,12 +58,18 @@ type KV struct {
 	// never serialize behind writes to unrelated keys. The index is
 	// written only by applies (under wmu) and by compaction's retargets
 	// (under the victim's mu); nothing else ever reads all of it — an
-	// index snapshot is folded off the disk (kv_maintain.go). The whole
-	// lock order, in the form the lockorder analyzer (cmd/blobseer-vet)
-	// enforces:
+	// index snapshot is folded off the disk (kv_maintain.go). A key check
+	// reads a record under its segment's read lock and takes the stripe
+	// lock only around the map lookups beside it. The whole lock order,
+	// in the form the lockorder analyzer (cmd/blobseer-vet) enforces:
 	//
 	//blobseer:lockorder maintMu < wmu < segMu < kvSegment.mu < kvStripe.mu
 	stripes [kvStripes]kvStripe
+	// keyBufs recycles the KeyLen-byte buffers a key check reads a
+	// record's key into when the caller's memory has no room for it: a
+	// channel rather than a sync.Pool, so that a check allocates nothing
+	// under the race detector either.
+	keyBufs chan []byte
 
 	// segMu guards the segment table. Segments are never removed from it
 	// (compaction rewrites in place) and indices are contiguous from 1,
@@ -183,11 +200,24 @@ const (
 	// kvBatchRetain is the largest batch buffer a store keeps between
 	// commits, so one huge batch cannot pin its size forever.
 	kvBatchRetain = 4 << 20
+
+	// kvKeyBufs is how many key-check buffers a store keeps for reuse:
+	// more than the checks a few cores run at once. Past it a check
+	// allocates its KeyLen bytes, and gives them to the collector.
+	kvKeyBufs = 16
 )
 
+// kvStripe is one lock's share of the index. m maps a key's hash to the
+// entry of the one key that holds it; the record there carries that
+// key, so a hit is confirmed by reading it (recordHasKey). spill maps,
+// by the key itself, each key whose hash another indexed key held when
+// it was put: rare, as the hash is 64 bits wide. A key is in one of the
+// two, never both, and spill is looked at first, so a key found there
+// needs no check.
 type kvStripe struct {
-	mu sync.RWMutex
-	m  map[string]kvEntry
+	mu    sync.RWMutex
+	m     map[uint64]kvEntry
+	spill map[string]kvEntry
 }
 
 // kvEntry locates one live value: bytes [off, off+vlen) of segment seg.
@@ -232,11 +262,11 @@ type kvSegment struct {
 	hygiene atomic.Bool
 }
 
-// kvAppend is one queued record and its appender's parking spot. value
-// aliases the appender's own slice: the committer frames it straight
-// into the batch buffer, and it is never read after the appender's
-// Await returns — the appender is parked until its batch resolves, and
-// shutdown only fails records no leader has taken.
+// kvAppend is one queued record and its appender's parking spot. key
+// and value alias the appender's own slices: the committer frames them
+// straight into the batch buffer, and they are never read after the
+// appender's Await returns — the appender is parked until its batch
+// resolves, and shutdown only fails records no leader has taken.
 type kvAppend struct {
 	kind byte
 	// changed is set by applyBatch when the record changed the index: a
@@ -244,13 +274,18 @@ type kvAppend struct {
 	// for a record that lost to one applied ahead of it, and for every
 	// record of a failed commit. It sits in kind's padding.
 	changed bool
-	key     string
-	value   []byte
+	// heldByKey is commit's answer for apply (classify): the entry that
+	// held the record's hash before its batch is the record's own key's.
+	// It sits in kind's padding too.
+	heldByKey bool
 
 	// Filled by the committer: where the record (and a put's value)
-	// landed.
+	// landed. seg shares kind's word.
 	seg uint32
 	off int64
+
+	key   []byte
+	value []byte
 
 	cell cell
 }
@@ -282,9 +317,11 @@ func OpenKV(sched vclock.Scheduler, path string, ly *KVLayout, opts KVOptions) (
 	if err := fsys.MkdirAll(filepath.Dir(path)); err != nil {
 		return nil, fmt.Errorf("%s: create dir: %w", ly.Name, err)
 	}
-	s := &KV{fs: fsys, base: path, ly: ly, opts: opts, errClosed: fmt.Errorf("%s: %w", ly.Name, ErrClosed)}
+	s := &KV{fs: fsys, base: path, ly: ly, opts: opts, errClosed: fmt.Errorf("%s: %w", ly.Name, ErrClosed),
+		keyBufs: make(chan []byte, kvKeyBufs)}
 	for i := range s.stripes {
-		s.stripes[i].m = make(map[string]kvEntry)
+		s.stripes[i].m = make(map[uint64]kvEntry)
+		s.stripes[i].spill = make(map[string]kvEntry)
 	}
 	s.comm = committer[*kvAppend]{
 		Mu:        &s.wmu,
@@ -308,30 +345,106 @@ func OpenKV(sched vclock.Scheduler, path string, ly *KVLayout, opts KVOptions) (
 	return s, nil
 }
 
-// keyBytes is a key as the read path takes it: the string the index
-// holds, or the bytes a caller decoded off the wire (LenBytes,
-// GetAppendBytes), which a lookup must not have to copy into a string.
+// keyBytes is a key as the store takes it: a string, or the bytes a
+// caller decoded off the wire (PutBatch, LenBytes, GetAppendBytes),
+// which a lookup must not have to copy into a string.
 type keyBytes interface{ string | []byte }
 
-func stripeOf[K keyBytes](s *KV, key K) *kvStripe {
-	h := uint32(2166136261) // FNV-1a
+// hashMask narrows keyHash to its low bits: all of them, but for tests
+// that make colliding keys common on purpose.
+var hashMask = ^uint64(0)
+
+// keyHash is FNV-1a 64 of key: what the index knows a key by.
+func keyHash[K keyBytes](key K) uint64 {
+	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
+		h = (h ^ uint64(key[i])) * 1099511628211
 	}
-	return &s.stripes[h%kvStripes]
+	return h & hashMask
 }
 
-func (s *KV) stripe(key string) *kvStripe { return stripeOf(s, key) }
+// stripeOf is the stripe of the keys of hash h.
+func (s *KV) stripeOf(h uint64) *kvStripe { return &s.stripes[h%kvStripes] }
 
-func lookup[K keyBytes](s *KV, key K) (kvEntry, bool) {
-	st := stripeOf(s, key)
+// candidate is the entry key has if it is stored: its spill entry,
+// found by the key itself and so sure, else the entry holding h, key's
+// hash, whose record may carry another key. A stored key's candidate is
+// always its own entry; an absent key's may be another's.
+func candidate[K keyBytes](st *kvStripe, h uint64, key K) (e kvEntry, sure, ok bool) {
 	st.mu.RLock()
-	e, ok := st.m[string(key)] // a conversion that only indexes a map allocates nothing
-	st.mu.RUnlock()
+	defer st.mu.RUnlock()
+	if len(st.spill) > 0 {
+		// A conversion that only indexes a map allocates nothing.
+		if e, ok = st.spill[string(key)]; ok {
+			return e, true, true
+		}
+	}
+	e, ok = st.m[h]
+	return e, false, ok
+}
+
+// lookup is key's candidate, unchecked: exact for a stored key, while
+// for an absent one it may be another key's entry. Only a caller that
+// compares locations may take it as an answer — an entry at exactly a
+// record's offset belongs to that record's key — which is why
+// compaction's location checks read no disk and take no segment lock.
+func (s *KV) lookup(key string) (kvEntry, bool) {
+	h := keyHash(key)
+	e, _, ok := candidate(s.stripeOf(h), h, key)
 	return e, ok
 }
 
-func (s *KV) lookup(key string) (kvEntry, bool) { return lookup(s, key) }
+// find is key's entry, checked: the candidate, confirmed by reading the
+// key off its record unless the key itself found it (a read of no
+// bytes of the value).
+func find[K keyBytes](s *KV, key K) (kvEntry, bool, error) {
+	e, _, err := read(s, nil, key, 0, 0)
+	if errors.Is(err, ErrNotFound) {
+		return kvEntry{}, false, nil
+	}
+	return e, err == nil, err
+}
+
+// recordHasKey reports whether the record whose value starts at valOff
+// in f carries key, reading the KeyLen bytes right before the value —
+// into into when that is KeyLen long, else into a buffer of the
+// store's. The caller holds the segment's read lock, or has not shared
+// the store yet.
+func recordHasKey[K keyBytes](s *KV, f file, valOff int64, key K, into []byte) (bool, error) {
+	if len(into) != s.ly.KeyLen {
+		into = s.keyBuf()
+		defer s.putKeyBuf(into)
+	}
+	if _, err := f.ReadAt(into, valOff-int64(len(into))); err != nil {
+		return false, s.readErr("read key", err)
+	}
+	return string(into) == string(key), nil // neither conversion allocates
+}
+
+func (s *KV) keyBuf() []byte {
+	select {
+	case b := <-s.keyBufs:
+		return b
+	default:
+		return make([]byte, s.ly.KeyLen)
+	}
+}
+
+func (s *KV) putKeyBuf(b []byte) {
+	select {
+	case s.keyBufs <- b:
+	default:
+	}
+}
+
+// readErr is a failed read of a segment file; losing the race with
+// Close is the store's closed error.
+func (s *KV) readErr(what string, err error) error {
+	if errors.Is(err, fs.ErrClosed) {
+		return s.errClosed
+	}
+	return fmt.Errorf("%s: %s: %w", s.ly.Name, what, err)
+}
 
 func (s *KV) segment(idx uint32) *kvSegment {
 	s.segMu.RLock()
@@ -341,25 +454,6 @@ func (s *KV) segment(idx uint32) *kvSegment {
 }
 
 func (s *KV) segmentPath(idx uint32) string { return SegmentPath(s.base, uint64(idx)) }
-
-// dropEntry removes key from the index, adjusting the counters, and
-// reports whether there was an entry to remove: the tombstone apply.
-func (s *KV) dropEntry(key string) bool {
-	st := s.stripe(key)
-	st.mu.Lock()
-	e, ok := st.m[key]
-	if ok {
-		delete(st.m, key)
-	}
-	st.mu.Unlock()
-	if !ok {
-		return false
-	}
-	s.segment(e.seg).liveBytes.Add(-s.ly.framedSize(e.vlen))
-	s.keys.Add(^uint64(0))
-	s.valueBytes.Add(^(uint64(e.vlen) - 1))
-	return true
-}
 
 // createSegment creates and opens a fresh segment file with a durable
 // header.
@@ -423,8 +517,9 @@ func (s *KV) rollLocked() error {
 	return nil
 }
 
+// newAppend is a record of key, of which it keeps a copy.
 func (s *KV) newAppend(kind byte, key string, value []byte) *kvAppend {
-	return &kvAppend{kind: kind, key: key, value: value}
+	return &kvAppend{kind: kind, key: []byte(key), value: value}
 }
 
 // framed is the record's size on disk.
@@ -443,8 +538,8 @@ func (s *KV) Put(key string, value []byte) error {
 	if len(key) != s.ly.KeyLen {
 		return fmt.Errorf("%s: key of %d bytes, layout fixes %d", s.ly.Name, len(key), s.ly.KeyLen)
 	}
-	if _, dup := s.lookup(key); dup {
-		return nil
+	if _, dup, err := find(s, key); err != nil || dup {
+		return err
 	}
 	return s.commitAll([]*kvAppend{s.newAppend(kvPut, key, value)})
 }
@@ -456,8 +551,8 @@ func (s *KV) Delete(key string) error {
 	if s.closed.Load() {
 		return s.errClosed
 	}
-	if _, ok := s.lookup(key); !ok {
-		return nil
+	if _, ok, err := find(s, key); err != nil || !ok {
+		return err
 	}
 	return s.commitAll([]*kvAppend{s.newAppend(kvTomb, key, nil)})
 }
@@ -465,23 +560,27 @@ func (s *KV) Delete(key string) error {
 // PutBatch is Put for the pairs of one request: every record is queued
 // before any is awaited, so together they are one write and at most one
 // fsync (more only when a batch already forming takes the first of
-// them). values[i] is framed straight from the caller's slice when its
-// batch commits: it is read until the call returns, never after. lost
-// lists, ascending, each i whose record did not enter the index because
-// a pair of keys[i] was there first — stored when the call looked, or
-// applied ahead of it, be that by a concurrent request or by a smaller
-// i of this one (such a record is logged all the same; compaction drops
-// it). Whether values[i] is what the log holds for a lost key is the
-// caller's to check. A failed commit indexes none of its batch, and err
-// is the first failure.
+// them). keys[i] and values[i] are framed straight from the caller's
+// slices when their batch commits: they are read until the call
+// returns, never after. lost lists, ascending, each i whose record did
+// not enter the index because a pair of keys[i] was there first —
+// stored when the call looked, or applied ahead of it, be that by a
+// concurrent request or by a smaller i of this one (such a record is
+// logged all the same; compaction drops it). Whether values[i] is what
+// the log holds for a lost key is the caller's to check. A failed
+// commit indexes none of its batch, and err is the first failure.
 func (s *KV) PutBatch(keys, values [][]byte) (lost []int, err error) {
 	recs := make([]*kvAppend, len(keys))
 	for i, key := range keys {
 		if len(key) != s.ly.KeyLen {
 			return nil, fmt.Errorf("%s: key of %d bytes, layout fixes %d", s.ly.Name, len(key), s.ly.KeyLen)
 		}
-		if _, dup := lookup(s, key); !dup {
-			recs[i] = s.newAppend(kvPut, string(key), values[i])
+		_, dup, err := find(s, key)
+		if err != nil {
+			return nil, err
+		}
+		if !dup {
+			recs[i] = &kvAppend{kind: kvPut, key: key, value: values[i]}
 		}
 	}
 	if err := s.commitAll(recs); err != nil {
@@ -505,8 +604,12 @@ func (s *KV) PutBatch(keys, values [][]byte) (lost []int, err error) {
 func (s *KV) DeleteBatch(keys [][]byte) (dropped uint64, err error) {
 	recs := make([]*kvAppend, 0, len(keys))
 	for _, key := range keys {
-		if _, ok := lookup(s, key); ok {
-			recs = append(recs, s.newAppend(kvTomb, string(key), nil))
+		_, ok, err := find(s, key)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			recs = append(recs, &kvAppend{kind: kvTomb, key: key})
 		}
 	}
 	err = s.commitAll(recs)
@@ -560,9 +663,15 @@ func (s *KV) GateNextCommit() (entered <-chan struct{}, release chan<- error) {
 // landed. Only one committer runs at a time (the leader), so the batch
 // buffer and the active-segment fields need no extra synchronization:
 // the segment cannot roll while a commit is in flight (rolls run under
-// wmu at a batch tail, or with no leader at all). On error nothing is
-// applied.
+// wmu at a batch tail, or with no leader at all). First it classifies
+// the batch's records, which may read the disk; a failed read fails the
+// batch before anything is written. On error nothing is applied.
 func (s *KV) commit(batch []*kvAppend) error {
+	for _, a := range batch {
+		if err := s.classify(a); err != nil {
+			return err
+		}
+	}
 	seg := s.active
 	base := seg.size.Load()
 	var n int64
@@ -571,7 +680,7 @@ func (s *KV) commit(batch []*kvAppend) error {
 	}
 	out := s.frameBuf(len(batch), int(n))
 	for _, a := range batch {
-		out = s.ly.appendRecord(out, a.kind, a.key, a.value)
+		out = appendRecord(s.ly, out, a.kind, a.key, a.value)
 		a.seg = seg.idx
 		a.off = base + int64(len(out)) - int64(len(a.value))
 	}
@@ -580,6 +689,46 @@ func (s *KV) commit(batch []*kvAppend) error {
 	}
 	seg.size.Store(base + int64(len(out)))
 	return nil
+}
+
+// classify settles for apply, which runs under wmu and cannot fail, the
+// one thing it cannot tell from memory: when an entry logged before the
+// batch holds a's hash, whether that entry is a's key's — a put of a is
+// then a duplicate and a tombstone drops it — or another key's, a
+// collision. It reads the holder's key off its record. Only applies
+// change which entry holds a hash, and they run one batch at a time
+// after its commit, so the answer holds until a's apply; a rewrite may
+// only move the holder, which the segment lock keeps still for the read.
+func (s *KV) classify(a *kvAppend) error {
+	h := keyHash(a.key)
+	st := s.stripeOf(h)
+	e, sure, ok := candidate(st, h, a.key)
+	a.heldByKey = false
+	if !ok || sure { // the hash is free, or a is in spill: the holder is another key
+		return nil
+	}
+	seg := s.segment(e.seg)
+	seg.mu.RLock()
+	defer seg.mu.RUnlock()
+	st.mu.RLock()
+	e = st.m[h]
+	st.mu.RUnlock()
+	var err error
+	a.heldByKey, err = recordHasKey(s, seg.f, e.off, a.key, nil)
+	return err
+}
+
+// holds reports whether held, the entry holding a's hash at a's apply,
+// is a's key's. An entry that a put of this batch, applied ahead of a,
+// made is compared in memory, where that put's key still is; any other
+// held the hash when the batch committed, and classify read whose it
+// is.
+func holds(batch []*kvAppend, held kvEntry, a *kvAppend) bool {
+	if first := batch[0]; held.seg != first.seg || held.off < first.off {
+		return a.heldByKey
+	}
+	i, ok := slices.BinarySearchFunc(batch, held.off, func(b *kvAppend, off int64) int { return cmp.Compare(b.off, off) })
+	return ok && bytes.Equal(batch[i].key, a.key)
 }
 
 // applyBatch indexes a durable batch: puts insert (the first of a
@@ -592,21 +741,48 @@ func (s *KV) applyBatch(batch []*kvAppend) {
 		// Resolve the segment before taking the stripe lock: segMu orders
 		// before stripe locks.
 		seg := s.segment(a.seg)
+		h := keyHash(a.key)
+		st := s.stripeOf(h)
 		switch a.kind {
 		case kvPut:
-			st := s.stripe(a.key)
+			e := kvEntry{seg: a.seg, off: a.off, vlen: uint32(len(a.value))}
 			st.mu.Lock()
-			if _, dup := st.m[a.key]; !dup {
-				st.m[a.key] = kvEntry{seg: a.seg, off: a.off, vlen: uint32(len(a.value))}
-				seg.liveBytes.Add(s.framed(a))
-				s.keys.Add(1)
-				s.valueBytes.Add(uint64(len(a.value)))
+			_, dup := st.spill[string(a.key)]
+			held, taken := st.m[h]
+			switch {
+			case dup:
+			case !taken:
+				st.m[h] = e
+				a.changed = true
+			case !holds(batch, held, a): // another key holds the hash: a collision, not a duplicate
+				st.spill[string(a.key)] = e
 				a.changed = true
 			}
 			st.mu.Unlock()
+			if a.changed {
+				seg.liveBytes.Add(s.framed(a))
+				s.keys.Add(1)
+				s.valueBytes.Add(uint64(len(a.value)))
+			}
 		case kvTomb:
 			seg.tombBytes.Add(s.framed(a))
-			a.changed = s.dropEntry(a.key)
+			st.mu.Lock()
+			e, spilled := st.spill[string(a.key)]
+			held, taken := st.m[h]
+			switch {
+			case spilled:
+				delete(st.spill, string(a.key))
+				a.changed = true
+			case taken && holds(batch, held, a): // the hash's holder is this key
+				delete(st.m, h)
+				e, a.changed = held, true
+			}
+			st.mu.Unlock()
+			if a.changed {
+				s.segment(e.seg).liveBytes.Add(-s.ly.framedSize(e.vlen))
+				s.keys.Add(^uint64(0))
+				s.valueBytes.Add(^(uint64(e.vlen) - 1))
+			}
 			if s.opts.CompactRatio > 0 {
 				nudge = true
 			}
@@ -629,7 +805,8 @@ func (s *KV) Get(key string, off, length uint32) ([]byte, error) {
 // needed — only when that is too small, and returns the extended slice.
 // On error it returns nil and has written nothing into dst's length;
 // the spare capacity is the caller's to reuse either way. Len tells a
-// caller how much room a whole value needs.
+// caller how much room a whole value needs; KeyLen bytes more let a read
+// from the value's start check the key in the value's own pread.
 func (s *KV) GetAppend(dst []byte, key string, off, length uint32) ([]byte, error) {
 	return getAppend(s, dst, key, off, length)
 }
@@ -645,55 +822,127 @@ func getAppend[K keyBytes](s *KV, dst []byte, key K, off, length uint32) ([]byte
 	if s.closed.Load() {
 		return nil, s.errClosed
 	}
-	e, ok := lookup(s, key)
-	if !ok {
-		return nil, ErrNotFound
+	_, got, err := read(s, dst, key, off, length)
+	return got, err
+}
+
+// read is getAppend, and the entry it read.
+func read[K keyBytes](s *KV, dst []byte, key K, off, length uint32) (kvEntry, []byte, error) {
+	h := keyHash(key)
+	st := s.stripeOf(h)
+	for {
+		e, _, ok := candidate(st, h, key)
+		if !ok {
+			return kvEntry{}, nil, ErrNotFound
+		}
+		if e, got, moved, err := readIn(s, st, h, dst, key, e.seg, off, length); !moved {
+			return e, got, err
+		}
 	}
-	seg := s.segment(e.seg)
+}
+
+// readIn is read under the read lock of segment idx, where key's
+// candidate was: there no rewrite can move a record, so it fetches the
+// candidate again, checks the key of the record it names unless the key
+// itself found it, and reads the range. moved reports that the hash
+// went to a record in another segment meanwhile — its holder was
+// deleted and another key put — so the caller looks again.
+//
+// A key check is one pread of KeyLen bytes more, but none when dst has
+// KeyLen bytes of room past a range that starts at the value's: the key
+// sits right before the value, so both come in one pread and the value
+// is moved down over the key.
+func readIn[K keyBytes](s *KV, st *kvStripe, h uint64, dst []byte, key K, idx, off, length uint32) (e kvEntry, got []byte, moved bool, err error) {
+	seg := s.segment(idx)
 	seg.mu.RLock()
 	defer seg.mu.RUnlock()
-	// Re-fetch under the segment lock: a compaction may have moved the
-	// value between the lookup and here, and it swaps the file handle and
-	// rewrites the entries as one unit under seg.mu. Records never move
-	// between segments, so the entry still points into seg.
-	if e, ok = lookup(s, key); !ok {
-		return nil, ErrNotFound
+	e, sure, ok := candidate(st, h, key)
+	switch {
+	case !ok:
+		return e, nil, false, ErrNotFound
+	case e.seg != idx:
+		return e, nil, true, nil
 	}
-	if off > e.vlen {
-		return nil, fmt.Errorf("%w: offset %d beyond %d bytes", ErrBadRange, off, e.vlen)
-	}
-	n := e.vlen - off
-	if length != wire.WholePage {
-		if uint64(off)+uint64(length) > uint64(e.vlen) {
-			return nil, fmt.Errorf("%w: [%d,+%d) beyond %d bytes", ErrBadRange, off, length, e.vlen)
+	n, rangeErr := valueRange(e.vlen, off, length)
+	klen, start := s.ly.KeyLen, len(dst)
+	end := start + int(n)
+	if !sure {
+		var match bool
+		if rangeErr == nil && off == 0 && cap(dst)-start >= klen+int(n) {
+			both := dst[start : end+klen]
+			if _, err := seg.f.ReadAt(both, e.off-int64(klen)); err != nil {
+				return e, nil, false, s.readErr("read value", err)
+			}
+			if match = string(both[:klen]) == string(key); match {
+				copy(both, both[klen:])
+				return e, dst[:end], false, nil
+			}
+		} else {
+			var into []byte // the key is read where the value will be, when it fits
+			if rangeErr == nil && int(n) >= klen && end <= cap(dst) {
+				into = dst[start : start+klen]
+			}
+			if match, err = recordHasKey(s, seg.f, e.off, key, into); err != nil {
+				return e, nil, false, err
+			}
 		}
-		n = length
+		if !match { // the record is another key's: key is not stored
+			return e, nil, false, ErrNotFound
+		}
 	}
-	start, end := len(dst), len(dst)+int(n)
+	if rangeErr != nil {
+		return e, nil, false, rangeErr
+	}
 	if end > cap(dst) {
 		dst = append(make([]byte, 0, end), dst...)
 	}
 	dst = dst[:end]
 	if n > 0 {
 		if _, err := seg.f.ReadAt(dst[start:], e.off+int64(off)); err != nil {
-			if errors.Is(err, fs.ErrClosed) {
-				return nil, s.errClosed // lost the race with Close
-			}
-			return nil, fmt.Errorf("%s: read value: %w", s.ly.Name, err)
+			return e, nil, false, s.readErr("read value", err)
 		}
 	}
-	return dst, nil
+	return e, dst, false, nil
 }
 
-// Len reports the size of key's value, and whether key is stored.
-func (s *KV) Len(key string) (uint32, bool) {
-	e, ok := s.lookup(key)
-	return e.vlen, ok
+// valueRange is the length of the range [off, off+length) of a
+// vlen-byte value, length wire.WholePage meaning to its end.
+func valueRange(vlen, off, length uint32) (uint32, error) {
+	switch {
+	case off > vlen:
+		return 0, fmt.Errorf("%w: offset %d beyond %d bytes", ErrBadRange, off, vlen)
+	case length == wire.WholePage:
+		return vlen - off, nil
+	case uint64(off)+uint64(length) > uint64(vlen):
+		return 0, fmt.Errorf("%w: [%d,+%d) beyond %d bytes", ErrBadRange, off, length, vlen)
+	}
+	return length, nil
 }
+
+// Len reports the size of key's value, and whether key is stored. A key
+// whose record cannot be read to check it reports absent.
+func (s *KV) Len(key string) (uint32, bool) { return valueLen(s, key) }
 
 // LenBytes is Len for a key held as bytes (see GetAppendBytes).
-func (s *KV) LenBytes(key []byte) (uint32, bool) {
-	e, ok := lookup(s, key)
+func (s *KV) LenBytes(key []byte) (uint32, bool) { return valueLen(s, key) }
+
+func valueLen[K keyBytes](s *KV, key K) (uint32, bool) {
+	if e, ok, err := find(s, key); ok && err == nil {
+		return e.vlen, true
+	}
+	return 0, false
+}
+
+// LenHint is Len from memory alone, a hint for sizing a buffer: the
+// size of the value the index holds under key's hash, and whether it
+// holds one. false is certain; a size may — rarely, the hash being 64
+// bits wide — be another key's, of the same hash, and key absent. It
+// reads no disk, and it answers from the index even once the store is
+// closed. KeyLen bytes of room on top of each value's size let
+// GetAppendBytes read the value and check the key in one pread.
+func (s *KV) LenHint(key []byte) (uint32, bool) {
+	h := keyHash(key)
+	e, _, ok := candidate(s.stripeOf(h), h, key)
 	return e.vlen, ok
 }
 

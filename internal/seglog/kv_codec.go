@@ -44,6 +44,12 @@ func (ly *KVLayout) framedSize(vlen uint32) int64 {
 
 // appendRecord appends one record's complete frame to dst.
 func (ly *KVLayout) appendRecord(dst []byte, kind byte, key string, value []byte) []byte {
+	return appendRecord(ly, dst, kind, key, value)
+}
+
+// appendRecord is KVLayout.appendRecord for a key of either form: the
+// committer frames a batch's keys from the callers' own bytes.
+func appendRecord[K keyBytes](ly *KVLayout, dst []byte, kind byte, key K, value []byte) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, FrameHeaderSize)...)
 	dst = append(dst, kind)

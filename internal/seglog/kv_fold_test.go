@@ -214,18 +214,16 @@ func (r *kvFoldRun) snapshot(what string) {
 	if err != nil {
 		t.Fatalf("%s: decoding the snapshot: %v", what, err)
 	}
-	live := make(map[string]kvEntry)
+	live := 0
 	for i := range s.stripes {
-		for k, e := range s.stripes[i].m {
-			live[k] = e
-		}
+		live += len(s.stripes[i].m) + len(s.stripes[i].spill)
 	}
-	if len(snap.entries) != len(live) {
-		t.Fatalf("%s: the snapshot holds %d entries, the live index %d", what, len(snap.entries), len(live))
+	if len(snap.entries) != live {
+		t.Fatalf("%s: the snapshot holds %d entries, the live index %d", what, len(snap.entries), live)
 	}
 	for _, e := range snap.entries {
-		if le, ok := live[e.key]; !ok || le != e.kvEntry {
-			t.Fatalf("%s: key %x: snapshot %+v, live %+v (%v)", what, e.key, e.kvEntry, le, ok)
+		if le, ok, err := find(s, e.key); !ok || err != nil || le != e.kvEntry {
+			t.Fatalf("%s: key %x: snapshot %+v, live %+v (%v, %v)", what, e.key, e.kvEntry, le, ok, err)
 		}
 	}
 	if covered := len(snap.meta.Segs); covered != int(s.active.idx)-1 {

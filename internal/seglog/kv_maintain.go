@@ -316,6 +316,23 @@ func (s *KV) pickVictim(ratio float64) *kvSegment {
 	return flagged
 }
 
+// retarget points the entry of the record at (seg, off), key's, at
+// newOff instead, if the index still holds that record: as key's spill
+// entry, or as the entry holding h, key's hash. An entry at exactly a
+// record's offset is that record's key's, so no disk is read. Called
+// with st.mu held.
+func (st *kvStripe) retarget(h uint64, key string, seg uint32, off, newOff int64) {
+	if e, ok := st.spill[key]; ok {
+		if e.seg == seg && e.off == off {
+			e.off = newOff
+			st.spill[key] = e
+		}
+	} else if e, ok := st.m[h]; ok && e.seg == seg && e.off == off {
+		e.off = newOff
+		st.m[h] = e
+	}
+}
+
 // keptRecord is one record surviving a rewrite: where it is in the old
 // file, and where its value lands in the new one.
 type keptRecord struct {
@@ -500,7 +517,9 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 	}
 
 	// Swap the handle and retarget the index as one unit under the
-	// segment lock; Get re-fetches entries under it.
+	// segment lock; Get re-fetches entries under it. The retarget goes by
+	// location, as pass 1 and checkLocated do: a check that read the key
+	// would wait for this very lock.
 	victim.mu.Lock()
 	old := victim.f
 	victim.f = w.File()
@@ -511,12 +530,10 @@ func (s *KV) rewriteSegment(victim *kvSegment) error {
 		if k.kind != kvPut {
 			continue
 		}
-		st := s.stripe(k.key)
+		h := keyHash(k.key)
+		st := s.stripeOf(h)
 		st.mu.Lock()
-		if e, ok := st.m[k.key]; ok && e.seg == victim.idx && e.off == k.valOff {
-			e.off = k.newOff
-			st.m[k.key] = e
-		}
+		st.retarget(h, k.key, victim.idx, k.valOff, k.newOff)
 		st.mu.Unlock()
 	}
 	// liveBytes stays as it is: a retargeted record is as large as it was,

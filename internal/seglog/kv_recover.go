@@ -136,37 +136,70 @@ type kvSink interface {
 	seed(entries []kvSnapEntry, stale []bool)
 	// insert adds key's entry unless key is there, and reports whether it
 	// did.
-	insert(key string, e kvEntry) bool
+	insert(key string, e kvEntry) (bool, error)
 	// remove drops key's entry and returns it.
-	remove(key string) (kvEntry, bool)
+	remove(key string) (kvEntry, bool, error)
 }
 
 // indexSink folds into the striped index itself, before the store is
-// shared: no stripe lock is taken.
+// shared: no lock is taken, not even to read a holder's key off its
+// record.
 type indexSink struct{ s *KV }
 
 func (x indexSink) seed(entries []kvSnapEntry, stale []bool) {
 	for _, e := range entries {
-		if !stale[e.seg] {
-			x.s.stripe(e.key).m[e.key] = e.kvEntry
+		if stale[e.seg] {
+			continue
+		}
+		h := keyHash(e.key)
+		st := x.s.stripeOf(h)
+		if _, taken := st.m[h]; taken {
+			st.spill[e.key] = e.kvEntry // a snapshot's keys are distinct
+		} else {
+			st.m[h] = e.kvEntry
 		}
 	}
 }
 
-func (x indexSink) insert(key string, e kvEntry) bool {
-	m := x.s.stripe(key).m
-	if _, dup := m[key]; dup {
-		return false
-	}
-	m[key] = e
-	return true
+// holds reports whether e, the entry holding key's hash, is key's.
+func (x indexSink) holds(e kvEntry, key string) (bool, error) {
+	return recordHasKey(x.s, x.s.segs[e.seg-1].f, e.off, key, nil)
 }
 
-func (x indexSink) remove(key string) (kvEntry, bool) {
-	m := x.s.stripe(key).m
-	e, ok := m[key]
-	delete(m, key)
-	return e, ok
+func (x indexSink) insert(key string, e kvEntry) (bool, error) {
+	h := keyHash(key)
+	st := x.s.stripeOf(h)
+	if _, dup := st.spill[key]; dup {
+		return false, nil
+	}
+	held, taken := st.m[h]
+	if !taken {
+		st.m[h] = e
+		return true, nil
+	}
+	if dup, err := x.holds(held, key); dup || err != nil {
+		return false, err
+	}
+	st.spill[key] = e
+	return true, nil
+}
+
+func (x indexSink) remove(key string) (kvEntry, bool, error) {
+	h := keyHash(key)
+	st := x.s.stripeOf(h)
+	if e, ok := st.spill[key]; ok {
+		delete(st.spill, key)
+		return e, true, nil
+	}
+	e, ok := st.m[h]
+	if !ok {
+		return kvEntry{}, false, nil
+	}
+	if ok, err := x.holds(e, key); !ok || err != nil {
+		return kvEntry{}, false, err
+	}
+	delete(st.m, h)
+	return e, true, nil
 }
 
 // snapSink is the snapshotter's: the previous snapshot's entries, in key
@@ -192,31 +225,31 @@ func (x *snapSink) find(key string) (int, bool) {
 	return i, i < len(x.base) && x.base[i].key == key
 }
 
-func (x *snapSink) insert(key string, e kvEntry) bool {
+func (x *snapSink) insert(key string, e kvEntry) (bool, error) {
 	if _, dup := x.added[key]; dup {
-		return false
+		return false, nil
 	}
 	if i, ok := x.find(key); ok {
 		if !x.gone[i] {
-			return false
+			return false, nil
 		}
 		x.base[i].kvEntry, x.gone[i] = e, false // a stale segment's survivor, at its new offset
-		return true
+		return true, nil
 	}
 	x.added[key] = e
-	return true
+	return true, nil
 }
 
-func (x *snapSink) remove(key string) (kvEntry, bool) {
+func (x *snapSink) remove(key string) (kvEntry, bool, error) {
 	if e, ok := x.added[key]; ok {
 		delete(x.added, key)
-		return e, true
+		return e, true, nil
 	}
 	if i, ok := x.find(key); ok && !x.gone[i] {
 		x.gone[i] = true
-		return x.base[i].kvEntry, true
+		return x.base[i].kvEntry, true, nil
 	}
-	return kvEntry{}, false
+	return kvEntry{}, false, nil
 }
 
 // entries is the sink's content in key order.
@@ -335,17 +368,24 @@ func (s *KV) fold(snap *kvIndexSnapshot, segs []*kvSegment, recovering bool, sin
 			case kvTomb:
 				sm.Tomb += r.framed()
 				dead[r.key] = true
-				if e, ok := sink.remove(r.key); ok {
+				e, ok, err := sink.remove(r.key)
+				if ok {
 					fl.segs[e.seg-1].Live -= s.ly.framedSize(e.vlen)
 					fl.keys--
 					fl.valueBytes -= uint64(e.vlen)
 				}
+				return err
 			case kvPut:
-				if !dead[r.key] && sink.insert(r.key, kvEntry{seg: idx, off: r.valOff, vlen: r.vlen}) {
+				if dead[r.key] {
+					return nil
+				}
+				ok, err := sink.insert(r.key, kvEntry{seg: idx, off: r.valOff, vlen: r.vlen})
+				if ok {
 					sm.Live += r.framed()
 					fl.keys++
 					fl.valueBytes += uint64(r.vlen)
 				} // else a duplicate record: first wins
+				return err
 			}
 			return nil
 		})
