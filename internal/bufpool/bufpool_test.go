@@ -1,6 +1,9 @@
 package bufpool
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestFramePoolClasses(t *testing.T) {
 	for _, n := range []int{0, 1, 1 << minShift, 1<<minShift + 1, 65536 + 33, MaxPooled} {
@@ -64,5 +67,66 @@ func TestPoisonReleased(t *testing.T) {
 		if c != 0xDB {
 			t.Fatalf("byte %d of a released buffer reads %#x, want the poison", i, c)
 		}
+	}
+}
+
+// TestMissesCountFreshBuffers: a Get the pool cannot answer counts one
+// miss of its class's bytes, a Get it answers counts none, and an
+// oversize Get is no miss: it is never pooled.
+func TestMissesCountFreshBuffers(t *testing.T) {
+	const n, class = 300 << 10, 512 << 10
+	count, bytes := Misses()
+	Put(Get(MaxPooled + 1))
+	if c, b := Misses(); c != count || b != bytes {
+		t.Fatalf("an oversize Get moved the misses from %d/%d to %d/%d", count, bytes, c, b)
+	}
+	// Take buffers of one class until the pool runs dry (an earlier run
+	// of the test may have left some there).
+	var held []*[]byte
+	defer func() {
+		for _, p := range held {
+			Put(p)
+		}
+	}()
+	for range 1000 {
+		count, bytes := Misses()
+		held = append(held, Get(n))
+		c, b := Misses()
+		if c == count {
+			continue
+		}
+		if c != count+1 || b != bytes+class {
+			t.Fatalf("a cold Get(%d) moved the misses from %d/%d to %d/%d, want one of %d bytes", n, count, bytes, c, b, class)
+		}
+		return
+	}
+	t.Fatal("1000 Gets without a miss")
+}
+
+// TestReserveOutlivesCollections: a released buffer is still there to
+// take after collections, which drain a sync.Pool within two cycles; and
+// the reserves keep what their bounds say.
+func TestReserveOutlivesCollections(t *testing.T) {
+	const n = 100 << 10
+	held := []*[]byte{Get(n), Get(n)}
+	for _, p := range held {
+		Put(p)
+	}
+	runtime.GC()
+	runtime.GC()
+	count, _ := Misses()
+	q, r := Get(n), Get(n)
+	Put(q)
+	Put(r)
+	if c, _ := Misses(); c != count {
+		t.Fatalf("2 Gets after two collections missed %d times, want 0", c-count)
+	}
+	pinned := 0
+	for i := range classes {
+		pinned += classes[i].depth << (i + minShift)
+	}
+	if pinned > 6<<20 || classes[0].depth != reserveDepth || classes[len(classes)-1].depth != 0 {
+		t.Fatalf("the reserves pin %d bytes (1 KiB class %d deep, top class %d deep)",
+			pinned, classes[0].depth, classes[len(classes)-1].depth)
 	}
 }

@@ -72,7 +72,9 @@ func appendKey(slab []byte, ck cacheKey) (key, grown []byte) {
 	return slab[at:len(slab):len(slab)], slab
 }
 
-// GetNodes implements core.NodeStore.
+// GetNodes implements core.NodeStore. A returned leaf's Providers may
+// be the cache's interned list, shared with every cached leaf naming
+// the same providers: callers read it and must not modify it.
 func (s *Store) GetNodes(ctx context.Context, ids []core.NodeID, buf []core.Node) ([]core.Node, error) {
 	var narrow [16]bool // the found flags of a narrow level, off the heap
 	out, found, err := s.getNodes(ctx, ids, s.cache, buf, narrow[:0])

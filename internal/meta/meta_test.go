@@ -236,15 +236,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.get(ck("c")); !ok {
 		t.Fatal("new entry missing")
 	}
-	if len(c.entries) != 2 {
-		t.Fatalf("Len = %d", len(c.entries))
+	if c.n != 2 {
+		t.Fatalf("Len = %d", c.n)
 	}
 }
 
 func TestCacheZeroCapacity(t *testing.T) {
 	c := NewCache(0)
 	c.put(ck("a"), core.Node{})
-	if len(c.entries) != 0 {
+	if c.n != 0 {
 		t.Fatal("zero-capacity cache stored an entry")
 	}
 }

@@ -98,7 +98,13 @@ type committer[T parked] struct {
 	// in the durable log that replay rejects.
 	FailStop bool
 
+	// queue holds the records enqueued since a leader took the last
+	// batch. Only one batch is in flight, so two arrays serve every
+	// batch: a leader takes the queue, puts spare in its place, and
+	// keeps the emptied batch as the next spare once it has delivered
+	// it.
 	queue   []T
+	spare   []T
 	leading bool
 	failed  error
 	// seal is a SealLocked caller's roll, handed to the leader to run at
@@ -193,7 +199,7 @@ func (c *committer[T]) lead(self *cell) error {
 	runtime.Gosched()
 	c.Mu.Lock()
 	batch := c.queue
-	c.queue = nil
+	c.queue, c.spare = c.spare[:0], nil
 	closed := c.Closed()
 	failed := c.failed
 	c.Mu.Unlock()
@@ -234,6 +240,8 @@ func (c *committer[T]) lead(self *cell) error {
 			deliverLocked(cell, err)
 		}
 	}
+	clear(batch) // no record outlives its call through the array
+	c.spare = batch[:0]
 	if len(c.queue) > 0 && !c.Closed() {
 		// One-batch tenure: whoever queued first behind this batch leads
 		// the next one; its record stays queued and commits in that
@@ -269,7 +277,8 @@ func (c *committer[T]) FailQueuedLocked(err error) {
 	for _, a := range c.queue {
 		deliverLocked(a.slot(), err)
 	}
-	c.queue = nil
+	clear(c.queue)
+	c.queue = c.queue[:0]
 	c.answerSealLocked(err)
 }
 

@@ -170,13 +170,15 @@ type Msg interface {
 	code(c Codec) Codec
 }
 
-// sized is implemented by the kinds that carry page payloads, whose
+// sized is implemented by the kinds whose bodies may run past a small
+// frame — page payloads, and a MULTI_GET's node values — so their
 // encoded size is worth computing before marshalling.
 type sized interface{ bodySize() int }
 
 // BodySize returns the exact encoded body size of the kinds that carry
-// page payloads (PutPageReq, GetPagesResp) and 0 for every other kind,
-// whose bodies are small enough to size by growing.
+// page payloads (PutPageReq, GetPagesResp) or a batch of DHT values
+// (DHTMultiGetResp), and 0 for every other kind, whose bodies are small
+// enough to size by growing.
 func BodySize(m Msg) int {
 	if s, ok := m.(sized); ok {
 		return s.bodySize()
@@ -380,6 +382,15 @@ func (m *DHTMultiGetResp) code(c Codec) Codec {
 		c.Bytes(&m.Values[i])
 	}
 	return c
+}
+
+// bodySize is GetPagesResp's: the two layouts are the same.
+func (m *DHTMultiGetResp) bodySize() int {
+	n := 4 + 5*len(m.Found)
+	for i := range m.Found {
+		n += len(m.Values[i])
+	}
+	return n
 }
 
 // -------------------------------------------------------- version manager

@@ -463,11 +463,14 @@ func TestPooledPagesNeverAliasBody(t *testing.T) {
 }
 
 // TestBodySizeMatchesEncoding pins BodySize, which restates the layout
-// of the page-carrying kinds by hand, to what they really marshal to:
-// an under-count brings buffer regrowth back, an over-count could refuse
-// a legal frame.
+// of the sized kinds by hand, to what they really marshal to — empty,
+// with absent entries, with empty and full values — and checks that
+// every sized kind has its cases here: an under-count brings buffer
+// regrowth back, an over-count could refuse a legal frame.
 func TestBodySizeMatchesEncoding(t *testing.T) {
 	page := bytes.Repeat([]byte{0xA5}, 4096)
+	node := bytes.Repeat([]byte{0x5A}, 61)
+	tested := make(map[Kind]bool)
 	for i, m := range []Msg{
 		&PutPageReq{},
 		&PutPageReq{Page: PageID{1, 2, 3}, Data: page},
@@ -478,9 +481,22 @@ func TestBodySizeMatchesEncoding(t *testing.T) {
 			Found: []bool{true, false, true, true},
 			Data:  [][]byte{page, nil, {}, page[:17]},
 		},
+		&DHTMultiGetResp{},
+		&DHTMultiGetResp{Found: []bool{false}, Values: [][]byte{nil}},
+		&DHTMultiGetResp{Found: []bool{true}, Values: [][]byte{node}},
+		&DHTMultiGetResp{
+			Found:  []bool{true, false, true, true},
+			Values: [][]byte{node, nil, {}, node[:17]},
+		},
 	} {
+		tested[m.Kind()] = true
 		if got, want := BodySize(m), len(AppendMsg(nil, m)); got != want {
 			t.Errorf("case %d, %v: BodySize %d, encodes to %d bytes", i, m.Kind(), got, want)
+		}
+	}
+	for k := Kind(0); k < kindMax; k++ {
+		if _, ok := New(k).(sized); ok && !tested[k] {
+			t.Errorf("%v is sized but has no case here", k)
 		}
 	}
 	// Every other kind sizes by growing.
