@@ -317,6 +317,115 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 	}
 }
 
+// TestConcurrentWritersReadBackEveryVersion has writers on clients of
+// their own overwrite seeded page runs of one blob without waiting for
+// each other, so most updates weave their trees around borders still in
+// flight, while the plans, node slabs, route lists, log records and
+// request messages of the metadata path are recycled between them. Each
+// writer reads its own run back at its version; then every version is
+// read whole, by readers at once, and held byte for byte to the model
+// built from the writes in version order. Metadata is replicated, so a
+// write's batches go to two nodes and a lookup may fall back to a
+// replica.
+func TestConcurrentWritersReadBackEveryVersion(t *testing.T) {
+	cl, c := newCluster(t, cluster.Config{DataProviders: 4, MetaProviders: 5, Replication: 2})
+	const pageSize, blobPages = 256, 64
+	const writers, perWriter = 4, 12
+	id, err := c.Create(ctxb(), pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append(ctxb(), id, pattern(0xA5, blobPages*pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	type write struct {
+		off  uint64
+		data []byte
+	}
+	var mu sync.Mutex
+	writes := map[wire.Version]write{}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wc, err := cl.NewClient("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(w int, wc *client.Client) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for i := 0; i < perWriter; i++ {
+				pages := 1 + rng.Intn(4)
+				off := uint64(rng.Intn(blobPages-pages+1)) * pageSize
+				data := pattern(byte(w*perWriter+i+1), pages*pageSize)
+				v, err := wc.Write(ctxb(), id, data, off)
+				if err != nil {
+					t.Errorf("writer %d write %d: %v", w, i, err)
+					return
+				}
+				mu.Lock()
+				writes[v] = write{off, data}
+				mu.Unlock()
+				if err := wc.Sync(ctxb(), id, v); err != nil {
+					t.Errorf("writer %d sync v%d: %v", w, v, err)
+					return
+				}
+				got := make([]byte, len(data))
+				if err := wc.Read(ctxb(), id, v, got, off); err != nil {
+					t.Errorf("writer %d read v%d: %v", w, v, err)
+					return
+				}
+				if !bytes.Equal(got, data) {
+					t.Errorf("writer %d: v%d reads back other bytes than it wrote at %d", w, v, off)
+					return
+				}
+			}
+		}(w, wc)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	last := wire.Version(1 + writers*perWriter)
+	if v, _, err := c.Recent(ctxb(), id); err != nil || v != last {
+		t.Fatalf("recent = v%d (%v), want v%d", v, err, last)
+	}
+	model := make([][]byte, last+1)
+	model[1] = pattern(0xA5, blobPages*pageSize)
+	for v := wire.Version(2); v <= last; v++ {
+		wr, ok := writes[v]
+		if !ok {
+			t.Fatalf("no write was assigned v%d", v)
+		}
+		model[v] = bytes.Clone(model[v-1])
+		copy(model[v][wr.off:], wr.data)
+	}
+	readers := make([]*client.Client, writers)
+	for r := range readers {
+		if readers[r], err = cl.NewClient(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, rc := range readers {
+		wg.Add(1)
+		go func(r int, rc *client.Client) {
+			defer wg.Done()
+			got := make([]byte, blobPages*pageSize)
+			for v := wire.Version(1 + r); v <= last; v += wire.Version(len(readers)) {
+				if err := rc.Read(ctxb(), id, v, got, 0); err != nil {
+					t.Errorf("reader %d v%d: %v", r, v, err)
+					return
+				}
+				if !bytes.Equal(got, model[v]) {
+					t.Errorf("reader %d: v%d differs from its model", r, v)
+				}
+			}
+		}(r, rc)
+	}
+	wg.Wait()
+}
+
 func TestBranchEndToEnd(t *testing.T) {
 	_, c := newCluster(t, cluster.Config{})
 	id, _ := c.Create(ctxb(), 256)

@@ -253,11 +253,8 @@ func (c *Client) buildMetadata(ctx context.Context, h *blobHandle, resp *wire.As
 	if err != nil {
 		return err
 	}
-	resolved, err := core.ResolvePublished(ctx, h.store, u.Published, u.PublishedSizePages, plan.NeedPublished())
-	if err != nil {
-		return err
-	}
-	ids, nodes, err := plan.Finalize(resolved)
+	defer plan.Release() // after PutNodes: the nodes it stores are the plan's
+	ids, nodes, err := plan.Resolve(ctx, h.store)
 	if err != nil {
 		return err
 	}

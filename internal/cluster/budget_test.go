@@ -94,14 +94,16 @@ func heapPerOp(n int, op func()) opCost {
 // 15 tree nodes planned, resolved against 14 borders, stored); a second
 // client asks for the recent version and reads one page of it (a
 // 14-level descent, partly cached). The budgets are about 1.3 x what
-// the code measured when they were set (13.5 KB in 192 allocations per
-// write, 14.5 KB in 165 per read, repeating to a few bytes); since pool
-// misses are counted apart, the same code reads 12.5 KB in 165 and
-// 8.6 KB in 158, with 0-0.03 misses per write and 0.89 per read (the
-// page a read fetches stays in the reader's page cache, which this
-// test never fills), so each op is held to one miss. Before
-// round trips recycled their reply events, a request's spawn was one
-// closure and a descent kept one node buffer, they measured 18.3 KB in
+// the code measured when they were set: 2.7 KB in 59 allocations per
+// write and 6.7 KB in 80 per read, repeating to a few bytes, with 0
+// misses per write and 0.89 per read (the page a read fetches stays in
+// the reader's page cache, which this test never fills), so each op is
+// held to one miss. History: before the metadata path recycled its
+// plans, node slabs, route lists, log records, request messages and
+// frame headers, they measured 12.5 KB in 165 and 8.6 KB in 158 (with
+// pool misses counted apart; 13.5 KB in 192 and 14.5 KB in 165 with
+// them); before round trips recycled their reply events, a request's
+// spawn was one closure and a descent kept one node buffer, 18.3 KB in
 // 292 and 18.7 KB in 254; before the weave travelled as one batch,
 // 44.9 KB in 778 and 26.7 KB in 385.
 func TestControlPathAllocBudget(t *testing.T) {
@@ -168,8 +170,8 @@ func TestControlPathAllocBudget(t *testing.T) {
 		op            func()
 		bytes, allocs float64
 	}{
-		{"1-page Write+Sync", write, 17.6e3, 250},
-		{"Recent + 1-page Read", read, 18.8e3, 215},
+		{"1-page Write+Sync", write, 3.5e3, 77},
+		{"Recent + 1-page Read", read, 8.7e3, 104},
 	} {
 		for i := 0; i < 100; i++ {
 			write()

@@ -33,6 +33,7 @@ func BenchmarkTreeBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 				_ = plan.NeedPublished()
+				plan.Release()
 			}
 		})
 	}
@@ -85,14 +86,10 @@ func BenchmarkBorderResolution(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				resolved, err := ResolvePublished(context.Background(), sim.st,
-					target.Published, target.PublishedSizePages, plan.NeedPublished())
-				if err != nil {
+				if _, _, err := plan.Resolve(context.Background(), sim.st); err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := plan.Finalize(resolved); err != nil {
-					b.Fatal(err)
-				}
+				plan.Release()
 			}
 		})
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"blobseer/internal/wire"
 )
@@ -45,6 +48,11 @@ type PageWrite struct {
 // Plan is the output of PlanUpdate: the new tree nodes of one update,
 // with border-child versions either already resolved (from the in-flight
 // list) or awaiting the published-tree lookups listed by NeedPublished.
+//
+// A plan is scratch that lives from PlanUpdate until its nodes are
+// stored, so plans are recycled: Release hands one back once nothing
+// reads it or anything it returned, and the next PlanUpdate reuses its
+// arrays. A plan that is never released is merely garbage.
 type Plan struct {
 	update Update
 	ids    []NodeID
@@ -54,6 +62,24 @@ type Plan struct {
 	// border range is the child of exactly one planned node, so no range
 	// appears twice.
 	pending []border
+
+	// need and resolved are NeedPublished's answer and Resolve's lookup
+	// results, kept for the next plan.
+	need     []Range
+	resolved map[Range]wire.Version
+}
+
+// plans recycles Plans (see Plan).
+var plans = sync.Pool{New: func() any { return new(Plan) }}
+
+// Release hands the plan back for reuse. Nothing the plan returned —
+// NeedPublished's ranges, Resolve's or Finalize's ids and nodes — may
+// be read afterwards, and the plan is released once.
+func (p *Plan) Release() {
+	clear(p.nodes) // the leaves' provider lists are the caller's
+	clear(p.resolved)
+	*p = Plan{ids: p.ids[:0], nodes: p.nodes[:0], pending: p.pending[:0], need: p.need[:0], resolved: p.resolved}
+	plans.Put(p)
 }
 
 // border is one child-version field of one planned node that awaits the
@@ -94,12 +120,11 @@ func PlanUpdate(u Update, pages []PageWrite) (*Plan, error) {
 		total += int(last/span - first/span + 1)
 		levels++
 	}
-	p := &Plan{
-		update:  u,
-		ids:     make([]NodeID, 0, total),
-		nodes:   make([]Node, 0, total),
-		pending: make([]border, 0, levels),
-	}
+	p := plans.Get().(*Plan)
+	p.update = u
+	p.ids = slices.Grow(p.ids, total)
+	p.nodes = slices.Grow(p.nodes, total)
+	p.pending = slices.Grow(p.pending, levels)
 
 	// Leaves for the new pages.
 	for i, pw := range pages {
@@ -114,11 +139,11 @@ func PlanUpdate(u Update, pages []PageWrite) (*Plan, error) {
 			var n Node
 			var err error
 			n.VL, err = p.childVersion(Range{Start: pOff, Count: span}, len(p.nodes), true)
-			if err != nil {
-				return nil, err
+			if err == nil {
+				n.VR, err = p.childVersion(Range{Start: pOff + span, Count: span}, len(p.nodes), false)
 			}
-			n.VR, err = p.childVersion(Range{Start: pOff + span, Count: span}, len(p.nodes), false)
 			if err != nil {
+				p.Release()
 				return nil, err
 			}
 			p.ids = append(p.ids, NodeID{Version: u.Version, Offset: pOff, Span: parentSpan})
@@ -171,13 +196,29 @@ func (p *Plan) childVersion(c Range, nodeIdx int, left bool) (wire.Version, erro
 }
 
 // NeedPublished lists the border ranges that must be resolved by
-// descending the published tree (see ResolvePublished).
+// descending the published tree (see ResolvePublished). The list is the
+// plan's, valid until Release.
 func (p *Plan) NeedPublished() []Range {
-	out := make([]Range, len(p.pending))
-	for i, b := range p.pending {
-		out[i] = b.r
+	p.need = p.need[:0]
+	for _, b := range p.pending {
+		p.need = append(p.need, b.r)
 	}
-	return out
+	return p.need
+}
+
+// Resolve is the rest of BUILD_META before the store: it resolves the
+// plan's borders against the published tree (ResolvePublished, into the
+// plan's own map) and finalizes. The ids and nodes are the plan's,
+// valid until Release.
+func (p *Plan) Resolve(ctx context.Context, st NodeStore) (ids []NodeID, nodes []Node, err error) {
+	if p.resolved == nil {
+		p.resolved = make(map[Range]wire.Version, len(p.pending))
+	}
+	u := p.update
+	if err := ResolvePublished(ctx, st, u.Published, u.PublishedSizePages, p.NeedPublished(), p.resolved); err != nil {
+		return nil, nil, err
+	}
+	return p.Finalize(p.resolved)
 }
 
 // Finalize fills the resolved border versions in and returns the complete

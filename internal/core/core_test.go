@@ -394,7 +394,7 @@ func TestResolvePublishedDirect(t *testing.T) {
 	b.update(^uint64(0), 1) // v3: size 9, root span 16
 	ctx := context.Background()
 
-	res, err := ResolvePublished(ctx, b.st, 3, 9, []Range{
+	res, err := resolvePublished(ctx, b.st, 3, 9, []Range{
 		{Start: 0, Count: 2},  // untouched since v1
 		{Start: 2, Count: 2},  // rewritten by v2
 		{Start: 2, Count: 1},  // leaf level, rewritten by v2
@@ -422,7 +422,7 @@ func TestResolvePublishedDirect(t *testing.T) {
 	}
 
 	// Empty blob: everything is a hole.
-	res, err = ResolvePublished(ctx, b.st, 0, 0, []Range{{Start: 0, Count: 4}})
+	res, err = resolvePublished(ctx, b.st, 0, 0, []Range{{Start: 0, Count: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestResolvePublishedDirect(t *testing.T) {
 	}
 
 	// Range outside the tree is an input error.
-	if _, err := ResolvePublished(ctx, b.st, 3, 9, []Range{{Start: 16, Count: 4}}); err == nil {
+	if _, err := resolvePublished(ctx, b.st, 3, 9, []Range{{Start: 16, Count: 4}}); err == nil {
 		t.Error("out-of-tree range accepted")
 	}
 }
@@ -505,7 +505,7 @@ func TestResolvePublishedMatchesModel(t *testing.T) {
 			asked := append([]Range(nil), targets...)
 
 			before := b.st.gets
-			got, err := ResolvePublished(ctx, b.st, pv, size, targets)
+			got, err := resolvePublished(ctx, b.st, pv, size, targets)
 			if err != nil {
 				t.Fatalf("seed %d v%d %v: %v", seed, pv, targets, err)
 			}
@@ -532,7 +532,7 @@ func TestResolvePublishedMatchesModel(t *testing.T) {
 				{Start: 0, Count: 2 * root.Count},
 				{Start: root.Count - 1, Count: 2},
 			} {
-				if _, err := ResolvePublished(ctx, b.st, pv, size, append(targets, out)); err == nil {
+				if _, err := resolvePublished(ctx, b.st, pv, size, append(targets, out)); err == nil {
 					t.Fatalf("seed %d v%d: out-of-tree range %v accepted", seed, pv, out)
 				}
 			}
@@ -540,7 +540,7 @@ func TestResolvePublishedMatchesModel(t *testing.T) {
 			// panic or a wrong version for the well-formed targets beside it.
 			junk := Range{Start: uint64(rng.Int63n(int64(root.Count))), Count: uint64(rng.Intn(4))}
 			if junk.End() <= root.Count {
-				if got, err := ResolvePublished(ctx, b.st, pv, size, append(targets, junk)); err == nil {
+				if got, err := resolvePublished(ctx, b.st, pv, size, append(targets, junk)); err == nil {
 					for _, r := range targets {
 						if want := oracle(pv, r); r != root && got[r] != want {
 							t.Fatalf("seed %d v%d: %v resolved to v%d beside junk %v, model says v%d",

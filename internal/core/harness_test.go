@@ -142,7 +142,8 @@ func (b *blobSim) build(u Update, pages []PageWrite) {
 	if err != nil {
 		b.t.Fatalf("PlanUpdate v%d: %v", u.Version, err)
 	}
-	resolved, err := ResolvePublished(context.Background(), b.st,
+	defer plan.Release()
+	resolved, err := resolvePublished(context.Background(), b.st,
 		u.Published, u.PublishedSizePages, plan.NeedPublished())
 	if err != nil {
 		b.t.Fatalf("ResolvePublished v%d: %v", u.Version, err)
@@ -154,6 +155,16 @@ func (b *blobSim) build(u Update, pages []PageWrite) {
 	if err := b.st.PutNodes(context.Background(), ids, nodes); err != nil {
 		b.t.Fatalf("PutNodes v%d: %v", u.Version, err)
 	}
+}
+
+// resolvePublished is ResolvePublished into a map of its own.
+func resolvePublished(ctx context.Context, st NodeStore, published wire.Version,
+	publishedSizePages uint64, ranges []Range) (map[Range]wire.Version, error) {
+	out := make(map[Range]wire.Version)
+	if err := ResolvePublished(ctx, st, published, publishedSizePages, ranges, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // publish marks the oldest in-flight update published (the version

@@ -5,51 +5,58 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"blobseer/internal/wire"
 )
 
 // ResolvePublished finds, for each requested aligned range, the version
 // whose node covers that exact range in the published snapshot's tree —
-// i.e. the highest published version whose update range intersects it.
-// This is the read-only part of computing the border node set (§4.2): the
-// writer descends the published tree once, batching node fetches level by
-// level, and gathers the child-version links for all requested ranges.
+// i.e. the highest published version whose update range intersects it —
+// and files it in out under the range. This is the read-only part of
+// computing the border node set (§4.2): the writer descends the
+// published tree once, batching node fetches level by level, and
+// gathers the child-version links for all requested ranges. out is the
+// caller's, so a writer reuses one map across its updates (Plan.Resolve
+// does); ranges is only read. What a descent needs besides is recycled
+// from one call to the next.
 //
 // A range that lies beyond the data actually written resolves to
 // wire.NoVersion (a hole).
 func ResolvePublished(ctx context.Context, st NodeStore, published wire.Version,
-	publishedSizePages uint64, ranges []Range) (map[Range]wire.Version, error) {
+	publishedSizePages uint64, ranges []Range, out map[Range]wire.Version) error {
 
-	out := make(map[Range]wire.Version, len(ranges))
 	if len(ranges) == 0 {
-		return out, nil
+		return nil
 	}
 	if publishedSizePages == 0 {
 		for _, r := range ranges {
 			out[r] = wire.NoVersion
 		}
-		return out, nil
+		return nil
 	}
 	root := RootID(published, publishedSizePages)
 
+	d := descents.Get().(*descent)
+	defer d.release()
 	// The targets still to resolve, sorted by start, wider first. Aligned
 	// ranges nest or are disjoint, so the targets under any tree node are
 	// one contiguous run of this slice, and the ones equal to the node's
 	// own range lead their run.
-	targets := make([]Range, 0, len(ranges))
+	targets := d.targets[:0]
 	for _, r := range ranges {
 		switch {
 		case r == root.Range():
 			out[r] = published
 		case !root.Range().Contains(r):
-			return nil, fmt.Errorf("core: range %v outside published tree %v", r, root)
+			return fmt.Errorf("core: range %v outside published tree %v", r, root)
 		default:
 			targets = append(targets, r)
 		}
 	}
+	d.targets = targets
 	if len(targets) == 0 {
-		return out, nil
+		return nil
 	}
 	slices.SortFunc(targets, func(a, b Range) int {
 		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(b.Count, a.Count))
@@ -58,27 +65,21 @@ func ResolvePublished(ctx context.Context, st NodeStore, published wire.Version,
 	// One level of the descent: each node with the run of targets lying
 	// strictly inside it. Two slices alternate between levels; ids is the
 	// level's fetch list and nodes its answer.
-	type run struct {
-		id     NodeID
-		lo, hi int // targets[lo:hi]
-	}
-	level, next := []run{{id: root, lo: 0, hi: len(targets)}}, []run(nil)
-	var ids []NodeID
-	var nodes []Node
-	for len(level) > 0 {
-		ids = ids[:0]
-		for _, g := range level {
-			ids = append(ids, g.id)
+	d.level = append(d.level, run{id: root, lo: 0, hi: len(targets)})
+	for len(d.level) > 0 {
+		d.ids = d.ids[:0]
+		for _, g := range d.level {
+			d.ids = append(d.ids, g.id)
 		}
 		var err error
-		if nodes, err = st.GetNodes(ctx, ids, nodes); err != nil {
-			return nil, err
+		if d.nodes, err = st.GetNodes(ctx, d.ids, d.nodes); err != nil {
+			return err
 		}
-		next = next[:0]
-		for gi, g := range level {
-			n := nodes[gi]
+		d.next = d.next[:0]
+		for gi, g := range d.level {
+			n := d.nodes[gi]
 			if n.Leaf {
-				return nil, fmt.Errorf("core: descended into leaf %v with pending targets", g.id)
+				return fmt.Errorf("core: descended into leaf %v with pending targets", g.id)
 			}
 			// Split the run at the midpoint: everything starting before
 			// it must end by it (left child), the rest goes right.
@@ -86,7 +87,7 @@ func ResolvePublished(ctx context.Context, st NodeStore, published wire.Version,
 			split := g.lo
 			for split < g.hi && targets[split].Start < mid {
 				if targets[split].End() > mid {
-					return nil, fmt.Errorf("core: target %v straddles children of %v", targets[split], g.id)
+					return fmt.Errorf("core: target %v straddles children of %v", targets[split], g.id)
 				}
 				split++
 			}
@@ -106,11 +107,35 @@ func ResolvePublished(ctx context.Context, st NodeStore, published wire.Version,
 					half.lo++
 				}
 				if half.lo < half.hi {
-					next = append(next, half)
+					d.next = append(d.next, half)
 				}
 			}
 		}
-		level, next = next, level
+		d.level, d.next = d.next, d.level
 	}
-	return out, nil
+	return nil
+}
+
+// run is one node of a descent's level with the run of targets lying
+// strictly inside it: targets[lo:hi].
+type run struct {
+	id     NodeID
+	lo, hi int
+}
+
+// descent is ResolvePublished's scratch, recycled through descents.
+type descent struct {
+	targets     []Range
+	level, next []run
+	ids         []NodeID
+	nodes       []Node
+}
+
+var descents = sync.Pool{New: func() any { return new(descent) }}
+
+// release hands d back with its arrays emptied.
+func (d *descent) release() {
+	clear(d.nodes) // a store may have answered with a leaf's provider list
+	*d = descent{targets: d.targets[:0], level: d.level[:0], next: d.next[:0], ids: d.ids[:0], nodes: d.nodes[:0]}
+	descents.Put(d)
 }

@@ -95,7 +95,7 @@ func BenchmarkNodeMultiGet(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, found, err := c.MultiGet(ctx, keys)
+			_, found, err := c.MultiGet(ctx, keys, nil, nil)
 			if err != nil || !found[i%n] {
 				b.Fatalf("found %v, %v", found[i%n], err)
 			}
@@ -146,7 +146,7 @@ func BenchmarkDurableNodeReopen(b *testing.B) {
 			if k, _ := stored(r.node); k != total {
 				b.Fatalf("%d keys after the reopen, want %d", k, total)
 			}
-			got, found, err := r.client().MultiGet(ctx, keys[:1])
+			got, found, err := r.client().MultiGet(ctx, keys[:1], nil, nil)
 			if err != nil || !found[0] || !bytes.Equal(got[0], values[0]) {
 				b.Fatalf("a pair after the reopen: %x %v %v", got[0], found[0], err)
 			}

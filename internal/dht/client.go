@@ -3,6 +3,8 @@ package dht
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"blobseer/internal/rpc"
 	"blobseer/internal/vclock"
@@ -22,12 +24,20 @@ func NewClient(ring *Ring, rc *rpc.Client, sched vclock.Scheduler) *Client {
 	return &Client{ring: ring, rpc: rc, sched: sched}
 }
 
-// batch is the share of one call that goes to one ring node.
+// batch is the share of one call that goes to one ring node, and the
+// request that carries it there.
 type batch struct {
 	node         string
 	idx          []int    // positions in the call's key slice, ascending
 	keys, values [][]byte // the call's keys (and values, if it has any) at idx
 	err          error    // why the node did not answer (MultiGet only)
+
+	// The batch's request, one of the three by the call's kind: a
+	// request passed to an rpc call escapes, and here it lives in the
+	// call's recycled routing, not on the heap of its own.
+	put wire.DHTMultiPutReq
+	get wire.DHTMultiGetReq
+	del wire.DHTDeleteReq
 }
 
 // firstKey is the index list of every one-key call.
@@ -39,19 +49,20 @@ var firstKey = []int{0}
 // slice, not a map entry: the index lists are carved from one slab by a
 // counting sort over ring positions, the key and value lists from
 // another — and a batch that takes the whole call borrows the caller's
-// slices instead. A call of one key to one replica (every level of a
-// one-page descent) has a single batch: route writes it to *one, the
-// caller's, and returns nil, so that path allocates nothing.
-func (c *Client) route(one *batch, keys, values [][]byte, first, count int) []batch {
+// slices instead. The slabs and the batches are rt's, the caller's
+// recycled scratch, valid until it releases rt. A call of one key to
+// one replica (every level of a one-page descent) skips the sort.
+func (c *Client) route(rt *routing, keys, values [][]byte, first, count int) []batch {
 	r := c.ring
 	if len(keys) == 1 && count == 1 {
 		node := r.addrs[r.at(r.primary(keys[0]), first)]
-		*one = batch{node: node, idx: firstKey, keys: keys, values: values}
-		return nil
+		rt.out = append(rt.out[:0], batch{node: node, idx: firstKey, keys: keys, values: values})
+		return rt.out
 	}
 	// next[p] is where position p's next index goes in the slab: its
 	// run's start while filling, its run's end afterwards.
-	next := make([]int, len(r.addrs))
+	next := resized(rt.next, len(r.addrs))
+	rt.next = next
 	for _, key := range keys {
 		p := r.primary(key)
 		for k := first; k < first+count; k++ {
@@ -65,7 +76,8 @@ func (c *Client) route(one *batch, keys, values [][]byte, first, count int) []ba
 		}
 		next[p], total = total, total+cnt
 	}
-	idx := make([]int, total)
+	idx := resized(rt.idx, total)
+	rt.idx = idx
 	for i, key := range keys {
 		p := r.primary(key)
 		for k := first; k < first+count; k++ {
@@ -74,12 +86,12 @@ func (c *Client) route(one *batch, keys, values [][]byte, first, count int) []ba
 			next[q]++
 		}
 	}
-	out := make([]batch, 0, used)
+	out := slices.Grow(rt.out[:0], used)
 	room := total
 	if values != nil {
 		room = 2 * total
 	}
-	var lists [][]byte
+	lists := slices.Grow(rt.lists[:0], room)
 	start := 0
 	for p, end := range next {
 		if end == start {
@@ -87,9 +99,6 @@ func (c *Client) route(one *batch, keys, values [][]byte, first, count int) []ba
 		}
 		b := batch{node: r.addrs[p], idx: idx[start:end], keys: keys, values: values}
 		if len(b.idx) < len(keys) {
-			if lists == nil {
-				lists = make([][]byte, 0, room)
-			}
 			b.keys, lists = gather(lists, keys, b.idx)
 			if values != nil {
 				b.values, lists = gather(lists, values, b.idx)
@@ -98,7 +107,37 @@ func (c *Client) route(one *batch, keys, values [][]byte, first, count int) []ba
 		out = append(out, b)
 		start = end
 	}
+	rt.out, rt.lists = out, lists
 	return out
+}
+
+// routing is route's scratch for one call: the counting sort's
+// positions, the index slab, the batches with their requests, and the
+// gathered key and value lists. Every request a call sends is framed
+// before the call returns, so the call hands it back through release
+// when it does.
+type routing struct {
+	next, idx []int
+	out       []batch
+	lists     [][]byte
+}
+
+var routings = sync.Pool{New: func() any { return new(routing) }}
+
+// release hands rt back, dropping what it references of the call.
+func (rt *routing) release() {
+	clear(rt.out)
+	clear(rt.lists)
+	rt.out, rt.lists = rt.out[:0], rt.lists[:0]
+	routings.Put(rt)
+}
+
+// resized returns buf holding n zero values, in its own array when
+// that has the room.
+func resized[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }
 
 // gather appends src's elements at idx to slab, which has the room, and
@@ -121,10 +160,11 @@ func (c *Client) MultiPut(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	var one batch
-	batches := c.route(&one, keys, values, 0, c.ring.replicas)
-	if batches == nil {
-		return c.put(ctx, &one)
+	rt := routings.Get().(*routing)
+	defer rt.release()
+	batches := c.route(rt, keys, values, 0, c.ring.replicas)
+	if len(batches) == 1 {
+		return c.put(ctx, &batches[0]) // no closure to allocate
 	}
 	return vclock.Parallel(c.sched, len(batches), func(i int) error {
 		return c.put(ctx, &batches[i])
@@ -133,7 +173,8 @@ func (c *Client) MultiPut(ctx context.Context, keys, values [][]byte) error {
 
 // put stores one batch's pairs on its node.
 func (c *Client) put(ctx context.Context, b *batch) error {
-	_, err := c.rpc.Call(ctx, b.node, &wire.DHTMultiPutReq{Keys: b.keys, Values: b.values})
+	b.put = wire.DHTMultiPutReq{Keys: b.keys, Values: b.values}
+	_, err := c.rpc.Call(ctx, b.node, &b.put)
 	return err
 }
 
@@ -146,10 +187,11 @@ func (c *Client) put(ctx context.Context, b *batch) error {
 // reported absent (found false, nil error) only when every node of its
 // replica set answered and none has it; if one did not answer, its
 // error is returned instead: absence is a state, a dead node is not.
-// Results align with keys.
-func (c *Client) MultiGet(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
-	values = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
+// The answers go into values and found, the caller's buffers, resized
+// to len(keys) (in their own arrays when those have the room, so a
+// caller may pass nil) and returned; they align with keys.
+func (c *Client) MultiGet(ctx context.Context, keys, values [][]byte, found []bool) ([][]byte, []bool, error) {
+	values, found = resized(values, len(keys)), resized(found, len(keys))
 	if err := c.multiGet(ctx, keys, values, found, 0); err != nil {
 		return nil, nil, err
 	}
@@ -163,11 +205,12 @@ func (c *Client) multiGet(ctx context.Context, keys, values [][]byte, found []bo
 	if len(keys) == 0 {
 		return nil
 	}
-	var one batch
-	batches := c.route(&one, keys, nil, replica, 1)
+	rt := routings.Get().(*routing)
+	defer rt.release()
+	batches := c.route(rt, keys, nil, replica, 1)
 	var err error
-	if batches == nil {
-		err = c.get(ctx, &one, values, found)
+	if len(batches) == 1 {
+		err = c.get(ctx, &batches[0], values, found) // no closure to allocate
 	} else {
 		err = vclock.Parallel(c.sched, len(batches), func(i int) error {
 			return c.get(ctx, &batches[i], values, found)
@@ -192,11 +235,7 @@ func (c *Client) multiGet(ctx context.Context, keys, values [][]byte, found []bo
 			values[i], found[i] = later[j], laterFound[j]
 		}
 	}
-	// What no replica had is absent only if this one answered. (one is
-	// the zero batch unless the call went to a single node.)
-	if err := one.unanswered(found); err != nil {
-		return err
-	}
+	// What no replica had is absent only if this one answered.
 	for i := range batches {
 		if err := batches[i].unanswered(found); err != nil {
 			return err
@@ -209,7 +248,8 @@ func (c *Client) multiGet(ctx context.Context, keys, values [][]byte, found []bo
 // found at b's positions. A node that does not answer is recorded in
 // b.err, not returned: its keys go to the next replica.
 func (c *Client) get(ctx context.Context, b *batch, values [][]byte, found []bool) error {
-	resp, err := c.rpc.Call(ctx, b.node, &wire.DHTMultiGetReq{Keys: b.keys})
+	b.get = wire.DHTMultiGetReq{Keys: b.keys}
+	resp, err := c.rpc.Call(ctx, b.node, &b.get)
 	if err != nil {
 		b.err = err
 		return nil
@@ -250,10 +290,11 @@ func (c *Client) Delete(ctx context.Context, keys [][]byte) (uint64, error) {
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	var one batch
-	batches := c.route(&one, keys, nil, 0, c.ring.replicas)
-	if batches == nil {
-		return c.delete(ctx, &one)
+	rt := routings.Get().(*routing)
+	defer rt.release()
+	batches := c.route(rt, keys, nil, 0, c.ring.replicas)
+	if len(batches) == 1 {
+		return c.delete(ctx, &batches[0])
 	}
 	removed := make([]uint64, len(batches))
 	err := vclock.Parallel(c.sched, len(batches), func(i int) error {
@@ -271,7 +312,8 @@ func (c *Client) Delete(ctx context.Context, keys [][]byte) (uint64, error) {
 // delete removes one batch's keys from its node and returns how many it
 // held.
 func (c *Client) delete(ctx context.Context, b *batch) (uint64, error) {
-	resp, err := c.rpc.Call(ctx, b.node, &wire.DHTDeleteReq{Keys: b.keys})
+	b.del = wire.DHTDeleteReq{Keys: b.keys}
+	resp, err := c.rpc.Call(ctx, b.node, &b.del)
 	if err != nil {
 		return 0, err
 	}

@@ -19,7 +19,7 @@ func (c *Client) Put(ctx context.Context, key, value []byte) error {
 }
 
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	values, found, err := c.MultiGet(ctx, [][]byte{key})
+	values, found, err := c.MultiGet(ctx, [][]byte{key}, nil, nil)
 	if err != nil {
 		return nil, false, err
 	}

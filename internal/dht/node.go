@@ -2,6 +2,7 @@ package dht
 
 import (
 	"context"
+	"sync"
 
 	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
@@ -103,13 +104,32 @@ func checkKeys(keys [][]byte) error {
 // (getBatch). It implements rpc.Borrower, so the server gives the loan
 // back once the response is framed; a failed getBatch lends nothing, so
 // there is no handler path that releases. Either way each loan is
-// released exactly once.
+// released exactly once. The response itself is recycled too: it comes
+// from lentResponses, and the server hands it back through
+// wire.Recycler after Release — or the handler does, when it fails —
+// with its Found and Values lists kept for the next MULTI_GET.
 type lentValues struct {
 	wire.DHTMultiGetResp
 	lent []byte
 }
 
+var lentResponses = sync.Pool{New: func() any { return new(lentValues) }}
+
+// newLentValues is an empty response with room for n answers.
+func newLentValues(n int) *lentValues {
+	r := lentResponses.Get().(*lentValues)
+	r.Found, r.Values = resized(r.Found, n), resized(r.Values, n)
+	return r
+}
+
 func (r *lentValues) Release() { release(r.lent) }
+
+// Recycle implements wire.Recycler.
+func (r *lentValues) Recycle() {
+	clear(r.Values)
+	r.lent = nil
+	lentResponses.Put(r)
+}
 
 func (n *Node) mux() *rpc.Mux {
 	m := rpc.NewMux()
@@ -125,11 +145,10 @@ func (n *Node) mux() *rpc.Mux {
 		if err := checkKeys(req.Keys); err != nil {
 			return nil, err
 		}
-		resp := &lentValues{}
-		resp.Found = make([]bool, len(req.Keys))
-		resp.Values = make([][]byte, len(req.Keys))
+		resp := newLentValues(len(req.Keys))
 		var err error
 		if resp.lent, err = n.getBatch(req.Keys, resp.Found, resp.Values); err != nil {
+			resp.Recycle()
 			return nil, err
 		}
 		return resp, nil

@@ -17,7 +17,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/core"
 	"blobseer/internal/dht"
 	"blobseer/internal/wire"
@@ -107,11 +109,11 @@ func (s *Store) TryGetNodes(ctx context.Context, ids []core.NodeID, buf []core.N
 // len(ids).
 func (s *Store) getNodes(ctx context.Context, ids []core.NodeID, cache *Cache, out []core.Node, ok []bool) ([]core.Node, []bool, error) {
 	out, ok = resized(out, len(ids)), resized(ok, len(ids))
-	// DHT keys are spelled out only for the misses, in one slab sized at
-	// the first of them. ok[i] is false for exactly the misses until the
-	// answers are filled in, in the same order.
-	var slab []byte
-	var keys [][]byte
+	// DHT keys are spelled out only for the misses, in one recycled slab
+	// grown to hold them all at the first. ok[i] is false for exactly the
+	// misses until the answers are filled in, in the same order.
+	kl := keyLists.Get().(*keyList)
+	defer kl.release()
 	for i, id := range ids {
 		ck := s.cacheKey(id)
 		if cache != nil {
@@ -120,18 +122,19 @@ func (s *Store) getNodes(ctx context.Context, ids []core.NodeID, cache *Cache, o
 				continue
 			}
 		}
-		if keys == nil {
-			slab = make([]byte, 0, (len(ids)-i)*dht.KeyLen)
-			keys = make([][]byte, 0, len(ids)-i)
+		if len(kl.keys) == 0 {
+			kl.slab = slices.Grow(kl.slab, (len(ids)-i)*dht.KeyLen)
 		}
 		var key []byte
-		key, slab = appendKey(slab, ck)
-		keys = append(keys, key)
+		key, kl.slab = appendKey(kl.slab, ck)
+		kl.keys = append(kl.keys, key)
 	}
+	keys := kl.keys
 	if len(keys) == 0 {
 		return out, ok, nil
 	}
-	values, found, err := s.dht.MultiGet(ctx, keys)
+	values, found, err := s.dht.MultiGet(ctx, keys, kl.values, kl.found)
+	kl.values, kl.found = values, found
 	if err != nil {
 		return nil, nil, fmt.Errorf("meta: fetching %d nodes: %w", len(keys), err)
 	}
@@ -155,6 +158,28 @@ func (s *Store) getNodes(ctx context.Context, ids []core.NodeID, cache *Cache, o
 	return out, ok, nil
 }
 
+// keyList is one call's DHT scratch: for a lookup, the keys of its
+// misses, carved from slab, and MultiGet's answers for them; for
+// PutNodes, the keys and values it stores. The lists are read until the
+// dht call returns, or until its answers are decoded, so they are
+// recycled through keyLists.
+type keyList struct {
+	slab   []byte
+	keys   [][]byte
+	values [][]byte
+	found  []bool
+}
+
+var keyLists = sync.Pool{New: func() any { return new(keyList) }}
+
+// release hands kl back, emptied.
+func (kl *keyList) release() {
+	clear(kl.keys)
+	clear(kl.values)
+	kl.slab, kl.keys, kl.values, kl.found = kl.slab[:0], kl.keys[:0], kl.values[:0], kl.found[:0]
+	keyLists.Put(kl)
+}
+
 // resized returns buf holding n zero values, in its own array when that
 // has the room.
 func resized[T any](buf []T, n int) []T {
@@ -170,14 +195,20 @@ func (s *Store) PutNodes(ctx context.Context, ids []core.NodeID, nodes []core.No
 	if len(ids) != len(nodes) {
 		return fmt.Errorf("meta: %d ids but %d nodes", len(ids), len(nodes))
 	}
-	// One slab holds every key and every encoded node of the update.
+	// One slab holds every key and every encoded node of the update. The
+	// dht client frames them into its requests before MultiPut returns,
+	// so the slab and the lists go back once it has.
 	size := len(ids) * dht.KeyLen
 	for i := range nodes {
 		size += nodes[i].EncodedLen()
 	}
-	slab := make([]byte, 0, size)
-	pairs := make([][]byte, 2*len(ids))
-	keys, values := pairs[:len(ids)], pairs[len(ids):]
+	buf := bufpool.Get(size)
+	defer bufpool.Put(buf)
+	kl := keyLists.Get().(*keyList)
+	defer kl.release()
+	slab := (*buf)[:0]
+	kl.keys, kl.values = resized(kl.keys, len(ids)), resized(kl.values, len(ids))
+	keys, values := kl.keys, kl.values
 	for i := range ids {
 		keys[i], slab = appendKey(slab, s.cacheKey(ids[i]))
 		at := len(slab)

@@ -275,11 +275,8 @@ func TestStoreWorksWithCoreAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolved, err := core.ResolvePublished(ctx, st, 0, 0, plan.NeedPublished())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, nodes, err := plan.Finalize(resolved)
+	defer plan.Release()
+	ids, nodes, err := plan.Resolve(ctx, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -372,8 +372,9 @@ func (cc *clientConn) forget(id uint64) {
 
 // readLoop dispatches inbound frames to their waiting callers.
 func (cc *clientConn) readLoop() {
+	hdr := new([frameHeaderLen]byte)
 	for {
-		id, kind, body, err := readFrame(cc.raw)
+		id, kind, body, err := readFrame(cc.raw, hdr)
 		if err != nil {
 			cc.fail(fmt.Errorf("%w: %v", ErrConnBroken, err))
 			return

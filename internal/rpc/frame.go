@@ -98,11 +98,13 @@ func errOversize(m wire.Msg, n int) error {
 	return fmt.Errorf("rpc: %v body %d bytes exceeds limit", m.Kind(), n)
 }
 
-// readFrame reads one complete frame from r. The body is a recycled
-// buffer the caller owns and must release with bufpool.Put once nothing
-// decoded from it by alias (see wire.PutPageReq) is in use.
-func readFrame(r io.Reader) (id uint64, kind wire.Kind, body *[]byte, err error) {
-	var hdr [frameHeaderLen]byte
+// readFrame reads one complete frame from r, its header into hdr: a
+// connection's read loop passes the one it keeps, since a header read
+// through the io.Reader interface would escape to the heap on every
+// frame. The body is a recycled buffer the caller owns and must release
+// with bufpool.Put once nothing decoded from it by alias (see
+// wire.PutPageReq) is in use.
+func readFrame(r io.Reader, hdr *[frameHeaderLen]byte) (id uint64, kind wire.Kind, body *[]byte, err error) {
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}

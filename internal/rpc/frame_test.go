@@ -52,7 +52,7 @@ func TestGarbageLengthAllocatesOnce(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[0:4], n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, body, err := readFrame(bytes.NewReader(hdr[:]))
+	_, _, body, err := readFrame(bytes.NewReader(hdr[:]), new([frameHeaderLen]byte))
 	runtime.ReadMemStats(&after)
 	if err == nil || body != nil {
 		t.Fatalf("bodyless frame accepted: %v", err)

@@ -49,7 +49,7 @@ func scriptedPeer(t *testing.T, script func(c transport.Conn)) *Client {
 
 // nextRequest reads one request frame off c and returns its id.
 func nextRequest(t *testing.T, c transport.Conn) uint64 {
-	id, _, body, err := readFrame(c)
+	id, _, body, err := readFrame(c, new([frameHeaderLen]byte))
 	if err != nil {
 		t.Errorf("scripted peer: %v", err)
 		return 0

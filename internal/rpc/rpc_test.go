@@ -339,7 +339,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, kind, body, err := readFrame(bytes.NewReader(buf))
+	id, kind, body, err := readFrame(bytes.NewReader(buf), new([frameHeaderLen]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameRejectsOversize(t *testing.T) {
 	var hdr [frameHeaderLen]byte
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
+	if _, _, _, err := readFrame(bytes.NewReader(hdr[:]), new([frameHeaderLen]byte)); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
 
@@ -387,7 +387,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 	}
 	r := bytes.NewReader(buf)
 	for _, want := range []uint64{1, 3} {
-		id, kind, body, err := readFrame(r)
+		id, kind, body, err := readFrame(r, new([frameHeaderLen]byte))
 		if err != nil {
 			t.Fatal(err)
 		}

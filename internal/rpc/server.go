@@ -191,8 +191,9 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 	serve := func(id uint64, req wire.Msg, body *[]byte) {
 		s.serveRequest(cctx, c, wmu, id, req, body)
 	}
+	hdr := new([frameHeaderLen]byte)
 	for {
-		id, kind, body, err := readFrame(c)
+		id, kind, body, err := readFrame(c, hdr)
 		if err != nil {
 			return
 		}
@@ -214,17 +215,24 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 
 // serveRequest runs one request to completion on its own goroutine. It
 // owns body, the recycled buffer req was decoded from (req may alias
-// it), and whatever the response borrowed, and releases both once the
-// response is encoded — the last moment anything can still read either
-// — on every path.
+// it), whatever the response borrowed, and req and resp themselves when
+// they are wire.Recyclers, and releases them once the response is
+// encoded — the last moment anything can still read any of them — on
+// every path.
 func (s *Server) serveRequest(ctx context.Context, c transport.Conn, wmu *vclock.Mutex, id uint64, req wire.Msg, body *[]byte) {
 	start := s.sched.Now()
 	resp := s.dispatch(ctx, req)
 	s.histogram(req.Kind()).Observe(s.sched.Now() - start)
 	frame := s.responseFrame(id, resp)
 	bufpool.Put(body)
+	if r, ok := req.(wire.Recycler); ok {
+		r.Recycle()
+	}
 	if b, ok := resp.(Borrower); ok {
 		b.Release()
+	}
+	if r, ok := resp.(wire.Recycler); ok {
+		r.Recycle()
 	}
 	if frame == nil {
 		// Even the error response failed to encode: the client's request

@@ -148,7 +148,9 @@ func (c *committer[T]) admitLocked() error {
 // durability — phase one of the append. A caller that applies state at
 // enqueue time holds the store locks an fsync must not stall: it
 // applies the record's effects under them (the committer's Apply must be
-// nil then), releases them, and calls Await to park for durability.
+// nil then), releases them, and calls Await to park for durability. The
+// record's cell starts afresh here, so a record whose Await has
+// returned may be queued again (the KV recycles its records).
 func (c *committer[T]) Enqueue(a T) error {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
@@ -156,10 +158,8 @@ func (c *committer[T]) Enqueue(a T) error {
 		return err
 	}
 	c.queue = append(c.queue, a)
-	if !c.leading {
-		c.leading = true
-		a.slot().leads = true
-	}
+	*a.slot() = cell{leads: !c.leading}
+	c.leading = true
 	return nil
 }
 

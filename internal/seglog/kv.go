@@ -266,7 +266,9 @@ type kvSegment struct {
 // and value alias the appender's own slices: the committer frames them
 // straight into the batch buffer, and they are never read after the
 // appender's Await returns — the appender is parked until its batch
-// resolves, and shutdown only fails records no leader has taken.
+// resolves, and shutdown only fails records no leader has taken. The
+// record itself is not read after that either, which is what lets a
+// batch's records live in a recycled slab (getRecords).
 type kvAppend struct {
 	kind byte
 	// changed is set by applyBatch when the record changed the index: a
@@ -517,9 +519,33 @@ func (s *KV) rollLocked() error {
 	return nil
 }
 
-// newAppend is a record of key, of which it keeps a copy.
-func (s *KV) newAppend(kind byte, key string, value []byte) *kvAppend {
-	return &kvAppend{kind: kind, key: []byte(key), value: value}
+// newAppend is a record of key, of which it keeps a copy, as the one
+// record of a commitAll.
+func (s *KV) newAppend(kind byte, key string, value []byte) []kvAppend {
+	return []kvAppend{{kind: kind, key: []byte(key), value: value}}
+}
+
+// recordSlabs recycles the record slabs of PutBatch and DeleteBatch. A
+// slab is all zeros while it is in the pool: putRecords clears what a
+// call used, so a record a call does not fill in has kind 0 and is no
+// record at all, and no record starts out changed.
+var recordSlabs = sync.Pool{New: func() any { return new([]kvAppend) }}
+
+// getRecords is a zeroed slab of n records.
+func getRecords(n int) *[]kvAppend {
+	p := recordSlabs.Get().(*[]kvAppend)
+	*p = slices.Grow(*p, n)[:n]
+	return p
+}
+
+// putRecords clears the slab and hands it back. Only commitAll's
+// callers take slabs, and commitAll returns once every record it queued
+// has been delivered, after which the committer reads none of them:
+// the slab is the caller's again, on every path.
+func putRecords(p *[]kvAppend) {
+	clear(*p)
+	*p = (*p)[:0]
+	recordSlabs.Put(p)
 }
 
 // framed is the record's size on disk.
@@ -541,7 +567,7 @@ func (s *KV) Put(key string, value []byte) error {
 	if _, dup, err := find(s, key); err != nil || dup {
 		return err
 	}
-	return s.commitAll([]*kvAppend{s.newAppend(kvPut, key, value)})
+	return s.commitAll(s.newAppend(kvPut, key, value))
 }
 
 // Delete durably appends a tombstone and drops the key from the index,
@@ -554,7 +580,7 @@ func (s *KV) Delete(key string) error {
 	if _, ok, err := find(s, key); err != nil || !ok {
 		return err
 	}
-	return s.commitAll([]*kvAppend{s.newAppend(kvTomb, key, nil)})
+	return s.commitAll(s.newAppend(kvTomb, key, nil))
 }
 
 // PutBatch is Put for the pairs of one request: every record is queued
@@ -570,7 +596,9 @@ func (s *KV) Delete(key string) error {
 // the log holds for a lost key is the caller's to check. A failed
 // commit indexes none of its batch, and err is the first failure.
 func (s *KV) PutBatch(keys, values [][]byte) (lost []int, err error) {
-	recs := make([]*kvAppend, len(keys))
+	slab := getRecords(len(keys))
+	defer putRecords(slab)
+	recs := *slab
 	for i, key := range keys {
 		if len(key) != s.ly.KeyLen {
 			return nil, fmt.Errorf("%s: key of %d bytes, layout fixes %d", s.ly.Name, len(key), s.ly.KeyLen)
@@ -579,15 +607,16 @@ func (s *KV) PutBatch(keys, values [][]byte) (lost []int, err error) {
 		if err != nil {
 			return nil, err
 		}
-		if !dup {
-			recs[i] = &kvAppend{kind: kvPut, key: key, value: values[i]}
+		if !dup { // a stored key's record stays zero: kind 0, no record
+			a := &recs[i]
+			a.kind, a.key, a.value = kvPut, key, values[i]
 		}
 	}
 	if err := s.commitAll(recs); err != nil {
 		return nil, err
 	}
-	for i, a := range recs {
-		if a == nil || !a.changed {
+	for i := range recs {
+		if a := &recs[i]; a.kind == 0 || !a.changed {
 			lost = append(lost, i)
 		}
 	}
@@ -602,43 +631,48 @@ func (s *KV) PutBatch(keys, values [][]byte) (lost []int, err error) {
 // and drop nothing. Unknown keys are no-ops. On error dropped counts
 // what the batches that did commit removed.
 func (s *KV) DeleteBatch(keys [][]byte) (dropped uint64, err error) {
-	recs := make([]*kvAppend, 0, len(keys))
+	slab := getRecords(len(keys))
+	defer putRecords(slab)
+	recs := (*slab)[:0]
 	for _, key := range keys {
 		_, ok, err := find(s, key)
 		if err != nil {
 			return 0, err
 		}
 		if ok {
-			recs = append(recs, &kvAppend{kind: kvTomb, key: key})
+			recs = append(recs, kvAppend{kind: kvTomb, key: key})
 		}
 	}
 	err = s.commitAll(recs)
-	for _, a := range recs {
-		if a.changed {
+	for i := range recs {
+		if recs[i].changed {
 			dropped++
 		}
 	}
 	return dropped, err
 }
 
-// commitAll queues recs (nil entries are skipped) in order and then
-// parks until every one it queued is resolved; it returns the first
-// failure. Every queued record is awaited whatever the others return:
-// the first may have made this goroutine the batch leader, and an
-// unawaited leader stalls the queue.
-func (s *KV) commitAll(recs []*kvAppend) error {
+// commitAll queues the records of recs (entries of kind 0 are skipped)
+// in order and then parks until every one it queued is resolved; it
+// returns the first failure. Every queued record is awaited whatever
+// the others return: the first may have made this goroutine the batch
+// leader, and an unawaited leader stalls the queue. That is also what
+// lets PutBatch and DeleteBatch recycle their slabs: once commitAll
+// returns, on any path, the committer holds no record of recs.
+func (s *KV) commitAll(recs []kvAppend) error {
 	var first error
-	queued := 0 // recs[:queued] are queued, or nil
-	for _, a := range recs {
-		if a != nil {
+	queued := 0 // recs[:queued] are queued, or skipped
+	for i := range recs {
+		if a := &recs[i]; a.kind != 0 {
 			if first = s.comm.Enqueue(a); first != nil {
 				break
 			}
 		}
 		queued++
 	}
-	for _, a := range recs[:queued] {
-		if a == nil {
+	for i := range recs[:queued] {
+		a := &recs[i]
+		if a.kind == 0 {
 			continue
 		}
 		if err := s.comm.Await(a); err != nil && first == nil {

@@ -38,7 +38,7 @@ func TestKVGoldenBytes(t *testing.T) {
 				must(t, s.Put(tkey(ly, i), gval(i)))
 			}
 			// Bypass Put's dedupe, as two racing Puts of one key do.
-			must(t, s.commitAll([]*kvAppend{s.newAppend(kvPut, tkey(ly, 2), gval(2))}))
+			must(t, s.commitAll(s.newAppend(kvPut, tkey(ly, 2), gval(2))))
 			for _, i := range []int{1, 3, 4} {
 				must(t, s.Delete(tkey(ly, i)))
 			}

@@ -1,15 +1,19 @@
 package seglog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
 	"blobseer/internal/obs"
+	"blobseer/internal/wire"
 )
 
 // TestKVReadsOverlapParkedCommit pins the early-lock-release contract:
@@ -390,5 +394,117 @@ func TestKVEnqueuePutParkedBehindCommit(t *testing.T) {
 		putN(t, s, 4, 7)
 		verifyLive(t, s, 7, all)
 		must(t, s.Close())
+	})
+}
+
+// TestKVPutBatchLostMatchesModel holds PutBatch's lost list to a map
+// model while the record slabs recycle from call to call. First one
+// appender, each of whose calls reuses the slab the call before it gave
+// back: a key the model holds, or one named earlier in the same call,
+// is lost, and no other is — with DeleteBatch, which draws from the
+// same slabs, taking keys out of the model now and then, its count held
+// to the model too. Then seeded appenders at once over one small key
+// space, each putting values of its own, so that which of two racing
+// records wins is the scheduler's: over all calls every key is won
+// exactly once, and the log holds the winner's bytes.
+func TestKVPutBatchLostMatchesModel(t *testing.T) {
+	eachFS(t, func(t *testing.T, ly *KVLayout, path string) {
+		s := mustOpenKV(t, path, ly, KVOptions{})
+		rng := rand.New(rand.NewSource(1))
+		stored := map[int]bool{}
+		pick := func(rng *rand.Rand, base, space int) []int {
+			is := make([]int, 1+rng.Intn(6))
+			for j := range is {
+				is[j] = base + rng.Intn(space)
+			}
+			return is
+		}
+		for round := 0; round < 300; round++ {
+			is := pick(rng, 0, 24)
+			var want []int
+			named := map[int]bool{}
+			for j, i := range is {
+				if stored[i] || named[i] {
+					want = append(want, j)
+				}
+				named[i] = true
+			}
+			lost, err := s.PutBatch(bkeys(ly, is...), tvals(is...))
+			must(t, err)
+			if !slices.Equal(lost, want) {
+				t.Fatalf("round %d: PutBatch%v lost %v, model says %v (stored %v)", round, is, lost, want, stored)
+			}
+			for i := range named {
+				stored[i] = true
+			}
+			if round%4 == 3 {
+				del := pick(rng, 0, 24)
+				var wantDropped uint64
+				for _, i := range del {
+					if stored[i] {
+						wantDropped++
+						delete(stored, i)
+					}
+				}
+				dropped, err := s.DeleteBatch(bkeys(ly, del...))
+				must(t, err)
+				if dropped != wantDropped {
+					t.Fatalf("round %d: DeleteBatch%v dropped %d, model says %d", round, del, dropped, wantDropped)
+				}
+			}
+		}
+
+		const writers, calls, base, space = 4, 150, 1000, 32
+		value := func(w, i int) []byte { return append(tval(i), byte(w)) }
+		won := make([]map[int]int, writers) // per writer: key -> times won
+		var wg sync.WaitGroup
+		for w := range writers {
+			won[w] = map[int]int{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w) + 2))
+				for range calls {
+					is := pick(rng, base, space)
+					values := make([][]byte, len(is))
+					for j, i := range is {
+						values[j] = value(w, i)
+					}
+					lost, err := s.PutBatch(bkeys(ly, is...), values)
+					if err != nil {
+						t.Errorf("writer %d: %v", w, err)
+						return
+					}
+					for j, i := range is {
+						if !slices.Contains(lost, j) {
+							won[w][i]++
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for i := base; i < base+space; i++ {
+			winners, total := -1, 0
+			for w := range writers {
+				if n := won[w][i]; n > 0 {
+					winners, total = w, total+n
+				}
+			}
+			if !has(s, tkey(ly, i)) {
+				if total != 0 {
+					t.Fatalf("key %d: won %d times but not stored", i, total)
+				}
+				continue
+			}
+			if total != 1 {
+				t.Fatalf("key %d won %d times over all calls, want once", i, total)
+			}
+			got, err := s.Get(tkey(ly, i), 0, wire.WholePage)
+			must(t, err)
+			if !bytes.Equal(got, value(winners, i)) {
+				t.Fatalf("key %d holds another writer's bytes than writer %d's, who won it", i, winners)
+			}
+		}
 	})
 }

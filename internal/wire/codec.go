@@ -238,6 +238,18 @@ func Slice[T any](c *Codec, s *[]T, minEntryBytes int) int {
 	return n
 }
 
+// reuse returns n zero values for a decoder to fill: in s's array when
+// s is a recycled message's list with the room (see Recycler), else in
+// a new one.
+func reuse[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // prefix appends a uint32 length prefix.
 func (c *Codec) prefix(n int) {
 	if n > math.MaxUint32 {

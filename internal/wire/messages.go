@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Kind is a message type code. Requests have odd codes, their responses the
 // following even code; ErrorResp may answer any request.
@@ -107,9 +110,9 @@ var kindTable = [kindMax]struct {
 	KindDHTPutResp:        {name: "DHTPutResp"},
 	KindDHTGetReq:         {name: "DHTGetReq"},
 	KindDHTGetResp:        {name: "DHTGetResp"},
-	KindDHTMultiPutReq:    {"DHTMultiPutReq", zero[DHTMultiPutReq]},
+	KindDHTMultiPutReq:    {"DHTMultiPutReq", func() Msg { return recycled[DHTMultiPutReq](&multiPutReqs) }},
 	KindDHTMultiPutResp:   {"DHTMultiPutResp", zero[DHTMultiPutResp]},
-	KindDHTMultiGetReq:    {"DHTMultiGetReq", zero[DHTMultiGetReq]},
+	KindDHTMultiGetReq:    {"DHTMultiGetReq", func() Msg { return recycled[DHTMultiGetReq](&multiGetReqs) }},
 	KindDHTMultiGetResp:   {"DHTMultiGetResp", zero[DHTMultiGetResp]},
 	KindDHTStatsReq:       {name: "DHTStatsReq"},
 	KindDHTStatsResp:      {name: "DHTStatsResp"},
@@ -151,6 +154,31 @@ func zero[T any, P interface {
 }]() Msg {
 	return P(new(T))
 }
+
+// recycled takes a message of type T from pool, where Recycle put it,
+// or builds a zero one.
+func recycled[T any, P interface {
+	*T
+	Msg
+}](pool *sync.Pool) Msg {
+	if m, ok := pool.Get().(P); ok {
+		return m
+	}
+	return P(new(T))
+}
+
+// Recycler is implemented by a message the rpc server hands back once
+// it has framed the response, when nothing reads either message any
+// more: the requests a metadata node decodes in bulk, DHTMultiPutReq
+// and DHTMultiGetReq, whose key and value lists are most of what
+// decoding one allocates, and a handler's response that comes from a
+// pool of its own (after the server releases its loans: see
+// rpc.Borrower). Recycle hands the message back, and the next Decode
+// of its kind — or the next response — reuses it and its lists. Only a
+// decoded request or a pooled response is recycled, and only once.
+type Recycler interface{ Recycle() }
+
+var multiPutReqs, multiGetReqs sync.Pool
 
 // String returns the symbolic name of the kind.
 func (k Kind) String() string {
@@ -324,18 +352,24 @@ type DHTMultiPutReq struct {
 func (*DHTMultiPutReq) Kind() Kind { return KindDHTMultiPutReq }
 
 func (m *DHTMultiPutReq) code(c Codec) Codec {
-	// Every pair carries two length prefixes; one allocation holds both
-	// halves.
+	// Every pair carries two length prefixes.
 	n := c.Len(len(m.Keys), 8)
 	if c.dec {
-		pairs := make([][]byte, 2*n)
-		m.Keys, m.Values = pairs[:n:n], pairs[n:]
+		m.Keys, m.Values = reuse(m.Keys, n), reuse(m.Values, n)
 	}
 	for i := range n {
 		c.BytesAlias(&m.Keys[i])
 		c.BytesAlias(&m.Values[i])
 	}
 	return c
+}
+
+// Recycle implements Recycler.
+func (m *DHTMultiPutReq) Recycle() {
+	clear(m.Keys)
+	clear(m.Values)
+	m.Keys, m.Values = m.Keys[:0], m.Values[:0]
+	multiPutReqs.Put(m)
 }
 
 // DHTMultiPutResp acknowledges DHTMultiPutReq.
@@ -357,10 +391,21 @@ type DHTMultiGetReq struct{ Keys [][]byte }
 func (*DHTMultiGetReq) Kind() Kind { return KindDHTMultiGetReq }
 
 func (m *DHTMultiGetReq) code(c Codec) Codec {
-	for i := range Slice(&c, &m.Keys, 4) {
+	n := c.Len(len(m.Keys), 4)
+	if c.dec {
+		m.Keys = reuse(m.Keys, n)
+	}
+	for i := range n {
 		c.BytesAlias(&m.Keys[i])
 	}
 	return c
+}
+
+// Recycle implements Recycler.
+func (m *DHTMultiGetReq) Recycle() {
+	clear(m.Keys)
+	m.Keys = m.Keys[:0]
+	multiGetReqs.Put(m)
 }
 
 // DHTMultiGetResp answers DHTMultiGetReq; entries align with request keys.
