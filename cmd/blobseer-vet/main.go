@@ -1,7 +1,6 @@
 // Command blobseer-vet runs the repository's invariant analyzers: the
-// declared lock orders, the tmp+fsync+rename durability contract, the
-// append-only wire-kind registry, codec fuzz reachability, context flow
-// and goroutine lifecycles. See README.md "Static analysis".
+// declared lock orders, codec fuzz reachability, context flow and
+// goroutine lifecycles. See README.md "Static analysis".
 //
 // Usage:
 //

@@ -5,9 +5,8 @@
 // the same Analyzer/Pass/Diagnostic contract, a loader built on
 // `go list -export` and a standalone runner.
 //
-// The analyzers themselves live in subpackages (lockorder, renamesync,
-// wirekinds, encdecpair, ctxflow, goleak) and are registered by
-// internal/analysis/suite.
+// The analyzers themselves live in subpackages (lockorder, encdecpair,
+// ctxflow, goleak) and are registered by internal/analysis/suite.
 package analysis
 
 import (

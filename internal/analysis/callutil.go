@@ -6,8 +6,8 @@ import (
 )
 
 // Call-graph helpers shared by the analyzers, within one package. The
-// invariants being checked (lock acquisition, fsync-before-rename, fuzz
-// reachability) are all "does some path exist" properties where
+// invariants being checked (lock acquisition, fuzz reachability,
+// goroutine joins) are all "does some path exist" properties where
 // over-approximation costs at worst a justified //blobseer:ignore and
 // under-approximation costs a missed crash bug. The syntax-only graph
 // (Callees, Reachable) is deliberately coarse: edges by bare name.
@@ -161,29 +161,6 @@ func ReceiverTypeName(info *types.Info, e ast.Expr) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-// IsOSFileSync reports whether the call is (*os.File).Sync, i.e. an
-// fsync of an open file.
-func IsOSFileSync(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Sync" {
-		return false
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "File" && obj.Pkg() != nil && obj.Pkg().Path() == "os"
 }
 
 // IsPkgFunc reports whether the call targets pkgPath.funcName (e.g.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -60,7 +61,13 @@ type listPkg struct {
 
 // Load resolves patterns (as understood by `go list`) relative to dir
 // and returns the matched packages, type-checked, in `go list` order.
+// Each file is parsed where the go command reads it: through the
+// -overlay GOFLAGS gives it, if any, which `go list` inherits too.
 func Load(dir string, patterns ...string) ([]*Package, error) {
+	replace, err := overlay(dir)
+	if err != nil {
+		return nil, err
+	}
 	args := append([]string{"list", "-e", "-json", "-export", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -101,7 +108,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if !targets[p.ImportPath] {
 			continue
 		}
-		lp, err := typecheck(p, exports)
+		lp, err := typecheck(p, exports, replace)
 		if err != nil {
 			return nil, err
 		}
@@ -130,9 +137,51 @@ func listTargets(dir string, patterns []string) (map[string]bool, error) {
 	return targets, nil
 }
 
+// overlay reads the -overlay file GOFLAGS names: the absolute path of
+// each file it replaces, mapped to the file read in its place. Relative
+// paths are the go command's, which runs in dir.
+func overlay(dir string) (map[string]string, error) {
+	abs := func(p string) string {
+		if !filepath.IsAbs(p) {
+			p, _ = filepath.Abs(filepath.Join(dir, p))
+		}
+		return p
+	}
+	for _, flag := range strings.Fields(os.Getenv("GOFLAGS")) {
+		path, ok := strings.CutPrefix(strings.TrimLeft(flag, "-"), "overlay=")
+		if !ok {
+			continue
+		}
+		var ov struct{ Replace map[string]string }
+		data, err := os.ReadFile(abs(path))
+		if err == nil {
+			err = json.Unmarshal(data, &ov)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("analysis: overlay %s: %v", path, err)
+		}
+		replace := make(map[string]string, len(ov.Replace))
+		for from, to := range ov.Replace {
+			replace[abs(from)] = abs(to)
+		}
+		return replace, nil
+	}
+	return nil, nil
+}
+
+// parseFile parses the file at path, or the overlay's replacement for
+// it under path's name.
+func parseFile(fset *token.FileSet, path string, replace map[string]string) (*ast.File, error) {
+	src, err := os.ReadFile(cmp.Or(replace[path], path))
+	if err != nil {
+		return nil, err
+	}
+	return parser.ParseFile(fset, path, src, parser.ParseComments)
+}
+
 // typecheck parses the package's non-test files and type-checks them,
 // resolving imports through the export files go list compiled.
-func typecheck(p *listPkg, exports map[string]string) (*Package, error) {
+func typecheck(p *listPkg, exports, replace map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
 	lp := &Package{
 		PkgPath: p.ImportPath,
@@ -146,7 +195,7 @@ func typecheck(p *listPkg, exports map[string]string) (*Package, error) {
 		lp.Errors = append(lp.Errors, fmt.Errorf("%s", p.Error.Err))
 	}
 	for _, name := range p.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
+		f, err := parseFile(fset, filepath.Join(p.Dir, name), replace)
 		if err != nil {
 			lp.Errors = append(lp.Errors, err)
 			continue
@@ -154,7 +203,7 @@ func typecheck(p *listPkg, exports map[string]string) (*Package, error) {
 		lp.Files = append(lp.Files, f)
 	}
 	for _, name := range p.TestGoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
+		f, err := parseFile(fset, filepath.Join(p.Dir, name), replace)
 		if err != nil {
 			lp.Errors = append(lp.Errors, err)
 			continue

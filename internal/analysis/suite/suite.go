@@ -9,15 +9,11 @@ import (
 	"blobseer/internal/analysis/encdecpair"
 	"blobseer/internal/analysis/goleak"
 	"blobseer/internal/analysis/lockorder"
-	"blobseer/internal/analysis/renamesync"
-	"blobseer/internal/analysis/wirekinds"
 )
 
 // Analyzers is the full blobseer-vet suite, in report order.
 var Analyzers = []*analysis.Analyzer{
 	lockorder.Analyzer,
-	renamesync.Analyzer,
-	wirekinds.Analyzer,
 	encdecpair.Analyzer,
 	ctxflow.Analyzer,
 	goleak.Analyzer,

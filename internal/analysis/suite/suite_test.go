@@ -58,7 +58,7 @@ func moduleRoot(t *testing.T) string {
 // TestSuiteComplete pins the analyzer roster: dropping a check from the
 // suite must not pass silently.
 func TestSuiteComplete(t *testing.T) {
-	want := []string{"lockorder", "renamesync", "wirekinds", "encdecpair", "ctxflow", "goleak"}
+	want := []string{"lockorder", "encdecpair", "ctxflow", "goleak"}
 	var got []string
 	for _, a := range suite.Analyzers {
 		got = append(got, a.Name)

@@ -32,7 +32,8 @@ type mutant struct {
 // history checker's count of failing seeds, or whether a plain test
 // failed. A checker or a test that gets weaker moves a line; -update
 // rewrites the file. Without -mutants it only checks that every entry
-// still plants: each builds and runs a test binary of its own.
+// still plants and that its test still exists: each builds and runs a
+// test binary of its own.
 func TestMutants(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -52,6 +53,9 @@ func TestMutants(t *testing.T) {
 			t.Fatalf("%s: old text occurs %d times in %s, want 1", m.name, n, m.file)
 		}
 		planted[i] = bytes.Replace(src, []byte(m.old), []byte(m.new), 1)
+		if !declaresTest(filepath.Join(root, m.pkg), m.test) {
+			t.Fatalf("%s: no _test.go file of %s declares func %s(", m.name, m.pkg, m.test)
+		}
 	}
 	if !*mutants {
 		t.Skip("run with -mutants")
@@ -96,13 +100,16 @@ func (m *mutant) run(t *testing.T, root string, src []byte) string {
 	if err := os.WriteFile(overlayPath, overlay, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	args := []string{"test", "-overlay", overlayPath, "-json", "-count=1", "-timeout=20m", "-run", "^" + m.test + "$", m.pkg}
+	args := []string{"test", "-json", "-count=1", "-timeout=20m", "-run", "^" + m.test + "$", m.pkg}
 	history := m.test == "TestHistoryUnderFaults"
 	if history {
 		args = append(args, fmt.Sprintf("-history-seeds=%d", mutantSeeds))
 	}
 	cmd := exec.Command(goTool(), args...)
 	cmd.Dir = root
+	// Through GOFLAGS, the go commands a test runs read the overlay too:
+	// the analyzers' suite loads the module with go list.
+	cmd.Env = append(os.Environ(), "GOFLAGS="+os.Getenv("GOFLAGS")+" -overlay="+overlayPath)
 	out, _ := cmd.Output() // a caught mutant fails the run
 	var ran, passed, seeds, seedsFailed int
 	for sc := bufio.NewScanner(bytes.NewReader(out)); sc.Scan(); {
@@ -136,6 +143,19 @@ func (m *mutant) run(t *testing.T, root string, src []byte) string {
 		return "not caught"
 	}
 	return "caught"
+}
+
+// declaresTest reports whether a _test.go file in dir declares the
+// test function name, so an entry whose catcher was renamed or deleted
+// fails here rather than reading "not run" in the -mutants run.
+func declaresTest(dir, name string) bool {
+	files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	for _, f := range files {
+		if src, err := os.ReadFile(f); err == nil && bytes.Contains(src, []byte("func "+name+"(")) {
+			return true
+		}
+	}
+	return false
 }
 
 // goTool is the go command that runs this test.

@@ -313,6 +313,10 @@ func OpenKV(sched vclock.Scheduler, path string, ly *KVLayout, opts KVOptions) (
 			opts.CompactRatio = 0.5 // blobseerd's -compact-ratio default
 		}
 	}
+	return openKV(sched, fsys, path, ly, opts)
+}
+
+func openKV(sched vclock.Scheduler, fsys fileSystem, path string, ly *KVLayout, opts KVOptions) (*KV, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}

@@ -49,10 +49,17 @@ func compactDeadTail(s *KV) error {
 
 // crashAtPoint arms s to die at one fault point: the maintenance pass
 // aborts with errCrash exactly as a process death there would, and the
-// test then reopens on whatever the disk holds.
+// test then reopens on whatever the disk holds. The hook the store had,
+// a syncFS's check, still runs first.
 func crashAtPoint(s *KV, point string) (fired *bool) {
 	fired = new(bool)
+	seam := s.opts.Fault
 	s.opts.Fault = func(p string) error {
+		if seam != nil {
+			if err := seam(p); err != nil {
+				return err
+			}
+		}
 		if p == point {
 			*fired = true
 			return errCrash
@@ -153,9 +160,10 @@ func TestKVEveryCrashPointIsExercised(t *testing.T) {
 		s := mustOpenKV(t, filepath.Join(t.TempDir(), "kv.log"), ly, crashOpts())
 		crashWorkload(t, s)
 		seen := make(map[string]bool)
+		seam := s.opts.Fault
 		s.opts.Fault = func(p string) error {
 			seen[p] = true
-			return nil
+			return seam(p)
 		}
 		must(t, compactDeadTail(s))
 		for _, p := range crashPoints {

@@ -73,9 +73,19 @@ func has(s *KV, key string) bool {
 	return ok
 }
 
+// mustOpenKV opens the store at path. One that syncs to disk runs over
+// a syncFS, which holds its maintenance to the publish sequence.
 func mustOpenKV(t *testing.T, path string, ly *KVLayout, opts KVOptions) *KV {
 	t.Helper()
-	s, err := OpenKV(nil, path, ly, opts)
+	var s *KV
+	var err error
+	if opts.Sync && path != "" {
+		seam := newSyncFS(osFS{})
+		opts.Fault = seam.fault(opts.Fault)
+		s, err = openKV(nil, seam, path, ly, opts)
+	} else {
+		s, err = OpenKV(nil, path, ly, opts)
+	}
 	if err != nil {
 		t.Fatalf("open %s: %v", path, err)
 	}

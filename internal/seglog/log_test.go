@@ -55,10 +55,17 @@ func eachLogFS(t *testing.T, f func(t *testing.T, fsys fileSystem, path string))
 	t.Run("mem", func(t *testing.T) { f(t, newMemFS(), "mem/log") })
 }
 
-// logOpener opens, and reopens, the log at path in fsys.
+// logOpener opens, and reopens, the log at path in fsys; a log that
+// syncs runs over a syncFS, which holds its checkpoints to the publish
+// sequence.
 func logOpener(t *testing.T, fsys fileSystem, path string) func(LogOptions) (*Log, *recState) {
 	return func(opts LogOptions) (*Log, *recState) {
 		t.Helper()
+		fsys := fsys
+		if opts.Sync {
+			seam := newSyncFS(fsys)
+			fsys, opts.Fault = seam, seam.fault(opts.Fault)
+		}
 		l, st, err := openLog(nil, fsys, path, testMachine, opts)
 		if err != nil {
 			t.Fatalf("open: %v", err)

@@ -68,11 +68,7 @@
 //
 // The core primitives declare no lock order of their own: the committer
 // borrows its log's writer mutex, and the order is declared by the log
-// that owns the locks (in kv.go and log.go). Functions that publish
-// files via rename keep the whole sync→rename→dirsync sequence in a
-// single function body so the renamesync analyzer (cmd/blobseer-vet)
-// can see it; it reads the seam's Sync, Rename and SyncDir as the os
-// calls they stand for.
+// that owns the locks (in kv.go and log.go).
 package seglog
 
 import (

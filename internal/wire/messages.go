@@ -82,7 +82,7 @@ const (
 // kindTable declares each kind once: its symbolic name and the
 // constructor of its zero message, which is what makes a kind decodable
 // off the wire; a retired kind keeps its name and has no constructor.
-// blobseer-vet's wirekinds check reads it.
+// TestKindRegistry holds it to kinds.golden.
 var kindTable = [kindMax]struct {
 	name string
 	new  func() Msg

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -144,6 +147,62 @@ func TestRetiredKindsUndecodable(t *testing.T) {
 		}
 		if _, err := Decode(r.kind, r.body); err == nil {
 			t.Errorf("Decode(%v) of its last encoding succeeded", r.kind)
+		}
+	}
+}
+
+// TestKindRegistry holds the kinds to kinds.golden, the append-only
+// registry of wire numbers: each line's number is still its kind's, by
+// the name kindTable gives it; every kind below kindMax has a line; a
+// line marked retired is a kind of retiredKinds, with no constructor,
+// and every other kind has a populated seed in FuzzDecodeWire, so its
+// decoder faces adversarial bytes.
+func TestKindRegistry(t *testing.T) {
+	data, err := os.ReadFile("kinds.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := make(map[Kind]bool)
+	for _, r := range retiredKinds {
+		retired[r.kind] = true
+	}
+	seeded := make(map[Kind]bool)
+	for _, m := range wireSeeds() {
+		seeded[m.Kind()] = true
+	}
+	registered := make(map[Kind]bool)
+	for i, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		n, err := strconv.Atoi(f[0])
+		if err != nil || len(f) < 2 || len(f) > 3 || len(f) == 3 && f[2] != "retired" {
+			t.Fatalf("kinds.golden:%d: want \"value name\" or \"value name retired\", got %q", i+1, line)
+		}
+		k, name, isRetired := Kind(n), f[1], len(f) == 3
+		switch {
+		case n <= int(KindInvalid) || n >= int(kindMax):
+			t.Errorf("kinds.golden:%d: %s (%d) is gone from the enum: a wire kind is never deleted, not even a retired one", i+1, name, n)
+			continue
+		case "Kind"+kindTable[k].name != name:
+			t.Errorf("kinds.golden:%d: %d is %s, but kindTable names it Kind%s: a wire number is frozen forever", i+1, n, name, kindTable[k].name)
+		case registered[k]:
+			t.Errorf("kinds.golden:%d: %d is registered twice", i+1, n)
+		}
+		registered[k] = true
+		switch {
+		case isRetired != retired[k]:
+			t.Errorf("kinds.golden:%d: %s is retired in the registry: %v, in retiredKinds: %v", i+1, name, isRetired, retired[k])
+		case isRetired && kindTable[k].new != nil:
+			t.Errorf("retired kind %s has a constructor in kindTable: a retired number is never reused", name)
+		case !isRetired && !seeded[k]:
+			t.Errorf("kind %s has no seed in FuzzDecodeWire: its decoder never faces adversarial bytes", name)
+		}
+	}
+	for k := KindInvalid + 1; k < kindMax; k++ {
+		if !registered[k] {
+			t.Errorf("kind %d (%q in kindTable) is not in kinds.golden: append its line", k, kindTable[k].name)
 		}
 	}
 }
