@@ -5,9 +5,11 @@
 //
 // A spawn is a `go` statement or a call to a vclock spawn method
 // (Scheduler.Go, (*Real).Go, (*Virtual).Go, (*WaitGroup).Go). The
-// analyzer resolves the spawned body — function literal, or local
-// function/method reference, extended transitively over the package's
-// name-based call graph — and accepts any of these join proofs:
+// analyzer resolves the spawned body — function literal, local
+// function/method reference, or a func-typed field (indexed or not)
+// through every literal or local function the package stores in it,
+// extended transitively over the package's name-based call graph — and
+// accepts any of these join proofs:
 //
 //  1. WaitGroup: the body calls tok.Done() and the package calls both
 //     tok.Add(...) and tok.Wait(...) on the same terminal token
@@ -281,18 +283,9 @@ func checkSpawn(pass *analysis.Pass, fd *ast.FuncDecl, pos token.Pos, fun ast.Ex
 	case *ast.FuncLit:
 		body.collect(f.Body)
 		roots = analysis.Callees(f.Body)
-	case *ast.Ident, *ast.SelectorExpr:
-		var id *ast.Ident
-		if i, ok := f.(*ast.Ident); ok {
-			id = i
-		} else {
-			id = f.(*ast.SelectorExpr).Sel
-		}
-		if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok && fn.Pkg() == pass.Pkg {
-			if _, ok := pkgFuncs[fn.Name()]; ok {
-				roots = []string{fn.Name()}
-				break
-			}
+	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
+		if roots = spawnedFuncs(pass, f, pkgFuncs, body); len(roots) > 0 {
+			break
 		}
 		reportLeak(pass, pos, "spawned function cannot be resolved to a local declaration")
 		return
@@ -340,6 +333,56 @@ func checkSpawn(pass *analysis.Pass, fd *ast.FuncDecl, pos token.Pos, fun ast.Ex
 		}
 	}
 	reportLeak(pass, pos, "no join evidence found")
+}
+
+// spawnedFuncs resolves a spawned name to the package functions it
+// runs: a function or method of the package, or each one the package
+// assigns or appends to the func-typed field the name is (indexed or
+// not), a literal's body collected into body.
+func spawnedFuncs(pass *analysis.Pass, fun ast.Expr, pkgFuncs map[string][]*ast.FuncDecl, body *scope) (roots []string) {
+	obj := usedObj(pass, fun)
+	if fn, ok := obj.(*types.Func); ok && fn.Pkg() == pass.Pkg && pkgFuncs[fn.Name()] != nil {
+		return []string{fn.Name()}
+	}
+	if v, ok := obj.(*types.Var); !ok || !v.IsField() {
+		return nil
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			for i := 0; ok && len(as.Lhs) == len(as.Rhs) && i < len(as.Lhs); i++ {
+				if usedObj(pass, as.Lhs[i]) != obj {
+					continue
+				}
+				vals := []ast.Expr{as.Rhs[i]}
+				if call, ok := as.Rhs[i].(*ast.CallExpr); ok {
+					vals = call.Args // append(field, funcs...)
+				}
+				for _, v := range vals {
+					if lit, ok := v.(*ast.FuncLit); ok {
+						body.collect(lit.Body)
+						roots = append(roots, analysis.Callees(lit.Body)...)
+					} else if fn, ok := usedObj(pass, v).(*types.Func); ok && fn.Pkg() == pass.Pkg {
+						roots = append(roots, fn.Name())
+					}
+				}
+			}
+			return true
+		})
+	}
+	return roots
+}
+
+// usedObj is the object e names, through a selector or an index.
+func usedObj(pass *analysis.Pass, e ast.Expr) types.Object {
+	if ix, ok := e.(*ast.IndexExpr); ok {
+		e = ix.X
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		e = sel.Sel
+	}
+	id, _ := e.(*ast.Ident)
+	return pass.TypesInfo.Uses[id]
 }
 
 func reportLeak(pass *analysis.Pass, pos token.Pos, why string) {

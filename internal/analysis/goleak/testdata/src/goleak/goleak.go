@@ -92,6 +92,54 @@ func (p *pump) inner() {
 
 func (p *pump) stop() { close(p.quit) }
 
+// ---- a func-typed field, resolved through what the package stores in it ----
+
+type job struct {
+	wg  *sync.WaitGroup
+	run func() // bound once, to the method that joins
+}
+
+func (j *job) body() { defer j.wg.Done() }
+
+func (j *job) spawn(s vclock.Scheduler) {
+	if j.run == nil {
+		j.run = j.body
+	}
+	j.wg.Add(1)
+	s.Go(j.run)
+	j.wg.Wait()
+}
+
+type fan struct {
+	evs     []vclock.Event
+	workers []func()
+}
+
+func (f *fan) fire(i int) { f.evs[i].Fire(nil) }
+
+func (f *fan) spawn(s vclock.Scheduler) {
+	f.workers = append(f.workers, func() { f.fire(0) })
+	s.Go(f.workers[0])
+	f.evs[0].Wait(nil)
+}
+
+type loose struct {
+	run func() // bound to nothing that joins
+}
+
+func (l *loose) idle() {}
+
+func (l *loose) spawn(s vclock.Scheduler) {
+	l.run = l.idle
+	s.Go(l.run) // want `goroutine spawned here is not provably joined \(no join evidence`
+}
+
+type unbound struct{ run func() }
+
+func (u *unbound) spawn(s vclock.Scheduler) {
+	s.Go(u.run) // want `goroutine spawned here is not provably joined \(spawned function cannot be resolved`
+}
+
 // ---- a vclock.WaitGroup spawn joined by Wait in Close ----
 
 type svc struct {

@@ -2,13 +2,19 @@
 // frames on both sides of a connection, the pages — or tree-node
 // values — a store reads for a GET, and the pages a client
 // decodes and caches all come from here and go back here, so a buffer a
-// read released is the buffer the next frame is built in. It imports
-// nothing of the repository's, so any layer may use it.
+// read released is the buffer the next frame is built in. Pool is the
+// same for typed scratch — plans, routings, decoded messages, request
+// records — and the package's only sync.Pools sit under the two. It
+// imports nothing of the repository's, so any layer may use it.
+//
+// Under PoisonReleased, a test mode, a released buffer is overwritten
+// and a released object is poisoned, never reused, and may not be
+// released again, so reading what was handed back, or handing it back
+// twice, fails every run of the test that takes the path.
 package bufpool
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -35,47 +41,12 @@ const (
 	reserveDepth = 16
 )
 
-type classPool struct {
-	mu    sync.Mutex
-	n     int // held[:n] is the reserve
-	depth int // how many buffers of this class the reserve keeps
-	held  [reserveDepth]*[]byte
-	spill sync.Pool
-}
-
-var classes [maxShift - minShift + 1]classPool
+var classes [maxShift - minShift + 1]Pool[[]byte]
 
 func init() {
 	for i := range classes {
 		classes[i].depth = min(reserveDepth, reserveBytes>>(i+minShift))
 	}
-}
-
-// get takes the most recently released buffer of the class, or nil.
-func (c *classPool) get() *[]byte {
-	c.mu.Lock()
-	if c.n > 0 {
-		c.n--
-		p := c.held[c.n]
-		c.held[c.n] = nil
-		c.mu.Unlock()
-		return p
-	}
-	c.mu.Unlock()
-	p, _ := c.spill.Get().(*[]byte)
-	return p
-}
-
-func (c *classPool) put(p *[]byte) {
-	c.mu.Lock()
-	if c.n < c.depth {
-		c.held[c.n] = p
-		c.n++
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	c.spill.Put(p)
 }
 
 // missCount and missBytes count the Gets of a pooled class that found
@@ -90,17 +61,19 @@ var missCount, missBytes atomic.Uint64
 // on which P asked — rather than on what the code does.
 func Misses() (count, bytes uint64) { return missCount.Load(), missBytes.Load() }
 
-// poison makes Put overwrite every buffer it is handed, so a use after
-// release reads garbage every time instead of only when the buffer
-// happens to have been reused.
-var poison bool
+// poison makes Put overwrite every buffer it is handed, and a Pool
+// keep and check every object, so a use after release reads garbage
+// every time instead of only when the buffer happens to have been
+// reused.
+var poison atomic.Bool
 
-// PoisonReleased switches the poison mode on for the rest of the
-// process: every buffer released here — rpc frame bodies, response
-// frames, the pages a store lends a GET — is overwritten. It is a test
-// hook, called only from export_test.go files before their first test
-// starts, which is why a plain bool will do.
-func PoisonReleased() { poison = true }
+// PoisonReleased switches the poison mode on or off and reports whether
+// it was on: every buffer released here — rpc frame bodies, response
+// frames, the pages a store lends a GET — is overwritten, and every
+// object a Pool is handed is poisoned and never reused (see Pool). It
+// is a test hook: a package's TestMain switches it on, and a test that
+// pins what reuse saves switches it off for its own run.
+func PoisonReleased(on bool) (was bool) { return poison.Swap(on) }
 
 // Get returns a buffer of length n from the smallest class that holds
 // it. The caller owns it until it passes the same pointer to Put; if it
@@ -131,11 +104,8 @@ func Get(n int) *[]byte {
 // than the smallest class or larger than the largest.
 func Put(p *[]byte) {
 	b := (*p)[:cap(*p)]
-	if poison && len(b) > 0 {
-		b[0] = 0xDB
-		for n := 1; n < len(b); n *= 2 {
-			copy(b[n:], b[:n])
-		}
+	if poison.Load() {
+		Poison(b)
 	}
 	if len(b) < 1<<minShift || len(b) > MaxPooled {
 		return
@@ -143,9 +113,20 @@ func Put(p *[]byte) {
 	classes[bits.Len(uint(len(b)))-1-minShift].put(p)
 }
 
+// Poison overwrites b with the byte a released buffer reads under
+// PoisonReleased: a Pool's poison uses it on the bytes it lent.
+func Poison(b []byte) {
+	if len(b) > 0 {
+		b[0] = 0xDB
+		for n := 1; n < len(b); n *= 2 {
+			copy(b[n:], b[:n])
+		}
+	}
+}
+
 // shells keeps the *[]byte of every buffer that is out as a bare slice,
 // so PutBytes has one to file the buffer under without allocating it.
-var shells sync.Pool
+var shells = Pool[[]byte]{depth: reserveDepth}
 
 // GetBytes is Get for an owner whose interface deals in plain slices
 // (pagestore.Store.Get): the buffer leaves as a []byte of length n and
@@ -154,14 +135,14 @@ func GetBytes(n int) []byte {
 	p := Get(n)
 	b := *p
 	*p = nil
-	shells.Put(p)
+	shells.put(p)
 	return b
 }
 
 // PutBytes releases a slice to the pool. Any slice qualifies, from
 // GetBytes or not: like Put, it goes by capacity alone.
 func PutBytes(b []byte) {
-	p, _ := shells.Get().(*[]byte)
+	p := shells.get()
 	if p == nil {
 		p = new([]byte)
 	}

@@ -54,10 +54,10 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPoisonReleased flips a one-way switch; no other test of the
-// package reads a buffer it has released, so the order does not matter.
+// TestPoisonReleased: under the poison mode a released buffer reads
+// the poison byte throughout.
 func TestPoisonReleased(t *testing.T) {
-	PoisonReleased()
+	defer PoisonReleased(PoisonReleased(true))
 	b := GetBytes(3000)
 	for i := range b {
 		b[i] = 1

@@ -20,7 +20,7 @@ import (
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if flag.Lookup("test.bench").Value.String() == "" {
-		bufpool.PoisonReleased()
+		bufpool.PoisonReleased(true)
 	}
 	put := putPage
 	putPage = func(b []byte) {

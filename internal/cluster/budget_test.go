@@ -10,6 +10,7 @@ import (
 
 	"blobseer/internal/bufpool"
 	"blobseer/internal/client"
+	"blobseer/internal/trajectory"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 )
@@ -94,11 +95,14 @@ func heapPerOp(n int, op func()) opCost {
 // 15 tree nodes planned, resolved against 14 borders, stored); a second
 // client asks for the recent version and reads one page of it (a
 // 14-level descent, partly cached). The budgets are about 1.3 x what
-// the code measured when they were set: 2.7 KB in 59 allocations per
-// write and 6.7 KB in 80 per read, repeating to a few bytes, with 0
-// misses per write and 0.89 per read (the page a read fetches stays in
-// the reader's page cache, which this test never fills), so each op is
-// held to one miss. History: before the metadata path recycled its
+// the code measured when they were set: 1.3 KB in 28 allocations per
+// write and 5.5 KB in 47 per read, repeating to a few tens of bytes,
+// with 0 misses per write and 0.89 per read (the page a read fetches
+// stays in the reader's page cache, which this test never fills), so
+// each op is held to one miss. History: before the rpc server spawned
+// requests from recycled records, the client recycled its MULTI_GET
+// answers and Parallel its fan-out, they measured 2.7 KB in 59 and
+// 6.7 KB in 80; before the metadata path recycled its
 // plans, node slabs, route lists, log records, request messages and
 // frame headers, they measured 12.5 KB in 165 and 8.6 KB in 158 (with
 // pool misses counted apart; 13.5 KB in 192 and 14.5 KB in 165 with
@@ -110,6 +114,39 @@ func TestControlPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a quarter of what it is given")
 	}
+	write, read := controlPathPerOp(t)
+	for _, tc := range []struct {
+		name          string
+		got           opCost
+		bytes, allocs float64
+	}{
+		{"1-page Write+Sync", write, 1.6e3, 37},
+		{"Recent + 1-page Read", read, 7.2e3, 61},
+	} {
+		if tc.got.bytes > tc.bytes || tc.got.allocs > tc.allocs {
+			t.Errorf("%s costs %.0f B in %.0f allocations, budget %.0f B in %.0f",
+				tc.name, tc.got.bytes, tc.got.allocs, tc.bytes, tc.allocs)
+		}
+		if tc.got.misses > 1 {
+			t.Errorf("%s misses the buffer pool %.2f times, budget 1", tc.name, tc.got.misses)
+		}
+	}
+}
+
+// TestControlPathTrajectory holds the B/op TestControlPathAllocBudget
+// measures for a small update and a small read to
+// BENCH_trajectory.json's last control_path_bytes_per_op, +2 % at most.
+func TestControlPathTrajectory(t *testing.T) {
+	trajectory.Skip(t)
+	write, read := controlPathPerOp(t)
+	trajectory.AtMost(t, "control_path_bytes_per_op", map[string]float64{"write": write.bytes, "read": read.bytes},
+		func(row float64) float64 { return row * 1.02 })
+}
+
+// controlPathPerOp measures a 1-page Write+Sync and a Recent + 1-page
+// Read into and out of a 16 384-page blob of 4 KiB pages on a durable
+// cluster (see TestControlPathAllocBudget), and logs both.
+func controlPathPerOp(t *testing.T) (write, read opCost) {
 	const pageSize, blobPages = 4 << 10, 16384
 	cl := durableCluster(t)
 	writer, err := cl.NewClient("")
@@ -147,7 +184,7 @@ func TestControlPathAllocBudget(t *testing.T) {
 		next = (next + 6151) % blobPages
 		return next * pageSize
 	}
-	write := func() {
+	writeOp := func() {
 		v, err := writer.Write(ctx, id, chunk[:pageSize], offset())
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +193,7 @@ func TestControlPathAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read := func() {
+	readOp := func() {
 		v, _, err := reader.Recent(ctx, id)
 		if err != nil {
 			t.Fatal(err)
@@ -165,28 +202,20 @@ func TestControlPathAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	costs := map[string]*opCost{"1-page Write+Sync": &write, "Recent + 1-page Read": &read}
 	for _, tc := range []struct {
-		name          string
-		op            func()
-		bytes, allocs float64
-	}{
-		{"1-page Write+Sync", write, 3.5e3, 77},
-		{"Recent + 1-page Read", read, 8.7e3, 104},
-	} {
+		name string
+		op   func()
+	}{{"1-page Write+Sync", writeOp}, {"Recent + 1-page Read", readOp}} {
 		for i := 0; i < 100; i++ {
-			write()
-			read()
+			writeOp()
+			readOp()
 		}
 		got := heapPerOp(300, tc.op)
 		t.Logf("%s: %.0f B and %.0f allocations per op, %.2f pool misses", tc.name, got.bytes, got.allocs, got.misses)
-		if got.bytes > tc.bytes || got.allocs > tc.allocs {
-			t.Errorf("%s costs %.0f B in %.0f allocations, budget %.0f B in %.0f",
-				tc.name, got.bytes, got.allocs, tc.bytes, tc.allocs)
-		}
-		if got.misses > 1 {
-			t.Errorf("%s misses the buffer pool %.2f times, budget 1", tc.name, got.misses)
-		}
+		*costs[tc.name] = got
 	}
+	return write, read
 }
 
 // TestScanAllocBudget pins what a cold sequential read costs the whole

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/wire"
 )
 
@@ -69,17 +69,19 @@ type Plan struct {
 	resolved map[Range]wire.Version
 }
 
-// plans recycles Plans (see Plan).
-var plans = sync.Pool{New: func() any { return new(Plan) }}
+// plans recycles Plans (see Plan). A poisoned plan's ids are zero,
+// and so span nothing: no tree holds them.
+var plans = bufpool.NewPool((*Plan).reset, func(p *Plan) { clear(p.ids); p.reset() })
 
 // Release hands the plan back for reuse. Nothing the plan returned —
 // NeedPublished's ranges, Resolve's or Finalize's ids and nodes — may
 // be read afterwards, and the plan is released once.
-func (p *Plan) Release() {
+func (p *Plan) Release() { plans.Put(p) }
+
+func (p *Plan) reset() {
 	clear(p.nodes) // the leaves' provider lists are the caller's
 	clear(p.resolved)
 	*p = Plan{ids: p.ids[:0], nodes: p.nodes[:0], pending: p.pending[:0], need: p.need[:0], resolved: p.resolved}
-	plans.Put(p)
 }
 
 // border is one child-version field of one planned node that awaits the
@@ -120,7 +122,7 @@ func PlanUpdate(u Update, pages []PageWrite) (*Plan, error) {
 		total += int(last/span - first/span + 1)
 		levels++
 	}
-	p := plans.Get().(*Plan)
+	p := plans.Get()
 	p.update = u
 	p.ids = slices.Grow(p.ids, total)
 	p.nodes = slices.Grow(p.nodes, total)

@@ -5,8 +5,8 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/wire"
 )
 
@@ -37,8 +37,8 @@ func ResolvePublished(ctx context.Context, st NodeStore, published wire.Version,
 	}
 	root := RootID(published, publishedSizePages)
 
-	d := descents.Get().(*descent)
-	defer d.release()
+	d := descents.Get()
+	defer descents.Put(d)
 	// The targets still to resolve, sorted by start, wider first. Aligned
 	// ranges nest or are disjoint, so the targets under any tree node are
 	// one contiguous run of this slice, and the ones equal to the node's
@@ -131,11 +131,10 @@ type descent struct {
 	nodes       []Node
 }
 
-var descents = sync.Pool{New: func() any { return new(descent) }}
+var descents = bufpool.NewPool((*descent).reset, func(d *descent) { clear(d.ids); d.reset() })
 
-// release hands d back with its arrays emptied.
-func (d *descent) release() {
+// reset empties d, keeping its arrays.
+func (d *descent) reset() {
 	clear(d.nodes) // a store may have answered with a leaf's provider list
 	*d = descent{targets: d.targets[:0], level: d.level[:0], next: d.next[:0], ids: d.ids[:0], nodes: d.nodes[:0]}
-	descents.Put(d)
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/rpc"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -28,9 +28,10 @@ func NewClient(ring *Ring, rc *rpc.Client, sched vclock.Scheduler) *Client {
 // request that carries it there.
 type batch struct {
 	node         string
-	idx          []int    // positions in the call's key slice, ascending
-	keys, values [][]byte // the call's keys (and values, if it has any) at idx
-	err          error    // why the node did not answer (MultiGet only)
+	idx          []int         // positions in the call's key slice, ascending
+	keys, values [][]byte      // the call's keys (and values, if it has any) at idx
+	err          error         // why the node did not answer (MultiGet only)
+	resp         wire.Recycler // its answer, which values alias (MultiGet only)
 
 	// The batch's request, one of the three by the call's kind: a
 	// request passed to an rpc call escapes, and here it lives in the
@@ -122,14 +123,14 @@ type routing struct {
 	lists     [][]byte
 }
 
-var routings = sync.Pool{New: func() any { return new(routing) }}
+var routings = bufpool.NewPool((*routing).reset, (*routing).reset)
 
-// release hands rt back, dropping what it references of the call.
-func (rt *routing) release() {
+// reset drops what rt references of the call; a batch's request goes
+// with it, so a request used after its call returned is empty.
+func (rt *routing) reset() {
 	clear(rt.out)
 	clear(rt.lists)
 	rt.out, rt.lists = rt.out[:0], rt.lists[:0]
-	routings.Put(rt)
 }
 
 // resized returns buf holding n zero values, in its own array when
@@ -160,8 +161,8 @@ func (c *Client) MultiPut(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	rt := routings.Get().(*routing)
-	defer rt.release()
+	rt := routings.Get()
+	defer routings.Put(rt)
 	batches := c.route(rt, keys, values, 0, c.ring.replicas)
 	if len(batches) == 1 {
 		return c.put(ctx, &batches[0]) // no closure to allocate
@@ -190,9 +191,15 @@ func (c *Client) put(ctx context.Context, b *batch) error {
 // The answers go into values and found, the caller's buffers, resized
 // to len(keys) (in their own arrays when those have the room, so a
 // caller may pass nil) and returned; they align with keys.
-func (c *Client) MultiGet(ctx context.Context, keys, values [][]byte, found []bool) ([][]byte, []bool, error) {
+//
+// The values alias the decoded responses (wire.DHTMultiGetResp), which
+// the call appends to *held, on every path, unless held is nil. Their
+// receiver hands each back with Recycle once it reads none of the
+// values, and reads none afterwards; with held nil the responses are
+// left to the collector and the values are the caller's to keep.
+func (c *Client) MultiGet(ctx context.Context, keys, values [][]byte, found []bool, held *[]wire.Recycler) ([][]byte, []bool, error) {
 	values, found = resized(values, len(keys)), resized(found, len(keys))
-	if err := c.multiGet(ctx, keys, values, found, 0); err != nil {
+	if err := c.multiGet(ctx, keys, values, found, held, 0); err != nil {
 		return nil, nil, err
 	}
 	return values, found, nil
@@ -201,12 +208,12 @@ func (c *Client) MultiGet(ctx context.Context, keys, values [][]byte, found []bo
 // multiGet asks replica number replica of every key's replica set, and
 // the replicas after it for what that one did not yield, filling values
 // and found, which align with keys.
-func (c *Client) multiGet(ctx context.Context, keys, values [][]byte, found []bool, replica int) error {
+func (c *Client) multiGet(ctx context.Context, keys, values [][]byte, found []bool, held *[]wire.Recycler, replica int) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	rt := routings.Get().(*routing)
-	defer rt.release()
+	rt := routings.Get()
+	defer routings.Put(rt)
 	batches := c.route(rt, keys, nil, replica, 1)
 	var err error
 	if len(batches) == 1 {
@@ -215,6 +222,11 @@ func (c *Client) multiGet(ctx context.Context, keys, values [][]byte, found []bo
 		err = vclock.Parallel(c.sched, len(batches), func(i int) error {
 			return c.get(ctx, &batches[i], values, found)
 		})
+	}
+	for i := range batches {
+		if r := batches[i].resp; r != nil && held != nil {
+			*held = append(*held, r)
+		}
 	}
 	if err != nil {
 		return err
@@ -228,7 +240,7 @@ func (c *Client) multiGet(ctx context.Context, keys, values [][]byte, found []bo
 			}
 		}
 		later, laterFound := make([][]byte, len(missed)), make([]bool, len(missed))
-		if err := c.multiGet(ctx, missedKeys, later, laterFound, replica+1); err != nil {
+		if err := c.multiGet(ctx, missedKeys, later, laterFound, held, replica+1); err != nil {
 			return err
 		}
 		for j, i := range missed {
@@ -255,6 +267,7 @@ func (c *Client) get(ctx context.Context, b *batch, values [][]byte, found []boo
 		return nil
 	}
 	r := resp.(*wire.DHTMultiGetResp)
+	b.resp = r
 	if len(r.Found) != len(b.idx) {
 		return fmt.Errorf("dht: multiget answered %d of %d keys", len(r.Found), len(b.idx))
 	}
@@ -290,8 +303,8 @@ func (c *Client) Delete(ctx context.Context, keys [][]byte) (uint64, error) {
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	rt := routings.Get().(*routing)
-	defer rt.release()
+	rt := routings.Get()
+	defer routings.Put(rt)
 	batches := c.route(rt, keys, nil, 0, c.ring.replicas)
 	if len(batches) == 1 {
 		return c.delete(ctx, &batches[0])

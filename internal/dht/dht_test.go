@@ -219,7 +219,7 @@ func TestMultiPutMultiGet(t *testing.T) {
 	if err := c.MultiPut(ctx, keys, vals); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := c.MultiGet(ctx, keys, nil, nil)
+	got, found, err := c.MultiGet(ctx, keys, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestMultiPutMultiGet(t *testing.T) {
 		}
 	}
 	// Mixed present/missing batch.
-	got, found, err = c.MultiGet(ctx, [][]byte{keys[0], nkey("nope"), keys[1]}, nil, nil)
+	got, found, err = c.MultiGet(ctx, [][]byte{keys[0], nkey("nope"), keys[1]}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestEmptyBatches(t *testing.T) {
 	if err := c.MultiPut(ctx, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	v, f, err := c.MultiGet(ctx, nil, nil, nil)
+	v, f, err := c.MultiGet(ctx, nil, nil, nil, nil)
 	if err != nil || len(v) != 0 || len(f) != 0 {
 		t.Fatalf("empty MultiGet: %v %v %v", v, f, err)
 	}
@@ -441,7 +441,7 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 	}
 	tally()
 
-	values, found, err := c.MultiGet(ctx, keys, nil, nil)
+	values, found, err := c.MultiGet(ctx, keys, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 	}
 
 	// One key, the commonest call: one request per replica asked.
-	if _, found, err := c.MultiGet(ctx, keys[1:2], nil, nil); err != nil || found[0] {
+	if _, found, err := c.MultiGet(ctx, keys[1:2], nil, nil, nil); err != nil || found[0] {
 		t.Fatalf("single absent key: found %v, %v", found, err)
 	}
 	if seen := tally(); seen[wire.KindDHTMultiGetReq] != replicas || len(seen) != 1 {
@@ -480,10 +480,10 @@ func TestMultiGetRetriesMissesInBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[0].Close()
-	if _, _, err := c.MultiGet(ctx, keys[1:], nil, nil); err == nil {
+	if _, _, err := c.MultiGet(ctx, keys[1:], nil, nil, nil); err == nil {
 		t.Fatal("keys reported absent although one of their replicas never answered")
 	}
-	if values, found, err := c.MultiGet(ctx, [][]byte{orphan}, nil, nil); err != nil || !found[0] || !bytes.Equal(values[0], value) {
+	if values, found, err := c.MultiGet(ctx, [][]byte{orphan}, nil, nil, nil); err != nil || !found[0] || !bytes.Equal(values[0], value) {
 		t.Fatalf("stored pair with its primary down: found %v, %v", found, err)
 	}
 }
@@ -532,7 +532,7 @@ func TestMultiGetKeysAliasTheirFrame(t *testing.T) {
 					}
 					batch, want = append(batch, key(i)), append(want, i)
 				}
-				got, found, err := c.MultiGet(ctx, batch, nil, nil)
+				got, found, err := c.MultiGet(ctx, batch, nil, nil, nil)
 				if err != nil {
 					t.Errorf("reader %d: %v", g, err)
 					return

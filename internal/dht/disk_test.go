@@ -121,7 +121,7 @@ func TestDurableNodeSurvivesRestart(t *testing.T) {
 	if k0 != k1 || b0 != b1 {
 		t.Fatalf("stats changed across restart: %d/%d -> %d/%d", k0, b0, k1, b1)
 	}
-	got, found, err := c.MultiGet(ctx, keys, nil, nil)
+	got, found, err := c.MultiGet(ctx, keys, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

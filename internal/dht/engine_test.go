@@ -215,7 +215,7 @@ func TestGetRacesCompaction(t *testing.T) {
 					i := ((g*97 + round*13 + k*7) % (total / 4)) * 4
 					batch, want = append(batch, key(i)), append(want, i)
 				}
-				got, found, err := c.MultiGet(ctx, batch, nil, nil)
+				got, found, err := c.MultiGet(ctx, batch, nil, nil, nil)
 				if err != nil {
 					t.Errorf("reader %d: %v", g, err)
 					return
@@ -442,7 +442,7 @@ func TestNodeRefusesKeysOfAnyOtherSize(t *testing.T) {
 					}
 				}
 				refused("MULTI_PUT", e.c.MultiPut(ctx, [][]byte{good, bad}, [][]byte{v, v}))
-				_, _, err := e.c.MultiGet(ctx, [][]byte{stored0, bad}, nil, nil)
+				_, _, err := e.c.MultiGet(ctx, [][]byte{stored0, bad}, nil, nil, nil)
 				refused("MULTI_GET", err)
 				_, err = e.c.Delete(ctx, [][]byte{stored0, bad})
 				refused("DELETE", err)

@@ -2,15 +2,26 @@ package dht
 
 import (
 	"context"
+	"flag"
+	"os"
+	"testing"
 
 	"blobseer/internal/bufpool"
 )
 
-// The package's tests run with released rpc frame buffers poisoned: a
-// decoded DHT_MULTI_PUT's keys and values alias their frame, so a node
-// that kept a sub-slice instead of a copy would serve garbage every
-// time, not rarely.
-func init() { bufpool.PoisonReleased() }
+// TestMain runs the package's tests with released rpc frame buffers
+// and recycled objects poisoned: a decoded DHT_MULTI_PUT's keys and
+// values alias their frame, so a node that kept a sub-slice instead of
+// a copy would serve garbage every time, not rarely, and so would a
+// MULTI_GET answer read after its hand-back. Benchmarks measure the
+// unpoisoned path.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if flag.Lookup("test.bench").Value.String() == "" {
+		bufpool.PoisonReleased(true)
+	}
+	os.Exit(m.Run())
+}
 
 // Put and Get are the one-pair calls of the batch API, for tests that
 // store or look up a single pair.
@@ -19,7 +30,7 @@ func (c *Client) Put(ctx context.Context, key, value []byte) error {
 }
 
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	values, found, err := c.MultiGet(ctx, [][]byte{key}, nil, nil)
+	values, found, err := c.MultiGet(ctx, [][]byte{key}, nil, nil, nil)
 	if err != nil {
 		return nil, false, err
 	}

@@ -2,8 +2,8 @@ package dht
 
 import (
 	"context"
-	"sync"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/seglog"
@@ -113,11 +113,11 @@ type lentValues struct {
 	lent []byte
 }
 
-var lentResponses = sync.Pool{New: func() any { return new(lentValues) }}
+var lentResponses = bufpool.NewPool((*lentValues).reset, (*lentValues).reset)
 
 // newLentValues is an empty response with room for n answers.
 func newLentValues(n int) *lentValues {
-	r := lentResponses.Get().(*lentValues)
+	r := lentResponses.Get()
 	r.Found, r.Values = resized(r.Found, n), resized(r.Values, n)
 	return r
 }
@@ -125,10 +125,11 @@ func newLentValues(n int) *lentValues {
 func (r *lentValues) Release() { release(r.lent) }
 
 // Recycle implements wire.Recycler.
-func (r *lentValues) Recycle() {
+func (r *lentValues) Recycle() { lentResponses.Put(r) }
+
+func (r *lentValues) reset() {
 	clear(r.Values)
 	r.lent = nil
-	lentResponses.Put(r)
 }
 
 func (n *Node) mux() *rpc.Mux {

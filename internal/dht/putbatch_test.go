@@ -23,7 +23,7 @@ func pairs(prefix string, n int) (keys, values [][]byte) {
 // wantStored checks that every pair reads back through the client.
 func wantStored(t *testing.T, c *Client, keys, values [][]byte) {
 	t.Helper()
-	got, found, err := c.MultiGet(context.Background(), keys, nil, nil)
+	got, found, err := c.MultiGet(context.Background(), keys, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDurableNodeFailedCommitLeavesNothingVisible(t *testing.T) {
 	if err := <-put; wire.CodeOf(err) != wire.CodeUnavailable {
 		t.Fatalf("put over a failed commit = %v, want CodeUnavailable", err)
 	}
-	_, found, err := c.MultiGet(ctx, keys, nil, nil)
+	_, found, err := c.MultiGet(ctx, keys, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 
 	"blobseer/internal/bufpool"
 	"blobseer/internal/core"
@@ -112,8 +111,8 @@ func (s *Store) getNodes(ctx context.Context, ids []core.NodeID, cache *Cache, o
 	// DHT keys are spelled out only for the misses, in one recycled slab
 	// grown to hold them all at the first. ok[i] is false for exactly the
 	// misses until the answers are filled in, in the same order.
-	kl := keyLists.Get().(*keyList)
-	defer kl.release()
+	kl := keyLists.Get()
+	defer keyLists.Put(kl)
 	for i, id := range ids {
 		ck := s.cacheKey(id)
 		if cache != nil {
@@ -133,7 +132,7 @@ func (s *Store) getNodes(ctx context.Context, ids []core.NodeID, cache *Cache, o
 	if len(keys) == 0 {
 		return out, ok, nil
 	}
-	values, found, err := s.dht.MultiGet(ctx, keys, kl.values, kl.found)
+	values, found, err := s.dht.MultiGet(ctx, keys, kl.values, kl.found, &kl.held)
 	kl.values, kl.found = values, found
 	if err != nil {
 		return nil, nil, fmt.Errorf("meta: fetching %d nodes: %w", len(keys), err)
@@ -159,25 +158,33 @@ func (s *Store) getNodes(ctx context.Context, ids []core.NodeID, cache *Cache, o
 }
 
 // keyList is one call's DHT scratch: for a lookup, the keys of its
-// misses, carved from slab, and MultiGet's answers for them; for
-// PutNodes, the keys and values it stores. The lists are read until the
-// dht call returns, or until its answers are decoded, so they are
-// recycled through keyLists.
+// misses, carved from slab, MultiGet's answers for them and the
+// responses those alias, held; for PutNodes, the keys and values it
+// stores. The lists are read until the dht call returns, or until its
+// answers are decoded, so they are recycled through keyLists, and the
+// responses with them.
 type keyList struct {
 	slab   []byte
 	keys   [][]byte
 	values [][]byte
 	found  []bool
+	held   []wire.Recycler
 }
 
-var keyLists = sync.Pool{New: func() any { return new(keyList) }}
+var keyLists = bufpool.NewPool((*keyList).reset, func(kl *keyList) {
+	bufpool.Poison(kl.slab)
+	kl.reset()
+})
 
-// release hands kl back, emptied.
-func (kl *keyList) release() {
+// reset empties kl and hands back the responses it held.
+func (kl *keyList) reset() {
+	for _, r := range kl.held {
+		r.Recycle()
+	}
+	clear(kl.held)
 	clear(kl.keys)
 	clear(kl.values)
-	kl.slab, kl.keys, kl.values, kl.found = kl.slab[:0], kl.keys[:0], kl.values[:0], kl.found[:0]
-	keyLists.Put(kl)
+	kl.slab, kl.keys, kl.values, kl.found, kl.held = kl.slab[:0], kl.keys[:0], kl.values[:0], kl.found[:0], kl.held[:0]
 }
 
 // resized returns buf holding n zero values, in its own array when that
@@ -204,8 +211,8 @@ func (s *Store) PutNodes(ctx context.Context, ids []core.NodeID, nodes []core.No
 	}
 	buf := bufpool.Get(size)
 	defer bufpool.Put(buf)
-	kl := keyLists.Get().(*keyList)
-	defer kl.release()
+	kl := keyLists.Get()
+	defer keyLists.Put(kl)
 	slab := (*buf)[:0]
 	kl.keys, kl.values = resized(kl.keys, len(ids)), resized(kl.values, len(ids))
 	keys, values := kl.keys, kl.values

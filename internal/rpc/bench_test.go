@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"blobseer/internal/bufpool"
+	"blobseer/internal/trajectory"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -16,6 +18,30 @@ import (
 // one 4 KiB range — a one-page read of small_rw's page size — answered
 // with one static page. B/op counts the whole process, both sides.
 func BenchmarkRoundTrip(b *testing.B) {
+	for _, row := range roundTrips() {
+		b.Run(row.name, row.run)
+	}
+}
+
+// TestRoundTripTrajectory holds each BenchmarkRoundTrip row's least
+// allocs/op of three 2000-call runs, the pools unpoisoned as a
+// benchmark runs them, to BENCH_trajectory.json's last
+// rpc_roundtrip_allocs.
+func TestRoundTripTrajectory(t *testing.T) {
+	trajectory.Skip(t)
+	defer bufpool.PoisonReleased(bufpool.PoisonReleased(false))
+	got := map[string]float64{}
+	for _, row := range roundTrips() {
+		got[row.name] = trajectory.Allocs(t, 2000, row.run)
+	}
+	trajectory.AtMost(t, "rpc_roundtrip_allocs", got, func(row float64) float64 { return row })
+}
+
+// roundTrips is BenchmarkRoundTrip's rows, by name.
+func roundTrips() (rows []struct {
+	name string
+	run  func(*testing.B)
+}) {
 	const pageSize, smallPage = 64 << 10, 4 << 10
 	page := pattern(1, pageSize)
 	four := &wire.GetPagesResp{Found: []bool{true, true, true, true}, Data: [][]byte{page, page, page, page}}
@@ -53,7 +79,10 @@ func BenchmarkRoundTrip(b *testing.B) {
 	}
 	for _, call := range calls {
 		for _, nw := range nets {
-			b.Run(call.name+"/"+nw.name, func(b *testing.B) {
+			rows = append(rows, struct {
+				name string
+				run  func(*testing.B)
+			}{call.name + "/" + nw.name, func(b *testing.B) {
 				ln, err := nw.net.Listen(nw.listen)
 				if err != nil {
 					b.Fatal(err)
@@ -71,7 +100,8 @@ func BenchmarkRoundTrip(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-			})
+			}})
 		}
 	}
+	return rows
 }

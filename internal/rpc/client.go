@@ -78,6 +78,11 @@ func NewClient(net transport.Network, sched vclock.Scheduler) *Client {
 // of kind ErrorResp is converted to a *wire.Error. Transport failures
 // surface as ErrConnBroken (wrapped); the caller owns retry policy, and
 // ctx bounds the dial and the round trip alike.
+//
+// The response is the caller's, and outlives the frame it was decoded
+// from. One that is a wire.Recycler (a DHTMultiGetResp) the caller may
+// hand back with Recycle once nothing reads it or what it references,
+// the mirror of the server's rule; left alone, it is merely garbage.
 func (c *Client) Call(ctx context.Context, addr string, req wire.Msg) (wire.Msg, error) {
 	cc, err := c.conn(ctx, addr)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if flag.Lookup("test.bench").Value.String() == "" {
-		bufpool.PoisonReleased()
+		bufpool.PoisonReleased(true)
 	}
 	os.Exit(m.Run())
 }

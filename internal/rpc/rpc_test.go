@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -396,5 +397,45 @@ func TestFrameRejectsOversize(t *testing.T) {
 		if err != nil || id != want || m.(*wire.SizeReq).Version != want {
 			t.Fatalf("frame %d after a refused one: id %d, %v, %v", want, id, m, err)
 		}
+	}
+}
+
+// TestCloseJoinsParkedHandler: Close returns only once every request's
+// handler has returned, even one that ignores the cancellation Close
+// sends and stays parked on an event until the test fires it.
+func TestCloseJoinsParkedHandler(t *testing.T) {
+	net, sched := transport.NewInproc(), vclock.NewReal()
+	ln, _ := net.Listen("server")
+	parked, release := sched.NewEvent(), sched.NewEvent()
+	var returned atomic.Bool
+	mux := NewMux()
+	mux.Register(wire.KindSizeReq, func(_ context.Context, m wire.Msg) (wire.Msg, error) {
+		parked.Fire(nil)
+		_, _ = release.Wait(nil)
+		returned.Store(true)
+		return echoOf(m), nil
+	})
+	srv := Serve(ln, sched, mux)
+	cl := NewClient(net, sched)
+	defer cl.Close()
+	go func() { _, _ = cl.Call(context.Background(), srv.Addr(), echo(0)) }()
+	if _, err := parked.Wait(nil); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		release.Fire(nil)
+		t.Fatal("Close returned while a handler was still parked")
+	case <-time.After(100 * time.Millisecond):
+	}
+	release.Fire(nil)
+	<-closed
+	if !returned.Load() {
+		t.Fatal("Close returned before the handler did")
 	}
 }

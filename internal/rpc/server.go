@@ -72,7 +72,12 @@ func (m *Mux) Handle(ctx context.Context, msg wire.Msg) (wire.Msg, error) {
 
 // Server accepts connections on a listener and dispatches frames to a
 // Handler. Create with Serve; stop with Close, which cancels every
-// in-flight handler and joins every goroutine the server spawned.
+// in-flight handler and joins every goroutine the server spawned. Each
+// request runs on a goroutine of its own, spawned from a recycled
+// record, so a request costs no spawn allocation; once its response is
+// framed the server hands back the frame body, a request or response
+// that is a wire.Recycler, and a Borrower's loans, and a handler keeps
+// none of them.
 type Server struct {
 	ln      transport.Listener
 	sched   vclock.Scheduler
@@ -168,6 +173,24 @@ func (s *Server) acceptLoop(ctx context.Context) {
 	}
 }
 
+// request is one request's goroutine and what it serves, recycled
+// through requests once the goroutine is done with it.
+type request struct {
+	s *Server
+	//blobseer:ctx the request's connection context, held only while the request runs: the record is its goroutine's argument list
+	ctx  context.Context
+	c    transport.Conn
+	wmu  *vclock.Mutex
+	id   uint64
+	req  wire.Msg
+	body *[]byte
+	run  func() // r.serve, bound once
+}
+
+var requests = bufpool.NewPool((*request).reset, (*request).reset)
+
+func (r *request) reset() { *r = request{run: r.run} }
+
 // serveConn reads frames and spawns one goroutine per request so that
 // long-blocking handlers (SYNC) do not stall the connection. Every
 // request runs under a context cancelled when this connection's read
@@ -186,11 +209,6 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 	// virtual time under simnet. A plain sync.Mutex here wedges the
 	// simulation when two responses race for the same connection.
 	wmu := vclock.NewMutex(s.sched)
-	// What every request of the connection shares is bound once, here, so
-	// a request's own goroutine captures only what is its own.
-	serve := func(id uint64, req wire.Msg, body *[]byte) {
-		s.serveRequest(cctx, c, wmu, id, req, body)
-	}
 	hdr := new([frameHeaderLen]byte)
 	for {
 		id, kind, body, err := readFrame(c, hdr)
@@ -203,14 +221,26 @@ func (s *Server) serveConn(ctx context.Context, c transport.Conn) {
 			bufpool.Put(body)
 			return
 		}
-		// Add and Done by hand: one closure per request, not
-		// WaitGroup.Go's wrapper around it as well.
+		// A recycled record whose run was bound when it was made, and Add
+		// and Done by hand, not WaitGroup.Go's wrapper: spawning a
+		// request allocates nothing.
+		r := requests.Get()
+		if r.run == nil {
+			r.run = r.serve
+		}
+		r.s, r.ctx, r.c, r.wmu, r.id, r.req, r.body = s, cctx, c, wmu, id, req, body
 		s.wg.Add(1)
-		s.sched.Go(func() {
-			defer s.wg.Done()
-			serve(id, req, body)
-		})
+		s.sched.Go(r.run)
 	}
+}
+
+// serve is a request's goroutine: it serves the request, then hands
+// the record back.
+func (r *request) serve() {
+	s := r.s
+	defer s.wg.Done()
+	s.serveRequest(r.ctx, r.c, r.wmu, r.id, r.req, r.body)
+	requests.Put(r)
 }
 
 // serveRequest runs one request to completion on its own goroutine. It

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/obs"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -530,26 +531,25 @@ func (s *KV) newAppend(kind byte, key string, value []byte) []kvAppend {
 }
 
 // recordSlabs recycles the record slabs of PutBatch and DeleteBatch. A
-// slab is all zeros while it is in the pool: putRecords clears what a
+// slab is all zeros while it is in the pool: clearRecords clears what a
 // call used, so a record a call does not fill in has kind 0 and is no
-// record at all, and no record starts out changed.
-var recordSlabs = sync.Pool{New: func() any { return new([]kvAppend) }}
+// record at all, and no record starts out changed. Only commitAll's
+// callers take slabs, and commitAll returns once every record it queued
+// has been delivered, after which the committer reads none of them:
+// the slab is the caller's again, on every path. It keeps no reserve:
+// a slab is as large as the largest batch it served.
+var recordSlabs = bufpool.NewPool(clearRecords, clearRecords).Reserve(0)
 
 // getRecords is a zeroed slab of n records.
 func getRecords(n int) *[]kvAppend {
-	p := recordSlabs.Get().(*[]kvAppend)
+	p := recordSlabs.Get()
 	*p = slices.Grow(*p, n)[:n]
 	return p
 }
 
-// putRecords clears the slab and hands it back. Only commitAll's
-// callers take slabs, and commitAll returns once every record it queued
-// has been delivered, after which the committer reads none of them:
-// the slab is the caller's again, on every path.
-func putRecords(p *[]kvAppend) {
+func clearRecords(p *[]kvAppend) {
 	clear(*p)
 	*p = (*p)[:0]
-	recordSlabs.Put(p)
 }
 
 // framed is the record's size on disk.
@@ -601,7 +601,7 @@ func (s *KV) Delete(key string) error {
 // commit indexes none of its batch, and err is the first failure.
 func (s *KV) PutBatch(keys, values [][]byte) (lost []int, err error) {
 	slab := getRecords(len(keys))
-	defer putRecords(slab)
+	defer recordSlabs.Put(slab)
 	recs := *slab
 	for i, key := range keys {
 		if len(key) != s.ly.KeyLen {
@@ -636,7 +636,7 @@ func (s *KV) PutBatch(keys, values [][]byte) (lost []int, err error) {
 // what the batches that did commit removed.
 func (s *KV) DeleteBatch(keys [][]byte) (dropped uint64, err error) {
 	slab := getRecords(len(keys))
-	defer putRecords(slab)
+	defer recordSlabs.Put(slab)
 	recs := (*slab)[:0]
 	for _, key := range keys {
 		_, ok, err := find(s, key)

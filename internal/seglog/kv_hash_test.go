@@ -12,15 +12,22 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/wire"
 )
 
 var collide = flag.Bool("collide", false, "run every test with the index's key hash narrowed to 2 bits, so that keys collide all the time")
 
+// TestMain runs the package's tests with recycled record slabs
+// poisoned (see bufpool.Pool), and benchmarks unpoisoned; with -collide
+// every key hash is narrowed.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if *collide {
 		hashMask = collideMask
+	}
+	if flag.Lookup("test.bench").Value.String() == "" {
+		bufpool.PoisonReleased(true)
 	}
 	os.Exit(m.Run())
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"blobseer/internal/bufpool"
 	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
@@ -406,8 +407,10 @@ func TestKVEnqueuePutParkedBehindCommit(t *testing.T) {
 // to the model too. Then seeded appenders at once over one small key
 // space, each putting values of its own, so that which of two racing
 // records wins is the scheduler's: over all calls every key is won
-// exactly once, and the log holds the winner's bytes.
+// exactly once, and the log holds the winner's bytes. It pins what a
+// reused slab reports, so it runs with the pools unpoisoned.
 func TestKVPutBatchLostMatchesModel(t *testing.T) {
+	defer bufpool.PoisonReleased(bufpool.PoisonReleased(false))
 	eachFS(t, func(t *testing.T, ly *KVLayout, path string) {
 		s := mustOpenKV(t, path, ly, KVOptions{})
 		rng := rand.New(rand.NewSource(1))

@@ -3,7 +3,10 @@ package vclock
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
+
+	"blobseer/internal/bufpool"
 )
 
 // Parallel runs fn(0..n-1) concurrently on s and waits for all calls to
@@ -20,25 +23,22 @@ func Parallel(s Scheduler, n int, fn func(i int) error) error {
 	if n == 1 {
 		return fn(0) // no goroutine churn for the common single case
 	}
-	evs := make([]Event, n)
+	c := calls.Get()
+	c.fn, c.evs = fn, slices.Grow(c.evs[:0], n)[:n]
+	for i := len(c.workers); i < n; i++ {
+		c.workers = append(c.workers, func() { c.work(i) })
+	}
 	for i := 0; i < n; i++ {
-		i := i
-		evs[i] = s.NewEvent()
-		s.Go(func() {
-			defer func() {
-				if r := recover(); r != nil {
-					evs[i].Fire(fmt.Errorf("vclock: panic in Parallel worker %d: %v\n%s",
-						i, r, debug.Stack()))
-				}
-			}()
-			evs[i].Fire(fn(i))
-		})
+		c.evs[i] = s.NewEvent()
+		s.Go(c.workers[i])
 	}
 	var first error
+	delivered := 0
 	for i := 0; i < n; i++ {
-		v, err := evs[i].Wait(nil)
+		v, err := c.evs[i].Wait(nil)
 		if err == nil {
-			Recycle(evs[i]) // its worker's Fire was the worker's last touch
+			Recycle(c.evs[i]) // its worker's Fire was the worker's last touch
+			delivered++
 		}
 		if err != nil && first == nil {
 			first = err
@@ -47,7 +47,33 @@ func Parallel(s Scheduler, n int, fn func(i int) error) error {
 			first = e
 		}
 	}
+	if delivered == n { // else a worker may still hold c
+		calls.Put(c)
+	}
 	return first
+}
+
+// call is one Parallel call's scratch, recycled through calls: the
+// workers' events, and a worker per index that runs fn(i) and fires
+// event i, made once, when a call first needs it, and bound to the
+// record, so a call spawns its workers without allocating them.
+type call struct {
+	fn      func(i int) error
+	evs     []Event
+	workers []func()
+}
+
+var calls = bufpool.NewPool((*call).reset, (*call).reset)
+
+func (c *call) reset() { c.fn = nil; clear(c.evs) }
+
+func (c *call) work(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.evs[i].Fire(fmt.Errorf("vclock: panic in Parallel worker %d: %v\n%s", i, r, debug.Stack()))
+		}
+	}()
+	c.evs[i].Fire(c.fn(i))
 }
 
 // ParallelLimit is Parallel with at most limit workers running at once.

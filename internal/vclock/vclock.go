@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"blobseer/internal/bufpool"
 )
 
 // ErrStopped is delivered to goroutines still blocked when a Virtual
@@ -101,10 +103,22 @@ func (r *Real) Now() time.Duration { return time.Since(r.start) }
 
 // NewEvent implements Scheduler. It hands out a recycled event when
 // there is one.
-func (*Real) NewEvent() Event { return realEvents.Get().(*realEvent) }
+func (*Real) NewEvent() Event {
+	e := realEvents.Get()
+	if e.ch == nil {
+		e.ch = make(chan any, 1)
+	}
+	return e
+}
 
-// realEvents holds the Real events handed back through Recycle.
-var realEvents = sync.Pool{New: func() any { return &realEvent{ch: make(chan any, 1)} }}
+// realEvents holds the Real events handed back through Recycle. A
+// poisoned event must have delivered its payload, and stays fired, so
+// a firer that still holds it panics.
+var realEvents = bufpool.NewPool(func(e *realEvent) { e.fired.Store(false) }, func(e *realEvent) {
+	if !e.fired.Load() || len(e.ch) != 0 {
+		panic("vclock: Event recycled before its Wait delivered")
+	}
+})
 
 // realEvent fires by claiming fired, then sending: the send is the
 // firer's last touch, so once the waiter has received the payload
@@ -148,7 +162,6 @@ func (e *realEvent) Wait(ctx context.Context) (any, error) {
 // its events afresh, so recycling cannot change how it runs.
 func Recycle(ev Event) {
 	if e, ok := ev.(*realEvent); ok {
-		e.fired.Store(false)
 		realEvents.Put(e)
 	}
 }

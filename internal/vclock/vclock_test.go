@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"blobseer/internal/bufpool"
 )
 
 func TestVirtualSleepAdvancesInstantly(t *testing.T) {
@@ -426,8 +428,10 @@ func TestVirtualFireAtOrdersWithSleep(t *testing.T) {
 
 // TestRealEventRecycle pins Recycle's reset: an event handed back after
 // its one Wait delivered comes back unfired with an empty buffer, and a
-// run of calls drawing from the pool each gets its own payload.
+// run of calls drawing from the pool each gets its own payload. It pins
+// what reuse hands out, so it runs with the pool unpoisoned.
 func TestRealEventRecycle(t *testing.T) {
+	defer bufpool.PoisonReleased(bufpool.PoisonReleased(false))
 	r := NewReal()
 	ev := r.NewEvent()
 	ev.Fire("first")

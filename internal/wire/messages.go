@@ -2,7 +2,9 @@ package wire
 
 import (
 	"fmt"
-	"sync"
+	"slices"
+
+	"blobseer/internal/bufpool"
 )
 
 // Kind is a message type code. Requests have odd codes, their responses the
@@ -110,10 +112,10 @@ var kindTable = [kindMax]struct {
 	KindDHTPutResp:        {name: "DHTPutResp"},
 	KindDHTGetReq:         {name: "DHTGetReq"},
 	KindDHTGetResp:        {name: "DHTGetResp"},
-	KindDHTMultiPutReq:    {"DHTMultiPutReq", func() Msg { return recycled[DHTMultiPutReq](&multiPutReqs) }},
+	KindDHTMultiPutReq:    {"DHTMultiPutReq", func() Msg { return multiPutReqs.Get() }},
 	KindDHTMultiPutResp:   {"DHTMultiPutResp", zero[DHTMultiPutResp]},
-	KindDHTMultiGetReq:    {"DHTMultiGetReq", func() Msg { return recycled[DHTMultiGetReq](&multiGetReqs) }},
-	KindDHTMultiGetResp:   {"DHTMultiGetResp", zero[DHTMultiGetResp]},
+	KindDHTMultiGetReq:    {"DHTMultiGetReq", func() Msg { return multiGetReqs.Get() }},
+	KindDHTMultiGetResp:   {"DHTMultiGetResp", func() Msg { return multiGetResps.Get() }},
 	KindDHTStatsReq:       {name: "DHTStatsReq"},
 	KindDHTStatsResp:      {name: "DHTStatsResp"},
 	KindCreateBlobReq:     {"CreateBlobReq", zero[CreateBlobReq]},
@@ -155,30 +157,27 @@ func zero[T any, P interface {
 	return P(new(T))
 }
 
-// recycled takes a message of type T from pool, where Recycle put it,
-// or builds a zero one.
-func recycled[T any, P interface {
-	*T
-	Msg
-}](pool *sync.Pool) Msg {
-	if m, ok := pool.Get().(P); ok {
-		return m
-	}
-	return P(new(T))
-}
-
-// Recycler is implemented by a message the rpc server hands back once
-// it has framed the response, when nothing reads either message any
-// more: the requests a metadata node decodes in bulk, DHTMultiPutReq
-// and DHTMultiGetReq, whose key and value lists are most of what
-// decoding one allocates, and a handler's response that comes from a
-// pool of its own (after the server releases its loans: see
-// rpc.Borrower). Recycle hands the message back, and the next Decode
-// of its kind — or the next response — reuses it and its lists. Only a
-// decoded request or a pooled response is recycled, and only once.
+// Recycler is implemented by a message that is handed back once
+// nothing reads it any more: the requests a metadata node decodes in
+// bulk, DHTMultiPutReq and DHTMultiGetReq, which the rpc server hands
+// back once it has framed the response; a handler's response that
+// comes from a pool of its own, which the server hands back after it
+// releases its loans (see rpc.Borrower); and the DHTMultiGetResp a
+// client decodes, which belongs to the caller the rpc client returns
+// it to (see dht.Client.MultiGet). Recycle hands the message back, and
+// the next Decode of its kind — or the next response — reuses it and
+// its lists. Only a decoded message or a pooled response is recycled,
+// and only once; one that is never handed back is merely garbage.
 type Recycler interface{ Recycle() }
 
-var multiPutReqs, multiGetReqs sync.Pool
+var (
+	multiPutReqs  = bufpool.NewPool((*DHTMultiPutReq).reset, (*DHTMultiPutReq).reset)
+	multiGetReqs  = bufpool.NewPool((*DHTMultiGetReq).reset, (*DHTMultiGetReq).reset)
+	multiGetResps = bufpool.NewPool((*DHTMultiGetResp).reset, func(m *DHTMultiGetResp) {
+		bufpool.Poison(m.slab[:cap(m.slab)])
+		m.reset()
+	})
+)
 
 // String returns the symbolic name of the kind.
 func (k Kind) String() string {
@@ -365,11 +364,12 @@ func (m *DHTMultiPutReq) code(c Codec) Codec {
 }
 
 // Recycle implements Recycler.
-func (m *DHTMultiPutReq) Recycle() {
+func (m *DHTMultiPutReq) Recycle() { multiPutReqs.Put(m) }
+
+func (m *DHTMultiPutReq) reset() {
 	clear(m.Keys)
 	clear(m.Values)
 	m.Keys, m.Values = m.Keys[:0], m.Values[:0]
-	multiPutReqs.Put(m)
 }
 
 // DHTMultiPutResp acknowledges DHTMultiPutReq.
@@ -402,31 +402,53 @@ func (m *DHTMultiGetReq) code(c Codec) Codec {
 }
 
 // Recycle implements Recycler.
-func (m *DHTMultiGetReq) Recycle() {
+func (m *DHTMultiGetReq) Recycle() { multiGetReqs.Put(m) }
+
+func (m *DHTMultiGetReq) reset() {
 	clear(m.Keys)
 	m.Keys = m.Keys[:0]
-	multiGetReqs.Put(m)
 }
 
 // DHTMultiGetResp answers DHTMultiGetReq; entries align with request keys.
+//
+// A decoded DHTMultiGetResp's values are carved from one slab the
+// message keeps, not from the frame body: they are valid until the
+// message is handed back with Recycle, and its receiver either does
+// that once it reads none of them or leaves the message to the
+// collector.
 type DHTMultiGetResp struct {
 	Found  []bool
 	Values [][]byte
+	slab   []byte
 }
 
 // Kind implements Msg.
 func (*DHTMultiGetResp) Kind() Kind { return KindDHTMultiGetResp }
 
 func (m *DHTMultiGetResp) code(c Codec) Codec {
-	n := Slice(&c, &m.Found, 5)
+	n := c.Len(len(m.Found), 5)
 	if c.dec {
-		m.Values = make([][]byte, n)
+		m.Found, m.Values = reuse(m.Found, n), reuse(m.Values, n)
+		m.slab = slices.Grow(m.slab[:0], len(c.buf)-c.off) // room for every value: no value moves
 	}
 	for i := range n {
 		c.Bool(&m.Found[i])
-		c.Bytes(&m.Values[i])
+		c.BytesAlias(&m.Values[i])
+		if c.dec {
+			at := len(m.slab)
+			m.slab = append(m.slab, m.Values[i]...)
+			m.Values[i] = m.slab[at:len(m.slab):len(m.slab)]
+		}
 	}
 	return c
+}
+
+// Recycle implements Recycler.
+func (m *DHTMultiGetResp) Recycle() { multiGetResps.Put(m) }
+
+func (m *DHTMultiGetResp) reset() {
+	clear(m.Values)
+	m.Found, m.Values, m.slab = m.Found[:0], m.Values[:0], m.slab[:0]
 }
 
 // bodySize is GetPagesResp's: the two layouts are the same.

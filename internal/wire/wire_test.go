@@ -78,6 +78,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 func normalize(m Msg) Msg {
 	switch v := m.(type) {
 	case *DHTMultiGetResp:
+		v.slab = nil
 		for i := range v.Values {
 			if len(v.Values[i]) == 0 {
 				v.Values[i] = nil
